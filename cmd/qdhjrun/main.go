@@ -2,8 +2,8 @@
 // quality-driven disorder handling framework and reports result counts,
 // average buffer size and recall against the oracle. Every deployment
 // shape is drivable: the single MJoin-style operator (default), the
-// left-deep binary tree (-tree), the pipelined tree (-pipelined), and any
-// planner shape via -plan — including bushy trees and stage-wise sharding.
+// left-deep binary tree (-tree), and any planner shape via -plan —
+// including bushy trees and stage-wise sharding.
 // -explain prints the chosen plan graph (shape, shard routes, per-stage K
 // scopes) without running.
 //
@@ -77,8 +77,7 @@ func main() {
 		staticK   = flag.Float64("k", 0, "buffer size for -policy static (seconds)")
 		strategy  = flag.String("strategy", "noneqsel", "selectivity strategy: eqsel|noneqsel")
 		tree      = flag.Bool("tree", false, "execute as a left-deep binary tree (Sec. V) instead of the single operator")
-		pipelined = flag.Bool("pipelined", false, "execute as the pipelined binary tree (one goroutine per stage)")
-		perStage  = flag.Bool("perstage", false, "with -tree/-pipelined: one adaptive K per binary stage instead of Same-K")
+		perStage  = flag.Bool("perstage", false, "with -tree: one adaptive K per binary stage instead of Same-K")
 		shards    = flag.Int("shards", 0, "shard budget: parallel workers for the planner / sharded operator")
 		batch     = flag.Int("batch", 0, "columnar release batch size (0 or 1 = per-tuple); results and K trajectory are bit-for-bit identical at any size")
 		planSpec  = flag.String("plan", "", "deployment plan spec: auto|flat|shard[:N]|tree|tree-shard[:N] or a shape s-expression like '((0 1)x4 2)x4'")
@@ -97,7 +96,7 @@ func main() {
 	flag.Parse()
 	workers := splitAddrs(*workersCS)
 	fl := runFlags{
-		tree: *tree, pipelined: *pipelined, perStage: *perStage,
+		tree: *tree, perStage: *perStage, policy: *policy,
 		planSpec: *planSpec, shards: *shards, batch: *batch,
 		ckptFile: *ckptFile, restore: *restore, inject: *inject,
 		queries: *queries, workers: workers, frameBatch: *frameB,
@@ -173,7 +172,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "computing oracle ground truth...\n")
 	truth := oracle.TrueResults(ds.Cond, ds.Windows, ds.Arrivals)
 
-	if *planSpec != "" || *shards > 0 && !*tree && !*pipelined || ft.active() || rp.on || *batch > 1 || len(workers) > 0 {
+	if *planSpec != "" || *shards > 0 && !*tree || ft.active() || rp.on || *batch > 1 || len(workers) > 0 {
 		spec := *planSpec
 		if spec == "" {
 			spec = "auto"
@@ -190,9 +189,8 @@ func main() {
 		return
 	}
 
-	if *tree || *pipelined {
-		runTree(ds, truth, acfg, *policy, stream.Time(*staticK*float64(stream.Second)),
-			*pipelined, *perStage)
+	if *tree {
+		runTree(ds, truth, acfg, *policy, stream.Time(*staticK*float64(stream.Second)), *perStage)
 		return
 	}
 	eds := &exp.Dataset{Dataset: ds, Truth: truth}
@@ -213,11 +211,11 @@ func main() {
 	}
 }
 
-// runTree replays the dataset through the binary-tree deployment (Sec. V),
-// synchronous or pipelined, with fixed-K (policy "static"), Same-K-adaptive
-// or per-stage-adaptive buffers, and reports recall against the oracle.
+// runTree replays the dataset through the binary-tree deployment (Sec. V)
+// with fixed-K (policy "static"), Same-K-adaptive or per-stage-adaptive
+// buffers, and reports recall against the oracle.
 func runTree(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy string,
-	staticK stream.Time, pipelined, perStage bool) {
+	staticK stream.Time, perStage bool) {
 	opt := qdhj.Options{
 		Gamma:    acfg.Gamma,
 		Period:   acfg.P,
@@ -249,40 +247,14 @@ func runTree(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy str
 		mode = "per-stage adaptive"
 	}
 
-	arrivals := ds.Arrivals.Clone()
-	var produced int64
-	var sumBufK float64
-	var adaptations int64
-	shape := "tree"
-	if pipelined {
-		shape = "pipelined tree"
-		j := qdhj.NewPipelinedTreeJoin(ds.Cond, ds.Windows, initialK, 512, opts...)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for range j.Results() {
-				produced++
-			}
-		}()
-		for _, e := range arrivals {
-			j.Push(e)
-		}
-		j.Close()
-		<-done
-		j.Wait()
-		sumBufK = j.BufferedDelaySum()
-	} else {
-		j := qdhj.NewTreeJoin(ds.Cond, ds.Windows, initialK, nil, opts...)
-		for _, e := range arrivals {
-			j.Push(e)
-		}
-		j.Close()
-		produced = j.Results()
-		sumBufK = j.BufferedDelaySum()
-		adaptations = j.Adaptations()
-		if ks := j.CurrentKs(); ks != nil {
-			fmt.Fprintf(os.Stderr, "final Ks: %v\n", ks)
-		}
+	j := qdhj.NewTreeJoin(ds.Cond, ds.Windows, initialK, nil, opts...)
+	for _, e := range ds.Arrivals.Clone() {
+		j.Push(e)
+	}
+	j.Close()
+	produced := j.Results()
+	if ks := j.CurrentKs(); ks != nil {
+		fmt.Fprintf(os.Stderr, "final Ks: %v\n", ks)
 	}
 
 	recall := 0.0
@@ -290,13 +262,13 @@ func runTree(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy str
 		recall = float64(produced) / float64(truth.Total())
 	}
 	fmt.Printf("dataset:        %s (%d tuples, %d streams)\n", ds.Name, len(ds.Arrivals), ds.M)
-	fmt.Printf("execution:      %s, %s  Γ=%g  P=%v  L=%v\n", shape, mode, acfg.Gamma, acfg.P, acfg.L)
+	fmt.Printf("execution:      tree, %s  Γ=%g  P=%v  L=%v\n", mode, acfg.Gamma, acfg.P, acfg.L)
 	fmt.Printf("produced:       %d of %d true results (overall recall %.4f)\n",
 		produced, truth.Total(), recall)
 	if mode != "fixed-K" {
-		fmt.Printf("buffered delay: %.3f s summed over intervals and buffers\n", sumBufK/1000)
-		if adaptations > 0 {
-			fmt.Printf("adaptation:     %d steps\n", adaptations)
+		fmt.Printf("buffered delay: %.3f s summed over intervals and buffers\n", j.BufferedDelaySum()/1000)
+		if n := j.Adaptations(); n > 0 {
+			fmt.Printf("adaptation:     %d steps\n", n)
 		}
 	}
 }
@@ -357,7 +329,8 @@ func conflict(msg string) error {
 // runFlags mirrors the deployment-shaping command line for conflict
 // checking.
 type runFlags struct {
-	tree, pipelined, perStage bool
+	tree, perStage            bool
+	policy                    string
 	planSpec                  string
 	shards, batch             int
 	ckptFile, restore, inject string
@@ -382,33 +355,33 @@ func flagConflict(f runFlags) error {
 		if f.inject != "" {
 			return conflict("-queries cannot be combined with -inject: fault injection is not wired through the shared-window multi-query engine, so the armed faults would never fire; inject on a single-query run, or on qdhjd -inject for networked runs")
 		}
-		if f.tree || f.pipelined || f.planSpec != "" || f.shards > 0 || f.batch > 1 ||
+		if f.tree || f.planSpec != "" || f.shards > 0 || f.batch > 1 ||
 			f.ckptFile != "" || f.restore != "" || len(f.workers) > 0 || f.replan || f.explainLive {
-			return conflict("-queries is its own deployment shape; it cannot be combined with -tree/-pipelined/-plan/-shards/-batch/-checkpoint/-restore/-workers/-replan")
+			return conflict("-queries is its own deployment shape; it cannot be combined with -tree/-plan/-shards/-batch/-checkpoint/-restore/-workers/-replan")
 		}
 		return nil
 	}
-	if f.tree && f.pipelined {
-		return conflict("-tree and -pipelined are mutually exclusive")
+	if f.perStage && !f.tree {
+		return conflict("-perstage needs -tree")
 	}
-	if f.perStage && !f.tree && !f.pipelined {
-		return conflict("-perstage needs -tree or -pipelined")
+	if f.perStage && f.policy == "static" {
+		return conflict("-perstage cannot be combined with -policy static: per-stage K is an adaptive mode, so the fixed -k would be ignored and the model policy would run at the library defaults; drop -perstage for a fixed-K tree, or pick an adaptive policy")
 	}
-	if f.planSpec != "" && (f.tree || f.pipelined) {
-		return conflict("-plan replaces -tree/-pipelined: express the shape in the spec instead")
+	if f.planSpec != "" && f.tree {
+		return conflict("-plan replaces -tree: express the shape in the spec instead")
 	}
-	if f.shards > 0 && (f.tree || f.pipelined) {
-		return conflict(fmt.Sprintf("-shards does not apply to -tree/-pipelined (the Sec. V spine executors are unsharded); use -plan 'tree-shard:%d' for a stage-wise sharded tree", f.shards))
+	if f.shards > 0 && f.tree {
+		return conflict(fmt.Sprintf("-shards does not apply to -tree (the Sec. V spine runs unsharded); use -plan 'tree-shard:%d' for a stage-wise sharded tree", f.shards))
 	}
 	ftActive := f.ckptFile != "" || f.restore != "" || f.inject != ""
-	if ftActive && (f.tree || f.pipelined) {
+	if ftActive && f.tree {
 		return conflict("-checkpoint/-restore/-inject run on the planned path; express the shape with -plan")
 	}
-	if f.batch > 1 && (f.tree || f.pipelined) {
+	if f.batch > 1 && f.tree {
 		return conflict("-batch runs on the planned path; use -plan tree for a batched tree")
 	}
 	if f.replan || f.explainLive {
-		if f.tree || f.pipelined {
+		if f.tree {
 			return conflict("-replan runs on the planned path; express the starting shape with -plan")
 		}
 		if ftActive {
@@ -419,7 +392,7 @@ func flagConflict(f runFlags) error {
 		}
 	}
 	if len(f.workers) > 0 {
-		if f.tree || f.pipelined {
+		if f.tree {
 			return conflict("-workers runs the sharded flat shape on external daemons; tree shapes do not deploy remotely")
 		}
 		if f.inject != "" {

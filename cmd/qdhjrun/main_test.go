@@ -20,8 +20,8 @@ func TestFlagConflicts(t *testing.T) {
 		{"queries+tree", runFlags{queries: "q.spec", tree: true}},
 		{"queries+workers", runFlags{queries: "q.spec", workers: two}},
 		{"queries+replan", runFlags{queries: "q.spec", replan: true}},
-		{"tree+pipelined", runFlags{tree: true, pipelined: true}},
 		{"perstage alone", runFlags{perStage: true}},
+		{"perstage+static", runFlags{tree: true, perStage: true, policy: "static"}},
 		{"plan+tree", runFlags{planSpec: "shard:2", tree: true}},
 		{"shards+tree", runFlags{shards: 2, tree: true}},
 		{"inject+tree", runFlags{inject: "panic@shard0:tuple10", tree: true}},
@@ -50,7 +50,8 @@ func TestFlagConflicts(t *testing.T) {
 	}{
 		{"bare", runFlags{}},
 		{"queries alone", runFlags{queries: "q.spec"}},
-		{"tree+perstage", runFlags{tree: true, perStage: true}},
+		{"tree+perstage", runFlags{tree: true, perStage: true, policy: "model"}},
+		{"tree+static", runFlags{tree: true, policy: "static"}},
 		{"plan+inject", runFlags{planSpec: "shard:2", inject: "panic@shard1:tuple5000"}},
 		{"workers alone", runFlags{workers: two}},
 		{"workers+matching shards", runFlags{workers: two, shards: 2}},

@@ -63,33 +63,11 @@ func main() {
 	same := run(0, qdhj.WithTreeAdaptation(opt))
 	per := run(0, qdhj.WithTreeAdaptation(opt), qdhj.WithPerStageK())
 
-	// The pipelined variant accepts the same options; it must agree with the
-	// synchronous tree on the fixed-K reference.
-	pipe := qdhj.NewPipelinedTreeJoin(cond, windows, maxDelay, 512)
-	var piped int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range pipe.Results() {
-			piped++
-		}
-	}()
-	for _, e := range arrivals.Clone() {
-		pipe.Push(e)
-	}
-	pipe.Close()
-	<-done
-	pipe.Wait()
-
 	full := float64(fixed.Results())
 	fmt.Printf("fixed-K (%v, %d ops):  %8d results (reference)\n",
 		maxDelay, fixed.Operators(), fixed.Results())
-	fmt.Printf("pipelined fixed-K:         %8d results\n", piped)
 	fmt.Printf("Same-K adaptive:           %8d results (%.2f%% of full)  ΣK=%7.0fs\n",
 		same.Results(), 100*float64(same.Results())/full, same.BufferedDelaySum()/1000)
 	fmt.Printf("per-stage adaptive:        %8d results (%.2f%% of full)  ΣK=%7.0fs  Ks=%v\n",
 		per.Results(), 100*float64(per.Results())/full, per.BufferedDelaySum()/1000, per.CurrentKs())
-	if fixed.Results() != piped {
-		fmt.Println("MISMATCH between synchronous and pipelined tree — this is a bug")
-	}
 }

@@ -1,7 +1,7 @@
-// Adaptive drivers: the left-deep tree driven by the extracted feedback
-// runtime (internal/feedback), closing the gap the paper's Sec. V leaves
-// open — the distributed deployment previously ran with a fixed Same-K
-// buffer only.
+// Adaptation config and record routing of the adaptive tree driver
+// (AdaptivePlanTree): the tree driven by the extracted feedback runtime
+// (internal/feedback), closing the gap the paper's Sec. V leaves open — the
+// distributed deployment there runs with a fixed Same-K buffer only.
 //
 // Two policies are offered:
 //
@@ -10,26 +10,22 @@
 //     applied to every raw-input buffer of every stage. The root stage's
 //     productivity records and final-result counts feed the loop.
 //
-//   - Per-stage K (PerStage): one decision scope PER BINARY STAGE. Stage
-//     j's scope models the binary join of its two inputs — the merged delay
-//     profile of the left subtree's raw streams [0..j] against raw stream
-//     j+1, over windows [min_{i≤j} W_i, W_{j+1}] — fed by the stage's own
-//     productivity records (stage-local selectivity). All scopes decide
-//     against one instant requirement Γ′ derived at the ROOT scope, whose
-//     Result-Size Monitor window sees the final results. The decided K_j
-//     sizes the K-slack buffer of raw stream j+1 (and stream 0 for j = 0).
-//     Stages whose inputs are nearly ordered thus buy almost no latency
-//     while heavily disordered stages buy what the requirement needs —
-//     strictly less total buffered delay than Same-K on asymmetric-delay
-//     inputs (see DESIGN.md §8 for where this departs from Theorem 1).
+//   - Per-stage K (PerStage): one decision scope PER BINARY STAGE, modelling
+//     the binary join of the stage's two sub-plan inputs and fed by the
+//     stage's own productivity records (stage-local selectivity). All
+//     scopes decide against one instant requirement Γ′ derived at the ROOT
+//     scope, whose Result-Size Monitor window sees the final results. The
+//     decided K_j sizes the K-slack buffers of the raw streams entering
+//     stage j directly. Stages whose inputs are nearly ordered thus buy
+//     almost no latency while heavily disordered stages buy what the
+//     requirement needs — strictly less total buffered delay than Same-K on
+//     asymmetric-delay inputs (see DESIGN.md §8 for where this departs from
+//     Theorem 1).
 package dist
 
 import (
-	"sync"
-
 	"repro/internal/adapt"
 	"repro/internal/feedback"
-	"repro/internal/join"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -53,83 +49,12 @@ type AdaptiveConfig struct {
 	OnDecide func(at stream.Time, ks []stream.Time)
 }
 
-// stageScopes builds the per-stage decision scopes: scope j models stage
-// j's binary join. The left input merges the raw streams bound in the
-// stage's partials; its window extent is the minimum constituent window,
-// matching the partial expiration deadline D = min_i (ts_i + W_i).
-func stageScopes(windows []stream.Time) []feedback.Scope {
-	n := len(windows) - 1
-	scopes := make([]feedback.Scope, n)
-	for j := 0; j < n; j++ {
-		left := make([]int, j+1)
-		wLeft := windows[0]
-		for i := 0; i <= j; i++ {
-			left[i] = i
-			if windows[i] < wLeft {
-				wLeft = windows[i]
-			}
-		}
-		scopes[j] = feedback.Scope{
-			Groups:  [][]int{left, {j + 1}},
-			Windows: []stream.Time{wLeft, windows[j+1]},
-		}
-	}
-	return scopes
-}
-
-// newTreeLoop builds the feedback loop for one tree run.
-func newTreeLoop(windows []stream.Time, cfg AdaptiveConfig) *feedback.Loop {
-	fcfg := feedback.Config{
-		Windows:   windows,
-		Adapt:     cfg.Adapt,
-		Policy:    cfg.Policy,
-		StatsOpts: cfg.StatsOpts,
-		InitialK:  cfg.InitialK,
-	}
-	if cfg.PerStage {
-		fcfg.Scopes = stageScopes(windows)
-		fcfg.SharedRequirement = true
-	}
-	return feedback.New(fcfg)
-}
-
-// kApplier tracks how decided Ks map onto the tree's m raw-input buffers
-// and accumulates the total buffered delay Σ_intervals Σ_buffers K — the
-// tree's aggregate result-latency metric (per-stage K exists to shrink it).
-type kApplier struct {
-	perStage bool
-	nStages  int
-	scratch  []stream.Time
-	sumBufK  float64
-}
-
-// stageKs expands a decision into the per-stage slice the executors apply
-// and accumulates the buffered-delay sum. Stage 0 owns two raw buffers.
-func (a *kApplier) stageKs(ks []stream.Time) []stream.Time {
-	if a.scratch == nil {
-		a.scratch = make([]stream.Time, a.nStages)
-	}
-	if a.perStage {
-		copy(a.scratch, ks)
-	} else {
-		for j := range a.scratch {
-			a.scratch[j] = ks[0]
-		}
-	}
-	a.sumBufK += float64(a.scratch[0]) // stage 0's second buffer (stream 0)
-	for _, k := range a.scratch {
-		a.sumBufK += float64(k)
-	}
-	return a.scratch
-}
-
-// feedRouter routes stage productivity records into the loop — the single
-// copy of the policy both drivers share. Under Same-K only the root stage
-// feeds the single scope — its arrivals derive the final results, mirroring
-// the MJoin operator's hook; under per-stage every stage feeds its own
-// scope. Root-stage in-order result counts also feed the Result-Size
-// Monitor: an in-order arrival's results all carry its own timestamp (no
-// buffered candidate can exceed the stage watermark), so
+// feedRouter routes stage productivity records into the loop. Under Same-K
+// only the root stage feeds the single scope — its arrivals derive the final
+// results, mirroring the MJoin operator's hook; under per-stage every stage
+// feeds its own scope. Root-stage in-order result counts also feed the
+// Result-Size Monitor: an in-order arrival's results all carry its own
+// timestamp (no buffered candidate can exceed the stage watermark), so
 // ObserveResult(ts, n^on) records exactly the per-result stream.
 type feedRouter struct {
 	loop     *feedback.Loop
@@ -153,153 +78,4 @@ func (r *feedRouter) route(stage int, ts, delay stream.Time, nCross, nOn int64, 
 	} else {
 		r.loop.RecordOutOfOrder(scope, delay)
 	}
-}
-
-// AdaptiveTree is the synchronous tree with the quality-driven loop in the
-// driver seat: every raw arrival feeds the Statistics Manager, stage
-// productivity and final results feed the profilers and the Result-Size
-// Monitor, and at every adaptation-interval boundary the loop re-decides
-// the buffer size(s).
-type AdaptiveTree struct {
-	t    *Tree
-	loop *feedback.Loop
-	ka   kApplier
-	fr   feedRouter
-	cfg  AdaptiveConfig
-}
-
-// NewAdaptiveTree builds the adaptive synchronous tree. sink (optional)
-// receives every complete result.
-func NewAdaptiveTree(cond *join.Condition, windows []stream.Time, cfg AdaptiveConfig, sink func(Partial)) *AdaptiveTree {
-	loop := newTreeLoop(windows, cfg)
-	a := &AdaptiveTree{
-		loop: loop,
-		ka:   kApplier{perStage: cfg.PerStage, nStages: len(windows) - 1},
-		fr:   feedRouter{loop: loop, perStage: cfg.PerStage, root: len(windows) - 2},
-		cfg:  cfg,
-	}
-	a.t = NewTree(cond, windows, cfg.InitialK, sink)
-	a.t.setProdHook(a.fr.route)
-	return a
-}
-
-// Push feeds one raw arrival and runs any due adaptation step.
-func (a *AdaptiveTree) Push(e *stream.Tuple) {
-	now := a.loop.Observe(e)
-	a.t.Push(e)
-	if at, ok := a.loop.Boundary(now); ok {
-		ks := a.loop.DecideAt(at, a.t.Watermark())
-		a.t.SetStageK(a.ka.stageKs(ks))
-		if a.cfg.OnDecide != nil {
-			a.cfg.OnDecide(at, ks)
-		}
-	}
-}
-
-// Finish flushes the tree at end of input.
-func (a *AdaptiveTree) Finish() { a.t.Finish() }
-
-// Results returns the number of complete results produced so far.
-func (a *AdaptiveTree) Results() int64 { return a.t.Results() }
-
-// Tree returns the underlying executor.
-func (a *AdaptiveTree) Tree() *Tree { return a.t }
-
-// Loop exposes the feedback runtime (read-only use by callers).
-func (a *AdaptiveTree) Loop() *feedback.Loop { return a.loop }
-
-// BufferedDelaySum returns Σ over adaptation intervals of Σ over the m
-// raw-input buffers of the applied K: the aggregate buffered delay the run
-// paid. Per-stage K exists to make this strictly smaller than Same-K's on
-// asymmetric-delay inputs.
-func (a *AdaptiveTree) BufferedDelaySum() float64 { return a.ka.sumBufK }
-
-// AdaptivePipelined drives the pipelined tree with the same loop. Stage
-// goroutines feed productivity and result records concurrently, so the
-// loop is guarded by a mutex and decisions see whatever records have
-// arrived when the ingest goroutine crosses a boundary — adaptation is
-// best-effort rather than deterministic (unlike AdaptiveTree), but result
-// correctness is unaffected: K only moves the latency/recall trade-off.
-// Buffer-size changes travel in-band through the stage channels, so each
-// kslack buffer is only touched by its owning stage goroutine.
-type AdaptivePipelined struct {
-	p    *Pipelined
-	loop *feedback.Loop
-	ka   kApplier
-	fr   feedRouter
-	cfg  AdaptiveConfig
-
-	mu sync.Mutex
-	wm stream.Time // root-stage watermark, tracked via the hook
-}
-
-// NewAdaptivePipelined builds the adaptive pipelined tree; buffer sizes the
-// inter-stage channels (≤ 0 selects a default).
-func NewAdaptivePipelined(cond *join.Condition, windows []stream.Time, cfg AdaptiveConfig, buffer int) *AdaptivePipelined {
-	loop := newTreeLoop(windows, cfg)
-	a := &AdaptivePipelined{
-		loop: loop,
-		ka:   kApplier{perStage: cfg.PerStage, nStages: len(windows) - 1},
-		fr:   feedRouter{loop: loop, perStage: cfg.PerStage, root: len(windows) - 2},
-		cfg:  cfg,
-	}
-	a.p = NewPipelined(cond, windows, cfg.InitialK, buffer)
-	a.p.setProdHook(a.onProcessed)
-	return a
-}
-
-// onProcessed is the shared feedRouter under the loop mutex, plus
-// root-watermark tracking (an in-order root event's ts IS the root onT).
-func (a *AdaptivePipelined) onProcessed(stage int, ts, delay stream.Time, nCross, nOn int64, inOrder bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if stage == a.fr.root && inOrder && ts > a.wm {
-		a.wm = ts
-	}
-	a.fr.route(stage, ts, delay, nCross, nOn, inOrder)
-}
-
-// Push feeds one raw arrival from the single producer goroutine and runs
-// any due adaptation step.
-func (a *AdaptivePipelined) Push(e *stream.Tuple) {
-	a.mu.Lock()
-	now := a.loop.Observe(e)
-	a.mu.Unlock()
-	a.p.Push(e)
-	a.mu.Lock()
-	at, ok := a.loop.Boundary(now)
-	if !ok {
-		a.mu.Unlock()
-		return
-	}
-	ks := a.loop.DecideAt(at, a.wm)
-	stageKs := append([]stream.Time(nil), a.ka.stageKs(ks)...)
-	if a.cfg.OnDecide != nil {
-		a.cfg.OnDecide(at, ks)
-	}
-	a.mu.Unlock()
-	a.p.pushControl(stageKs)
-}
-
-// Close signals end of input; results keep flowing until Results closes.
-func (a *AdaptivePipelined) Close() { a.p.Close() }
-
-// Results returns the channel of complete results; drain it until it
-// closes.
-func (a *AdaptivePipelined) Results() <-chan Partial { return a.p.out }
-
-// Wait blocks until every stage goroutine has exited; call after draining
-// Results.
-func (a *AdaptivePipelined) Wait() { a.p.Wait() }
-
-// Loop exposes the feedback runtime. Do not call concurrently with a
-// running ingest: the loop is shared with the stage goroutines.
-func (a *AdaptivePipelined) Loop() *feedback.Loop { return a.loop }
-
-// BufferedDelaySum returns the aggregate buffered delay; see
-// AdaptiveTree.BufferedDelaySum.
-func (a *AdaptivePipelined) BufferedDelaySum() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ka.sumBufK
 }

@@ -20,10 +20,10 @@ func adaptWorkload(seed int64, n int, delayMax [3]stream.Time) (stream.Batch, []
 	return gen.SparseEqui3(n, seed, 300, delayMax), []stream.Time{w, w, w}
 }
 
-// runAdaptiveTree drives one adaptive synchronous tree over the workload.
-func runAdaptiveTree(t *testing.T, in stream.Batch, windows []stream.Time, cfg AdaptiveConfig) *AdaptiveTree {
+// runAdaptiveTree drives one adaptive left-deep tree over the workload.
+func runAdaptiveTree(t *testing.T, in stream.Batch, windows []stream.Time, cfg AdaptiveConfig) *AdaptivePlanTree {
 	t.Helper()
-	at := NewAdaptiveTree(join.EquiChain(3, 0), windows, cfg, nil)
+	at := NewAdaptivePlanTree(join.EquiChain(3, 0), windows, Spine(3), cfg, nil)
 	for _, e := range in.Clone() {
 		at.Push(e)
 	}
@@ -108,47 +108,10 @@ func TestPerStageKDivergesOnAsymmetricDelays(t *testing.T) {
 	}
 }
 
-// TestAdaptivePipelinedProducesSaneResults: the pipelined adaptive driver
-// (best-effort decision timing) still produces a recall near the target and
-// takes decisions.
-func TestAdaptivePipelinedProducesSaneResults(t *testing.T) {
-	leakcheck.Check(t)
-	in, windows := adaptWorkload(7, 4000, [3]stream.Time{2000, 2000, 2000})
-	cond := join.EquiChain(3, 0)
-	truth := oracle.TrueResults(cond, windows, in).Total()
-
-	ap := NewAdaptivePipelined(join.EquiChain(3, 0), windows, AdaptiveConfig{Adapt: testAdapt, PerStage: true}, 256)
-	var got int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range ap.Results() {
-			got++
-		}
-	}()
-	for _, e := range in.Clone() {
-		ap.Push(e)
-	}
-	ap.Close()
-	<-done
-	ap.Wait()
-
-	recall := float64(got) / float64(truth)
-	t.Logf("pipelined per-stage: truth=%d got=%d recall=%.4f decisions=%d", truth, got, recall, ap.Loop().Decisions())
-	if recall < testAdapt.Gamma-0.05 {
-		t.Errorf("pipelined adaptive recall %.4f far below target %.2f", recall, testAdapt.Gamma)
-	}
-	if ap.Loop().Decisions() == 0 {
-		t.Error("no adaptation steps ran")
-	}
-	if ap.BufferedDelaySum() <= 0 {
-		t.Error("buffered-delay sum not tracked")
-	}
-}
-
 // TestTreeLifecyclePanics: Push-after-Finish and double-Finish panic on the
-// synchronous tree; Push-after-Close and double-Close panic on the
-// pipelined one (DESIGN.md §3 lifecycle conventions, matching Join).
+// adaptive driver exactly as on the static tree
+// (TestPlanTreeLifecyclePanics; DESIGN.md §3 lifecycle conventions, matching
+// Join).
 func TestTreeLifecyclePanics(t *testing.T) {
 	leakcheck.Check(t)
 	mustPanic := func(name string, f func()) {
@@ -161,25 +124,11 @@ func TestTreeLifecyclePanics(t *testing.T) {
 		f()
 	}
 	w := []stream.Time{stream.Second, stream.Second}
-
-	tr := NewTree(join.EquiChain(2, 0), w, 0, nil)
-	tr.Push(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
-	tr.Finish()
-	mustPanic("Tree.Push after Finish", func() {
-		tr.Push(&stream.Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
+	at := NewAdaptivePlanTree(join.EquiChain(2, 0), w, Spine(2), AdaptiveConfig{Adapt: testAdapt}, nil)
+	at.Push(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
+	at.Finish()
+	mustPanic("Push after Finish", func() {
+		at.Push(&stream.Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
 	})
-	mustPanic("Tree.Finish twice", tr.Finish)
-
-	p := NewPipelined(join.EquiChain(2, 0), w, 0, 16)
-	go func() {
-		for range p.Results() {
-		}
-	}()
-	p.Push(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
-	p.Close()
-	p.Wait()
-	mustPanic("Pipelined.Push after Close", func() {
-		p.Push(&stream.Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
-	})
-	mustPanic("Pipelined.Close twice", p.Close)
+	mustPanic("Finish twice", at.Finish)
 }

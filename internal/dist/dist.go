@@ -1,12 +1,10 @@
-// Package dist executes an m-way MSWJ as a left-deep tree of binary join
-// operators — the distributed deployment shape of Sec. V of the paper. Each
-// binary stage is fronted by its own Synchronizer and applies the Same-K
-// disorder handling: every raw input stream passes through a K-slack buffer
-// with the common buffer size K before entering its stage.
+// Package dist executes an m-way MSWJ as a tree of binary join operators —
+// the distributed deployment shape of Sec. V of the paper. Each binary stage
+// is fronted by its own Synchronizer, and every raw input stream passes
+// through a K-slack buffer before entering its stage.
 //
-// Stage j joins the partial results over streams [0..j] (its left input)
-// with raw stream j+1 (its right input). A partial result carries, besides
-// the constituent tuples, an expiration deadline
+// A stage joins the partial results of its two sub-plans. A partial result
+// carries, besides the constituent tuples, an expiration deadline
 //
 //	D = min_i (e_i.ts + W_i)
 //
@@ -17,47 +15,37 @@
 // partial is matchable precisely while every constituent is still inside
 // its own window.
 //
-// Both a synchronous driver (Tree) and a pipelined one (Pipelined, one
-// goroutine per stage connected by channels) are provided. They process
-// stage inputs in identical order — the pipelined variant forwards raw
-// tuples for later stages through the stage chain instead of routing them
-// directly — so both produce identical results.
+// PlanTree (plantree.go) is the one executor: it runs any binary shape —
+// the left-deep spine of Sec. V is Spine(m) — optionally with key-sharded
+// stages; AdaptivePlanTree puts the quality-driven feedback loop in charge
+// of the buffer sizes.
 package dist
 
 import (
-	"sync"
-
-	"repro/internal/fault"
 	"repro/internal/index"
-	"repro/internal/join"
-	"repro/internal/kslack"
 	"repro/internal/pq"
 	"repro/internal/stream"
 )
 
-// Partial is a (possibly complete) join result over streams [0..len(Parts)-1].
-// TS is the maximum constituent timestamp (the MSWJ result timestamp) and
-// Delay the delay annotation of the arrival that produced it.
+// Partial is a complete join result handed to the sink: Parts holds one
+// tuple per stream, in stream order. TS is the maximum constituent timestamp
+// (the MSWJ result timestamp) and Delay the delay annotation of the arrival
+// that produced it.
 type Partial struct {
 	TS    stream.Time
 	Delay stream.Time
 	Parts []*stream.Tuple
 }
 
-// event is one unit of stage input: a raw tuple (right != nil), a partial
-// from the upstream stage (parts != nil), or a buffer-size control event
-// (setK != nil) that applies per-stage K decisions in-band — the pipelined
-// driver threads K changes through the stage channels so every kslack
-// buffer is only ever touched by its owning stage goroutine.
+// event is one unit of stage input: a raw tuple or a partial from a child
+// stage. parts is the m-length sparse constituent list (nil = unbound).
 type event struct {
 	ts       stream.Time
 	deadline stream.Time // min_i (e_i.ts + W_i) over constituents
 	delay    stream.Time
 	ord      uint64 // stage-local arrival order, breaks timestamp ties
 	key      float64
-	right    *stream.Tuple
 	parts    []*stream.Tuple
-	setK     []stream.Time // per-stage buffer sizes (control event)
 }
 
 // prodHookFunc observes one synchronized stage input: the stage index, the
@@ -68,406 +56,16 @@ type event struct {
 // the per-scope Tuple-Productivity Profilers of the feedback loop.
 type prodHookFunc func(stage int, ts, delay stream.Time, nCross, nOn int64, inOrder bool)
 
-// pairLookup is one equi-predicate between a bound stream and the stage's
-// right stream.
-type pairLookup struct {
-	leftStream, leftAttr int
-	rightAttr            int
-}
-
-// pairBand is one band predicate |left − right| ≤ eps that becomes fully
-// bound at the stage (its highest-numbered stream is the stage's right
-// input). On stages without an equi lookup the first band keys a sorted
-// range index on both stage windows (the same index.Sorted the central
-// operator's windows use), turning the full-window scan into an
-// O(log n + box) probe; every band — including the probed one — stays in
-// the residual filter, so the widened range is a pure superset pre-filter
-// and results agree bit-for-bit with the scan.
-type pairBand struct {
-	leftStream, leftAttr int
-	rightAttr            int
-	eps                  float64
-}
-
 const (
 	sideLeft  = 0
 	sideRight = 1
 )
-
-// stage is one binary join operator with its Synchronizer and the K-slack
-// buffer(s) of its raw input(s).
-type stage struct {
-	rightSrc int // stream index of the right input; the stage joins [0..rightSrc-1] with it
-	windows  []stream.Time
-	cond     *join.Condition
-	lookups  []pairLookup
-	bands    []pairBand
-	checks   []int // Condition.Generics fully bound at this stage
-
-	ksLeft  *kslack.Buffer // stage 0 only (raw stream 0)
-	ksRight *kslack.Buffer // raw stream rightSrc
-
-	// Synchronizer state (Alg. 1, m = 2).
-	tsync  stream.Time
-	buf    pq.Heap[*event]
-	counts [2]int
-	open   [2]bool
-	ord    uint64
-
-	// Binary join state.
-	onT    stream.Time
-	left   *pwindow
-	right  *pwindow
-	assign []*stream.Tuple
-
-	next     func(*event)  // nil on the last stage
-	sink     func(Partial) // last stage only; may be nil
-	results  *int64
-	prodHook prodHookFunc // optional; see prodHookFunc
-}
 
 func eventLess(a, b *event) bool {
 	if a.ts != b.ts {
 		return a.ts < b.ts
 	}
 	return a.ord < b.ord
-}
-
-func newStage(cond *join.Condition, windows []stream.Time, k stream.Time, rightSrc int) *stage {
-	s := &stage{
-		rightSrc: rightSrc,
-		windows:  windows,
-		cond:     cond,
-		buf:      pq.New(eventLess),
-		open:     [2]bool{true, true},
-		assign:   make([]*stream.Tuple, cond.M),
-	}
-	for _, e := range cond.Equis {
-		ls, la, rs, ra := e.LeftStream, e.LeftAttr, e.RightStream, e.RightAttr
-		if rs == rightSrc && ls < rightSrc {
-			s.lookups = append(s.lookups, pairLookup{ls, la, ra})
-		} else if ls == rightSrc && rs < rightSrc {
-			s.lookups = append(s.lookups, pairLookup{rs, ra, la})
-		}
-	}
-	for _, b := range cond.Bands {
-		ls, la, rs, ra := b.LeftStream, b.LeftAttr, b.RightStream, b.RightAttr
-		if rs == rightSrc && ls < rightSrc {
-			s.bands = append(s.bands, pairBand{ls, la, ra, b.Eps})
-		} else if ls == rightSrc && rs < rightSrc {
-			s.bands = append(s.bands, pairBand{rs, ra, la, b.Eps})
-		}
-	}
-	for gi, g := range cond.Generics {
-		maxStream := 0
-		for _, gs := range g.Streams {
-			if gs > maxStream {
-				maxStream = gs
-			}
-		}
-		if maxStream < 1 {
-			maxStream = 1 // single-stream predicates over stream 0 run at stage 0
-		}
-		if maxStream == rightSrc {
-			s.checks = append(s.checks, gi)
-		}
-	}
-	indexed := len(s.lookups) > 0
-	banded := !indexed && len(s.bands) > 0
-	s.left = newPwindow(indexed, banded)
-	s.right = newPwindow(indexed, banded)
-	s.ksRight = kslack.New(k, func(t *stream.Tuple) {
-		s.syncPush(s.rightEvent(t), sideRight)
-	})
-	if rightSrc == 1 {
-		s.ksLeft = kslack.New(k, func(t *stream.Tuple) {
-			s.syncPush(s.leafEvent(t), sideLeft)
-		})
-	}
-	return s
-}
-
-// rightEvent wraps a post-K-slack raw tuple of the right stream.
-func (s *stage) rightEvent(t *stream.Tuple) *event {
-	ev := &event{ts: t.TS, deadline: t.TS + s.windows[s.rightSrc], delay: t.Delay, right: t}
-	switch {
-	case len(s.lookups) > 0:
-		ev.key = t.Attr(s.lookups[0].rightAttr)
-	case len(s.bands) > 0:
-		ev.key = t.Attr(s.bands[0].rightAttr)
-	}
-	return ev
-}
-
-// leafEvent wraps a post-K-slack raw tuple of stream 0 as a 1-way partial
-// (stage 0's left input).
-func (s *stage) leafEvent(t *stream.Tuple) *event {
-	ev := &event{
-		ts: t.TS, deadline: t.TS + s.windows[0], delay: t.Delay,
-		parts: []*stream.Tuple{t},
-	}
-	s.setLeftKey(ev)
-	return ev
-}
-
-// setLeftKey stamps a left-side event with its stage probe key: the first
-// equi lookup's bound attribute, or the first band's on band-only stages.
-func (s *stage) setLeftKey(ev *event) {
-	switch {
-	case len(s.lookups) > 0:
-		l0 := s.lookups[0]
-		ev.key = ev.parts[l0.leftStream].Attr(l0.leftAttr)
-	case len(s.bands) > 0:
-		b0 := s.bands[0]
-		ev.key = ev.parts[b0.leftStream].Attr(b0.leftAttr)
-	}
-}
-
-// applyK applies this stage's entry of a per-stage buffer-size decision to
-// the stage's raw-input K-slack buffer(s). Stage 0's K governs both of its
-// raw inputs (streams 0 and 1): they share one Synchronizer, so within the
-// stage Theorem 1's Same-K argument applies.
-func (s *stage) applyK(ks []stream.Time) {
-	k := ks[s.rightSrc-1]
-	if s.ksLeft != nil {
-		s.ksLeft.SetK(k)
-	}
-	s.ksRight.SetK(k)
-}
-
-// receive accepts one input in arrival order: a raw tuple (routed to this
-// stage's K-slack or forwarded downstream), an upstream partial, or a
-// buffer-size control event (applied here, then forwarded downstream).
-func (s *stage) receive(ev *event) {
-	if ev.setK != nil {
-		s.applyK(ev.setK)
-		if s.next != nil {
-			s.next(ev)
-		}
-		return
-	}
-	if ev.parts != nil {
-		s.setLeftKey(ev)
-		s.syncPush(ev, sideLeft)
-		return
-	}
-	t := ev.right
-	switch {
-	case t.Src == s.rightSrc:
-		s.ksRight.Push(t)
-	case t.Src < s.rightSrc && s.ksLeft != nil:
-		s.ksLeft.Push(t)
-	default:
-		s.next(ev) // raw tuple for a later stage
-	}
-}
-
-// syncPush is the per-stage Synchronizer (Alg. 1 with m = 2): buffer tuples
-// ahead of T^sync, forward late ones immediately.
-func (s *stage) syncPush(ev *event, side int) {
-	ev.ord = s.ord
-	s.ord++
-	if ev.ts > s.tsync {
-		s.buf.Push(ev)
-		s.counts[side]++
-		s.drain()
-		return
-	}
-	s.process(ev)
-}
-
-func (s *stage) drain() {
-	for s.buf.Len() > 0 && s.ready() {
-		s.tsync = s.buf.Peek().ts
-		for s.buf.Len() > 0 && s.buf.Peek().ts == s.tsync {
-			ev := s.buf.Pop()
-			s.counts[s.side(ev)]--
-			s.process(ev)
-		}
-	}
-}
-
-func (s *stage) side(ev *event) int {
-	if ev.right != nil {
-		return sideRight
-	}
-	return sideLeft
-}
-
-func (s *stage) ready() bool {
-	for i := 0; i < 2; i++ {
-		if s.open[i] && s.counts[i] == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// closeSide marks one input as ended; closed sides no longer gate the
-// release loop.
-func (s *stage) closeSide(side int) {
-	if !s.open[side] {
-		return
-	}
-	s.open[side] = false
-	s.drain()
-}
-
-// finish ends the stage's inputs: flush the K-slack buffer(s), then close
-// both Synchronizer sides. Upstream must already have finished so every
-// partial has arrived.
-func (s *stage) finish() {
-	if s.ksLeft != nil {
-		s.ksLeft.Flush()
-	}
-	s.ksRight.Flush()
-	s.closeSide(sideLeft)
-	s.closeSide(sideRight)
-}
-
-// process is the binary Alg. 2 step on one synchronized event.
-func (s *stage) process(ev *event) {
-	if ev.ts >= s.onT {
-		s.onT = ev.ts
-		var nCross, nOn int64
-		if ev.right != nil {
-			s.left.expire(ev.ts)
-			nCross = int64(s.left.heap.Len())
-			nOn = s.probeLeft(ev)
-			s.right.insert(ev)
-		} else {
-			s.right.expire(ev.ts)
-			nCross = int64(s.right.heap.Len())
-			nOn = s.probeRight(ev)
-			s.left.insert(ev)
-		}
-		if s.prodHook != nil {
-			// After the expire above, every live opposing entry has
-			// deadline ≥ ev.ts, so heap length is the exact stage-local
-			// cross size n×(e).
-			s.prodHook(s.rightSrc-1, ev.ts, ev.delay, nCross, nOn, true)
-		}
-		return
-	}
-	if s.prodHook != nil {
-		s.prodHook(s.rightSrc-1, ev.ts, ev.delay, 0, 0, false)
-	}
-	// Out-of-order w.r.t. this stage: no probing (lines 9–10 of Alg. 2);
-	// keep the event only while it can still contribute to future results.
-	// The shared boundary convention (scope [onT − W, onT], expired means
-	// strictly older) makes an event with deadline == onT still matchable:
-	// expire pops only deadline < onT, and the probe-side staleness check
-	// skips only deadline < ts.
-	if ev.deadline >= s.onT {
-		if ev.right != nil {
-			s.right.insert(ev)
-		} else {
-			s.left.insert(ev)
-		}
-	}
-}
-
-// probeLeft joins an arriving right tuple against the buffered partials,
-// returning the number of results derived.
-func (s *stage) probeLeft(ev *event) int64 {
-	var n int64
-	for _, cand := range s.candidatesIn(s.left, ev.key) {
-		if cand.deadline < ev.ts {
-			continue // stale entry awaiting expiration (cross-join scan path)
-		}
-		if s.matches(cand, ev.right) {
-			s.emit(cand, ev.right, ev)
-			n++
-		}
-	}
-	return n
-}
-
-// probeRight joins an arriving partial against the buffered right tuples,
-// returning the number of results derived.
-func (s *stage) probeRight(ev *event) int64 {
-	var n int64
-	for _, cand := range s.candidatesIn(s.right, ev.key) {
-		if cand.deadline < ev.ts {
-			continue
-		}
-		if s.matches(ev, cand.right) {
-			s.emit(ev, cand.right, ev)
-			n++
-		}
-	}
-	return n
-}
-
-// candidatesIn selects the window's candidate set for probe key: the hash
-// bucket on equi stages, a widened range-index view on band-only stages
-// (superset of the exact band; matches() re-checks the difference form),
-// every live entry otherwise.
-func (s *stage) candidatesIn(w *pwindow, key float64) []*event {
-	if w.srt != nil {
-		lo, hi, ok := join.ProbeRange(key, s.bands[0].eps)
-		if !ok {
-			return nil // NaN/Inf keys can never band-match
-		}
-		return w.srt.Range(lo, hi)
-	}
-	return w.candidates(key)
-}
-
-// matches checks the remaining equi-lookups, the band predicates and the
-// generic predicates that became fully bound at this stage.
-func (s *stage) matches(left *event, r *stream.Tuple) bool {
-	for _, l := range s.lookups[min(1, len(s.lookups)):] {
-		if left.parts[l.leftStream].Attr(l.leftAttr) != r.Attr(l.rightAttr) {
-			return false
-		}
-	}
-	for _, b := range s.bands {
-		d := left.parts[b.leftStream].Attr(b.leftAttr) - r.Attr(b.rightAttr)
-		// Negated form: NaN (all comparisons false) never band-matches.
-		if !(d >= -b.eps && d <= b.eps) {
-			return false
-		}
-	}
-	if len(s.checks) == 0 {
-		return true
-	}
-	for i := range s.assign {
-		s.assign[i] = nil
-	}
-	copy(s.assign, left.parts)
-	s.assign[s.rightSrc] = r
-	for _, gi := range s.checks {
-		if !s.cond.Generics[gi].Eval(s.assign) {
-			return false
-		}
-	}
-	return true
-}
-
-// emit materializes the combined partial and hands it downstream (or to the
-// sink when the join is complete).
-func (s *stage) emit(left *event, r *stream.Tuple, arriving *event) {
-	parts := make([]*stream.Tuple, len(left.parts)+1)
-	copy(parts, left.parts)
-	parts[s.rightSrc] = r
-	ts := left.ts
-	if r.TS > ts {
-		ts = r.TS
-	}
-	deadline := left.deadline
-	if d := r.TS + s.windows[s.rightSrc]; d < deadline {
-		deadline = d
-	}
-	out := &event{ts: ts, deadline: deadline, delay: arriving.delay, parts: parts}
-	if s.next != nil {
-		s.next(out)
-		return
-	}
-	*s.results++
-	if s.sink != nil {
-		s.sink(Partial{TS: ts, Delay: arriving.delay, Parts: parts})
-	}
 }
 
 // pwindow holds the live entries of one stage input: a 4-ary heap ordered
@@ -480,8 +78,8 @@ type pwindow struct {
 	heap pq.Heap[*event]
 	idx  *index.Hash[*event]   // nil unless the stage has an equi lookup
 	srt  *index.Sorted[*event] // nil unless the stage is band-only
-	// free, when set, receives every expired event — the PlanTree stage
-	// arena's recycle hook. Only driver-thread windows set it.
+	// free, when set, receives every expired event — the stage arena's
+	// recycle hook. Only driver-thread windows set it.
 	free func(*event)
 }
 
@@ -546,258 +144,3 @@ func (w *pwindow) candidates(key float64) []*event {
 	}
 	return w.heap.Items()
 }
-
-// Tree is the synchronous left-deep tree driver.
-type Tree struct {
-	stages   []*stage
-	results  int64
-	finished bool
-}
-
-// NewTree builds the tree for cond over len(windows) streams with the common
-// buffer size k on every raw input. sink (optional) receives every complete
-// result.
-func NewTree(cond *join.Condition, windows []stream.Time, k stream.Time, sink func(Partial)) *Tree {
-	if len(windows) != cond.M {
-		panic("dist: window count must match condition arity")
-	}
-	if cond.M < 2 {
-		panic("dist: need at least 2 streams")
-	}
-	t := &Tree{}
-	t.stages = buildStages(cond, windows, k, sink, &t.results, nil)
-	return t
-}
-
-// buildStages wires the chain. nextFns, when non-nil, overrides the
-// stage→stage hand-off (used by Pipelined to insert channels).
-func buildStages(cond *join.Condition, windows []stream.Time, k stream.Time,
-	sink func(Partial), results *int64, nextFns []func(*event)) []*stage {
-	cond.Seal() // stage plans are compiled now; later mutation must panic
-	n := cond.M - 1
-	stages := make([]*stage, n)
-	for j := 0; j < n; j++ {
-		stages[j] = newStage(cond, windows, k, j+1)
-	}
-	for j := 0; j < n-1; j++ {
-		if nextFns != nil {
-			stages[j].next = nextFns[j]
-		} else {
-			next := stages[j+1]
-			stages[j].next = next.receive
-		}
-	}
-	last := stages[n-1]
-	last.sink = sink
-	last.results = results
-	return stages
-}
-
-// Push feeds one raw arrival. Pushing into a finished tree panics: the
-// flushed stage buffers cannot be restarted, so the tuple would silently
-// miss results.
-func (t *Tree) Push(e *stream.Tuple) {
-	if t.finished {
-		panic("dist: Push on a finished Tree — Finish flushed the stage buffers and a run cannot be restarted; build a new Tree")
-	}
-	t.stages[0].receive(&event{right: e})
-}
-
-// SetK applies the common buffer size k to every raw input (Same-K).
-func (t *Tree) SetK(k stream.Time) {
-	for _, s := range t.stages {
-		if s.ksLeft != nil {
-			s.ksLeft.SetK(k)
-		}
-		s.ksRight.SetK(k)
-	}
-}
-
-// SetStageK applies stage j's entry of a per-stage buffer-size decision:
-// ks[j] sizes the K-slack buffer of raw stream j+1 (and, for j = 0, of
-// stream 0 as well — stage 0's two raw inputs share one Synchronizer).
-func (t *Tree) SetStageK(ks []stream.Time) {
-	for _, s := range t.stages {
-		s.applyK(ks)
-	}
-}
-
-// Watermark returns the root stage's output progress onT: the logical time
-// up to which final results are complete (modulo disorder beyond the
-// buffers). Result-size accounting anchors here.
-func (t *Tree) Watermark() stream.Time {
-	return t.stages[len(t.stages)-1].onT
-}
-
-// setProdHook installs the per-stage productivity hook; call before the
-// first Push.
-func (t *Tree) setProdHook(f prodHookFunc) {
-	for _, s := range t.stages {
-		s.prodHook = f
-	}
-}
-
-// Finish flushes every buffer stage by stage; afterwards all results have
-// been emitted. Finishing twice panics, as does pushing afterwards: the run
-// cannot be restarted.
-func (t *Tree) Finish() {
-	if t.finished {
-		panic("dist: Finish on a finished Tree — the run is already flushed and cannot be restarted; build a new Tree")
-	}
-	t.finished = true
-	for _, s := range t.stages {
-		s.finish()
-	}
-}
-
-// Results returns the number of complete results produced so far.
-func (t *Tree) Results() int64 { return t.results }
-
-// Operators returns the number of binary join operators (m − 1).
-func (t *Tree) Operators() int { return len(t.stages) }
-
-// Pipelined runs the same stage chain with one goroutine per stage. Raw
-// tuples for later stages travel through the chain interleaved with the
-// partials, so every stage observes exactly the input order of the
-// synchronous Tree and both produce identical results.
-type Pipelined struct {
-	stages []*stage
-	in     chan *event
-	out    chan Partial
-	wg     sync.WaitGroup
-	result int64
-	closed bool
-
-	// First contained stage-goroutine failure (see Err). Pipelined is the
-	// one executor whose join state lives on multiple goroutines with
-	// in-flight channel traffic, so it is NOT checkpointable; fault
-	// handling here is containment only — a panicking stage flips to drain
-	// mode, the chain keeps moving so no goroutine leaks, and the typed
-	// error is surfaced instead of crashing the process.
-	failMu  sync.Mutex
-	failure error
-}
-
-// fail records the first stage failure.
-func (p *Pipelined) fail(err error) {
-	p.failMu.Lock()
-	if p.failure == nil {
-		p.failure = err
-	}
-	p.failMu.Unlock()
-}
-
-// Err returns the first contained stage failure, or nil. Definitive after
-// Wait; results produced before the failure remain valid.
-func (p *Pipelined) Err() error {
-	p.failMu.Lock()
-	defer p.failMu.Unlock()
-	return p.failure
-}
-
-// NewPipelined builds the pipelined tree; buffer sizes the inter-stage
-// channels (≤ 0 selects a default).
-func NewPipelined(cond *join.Condition, windows []stream.Time, k stream.Time, buffer int) *Pipelined {
-	if buffer <= 0 {
-		buffer = 256
-	}
-	p := &Pipelined{out: make(chan Partial, buffer)}
-	n := cond.M - 1
-	chans := make([]chan *event, n)
-	for j := range chans {
-		chans[j] = make(chan *event, buffer)
-	}
-	nextFns := make([]func(*event), n-1)
-	for j := 0; j < n-1; j++ {
-		ch := chans[j+1]
-		nextFns[j] = func(ev *event) { ch <- ev }
-	}
-	p.stages = buildStages(cond, windows, k, func(r Partial) { p.out <- r }, &p.result, nextFns)
-	p.in = chans[0]
-	for j, s := range p.stages {
-		s := s
-		var down chan *event
-		if j+1 < n {
-			down = chans[j+1]
-		}
-		in := chans[j]
-		j := j
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			failed := false
-			step := func(f func()) {
-				defer func() {
-					if r := recover(); r != nil {
-						failed = true
-						p.fail(&fault.WorkerError{Worker: j, Cause: fault.AsError(r)})
-					}
-				}()
-				f()
-			}
-			for ev := range in {
-				if failed {
-					// Drain mode: keep consuming so upstream never blocks.
-					// Downstream output is already unsound without this
-					// stage's partials, so nothing is forwarded; the chain
-					// still closes through normally and Err reports why.
-					continue
-				}
-				ev := ev
-				step(func() { s.receive(ev) })
-			}
-			if !failed {
-				step(func() { s.finish() })
-			}
-			if down != nil {
-				close(down)
-			} else {
-				close(p.out)
-			}
-		}()
-	}
-	return p
-}
-
-// Push feeds one raw arrival from the single producer goroutine. Pushing
-// after Close panics: the input channel is closed and the stages are
-// flushing, so the tuple would be dropped.
-func (p *Pipelined) Push(e *stream.Tuple) {
-	if p.closed {
-		panic("dist: Push on a closed Pipelined — Close ended the input and the stages are flushing; build a new Pipelined")
-	}
-	p.in <- &event{right: e}
-}
-
-// setProdHook installs the per-stage productivity hook; call before the
-// first Push (the first channel send orders the write before any stage
-// read).
-func (p *Pipelined) setProdHook(f prodHookFunc) {
-	for _, s := range p.stages {
-		s.prodHook = f
-	}
-}
-
-// pushControl threads a per-stage buffer-size decision through the stage
-// chain from the single producer goroutine; each stage applies its own
-// entry in-band and forwards the rest downstream.
-func (p *Pipelined) pushControl(ks []stream.Time) {
-	p.in <- &event{setK: ks}
-}
-
-// Close signals end of input; results keep flowing until the Results channel
-// closes. Closing twice panics.
-func (p *Pipelined) Close() {
-	if p.closed {
-		panic("dist: Close on a closed Pipelined — the input has already ended; build a new Pipelined for another run")
-	}
-	p.closed = true
-	close(p.in)
-}
-
-// Results returns the channel of complete results; drain it until it closes.
-func (p *Pipelined) Results() <-chan Partial { return p.out }
-
-// Wait blocks until every stage goroutine has exited; call after draining
-// Results.
-func (p *Pipelined) Wait() { p.wg.Wait() }

@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/join"
-	"repro/internal/kslack"
 	"repro/internal/stream"
-	"repro/internal/syncer"
 )
 
 // workload builds an m-stream equi feed with bounded disorder.
@@ -33,72 +31,42 @@ func workload(m, rounds int, seed int64, domain int) stream.Batch {
 	return out
 }
 
-// mjoinResults runs the reference single-operator MJoin with per-stream
-// K-slack buffers of size k and a shared Synchronizer, mirroring the
-// monolithic pipeline.
-func mjoinResults(cond *join.Condition, windows []stream.Time, k stream.Time, in stream.Batch) int64 {
-	op := join.New(cond, windows)
-	sy := syncer.New(cond.M, op.Process)
-	ks := make([]*kslack.Buffer, cond.M)
-	for i := range ks {
-		ks[i] = kslack.New(k, sy.Push)
-	}
-	for _, e := range in {
-		ks[e.Src].Push(e)
-	}
-	for _, b := range ks {
-		b.Flush()
-	}
-	for i := 0; i < cond.M; i++ {
-		sy.Close(i)
-	}
-	return op.Results()
-}
-
 func clone(in stream.Batch) stream.Batch { return in.Clone() }
 
-func TestTreeAgreesWithMJoin2Way(t *testing.T) {
-	leakcheck.Check(t)
-	in := workload(2, 2000, 1, 10)
-	maxD, _ := in.MaxDelay()
-	cond := join.EquiChain(2, 0)
-	w := []stream.Time{stream.Second, stream.Second}
-
-	want := mjoinResults(cond, w, maxD, clone(in))
-	tree := NewTree(join.EquiChain(2, 0), w, maxD, nil)
-	for _, e := range clone(in) {
+// spineTree runs the feed through the plan tree shaped as the left-deep
+// spine — the shape qdhj.NewTreeJoin deploys — with the fixed buffer size k.
+func spineTree(cond *join.Condition, windows []stream.Time, k stream.Time, in stream.Batch) *PlanTree {
+	tree := NewPlanTree(cond, windows, Spine(cond.M), k, nil)
+	for _, e := range in {
 		tree.Push(e)
 	}
 	tree.Finish()
-	if tree.Results() != want {
-		t.Fatalf("tree %d results, MJoin %d", tree.Results(), want)
-	}
-	if want == 0 {
-		t.Fatal("degenerate workload: no results")
-	}
+	return tree
+}
+
+// spineAgreesWithMJoin checks that, with buffers covering the feed's
+// disorder, the spine produces exactly the single operator's result
+// multiset.
+func spineAgreesWithMJoin(t *testing.T, mk func() *join.Condition, windows []stream.Time, in stream.Batch) {
+	t.Helper()
+	maxD, _ := in.MaxDelay()
+	want := mjoinMultiset(mk(), windows, maxD, clone(in))
+	got := planMultiset(mk(), windows, Spine(len(windows)), maxD, clone(in))
+	diffMultisets(t, "spine", want, got)
+}
+
+func TestTreeAgreesWithMJoin2Way(t *testing.T) {
+	leakcheck.Check(t)
+	spineAgreesWithMJoin(t, func() *join.Condition { return join.EquiChain(2, 0) },
+		[]stream.Time{stream.Second, stream.Second}, workload(2, 2000, 1, 10))
 }
 
 func TestTreeAgreesWithMJoin3Way(t *testing.T) {
 	leakcheck.Check(t)
-	in := workload(3, 1200, 2, 200)
-	maxD, _ := in.MaxDelay()
-	cond := join.EquiChain(3, 0)
 	w := []stream.Time{2 * stream.Second, 2 * stream.Second, 2 * stream.Second}
-
-	want := mjoinResults(cond, w, maxD, clone(in))
-	tree := NewTree(join.EquiChain(3, 0), w, maxD, nil)
-	for _, e := range clone(in) {
-		tree.Push(e)
-	}
-	tree.Finish()
-	if tree.Results() != want {
-		t.Fatalf("tree %d results, MJoin %d", tree.Results(), want)
-	}
-	if tree.Operators() != 2 {
-		t.Fatalf("Operators = %d, want 2", tree.Operators())
-	}
-	if want == 0 {
-		t.Fatal("degenerate workload: no results")
+	spineAgreesWithMJoin(t, func() *join.Condition { return join.EquiChain(3, 0) }, w, workload(3, 1200, 2, 200))
+	if n := NewPlanTree(join.EquiChain(3, 0), w, Spine(3), 0, nil).Operators(); n != 2 {
+		t.Fatalf("Operators = %d, want 2", n)
 	}
 }
 
@@ -107,23 +75,8 @@ func TestTreeAgreesWithMJoin3Way(t *testing.T) {
 // window, not when the partial's max timestamp does.
 func TestTreeAgreesWithMJoinUnequalWindows(t *testing.T) {
 	leakcheck.Check(t)
-	in := workload(3, 1000, 3, 50)
-	maxD, _ := in.MaxDelay()
-	cond := join.EquiChain(3, 0)
-	w := []stream.Time{500, 2 * stream.Second, stream.Second}
-
-	want := mjoinResults(cond, w, maxD, clone(in))
-	tree := NewTree(join.EquiChain(3, 0), w, maxD, nil)
-	for _, e := range clone(in) {
-		tree.Push(e)
-	}
-	tree.Finish()
-	if tree.Results() != want {
-		t.Fatalf("tree %d results, MJoin %d", tree.Results(), want)
-	}
-	if want == 0 {
-		t.Fatal("degenerate workload: no results")
-	}
+	spineAgreesWithMJoin(t, func() *join.Condition { return join.EquiChain(3, 0) },
+		[]stream.Time{500, 2 * stream.Second, stream.Second}, workload(3, 1000, 3, 50))
 }
 
 // Band predicates are evaluated as residual filters at the stage where
@@ -131,48 +84,19 @@ func TestTreeAgreesWithMJoinUnequalWindows(t *testing.T) {
 // range-index execution result for result.
 func TestTreeBandPredicate(t *testing.T) {
 	leakcheck.Check(t)
-	in := workload(2, 1500, 9, 40)
-	maxD, _ := in.MaxDelay()
-	mk := func() *join.Condition {
-		// Band on attr 1 (values 0..99, eps 7) plus an equi on attr 0 so
-		// both the indexed and the residual stage paths run.
+	// Band on attr 1 (values 0..99, eps 7) plus an equi on attr 0 so both
+	// the indexed and the residual stage paths run.
+	spineAgreesWithMJoin(t, func() *join.Condition {
 		return join.Cross(2).Equi(0, 0, 1, 0).Band(0, 1, 1, 1, 7)
-	}
-	w := []stream.Time{stream.Second, stream.Second}
-	want := mjoinResults(mk(), w, maxD, clone(in))
-	tree := NewTree(mk(), w, maxD, nil)
-	for _, e := range clone(in) {
-		tree.Push(e)
-	}
-	tree.Finish()
-	if tree.Results() != want {
-		t.Fatalf("tree %d results, MJoin %d", tree.Results(), want)
-	}
-	if want == 0 {
-		t.Fatal("degenerate workload: no results")
-	}
+	}, []stream.Time{stream.Second, stream.Second}, workload(2, 1500, 9, 40))
 }
 
-// TestTreePureBandPredicate runs a band-only condition through the
-// unindexed scan path of the stage windows.
+// TestTreePureBandPredicate runs a band-only condition through the sorted
+// range index of the stage windows.
 func TestTreePureBandPredicate(t *testing.T) {
 	leakcheck.Check(t)
-	in := workload(2, 900, 10, 5)
-	maxD, _ := in.MaxDelay()
-	mk := func() *join.Condition { return join.Cross(2).Band(0, 1, 1, 1, 12) }
-	w := []stream.Time{500, 500}
-	want := mjoinResults(mk(), w, maxD, clone(in))
-	tree := NewTree(mk(), w, maxD, nil)
-	for _, e := range clone(in) {
-		tree.Push(e)
-	}
-	tree.Finish()
-	if tree.Results() != want {
-		t.Fatalf("tree %d results, MJoin %d", tree.Results(), want)
-	}
-	if want == 0 {
-		t.Fatal("degenerate workload: no results")
-	}
+	spineAgreesWithMJoin(t, func() *join.Condition { return join.Cross(2).Band(0, 1, 1, 1, 12) },
+		[]stream.Time{500, 500}, workload(2, 900, 10, 5))
 }
 
 // TestTreeSealsCondition: mutating a condition after compiling it into a
@@ -180,7 +104,7 @@ func TestTreePureBandPredicate(t *testing.T) {
 func TestTreeSealsCondition(t *testing.T) {
 	leakcheck.Check(t)
 	cond := join.Cross(3).Band(0, 1, 1, 1, 9)
-	NewTree(cond, []stream.Time{100, 100, 100}, 0, nil)
+	NewPlanTree(cond, []stream.Time{100, 100, 100}, Spine(3), 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mutating a tree-compiled condition must panic")
@@ -191,113 +115,29 @@ func TestTreeSealsCondition(t *testing.T) {
 
 // TestTreeBandChain3Way drives band-only stages whose *left* inputs are
 // partial results, exercising the sorted range index on both stage sides
-// (insert, expire, probe) through the synchronous and pipelined drivers.
+// (insert, expire, probe).
 func TestTreeBandChain3Way(t *testing.T) {
 	leakcheck.Check(t)
-	in := workload(3, 700, 21, 5)
-	maxD, _ := in.MaxDelay()
-	mk := func() *join.Condition {
+	spineAgreesWithMJoin(t, func() *join.Condition {
 		return join.Cross(3).Band(0, 1, 1, 1, 9).Band(1, 1, 2, 1, 9)
-	}
-	w := []stream.Time{400, 400, 400}
-	want := mjoinResults(mk(), w, maxD, clone(in))
-	if want == 0 {
-		t.Fatal("degenerate workload: no results")
-	}
-
-	tree := NewTree(mk(), w, maxD, nil)
-	for _, e := range clone(in) {
-		tree.Push(e)
-	}
-	tree.Finish()
-	if tree.Results() != want {
-		t.Fatalf("tree %d results, MJoin %d", tree.Results(), want)
-	}
-
-	pl := NewPipelined(mk(), w, maxD, 64)
-	go func() {
-		for _, e := range clone(in) {
-			pl.Push(e)
-		}
-		pl.Close()
-	}()
-	var got int64
-	for range pl.Results() {
-		got++
-	}
-	pl.Wait()
-	if got != want {
-		t.Fatalf("pipelined %d results, MJoin %d", got, want)
-	}
+	}, []stream.Time{400, 400, 400}, workload(3, 700, 21, 5))
 }
 
 // A generic (non-equi) predicate forces the cross-join scan path of the
 // stage windows.
 func TestTreeGenericPredicate(t *testing.T) {
 	leakcheck.Check(t)
-	in := workload(2, 800, 4, 5)
-	maxD, _ := in.MaxDelay()
-	mk := func() *join.Condition {
+	spineAgreesWithMJoin(t, func() *join.Condition {
 		return join.Cross(2).Where([]int{0, 1}, func(a []*stream.Tuple) bool {
 			return math.Abs(a[0].Attr(1)-a[1].Attr(1)) < 10
 		})
-	}
-	w := []stream.Time{300, 300}
-
-	want := mjoinResults(mk(), w, maxD, clone(in))
-	tree := NewTree(mk(), w, maxD, nil)
-	for _, e := range clone(in) {
-		tree.Push(e)
-	}
-	tree.Finish()
-	if tree.Results() != want {
-		t.Fatalf("tree %d results, MJoin %d", tree.Results(), want)
-	}
-	if want == 0 {
-		t.Fatal("degenerate workload: no results")
-	}
-}
-
-func TestPipelinedMatchesTree(t *testing.T) {
-	leakcheck.Check(t)
-	in := workload(3, 1000, 5, 100)
-	maxD, _ := in.MaxDelay()
-	w := []stream.Time{stream.Second, stream.Second, stream.Second}
-
-	tree := NewTree(join.EquiChain(3, 0), w, maxD, nil)
-	for _, e := range clone(in) {
-		tree.Push(e)
-	}
-	tree.Finish()
-
-	pipe := NewPipelined(join.EquiChain(3, 0), w, maxD, 128)
-	var piped int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range pipe.Results() {
-			piped++
-		}
-	}()
-	for _, e := range clone(in) {
-		pipe.Push(e)
-	}
-	pipe.Close()
-	<-done
-	pipe.Wait()
-
-	if piped != tree.Results() {
-		t.Fatalf("pipelined %d results, tree %d", piped, tree.Results())
-	}
-	if piped == 0 {
-		t.Fatal("degenerate workload: no results")
-	}
+	}, []stream.Time{300, 300}, workload(2, 800, 4, 5))
 }
 
 func TestSinkReceivesCompleteResults(t *testing.T) {
 	leakcheck.Check(t)
 	var got []Partial
-	tree := NewTree(join.EquiChain(2, 0), []stream.Time{stream.Second, stream.Second}, 2*stream.Second,
+	tree := NewPlanTree(join.EquiChain(2, 0), []stream.Time{stream.Second, stream.Second}, Spine(2), 2*stream.Second,
 		func(p Partial) { got = append(got, p) })
 	tree.Push(&stream.Tuple{TS: 1000, Seq: 0, Src: 0, Attrs: []float64{7}})
 	tree.Push(&stream.Tuple{TS: 1100, Seq: 1, Src: 1, Attrs: []float64{7}})
@@ -316,12 +156,12 @@ func TestSinkReceivesCompleteResults(t *testing.T) {
 // the unreachable NaN map key).
 func TestNaNKeyNeverMatchesNorCrashes(t *testing.T) {
 	leakcheck.Check(t)
-	tree := NewTree(join.EquiChain(2, 0), []stream.Time{100, 100}, 0, nil)
-	tree.Push(&stream.Tuple{TS: 10, Seq: 0, Src: 0, Attrs: []float64{math.NaN()}})
-	tree.Push(&stream.Tuple{TS: 20, Seq: 1, Src: 1, Attrs: []float64{math.NaN()}})
-	tree.Push(&stream.Tuple{TS: 500, Seq: 2, Src: 0, Attrs: []float64{1}})
-	tree.Push(&stream.Tuple{TS: 510, Seq: 3, Src: 1, Attrs: []float64{1}})
-	tree.Finish()
+	tree := spineTree(join.EquiChain(2, 0), []stream.Time{100, 100}, 0, stream.Batch{
+		{TS: 10, Seq: 0, Src: 0, Attrs: []float64{math.NaN()}},
+		{TS: 20, Seq: 1, Src: 1, Attrs: []float64{math.NaN()}},
+		{TS: 500, Seq: 2, Src: 0, Attrs: []float64{1}},
+		{TS: 510, Seq: 3, Src: 1, Attrs: []float64{1}},
+	})
 	if tree.Results() != 1 {
 		t.Fatalf("results = %d, want 1 (NaN pair must not match)", tree.Results())
 	}
@@ -335,23 +175,13 @@ func TestSetKPropagates(t *testing.T) {
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{stream.Second, stream.Second}
 
-	full := NewTree(join.EquiChain(2, 0), w, maxD, nil)
-	for _, e := range clone(in) {
-		full.Push(e)
-	}
-	full.Finish()
-
-	none := NewTree(join.EquiChain(2, 0), w, 0, nil)
-	for _, e := range clone(in) {
-		none.Push(e)
-	}
-	none.Finish()
-
+	full := spineTree(join.EquiChain(2, 0), w, maxD, clone(in))
+	none := spineTree(join.EquiChain(2, 0), w, 0, clone(in))
 	if none.Results() >= full.Results() {
 		t.Fatalf("K=0 should lose results: %d vs %d", none.Results(), full.Results())
 	}
 
-	adaptive := NewTree(join.EquiChain(2, 0), w, 0, nil)
+	adaptive := NewPlanTree(join.EquiChain(2, 0), w, Spine(2), 0, nil)
 	half := clone(in)
 	for i, e := range half {
 		if i == len(half)/4 {

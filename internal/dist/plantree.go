@@ -1,21 +1,21 @@
-// The generalized plan-tree executor: where Tree hard-codes the left-deep
-// spine of Sec. V (stage j = streams [0..j] ⋈ raw stream j+1), PlanTree
-// executes an arbitrary binary deployment shape over the input streams —
-// the shapes internal/plan's deployment planner emits. Both sides of a
-// stage may be sub-plans (bushy trees), and any stage whose cross
-// predicates carry an equi or band key may be *sharded*: its two windows
-// are key-partitioned across N worker goroutines, with no broadcast route,
-// which is how a star-shaped condition without a full key class still runs
-// fully partitioned (each binary stage always has a usable key).
+// The plan-tree executor: PlanTree executes an arbitrary binary deployment
+// shape over the input streams — the shapes internal/plan's deployment
+// planner emits, the left-deep spine of Sec. V (stage j = streams [0..j] ⋈
+// raw stream j+1) among them. Both sides of a stage may be sub-plans (bushy
+// trees), and any stage whose cross predicates carry an equi or band key
+// may be *sharded*: its two windows are key-partitioned across N worker
+// goroutines, with no broadcast route, which is how a star-shaped condition
+// without a full key class still runs fully partitioned (each binary stage
+// always has a usable key).
 //
 // # Determinism
 //
-// The driver is push-based and single-threaded, like Tree. A sharded stage
-// keeps the ordering decisions on the driver thread: its Synchronizer,
-// watermark onT and the in-order/out-of-order classification run before
-// routing, and a router-side pair of deadline multisets replays global
-// window membership for the exact stage-local cross size n×(e) (the same
-// trick internal/shard's router uses). Every probe is processed by exactly
+// The driver is push-based and single-threaded. A sharded stage keeps the
+// ordering decisions on the driver thread: its Synchronizer, watermark onT
+// and the in-order/out-of-order classification run before routing, and a
+// router-side pair of deadline multisets replays global window membership
+// for the exact stage-local cross size n×(e) (the same trick
+// internal/shard's router uses). Every probe is processed by exactly
 // one worker — the owner of its key (band replicas are insert-only) — so
 // per-probe outputs are well-defined, and they re-enter the tree in probe
 // sequence order through a bounded-depth reorder pipeline: probe
@@ -73,8 +73,8 @@ func (s *Shape) Streams() []int {
 	return join.SortedStreams(out)
 }
 
-// Spine returns the left-deep shape over m streams — the Sec. V tree Tree
-// executes — with no stage sharding.
+// Spine returns the left-deep shape over m streams — the Sec. V tree — with
+// no stage sharding.
 func Spine(m int) *Shape {
 	node := &Shape{Stream: 0}
 	for s := 1; s < m; s++ {
@@ -120,7 +120,11 @@ type pxEqui struct {
 	rs, ra int
 }
 
-// pxBand is one cross band predicate, normalized like pxEqui.
+// pxBand is one cross band predicate |left − right| ≤ eps, normalized like
+// pxEqui. On stages without an equi lookup the first band keys a sorted
+// range index on both stage windows; every band — including the probed one
+// — stays in the residual filter, so the widened range is a pure superset
+// pre-filter and results agree bit-for-bit with a full-window scan.
 type pxBand struct {
 	ls, la int
 	rs, ra int
@@ -172,8 +176,8 @@ type pstage struct {
 	prodHook prodHookFunc
 }
 
-// PlanTree executes one deployment shape. Drive it exactly like Tree: Push
-// raw arrivals from one goroutine, Finish at end of input.
+// PlanTree executes one deployment shape: Push raw arrivals from one
+// goroutine, Finish at end of input.
 type PlanTree struct {
 	cond    *join.Condition
 	windows []stream.Time

@@ -1,15 +1,14 @@
-// Adaptive driver for the generalized plan tree: the same feedback runtime
-// that drives AdaptiveTree, with the decision scopes derived from the
-// deployment shape instead of the left-deep spine. Under per-stage
-// adaptation, stage j's scope models the binary join of its two sub-plan
-// inputs, and the shared instant requirement Γ′ composes along root-to-leaf
-// paths: every raw leaf contributes one Γ′^(1/m) factor, charged to the
-// stage whose K-slack buffer governs that leaf. On the spine this charges
-// stage 0 two factors and every other stage one — a refinement of §8's
-// uniform Γ′^(1/n) that extends to shapes where stages govern zero, one or
-// two leaves (DESIGN §9). Stages with no leaf buffer get weight 0: the
-// loop pins their K to 0, since no buffer would apply it — their input
-// jitter is absorbed by the stage Synchronizer instead.
+// Adaptive driver for the plan tree: the feedback runtime with the decision
+// scopes derived from the deployment shape. Under per-stage adaptation,
+// stage j's scope models the binary join of its two sub-plan inputs, and
+// the shared instant requirement Γ′ composes along root-to-leaf paths:
+// every raw leaf contributes one Γ′^(1/m) factor, charged to the stage
+// whose K-slack buffer governs that leaf. On the spine this charges stage 0
+// two factors and every other stage one; the rule extends to shapes where
+// stages govern zero, one or two leaves (DESIGN §8/§9). Stages with no leaf
+// buffer get weight 0: the loop pins their K to 0, since no buffer would
+// apply it — their input jitter is absorbed by the stage Synchronizer
+// instead.
 package dist
 
 import (
@@ -19,10 +18,10 @@ import (
 )
 
 // AdaptivePlanTree is the plan-tree executor with the quality-driven
-// feedback loop in the driver seat. Unlike AdaptivePipelined, decisions
-// stay deterministic even with sharded stages: every boundary quiesces the
-// stage workers first (SyncBarrier), so the profilers see exactly the
-// records a single-threaded run would have fed them.
+// feedback loop in the driver seat. Decisions stay deterministic even with
+// sharded stages: every boundary quiesces the stage workers first
+// (SyncBarrier), so the profilers see exactly the records a single-threaded
+// run would have fed them.
 type AdaptivePlanTree struct {
 	t       *PlanTree
 	loop    *feedback.Loop
@@ -128,8 +127,10 @@ func (a *AdaptivePlanTree) Tree() *PlanTree { return a.t }
 // Loop exposes the feedback runtime (read-only use by callers).
 func (a *AdaptivePlanTree) Loop() *feedback.Loop { return a.loop }
 
-// BufferedDelaySum returns the aggregate buffered delay the run paid; see
-// AdaptiveTree.BufferedDelaySum.
+// BufferedDelaySum returns Σ over adaptation intervals of Σ over the m
+// raw-input buffers of the applied K: the aggregate buffered delay the run
+// paid. Per-stage K exists to make this strictly smaller than Same-K's on
+// asymmetric-delay inputs.
 func (a *AdaptivePlanTree) BufferedDelaySum() float64 { return a.sumBufK }
 
 // BufferedTuples returns the leaf-buffer occupancy (see

@@ -67,13 +67,10 @@ func eventRec(ev *event, tt *fault.TupleTable) fault.EventRec {
 		Delay:    ev.delay,
 		Ord:      ev.ord,
 		Key:      ev.key,
-		Right:    tt.ID(ev.right),
+		Parts:    make([]int32, len(ev.parts)),
 	}
-	if ev.parts != nil {
-		r.Parts = make([]int32, len(ev.parts))
-		for i, t := range ev.parts {
-			r.Parts[i] = tt.ID(t)
-		}
+	for i, t := range ev.parts {
+		r.Parts[i] = tt.ID(t)
 	}
 	return r
 }
@@ -86,13 +83,10 @@ func recEvent(r fault.EventRec, ta *fault.TupleArena) *event {
 		delay:    r.Delay,
 		ord:      r.Ord,
 		key:      r.Key,
-		right:    ta.Tuple(r.Right),
+		parts:    make([]*stream.Tuple, len(r.Parts)),
 	}
-	if r.Parts != nil {
-		ev.parts = make([]*stream.Tuple, len(r.Parts))
-		for i, id := range r.Parts {
-			ev.parts[i] = ta.Tuple(id)
-		}
+	for i, id := range r.Parts {
+		ev.parts[i] = ta.Tuple(id)
 	}
 	return ev
 }

@@ -249,14 +249,12 @@ func specInt(s, prefix string) (int64, error) {
 
 // EventRec is the serialized form of one tree-stage event: a raw tuple or a
 // partial, with its stage-local arrival order and probe key. Parts is the
-// m-length sparse constituent list as tuple-table ids (-1 = unbound); Right
-// is the id of the raw right tuple for left-deep spine events (-1 = none).
+// m-length sparse constituent list as tuple-table ids (-1 = unbound).
 type EventRec struct {
 	TS       stream.Time
 	Deadline stream.Time
 	Delay    stream.Time
 	Ord      uint64
 	Key      float64
-	Right    int32
 	Parts    []int32
 }

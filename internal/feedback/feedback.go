@@ -117,12 +117,11 @@ type Config struct {
 	SharedRequirement bool
 	// ScopeWeights assigns each scope its exponent w_i in the shared-
 	// requirement decomposition: scope i decides against Γ′^w_i, so the
-	// composed recall ∏_i Γ′^w_i meets Γ′ whenever the weights sum to 1.
-	// Nil selects the uniform spine decomposition w_i = 1/n of DESIGN §8. A
+	// composed recall ∏_i Γ′^w_i meets Γ′ whenever the weights sum to 1. A
 	// zero weight marks a scope that governs no raw-input buffer (an inner
 	// stage of a bushy tree): its decision is skipped and its K pinned to 0,
-	// since no buffer would apply it. Length must match Scopes; only
-	// meaningful under SharedRequirement.
+	// since no buffer would apply it. Length must match Scopes; required
+	// under SharedRequirement and only meaningful there.
 	ScopeWeights []float64
 	// InitialK is the buffer size reported before the first decision.
 	InitialK stream.Time
@@ -186,8 +185,8 @@ func New(cfg Config) *Loop {
 	if len(cfg.Scopes) == 0 {
 		cfg.Scopes = []Scope{GlobalScope(cfg.Windows)}
 	}
-	if cfg.ScopeWeights != nil && len(cfg.ScopeWeights) != len(cfg.Scopes) {
-		panic("feedback: ScopeWeights length must match Scopes")
+	if (cfg.SharedRequirement || cfg.ScopeWeights != nil) && len(cfg.ScopeWeights) != len(cfg.Scopes) {
+		panic("feedback: ScopeWeights must carry one entry per scope, and SharedRequirement requires them — the weights are how the shared Γ′ decomposes across the scopes (DESIGN §8)")
 	}
 	m := len(cfg.Windows)
 	l := &Loop{cfg: cfg, m: m, root: len(cfg.Scopes) - 1}
@@ -312,17 +311,13 @@ func (l *Loop) DecideAt(at, outT stream.Time) []stream.Time {
 		// A final result must survive every stage, and stage losses are
 		// (approximately) independent, so requirements compose
 		// multiplicatively: each scope meets Γ′^w_i and the product meets
-		// Γ′ when Σ w_i = 1. The default is the uniform spine decomposition
-		// w_i = 1/n; plan-built trees pass explicit weights charging each
-		// stage the Γ′^(1/m) factors of the raw leaves its buffers govern
-		// (DESIGN §9). Nearly-ordered stages reach their tightened target
-		// almost for free; deciding every stage against the raw Γ′ instead
-		// would compound to ≈ Γ′ⁿ end to end.
+		// Γ′ when Σ w_i = 1. Trees charge each stage the Γ′^(1/m) factors of
+		// the raw leaves its buffers govern (DESIGN §8). Nearly-ordered
+		// stages reach their tightened target almost for free; deciding
+		// every stage against the raw Γ′ instead would compound to ≈ Γ′ⁿ
+		// end to end.
 		for i, sc := range l.scopes {
-			w := 1 / float64(len(l.scopes))
-			if l.cfg.ScopeWeights != nil {
-				w = l.cfg.ScopeWeights[i]
-			}
+			w := l.cfg.ScopeWeights[i]
 			switch {
 			case w == 0:
 				// No raw buffer applies this scope's K; deciding would only

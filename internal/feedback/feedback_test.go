@@ -117,3 +117,26 @@ func TestSingleScopeMatchesManager(t *testing.T) {
 		t.Error("MaxDelayRecent differs from manager")
 	}
 }
+
+// TestSharedRequirementNeedsScopeWeights: the shared Γ′ decomposes across
+// the scopes by their weights alone — there is no implicit uniform split —
+// so a SharedRequirement config without one weight per scope must fail at
+// construction, not decide against an undefined requirement.
+func TestSharedRequirementNeedsScopeWeights(t *testing.T) {
+	w := []stream.Time{stream.Second, stream.Second, stream.Second}
+	scopes := []Scope{
+		{Groups: [][]int{{0}, {1}}, Windows: w[:2]},
+		{Groups: [][]int{{0, 1}, {2}}, Windows: w[1:]},
+	}
+	for name, weights := range map[string][]float64{"missing": nil, "short": {1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s ScopeWeights under SharedRequirement: expected a construction panic", name)
+				}
+			}()
+			New(Config{Windows: w, Scopes: scopes, SharedRequirement: true, ScopeWeights: weights})
+		}()
+	}
+	New(Config{Windows: w, Scopes: scopes, SharedRequirement: true, ScopeWeights: []float64{2.0 / 3, 1.0 / 3}})
+}

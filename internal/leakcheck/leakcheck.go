@@ -1,10 +1,9 @@
 // Package leakcheck fails tests that leak goroutines. Every executor in
 // this codebase that starts goroutines (the shard runtime, plan-tree stage
-// workers, the pipelined spine, the async stats feeder) owns their
-// lifetime: Finish/Close/Abandon must leave none behind — including after
-// contained worker failures, where drain-mode workers still have to exit
-// when their channels close. Tests register Check(t) before starting any
-// concurrent join.
+// workers, the async stats feeder) owns their lifetime: Finish/Close/Abandon
+// must leave none behind — including after contained worker failures, where
+// drain-mode workers still have to exit when their channels close. Tests
+// register Check(t) before starting any concurrent join.
 package leakcheck
 
 import (

@@ -5,10 +5,7 @@ package plan
 // engine directly. Flat shapes — with or without a Shard wrapper — compile
 // to the core pipeline (which in turn hosts the internal/shard runtime);
 // tree shapes compile to the internal/dist plan-tree engine, static or
-// adaptive. The unsharded left-deep spine additionally has dedicated
-// builders (BuildSpineStatic/BuildSpineAdaptive) returning the Sec. V
-// executors qdhj.NewTreeJoin wraps, so the plan layer is the single
-// graph→executor mapping point.
+// adaptive.
 
 import (
 	"fmt"
@@ -366,11 +363,8 @@ func (e *treeExec) RecallEstimate() float64 {
 	return e.at.RecallEstimate()
 }
 
-// ---- spine builders (the Sec. V executors qdhj.NewTreeJoin wraps) ----
-
 // SpineShape reports whether the graph is the unsharded left-deep spine in
-// natural stream order — the shape the dedicated dist.Tree executors
-// accept.
+// natural stream order — the Sec. V shape qdhj.NewTreeJoin deploys.
 func SpineShape(g *Graph) bool {
 	n := g.Root
 	for s := g.Cond.M - 1; s >= 1; s-- {
@@ -386,38 +380,4 @@ func SpineShape(g *Graph) bool {
 	}
 	l, ok := n.(Leaf)
 	return ok && l.Stream == 0
-}
-
-// BuildSpineStatic compiles an unsharded spine graph into the synchronous
-// fixed-K Sec. V tree.
-func BuildSpineStatic(g *Graph, k stream.Time, sink func(dist.Partial)) *dist.Tree {
-	mustSpine(g)
-	return dist.NewTree(g.Cond, g.Windows, k, sink)
-}
-
-// BuildSpineAdaptive compiles an unsharded spine graph into the adaptive
-// Sec. V tree.
-func BuildSpineAdaptive(g *Graph, cfg dist.AdaptiveConfig, sink func(dist.Partial)) *dist.AdaptiveTree {
-	mustSpine(g)
-	return dist.NewAdaptiveTree(g.Cond, g.Windows, cfg, sink)
-}
-
-// BuildSpinePipelined compiles an unsharded spine graph into the pipelined
-// Sec. V tree (fixed-K).
-func BuildSpinePipelined(g *Graph, k stream.Time, buffer int) *dist.Pipelined {
-	mustSpine(g)
-	return dist.NewPipelined(g.Cond, g.Windows, k, buffer)
-}
-
-// BuildSpinePipelinedAdaptive compiles an unsharded spine graph into the
-// adaptive pipelined Sec. V tree.
-func BuildSpinePipelinedAdaptive(g *Graph, cfg dist.AdaptiveConfig, buffer int) *dist.AdaptivePipelined {
-	mustSpine(g)
-	return dist.NewAdaptivePipelined(g.Cond, g.Windows, cfg, buffer)
-}
-
-func mustSpine(g *Graph) {
-	if !SpineShape(g) {
-		panic("plan: the Sec. V spine executors accept only the unsharded left-deep spine in natural stream order; Build executes general shapes")
-	}
 }

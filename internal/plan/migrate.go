@@ -207,7 +207,6 @@ func migrationHorizon(st *ExecState, g *Graph) stream.Time {
 	}
 	events := func(evs []fault.EventRec) {
 		for _, ev := range evs {
-			tupTS(ev.Right)
 			ids(ev.Parts)
 		}
 	}

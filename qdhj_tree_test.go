@@ -1,6 +1,7 @@
 package qdhj
 
 import (
+	"fmt"
 	"repro/internal/leakcheck"
 	"testing"
 
@@ -38,35 +39,6 @@ func TestTreeJoinLifecycleParity(t *testing.T) {
 		j := NewTreeJoin(EquiChain(2, 0), w, 0, nil, tc.opts...)
 		j.Push(&Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
 		j.Close()
-		mustPanicT(t, tc.name+": Push after Close", func() {
-			j.Push(&Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
-		})
-		mustPanicT(t, tc.name+": double Close", j.Close)
-	}
-}
-
-// TestPipelinedTreeJoinLifecycleParity: same for the pipelined variant.
-func TestPipelinedTreeJoinLifecycleParity(t *testing.T) {
-	leakcheck.Check(t)
-	w := []Time{Second, Second}
-	for _, tc := range []struct {
-		name string
-		opts []TreeOption
-	}{
-		{"static", nil},
-		{"adaptive", []TreeOption{WithTreeAdaptation(Options{Gamma: 0.9})}},
-	} {
-		j := NewPipelinedTreeJoin(EquiChain(2, 0), w, 0, 16, tc.opts...)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for range j.Results() {
-			}
-		}()
-		j.Push(&Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
-		j.Close()
-		<-done
-		j.Wait()
 		mustPanicT(t, tc.name+": Push after Close", func() {
 			j.Push(&Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
 		})
@@ -116,6 +88,61 @@ func TestWithPerStageKDiverges(t *testing.T) {
 	}
 }
 
+// TestTreeJoinPerStageMatchesTreePlan: a per-stage-adaptive TreeJoin and a
+// Join deployed as the left-deep tree plan are the same executor under the
+// same Γ′ rule, so on an asymmetric-delay feed they must agree bit-for-bit:
+// result count, the full K vector at every boundary, and the number of
+// adaptation steps.
+func TestTreeJoinPerStageMatchesTreePlan(t *testing.T) {
+	leakcheck.Check(t)
+	in := feed3(4000, 9, [3]Time{100, 100, 2500})
+	w := []Time{2 * Second, 2 * Second, 2 * Second}
+	opt := Options{Gamma: 0.9, Period: 10 * Second, Interval: Second}
+
+	var treeKs []string
+	tj := NewTreeJoin(EquiChain(3, 0), w, 0, nil, WithTreeAdaptation(opt), WithPerStageK(),
+		WithTreeDecideHook(func(at Time, ks []Time) {
+			treeKs = append(treeKs, fmt.Sprintf("%v:%v", at, ks))
+		}))
+	for _, e := range cloneBatch(in) {
+		tj.Push(e)
+	}
+	tj.Close()
+
+	cond := EquiChain(3, 0)
+	p, err := ParsePlan("tree", cond, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var planKs []string
+	var pj *Join
+	pj = NewJoin(cond, w, opt, WithPlan(p), WithAdaptHook(func(ev AdaptEvent) {
+		planKs = append(planKs, fmt.Sprintf("%v:%v", ev.Now, pj.CurrentKs()))
+	}))
+	for _, e := range cloneBatch(in) {
+		pj.Push(e)
+	}
+	pj.Close()
+
+	if tj.Results() == 0 || tj.Adaptations() == 0 {
+		t.Fatalf("degenerate run: %d results, %d adaptations", tj.Results(), tj.Adaptations())
+	}
+	if tj.Results() != pj.Results() {
+		t.Errorf("TreeJoin produced %d results, the tree plan %d", tj.Results(), pj.Results())
+	}
+	if tj.Adaptations() != pj.Adaptations() {
+		t.Errorf("TreeJoin took %d adaptation steps, the tree plan %d", tj.Adaptations(), pj.Adaptations())
+	}
+	if len(treeKs) != len(planKs) {
+		t.Fatalf("decide hooks fired %d vs %d times", len(treeKs), len(planKs))
+	}
+	for i := range treeKs {
+		if treeKs[i] != planKs[i] {
+			t.Fatalf("decision %d: TreeJoin chose %s, the tree plan %s", i, treeKs[i], planKs[i])
+		}
+	}
+}
+
 // TestTreeDecideHookFires: the decide hook observes every adaptation step
 // with one K per scope.
 func TestTreeDecideHookFires(t *testing.T) {
@@ -157,15 +184,12 @@ func TestStaticSlackTreeAdaptationPanics(t *testing.T) {
 }
 
 // TestDecideHookWithoutAdaptationPanics: a decide hook on a fixed-K tree
-// would never fire; both constructors must reject it instead of silently
+// would never fire; the constructor must reject it instead of silently
 // dropping it.
 func TestDecideHookWithoutAdaptationPanics(t *testing.T) {
 	leakcheck.Check(t)
 	hook := WithTreeDecideHook(func(Time, []Time) {})
 	mustPanicT(t, "TreeJoin hook without adaptation", func() {
 		NewTreeJoin(EquiChain(2, 0), []Time{Second, Second}, 0, nil, hook)
-	})
-	mustPanicT(t, "PipelinedTreeJoin hook without adaptation", func() {
-		NewPipelinedTreeJoin(EquiChain(2, 0), []Time{Second, Second}, 0, 16, hook)
 	})
 }

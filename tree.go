@@ -4,7 +4,6 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/dist"
 	"repro/internal/feedback"
-	"repro/internal/plan"
 )
 
 // TreeJoin is an m-way join executed as a left-deep tree of binary join
@@ -20,8 +19,8 @@ import (
 // from that stage's two input delay profiles and stage-local selectivity
 // against the recall requirement derived at the tree root.
 type TreeJoin struct {
-	t  *dist.Tree         // static-K run
-	at *dist.AdaptiveTree // adaptive run (t == nil)
+	t  *dist.PlanTree         // the executor (at.Tree() on an adaptive run)
+	at *dist.AdaptivePlanTree // adaptive run only
 }
 
 // TreeResult is one result of a TreeJoin: the constituent tuples in stream
@@ -33,8 +32,7 @@ type TreeResult struct {
 	Tuples []*Tuple
 }
 
-// TreeOption configures the optional adaptation of a TreeJoin or
-// PipelinedTreeJoin.
+// TreeOption configures the optional adaptation of a TreeJoin.
 type TreeOption func(*treeOpts)
 
 type treeOpts struct {
@@ -137,11 +135,12 @@ func NewTreeJoin(cond *Condition, windows []Time, k Time, emit func(TreeResult),
 			emit(TreeResult{TS: p.TS, Delay: p.Delay, Tuples: p.Parts})
 		}
 	}
-	g := plan.Spine(cond, windows)
+	shape := dist.Spine(len(windows))
 	if o.adapt != nil {
-		return &TreeJoin{at: plan.BuildSpineAdaptive(g, o.adaptiveConfig(k), sink)}
+		at := dist.NewAdaptivePlanTree(cond, windows, shape, o.adaptiveConfig(k), sink)
+		return &TreeJoin{t: at.Tree(), at: at}
 	}
-	return &TreeJoin{t: plan.BuildSpineStatic(g, k, sink)}
+	return &TreeJoin{t: dist.NewPlanTree(cond, windows, shape, k, sink)}
 }
 
 // Push feeds a raw arrival. Pushing into a closed tree panics.
@@ -155,17 +154,17 @@ func (j *TreeJoin) Push(t *Tuple) {
 
 // SetK changes the common buffer size on all streams. On an adaptive tree
 // the feedback loop overrides it at the next interval boundary.
-func (j *TreeJoin) SetK(k Time) { j.tree().SetK(k) }
+func (j *TreeJoin) SetK(k Time) { j.t.SetK(k) }
 
 // Close flushes all buffers at end of input. Closing twice panics, as does
 // pushing afterwards.
-func (j *TreeJoin) Close() { j.tree().Finish() }
+func (j *TreeJoin) Close() { j.t.Finish() }
 
 // Results returns the number of results produced so far.
-func (j *TreeJoin) Results() int64 { return j.tree().Results() }
+func (j *TreeJoin) Results() int64 { return j.t.Results() }
 
 // Operators returns the number of binary join operators in the tree.
-func (j *TreeJoin) Operators() int { return j.tree().Operators() }
+func (j *TreeJoin) Operators() int { return j.t.Operators() }
 
 // Adaptations returns the number of buffer-size decisions taken (0 without
 // adaptation).
@@ -196,94 +195,4 @@ func (j *TreeJoin) BufferedDelaySum() float64 {
 		return 0
 	}
 	return j.at.BufferedDelaySum()
-}
-
-func (j *TreeJoin) tree() *dist.Tree {
-	if j.at != nil {
-		return j.at.Tree()
-	}
-	return j.t
-}
-
-// PipelinedTreeJoin runs the same binary tree with one goroutine per
-// operator, connected by channels. The same TreeOptions apply; with
-// adaptation enabled, decisions are taken on the ingest goroutine from the
-// records stage goroutines have delivered so far (best-effort rather than
-// deterministic — see dist.AdaptivePipelined), and buffer-size changes
-// travel in-band through the stage channels.
-type PipelinedTreeJoin struct {
-	p  *dist.Pipelined
-	ap *dist.AdaptivePipelined
-}
-
-// NewPipelinedTreeJoin creates the pipelined variant with channel buffers of
-// the given size (≤0 selects a default).
-func NewPipelinedTreeJoin(cond *Condition, windows []Time, k Time, buffer int, opts ...TreeOption) *PipelinedTreeJoin {
-	var o treeOpts
-	for _, op := range opts {
-		op(&o)
-	}
-	o.validate()
-	g := plan.Spine(cond, windows)
-	if o.adapt != nil {
-		return &PipelinedTreeJoin{ap: plan.BuildSpinePipelinedAdaptive(g, o.adaptiveConfig(k), buffer)}
-	}
-	return &PipelinedTreeJoin{p: plan.BuildSpinePipelined(g, k, buffer)}
-}
-
-// Push feeds a raw arrival from the single producer goroutine. Pushing
-// after Close panics.
-func (j *PipelinedTreeJoin) Push(t *Tuple) {
-	if j.ap != nil {
-		j.ap.Push(t)
-		return
-	}
-	j.p.Push(t)
-}
-
-// Close signals end of input. Closing twice panics.
-func (j *PipelinedTreeJoin) Close() {
-	if j.ap != nil {
-		j.ap.Close()
-		return
-	}
-	j.p.Close()
-}
-
-// Results returns the result channel; drain it until it closes.
-func (j *PipelinedTreeJoin) Results() <-chan TreeResult {
-	in := j.rawResults()
-	out := make(chan TreeResult, 64)
-	go func() {
-		defer close(out)
-		for p := range in {
-			out <- TreeResult{TS: p.TS, Delay: p.Delay, Tuples: p.Parts}
-		}
-	}()
-	return out
-}
-
-func (j *PipelinedTreeJoin) rawResults() <-chan dist.Partial {
-	if j.ap != nil {
-		return j.ap.Results()
-	}
-	return j.p.Results()
-}
-
-// Wait blocks until all pipeline stages exit; call after draining Results.
-func (j *PipelinedTreeJoin) Wait() {
-	if j.ap != nil {
-		j.ap.Wait()
-		return
-	}
-	j.p.Wait()
-}
-
-// BufferedDelaySum returns the aggregate buffered delay; see
-// TreeJoin.BufferedDelaySum. Call after Wait.
-func (j *PipelinedTreeJoin) BufferedDelaySum() float64 {
-	if j.ap == nil {
-		return 0
-	}
-	return j.ap.BufferedDelaySum()
 }
