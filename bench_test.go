@@ -247,33 +247,6 @@ func BenchmarkOperatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedOperatorThroughput measures the columnar batch probe path
-// (WithBatchSize) against the per-tuple operator above, per workload and
-// batch size. Batching amortizes per-tuple dispatch on one core — results
-// are bit-for-bit those of BenchmarkOperatorThroughput's runs.
-func BenchmarkBatchedOperatorThroughput(b *testing.B) {
-	for _, ds := range datasets(b) {
-		for _, batch := range []int{16, 64, 256} {
-			ds, batch := ds, batch
-			b.Run(fmt.Sprintf("%s/batch=%d", ds.Name, batch), func(b *testing.B) {
-				in := ds.Arrivals
-				b.ResetTimer()
-				var n int64
-				for i := 0; i < b.N; i++ {
-					j := NewJoin(ds.Cond, ds.Windows, Options{Policy: NoSlack}, WithBatchSize(batch))
-					for _, e := range in {
-						j.Push(e)
-					}
-					j.Close()
-					n = j.Results()
-				}
-				b.ReportMetric(float64(len(in)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-				_ = n
-			})
-		}
-	}
-}
-
 // BenchmarkShardedOperatorThroughput measures the partition-parallel
 // execution path (WithShards) against the single-threaded operator above,
 // per workload and shard count. The planner picks equi hashing for x3,

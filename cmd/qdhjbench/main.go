@@ -133,11 +133,7 @@ func parseShards(s string) []int {
 // Same-K-adaptive, per-stage-adaptive); mode "plan" entries (schema v4)
 // sweep the deployment planner's shapes on the sparse star workload —
 // flat, broadcast flat shards, and the stage-wise sharded tree — at full
-// buffering, so result counts must be identical across shapes. Mode "batch"
-// entries (schema v4) sweep the columnar release batch size on the
-// single-threaded operator path (WithBatchSize over 1,16,64,256 — 1 is the
-// per-tuple reference); result counts must be identical at every size, only
-// throughput moves. RelRecall
+// buffering, so result counts must be identical across shapes. RelRecall
 // is the tree run's result count relative to its fixed-K (full-buffering)
 // run; SumBufKSec is the total buffered delay Σ_intervals Σ_buffers K in
 // seconds — the aggregate latency the adaptation paid, which per-stage K
@@ -177,6 +173,9 @@ func parseShards(s string) []int {
 // the aggregate rate at which the deployment serves all queries — and the
 // per-query result counts must be identical between the two shapes at
 // every query count.
+//
+// Schema history — v5: mode batch removed (the probe-side batch-release
+// layer it swept is gone; Batch now only carries mode "net"'s frame batch).
 type benchEntry struct {
 	Dataset         string    `json:"dataset"`
 	Mode            string    `json:"mode"`
@@ -229,7 +228,7 @@ type benchReport struct {
 // JSON report.
 func runBenchJSON(path string, minutes float64, seed int64, shardCounts []int, dss []*exp.Dataset) error {
 	rep := benchReport{
-		Schema:     "qdhj-operator-throughput/4",
+		Schema:     "qdhj-operator-throughput/5",
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
@@ -275,7 +274,6 @@ func runBenchJSON(path string, minutes float64, seed int64, shardCounts []int, d
 				ds.Name, nShards, n, float64(n)/dt, float64(m1.Mallocs-m0.Mallocs)/float64(n))
 		}
 	}
-	rep.Entries = append(rep.Entries, benchBatch(dss)...)
 	rep.Entries = append(rep.Entries, benchTree(minutes, seed)...)
 	rep.Entries = append(rep.Entries, benchPlanX4(minutes, seed, shardCounts)...)
 	rep.Entries = append(rep.Entries, benchFault(minutes, seed)...)
@@ -287,60 +285,6 @@ func runBenchJSON(path string, minutes float64, seed int64, shardCounts []int, d
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// benchBatch sweeps the columnar release batch size on the single-threaded
-// operator path (mode "batch"): the same datasets and NoSlack counting-only
-// configuration as the mode "operator" shards=1 entries, with the
-// synchronizer's output buffered into runs of up to Batch tuples before the
-// probe kernel sees them. Batch 1 is the per-tuple reference; the batched
-// runs must reproduce its result count exactly (the batching contract is
-// bit-for-bit), so a count mismatch prints a warning. Throughput is
-// single-core — batching amortizes dispatch, it adds no parallelism.
-func benchBatch(dss []*exp.Dataset) []benchEntry {
-	var out []benchEntry
-	for _, ds := range dss {
-		var refResults int64
-		for _, batch := range []int{1, 16, 64, 256} {
-			in := ds.Arrivals.Clone()
-			opts := []qdhj.JoinOption{}
-			if batch > 1 {
-				opts = append(opts, qdhj.WithBatchSize(batch))
-			}
-			runtime.GC()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			t0 := time.Now()
-			j := qdhj.NewJoin(ds.Cond, ds.Windows, qdhj.Options{Policy: qdhj.NoSlack}, opts...)
-			for _, e := range in {
-				j.Push(e)
-			}
-			j.Close()
-			dt := time.Since(t0).Seconds()
-			runtime.ReadMemStats(&m1)
-			n := len(in)
-			if batch == 1 {
-				refResults = j.Results()
-			} else if j.Results() != refResults {
-				fmt.Fprintf(os.Stderr, "WARNING: batch=%d produced %d results, per-tuple produced %d — batching must be bit-for-bit\n",
-					batch, j.Results(), refResults)
-			}
-			out = append(out, benchEntry{
-				Dataset:        ds.Name,
-				Mode:           "batch",
-				Batch:          batch,
-				Tuples:         n,
-				Results:        j.Results(),
-				Seconds:        dt,
-				TuplesPerSec:   float64(n) / dt,
-				AllocsPerTuple: float64(m1.Mallocs-m0.Mallocs) / float64(n),
-				BytesPerTuple:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n),
-			})
-			fmt.Fprintf(os.Stderr, "%-22s batch=%-4d %9d tuples  %12.0f tuples/s  %6.2f allocs/tuple\n",
-				ds.Name, batch, n, float64(n)/dt, float64(m1.Mallocs-m0.Mallocs)/float64(n))
-		}
-	}
-	return out
 }
 
 // treeDataset builds the tree-sweep workload: a sparse-key (domain 500)

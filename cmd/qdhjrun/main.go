@@ -15,7 +15,6 @@
 //	qdhjrun -query x4 -shards 4 -explain            # what would auto pick?
 //	qdhjrun -in d.csv -query x4 -plan auto -shards 4
 //	qdhjrun -in d.csv -query x4 -plan '((0 1)x4 2 3)x4'
-//	qdhjrun -in d.csv -query x3 -batch 64           # columnar release batches
 //
 // Fault tolerance (the planned path): -checkpoint writes a restorable
 // snapshot partway through the feed and exits; -restore resumes a run from
@@ -79,7 +78,6 @@ func main() {
 		tree      = flag.Bool("tree", false, "execute as a left-deep binary tree (Sec. V) instead of the single operator")
 		perStage  = flag.Bool("perstage", false, "with -tree: one adaptive K per binary stage instead of Same-K")
 		shards    = flag.Int("shards", 0, "shard budget: parallel workers for the planner / sharded operator")
-		batch     = flag.Int("batch", 0, "columnar release batch size (0 or 1 = per-tuple); results and K trajectory are bit-for-bit identical at any size")
 		planSpec  = flag.String("plan", "", "deployment plan spec: auto|flat|shard[:N]|tree|tree-shard[:N] or a shape s-expression like '((0 1)x4 2)x4'")
 		explain   = flag.Bool("explain", false, "print the plan graph (shape, shard routes, per-stage K scopes) and exit; works without -in")
 		ckptFile  = flag.String("checkpoint", "", "write a snapshot to this file after -checkpoint-at arrivals and exit")
@@ -97,7 +95,8 @@ func main() {
 	workers := splitAddrs(*workersCS)
 	fl := runFlags{
 		tree: *tree, perStage: *perStage, policy: *policy,
-		planSpec: *planSpec, shards: *shards, batch: *batch,
+		planSpec: *planSpec, shards: *shards,
+		k: *staticK, gamma: *gamma, P: *periodS, L: *interval,
 		ckptFile: *ckptFile, restore: *restore, inject: *inject,
 		queries: *queries, workers: workers, frameBatch: *frameB,
 		replan: *replan, explainLive: *expLive,
@@ -172,7 +171,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "computing oracle ground truth...\n")
 	truth := oracle.TrueResults(ds.Cond, ds.Windows, ds.Arrivals)
 
-	if *planSpec != "" || *shards > 0 && !*tree || ft.active() || rp.on || *batch > 1 || len(workers) > 0 {
+	if *planSpec != "" || *shards > 0 && !*tree || ft.active() || rp.on || len(workers) > 0 {
 		spec := *planSpec
 		if spec == "" {
 			spec = "auto"
@@ -181,11 +180,11 @@ func main() {
 				// One worker address per shard: remote workers pin the
 				// sharded flat shape at the address count.
 				spec = fmt.Sprintf("shard:%d", len(workers))
-			case rp.on || *batch > 1:
-				spec = "flat" // re-planning discovers the shape; -batch alone keeps the plain operator
+			case rp.on:
+				spec = "flat" // re-planning discovers the shape
 			}
 		}
-		runPlanned(ds, truth, acfg, *policy, stream.Time(*staticK*float64(stream.Second)), spec, *shards, *batch, workers, *frameB, ft, rp)
+		runPlanned(ds, truth, acfg, *policy, stream.Time(*staticK*float64(stream.Second)), spec, *shards, workers, *frameB, ft, rp)
 		return
 	}
 
@@ -332,7 +331,8 @@ type runFlags struct {
 	tree, perStage            bool
 	policy                    string
 	planSpec                  string
-	shards, batch             int
+	shards                    int
+	k, gamma, P, L            float64 // as typed; -k, -P and -L are in seconds
 	ckptFile, restore, inject string
 	queries                   string
 	workers                   []string
@@ -341,7 +341,9 @@ type runFlags struct {
 }
 
 // flagConflict validates one flag combination and returns the first
-// conflict found (wrapping errFlagConflict), or nil.
+// conflict found (wrapping errFlagConflict), or nil. Out-of-range numbers
+// are rejected here too, before anything downstream can clamp or default
+// them silently while the report line echoes what the user typed.
 //
 // The -queries × -inject rule deserves its history: the two flags used to
 // compose silently, but fault injection is not wired through the
@@ -351,13 +353,28 @@ type runFlags struct {
 // documented error; arm faults on a single-query deployment, or on the
 // daemons (qdhjd -inject) for networked runs.
 func flagConflict(f runFlags) error {
+	// Negated comparisons so NaN fails every range.
+	switch {
+	case !(f.gamma > 0 && f.gamma <= 1):
+		return conflict(fmt.Sprintf("-gamma %g is outside (0, 1]: Γ is a recall requirement", f.gamma))
+	case !(f.P > 0):
+		return conflict(fmt.Sprintf("-P %g: the measurement period must be positive", f.P))
+	case !(f.L > 0 && f.L <= f.P):
+		return conflict(fmt.Sprintf("-L %g: the adaptation interval must be positive and at most -P %g", f.L, f.P))
+	case !(f.k >= 0):
+		return conflict(fmt.Sprintf("-k %g: a buffer size cannot be negative", f.k))
+	case f.shards < 0:
+		return conflict(fmt.Sprintf("-shards %d: a shard budget cannot be negative", f.shards))
+	case f.frameBatch < 0:
+		return conflict(fmt.Sprintf("-framebatch %d: a frame batch cannot be negative (0 selects the default)", f.frameBatch))
+	}
 	if f.queries != "" {
 		if f.inject != "" {
 			return conflict("-queries cannot be combined with -inject: fault injection is not wired through the shared-window multi-query engine, so the armed faults would never fire; inject on a single-query run, or on qdhjd -inject for networked runs")
 		}
-		if f.tree || f.planSpec != "" || f.shards > 0 || f.batch > 1 ||
+		if f.tree || f.planSpec != "" || f.shards > 0 ||
 			f.ckptFile != "" || f.restore != "" || len(f.workers) > 0 || f.replan || f.explainLive {
-			return conflict("-queries is its own deployment shape; it cannot be combined with -tree/-plan/-shards/-batch/-checkpoint/-restore/-workers/-replan")
+			return conflict("-queries is its own deployment shape; it cannot be combined with -tree/-plan/-shards/-checkpoint/-restore/-workers/-replan")
 		}
 		return nil
 	}
@@ -376,9 +393,6 @@ func flagConflict(f runFlags) error {
 	ftActive := f.ckptFile != "" || f.restore != "" || f.inject != ""
 	if ftActive && f.tree {
 		return conflict("-checkpoint/-restore/-inject run on the planned path; express the shape with -plan")
-	}
-	if f.batch > 1 && f.tree {
-		return conflict("-batch runs on the planned path; use -plan tree for a batched tree")
 	}
 	if f.replan || f.explainLive {
 		if f.tree {
@@ -480,7 +494,7 @@ type replanOpts struct {
 // resumes from one; with -inject it runs supervised under deterministic
 // fault injection; with -replan it re-plans online and live-migrates.
 func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy string,
-	staticK stream.Time, spec string, shards, batch int, workers []string, frameBatch int,
+	staticK stream.Time, spec string, shards int, workers []string, frameBatch int,
 	ft ftOpts, rp replanOpts) {
 	p, err := qdhj.ParsePlan(spec, ds.Cond, ds.Windows, shards)
 	if err != nil {
@@ -506,9 +520,6 @@ func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy 
 		fatal(fmt.Errorf("unknown policy %q for planned execution", policy))
 	}
 	jopts := []qdhj.JoinOption{qdhj.WithPlan(p)}
-	if batch > 1 {
-		jopts = append(jopts, qdhj.WithBatchSize(batch))
-	}
 	if len(workers) > 0 {
 		jopts = append(jopts, qdhj.WithRemoteWorkers(workers...))
 		if frameBatch > 0 {

@@ -3,12 +3,20 @@ package main
 // Pins the documented typed error for invalid flag combinations —
 // most importantly -queries × -inject, which used to compose silently
 // while the armed faults never fired (fault injection is not wired
-// through the shared-window multi-query engine).
+// through the shared-window multi-query engine) — and for out-of-range
+// numbers, which used to be clamped or defaulted silently.
 
 import (
 	"errors"
 	"testing"
 )
+
+// defaults fills -gamma/-P/-L with their command-line defaults, so a row
+// only states the flags it is about.
+func defaults(f runFlags) runFlags {
+	f.gamma, f.P, f.L = 0.95, 60, 1
+	return f
+}
 
 func TestFlagConflicts(t *testing.T) {
 	two := []string{"127.0.0.1:7101", "127.0.0.1:7102"}
@@ -25,14 +33,30 @@ func TestFlagConflicts(t *testing.T) {
 		{"plan+tree", runFlags{planSpec: "shard:2", tree: true}},
 		{"shards+tree", runFlags{shards: 2, tree: true}},
 		{"inject+tree", runFlags{inject: "panic@shard0:tuple10", tree: true}},
-		{"batch+tree", runFlags{batch: 64, tree: true}},
 		{"replan+inject", runFlags{replan: true, inject: "panic@shard0:tuple10"}},
 		{"workers+inject", runFlags{workers: two, inject: "panic@shard0:tuple10"}},
 		{"workers+replan", runFlags{workers: two, replan: true}},
 		{"workers+tree", runFlags{workers: two, tree: true}},
 		{"workers+shards mismatch", runFlags{workers: two, shards: 4}},
 		{"framebatch alone", runFlags{frameBatch: 64}},
+		{"k negative", runFlags{policy: "static", k: -1}},
+		{"shards negative", runFlags{shards: -2}},
+		{"framebatch negative", runFlags{workers: two, frameBatch: -1}},
 	}
+	for i := range bad {
+		bad[i].f = defaults(bad[i].f)
+	}
+	// The -gamma/-P/-L rows state all three themselves.
+	bad = append(bad, []struct {
+		name string
+		f    runFlags
+	}{
+		{"gamma above 1", runFlags{gamma: 1.5, P: 60, L: 1}},
+		{"gamma zero", runFlags{gamma: 0, P: 60, L: 1}},
+		{"P negative", runFlags{gamma: 0.95, P: -3, L: 1}},
+		{"L zero", runFlags{gamma: 0.95, P: 60, L: 0}},
+		{"L above P", runFlags{gamma: 0.95, P: 10, L: 11}},
+	}...)
 	for _, tc := range bad {
 		err := flagConflict(tc.f)
 		if err == nil {
@@ -60,7 +84,7 @@ func TestFlagConflicts(t *testing.T) {
 		{"replan alone", runFlags{replan: true}},
 	}
 	for _, tc := range good {
-		if err := flagConflict(tc.f); err != nil {
+		if err := flagConflict(defaults(tc.f)); err != nil {
 			t.Errorf("%s: unexpected conflict: %v", tc.name, err)
 		}
 	}

@@ -149,16 +149,6 @@ type Config struct {
 	OnAdapt func(AdaptEvent)
 	// InitialK is the buffer size before the first adaptation step.
 	InitialK stream.Time
-	// Batch sets the columnar release batch size between the Synchronizer
-	// and the join operator: synchronized tuples accumulate into a batch of
-	// up to this many tuples and are consumed by one ProcessBatch call.
-	// Batches are flushed at every adaptation boundary, watermark read,
-	// quiescence point, checkpoint and at Finish, so release points are a
-	// pure function of the input and results, K trajectories and all
-	// counters are bit-for-bit identical to per-tuple execution (≤ 1). On
-	// the sharded path the operator-side batching is performed inside the
-	// shard workers instead; this knob then has no additional effect.
-	Batch int
 	// Sharding enables the partition-parallel execution path.
 	Sharding Sharding
 	// NewRuntime optionally overrides the sharded runtime constructor — the
@@ -185,11 +175,6 @@ type Pipeline struct {
 	// the runtime replaces op and the loop runs its Statistics Manager
 	// asynchronously, barriered before every decision.
 	rt Runtime
-
-	// Batched release path (Config.Batch > 1, single-threaded): pending
-	// synchronizer releases not yet consumed by the operator.
-	batch    []*stream.Tuple
-	batchCap int
 
 	finished bool
 	curK     stream.Time
@@ -255,45 +240,13 @@ func New(cfg Config) *Pipeline {
 			opts = append(opts, join.WithEmit(cfg.Emit))
 		}
 		p.op = join.New(cfg.Cond, cfg.Windows, opts...)
-		if cfg.Batch > 1 {
-			p.batchCap = cfg.Batch
-			p.batch = make([]*stream.Tuple, 0, cfg.Batch)
-			p.sync = syncer.New(m, p.bufferRelease)
-		} else {
-			p.sync = syncer.New(m, p.op.Process)
-		}
+		p.sync = syncer.New(m, p.op.Process)
 	}
 	p.ks = make([]*kslack.Buffer, m)
 	for i := range p.ks {
 		p.ks[i] = kslack.New(cfg.InitialK, p.sync.Push)
 	}
 	return p
-}
-
-// bufferRelease collects one synchronizer release into the pending batch,
-// cutting the batch when it reaches the configured size. Cut points are a
-// pure function of the release stream (and of the flush points listed on
-// Config.Batch), which is what keeps batched execution bit-for-bit equal to
-// per-tuple execution.
-func (p *Pipeline) bufferRelease(e *stream.Tuple) {
-	p.batch = append(p.batch, e)
-	if len(p.batch) >= p.batchCap {
-		p.flushBatch()
-	}
-}
-
-// flushBatch hands the pending batch to the operator. The batch slice is
-// reused; processed entries are cleared so the buffer never pins tuples.
-func (p *Pipeline) flushBatch() {
-	if len(p.batch) == 0 {
-		return
-	}
-	es := p.batch
-	p.op.ProcessBatch(es)
-	for i := range es {
-		es[i] = nil
-	}
-	p.batch = es[:0]
 }
 
 // onResultCount feeds per-arrival result counts to the loop's Result-Size
@@ -356,11 +309,6 @@ func (p *Pipeline) adaptStep(at stream.Time) {
 		outT = p.rt.Watermark()
 		p.rt.FlushInterval(p.replayTuple, p.cfg.Emit)
 	} else {
-		// The decision must see every release up to the boundary: flush the
-		// pending batch before reading the watermark, so productivity
-		// records and result counts reach the loop exactly as they would
-		// have per-tuple.
-		p.flushBatch()
 		outT = p.op.HighWatermark()
 	}
 	prevK := p.curK
@@ -410,7 +358,6 @@ func (p *Pipeline) Finish() {
 	for i := 0; i < p.m; i++ {
 		p.sync.Close(i)
 	}
-	p.flushBatch()
 	if p.rt != nil {
 		p.loop.Close()
 		p.rt.FlushInterval(p.replayTuple, p.cfg.Emit)
@@ -437,9 +384,7 @@ func (p *Pipeline) Quiesce() {
 	if p.rt != nil {
 		p.loop.Sync()
 		p.rt.FlushInterval(p.replayTuple, p.cfg.Emit)
-		return
 	}
-	p.flushBatch()
 }
 
 // ApplyK installs a buffer size directly, outside the adaptation schedule —

@@ -41,10 +41,6 @@ func (p *Pipeline) Checkpoint(tt *fault.TupleTable) State {
 		p.loop.Sync()
 		p.rt.FlushInterval(p.replayTuple, p.cfg.Emit)
 	}
-	// Buffered batch tuples live in neither the Synchronizer nor the
-	// operator state — probe them now so the snapshot captures them as
-	// processed rather than losing them.
-	p.flushBatch()
 	st := State{
 		CurK:    p.curK,
 		Results: p.results,

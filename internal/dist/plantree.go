@@ -195,15 +195,6 @@ type PlanTree struct {
 	// every Push, between tuples — a checkpoint-consistent crash point.
 	inject    *fault.Injector
 	hasShards bool
-
-	// Leaf-release batching (SetBatch): released raw tuples are buffered in
-	// global release order and pushed into their stages in one run. One
-	// buffer across all leaves preserves the exact unbatched push
-	// interleaving, so stage ord stamps — and with them the whole run — stay
-	// bit-for-bit. Flushed when full and at every barrier that reads tree
-	// state (SyncBarrier, Quiesce, Finish, Capture).
-	batch    []*stream.Tuple
-	batchCap int
 }
 
 // pleaf is one raw input: its K-slack buffer and the stage side it feeds.
@@ -289,27 +280,6 @@ func NewPlanTree(cond *join.Condition, windows []stream.Time, shape *Shape, k st
 // Push. A nil injector (the default) is a no-op on every check.
 func (t *PlanTree) SetInjector(inj *fault.Injector) { t.inject = inj }
 
-// SetBatch sets the leaf-release batch size (≤ 1 disables batching, the
-// default). Batching only amortizes the leaf-to-stage handoff; results, K
-// trajectories and adaptation decisions are bit-for-bit those of the
-// unbatched run because every state reader flushes first and cut points are
-// a pure function of the input sequence.
-func (t *PlanTree) SetBatch(n int) {
-	t.flushBatch()
-	t.batchCap = n
-}
-
-// flushBatch pushes every buffered leaf release into its stage, in the
-// exact global release order the unbatched run would have used.
-func (t *PlanTree) flushBatch() {
-	for i := 0; i < len(t.batch); i++ {
-		e := t.batch[i]
-		t.batch[i] = nil
-		t.leaves[e.Src].emit(e)
-	}
-	t.batch = t.batch[:0]
-}
-
 // build recursively compiles a shape node, returning its covered streams.
 // Stages are appended post-order, so children precede parents and the root
 // is last.
@@ -317,16 +287,7 @@ func (t *PlanTree) build(sh *Shape, parent *pstage, side int, k stream.Time, cla
 	if sh.IsLeaf() {
 		st := sh.Stream
 		lf := &pleaf{stage: parent, side: side, src: st, w: t.windows[st]}
-		lf.ks = kslack.New(k, func(e *stream.Tuple) {
-			if t.batchCap > 1 {
-				t.batch = append(t.batch, e)
-				if len(t.batch) >= t.batchCap {
-					t.flushBatch()
-				}
-				return
-			}
-			lf.emit(e)
-		})
+		lf.ks = kslack.New(k, lf.emit)
 		parent.leafBufs = append(parent.leafBufs, lf.ks)
 		t.leaves[st] = lf
 		return []int{st}
@@ -421,10 +382,8 @@ func (t *PlanTree) SetStageK(ks []stream.Time) {
 	}
 }
 
-// Watermark returns the root stage's output progress onT, first flushing
-// any batched leaf releases so the reading reflects every pushed arrival.
+// Watermark returns the root stage's output progress onT.
 func (t *PlanTree) Watermark() stream.Time {
-	t.flushBatch()
 	return t.stages[len(t.stages)-1].onT
 }
 
@@ -442,7 +401,6 @@ func (t *PlanTree) setProdHook(f prodHookFunc) {
 // input that an adaptation decision must see. A no-op without sharded
 // stages.
 func (t *PlanTree) SyncBarrier() {
-	t.flushBatch()
 	for _, s := range t.stages {
 		if s.sh != nil {
 			s.sh.quiesce()
@@ -456,7 +414,6 @@ func (t *PlanTree) SyncBarrier() {
 // message in flight, so the worker windows are stable and readable from the
 // driver thread. A no-op without sharded stages.
 func (t *PlanTree) Quiesce() {
-	t.flushBatch()
 	for _, s := range t.stages {
 		if s.sh != nil {
 			s.sh.quiesce()
@@ -476,7 +433,6 @@ func (t *PlanTree) Finish() {
 	for _, lf := range t.leaves {
 		lf.ks.Flush()
 	}
-	t.flushBatch()
 	for _, s := range t.stages {
 		s.closeSide(sideLeft)
 		s.closeSide(sideRight)

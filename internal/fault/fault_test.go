@@ -114,6 +114,15 @@ func TestInjectorPauseSuppressesReplay(t *testing.T) {
 	}
 }
 
+// A nil injector is the production default: every entry point a worker or
+// driver step calls unconditionally must be a no-op on it.
+func TestNilInjectorIsNoOp(t *testing.T) {
+	var in *Injector
+	in.Arrival()
+	in.MaybeDelay(0)
+	in.MaybePanic(0)
+}
+
 func TestParseInjectSpec(t *testing.T) {
 	in, err := ParseInjectSpec("panic@shard1:tuple5000,delay@shard0:tuple10:5ms,burst@tuple20:64")
 	if err != nil {

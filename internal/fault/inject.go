@@ -78,8 +78,12 @@ func (in *Injector) BurstAt(tuple int64, n int) *Injector {
 }
 
 // Arrival counts one driver-side raw arrival and arms any directive whose
-// threshold it crosses. No-op while paused (supervisor replay).
+// threshold it crosses. No-op on a nil injector and while paused (supervisor
+// replay).
 func (in *Injector) Arrival() {
+	if in == nil {
+		return
+	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.paused {

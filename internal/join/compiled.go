@@ -1,9 +1,10 @@
 package join
 
 // The compiled probe kernel. buildPlans produces a symbolic plan — per step,
-// lists of lookups naming window attributes to probe; the interpreted search
-// path (operator.go) resolves every probe through Window.Match/MatchRange,
-// which scan the window's index table for the attribute on every call.
+// lists of lookups naming window attributes to probe; executing it directly
+// (the test-only reference in interp_test.go) resolves every probe through
+// Window.Match/MatchRange, which scan the window's index table for the
+// attribute on every call.
 // compilePlans lowers each plan once, at operator construction, into csteps
 // holding *direct handles* to the hash/range index structures plus flattened
 // residual filters, so the steady-state probe loop touches no per-call
@@ -69,8 +70,10 @@ type cband struct {
 // and rng is non-nil (the base candidate probe); with neither the step scans
 // the whole window. All band lookups stay in resBand even when one of them
 // is the base range probe — the range view is a widened superset (bandRange)
-// and the exact difference form decides membership, exactly as in the
-// interpreted path.
+// and the exact difference form decides membership, which keeps planned
+// execution bit-for-bit consistent with Condition.Matches (and with
+// internal/dist's residual band filters) even for attribute values within
+// rounding distance of a band edge.
 type cstep struct {
 	stream int
 	win    *window.Window
@@ -237,8 +240,12 @@ func fuseTail(steps []cstep, i int) {
 
 // markCountableTailsC recomputes countableTail on the compiled steps, whose
 // rewritten references are often strictly earlier-bound than the symbolic
-// plan's (see the package comment on the equivalence rewrite). Same backward
-// pass as markCountableTails.
+// plan's (see the package comment on the equivalence rewrite): no generic
+// checks remain in the suffix, and every stream a remaining step references
+// was bound before the suffix begins, so later candidate counts are
+// independent of earlier candidate choices. One backward pass suffices: refs
+// accumulates the union of references over steps ≥ i, and the prefix bound
+// set grows by one stream per step.
 func markCountableTailsC(arriving int, steps []cstep, m int) {
 	words := len(newBitset(m))
 	backing := make([]uint64, (len(steps)+1)*words)

@@ -134,10 +134,9 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		var a, b []string
 		opC := New(cond, sizes, WithEmit(func(r stream.Result) { a = append(a, resultSig(r)) }))
 		opI := New(cond, sizes, WithEmit(func(r stream.Result) { b = append(b, resultSig(r)) }))
-		opI.interp = true
 		for _, e := range es {
 			opC.Process(e)
-			opI.Process(e)
+			processInterp(opI, e, max(opI.HighWatermark(), e.TS))
 		}
 		if len(a) != len(b) {
 			t.Logf("seed %d: %d results compiled, %d interpreted", seed, len(a), len(b))
@@ -153,14 +152,13 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		// Counting-only mode: the countable/fused fast paths come alive.
 		cntC := New(cond, sizes)
 		cntI := New(cond, sizes)
-		cntI.interp = true
 		for i, e := range es {
 			wm := cntC.HighWatermark()
 			if e.TS > wm {
 				wm = e.TS
 			}
 			nc := cntC.ProcessAt(e, wm)
-			ni := cntI.ProcessAt(e, wm)
+			ni := processInterp(cntI, e, wm)
 			if nc != ni {
 				t.Logf("seed %d tuple %d: compiled count %d, interpreted %d", seed, i, nc, ni)
 				return false

@@ -29,14 +29,9 @@ type CountEmitFunc func(ts stream.Time, n int64)
 // out-of-order tuples are detected with onT and handled per lines 9–10.
 type Operator struct {
 	cond    *Condition
-	plans   []plan
 	cplans  []cplan
 	windows []*window.Window
 	onT     stream.Time
-	// interp forces the interpreted (symbolic-plan) probe path. It exists for
-	// the differential tests that pin the compiled kernel bit-for-bit against
-	// the reference execution; production probing always runs compiled.
-	interp bool
 
 	emit        EmitFunc
 	countEmit   CountEmitFunc
@@ -50,7 +45,7 @@ type Operator struct {
 	onlyCounted bool
 	// scratch holds one reusable candidate buffer per probe level, so the
 	// multi-lookup filter path never allocates in steady state. Levels are
-	// independent because search at level l only consumes candidates of
+	// independent because searchC at level l only consumes candidates of
 	// levels ≤ l.
 	scratch [][]*stream.Tuple
 }
@@ -82,7 +77,6 @@ func New(cond *Condition, sizes []stream.Time, opts ...Option) *Operator {
 	rng := cond.RangeAttrs()
 	o := &Operator{
 		cond:      cond,
-		plans:     buildPlans(cond),
 		windows:   make([]*window.Window, cond.M),
 		assignBuf: make([]*stream.Tuple, cond.M),
 		countsBuf: make([]int64, cond.M),
@@ -94,7 +88,7 @@ func New(cond *Condition, sizes []stream.Time, opts ...Option) *Operator {
 		}
 		o.windows[i] = window.NewIndexed(w, idx[i], rng[i])
 	}
-	o.cplans = compilePlans(cond, o.plans, o.windows, compileProgs(cond))
+	o.cplans = compilePlans(cond, buildPlans(cond), o.windows, compileProgs(cond))
 	for _, opt := range opts {
 		opt(o)
 	}
@@ -211,94 +205,21 @@ func (o *Operator) InsertAt(e *stream.Tuple, wm stream.Time) {
 	o.insertInScope(e, wm)
 }
 
-// probe joins e against the windows on all other streams and returns the
-// number of produced results. The compiled kernel (compiled.go) and the
-// interpreted reference path enumerate in the identical order and agree
-// bit-for-bit; tests flip interp to pin that.
+// probe joins e against the windows on all other streams through the
+// compiled kernel (compiled.go) and returns the number of produced results.
 func (o *Operator) probe(e *stream.Tuple) int64 {
 	for i := range o.assignBuf {
 		o.assignBuf[i] = nil
 	}
 	o.assignBuf[e.Src] = e
-	if o.interp {
-		return o.search(o.plans[e.Src], 0, o.assignBuf)
-	}
 	return o.searchC(&o.cplans[e.Src], 0, o.assignBuf)
-}
-
-// search enumerates (or counts) assignments level by level.
-func (o *Operator) search(p plan, lvl int, assign []*stream.Tuple) int64 {
-	if lvl == len(p) {
-		if o.emit != nil {
-			tuples := make([]*stream.Tuple, len(assign))
-			copy(tuples, assign)
-			o.emit(stream.NewResult(tuples))
-		}
-		return 1
-	}
-	st := &p[lvl]
-	// Counting-only fast path: when the remaining steps are mutually
-	// independent and no results need materializing, multiply counts.
-	if st.countableTail && o.emit == nil {
-		var prod int64 = 1
-		for j := lvl; j < len(p); j++ {
-			prod *= o.candidateCount(&p[j], assign)
-			if prod == 0 {
-				return 0
-			}
-		}
-		return prod
-	}
-	var n int64
-	for _, cand := range o.candidates(st, lvl, assign) {
-		assign[st.stream] = cand
-		if o.stepChecks(st, assign) {
-			n += o.search(p, lvl+1, assign)
-		}
-	}
-	assign[st.stream] = nil
-	return n
-}
-
-// baseCandidates selects the step's base candidate set — the first hash
-// lookup when the step has equi predicates (generally most selective), the
-// first range lookup otherwise, the whole window with neither — and
-// returns the residual lookups still to be filtered. Both Match and the
-// range probe return contiguous views of index storage, so nothing is
-// copied here.
-//
-// A range probe is a *superset* pre-filter: its bounds c ± eps are rounded
-// and therefore widened by a small relative slack (bandRange), and ALL
-// band lookups — including the one just probed — stay in the residual set
-// so the exact difference-form check of stepFilter decides membership.
-// This keeps planned execution bit-for-bit consistent with the
-// Condition.Matches reference semantics (and with internal/dist's residual
-// band filters) even for attribute values within rounding distance of a
-// band edge.
-func (o *Operator) baseCandidates(st *step, assign []*stream.Tuple) (base []*stream.Tuple, extraEq []lookup, extraBands []bandLookup) {
-	w := o.windows[st.stream]
-	switch {
-	case len(st.lookups) > 0:
-		l0 := st.lookups[0]
-		base = w.Match(l0.ownAttr, assign[l0.boundStream].Attr(l0.boundAttr))
-		return base, st.lookups[1:], st.bands
-	case len(st.bands) > 0:
-		b0 := st.bands[0]
-		lo, hi, ok := bandRange(assign[b0.boundStream].Attr(b0.boundAttr), b0.eps)
-		if !ok {
-			return nil, nil, nil
-		}
-		return w.MatchRange(b0.ownAttr, lo, hi), nil, st.bands
-	default:
-		return w.All(), nil, nil
-	}
 }
 
 // bandRange returns index-probe bounds guaranteed to cover every value a
 // with fl(a − c) ∈ [−eps, eps]. The naive bounds fl(c−eps), fl(c+eps) can
 // round past values the difference form accepts (and vice versa), so they
 // are widened by a relative slack of ~5 ulps of the larger magnitude; the
-// exact difference check in stepFilter then discards the overshoot. A
+// exact difference check in cstep.filter then discards the overshoot. A
 // non-finite center can never band-match a stored (finite) key and
 // reports !ok.
 func bandRange(c, eps float64) (lo, hi float64, ok bool) {
@@ -317,72 +238,4 @@ func bandRange(c, eps float64) (lo, hi float64, ok bool) {
 // band-match (NaN or ±Inf).
 func ProbeRange(c, eps float64) (lo, hi float64, ok bool) {
 	return bandRange(c, eps)
-}
-
-// stepFilter applies the step's residual lookups to one candidate.
-func stepFilter(cand *stream.Tuple, eqs []lookup, bands []bandLookup, assign []*stream.Tuple) bool {
-	for _, l := range eqs {
-		if cand.Attr(l.ownAttr) != assign[l.boundStream].Attr(l.boundAttr) {
-			return false
-		}
-	}
-	for _, b := range bands {
-		d := cand.Attr(b.ownAttr) - assign[b.boundStream].Attr(b.boundAttr)
-		// Negated form: NaN (all comparisons false) never band-matches.
-		if !(d >= -b.eps && d <= b.eps) {
-			return false
-		}
-	}
-	return true
-}
-
-// candidates returns the window tuples on st.stream compatible with the
-// bound lookups of the step, filtering residual lookups into the level's
-// reusable scratch buffer.
-func (o *Operator) candidates(st *step, lvl int, assign []*stream.Tuple) []*stream.Tuple {
-	base, extraEq, extraBands := o.baseCandidates(st, assign)
-	if len(extraEq) == 0 && len(extraBands) == 0 {
-		return base
-	}
-	old := o.scratch[lvl]
-	out := old[:0]
-	for _, cand := range base {
-		if stepFilter(cand, extraEq, extraBands, assign) {
-			out = append(out, cand)
-		}
-	}
-	// Nil the stale tail from the previous probe so the scratch buffer does
-	// not pin long-expired tuples against the GC.
-	for i := len(out); i < len(old); i++ {
-		old[i] = nil
-	}
-	o.scratch[lvl] = out
-	return out
-}
-
-// candidateCount counts candidates without materializing them: a pure equi
-// step counts its hash bucket in O(1), a band step counts the (widened)
-// range view through the exact residual filter in O(box matches).
-func (o *Operator) candidateCount(st *step, assign []*stream.Tuple) int64 {
-	base, extraEq, extraBands := o.baseCandidates(st, assign)
-	if len(extraEq) == 0 && len(extraBands) == 0 {
-		return int64(len(base))
-	}
-	var n int64
-	for _, cand := range base {
-		if stepFilter(cand, extraEq, extraBands, assign) {
-			n++
-		}
-	}
-	return n
-}
-
-// stepChecks evaluates the generic predicates that became fully bound.
-func (o *Operator) stepChecks(st *step, assign []*stream.Tuple) bool {
-	for _, gi := range st.checks {
-		if !o.cond.Generics[gi].Eval(assign) {
-			return false
-		}
-	}
-	return true
 }

@@ -85,10 +85,9 @@ func BenchmarkProcessStar(b *testing.B) {
 }
 
 // TestSteadyStateZeroAllocs pins the steady-state counting probe path at
-// exactly zero allocations — equi-only and band-only conditions, per-tuple
-// and batched entry points. The FIFO hash buckets (compact-in-place once
-// the backing array reaches 2× the live size) and the reused range views
-// are what make the strict gate hold.
+// exactly zero allocations on equi-only and band-only conditions. The FIFO
+// hash buckets (compact-in-place once the backing array reaches 2× the live
+// size) and the reused range views are what make the strict gate hold.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -99,40 +98,25 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	wins := []stream.Time{stream.Second, stream.Second, stream.Second}
 	for _, c := range cases {
-		for _, batched := range []bool{false, true} {
-			name := c.name + "/tuple"
-			if batched {
-				name = c.name + "/batch"
+		t.Run(c.name+"/tuple", func(t *testing.T) {
+			feed := benchFeed(3, 6000, 50)
+			orig, span := origTS(feed)
+			op := New(c.cond, wins)
+			half := len(feed) / 2
+			for _, e := range feed[:half] {
+				op.Process(e)
 			}
-			t.Run(name, func(t *testing.T) {
-				feed := benchFeed(3, 6000, 50)
-				orig, span := origTS(feed)
-				op := New(c.cond, wins)
-				half := len(feed) / 2
-				for _, e := range feed[:half] {
-					op.Process(e)
-				}
-				i := half
-				batch := make([]*stream.Tuple, 64)
-				allocs := testing.AllocsPerRun(50, func() {
-					if batched {
-						for j := range batch {
-							batch[j] = cycle(feed, orig, span, i)
-							i++
-						}
-						op.ProcessBatch(batch)
-						return
-					}
-					for j := 0; j < 64; j++ {
-						op.Process(cycle(feed, orig, span, i))
-						i++
-					}
-				})
-				if allocs != 0 {
-					t.Fatalf("steady-state probe allocated %v times per 64 tuples, want 0", allocs)
+			i := half
+			allocs := testing.AllocsPerRun(50, func() {
+				for j := 0; j < 64; j++ {
+					op.Process(cycle(feed, orig, span, i))
+					i++
 				}
 			})
-		}
+			if allocs != 0 {
+				t.Fatalf("steady-state probe allocated %v times per 64 tuples, want 0", allocs)
+			}
+		})
 	}
 }
 

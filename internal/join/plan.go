@@ -31,11 +31,6 @@ type step struct {
 	lookups []lookup
 	bands   []bandLookup
 	checks  []int // indexes into Condition.Generics fully bound after this step
-	// countableTail is true when this step and every later step reference
-	// only streams bound before this step and carry no generic checks; in
-	// that case a counting-only probe can multiply candidate counts instead
-	// of enumerating the cross product.
-	countableTail bool
 }
 
 // plan is the probe order for one arriving stream.
@@ -93,7 +88,6 @@ func buildPlan(c *Condition, arriving int) plan {
 		}
 		p = append(p, st)
 	}
-	markCountableTails(arriving, p)
 	return p
 }
 
@@ -144,46 +138,4 @@ func (b bitset) subset(o bitset) bool {
 		}
 	}
 	return true
-}
-
-// markCountableTails computes whether the suffix starting at each step is
-// enumerable by pure counting: no generic checks remain, and every bound
-// stream any remaining step references was bound before the suffix begins
-// (so later candidate counts are independent of earlier candidate choices).
-// One backward pass suffices: refs accumulates the union of bound-stream
-// references over steps ≥ i, and the prefix bound set shrinks by one stream
-// per step — O(plan·m/64) instead of the per-step set rebuild's O(plan²·m).
-func markCountableTails(arriving int, p plan) {
-	m := arriving + 1
-	for i := range p {
-		if p[i].stream >= m {
-			m = p[i].stream + 1
-		}
-	}
-	// boundBefore[i] = {arriving} ∪ {steps < i}; computed incrementally and
-	// snapshotted per step into one flat backing array.
-	words := len(newBitset(m))
-	backing := make([]uint64, (len(p)+1)*words)
-	cur := bitset(backing[:words])
-	cur.set(arriving)
-	prefixes := make([]bitset, len(p))
-	for i := range p {
-		prefixes[i] = bitset(backing[(i+1)*words : (i+2)*words])
-		prefixes[i].copyFrom(cur)
-		cur.set(p[i].stream)
-	}
-	refs := newBitset(m)
-	tailOK := true
-	for i := len(p) - 1; i >= 0; i-- {
-		if len(p[i].checks) > 0 {
-			tailOK = false
-		}
-		for _, l := range p[i].lookups {
-			refs.set(l.boundStream)
-		}
-		for _, b := range p[i].bands {
-			refs.set(b.boundStream)
-		}
-		p[i].countableTail = tailOK && refs.subset(prefixes[i])
-	}
 }

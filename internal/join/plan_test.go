@@ -22,10 +22,11 @@ func TestPlanEquiChainOrder(t *testing.T) {
 	}
 	// Step 2's lookup references S1, which is inside the suffix at level 0,
 	// so level 0 is not countable; level 1 is.
-	if p[0].countableTail {
+	tails := markCountableTails(0, p)
+	if tails[0] {
 		t.Fatal("level 0 must not be countable (S2 depends on S1)")
 	}
-	if !p[1].countableTail {
+	if !tails[1] {
 		t.Fatal("level 1 must be countable")
 	}
 }
@@ -35,8 +36,9 @@ func TestPlanStarCountableFromCenter(t *testing.T) {
 	plans := buildPlans(c)
 	// Arriving center (stream 0): every spoke references only stream 0, so
 	// the whole plan is countable from level 0.
+	tails := markCountableTails(0, plans[0])
 	for lvl, st := range plans[0] {
-		if !st.countableTail {
+		if !tails[lvl] {
 			t.Fatalf("center-arrival level %d should be countable", lvl)
 		}
 		if len(st.lookups) != 1 || st.lookups[0].boundStream != 0 {
@@ -49,10 +51,11 @@ func TestPlanStarCountableFromCenter(t *testing.T) {
 	if p[0].stream != 0 {
 		t.Fatalf("spoke arrival must probe the center first, got %d", p[0].stream)
 	}
-	if p[0].countableTail {
+	tails = markCountableTails(1, p)
+	if tails[0] {
 		t.Fatal("level 0 from a spoke is not countable (others depend on center)")
 	}
-	if !p[1].countableTail {
+	if !tails[1] {
 		t.Fatal("after the center binds, the tail is countable")
 	}
 }
@@ -61,11 +64,12 @@ func TestPlanCrossJoinFullScans(t *testing.T) {
 	c := Cross(3)
 	plans := buildPlans(c)
 	for s, p := range plans {
+		tails := markCountableTails(s, p)
 		for lvl, st := range p {
 			if len(st.lookups) != 0 {
 				t.Fatalf("cross join must have no lookups (s=%d lvl=%d)", s, lvl)
 			}
-			if !st.countableTail {
+			if !tails[lvl] {
 				t.Fatalf("cross join tails are always countable (s=%d lvl=%d)", s, lvl)
 			}
 		}
@@ -87,7 +91,7 @@ func TestPlanBandLookups(t *testing.T) {
 		if len(st.bands) != 2 || len(st.lookups) != 0 {
 			t.Fatalf("arrival %d: %d band / %d equi lookups, want 2/0", s, len(st.bands), len(st.lookups))
 		}
-		if len(st.checks) != 1 || st.countableTail {
+		if len(st.checks) != 1 || markCountableTails(s, p)[0] {
 			t.Fatalf("arrival %d: generic residual must be scheduled and kill countability", s)
 		}
 		for _, b := range st.bands {
@@ -107,7 +111,7 @@ func TestPlanPureBandCountable(t *testing.T) {
 	c := Cross(2).Band(0, 0, 1, 0, 1)
 	plans := buildPlans(c)
 	for s, p := range plans {
-		if !p[0].countableTail {
+		if !markCountableTails(s, p)[0] {
 			t.Fatalf("arrival %d: pure band step must be countable", s)
 		}
 	}
@@ -145,8 +149,9 @@ func TestPlanGenericChecksPlacement(t *testing.T) {
 	if checkedAt == -1 {
 		t.Fatal("generic predicate never scheduled")
 	}
+	tails := markCountableTails(0, p)
 	for lvl := 0; lvl <= checkedAt; lvl++ {
-		if p[lvl].countableTail {
+		if tails[lvl] {
 			t.Fatalf("level %d must not be countable with a pending check", lvl)
 		}
 	}

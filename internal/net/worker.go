@@ -144,10 +144,7 @@ type wsession struct {
 	errStr string
 
 	// Scratch, reused across frames.
-	ks   []stream.Time
-	es   []*stream.Tuple
-	wms  []stream.Time
-	idxs []int
+	ks []stream.Time
 }
 
 // newWSession validates the hello and builds the shard operator. All
@@ -247,54 +244,19 @@ func (s *wsession) handleBatch(b []byte) {
 			panic(err)
 		}
 		off = next
-		switch {
-		case kind == wmProbe && inj == nil:
-			// Gather the run of consecutive probes and feed the batched
-			// kernel: one kernel entry instead of one per tuple.
-			s.es = append(s.es[:0], e)
-			s.wms = append(s.wms[:0], wm)
-			s.idxs = append(s.idxs[:0], idx)
-			for off < len(b) && b[off] == wmProbe {
-				_, e, wm, idx, next, err = decodeMsg(b, off, &s.slab)
-				if err != nil {
-					panic(err)
-				}
-				off = next
-				s.es = append(s.es, e)
-				s.wms = append(s.wms, wm)
-				s.idxs = append(s.idxs, idx)
-			}
-			s.stepProbes()
-		case kind == wmProbe:
-			// Injection active: the per-message path keeps the per-step
-			// delay/panic points. "tuple N" counts probe messages on this
-			// worker.
-			inj.Arrival()
-			inj.MaybeDelay(s.id)
-			inj.MaybePanic(s.id)
-			s.curIdx = idx
-			if nOn := s.op.ProcessAt(e, wm); nOn != 0 {
-				s.add(idx, nOn)
-			}
-		default:
+		if kind != wmProbe {
 			s.op.InsertAt(e, wm)
+			continue
+		}
+		// "tuple N" injector directives count probe messages on this worker.
+		inj.Arrival()
+		inj.MaybeDelay(s.id)
+		inj.MaybePanic(s.id)
+		s.curIdx = idx
+		if nOn := s.op.ProcessAt(e, wm); nOn != 0 {
+			s.add(idx, nOn)
 		}
 	}
-}
-
-// stepProbes runs the gathered probe run through Operator.ProcessBatchAt,
-// advancing curIdx between tuples so the emit closure attributes each
-// materialized result to its arrival (as shard.worker.stepProbes does).
-func (s *wsession) stepProbes() {
-	s.curIdx = s.idxs[0]
-	s.op.ProcessBatchAt(s.es, s.wms, func(i int, nOn int64) {
-		if nOn != 0 {
-			s.add(s.idxs[i], nOn)
-		}
-		if i+1 < len(s.idxs) {
-			s.curIdx = s.idxs[i+1]
-		}
-	})
 }
 
 // add merges a result count into the sparse per-arrival accumulator.

@@ -51,11 +51,6 @@ type ExecConfig struct {
 	OnAdapt func(core.AdaptEvent)
 	// BatchSize/QueueDepth tune the flat sharded runtime (0 = default).
 	BatchSize, QueueDepth int
-	// Batch sets the columnar release batch size (≤ 1 = per-tuple, the
-	// default): synchronizer/K-slack output is buffered and fed to the
-	// probe kernel in short runs. Results and K trajectories are bit-for-bit
-	// those of the per-tuple run on every shape.
-	Batch int
 	// Inject optionally arms the deterministic fault injector on the built
 	// executor's workers (and, on worker-less shapes, its driver thread).
 	Inject *fault.Injector
@@ -158,7 +153,6 @@ func buildFlat(g *Graph, cfg ExecConfig, shards int) Executor {
 		Emit:       cfg.Emit,
 		EmitCounts: cfg.EmitCounts,
 		OnAdapt:    cfg.OnAdapt,
-		Batch:      cfg.Batch,
 		Sharding:   core.Sharding{Shards: shards, BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth},
 		Inject:     cfg.Inject,
 		NewRuntime: newRT,
@@ -215,7 +209,6 @@ func buildTree(g *Graph, cfg ExecConfig) Executor {
 	if cfg.Policy == PolicyStatic {
 		e.t = dist.NewPlanTree(g.Cond, g.Windows, shape, cfg.StaticK, sink)
 		e.t.SetInjector(cfg.Inject)
-		e.t.SetBatch(cfg.Batch)
 		e.staticK = cfg.StaticK
 		return e
 	}
@@ -238,7 +231,6 @@ func buildTree(g *Graph, cfg ExecConfig) Executor {
 	}
 	e.at = dist.NewAdaptivePlanTree(g.Cond, g.Windows, shape, acfg, sink)
 	e.at.SetInjector(cfg.Inject)
-	e.at.Tree().SetBatch(cfg.Batch)
 	return e
 }
 

@@ -252,9 +252,7 @@ func (s *Supervised) TryPush(t *stream.Tuple) error {
 	if s.finished {
 		return fault.ErrClosed
 	}
-	if s.inj != nil {
-		s.inj.Arrival()
-	}
+	s.inj.Arrival()
 	ic := s.scf.Ingest
 	bounded := ic.MaxBuffered > 0 && s.be != nil
 	if bounded && ic.Policy == IngestError && s.be.BufferedTuples() >= ic.MaxBuffered {

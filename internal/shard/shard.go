@@ -103,10 +103,6 @@ type worker struct {
 	resIdx []int // arrival index per buffered result; non-decreasing
 	failed bool  // worker-goroutine-local: set after a recovered panic
 	done   chan struct{}
-
-	// Scratch columns for stepProbes, reused across batches.
-	es  []*stream.Tuple
-	wms []stream.Time
 }
 
 // Runtime runs one logical join as cfg.N shards.
@@ -342,7 +338,7 @@ func (rt *Runtime) Close() {
 func (w *worker) run() {
 	defer close(w.done)
 	for batch := range w.ch {
-		for i := 0; i < len(batch); i++ {
+		for i := range batch {
 			m := &batch[i]
 			if m.kind == msgBarrier {
 				w.rt.barrier.Done()
@@ -351,55 +347,11 @@ func (w *worker) run() {
 			if w.failed {
 				continue
 			}
-			if m.kind == msgProbe && w.rt.cfg.Inject == nil {
-				// Feed the whole run of consecutive probes through the
-				// batched kernel: one recover scope and one kernel entry
-				// instead of one per tuple. With fault injection active the
-				// per-message path keeps its per-step delay/panic points.
-				j := i + 1
-				for j < len(batch) && batch[j].kind == msgProbe {
-					j++
-				}
-				w.stepProbes(batch[i:j])
-				i = j - 1
-				continue
-			}
 			w.step(m)
 		}
 		clear(batch)
 		w.rt.pool.Put(batch[:0])
 	}
-}
-
-// stepProbes processes a run of consecutive probe messages via
-// Operator.ProcessBatchAt. curIdx must name the in-flight tuple's arrival
-// index while its probe executes — the materialized-results emit closure
-// reads it per result — so it is advanced between tuples in the onTuple
-// callback, which fires after tuple i and before tuple i+1. A panic
-// mid-batch fails the worker exactly as the per-message path does; the
-// unprocessed batch suffix would have been skipped as failed anyway.
-func (w *worker) stepProbes(ms []msg) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.failed = true
-			w.rt.fail(&fault.WorkerError{Worker: w.id, Cause: fault.AsError(r)})
-		}
-	}()
-	w.es = w.es[:0]
-	w.wms = w.wms[:0]
-	for i := range ms {
-		w.es = append(w.es, ms[i].e)
-		w.wms = append(w.wms, ms[i].wm)
-	}
-	w.curIdx = ms[0].idx
-	w.op.ProcessBatchAt(w.es, w.wms, func(i int, nOn int64) {
-		if nOn != 0 {
-			w.add(ms[i].idx, nOn)
-		}
-		if i+1 < len(ms) {
-			w.curIdx = ms[i+1].idx
-		}
-	})
 }
 
 // step processes one probe/insert message, converting a panic into a

@@ -48,9 +48,9 @@ type MultiQuery struct {
 // Add registers one query: a join condition, per-stream window extents, and
 // the same disorder-handling Options a standalone Join takes. The supported
 // join options are WithResults, WithResultCounts and WithAdaptHook;
-// deployment-shape options (WithShards, WithBatchSize, WithPlan,
-// WithAutoPlan, WithSupervision, WithOnlineReplan) panic — the multi-query
-// engine is its own deployment shape.
+// deployment-shape options (WithShards, WithPlan, WithAutoPlan,
+// WithSupervision, WithOnlineReplan) panic — the multi-query engine is its
+// own deployment shape.
 //
 // Add may be called while the join is running; the new query sees only
 // arrivals from this point on. Adding to a closed MultiJoin panics.
@@ -62,8 +62,6 @@ func (mj *MultiJoin) Add(cond *Condition, windows []Time, opt Options, jopts ...
 	switch {
 	case jo.shards != 0:
 		panic("qdhj: WithShards is not supported on a MultiJoin — sharding and multi-query sharing are distinct deployment shapes; use one Join per shard group or a MultiJoin, not both")
-	case jo.batch != 0:
-		panic("qdhj: WithBatchSize is not supported on a MultiJoin — the shared probe kernel amortizes per-tuple dispatch across queries instead")
 	case jo.plan != nil || jo.autoPlan:
 		panic("qdhj: WithPlan/WithAutoPlan are not supported on a MultiJoin — the multi-query engine is its own deployment shape")
 	case jo.supervised:

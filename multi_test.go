@@ -275,7 +275,6 @@ func TestMultiJoinLifecyclePanics(t *testing.T) {
 
 	for name, opt := range map[string]JoinOption{
 		"with-shards":      WithShards(2),
-		"with-batch":       WithBatchSize(64),
 		"with-autoplan":    WithAutoPlan(),
 		"with-supervision": WithSupervision(Supervision{}),
 	} {

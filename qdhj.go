@@ -136,7 +136,6 @@ type joinOpts struct {
 	counts     join.CountEmitFunc
 	onAdapt    func(AdaptEvent)
 	shards     int
-	batch      int
 	remote     []string
 	frameBatch int
 	plan       *Plan
@@ -186,20 +185,6 @@ func WithShards(n int) JoinOption {
 		panic("qdhj: WithShards needs n ≥ 0 shards")
 	}
 	return func(o *joinOpts) { o.shards = n }
-}
-
-// WithBatchSize sets the columnar release batch size n: synchronizer/K-slack
-// output is buffered and fed to the probe kernel in runs of up to n tuples
-// instead of one call per tuple, amortizing the per-tuple dispatch on every
-// deployment shape. Batches are cut at adaptation boundaries and watermark
-// reads, so results, result order and the K trajectory are bit-for-bit those
-// of the per-tuple run. n ≤ 1 (and the default) selects per-tuple execution;
-// n < 0 panics. 64 is a good starting point.
-func WithBatchSize(n int) JoinOption {
-	if n < 0 {
-		panic("qdhj: WithBatchSize needs n ≥ 0")
-	}
-	return func(o *joinOpts) { o.batch = n }
 }
 
 // WithRemoteWorkers runs the join's partition workers as external qdhjd
@@ -284,7 +269,6 @@ func execConfig(opt Options, jo *joinOpts) plan.ExecConfig {
 		Emit:       jo.emit,
 		EmitCounts: jo.counts,
 		OnAdapt:    jo.onAdapt,
-		Batch:      jo.batch,
 		Remote:     jo.remote,
 		BatchSize:  jo.frameBatch,
 	}
