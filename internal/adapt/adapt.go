@@ -18,22 +18,27 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/hist"
 	"repro/internal/profiler"
 	"repro/internal/stream"
 )
 
 // Source supplies the per-input delay statistics the model-based policy
-// reads: one cumulative delay distribution and Synchronizer buffer estimate
-// per model input, plus the recent maximum delay bounding the Alg. 3 search.
+// reads: the delay histograms and Synchronizer buffer estimate of each model
+// input, plus the recent maximum delay bounding the Alg. 3 search.
 // stats.Manager implements it directly (inputs = raw streams); the feedback
 // runtime also implements it per decision scope, where an input may be a
 // *group* of raw streams (e.g. the left side of a binary tree stage) whose
 // distributions are merged. The seam keeps this package free of any
 // dependency on how statistics are collected.
 type Source interface {
-	// CDF returns Pr[D_i ≤ d] over coarse g-buckets for model input i; nil
-	// means "no delays observed" (all mass at zero).
-	CDF(i int) []float64
+	// Delays returns the live delay histograms (granularity g) of model
+	// input i. The input's delay distribution is their bucket-wise sum: the
+	// distribution of a tuple drawn uniformly from the members' histories. A
+	// sum without recorded delays means "no delays observed" (all mass at
+	// zero). The model reads the counts in place during a decision and must
+	// not be raced by an Add or Remove.
+	Delays(i int) []*hist.Histogram
 	// KSync estimates the Synchronizer's implicit buffer for input i.
 	KSync(i int) stream.Time
 	// MaxDelayRecent returns MaxD^H over the inputs' recent histories.
@@ -191,31 +196,30 @@ func (p Static) Decide(stream.Time, *profiler.Snapshot) stream.Time { return p.K
 
 // Model is the quality-driven, model-based policy of Alg. 3.
 type Model struct {
-	cfg     Config
-	windows []stream.Time
-	stats   Source
-	mon     ResultWindow
+	cfg   Config
+	stats Source
+	mon   ResultWindow
+	ev    evaluator // refilled at every decision
 
 	// instrumentation for Fig. 11 and the ablation benches
 	steps      int64
 	iterations int64
 	adaptTime  time.Duration
 	lastGammaP float64
-	lastRecall float64
 }
 
 // NewModel creates the model-based policy. windows are the W_i of the model
 // inputs (one per Source input).
 func NewModel(cfg Config, windows []stream.Time, st Source, mon ResultWindow) *Model {
-	return &Model{cfg: cfg.Normalize(), windows: windows, stats: st, mon: mon}
+	m := &Model{cfg: cfg.Normalize(), stats: st, mon: mon}
+	m.ev.init(m.cfg, windows)
+	return m
 }
 
 // Name implements Policy.
 func (m *Model) Name() string { return "Model(" + m.cfg.Strategy.String() + ")" }
 
-// Decide implements Policy: Alg. 3. Per-stream cumulative delay
-// distributions are snapshotted once per decision so each candidate K
-// evaluates in O(m·ΣW_i/b) with O(1) CDF lookups.
+// Decide implements Policy: Alg. 3.
 func (m *Model) Decide(now stream.Time, snap *profiler.Snapshot) stream.Time {
 	return m.decide(now, snap, m.instantRequirement(snap))
 }
@@ -237,7 +241,6 @@ func (m *Model) decide(now stream.Time, snap *profiler.Snapshot, gammaPrime floa
 	maxDH := m.stats.MaxDelayRecent()
 	m.lastGammaP = gammaPrime
 	ev := m.newEvaluator()
-
 	var k stream.Time
 	if m.cfg.Search == BinarySearch {
 		k = m.searchBinary(ev, snap, gammaPrime, maxDH)
@@ -258,9 +261,7 @@ func (m *Model) searchLinear(ev *evaluator, snap *profiler.Snapshot, gammaPrime 
 	var k stream.Time
 	for {
 		m.iterations++
-		r := ev.recall(k, snap)
-		m.lastRecall = r
-		if r >= gammaPrime || k > maxDH {
+		if ev.recall(k, snap) >= gammaPrime || k > maxDH {
 			return k
 		}
 		k += m.cfg.G
@@ -271,22 +272,18 @@ func (m *Model) searchLinear(ev *evaluator, snap *profiler.Snapshot, gammaPrime 
 // with O(log) model evaluations.
 func (m *Model) searchBinary(ev *evaluator, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time) stream.Time {
 	m.iterations++
-	if r := ev.recall(0, snap); r >= gammaPrime {
-		m.lastRecall = r
+	if ev.recall(0, snap) >= gammaPrime {
 		return 0
 	}
 	m.iterations++
-	if r := ev.recall(maxDH, snap); r < gammaPrime {
-		m.lastRecall = r
+	if ev.recall(maxDH, snap) < gammaPrime {
 		return maxDH
 	}
 	lo, hi := stream.Time(0), (maxDH+m.cfg.G-1)/m.cfg.G // in units of g; recall(hi·g) ≥ Γ′
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
 		m.iterations++
-		r := ev.recall(mid*m.cfg.G, snap)
-		m.lastRecall = r
-		if r >= gammaPrime {
+		if ev.recall(mid*m.cfg.G, snap) >= gammaPrime {
 			hi = mid
 		} else {
 			lo = mid
@@ -295,64 +292,163 @@ func (m *Model) searchBinary(ev *evaluator, snap *profiler.Snapshot, gammaPrime 
 	return hi * m.cfg.G
 }
 
-// evaluator caches, for one adaptation step, each stream's cumulative
-// coarse-delay distribution and Synchronizer buffer estimate, so the Alg. 3
-// search can probe many K candidates cheaply.
+// evaluator evaluates γ(L,K) (Eq. 3–5) for the candidates of one Alg. 3
+// search, in exact integer arithmetic over the live delay histograms.
+//
+// Every F_i(d) is C_i(d)/T_i, a cumulative count over the total, so Eq. 3
+//
+//	effW_i(s) = Σ_{l=1..n} |w^l_i| · F_i(s + ⌊(l−1)·b/g⌋),  s = (K + K^sync_i)/g, n = ⌈W_i/b⌉
+//
+// is an integer — b·Σ_{l<n} C_i(·) + |w^n_i|·C_i(·) — divided once by T_i.
+// A cursor keeps C(s), the last term's C and the Σ per member histogram;
+// when b = g the terms are consecutive buckets and the next candidate,
+// s+1, is one bucket in and one out. No table is built and nothing is
+// copied: one Model owns one evaluator and refills it per decision.
 type evaluator struct {
-	m     *Model
-	cum   [][]float64 // cum[i][d] = Pr[D_i ≤ d]; nil means "no delays seen"
-	ksync []stream.Time
-	den   float64 // Σ_i Π_{j≠i} W_j, constant across K
+	cfg  Config
+	den  float64  // Σ_i Π_{j≠i} W_j, constant across K
+	in   []input  // one per model input
+	cur  []cursor // the inputs' member cursors, input after input
+	effW []float64
+	fdk0 []float64
 }
 
-func (m *Model) newEvaluator() *evaluator {
-	n := len(m.windows)
-	ev := &evaluator{m: m, cum: make([][]float64, n), ksync: make([]stream.Time, n)}
-	for i := 0; i < n; i++ {
-		ev.cum[i] = m.stats.CDF(i)
-		ev.ksync[i] = m.stats.KSync(i)
-	}
-	for i := 0; i < n; i++ {
+// input holds what Eq. 3 needs of one model input: constants of (W_i, b, g)
+// fixed at construction, and the per-decision statistics.
+type input struct {
+	w, b, last stream.Time // W_i, min(b, W_i), width of the n-th basic window
+	n          int         // ⌈W_i/b⌉ basic windows
+	unit       bool        // term offsets are 0,1,…,n−1 buckets: step applies
+
+	ksync  stream.Time
+	total  int64 // T_i over the members
+	lo, hi int   // cur[lo:hi] are this input's cursors
+}
+
+// cursor is the Eq. 3 state of one member histogram at shift s.
+type cursor struct {
+	counts []int64 // the histogram's own counts; beyond them C = total
+	s      int
+	first  int64 // C(s)
+	last   int64 // C(s + ⌊(n−1)·b/g⌋), the n-th term
+	sum    int64 // Σ_{l=1..n−1} C(s + ⌊(l−1)·b/g⌋)
+}
+
+func (ev *evaluator) init(cfg Config, windows []stream.Time) {
+	n := len(windows)
+	ev.cfg = cfg
+	ev.in = make([]input, n)
+	ev.effW = make([]float64, n)
+	ev.fdk0 = make([]float64, n)
+	for i, w := range windows {
+		b := max(min(cfg.B, w), 1) // W_i ≤ 0 is the join operator's panic to raise, not a division's
+		in := &ev.in[i]
+		in.w, in.b = w, b
+		in.n = int((w + b - 1) / b)
+		in.last = w - stream.Time(in.n-1)*b
+		in.unit = b == cfg.G || in.n == 1
 		p := 1.0
-		for j := 0; j < n; j++ {
+		for j := range windows {
 			if j != i {
-				p *= float64(m.windows[j])
+				p *= float64(windows[j])
 			}
 		}
 		ev.den += p
 	}
+}
+
+// newEvaluator refills the model's evaluator from the statistics source and
+// positions every cursor at K = 0.
+func (m *Model) newEvaluator() *evaluator {
+	ev := &m.ev
+	ev.cur = ev.cur[:0]
+	for i := range ev.in {
+		in := &ev.in[i]
+		in.ksync = m.stats.KSync(i)
+		in.total = 0
+		in.lo = len(ev.cur)
+		for _, h := range m.stats.Delays(i) {
+			in.total += h.Total()
+			ev.cur = append(ev.cur, cursor{counts: h.Counts()})
+		}
+		in.hi = len(ev.cur)
+		for c := in.lo; c < in.hi; c++ {
+			ev.cur[c].seek(in, ev.cfg.G, int(in.ksync/ev.cfg.G))
+		}
+	}
 	return ev
 }
 
-// cdf returns Pr[D_i ≤ d] in O(1).
-func (ev *evaluator) cdf(i, d int) float64 {
-	if d < 0 {
-		return 0
+// seek positions the cursor at shift s in one forward pass over the counts,
+// for any b and g.
+func (c *cursor) seek(in *input, g stream.Time, s int) {
+	x, cum := -1, int64(0) // cum = C(x)
+	top := len(c.counts) - 1
+	c.s, c.sum = s, 0
+	for l := 0; l < in.n; l++ {
+		d := s + l
+		if !in.unit {
+			d = s + int(stream.Time(l)*in.b/g)
+		}
+		for d = min(d, top); x < d; {
+			x++
+			cum += c.counts[x]
+		}
+		if l == 0 {
+			c.first = cum
+		}
+		if l < in.n-1 {
+			c.sum += cum
+		} else {
+			c.last = cum
+		}
 	}
-	c := ev.cum[i]
-	if len(c) == 0 || d >= len(c) {
-		return 1
+}
+
+// step advances the cursor from s to s+1 when the n terms sit at
+// consecutive buckets s … s+n−1.
+func (c *cursor) step(n int) {
+	c.sum += c.last - c.first
+	c.s++
+	if c.s < len(c.counts) {
+		c.first += c.counts[c.s]
 	}
-	return c[d]
+	if d := c.s + n - 1; d < len(c.counts) {
+		c.last += c.counts[d]
+	}
 }
 
 // recall evaluates γ(L,K) per Eq. (5).
 func (ev *evaluator) recall(k stream.Time, snap *profiler.Snapshot) float64 {
-	m := ev.m
-	n := len(m.windows)
-	effW := make([]float64, n)
-	fdk0 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		shift := int((k + ev.ksync[i]) / m.cfg.G)
-		fdk0[i] = ev.cdf(i, shift)
-		effW[i] = ev.effectiveWindow(i, shift)
+	for i := range ev.in {
+		in := &ev.in[i]
+		s := int((k + in.ksync) / ev.cfg.G)
+		var first, last, sum int64
+		for c := in.lo; c < in.hi; c++ {
+			cur := &ev.cur[c]
+			switch {
+			case s == cur.s:
+			case in.unit && s == cur.s+1:
+				cur.step(in.n)
+			default:
+				cur.seek(in, ev.cfg.G, s)
+			}
+			first += cur.first
+			last += cur.last
+			sum += cur.sum
+		}
+		ev.fdk0[i], ev.effW[i] = 1, float64(in.w)
+		if in.total > 0 {
+			t := float64(in.total)
+			ev.fdk0[i] = float64(first) / t
+			ev.effW[i] = float64(int64(in.b)*sum+int64(in.last)*last) / t
+		}
 	}
 	var num float64
-	for i := 0; i < n; i++ {
-		pn := fdk0[i]
-		for j := 0; j < n; j++ {
+	for i, pn := range ev.fdk0 {
+		for j, w := range ev.effW {
 			if j != i {
-				pn *= effW[j]
+				pn *= w
 			}
 		}
 		num += pn
@@ -361,7 +457,7 @@ func (ev *evaluator) recall(k stream.Time, snap *profiler.Snapshot) float64 {
 		return 1
 	}
 	gamma := num / ev.den
-	if m.cfg.Strategy == NonEqSel && snap != nil {
+	if ev.cfg.Strategy == NonEqSel && snap != nil {
 		gamma *= snap.SelRatio(k)
 	}
 	if gamma > 1 {
@@ -371,27 +467,6 @@ func (ev *evaluator) recall(k stream.Time, snap *profiler.Snapshot) float64 {
 		gamma = 0
 	}
 	return gamma
-}
-
-// effectiveWindow evaluates Σ_l |w^l_j| / r_j (Eq. 3) with O(1) lookups.
-func (ev *evaluator) effectiveWindow(j, shift int) float64 {
-	m := ev.m
-	w := m.windows[j]
-	b := m.cfg.B
-	if b > w {
-		b = w
-	}
-	n := int((w + b - 1) / b)
-	var sum float64
-	for l := 1; l <= n; l++ {
-		width := b
-		if l == n {
-			width = w - stream.Time(n-1)*b
-		}
-		d := int(stream.Time(l-1) * b / m.cfg.G)
-		sum += float64(width) * ev.cdf(j, shift+d)
-	}
-	return sum
 }
 
 // instantRequirement derives Γ′ per Eq. (7) and applies it clamped to
@@ -422,8 +497,7 @@ func (m *Model) instantRequirement(snap *profiler.Snapshot) float64 {
 	return gp
 }
 
-// EstimateRecall computes γ(L,K) per Eq. (5). It builds a fresh evaluator
-// per call; loops over many K values should use Decide, which caches one.
+// EstimateRecall computes γ(L,K) per Eq. (5) from the current statistics.
 func (m *Model) EstimateRecall(k stream.Time, snap *profiler.Snapshot) float64 {
 	return m.newEvaluator().recall(k, snap)
 }

@@ -1,7 +1,7 @@
 package feedback
 
 import (
-	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/adapt"
@@ -44,8 +44,8 @@ func TestBoundarySchedule(t *testing.T) {
 	}
 }
 
-// TestScopeSourceMerge: multi-stream groups merge CDFs weighted by count,
-// take the min KSync and the max recent delay.
+// TestScopeSourceMerge: multi-stream groups hand the model their member
+// histograms to sum bucket-wise, take the min KSync and the max recent delay.
 func TestScopeSourceMerge(t *testing.T) {
 	g := 10 * stream.Millisecond
 	mgr := stats.NewManager(3, g)
@@ -63,17 +63,18 @@ func TestScopeSourceMerge(t *testing.T) {
 	push(2, 1000)
 
 	src := newScopeSource(mgr, [][]int{{0, 1}, {2}})
-	cdf := src.CDF(0)
-	if cdf == nil {
-		t.Fatal("merged CDF is nil despite observed delays")
-	}
 	// 6 arrivals in the group, 5 with delay 0, one in bucket 3 (30ms at
 	// g=10ms): Pr[D ≤ 0] = 5/6, Pr[D ≤ 30ms] = 1.
-	if got, want := cdf[0], 5.0/6.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("merged cdf[0] = %v, want %v", got, want)
+	var sum [4]int64
+	var total int64
+	for _, h := range src.Delays(0) {
+		total += h.Total()
+		for d, c := range h.Counts() {
+			sum[d] += c
+		}
 	}
-	if got := cdf[len(cdf)-1]; math.Abs(got-1) > 1e-12 {
-		t.Errorf("merged cdf top = %v, want 1", got)
+	if want := [4]int64{5, 0, 0, 1}; sum != want || total != 6 {
+		t.Errorf("merged counts = %v of %d, want %v of 6", sum, total, want)
 	}
 	if got, want := src.MaxDelayRecent(), 30*stream.Millisecond; got != want {
 		t.Errorf("scope MaxDelayRecent = %v, want %v", got, want)
@@ -100,14 +101,8 @@ func TestSingleScopeMatchesManager(t *testing.T) {
 	}
 	src := newScopeSource(mgr, [][]int{{0}, {1}})
 	for i := 0; i < 2; i++ {
-		a, b := src.CDF(i), mgr.CDF(i)
-		if len(a) != len(b) {
-			t.Fatalf("stream %d: CDF lengths differ", i)
-		}
-		for d := range a {
-			if a[d] != b[d] {
-				t.Fatalf("stream %d bucket %d: %v != %v", i, d, a[d], b[d])
-			}
+		if a := src.Delays(i); len(a) != 1 || a[0] != mgr.Hist(i) {
+			t.Fatalf("stream %d: the scope must read the manager's own histogram", i)
 		}
 		if src.KSync(i) != mgr.KSync(i) {
 			t.Errorf("stream %d: KSync differs", i)
@@ -139,4 +134,76 @@ func TestSharedRequirementNeedsScopeWeights(t *testing.T) {
 		}()
 	}
 	New(Config{Windows: w, Scopes: scopes, SharedRequirement: true, ScopeWeights: []float64{2.0 / 3, 1.0 / 3}})
+}
+
+// TestDecideAtZeroAllocs gates the decision path: once warmed, a whole
+// DecideAt — profiler snapshot and reset, Γ′ derivation, the Alg. 3 search
+// over every scope, monitor bookkeeping — allocates nothing, on the single
+// global scope and on a two-scope per-stage loop whose second scope reads a
+// merged (two-stream) left input.
+func TestDecideAtZeroAllocs(t *testing.T) {
+	w := []stream.Time{2 * stream.Second, 2 * stream.Second, 2 * stream.Second}
+	acfg := adapt.Config{Gamma: 0.95, P: 10 * stream.Second, L: stream.Second}
+	loops := map[string]*Loop{
+		"global": New(Config{Windows: w, Adapt: acfg}),
+		"per-stage": New(Config{Windows: w, Adapt: acfg,
+			Scopes: []Scope{
+				{Groups: [][]int{{0}, {1}}, Windows: w[:2]},
+				{Groups: [][]int{{0, 1}, {2}}, Windows: w[1:]},
+			},
+			SharedRequirement: true, ScopeWeights: []float64{2.0 / 3, 1.0 / 3}}),
+	}
+	for name, l := range loops {
+		rng := rand.New(rand.NewSource(9))
+		ts := stream.Time(5000)
+		// interval feeds one adaptation interval the way an executor would:
+		// arrivals (a quarter of them up to 1.5 s late), productivity records
+		// per scope, results.
+		interval := func() (at stream.Time) {
+			for {
+				ts += 10
+				for src := 0; src < 3; src++ {
+					e := &stream.Tuple{TS: ts, Src: src}
+					if rng.Intn(4) == 0 {
+						e.TS -= stream.Time(rng.Intn(1500))
+					}
+					now := l.Observe(e)
+					for sc := 0; sc < l.Scopes(); sc++ {
+						if d := ts - e.TS; d > 800 {
+							l.RecordOutOfOrder(sc, d)
+						} else {
+							l.RecordInOrder(sc, d, 40, int64(rng.Intn(8)))
+						}
+					}
+					l.ObserveResult(e.TS, 3)
+					if at, ok := l.Boundary(now); ok {
+						return at
+					}
+				}
+			}
+		}
+		for i := 0; i < 30; i++ { // warm: histories, ADWIN, every reused slice
+			at := interval()
+			l.DecideAt(at, at-500)
+		}
+		if k := l.Ks()[l.Scopes()-1]; k == 0 {
+			t.Fatalf("%s: warm-up never decided a positive K — the search is not exercised", name)
+		}
+		at := interval()
+		if n := testing.AllocsPerRun(20, func() {
+			// The same boundary again, with a fresh interval's productivity
+			// records (in-order and out-of-order) so the snapshot, Eq. 6 and
+			// Eq. 7 all run; the statistics — and so the search — repeat.
+			for sc := 0; sc < l.Scopes(); sc++ {
+				for d := stream.Time(0); d < 800; d += 10 {
+					l.RecordInOrder(sc, d, 40, int64(d%7))
+				}
+				l.RecordOutOfOrder(sc, 1200)
+				l.RecordOutOfOrder(sc, 900)
+			}
+			l.DecideAt(at, at-500)
+		}); n != 0 {
+			t.Errorf("%s: DecideAt allocates %v times per decision, want 0", name, n)
+		}
+	}
 }

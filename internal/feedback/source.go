@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"repro/internal/hist"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -13,9 +14,9 @@ import (
 // side of a tree stage: the streams bound in the partial results) merge as
 // follows:
 //
-//   - CDF: the count-weighted average of the member CDFs — the delay
-//     distribution of a tuple drawn uniformly from the group's arrivals,
-//     which is exactly what the left input's constituents are.
+//   - Delays: the member histograms, which the model sums bucket-wise — the
+//     delay distribution of a tuple drawn uniformly from the group's
+//     arrivals, which is exactly what the left input's constituents are.
 //   - KSync: the group minimum. K^sync_i is "free" buffering the model
 //     subtracts from the K a stream still needs; for a composite input the
 //     least-buffered member bounds what all constituents are guaranteed,
@@ -27,54 +28,21 @@ import (
 type scopeSource struct {
 	mgr    *stats.Manager
 	groups [][]int
+	delays [][]*hist.Histogram // delays[i][j] = mgr.Hist(groups[i][j])
 }
 
 func newScopeSource(mgr *stats.Manager, groups [][]int) *scopeSource {
-	return &scopeSource{mgr: mgr, groups: groups}
+	s := &scopeSource{mgr: mgr, groups: groups, delays: make([][]*hist.Histogram, len(groups))}
+	for i, g := range groups {
+		for _, st := range g {
+			s.delays[i] = append(s.delays[i], mgr.Hist(st))
+		}
+	}
+	return s
 }
 
-// CDF implements adapt.Source.
-func (s *scopeSource) CDF(i int) []float64 {
-	g := s.groups[i]
-	if len(g) == 1 {
-		return s.mgr.CDF(g[0])
-	}
-	var (
-		cdfs    [][]float64
-		weights []int64
-		tot     int64
-		maxLen  int
-	)
-	for _, st := range g {
-		n := s.mgr.Hist(st).Total()
-		if n == 0 {
-			continue
-		}
-		c := s.mgr.CDF(st)
-		cdfs = append(cdfs, c)
-		weights = append(weights, n)
-		tot += n
-		if len(c) > maxLen {
-			maxLen = len(c)
-		}
-	}
-	if tot == 0 || maxLen == 0 {
-		return nil
-	}
-	out := make([]float64, maxLen)
-	for d := 0; d < maxLen; d++ {
-		var v float64
-		for j, c := range cdfs {
-			p := 1.0 // past a CDF's top bucket all its mass is covered
-			if d < len(c) {
-				p = c[d]
-			}
-			v += float64(weights[j]) * p
-		}
-		out[d] = v / float64(tot)
-	}
-	return out
-}
+// Delays implements adapt.Source.
+func (s *scopeSource) Delays(i int) []*hist.Histogram { return s.delays[i] }
 
 // KSync implements adapt.Source.
 func (s *scopeSource) KSync(i int) stream.Time {
@@ -91,9 +59,9 @@ func (s *scopeSource) KSync(i int) stream.Time {
 // MaxDelayRecent implements adapt.Source.
 func (s *scopeSource) MaxDelayRecent() stream.Time {
 	var max stream.Time
-	for _, g := range s.groups {
-		for _, st := range g {
-			if d := s.mgr.Hist(st).MaxDelay(); d > max {
+	for _, g := range s.delays {
+		for _, h := range g {
+			if d := h.MaxDelay(); d > max {
 				max = d
 			}
 		}

@@ -1,16 +1,13 @@
 package hist
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/stream"
 )
 
 func TestBucketMapping(t *testing.T) {
-	h := New(10)
 	cases := []struct {
 		delay stream.Time
 		want  int
@@ -18,19 +15,18 @@ func TestBucketMapping(t *testing.T) {
 		{0, 0}, {1, 1}, {10, 1}, {11, 2}, {20, 2}, {21, 3}, {-5, 0},
 	}
 	for _, c := range cases {
-		if got := h.Bucket(c.delay); got != c.want {
+		if got := Bucket(c.delay, 10); got != c.want {
 			t.Fatalf("Bucket(%d) = %d, want %d", c.delay, got, c.want)
 		}
 	}
 }
 
+// TestEmptyHistogramPrior: an empty histogram has no counts and no total —
+// what the model reads as "all delays are zero".
 func TestEmptyHistogramPrior(t *testing.T) {
 	h := New(10)
-	if h.P(0) != 1 || h.P(1) != 0 {
-		t.Fatal("empty histogram must behave as all-delays-zero")
-	}
-	if h.CDF(5) != 1 {
-		t.Fatal("empty CDF must be 1")
+	if h.Total() != 0 || len(h.Counts()) != 0 {
+		t.Fatal("empty histogram must have no counts")
 	}
 	if h.MaxDelay() != 0 {
 		t.Fatal("empty MaxDelay must be 0")
@@ -46,8 +42,8 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 	if h.Total() != 4 {
 		t.Fatalf("Total = %d", h.Total())
 	}
-	if math.Abs(h.P(0)-0.25) > 1e-12 || math.Abs(h.P(2)-0.5) > 1e-12 {
-		t.Fatalf("P(0)=%v P(2)=%v", h.P(0), h.P(2))
+	if c := h.Counts(); c[0] != 1 || c[2] != 2 || c[10] != 1 {
+		t.Fatalf("counts = %v", c)
 	}
 	if h.MaxDelay() != 100 {
 		t.Fatalf("MaxDelay = %d", h.MaxDelay())
@@ -62,119 +58,85 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCDFMonotone: the cumulative counts the model derives every F_D(d) from
+// are non-decreasing and reach the total at the top bucket.
 func TestCDFMonotone(t *testing.T) {
 	h := New(5)
 	for _, d := range []stream.Time{0, 3, 7, 12, 12, 40} {
 		h.Add(d)
 	}
-	prev := 0.0
-	for d := 0; d < 12; d++ {
-		c := h.CDF(d)
-		if c < prev-1e-12 {
-			t.Fatalf("CDF not monotone at %d", d)
+	var cum int64
+	for d, c := range h.Counts() {
+		if c < 0 {
+			t.Fatalf("negative count at %d", d)
 		}
-		prev = c
+		cum += c
 	}
-	if h.CDF(100) != 1 {
-		t.Fatal("CDF must reach 1")
-	}
-	if h.CDF(-1) != 0 {
-		t.Fatal("CDF below 0 must be 0")
+	if cum != h.Total() || len(h.Counts()) != 9 {
+		t.Fatalf("counts sum to %d of %d, %d buckets", cum, h.Total(), len(h.Counts()))
 	}
 }
 
-// TestShiftEq2 checks Eq. (2): with an absorbed budget of K+Ksync time
-// units, all delays up to the shift collapse into bucket 0 and the tail
-// shifts left.
-func TestShiftEq2(t *testing.T) {
+// TestRemoveTrimsTrailingBuckets: against a naive bucket array under random
+// Add/Remove, the counts agree and never carry a trailing empty bucket, so
+// MaxDelay needs no scan.
+func TestRemoveTrimsTrailingBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
 	h := New(10)
-	// Delays: 0 (x4), 10 (x3), 20 (x2), 30 (x1) → buckets 0..3.
-	for i := 0; i < 4; i++ {
-		h.Add(0)
-	}
-	for i := 0; i < 3; i++ {
-		h.Add(10)
-	}
-	for i := 0; i < 2; i++ {
-		h.Add(20)
-	}
-	h.Add(30)
-
-	s := h.Shift(10) // absorbs one bucket
-	if math.Abs(s.P(0)-0.7) > 1e-12 {
-		t.Fatalf("shifted P(0) = %v, want 0.7", s.P(0))
-	}
-	if math.Abs(s.P(1)-0.2) > 1e-12 {
-		t.Fatalf("shifted P(1) = %v, want 0.2", s.P(1))
-	}
-	if math.Abs(s.P(2)-0.1) > 1e-12 {
-		t.Fatalf("shifted P(2) = %v, want 0.1", s.P(2))
-	}
-	if s.P(3) != 0 {
-		t.Fatal("shifted tail must vanish")
-	}
-
-	// Absorbing everything puts all mass at zero.
-	s = h.Shift(30)
-	if s.P(0) != 1 {
-		t.Fatalf("full shift P(0) = %v", s.P(0))
-	}
-	// Negative absorption clamps to no shift.
-	s = h.Shift(-5)
-	if math.Abs(s.P(0)-0.4) > 1e-12 {
-		t.Fatalf("negative shift P(0) = %v", s.P(0))
+	var naive [64]int64
+	var live []stream.Time
+	for i := 0; i < 5000; i++ {
+		if len(live) == 0 || rng.Intn(3) > 0 {
+			d := stream.Time(rng.Intn(600))
+			if rng.Intn(8) > 0 {
+				d = stream.Time(rng.Intn(40))
+			}
+			h.Add(d)
+			naive[Bucket(d, 10)]++
+			live = append(live, d)
+		} else {
+			j := rng.Intn(len(live))
+			h.Remove(live[j])
+			naive[Bucket(live[j], 10)]--
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		top := -1
+		for b, c := range naive {
+			if c > 0 {
+				top = b
+			}
+		}
+		c := h.Counts()
+		if len(c) != top+1 || h.MaxDelay() != stream.Time(max(top, 0))*10 || h.Total() != int64(len(live)) {
+			t.Fatalf("step %d: len %d, MaxDelay %d, want top %d; total %d of %d", i, len(c), h.MaxDelay(), top, h.Total(), len(live))
+		}
+		for b := range c {
+			if c[b] != naive[b] {
+				t.Fatalf("step %d: bucket %d = %d, want %d", i, b, c[b], naive[b])
+			}
+		}
 	}
 }
 
-func TestShiftedCDF(t *testing.T) {
+// TestHugeDelayIsClamped: one stale timestamp (an epoch-millisecond stream
+// with a single TS = 0) must not size the histogram by its delay.
+func TestHugeDelayIsClamped(t *testing.T) {
 	h := New(10)
 	h.Add(0)
-	h.Add(10)
-	h.Add(20)
-	s := h.Shift(10)
-	if math.Abs(s.CDF(0)-2.0/3) > 1e-12 {
-		t.Fatalf("CDF(0) = %v", s.CDF(0))
+	h.Add(1 << 50)
+	if n := len(h.Counts()); n > MaxBuckets {
+		t.Fatalf("len(counts) = %d exceeds MaxBuckets", n)
 	}
-	if s.CDF(1) != 1 {
-		t.Fatalf("CDF(1) = %v", s.CDF(1))
+	if got, want := h.MaxDelay(), stream.Time(MaxBuckets-1)*10; got != want {
+		t.Fatalf("MaxDelay = %d, want the clamp %d", got, want)
 	}
-	if s.CDF(-1) != 0 {
-		t.Fatal("CDF(-1) must be 0")
+	// Remove clamps the same way, so the straggler ages out cleanly.
+	h.Remove(1 << 50)
+	if h.Total() != 1 || len(h.Counts()) != 1 {
+		t.Fatalf("after Remove: total %d, %d buckets", h.Total(), len(h.Counts()))
 	}
-}
-
-// Property: shifted pdf sums to 1 and shifted P(0) is non-decreasing in the
-// absorbed budget (more buffering can only improve in-order probability).
-func TestShiftProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := New(10)
-		maxB := 0
-		for i := 0; i < 200; i++ {
-			d := stream.Time(rng.Intn(300))
-			h.Add(d)
-			if b := h.Bucket(d); b > maxB {
-				maxB = b
-			}
-		}
-		prevP0 := -1.0
-		for shift := stream.Time(0); shift <= 300; shift += 10 {
-			s := h.Shift(shift)
-			sum := 0.0
-			for d := 0; d <= maxB+1; d++ {
-				sum += s.P(d)
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				return false
-			}
-			if s.P(0) < prevP0-1e-12 {
-				return false
-			}
-			prevP0 = s.P(0)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	if got := Bucket(1<<62+5, 10); got != MaxBuckets-1 {
+		t.Fatalf("Bucket near MaxInt64 = %d", got)
 	}
 }

@@ -15,6 +15,9 @@
 package profiler
 
 import (
+	"slices"
+
+	"repro/internal/hist"
 	"repro/internal/stream"
 )
 
@@ -22,22 +25,28 @@ import (
 type Profiler struct {
 	g stream.Time
 
-	mOn    map[int]int64
-	mCross map[int]int64
-	mN     map[int]int64 // in-order tuple count per coarse delay
+	// M^on, M× and the in-order tuple count, dense by coarse delay, and top,
+	// the interval's largest in-order coarse delay (−1: none). Their common
+	// length is the largest such delay so far + 1 — bounded by the applied K
+	// plus the Synchronizer's slack, never by an out-of-order straggler —
+	// and Reset clears [0, top] in place.
+	on, cross, n []int64
+	top          int
 
-	maxOn    int64
-	maxCross int64
-	inOrder  int64
+	sumOn, sumCross int64 // Σ on, Σ cross
+	maxOn, maxCross int64
+	inOrder         int64
 
 	// pendingOOO holds the coarse delays of out-of-order tuples observed in
-	// the current interval; their estimated contributions are folded into
-	// the maps at Snapshot time, once the interval's maxima are known.
+	// the current interval; Snapshot charges them once the interval's maxima
+	// are known.
 	pendingOOO []int
 	// pendingShed holds the coarse delays of load-shed tuples: dropped
 	// before reaching the join, their would-be contribution is mean-charged
 	// into the N^on_true estimate so the recall accounting sees the loss.
 	pendingShed []int
+
+	snap Snapshot // the view Snapshot refills and returns
 }
 
 // New creates a profiler with delay coarsening granularity g (the K-search
@@ -46,28 +55,30 @@ func New(g stream.Time) *Profiler {
 	if g <= 0 {
 		g = 1
 	}
-	return &Profiler{
-		g:      g,
-		mOn:    map[int]int64{},
-		mCross: map[int]int64{},
-		mN:     map[int]int64{},
-	}
+	return &Profiler{g: g, top: -1}
 }
 
-// bucket coarsens a delay exactly like hist.Histogram.
-func (p *Profiler) bucket(delay stream.Time) int {
-	if delay <= 0 {
-		return 0
+// cover raises top to coarse delay b, growing the accumulators to hold it.
+func (p *Profiler) cover(b int) {
+	p.top = b
+	if d := b + 1 - len(p.n); d > 0 {
+		p.on = append(p.on, make([]int64, d)...)
+		p.cross = append(p.cross, make([]int64, d)...)
+		p.n = append(p.n, make([]int64, d)...)
 	}
-	return int((delay + p.g - 1) / p.g)
 }
 
 // RecordInOrder accounts an in-order tuple with the given delay annotation.
 func (p *Profiler) RecordInOrder(delay stream.Time, nCross, nOn int64) {
-	b := p.bucket(delay)
-	p.mOn[b] += nOn
-	p.mCross[b] += nCross
-	p.mN[b]++
+	b := hist.Bucket(delay, p.g)
+	if b > p.top {
+		p.cover(b)
+	}
+	p.on[b] += nOn
+	p.cross[b] += nCross
+	p.n[b]++
+	p.sumOn += nOn
+	p.sumCross += nCross
 	if nOn > p.maxOn {
 		p.maxOn = nOn
 	}
@@ -80,7 +91,7 @@ func (p *Profiler) RecordInOrder(delay stream.Time, nCross, nOn int64) {
 // RecordOutOfOrder accounts an out-of-order tuple; its productivity is
 // estimated at Snapshot time.
 func (p *Profiler) RecordOutOfOrder(delay stream.Time) {
-	p.pendingOOO = append(p.pendingOOO, p.bucket(delay))
+	p.pendingOOO = append(p.pendingOOO, hist.Bucket(delay, p.g))
 }
 
 // RecordShed accounts a load-shed tuple. Like out-of-order tuples it derived
@@ -88,7 +99,7 @@ func (p *Profiler) RecordOutOfOrder(delay stream.Time) {
 // N^on_true estimate (recall accounting), never the Eq. (6) selectivity maps
 // — shedding must depress the recall estimate, not distort the K search.
 func (p *Profiler) RecordShed(delay stream.Time) {
-	p.pendingShed = append(p.pendingShed, p.bucket(delay))
+	p.pendingShed = append(p.pendingShed, hist.Bucket(delay, p.g))
 }
 
 // Score estimates the productivity of a tuple with the given delay: the
@@ -97,25 +108,22 @@ func (p *Profiler) RecordShed(delay stream.Time) {
 // fall back to the interval mean. The load shedder drops minimum-Score
 // tuples first.
 func (p *Profiler) Score(delay stream.Time) float64 {
-	b := p.bucket(delay)
-	if n := p.mN[b]; n > 0 {
-		return float64(p.mOn[b]) / float64(n)
+	if b := hist.Bucket(delay, p.g); b <= p.top && p.n[b] > 0 {
+		return float64(p.on[b]) / float64(p.n[b])
 	}
 	if p.inOrder == 0 {
 		return 0
 	}
-	var sumOn int64
-	for _, v := range p.mOn {
-		sumOn += v
-	}
-	return float64(sumOn) / float64(p.inOrder)
+	return float64(p.sumOn) / float64(p.inOrder)
 }
 
 // InOrderCount returns the number of in-order tuples recorded this interval.
 func (p *Profiler) InOrderCount() int64 { return p.inOrder }
 
-// Snapshot is an immutable view of one interval's productivity statistics
-// with out-of-order estimates folded in.
+// Snapshot is the view of one interval's productivity statistics with
+// out-of-order estimates charged in. The profiler owns it: it stays as taken
+// through later Record and Reset calls, and the next Snapshot call refills
+// it.
 //
 // Out-of-order tuples are charged in two ways. The maps M× and M^on used by
 // the selectivity ratio (Eq. 6) charge each out-of-order tuple the interval
@@ -127,88 +135,60 @@ func (p *Profiler) InOrderCount() int64 { return p.inOrder }
 // saturates Γ′ at 1 and pins K at its maximum; Eq. 7 needs an unbiased
 // estimate (documented as a deviation in DESIGN.md).
 type Snapshot struct {
-	g        stream.Time
-	mOn      map[int]int64
-	mCross   map[int]int64
-	maxDM    int // maximum coarse delay present in the maps
-	totOn    int64
-	totCross int64
+	g     stream.Time
+	maxDM int // maximum coarse delay present in the maps, −1 when none
+
+	// The maps, never materialised: prefix sums of the in-order part over
+	// coarse delays (cumOn[d] = Σ_{d'≤d} on[d'], likewise cumCross) plus the
+	// interval's out-of-order coarse delays in ascending order, each standing
+	// for one (maxOn, maxCross) charge. SelRatio adds the two per query: a
+	// lookup and a binary search, whatever delay a straggler carried.
+	cumOn, cumCross []int64
+	ooo             []int
+	maxOn, maxCross int64
+	totOn, totCross int64
 
 	trueOn    float64 // mean-charged N^on_true(L) estimate
 	trueCross float64
 	inOrder   int64
-
-	// Prefix sums over coarse delays 0..maxDM for O(1) SelRatio queries:
-	// cumOn[d] = Σ_{d'≤d} M^on[d'], likewise cumCross. The Alg. 3 search
-	// evaluates SelRatio for thousands of K candidates per adaptation step,
-	// so per-query map scans would dominate adaptation time.
-	cumOn    []int64
-	cumCross []int64
 }
 
-// Snapshot folds pending out-of-order estimates into the maps and returns
-// the interval view. It does not reset the profiler; call Reset separately
-// at the start of the next interval.
+// Snapshot charges the pending out-of-order estimates and returns the
+// interval view. It does not reset the profiler; call Reset separately at
+// the start of the next interval.
 func (p *Profiler) Snapshot() *Snapshot {
-	s := &Snapshot{
-		g:       p.g,
-		mOn:     make(map[int]int64, len(p.mOn)),
-		mCross:  make(map[int]int64, len(p.mCross)),
-		maxDM:   -1,
-		inOrder: p.inOrder,
+	s := &p.snap
+	s.g = p.g
+	s.inOrder = p.inOrder
+	s.maxOn, s.maxCross = p.maxOn, p.maxCross
+	s.ooo = append(s.ooo[:0], p.pendingOOO...)
+	slices.Sort(s.ooo)
+	s.maxDM = p.top
+	if k := len(s.ooo); k > 0 && s.ooo[k-1] > s.maxDM {
+		s.maxDM = s.ooo[k-1]
 	}
-	for d, v := range p.mOn {
-		s.mOn[d] = v
+	s.cumOn, s.cumCross = s.cumOn[:0], s.cumCross[:0]
+	var on, cross int64
+	for d := 0; d <= p.top; d++ {
+		on += p.on[d]
+		cross += p.cross[d]
+		s.cumOn = append(s.cumOn, on)
+		s.cumCross = append(s.cumCross, cross)
 	}
-	for d, v := range p.mCross {
-		s.mCross[d] = v
-	}
-	for _, d := range p.pendingOOO {
-		s.mOn[d] += p.maxOn
-		s.mCross[d] += p.maxCross
-	}
-	for d, v := range s.mCross {
-		s.totCross += v
-		if d > s.maxDM {
-			s.maxDM = d
-		}
-	}
-	for d, v := range s.mOn {
-		s.totOn += v
-		if d > s.maxDM {
-			s.maxDM = d
-		}
-	}
+	s.totOn = p.sumOn + int64(len(s.ooo))*p.maxOn
+	s.totCross = p.sumCross + int64(len(s.ooo))*p.maxCross
 	// Unbiased true-size estimates: in-order sums plus the mean in-order
 	// productivity per out-of-order tuple.
-	var sumOn, sumCross int64
-	for _, v := range p.mOn {
-		sumOn += v
-	}
-	for _, v := range p.mCross {
-		sumCross += v
-	}
-	s.trueOn = float64(sumOn)
-	s.trueCross = float64(sumCross)
+	s.trueOn = float64(p.sumOn)
+	s.trueCross = float64(p.sumCross)
 	if p.inOrder > 0 {
 		// Out-of-order and load-shed tuples both derived nothing; both are
 		// mean-charged into the true-size estimate. The difference is that a
 		// shed tuple's loss is permanent, which is exactly why it must appear
 		// here: recall = produced / N^on_true then reflects the drop.
 		if lost := float64(len(p.pendingOOO) + len(p.pendingShed)); lost > 0 {
-			s.trueOn += lost * float64(sumOn) / float64(p.inOrder)
-			s.trueCross += lost * float64(sumCross) / float64(p.inOrder)
-		}
-	}
-	if s.maxDM >= 0 {
-		s.cumOn = make([]int64, s.maxDM+1)
-		s.cumCross = make([]int64, s.maxDM+1)
-		var on, cross int64
-		for d := 0; d <= s.maxDM; d++ {
-			on += s.mOn[d]
-			cross += s.mCross[d]
-			s.cumOn[d] = on
-			s.cumCross[d] = cross
+			s.trueOn += lost * float64(p.sumOn) / float64(p.inOrder)
+			s.trueCross += lost * float64(p.sumCross) / float64(p.inOrder)
 		}
 	}
 	return s
@@ -216,20 +196,22 @@ func (p *Profiler) Snapshot() *Snapshot {
 
 // Reset clears the profiler for the next adaptation interval.
 func (p *Profiler) Reset() {
-	p.mOn = map[int]int64{}
-	p.mCross = map[int]int64{}
-	p.mN = map[int]int64{}
+	clear(p.on[:p.top+1])
+	clear(p.cross[:p.top+1])
+	clear(p.n[:p.top+1])
+	p.top = -1
+	p.sumOn, p.sumCross = 0, 0
 	p.maxOn, p.maxCross = 0, 0
 	p.inOrder = 0
 	p.pendingOOO = p.pendingOOO[:0]
 	p.pendingShed = p.pendingShed[:0]
 }
 
-// State is the serializable snapshot of a Profiler mid-interval. Maps are
-// flattened to parallel key/value slices in ascending bucket order so the
-// serialized form is canonical.
+// State is the serializable snapshot of a Profiler mid-interval: the
+// accumulators flattened to parallel slices over the coarse delays that saw
+// an in-order tuple, in ascending order, so the serialized form is canonical.
 type State struct {
-	Buckets     []int // ascending; keys of the three maps' union
+	Buckets     []int // ascending
 	On          []int64
 	Cross       []int64
 	N           []int64
@@ -242,29 +224,18 @@ type State struct {
 
 // State captures the profiler's mid-interval accumulation.
 func (p *Profiler) State() State {
-	keys := map[int]bool{}
-	for d := range p.mOn {
-		keys[d] = true
-	}
-	for d := range p.mCross {
-		keys[d] = true
-	}
-	for d := range p.mN {
-		keys[d] = true
-	}
 	st := State{
 		MaxOn: p.maxOn, MaxCross: p.maxCross, InOrder: p.inOrder,
 		PendingOOO:  append([]int(nil), p.pendingOOO...),
 		PendingShed: append([]int(nil), p.pendingShed...),
 	}
-	for d := range keys {
-		st.Buckets = append(st.Buckets, d)
-	}
-	sortInts(st.Buckets)
-	for _, d := range st.Buckets {
-		st.On = append(st.On, p.mOn[d])
-		st.Cross = append(st.Cross, p.mCross[d])
-		st.N = append(st.N, p.mN[d])
+	for d, n := range p.n[:p.top+1] {
+		if n != 0 {
+			st.Buckets = append(st.Buckets, d)
+			st.On = append(st.On, p.on[d])
+			st.Cross = append(st.Cross, p.cross[d])
+			st.N = append(st.N, n)
+		}
 	}
 	return st
 }
@@ -274,28 +245,19 @@ func (p *Profiler) State() State {
 func (p *Profiler) Restore(st State) {
 	p.Reset()
 	for i, d := range st.Buckets {
-		if st.On[i] != 0 {
-			p.mOn[d] = st.On[i]
+		if d = min(d, hist.MaxBuckets-1); d > p.top {
+			p.cover(d)
 		}
-		if st.Cross[i] != 0 {
-			p.mCross[d] = st.Cross[i]
-		}
-		if st.N[i] != 0 {
-			p.mN[d] = st.N[i]
-		}
+		p.on[d] += st.On[i]
+		p.cross[d] += st.Cross[i]
+		p.n[d] += st.N[i]
+		p.sumOn += st.On[i]
+		p.sumCross += st.Cross[i]
 	}
 	p.maxOn, p.maxCross = st.MaxOn, st.MaxCross
 	p.inOrder = st.InOrder
 	p.pendingOOO = append(p.pendingOOO, st.PendingOOO...)
 	p.pendingShed = append(p.pendingShed, st.PendingShed...)
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // SelRatio estimates sel^on(K)/sel^on per Eq. (6): the selectivity over
@@ -314,11 +276,15 @@ func (s *Snapshot) SelRatio(k stream.Time) float64 {
 	if s.maxDM < 0 || s.inOrder < minSelSamples {
 		return 1
 	}
-	kb := int(k / s.g)
-	if kb > s.maxDM {
-		kb = s.maxDM
+	kb := int(min(k/s.g, stream.Time(s.maxDM)))
+	var on, cross int64
+	if n := len(s.cumOn); n > 0 {
+		d := min(kb, n-1)
+		on, cross = s.cumOn[d], s.cumCross[d]
 	}
-	on, cross := s.cumOn[kb], s.cumCross[kb]
+	le, _ := slices.BinarySearch(s.ooo, kb+1) // out-of-order tuples with coarse delay ≤ kb
+	on += int64(le) * s.maxOn
+	cross += int64(le) * s.maxCross
 	if cross == 0 || s.totOn == 0 || s.totCross == 0 || on == 0 {
 		return 1
 	}

@@ -2,7 +2,11 @@ package profiler
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/hist"
+	"repro/internal/stream"
 )
 
 // disableGuard lifts the minimum-sample guard so the Eq. (6) arithmetic can
@@ -125,5 +129,84 @@ func TestGranularityDefault(t *testing.T) {
 	s := p.Snapshot()
 	if s.TrueResults() != 1 {
 		t.Fatal("record lost")
+	}
+}
+
+// TestSnapshotMatchesFoldedMaps holds the map-free snapshot against the
+// folded maps M^on/M× it replaced, built naively here: over random
+// intervals — through Reset and a State/Restore round trip — every SelRatio
+// query, both totals and the true-size estimates agree exactly, and an
+// out-of-order straggler of any delay sizes nothing.
+func TestSnapshotMatchesFoldedMaps(t *testing.T) {
+	disableGuard(t)
+	rng := rand.New(rand.NewSource(4))
+	p := New(10)
+	for interval := 0; interval < 40; interval++ {
+		mOn, mCross := map[int]int64{}, map[int]int64{}
+		var maxOn, maxCross, sumOn, sumCross, inOrder int64
+		var ooo []int
+		for i, n := 0, rng.Intn(300); i < n; i++ {
+			d := stream.Time(rng.Intn(900))
+			if rng.Intn(5) == 0 {
+				if rng.Intn(10) == 0 {
+					d = 1 << 50 // a stale timestamp
+				}
+				p.RecordOutOfOrder(d)
+				ooo = append(ooo, hist.Bucket(d, 10))
+				continue
+			}
+			cross, on := int64(rng.Intn(50)), int64(rng.Intn(9))
+			p.RecordInOrder(d, cross, on)
+			b := hist.Bucket(d, 10)
+			mOn[b] += on
+			mCross[b] += cross
+			maxOn, maxCross = max(maxOn, on), max(maxCross, cross)
+			sumOn, sumCross, inOrder = sumOn+on, sumCross+cross, inOrder+1
+		}
+		if interval%3 == 1 { // a checkpoint mid-interval
+			q := New(10)
+			q.Restore(p.State())
+			p = q
+		}
+		s := p.Snapshot()
+		if len(p.n) > 91 {
+			t.Fatalf("interval %d: accumulators sized %d by an out-of-order delay", interval, len(p.n))
+		}
+		maxDM := -1
+		for _, d := range ooo {
+			mOn[d] += maxOn
+			mCross[d] += maxCross
+		}
+		var totOn, totCross int64
+		for d := range mCross {
+			maxDM = max(maxDM, d)
+			totOn, totCross = totOn+mOn[d], totCross+mCross[d]
+		}
+		if s.totOn != totOn || s.totCross != totCross || s.maxDM != maxDM {
+			t.Fatalf("interval %d: totals (%d, %d, maxDM %d), want (%d, %d, %d)", interval, s.totOn, s.totCross, s.maxDM, totOn, totCross, maxDM)
+		}
+		wantTrue := float64(sumOn)
+		if inOrder > 0 && len(ooo) > 0 {
+			wantTrue += float64(len(ooo)) * float64(sumOn) / float64(inOrder)
+		}
+		if s.TrueResults() != wantTrue {
+			t.Fatalf("interval %d: TrueResults %v, want %v", interval, s.TrueResults(), wantTrue)
+		}
+		for _, k := range []stream.Time{0, 5, 10, 250, 890, 900, 5000, 1 << 51} {
+			var on, cross int64
+			for d := range mCross {
+				if d <= int(min(k/10, stream.Time(maxDM))) {
+					on, cross = on+mOn[d], cross+mCross[d]
+				}
+			}
+			want := 1.0
+			if maxDM >= 0 && cross != 0 && on != 0 && totOn != 0 && totCross != 0 {
+				want = (float64(on) / float64(cross)) * (float64(totCross) / float64(totOn))
+			}
+			if got := s.SelRatio(k); got != want {
+				t.Fatalf("interval %d: SelRatio(%d) = %v, want %v", interval, k, got, want)
+			}
+		}
+		p.Reset()
 	}
 }

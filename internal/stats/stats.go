@@ -26,7 +26,8 @@ type entry struct {
 type streamStats struct {
 	ad      *adwin.Window
 	hist    *hist.Histogram
-	entries []entry // entries[head:] are live, oldest first
+	delays  [1]*hist.Histogram // {hist}: what Delays hands out, built once
+	entries []entry            // entries[head:] are live, oldest first
 	head    int
 	sumSkew int64
 
@@ -77,6 +78,7 @@ func NewManager(m int, g stream.Time, opts ...Option) *Manager {
 	mgr.streams = make([]*streamStats, m)
 	for i := range mgr.streams {
 		ss := &streamStats{hist: hist.New(g)}
+		ss.delays[0] = ss.hist
 		if mgr.fixed == 0 {
 			ss.ad = adwin.New(mgr.delta)
 		}
@@ -233,10 +235,9 @@ func (m *Manager) Restore(st State) {
 // Hist returns the delay histogram f_Di of stream i over R^stat_i.
 func (m *Manager) Hist(i int) *hist.Histogram { return m.streams[i].hist }
 
-// CDF returns the cumulative delay distribution of stream i as a dense
-// bucket slice (nil = no delays observed). It makes the Manager an
-// adapt.Source whose model inputs are the raw streams.
-func (m *Manager) CDF(i int) []float64 { return m.streams[i].hist.CumulativeProbs() }
+// Delays returns stream i's live delay histogram as a one-member group. It
+// makes the Manager an adapt.Source whose model inputs are the raw streams.
+func (m *Manager) Delays(i int) []*hist.Histogram { return m.streams[i].delays[:] }
 
 // HistoryLen returns the current length of R^stat_i in tuples.
 func (m *Manager) HistoryLen(i int) int { return m.streams[i].live() }

@@ -33,8 +33,8 @@ func TestDelayHistogram(t *testing.T) {
 	if h.Total() != 3 {
 		t.Fatalf("hist total = %d", h.Total())
 	}
-	if math.Abs(h.P(0)-2.0/3) > 1e-12 || math.Abs(h.P(1)-1.0/3) > 1e-12 {
-		t.Fatalf("P(0)=%v P(1)=%v", h.P(0), h.P(1))
+	if c := h.Counts(); len(c) != 2 || c[0] != 2 || c[1] != 1 {
+		t.Fatalf("counts = %v, want [2 1]", c)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestADWINHistoryShrinksOnDelayChange(t *testing.T) {
 	if m.HistoryLen(0) >= long+3000 {
 		t.Fatalf("ADWIN history did not adapt: %d → %d", long, m.HistoryLen(0))
 	}
-	if m.Hist(0).P(0) > 0.9 {
-		t.Fatalf("recent histogram should reflect the burst, P(0)=%v", m.Hist(0).P(0))
+	if h := m.Hist(0); float64(h.Counts()[0]) > 0.9*float64(h.Total()) {
+		t.Fatalf("recent histogram should reflect the burst, %d of %d at delay 0", h.Counts()[0], h.Total())
 	}
 }
 
