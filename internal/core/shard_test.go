@@ -1,12 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"repro/internal/leakcheck"
 	"testing"
 
 	"repro/internal/adapt"
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/stream"
 )
@@ -46,13 +46,7 @@ func clone(in []*stream.Tuple) []*stream.Tuple {
 // numbers plus the emitted result-signature multiset.
 func runCfg(cfg Config, in []*stream.Tuple) (results int64, avgK float64, adapts int64, multiset map[string]int) {
 	multiset = map[string]int{}
-	cfg.Emit = func(r stream.Result) {
-		s := ""
-		for _, t := range r.Tuples {
-			s += fmt.Sprintf("%d:%d,", t.Src, t.Seq)
-		}
-		multiset[s]++
-	}
+	cfg.Emit = func(r stream.Result) { multiset[difftest.Sig(r.Tuples)]++ }
 	p := New(cfg)
 	for _, e := range clone(in) {
 		p.Push(e)

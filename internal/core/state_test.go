@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/adapt"
+	"repro/internal/difftest"
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/stream"
@@ -41,13 +42,7 @@ func gobRoundTrip(t *testing.T, st State, tt *fault.TupleTable) (State, *fault.T
 func runInterrupted(t *testing.T, cfg Config, in []*stream.Tuple, cut int) (int64, float64, int64, map[string]int) {
 	t.Helper()
 	multiset := map[string]int{}
-	emit := func(r stream.Result) {
-		s := ""
-		for _, e := range r.Tuples {
-			s += fmt.Sprintf("%d:%d,", e.Src, e.Seq)
-		}
-		multiset[s]++
-	}
+	emit := func(r stream.Result) { multiset[difftest.Sig(r.Tuples)]++ }
 	cfg.Emit = emit
 
 	p := New(cfg)

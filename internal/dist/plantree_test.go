@@ -3,32 +3,20 @@ package dist
 import (
 	"fmt"
 	"repro/internal/leakcheck"
-	"strings"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/kslack"
 	"repro/internal/stream"
 	"repro/internal/syncer"
 )
 
-// sig renders a result's identity: one src:seq pair per constituent, in
-// stream order.
-func sig(tuples []*stream.Tuple) string {
-	var b strings.Builder
-	for _, t := range tuples {
-		if t != nil {
-			fmt.Fprintf(&b, "%d:%d,", t.Src, t.Seq)
-		}
-	}
-	return b.String()
-}
-
 // mjoinMultiset runs the flat single-operator reference (K-slack →
 // Synchronizer → MJoin) and returns the materialized result multiset.
 func mjoinMultiset(cond *join.Condition, windows []stream.Time, k stream.Time, in stream.Batch) map[string]int {
 	set := map[string]int{}
-	op := join.New(cond, windows, join.WithEmit(func(r stream.Result) { set[sig(r.Tuples)]++ }))
+	op := join.New(cond, windows, join.WithEmit(func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }))
 	sy := syncer.New(cond.M, op.Process)
 	ks := make([]*kslack.Buffer, cond.M)
 	for i := range ks {
@@ -50,7 +38,7 @@ func mjoinMultiset(cond *join.Condition, windows []stream.Time, k stream.Time, i
 // multiset.
 func planMultiset(cond *join.Condition, windows []stream.Time, shape *Shape, k stream.Time, in stream.Batch) map[string]int {
 	set := map[string]int{}
-	t := NewPlanTree(cond, windows, shape, k, func(p Partial) { set[sig(p.Parts)]++ })
+	t := NewPlanTree(cond, windows, shape, k, func(p Partial) { set[difftest.Sig(p.Parts)]++ })
 	for _, e := range in {
 		t.Push(e)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/stream"
@@ -45,7 +46,7 @@ func runTreeFull(in stream.Batch, cond *join.Condition, w []stream.Time, shape *
 		OnDecide: func(at stream.Time, ks []stream.Time) {
 			tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
 		}}
-	a := NewAdaptivePlanTree(cond, w, shape, cfg, func(p Partial) { tr.set[sig(p.Parts)]++ })
+	a := NewAdaptivePlanTree(cond, w, shape, cfg, func(p Partial) { tr.set[difftest.Sig(p.Parts)]++ })
 	for _, e := range in.Clone() {
 		a.Push(e)
 	}
@@ -78,7 +79,7 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 				captured = true
 			}
 		}}
-	a = NewAdaptivePlanTree(mk(), w, shape(), cfg, func(p Partial) { tr.set[sig(p.Parts)]++ })
+	a = NewAdaptivePlanTree(mk(), w, shape(), cfg, func(p Partial) { tr.set[difftest.Sig(p.Parts)]++ })
 	work := in.Clone()
 	cut := -1
 	for i, e := range work {
@@ -95,7 +96,7 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 	// boundary checkpoint); its shard workers still need to stop.
 	a.Abandon()
 
-	b := NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt, PerStage: true, OnDecide: onDecide}, func(p Partial) { tr.set[sig(p.Parts)]++ })
+	b := NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt, PerStage: true, OnDecide: onDecide}, func(p Partial) { tr.set[difftest.Sig(p.Parts)]++ })
 	b.Restore(st, ta)
 	for _, e := range work[cut:] {
 		b.Push(e)

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,11 +144,52 @@ func TestParseInjectSpec(t *testing.T) {
 	if d.kind != injectBurst || d.n != 64 {
 		t.Fatalf("bad burst directive: %+v", d)
 	}
-	for _, bad := range []string{"panic@tuple5", "boom@shard0:tuple1", "panic@shard0", "delay@shard0:tuple1:xs"} {
+	in, err = ParseInjectSpec("delay@shard0:tuple10")
+	if err != nil || len(in.dirs) != 1 || in.dirs[0].dur != 50*time.Millisecond {
+		t.Fatalf("delay without a duration: %+v, %v; want the 50ms default", in, err)
+	}
+	for _, bad := range []string{
+		"panic@tuple5", "boom@shard0:tuple1", "panic@shard0", "delay@shard0:tuple1:xs",
+		// Specs that used to parse and arm a fault that never fires (or
+		// fires nonsense): negative worker, tuple, burst length and
+		// duration, and trailing fields.
+		"panic@shard-1:tuple5", "panic@shard1:tuple-5", "burst@tuple5:-3", "burst@tuple-5:3",
+		"delay@shard0:tuple5:-1s", "panic@shard1:tuple5:junk", "delay@shard0:tuple5:1ms:junk",
+		"burst@tuple5:3:junk", "panic@shard99999999999:tuple5",
+	} {
 		if _, err := ParseInjectSpec(bad); err == nil {
-			t.Fatalf("spec %q: want error", bad)
+			t.Errorf("spec %q: want error", bad)
+		} else if !strings.HasPrefix(err.Error(), "fault: inject spec ") {
+			t.Errorf("spec %q: error %q lacks the fault: inject spec prefix", bad, err)
 		}
 	}
+}
+
+// FuzzParseInjectSpec pins that no spec string panics the parser and that
+// whatever it accepts arms only faults that can fire: no negative worker,
+// tuple, burst length or duration. The seeds here are the specs CI and the
+// README use; the malformed ones are the corpus in testdata/fuzz.
+func FuzzParseInjectSpec(f *testing.F) {
+	for _, s := range []string{
+		"panic@shard1:tuple5000", "panic@shard0:tuple100,burst@tuple200:64",
+		"delay@shard0:tuple100:2ms", "delay@shard0:tuple10",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := ParseInjectSpec(spec)
+		if err != nil {
+			if in != nil {
+				t.Fatalf("spec %q: injector returned alongside error %v", spec, err)
+			}
+			return
+		}
+		for _, d := range in.dirs {
+			if d.worker < 0 || d.tuple < 0 || d.n < 0 || d.dur < 0 {
+				t.Fatalf("spec %q: accepted directive %+v", spec, d)
+			}
+		}
+	})
 }
 
 func TestLifecycleClassification(t *testing.T) {

@@ -186,6 +186,9 @@ func (in *Injector) MaybeDelay(worker int) {
 //	burst@tupleM:R            an ingest burst of R tuples after arrival M
 //
 // e.g. "panic@shard1:tuple5000" or "panic@shard0:tuple100,burst@tuple200:64".
+// N, M, R and D must not be negative and a directive takes no further
+// fields: a spec that could only arm a fault that never fires is an error,
+// not a run that passes for a recovery test.
 func ParseInjectSpec(spec string) (*Injector, error) {
 	in := NewInjector()
 	for _, part := range strings.Split(spec, ",") {
@@ -200,14 +203,18 @@ func ParseInjectSpec(spec string) (*Injector, error) {
 		fields := strings.Split(rest, ":")
 		switch kind {
 		case "panic", "delay":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("fault: inject spec %q: want %s@shardN:tupleM", part, kind)
+			want, maxFields := "panic@shardN:tupleM", 2
+			if kind == "delay" {
+				want, maxFields = "delay@shardN:tupleM[:D]", 3
 			}
-			w, err := specInt(fields[0], "shard")
+			if len(fields) < 2 || len(fields) > maxFields {
+				return nil, fmt.Errorf("fault: inject spec %q: want %s", part, want)
+			}
+			w, err := specInt(fields[0], "shard", 32)
 			if err != nil {
 				return nil, fmt.Errorf("fault: inject spec %q: %v", part, err)
 			}
-			t, err := specInt(fields[1], "tuple")
+			t, err := specInt(fields[1], "tuple", 64)
 			if err != nil {
 				return nil, fmt.Errorf("fault: inject spec %q: %v", part, err)
 			}
@@ -217,22 +224,24 @@ func ParseInjectSpec(spec string) (*Injector, error) {
 			}
 			dur := 50 * time.Millisecond
 			if len(fields) > 2 {
-				d, err := time.ParseDuration(fields[2])
+				dur, err = time.ParseDuration(fields[2])
 				if err != nil {
 					return nil, fmt.Errorf("fault: inject spec %q: bad duration: %v", part, err)
 				}
-				dur = d
+				if dur < 0 {
+					return nil, fmt.Errorf("fault: inject spec %q: bad duration: %v is negative", part, dur)
+				}
 			}
 			in.DelayAt(int(w), t, dur)
 		case "burst":
-			if len(fields) < 2 {
+			if len(fields) != 2 {
 				return nil, fmt.Errorf("fault: inject spec %q: want burst@tupleM:R", part)
 			}
-			t, err := specInt(fields[0], "tuple")
+			t, err := specInt(fields[0], "tuple", 64)
 			if err != nil {
 				return nil, fmt.Errorf("fault: inject spec %q: %v", part, err)
 			}
-			n, err := strconv.ParseInt(fields[1], 10, 64)
+			n, err := specInt(fields[1], "", 32)
 			if err != nil {
 				return nil, fmt.Errorf("fault: inject spec %q: bad burst length: %v", part, err)
 			}
@@ -244,11 +253,19 @@ func ParseInjectSpec(spec string) (*Injector, error) {
 	return in, nil
 }
 
-func specInt(s, prefix string) (int64, error) {
+// specInt parses prefix<n>, n a non-negative decimal of at most bits bits.
+func specInt(s, prefix string, bits int) (int64, error) {
 	if !strings.HasPrefix(s, prefix) {
 		return 0, fmt.Errorf("want %s<n>, got %q", prefix, s)
 	}
-	return strconv.ParseInt(s[len(prefix):], 10, 64)
+	n, err := strconv.ParseInt(s[len(prefix):], 10, bits)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("%s is negative", s)
+	}
+	return n, nil
 }
 
 // EventRec is the serialized form of one tree-stage event: a raw tuple or a

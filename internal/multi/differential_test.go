@@ -9,50 +9,17 @@ package multi_test
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/leakcheck"
 	"repro/internal/multi"
 	"repro/internal/plan"
 	"repro/internal/stream"
 )
-
-// mixWorkload builds an m-stream feed with bounded disorder and two
-// attributes per tuple (an integer-ish key and a continuous value).
-func mixWorkload(m, rounds int, seed int64, domain int) stream.Batch {
-	rng := rand.New(rand.NewSource(seed))
-	var out stream.Batch
-	var seq uint64
-	ts := stream.Time(3000)
-	for i := 0; i < rounds; i++ {
-		ts += 10
-		for src := 0; src < m; src++ {
-			t := ts
-			if rng.Intn(4) == 0 {
-				t -= stream.Time(rng.Intn(1500))
-			}
-			out = append(out, &stream.Tuple{TS: t, Seq: seq, Src: src,
-				Attrs: []float64{float64(rng.Intn(domain)), float64(rng.Intn(200))}})
-			seq++
-		}
-	}
-	return out
-}
-
-func resultSig(r stream.Result) string {
-	var b strings.Builder
-	for _, t := range r.Tuples {
-		if t != nil {
-			fmt.Fprintf(&b, "%d:%d,", t.Src, t.Seq)
-		}
-	}
-	return b.String()
-}
 
 // tightAdapt is an adaptation config with short intervals, so a few-second
 // workload crosses many boundaries and the K trajectories have substance.
@@ -97,7 +64,7 @@ func runStandalone(t *testing.T, s qspec, in stream.Batch, finish bool) capture 
 		OnAdapt:    func(ev core.AdaptEvent) { cap.adapts = append(cap.adapts, ev) },
 	}
 	if s.emit {
-		cfg.Emit = func(r stream.Result) { cap.results = append(cap.results, resultSig(r)) }
+		cfg.Emit = func(r stream.Result) { cap.results = append(cap.results, difftest.Sig(r.Tuples)) }
 	}
 	p := core.New(cfg)
 	for _, e := range in {
@@ -126,7 +93,7 @@ func addQuery(en *multi.Engine, s qspec) (*multi.Query, *capture) {
 		OnAdapt:    func(ev core.AdaptEvent) { cap.adapts = append(cap.adapts, ev) },
 	}
 	if s.emit {
-		qc.Emit = func(r stream.Result) { cap.results = append(cap.results, resultSig(r)) }
+		qc.Emit = func(r stream.Result) { cap.results = append(cap.results, difftest.Sig(r.Tuples)) }
 	}
 	q := en.Add(qc)
 	return q, cap
@@ -195,7 +162,7 @@ func TestMultiIdenticalQueries(t *testing.T) {
 	for _, emit := range []bool{false, true} {
 		for _, n := range []int{1, 2, 4, 8} {
 			for seed := int64(41); seed < 43; seed++ {
-				in := mixWorkload(3, 350, seed, 14)
+				in := difftest.MixWorkload(3, 350, seed, 14)
 				s := qspec{name: "equichain3", cond: func() *join.Condition { return join.EquiChain(3, 0) },
 					windows: windows3(), policy: plan.PolicyModel, adapt: tightAdapt(), emit: emit}
 				want := runStandalone(t, s, in.Clone(), true)
@@ -249,7 +216,7 @@ func TestMultiMixedQueries(t *testing.T) {
 			windows: []stream.Time{900, 900, 900}, policy: plan.PolicyNoK, adapt: tightAdapt(), emit: false},
 	}
 	for seed := int64(41); seed < 43; seed++ {
-		in := mixWorkload(3, 350, seed, 14)
+		in := difftest.MixWorkload(3, 350, seed, 14)
 		wants := make([]capture, len(specs))
 		for i, s := range specs {
 			wants[i] = runStandalone(t, s, in.Clone(), true)
@@ -302,7 +269,7 @@ func TestMultiSharedPrefixGrouping(t *testing.T) {
 func TestMultiAddMidStream(t *testing.T) {
 	leakcheck.Check(t)
 	for seed := int64(41); seed < 43; seed++ {
-		in := mixWorkload(3, 350, seed, 14)
+		in := difftest.MixWorkload(3, 350, seed, 14)
 		cut := len(in) / 2
 		s := qspec{cond: func() *join.Condition { return join.EquiChain(3, 0) },
 			windows: windows3(), policy: plan.PolicyModel, adapt: tightAdapt(), emit: true}
@@ -339,7 +306,7 @@ func TestMultiAddMidStream(t *testing.T) {
 func TestMultiRemoveMidStream(t *testing.T) {
 	leakcheck.Check(t)
 	for seed := int64(41); seed < 43; seed++ {
-		in := mixWorkload(3, 350, seed, 14)
+		in := difftest.MixWorkload(3, 350, seed, 14)
 		cut := len(in) / 2
 		s := qspec{cond: func() *join.Condition { return join.EquiChain(3, 0) },
 			windows: windows3(), policy: plan.PolicyModel, adapt: tightAdapt(), emit: true}
@@ -377,7 +344,7 @@ func TestMultiRemoveMidStream(t *testing.T) {
 // arrivals it was registered for.
 func TestMultiAddRemoveChurn(t *testing.T) {
 	leakcheck.Check(t)
-	in := mixWorkload(3, 360, 42, 14)
+	in := difftest.MixWorkload(3, 360, 42, 14)
 	third := len(in) / 3
 	s := qspec{cond: func() *join.Condition { return join.EquiChain(3, 0) },
 		windows: windows3(), policy: plan.PolicyModel, adapt: tightAdapt(), emit: true}

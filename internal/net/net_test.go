@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/leakcheck"
@@ -52,7 +53,7 @@ type tupleRecord struct {
 func refRun(cond *join.Condition, windows []stream.Time, seq []*stream.Tuple) (recs []tupleRecord, ooo []stream.Time, results map[string]int) {
 	results = map[string]int{}
 	op := join.New(cond, windows,
-		join.WithEmit(func(r stream.Result) { results[rsig(r)]++ }),
+		join.WithEmit(func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ }),
 		join.WithProcessedHook(func(e *stream.Tuple, nCross, nOn int64, inOrder bool) {
 			if inOrder {
 				recs = append(recs, tupleRecord{e.TS, e.Delay, nCross, nOn})
@@ -80,7 +81,7 @@ func netRun(t *testing.T, cond *join.Condition, windows []stream.Time, seq []*st
 	flush := func() {
 		s.FlushInterval(func(ts, delay stream.Time, nCross, nOn int64) {
 			recs = append(recs, tupleRecord{ts, delay, nCross, nOn})
-		}, func(r stream.Result) { results[rsig(r)]++ })
+		}, func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ })
 	}
 	for i, e := range seq {
 		s.Route(e)
@@ -91,44 +92,6 @@ func netRun(t *testing.T, cond *join.Condition, windows []stream.Time, seq []*st
 	flush()
 	s.Close()
 	return recs, ooo, results
-}
-
-// rsig is a stable multiset signature of one result.
-func rsig(r stream.Result) string {
-	s := ""
-	for _, t := range r.Tuples {
-		s += fmt.Sprintf("%d:%d,", t.Src, t.Seq)
-	}
-	return s
-}
-
-// genSeq builds a synchronized-stream-like sequence: mostly ordered with a
-// disordered residue, attrs from small domains so every predicate fires.
-func genSeq(rng *rand.Rand, m, n int, w stream.Time) []*stream.Tuple {
-	var out []*stream.Tuple
-	ts := stream.Time(1000)
-	for i := 0; i < n; i++ {
-		ts += stream.Time(rng.Intn(20))
-		e := &stream.Tuple{
-			TS:  ts,
-			Seq: uint64(i),
-			Src: rng.Intn(m),
-			Attrs: []float64{
-				float64(rng.Intn(8)),
-				float64(rng.Intn(50)) / 2,
-				rng.Float64() * 10,
-			},
-		}
-		if rng.Intn(5) == 0 {
-			e.TS -= stream.Time(rng.Intn(int(2 * w)))
-			if e.TS < 0 {
-				e.TS = 0
-			}
-		}
-		e.Delay = stream.Time(rng.Intn(100))
-		out = append(out, e)
-	}
-	return out
 }
 
 // wireConds enumerates condition shapes for all three partition modes —
@@ -174,7 +137,7 @@ func TestNetworkedMatchesSingleOperator(t *testing.T) {
 				t.Run(fmt.Sprintf("m=%d/%s/w=%d/b=%d", m, name, tc.workers, tc.batch), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(101*m + 7*tc.workers + tc.batch)))
 					w := stream.Time(300)
-					seq := genSeq(rng, m, 600, w)
+					seq := difftest.GenSeq(rng, m, 600, w)
 					windows := make([]stream.Time, m)
 					for i := range windows {
 						windows[i] = w
@@ -217,7 +180,7 @@ func TestNetworkedStateRestoresCrossRuntime(t *testing.T) {
 	w := stream.Time(300)
 	windows := []stream.Time{w, w, w}
 	rng := rand.New(rand.NewSource(7))
-	seq := genSeq(rng, m, 500, w)
+	seq := difftest.GenSeq(rng, m, 500, w)
 	half := len(seq) / 2
 
 	// Reference: full run on the in-process sharded runtime.
@@ -232,7 +195,7 @@ func TestNetworkedStateRestoresCrossRuntime(t *testing.T) {
 	visit := func(ts, delay stream.Time, nCross, nOn int64) {
 		recs = append(recs, tupleRecord{ts, delay, nCross, nOn})
 	}
-	emit := func(r stream.Result) { results[rsig(r)]++ }
+	emit := func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ }
 	for _, e := range seq[:half] {
 		s.Route(e)
 	}
@@ -274,7 +237,7 @@ func TestNetworkedStateRestoresCrossRuntime(t *testing.T) {
 	results2 := map[string]int{}
 	var on2 int64
 	visit2 := func(ts, delay stream.Time, nCross, nOn int64) { on2 += nOn }
-	emit2 := func(r stream.Result) { results2[rsig(r)]++ }
+	emit2 := func(r stream.Result) { results2[difftest.Sig(r.Tuples)]++ }
 	rt2 := shard.New(shard.Config{N: 2, Cond: cond(), Windows: windows, Materialize: true})
 	for _, e := range seq[:half] {
 		rt2.Route(e)
@@ -314,7 +277,7 @@ func TestWorkerFaultSurfacesTyped(t *testing.T) {
 	cond := join.EquiChain(m, 0)
 	w := stream.Time(300)
 	windows := []stream.Time{w, w}
-	seq := genSeq(rand.New(rand.NewSource(3)), m, 300, w)
+	seq := difftest.GenSeq(rand.New(rand.NewSource(3)), m, 300, w)
 
 	inj := fault.NewInjector().PanicAt(1, 50)
 	addrs := startWorkers(t, 2, inj)
@@ -424,7 +387,7 @@ func TestStateCanonicalOrder(t *testing.T) {
 	cond := join.EquiChain(2, 0)
 	w := stream.Time(300)
 	s := NewSession(addrs, "order-test", shard.Config{Cond: cond, Windows: []stream.Time{w, w}})
-	seq := genSeq(rand.New(rand.NewSource(11)), 2, 200, w)
+	seq := difftest.GenSeq(rand.New(rand.NewSource(11)), 2, 200, w)
 	for _, e := range seq {
 		s.Route(e)
 	}

@@ -13,8 +13,9 @@ import (
 
 // TestCheckpointCaptureCost is a diagnostic, not a regression gate: it
 // prints how long one Checkpoint capture takes on a warmed sharded
-// executor, the quantity the qdhjbench fault sweep's overhead ratio is
-// built from. Run with -v to see the numbers.
+// executor, the quantity DESIGN §10's capture fraction is built from
+// (bench/ reports it per run as plan.sup_checkpoint_ms on x3-shard2-sup).
+// Run with -v to see the numbers.
 func TestCheckpointCaptureCost(t *testing.T) {
 	leakcheck.Check(t)
 	if testing.Short() {

@@ -9,53 +9,21 @@ package plan
 
 import (
 	"fmt"
-	"math/rand"
 	"repro/internal/leakcheck"
 	"strings"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/stream"
 )
-
-// mixWorkload builds an m-stream feed with bounded disorder and two
-// attributes per tuple (an integer-ish key and a continuous value).
-func mixWorkload(m, rounds int, seed int64, domain int) stream.Batch {
-	rng := rand.New(rand.NewSource(seed))
-	var out stream.Batch
-	var seq uint64
-	ts := stream.Time(3000)
-	for i := 0; i < rounds; i++ {
-		ts += 10
-		for src := 0; src < m; src++ {
-			t := ts
-			if rng.Intn(4) == 0 {
-				t -= stream.Time(rng.Intn(1500))
-			}
-			out = append(out, &stream.Tuple{TS: t, Seq: seq, Src: src,
-				Attrs: []float64{float64(rng.Intn(domain)), float64(rng.Intn(200))}})
-			seq++
-		}
-	}
-	return out
-}
-
-func resultSig(r stream.Result) string {
-	var b strings.Builder
-	for _, t := range r.Tuples {
-		if t != nil {
-			fmt.Fprintf(&b, "%d:%d,", t.Src, t.Seq)
-		}
-	}
-	return b.String()
-}
 
 // runGraph executes a graph at the fixed buffer size k and returns the
 // result multiset.
 func runGraph(g *Graph, k stream.Time, in stream.Batch) map[string]int {
 	set := map[string]int{}
 	ex := Build(g, ExecConfig{Policy: PolicyStatic, StaticK: k,
-		Emit: func(r stream.Result) { set[resultSig(r)]++ }})
+		Emit: func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }})
 	for _, e := range in {
 		ex.Push(e)
 	}
@@ -102,7 +70,7 @@ func TestPlanDifferentialMixes(t *testing.T) {
 	}
 	for seed := int64(41); seed < 44; seed++ {
 		for _, tc := range conds {
-			in := mixWorkload(tc.m, 350, seed, 14)
+			in := difftest.MixWorkload(tc.m, 350, seed, 14)
 			maxD, _ := in.MaxDelay()
 			w := make([]stream.Time, tc.m)
 			for i := range w {
@@ -135,7 +103,7 @@ func TestPlanDifferentialMixes(t *testing.T) {
 func TestStarAutoPlanDifferential(t *testing.T) {
 	leakcheck.Check(t)
 	mk := func() *join.Condition { return join.Star(4, []int{0, 1, 2}, []int{0, 0, 0}) }
-	in := mixWorkload(4, 1200, 99, 25)
+	in := difftest.MixWorkload(4, 1200, 99, 25)
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{900, 900, 900, 900}
 

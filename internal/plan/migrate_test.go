@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/leakcheck"
 	"repro/internal/stream"
@@ -21,7 +22,7 @@ import (
 func runMigrating(t *testing.T, name string, graphs []*Graph, k stream.Time, in stream.Batch, every int) map[string]int {
 	t.Helper()
 	set := map[string]int{}
-	gate := NewEmitLog(func(r stream.Result) { set[resultSig(r)]++ }, nil)
+	gate := NewEmitLog(func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }, nil)
 	cfg := ExecConfig{Policy: PolicyStatic, StaticK: k, Emit: gate.Emit}
 	cur := 0
 	ex := Build(graphs[0], cfg)
@@ -111,7 +112,7 @@ func parseAll(t *testing.T, specs []string, cond *join.Condition, w []stream.Tim
 func TestMigrationDifferentialPairs(t *testing.T) {
 	leakcheck.Check(t)
 	for _, tc := range migrationConds() {
-		in := mixWorkload(tc.m, 350, 42, 14)
+		in := difftest.MixWorkload(tc.m, 350, 42, 14)
 		maxD, _ := in.MaxDelay()
 		w := make([]stream.Time, tc.m)
 		for i := range w {
@@ -138,7 +139,7 @@ func TestMigrationDifferentialTour(t *testing.T) {
 	leakcheck.Check(t)
 	for seed := int64(41); seed < 43; seed++ {
 		for _, tc := range migrationConds() {
-			in := mixWorkload(tc.m, 420, seed, 14)
+			in := difftest.MixWorkload(tc.m, 420, seed, 14)
 			maxD, _ := in.MaxDelay()
 			w := make([]stream.Time, tc.m)
 			for i := range w {
@@ -164,13 +165,13 @@ func TestMigrationDifferentialTour(t *testing.T) {
 func TestMigrationAdaptive(t *testing.T) {
 	leakcheck.Check(t)
 	cond := join.EquiChain(3, 0)
-	in := mixWorkload(3, 500, 7, 10)
+	in := difftest.MixWorkload(3, 500, 7, 10)
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{700, 700, 700}
 	want := runGraph(FlatGraph(join.EquiChain(3, 0), w), maxD, in.Clone())
 
 	set := map[string]int{}
-	gate := NewEmitLog(func(r stream.Result) { set[resultSig(r)]++ }, nil)
+	gate := NewEmitLog(func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }, nil)
 	cfg := ExecConfig{Policy: PolicyMaxK, Emit: gate.Emit}
 	graphs := parseAll(t, []string{"flat", "tree-shard:2", "shard:2", "tree"}, cond, w)
 	cur := 0

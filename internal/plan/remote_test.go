@@ -13,6 +13,7 @@ import (
 	stdnet "net"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/leakcheck"
@@ -75,7 +76,7 @@ func remoteConds() []struct {
 // networked workers and requires the flat in-process reference exactly.
 func TestRemoteAdaptiveDifferential(t *testing.T) {
 	for _, tc := range remoteConds() {
-		in := mixWorkload(tc.m, 1200, 23, 14)
+		in := difftest.MixWorkload(tc.m, 1200, 23, 14)
 		w := make([]stream.Time, tc.m)
 		for i := range w {
 			w[i] = 700
@@ -113,7 +114,7 @@ func TestRemoteAdaptiveDifferential(t *testing.T) {
 func TestRemoteSupervisedWorkerKill(t *testing.T) {
 	leakcheck.Check(t)
 	mk := func() *join.Condition { return join.EquiChain(3, 0) }
-	in := mixWorkload(3, 1200, 23, 14)
+	in := difftest.MixWorkload(3, 1200, 23, 14)
 	w := []stream.Time{700, 700, 700}
 	want := runHealthy(FlatGraph(mk(), w), in.Clone())
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/leakcheck"
@@ -32,7 +33,7 @@ type supTrace struct {
 func (tr *supTrace) cfg() ExecConfig {
 	return ExecConfig{
 		Adapt: supAdapt,
-		Emit:  func(r stream.Result) { tr.set[resultSig(r)]++ },
+		Emit:  func(r stream.Result) { tr.set[difftest.Sig(r.Tuples)]++ },
 		OnAdapt: func(ev core.AdaptEvent) {
 			tr.ks = append(tr.ks, fmt.Sprintf("%v:%v>%v", ev.Now, ev.PrevK, ev.NewK))
 		},
@@ -113,7 +114,7 @@ func TestSupervisedRecoveryDifferential(t *testing.T) {
 		}},
 	}
 	for _, tc := range conds {
-		in := mixWorkload(tc.m, 1200, 17, 14)
+		in := difftest.MixWorkload(tc.m, 1200, 17, 14)
 		w := make([]stream.Time, tc.m)
 		for i := range w {
 			w[i] = 700
@@ -155,7 +156,7 @@ func TestSupervisedRecoveryDifferential(t *testing.T) {
 // must not perturb it — boundary checkpoints included.
 func TestSupervisedHealthyPassThrough(t *testing.T) {
 	leakcheck.Check(t)
-	in := mixWorkload(3, 900, 5, 12)
+	in := difftest.MixWorkload(3, 900, 5, 12)
 	w := []stream.Time{700, 700, 700}
 	for _, spec := range []string{"shard:4", "tree-shard:2"} {
 		g, _ := ParseSpec(spec, join.EquiChain(3, 0), w, 4)
@@ -176,7 +177,7 @@ func TestSupervisedHealthyPassThrough(t *testing.T) {
 // the error chain.
 func TestSupervisedTerminal(t *testing.T) {
 	leakcheck.Check(t)
-	in := mixWorkload(3, 400, 9, 12)
+	in := difftest.MixWorkload(3, 400, 9, 12)
 	w := []stream.Time{700, 700, 700}
 	g, _ := ParseSpec("shard:2", join.EquiChain(3, 0), w, 4)
 	inj := fault.NewInjector()
@@ -258,7 +259,7 @@ func TestSupervisedLifecycleSplit(t *testing.T) {
 // admits and refuses exactly the same sequence.
 func TestSupervisedIngestError(t *testing.T) {
 	leakcheck.Check(t)
-	in := mixWorkload(3, 900, 31, 12)
+	in := difftest.MixWorkload(3, 900, 31, 12)
 	w := []stream.Time{700, 700, 700}
 	ing := IngestConfig{MaxBuffered: 40, Policy: IngestError}
 
@@ -304,7 +305,7 @@ func TestSupervisedIngestError(t *testing.T) {
 // (sheds replay deterministically), and the Block policy never drops.
 func TestSupervisedIngestShed(t *testing.T) {
 	leakcheck.Check(t)
-	in := mixWorkload(3, 900, 31, 12)
+	in := difftest.MixWorkload(3, 900, 31, 12)
 	w := []stream.Time{700, 700, 700}
 	ing := IngestConfig{MaxBuffered: 30, Policy: IngestShed}
 
@@ -367,7 +368,7 @@ func TestSupervisedIngestShed(t *testing.T) {
 // deployment is refused with fault.ErrRestoreMismatch.
 func TestExecStateSignatureMismatch(t *testing.T) {
 	leakcheck.Check(t)
-	in := mixWorkload(3, 600, 3, 12)
+	in := difftest.MixWorkload(3, 600, 3, 12)
 	w := []stream.Time{700, 700, 700}
 	g, _ := ParseSpec("tree", join.EquiChain(3, 0), w, 4)
 	cfg := ExecConfig{Adapt: supAdapt}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/stream"
 )
@@ -24,7 +25,7 @@ type tupleRecord struct {
 func refRun(cond *join.Condition, windows []stream.Time, seq []*stream.Tuple) (recs []tupleRecord, ooo []stream.Time, results map[string]int) {
 	results = map[string]int{}
 	op := join.New(cond, windows,
-		join.WithEmit(func(r stream.Result) { results[sig(r)]++ }),
+		join.WithEmit(func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ }),
 		join.WithProcessedHook(func(e *stream.Tuple, nCross, nOn int64, inOrder bool) {
 			if inOrder {
 				recs = append(recs, tupleRecord{e.TS, e.Delay, nCross, nOn})
@@ -52,7 +53,7 @@ func shardRun(t *testing.T, cond *join.Condition, windows []stream.Time, seq []*
 	flush := func() {
 		rt.FlushInterval(func(ts, delay stream.Time, nCross, nOn int64) {
 			recs = append(recs, tupleRecord{ts, delay, nCross, nOn})
-		}, func(r stream.Result) { results[sig(r)]++ })
+		}, func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ })
 	}
 	for i, e := range seq {
 		rt.Route(e)
@@ -63,45 +64,6 @@ func shardRun(t *testing.T, cond *join.Condition, windows []stream.Time, seq []*
 	flush()
 	rt.Close()
 	return recs, ooo, results
-}
-
-// sig is a stable multiset signature of one result.
-func sig(r stream.Result) string {
-	s := ""
-	for _, t := range r.Tuples {
-		s += fmt.Sprintf("%d:%d,", t.Src, t.Seq)
-	}
-	return s
-}
-
-// genSeq builds a synchronized-stream-like sequence: mostly ordered with a
-// disordered residue, attrs drawn from small domains so all three
-// predicate kinds fire.
-func genSeq(rng *rand.Rand, m, n int, w stream.Time) []*stream.Tuple {
-	var out []*stream.Tuple
-	ts := stream.Time(1000)
-	for i := 0; i < n; i++ {
-		ts += stream.Time(rng.Intn(20))
-		e := &stream.Tuple{
-			TS:  ts,
-			Seq: uint64(i),
-			Src: rng.Intn(m),
-			Attrs: []float64{
-				float64(rng.Intn(8)),
-				float64(rng.Intn(50)) / 2,
-				rng.Float64() * 10,
-			},
-		}
-		if rng.Intn(5) == 0 { // out-of-order residue, occasionally in scope
-			e.TS -= stream.Time(rng.Intn(int(2 * w)))
-			if e.TS < 0 {
-				e.TS = 0
-			}
-		}
-		e.Delay = stream.Time(rng.Intn(100))
-		out = append(out, e)
-	}
-	return out
 }
 
 // conds enumerates the condition shapes of all three partition modes.
@@ -162,7 +124,7 @@ func TestShardedMatchesSingleOperator(t *testing.T) {
 					for i := range w {
 						w[i] = 150
 					}
-					seq := genSeq(rng, m, 1200, 150)
+					seq := difftest.GenSeq(rng, m, 1200, 150)
 					wantRecs, wantOOO, wantRes := refRun(mk(), w, seq)
 					gotRecs, gotOOO, gotRes := shardRun(t, mk(), w, seq, n, 257)
 
@@ -224,13 +186,13 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 			w := []stream.Time{150, 150, 150}
 			run := func() []string {
 				rng := rand.New(rand.NewSource(99))
-				seq := genSeq(rng, 3, 800, 150)
+				seq := difftest.GenSeq(rng, 3, 800, 150)
 				var order []string
 				rt := New(Config{N: 4, Cond: mk(), Windows: w, Materialize: true})
 				for _, e := range seq {
 					rt.Route(e)
 				}
-				rt.FlushInterval(nil, func(r stream.Result) { order = append(order, sig(r)) })
+				rt.FlushInterval(nil, func(r stream.Result) { order = append(order, difftest.Sig(r.Tuples)) })
 				rt.Close()
 				return order
 			}
@@ -327,7 +289,7 @@ func TestShardLoadsSpread(t *testing.T) {
 	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(5))
 	rt := New(Config{N: 4, Cond: join.EquiChain(2, 0), Windows: []stream.Time{200, 200}})
-	for _, e := range genSeq(rng, 2, 4000, 200) {
+	for _, e := range difftest.GenSeq(rng, 2, 4000, 200) {
 		rt.Route(e)
 	}
 	rt.FlushInterval(nil, nil)

@@ -1,11 +1,11 @@
 package qdhj
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/leakcheck"
 	"repro/internal/stream"
 )
@@ -41,16 +41,6 @@ func cloneFeed(in []*Tuple) []*Tuple {
 	return out
 }
 
-func multiSig(r Result) string {
-	var b strings.Builder
-	for _, t := range r.Tuples {
-		if t != nil {
-			fmt.Fprintf(&b, "%d:%d,", t.Src, t.Seq)
-		}
-	}
-	return b.String()
-}
-
 func multiOpt() Options {
 	return Options{Gamma: 0.9, Period: 2000, Interval: 250, BasicWindow: 50, Granularity: 50}
 }
@@ -67,7 +57,7 @@ func TestMultiJoinVsStandalone(t *testing.T) {
 	var wantRes []string
 	var wantAdapts []AdaptEvent
 	ref := NewJoin(cond(), windows, multiOpt(),
-		WithResults(func(r Result) { wantRes = append(wantRes, multiSig(r)) }),
+		WithResults(func(r Result) { wantRes = append(wantRes, difftest.Sig(r.Tuples)) }),
 		WithAdaptHook(func(ev AdaptEvent) { wantAdapts = append(wantAdapts, ev) }))
 	for _, e := range cloneFeed(in) {
 		ref.Push(e)
@@ -82,7 +72,7 @@ func TestMultiJoinVsStandalone(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		mqs[i] = mj.Add(cond(), windows, multiOpt(),
-			WithResults(func(r Result) { gotRes[i] = append(gotRes[i], multiSig(r)) }),
+			WithResults(func(r Result) { gotRes[i] = append(gotRes[i], difftest.Sig(r.Tuples)) }),
 			WithAdaptHook(func(ev AdaptEvent) { gotAdapts[i] = append(gotAdapts[i], ev) }))
 	}
 	for _, e := range cloneFeed(in) {
@@ -142,7 +132,7 @@ func TestMultiJoinRunChannel(t *testing.T) {
 
 	var want []string
 	ref := NewJoin(EquiChain(3, 0), windows, multiOpt(),
-		WithResults(func(r Result) { want = append(want, multiSig(r)) }))
+		WithResults(func(r Result) { want = append(want, difftest.Sig(r.Tuples)) }))
 	for _, e := range cloneFeed(in) {
 		ref.Push(e)
 	}
@@ -158,7 +148,7 @@ func TestMultiJoinRunChannel(t *testing.T) {
 	go func() {
 		var sigs []string
 		for r := range ch {
-			sigs = append(sigs, multiSig(r))
+			sigs = append(sigs, difftest.Sig(r.Tuples))
 		}
 		got <- sigs
 	}()

@@ -10,46 +10,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/difftest"
 	"repro/internal/fault"
 	"repro/internal/leakcheck"
 )
-
-// faultWorkload builds an m-stream feed with bounded disorder and two
-// attributes per tuple (an integer-ish key and a continuous value).
-func faultWorkload(m, rounds int, seed int64, domain int) []*Tuple {
-	rng := rand.New(rand.NewSource(seed))
-	var out []*Tuple
-	var seq uint64
-	ts := Time(3000)
-	for i := 0; i < rounds; i++ {
-		ts += 10
-		for src := 0; src < m; src++ {
-			t := ts
-			if rng.Intn(4) == 0 {
-				t -= Time(rng.Intn(1500))
-			}
-			out = append(out, &Tuple{TS: t, Seq: seq, Src: src,
-				Attrs: []float64{float64(rng.Intn(domain)), float64(rng.Intn(200))}})
-			seq++
-		}
-	}
-	return out
-}
-
-func faultResultSig(r Result) string {
-	var b strings.Builder
-	for _, t := range r.Tuples {
-		if t != nil {
-			fmt.Fprintf(&b, "%d:%d,", t.Src, t.Seq)
-		}
-	}
-	return b.String()
-}
 
 // faultTrace accumulates the observable behavior a round trip must pin:
 // the result multiset and the adaptation (K) trajectory.
@@ -66,7 +33,7 @@ func (tr *faultTrace) opts() []JoinOption {
 	return []JoinOption{
 		WithResults(func(r Result) {
 			if !tr.mute {
-				tr.set[faultResultSig(r)]++
+				tr.set[difftest.Sig(r.Tuples)]++
 			}
 		}),
 		WithAdaptHook(func(ev AdaptEvent) {
@@ -172,7 +139,7 @@ func TestJoinCheckpointRoundTrip(t *testing.T) {
 			for i := range windows {
 				windows[i] = 700
 			}
-			in := faultWorkload(c.m, c.rounds, c.seed, c.domain)
+			in := difftest.MixWorkload(c.m, c.rounds, c.seed, c.domain)
 
 			// Reference: one uninterrupted run.
 			ref := newFaultTrace()
@@ -256,7 +223,7 @@ func TestJoinSupervisedRecovery(t *testing.T) {
 	defer leakcheck.Check(t)
 	opt := Options{Gamma: 0.9, Period: Second, Interval: 200 * Millisecond}
 	windows := []Time{700, 700, 700}
-	in := faultWorkload(3, 1200, 17, 14)
+	in := difftest.MixWorkload(3, 1200, 17, 14)
 	for _, spec := range []string{"shard:4", "tree-shard:2"} {
 		t.Run(spec, func(t *testing.T) {
 			defer leakcheck.Check(t)
@@ -301,7 +268,7 @@ func TestJoinTerminalError(t *testing.T) {
 		Options{Gamma: 0.9, Period: Second, Interval: 200 * Millisecond},
 		WithPlan(p), WithInjector(inj),
 		WithSupervision(Supervision{Backoff: Backoff{Base: time.Millisecond, Retries: 0, Sleep: func(time.Duration) {}}}))
-	in := faultWorkload(3, 400, 17, 14)
+	in := difftest.MixWorkload(3, 400, 17, 14)
 	for _, e := range in {
 		j.Push(e) // must not panic; goes terminal mid-stream
 	}
@@ -335,7 +302,7 @@ func TestJoinIngestPolicies(t *testing.T) {
 	defer leakcheck.Check(t)
 	windows := []Time{700, 700, 700}
 	opt := Options{Gamma: 0.9, Period: Second, Interval: 200 * Millisecond}
-	in := faultWorkload(3, 900, 31, 14)
+	in := difftest.MixWorkload(3, 900, 31, 14)
 
 	t.Run("error", func(t *testing.T) {
 		defer leakcheck.Check(t)
@@ -461,7 +428,7 @@ func TestRestoreMismatch(t *testing.T) {
 	opt := Options{Policy: StaticSlack, StaticK: 1500}
 	cond, p := planFor(t, "flat", mix3, windows)
 	j := NewJoin(cond, windows, opt, WithPlan(p))
-	for _, e := range faultWorkload(3, 300, 17, 14) {
+	for _, e := range difftest.MixWorkload(3, 300, 17, 14) {
 		j.Push(e)
 	}
 	snap, err := j.Checkpoint()
@@ -493,7 +460,7 @@ func TestRestoreIntoSupervised(t *testing.T) {
 	defer leakcheck.Check(t)
 	windows := []Time{700, 700, 700}
 	opt := Options{Gamma: 0.9, Period: Second, Interval: 200 * Millisecond}
-	in := faultWorkload(3, 1200, 17, 14)
+	in := difftest.MixWorkload(3, 1200, 17, 14)
 
 	ref := newFaultTrace()
 	cond, p := planFor(t, "shard:2", mix3, windows)

@@ -11,6 +11,7 @@ import (
 	stdnet "net"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/leakcheck"
 	qnet "repro/internal/net"
@@ -64,7 +65,7 @@ func runNetJoin(in []*Tuple, opts ...JoinOption) (*faultTrace, int64) {
 }
 
 func TestWithRemoteWorkersDifferential(t *testing.T) {
-	in := faultWorkload(3, 1200, 27, 14)
+	in := difftest.MixWorkload(3, 1200, 27, 14)
 	want, wantN := runNetJoin(in)
 	if wantN == 0 || len(want.ks) < 4 {
 		t.Fatalf("degenerate reference: %d results, %d adaptations", wantN, len(want.ks))
@@ -93,7 +94,7 @@ func TestWithRemoteWorkersDifferential(t *testing.T) {
 // exactly.
 func TestWithRemoteWorkersSupervisedKill(t *testing.T) {
 	leakcheck.Check(t)
-	in := faultWorkload(3, 1200, 27, 14)
+	in := difftest.MixWorkload(3, 1200, 27, 14)
 	want, wantN := runNetJoin(in)
 
 	inj := NewInjector()

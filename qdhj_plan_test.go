@@ -1,11 +1,11 @@
 package qdhj
 
 import (
-	"fmt"
 	"repro/internal/leakcheck"
 	"strings"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 )
 
@@ -40,13 +40,7 @@ func TestJoinWithPlanDifferential(t *testing.T) {
 
 	run := func(cond *Condition, jopts ...JoinOption) map[string]int {
 		set := map[string]int{}
-		jopts = append(jopts, WithResults(func(r Result) {
-			var b strings.Builder
-			for _, tp := range r.Tuples {
-				fmt.Fprintf(&b, "%d:%d,", tp.Src, tp.Seq)
-			}
-			set[b.String()]++
-		}))
+		jopts = append(jopts, WithResults(func(r Result) { set[difftest.Sig(r.Tuples)]++ }))
 		j := NewJoin(cond, windows4(), opt, jopts...)
 		for _, e := range in.Clone() {
 			j.Push(e)
