@@ -92,27 +92,29 @@ func (p *Pipeline) BufferedTuples() int {
 }
 
 // ShedWorst evicts the buffered tuple with the lowest productivity score
-// (profiler Score; ties broken toward the largest delay, then the first
-// buffer position — all deterministic, so shed decisions replay identically
-// after a restore) and accounts the drop with the feedback loop so the
-// recall estimate reflects it. Returns false when nothing is buffered.
+// (profiler Score; ties broken toward the largest delay, then the smallest
+// (TS, Seq), then the first buffer — a function of the buffered tuples
+// alone, never of how a buffer lays them out, so shed decisions replay
+// identically after a restore) and accounts the drop with the feedback
+// loop so the recall estimate reflects it. Returns false when nothing is
+// buffered.
 func (p *Pipeline) ShedWorst() bool {
-	bi, bj := -1, -1
+	var from *kslack.Buffer
+	var worst *stream.Tuple
 	var worstScore float64
-	var worstDelay stream.Time
-	for i, k := range p.ks {
-		for j, t := range k.Items() {
+	for _, k := range p.ks {
+		for t := range k.All() {
 			s := p.loop.Score(0, t.Delay)
-			if bi < 0 || s < worstScore || (s == worstScore && t.Delay > worstDelay) {
-				bi, bj, worstScore, worstDelay = i, j, s, t.Delay
+			if worst == nil || s < worstScore || (s == worstScore && kslack.ShedBefore(t, worst)) {
+				from, worst, worstScore = k, t, s
 			}
 		}
 	}
-	if bi < 0 {
+	if worst == nil {
 		return false
 	}
-	t := p.ks[bi].EvictAt(bj)
-	p.loop.RecordShed(0, t.Delay)
+	from.Evict(worst)
+	p.loop.RecordShed(0, worst.Delay)
 	return true
 }
 

@@ -68,7 +68,7 @@ func eventLess(a, b *event) bool {
 	return a.ord < b.ord
 }
 
-// pwindow holds the live entries of one stage input: a 4-ary heap ordered
+// pwindow holds the live entries of one stage input: a 4-ary heap keyed
 // by expiration deadline (so expiry pops are O(log n) with no scanning)
 // plus, keyed on the first lookup, the shared index structures of
 // internal/index — the open-addressed hash on equi stages, the sorted
@@ -78,15 +78,14 @@ type pwindow struct {
 	heap pq.Heap[*event]
 	idx  *index.Hash[*event]   // nil unless the stage has an equi lookup
 	srt  *index.Sorted[*event] // nil unless the stage is band-only
+	all  []*event              // candidates' scratch on a stage with neither
 	// free, when set, receives every expired event — the stage arena's
 	// recycle hook. Only driver-thread windows set it.
 	free func(*event)
 }
 
 func newPwindow(indexed, banded bool) *pwindow {
-	w := &pwindow{
-		heap: pq.New(func(a, b *event) bool { return a.deadline < b.deadline }),
-	}
+	w := &pwindow{}
 	if indexed {
 		w.idx = index.NewHash[*event]()
 	}
@@ -97,7 +96,7 @@ func newPwindow(indexed, banded bool) *pwindow {
 }
 
 func (w *pwindow) insert(ev *event) {
-	w.heap.Push(ev)
+	w.heap.Push(int64(ev.deadline), 0, ev)
 	if w.srt != nil {
 		// Sorted.Add skips NaN keys itself; a NaN can never band-match.
 		w.srt.Add(ev.key, ev)
@@ -115,7 +114,7 @@ func (w *pwindow) insert(ev *event) {
 // expire removes every entry whose deadline passed: its earliest constituent
 // is no longer inside its window at time t.
 func (w *pwindow) expire(t stream.Time) {
-	for w.heap.Len() > 0 && w.heap.Peek().deadline < t {
+	for w.heap.Len() > 0 && stream.Time(w.heap.Peek().Key) < t {
 		ev := w.heap.Pop()
 		if w.srt != nil {
 			w.srt.Remove(ev.key, ev)
@@ -142,5 +141,6 @@ func (w *pwindow) candidates(key float64) []*event {
 		}
 		return w.idx.Get(k)
 	}
-	return w.heap.Items()
+	w.all = w.heap.AppendValues(w.all[:0])
+	return w.all
 }

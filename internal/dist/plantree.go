@@ -293,7 +293,6 @@ func (t *PlanTree) build(sh *Shape, parent *pstage, side int, k stream.Time, cla
 		return []int{st}
 	}
 	s := &pstage{tree: t, parent: parent, parentSide: side,
-		buf:    pq.New(eventLess),
 		open:   [2]bool{true, true},
 		assign: make([]*stream.Tuple, t.m),
 	}
@@ -460,22 +459,23 @@ func (t *PlanTree) BufferedTuples() int {
 // tree runs no feedback loop, so no productivity score exists to rank by
 // and no recall accounting absorbs the drop; the largest-delay tuple is the
 // one most likely already beyond its usefulness. Ties break toward the
-// first buffer, then the first position — deterministic, so shed decisions
-// replay identically. Returns false when nothing is buffered.
+// smallest (TS, Seq), then the first buffer — a function of the buffered
+// tuples alone, so shed decisions replay identically after a restore.
+// Returns false when nothing is buffered.
 func (t *PlanTree) ShedWorst() bool {
-	bi, bj := -1, -1
-	var worstDelay stream.Time
-	for i, lf := range t.leaves {
-		for j, e := range lf.ks.Items() {
-			if bi < 0 || e.Delay > worstDelay {
-				bi, bj, worstDelay = i, j, e.Delay
+	var from *kslack.Buffer
+	var worst *stream.Tuple
+	for _, lf := range t.leaves {
+		for e := range lf.ks.All() {
+			if worst == nil || kslack.ShedBefore(e, worst) {
+				from, worst = lf.ks, e
 			}
 		}
 	}
-	if bi < 0 {
+	if worst == nil {
 		return false
 	}
-	t.leaves[bi].ks.EvictAt(bj)
+	from.Evict(worst)
 	return true
 }
 
@@ -537,7 +537,7 @@ func (s *pstage) push(ev *event, side int) {
 	ev.ord = s.ord
 	s.ord++
 	if ev.ts > s.tsync {
-		s.buf.Push(ev)
+		s.buf.Push(int64(ev.ts), ev.ord, ev)
 		s.counts[side]++
 		s.drainSync()
 		return
@@ -547,8 +547,8 @@ func (s *pstage) push(ev *event, side int) {
 
 func (s *pstage) drainSync() {
 	for s.buf.Len() > 0 && s.syncReady() {
-		s.tsync = s.buf.Peek().ts
-		for s.buf.Len() > 0 && s.buf.Peek().ts == s.tsync {
+		s.tsync = stream.Time(s.buf.Peek().Key)
+		for s.buf.Len() > 0 && stream.Time(s.buf.Peek().Key) == s.tsync {
 			ev := s.buf.Pop()
 			side := s.sideOf(ev)
 			s.counts[side]--
@@ -797,7 +797,7 @@ type pshard struct {
 	cell  float64 // band mode: range-cell width (4·eps keeps replicas ≤ 2 cells)
 
 	workers []*pworker
-	rings   [2]pq.Heap[stream.Time] // global deadline multisets (router view)
+	rings   [2]pq.Heap[struct{}] // global deadline multisets, keys only (router view)
 
 	seq     uint64
 	nextSeq uint64
@@ -837,10 +837,6 @@ func newPshard(s *pstage, n int) *pshard {
 	sh := &pshard{
 		stage: s,
 		n:     n,
-		rings: [2]pq.Heap[stream.Time]{
-			pq.New(func(a, b stream.Time) bool { return a < b }),
-			pq.New(func(a, b stream.Time) bool { return a < b }),
-		},
 		meta:  make(map[uint64]probeMeta),
 		ready: make(map[uint64][]*event),
 	}
@@ -871,11 +867,11 @@ func (sh *pshard) process(ev *event, side int) {
 	if ev.ts >= s.onT {
 		s.onT = ev.ts
 		opp := &sh.rings[1-side]
-		for opp.Len() > 0 && opp.Peek() < ev.ts {
+		for opp.Len() > 0 && stream.Time(opp.Peek().Key) < ev.ts {
 			opp.Pop()
 		}
 		nCross := int64(opp.Len())
-		sh.rings[side].Push(ev.deadline)
+		sh.rings[side].Push(int64(ev.deadline), 0, struct{}{})
 		seq := sh.seq
 		sh.seq++
 		sh.meta[seq] = probeMeta{ts: ev.ts, delay: ev.delay, nCross: nCross}
@@ -890,7 +886,7 @@ func (sh *pshard) process(ev *event, side int) {
 		s.prodHook(s.id, ev.ts, ev.delay, 0, 0, false)
 	}
 	if ev.deadline >= s.onT {
-		sh.rings[side].Push(ev.deadline)
+		sh.rings[side].Push(int64(ev.deadline), 0, struct{}{})
 		owner := sh.route(ev, side, s.onT, true)
 		sh.workers[owner].ch <- pmsg{ev: ev, wm: s.onT, side: uint8(side), kind: pmsgInsert}
 	}

@@ -14,6 +14,7 @@ package dist
 import (
 	"repro/internal/feedback"
 	"repro/internal/join"
+	"repro/internal/kslack"
 	"repro/internal/stream"
 )
 
@@ -143,27 +144,28 @@ func (a *AdaptivePlanTree) BufferedTuples() int { return a.t.BufferedTuples() }
 // layer for sheds wherever they happen: a tuple dropped at any leaf never
 // reaches the root, and the root profiler's delay-productivity means are
 // what estimate the complete results it would have contributed. Ties break
-// toward the largest delay, then the first buffer position — deterministic,
-// so shed decisions replay identically after a restore. Returns false when
-// nothing is buffered.
+// toward the largest delay, then the smallest (TS, Seq), then the first
+// buffer — a function of the buffered tuples alone, so shed decisions
+// replay identically after a restore. Returns false when nothing is
+// buffered.
 func (a *AdaptivePlanTree) ShedWorst() bool {
 	root := len(a.t.stages) - 1
-	bi, bj := -1, -1
+	var from *kslack.Buffer
+	var worst *stream.Tuple
 	var worstScore float64
-	var worstDelay stream.Time
-	for i, lf := range a.t.leaves {
-		for j, e := range lf.ks.Items() {
+	for _, lf := range a.t.leaves {
+		for e := range lf.ks.All() {
 			s := a.loop.Score(root, e.Delay)
-			if bi < 0 || s < worstScore || (s == worstScore && e.Delay > worstDelay) {
-				bi, bj, worstScore, worstDelay = i, j, s, e.Delay
+			if worst == nil || s < worstScore || (s == worstScore && kslack.ShedBefore(e, worst)) {
+				from, worst, worstScore = lf.ks, e, s
 			}
 		}
 	}
-	if bi < 0 {
+	if worst == nil {
 		return false
 	}
-	e := a.t.leaves[bi].ks.EvictAt(bj)
-	a.loop.RecordShed(root, e.Delay)
+	from.Evict(worst)
+	a.loop.RecordShed(root, worst.Delay)
 	return true
 }
 

@@ -91,13 +91,12 @@ func recEvent(r fault.EventRec, ta *fault.TupleArena) *event {
 	return ev
 }
 
-// canonicalRecs copies evs, sorts them into (ts, ord) order — ord is unique
-// within a stage, so the order is total — and converts them.
+// canonicalRecs sorts evs (the caller's own copy) into (ts, ord) order — ord
+// is unique within a stage, so the order is total — and converts them.
 func canonicalRecs(evs []*event, tt *fault.TupleTable) []fault.EventRec {
-	sorted := append([]*event(nil), evs...)
-	sort.Slice(sorted, func(a, b int) bool { return eventLess(sorted[a], sorted[b]) })
-	out := make([]fault.EventRec, len(sorted))
-	for i, ev := range sorted {
+	sort.Slice(evs, func(a, b int) bool { return eventLess(evs[a], evs[b]) })
+	out := make([]fault.EventRec, len(evs))
+	for i, ev := range evs {
 		out[i] = eventRec(ev, tt)
 	}
 	return out
@@ -126,15 +125,18 @@ func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 			Counts:  s.counts,
 			Open:    s.open,
 			OnT:     s.onT,
-			SyncBuf: canonicalRecs(s.buf.Items(), tt),
+			SyncBuf: canonicalRecs(s.buf.AppendValues(nil), tt),
 		}
 		if s.sh == nil {
 			for sd := 0; sd < 2; sd++ {
-				ss.Win[sd] = canonicalRecs(s.win[sd].heap.Items(), tt)
+				ss.Win[sd] = canonicalRecs(s.win[sd].heap.AppendValues(nil), tt)
 			}
 		} else {
 			for sd := 0; sd < 2; sd++ {
-				ring := append([]stream.Time(nil), s.sh.rings[sd].Items()...)
+				var ring []stream.Time
+				for _, it := range s.sh.rings[sd].Items() {
+					ring = append(ring, stream.Time(it.Key))
+				}
 				sort.Slice(ring, func(a, b int) bool { return ring[a] < ring[b] })
 				ss.Rings[sd] = ring
 				// Band replicas put the same event in several worker
@@ -142,10 +144,10 @@ func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 				seen := map[*event]bool{}
 				var evs []*event
 				for _, w := range s.sh.workers {
-					for _, ev := range w.win[sd].heap.Items() {
-						if !seen[ev] {
-							seen[ev] = true
-							evs = append(evs, ev)
+					for _, it := range w.win[sd].heap.Items() {
+						if !seen[it.Val] {
+							seen[it.Val] = true
+							evs = append(evs, it.Val)
 						}
 					}
 				}
@@ -179,7 +181,8 @@ func (t *PlanTree) Restore(st TreeState, ta *fault.TupleArena) {
 		s.open = ss.Open
 		s.onT = ss.OnT
 		for _, r := range ss.SyncBuf {
-			s.buf.Push(recEvent(r, ta))
+			ev := recEvent(r, ta)
+			s.buf.Push(int64(ev.ts), ev.ord, ev)
 		}
 		if s.sh == nil {
 			for sd := 0; sd < 2; sd++ {
@@ -191,7 +194,7 @@ func (t *PlanTree) Restore(st TreeState, ta *fault.TupleArena) {
 		}
 		for sd := 0; sd < 2; sd++ {
 			for _, d := range ss.Rings[sd] {
-				s.sh.rings[sd].Push(d)
+				s.sh.rings[sd].Push(int64(d), 0, struct{}{})
 			}
 			for _, r := range ss.ShWin[sd] {
 				ev := recEvent(r, ta)

@@ -182,3 +182,73 @@ func TestPlanTreeCheckpointRestoreBushy(t *testing.T) {
 	got := runTreeInterrupted(t, in, mk, w, shape, 4)
 	diffTreeTraces(t, "bushy-ckpt", want, got)
 }
+
+// treeShedOne runs one shed and returns the Seq of the tuple it evicted
+// from the tree's leaf buffers.
+func treeShedOne(t *testing.T, tree *PlanTree, shed func() bool) uint64 {
+	t.Helper()
+	held := func() map[uint64]bool {
+		out := map[uint64]bool{}
+		for _, lf := range tree.leaves {
+			for e := range lf.ks.All() {
+				out[e.Seq] = true
+			}
+		}
+		return out
+	}
+	before := held()
+	if !shed() {
+		t.Fatal("ShedWorst: nothing buffered")
+	}
+	after := held()
+	if len(after) != len(before)-1 {
+		t.Fatalf("ShedWorst dropped %d tuples", len(before)-len(after))
+	}
+	for seq := range before {
+		if !after[seq] {
+			return seq
+		}
+	}
+	panic("unreachable")
+}
+
+// TestTreeShedWorstIsLayoutFree: on the static and the adaptive tree, a
+// live tree and its State→Restore copy — same leaf-buffer content, laid out
+// differently — shed the same tuples in the same order. Timestamps are
+// coarsened so (score, delay) ties are the rule.
+func TestTreeShedWorstIsLayoutFree(t *testing.T) {
+	in := workload(3, 600, 31, 40)
+	for _, e := range in {
+		e.TS -= e.TS % 100
+	}
+	w := []stream.Time{stream.Second, stream.Second, stream.Second}
+	cfg := AdaptiveConfig{Adapt: testAdapt, PerStage: true, InitialK: stream.Second}
+
+	live := NewAdaptivePlanTree(join.EquiChain(3, 0), w, Spine(3), cfg, nil)
+	for _, e := range in.Clone() {
+		live.Push(e)
+	}
+	tt := fault.NewTupleTable()
+	st, ta := treeGobRoundTrip(t, live.State(tt), tt)
+	rest := NewAdaptivePlanTree(join.EquiChain(3, 0), w, Spine(3), cfg, nil)
+	rest.Restore(st, ta)
+	// The static tree's shed ranks by delay alone; it shares the trees.
+	for _, c := range []struct {
+		name       string
+		live, rest func() bool
+	}{
+		{"adaptive", live.ShedWorst, rest.ShedWorst},
+		{"static", live.t.ShedWorst, rest.t.ShedWorst},
+	} {
+		if n := live.BufferedTuples(); n < 60 {
+			t.Fatalf("%s: only %d tuples buffered; the run no longer exercises shedding", c.name, n)
+		}
+		for i := 0; i < 30; i++ {
+			if a, b := treeShedOne(t, live.t, c.live), treeShedOne(t, rest.t, c.rest); a != b {
+				t.Fatalf("%s shed %d: live tree evicted seq %d, its restored copy seq %d", c.name, i, a, b)
+			}
+		}
+	}
+	live.Abandon()
+	rest.Abandon()
+}

@@ -1,10 +1,13 @@
 package kslack
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/stream"
 )
 
@@ -235,23 +238,229 @@ func TestArrivedEqualsReleasedPlusBuffered(t *testing.T) {
 	}
 }
 
-// BenchmarkPush measures the per-arrival cost on mostly-ordered input with a
-// working buffer: the boxing-free heap must not allocate in steady state.
-func BenchmarkPush(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 1 << 16
-	tuples := make([]*stream.Tuple, n)
-	for i := range tuples {
-		ts := stream.Time(i * 10)
-		if rng.Intn(5) == 0 {
-			ts = maxT(0, ts-stream.Time(rng.Intn(500)))
+// released is what the differential compares of an emitted tuple; a restore
+// replaces the pointers, so identity is (TS, Seq).
+type released struct {
+	ts, delay stream.Time
+	seq       uint64
+}
+
+// TestMatchesSingleHeapReference holds the run + late-heap Buffer against
+// the one-heap reference of reference_test.go: over random disorder mixes
+// (from fully ordered to every tuple late, with duplicate timestamps),
+// random SetK shrink/grow schedules, evictions and a mid-stream
+// State→Restore of both sides, the emit sequence, the counters and the
+// State agree after every step.
+func TestMatchesSingleHeapReference(t *testing.T) {
+	lateFracs := []float64{0, 0.05, 0.25, 0.6, 1}
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lateFrac := lateFracs[seed%int64(len(lateFracs))]
+		maxDelay := 1 + rng.Intn(400)
+		var gotOut, refOut []released
+		gotEmit := func(e *stream.Tuple) { gotOut = append(gotOut, released{e.TS, e.Delay, e.Seq}) }
+		refEmit := func(e *stream.Tuple) { refOut = append(refOut, released{e.TS, e.Delay, e.Seq}) }
+		k0 := stream.Time(rng.Intn(300))
+		got, ref := New(k0, gotEmit), newRefBuffer(k0, refEmit)
+
+		const steps = 600
+		restoreAt := rng.Intn(steps)
+		checked := 0
+		check := func(step int, op string) {
+			t.Helper()
+			at := fmt.Sprintf("seed %d step %d (%s)", seed, step, op)
+			if len(gotOut) != len(refOut) {
+				t.Fatalf("%s: emitted %d tuples, reference %d", at, len(gotOut), len(refOut))
+			}
+			for ; checked < len(gotOut); checked++ {
+				if gotOut[checked] != refOut[checked] {
+					t.Fatalf("%s: emit %d = %+v, reference %+v", at, checked, gotOut[checked], refOut[checked])
+				}
+			}
+			if got.Arrived() != ref.arrived || got.Released() != ref.released || got.Shed() != ref.shed ||
+				got.Len() != len(ref.heap) || got.MaxDelay() != ref.maxDelay || got.K() != ref.k || got.LocalT() != ref.localT {
+				t.Fatalf("%s: counters arrived/released/shed/len/maxDelay = %d/%d/%d/%d/%d, reference %d/%d/%d/%d/%d", at,
+					got.Arrived(), got.Released(), got.Shed(), got.Len(), got.MaxDelay(),
+					ref.arrived, ref.released, ref.shed, len(ref.heap), ref.maxDelay)
+			}
+			gtt, rtt := fault.NewTupleTable(), fault.NewTupleTable()
+			gst, rst := got.State(gtt), ref.State(rtt)
+			if !reflect.DeepEqual(gst, rst) || !reflect.DeepEqual(gtt.Recs, rtt.Recs) {
+				t.Fatalf("%s: State %+v, reference %+v", at, gst, rst)
+			}
 		}
-		tuples[i] = &stream.Tuple{TS: ts, Seq: uint64(i)}
+
+		ts := stream.Time(0)
+		for i := 0; i < steps; i++ {
+			op := "push"
+			switch r := rng.Intn(20); {
+			case r == 0:
+				op = "shrink"
+				k := stream.Time(rng.Intn(20))
+				got.SetK(k)
+				ref.SetK(k)
+			case r == 1:
+				op = "grow"
+				k := stream.Time(100 + rng.Intn(400))
+				got.SetK(k)
+				ref.SetK(k)
+			case r == 2 && got.Len() > 0:
+				op = "evict"
+				n := rng.Intn(got.Len())
+				for e := range got.All() {
+					if n == 0 {
+						ref.evict(e.TS, e.Seq)
+						got.Evict(e)
+						break
+					}
+					n--
+				}
+			default:
+				ts += stream.Time(rng.Intn(4)) // 0: duplicate timestamps
+				e := stream.Tuple{TS: ts, Seq: uint64(i)}
+				if rng.Float64() < lateFrac {
+					e.TS = maxT(0, ts-stream.Time(1+rng.Intn(maxDelay)))
+				}
+				g, r := e, e
+				got.Push(&g)
+				ref.Push(&r)
+			}
+			check(i, op)
+			if i == restoreAt {
+				gtt, rtt := fault.NewTupleTable(), fault.NewTupleTable()
+				gst, rst := got.State(gtt), ref.State(rtt)
+				got, ref = New(0, gotEmit), newRefBuffer(0, refEmit)
+				got.Restore(gst, fault.NewTupleArena(gtt.Recs))
+				ref.Restore(rst, fault.NewTupleArena(rtt.Recs))
+				check(i, "restore")
+			}
+		}
+		got.Flush()
+		ref.Flush()
+		check(steps, "flush")
+		if got.Len() != 0 {
+			t.Fatalf("seed %d: %d tuples buffered after Flush", seed, got.Len())
+		}
 	}
-	buf := New(1000, func(*stream.Tuple) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Push(tuples[i&(n-1)])
+}
+
+// x3's arrival rate and the K its loop settles around: ≈ 300 tuples
+// buffered per stream.
+const (
+	benchGap = 10 * stream.Millisecond
+	benchK   = 3 * stream.Second
+)
+
+// feed is an endless arrival sequence over a ring of reused tuples (far
+// longer than any buffer occupancy, so a tuple is released long before it
+// is handed out again): iT advances by benchGap per tuple and rel holds
+// each slot's timestamp relative to the start of its lap.
+type feed struct {
+	ring []stream.Tuple
+	rel  []stream.Time
+	n    uint64
+}
+
+const feedLap = 1 << 14
+
+func newFeed(rel func(i int) stream.Time) *feed {
+	f := &feed{ring: make([]stream.Tuple, feedLap), rel: make([]stream.Time, feedLap)}
+	for i := range f.rel {
+		f.rel[i] = rel(i)
+	}
+	return f
+}
+
+func (f *feed) next() *stream.Tuple {
+	i := f.n % feedLap
+	e := &f.ring[i]
+	// Laps start one delay domain above zero so no timestamp goes negative.
+	e.TS = 20*stream.Second + stream.Time(f.n/feedLap)*feedLap*benchGap + f.rel[i]
+	e.Seq = f.n
+	f.n++
+	return e
+}
+
+// inOrderFeed: every tuple advances iT.
+func inOrderFeed() *feed {
+	return newFeed(func(i int) stream.Time { return stream.Time(i) * benchGap })
+}
+
+// lateFeed: one tuple in four is delayed by up to 20 s (the paper's delay
+// domain), skewed toward short delays like the synthetic generators.
+func lateFeed() *feed {
+	rng := rand.New(rand.NewSource(1))
+	return newFeed(func(i int) stream.Time {
+		ts := stream.Time(i) * benchGap
+		if rng.Intn(4) == 0 {
+			u := rng.Float64()
+			ts -= stream.Time(u*u*u*2000) * benchGap
+		}
+		return ts
+	})
+}
+
+// reverseFeed: blocks of one buffer's worth of tuples, each block in
+// descending timestamp order — every tuple but a block's first sorts before
+// everything buffered, the worst case for a heap push.
+func reverseFeed() *feed {
+	const block = int(benchK / benchGap)
+	return newFeed(func(i int) stream.Time {
+		return stream.Time(i/block*block+block-1-i%block) * benchGap
+	})
+}
+
+var benchFeeds = []struct {
+	name string
+	new  func() *feed
+}{
+	{"inorder", inOrderFeed},
+	{"late25", lateFeed},
+	{"reverse", reverseFeed},
+}
+
+// TestPushSteadyStateZeroAllocs: once the run and the late heap have
+// reached their high-water marks, Push — append, heap push, release,
+// compaction — never allocates.
+func TestPushSteadyStateZeroAllocs(t *testing.T) {
+	for _, bf := range benchFeeds[:2] {
+		t.Run(bf.name, func(t *testing.T) {
+			f := bf.new()
+			buf := New(benchK, func(*stream.Tuple) {})
+			for i := 0; i < 2*feedLap; i++ {
+				buf.Push(f.next())
+			}
+			if buf.Len() == 0 {
+				t.Fatal("feed leaves nothing buffered; the test would measure the bypass")
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				for i := 0; i < 1024; i++ {
+					buf.Push(f.next())
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Push allocated %v times per 1024 tuples", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkPush prices one arrival at x3-like occupancy on three feeds: in
+// order (the run alone), 25 % late (run + late heap) and every tuple late
+// (the late heap alone — the case that must stay no slower than one heap).
+func BenchmarkPush(b *testing.B) {
+	for _, bf := range benchFeeds {
+		b.Run(bf.name, func(b *testing.B) {
+			f := bf.new()
+			buf := New(benchK, func(*stream.Tuple) {})
+			for i := 0; i < feedLap; i++ {
+				buf.Push(f.next())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Push(f.next())
+			}
+		})
 	}
 }

@@ -1,105 +1,129 @@
-// Package pq provides a generic, non-boxing min-heap shared by the
-// per-tuple hot paths of the framework: the K-slack input-sorting buffers,
-// the Synchronizer and the distributed tree stages.
+// Package pq provides the one min-heap behind every sorter of the framework:
+// the K-slack late heap, the Synchronizer, and the distributed tree stages'
+// sync buffers, deadline windows and deadline rings.
 //
-// container/heap funnels every element through `any`, which boxes the value
-// and allocates on each Push; with millions of tuples per second that is an
-// allocation (and a GC pointer write) per arrival. Heap[T] stores elements
-// directly in a typed slice, so steady-state Push/Pop never allocate once
-// the backing array has reached its high-water mark.
+// Every one of them orders by an integer timestamp with an integer
+// tie-breaker, so a slot carries its (Key, Tie) pair inline next to the
+// value. A comparison is two integer compares on adjacent slots — no call
+// through a less function, no dereference of the values being ordered — and
+// a sift moves a hole instead of swapping, one slot write per level. Slots
+// live in a typed slice (nothing is boxed), so steady-state Push/Pop never
+// allocate once the backing array has reached its high-water mark.
 //
 // The heap is 4-ary rather than binary: half the depth means half the
-// swap-and-compare levels per Push on mostly-ordered input (the common case
-// after K-slack), and sift-down compares four children that sit in one or
-// two cache lines.
+// levels per Push on mostly-ordered input, and sift-down compares four
+// children that sit next to each other (96 bytes with a pointer value).
 package pq
 
-// Heap is a d-ary (d=4) min-heap ordered by the less function. The zero
-// value is not usable; construct with New. Heap is not safe for concurrent
-// use.
-type Heap[T any] struct {
-	less  func(a, b T) bool
-	items []T
+// Item is one heap slot: the value and the (Key, Tie) pair it is ordered by,
+// Key first, Tie among equal keys. Items equal on both compare as neither
+// before the other.
+type Item[V any] struct {
+	Key int64
+	Tie uint64
+	Val V
 }
 
-// New returns an empty heap ordered by less.
-func New[T any](less func(a, b T) bool) Heap[T] {
-	return Heap[T]{less: less}
+func (a *Item[V]) less(b *Item[V]) bool {
+	return a.Key < b.Key || (a.Key == b.Key && a.Tie < b.Tie)
+}
+
+// Heap is a d-ary (d=4) min-heap of Items. The zero value is an empty heap.
+// Heap is not safe for concurrent use.
+type Heap[V any] struct {
+	items []Item[V]
 }
 
 // Len returns the number of elements held.
-func (h *Heap[T]) Len() int { return len(h.items) }
+func (h *Heap[V]) Len() int { return len(h.items) }
 
-// Peek returns the minimum element without removing it. It panics on an
-// empty heap, like indexing an empty slice would.
-func (h *Heap[T]) Peek() T { return h.items[0] }
+// Peek returns the minimum slot without removing it. It panics on an empty
+// heap, like indexing an empty slice would.
+func (h *Heap[V]) Peek() Item[V] { return h.items[0] }
 
 // Items exposes the backing slice in heap order (not sorted). Callers may
 // scan it read-only; they must not reorder or resize it.
-func (h *Heap[T]) Items() []T { return h.items }
+func (h *Heap[V]) Items() []Item[V] { return h.items }
 
-// Push inserts x. Amortized O(log4 n), allocation-free once the backing
-// array is warm.
-func (h *Heap[T]) Push(x T) {
-	h.items = append(h.items, x)
-	h.up(len(h.items) - 1)
+// AppendValues appends the held values to dst in heap order (not sorted).
+func (h *Heap[V]) AppendValues(dst []V) []V {
+	for i := range h.items {
+		dst = append(dst, h.items[i].Val)
+	}
+	return dst
 }
 
-// Pop removes and returns the minimum element. The vacated slot is zeroed so
-// popped pointers do not pin their referents.
-func (h *Heap[T]) Pop() T {
-	n := len(h.items) - 1
-	top := h.items[0]
-	h.items[0] = h.items[n]
-	var zero T
-	h.items[n] = zero
-	h.items = h.items[:n]
-	if n > 1 {
-		h.down(0)
+// Push inserts v ordered by (key, tie). Amortized O(log4 n),
+// allocation-free once the backing array is warm.
+func (h *Heap[V]) Push(key int64, tie uint64, v V) {
+	x := Item[V]{Key: key, Tie: tie, Val: v}
+	h.items = append(h.items, x)
+	h.up(len(h.items)-1, x)
+}
+
+// Pop removes the minimum slot and returns its value. The vacated slot is
+// zeroed so popped pointers do not pin their referents.
+func (h *Heap[V]) Pop() V {
+	top := h.items[0].Val
+	if x, n := h.shrink(); n > 0 {
+		h.down(0, x)
 	}
 	return top
 }
 
 // Reset empties the heap keeping the backing array, zeroing it so stale
 // pointers are released.
-func (h *Heap[T]) Reset() {
+func (h *Heap[V]) Reset() {
 	clear(h.items)
 	h.items = h.items[:0]
 }
 
-// RemoveAt removes and returns the element at position i of the backing
-// slice (an index into Items()), restoring the heap invariant. O(log4 n).
-func (h *Heap[T]) RemoveAt(i int) T {
-	n := len(h.items) - 1
-	out := h.items[i]
-	h.items[i] = h.items[n]
-	var zero T
-	h.items[n] = zero
-	h.items = h.items[:n]
-	if i < n {
-		h.down(i)
-		h.up(i)
+// RemoveAt removes the slot at position i of Items() and returns its value,
+// restoring the heap invariant. O(log4 n).
+func (h *Heap[V]) RemoveAt(i int) V {
+	out := h.items[i].Val
+	if x, n := h.shrink(); i < n {
+		if h.down(i, x) == i {
+			h.up(i, x)
+		}
 	}
 	return out
 }
 
-func (h *Heap[T]) up(i int) {
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !h.less(h.items[i], h.items[p]) {
-			return
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
+// shrink cuts the last slot off the backing slice and returns it with the
+// new length.
+func (h *Heap[V]) shrink() (Item[V], int) {
+	n := len(h.items) - 1
+	x := h.items[n]
+	h.items[n] = Item[V]{}
+	h.items = h.items[:n]
+	return x, n
 }
 
-func (h *Heap[T]) down(i int) {
-	n := len(h.items)
+// up places x at the hole i or above it: ancestors that sort after x move
+// down into the hole.
+func (h *Heap[V]) up(i int, x Item[V]) {
+	items := h.items
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !x.less(&items[p]) {
+			break
+		}
+		items[i] = items[p]
+		i = p
+	}
+	items[i] = x
+}
+
+// down places x at the hole i or below it — the smallest child moves up
+// into the hole while it sorts before x — and returns x's position.
+func (h *Heap[V]) down(i int, x Item[V]) int {
+	items := h.items
+	n := len(items)
 	for {
 		c := i<<2 + 1
 		if c >= n {
-			return
+			break
 		}
 		min := c
 		end := c + 4
@@ -107,14 +131,16 @@ func (h *Heap[T]) down(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if h.less(h.items[j], h.items[min]) {
+			if items[j].less(&items[min]) {
 				min = j
 			}
 		}
-		if !h.less(h.items[min], h.items[i]) {
-			return
+		if !items[min].less(&x) {
+			break
 		}
-		h.items[i], h.items[min] = h.items[min], h.items[i]
+		items[i] = items[min]
 		i = min
 	}
+	items[i] = x
+	return i
 }

@@ -28,11 +28,13 @@ type EmitFunc func(*stream.Tuple)
 type Synchronizer struct {
 	m      int
 	tsync  stream.Time
-	heap   pq.Heap[*stream.Tuple]
-	counts []int // buffered tuples per stream
+	heap   pq.Heap[*stream.Tuple] // ordered by (TS, Seq)
+	counts []int                  // buffered tuples per stream
 	open   []bool
-	nOpen  int
-	emit   EmitFunc
+	// starved counts the open streams with nothing buffered; the release
+	// loop runs while it is zero. Maintained where counts and open change.
+	starved int
+	emit    EmitFunc
 
 	immediate int64 // tuples forwarded via lines 9–10
 	buffered  int64
@@ -41,12 +43,11 @@ type Synchronizer struct {
 // New creates a Synchronizer over m input streams.
 func New(m int, emit EmitFunc) *Synchronizer {
 	s := &Synchronizer{
-		m:      m,
-		heap:   pq.New(stream.Less),
-		counts: make([]int, m),
-		open:   make([]bool, m),
-		nOpen:  m,
-		emit:   emit,
+		m:       m,
+		counts:  make([]int, m),
+		open:    make([]bool, m),
+		starved: m,
+		emit:    emit,
 	}
 	for i := range s.open {
 		s.open[i] = true
@@ -67,14 +68,22 @@ func (s *Synchronizer) Immediate() int64 { return s.immediate }
 // Push accepts one tuple from the K-slack component of stream e.Src.
 func (s *Synchronizer) Push(e *stream.Tuple) {
 	if e.TS > s.tsync {
-		s.heap.Push(e)
-		s.counts[e.Src]++
-		s.buffered++
+		s.hold(e)
 		s.drain()
 		return
 	}
 	s.immediate++
 	s.emit(e)
+}
+
+// hold buffers e and accounts it to its stream.
+func (s *Synchronizer) hold(e *stream.Tuple) {
+	s.heap.Push(int64(e.TS), e.Seq, e)
+	if s.counts[e.Src] == 0 && s.open[e.Src] {
+		s.starved--
+	}
+	s.counts[e.Src]++
+	s.buffered++
 }
 
 // Close marks stream i as ended. Closed streams no longer gate the release
@@ -84,7 +93,9 @@ func (s *Synchronizer) Close(i int) {
 		return
 	}
 	s.open[i] = false
-	s.nOpen--
+	if s.counts[i] == 0 {
+		s.starved--
+	}
 	s.drain()
 }
 
@@ -92,11 +103,14 @@ func (s *Synchronizer) Close(i int) {
 // tuple: T^sync advances to the minimum buffered timestamp and all tuples at
 // that timestamp are emitted. With no open streams the buffer empties fully.
 func (s *Synchronizer) drain() {
-	for s.heap.Len() > 0 && s.ready() {
-		s.tsync = s.heap.Peek().TS
-		for s.heap.Len() > 0 && s.heap.Peek().TS == s.tsync {
+	for s.heap.Len() > 0 && s.starved == 0 {
+		s.tsync = stream.Time(s.heap.Peek().Key)
+		for s.heap.Len() > 0 && stream.Time(s.heap.Peek().Key) == s.tsync {
 			e := s.heap.Pop()
 			s.counts[e.Src]--
+			if s.counts[e.Src] == 0 && s.open[e.Src] {
+				s.starved++
+			}
 			s.emit(e)
 		}
 	}
@@ -112,9 +126,7 @@ type State struct {
 
 // State captures the synchronizer's state, registering buffered tuples in tt.
 func (s *Synchronizer) State(tt *fault.TupleTable) State {
-	items := s.heap.Items()
-	sorted := make([]*stream.Tuple, len(items))
-	copy(sorted, items)
+	sorted := s.heap.AppendValues(make([]*stream.Tuple, 0, s.heap.Len()))
 	sort.Slice(sorted, func(i, j int) bool { return stream.Less(sorted[i], sorted[j]) })
 	st := State{
 		TSync:     s.tsync,
@@ -134,33 +146,17 @@ func (s *Synchronizer) State(tt *fault.TupleTable) State {
 func (s *Synchronizer) Restore(st State, ta *fault.TupleArena) {
 	s.tsync = st.TSync
 	s.immediate = st.Immediate
-	s.nOpen = 0
+	s.starved = 0
 	for i := range s.open {
 		s.open[i] = st.Open[i]
 		if s.open[i] {
-			s.nOpen++
+			s.starved++
 		}
 		s.counts[i] = 0
 	}
 	s.heap.Reset()
 	s.buffered = 0
 	for _, id := range st.Buffered {
-		e := ta.Tuple(id)
-		s.heap.Push(e)
-		s.counts[e.Src]++
-		s.buffered++
+		s.hold(ta.Tuple(id))
 	}
-}
-
-// ready reports whether every open stream has a buffered tuple.
-func (s *Synchronizer) ready() bool {
-	if s.nOpen == 0 {
-		return true
-	}
-	for i, c := range s.counts {
-		if s.open[i] && c == 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/stream"
 )
 
@@ -173,5 +174,49 @@ func TestConservationDisordered(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStarvedCountMatchesRescan: the count of open streams with nothing
+// buffered — what gates the release loop — equals a rescan of all streams
+// after every Push, Close and State→Restore, pushes to closed streams
+// included.
+func TestStarvedCountMatchesRescan(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := 2 + rng.Intn(4)
+		emit := func(*stream.Tuple) {}
+		s := New(m, emit)
+		check := func(step int, op string) {
+			t.Helper()
+			want := 0
+			for i := range s.counts {
+				if s.open[i] && s.counts[i] == 0 {
+					want++
+				}
+			}
+			if s.starved != want {
+				t.Fatalf("seed %d step %d (%s): starved = %d, rescan %d", seed, step, op, s.starved, want)
+			}
+		}
+		ts := stream.Time(0)
+		for i := 0; i < 400; i++ {
+			op := "push"
+			switch r := rng.Intn(40); {
+			case r == 0:
+				op = "close"
+				s.Close(rng.Intn(m))
+			case r == 1:
+				op = "restore"
+				tt := fault.NewTupleTable()
+				st := s.State(tt)
+				s = New(m, emit)
+				s.Restore(st, fault.NewTupleArena(tt.Recs))
+			default:
+				ts += stream.Time(rng.Intn(3))
+				s.Push(tup(rng.Intn(m), ts-stream.Time(rng.Intn(6)), uint64(i)))
+			}
+			check(i, op)
+		}
 	}
 }
