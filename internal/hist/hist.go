@@ -54,8 +54,13 @@ func (h *Histogram) Granularity() stream.Time { return h.g }
 // Add records one tuple delay.
 func (h *Histogram) Add(delay stream.Time) {
 	b := Bucket(delay, h.g)
-	if b >= len(h.counts) {
+	if b >= cap(h.counts) {
 		h.counts = append(h.counts, make([]int64, b+1-len(h.counts))...)
+	} else if b >= len(h.counts) {
+		// counts[len:cap] is all zero — Remove trims only empty buckets, Reset
+		// clears first — so regrowing into it needs no append (whose make the
+		// race detector's build would really allocate).
+		h.counts = h.counts[:b+1]
 	}
 	h.counts[b]++
 	h.total++

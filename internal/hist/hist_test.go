@@ -86,6 +86,10 @@ func TestRemoveTrimsTrailingBuckets(t *testing.T) {
 	var naive [64]int64
 	var live []stream.Time
 	for i := 0; i < 5000; i++ {
+		if i == 2500 { // regrowing into the capacity a Reset leaves must find zeros
+			h.Reset()
+			naive, live = [64]int64{}, live[:0]
+		}
 		if len(live) == 0 || rng.Intn(3) > 0 {
 			d := stream.Time(rng.Intn(600))
 			if rng.Intn(8) > 0 {

@@ -8,12 +8,25 @@
 // citing Bifet & Gavaldà): the history grows while the disorder pattern is
 // stable and shrinks when a change is detected. A fixed-size history is
 // available as an ablation.
+//
+// Observe runs on every raw arrival, whatever the policy and the plan shape:
+// the local clocks iT sit in one dense slice (the K^sync skew scan reads all
+// m), max_i iT is maintained on the way in rather than re-derived per GlobalT
+// call, and a warmed Manager allocates nothing (history).
 package stats
 
 import (
+	"fmt"
+
 	"repro/internal/adwin"
 	"repro/internal/hist"
 	"repro/internal/stream"
+)
+
+const (
+	adwinDelta = 0.002 // ADWIN's confidence parameter δ, the canonical choice
+	maxHistory = 8192  // history cap even under ADWIN: bounds memory on very stable streams
+	blockLen   = 256   // the history's allocation unit, 4 KiB of entries
 )
 
 // entry is one observed arrival in the history window.
@@ -22,16 +35,57 @@ type entry struct {
 	skew  stream.Time // iT − min_j jT measured at arrival
 }
 
-// streamStats tracks one input stream.
+// history is R^stat_i as a FIFO of fixed blocks. ADWIN shrinks and regrows it
+// constantly, so emptied blocks are kept and reused: blocks holds the live
+// blocks, oldest first, followed by the spare ones, and is never trimmed —
+// the history retains its high-water mark once (a slice compacted at the
+// half-way mark retains it twice) and allocates each block once.
+type history struct {
+	blocks []*[blockLen]entry
+	first  int // offset of the oldest entry in blocks[0]
+	n      int // live entries
+}
+
+// at returns the i-th oldest entry.
+func (h *history) at(i int) entry {
+	p := uint(h.first + i)
+	return h.blocks[p/blockLen][p%blockLen]
+}
+
+// push appends the newest entry.
+func (h *history) push(en entry) {
+	p := uint(h.first + h.n)
+	if p/blockLen == uint(len(h.blocks)) {
+		h.blocks = append(h.blocks, new([blockLen]entry))
+	}
+	h.blocks[p/blockLen][p%blockLen] = en
+	h.n++
+}
+
+// pop removes and returns the oldest entry; an emptied block goes behind the
+// spares.
+func (h *history) pop() entry {
+	old := h.blocks[0][h.first]
+	h.first++
+	h.n--
+	if h.first == blockLen {
+		b := h.blocks[0]
+		copy(h.blocks, h.blocks[1:])
+		h.blocks[len(h.blocks)-1] = b
+		h.first = 0
+	}
+	return old
+}
+
+// streamStats tracks one input stream; its local current time iT is
+// Manager.localT[i].
 type streamStats struct {
 	ad      *adwin.Window
 	hist    *hist.Histogram
 	delays  [1]*hist.Histogram // {hist}: what Delays hands out, built once
-	entries []entry            // entries[head:] are live, oldest first
-	head    int
+	history history
 	sumSkew int64
 
-	localT   stream.Time
 	seen     bool
 	arrivals int64
 	firstTS  stream.Time
@@ -41,9 +95,10 @@ type streamStats struct {
 // Manager monitors m input streams.
 type Manager struct {
 	g       stream.Time
-	streams []*streamStats
-	fixed   int // fixed history length; 0 means ADWIN-adaptive
-	delta   float64
+	streams []streamStats
+	localT  []stream.Time // iT per stream; 0 until the stream is seen
+	globalT stream.Time   // max iT over the streams seen; 0 before any arrival
+	fixed   int           // fixed history length; 0 means ADWIN-adaptive
 	maxHist int
 	nSeen   int
 }
@@ -57,32 +112,23 @@ func WithFixedHistory(n int) Option {
 	return func(m *Manager) { m.fixed = n }
 }
 
-// WithADWINDelta sets the ADWIN confidence parameter (default 0.002).
-func WithADWINDelta(d float64) Option {
-	return func(m *Manager) { m.delta = d }
-}
-
-// WithMaxHistory caps the history length even under ADWIN (default 8192
-// entries per stream) to bound memory on very stable streams.
-func WithMaxHistory(n int) Option {
-	return func(m *Manager) { m.maxHist = n }
-}
-
 // NewManager creates a Statistics Manager for m streams with K-search
 // granularity g.
 func NewManager(m int, g stream.Time, opts ...Option) *Manager {
-	mgr := &Manager{g: g, delta: 0.002, maxHist: 8192}
+	mgr := &Manager{g: g, maxHist: maxHistory}
 	for _, o := range opts {
 		o(mgr)
 	}
-	mgr.streams = make([]*streamStats, m)
+	mgr.streams = make([]streamStats, m)
+	mgr.localT = make([]stream.Time, m)
 	for i := range mgr.streams {
-		ss := &streamStats{hist: hist.New(g)}
+		ss := &mgr.streams[i]
+		ss.hist = hist.New(g)
 		ss.delays[0] = ss.hist
+		ss.history.blocks = make([]*[blockLen]entry, 0, mgr.maxHist/blockLen+2) // never regrown
 		if mgr.fixed == 0 {
-			ss.ad = adwin.New(mgr.delta)
+			ss.ad = adwin.New(adwinDelta)
 		}
-		mgr.streams[i] = ss
 	}
 	return mgr
 }
@@ -92,17 +138,22 @@ func (m *Manager) M() int { return len(m.streams) }
 
 // Observe records the raw arrival of tuple e (before any disorder handling).
 func (m *Manager) Observe(e *stream.Tuple) {
-	ss := m.streams[e.Src]
-	if !ss.seen {
-		ss.seen = true
-		ss.localT = e.TS
-		ss.firstTS = e.TS
-		m.nSeen++
-	} else if e.TS > ss.localT {
-		ss.localT = e.TS
+	ss := &m.streams[e.Src]
+	lt := m.localT[e.Src]
+	if !ss.seen || e.TS > lt {
+		if !ss.seen {
+			ss.seen = true
+			ss.firstTS = e.TS
+			m.nSeen++
+		}
+		lt = e.TS
+		m.localT[e.Src] = lt
+		if lt > m.globalT || m.nSeen == 1 { // the first clock seen may be negative
+			m.globalT = lt
+		}
 	}
 	ss.arrivals++
-	delay := ss.localT - e.TS
+	delay := lt - e.TS
 	if delay > ss.maxDelay {
 		ss.maxDelay = delay
 	}
@@ -111,13 +162,13 @@ func (m *Manager) Observe(e *stream.Tuple) {
 	// slowest stream among those seen so far.
 	var skew stream.Time
 	if m.nSeen == len(m.streams) {
-		minT := ss.localT
-		for _, other := range m.streams {
-			if other.localT < minT {
-				minT = other.localT
+		minT := lt
+		for _, t := range m.localT {
+			if t < minT {
+				minT = t
 			}
 		}
-		skew = ss.localT - minT
+		skew = lt - minT
 	}
 
 	m.push(ss, entry{delay: delay, skew: skew})
@@ -133,32 +184,14 @@ func (m *Manager) push(ss *streamStats, en entry) {
 	if target <= 0 || target > m.maxHist {
 		target = m.maxHist
 	}
-	ss.entries = append(ss.entries, en)
+	ss.history.push(en)
 	ss.sumSkew += int64(en.skew)
 	ss.hist.Add(en.delay)
-	for ss.live() > target {
-		m.evict(ss)
+	for ss.history.n > target {
+		old := ss.history.pop()
+		ss.sumSkew -= int64(old.skew)
+		ss.hist.Remove(old.delay)
 	}
-	// Compact the backing slice once the dead prefix dominates.
-	if ss.head > 1024 && ss.head > len(ss.entries)/2 {
-		n := copy(ss.entries, ss.entries[ss.head:])
-		ss.entries = ss.entries[:n]
-		ss.head = 0
-	}
-}
-
-// live returns the number of live history entries.
-func (ss *streamStats) live() int { return len(ss.entries) - ss.head }
-
-// evict drops the oldest history entry.
-func (m *Manager) evict(ss *streamStats) {
-	if ss.live() == 0 {
-		return
-	}
-	old := ss.entries[ss.head]
-	ss.head++
-	ss.sumSkew -= int64(old.skew)
-	ss.hist.Remove(old.delay)
 }
 
 // StreamState is the serializable snapshot of one stream's statistics.
@@ -182,12 +215,14 @@ type State struct {
 // serialized: Restore rebuilds them from the history entries.
 func (m *Manager) State() State {
 	st := State{Streams: make([]StreamState, len(m.streams))}
-	for i, ss := range m.streams {
+	for i := range m.streams {
+		ss := &m.streams[i]
 		s := StreamState{
-			LocalT: ss.localT, Seen: ss.seen, Arrivals: ss.arrivals,
+			LocalT: m.localT[i], Seen: ss.seen, Arrivals: ss.arrivals,
 			FirstTS: ss.firstTS, MaxDelay: ss.maxDelay,
 		}
-		for _, en := range ss.entries[ss.head:] {
+		for j := 0; j < ss.history.n; j++ {
+			en := ss.history.at(j)
 			s.Delays = append(s.Delays, en.delay)
 			s.Skews = append(s.Skews, en.skew)
 		}
@@ -204,27 +239,38 @@ func (m *Manager) State() State {
 // granularity and options). Histories re-enter without re-trimming and
 // without feeding ADWIN — its native state is restored instead — so the
 // restored manager answers every query exactly as the checkpointed one did.
+// It panics with a "stats: restore: …" message on a state no Manager of this
+// shape can have produced: a different stream count, or a stream whose Delays
+// and Skews differ in length.
 func (m *Manager) Restore(st State) {
+	if len(st.Streams) != len(m.streams) {
+		panic(fmt.Sprintf("stats: restore: state of %d streams into a manager of %d", len(st.Streams), len(m.streams)))
+	}
 	m.nSeen = 0
+	m.globalT = 0
 	for i, s := range st.Streams {
-		ss := m.streams[i]
-		ss.localT = s.LocalT
+		if len(s.Delays) != len(s.Skews) {
+			panic(fmt.Sprintf("stats: restore: stream %d has %d delays and %d skews", i, len(s.Delays), len(s.Skews)))
+		}
+		ss := &m.streams[i]
+		m.localT[i] = s.LocalT
 		ss.seen = s.Seen
 		ss.arrivals = s.Arrivals
 		ss.firstTS = s.FirstTS
 		ss.maxDelay = s.MaxDelay
 		if ss.seen {
+			if m.nSeen == 0 || s.LocalT > m.globalT {
+				m.globalT = s.LocalT
+			}
 			m.nSeen++
 		}
-		ss.entries = ss.entries[:0]
-		ss.head = 0
+		ss.history.first, ss.history.n = 0, 0
 		ss.sumSkew = 0
 		ss.hist.Reset()
 		for j := range s.Delays {
-			en := entry{delay: s.Delays[j], skew: s.Skews[j]}
-			ss.entries = append(ss.entries, en)
-			ss.sumSkew += int64(en.skew)
-			ss.hist.Add(en.delay)
+			ss.history.push(entry{delay: s.Delays[j], skew: s.Skews[j]})
+			ss.sumSkew += int64(s.Skews[j])
+			ss.hist.Add(s.Delays[j])
 		}
 		if ss.ad != nil && s.Adwin != nil {
 			ss.ad.Restore(*s.Adwin)
@@ -240,13 +286,13 @@ func (m *Manager) Hist(i int) *hist.Histogram { return m.streams[i].hist }
 func (m *Manager) Delays(i int) []*hist.Histogram { return m.streams[i].delays[:] }
 
 // HistoryLen returns the current length of R^stat_i in tuples.
-func (m *Manager) HistoryLen(i int) int { return m.streams[i].live() }
+func (m *Manager) HistoryLen(i int) int { return m.streams[i].history.n }
 
 // Rate returns the average arrival rate r_i in tuples per time unit,
 // measured as total arrivals over the stream's timestamp span.
 func (m *Manager) Rate(i int) float64 {
-	ss := m.streams[i]
-	span := ss.localT - ss.firstTS
+	ss := &m.streams[i]
+	span := m.localT[i] - ss.firstTS
 	if ss.arrivals < 2 || span <= 0 {
 		return 0
 	}
@@ -274,19 +320,19 @@ func (m *Manager) KSync(i int) stream.Time {
 }
 
 func (m *Manager) avgSkew(i int) float64 {
-	ss := m.streams[i]
-	if ss.live() == 0 {
+	ss := &m.streams[i]
+	if ss.history.n == 0 {
 		return 0
 	}
-	return float64(ss.sumSkew) / float64(ss.live())
+	return float64(ss.sumSkew) / float64(ss.history.n)
 }
 
 // MaxDelayRecent returns MaxD^H: the maximum tuple delay within the recent
 // histories of all streams (bucket-rounded up to granularity g).
 func (m *Manager) MaxDelayRecent() stream.Time {
 	var max stream.Time
-	for _, ss := range m.streams {
-		if d := ss.hist.MaxDelay(); d > max {
+	for i := range m.streams {
+		if d := m.streams[i].hist.MaxDelay(); d > max {
 			max = d
 		}
 	}
@@ -297,30 +343,17 @@ func (m *Manager) MaxDelayRecent() stream.Time {
 // across all streams, the quantity tracked by the Max-K-slack baseline [12].
 func (m *Manager) MaxDelayAllTime() stream.Time {
 	var max stream.Time
-	for _, ss := range m.streams {
-		if ss.maxDelay > max {
-			max = ss.maxDelay
+	for i := range m.streams {
+		if d := m.streams[i].maxDelay; d > max {
+			max = d
 		}
 	}
 	return max
 }
 
 // LocalT returns the local current time iT of stream i.
-func (m *Manager) LocalT(i int) stream.Time { return m.streams[i].localT }
+func (m *Manager) LocalT(i int) stream.Time { return m.localT[i] }
 
-// GlobalT returns max_i iT, the framework's logical "now" used to schedule
-// adaptation steps.
-func (m *Manager) GlobalT() stream.Time {
-	var max stream.Time
-	first := true
-	for _, ss := range m.streams {
-		if !ss.seen {
-			continue
-		}
-		if first || ss.localT > max {
-			max = ss.localT
-			first = false
-		}
-	}
-	return max
-}
+// GlobalT returns max_i iT over the streams seen so far (0 before any
+// arrival), the framework's logical "now" used to schedule adaptation steps.
+func (m *Manager) GlobalT() stream.Time { return m.globalT }
