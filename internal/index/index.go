@@ -7,9 +7,10 @@
 // a steady stream of insert/remove pairs with many lookups in between:
 //
 //   - Hash[E]: an open-addressed hash table from canonical float64 key bits
-//     to entry buckets with O(1) swap-delete, generalizing the float-bits
-//     table that internal/window grew for the equi-probe hot path. Linear
-//     probing, multiplicative (fibonacci) hashing, power-of-two capacity.
+//     to insertion-ordered FIFO entry buckets (see Hash), generalizing the
+//     float-bits table that internal/window grew for the equi-probe hot
+//     path. Linear probing, multiplicative (fibonacci) hashing, power-of-two
+//     capacity.
 //     Profiling showed the runtime map's generic float hashing dominating
 //     probe-heavy workloads; a multiply and shift is an order of magnitude
 //     cheaper. Emptied buckets keep their table slot and capacity until the

@@ -102,7 +102,7 @@ func TestKeyBits(t *testing.T) {
 
 // TestSortedDifferential replays random add/remove traffic through Sorted
 // and a reference sorted-by-(key, insertion) slice, asserting identical
-// Range/CountRange behavior for random probes.
+// Range behavior for random probes.
 func TestSortedDifferential(t *testing.T) {
 	type keyed struct {
 		key float64
@@ -142,7 +142,7 @@ func TestSortedDifferential(t *testing.T) {
 					}
 				}
 				got := s.Range(lo, hi)
-				if len(got) != len(want) || s.CountRange(lo, hi) != len(want) {
+				if len(got) != len(want) {
 					t.Logf("seed %d op %d: range [%v,%v] size mismatch", seed, op, lo, hi)
 					return false
 				}
@@ -184,7 +184,7 @@ func TestSortedNaN(t *testing.T) {
 func TestSortedInvertedRange(t *testing.T) {
 	var s Sorted[*entry]
 	s.Add(1, &entry{})
-	if s.CountRange(2, 0) != 0 {
+	if len(s.Range(2, 0)) != 0 {
 		t.Fatal("hi < lo must be empty")
 	}
 }

@@ -71,23 +71,12 @@ func (s *Sorted[E]) Remove(key float64, e E) {
 // Callers must not mutate or retain the view across Add/Remove calls. A NaN
 // bound yields an empty range.
 func (s *Sorted[E]) Range(lo, hi float64) []E {
-	i, j := s.rangeIdx(lo, hi)
-	return s.vals[i:j]
-}
-
-// CountRange returns how many entries have key in [lo, hi].
-func (s *Sorted[E]) CountRange(lo, hi float64) int {
-	i, j := s.rangeIdx(lo, hi)
-	return j - i
-}
-
-func (s *Sorted[E]) rangeIdx(lo, hi float64) (int, int) {
 	if lo != lo || hi != hi || hi < lo {
-		return 0, 0
+		return nil
 	}
 	i := sort.SearchFloat64s(s.keys, lo)
 	j := i + sort.Search(len(s.keys)-i, func(k int) bool { return s.keys[i+k] > hi })
-	return i, j
+	return s.vals[i:j]
 }
 
 // Reset drops all content, releasing the backing storage.

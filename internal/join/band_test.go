@@ -1,8 +1,11 @@
 package join
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -303,5 +306,101 @@ func TestBandMixedWithEqui(t *testing.T) {
 	op.Process(tup(0, 4, 3, 5.5, 0, 1)) // probes: only the first matches
 	if len(*out) != 1 {
 		t.Fatalf("results = %d, want 1", len(*out))
+	}
+}
+
+// TestBandEdgeTrimAgreesWithMatches is the directed test of the range
+// step's edge trim (cstep.base): the widened range view is cut back from
+// both ends with the exact difference form and the interior is then trusted,
+// so it is wrong exactly where a stored key sits within a few ulps of a band
+// edge. Stored keys are placed −20 … +20 ulps around BOTH exact edges (plus
+// ±Inf, ±0, and duplicate keys on either side of each edge) at centers from
+// 0 to 10⁹, under a second band and a generic residual, probed from either
+// stream. The emitted sequence must equal Condition.Matches applied to the
+// window in key order (insertion order within equal keys) and the
+// interpreted reference walker's.
+func TestBandEdgeTrimAgreesWithMatches(t *testing.T) {
+	ulps := func(x float64, k int) float64 {
+		for ; k > 0; k-- {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		for ; k < 0; k++ {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		return x
+	}
+	sizes := []stream.Time{1 << 40, 1 << 40}
+	for _, eps := range []float64{0, 0.3, 5, 1e-9} {
+		cond := Cross(2).
+			Band(0, 0, 1, 0, eps).
+			Band(0, 1, 1, 1, 1).
+			WhereExpr(Lt(Abs(Sub(Attr(0, 2), Attr(1, 2))), ConstOf(1.5)))
+		for _, c := range []float64{0, 0.1, 0.3, 1, 5, 1e3 + 0.1, 1e6 + 0.3, 1e9, -1e9 - 0.7, math.Copysign(0, -1)} {
+			for probeSrc := 0; probeSrc < 2; probeSrc++ {
+				var keys []float64
+				for _, edge := range []float64{c - eps, c + eps} {
+					for k := -20; k <= 20; k++ {
+						keys = append(keys, ulps(edge, k))
+					}
+					// Duplicates spanning the edge: a run of equal keys just
+					// inside it and a run just outside it.
+					for _, k := range []int{-1, 0, 1} {
+						keys = append(keys, ulps(edge, k), ulps(edge, k))
+					}
+				}
+				keys = append(keys, math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), c, c, math.NaN())
+				rng := rand.New(rand.NewSource(int64(len(keys))))
+				rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+
+				stored := 1 - probeSrc
+				var feed, window []*stream.Tuple
+				for i, k := range keys {
+					// The second band passes two of three, the generic two of
+					// three: survivors of the trim are thinned in its interior.
+					e := tup(stored, stream.Time(i+1), uint64(i), k, float64(i%3), float64(i%4%3))
+					feed = append(feed, e)
+					if k == k { // NaN is never indexed, and would break the sort
+						window = append(window, e)
+					}
+				}
+				probe := tup(probeSrc, stream.Time(len(keys)+1), uint64(len(keys)), c, 1, 0)
+				feed = append(feed, probe)
+
+				// Key order, insertion order within equal keys (±0 are equal).
+				sort.SliceStable(window, func(i, j int) bool { return window[i].Attrs[0] < window[j].Attrs[0] })
+				var want []string
+				assign := make([]*stream.Tuple, 2)
+				assign[probeSrc] = probe
+				for _, e := range window {
+					assign[stored] = e
+					if cond.Matches(assign) {
+						want = append(want, resultSig(stream.NewResult([]*stream.Tuple{assign[0], assign[1]})))
+					}
+				}
+
+				var got, ref []string
+				opC := New(cond, sizes, WithEmit(func(r stream.Result) { got = append(got, resultSig(r)) }))
+				opI := New(cond, sizes, WithEmit(func(r stream.Result) { ref = append(ref, resultSig(r)) }))
+				counting := New(cond, sizes)
+				for _, e := range feed {
+					opC.Process(e)
+					processInterp(opI, e, max(opI.HighWatermark(), e.TS))
+					counting.Process(e)
+				}
+				name := fmt.Sprintf("eps=%v c=%v probe=S%d", eps, c, probeSrc)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: compiled kernel emitted\n%v\nCondition.Matches in key order gives\n%v", name, got, want)
+				}
+				if !slices.Equal(got, ref) {
+					t.Fatalf("%s: compiled kernel emitted\n%v\nreference walker emitted\n%v", name, got, ref)
+				}
+				if counting.Results() != int64(len(want)) {
+					t.Fatalf("%s: counting path %d results, want %d", name, counting.Results(), len(want))
+				}
+				if len(want) == 0 && eps > 0 {
+					t.Fatalf("%s: no key matched — the case does not exercise the trim", name)
+				}
+			}
+		}
 	}
 }

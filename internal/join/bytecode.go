@@ -5,8 +5,16 @@ package join
 // constants, float arithmetic, comparisons and boolean connectives, with
 // truth values represented as 1/0 floats on the same stack. Evaluation is
 // one tight loop over the instruction array — no closure calls, no
-// recursion, no allocation (the operand stack is a fixed-size local array,
-// which also makes a Prog safe for concurrent Eval from several workers).
+// recursion, no allocation (the operand stack is a local array sized to the
+// program's compiled depth, which also makes a Prog safe for concurrent Eval
+// from several workers).
+//
+// A binary node whose two operands are the same subtree — by structure, so
+// a condition decoded from the wire compiles to the same code as the
+// pointer-sharing tree it was flattened from — evaluates the subtree once
+// and duplicates the value (dx·dx + dy·dy < r²: 17 → 13 instructions, depth
+// 4 → 3). Expressions are pure, so the second evaluation could only
+// reproduce the first bit for bit.
 //
 // Equivalence to the interpreter: every instruction performs exactly the
 // IEEE-754 operation its Expr node's interpreter case performs, and the
@@ -45,6 +53,7 @@ const (
 	bcAnd
 	bcOr
 	bcNot
+	bcDup // push a copy of the top of the stack
 )
 
 // bcMaxStack bounds the operand stack of the VM; CompileExpr rejects deeper
@@ -58,9 +67,14 @@ type instr struct {
 	c    float64 // bcConst: immediate
 }
 
+// bcSmallStack is the operand stack Eval gives programs that fit it, so the
+// common shallow predicate does not clear bcMaxStack slots per call.
+const bcSmallStack = 8
+
 // Prog is a compiled boolean expression. Eval is safe for concurrent use.
 type Prog struct {
-	code []instr
+	code  []instr
+	depth int // operand stack slots the program needs
 }
 
 // CompileExpr compiles a boolean expression into bytecode, or returns nil
@@ -71,44 +85,37 @@ func CompileExpr(e *Expr) *Prog {
 		return nil
 	}
 	p := &Prog{}
-	depth, max := 0, 0
+	depth := 0
+	push := func(in instr) bool {
+		depth++
+		p.depth = max(p.depth, depth)
+		p.code = append(p.code, in)
+		return p.depth <= bcMaxStack
+	}
 	var emit func(n *Expr) bool
 	emit = func(n *Expr) bool {
-		if n.x != nil {
-			if !emit(n.x) {
-				return false
-			}
-		}
-		if n.y != nil {
-			if !emit(n.y) {
-				return false
-			}
-		}
-		// Stack effect: leaves push one; binary ops pop two, push one;
-		// unary ops are neutral.
-		switch n.kind {
-		case exAttr, exConst:
-			depth++
-		case exNeg, exAbs, exNot:
-			// neutral
-		default:
-			depth--
-		}
-		if depth > max {
-			max = depth
-		}
-		if max > bcMaxStack {
-			return false
-		}
 		switch n.kind {
 		case exAttr:
-			p.code = append(p.code, instr{op: bcAttr, a: int32(n.stream), b: int32(n.attr)})
+			return push(instr{op: bcAttr, a: int32(n.stream), b: int32(n.attr)})
 		case exConst:
-			p.code = append(p.code, instr{op: bcConst, c: n.c})
-		default:
-			// The Expr and VM opcode tables are aligned by construction.
-			p.code = append(p.code, instr{op: uint8(n.kind)})
+			return push(instr{op: bcConst, c: n.c})
 		}
+		if !emit(n.x) {
+			return false
+		}
+		if n.y != nil {
+			// Binary: the second operand takes a slot, the op frees it again.
+			if sameExpr(n.x, n.y) {
+				if !push(instr{op: bcDup}) {
+					return false
+				}
+			} else if !emit(n.y) {
+				return false
+			}
+			depth--
+		}
+		// The Expr and VM opcode tables are aligned by construction.
+		p.code = append(p.code, instr{op: uint8(n.kind)})
 		return true
 	}
 	if !emit(e) {
@@ -117,10 +124,37 @@ func CompileExpr(e *Expr) *Prog {
 	return p
 }
 
+// sameExpr reports structural identity: the two trees perform the same
+// operations on the same attributes and bit-identical constants.
+func sameExpr(x, y *Expr) bool {
+	if x == y {
+		return true
+	}
+	if x == nil || y == nil || x.kind != y.kind {
+		return false
+	}
+	switch x.kind {
+	case exAttr:
+		return x.stream == y.stream && x.attr == y.attr
+	case exConst:
+		return math.Float64bits(x.c) == math.Float64bits(y.c)
+	}
+	return sameExpr(x.x, y.x) && sameExpr(x.y, y.y)
+}
+
 // Eval runs the program against an assignment with every referenced stream
 // bound, returning the predicate's truth value.
 func (p *Prog) Eval(assign []*stream.Tuple) bool {
+	if p.depth <= bcSmallStack {
+		var stack [bcSmallStack]float64
+		return p.run(stack[:], assign)
+	}
 	var stack [bcMaxStack]float64
+	return p.run(stack[:], assign)
+}
+
+// run is the interpreter loop; stack holds at least p.depth slots.
+func (p *Prog) run(stack []float64, assign []*stream.Tuple) bool {
 	sp := 0
 	for i := range p.code {
 		in := &p.code[i]
@@ -130,6 +164,9 @@ func (p *Prog) Eval(assign []*stream.Tuple) bool {
 			sp++
 		case bcConst:
 			stack[sp] = in.c
+			sp++
+		case bcDup:
+			stack[sp] = stack[sp-1]
 			sp++
 		case bcAdd:
 			sp--

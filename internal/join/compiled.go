@@ -9,7 +9,8 @@ package join
 // holding *direct handles* to the hash/range index structures plus flattened
 // residual filters, so the steady-state probe loop touches no per-call
 // dispatch: an equi step is one KeyBits + one open-addressed Get, a band step
-// one sorted range view, residuals are straight-line float compares, and
+// one sorted range view trimmed to the exact band at its two ends, each
+// residual one sweep of float compares against a bound value read once, and
 // generic predicates added through WhereExpr run as bytecode (bytecode.go)
 // instead of closure calls.
 //
@@ -40,6 +41,8 @@ package join
 // steps, never copied from the symbolic plan.
 
 import (
+	"slices"
+
 	"repro/internal/index"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -58,7 +61,7 @@ type ceq struct {
 	ref     cref
 }
 
-// cband is a compiled residual band filter in exact difference form:
+// cband is a compiled band in exact difference form:
 // cand.Attr(ownAttr) − ref ∈ [−eps, eps].
 type cband struct {
 	ownAttr int
@@ -66,14 +69,17 @@ type cband struct {
 	eps     float64
 }
 
+// in reports whether the difference d = own − bound lies in the closed band.
+// The negated form keeps NaN (all comparisons false) out.
+func (b *cband) in(d float64) bool { return d >= -b.eps && d <= b.eps }
+
 // cstep probes one stream through direct index handles. At most one of hash
 // and rng is non-nil (the base candidate probe); with neither the step scans
-// the whole window. All band lookups stay in resBand even when one of them
-// is the base range probe — the range view is a widened superset (bandRange)
-// and the exact difference form decides membership, which keeps planned
-// execution bit-for-bit consistent with Condition.Matches (and with
-// internal/dist's residual band filters) even for attribute values within
-// rounding distance of a band edge.
+// the whole window. The exact difference form decides every band — as a
+// residual filter, or for the range-probed band as the edge trim of base —
+// which keeps planned execution bit-for-bit consistent with
+// Condition.Matches (and with internal/dist's residual band filters) even
+// for attribute values within rounding distance of a band edge.
 type cstep struct {
 	stream int
 	win    *window.Window
@@ -81,12 +87,15 @@ type cstep struct {
 	hash    *index.Hash[*stream.Tuple]
 	hashRef cref
 
-	rng    *index.Sorted[*stream.Tuple]
-	rngRef cref
-	rngEps float64
+	rng     *index.Sorted[*stream.Tuple]
+	rngBand cband // the band the range view answers; never also in resBand
 
 	resEq   []ceq
 	resBand []cband
+	// buf is the step's reusable candidate buffer, so residual filtering
+	// never allocates in steady state. A step is entered at most once per
+	// search path (each level is a distinct step), so levels never share it.
+	buf []*stream.Tuple
 
 	checks []int   // indexes into Condition.Generics
 	progs  []*Prog // parallel to checks; nil entry → interpreted Eval
@@ -131,6 +140,43 @@ func compileProgs(cond *Condition) []*Prog {
 		progs[gi] = CompileExpr(cond.Generics[gi].Expr)
 	}
 	return progs
+}
+
+// newWindows builds one window per stream carrying exactly the indexes the
+// plans' base probes read — a step's first equi lookup (fused tail probes are
+// those same steps) or, on a band-only step, its first band; compilePlan
+// takes exactly these handles. Every index costs an Add and a Remove per
+// tuple, so an attribute that is only ever a residual gets none. Several
+// plan sets (Multi's probe classes) share the union.
+func newWindows(sizes []stream.Time, planSets ...[]plan) []*window.Window {
+	hash := make([][]int, len(sizes))
+	rng := make([][]int, len(sizes))
+	add := func(set []int, a int) []int {
+		if slices.Contains(set, a) {
+			return set
+		}
+		return append(set, a)
+	}
+	for _, plans := range planSets {
+		for _, p := range plans {
+			for i := range p {
+				switch st := &p[i]; {
+				case len(st.lookups) > 0:
+					hash[st.stream] = add(hash[st.stream], st.lookups[0].ownAttr)
+				case len(st.bands) > 0:
+					rng[st.stream] = add(rng[st.stream], st.bands[0].ownAttr)
+				}
+			}
+		}
+	}
+	windows := make([]*window.Window, len(sizes))
+	for i, w := range sizes {
+		if w <= 0 {
+			panic("join: window size must be positive")
+		}
+		windows[i] = window.NewIndexed(w, hash[i], rng[i])
+	}
+	return windows
 }
 
 // compilePlans lowers the symbolic plans into compiled plans against the
@@ -186,9 +232,8 @@ func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window
 			if cs.rng == nil {
 				panic("join: compiled plan probes an unindexed band attribute")
 			}
-			cs.rngRef = resolve(cref{b0.boundStream, b0.boundAttr})
-			cs.rngEps = b0.eps
-			for _, b := range st.bands {
+			cs.rngBand = cband{b0.ownAttr, resolve(cref{b0.boundStream, b0.boundAttr}), b0.eps}
+			for _, b := range st.bands[1:] {
 				cs.resBand = append(cs.resBand, cband{b.ownAttr, resolve(cref{b.boundStream, b.boundAttr}), b.eps})
 			}
 		}
@@ -268,7 +313,7 @@ func markCountableTailsC(arriving int, steps []cstep, m int) {
 			refs.set(cs.hashRef.stream)
 		}
 		if cs.rng != nil {
-			refs.set(cs.rngRef.stream)
+			refs.set(cs.rngBand.ref.stream)
 		}
 		for j := range cs.resEq {
 			refs.set(cs.resEq[j].ref.stream)
@@ -280,9 +325,14 @@ func markCountableTailsC(arriving int, steps []cstep, m int) {
 	}
 }
 
-// base returns the step's base candidate view: hash bucket, widened range
-// view, or the whole window. Views are index-internal storage; never
-// retained.
+// base returns the step's base candidate view: hash bucket, range view, or
+// the whole window. Views are index-internal storage; never retained.
+//
+// The range view is exact, not a superset: bandRange's widened bounds select
+// a key-ordered run, and because fl(a − c) is monotone in a the keys passing
+// the exact difference form are contiguous inside it, so trimming the few
+// overshoot entries off both ends leaves exactly the band's members and the
+// interior needs no further check of this band.
 func (cs *cstep) base(assign []*stream.Tuple) []*stream.Tuple {
 	if cs.hash != nil {
 		bits, ok := index.KeyBits(assign[cs.hashRef.stream].Attr(cs.hashRef.attr))
@@ -292,72 +342,69 @@ func (cs *cstep) base(assign []*stream.Tuple) []*stream.Tuple {
 		return cs.hash.Get(bits)
 	}
 	if cs.rng != nil {
-		lo, hi, ok := bandRange(assign[cs.rngRef.stream].Attr(cs.rngRef.attr), cs.rngEps)
+		b := &cs.rngBand
+		c := assign[b.ref.stream].Attr(b.ref.attr)
+		lo, hi, ok := bandRange(c, b.eps)
 		if !ok {
 			return nil
 		}
-		return cs.rng.Range(lo, hi)
+		view := cs.rng.Range(lo, hi)
+		for len(view) > 0 && !b.in(view[0].Attr(b.ownAttr)-c) {
+			view = view[1:]
+		}
+		for len(view) > 0 && !b.in(view[len(view)-1].Attr(b.ownAttr)-c) {
+			view = view[:len(view)-1]
+		}
+		return view
 	}
 	return cs.win.All()
-}
-
-// filter applies the step's residual equi and band checks to one candidate.
-func (cs *cstep) filter(cand *stream.Tuple, assign []*stream.Tuple) bool {
-	for i := range cs.resEq {
-		r := &cs.resEq[i]
-		if cand.Attr(r.ownAttr) != assign[r.ref.stream].Attr(r.ref.attr) {
-			return false
-		}
-	}
-	for i := range cs.resBand {
-		b := &cs.resBand[i]
-		d := cand.Attr(b.ownAttr) - assign[b.ref.stream].Attr(b.ref.attr)
-		// Negated form: NaN (all comparisons false) never band-matches.
-		if !(d >= -b.eps && d <= b.eps) {
-			return false
-		}
-	}
-	return true
 }
 
 // hasResiduals reports whether the step filters beyond its base probe.
 func (cs *cstep) hasResiduals() bool { return len(cs.resEq) > 0 || len(cs.resBand) > 0 }
 
-// ccount counts a step's candidates without materializing them.
-func (cs *cstep) ccount(assign []*stream.Tuple) int64 {
-	base := cs.base(assign)
+// candidates returns the step's exact candidates in base order: the base
+// view itself when nothing else filters, else cs.buf after one pass per
+// residual — each reads its bound value once and sweeps the survivors of the
+// previous pass in place. The result is valid until the step is next probed.
+func (cs *cstep) candidates(assign []*stream.Tuple) []*stream.Tuple {
+	in := cs.base(assign)
 	if !cs.hasResiduals() {
-		return int64(len(base))
+		return in
 	}
-	var n int64
-	for _, cand := range base {
-		if cs.filter(cand, assign) {
-			n++
+	stale := len(cs.buf)
+	for i := range cs.resEq {
+		r := &cs.resEq[i]
+		v := assign[r.ref.stream].Attr(r.ref.attr)
+		out := cs.buf[:0]
+		for _, cand := range in {
+			if cand.Attr(r.ownAttr) == v {
+				out = append(out, cand)
+			}
 		}
+		cs.buf, in, stale = out, out, max(stale, len(out))
 	}
-	return n
+	for i := range cs.resBand {
+		b := &cs.resBand[i]
+		v := assign[b.ref.stream].Attr(b.ref.attr)
+		out := cs.buf[:0]
+		for _, cand := range in {
+			if b.in(cand.Attr(b.ownAttr) - v) {
+				out = append(out, cand)
+			}
+		}
+		cs.buf, in, stale = out, out, max(stale, len(out))
+	}
+	// Nil what earlier passes and probes left behind the survivors so the
+	// buffer does not pin expired tuples.
+	clear(in[len(in):min(stale, cap(in))])
+	return in
 }
 
-// ccandidates returns the step's filtered candidates, reusing the level's
-// scratch buffer when residuals force a copy.
-func (o *Operator) ccandidates(cs *cstep, lvl int, assign []*stream.Tuple) []*stream.Tuple {
-	base := cs.base(assign)
-	if !cs.hasResiduals() {
-		return base
-	}
-	old := o.scratch[lvl]
-	out := old[:0]
-	for _, cand := range base {
-		if cs.filter(cand, assign) {
-			out = append(out, cand)
-		}
-	}
-	// Nil the stale tail so the scratch buffer does not pin expired tuples.
-	for i := len(out); i < len(old); i++ {
-		old[i] = nil
-	}
-	o.scratch[lvl] = out
-	return out
+// ccount counts a step's candidates; a pure equi or single-band step is the
+// length of its base view.
+func (cs *cstep) ccount(assign []*stream.Tuple) int64 {
+	return int64(len(cs.candidates(assign)))
 }
 
 // cchecks evaluates the step's generic predicates — bytecode when compiled,
@@ -381,9 +428,7 @@ func (o *Operator) searchC(cp *cplan, lvl int, assign []*stream.Tuple) int64 {
 	steps := cp.steps
 	if lvl == len(steps) {
 		if o.emit != nil {
-			tuples := make([]*stream.Tuple, len(assign))
-			copy(tuples, assign)
-			o.emit(stream.NewResult(tuples))
+			o.emit(o.slab.result(assign))
 		}
 		return 1
 	}
@@ -399,7 +444,7 @@ func (o *Operator) searchC(cp *cplan, lvl int, assign []*stream.Tuple) int64 {
 		return prod
 	}
 	var n int64
-	cands := o.ccandidates(cs, lvl, assign)
+	cands := cs.candidates(assign)
 	if cs.tailFused && o.emit == nil {
 		// Fused per-candidate counting: multiply tail bucket lengths inline.
 		// Probes bound to earlier streams are invariant across candidates;

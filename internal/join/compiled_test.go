@@ -3,11 +3,14 @@ package join
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/index"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
 // randCond builds a random connected m-way condition: each stream i > 0 is
@@ -172,5 +175,111 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randIndexCond is randCond with the shapes that separate "attributes the
+// condition names" from "attributes a plan probes" piled on: several equi
+// predicates between one pair (only the first is a hash probe, the rest are
+// residuals), several bands between one pair (only the first is a range
+// probe), and both kinds between one pair (the band is a residual of the
+// hash step).
+func randIndexCond(rng *rand.Rand, m int) *Condition {
+	c := randCond(rng, m)
+	for n := rng.Intn(4); n > 0; n-- {
+		a := rng.Intn(m - 1)
+		b := a + 1 + rng.Intn(m-1-a)
+		if rng.Intn(2) == 0 {
+			c.Equi(a, rng.Intn(2), b, rng.Intn(2))
+		} else {
+			c.Band(a, rng.Intn(2), b, rng.Intn(2), float64(rng.Intn(3)))
+		}
+	}
+	return c
+}
+
+// assertIndexesProbed checks the "windows index what plans probe" rule on a
+// set of compiled plans over shared windows: every step has the handle its
+// symbolic step calls for, and every index a window maintains is the base
+// probe of at least one step.
+func assertIndexesProbed(t *testing.T, windows []*window.Window, symbolic [][]plan, compiled [][]cplan) {
+	t.Helper()
+	hashes := map[*index.Hash[*stream.Tuple]]bool{}
+	ranges := map[*index.Sorted[*stream.Tuple]]bool{}
+	for k, plans := range compiled {
+		for src := range plans {
+			for i := range plans[src].steps {
+				cs, st := &plans[src].steps[i], &symbolic[k][src][i]
+				if (cs.hash != nil) != (len(st.lookups) > 0) {
+					t.Fatalf("arrival %d step %d: hash handle %v for %d equi lookups", src, i, cs.hash != nil, len(st.lookups))
+				}
+				if (cs.rng != nil) != (len(st.lookups) == 0 && len(st.bands) > 0) {
+					t.Fatalf("arrival %d step %d: range handle %v for %d lookups, %d bands", src, i, cs.rng != nil, len(st.lookups), len(st.bands))
+				}
+				if cs.hash != nil {
+					hashes[cs.hash] = true
+				}
+				if cs.rng != nil {
+					ranges[cs.rng] = true
+				}
+				for _, tp := range append(cs.tailCand, cs.tailFixed...) {
+					if tp.hash == nil {
+						t.Fatalf("arrival %d step %d has a fused tail probe without a handle", src, i)
+					}
+					hashes[tp.hash] = true
+				}
+			}
+		}
+	}
+	for s, w := range windows {
+		for a := 0; a < 3; a++ {
+			if h := w.HashIndex(a); h != nil && !hashes[h] {
+				t.Fatalf("window %d keeps a hash index on attribute %d that no step probes", s, a)
+			}
+			if r := w.RangeIndex(a); r != nil && !ranges[r] {
+				t.Fatalf("window %d keeps a range index on attribute %d that no step probes", s, a)
+			}
+		}
+	}
+}
+
+// TestWindowsIndexWhatPlansProbe: on 200 random conditions the operator's
+// windows carry exactly the indexes its compiled steps probe, and the
+// compiled kernel still emits the interpreted reference walker's exact
+// sequence (the walker probes through Window.Match/MatchRange, so it panics
+// on any index the derivation dropped but a plan needs). Every third
+// condition also joins a shared Multi, whose union must obey the same rule.
+func TestWindowsIndexWhatPlansProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for n := 0; n < 200; n++ {
+		m := 2 + rng.Intn(3)
+		cond := randIndexCond(rng, m)
+		sizes := make([]stream.Time, m)
+		for i := range sizes {
+			sizes[i] = stream.Time(3 + rng.Intn(5))
+		}
+		var a, b []string
+		opC := New(cond, sizes, WithEmit(func(r stream.Result) { a = append(a, resultSig(r)) }))
+		opI := New(cond, sizes, WithEmit(func(r stream.Result) { b = append(b, resultSig(r)) }))
+		assertIndexesProbed(t, opC.windows, [][]plan{buildPlans(cond)}, [][]cplan{opC.cplans})
+		for _, e := range randTuples(rng, m, 200) {
+			opC.Process(e)
+			processInterp(opI, e, max(opI.HighWatermark(), e.TS))
+		}
+		if !slices.Equal(a, b) {
+			t.Fatalf("condition %d: compiled kernel emitted %d results, reference walker %d, or in another order", n, len(a), len(b))
+		}
+		if n%3 == 0 {
+			mo := NewMulti(sizes)
+			for i, c := range []*Condition{cond, randIndexCond(rng, m), randIndexCond(rng, m)} {
+				mo.Add(c, ResidualSig(c, fmt.Sprint(n, i)), nil, nil, nil)
+			}
+			var symbolic [][]plan
+			var compiled [][]cplan
+			for _, c := range mo.classes {
+				symbolic, compiled = append(symbolic, c.plans), append(compiled, c.cplans)
+			}
+			assertIndexesProbed(t, mo.windows, symbolic, compiled)
+		}
 	}
 }

@@ -153,45 +153,6 @@ func Star(m int, centerAttrs, spokeAttrs []int) *Condition {
 	return c
 }
 
-// IndexedAttrs returns, per stream, the set of attribute positions that
-// appear in equi-predicates and therefore need hash indexes on the window.
-func (c *Condition) IndexedAttrs() [][]int {
-	sets := make([]map[int]bool, c.M)
-	for i := range sets {
-		sets[i] = map[int]bool{}
-	}
-	for _, p := range c.Equis {
-		sets[p.LeftStream][p.LeftAttr] = true
-		sets[p.RightStream][p.RightAttr] = true
-	}
-	return attrSets(sets)
-}
-
-// RangeAttrs returns, per stream, the set of attribute positions that
-// appear in band predicates and therefore need sorted range indexes on the
-// window.
-func (c *Condition) RangeAttrs() [][]int {
-	sets := make([]map[int]bool, c.M)
-	for i := range sets {
-		sets[i] = map[int]bool{}
-	}
-	for _, p := range c.Bands {
-		sets[p.LeftStream][p.LeftAttr] = true
-		sets[p.RightStream][p.RightAttr] = true
-	}
-	return attrSets(sets)
-}
-
-func attrSets(sets []map[int]bool) [][]int {
-	out := make([][]int, len(sets))
-	for i, s := range sets {
-		for a := range s {
-			out[i] = append(out[i], a)
-		}
-	}
-	return out
-}
-
 // Matches reports whether a complete assignment (one tuple per stream)
 // satisfies the condition. It is the reference semantics used by the oracle
 // and by tests; the operator's planned execution must agree with it.

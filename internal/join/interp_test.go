@@ -69,7 +69,7 @@ func (o *Operator) search(p plan, tails []bool, lvl int, assign []*stream.Tuple)
 		return prod
 	}
 	var n int64
-	for _, cand := range o.candidates(st, lvl, assign) {
+	for _, cand := range o.candidates(st, assign) {
 		assign[st.stream] = cand
 		if o.stepChecks(st, assign) {
 			n += o.search(p, tails, lvl+1, assign)
@@ -127,26 +127,18 @@ func stepFilter(cand *stream.Tuple, eqs []lookup, bands []bandLookup, assign []*
 }
 
 // candidates returns the window tuples on st.stream compatible with the
-// bound lookups of the step, filtering residual lookups into the level's
-// reusable scratch buffer.
-func (o *Operator) candidates(st *step, lvl int, assign []*stream.Tuple) []*stream.Tuple {
+// bound lookups of the step, filtering residual lookups into a fresh slice.
+func (o *Operator) candidates(st *step, assign []*stream.Tuple) []*stream.Tuple {
 	base, extraEq, extraBands := o.baseCandidates(st, assign)
 	if len(extraEq) == 0 && len(extraBands) == 0 {
 		return base
 	}
-	old := o.scratch[lvl]
-	out := old[:0]
+	var out []*stream.Tuple
 	for _, cand := range base {
 		if stepFilter(cand, extraEq, extraBands, assign) {
 			out = append(out, cand)
 		}
 	}
-	// Nil the stale tail from the previous probe so the scratch buffer does
-	// not pin long-expired tuples against the GC.
-	for i := len(out); i < len(old); i++ {
-		old[i] = nil
-	}
-	o.scratch[lvl] = out
 	return out
 }
 

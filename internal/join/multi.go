@@ -1,8 +1,8 @@
 package join
 
 // The shared-window multi-query probe kernel. A Multi owns ONE set of
-// sliding windows (with the union of every registered query's hash/range
-// index attributes) and executes N queries' probes against it: every
+// sliding windows (indexed on the union of what the registered queries'
+// plans probe) and executes N queries' probes against it: every
 // arrival expires and inserts ONCE regardless of query count, and one probe
 // pass per arrival fans result counts (and materialized results) out to all
 // registered queries.
@@ -170,7 +170,7 @@ type Multi struct {
 	outOfOrder int64
 
 	assignBuf []*stream.Tuple
-	scratch   [][]*stream.Tuple
+	slab      resultSlab
 }
 
 // NewMulti creates an empty shared kernel over len(sizes) streams; sizes[i]
@@ -180,22 +180,12 @@ func NewMulti(sizes []stream.Time) *Multi {
 	if len(sizes) < 2 {
 		panic("join: Multi needs at least 2 streams")
 	}
-	for _, w := range sizes {
-		if w <= 0 {
-			panic("join: window size must be positive")
-		}
-	}
-	mo := &Multi{
+	return &Multi{
 		m:         len(sizes),
 		sizes:     append([]stream.Time(nil), sizes...),
-		windows:   make([]*window.Window, len(sizes)),
+		windows:   newWindows(sizes),
 		assignBuf: make([]*stream.Tuple, len(sizes)),
-		scratch:   make([][]*stream.Tuple, len(sizes)),
 	}
-	for i, w := range sizes {
-		mo.windows[i] = window.NewIndexed(w, nil, nil)
-	}
-	return mo
 }
 
 // M returns the number of input streams.
@@ -215,8 +205,8 @@ func (mo *Multi) WindowLen(i int) int { return mo.windows[i].Len() }
 // identical (the multi-query engine derives it from the predicate structure,
 // tagging opaque closures per condition instance). Add seals the condition
 // and must run before the kernel has processed any tuple: the shared windows
-// are rebuilt with the union of all members' index attributes, which is only
-// sound while they are empty. The engine guarantees this by keying shared
+// are rebuilt with the union of the indexes all members' plans probe, which
+// is only sound while they are empty. The engine guarantees this by keying shared
 // kernels on their registration epoch.
 func (mo *Multi) Add(cond *Condition, resSig string, emit EmitFunc, countEmit CountEmitFunc, onProcessed ProcessedFunc) *MultiMember {
 	if cond == nil || cond.M != mo.m {
@@ -304,36 +294,6 @@ func (mo *Multi) SetEmit(mm *MultiMember, f EmitFunc) {
 // rebuild recomputes windows, classes and compiled plans from the current
 // member list. Only called while the windows are empty.
 func (mo *Multi) rebuild() {
-	// Union of index requirements across members.
-	idxSets := make([]map[int]bool, mo.m)
-	rngSets := make([]map[int]bool, mo.m)
-	for i := range idxSets {
-		idxSets[i] = map[int]bool{}
-		rngSets[i] = map[int]bool{}
-	}
-	for _, mm := range mo.members {
-		for s, attrs := range mm.cond.IndexedAttrs() {
-			for _, a := range attrs {
-				idxSets[s][a] = true
-			}
-		}
-		for s, attrs := range mm.cond.RangeAttrs() {
-			for _, a := range attrs {
-				rngSets[s][a] = true
-			}
-		}
-	}
-	for i := range mo.windows {
-		var idx, rng []int
-		for a := range idxSets[i] {
-			idx = append(idx, a)
-		}
-		for a := range rngSets[i] {
-			rng = append(rng, a)
-		}
-		mo.windows[i] = window.NewIndexed(mo.sizes[i], idx, rng)
-	}
-
 	// Group members by skeleton into classes, then by residual signature
 	// into residual classes, preserving registration order.
 	mo.classes = nil
@@ -377,7 +337,13 @@ func (mo *Multi) rebuild() {
 			mm.res = r
 		}
 	}
-	// Recompile every class against the (rebuilt) windows and refresh masks.
+	// Rebuild the windows with the union of what the class plans probe, then
+	// recompile every class against them and refresh masks.
+	planSets := make([][]plan, len(mo.classes))
+	for i, c := range mo.classes {
+		planSets[i] = c.plans
+	}
+	mo.windows = newWindows(mo.sizes, planSets...)
 	for _, c := range mo.classes {
 		c.cplans = compilePlans(c.skel, c.plans, mo.windows, nil)
 		c.refreshMasks(mo.m)
@@ -517,9 +483,7 @@ func (mo *Multi) searchM(c *mclass, steps []cstep, src, lvl int, assign []*strea
 			if c.emitMask&(uint64(1)<<uint(ri)) != 0 {
 				for _, mm := range r.members {
 					if mm.emit != nil {
-						tuples := make([]*stream.Tuple, len(assign))
-						copy(tuples, assign)
-						mm.emit(stream.NewResult(tuples))
+						mm.emit(mo.slab.result(assign))
 					}
 				}
 			}
@@ -550,25 +514,7 @@ func (mo *Multi) searchM(c *mclass, steps []cstep, src, lvl int, assign []*strea
 			}
 		}
 	}
-	base := cs.base(assign)
-	var cands []*stream.Tuple
-	if !cs.hasResiduals() {
-		cands = base
-	} else {
-		old := mo.scratch[lvl]
-		out := old[:0]
-		for _, cand := range base {
-			if cs.filter(cand, assign) {
-				out = append(out, cand)
-			}
-		}
-		for i := len(out); i < len(old); i++ {
-			old[i] = nil
-		}
-		mo.scratch[lvl] = out
-		cands = out
-	}
-	for _, cand := range cands {
+	for _, cand := range cs.candidates(assign) {
 		assign[cs.stream] = cand
 		na := alive
 		for a := alive; a != 0; a &= a - 1 {

@@ -43,11 +43,33 @@ type Operator struct {
 	assignBuf   []*stream.Tuple
 	countsBuf   []int64
 	onlyCounted bool
-	// scratch holds one reusable candidate buffer per probe level, so the
-	// multi-lookup filter path never allocates in steady state. Levels are
-	// independent because searchC at level l only consumes candidates of
-	// levels ≤ l.
-	scratch [][]*stream.Tuple
+	slab        resultSlab
+}
+
+// resultSlabPtrs caps the pointer block results are carved from at 512 B.
+// Pointerful objects above that carry a malloc header and round up to a
+// larger size class, which costs more bytes per result than carving saves.
+const resultSlabPtrs = 64
+
+// resultSlab materializes results by carving Result.Tuples out of pointer
+// blocks that are allocated whole and never reused: one allocation serves
+// ⌊64/m⌋ results, and a sink may still retain any result forever (it then
+// keeps that one block, and the tuples of the results carved next to it,
+// reachable). Each slice is capacity-clipped, so appending to one copies
+// instead of writing into its neighbour.
+type resultSlab struct {
+	free []*stream.Tuple
+}
+
+func (s *resultSlab) result(assign []*stream.Tuple) stream.Result {
+	m := len(assign)
+	if len(s.free) < m {
+		s.free = make([]*stream.Tuple, max(resultSlabPtrs/m, 1)*m)
+	}
+	tuples := s.free[:m:m]
+	s.free = s.free[m:]
+	copy(tuples, assign)
+	return stream.NewResult(tuples)
 }
 
 // Option customizes the operator.
@@ -73,22 +95,14 @@ func New(cond *Condition, sizes []stream.Time, opts ...Option) *Operator {
 		panic("join: window sizes must match condition arity")
 	}
 	cond.seal()
-	idx := cond.IndexedAttrs()
-	rng := cond.RangeAttrs()
 	o := &Operator{
 		cond:      cond,
-		windows:   make([]*window.Window, cond.M),
 		assignBuf: make([]*stream.Tuple, cond.M),
 		countsBuf: make([]int64, cond.M),
-		scratch:   make([][]*stream.Tuple, cond.M),
 	}
-	for i, w := range sizes {
-		if w <= 0 {
-			panic("join: window size must be positive")
-		}
-		o.windows[i] = window.NewIndexed(w, idx[i], rng[i])
-	}
-	o.cplans = compilePlans(cond, buildPlans(cond), o.windows, compileProgs(cond))
+	plans := buildPlans(cond)
+	o.windows = newWindows(sizes, plans)
+	o.cplans = compilePlans(cond, plans, o.windows, compileProgs(cond))
 	for _, opt := range opts {
 		opt(o)
 	}
@@ -219,7 +233,7 @@ func (o *Operator) probe(e *stream.Tuple) int64 {
 // with fl(a − c) ∈ [−eps, eps]. The naive bounds fl(c−eps), fl(c+eps) can
 // round past values the difference form accepts (and vice versa), so they
 // are widened by a relative slack of ~5 ulps of the larger magnitude; the
-// exact difference check in cstep.filter then discards the overshoot. A
+// exact difference check in cstep.base then trims the overshoot. A
 // non-finite center can never band-match a stored (finite) key and
 // reports !ok.
 func bandRange(c, eps float64) (lo, hi float64, ok bool) {

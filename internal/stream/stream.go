@@ -75,6 +75,12 @@ func Less(a, b *Tuple) bool {
 // Result is one join result: a combination of exactly one tuple per input
 // stream. TS is the maximum timestamp among deriving tuples, per the MSWJ
 // semantics in Sec. II-A.
+//
+// A Result handed to a sink is the sink's to keep: Tuples is never reused
+// or overwritten by the operator. It is capacity-clipped (len == cap), so
+// appending to it copies, and it may share a backing block of at most
+// 512 bytes with neighbouring results — retaining one result keeps that block,
+// and the tuples it points to, reachable.
 type Result struct {
 	TS     Time
 	Tuples []*Tuple

@@ -31,9 +31,11 @@
 //     memory tracks the live tuple count; the copy is amortized O(1) per
 //     expired tuple.
 //
-// Index maintenance is O(1) per tuple for hash indexes (swap-delete via
-// per-tuple positions) and O(log n) search + small memmove for range
-// indexes; see internal/index for the cost model.
+// Index maintenance is O(1) per tuple for hash indexes (buckets are FIFO
+// deques and a sliding window removes in insertion order, so expiry is a
+// front pop) and O(log n) search + small memmove for range indexes; see
+// internal/index for the cost model. Both are paid per index per tuple, so
+// the operator asks only for the indexes its compiled plans probe.
 package window
 
 import (
@@ -54,8 +56,8 @@ type Window struct {
 	ranges []rangeIndex
 }
 
-// hashIndex is one equi index: buckets by the attribute's canonical float
-// bits, swap-delete on expiry.
+// hashIndex is one equi index: FIFO buckets by the attribute's canonical
+// float bits.
 type hashIndex struct {
 	attr int
 	tab  *index.Hash[*stream.Tuple]
@@ -226,17 +228,6 @@ func (w *Window) MatchRange(attr int, lo, hi float64) []*stream.Tuple {
 	panic("window: range probe on unindexed attribute")
 }
 
-// CountRange returns how many tuples have the indexed attribute in [lo, hi].
-// It panics if the attribute has no range index.
-func (w *Window) CountRange(attr int, lo, hi float64) int {
-	for i := range w.ranges {
-		if w.ranges[i].attr == attr {
-			return w.ranges[i].tab.CountRange(lo, hi)
-		}
-	}
-	panic("window: range count on unindexed attribute")
-}
-
 // HashIndex returns the hash index on attr, or nil when the attribute has
 // none. It is the direct handle the compiled probe kernel resolves once at
 // plan-compile time, so the per-probe index scan and KeyBits dispatch of
@@ -260,26 +251,6 @@ func (w *Window) RangeIndex(attr int) *index.Sorted[*stream.Tuple] {
 		}
 	}
 	return nil
-}
-
-// Indexed reports whether attr has a hash index.
-func (w *Window) Indexed(attr int) bool {
-	for i := range w.hashes {
-		if w.hashes[i].attr == attr {
-			return true
-		}
-	}
-	return false
-}
-
-// RangeIndexed reports whether attr has a sorted range index.
-func (w *Window) RangeIndexed(attr int) bool {
-	for i := range w.ranges {
-		if w.ranges[i].attr == attr {
-			return true
-		}
-	}
-	return false
 }
 
 // Reset drops all content but keeps the configuration.

@@ -79,9 +79,12 @@ func TestMatchUnindexedPanics(t *testing.T) {
 }
 
 func TestIndexed(t *testing.T) {
-	w := New(10, 2)
-	if !w.Indexed(2) || w.Indexed(0) {
-		t.Fatal("Indexed reports wrong attributes")
+	w := NewIndexed(10, []int{2}, []int{1})
+	if w.HashIndex(2) == nil || w.HashIndex(0) != nil || w.HashIndex(1) != nil {
+		t.Fatal("HashIndex hands out the wrong attributes")
+	}
+	if w.RangeIndex(1) == nil || w.RangeIndex(2) != nil {
+		t.Fatal("RangeIndex hands out the wrong attributes")
 	}
 }
 

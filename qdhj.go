@@ -151,6 +151,11 @@ type AdaptEvent = core.AdaptEvent
 // WithResults registers a callback receiving every produced join result.
 // Registering it disables the operator's counting-only fast path, so omit it
 // when only result counts are needed.
+//
+// The Result is the callback's to keep: its Tuples slice is never reused.
+// The slice is capacity-clipped (an append copies) and may share a backing
+// block of at most 512 bytes with neighbouring results, so retaining one
+// result keeps that block — up to 64 tuple pointers — reachable.
 func WithResults(f func(Result)) JoinOption {
 	return func(o *joinOpts) { o.emit = join.EmitFunc(f) }
 }
