@@ -31,6 +31,12 @@ import (
 // tuple per stream, in stream order. TS is the maximum constituent timestamp
 // (the MSWJ result timestamp) and Delay the delay annotation of the arrival
 // that produced it.
+//
+// A Partial handed to a sink is the sink's to keep, under the contract of
+// stream.Result.Tuples: Parts is never reused or written again, and its
+// capacity equals its length, so appending to it copies. Partials are carved
+// several to an allocation; retaining one keeps that block — and the tuples
+// of the results delivered next to it — reachable.
 type Partial struct {
 	TS    stream.Time
 	Delay stream.Time
@@ -68,17 +74,63 @@ func eventLess(a, b *event) bool {
 	return a.ord < b.ord
 }
 
-// pwindow holds the live entries of one stage input: a 4-ary heap keyed
-// by expiration deadline (so expiry pops are O(log n) with no scanning)
-// plus, keyed on the first lookup, the shared index structures of
-// internal/index — the open-addressed hash on equi stages, the sorted
-// range index on band-only stages — the same structures the MJoin-style
-// operator's windows use.
+// runMinDead is the minimum popped prefix of a run before a pop considers
+// moving the live region back to offset 0.
+const runMinDead = 64
+
+// run is a FIFO of events that arrive already in the order they leave — the
+// in-order lane a sorter keeps in front of its late heap (kslack.Buffer has
+// the same shape over tuples): a slice and a head index, compacted so the
+// backing array stays within ~2× the live high-water mark. The zero value
+// is an empty run. The deadline windows and the stage Synchronizers decide
+// what "in order" means; the run only queues.
+type run struct {
+	evs  []*event
+	head int
+}
+
+func (r *run) len() int { return len(r.evs) - r.head }
+
+// front and back return the oldest and newest queued event; the run must
+// not be empty.
+func (r *run) front() *event { return r.evs[r.head] }
+func (r *run) back() *event  { return r.evs[len(r.evs)-1] }
+
+func (r *run) push(ev *event) { r.evs = append(r.evs, ev) }
+
+func (r *run) pop() *event {
+	ev := r.evs[r.head]
+	r.evs[r.head] = nil
+	r.head++
+	if r.head == len(r.evs) {
+		r.evs, r.head = r.evs[:0], 0
+	} else if r.head >= runMinDead && r.head >= len(r.evs)-r.head {
+		live := copy(r.evs, r.evs[r.head:])
+		clear(r.evs[live:])
+		r.evs, r.head = r.evs[:live], 0
+	}
+	return ev
+}
+
+// live returns the queued events, oldest first, as a view.
+func (r *run) live() []*event { return r.evs[r.head:] }
+
+// pwindow holds the live entries of one stage input, ordered by expiration
+// deadline so expiry never scans. The order only has to sort what arrives
+// out of it: an entry whose deadline is at or past the newest in-order
+// entry's — every in-order leaf event, deadline = ts + W being monotone
+// behind a K-slack buffer — is appended to a FIFO run, and only the rest
+// (late leaf events, partials whose earliest member is old) go to a 4-ary
+// late heap. Keyed on the first lookup, the entries also sit in the shared
+// index structures of internal/index — the open-addressed hash on equi
+// stages, the sorted range index on band-only stages — the same structures
+// the MJoin-style operator's windows use.
 type pwindow struct {
-	heap pq.Heap[*event]
-	idx  *index.Hash[*event]   // nil unless the stage has an equi lookup
-	srt  *index.Sorted[*event] // nil unless the stage is band-only
-	all  []*event              // candidates' scratch on a stage with neither
+	inorder run
+	late    pq.Heap[*event]
+	idx     *index.Hash[*event]   // nil unless the stage has an equi lookup
+	srt     *index.Sorted[*event] // nil unless the stage is band-only
+	all     []*event              // candidates' scratch on a stage with neither
 	// free, when set, receives every expired event — the stage arena's
 	// recycle hook. Only driver-thread windows set it.
 	free func(*event)
@@ -95,8 +147,20 @@ func newPwindow(indexed, banded bool) *pwindow {
 	return w
 }
 
+// len returns the number of entries held, expired-but-unpurged included.
+func (w *pwindow) len() int { return w.inorder.len() + w.late.Len() }
+
+// appendLive appends every held entry to dst, in no particular order.
+func (w *pwindow) appendLive(dst []*event) []*event {
+	return w.late.AppendValues(append(dst, w.inorder.live()...))
+}
+
 func (w *pwindow) insert(ev *event) {
-	w.heap.Push(int64(ev.deadline), 0, ev)
+	if w.inorder.len() == 0 || ev.deadline >= w.inorder.back().deadline {
+		w.inorder.push(ev)
+	} else {
+		w.late.Push(int64(ev.deadline), 0, ev)
+	}
 	if w.srt != nil {
 		// Sorted.Add skips NaN keys itself; a NaN can never band-match.
 		w.srt.Add(ev.key, ev)
@@ -112,27 +176,35 @@ func (w *pwindow) insert(ev *event) {
 }
 
 // expire removes every entry whose deadline passed: its earliest constituent
-// is no longer inside its window at time t.
+// is no longer inside its window at time t. The run's expired prefix goes
+// first, then the late heap's; nothing depends on the order among them.
 func (w *pwindow) expire(t stream.Time) {
-	for w.heap.Len() > 0 && stream.Time(w.heap.Peek().Key) < t {
-		ev := w.heap.Pop()
-		if w.srt != nil {
-			w.srt.Remove(ev.key, ev)
+	for w.inorder.len() > 0 && w.inorder.front().deadline < t {
+		w.drop(w.inorder.pop())
+	}
+	for w.late.Len() > 0 && stream.Time(w.late.Peek().Key) < t {
+		w.drop(w.late.Pop())
+	}
+}
+
+// drop takes an expired entry out of the indexes and hands it to free.
+func (w *pwindow) drop(ev *event) {
+	if w.srt != nil {
+		w.srt.Remove(ev.key, ev)
+	}
+	if w.idx != nil {
+		if k, ok := index.KeyBits(ev.key); ok {
+			w.idx.Remove(k, ev)
 		}
-		if w.idx != nil {
-			if k, ok := index.KeyBits(ev.key); ok {
-				w.idx.Remove(k, ev)
-			}
-		}
-		if w.free != nil {
-			w.free(ev)
-		}
+	}
+	if w.free != nil {
+		w.free(ev)
 	}
 }
 
 // candidates returns the entries that can match key: the hash bucket on equi
-// stages, every live entry otherwise (heap order; callers re-check the
-// deadline).
+// stages, every held entry otherwise (in no specified order; callers
+// re-check the deadline).
 func (w *pwindow) candidates(key float64) []*event {
 	if w.idx != nil {
 		k, ok := index.KeyBits(key)
@@ -141,6 +213,6 @@ func (w *pwindow) candidates(key float64) []*event {
 		}
 		return w.idx.Get(k)
 	}
-	w.all = w.heap.AppendValues(w.all[:0])
+	w.all = w.appendLive(w.all[:0])
 	return w.all
 }

@@ -161,9 +161,14 @@ type pstage struct {
 	// (their windows expire on worker goroutines).
 	free []*event
 
-	// Synchronizer state (Alg. 1, m = 2).
+	// Synchronizer state (Alg. 1, m = 2). The buffer is one FIFO lane per
+	// side in front of a late heap: a side's input is nondecreasing in ts
+	// except for its K-slack's late releases, and ord only grows, so an
+	// event at or past its lane's newest ts extends the lane in (ts, ord)
+	// order and only the rest are heap-sorted. counts[side] covers both.
 	tsync  stream.Time
-	buf    pq.Heap[*event]
+	lane   [2]run
+	late   pq.Heap[*event]
 	counts [2]int
 	open   [2]bool
 	ord    uint64
@@ -171,6 +176,12 @@ type pstage struct {
 	onT    stream.Time
 	win    [2]*pwindow // unsharded state (nil when sharded)
 	assign []*stream.Tuple
+
+	// An unsharded root stage combines every result into the one rootOut,
+	// which never outlives output; only its parts, carved from slab, reach
+	// the sink (see Partial).
+	rootOut event
+	slab    join.TupleSlab
 
 	sh       *pshard // non-nil when the stage is sharded
 	prodHook prodHookFunc
@@ -537,23 +548,78 @@ func (s *pstage) push(ev *event, side int) {
 	ev.ord = s.ord
 	s.ord++
 	if ev.ts > s.tsync {
-		s.buf.Push(int64(ev.ts), ev.ord, ev)
-		s.counts[side]++
+		s.hold(ev, side)
 		s.drainSync()
 		return
 	}
 	s.process(ev, side)
 }
 
-func (s *pstage) drainSync() {
-	for s.buf.Len() > 0 && s.syncReady() {
-		s.tsync = stream.Time(s.buf.Peek().Key)
-		for s.buf.Len() > 0 && stream.Time(s.buf.Peek().Key) == s.tsync {
-			ev := s.buf.Pop()
-			side := s.sideOf(ev)
-			s.counts[side]--
-			s.process(ev, side)
+// hold buffers ev until the Synchronizer releases it. Among its side's
+// events at the same ts, ev must carry the largest ord: push stamps a
+// growing one, Restore holds in (ts, ord) order.
+func (s *pstage) hold(ev *event, side int) {
+	if l := &s.lane[side]; l.len() == 0 || ev.ts >= l.back().ts {
+		l.push(ev)
+	} else {
+		s.late.Push(int64(ev.ts), ev.ord, ev)
+	}
+	s.counts[side]++
+}
+
+// syncBuffered returns every event the Synchronizer holds, in no particular
+// order.
+func (s *pstage) syncBuffered() []*event {
+	evs := append([]*event(nil), s.lane[0].live()...)
+	return s.late.AppendValues(append(evs, s.lane[1].live()...))
+}
+
+// syncFront returns the buffered (ts, ord) minimum — the smallest of the two
+// lane fronts and the late heap's root — and where it sits: the lane's side,
+// or -1 for the late heap. nil when nothing is buffered.
+func (s *pstage) syncFront() (ev *event, at int) {
+	at = -1
+	if s.late.Len() > 0 {
+		ev = s.late.Peek().Val
+	}
+	for side := range s.lane {
+		if l := &s.lane[side]; l.len() > 0 && (ev == nil || eventLess(l.front(), ev)) {
+			ev, at = l.front(), side
 		}
+	}
+	return ev, at
+}
+
+// drainSync releases, in (ts, ord) order, every buffered event the
+// Synchronizer can: while no open side is empty, everything at the smallest
+// buffered timestamp. Nothing buffered is at tsync on entry (push processes
+// such an event directly), so an unready Synchronizer releases nothing and
+// the common push — the other side still empty — stops at two compares. A
+// lane pop knows its side; only a late-heap pop has to look it up.
+func (s *pstage) drainSync() {
+	if !s.syncReady() {
+		return
+	}
+	for {
+		ev, at := s.syncFront()
+		if ev == nil {
+			return
+		}
+		if ev.ts != s.tsync {
+			if !s.syncReady() {
+				return
+			}
+			s.tsync = ev.ts
+		}
+		side := at
+		if at < 0 {
+			s.late.Pop()
+			side = s.sideOf(ev)
+		} else {
+			s.lane[at].pop()
+		}
+		s.counts[side]--
+		s.process(ev, side)
 	}
 }
 
@@ -588,20 +654,25 @@ func (s *pstage) alloc() *event {
 
 // recycle returns a dead event to the stage arena. Only events that can no
 // longer be referenced enter here: expired window entries and out-of-scope
-// drops. Events handed to the sink never come back (Partial exposes their
-// parts to the user).
+// drops.
 func (s *pstage) recycle(ev *event) {
 	clear(ev.parts)
 	ev.key = 0
 	s.free = append(s.free, ev)
 }
 
-// newOut allocates the destination event for a driver-thread combine: from
+// newOut returns the destination event for a driver-thread combine: from
 // the parent stage's arena when the output will live in the parent's
-// driver-thread windows, plain otherwise (root outputs reach the user
-// through the sink; sharded parents expire on worker goroutines).
+// driver-thread windows, the stage's reused rootOut with freshly carved
+// parts at the root, a plain allocation for a sharded parent (its windows
+// expire on worker goroutines).
 func (s *pstage) newOut() *event {
-	if p := s.parent; p != nil && p.sh == nil {
+	p := s.parent
+	if p == nil {
+		s.rootOut.parts = s.slab.Carve(s.tree.m)
+		return &s.rootOut
+	}
+	if p.sh == nil {
 		return p.alloc()
 	}
 	return &event{parts: make([]*stream.Tuple, s.tree.m)}
@@ -617,7 +688,7 @@ func (s *pstage) process(ev *event, side int) {
 		s.onT = ev.ts
 		opp := s.win[1-side]
 		opp.expire(ev.ts)
-		nCross := int64(opp.heap.Len())
+		nCross := int64(opp.len())
 		nOn := s.probe(ev, side, opp)
 		s.win[side].insert(ev)
 		if s.prodHook != nil {

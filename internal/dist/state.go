@@ -125,11 +125,11 @@ func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 			Counts:  s.counts,
 			Open:    s.open,
 			OnT:     s.onT,
-			SyncBuf: canonicalRecs(s.buf.AppendValues(nil), tt),
+			SyncBuf: canonicalRecs(s.syncBuffered(), tt),
 		}
 		if s.sh == nil {
 			for sd := 0; sd < 2; sd++ {
-				ss.Win[sd] = canonicalRecs(s.win[sd].heap.AppendValues(nil), tt)
+				ss.Win[sd] = canonicalRecs(s.win[sd].appendLive(nil), tt)
 			}
 		} else {
 			for sd := 0; sd < 2; sd++ {
@@ -144,10 +144,10 @@ func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 				seen := map[*event]bool{}
 				var evs []*event
 				for _, w := range s.sh.workers {
-					for _, it := range w.win[sd].heap.Items() {
-						if !seen[it.Val] {
-							seen[it.Val] = true
-							evs = append(evs, it.Val)
+					for _, ev := range w.win[sd].appendLive(nil) {
+						if !seen[ev] {
+							seen[ev] = true
+							evs = append(evs, ev)
 						}
 					}
 				}
@@ -161,8 +161,9 @@ func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 
 // Restore loads a captured state into a freshly constructed PlanTree (same
 // condition, windows and shape). Unsharded windows are rebuilt by direct
-// re-insertion — NOT through pstage.push, which would re-stamp arrival
-// orders and re-run the Synchronizer. Sharded windows re-enter through the
+// re-insertion and buffered Synchronizer events re-enter their side's lane —
+// NOT through pstage.push, which would re-stamp arrival orders and re-run
+// the Synchronizer. Sharded windows re-enter through the
 // insert-only routing path under the restored stage watermark: routing is a
 // pure function of the event key, so replicas land on the workers they
 // occupied before, and the in-scope filter drops only entries that were
@@ -177,12 +178,13 @@ func (t *PlanTree) Restore(st TreeState, ta *fault.TupleArena) {
 		ss := st.Stages[i]
 		s.tsync = ss.TSync
 		s.ord = ss.Ord
-		s.counts = ss.Counts
 		s.open = ss.Open
 		s.onT = ss.OnT
+		// hold recounts the fresh tree's sides; SyncBuf is in (ts, ord)
+		// order, so every event lands on its side's lane.
 		for _, r := range ss.SyncBuf {
 			ev := recEvent(r, ta)
-			s.buf.Push(int64(ev.ts), ev.ord, ev)
+			s.hold(ev, s.sideOf(ev))
 		}
 		if s.sh == nil {
 			for sd := 0; sd < 2; sd++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/difftest"
@@ -98,6 +99,16 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 
 	b := NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt, PerStage: true, OnDecide: onDecide}, func(p Partial) { tr.set[difftest.Sig(p.Parts)]++ })
 	b.Restore(st, ta)
+	// An unsharded Restore is an exact re-entry: the restored tree captures
+	// the state it was given, registers (the stages' ord counters included)
+	// and all. (A sharded stage drops its expired-but-unpurged entries on
+	// the way back in.)
+	if !b.t.hasShards {
+		tt := fault.NewTupleTable()
+		if again, _ := treeGobRoundTrip(t, b.State(tt), tt); !reflect.DeepEqual(again.Tree, st.Tree) {
+			t.Errorf("the restored tree's state differs from the checkpoint it was restored from")
+		}
+	}
 	for _, e := range work[cut:] {
 		b.Push(e)
 	}
@@ -251,4 +262,68 @@ func TestTreeShedWorstIsLayoutFree(t *testing.T) {
 	}
 	live.Abandon()
 	rest.Abandon()
+}
+
+// bothLanesBusy reports whether some unsharded stage of t holds Synchronizer
+// events on a lane and on the late heap at once, and some deadline window
+// entries on its run and on its late heap at once.
+func bothLanesBusy(t *PlanTree) bool {
+	syncBoth, winBoth := false, false
+	for _, s := range t.stages {
+		if s.sh != nil {
+			continue
+		}
+		if s.late.Len() > 0 && s.lane[0].len()+s.lane[1].len() > 0 {
+			syncBoth = true
+		}
+		for _, w := range s.win {
+			if w.inorder.len() > 0 && w.late.Len() > 0 {
+				winBoth = true
+			}
+		}
+	}
+	return syncBoth && winBoth
+}
+
+// TestPlanTreeCheckpointAcrossLanes: a checkpoint taken while a stage
+// Synchronizer holds events on a lane *and* on its late heap, and a deadline
+// window entries on its run *and* on its late heap, resumes bit-for-bit —
+// results, multiset, per-stage K trajectory. Restore rebuilds both from the
+// canonical (ts, ord) records: buffered events re-enter their side's lane
+// through hold (never through push, which would re-stamp ord and re-run the
+// Synchronizer), window entries through insert. The feed delays stream 0
+// most and stream 1 least, so stage 1's raw side runs ahead of its partial
+// side and its K-slack's late releases land behind a full lane.
+func TestPlanTreeCheckpointAcrossLanes(t *testing.T) {
+	in, w := adaptWorkload(5, 4000, [3]stream.Time{2500, 150, 800})
+	mk := func() *join.Condition { return join.EquiChain(3, 0) }
+	shape := func() *Shape { return Spine(3) }
+
+	// Find the boundaries at which the precondition holds.
+	var a *AdaptivePlanTree
+	var busy []int
+	dec := 0
+	a = NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt, PerStage: true,
+		OnDecide: func(stream.Time, []stream.Time) {
+			if dec++; bothLanesBusy(a.t) {
+				busy = append(busy, dec)
+			}
+		}}, nil)
+	for _, e := range in.Clone() {
+		a.Push(e)
+	}
+	a.Finish()
+	if len(busy) < 3 {
+		t.Fatalf("only boundaries %v of %d hold run and late-heap entries at once; the feed no longer exercises the round trip", busy, dec)
+	}
+
+	want := runTreeFull(in, mk(), w, shape())
+	if want.results == 0 {
+		t.Fatal("degenerate workload: no results")
+	}
+	for _, cut := range []int{busy[0], busy[len(busy)/2], busy[len(busy)-1]} {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
+			diffTreeTraces(t, "lanes-ckpt", want, runTreeInterrupted(t, in, mk, w, shape, cut))
+		})
+	}
 }

@@ -13,9 +13,13 @@
 //     capacity.
 //     Profiling showed the runtime map's generic float hashing dominating
 //     probe-heavy workloads; a multiply and shift is an order of magnitude
-//     cheaper. Emptied buckets keep their table slot and capacity until the
-//     next growth sweep recycles them, so steady-state sliding over a stable
-//     key domain allocates nothing.
+//     cheaper. An emptied bucket keeps its table slot (a key that comes back
+//     finds its array waiting) until a sweep — run only when a *new* key
+//     finds the table three-quarters claimed — drops the dead slots, hands
+//     their arrays to the next claims and re-inserts the live ones, swapping
+//     between two tables while the capacity is unchanged. Sliding over a
+//     stable key domain therefore allocates nothing, whether the live keys
+//     fill the domain or are a small moving fraction of it.
 //
 //   - Sorted[E]: a key-ordered array supporting O(log n + matches) range
 //     probes that return contiguous *views* (no copying), backing the typed
@@ -105,11 +109,17 @@ type Hash[E comparable] struct {
 	n     int // occupied slots, including empty-bucket (dead) ones
 	count int // live entries across all buckets
 	shift uint
+	// spare holds the arrays of the buckets the last sweeps found empty;
+	// claim hands them out again. prev is the cleared table a sweep to the
+	// same capacity left behind, for the next such sweep to move into.
+	spare  [][]E
+	prev   []hslot[E]
+	sweeps int // sweeps run so far (the tests pin the sweep rule with it)
 }
 
 // hslot is one open-addressing slot: key plus its bucket deque — the live
 // entries are data[head:]. A slot is occupied iff data is non-nil — claimed
-// buckets keep a non-nil (possibly empty) slice until a growth sweep drops
+// buckets keep a non-nil (possibly empty) slice until a sweep drops
 // them, so no separate occupancy array is needed and a probe touches a
 // single contiguous array instead of three parallel ones. That locality
 // matters: Get is the single hottest call of the compiled probe kernel.
@@ -184,7 +194,7 @@ func (h *Hash[E]) Add(key uint64, e E) {
 // remove almost exactly in insertion order, so the front-pop fast path
 // covers nearly every call in O(1); an out-of-order removal shifts only the
 // (short) prefix in front of the removed entry. Emptied buckets keep their
-// table slot and capacity; the next growth sweep drops them. The key must
+// table slot and capacity; the next sweep recycles them. The key must
 // be present (every Remove pairs with an earlier Add), so the slot probe
 // never misses.
 func (h *Hash[E]) Remove(key uint64, e E) {
@@ -221,21 +231,24 @@ func (h *Hash[E]) Len() int { return h.count }
 func (h *Hash[E]) Reset() {
 	h.init(hashMinCap)
 	h.count = 0
+	h.spare, h.prev = nil, nil
 }
 
 // bucket returns a pointer to the bucket slot for key, claiming a slot if
-// the key is new. New buckets are pre-sized so the first few appends do not
-// reallocate.
+// the key is new. Only a claim checks the load — an add to a key that owns
+// a slot never rehashes — and one that finds the table three-quarters
+// claimed sweeps first, then probes again.
 func (h *Hash[E]) bucket(key uint64) *hslot[E] {
-	if (h.n+1)*4 >= len(h.slots)*3 {
-		h.grow()
-	}
 	mask := uint64(len(h.slots) - 1)
 	for i := h.hash(key); ; i = (i + 1) & mask {
 		s := &h.slots[i]
 		if s.data == nil {
+			if (h.n+1)*4 >= len(h.slots)*3 {
+				h.sweep()
+				return h.bucket(key)
+			}
 			s.key = key
-			s.data = make([]E, 0, 4)
+			s.data = h.claim()
 			h.n++
 			return s
 		}
@@ -245,9 +258,29 @@ func (h *Hash[E]) bucket(key uint64) *hslot[E] {
 	}
 }
 
-// grow rehashes into a table sized for the live (non-empty) buckets at ≤50%
-// load, dropping dead entries accumulated since the last sweep.
-func (h *Hash[E]) grow() {
+// claim returns an empty bucket array: one a sweep recycled, or a new one
+// pre-sized so the first few appends do not reallocate.
+func (h *Hash[E]) claim() []E {
+	if n := len(h.spare); n > 0 {
+		b := h.spare[n-1]
+		h.spare[n-1] = nil
+		h.spare = h.spare[:n-1]
+		return b
+	}
+	return make([]E, 0, 4)
+}
+
+// sweep drops the dead slots accumulated since the last sweep and rehashes
+// the live (non-empty) buckets into a table sized for them at ≤ 25% load.
+// The emptied buckets' arrays go on the spare stack for the next claims —
+// at most one per slot of the new table, so a burst of keys that never come
+// back is not retained. A window whose live keys are a small moving
+// fraction of its key domain sweeps to the same capacity every time: that
+// case swaps between two tables, the one it leaves cleared and kept for the
+// next sweep, so it allocates nothing; a resize takes a fresh table and
+// keeps none.
+func (h *Hash[E]) sweep() {
+	h.sweeps++
 	live := 0
 	for i := range h.slots {
 		if len(h.slots[i].live()) > 0 {
@@ -258,19 +291,34 @@ func (h *Hash[E]) grow() {
 	for newCap < 4*(live+1) {
 		newCap *= 2
 	}
-	old := h.slots
-	h.init(newCap)
+	old, prev := h.slots, h.prev
+	h.prev = nil
+	if len(prev) == newCap {
+		h.slots = prev
+	} else {
+		h.init(newCap)
+	}
+	h.n = live
 	mask := uint64(newCap - 1)
 	for i := range old {
-		if len(old[i].live()) == 0 {
-			continue
-		}
-		for j := h.hash(old[i].key); ; j = (j + 1) & mask {
-			if h.slots[j].data == nil {
-				h.slots[j] = old[i]
-				h.n++
-				break
+		switch s := &old[i]; {
+		case s.data == nil:
+		case len(s.live()) == 0:
+			h.spare = append(h.spare, s.data)
+		default:
+			j := h.hash(s.key)
+			for h.slots[j].data != nil {
+				j = (j + 1) & mask
 			}
+			h.slots[j] = *s
 		}
+	}
+	if len(h.spare) > newCap {
+		clear(h.spare[newCap:])
+		h.spare = h.spare[:newCap]
+	}
+	if len(old) == newCap {
+		clear(old)
+		h.prev = old
 	}
 }

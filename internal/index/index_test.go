@@ -12,8 +12,16 @@ type entry struct{ id int }
 
 // TestHashDifferential replays random add/remove/get traffic through Hash
 // and a reference map, asserting identical bucket contents (as sets)
-// throughout.
+// throughout — over a key domain the table holds whole, and over one wide
+// enough that sweeps run, resize and hand recycled arrays to new keys.
 func TestHashDifferential(t *testing.T) {
+	for _, domain := range []int{12, 300} {
+		hashDifferential(t, domain)
+	}
+}
+
+func hashDifferential(t *testing.T, domain int) {
+	sweeps := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := NewHash[*entry]()
@@ -39,7 +47,7 @@ func TestHashDifferential(t *testing.T) {
 				}
 			default: // add
 				e := &entry{id: op}
-				k := uint64(rng.Intn(12))
+				k := uint64(rng.Intn(domain))
 				h.Add(k, e)
 				ref[k] = append(ref[k], e)
 				live = append(live, e)
@@ -49,17 +57,120 @@ func TestHashDifferential(t *testing.T) {
 				t.Logf("seed %d op %d: Len %d want %d", seed, op, h.Len(), len(live))
 				return false
 			}
-			for k := uint64(0); k < 12; k++ {
+			for k := uint64(0); k < uint64(domain); k++ {
 				if !sameSet(h.Get(k), ref[k]) {
 					t.Logf("seed %d op %d: bucket %d mismatch", seed, op, k)
 					return false
 				}
 			}
 		}
+		sweeps += h.sweeps
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+	if sweeps == 0 {
+		t.Fatalf("domain %d: no sweep ran", domain)
+	}
+}
+
+// TestHashAddToOwnedKeyNeverSweeps: only a claim checks the load. With the
+// table one claim short of its sweep threshold and dead slots waiting, adds
+// to keys that own a slot — live or emptied — leave the table alone; the
+// next new key sweeps once.
+func TestHashAddToOwnedKeyNeverSweeps(t *testing.T) {
+	h := NewHash[*entry]()
+	es := make([]*entry, hashMinCap)
+	// 11 claims fill a 16-slot table to the last one below 3/4.
+	for k := range es[:11] {
+		es[k] = &entry{id: k}
+		h.Add(uint64(k), es[k])
+	}
+	for k := range es[:6] {
+		h.Remove(uint64(k), es[k])
+	}
+	if h.sweeps != 0 || (h.n+1)*4 < len(h.slots)*3 {
+		t.Fatalf("setup: %d sweeps, %d of %d slots claimed — not at the threshold", h.sweeps, h.n, len(h.slots))
+	}
+	table := &h.slots[0]
+	for round := 0; round < 50; round++ {
+		for k := range es[:11] {
+			e := &entry{id: 100 + k}
+			h.Add(uint64(k), e)
+			h.Remove(uint64(k), e)
+		}
+	}
+	if h.sweeps != 0 || &h.slots[0] != table {
+		t.Fatalf("%d sweeps after adds to keys that own their slots", h.sweeps)
+	}
+	h.Add(99, &entry{id: 99})
+	if h.sweeps != 1 {
+		t.Fatalf("%d sweeps after the claim that crossed the threshold, want 1", h.sweeps)
+	}
+	if h.Len() != 6 || len(h.Get(99)) != 1 || len(h.Get(7)) != 1 || len(h.Get(2)) != 0 {
+		t.Fatalf("content changed across the sweep: Len %d", h.Len())
+	}
+}
+
+// TestHashSparseLiveKeysZeroAllocs: a window whose live keys are a small
+// moving fraction of its key domain — tree3-perstage's stage-1 partials,
+// ~55 live of 500 — fills its table with dead slots and sweeps to the same
+// capacity over and over. Once warm, that cycle allocates nothing: the
+// table is refilled in place and every claim takes a recycled array.
+func TestHashSparseLiveKeysZeroAllocs(t *testing.T) {
+	const live, domain = 55, 500
+	rng := rand.New(rand.NewSource(1))
+	h := NewHash[*entry]()
+	ring := make([]entry, live)
+	keys := make([]uint64, live)
+	n := 0
+	slide := func() {
+		i := n % live
+		if n >= live {
+			h.Remove(keys[i], &ring[i])
+		}
+		keys[i] = uint64(rng.Intn(domain))
+		h.Add(keys[i], &ring[i])
+		n++
+	}
+	for n < 40000 {
+		slide()
+	}
+	before, table := h.sweeps, len(h.slots)
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 4000; i++ {
+			slide()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("sliding %d live keys over a %d-key domain allocated %v times per 4000 add/remove pairs", live, domain, allocs)
+	}
+	if h.sweeps-before < 100 || len(h.slots) != table {
+		t.Fatalf("%d sweeps, table %d → %d slots: the run no longer measures the same-capacity sweep", h.sweeps-before, table, len(h.slots))
+	}
+}
+
+// TestHashSpareIsBounded: a burst of keys that never come back must not be
+// retained as spare arrays — a sweep keeps at most one per slot of the
+// table it leaves.
+func TestHashSpareIsBounded(t *testing.T) {
+	h := NewHash[*entry]()
+	burst := make([]*entry, 20000)
+	for k := range burst {
+		burst[k] = &entry{id: k}
+		h.Add(uint64(k), burst[k])
+	}
+	for k := range burst {
+		h.Remove(uint64(k), burst[k])
+	}
+	for k := len(burst); k < 4*len(burst); k++ {
+		e := &entry{id: k}
+		h.Add(uint64(k), e)
+		h.Remove(uint64(k), e)
+	}
+	if len(h.slots) > 1024 || len(h.spare) > len(h.slots) {
+		t.Fatalf("after the burst drained: %d slots, %d spare arrays", len(h.slots), len(h.spare))
 	}
 }
 

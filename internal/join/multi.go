@@ -170,7 +170,7 @@ type Multi struct {
 	outOfOrder int64
 
 	assignBuf []*stream.Tuple
-	slab      resultSlab
+	slab      TupleSlab
 }
 
 // NewMulti creates an empty shared kernel over len(sizes) streams; sizes[i]

@@ -43,7 +43,7 @@ type Operator struct {
 	assignBuf   []*stream.Tuple
 	countsBuf   []int64
 	onlyCounted bool
-	slab        resultSlab
+	slab        TupleSlab
 }
 
 // resultSlabPtrs caps the pointer block results are carved from at 512 B.
@@ -51,23 +51,29 @@ type Operator struct {
 // larger size class, which costs more bytes per result than carving saves.
 const resultSlabPtrs = 64
 
-// resultSlab materializes results by carving Result.Tuples out of pointer
-// blocks that are allocated whole and never reused: one allocation serves
-// ⌊64/m⌋ results, and a sink may still retain any result forever (it then
-// keeps that one block, and the tuples of the results carved next to it,
-// reachable). Each slice is capacity-clipped, so appending to one copies
-// instead of writing into its neighbour.
-type resultSlab struct {
+// TupleSlab hands out the tuple slices of delivered results by carving them
+// out of pointer blocks that are allocated whole and never reused: one
+// allocation serves ⌊64/m⌋ results, and a sink may still retain any result
+// forever (it then keeps that one block, and the tuples of the results
+// carved next to it, reachable). Each slice is capacity-clipped, so
+// appending to one copies instead of writing into its neighbour. The tree
+// executor's root stage (internal/dist) carves Partial.Parts from one too.
+type TupleSlab struct {
 	free []*stream.Tuple
 }
 
-func (s *resultSlab) result(assign []*stream.Tuple) stream.Result {
-	m := len(assign)
+// Carve returns the next m-tuple slice of the slab, all nil.
+func (s *TupleSlab) Carve(m int) []*stream.Tuple {
 	if len(s.free) < m {
 		s.free = make([]*stream.Tuple, max(resultSlabPtrs/m, 1)*m)
 	}
 	tuples := s.free[:m:m]
 	s.free = s.free[m:]
+	return tuples
+}
+
+func (s *TupleSlab) result(assign []*stream.Tuple) stream.Result {
+	tuples := s.Carve(len(assign))
 	copy(tuples, assign)
 	return stream.NewResult(tuples)
 }

@@ -26,6 +26,13 @@ type TreeJoin struct {
 // TreeResult is one result of a TreeJoin: the constituent tuples in stream
 // order, the result timestamp, and the delay annotation of the tuple whose
 // arrival produced it.
+//
+// A TreeResult handed to emit is the callee's to keep, under the same
+// contract as Result.Tuples: Tuples is never reused or overwritten by the
+// join. It is capacity-clipped (len == cap), so appending to it copies, and
+// it may share a backing block of at most 512 bytes with neighbouring
+// results — retaining one result keeps that block, and the tuples of the
+// results carved beside it, reachable.
 type TreeResult struct {
 	TS     Time
 	Delay  Time
