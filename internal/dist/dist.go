@@ -74,47 +74,6 @@ func eventLess(a, b *event) bool {
 	return a.ord < b.ord
 }
 
-// runMinDead is the minimum popped prefix of a run before a pop considers
-// moving the live region back to offset 0.
-const runMinDead = 64
-
-// run is a FIFO of events that arrive already in the order they leave — the
-// in-order lane a sorter keeps in front of its late heap (kslack.Buffer has
-// the same shape over tuples): a slice and a head index, compacted so the
-// backing array stays within ~2× the live high-water mark. The zero value
-// is an empty run. The deadline windows and the stage Synchronizers decide
-// what "in order" means; the run only queues.
-type run struct {
-	evs  []*event
-	head int
-}
-
-func (r *run) len() int { return len(r.evs) - r.head }
-
-// front and back return the oldest and newest queued event; the run must
-// not be empty.
-func (r *run) front() *event { return r.evs[r.head] }
-func (r *run) back() *event  { return r.evs[len(r.evs)-1] }
-
-func (r *run) push(ev *event) { r.evs = append(r.evs, ev) }
-
-func (r *run) pop() *event {
-	ev := r.evs[r.head]
-	r.evs[r.head] = nil
-	r.head++
-	if r.head == len(r.evs) {
-		r.evs, r.head = r.evs[:0], 0
-	} else if r.head >= runMinDead && r.head >= len(r.evs)-r.head {
-		live := copy(r.evs, r.evs[r.head:])
-		clear(r.evs[live:])
-		r.evs, r.head = r.evs[:live], 0
-	}
-	return ev
-}
-
-// live returns the queued events, oldest first, as a view.
-func (r *run) live() []*event { return r.evs[r.head:] }
-
 // pwindow holds the live entries of one stage input, ordered by expiration
 // deadline so expiry never scans. The order only has to sort what arrives
 // out of it: an entry whose deadline is at or past the newest in-order
@@ -126,7 +85,7 @@ func (r *run) live() []*event { return r.evs[r.head:] }
 // stages, the sorted range index on band-only stages — the same structures
 // the MJoin-style operator's windows use.
 type pwindow struct {
-	inorder run
+	inorder pq.Run[*event]
 	late    pq.Heap[*event]
 	idx     *index.Hash[*event]   // nil unless the stage has an equi lookup
 	srt     *index.Sorted[*event] // nil unless the stage is band-only
@@ -148,16 +107,16 @@ func newPwindow(indexed, banded bool) *pwindow {
 }
 
 // len returns the number of entries held, expired-but-unpurged included.
-func (w *pwindow) len() int { return w.inorder.len() + w.late.Len() }
+func (w *pwindow) len() int { return w.inorder.Len() + w.late.Len() }
 
 // appendLive appends every held entry to dst, in no particular order.
 func (w *pwindow) appendLive(dst []*event) []*event {
-	return w.late.AppendValues(append(dst, w.inorder.live()...))
+	return w.late.AppendValues(append(dst, w.inorder.Live()...))
 }
 
 func (w *pwindow) insert(ev *event) {
-	if w.inorder.len() == 0 || ev.deadline >= w.inorder.back().deadline {
-		w.inorder.push(ev)
+	if w.inorder.Len() == 0 || ev.deadline >= w.inorder.Back().deadline {
+		w.inorder.Push(ev)
 	} else {
 		w.late.Push(int64(ev.deadline), 0, ev)
 	}
@@ -179,8 +138,8 @@ func (w *pwindow) insert(ev *event) {
 // is no longer inside its window at time t. The run's expired prefix goes
 // first, then the late heap's; nothing depends on the order among them.
 func (w *pwindow) expire(t stream.Time) {
-	for w.inorder.len() > 0 && w.inorder.front().deadline < t {
-		w.drop(w.inorder.pop())
+	for w.inorder.Len() > 0 && w.inorder.Front().deadline < t {
+		w.drop(w.inorder.Pop())
 	}
 	for w.late.Len() > 0 && stream.Time(w.late.Peek().Key) < t {
 		w.drop(w.late.Pop())

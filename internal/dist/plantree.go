@@ -167,7 +167,7 @@ type pstage struct {
 	// event at or past its lane's newest ts extends the lane in (ts, ord)
 	// order and only the rest are heap-sorted. counts[side] covers both.
 	tsync  stream.Time
-	lane   [2]run
+	lane   [2]pq.Run[*event]
 	late   pq.Heap[*event]
 	counts [2]int
 	open   [2]bool
@@ -559,8 +559,8 @@ func (s *pstage) push(ev *event, side int) {
 // events at the same ts, ev must carry the largest ord: push stamps a
 // growing one, Restore holds in (ts, ord) order.
 func (s *pstage) hold(ev *event, side int) {
-	if l := &s.lane[side]; l.len() == 0 || ev.ts >= l.back().ts {
-		l.push(ev)
+	if l := &s.lane[side]; l.Len() == 0 || ev.ts >= l.Back().ts {
+		l.Push(ev)
 	} else {
 		s.late.Push(int64(ev.ts), ev.ord, ev)
 	}
@@ -570,8 +570,8 @@ func (s *pstage) hold(ev *event, side int) {
 // syncBuffered returns every event the Synchronizer holds, in no particular
 // order.
 func (s *pstage) syncBuffered() []*event {
-	evs := append([]*event(nil), s.lane[0].live()...)
-	return s.late.AppendValues(append(evs, s.lane[1].live()...))
+	evs := append([]*event(nil), s.lane[0].Live()...)
+	return s.late.AppendValues(append(evs, s.lane[1].Live()...))
 }
 
 // syncFront returns the buffered (ts, ord) minimum — the smallest of the two
@@ -583,8 +583,8 @@ func (s *pstage) syncFront() (ev *event, at int) {
 		ev = s.late.Peek().Val
 	}
 	for side := range s.lane {
-		if l := &s.lane[side]; l.len() > 0 && (ev == nil || eventLess(l.front(), ev)) {
-			ev, at = l.front(), side
+		if l := &s.lane[side]; l.Len() > 0 && (ev == nil || eventLess(l.Front(), ev)) {
+			ev, at = l.Front(), side
 		}
 	}
 	return ev, at
@@ -616,7 +616,7 @@ func (s *pstage) drainSync() {
 			s.late.Pop()
 			side = s.sideOf(ev)
 		} else {
-			s.lane[at].pop()
+			s.lane[at].Pop()
 		}
 		s.counts[side]--
 		s.process(ev, side)

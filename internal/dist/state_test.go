@@ -273,11 +273,11 @@ func bothLanesBusy(t *PlanTree) bool {
 		if s.sh != nil {
 			continue
 		}
-		if s.late.Len() > 0 && s.lane[0].len()+s.lane[1].len() > 0 {
+		if s.late.Len() > 0 && s.lane[0].Len()+s.lane[1].Len() > 0 {
 			syncBoth = true
 		}
 		for _, w := range s.win {
-			if w.inorder.len() > 0 && w.late.Len() > 0 {
+			if w.inorder.Len() > 0 && w.late.Len() > 0 {
 				winBoth = true
 			}
 		}

@@ -3,6 +3,7 @@ package join
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/stream"
@@ -14,16 +15,8 @@ func sameCode(a, b *Prog) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.depth != b.depth || len(a.code) != len(b.code) {
-		return false
-	}
-	for i := range a.code {
-		x, y := a.code[i], b.code[i]
-		if x.op != y.op || x.a != y.a || x.b != y.b || math.Float64bits(x.c) != math.Float64bits(y.c) {
-			return false
-		}
-	}
-	return true
+	sameK := slices.EqualFunc(a.k, b.k, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	return a.depth == b.depth && slices.Equal(a.pre, b.pre) && slices.Equal(a.code, b.code) && slices.Equal(a.terms, b.terms) && sameK
 }
 
 // randNumExpr grows a random numeric expression over a pool of already-built
@@ -129,7 +122,7 @@ func randAssign(rng *rand.Rand) []*stream.Tuple {
 
 // TestProgEvalMatchesInterpreter: on random expression DAGs with shared
 // subtrees (by pointer and by structure) and NaN/±Inf/±0 operands, the
-// bytecode — including its dup instruction — returns exactly what the tree
+// bytecode — including its same-operand mode — returns exactly what the tree
 // interpreter returns, and an expression that went through the wire form
 // (which drops all pointer sharing) compiles to identical code.
 func TestProgEvalMatchesInterpreter(t *testing.T) {
@@ -142,7 +135,7 @@ func TestProgEvalMatchesInterpreter(t *testing.T) {
 			t.Fatalf("expr %d did not compile: %s", n, e)
 		}
 		for _, in := range p.code {
-			if in.op == bcDup {
+			if in.y.mode == mSame {
 				dups++
 			}
 		}
@@ -161,13 +154,15 @@ func TestProgEvalMatchesInterpreter(t *testing.T) {
 		}
 	}
 	if dups < 500 {
-		t.Fatalf("only %d dup instructions in 2000 programs: the generator does not exercise sharing", dups)
+		t.Fatalf("only %d same-operand instructions in 2000 programs: the generator does not exercise sharing", dups)
 	}
 }
 
 // TestProgCircleResidualCode pins the soccer residual dx·dx + dy·dy < r²:
-// 13 instructions at depth 3, from a pointer-sharing tree and from its
-// structural twin alike.
+// the sum of squares and the comparison, at the depth 3 its unfused thirteen
+// instructions need, from a pointer-sharing tree and from its structural
+// twin alike; and for either probe step two hoisted loads in front of that
+// same two-instruction body.
 func TestProgCircleResidualCode(t *testing.T) {
 	dx := Sub(Attr(0, 1), Attr(1, 1))
 	dy := Sub(Attr(0, 2), Attr(1, 2))
@@ -176,11 +171,25 @@ func TestProgCircleResidualCode(t *testing.T) {
 		Mul(Sub(Attr(0, 1), Attr(1, 1)), Sub(Attr(0, 1), Attr(1, 1))),
 		Mul(Sub(Attr(0, 2), Attr(1, 2)), Sub(Attr(0, 2), Attr(1, 2)))), ConstOf(25))
 	p := CompileExpr(shared)
-	if len(p.code) != 13 || p.depth != 3 {
-		t.Fatalf("circle residual compiled to %d instructions at depth %d, want 13 at 3", len(p.code), p.depth)
+	if len(p.code) != 2 || p.depth != 3 || p.code[0].op != bcSumSq || len(p.terms) != 2 {
+		t.Fatalf("circle residual compiled to %d instructions at depth %d, want sumsq + lt at 3", len(p.code), p.depth)
+	}
+	if ref := refCompileExpr(shared); len(ref.code) != 13 || ref.depth != 3 {
+		t.Fatalf("unfused reference is %d instructions at depth %d, want 13 at 3", len(ref.code), ref.depth)
 	}
 	if !sameCode(p, CompileExpr(twin)) {
 		t.Fatal("structural twin compiled to different code")
+	}
+	for cand := 0; cand < 2; cand++ {
+		k := compileStep(shared, cand)
+		if len(k.pre) != 2 || len(k.code) != 2 || k.depth != 3 {
+			t.Fatalf("step %d: %d prologue + %d body instructions at depth %d, want 2 + 2 at 3", cand, len(k.pre), len(k.code), k.depth)
+		}
+		for _, term := range k.terms {
+			if term[cand].mode != mAttr || term[1-cand].mode != mConst {
+				t.Fatalf("step %d: term %+v does not keep the candidate on its own side of the difference", cand, term)
+			}
+		}
 	}
 }
 

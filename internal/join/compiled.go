@@ -1,18 +1,16 @@
 package join
 
 // The compiled probe kernel. buildPlans produces a symbolic plan — per step,
-// lists of lookups naming window attributes to probe; executing it directly
-// (the test-only reference in interp_test.go) resolves every probe through
-// Window.Match/MatchRange, which scan the window's index table for the
-// attribute on every call.
-// compilePlans lowers each plan once, at operator construction, into csteps
-// holding *direct handles* to the hash/range index structures plus flattened
-// residual filters, so the steady-state probe loop touches no per-call
-// dispatch: an equi step is one KeyBits + one open-addressed Get, a band step
-// one sorted range view trimmed to the exact band at its two ends, each
-// residual one sweep of float compares against a bound value read once, and
-// generic predicates added through WhereExpr run as bytecode (bytecode.go)
-// instead of closure calls.
+// lists of lookups naming window attributes to probe (interp_test.go
+// executes it directly, as the test-only reference). compilePlans lowers
+// each plan once, at operator construction, into csteps holding *direct
+// handles* to the hash/range index structures plus flattened residual
+// filters, so the steady-state probe loop touches no per-call dispatch: an
+// equi step is one KeyBits + one open-addressed Get, a band step one sorted
+// range view trimmed to the exact band at its two ends, each residual one
+// sweep of float compares against a bound value read once, and each generic
+// predicate added through WhereExpr one more sweep of bytecode compiled for
+// the step (bytecode.go), its candidate-invariant parts evaluated once.
 //
 // # Equivalence-class rewrite
 //
@@ -97,8 +95,13 @@ type cstep struct {
 	// search path (each level is a distinct step), so levels never share it.
 	buf []*stream.Tuple
 
-	checks []int   // indexes into Condition.Generics
-	progs  []*Prog // parallel to checks; nil entry → interpreted Eval
+	// The step's generic predicates: kern sweeps the candidate list like
+	// one more residual; checks (indexes into Condition.Generics) are those
+	// that do not compile — opaque Where closures, expressions deeper than
+	// bcMaxStack — and run per candidate in the enumeration loop.
+	generic bool
+	kern    []*Prog
+	checks  []int
 
 	countableTail bool
 
@@ -131,9 +134,10 @@ type cplan struct {
 	steps []cstep
 }
 
-// compileProgs compiles every WhereExpr generic predicate to bytecode once
-// per operator; index gi holds nil for opaque closures (and for expressions
-// too deep for the VM), which keep the interpreted Eval.
+// compileProgs compiles every WhereExpr generic predicate of a Multi
+// residual class to bytecode, for evaluation per candidate; index gi holds
+// nil for opaque closures (and for expressions too deep for the VM), which
+// keep the interpreted Eval.
 func compileProgs(cond *Condition) []*Prog {
 	progs := make([]*Prog, len(cond.Generics))
 	for gi := range cond.Generics {
@@ -181,15 +185,15 @@ func newWindows(sizes []stream.Time, planSets ...[]plan) []*window.Window {
 
 // compilePlans lowers the symbolic plans into compiled plans against the
 // operator's windows.
-func compilePlans(cond *Condition, plans []plan, windows []*window.Window, progs []*Prog) []cplan {
+func compilePlans(cond *Condition, plans []plan, windows []*window.Window) []cplan {
 	out := make([]cplan, len(plans))
 	for s := range plans {
-		out[s] = compilePlan(cond, s, plans[s], windows, progs)
+		out[s] = compilePlan(cond, s, plans[s], windows)
 	}
 	return out
 }
 
-func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window, progs []*Prog) cplan {
+func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window) cplan {
 	// canon maps an attribute reference to an exactly-equal reference on an
 	// earlier-bound stream, derived from the equi lookups already executed.
 	// resolve chases chains to the earliest-bound representative; entries are
@@ -237,9 +241,13 @@ func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window
 				cs.resBand = append(cs.resBand, cband{b.ownAttr, resolve(cref{b.boundStream, b.boundAttr}), b.eps})
 			}
 		}
-		cs.checks = st.checks
+		cs.generic = len(st.checks) > 0
 		for _, gi := range st.checks {
-			cs.progs = append(cs.progs, progs[gi])
+			if k := compileStep(cond.Generics[gi].Expr, st.stream); k != nil {
+				cs.kern = append(cs.kern, k)
+			} else {
+				cs.checks = append(cs.checks, gi)
+			}
 		}
 		// Register this step's equalities for later steps. First writer wins
 		// when two lookups share an own attribute; either target is exact.
@@ -262,13 +270,13 @@ func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window
 // (see cstep.tailFused).
 func fuseTail(steps []cstep, i int) {
 	cs := &steps[i]
-	if cs.countableTail || len(cs.checks) > 0 || i+1 >= len(steps) || !steps[i+1].countableTail {
+	if cs.countableTail || cs.generic || i+1 >= len(steps) || !steps[i+1].countableTail {
 		return
 	}
 	var cand, fixed []tailProbe
 	for j := i + 1; j < len(steps); j++ {
 		t := &steps[j]
-		if t.hash == nil || t.hasResiduals() || len(t.checks) > 0 {
+		if t.hash == nil || t.hasResiduals() {
 			return
 		}
 		tp := tailProbe{hash: t.hash, ref: t.hashRef}
@@ -306,7 +314,7 @@ func markCountableTailsC(arriving int, steps []cstep, m int) {
 	tailOK := true
 	for i := len(steps) - 1; i >= 0; i-- {
 		cs := &steps[i]
-		if len(cs.checks) > 0 {
+		if cs.generic {
 			tailOK = false
 		}
 		if cs.hash != nil {
@@ -361,12 +369,15 @@ func (cs *cstep) base(assign []*stream.Tuple) []*stream.Tuple {
 }
 
 // hasResiduals reports whether the step filters beyond its base probe.
-func (cs *cstep) hasResiduals() bool { return len(cs.resEq) > 0 || len(cs.resBand) > 0 }
+func (cs *cstep) hasResiduals() bool {
+	return len(cs.resEq) > 0 || len(cs.resBand) > 0 || len(cs.kern) > 0
+}
 
 // candidates returns the step's exact candidates in base order: the base
 // view itself when nothing else filters, else cs.buf after one pass per
-// residual — each reads its bound value once and sweeps the survivors of the
-// previous pass in place. The result is valid until the step is next probed.
+// residual — each reads its bound values once and sweeps the survivors of
+// the previous pass in place, compiled generic predicates last. The result
+// is valid until the step is next probed.
 func (cs *cstep) candidates(assign []*stream.Tuple) []*stream.Tuple {
 	in := cs.base(assign)
 	if !cs.hasResiduals() {
@@ -395,6 +406,10 @@ func (cs *cstep) candidates(assign []*stream.Tuple) []*stream.Tuple {
 		}
 		cs.buf, in, stale = out, out, max(stale, len(out))
 	}
+	for _, k := range cs.kern {
+		out := k.sweep(assign, cs.stream, in, cs.buf[:0])
+		cs.buf, in, stale = out, out, max(stale, len(out))
+	}
 	// Nil what earlier passes and probes left behind the survivors so the
 	// buffer does not pin expired tuples.
 	clear(in[len(in):min(stale, cap(in))])
@@ -407,15 +422,11 @@ func (cs *cstep) ccount(assign []*stream.Tuple) int64 {
 	return int64(len(cs.candidates(assign)))
 }
 
-// cchecks evaluates the step's generic predicates — bytecode when compiled,
-// the interpreted Eval closure otherwise.
+// cchecks evaluates, for one bound candidate, the generic predicates of the
+// step that candidates could not sweep.
 func (o *Operator) cchecks(cs *cstep, assign []*stream.Tuple) bool {
-	for k, gi := range cs.checks {
-		if p := cs.progs[k]; p != nil {
-			if !p.Eval(assign) {
-				return false
-			}
-		} else if !o.cond.Generics[gi].Eval(assign) {
+	for _, gi := range cs.checks {
+		if !o.cond.Generics[gi].Eval(assign) {
 			return false
 		}
 	}

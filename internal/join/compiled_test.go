@@ -246,8 +246,9 @@ func assertIndexesProbed(t *testing.T, windows []*window.Window, symbolic [][]pl
 // TestWindowsIndexWhatPlansProbe: on 200 random conditions the operator's
 // windows carry exactly the indexes its compiled steps probe, and the
 // compiled kernel still emits the interpreted reference walker's exact
-// sequence (the walker probes through Window.Match/MatchRange, so it panics
-// on any index the derivation dropped but a plan needs). Every third
+// sequence (the walker looks each index up by attribute at probe time, so it
+// panics on the nil handle of any index the derivation dropped but a plan
+// needs). Every third
 // condition also joins a shared Multi, whose union must obey the same rule.
 func TestWindowsIndexWhatPlansProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))

@@ -124,6 +124,46 @@ func TestEmitAllocsAmortised(t *testing.T) {
 	}
 }
 
+// TestStepFilterZeroAllocs gates the swept residual: on a warmed soccer
+// operator the band probe, the band sweep and the circle sweep allocate
+// nothing when results are only counted, and with a sink nothing beyond the
+// pointer blocks results are carved from (one per 32 results at m = 2).
+func TestStepFilterZeroAllocs(t *testing.T) {
+	const d = 30 * stream.Second
+	const pass = 512
+	for _, sink := range []bool{false, true} {
+		ds, feed, orig := soccerFeed(d)
+		var opts []join.Option
+		if sink {
+			opts = append(opts, join.WithEmit(func(stream.Result) {}))
+		}
+		op := join.New(ds.Cond, ds.Windows, opts...)
+		i := 0
+		for ; i < len(feed); i++ {
+			op.Process(feed[i])
+		}
+		const runs = 20
+		before := op.Results()
+		allocs := testing.AllocsPerRun(runs, func() {
+			for j := 0; j < pass; j++ {
+				op.Process(lap(feed, orig, d, i))
+				i++
+			}
+		})
+		perPass := float64(op.Results()-before) / (runs + 1)
+		if perPass < pass {
+			t.Fatalf("sink=%v: only %.0f results per %d-tuple pass: the feed does not exercise the residual", sink, perPass, pass)
+		}
+		limit := 0.0
+		if sink {
+			limit = perPass/32 + 1
+		}
+		if allocs > limit {
+			t.Fatalf("sink=%v: %.1f allocations per pass of %.0f results, want ≤ %.1f", sink, allocs, perPass, limit)
+		}
+	}
+}
+
 // TestRetainedResultsStayValid keeps every Result delivered over the first
 // part of a soccer run, pushes the rest of the feed, and then checks each
 // retained Tuples slice against Condition.Matches and the src:seq signature

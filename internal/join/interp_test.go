@@ -1,10 +1,13 @@
 package join
 
-import "repro/internal/stream"
+import (
+	"repro/internal/index"
+	"repro/internal/stream"
+)
 
 // The interpreted probe kernel: a direct, level-by-level execution of the
-// symbolic plan buildPlans produces, resolving every probe through
-// Window.Match/MatchRange. Production probing always runs the compiled
+// symbolic plan buildPlans produces, looking the index for each probe up by
+// attribute at probe time. Production probing always runs the compiled
 // kernel (compiled.go); this reference exists so TestCompiledMatchesInterpreted
 // can pin the compiled kernel's enumeration order and counts bit-for-bit
 // against an execution that shares none of its lowering.
@@ -82,7 +85,7 @@ func (o *Operator) search(p plan, tails []bool, lvl int, assign []*stream.Tuple)
 // baseCandidates selects the step's base candidate set — the first hash
 // lookup when the step has equi predicates (generally most selective), the
 // first range lookup otherwise, the whole window with neither — and
-// returns the residual lookups still to be filtered. Both Match and the
+// returns the residual lookups still to be filtered. Both the bucket and the
 // range probe return contiguous views of index storage, so nothing is
 // copied here.
 //
@@ -95,7 +98,9 @@ func (o *Operator) baseCandidates(st *step, assign []*stream.Tuple) (base []*str
 	switch {
 	case len(st.lookups) > 0:
 		l0 := st.lookups[0]
-		base = w.Match(l0.ownAttr, assign[l0.boundStream].Attr(l0.boundAttr))
+		if bits, ok := index.KeyBits(assign[l0.boundStream].Attr(l0.boundAttr)); ok { // NaN never equi-matches
+			base = w.HashIndex(l0.ownAttr).Get(bits)
+		}
 		return base, st.lookups[1:], st.bands
 	case len(st.bands) > 0:
 		b0 := st.bands[0]
@@ -103,7 +108,7 @@ func (o *Operator) baseCandidates(st *step, assign []*stream.Tuple) (base []*str
 		if !ok {
 			return nil, nil, nil
 		}
-		return w.MatchRange(b0.ownAttr, lo, hi), nil, st.bands
+		return w.RangeIndex(b0.ownAttr).Range(lo, hi), nil, st.bands
 	default:
 		return w.All(), nil, nil
 	}

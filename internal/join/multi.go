@@ -345,7 +345,7 @@ func (mo *Multi) rebuild() {
 	}
 	mo.windows = newWindows(mo.sizes, planSets...)
 	for _, c := range mo.classes {
-		c.cplans = compilePlans(c.skel, c.plans, mo.windows, nil)
+		c.cplans = compilePlans(c.skel, c.plans, mo.windows)
 		c.refreshMasks(mo.m)
 	}
 }

@@ -108,7 +108,7 @@ func New(cond *Condition, sizes []stream.Time, opts ...Option) *Operator {
 	}
 	plans := buildPlans(cond)
 	o.windows = newWindows(sizes, plans)
-	o.cplans = compilePlans(cond, plans, o.windows, compileProgs(cond))
+	o.cplans = compilePlans(cond, plans, o.windows)
 	for _, opt := range opts {
 		opt(o)
 	}

@@ -84,6 +84,48 @@ func BenchmarkProcessStar(b *testing.B) {
 	}
 }
 
+var stepSink int
+
+// BenchmarkStepFilter measures the circle residual over one probe's
+// candidates as the soccer query sees them — eleven tuples of the ±5 m box,
+// eight inside the circle — swept by the step program, and checked one
+// candidate at a time by Eval as Multi and internal/dist still do.
+func BenchmarkStepFilter(b *testing.B) {
+	dx := Sub(Attr(0, 1), Attr(1, 1))
+	dy := Sub(Attr(0, 2), Attr(1, 2))
+	circle := Lt(Add(Mul(dx, dx), Mul(dy, dy)), ConstOf(25))
+	at := [][2]float64{{0, 0}, {1, 2}, {-3, 3}, {4.9, 4.9}, {2, -4}, {-4.5, 0.5}, {4, 4}, {0, 4.5}, {-3.5, -3}, {-4, -4}, {3, 1}}
+	cands := make([]*stream.Tuple, len(at))
+	for i, p := range at {
+		cands[i] = tup(1, 1, uint64(i), float64(i), 50+p[0], 30+p[1])
+	}
+	assign := []*stream.Tuple{tup(0, 1, 0, 0, 50, 30), nil}
+	buf := make([]*stream.Tuple, 0, len(cands))
+	b.Run("sweep", func(b *testing.B) {
+		step := compileStep(circle, 1)
+		for i := 0; i < b.N; i++ {
+			stepSink = len(step.sweep(assign, 1, cands, buf))
+		}
+	})
+	b.Run("percandidate", func(b *testing.B) {
+		prog := CompileExpr(circle)
+		for i := 0; i < b.N; i++ {
+			out := buf
+			for _, cand := range cands {
+				assign[1] = cand
+				if prog.Eval(assign) {
+					out = append(out, cand)
+				}
+			}
+			stepSink = len(out)
+		}
+		assign[1] = nil
+	})
+	if stepSink != 8 {
+		b.Fatalf("%d survivors, want 8", stepSink)
+	}
+}
+
 // TestSteadyStateZeroAllocs pins the steady-state counting probe path at
 // exactly zero allocations on equi-only and band-only conditions. The FIFO
 // hash buckets (compact-in-place once the backing array reaches 2× the live

@@ -59,13 +59,24 @@ func FlattenExpr(e *Expr) []WireExprNode {
 	return nodes
 }
 
+// maxWireExprNodes caps a flattened expression; real predicates are a few
+// dozen nodes.
+const maxWireExprNodes = 4096
+
 // UnflattenExpr rebuilds the expression tree from its flattened form,
 // validating structure (operand indexes strictly before their node, kinds
 // in range, numeric/boolean typing, boolean root) so a corrupted or
 // hostile payload yields an error instead of a panic or a mistyped tree.
+// The payload must be a tree, as FlattenExpr emits (it re-walks shared
+// subtrees): every node but the root is an operand exactly once. A payload
+// sharing operands would unfold into a tree exponential in its length the
+// first time anything walked it.
 func UnflattenExpr(nodes []WireExprNode) (*Expr, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("join: empty expression")
+	}
+	if len(nodes) > maxWireExprNodes {
+		return nil, fmt.Errorf("join: expression has %d nodes, more than %d", len(nodes), maxWireExprNodes)
 	}
 	built := make([]*Expr, len(nodes))
 	for i, n := range nodes {
@@ -76,7 +87,12 @@ func UnflattenExpr(nodes []WireExprNode) (*Expr, error) {
 			if j < 0 || j >= i {
 				return nil, fmt.Errorf("join: expression node %d references operand %d outside [0,%d)", i, j, i)
 			}
-			return built[j], nil
+			if built[j] == nil {
+				return nil, fmt.Errorf("join: expression node %d is an operand twice", j)
+			}
+			e := built[j]
+			built[j] = nil
+			return e, nil
 		}
 		var x, y *Expr
 		var err error
@@ -108,6 +124,11 @@ func UnflattenExpr(nodes []WireExprNode) (*Expr, error) {
 		built[i] = &Expr{kind: n.Kind, x: x, y: y, stream: n.Stream, attr: n.Attr, c: n.C}
 	}
 	root := built[len(built)-1]
+	for i, e := range built[:len(built)-1] {
+		if e != nil {
+			return nil, fmt.Errorf("join: expression node %d is not part of the tree", i)
+		}
+	}
 	if !root.isBool() {
 		return nil, errors.New("join: expression root is numeric — a predicate needs a boolean root")
 	}

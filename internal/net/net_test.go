@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/difftest"
 	"repro/internal/fault"
@@ -361,6 +362,53 @@ func TestRejoinSignatureMismatch(t *testing.T) {
 		}
 	}()
 	s2.Route(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
+}
+
+// TestHostileHelloExpressionRefused: a hello whose generic predicate shares
+// operands — 40 nodes standing for a 2³⁸-leaf tree, which used to hang the
+// daemon in Condition() — is answered with an error ack at once, and the
+// daemon keeps serving.
+func TestHostileHelloExpressionRefused(t *testing.T) {
+	leakcheck.Check(t)
+	addrs := startWorkers(t, 1, nil)
+	nodes := []join.WireExprNode{{Kind: 0, X: -1, Y: -1}} // s0.a0
+	for i := 1; i < 39; i++ {
+		nodes = append(nodes, join.WireExprNode{Kind: 2, X: i - 1, Y: i - 1}) // Add(i−1, i−1)
+	}
+	nodes = append(nodes, join.WireExprNode{Kind: 10, X: 38, Y: 38}) // Lt(38, 38)
+
+	c, err := stdnet.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	hello := HelloMsg{Sig: "hostile", N: 1, Windows: []stream.Time{100, 100},
+		Cond: join.WireCondition{M: 2, Generics: [][]join.WireExprNode{nodes}}}
+	if err := writeGob(newFrameWriter(c), ftHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err := newFrameReader(c).next()
+	if err != nil || ft != ftHelloAck {
+		t.Fatalf("reading the ack: frame type %d, %v", ft, err)
+	}
+	var ack HelloAck
+	if err := readGob(payload, &ack); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ack.Err, "operand twice") {
+		t.Fatalf("ack %+v, want the shared-operand error", ack)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("the daemon took %v to refuse the hello", d)
+	}
+	c.Close()
+
+	s := NewSession(addrs, "deployment-A", shard.Config{Cond: join.EquiChain(2, 0), Windows: []stream.Time{100, 100}})
+	s.Route(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
+	s.FlushInterval(nil, nil)
+	s.Close()
 }
 
 // TestRejoinSameSignatureAccepted: the legitimate rejoin path — same

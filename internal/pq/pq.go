@@ -1,6 +1,8 @@
-// Package pq provides the one min-heap behind every sorter of the framework:
-// the K-slack late heap, the Synchronizer, and the distributed tree stages'
-// sync buffers, deadline windows and deadline rings.
+// Package pq provides the one min-heap behind every sorter of the framework
+// — the K-slack late heap, the Synchronizer's, and the distributed tree
+// stages' sync buffers, deadline windows and deadline rings — and Run
+// (run.go), the FIFO lane the Synchronizers and the deadline windows keep in
+// front of it for what arrives already in order.
 //
 // Every one of them orders by an integer timestamp with an integer
 // tie-breaker, so a slot carries its (Key, Tie) pair inline next to the

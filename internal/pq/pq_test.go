@@ -3,6 +3,7 @@ package pq
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -360,4 +361,49 @@ func BenchmarkPushPop(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRunIsAFIFOWithABoundedArray: under random pushes and pops a Run
+// returns what a plain slice queue returns, its views agree with it, and its
+// backing array never exceeds ~2× the live high-water mark plus the compact
+// threshold — however many values have passed through.
+func TestRunIsAFIFOWithABoundedArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var r Run[*int]
+	var ref []*int
+	r.Grow(8)
+	high := 0
+	for i := 0; i < 200000; i++ {
+		if len(ref) == 0 || rng.Intn(100) < 50+10*((i/5000)%2) { // phases that fill, phases that drain
+			v := new(int)
+			*v = i
+			r.Push(v)
+			ref = append(ref, v)
+		} else {
+			if got := r.Pop(); got != ref[0] {
+				t.Fatalf("step %d: popped %d, want %d", i, *got, *ref[0])
+			}
+			ref = ref[1:]
+		}
+		high = max(high, len(ref))
+		if r.Len() != len(ref) || !slices.Equal(r.Live(), ref) {
+			t.Fatalf("step %d: run holds %d values, the queue %d", i, r.Len(), len(ref))
+		}
+		if len(ref) > 0 && (r.Front() != ref[0] || r.Back() != ref[len(ref)-1]) {
+			t.Fatalf("step %d: front/back disagree with the queue", i)
+		}
+		if limit := 2*(2*high+runMinDead) + 8; cap(r.vals) > limit {
+			t.Fatalf("step %d: backing array of %d for a high-water mark of %d", i, cap(r.vals), high)
+		}
+	}
+	kept := cap(r.vals)
+	r.Reset()
+	if r.Len() != 0 || cap(r.vals) != kept {
+		t.Fatalf("Reset left %d values in an array of %d, was %d", r.Len(), cap(r.vals), kept)
+	}
+	for _, v := range r.vals[:kept] {
+		if v != nil {
+			t.Fatal("Reset left a value reachable through the backing array")
+		}
+	}
 }

@@ -11,6 +11,14 @@
 // Finite experiment streams additionally need end-of-stream handling: once a
 // stream is closed it no longer gates the release loop, otherwise the last
 // window of every other stream would be withheld forever.
+//
+// The buffer only has to sort what arrives out of order. A K-slack component
+// releases its stream in (TS, Seq) order, so a tuple at or past the newest
+// one buffered from its stream extends that stream's FIFO lane; only the
+// rest — what a K-slack forwarded late — go to a small late heap. The
+// release order is the (TS, Seq) minimum of the m lane fronts and the
+// heap's root, which is exactly the pop sequence of one heap over everything
+// (reference_test.go holds the two against each other).
 package syncer
 
 import (
@@ -28,8 +36,10 @@ type EmitFunc func(*stream.Tuple)
 type Synchronizer struct {
 	m      int
 	tsync  stream.Time
-	heap   pq.Heap[*stream.Tuple] // ordered by (TS, Seq)
-	counts []int                  // buffered tuples per stream
+	lanes  []pq.Run[*stream.Tuple] // per stream, nondecreasing in (TS, Seq)
+	late   pq.Heap[*stream.Tuple]  // ordered by (TS, Seq)
+	held   int
+	counts []int // buffered tuples per stream
 	open   []bool
 	// starved counts the open streams with nothing buffered; the release
 	// loop runs while it is zero. Maintained where counts and open change.
@@ -44,6 +54,7 @@ type Synchronizer struct {
 func New(m int, emit EmitFunc) *Synchronizer {
 	s := &Synchronizer{
 		m:       m,
+		lanes:   make([]pq.Run[*stream.Tuple], m),
 		counts:  make([]int, m),
 		open:    make([]bool, m),
 		starved: m,
@@ -51,15 +62,21 @@ func New(m int, emit EmitFunc) *Synchronizer {
 	}
 	for i := range s.open {
 		s.open[i] = true
+		s.lanes[i].Grow(laneCap)
 	}
 	return s
 }
+
+// laneCap is the initial capacity of a lane: the buffer holds a handful of
+// tuples per stream (it drains whenever every stream has one), so lanes
+// start at their working size instead of growing into it.
+const laneCap = 16
 
 // TSync returns the current maximum timestamp among released tuples.
 func (s *Synchronizer) TSync() stream.Time { return s.tsync }
 
 // Len returns the number of buffered tuples.
-func (s *Synchronizer) Len() int { return s.heap.Len() }
+func (s *Synchronizer) Len() int { return s.held }
 
 // Immediate returns how many tuples bypassed the buffer (out-of-order w.r.t.
 // T^sync, forwarded immediately).
@@ -76,9 +93,15 @@ func (s *Synchronizer) Push(e *stream.Tuple) {
 	s.emit(e)
 }
 
-// hold buffers e and accounts it to its stream.
+// hold buffers e — on its stream's lane when it sorts at or after the lane's
+// newest, on the late heap otherwise — and accounts it to its stream.
 func (s *Synchronizer) hold(e *stream.Tuple) {
-	s.heap.Push(int64(e.TS), e.Seq, e)
+	if l := &s.lanes[e.Src]; l.Len() == 0 || !stream.Less(e, l.Back()) {
+		l.Push(e)
+	} else {
+		s.late.Push(int64(e.TS), e.Seq, e)
+	}
+	s.held++
 	if s.counts[e.Src] == 0 && s.open[e.Src] {
 		s.starved--
 	}
@@ -103,10 +126,18 @@ func (s *Synchronizer) Close(i int) {
 // tuple: T^sync advances to the minimum buffered timestamp and all tuples at
 // that timestamp are emitted. With no open streams the buffer empties fully.
 func (s *Synchronizer) drain() {
-	for s.heap.Len() > 0 && s.starved == 0 {
-		s.tsync = stream.Time(s.heap.Peek().Key)
-		for s.heap.Len() > 0 && stream.Time(s.heap.Peek().Key) == s.tsync {
-			e := s.heap.Pop()
+	if s.starved != 0 {
+		return // the common push: some stream still has nothing buffered
+	}
+	e, at := s.front()
+	for e != nil && s.starved == 0 {
+		for s.tsync = e.TS; e != nil && e.TS == s.tsync; e, at = s.front() {
+			if at < 0 {
+				s.late.Pop()
+			} else {
+				s.lanes[at].Pop()
+			}
+			s.held--
 			s.counts[e.Src]--
 			if s.counts[e.Src] == 0 && s.open[e.Src] {
 				s.starved++
@@ -114,6 +145,22 @@ func (s *Synchronizer) drain() {
 			s.emit(e)
 		}
 	}
+}
+
+// front returns the buffered (TS, Seq) minimum — the smallest of the lane
+// fronts and the late heap's root — and the lane it heads, -1 for the heap;
+// nil when nothing is buffered.
+func (s *Synchronizer) front() (e *stream.Tuple, at int) {
+	at = -1
+	if s.late.Len() > 0 {
+		e = s.late.Peek().Val
+	}
+	for i := range s.lanes {
+		if l := &s.lanes[i]; l.Len() > 0 && (e == nil || stream.Less(l.Front(), e)) {
+			e, at = l.Front(), i
+		}
+	}
+	return e, at
 }
 
 // State is the serializable snapshot of a Synchronizer.
@@ -126,7 +173,10 @@ type State struct {
 
 // State captures the synchronizer's state, registering buffered tuples in tt.
 func (s *Synchronizer) State(tt *fault.TupleTable) State {
-	sorted := s.heap.AppendValues(make([]*stream.Tuple, 0, s.heap.Len()))
+	sorted := s.late.AppendValues(make([]*stream.Tuple, 0, s.held))
+	for i := range s.lanes {
+		sorted = append(sorted, s.lanes[i].Live()...)
+	}
 	sort.Slice(sorted, func(i, j int) bool { return stream.Less(sorted[i], sorted[j]) })
 	st := State{
 		TSync:     s.tsync,
@@ -154,8 +204,11 @@ func (s *Synchronizer) Restore(st State, ta *fault.TupleArena) {
 		}
 		s.counts[i] = 0
 	}
-	s.heap.Reset()
-	s.buffered = 0
+	for i := range s.lanes {
+		s.lanes[i].Reset()
+	}
+	s.late.Reset()
+	s.held, s.buffered = 0, 0
 	for _, id := range st.Buffered {
 		s.hold(ta.Tuple(id))
 	}

@@ -199,40 +199,11 @@ func (w *Window) compact() {
 	}
 }
 
-// Match returns the tuples whose indexed attribute equals key. It panics if
-// the attribute has no hash index, which is a planning bug rather than a
-// data condition.
-func (w *Window) Match(attr int, key float64) []*stream.Tuple {
-	for i := range w.hashes {
-		if w.hashes[i].attr == attr {
-			b, ok := index.KeyBits(key)
-			if !ok {
-				return nil // NaN never equi-matches
-			}
-			return w.hashes[i].tab.Get(b)
-		}
-	}
-	panic("window: probe on unindexed attribute")
-}
-
-// MatchRange returns the tuples whose indexed attribute lies in [lo, hi] as
-// a contiguous view in attribute order; callers must not mutate or retain it
-// across Insert/Expire calls. It panics if the attribute has no range index.
-// NaN bounds yield an empty range.
-func (w *Window) MatchRange(attr int, lo, hi float64) []*stream.Tuple {
-	for i := range w.ranges {
-		if w.ranges[i].attr == attr {
-			return w.ranges[i].tab.Range(lo, hi)
-		}
-	}
-	panic("window: range probe on unindexed attribute")
-}
-
 // HashIndex returns the hash index on attr, or nil when the attribute has
 // none. It is the direct handle the compiled probe kernel resolves once at
-// plan-compile time, so the per-probe index scan and KeyBits dispatch of
-// Match disappear from the hot loop. The handle stays valid for the lifetime
-// of the window (Reset keeps the index structures).
+// plan-compile time, so no probe scans the window's index table. The handle
+// stays valid for the lifetime of the window (Reset keeps the index
+// structures).
 func (w *Window) HashIndex(attr int) *index.Hash[*stream.Tuple] {
 	for i := range w.hashes {
 		if w.hashes[i].attr == attr {

@@ -75,7 +75,7 @@ func BenchmarkMatch(b *testing.B) {
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		n += len(w.Match(0, float64(i%64)))
+		n += len(match(w, 0, float64(i%64)))
 	}
 	_ = n
 }

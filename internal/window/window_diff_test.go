@@ -91,7 +91,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				return false
 			}
 			for key := 0; key < 7; key++ {
-				if !sameSet(w.Match(0, float64(key)), r.idx[float64(key)]) {
+				if !sameSet(match(w, 0, float64(key)), r.idx[float64(key)]) {
 					t.Logf("seed %d op %d: Match(%d) mismatch", seed, op, key)
 					return false
 				}
@@ -202,7 +202,7 @@ func TestSteadyStateInsertExpireDoesNotAllocate(t *testing.T) {
 }
 
 // TestDifferentialRangeIndex replays random disordered batches through a
-// Window with a sorted range index and checks MatchRange against
+// Window with a sorted range index and checks its range view against
 // a linear scan of the reference content, including NaN attribute values
 // (never range-matched) and duplicate timestamps at the expiry edge.
 func TestDifferentialRangeIndex(t *testing.T) {
@@ -241,7 +241,7 @@ func TestDifferentialRangeIndex(t *testing.T) {
 						want = append(want, tp)
 					}
 				}
-				got := w.MatchRange(0, lo, hi)
+				got := matchRange(w, 0, lo, hi)
 				if len(got) != len(want) {
 					t.Logf("seed %d op %d: range [%v,%v] = %d tuples, want %d",
 						seed, op, lo, hi, len(got), len(want))
@@ -266,16 +266,16 @@ func TestRangeIndexNaNProbe(t *testing.T) {
 	w := NewIndexed(100, nil, []int{0})
 	w.Insert(&stream.Tuple{TS: 1, Seq: 0, Attrs: []float64{math.NaN()}})
 	w.Insert(&stream.Tuple{TS: 2, Seq: 1, Attrs: []float64{3}})
-	if got := w.MatchRange(0, math.NaN(), 10); len(got) != 0 {
+	if got := matchRange(w, 0, math.NaN(), 10); len(got) != 0 {
 		t.Fatal("NaN lo bound matched tuples")
 	}
-	if got := w.MatchRange(0, math.Inf(-1), math.Inf(1)); len(got) != 1 {
+	if got := matchRange(w, 0, math.Inf(-1), math.Inf(1)); len(got) != 1 {
 		t.Fatalf("full range matched %d tuples, want 1 (NaN excluded)", len(got))
 	}
 	// Expiring the NaN tuple must not disturb the index.
 	w.Expire(2)
-	if got := len(w.MatchRange(0, 0, 10)); got != 1 {
-		t.Fatalf("after expiry MatchRange = %d tuples, want 1", got)
+	if got := len(matchRange(w, 0, 0, 10)); got != 1 {
+		t.Fatalf("after expiry the range view holds %d tuples, want 1", got)
 	}
 }
 

@@ -5,11 +5,27 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/index"
 	"repro/internal/stream"
 )
 
 func tup(ts stream.Time, key float64, seq uint64) *stream.Tuple {
 	return &stream.Tuple{TS: ts, Seq: seq, Attrs: []float64{key}}
+}
+
+// match probes w's hash index on attr as an equi lookup does; NaN never
+// matches. The attribute must be indexed.
+func match(w *Window, attr int, key float64) []*stream.Tuple {
+	b, ok := index.KeyBits(key)
+	if !ok {
+		return nil
+	}
+	return w.HashIndex(attr).Get(b)
+}
+
+// matchRange probes w's range index on attr for keys in [lo, hi].
+func matchRange(w *Window, attr int, lo, hi float64) []*stream.Tuple {
+	return w.RangeIndex(attr).Range(lo, hi)
 }
 
 func TestInsertKeepsOrder(t *testing.T) {
@@ -52,18 +68,18 @@ func TestIndexMaintainedThroughExpire(t *testing.T) {
 	w.Insert(tup(1, 7, 0))
 	w.Insert(tup(2, 7, 1))
 	w.Insert(tup(3, 8, 2))
-	if got := len(w.Match(0, 7)); got != 2 {
+	if got := len(match(w, 0, 7)); got != 2 {
 		t.Fatalf("Match(7) = %d, want 2", got)
 	}
 	w.Expire(2) // drops ts 1
-	if got := len(w.Match(0, 7)); got != 1 {
+	if got := len(match(w, 0, 7)); got != 1 {
 		t.Fatalf("Match(7) after expire = %d, want 1", got)
 	}
-	if got := len(w.Match(0, 8)); got != 1 {
+	if got := len(match(w, 0, 8)); got != 1 {
 		t.Fatalf("Match(8) = %d, want 1", got)
 	}
 	w.Expire(100)
-	if len(w.Match(0, 7)) != 0 || len(w.Match(0, 8)) != 0 {
+	if len(match(w, 0, 7)) != 0 || len(match(w, 0, 8)) != 0 {
 		t.Fatal("index must be empty after full expiration")
 	}
 }
@@ -75,7 +91,7 @@ func TestMatchUnindexedPanics(t *testing.T) {
 		}
 	}()
 	w := New(10)
-	w.Match(0, 1)
+	match(w, 0, 1)
 }
 
 func TestIndexed(t *testing.T) {
@@ -92,7 +108,7 @@ func TestReset(t *testing.T) {
 	w := New(10, 0)
 	w.Insert(tup(1, 5, 0))
 	w.Reset()
-	if w.Len() != 0 || len(w.Match(0, 5)) != 0 {
+	if w.Len() != 0 || len(match(w, 0, 5)) != 0 {
 		t.Fatal("reset must clear content and indexes")
 	}
 }
@@ -119,7 +135,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 					scan++
 				}
 			}
-			if scan != len(w.Match(0, float64(key))) {
+			if scan != len(match(w, 0, float64(key))) {
 				return false
 			}
 		}
