@@ -33,9 +33,8 @@ import (
 type Sharding struct {
 	// Shards is the number of partition workers.
 	Shards int
-	// BatchSize and QueueDepth tune the inter-thread queues (0 = default).
-	BatchSize  int
-	QueueDepth int
+	// BatchSize tunes the inter-thread queues (0 = default).
+	BatchSize int
 }
 
 // Runtime is the sharded execution seam: what the pipeline needs from a
@@ -219,7 +218,6 @@ func New(cfg Config) *Pipeline {
 			Windows:     cfg.Windows,
 			Materialize: cfg.Emit != nil,
 			BatchSize:   cfg.Sharding.BatchSize,
-			QueueDepth:  cfg.Sharding.QueueDepth,
 			OnOutOfOrder: func(delay stream.Time) {
 				p.loop.RecordOutOfOrder(0, delay)
 			},

@@ -102,7 +102,7 @@ func TestCompiledCountableTail4Way(t *testing.T) {
 		3: {[]int{2, 1, 0}, []bool{false, false, false}, []bool{false, false, false}},
 	}
 	for src, w := range want {
-		steps := op.cplans[src].steps
+		steps := op.class.cplans[src].steps
 		for i := range steps {
 			if steps[i].stream != w.order[i] {
 				t.Errorf("arrival %d step %d: binds stream %d, want %d", src, i, steps[i].stream, w.order[i])
@@ -176,6 +176,139 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// memberSpec is one query of a Multi under test.
+type memberSpec struct {
+	cond *Condition
+	sig  string
+	sink bool
+}
+
+// withResidual returns a fresh condition with c's predicates plus, by
+// variant, nothing (0), a compilable WhereExpr (1) or an opaque Where closure
+// (2): three residual classes under one skeleton.
+func withResidual(c *Condition, variant int) *Condition {
+	m := c.M
+	out := &Condition{M: m, Equis: slices.Clone(c.Equis), Bands: slices.Clone(c.Bands), Generics: slices.Clone(c.Generics)}
+	switch variant {
+	case 1:
+		out.WhereExpr(Le(Abs(Sub(Attr(0, 0), Attr(m-1, 0))), ConstOf(2)))
+	case 2:
+		out.Where([]int{0, 1}, func(a []*stream.Tuple) bool { return a[0].Attrs[1]+1 >= a[1].Attrs[1] })
+	}
+	return out
+}
+
+// multiShapes lists the Multi memberships the walker is held to the
+// interpreter on: one member with and without a sink, two members of one
+// residual class (one delivering), three members with distinct residuals
+// under one skeleton — the first, delivering, carries a predicate the
+// others lack, so steps compiled from it alone would starve them — and two
+// residual classes that both deliver.
+func multiShapes(cond *Condition) map[string][]memberSpec {
+	sig := ResidualSig(cond, "c")
+	three := make([]memberSpec, 3)
+	for i, v := range []int{1, 0, 2} {
+		c := withResidual(cond, v)
+		three[i] = memberSpec{c, ResidualSig(c, fmt.Sprint("v", v)), i == 0}
+	}
+	both := []memberSpec{three[0], three[2]}
+	both[1].sink = true
+	return map[string][]memberSpec{
+		"one/sink":         {{cond, sig, true}},
+		"one/count":        {{cond, sig, false}},
+		"two-one-class":    {{cond, sig, true}, {cond, sig, false}},
+		"three-classes":    three,
+		"two-classes/sink": both,
+	}
+}
+
+// checkMultiMatchesInterpreted runs es through a Multi holding specs and,
+// per member, through the interpreted kernel of interp_test.go on windows of
+// its own, and compares each member's delivered results (order included),
+// its count-sink calls and its per-arrival (n×, n^on, in-order) hook calls.
+func checkMultiMatchesInterpreted(t *testing.T, label string, sizes []stream.Time, es []*stream.Tuple, specs []memberSpec) {
+	t.Helper()
+	type trace struct{ results, counts []string }
+	tap := func(tr *trace, sink bool) (EmitFunc, CountEmitFunc, ProcessedFunc) {
+		var emit EmitFunc
+		if sink {
+			emit = func(r stream.Result) { tr.results = append(tr.results, resultSig(r)) }
+		}
+		return emit,
+			func(ts stream.Time, n int64) { tr.counts = append(tr.counts, fmt.Sprint("sink@", ts, ":", n)) },
+			func(e *stream.Tuple, nCross, nOn int64, inOrder bool) {
+				tr.counts = append(tr.counts, fmt.Sprint(e.Seq, ":", nCross, ",", nOn, ",", inOrder))
+			}
+	}
+	got, want := make([]trace, len(specs)), make([]trace, len(specs))
+	mo := NewMulti(sizes)
+	members := make([]*MultiMember, len(specs))
+	refs := make([]*Operator, len(specs))
+	for i, sp := range specs {
+		emit, countEmit, hook := tap(&got[i], sp.sink)
+		members[i] = mo.Add(sp.cond, sp.sig, emit, countEmit, hook)
+		emit, countEmit, hook = tap(&want[i], sp.sink)
+		refs[i] = New(sp.cond, sizes, WithEmit(emit), WithCountEmit(countEmit), WithProcessedHook(hook))
+	}
+	for _, e := range es {
+		mo.Process(e)
+		for _, ref := range refs {
+			processInterp(ref, e, max(ref.HighWatermark(), e.TS))
+		}
+	}
+	for i := range specs {
+		if !slices.Equal(got[i].results, want[i].results) {
+			t.Fatalf("%s member %d: walker delivered %d results, interpreter %d, or in another order", label, i, len(got[i].results), len(want[i].results))
+		}
+		if !slices.Equal(got[i].counts, want[i].counts) {
+			t.Fatalf("%s member %d: per-arrival counts differ from the interpreter's", label, i)
+		}
+		if members[i].Results() != refs[i].Results() {
+			t.Fatalf("%s member %d: %d results, interpreter %d", label, i, members[i].Results(), refs[i].Results())
+		}
+	}
+}
+
+// TestWalkerMatchesInterpreted is the independent differential for the one
+// walker: Operator and Multi share it, so holding a Multi member against a
+// standalone Operator (the TestMulti… differentials) compares the walker with
+// itself. Here every Multi shape of multiShapes runs TestCompiledMatchesInterpreted's
+// generator — equi, band, WhereExpr and opaque Where, late tuples — and two
+// fixed conditions, a star (spoke arrivals take the fused tail count) and a
+// chain (countable from step 0), against the interpreter, which shares none
+// of the lowering, the class compile or the alive-bit bookkeeping.
+//
+// Mutation checks, each of which fails this test: dropping cs.chkAfter from
+// cnt ahead of the fused path in mclass.walk (a class with a pending
+// predicate takes the fused count); crediting cnt without clearing it from
+// alive (a counted class is enumerated again); compiling a class of several
+// residual classes from its first one's full condition (the others inherit
+// its sweeps); on the last step, crediting len(cands) to the classes that
+// check there as well, dropping them from alive with the classes that only
+// count, or reading the hoisted sinks of one class when a second delivers
+// or a check is pending.
+func TestWalkerMatchesInterpreted(t *testing.T) {
+	run := func(label string, cond *Condition, sizes []stream.Time, es []*stream.Tuple) {
+		for name, specs := range multiShapes(cond) {
+			checkMultiMatchesInterpreted(t, label+"/"+name, sizes, es, specs)
+		}
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := 2 + rng.Intn(3)
+		cond := randCond(rng, m)
+		sizes := make([]stream.Time, m)
+		for i := range sizes {
+			sizes[i] = stream.Time(3 + rng.Intn(5))
+		}
+		run(fmt.Sprint("seed ", seed), cond, sizes, randTuples(rng, m, 300))
+	}
+	rng := rand.New(rand.NewSource(61))
+	wide := []stream.Time{24, 28, 20, 26}
+	run("star", Star(4, []int{0, 0, 1}, []int{0, 0, 1}), wide, randTuples(rng, 4, 600))
+	run("chain", EquiChain(3, 0), wide[:3], randTuples(rng, 3, 600))
 }
 
 // randIndexCond is randCond with the shapes that separate "attributes the
@@ -262,7 +395,7 @@ func TestWindowsIndexWhatPlansProbe(t *testing.T) {
 		var a, b []string
 		opC := New(cond, sizes, WithEmit(func(r stream.Result) { a = append(a, resultSig(r)) }))
 		opI := New(cond, sizes, WithEmit(func(r stream.Result) { b = append(b, resultSig(r)) }))
-		assertIndexesProbed(t, opC.windows, [][]plan{buildPlans(cond)}, [][]cplan{opC.cplans})
+		assertIndexesProbed(t, opC.windows, [][]plan{buildPlans(cond)}, [][]cplan{opC.class.cplans})
 		for _, e := range randTuples(rng, m, 200) {
 			opC.Process(e)
 			processInterp(opI, e, max(opI.HighWatermark(), e.TS))

@@ -56,6 +56,29 @@ func BenchmarkProcessBandDeliver(b *testing.B) {
 	b.ReportMetric(float64(delivered)/float64(warm+b.N), "results/op")
 }
 
+// BenchmarkMultiBandDeliver is BenchmarkProcessBandDeliver through a Multi
+// with two soccer queries in one residual class, one of them with a sink:
+// the circle is swept once per probe for both.
+func BenchmarkMultiBandDeliver(b *testing.B) {
+	const d = 60 * stream.Second
+	ds, feed, orig := soccerFeed(d)
+	var delivered int64
+	mo := join.NewMulti(ds.Windows)
+	sig := join.ResidualSig(ds.Cond, "")
+	mo.Add(ds.Cond, sig, func(stream.Result) { delivered++ }, nil, nil)
+	mo.Add(ds.Cond, sig, nil, nil, nil)
+	warm := len(feed) / 2
+	for i := 0; i < warm; i++ {
+		mo.Process(feed[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mo.Process(lap(feed, orig, d, warm+i))
+	}
+	b.ReportMetric(float64(delivered)/float64(warm+b.N), "results/op")
+}
+
 var progSink bool
 
 // BenchmarkProgEval measures the circle residual dx² + dy² < r² in the VM.
@@ -125,41 +148,66 @@ func TestEmitAllocsAmortised(t *testing.T) {
 }
 
 // TestStepFilterZeroAllocs gates the swept residual: on a warmed soccer
-// operator the band probe, the band sweep and the circle sweep allocate
-// nothing when results are only counted, and with a sink nothing beyond the
-// pointer blocks results are carved from (one per 32 results at m = 2).
+// kernel — the operator, a Multi of one member, a Multi of two members in one
+// residual class (the sink on the first) — the band probe, the band sweep
+// and the circle sweep allocate nothing when results are only counted, and
+// with a sink nothing beyond the pointer blocks results are carved from (one
+// per 32 results at m = 2).
 func TestStepFilterZeroAllocs(t *testing.T) {
 	const d = 30 * stream.Second
 	const pass = 512
-	for _, sink := range []bool{false, true} {
-		ds, feed, orig := soccerFeed(d)
-		var opts []join.Option
-		if sink {
-			opts = append(opts, join.WithEmit(func(stream.Result) {}))
-		}
-		op := join.New(ds.Cond, ds.Windows, opts...)
-		i := 0
-		for ; i < len(feed); i++ {
-			op.Process(feed[i])
-		}
-		const runs = 20
-		before := op.Results()
-		allocs := testing.AllocsPerRun(runs, func() {
-			for j := 0; j < pass; j++ {
-				op.Process(lap(feed, orig, d, i))
-				i++
+	multiOf := func(n int) func(*gen.Dataset, join.EmitFunc) (func(*stream.Tuple), func() int64) {
+		return func(ds *gen.Dataset, emit join.EmitFunc) (func(*stream.Tuple), func() int64) {
+			mo := join.NewMulti(ds.Windows)
+			first := mo.Add(ds.Cond, join.ResidualSig(ds.Cond, ""), emit, nil, nil)
+			for i := 1; i < n; i++ {
+				mo.Add(ds.Cond, join.ResidualSig(ds.Cond, ""), nil, nil, nil)
 			}
-		})
-		perPass := float64(op.Results()-before) / (runs + 1)
-		if perPass < pass {
-			t.Fatalf("sink=%v: only %.0f results per %d-tuple pass: the feed does not exercise the residual", sink, perPass, pass)
+			return mo.Process, first.Results
 		}
-		limit := 0.0
-		if sink {
-			limit = perPass/32 + 1
-		}
-		if allocs > limit {
-			t.Fatalf("sink=%v: %.1f allocations per pass of %.0f results, want ≤ %.1f", sink, allocs, perPass, limit)
+	}
+	kernels := []struct {
+		name  string
+		build func(*gen.Dataset, join.EmitFunc) (process func(*stream.Tuple), results func() int64)
+	}{
+		{"Operator", func(ds *gen.Dataset, emit join.EmitFunc) (func(*stream.Tuple), func() int64) {
+			op := join.New(ds.Cond, ds.Windows, join.WithEmit(emit))
+			return op.Process, op.Results
+		}},
+		{"Multi1", multiOf(1)},
+		{"Multi2", multiOf(2)},
+	}
+	for _, k := range kernels {
+		for _, sink := range []bool{false, true} {
+			ds, feed, orig := soccerFeed(d)
+			var emit join.EmitFunc
+			if sink {
+				emit = func(stream.Result) {}
+			}
+			process, results := k.build(ds, emit)
+			i := 0
+			for ; i < len(feed); i++ {
+				process(feed[i])
+			}
+			const runs = 20
+			before := results()
+			allocs := testing.AllocsPerRun(runs, func() {
+				for j := 0; j < pass; j++ {
+					process(lap(feed, orig, d, i))
+					i++
+				}
+			})
+			perPass := float64(results()-before) / (runs + 1)
+			if perPass < pass {
+				t.Fatalf("%s sink=%v: only %.0f results per %d-tuple pass: the feed does not exercise the residual", k.name, sink, perPass, pass)
+			}
+			limit := 0.0
+			if sink {
+				limit = perPass/32 + 1
+			}
+			if allocs > limit {
+				t.Fatalf("%s sink=%v: %.1f allocations per pass of %.0f results, want ≤ %.1f", k.name, sink, allocs, perPass, limit)
+			}
 		}
 	}
 }

@@ -34,15 +34,15 @@ func processInterp(o *Operator, e *stream.Tuple, wm stream.Time) int64 {
 		o.assignBuf[i] = nil
 	}
 	o.assignBuf[e.Src] = e
-	p := buildPlan(o.cond, e.Src)
+	p := buildPlan(o.mem.cond, e.Src)
 	nOn := o.search(p, markCountableTails(e.Src, p), 0, o.assignBuf)
-	o.results += nOn
-	if o.countEmit != nil && nOn > 0 {
-		o.countEmit(e.TS, nOn)
+	o.mem.results += nOn
+	if o.mem.countEmit != nil && nOn > 0 {
+		o.mem.countEmit(e.TS, nOn)
 	}
 	o.windows[e.Src].Insert(e)
-	if o.onProcessed != nil {
-		o.onProcessed(e, nCross, nOn, true)
+	if o.mem.onProcessed != nil {
+		o.mem.onProcessed(e, nCross, nOn, true)
 	}
 	return nOn
 }
@@ -51,17 +51,17 @@ func processInterp(o *Operator, e *stream.Tuple, wm stream.Time) int64 {
 // the symbolic plan's countable-tail flag for step lvl.
 func (o *Operator) search(p plan, tails []bool, lvl int, assign []*stream.Tuple) int64 {
 	if lvl == len(p) {
-		if o.emit != nil {
+		if o.mem.emit != nil {
 			tuples := make([]*stream.Tuple, len(assign))
 			copy(tuples, assign)
-			o.emit(stream.NewResult(tuples))
+			o.mem.emit(stream.NewResult(tuples))
 		}
 		return 1
 	}
 	st := &p[lvl]
 	// Counting-only fast path: when the remaining steps are mutually
 	// independent and no results need materializing, multiply counts.
-	if tails[lvl] && o.emit == nil {
+	if tails[lvl] && o.mem.emit == nil {
 		var prod int64 = 1
 		for j := lvl; j < len(p); j++ {
 			prod *= o.candidateCount(&p[j], assign)
@@ -167,7 +167,7 @@ func (o *Operator) candidateCount(st *step, assign []*stream.Tuple) int64 {
 // stepChecks evaluates the generic predicates that became fully bound.
 func (o *Operator) stepChecks(st *step, assign []*stream.Tuple) bool {
 	for _, gi := range st.checks {
-		if !o.cond.Generics[gi].Eval(assign) {
+		if !o.mem.cond.Generics[gi].Eval(assign) {
 			return false
 		}
 	}

@@ -24,26 +24,83 @@ type EmitFunc func(stream.Result)
 // keeping the operator's counting fast path usable.
 type CountEmitFunc func(ts stream.Time, n int64)
 
-// Operator is the MSWJ operator of Alg. 2. It expects its input — the merged
-// output of the Synchronizer — to be mostly timestamp-ordered; residual
-// out-of-order tuples are detected with onT and handled per lines 9–10.
+// shell is the part of Alg. 2 that does not depend on which queries probe:
+// the windows, the watermark onT, the arrival counters and the buffers a probe
+// pass reuses. Operator and Multi each embed one, so expire → (probe) → insert
+// and the late-tuple rule of lines 9–10 exist once.
+type shell struct {
+	windows   []*window.Window
+	onT       stream.Time
+	processed int64
+	assignBuf []*stream.Tuple
+
+	outOfOrder int64
+	slab       TupleSlab
+}
+
+// M returns the number of input streams.
+func (s *shell) M() int { return len(s.assignBuf) }
+
+// HighWatermark returns onT, the maximum timestamp among received tuples.
+func (s *shell) HighWatermark() stream.Time { return s.onT }
+
+// WindowLen returns the current cardinality of the window on stream i.
+func (s *shell) WindowLen(i int) int { return s.windows[i].Len() }
+
+// arrive counts e and advances the watermark to wm = max(watermark before e,
+// e.TS). An in-order tuple (e.TS ≥ wm) expires every window and reports the
+// cross-join size n×(e) of the others; the caller probes, then inserts e. The
+// arriving stream's own window is expired too — probes never consult it, and
+// any tuple it drops would be expired by the next probing arrival anyway
+// (whose TS is ≥ wm), so results are unaffected; without this, a shard whose
+// probes all come from one stream would grow that stream's window without
+// bound. An out-of-order tuple skips expiration and probing and is inserted
+// only if it can still contribute to future results (lines 9–10).
+func (s *shell) arrive(e *stream.Tuple, wm stream.Time) (nCross int64, inOrder bool) {
+	s.processed++
+	if wm > s.onT {
+		s.onT = wm
+	}
+	if e.TS < wm {
+		s.outOfOrder++
+		s.insertInScope(e, wm)
+		return 0, false
+	}
+	nCross = 1
+	for j, w := range s.windows {
+		w.Expire(e.TS - w.Size())
+		if j != e.Src {
+			nCross *= int64(w.Len())
+		}
+	}
+	return nCross, true
+}
+
+// insertInScope expires e's own window up to the watermark and inserts e
+// if it is still inside the window scope at wm, the closed interval
+// [wm − W, wm] — Expire removes only TS < wm − W, so a late tuple at exactly
+// wm − W must be kept. The expiry keeps windows that only ever receive
+// inserts (replica/broadcast shards, late tuples) bounded by the logical
+// window extent; it cannot change results, because every future probe
+// re-expires with a bound ≥ wm − W first.
+func (s *shell) insertInScope(e *stream.Tuple, wm stream.Time) {
+	w := s.windows[e.Src]
+	w.Expire(wm - w.Size())
+	if e.TS >= wm-w.Size() {
+		w.Insert(e)
+	}
+}
+
+// Operator is the MSWJ operator of Alg. 2: the arrival shell over one probe
+// class holding one residual class with one member (compiled.go), so the
+// class compiles the full condition into its steps. It expects its input —
+// the merged output of the Synchronizer — to be mostly timestamp-ordered;
+// residual out-of-order tuples are detected with onT and handled per lines
+// 9–10.
 type Operator struct {
-	cond    *Condition
-	cplans  []cplan
-	windows []*window.Window
-	onT     stream.Time
-
-	emit        EmitFunc
-	countEmit   CountEmitFunc
-	onProcessed ProcessedFunc
-
-	results     int64
-	outOfOrder  int64
-	processed   int64
-	assignBuf   []*stream.Tuple
-	countsBuf   []int64
-	onlyCounted bool
-	slab        TupleSlab
+	shell
+	mem   MultiMember // the condition, the sinks and the result count
+	class mclass
 }
 
 // resultSlabPtrs caps the pointer block results are carved from at 512 B.
@@ -85,14 +142,14 @@ type Option func(*Operator)
 // the operator only counts results, enabling a faster counting-only probe
 // path for conditions resolved entirely by indexes (equi and band
 // predicates, no generic residual).
-func WithEmit(f EmitFunc) Option { return func(o *Operator) { o.emit = f } }
+func WithEmit(f EmitFunc) Option { return func(o *Operator) { o.mem.emit = f } }
 
 // WithCountEmit registers a per-arrival result-count callback. Unlike
 // WithEmit it keeps the counting-only probe fast path enabled.
-func WithCountEmit(f CountEmitFunc) Option { return func(o *Operator) { o.countEmit = f } }
+func WithCountEmit(f CountEmitFunc) Option { return func(o *Operator) { o.mem.countEmit = f } }
 
 // WithProcessedHook registers the productivity profiler hook.
-func WithProcessedHook(f ProcessedFunc) Option { return func(o *Operator) { o.onProcessed = f } }
+func WithProcessedHook(f ProcessedFunc) Option { return func(o *Operator) { o.mem.onProcessed = f } }
 
 // New creates an MSWJ operator with one sliding window per stream. sizes[i]
 // is the window extent W_i for stream i and must be positive.
@@ -101,29 +158,26 @@ func New(cond *Condition, sizes []stream.Time, opts ...Option) *Operator {
 		panic("join: window sizes must match condition arity")
 	}
 	cond.seal()
-	o := &Operator{
-		cond:      cond,
-		assignBuf: make([]*stream.Tuple, cond.M),
-		countsBuf: make([]int64, cond.M),
-	}
-	plans := buildPlans(cond)
-	o.windows = newWindows(sizes, plans)
-	o.cplans = compilePlans(cond, plans, o.windows)
+	// One residual class: the class compiles cond itself, never a skeleton.
+	o := &Operator{mem: MultiMember{cond: cond}, class: mclass{skel: cond, plans: buildPlans(cond)}}
 	for _, opt := range opts {
 		opt(o)
 	}
+	o.class.add(&o.mem)
+	o.shell = shell{windows: newWindows(sizes, o.class.plans), assignBuf: make([]*stream.Tuple, cond.M)}
+	o.class.compile(o.windows)
 	return o
 }
 
-// M returns the number of input streams.
-func (o *Operator) M() int { return o.cond.M }
-
 // SetEmit installs (or clears) the result callback after construction. A
 // non-nil emit disables the counting-only probe fast path.
-func (o *Operator) SetEmit(f EmitFunc) { o.emit = f }
+func (o *Operator) SetEmit(f EmitFunc) {
+	o.mem.emit = f
+	o.class.refreshEmit()
+}
 
 // Results returns the total number of results produced so far.
-func (o *Operator) Results() int64 { return o.results }
+func (o *Operator) Results() int64 { return o.mem.results }
 
 // OutOfOrder returns how many received tuples were out of order w.r.t. onT.
 func (o *Operator) OutOfOrder() int64 { return o.outOfOrder }
@@ -131,20 +185,10 @@ func (o *Operator) OutOfOrder() int64 { return o.outOfOrder }
 // Processed returns the total number of received tuples.
 func (o *Operator) Processed() int64 { return o.processed }
 
-// HighWatermark returns onT, the maximum timestamp among received tuples.
-func (o *Operator) HighWatermark() stream.Time { return o.onT }
-
-// WindowLen returns the current cardinality of the window on stream i.
-func (o *Operator) WindowLen(i int) int { return o.windows[i].Len() }
-
 // Process consumes one tuple per Alg. 2, tracking the watermark onT from
 // the tuples it receives.
 func (o *Operator) Process(e *stream.Tuple) {
-	wm := o.onT
-	if e.TS > wm {
-		wm = e.TS
-	}
-	o.ProcessAt(e, wm)
+	o.ProcessAt(e, max(o.onT, e.TS))
 }
 
 // ProcessAt consumes one tuple under an externally supplied watermark
@@ -155,60 +199,27 @@ func (o *Operator) Process(e *stream.Tuple) {
 // routed elsewhere). Process is the single-operator special case where the
 // operator's own onT is the watermark. It returns the number of results the
 // tuple derived (0 for out-of-order tuples).
+//
+// With one member the credit → insert → hook sequence is flat; Multi's
+// fan-out loops over classes, residual classes and members cost 9 % of
+// x3-noslack when the operator was made literally a Multi of one.
 func (o *Operator) ProcessAt(e *stream.Tuple, wm stream.Time) int64 {
-	o.processed++
-	if wm > o.onT {
-		o.onT = wm
-	}
-	if e.TS >= wm {
-		// In-order tuple: expire, probe, insert. The arriving stream's own
-		// window is expired too — probes never consult it, and any tuple it
-		// drops would be expired by the next probing arrival anyway (whose
-		// TS is ≥ wm), so results are unaffected; without this, a shard
-		// whose probes all come from one stream would grow that stream's
-		// window without bound.
-		var nCross int64 = 1
-		for j, w := range o.windows {
-			w.Expire(e.TS - w.Size())
-			if j != e.Src {
-				nCross *= int64(w.Len())
-			}
-		}
-		nOn := o.probe(e)
-		o.results += nOn
-		if o.countEmit != nil && nOn > 0 {
-			o.countEmit(e.TS, nOn)
+	mm := &o.mem
+	nCross, inOrder := o.arrive(e, wm)
+	var nOn int64
+	if inOrder {
+		o.class.probe(&o.shell, e)
+		nOn = o.class.out1[0].n
+		mm.results += nOn
+		if mm.countEmit != nil && nOn > 0 {
+			mm.countEmit(e.TS, nOn)
 		}
 		o.windows[e.Src].Insert(e)
-		if o.onProcessed != nil {
-			o.onProcessed(e, nCross, nOn, true)
-		}
-		return nOn
 	}
-	// Out-of-order tuple: skip expiration and probing. Insert only if it is
-	// still within the current scope of its own window so it can contribute
-	// to future results (lines 9–10). The scope at watermark wm is the
-	// closed interval [wm − W, wm] — Expire removes only TS < wm − W, so
-	// a late tuple at exactly wm − W is still in scope and must be kept.
-	o.outOfOrder++
-	o.insertInScope(e, wm)
-	if o.onProcessed != nil {
-		o.onProcessed(e, 0, 0, false)
+	if mm.onProcessed != nil {
+		mm.onProcessed(e, nCross, nOn, inOrder)
 	}
-	return 0
-}
-
-// insertInScope expires e's own window up to the watermark and inserts e
-// if it is still inside the window scope [wm − W, wm]. The expiry keeps
-// windows that only ever receive inserts (replica/broadcast shards, late
-// tuples) bounded by the logical window extent; it cannot change results,
-// because every future probe re-expires with a bound ≥ wm − W first.
-func (o *Operator) insertInScope(e *stream.Tuple, wm stream.Time) {
-	w := o.windows[e.Src]
-	w.Expire(wm - w.Size())
-	if e.TS >= wm-w.Size() {
-		w.Insert(e)
-	}
+	return nOn
 }
 
 // InsertAt inserts e into its stream's window under global watermark wm
@@ -223,16 +234,6 @@ func (o *Operator) InsertAt(e *stream.Tuple, wm stream.Time) {
 		o.onT = wm
 	}
 	o.insertInScope(e, wm)
-}
-
-// probe joins e against the windows on all other streams through the
-// compiled kernel (compiled.go) and returns the number of produced results.
-func (o *Operator) probe(e *stream.Tuple) int64 {
-	for i := range o.assignBuf {
-		o.assignBuf[i] = nil
-	}
-	o.assignBuf[e.Src] = e
-	return o.searchC(&o.cplans[e.Src], 0, o.assignBuf)
 }
 
 // bandRange returns index-probe bounds guaranteed to cover every value a

@@ -84,6 +84,29 @@ func BenchmarkProcessStar(b *testing.B) {
 	}
 }
 
+// BenchmarkMultiStar is BenchmarkProcessStar through a Multi carrying eight
+// identical counting queries: one residual class, so the class takes the
+// same fused tail count as the standalone operator and credits it eight
+// times.
+func BenchmarkMultiStar(b *testing.B) {
+	const n = 1 << 15
+	feed := benchFeed(4, n/4+1, 20)
+	orig, span := origTS(feed)
+	mo := NewMulti([]stream.Time{500, 500, 500, 500})
+	for q := 0; q < 8; q++ {
+		cond := Star(4, []int{0, 0, 1}, []int{0, 0, 1})
+		mo.Add(cond, ResidualSig(cond, ""), nil, nil, nil)
+	}
+	for _, e := range feed[:n/2] {
+		mo.Process(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mo.Process(cycle(feed, orig, span, i+n/2))
+	}
+}
+
 var stepSink int
 
 // BenchmarkStepFilter measures the circle residual over one probe's
@@ -127,11 +150,13 @@ func BenchmarkStepFilter(b *testing.B) {
 }
 
 // TestSteadyStateZeroAllocs pins the steady-state counting probe path at
-// exactly zero allocations on equi-only and band-only conditions. The FIFO
-// hash buckets (compact-in-place once the backing array reaches 2× the live
-// size) and the reused range views are what make the strict gate hold.
+// exactly zero allocations on equi-only and band-only conditions, on the
+// standalone operator and on a Multi of one member and of two members in one
+// residual class. The FIFO hash buckets (compact-in-place once the backing
+// array reaches 2× the live size) and the reused range views are what make
+// the strict gate hold.
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	cases := []struct {
+	conds := []struct {
 		name string
 		cond *Condition
 	}{
@@ -139,26 +164,45 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"band", Cross(3).Band(0, 0, 1, 0, 2).Band(1, 0, 2, 0, 2)},
 	}
 	wins := []stream.Time{stream.Second, stream.Second, stream.Second}
-	for _, c := range cases {
-		t.Run(c.name+"/tuple", func(t *testing.T) {
-			feed := benchFeed(3, 6000, 50)
-			orig, span := origTS(feed)
-			op := New(c.cond, wins)
-			half := len(feed) / 2
-			for _, e := range feed[:half] {
-				op.Process(e)
+	multiOf := func(n int) func(*Condition) func(*stream.Tuple) {
+		return func(cond *Condition) func(*stream.Tuple) {
+			mo := NewMulti(wins)
+			for range n {
+				mo.Add(cond, ResidualSig(cond, ""), nil, nil, nil)
 			}
-			i := half
-			allocs := testing.AllocsPerRun(50, func() {
-				for j := 0; j < 64; j++ {
-					op.Process(cycle(feed, orig, span, i))
-					i++
+			return mo.Process
+		}
+	}
+	kernels := []struct {
+		name  string
+		build func(*Condition) func(*stream.Tuple)
+	}{
+		{"tuple", func(cond *Condition) func(*stream.Tuple) { return New(cond, wins).Process }},
+		{"multi1", multiOf(1)},
+		{"multi2", multiOf(2)},
+	}
+	for _, c := range conds {
+		for _, k := range kernels {
+			t.Run(c.name+"/"+k.name, func(t *testing.T) {
+				feed := benchFeed(3, 6000, 50)
+				orig, span := origTS(feed)
+				process := k.build(c.cond)
+				half := len(feed) / 2
+				for _, e := range feed[:half] {
+					process(e)
+				}
+				i := half
+				allocs := testing.AllocsPerRun(50, func() {
+					for j := 0; j < 64; j++ {
+						process(cycle(feed, orig, span, i))
+						i++
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("steady-state probe allocated %v times per 64 tuples, want 0", allocs)
 				}
 			})
-			if allocs != 0 {
-				t.Fatalf("steady-state probe allocated %v times per 64 tuples, want 0", allocs)
-			}
-		})
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ type State struct {
 // State captures the operator's state, registering window tuples with tt so
 // shared pointers (replicas, broadcast copies) serialize once.
 func (o *Operator) State(tt *fault.TupleTable) State {
-	st := State{OnT: o.onT, Results: o.results, OutOfOrder: o.outOfOrder, Processed: o.processed}
+	st := State{OnT: o.onT, Results: o.mem.results, OutOfOrder: o.outOfOrder, Processed: o.processed}
 	st.Windows = make([][]int32, len(o.windows))
 	for i, w := range o.windows {
 		for _, t := range w.All() {
@@ -37,7 +37,7 @@ func (o *Operator) State(tt *fault.TupleTable) State {
 // the canonical serialized order, rebuilding its indexes from scratch.
 func (o *Operator) RestoreState(st State, ta *fault.TupleArena) {
 	o.onT = st.OnT
-	o.results = st.Results
+	o.mem.results = st.Results
 	o.outOfOrder = st.OutOfOrder
 	o.processed = st.Processed
 	for i, ids := range st.Windows {

@@ -49,8 +49,8 @@ type ExecConfig struct {
 	// OnAdapt optionally observes adaptation steps. On tree shapes PrevK
 	// and NewK report the maximum over the per-stage Ks.
 	OnAdapt func(core.AdaptEvent)
-	// BatchSize/QueueDepth tune the flat sharded runtime (0 = default).
-	BatchSize, QueueDepth int
+	// BatchSize tunes the flat sharded runtime (0 = default).
+	BatchSize int
 	// Inject optionally arms the deterministic fault injector on the built
 	// executor's workers (and, on worker-less shapes, its driver thread).
 	Inject *fault.Injector
@@ -153,7 +153,7 @@ func buildFlat(g *Graph, cfg ExecConfig, shards int) Executor {
 		Emit:       cfg.Emit,
 		EmitCounts: cfg.EmitCounts,
 		OnAdapt:    cfg.OnAdapt,
-		Sharding:   core.Sharding{Shards: shards, BatchSize: cfg.BatchSize, QueueDepth: cfg.QueueDepth},
+		Sharding:   core.Sharding{Shards: shards, BatchSize: cfg.BatchSize},
 		Inject:     cfg.Inject,
 		NewRuntime: newRT,
 	})

@@ -136,6 +136,12 @@ func Restore(g *Graph, cfg ExecConfig, st ExecState) (Executor, error) {
 			Abandon(ex)
 			return nil, fmt.Errorf("%w: snapshot carries no flat-pipeline state", fault.ErrRestoreMismatch)
 		}
+		if (st.Flat.Op == nil) != (e.p().Operator() == nil) {
+			// One signature covers the unsharded operator and a one-worker
+			// runtime (a single remote address); their states do not.
+			Abandon(ex)
+			return nil, fmt.Errorf("%w: snapshot of an in-process operator and a worker runtime do not restore into each other", fault.ErrRestoreMismatch)
+		}
 		e.p().RestoreState(*st.Flat, ta)
 	case *treeExec:
 		e.prevMax, e.pushed = st.PrevMax, st.Pushed

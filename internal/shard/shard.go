@@ -45,6 +45,9 @@ import (
 	"repro/internal/stream"
 )
 
+// queueBatches is the per-shard queue capacity in batches.
+const queueBatches = 64
+
 // Config assembles a Runtime.
 type Config struct {
 	// N is the shard count (≥ 1).
@@ -58,10 +61,8 @@ type Config struct {
 	// on later, but only before the first tuple is routed.
 	Materialize bool
 	// BatchSize is the number of messages per inter-thread hand-off
-	// (default 128). QueueDepth is the per-shard queue capacity in batches
-	// (default 64).
-	BatchSize  int
-	QueueDepth int
+	// (default 128).
+	BatchSize int
 	// OnOutOfOrder observes every globally out-of-order synchronized tuple
 	// with its delay annotation; it runs on the ingest goroutine. The core
 	// pipeline feeds the Tuple-Productivity Profiler's out-of-order charge
@@ -129,9 +130,6 @@ func New(cfg Config) *Runtime {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 128
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	rt := &Runtime{
 		cfg:    cfg,
 		router: NewRouter(cfg.N, cfg.Cond, cfg.Windows, cfg.OnOutOfOrder),
@@ -145,7 +143,7 @@ func New(cfg Config) *Runtime {
 		w := &worker{
 			rt:   rt,
 			id:   s,
-			ch:   make(chan []msg, cfg.QueueDepth),
+			ch:   make(chan []msg, queueBatches),
 			op:   join.New(cfg.Cond, cfg.Windows),
 			done: make(chan struct{}),
 		}

@@ -48,28 +48,15 @@ type MultiQuery struct {
 // Add registers one query: a join condition, per-stream window extents, and
 // the same disorder-handling Options a standalone Join takes. The supported
 // join options are WithResults, WithResultCounts and WithAdaptHook;
-// deployment-shape options (WithShards, WithPlan, WithAutoPlan,
-// WithSupervision, WithOnlineReplan) panic — the multi-query engine is its
-// own deployment shape.
+// deployment-shape options (WithShards, WithRemoteWorkers, WithFrameBatch,
+// WithPlan, WithAutoPlan, WithSupervision, WithOnlineReplan) panic — the
+// multi-query engine is its own deployment shape.
 //
 // Add may be called while the join is running; the new query sees only
 // arrivals from this point on. Adding to a closed MultiJoin panics.
 func (mj *MultiJoin) Add(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) *MultiQuery {
-	var jo joinOpts
-	for _, o := range jopts {
-		o(&jo)
-	}
-	switch {
-	case jo.shards != 0:
-		panic("qdhj: WithShards is not supported on a MultiJoin — sharding and multi-query sharing are distinct deployment shapes; use one Join per shard group or a MultiJoin, not both")
-	case jo.plan != nil || jo.autoPlan:
-		panic("qdhj: WithPlan/WithAutoPlan are not supported on a MultiJoin — the multi-query engine is its own deployment shape")
-	case jo.supervised:
-		panic("qdhj: WithSupervision is not supported on a MultiJoin")
-	case jo.replan != nil:
-		panic("qdhj: WithOnlineReplan is not supported on a MultiJoin")
-	}
-	cfg := execConfig(opt, &jo)
+	jo := collect(hostMultiAdd, jopts)
+	cfg := execConfig(opt, jo)
 	q := mj.en.Add(multi.QueryConfig{
 		Cond:       cond,
 		Windows:    windows,

@@ -111,9 +111,10 @@ func WithAutoPlan() JoinOption {
 
 // graphFor resolves the deployment graph of one NewJoin call.
 func (o *joinOpts) graphFor(cond *Condition, windows []Time) *plan.Graph {
-	if len(o.remote) > 0 && o.shards == 0 && o.plan == nil && !o.autoPlan {
+	if len(o.remote) > 0 && o.shards == 0 && o.plan == nil {
 		// One worker address per shard: remote workers imply the sharded
-		// flat shape at the address count.
+		// flat shape at the address count (the planner's budget under
+		// WithAutoPlan).
 		o.shards = len(o.remote)
 	}
 	switch {

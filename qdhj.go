@@ -145,6 +145,57 @@ type joinOpts struct {
 	replan     *ReplanOptions
 }
 
+// The constructors that take JoinOptions.
+const (
+	hostNewJoin  = "NewJoin"
+	hostRestore  = "Restore"
+	hostMultiAdd = "MultiJoin.Add"
+)
+
+// collect applies the options of one host call and validates the outcome.
+func collect(host string, jopts []JoinOption) *joinOpts {
+	jo := new(joinOpts)
+	for _, o := range jopts {
+		o(jo)
+	}
+	jo.validate(host)
+	return jo
+}
+
+// validate panics on an option its host would silently ignore and on two
+// options that do not combine, so every such mistake surfaces where the
+// join is constructed and not as a no-op or as a panic from a later Push.
+func (o *joinOpts) validate(host string) {
+	if host == hostMultiAdd {
+		switch {
+		case o.shards != 0:
+			panic("qdhj: WithShards is not supported on a MultiJoin — sharding and multi-query sharing are distinct deployment shapes; use one Join per shard group or a MultiJoin, not both")
+		case o.plan != nil || o.autoPlan:
+			panic("qdhj: WithPlan/WithAutoPlan are not supported on a MultiJoin — the multi-query engine is its own deployment shape")
+		case o.supervised:
+			panic("qdhj: WithSupervision is not supported on a MultiJoin")
+		case o.replan != nil:
+			panic("qdhj: WithOnlineReplan is not supported on a MultiJoin")
+		case len(o.remote) > 0:
+			panic("qdhj: WithRemoteWorkers is not supported on a MultiJoin — the shared-window engine probes in this process and would never dial the workers")
+		case o.frameBatch != 0:
+			panic("qdhj: WithFrameBatch is not supported on a MultiJoin — there is no sharded hand-off or network frame for it to size")
+		}
+		return
+	}
+	if o.replan == nil {
+		return
+	}
+	switch {
+	case host == hostRestore:
+		panic("qdhj: WithOnlineReplan is not supported on Restore — the restored join would run without the re-planner; restore the snapshot's own shape, or start a fresh NewJoin with WithOnlineReplan")
+	case o.supervised:
+		panic("qdhj: WithOnlineReplan cannot be combined with WithSupervision — the supervised runtime pins one deployment shape for checkpoint/replay recovery")
+	case len(o.remote) > 0:
+		panic("qdhj: WithOnlineReplan cannot be combined with WithRemoteWorkers — remote workers pin the sharded flat shape, and a live migration would change it")
+	}
+}
+
 // AdaptEvent reports one buffer-size adaptation step.
 type AdaptEvent = core.AdaptEvent
 
@@ -293,18 +344,12 @@ func execConfig(opt Options, jo *joinOpts) plan.ExecConfig {
 // NewJoin creates a join over len(windows) streams. windows[i] is the
 // sliding window extent W_i of stream i; cond.M must equal len(windows).
 func NewJoin(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) *Join {
-	var jo joinOpts
-	for _, o := range jopts {
-		o(&jo)
-	}
-	cfg := execConfig(opt, &jo)
+	jo := collect(hostNewJoin, jopts)
+	cfg := execConfig(opt, jo)
 	g := jo.graphFor(cond, windows)
 	j := &Join{g: g, cfg: cfg, hasSink: jo.emit != nil}
 	switch {
 	case jo.replan != nil:
-		if jo.supervised {
-			panic("qdhj: WithOnlineReplan cannot be combined with WithSupervision — the supervised runtime pins one deployment shape for checkpoint/replay recovery")
-		}
 		j.rc = newController(g, cfg, jo.replan)
 		j.ex = plan.Build(g, j.rc.Config())
 	case jo.supervised:

@@ -48,8 +48,10 @@ type ReplanOptions struct {
 //
 // Results are delivered through an exactly-once gate, so the join always
 // materializes them even when only WithResultCounts is registered.
-// WithOnlineReplan cannot be combined with WithSupervision: the supervised
-// runtime pins one deployment shape for its checkpoint/replay recovery.
+// WithOnlineReplan cannot be combined with WithSupervision (the supervised
+// runtime pins one deployment shape for its checkpoint/replay recovery) or
+// with WithRemoteWorkers (remote workers pin the sharded flat shape), and
+// Restore does not take it; each panics at construction.
 func WithOnlineReplan(o ReplanOptions) JoinOption {
 	return func(jo *joinOpts) { jo.replan = &o }
 }

@@ -113,11 +113,8 @@ func (j *Join) Checkpoint() (*Snapshot, error) {
 // signature — their bodies are not serializable, so passing a condition
 // with different predicate code is undetectable and on the caller.
 func Restore(snap *Snapshot, cond *Condition, windows []Time, opt Options, jopts ...JoinOption) (*Join, error) {
-	var jo joinOpts
-	for _, o := range jopts {
-		o(&jo)
-	}
-	cfg := execConfig(opt, &jo)
+	jo := collect(hostRestore, jopts)
+	cfg := execConfig(opt, jo)
 	g := jo.graphFor(cond, windows)
 	j := &Join{g: g, cfg: cfg, hasSink: jo.emit != nil}
 	if jo.supervised {
