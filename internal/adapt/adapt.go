@@ -83,7 +83,9 @@ func (s Strategy) String() string {
 type Search int
 
 const (
-	// LinearSearch is the paper's trial-and-error scan k* = 0, g, 2g, …
+	// LinearSearch returns the k* of the paper's trial-and-error scan
+	// k* = 0, g, 2g, …, skipping blocks of candidates an upper bound rules
+	// out (Model.searchLinear).
 	LinearSearch Search = iota
 	// BinarySearch probes O(log(MaxD^H/g)) candidates instead, exploiting
 	// the monotonicity of γ(L,K) in K. The paper leaves "other algorithms
@@ -212,7 +214,7 @@ type Model struct {
 // inputs (one per Source input).
 func NewModel(cfg Config, windows []stream.Time, st Source, mon ResultWindow) *Model {
 	m := &Model{cfg: cfg.Normalize(), stats: st, mon: mon}
-	m.ev.init(m.cfg, windows)
+	m.ev.init(m.cfg, windows, st)
 	return m
 }
 
@@ -255,17 +257,52 @@ func (m *Model) decide(now stream.Time, snap *profiler.Snapshot, gammaPrime floa
 	return k
 }
 
-// searchLinear is Alg. 3 as printed: scan k* = 0, g, 2g, … until the model
-// meets the instant requirement or the maximum observed delay is exceeded.
+// block is the number of Alg. 3 candidates one envelope check covers.
+const block = 16
+
+// searchLinear returns Alg. 3's k*: the first of k = 0, g, 2g, … ≤ MaxD^H
+// with γ(L,k) ≥ Γ′, or MaxD^H when none is — what the printed scan returns
+// once decide clamps it. It walks the candidates in blocks [lo, hi] and
+// evaluates one envelope per block, U = γ_E(hi) · SelRatioBound(lo, hi),
+// where γ_E is Eq. 5 before the Eq. 6 ratio. γ_E never decreases in k (see
+// evaluator), so no candidate of a block with U < Γ′ can meet Γ′ and the
+// block is skipped; otherwise it is rescanned candidate by candidate from
+// the cursors saved at its start. A NaN envelope never skips.
+//
+// An envelope that does not skip a block without k* is wasted work. The
+// first waste costs nothing more; after the next ones the scan walks 1, 3,
+// 7, … blocks candidate by candidate before checking again, so where no
+// block can be skipped the envelopes cost O(log) on top of the plain scan.
 func (m *Model) searchLinear(ev *evaluator, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time) stream.Time {
-	var k stream.Time
-	for {
-		m.iterations++
-		if ev.recall(k, snap) >= gammaPrime || k > maxDH {
-			return k
+	g := m.cfg.G
+	ratio := m.cfg.Strategy == NonEqSel && snap != nil
+	plain, backoff := 0, 0 // blocks to walk before the next envelope, its next value
+	for lo := stream.Time(0); lo <= maxDH; {
+		hi := min(lo+(block-1)*g, maxDH/g*g)
+		if plain > 0 {
+			plain--
+		} else if hi > lo {
+			m.iterations++
+			ev.mark = append(ev.mark[:0], ev.cur...)
+			u := ev.eq5(hi)
+			if ratio {
+				u *= snap.SelRatioBound(lo, hi)
+			}
+			if u < gammaPrime {
+				lo = hi + g
+				continue
+			}
+			copy(ev.cur, ev.mark)
+			plain, backoff = backoff, 2*backoff+1
 		}
-		k += m.cfg.G
+		for ; lo <= hi; lo += g {
+			m.iterations++
+			if ev.recall(lo, snap) >= gammaPrime {
+				return lo
+			}
+		}
 	}
+	return maxDH
 }
 
 // searchBinary finds the smallest multiple of g meeting the requirement
@@ -304,11 +341,17 @@ func (m *Model) searchBinary(ev *evaluator, snap *profiler.Snapshot, gammaPrime 
 // when b = g the terms are consecutive buckets and the next candidate,
 // s+1, is one bucket in and one out. No table is built and nothing is
 // copied: one Model owns one evaluator and refills it per decision.
+//
+// Eq. 5 before the Eq. 6 ratio, γ_E(K), never decreases in K: the cursors'
+// counts only grow with s, and every later step is a conversion, division,
+// product or sum of non-negative floats in a fixed order, each of which
+// rounding to nearest keeps in order. searchLinear's envelope rests on it.
 type evaluator struct {
 	cfg  Config
 	den  float64  // Σ_i Π_{j≠i} W_j, constant across K
 	in   []input  // one per model input
 	cur  []cursor // the inputs' member cursors, input after input
+	mark []cursor // cur as saved at the start of searchLinear's block
 	effW []float64
 	fdk0 []float64
 }
@@ -334,12 +377,17 @@ type cursor struct {
 	sum    int64 // Σ_{l=1..n−1} C(s + ⌊(l−1)·b/g⌋)
 }
 
-func (ev *evaluator) init(cfg Config, windows []stream.Time) {
+func (ev *evaluator) init(cfg Config, windows []stream.Time, st Source) {
 	n := len(windows)
 	ev.cfg = cfg
 	ev.in = make([]input, n)
 	ev.effW = make([]float64, n)
 	ev.fdk0 = make([]float64, n)
+	members := 0
+	for i := range windows {
+		members += len(st.Delays(i))
+	}
+	ev.mark = make([]cursor, 0, members) // decisions stay allocation-free from the first
 	for i, w := range windows {
 		b := max(min(cfg.B, w), 1) // W_i ≤ 0 is the join operator's panic to raise, not a division's
 		in := &ev.in[i]
@@ -418,8 +466,26 @@ func (c *cursor) step(n int) {
 	}
 }
 
-// recall evaluates γ(L,K) per Eq. (5).
-func (ev *evaluator) recall(k stream.Time, snap *profiler.Snapshot) float64 {
+// advance is step repeated up to shift s, with the cursor held in locals:
+// the bounded scan moves cursors a block of candidates at a time.
+func (c *cursor) advance(n, s int) {
+	counts, first, last, sum := c.counts, c.first, c.last, c.sum
+	for x := c.s + 1; x <= s; x++ {
+		sum += last - first
+		if x < len(counts) {
+			first += counts[x]
+		}
+		if d := x + n - 1; d < len(counts) {
+			last += counts[d]
+		}
+	}
+	c.s, c.first, c.last, c.sum = s, first, last, sum
+}
+
+// eq5 evaluates γ_E(K), Eq. (5) before the selectivity ratio and the clamp,
+// positioning every cursor at K on the way: a forward move advances when the
+// terms are consecutive buckets, any other move seeks.
+func (ev *evaluator) eq5(k stream.Time) float64 {
 	for i := range ev.in {
 		in := &ev.in[i]
 		s := int((k + in.ksync) / ev.cfg.G)
@@ -430,6 +496,8 @@ func (ev *evaluator) recall(k stream.Time, snap *profiler.Snapshot) float64 {
 			case s == cur.s:
 			case in.unit && s == cur.s+1:
 				cur.step(in.n)
+			case in.unit && s > cur.s:
+				cur.advance(in.n, s)
 			default:
 				cur.seek(in, ev.cfg.G, s)
 			}
@@ -453,10 +521,15 @@ func (ev *evaluator) recall(k stream.Time, snap *profiler.Snapshot) float64 {
 		}
 		num += pn
 	}
+	return num / ev.den
+}
+
+// recall evaluates γ(L,K) per Eq. (5).
+func (ev *evaluator) recall(k stream.Time, snap *profiler.Snapshot) float64 {
 	if ev.den == 0 {
 		return 1
 	}
-	gamma := num / ev.den
+	gamma := ev.eq5(k)
 	if ev.cfg.Strategy == NonEqSel && snap != nil {
 		gamma *= snap.SelRatio(k)
 	}
@@ -509,7 +582,9 @@ func (m *Model) InstantRequirement(snap *profiler.Snapshot) float64 {
 
 // AdaptStats reports instrumentation: number of adaptation steps, total
 // model iterations across all searches, and cumulative wall-clock time spent
-// inside Decide.
+// inside Decide. An iteration is one evaluation of Eq. 5: under
+// LinearSearch an envelope check of a block or an exact evaluation of one
+// candidate, under BinarySearch one probe.
 func (m *Model) AdaptStats() (steps, iterations int64, total time.Duration) {
 	return m.steps, m.iterations, m.adaptTime
 }

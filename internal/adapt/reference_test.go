@@ -205,15 +205,50 @@ func (ev *RefEvaluator) searchBinary(snap *profiler.Snapshot, gammaPrime float64
 	return hi * g
 }
 
+// searchPlain is the scan searchLinear replaced, kept verbatim but for the
+// counter it bumps: Alg. 3 as printed, scanning k* = 0, g, 2g, … until the
+// model meets the instant requirement or the maximum observed delay is
+// exceeded.
+func (m *Model) searchPlain(ev *evaluator, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time, iterations *int64) stream.Time {
+	var k stream.Time
+	for {
+		*iterations++
+		if ev.recall(k, snap) >= gammaPrime || k > maxDH {
+			return k
+		}
+		k += m.cfg.G
+	}
+}
+
+// Alg3 is the decision the plain scan makes on the model's current
+// statistics, clamped to MaxD^H as decide clamps it, and the number of
+// candidates it evaluated. The model's own instrumentation is left alone.
+func (m *Model) Alg3(snap *profiler.Snapshot, gammaPrime float64) (k stream.Time, iterations int64) {
+	maxDH := m.stats.MaxDelayRecent()
+	k = m.searchPlain(m.newEvaluator(), snap, gammaPrime, maxDH, &iterations)
+	return min(k, maxDH), iterations
+}
+
+// NewFakeSource returns a Source over hand-built histograms: input i merges
+// delays[i] and has K^sync ksync[i]. MaxD^H is maxDH when positive, else the
+// largest delay the histograms hold.
+func NewFakeSource(delays [][]*hist.Histogram, ksync []stream.Time, maxDH stream.Time) Source {
+	return &fakeSource{delays: delays, ksync: ksync, maxDH: maxDH}
+}
+
 // fakeSource is a Source over hand-built histograms.
 type fakeSource struct {
 	delays [][]*hist.Histogram
 	ksync  []stream.Time
+	maxDH  stream.Time // MaxD^H when positive
 }
 
 func (s *fakeSource) Delays(i int) []*hist.Histogram { return s.delays[i] }
 func (s *fakeSource) KSync(i int) stream.Time        { return s.ksync[i] }
 func (s *fakeSource) MaxDelayRecent() stream.Time {
+	if s.maxDH > 0 {
+		return s.maxDH
+	}
 	var maxD stream.Time
 	for _, g := range s.delays {
 		for _, h := range g {
@@ -301,23 +336,78 @@ func zipfStats(m, n int, seed int64) *fakeSource {
 	return src
 }
 
+// unskippable builds a NonEqSel profile on which no block of the bounded
+// scan can be skipped and no candidate meets Γ′ = 0.99: three streams whose
+// delays are 99 % spread over [0, 100 ms) and 1 % at 10 s, MaxD^H = 3 s, so
+// γ = γ_E ≤ 0.99³ for every candidate; and a snapshot with one in-order
+// tuple of n× = 2, n^on = 1 per coarse delay up to MaxD^H, so SelRatio is 1
+// exactly while the block bound, (hi+1)/(lo+1) in coarse delays, lifts every
+// envelope past Γ′.
+func unskippable() (Source, *profiler.Snapshot) {
+	const maxDH = 3 * stream.Second
+	var delays [][]*hist.Histogram
+	for i := 0; i < 3; i++ {
+		h := hist.New(DefaultG)
+		for a := 0; a < 8192; a++ {
+			if a%100 == 0 {
+				h.Add(10 * stream.Second)
+			} else {
+				h.Add(stream.Time(a % 100))
+			}
+		}
+		delays = append(delays, []*hist.Histogram{h})
+	}
+	prof := profiler.New(DefaultG)
+	for d := stream.Time(0); d <= maxDH; d += DefaultG {
+		prof.RecordInOrder(d, 2, 1)
+	}
+	return NewFakeSource(delays, make([]stream.Time, 3), maxDH), prof.Snapshot()
+}
+
 var sinkK stream.Time
 
-// BenchmarkModelDecide measures one Buffer-Size Manager decision on
-// x3-shaped statistics (three streams, W = 5 s, b = g = 10 ms, Γ′ = 0.99).
-func BenchmarkModelDecide(b *testing.B) {
-	src := zipfStats(3, 8192, 1)
+// BenchmarkDecide measures one Buffer-Size Manager decision (W = 5 s,
+// b = g = 10 ms, Γ′ = 0.99) of the bounded scan (linear), the plain scan it
+// replaced (alg3) and bisection (binary) on two profiles: x3, x3-shaped
+// EqSel statistics, where every block before k*'s is skipped; and worst,
+// unskippable's, where the bounded scan pays every envelope on top of every
+// candidate the plain scan evaluates.
+func BenchmarkDecide(b *testing.B) {
 	w := 5 * stream.Second
-	for _, search := range []Search{LinearSearch, BinarySearch} {
-		b.Run(search.String(), func(b *testing.B) {
-			m := NewModel(Config{Gamma: 0.99, NoCalibration: true, Strategy: EqSel, Search: search},
-				[]stream.Time{w, w, w}, src, nil)
-			b.ReportAllocs()
-			for b.Loop() {
-				sinkK = m.Decide(0, nil)
-			}
-			_, iters, _ := m.AdaptStats()
-			b.ReportMetric(float64(iters)/float64(b.N), "evals/op")
-		})
+	worst, worstSnap := unskippable()
+	profiles := []struct {
+		name     string
+		src      Source
+		snap     *profiler.Snapshot
+		strategy Strategy
+	}{
+		{"x3", zipfStats(3, 8192, 1), nil, EqSel},
+		{"worst", worst, worstSnap, NonEqSel},
+	}
+	for _, p := range profiles {
+		for _, search := range []string{"linear", "alg3", "binary"} {
+			b.Run(p.name+"/"+search, func(b *testing.B) {
+				cfg := Config{Gamma: 0.99, NoCalibration: true, Strategy: p.strategy}
+				if search == "binary" {
+					cfg.Search = BinarySearch
+				}
+				m := NewModel(cfg, []stream.Time{w, w, w}, p.src, nil)
+				var iters int64
+				b.ReportAllocs()
+				for b.Loop() {
+					if search == "alg3" {
+						var n int64
+						sinkK, n = m.Alg3(p.snap, cfg.Gamma)
+						iters += n
+					} else {
+						sinkK = m.Decide(0, p.snap)
+					}
+				}
+				if search != "alg3" {
+					_, iters, _ = m.AdaptStats()
+				}
+				b.ReportMetric(float64(iters)/float64(b.N), "evals/op")
+			})
+		}
 	}
 }

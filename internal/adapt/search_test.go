@@ -31,7 +31,8 @@ func TestBinarySearchMatchesLinear(t *testing.T) {
 }
 
 // TestBinarySearchFewerIterations: the point of the extension — far fewer
-// model evaluations per adaptation step when k* is large.
+// model evaluations per adaptation step than Alg. 3's plain scan when k* is
+// large. The bounded scan, which skips blocks of candidates, sits between.
 func TestBinarySearchFewerIterations(t *testing.T) {
 	st := buildStats(2, 10, 0.5, 2000, 3000)
 	lin, _ := modelWith(st, []stream.Time{5000, 5000},
@@ -40,11 +41,16 @@ func TestBinarySearchFewerIterations(t *testing.T) {
 		Config{Gamma: 0.999, NoCalibration: true, G: 10, Search: BinarySearch})
 	lin.Decide(0, nil)
 	bin.Decide(0, nil)
+	_, plain := lin.Alg3(nil, 0.999)
 	_, li, _ := lin.AdaptStats()
 	_, bi, _ := bin.AdaptStats()
-	if li < 10*bi {
-		t.Fatalf("binary search should cut iterations ≥10×: linear %d vs binary %d", li, bi)
+	if plain < 10*bi {
+		t.Fatalf("binary search should cut iterations ≥10×: the plain scan %d vs binary %d", plain, bi)
 	}
+	if li >= plain {
+		t.Fatalf("the bounded scan evaluated %d times, the plain scan %d", li, plain)
+	}
+	t.Logf("evaluations: plain scan %d, bounded scan %d, binary %d", plain, li, bi)
 }
 
 // TestBinarySearchBoundaries: degenerate requirements hit the boundary fast.

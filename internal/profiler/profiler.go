@@ -15,6 +15,7 @@
 package profiler
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/hist"
@@ -260,10 +261,6 @@ func (p *Profiler) Restore(st State) {
 	p.pendingShed = append(p.pendingShed, st.PendingShed...)
 }
 
-// SelRatio estimates sel^on(K)/sel^on per Eq. (6): the selectivity over
-// tuples re-orderable with buffer size K, relative to the true selectivity
-// (which a buffer of size MaxD^M would achieve). Degenerate denominators
-// yield the neutral ratio 1, which reduces the model to EqSel behaviour.
 // minSelSamples is the minimum number of in-order tuples an interval must
 // have recorded before its selectivity ratio is trusted. Very short
 // adaptation intervals (the paper sweeps L down to 100 ms, i.e. a few dozen
@@ -272,12 +269,52 @@ func (p *Profiler) Restore(st State) {
 // assumption of 1.
 var minSelSamples int64 = 30
 
+// SelRatio estimates sel^on(K)/sel^on per Eq. (6): the selectivity over
+// tuples re-orderable with buffer size K, relative to the true selectivity
+// (which a buffer of size MaxD^M would achieve). Degenerate denominators
+// yield the neutral ratio 1, which reduces the model to EqSel behaviour.
 func (s *Snapshot) SelRatio(k stream.Time) float64 {
-	if s.maxDM < 0 || s.inOrder < minSelSamples {
+	if s.neutral() {
 		return 1
 	}
+	on, cross := s.prefix(k)
+	if cross == 0 || on == 0 {
+		return 1
+	}
+	return (float64(on) / float64(cross)) * (float64(s.totCross) / float64(s.totOn))
+}
+
+// SelRatioBound returns a value no SelRatio(k) with lo ≤ k ≤ hi exceeds.
+// M^on and M× accumulate over the coarse delays, so on(k) ≤ on(hi) and
+// cross(k) ≥ cross(lo), and rounding to nearest keeps that order through the
+// two divisions and the product SelRatio computes in the same sequence. The
+// neutral ratio 1 is covered where a k in the range may fall back to it: the
+// bound is at least 1 when on(lo) = 0 and +Inf when cross(lo) = 0.
+func (s *Snapshot) SelRatioBound(lo, hi stream.Time) float64 {
+	if s.neutral() {
+		return 1
+	}
+	onLo, crossLo := s.prefix(lo)
+	if crossLo == 0 {
+		return math.Inf(1)
+	}
+	onHi, _ := s.prefix(hi)
+	r := (float64(onHi) / float64(crossLo)) * (float64(s.totCross) / float64(s.totOn))
+	if onLo == 0 {
+		r = max(r, 1)
+	}
+	return r
+}
+
+// neutral reports whether SelRatio is 1 for every k.
+func (s *Snapshot) neutral() bool {
+	return s.maxDM < 0 || s.inOrder < minSelSamples || s.totOn == 0 || s.totCross == 0
+}
+
+// prefix returns the max-charged M^on and M× summed over the coarse delays
+// ≤ k/g, the last one clamped to maxDM.
+func (s *Snapshot) prefix(k stream.Time) (on, cross int64) {
 	kb := int(min(k/s.g, stream.Time(s.maxDM)))
-	var on, cross int64
 	if n := len(s.cumOn); n > 0 {
 		d := min(kb, n-1)
 		on, cross = s.cumOn[d], s.cumCross[d]
@@ -285,10 +322,7 @@ func (s *Snapshot) SelRatio(k stream.Time) float64 {
 	le, _ := slices.BinarySearch(s.ooo, kb+1) // out-of-order tuples with coarse delay ≤ kb
 	on += int64(le) * s.maxOn
 	cross += int64(le) * s.maxCross
-	if cross == 0 || s.totOn == 0 || s.totCross == 0 || on == 0 {
-		return 1
-	}
-	return (float64(on) / float64(cross)) * (float64(s.totCross) / float64(s.totOn))
+	return on, cross
 }
 
 // TrueResults estimates N^on_true(L), the true result size of the interval

@@ -210,3 +210,42 @@ func TestSnapshotMatchesFoldedMaps(t *testing.T) {
 		p.Reset()
 	}
 }
+
+// TestSelRatioBoundCoversRange: over random intervals — with prefixes of
+// coarse delays that derived no results or had no cross-join at all, and
+// out-of-order stragglers of any delay — SelRatioBound(lo, hi) is never
+// below SelRatio(k) for any lo ≤ k ≤ hi.
+func TestSelRatioBoundCoversRange(t *testing.T) {
+	disableGuard(t)
+	rng := rand.New(rand.NewSource(25))
+	p := New(10)
+	for interval := 0; interval < 300; interval++ {
+		zeroCross, zeroOn := rng.Intn(20), rng.Intn(40)
+		for i, n := 0, rng.Intn(200); i < n; i++ {
+			d := stream.Time(rng.Intn(900))
+			if rng.Intn(6) == 0 {
+				p.RecordOutOfOrder(d * stream.Time(1+rng.Intn(3)))
+				continue
+			}
+			cross, on := int64(rng.Intn(50)), int64(rng.Intn(9))
+			if b := hist.Bucket(d, 10); b < zeroCross {
+				cross, on = 0, 0
+			} else if b < zeroOn {
+				on = 0
+			}
+			p.RecordInOrder(d, cross, on)
+		}
+		s := p.Snapshot()
+		for q := 0; q < 50; q++ {
+			lo := stream.Time(rng.Intn(120)) * 10
+			hi := lo + stream.Time(rng.Intn(32))*10
+			bound := s.SelRatioBound(lo, hi)
+			for k := lo; k <= hi; k += 10 {
+				if r := s.SelRatio(k); !(r <= bound) {
+					t.Fatalf("interval %d: SelRatio(%d) = %v above SelRatioBound(%d, %d) = %v", interval, k, r, lo, hi, bound)
+				}
+			}
+		}
+		p.Reset()
+	}
+}

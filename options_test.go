@@ -3,6 +3,7 @@ package qdhj
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -143,6 +144,58 @@ func TestOptionMatrix(t *testing.T) {
 					any != nil && !slices.ContainsFunc(any, named):
 					t.Errorf("%s: want a panic naming %v %v, got: %s", cell, all, any, refusal)
 				}
+			}
+		}
+	}
+}
+
+// TestOptionsGammaChecked: every constructor that takes Options refuses a Γ
+// outside (0, 1] at construction — NaN used to run as almost Γ = 1 and a
+// negative Γ as No-K-slack — while 0 keeps selecting the default.
+func TestOptionsGammaChecked(t *testing.T) {
+	windows := []Time{Second, Second, Second}
+	cond := EquiChain(3, 0)
+	src := NewJoin(cond, windows, Options{})
+	snap, err := src.Checkpoint()
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := map[string]func(Options){
+		hostNewJoin: func(o Options) { NewJoin(cond, windows, o).Close() },
+		hostRestore: func(o Options) {
+			j, err := Restore(snap, cond, windows, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+		},
+		hostMultiAdd: func(o Options) {
+			mj := NewMultiJoin(3)
+			defer mj.Close()
+			mj.Add(cond, windows, o)
+		},
+		"NewTreeJoin": func(o Options) {
+			NewTreeJoin(cond, windows, 0, nil, WithTreeAdaptation(o)).Close()
+		},
+	}
+	for host, build := range hosts {
+		for _, gamma := range []float64{0, 0.5, 0.95, 1, math.NaN(), -0.5, math.Inf(-1), 1.5, math.Inf(1)} {
+			var refusal string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						refusal = fmt.Sprint(r)
+					}
+				}()
+				build(Options{Gamma: gamma})
+			}()
+			valid := gamma >= 0 && gamma <= 1
+			switch {
+			case valid && refusal != "":
+				t.Errorf("%s(Gamma %v): must construct, panicked: %s", host, gamma, refusal)
+			case !valid && !strings.HasPrefix(refusal, "qdhj: Options.Gamma"):
+				t.Errorf("%s(Gamma %v): want a construction-time panic naming Options.Gamma, got %q", host, gamma, refusal)
 			}
 		}
 	}

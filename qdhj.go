@@ -26,6 +26,7 @@
 package qdhj
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/adapt"
@@ -97,8 +98,9 @@ const (
 // the paper's defaults: quality-driven policy with Γ = 0.95, P = 1 min,
 // L = 1 s, b = g = 10 ms, NonEqSel.
 type Options struct {
-	// Gamma is the required minimum recall γ(P) ∈ [0,1]. 0 means "use the
-	// default 0.95".
+	// Gamma is the required minimum recall γ(P) ∈ (0, 1]. 0 means "use the
+	// default 0.95"; any other value outside (0, 1], NaN included, panics
+	// at construction.
 	Gamma float64
 	// Period is the result-quality measurement period P.
 	Period Time
@@ -305,15 +307,29 @@ type Join struct {
 	hasSink bool
 }
 
+// defaultGamma is the recall requirement Options.Gamma = 0 selects.
+const defaultGamma = 0.95
+
+// gamma returns the recall requirement the options ask for. It panics on a
+// Γ outside (0, 1] other than the default's 0: the feedback loop would not
+// refuse one, it would run NaN as almost Γ = 1 and a negative Γ as
+// No-K-slack.
+func (opt Options) gamma() float64 {
+	switch g := opt.Gamma; {
+	case g == 0:
+		return defaultGamma
+	case !(g > 0 && g <= 1):
+		panic(fmt.Sprintf("qdhj: Options.Gamma = %v is not a recall requirement in (0, 1]; 0 selects the default %v", g, defaultGamma))
+	}
+	return opt.Gamma
+}
+
 // execConfig maps the public Options (plus the option-provided callbacks)
 // onto the planner's executor config.
 func execConfig(opt Options, jo *joinOpts) plan.ExecConfig {
-	if opt.Gamma == 0 {
-		opt.Gamma = 0.95
-	}
 	cfg := plan.ExecConfig{
 		Adapt: adapt.Config{
-			Gamma:    opt.Gamma,
+			Gamma:    opt.gamma(),
 			P:        opt.Period,
 			L:        opt.Interval,
 			B:        opt.BasicWindow,

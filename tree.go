@@ -92,9 +92,6 @@ func (o *treeOpts) validate() {
 // adaptiveConfig maps the qdhj Options onto the dist adaptation config.
 func (o *treeOpts) adaptiveConfig(initialK Time) dist.AdaptiveConfig {
 	opt := *o.adapt
-	if opt.Gamma == 0 {
-		opt.Gamma = 0.95
-	}
 	var pf feedback.PolicyFactory
 	switch opt.Policy {
 	case MaxSlack:
@@ -108,7 +105,7 @@ func (o *treeOpts) adaptiveConfig(initialK Time) dist.AdaptiveConfig {
 	}
 	return dist.AdaptiveConfig{
 		Adapt: adapt.Config{
-			Gamma:    opt.Gamma,
+			Gamma:    opt.gamma(),
 			P:        opt.Period,
 			L:        opt.Interval,
 			B:        opt.BasicWindow,
