@@ -27,7 +27,9 @@
 // Online re-planning: -replan measures arrival rates and selectivities on
 // the running join, re-plans every -replan-period, and live-migrates
 // between shapes; -explain-live additionally prints the plan graph before
-// and after every migration:
+// and after every migration. It composes with -inject and -checkpoint (a
+// snapshot taken after a migration restores under the deployed shape's
+// -plan), not with -restore:
 //
 //	qdhjgen -dataset phaseflip -minutes 2 -o flip.csv
 //	qdhjrun -in flip.csv -query x4 -replan -replan-period 2 -explain-live
@@ -398,8 +400,8 @@ func flagConflict(f runFlags) error {
 		if f.tree {
 			return conflict("-replan runs on the planned path; express the starting shape with -plan")
 		}
-		if ftActive {
-			return conflict("-replan cannot be combined with -checkpoint/-restore/-inject: the supervised runtime pins one deployment shape")
+		if f.restore != "" {
+			return conflict("-replan cannot be combined with -restore: a restored join resumes the snapshot's own shape without the re-planner")
 		}
 		if len(f.workers) > 0 {
 			return conflict("-workers cannot be combined with -replan: remote workers pin the sharded flat shape, and a live migration would change it")

@@ -33,7 +33,7 @@ func TestFlagConflicts(t *testing.T) {
 		{"plan+tree", runFlags{planSpec: "shard:2", tree: true}},
 		{"shards+tree", runFlags{shards: 2, tree: true}},
 		{"inject+tree", runFlags{inject: "panic@shard0:tuple10", tree: true}},
-		{"replan+inject", runFlags{replan: true, inject: "panic@shard0:tuple10"}},
+		{"replan+restore", runFlags{replan: true, restore: "snap.bin"}},
 		{"workers+inject", runFlags{workers: two, inject: "panic@shard0:tuple10"}},
 		{"workers+replan", runFlags{workers: two, replan: true}},
 		{"workers+tree", runFlags{workers: two, tree: true}},
@@ -82,6 +82,8 @@ func TestFlagConflicts(t *testing.T) {
 		{"workers+framebatch", runFlags{workers: two, frameBatch: 64}},
 		{"workers+checkpoint", runFlags{workers: two, ckptFile: "snap.bin"}},
 		{"replan alone", runFlags{replan: true}},
+		{"replan+inject", runFlags{replan: true, inject: "panic@shard0:tuple10"}},
+		{"replan+checkpoint", runFlags{replan: true, ckptFile: "snap.bin"}},
 	}
 	for _, tc := range good {
 		if err := flagConflict(defaults(tc.f)); err != nil {

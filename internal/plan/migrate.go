@@ -9,8 +9,9 @@ package plan
 //   - The shape-independent LOGICAL state — which raw arrivals exist, which
 //     results were already delivered, and the feedback loop's measured
 //     statistics — crosses the shape boundary explicitly: arrivals via a
-//     bounded replay of the raw input suffix, deliveries via the EmitLog
-//     gate, and the loop via a K-scope remap of its serialized state.
+//     bounded replay of the shell's arrival log, deliveries via the gate's
+//     identity records, and the loop via a K-scope remap of its serialized
+//     state.
 //   - The shape-DEPENDENT executor state is not transplanted at all. The
 //     new executor rebuilds it by replaying the suffix through its own
 //     normal Push path, which reconstructs windows, synchronizer registers
@@ -38,7 +39,7 @@ package plan
 // ones and the release schedule of future arrivals is unchanged.
 //
 // Results the replay regenerates that the old executor already delivered
-// are suppressed by the gate's recorded multiset; results that were in
+// are suppressed by the gate's identity records; results that were in
 // flight are delivered exactly once. Stale regenerations below any new
 // window scope are expired before they can probe — result-invisible.
 
@@ -47,37 +48,22 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/feedback"
 	"repro/internal/profiler"
 	"repro/internal/stream"
 )
 
-// ErrReplayShallow reports that the replay log does not reach back to the
-// migration horizon — the caller's log was pruned too aggressively (or the
-// run just restarted from a snapshot). The old executor is left running;
-// retry at a later boundary once the log has deepened.
+// ErrReplayShallow reports that the arrival log does not reach back to the
+// migration horizon — it was pruned past it, or the run just started. The
+// old executor is left running; retry at a later boundary once the log has
+// deepened.
 var ErrReplayShallow = errors.New("plan: replay log does not reach the migration horizon")
 
-// LogComplete is the MigrateOptions.LogSince value for a log holding every
-// arrival since the first Push.
-const LogComplete = stream.Time(math.MinInt64)
-
-// MigrateOptions carries the migration inputs the runtime owns.
-type MigrateOptions struct {
-	// Log is the raw input suffix in arrival order. It must contain every
-	// arrival with TS ≥ LogSince (later-arriving tuples with older
-	// timestamps included).
-	Log []*stream.Tuple
-	// LogSince is the timestamp horizon the log is complete for; use
-	// LogComplete for an unpruned log.
-	LogSince stream.Time
-	// Gate is the exactly-once delivery gate. It must already be installed
-	// as the old executor's emit callback (and will be enforced as the new
-	// one's), with the user sink behind it.
-	Gate *EmitLog
-}
+// ErrMigrationInterrupted reports that a worker failure interrupted a
+// migration and supervision recovered the run on the old shape. Retry at a
+// later boundary.
+var ErrMigrationInterrupted = errors.New("plan: a worker failure interrupted the migration; the run recovered on the old shape")
 
 // MigrateReport describes one completed (or refused) migration.
 type MigrateReport struct {
@@ -90,82 +76,80 @@ type MigrateReport struct {
 	// and reached the user through the replay; Suppressed counts
 	// regenerations the gate matched against prior deliveries.
 	Delivered, Suppressed int64
-	// OldResults is the abandoned executor's result counter at the boundary.
-	OldResults int64
 }
 
-// Migrate moves a running join from oldEx (built from oldG/oldCfg) to a
-// fresh executor of newG/newCfg without stopping the stream. It must be
-// called between two Push calls — on adaptive shapes, right after an
-// adaptation boundary, where the executor is quiesced and the K trajectory
-// is at a decision point. On success the old executor is abandoned and the
-// returned executor continues the run behind the same delivery gate. On
-// error the old executor is untouched and still running.
-func Migrate(oldG *Graph, oldCfg ExecConfig, oldEx Executor, newG *Graph, newCfg ExecConfig, opt MigrateOptions) (Executor, MigrateReport, error) {
-	rep := MigrateReport{FromShape: ShapeString(oldG), ToShape: ShapeString(newG)}
-	if opt.Gate == nil {
-		return nil, rep, errors.New("plan: Migrate needs the EmitLog gate the run delivers through")
+// Migrate moves the running join onto target without stopping the stream:
+// capture the boundary, abandon the executor, build target behind the same
+// gate, replay the logged arrivals from the horizon with the injector
+// paused, and transplant the feedback loop. Under supervision a fresh
+// checkpoint of target becomes the recovery point. Call it between two
+// pushes — on adaptive shapes right after an adaptation boundary, where the
+// executor is quiesced and the K trajectory is at a decision point; a
+// Replanner's Step is such a place. On error the old executor keeps
+// running. The shell must have been built with a Replanner: only then does
+// the gate record the identities a migration replays behind.
+func (s *Supervised) Migrate(target *Graph) (MigrateReport, error) {
+	rep := MigrateReport{FromShape: ShapeString(s.g), ToShape: ShapeString(target)}
+	switch {
+	case s.err != nil:
+		return rep, s.err
+	case s.finished:
+		return rep, fault.ErrClosed
+	case s.gate.ids == nil:
+		return rep, errors.New("plan: Migrate needs a shell built with a Replanner — only it records the result identities a migration replays behind")
+	case s.g.Cond != target.Cond:
+		return rep, errors.New("plan: Migrate across different Conditions — plan the same condition value")
+	case len(s.g.Windows) != len(target.Windows):
+		return rep, errors.New("plan: Migrate across different window counts")
 	}
-	if oldG.Cond != newG.Cond {
-		return nil, rep, errors.New("plan: Migrate across different Conditions — plan the same condition value")
-	}
-	if len(oldG.Windows) != len(newG.Windows) {
-		return nil, rep, errors.New("plan: Migrate across different window counts")
-	}
-	for i := range oldG.Windows {
-		if oldG.Windows[i] != newG.Windows[i] {
-			return nil, rep, fmt.Errorf("plan: Migrate across different windows (stream %d: %v vs %v)", i, oldG.Windows[i], newG.Windows[i])
+	for i, w := range s.g.Windows {
+		if w != target.Windows[i] {
+			return rep, fmt.Errorf("plan: Migrate across different windows (stream %d: %v vs %v)", i, w, target.Windows[i])
 		}
 	}
+	var err error
+	done := false
+	if !s.run(func() { err, done = s.migrate(target, &rep), true }, false) {
+		return rep, s.err
+	}
+	if !done {
+		return rep, ErrMigrationInterrupted
+	}
+	return rep, err
+}
+
+// migrate is Migrate's body. A fault anywhere in it recovers the old shape:
+// the graph and the recovery point change only once the move is complete.
+func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	// Capture the boundary state. Checkpoint is non-destructive: it
 	// quiesces and flushes pending deliveries but leaves the executor live,
-	// so every refusal below is safe.
-	st, err := Checkpoint(oldG, oldCfg, oldEx)
+	// so a refusal below is safe.
+	st, err := Checkpoint(s.g, s.cfg, s.ex)
 	if err != nil {
-		return nil, rep, err
+		return err
 	}
-	h := migrationHorizon(&st, oldG)
+	h := migrationHorizon(&st, s.g)
 	rep.Horizon = h
-	if h < opt.LogSince {
-		return nil, rep, fmt.Errorf("%w: need arrivals since ts %d, log reaches back to %d", ErrReplayShallow, h, opt.LogSince)
+	if h < s.logSince {
+		return fmt.Errorf("%w: need arrivals since ts %d, log reaches back to %d", ErrReplayShallow, h, s.logSince)
 	}
-	oldLoop := loopState(&st)
-	rep.OldResults = oldEx.Results()
-	Abandon(oldEx)
+	if s.inj != nil {
+		s.inj.Pause()
+		defer s.inj.Resume()
+	}
+	Abandon(s.ex)
 
-	// Build the new shape behind the same gate; user-facing adaptation and
-	// count hooks stay silent during the replay (the gate re-synthesizes
+	// Build the new shape behind the same gate; adaptation and count hooks
+	// stay silent until the move is complete (the gate re-synthesizes
 	// counts for the results it actually delivers).
-	gate := opt.Gate
-	bcfg := newCfg
-	bcfg.Emit = gate.Emit
-	if inner := newCfg.OnAdapt; inner != nil {
-		bcfg.OnAdapt = func(ev core.AdaptEvent) {
-			if !gate.Replaying() {
-				inner(ev)
-			}
-		}
-	}
-	if innerC := newCfg.EmitCounts; innerC != nil {
-		bcfg.EmitCounts = func(ts stream.Time, n int64) {
-			if !gate.Replaying() {
-				innerC(ts, n)
-			}
-		}
-	}
-	ex := Build(newG, bcfg)
-
-	gate.BeginReplay()
-	for _, t := range opt.Log {
-		if t.TS >= h {
-			ex.Push(t)
-			rep.Replayed++
-		}
-	}
+	s.gate.beginReplay()
+	s.setExec(Build(target, s.cfg))
+	rep.Replayed = s.replay(s.log, h)
 	// Sharded targets defer deliveries (interval flush, reorder release);
-	// drain them through the gate while it still suppresses regenerations.
-	quiesceExec(ex)
-	rep.Delivered, rep.Suppressed = gate.EndReplay()
+	// drain them through the gate while it still matches regenerations.
+	quiesceExec(s.ex)
+	s.gate.replaying = false
+	rep.Delivered, rep.Suppressed = s.gate.repOut, s.gate.repSupp
 
 	// Transplant the feedback loop: the old boundary-time state already
 	// accounts every replayed arrival exactly once (they all arrived before
@@ -175,14 +159,21 @@ func Migrate(oldG *Graph, oldCfg ExecConfig, oldEx Executor, newG *Graph, newCfg
 	// the old root scope (the global decision on flat shapes). The Γ′
 	// weights need no transplant — the new executor recomputed them from
 	// its own stage structure at construction.
-	if oldLoop != nil {
-		if nl := execLoop(ex); nl != nil {
-			ns := remapFeedback(*oldLoop, scopeStreamSets(oldG), scopeStreamSets(newG))
+	if oldLoop := loopState(&st); oldLoop != nil {
+		if nl := execLoop(s.ex); nl != nil {
+			ns := remapFeedback(*oldLoop, scopeStreamSets(s.g), scopeStreamSets(target))
 			nl.Restore(ns)
-			applyKs(ex, ns.Ks)
+			applyKs(s.ex, ns.Ks)
 		}
 	}
-	return ex, rep, nil
+	s.gate.restart()
+	if !s.scf.Unsupervised {
+		s.checkpointAs(target) // a built executor always checkpoints
+	}
+	s.g = target
+	s.gate.migrating = false
+	s.migrations++
+	return nil
 }
 
 // migrationHorizon computes H = min(S, min onT, min localT) − maxW − 1 from
@@ -236,16 +227,18 @@ func migrationHorizon(st *ExecState, g *Graph) stream.Time {
 			upd(sg.OnT)
 		}
 	}
-	var maxW stream.Time
-	for _, w := range g.Windows {
-		if w > maxW {
-			maxW = w
-		}
-	}
 	if min == math.MaxInt64 { // nothing pushed yet
 		return math.MinInt64
 	}
-	return min - maxW - 1
+	return min - maxWindow(g) - 1
+}
+
+func maxWindow(g *Graph) stream.Time {
+	var maxW stream.Time
+	for _, w := range g.Windows {
+		maxW = max(maxW, w)
+	}
+	return maxW
 }
 
 // quiesceExec drains an executor's deferred deliveries: the sharded flat

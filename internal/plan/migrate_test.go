@@ -3,50 +3,62 @@ package plan
 // Migration differentials: a run that live-migrates between plannable
 // shapes at every adaptation boundary must deliver exactly the result
 // multiset of the uninterrupted flat reference — exactly-once delivery
-// across the EmitLog gate, bit-for-bit, for every shape pair and every
+// across the shell's gate, bit-for-bit, for every shape pair and every
 // equi/band/generic condition mix. CI runs these under -race.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/difftest"
+	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/join"
 	"repro/internal/leakcheck"
 	"repro/internal/stream"
 )
 
+// fixedLog is a Replanner that never migrates on its own and never prunes:
+// the differentials call Migrate themselves, against the complete log.
+type fixedLog struct{}
+
+func (fixedLog) Step(*Supervised, *stream.Tuple, bool) {}
+func (fixedLog) Period() stream.Time                   { return 0 }
+
 // runMigrating executes the workload at the fixed buffer size k, migrating
 // to the next graph in the cycle every `every` arrivals, and returns the
-// delivered result multiset.
-func runMigrating(t *testing.T, name string, graphs []*Graph, k stream.Time, in stream.Batch, every int) map[string]int {
+// delivered result multiset. scf selects the shell (unsupervised when
+// zero); its Replan is always fixedLog.
+func runMigrating(t *testing.T, name string, graphs []*Graph, k stream.Time, in stream.Batch, every int, scf SuperviseConfig) map[string]int {
 	t.Helper()
 	set := map[string]int{}
-	gate := NewEmitLog(func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }, nil)
-	cfg := ExecConfig{Policy: PolicyStatic, StaticK: k, Emit: gate.Emit}
+	scf.Replan = fixedLog{}
+	s := NewSupervised(graphs[0], ExecConfig{Policy: PolicyStatic, StaticK: k,
+		Emit: func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }}, scf)
 	cur := 0
-	ex := Build(graphs[0], cfg)
-	var log []*stream.Tuple
-	migrations := 0
 	for i, e := range in {
-		ex.Push(e)
-		log = append(log, e)
+		s.Push(e)
 		if (i+1)%every == 0 && i+1 < len(in) {
 			next := (cur + 1) % len(graphs)
-			nex, rep, err := Migrate(graphs[cur], cfg, ex, graphs[next], cfg,
-				MigrateOptions{Log: log, LogSince: LogComplete, Gate: gate})
+			rep, err := s.Migrate(graphs[next])
+			for errors.Is(err, ErrMigrationInterrupted) { // recovered on the old shape: retry
+				rep, err = s.Migrate(graphs[next])
+			}
 			if err != nil {
 				t.Fatalf("%s: migrate %s→%s at arrival %d: %v", name, rep.FromShape, rep.ToShape, i+1, err)
 			}
-			ex, cur = nex, next
-			migrations++
+			cur = next
 		}
 	}
-	ex.Finish()
-	if migrations == 0 {
+	s.Finish()
+	if err := s.Err(); err != nil {
+		t.Fatalf("%s: went terminal: %v", name, err)
+	}
+	if s.Migrations() == 0 {
 		t.Fatalf("%s: workload too short, no migration exercised", name)
 	}
-	if got := gate.Delivered(); got != sumCounts(set) {
+	if got := s.Results(); got != sumCounts(set) {
 		t.Fatalf("%s: gate delivered %d, sink saw %d", name, got, sumCounts(set))
 	}
 	return set
@@ -126,7 +138,7 @@ func TestMigrationDifferentialPairs(t *testing.T) {
 				cond := tc.mk()
 				graphs := parseAll(t, []string{a, b}, cond, w)
 				name := fmt.Sprintf("%s/%s↔%s", tc.name, a, b)
-				got := runMigrating(t, name, graphs, maxD, in.Clone(), every)
+				got := runMigrating(t, name, graphs, maxD, in.Clone(), every, SuperviseConfig{Unsupervised: true})
 				sameMultiset(t, name, want, got)
 			}
 		}
@@ -151,10 +163,104 @@ func TestMigrationDifferentialTour(t *testing.T) {
 			graphs := parseAll(t, shapes, cond, w)
 			every := len(in) / (2*len(shapes) + 1)
 			name := fmt.Sprintf("%s/tour/seed%d", tc.name, seed)
-			got := runMigrating(t, name, graphs, maxD, in.Clone(), every)
+			got := runMigrating(t, name, graphs, maxD, in.Clone(), every, SuperviseConfig{Unsupervised: true})
 			sameMultiset(t, name, want, got)
 		}
 	}
+}
+
+// TestMigrationSupervisedDifferential tours every plannable shape under
+// supervision, with worker kills before the first migration, right after
+// migrations, and between them: recovery and migration share the log and
+// the gate, and the delivered multiset must still be the flat reference's.
+func TestMigrationSupervisedDifferential(t *testing.T) {
+	leakcheck.Check(t)
+	for _, tc := range migrationConds() {
+		in := difftest.MixWorkload(tc.m, 420, 43, 14)
+		maxD, _ := in.MaxDelay()
+		w := make([]stream.Time, tc.m)
+		for i := range w {
+			w[i] = 700
+		}
+		want := runGraph(FlatGraph(tc.mk(), w), maxD, in.Clone())
+		shapes := migrationShapes(tc.m, tc.name == "star4")
+		graphs := parseAll(t, shapes, tc.mk(), w)
+		every := len(in) / (2*len(shapes) + 1)
+		e := int64(every)
+		inj := fault.NewInjector().PanicAt(0, e/2).PanicAt(0, e+1).PanicAt(1, 2*e+1).PanicAt(0, 3*e+e/2).PanicAt(0, 4*e+1)
+		restarts := 0
+		name := tc.name + "/supervised-tour"
+		got := runMigrating(t, name, graphs, maxD, in.Clone(), every, SuperviseConfig{
+			Backoff: testBackoff(3), Inject: inj, CheckpointEvery: 1,
+			OnRestart: func(int, error) { restarts++ },
+		})
+		if restarts < 3 {
+			t.Fatalf("%s: %d restarts, want the kills before, after and between migrations", name, restarts)
+		}
+		sameMultiset(t, name, want, got)
+	}
+}
+
+// flipper is a Replanner that moves between two graphs at every phase
+// change of a feed with phases of `phase` arrivals, at the first boundary
+// after the change.
+type flipper struct {
+	t        *testing.T
+	graphs   [2]*Graph
+	phase, n int
+}
+
+func (f *flipper) Step(s *Supervised, _ *stream.Tuple, boundary bool) {
+	f.n++
+	if want := f.graphs[f.n/f.phase%2]; boundary && s.Graph() != want {
+		if _, err := s.Migrate(want); err != nil && !errors.Is(err, ErrReplayShallow) {
+			f.t.Fatalf("migrate: %v", err)
+		}
+	}
+}
+
+func (f *flipper) Period() stream.Time { return 2000 }
+
+// TestShellStateBounded: the log and the identity records hold what a
+// bounded horizon needs, not the run. The phase-flip feed of eight phases
+// — its two-phase unit fed four times, five prune periods per phase — may
+// not peak above the same unit fed twice, under supervision and a
+// migration at every phase change.
+func TestShellStateBounded(t *testing.T) {
+	leakcheck.Check(t)
+	const ticks = 500 // 10 ms each: 5 s per phase
+	unit := gen.PhaseFlipStar4(2, ticks, 11, 12, 600, 200)
+	maxD, _ := unit.MaxDelay()
+	w := []stream.Time{600, 600, 600, 600}
+	run := func(units int) (logPeak, gatePeak, migrations int) {
+		graphs := parseAll(t, []string{"flat", "tree"}, join.Star(4, []int{0, 1, 2}, []int{0, 0, 0}), w)
+		s := NewSupervised(graphs[0], ExecConfig{Policy: PolicyStatic, StaticK: maxD}, SuperviseConfig{
+			Backoff: testBackoff(1),
+			Replan:  &flipper{t: t, graphs: [2]*Graph{graphs[0], graphs[1]}, phase: len(unit) / 2},
+		})
+		for u := 0; u < units; u++ {
+			for _, e := range unit {
+				c := *e
+				c.TS += stream.Time(u * 2 * ticks * 10)
+				c.Seq += uint64(u * len(unit))
+				s.Push(&c)
+				logPeak = max(logPeak, len(s.log))
+				gatePeak = max(gatePeak, s.gate.ids.len())
+			}
+		}
+		s.Finish()
+		return logPeak, gatePeak, s.Migrations()
+	}
+	log4, gate4, mig4 := run(2)
+	log8, gate8, mig8 := run(4)
+	if mig4 < 3 || mig8 < 7 {
+		t.Fatalf("%d and %d migrations over 3 and 7 phase changes", mig4, mig8)
+	}
+	if log8 > log4 || gate8 > gate4 {
+		t.Fatalf("8 phases peak at %d logged arrivals and %d identity records, 4 phases at %d and %d",
+			log8, gate8, log4, gate4)
+	}
+	t.Logf("peaks: %d logged arrivals, %d identity records", log4, gate4)
 }
 
 // TestMigrationAdaptive migrates a quality-driven (adaptive) run across
@@ -171,25 +277,20 @@ func TestMigrationAdaptive(t *testing.T) {
 	want := runGraph(FlatGraph(join.EquiChain(3, 0), w), maxD, in.Clone())
 
 	set := map[string]int{}
-	gate := NewEmitLog(func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }, nil)
-	cfg := ExecConfig{Policy: PolicyMaxK, Emit: gate.Emit}
+	cfg := ExecConfig{Policy: PolicyMaxK, Emit: func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }}
 	graphs := parseAll(t, []string{"flat", "tree-shard:2", "shard:2", "tree"}, cond, w)
 	cur := 0
-	ex := Build(graphs[0], cfg)
-	var log []*stream.Tuple
+	s := NewSupervised(graphs[0], cfg, SuperviseConfig{Unsupervised: true, Replan: fixedLog{}})
 	var prevGlobalT stream.Time
 	for i, e := range in {
-		ex.Push(e)
-		log = append(log, e)
+		s.Push(e)
 		if (i+1)%300 == 0 && i+1 < len(in) {
 			next := (cur + 1) % len(graphs)
-			nex, rep, err := Migrate(graphs[cur], cfg, ex, graphs[next], cfg,
-				MigrateOptions{Log: log, LogSince: LogComplete, Gate: gate})
-			if err != nil {
+			if rep, err := s.Migrate(graphs[next]); err != nil {
 				t.Fatalf("adaptive migrate %s→%s: %v", rep.FromShape, rep.ToShape, err)
 			}
-			ex, cur = nex, next
-			if m := ex.Stats(); m == nil {
+			cur = next
+			if m := s.Stats(); m == nil {
 				t.Fatalf("adaptive target lost its feedback loop")
 			} else if g := m.GlobalT(); g < prevGlobalT {
 				t.Fatalf("transplanted stats went backwards: GlobalT %v → %v", prevGlobalT, g)
@@ -198,7 +299,7 @@ func TestMigrationAdaptive(t *testing.T) {
 			}
 		}
 	}
-	ex.Finish()
+	s.Finish()
 	for k, c := range set {
 		if c > want[k] {
 			t.Fatalf("result %s delivered ×%d, reference has ×%d — duplicate or spurious delivery", k, c, want[k])

@@ -1,54 +1,58 @@
 package plan
 
-// The supervised runtime: an Executor wrapper that turns contained worker
-// failures into recoveries instead of crashes. The engines below already
-// convert worker panics into driver-side panics carrying *fault.WorkerError
-// (workers switch to drain mode, so the engine stays tearable-down); the
-// supervisor is the layer that catches those, restores the last boundary
+// The runtime shell every replaying deployment runs behind. A replay —
+// restoring the last checkpoint after a contained worker failure, or
+// migrating the join into another shape — rebuilds an executor and
+// re-pushes a logged suffix of arrivals behind an exactly-once gate. The
+// shell owns the current graph, the one arrival log, and the one gate
+// (gate.go), and runs both kinds of replay through the same path.
+//
+// Supervision. The engines convert worker panics into driver-side panics
+// carrying *fault.WorkerError (workers switch to drain mode, so the engine
+// stays tearable-down); the shell catches those, restores the last boundary
 // checkpoint into a fresh executor, replays the arrivals logged since, and
-// retries under a bounded jittered backoff. Failures that outlive the
-// retry budget surface as a terminal *fault.JoinError through Err() —
-// never as a crash of the caller.
+// retries under a bounded jittered backoff. Failures that outlive the retry
+// budget surface as a terminal *fault.JoinError through Err() — never as a
+// crash of the caller. Checkpoints are taken automatically at adaptation
+// boundaries (the gated OnAdapt marks them), which is the point where tree
+// checkpoints are K-trajectory-exact (see internal/dist). Lifecycle panics —
+// the documented plain-string API-misuse panics — are NEVER treated as
+// faults: the shell re-panics them untouched. A shell built Unsupervised
+// takes no checkpoints and lets failures propagate as a bare executor does.
 //
-// Exactness. Recovery replays arrivals through the same deterministic
-// engines, so the restored run re-produces results (and result-count
-// chunks, and adaptation events) the original already delivered. Every
-// user-facing callback is therefore gated behind a produced/delivered
-// counter pair: emissions are delivered only when the produced count
-// exceeds the delivered high-water mark. Because each engine's emission
-// order is deterministic, the counters suppress exactly the replayed
-// prefix — the caller observes every result exactly once, in order, as if
-// no fault had happened.
+// Re-planning. With a Replanner the gate records result identities, the
+// log stays deep enough for any migration horizon, and every admitted
+// arrival is handed to the Replanner, which calls Migrate (migrate.go) at a
+// boundary.
 //
-// Checkpoints are taken automatically at adaptation boundaries (the gated
-// OnAdapt marks them), which is the point where tree checkpoints are
-// K-trajectory-exact (see internal/dist). Between boundaries the arrival
-// log carries the difference. Lifecycle panics — the documented plain-string
-// API-misuse panics — are NEVER treated as faults: the supervisor re-panics
-// them untouched.
+// The log. An arrival is dropped once no replay can need it: neither the
+// recovery from the last checkpoint (it arrived before it, or the shell is
+// unsupervised) nor any possible migration horizon (its timestamp is below
+// the prune horizon, or the shell does not re-plan).
 //
 // Supervised is driver-thread-only, like the engines it wraps: one
 // goroutine calls Push/TryPush/Finish.
 
 import (
+	"errors"
+	"math"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
 
-// SuperviseConfig configures the supervised runtime.
+// SuperviseConfig configures the runtime shell.
 type SuperviseConfig struct {
 	// Backoff is the restart schedule; the zero value means
 	// fault.DefaultBackoff().
 	Backoff fault.Backoff
 	// Inject optionally arms the deterministic fault injector on the built
-	// executor (overriding ExecConfig.Inject). The supervisor counts every
+	// executor (overriding ExecConfig.Inject). The shell counts every
 	// offered arrival (Injector.Arrival) and pauses the injector during
-	// recovery replay, so directives fire exactly once at their configured
+	// every replay, so directives fire exactly once at their configured
 	// arrival count.
 	Inject *fault.Injector
 	// Ingest bounds the K-slack occupancy; zero value = unbounded.
@@ -64,6 +68,24 @@ type SuperviseConfig struct {
 	// OnRestart, when set, observes every recovery: the restart ordinal
 	// (counting from 1) and the failure that triggered it.
 	OnRestart func(restart int, cause error)
+	// Unsupervised turns recovery off: no automatic checkpoints, and a
+	// contained worker failure panics on the caller as on a bare executor.
+	// A re-planning join that did not ask for supervision runs this way.
+	Unsupervised bool
+	// Replan, when set, drives live migrations between shapes.
+	Replan Replanner
+}
+
+// Replanner is a re-planning loop the shell drives (internal/replan).
+type Replanner interface {
+	// Step runs after every admitted arrival t. boundary reports whether
+	// the executor is at a decision point: t's push crossed an adaptation
+	// boundary, or the deployment runs no feedback loop. Step may call
+	// s.Migrate.
+	Step(s *Supervised, t *stream.Tuple, boundary bool)
+	// Period is the re-planning cadence. The log prunes once per period
+	// and keeps one period of margin below the deepest migration horizon.
+	Period() stream.Time
 }
 
 // bufferedExecutor is the occupancy/shedding surface both engines expose.
@@ -73,83 +95,78 @@ type bufferedExecutor interface {
 	RecallEstimate() float64
 }
 
-// ckptMeta freezes the delivery counters alongside a checkpoint: restoring
-// resets the produced counters to these values, and the delivered counters
-// (which never rewind) gate out the replayed emissions.
-type ckptMeta struct {
-	produced int64
-	chunks   int64
-	adapts   int64
-}
-
-// Supervised wraps a built executor with supervision, checkpoint-based
-// recovery, and bounded ingest. Build one with NewSupervised.
+// Supervised is the runtime shell around a built executor. Build one with
+// NewSupervised.
 type Supervised struct {
-	g   *Graph
-	cfg ExecConfig // callbacks replaced by the gates below
-	scf SuperviseConfig
-	inj *fault.Injector
-
-	userEmit    join.EmitFunc
-	userCounts  join.CountEmitFunc
-	userOnAdapt func(core.AdaptEvent)
+	g    *Graph     // the deployed graph
+	cfg  ExecConfig // callbacks replaced by the gate's
+	scf  SuperviseConfig
+	inj  *fault.Injector
+	gate gate
 
 	ex Executor
 	be bufferedExecutor
 
-	backoff   fault.Backoff
-	pending   *stream.Tuple // the arrival pushFn feeds (avoids a closure per Push)
-	pushFn    func()
-	log       []*stream.Tuple // arrivals admitted since the last checkpoint
-	ckpt      *ExecState      // last boundary checkpoint, nil before the first
-	ckptMeta  ckptMeta
+	backoff fault.Backoff
+	pending *stream.Tuple // the arrival pushFn feeds (avoids a closure per Push)
+	pushFn  func()
+
+	// log[ckptAt:] arrived since the last checkpoint; while re-planning,
+	// every arrival with TS ≥ logSince is in the log as well.
+	log       []*stream.Tuple
+	ckptAt    int
+	logSince  stream.Time
+	clocks    []stream.Time // per-stream clocks of the admitted arrivals; nil until the first one
+	now       stream.Time   // the largest of them
+	lastPrune stream.Time
+
+	ckpt      *ExecState // last boundary checkpoint, nil before the first
+	ckptMeta  meta
 	ckptEvery int // boundaries between automatic checkpoints
 	sinceCkpt int // boundaries since the last one
 
-	produced, delivered     int64
-	prodChunks, delivChunks int64
-	prodAdapts, delivAdapts int64
-	boundary                bool // an adaptation boundary occurred in the current Push
-
-	dropped  int64
-	restarts int
-	ckpts    int
-	ckptTime time.Duration // total wall time spent inside automatic captures
-	err      error
-	finished bool
+	dropped    int64
+	restarts   int
+	ckpts      int
+	migrations int
+	ckptTime   time.Duration // total wall time spent inside automatic captures
+	err        error
+	finished   bool
 }
 
-// NewSupervised builds the executor for (g, cfg) under supervision.
+// NewSupervised builds the executor for (g, cfg) behind the shell.
 func NewSupervised(g *Graph, cfg ExecConfig, scf SuperviseConfig) *Supervised {
 	s := newSupervisedShell(g, cfg, scf)
-	s.ex = Build(g, s.cfg)
-	s.be, _ = s.ex.(bufferedExecutor)
+	s.setExec(Build(g, s.cfg))
 	return s
 }
 
-// NewSupervisedRestore builds the supervised runtime with its initial
-// executor restored from a persisted checkpoint instead of built fresh. The
-// snapshot doubles as the supervisor's recovery point until the next
-// adaptation boundary replaces it, and dropped seeds the refused-arrival
-// counter so accounting survives the restart. The snapshot's signature must
-// match (g, cfg) or the restore is refused with fault.ErrRestoreMismatch.
+// NewSupervisedRestore builds the shell with its initial executor restored
+// from a persisted checkpoint instead of built fresh. The snapshot doubles
+// as the recovery point until the next adaptation boundary replaces it, and
+// dropped seeds the refused-arrival counter so accounting survives the
+// restart. The snapshot's signature must match (g, cfg) or the restore is
+// refused with fault.ErrRestoreMismatch. A restored shell cannot re-plan:
+// its log holds no arrival from before the snapshot.
 func NewSupervisedRestore(g *Graph, cfg ExecConfig, scf SuperviseConfig, st ExecState, dropped int64) (*Supervised, error) {
+	if scf.Replan != nil {
+		return nil, errors.New("plan: a restored shell cannot re-plan — its log holds no arrival from before the snapshot")
+	}
 	s := newSupervisedShell(g, cfg, scf)
 	ex, err := Restore(g, s.cfg, st)
 	if err != nil {
 		return nil, err
 	}
-	s.ex = ex
-	s.be, _ = s.ex.(bufferedExecutor)
+	s.setExec(ex)
 	s.ckpt = &st
 	s.dropped = dropped
 	return s, nil
 }
 
-// newSupervisedShell wires config, injector and delivery gates — everything
+// newSupervisedShell wires config, injector and the gate — everything
 // except the executor itself.
 func newSupervisedShell(g *Graph, cfg ExecConfig, scf SuperviseConfig) *Supervised {
-	s := &Supervised{g: g, scf: scf, backoff: scf.Backoff}
+	s := &Supervised{g: g, scf: scf, backoff: scf.Backoff, logSince: math.MinInt64}
 	if s.backoff.Base == 0 && s.backoff.Retries == 0 {
 		s.backoff = fault.DefaultBackoff()
 	}
@@ -158,16 +175,20 @@ func newSupervisedShell(g *Graph, cfg ExecConfig, scf SuperviseConfig) *Supervis
 		s.inj = cfg.Inject
 	}
 	cfg.Inject = s.inj
-	s.userEmit = cfg.Emit
-	s.userCounts = cfg.EmitCounts
-	s.userOnAdapt = cfg.OnAdapt
+	s.gate = gate{emit: cfg.Emit, counts: cfg.EmitCounts, adapt: cfg.OnAdapt}
 	if cfg.Emit != nil {
-		cfg.Emit = s.gatedEmit
+		cfg.Emit = s.gate.result
 	}
 	if cfg.EmitCounts != nil {
-		cfg.EmitCounts = s.gatedCounts
+		cfg.EmitCounts = s.gate.chunk
 	}
-	cfg.OnAdapt = s.gatedOnAdapt // always: boundaries drive checkpointing
+	if scf.Replan != nil {
+		// Identity keying needs every result materialized; the count sink
+		// then sees one count per delivered result.
+		s.gate.ids = newIdentities(len(g.Windows))
+		cfg.Emit, cfg.EmitCounts = s.gate.result, nil
+	}
+	cfg.OnAdapt = s.gate.adaptation // always: boundaries drive checkpointing
 	s.cfg = cfg
 	s.ckptEvery = scf.CheckpointEvery
 	if s.ckptEvery <= 0 {
@@ -192,37 +213,9 @@ func newSupervisedShell(g *Graph, cfg ExecConfig, scf SuperviseConfig) *Supervis
 	return s
 }
 
-// ---- delivery gates ----
-
-func (s *Supervised) gatedEmit(r stream.Result) {
-	s.produced++
-	if s.produced > s.delivered {
-		s.delivered++
-		if s.userEmit != nil {
-			s.userEmit(r)
-		}
-	}
-}
-
-func (s *Supervised) gatedCounts(ts stream.Time, n int64) {
-	s.prodChunks++
-	if s.prodChunks > s.delivChunks {
-		s.delivChunks++
-		if s.userCounts != nil {
-			s.userCounts(ts, n)
-		}
-	}
-}
-
-func (s *Supervised) gatedOnAdapt(ev core.AdaptEvent) {
-	s.prodAdapts++
-	if s.prodAdapts > s.delivAdapts {
-		s.delivAdapts++
-		s.boundary = true
-		if s.userOnAdapt != nil {
-			s.userOnAdapt(ev)
-		}
-	}
+func (s *Supervised) setExec(ex Executor) {
+	s.ex = ex
+	s.be, _ = ex.(bufferedExecutor)
 }
 
 // ---- ingest ----
@@ -256,8 +249,8 @@ func (s *Supervised) TryPush(t *stream.Tuple) error {
 	ic := s.scf.Ingest
 	bounded := ic.MaxBuffered > 0 && s.be != nil
 	if bounded && ic.Policy == IngestError && s.be.BufferedTuples() >= ic.MaxBuffered {
-		// Refused tuples never reach the engine or the recovery log, so the
-		// admitted sequence (and any replay of it) is unchanged.
+		// Refused tuples never reach the engine or the log, so the admitted
+		// sequence (and any replay of it) is unchanged.
 		s.dropped++
 		return fault.ErrOverload
 	}
@@ -267,16 +260,18 @@ func (s *Supervised) TryPush(t *stream.Tuple) error {
 	if !s.run(s.pushFn, false) {
 		return s.err
 	}
-	if s.boundary {
-		s.boundary = false
-		s.sinceCkpt++
-		if s.sinceCkpt >= s.ckptEvery {
-			if !s.run(s.takeCheckpoint, false) {
-				return s.err
-			}
+	boundary := s.gate.boundary
+	s.gate.boundary = false
+	if boundary && !s.scf.Unsupervised {
+		if s.sinceCkpt++; s.sinceCkpt >= s.ckptEvery && !s.run(s.takeCheckpoint, false) {
+			return s.err
 		}
 	}
-	return nil
+	if r := s.scf.Replan; r != nil {
+		s.observe(t, r.Period())
+		r.Step(s, t, boundary || s.ex.Stats() == nil)
+	}
+	return s.err
 }
 
 // shedTo evicts lowest-productivity buffered tuples until occupancy ≤ max.
@@ -286,6 +281,61 @@ func (s *Supervised) shedTo(max int) {
 			return
 		}
 	}
+}
+
+// observe advances the clocks past an admitted arrival and prunes the log
+// once per re-planning period.
+func (s *Supervised) observe(t *stream.Tuple, period stream.Time) {
+	if s.clocks == nil {
+		s.clocks = make([]stream.Time, len(s.g.Windows))
+		for i := range s.clocks {
+			s.clocks[i] = t.TS
+		}
+		s.now, s.lastPrune = t.TS, t.TS
+	}
+	s.clocks[t.Src] = max(s.clocks[t.Src], t.TS)
+	s.now = max(s.now, t.TS)
+	if period > 0 && s.now-s.lastPrune >= period {
+		s.lastPrune = s.now
+		s.prune(period)
+	}
+}
+
+// prune drops the arrivals no replay can need, and the identity records no
+// migration can match again. Any future migration horizon satisfies
+// H ≥ min localT − maxK − maxW − 1 (an unreleased tuple's timestamp exceeds
+// its stream's clock minus the buffer size), and clocks only advance; one
+// period of margin absorbs the K trajectory moving before the boundary the
+// migration waits for.
+func (s *Supervised) prune(period stream.Time) {
+	keep := s.clocks[0]
+	for _, c := range s.clocks[1:] {
+		keep = min(keep, c)
+	}
+	var maxK stream.Time
+	for _, k := range s.ex.CurrentKs() {
+		maxK = max(maxK, k)
+	}
+	keep -= maxK + maxWindow(s.g) + period + 1
+	if keep <= s.logSince {
+		return
+	}
+	pin := s.ckptAt // recovery replays log[ckptAt:]
+	if s.scf.Unsupervised {
+		pin = len(s.log)
+	}
+	kept := s.log[:0]
+	for _, t := range s.log[:pin] {
+		if t.TS >= keep {
+			kept = append(kept, t)
+		}
+	}
+	s.ckptAt = len(kept)
+	kept = append(kept, s.log[pin:]...)
+	clear(s.log[len(kept):])
+	s.log = kept
+	s.logSince = keep
+	s.gate.ids.prune(keep)
 }
 
 // Finish flushes the join. A failure during the flush recovers like any
@@ -313,8 +363,12 @@ func (s *Supervised) Finish() {
 // restore the last checkpoint into a fresh executor, replay the log, and —
 // when rerun is set (for work not represented in the log, like Finish) —
 // run f again. Returns false when the retry budget is exhausted and the
-// join went terminal.
+// join went terminal. Unsupervised, f runs bare.
 func (s *Supervised) run(f func(), rerun bool) bool {
+	if s.scf.Unsupervised {
+		f()
+		return true
+	}
 	err := s.attempt(f)
 	for attempt := 0; err != nil; attempt++ {
 		if attempt >= s.backoff.Retries {
@@ -350,68 +404,72 @@ func (s *Supervised) attempt(f func()) (err error) {
 	return nil
 }
 
-// recoverReplay tears down the crashed executor, rebuilds from the last
-// checkpoint (or from scratch), and replays the logged arrivals through
-// the same push path — including the shed policy, whose deterministic
-// eviction order reproduces the original decisions. The injector is paused
-// for the duration so one-shot directives do not refire and the arrival
-// counter does not advance.
-func (s *Supervised) recoverReplay() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if fault.Lifecycle(r) {
-				panic(r)
+// recoverReplay tears down the crashed executor — an interrupted
+// migration's half-built one included — rebuilds the deployed graph from
+// the last checkpoint (or from scratch), and replays the arrivals logged
+// since. The injector is paused for the duration so one-shot directives do
+// not refire and the arrival counter does not advance.
+func (s *Supervised) recoverReplay() error {
+	return s.attempt(func() {
+		if s.inj != nil {
+			s.inj.Pause()
+			defer s.inj.Resume()
+		}
+		Abandon(s.ex)
+		if s.ckpt != nil {
+			ex, err := Restore(s.g, s.cfg, *s.ckpt)
+			if err != nil {
+				panic(err)
 			}
-			err = fault.AsError(r)
+			s.setExec(ex)
+			s.gate.rewind(s.ckptMeta)
+		} else {
+			s.setExec(Build(s.g, s.cfg))
+			s.gate.rewind(meta{})
 		}
-	}()
-	if s.inj != nil {
-		s.inj.Pause()
-		defer s.inj.Resume()
-	}
-	Abandon(s.ex)
-	if s.ckpt != nil {
-		ex, rerr := Restore(s.g, s.cfg, *s.ckpt)
-		if rerr != nil {
-			return rerr
-		}
-		s.ex = ex
-		s.produced = s.ckptMeta.produced
-		s.prodChunks = s.ckptMeta.chunks
-		s.prodAdapts = s.ckptMeta.adapts
-	} else {
-		s.ex = Build(s.g, s.cfg)
-		s.produced, s.prodChunks, s.prodAdapts = 0, 0, 0
-	}
-	s.be, _ = s.ex.(bufferedExecutor)
-	s.boundary = false
-	s.sinceCkpt = 0 // the restored point IS the last checkpoint
-	ic := s.scf.Ingest
-	shed := ic.MaxBuffered > 0 && s.be != nil && ic.Policy == IngestShed
-	for _, t := range s.log {
-		s.ex.Push(t)
-		if shed {
-			s.shedTo(ic.MaxBuffered)
-		}
-	}
-	return nil
+		s.gate.boundary = false
+		s.sinceCkpt = 0 // the restored point IS the last checkpoint
+		s.replay(s.log[s.ckptAt:], math.MinInt64)
+	})
 }
 
-// takeCheckpoint captures the boundary checkpoint and truncates the log.
-// Runs under run(): a pending worker failure surfacing during the capture
-// triggers a normal recovery instead of a crash.
-func (s *Supervised) takeCheckpoint() {
+// replay re-pushes the logged arrivals with TS ≥ from through the push
+// path, shed policy included — its eviction order is deterministic, so a
+// same-shape replay repeats the original decisions. It returns how many
+// arrivals it pushed.
+func (s *Supervised) replay(log []*stream.Tuple, from stream.Time) int {
+	n := 0
+	for _, t := range log {
+		if t.TS >= from {
+			s.pending = t
+			s.pushFn()
+			n++
+		}
+	}
+	return n
+}
+
+// takeCheckpoint captures the boundary checkpoint. Runs under run(): a
+// pending worker failure surfacing during the capture triggers a normal
+// recovery instead of a crash. A non-checkpointable executor keeps the
+// full log instead.
+func (s *Supervised) takeCheckpoint() { s.checkpointAs(s.g) }
+
+// checkpointAs captures the executor as a deployment of g and moves the
+// recovery point to it.
+func (s *Supervised) checkpointAs(g *Graph) {
 	t0 := time.Now()
-	st, err := Checkpoint(s.g, s.cfg, s.ex)
+	st, err := Checkpoint(g, s.cfg, s.ex)
 	s.ckptTime += time.Since(t0)
 	if err != nil {
-		return // non-checkpointable executor: keep the full log instead
+		return
 	}
-	s.ckpt = &st
-	s.ckptMeta = ckptMeta{produced: s.produced, chunks: s.prodChunks, adapts: s.prodAdapts}
-	s.log = s.log[:0]
-	s.sinceCkpt = 0
+	s.ckpt, s.ckptMeta, s.sinceCkpt = &st, s.gate.mark(), 0
 	s.ckpts++
+	s.ckptAt = len(s.log)
+	if s.gate.ids == nil { // no migration reaches back: truncate
+		s.log, s.ckptAt = s.log[:0], 0
+	}
 }
 
 // ---- state surface ----
@@ -428,20 +486,27 @@ func (s *Supervised) Dropped() int64 { return s.dropped }
 // Restarts returns the number of recoveries performed so far.
 func (s *Supervised) Restarts() int { return s.restarts }
 
-// Checkpoints returns the number of automatic boundary checkpoints the
-// runtime has captured (CheckpointEvery controls the cadence).
+// Checkpoints returns the number of automatic checkpoints the runtime has
+// captured (CheckpointEvery controls the cadence; every migration under
+// supervision adds one).
 func (s *Supervised) Checkpoints() int { return s.ckpts }
 
 // CheckpointTime returns the total wall time spent capturing automatic
-// boundary checkpoints — the steady-state cost checkpointing adds to a
-// healthy run.
+// checkpoints — the steady-state cost checkpointing adds to a healthy run.
 func (s *Supervised) CheckpointTime() time.Duration { return s.ckptTime }
 
+// Migrations returns how many live migrations have completed.
+func (s *Supervised) Migrations() int { return s.migrations }
+
+// Graph returns the deployed plan graph: the initial one, or the latest
+// migration target.
+func (s *Supervised) Graph() *Graph { return s.g }
+
 // Checkpoint captures the current executor state for external persistence
-// (it does not replace the supervisor's internal boundary checkpoint). On
-// tree deployments a mid-interval capture preserves the result multiset
-// exactly but pins the K trajectory only from the next boundary on; flat
-// deployments are exact at any point.
+// (it does not replace the shell's recovery point), signed with the
+// deployed graph. On tree deployments a mid-interval capture preserves the
+// result multiset exactly but pins the K trajectory only from the next
+// boundary on; flat deployments are exact at any point.
 func (s *Supervised) Checkpoint() (ExecState, error) {
 	if s.err != nil {
 		return ExecState{}, s.err
@@ -465,15 +530,6 @@ func (s *Supervised) BufferedTuples() int {
 	return s.be.BufferedTuples()
 }
 
-// ShedWorst evicts the lowest-productivity buffered tuple (see the
-// engines' ShedWorst).
-func (s *Supervised) ShedWorst() bool {
-	if s.be == nil {
-		return false
-	}
-	return s.be.ShedWorst()
-}
-
 // RecallEstimate reports the run-level recall estimate, shed losses
 // included (1 on deployments without a feedback loop).
 func (s *Supervised) RecallEstimate() float64 {
@@ -485,9 +541,16 @@ func (s *Supervised) RecallEstimate() float64 {
 
 // ---- Executor delegation ----
 
-// Results returns the number of results produced (replays excluded — the
-// engine count is restored from the checkpoint, so it never double-counts).
-func (s *Supervised) Results() int64 { return s.ex.Results() }
+// Results returns the number of results produced, replays excluded: the
+// engine count is restored from the checkpoint, so it never double-counts.
+// While re-planning it is the count of results the gate delivered, which
+// stays continuous across migrations.
+func (s *Supervised) Results() int64 {
+	if s.gate.ids != nil {
+		return s.gate.out
+	}
+	return s.ex.Results()
+}
 
 // CurrentKs returns the most recent buffer-size decision.
 func (s *Supervised) CurrentKs() []stream.Time { return s.ex.CurrentKs() }
@@ -502,11 +565,11 @@ func (s *Supervised) Adaptations() int64 { return s.ex.Adaptations() }
 func (s *Supervised) Stats() *stats.Manager { return s.ex.Stats() }
 
 // SetEmit installs a result callback before the first Push; the callback
-// stays exactly-once across recoveries.
+// stays exactly-once across recoveries and migrations.
 func (s *Supervised) SetEmit(f join.EmitFunc) {
-	s.userEmit = f
+	s.gate.emit = f
 	if s.cfg.Emit == nil {
-		s.cfg.Emit = s.gatedEmit
-		s.ex.SetEmit(s.gatedEmit)
+		s.cfg.Emit = s.gate.result
+		s.ex.SetEmit(s.cfg.Emit)
 	}
 }

@@ -2,14 +2,15 @@
 // statistics the cost model wants (per-stream arrival rates, per-edge
 // selectivities) on the RUNNING join, re-plans each measurement period from
 // those measured values, and — when the measured-cost winner differs from
-// the deployed shape by enough margin for long enough — live-migrates the
-// executor across shapes through plan.Migrate, behind the exactly-once
-// EmitLog gate.
+// the deployed shape by enough margin for long enough — asks the runtime
+// shell (plan.Supervised) to live-migrate at a boundary. The shell owns the
+// arrival log and the exactly-once gate the migration replays behind.
 //
 // The controller is deliberately self-contained on the measurement side: it
-// derives arrivals, local clocks and the windowed selectivity estimate from
-// the tuples it observes, not from the executor's feedback loop, so it keeps
-// planning even across shapes that run no loop of their own.
+// derives arrivals and the windowed selectivity estimate from the tuples it
+// observes and the results the shell delivers, not from the executor's
+// feedback loop, so it keeps planning even across shapes that run no loop
+// of their own.
 //
 // Hysteresis guards against thrashing twice over: a migration is proposed
 // only if the candidate's measured cost beats the deployed shape's by the
@@ -25,8 +26,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/join"
 	"repro/internal/plan"
 	"repro/internal/stream"
 )
@@ -74,24 +73,14 @@ type Event struct {
 }
 
 // Controller runs the measure → re-plan → migrate loop for one join. It is
-// driven from the join's driver thread (Observe before each Push, Step
-// after) and is not safe for concurrent use.
+// the plan.Replanner of the join's shell, driven from the driver thread,
+// and is not safe for concurrent use.
 type Controller struct {
-	opt  Options
-	cond *join.Condition
-	wins []stream.Time
-	g    *plan.Graph
-	cfg  plan.ExecConfig
-	gate *plan.EmitLog
-
-	// Replay log: every arrival with TS ≥ logSince, in arrival order.
-	log      []*stream.Tuple
-	logSince stream.Time
+	opt Options
 
 	// Self-measured stream statistics.
-	arr    []int64       // arrivals per stream, ever
-	localT []stream.Time // max observed timestamp per stream
-	seen   bool          // any tuple observed yet
+	arr []int64     // arrivals per stream, ever; nil until the first arrival
+	now stream.Time // the largest timestamp observed
 
 	// Windowed estimator registers (values at the last evaluation).
 	lastEval stream.Time
@@ -101,20 +90,12 @@ type Controller struct {
 
 	// Hysteresis registers.
 	lastMigrate stream.Time
-	boundary    bool
 	pending     *plan.Graph
 	pendCost    [2]float64 // [deployed, candidate] at proposal time
-
-	migrations int
-	totalPause time.Duration
-	maxPause   time.Duration
 }
 
-// New wraps the executor config for gated delivery and returns the
-// controller. Build the initial executor with the returned controller's
-// Config — it routes emissions through the gate and lets the controller see
-// adaptation boundaries.
-func New(g *plan.Graph, cfg plan.ExecConfig, opt Options) *Controller {
+// New returns a controller; hand it to the shell as SuperviseConfig.Replan.
+func New(opt Options) *Controller {
 	if opt.Period <= 0 {
 		opt.Period = stream.Minute
 	}
@@ -124,112 +105,50 @@ func New(g *plan.Graph, cfg plan.ExecConfig, opt Options) *Controller {
 	if opt.Improvement <= 1 {
 		opt.Improvement = 1.25
 	}
-	c := &Controller{
-		opt:      opt,
-		cond:     g.Cond,
-		wins:     g.Windows,
-		g:        g,
-		gate:     plan.NewEmitLog(cfg.Emit, cfg.EmitCounts),
-		logSince: plan.LogComplete,
-		arr:      make([]int64, len(g.Windows)),
-		localT:   make([]stream.Time, len(g.Windows)),
-		prevArr:  make([]int64, len(g.Windows)),
-	}
-	wrapped := cfg
-	wrapped.Emit = c.gate.Emit
-	inner := cfg.OnAdapt
-	wrapped.OnAdapt = func(ev core.AdaptEvent) {
-		c.boundary = true
-		if inner != nil {
-			inner(ev)
-		}
-	}
-	c.cfg = wrapped
-	return c
+	return &Controller{opt: opt}
 }
 
-// Config returns the executor config the initial deployment must be built
-// with (gated emit, boundary observation).
-func (c *Controller) Config() plan.ExecConfig { return c.cfg }
-
-// Gate returns the exactly-once delivery gate. Its Delivered counter is the
-// migration-continuous result count; its SetInner redirects the user sink.
-func (c *Controller) Gate() *plan.EmitLog { return c.gate }
-
-// Graph returns the currently deployed plan graph.
-func (c *Controller) Graph() *plan.Graph { return c.g }
-
-// Migrations returns how many live migrations have completed.
-func (c *Controller) Migrations() int { return c.migrations }
-
-// TotalPause and MaxPause report the accumulated and worst single
-// wall-clock stall migrations have imposed on the driver.
-func (c *Controller) TotalPause() time.Duration { return c.totalPause }
-
-// MaxPause reports the worst single migration stall.
-func (c *Controller) MaxPause() time.Duration { return c.maxPause }
+// Period is the re-planning cadence.
+func (c *Controller) Period() stream.Time { return c.opt.Period }
 
 // Measured returns the most recent measured statistics handed to the
 // planner (nil rates before the first evaluation).
 func (c *Controller) Measured() plan.Measured { return c.ms }
 
-// Observe records one arriving tuple. Call immediately before pushing it.
-func (c *Controller) Observe(t *stream.Tuple) {
-	c.log = append(c.log, t)
+// Step observes one admitted arrival and runs the control loop once: close
+// a measurement window every Period, and fire a pending proposal at a
+// boundary.
+func (c *Controller) Step(s *plan.Supervised, t *stream.Tuple, boundary bool) {
+	if c.arr == nil {
+		m := len(s.Graph().Windows)
+		c.arr, c.prevArr = make([]int64, m), make([]int64, m)
+		c.now, c.lastEval, c.lastMigrate = t.TS, t.TS, t.TS
+	}
 	c.arr[t.Src]++
-	if !c.seen || t.TS > c.localT[t.Src] {
-		c.localT[t.Src] = t.TS
+	c.now = max(c.now, t.TS)
+	if c.pending == nil && c.now-c.lastEval >= c.opt.Period {
+		c.evaluate(s)
 	}
-	if !c.seen {
-		for i := range c.localT {
-			c.localT[i] = t.TS
-		}
-		c.localT[t.Src] = t.TS
-		c.seen = true
-		c.lastEval = t.TS
-		c.lastMigrate = t.TS
+	if c.pending != nil && boundary {
+		c.migrate(s)
 	}
-}
-
-// Step runs the control loop once; call after every Push. It returns the
-// new executor when a migration happened this step, nil otherwise.
-func (c *Controller) Step(ex plan.Executor) plan.Executor {
-	boundaryNow := c.boundary || ex.Stats() == nil
-	c.boundary = false
-	now := c.globalT()
-	if c.pending == nil && now-c.lastEval >= c.opt.Period {
-		c.evaluate(ex, now)
-	}
-	if c.pending != nil && boundaryNow {
-		return c.migrate(ex, now)
-	}
-	return nil
-}
-
-func (c *Controller) globalT() stream.Time {
-	var g stream.Time
-	for i, t := range c.localT {
-		if i == 0 || t > g {
-			g = t
-		}
-	}
-	return g
 }
 
 // evaluate closes one measurement window, re-estimates rates and per-edge
 // selectivity, re-plans from the measured values, and proposes a migration
 // if the hysteresis gate passes.
-func (c *Controller) evaluate(ex plan.Executor, now stream.Time) {
-	span := now - c.lastEval
+func (c *Controller) evaluate(s *plan.Supervised) {
+	g := s.Graph()
+	span := c.now - c.lastEval
 	dArr := make([]int64, len(c.arr))
 	rates := make([]float64, len(c.arr))
 	for i, a := range c.arr {
 		dArr[i] = a - c.prevArr[i]
 		rates[i] = float64(dArr[i]) / float64(span)
 	}
-	del := c.gate.Delivered()
+	del := s.Results()
 	dRes := del - c.prevDel
-	c.lastEval = now
+	c.lastEval = c.now
 	copy(c.prevArr, c.arr)
 	c.prevDel = del
 
@@ -243,118 +162,70 @@ func (c *Controller) evaluate(ex plan.Executor, now stream.Time) {
 			if j == i {
 				continue
 			}
-			comb *= rates[j] * float64(c.wins[j])
+			comb *= rates[j] * float64(g.Windows[j])
 		}
 		cross += comb
 	}
 	c.ms.Rates = rates
 	if cross > 0 {
 		sigTot := math.Min(1, math.Max(float64(dRes)/cross, 1e-9))
-		if e := len(c.cond.Equis) + len(c.cond.Bands); e > 0 {
+		if e := len(g.Cond.Equis) + len(g.Cond.Bands); e > 0 {
 			// The model multiplies one σ per predicate edge along a path;
 			// decompose the total uniformly so the product reproduces it.
 			sigEdge := math.Pow(sigTot, 1/float64(e))
 			c.ms.Edges = c.ms.Edges[:0]
-			for _, p := range c.cond.Equis {
+			for _, p := range g.Cond.Equis {
 				c.ms.Edges = append(c.ms.Edges, plan.EdgeSigma{Left: p.LeftStream, Right: p.RightStream, Sigma: sigEdge})
 			}
-			for _, p := range c.cond.Bands {
+			for _, p := range g.Cond.Bands {
 				c.ms.Edges = append(c.ms.Edges, plan.EdgeSigma{Left: p.LeftStream, Right: p.RightStream, Sigma: sigEdge})
 			}
 		}
 	}
-	c.pruneLogs(ex, now)
 
-	cand := plan.AutoMeasured(c.cond, c.wins, c.opt.Hints, &c.ms)
-	if plan.ShapeString(cand) == plan.ShapeString(c.g) {
+	cand := plan.AutoMeasured(g.Cond, g.Windows, c.opt.Hints, &c.ms)
+	if plan.ShapeString(cand) == plan.ShapeString(g) {
 		return
 	}
-	costCur := plan.CostOf(c.g, c.opt.Hints, &c.ms)
+	costCur := plan.CostOf(g, c.opt.Hints, &c.ms)
 	costNew := plan.CostOf(cand, c.opt.Hints, &c.ms)
 	if costNew*c.opt.Improvement > costCur {
 		return
 	}
-	if now-c.lastMigrate < c.opt.MinDwell {
+	if c.now-c.lastMigrate < c.opt.MinDwell {
 		return
 	}
 	c.pending = cand
 	c.pendCost = [2]float64{costCur, costNew}
 }
 
-// pruneLogs truncates the replay log and the delivery record to what future
-// migrations can still need. Any future horizon satisfies H ≥ min localT −
-// maxK − maxW − 1 (an unreleased tuple's timestamp exceeds its stream's
-// clock minus the buffer size), and clocks only advance; one extra period
-// of margin absorbs the K trajectory moving between now and the boundary.
-func (c *Controller) pruneLogs(ex plan.Executor, now stream.Time) {
-	minLocal := c.localT[0]
-	for _, t := range c.localT[1:] {
-		if t < minLocal {
-			minLocal = t
-		}
-	}
-	var maxK stream.Time
-	for _, k := range ex.CurrentKs() {
-		if k > maxK {
-			maxK = k
-		}
-	}
-	var maxW stream.Time
-	for _, w := range c.wins {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	keep := minLocal - maxK - maxW - c.opt.Period - 1
-	if keep <= c.logSince {
-		return
-	}
-	kept := c.log[:0]
-	for _, t := range c.log {
-		if t.TS >= keep {
-			kept = append(kept, t)
-		}
-	}
-	clear(c.log[len(kept):])
-	c.log = kept
-	c.logSince = keep
-	c.gate.Prune(keep)
-}
-
-// migrate executes the pending proposal at the current boundary.
-func (c *Controller) migrate(ex plan.Executor, now stream.Time) plan.Executor {
-	target := c.pending
+// migrate asks the shell to execute the pending proposal at the current
+// boundary.
+func (c *Controller) migrate(s *plan.Supervised) {
+	from, target := s.Graph(), c.pending
 	start := time.Now()
-	nex, rep, err := plan.Migrate(c.g, c.cfg, ex, target, c.cfg,
-		plan.MigrateOptions{Log: c.log, LogSince: c.logSince, Gate: c.gate})
+	rep, err := s.Migrate(target)
 	if err != nil {
-		if errors.Is(err, plan.ErrReplayShallow) {
-			// The pruned log does not reach this boundary's horizon yet; the
-			// old executor is untouched. Keep the proposal — clocks advance,
-			// so a later boundary's horizon will clear the log floor.
-			return nil
+		// A log pruned short of this boundary's horizon, or a recovered
+		// worker failure: the old executor still runs. Keep the proposal —
+		// clocks advance, so a later boundary retries. A terminal failure
+		// stops the join, and the loop with it.
+		if s.Err() != nil || errors.Is(err, plan.ErrReplayShallow) || errors.Is(err, plan.ErrMigrationInterrupted) {
+			return
 		}
 		panic(fmt.Sprintf("replan: migration %s→%s failed: %v", rep.FromShape, rep.ToShape, err))
 	}
-	pause := time.Since(start)
-	c.migrations++
-	c.totalPause += pause
-	if pause > c.maxPause {
-		c.maxPause = pause
-	}
 	ev := Event{
 		From: rep.FromShape, To: rep.ToShape,
-		At: now, Horizon: rep.Horizon,
+		At: c.now, Horizon: rep.Horizon,
 		Replayed: rep.Replayed, Suppressed: rep.Suppressed, InFlight: rep.Delivered,
-		Pause:    pause,
+		Pause:    time.Since(start),
 		FromCost: c.pendCost[0], ToCost: c.pendCost[1],
-		FromExplain: c.g.Explain(), ToExplain: target.Explain(),
+		FromExplain: from.Explain(), ToExplain: target.Explain(),
 	}
-	c.g = target
 	c.pending = nil
-	c.lastMigrate = now
+	c.lastMigrate = c.now
 	if c.opt.OnEvent != nil {
 		c.opt.OnEvent(ev)
 	}
-	return nex
 }

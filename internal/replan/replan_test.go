@@ -53,22 +53,13 @@ func TestControllerPhaseFlip(t *testing.T) {
 	set := map[string]int{}
 	var events []Event
 	g := plan.FlatGraph(cond, w)
-	c := New(g, plan.ExecConfig{Policy: plan.PolicyStatic, StaticK: maxD,
+	s, _ := runShell(g, plan.ExecConfig{Policy: plan.PolicyStatic, StaticK: maxD,
 		Emit: func(r stream.Result) { set[resultSig(r)]++ }},
 		Options{Period: 2000, MinDwell: 3000, Improvement: 1.2,
-			OnEvent: func(ev Event) { events = append(events, ev) }})
-	ex := plan.Build(g, c.Config())
-	for _, e := range in.Clone() {
-		c.Observe(e)
-		ex.Push(e)
-		if nex := c.Step(ex); nex != nil {
-			ex = nex
-		}
-	}
-	ex.Finish()
+			OnEvent: func(ev Event) { events = append(events, ev) }}, in.Clone())
 
-	if c.Migrations() < 3 {
-		t.Fatalf("phase-flipping star migrated %d times over 3 phase changes, want ≥ 3", c.Migrations())
+	if s.Migrations() < 3 {
+		t.Fatalf("phase-flipping star migrated %d times over 3 phase changes, want ≥ 3", s.Migrations())
 	}
 	for i, ev := range events {
 		if ev.From == ev.To {
@@ -104,9 +95,21 @@ func TestControllerPhaseFlip(t *testing.T) {
 			t.Fatalf("result %s delivered ×%d, want ×%d", k, set[k], n)
 		}
 	}
-	if got := c.Gate().Delivered(); got != sum(set) {
+	if got := s.Results(); got != sum(set) {
 		t.Fatalf("gate delivered %d, sink saw %d", got, sum(set))
 	}
+}
+
+// runShell pushes the feed through an unsupervised shell re-planned by a
+// controller with the given options.
+func runShell(g *plan.Graph, cfg plan.ExecConfig, opt Options, in stream.Batch) (*plan.Supervised, *Controller) {
+	c := New(opt)
+	s := plan.NewSupervised(g, cfg, plan.SuperviseConfig{Unsupervised: true, Replan: c})
+	for _, e := range in {
+		s.Push(e)
+	}
+	s.Finish()
+	return s, c
 }
 
 func sum(set map[string]int) int64 {
@@ -127,15 +130,8 @@ func TestControllerMeasuresSelectivity(t *testing.T) {
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{400, 400, 400, 400}
 	g := plan.FlatGraph(cond, w)
-	c := New(g, plan.ExecConfig{Policy: plan.PolicyStatic, StaticK: maxD},
-		Options{Period: 3000, Improvement: 100}) // never migrate
-	ex := plan.Build(g, c.Config())
-	for _, e := range in {
-		c.Observe(e)
-		ex.Push(e)
-		c.Step(ex)
-	}
-	ex.Finish()
+	s, c := runShell(g, plan.ExecConfig{Policy: plan.PolicyStatic, StaticK: maxD},
+		Options{Period: 3000, Improvement: 100}, in) // never migrate
 	ms := c.Measured()
 	if len(ms.Edges) != 3 {
 		t.Fatalf("star4 has 3 predicate edges, measured %d", len(ms.Edges))
@@ -150,8 +146,8 @@ func TestControllerMeasuresSelectivity(t *testing.T) {
 			t.Fatalf("stream %d measured rate %.4f tuples/ms, true value 0.1", i, r)
 		}
 	}
-	if c.Migrations() != 0 {
-		t.Fatalf("Improvement=100 must suppress migrations, got %d", c.Migrations())
+	if s.Migrations() != 0 {
+		t.Fatalf("Improvement=100 must suppress migrations, got %d", s.Migrations())
 	}
 }
 
@@ -164,46 +160,9 @@ func TestControllerDwell(t *testing.T) {
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{600, 600, 600, 600}
 	g := plan.FlatGraph(cond, w)
-	c := New(g, plan.ExecConfig{Policy: plan.PolicyStatic, StaticK: maxD},
-		Options{Period: 2000, MinDwell: 1 << 40, Improvement: 1.2})
-	ex := plan.Build(g, c.Config())
-	for _, e := range in {
-		c.Observe(e)
-		ex.Push(e)
-		if nex := c.Step(ex); nex != nil {
-			ex = nex
-		}
-	}
-	ex.Finish()
-	if c.Migrations() > 0 {
-		t.Fatalf("MinDwell beyond stream length still migrated %d times", c.Migrations())
-	}
-}
-
-// TestControllerLogPruning verifies the replay log and the delivery record
-// stay bounded on a long steady run instead of accumulating every arrival.
-func TestControllerLogPruning(t *testing.T) {
-	leakcheck.Check(t)
-	cond := starCond()
-	in := gen.PhaseFlipStar4(1, 4000, 9, 40, 40, 100)
-	maxD, _ := in.MaxDelay()
-	w := []stream.Time{500, 500, 500, 500}
-	g := plan.FlatGraph(cond, w)
-	c := New(g, plan.ExecConfig{Policy: plan.PolicyStatic, StaticK: maxD},
-		Options{Period: 1500, Improvement: 100})
-	ex := plan.Build(g, c.Config())
-	for _, e := range in {
-		c.Observe(e)
-		ex.Push(e)
-		c.Step(ex)
-	}
-	ex.Finish()
-	if len(c.log) >= len(in) {
-		t.Fatalf("replay log never pruned: %d entries for %d arrivals", len(c.log), len(in))
-	}
-	// Bound: the retained suffix covers maxK+maxW+Period+slack of stream
-	// time at 0.4 tuples/ms.
-	if maxLen := int(float64(maxD+500+1500)*0.4*2) + 1000; len(c.log) > maxLen {
-		t.Fatalf("replay log holds %d entries, want ≤ %d", len(c.log), maxLen)
+	s, _ := runShell(g, plan.ExecConfig{Policy: plan.PolicyStatic, StaticK: maxD},
+		Options{Period: 2000, MinDwell: 1 << 40, Improvement: 1.2}, in)
+	if s.Migrations() > 0 {
+		t.Fatalf("MinDwell beyond stream length still migrated %d times", s.Migrations())
 	}
 }

@@ -75,8 +75,8 @@ func TestOptionMatrix(t *testing.T) {
 			}
 		case host == hostRestore && replan:
 			all = []string{"WithOnlineReplan", "Restore"}
-		case replan && (other.refusedAs == "WithSupervision" || other.name == "WithRemoteWorkers"):
-			all = []string{"WithOnlineReplan", other.refusedAs}
+		case replan && other.name == "WithRemoteWorkers":
+			all = []string{"WithOnlineReplan", "WithRemoteWorkers"}
 		}
 		return all, any
 	}

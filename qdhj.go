@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/plan"
-	"repro/internal/replan"
 	"repro/internal/stream"
 )
 
@@ -191,11 +190,20 @@ func (o *joinOpts) validate(host string) {
 	switch {
 	case host == hostRestore:
 		panic("qdhj: WithOnlineReplan is not supported on Restore — the restored join would run without the re-planner; restore the snapshot's own shape, or start a fresh NewJoin with WithOnlineReplan")
-	case o.supervised:
-		panic("qdhj: WithOnlineReplan cannot be combined with WithSupervision — the supervised runtime pins one deployment shape for checkpoint/replay recovery")
 	case len(o.remote) > 0:
 		panic("qdhj: WithOnlineReplan cannot be combined with WithRemoteWorkers — remote workers pin the sharded flat shape, and a live migration would change it")
 	}
+}
+
+// shell returns the runtime-shell config the options ask for, and false
+// when they ask for none: a plain join runs its executor bare.
+func (o *joinOpts) shell() (plan.SuperviseConfig, bool) {
+	scf := o.scf
+	scf.Unsupervised = !o.supervised
+	if o.replan != nil {
+		scf.Replan = newController(o.replan)
+	}
+	return scf, o.supervised || o.replan != nil
 }
 
 // AdaptEvent reports one buffer-size adaptation step.
@@ -290,16 +298,12 @@ func WithFrameBatch(n int) JoinOption {
 // planned shape — including bushy trees and stage-wise sharding — under
 // WithPlan/WithAutoPlan.
 type Join struct {
-	g   *plan.Graph
+	g   *plan.Graph     // the initial deployment
 	cfg plan.ExecConfig // as handed to the builder; user callbacks intact
-	ex  plan.Executor
-	// sup is the supervised runtime when WithSupervision (or an option that
-	// implies it) was given; nil on plain joins.
-	sup *plan.Supervised
-	// rc is the online re-planning controller under WithOnlineReplan; nil
-	// otherwise. When set, j.ex is the CURRENT executor and may be replaced
-	// by a live migration on any Push.
-	rc     *replan.Controller
+	ex  plan.Executor   // rt when set, the bare executor otherwise
+	// rt is the runtime shell under WithSupervision, WithOnlineReplan or an
+	// option implying one of them; nil on plain joins.
+	rt     *plan.Supervised
 	closed bool
 	// hasSink records whether a results sink is installed — by WithResults
 	// at construction or by a RunChannel call; RunChannel refuses to
@@ -364,14 +368,10 @@ func NewJoin(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) 
 	cfg := execConfig(opt, jo)
 	g := jo.graphFor(cond, windows)
 	j := &Join{g: g, cfg: cfg, hasSink: jo.emit != nil}
-	switch {
-	case jo.replan != nil:
-		j.rc = newController(g, cfg, jo.replan)
-		j.ex = plan.Build(g, j.rc.Config())
-	case jo.supervised:
-		j.sup = plan.NewSupervised(g, cfg, jo.scf)
-		j.ex = j.sup
-	default:
+	if scf, ok := jo.shell(); ok {
+		j.rt = plan.NewSupervised(g, cfg, scf)
+		j.ex = j.rt
+	} else {
 		j.ex = plan.Build(g, cfg)
 	}
 	return j
@@ -383,17 +383,7 @@ func NewJoin(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) 
 // is recorded in the replay log, and the executor between two pushes is a
 // valid migration point, so a Push may return having migrated the join to a
 // different deployment shape.
-func (j *Join) Push(t *Tuple) {
-	if j.rc != nil {
-		j.rc.Observe(t)
-		j.ex.Push(t)
-		if nex := j.rc.Step(j.ex); nex != nil {
-			j.ex = nex
-		}
-		return
-	}
-	j.ex.Push(t)
-}
+func (j *Join) Push(t *Tuple) { j.ex.Push(t) }
 
 // Close flushes all buffers at end of input. The join must not be pushed to
 // afterwards. On a supervised join whose retry budget is already spent,
@@ -406,12 +396,7 @@ func (j *Join) Close() {
 // Results returns the number of join results produced so far. Under
 // WithOnlineReplan it counts results DELIVERED through the exactly-once
 // gate — the counter that stays continuous across migrations.
-func (j *Join) Results() int64 {
-	if j.rc != nil {
-		return j.rc.Gate().Delivered()
-	}
-	return j.ex.Results()
-}
+func (j *Join) Results() int64 { return j.ex.Results() }
 
 // CurrentK returns the input-sorting buffer size currently applied; it is
 // the latency bound disorder handling adds to results. On tree-shaped
@@ -456,13 +441,7 @@ func (j *Join) RunChannel(in <-chan *Tuple) <-chan Result {
 	}
 	j.hasSink = true
 	out := make(chan Result, 256)
-	if j.rc != nil {
-		// Delivery already routes through the exactly-once gate; redirect
-		// its inner sink so migrations keep feeding the same channel.
-		j.rc.Gate().SetInner(func(r Result) { out <- r })
-	} else {
-		j.ex.SetEmit(func(r Result) { out <- r })
-	}
+	j.ex.SetEmit(func(r Result) { out <- r })
 	go func() {
 		defer close(out)
 		for t := range in {

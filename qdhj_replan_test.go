@@ -6,11 +6,13 @@ package qdhj
 // uninterrupted reference's.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/leakcheck"
 )
@@ -171,16 +173,189 @@ func TestOnlineReplanRunChannel(t *testing.T) {
 	}
 }
 
-// TestOnlineReplanRejectsSupervision: the two runtimes are exclusive.
-func TestOnlineReplanRejectsSupervision(t *testing.T) {
-	leakcheck.Check(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WithOnlineReplan+WithSupervision must panic")
+// flipRun is one re-planning pass over the phase-flipping star at a fixed
+// K: the delivered multiset, the migration events, and the arrival count at
+// each migration.
+type flipRun struct {
+	set    map[string]int
+	events []MigrationEvent
+	at     []int
+	j      *Join
+}
+
+// runFlip feeds in through push (Join.Push or Join.TryPush) into a
+// re-planning join built with extra options.
+func runFlip(t *testing.T, in []*Tuple, maxD Time, push func(*Join, *Tuple) error, extra ...JoinOption) *flipRun {
+	t.Helper()
+	r := &flipRun{set: map[string]int{}}
+	pushed := 0
+	opts := append([]JoinOption{
+		WithResults(func(res Result) { r.set[replanSig(res)]++ }),
+		WithOnlineReplan(ReplanOptions{
+			Period: 2000, MinDwell: 3000, Improvement: 1.2,
+			OnMigrate: func(ev MigrationEvent) {
+				r.events = append(r.events, ev)
+				r.at = append(r.at, pushed)
+			},
+		})}, extra...)
+	r.j = NewJoin(replanStarCond(), []Time{600, 600, 600, 600}, Options{Policy: StaticSlack, StaticK: maxD}, opts...)
+	for _, e := range in {
+		pushed++
+		if err := push(r.j, e); err != nil {
+			t.Fatalf("push %d: %v", pushed, err)
 		}
-	}()
-	NewJoin(EquiChain(2, 0), []Time{Second, Second}, Options{},
-		WithOnlineReplan(ReplanOptions{}), WithSupervision(Supervision{}))
+	}
+	r.j.Close()
+	if err := r.j.Err(); err != nil {
+		t.Fatalf("terminal: %v", err)
+	}
+	return r
+}
+
+func plainPush(j *Join, e *Tuple) error { j.Push(e); return nil }
+
+// flipReference is the uninterrupted flat run at the fixed K.
+func flipReference(in []*Tuple, maxD Time) map[string]int {
+	want := map[string]int{}
+	ref := NewJoin(replanStarCond(), []Time{600, 600, 600, 600}, Options{Policy: StaticSlack, StaticK: maxD},
+		WithResults(func(r Result) { want[replanSig(r)]++ }))
+	for _, e := range in {
+		ref.Push(e)
+	}
+	ref.Close()
+	return want
+}
+
+func sameSet(t *testing.T, name string, want, got map[string]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d distinct results, want %d", name, len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Fatalf("%s: result %s delivered ×%d, want ×%d", name, k, got[k], n)
+		}
+	}
+}
+
+// sameMigrations compares what a migration event pins: shapes, boundary,
+// horizon and replay depth.
+func sameMigrations(t *testing.T, name string, want, got []MigrationEvent) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d migrations, want %d", name, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.From != w.From || g.To != w.To || g.At != w.At || g.Horizon != w.Horizon || g.Replayed != w.Replayed {
+			t.Fatalf("%s: migration %d = %s→%s at %d (horizon %d, replayed %d), want %s→%s at %d (horizon %d, replayed %d)",
+				name, i, g.From, g.To, g.At, g.Horizon, g.Replayed, w.From, w.To, w.At, w.Horizon, w.Replayed)
+		}
+	}
+}
+
+// TestOnlineReplanSupervised: re-planning composes with supervision. Worker
+// kills armed before the first migration and right after it recover from
+// the shell's checkpoints — the second from the fresh checkpoint of the
+// migrated-to shape — while the migrations stay those of the unsupervised
+// run and the delivered multiset stays the reference's.
+func TestOnlineReplanSupervised(t *testing.T) {
+	leakcheck.Check(t)
+	in := gen.PhaseFlipStar4(4, 500, 23, 12, 600, 200)
+	maxD, _ := in.MaxDelay()
+	want := flipReference(in.Clone(), maxD)
+	plain := runFlip(t, in.Clone(), maxD, plainPush)
+	if len(plain.events) < 3 {
+		t.Fatalf("unsupervised run migrated %d times, want ≥ 3", len(plain.events))
+	}
+
+	first := int64(plain.at[0])
+	inj := NewInjector().PanicAt(0, first/2).PanicAt(0, first+1)
+	var causes []error
+	sup := runFlip(t, in.Clone(), maxD, plainPush, WithInjector(inj),
+		WithSupervision(Supervision{Backoff: fastBackoff(3), OnRestart: func(_ int, err error) { causes = append(causes, err) }}))
+	if sup.j.Restarts() != 2 || len(causes) != 2 {
+		t.Fatalf("two kills fired, Restarts() = %d, OnRestart saw %d", sup.j.Restarts(), len(causes))
+	}
+	for _, err := range causes {
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("recovered from %v, want the injected kills", err)
+		}
+	}
+	sameMigrations(t, "supervised", plain.events, sup.events)
+	sameSet(t, "supervised", want, sup.set)
+	if sup.j.Results() != int64(len(want)) {
+		t.Fatalf("Results() = %d, want %d", sup.j.Results(), len(want))
+	}
+}
+
+// TestOnlineReplanTryPush: TryPush runs the re-planner exactly like Push —
+// the same migrations, the same delivered multiset.
+func TestOnlineReplanTryPush(t *testing.T) {
+	leakcheck.Check(t)
+	in := gen.PhaseFlipStar4(4, 500, 23, 12, 600, 200)
+	maxD, _ := in.MaxDelay()
+	pushed := runFlip(t, in.Clone(), maxD, plainPush)
+	tried := runFlip(t, in.Clone(), maxD, (*Join).TryPush)
+	if len(pushed.events) == 0 {
+		t.Fatal("Push-fed run never migrated")
+	}
+	sameMigrations(t, "TryPush", pushed.events, tried.events)
+	sameSet(t, "TryPush", pushed.set, tried.set)
+}
+
+// TestOnlineReplanCheckpointAfterMigration: a snapshot taken after a live
+// migration is signed with the deployed plan, so it restores under
+// WithPlan(CurrentPlan()); the restored run completes the delivery.
+func TestOnlineReplanCheckpointAfterMigration(t *testing.T) {
+	leakcheck.Check(t)
+	in := gen.PhaseFlipStar4(4, 500, 23, 12, 600, 200)
+	maxD, _ := in.MaxDelay()
+	w := []Time{600, 600, 600, 600}
+	opt := Options{Policy: StaticSlack, StaticK: maxD}
+	want := flipReference(in.Clone(), maxD)
+
+	got := map[string]int{}
+	mute := false
+	sink := WithResults(func(r Result) {
+		if !mute {
+			got[replanSig(r)]++
+		}
+	})
+	cond := replanStarCond()
+	j := NewJoin(cond, w, opt, sink, WithOnlineReplan(ReplanOptions{Period: 2000, MinDwell: 3000, Improvement: 1.2}))
+	cut := -1
+	for i, e := range in {
+		j.Push(e)
+		if j.Migrations() == 1 {
+			cut = i + 1
+			break
+		}
+	}
+	if cut < 0 {
+		t.Fatal("the feed never migrated")
+	}
+	snap, err := j.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployed := j.CurrentPlan()
+	mute = true // the abandoned original's flush must not record
+	j.Close()
+	mute = false
+
+	if _, err := Restore(snap, cond, w, opt); !errors.Is(err, ErrRestoreMismatch) {
+		t.Fatalf("restoring into the initial flat shape = %v, want ErrRestoreMismatch", err)
+	}
+	j2, err := Restore(snap, cond, w, opt, sink, WithPlan(deployed))
+	if err != nil {
+		t.Fatalf("restore under the deployed plan: %v", err)
+	}
+	for _, e := range in[cut:] {
+		j2.Push(e)
+	}
+	j2.Close()
+	sameSet(t, "checkpoint after migration", want, got)
 }
 
 // TestAutoPlanFrom: measured statistics flow through the snapshot into the

@@ -46,19 +46,22 @@ type ReplanOptions struct {
 // default) and migrates between plannable shapes as the measured statistics
 // move.
 //
-// Results are delivered through an exactly-once gate, so the join always
-// materializes them even when only WithResultCounts is registered.
-// WithOnlineReplan cannot be combined with WithSupervision (the supervised
-// runtime pins one deployment shape for its checkpoint/replay recovery) or
-// with WithRemoteWorkers (remote workers pin the sharded flat shape), and
-// Restore does not take it; each panics at construction.
+// The join runs behind the same runtime shell as WithSupervision: one
+// arrival log and one exactly-once gate serve both crash recovery and
+// migration, so the two compose — as do WithIngestBound and WithInjector,
+// whose injector stays paused while a migration replays. Results are
+// delivered through the gate, so the join always materializes them even
+// when only WithResultCounts is registered, which then sees one count per
+// delivered result. WithOnlineReplan cannot be combined with
+// WithRemoteWorkers (remote workers pin the sharded flat shape), and
+// Restore does not take it; both panic at construction.
 func WithOnlineReplan(o ReplanOptions) JoinOption {
 	return func(jo *joinOpts) { jo.replan = &o }
 }
 
 // newController wires the re-planning loop of one NewJoin call.
-func newController(g *plan.Graph, cfg plan.ExecConfig, o *ReplanOptions) *replan.Controller {
-	return replan.New(g, cfg, replan.Options{
+func newController(o *ReplanOptions) *replan.Controller {
+	return replan.New(replan.Options{
 		Hints: plan.Hints{
 			Shards:      o.Hints.Shards,
 			Selectivity: o.Hints.Selectivity,
@@ -74,17 +77,17 @@ func newController(g *plan.Graph, cfg plan.ExecConfig, o *ReplanOptions) *replan
 // Migrations returns how many live plan migrations have completed; zero on
 // joins without WithOnlineReplan.
 func (j *Join) Migrations() int {
-	if j.rc == nil {
+	if j.rt == nil {
 		return 0
 	}
-	return j.rc.Migrations()
+	return j.rt.Migrations()
 }
 
 // CurrentPlan returns the currently deployed plan — the initial deployment,
 // or the latest migration target under WithOnlineReplan.
 func (j *Join) CurrentPlan() *Plan {
-	if j.rc != nil {
-		return &Plan{g: j.rc.Graph()}
+	if j.rt != nil {
+		return &Plan{g: j.rt.Graph()}
 	}
 	return &Plan{g: j.g}
 }

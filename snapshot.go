@@ -75,7 +75,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // Checkpoint captures the join's state between two Push calls. The join
 // keeps running — checkpointing is non-destructive — and a join restored
 // from the snapshot produces, for the same suffix of arrivals, a result
-// multiset bit-for-bit equal to this join's.
+// multiset bit-for-bit equal to this join's. The snapshot is signed with
+// the deployed plan: after a live migration under WithOnlineReplan, restore
+// it with WithPlan(j.CurrentPlan()).
 //
 // On supervised joins the capture itself runs under supervision (a worker
 // failure surfacing mid-capture triggers a normal recovery), and on tree
@@ -84,12 +86,12 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // on; flat deployments are exact at any point. Returns ErrClosed after
 // Close and the terminal *JoinError after supervision gave up.
 func (j *Join) Checkpoint() (*Snapshot, error) {
-	if j.sup != nil {
-		st, err := j.sup.Checkpoint()
+	if j.rt != nil {
+		st, err := j.rt.Checkpoint()
 		if err != nil {
 			return nil, err
 		}
-		return &Snapshot{state: st, dropped: j.sup.Dropped()}, nil
+		return &Snapshot{state: st, dropped: j.rt.Dropped()}, nil
 	}
 	if j.closed {
 		return nil, ErrClosed
@@ -122,7 +124,7 @@ func Restore(snap *Snapshot, cond *Condition, windows []Time, opt Options, jopts
 		if err != nil {
 			return nil, err
 		}
-		j.sup = sup
+		j.rt = sup
 		j.ex = sup
 		return j, nil
 	}

@@ -135,8 +135,8 @@ func WithInjector(inj *Injector) JoinOption {
 // IngestError policy refuses at the bound, the terminal *JoinError after
 // supervision gave up. On a healthy join it is exactly Push.
 func (j *Join) TryPush(t *Tuple) error {
-	if j.sup != nil {
-		return j.sup.TryPush(t)
+	if j.rt != nil {
+		return j.rt.TryPush(t)
 	}
 	if j.closed {
 		return ErrClosed
@@ -149,8 +149,8 @@ func (j *Join) TryPush(t *Tuple) error {
 // the join is healthy (always nil on unsupervised joins — their worker
 // failures panic instead).
 func (j *Join) Err() error {
-	if j.sup != nil {
-		return j.sup.Err()
+	if j.rt != nil {
+		return j.rt.Err()
 	}
 	return nil
 }
@@ -158,8 +158,8 @@ func (j *Join) Err() error {
 // Restarts returns how many checkpoint-restore recoveries the supervised
 // runtime has performed.
 func (j *Join) Restarts() int {
-	if j.sup != nil {
-		return j.sup.Restarts()
+	if j.rt != nil {
+		return j.rt.Restarts()
 	}
 	return 0
 }
@@ -168,8 +168,8 @@ func (j *Join) Restarts() int {
 // supervised runtime has captured (Supervision.CheckpointEvery controls
 // the cadence).
 func (j *Join) Checkpoints() int {
-	if j.sup != nil {
-		return j.sup.Checkpoints()
+	if j.rt != nil {
+		return j.rt.Checkpoints()
 	}
 	return 0
 }
@@ -178,16 +178,16 @@ func (j *Join) Checkpoints() int {
 // spent capturing automatic boundary checkpoints — the steady-state cost
 // checkpointing adds to a healthy run.
 func (j *Join) CheckpointTime() time.Duration {
-	if j.sup != nil {
-		return j.sup.CheckpointTime()
+	if j.rt != nil {
+		return j.rt.CheckpointTime()
 	}
 	return 0
 }
 
 // Dropped returns the number of arrivals refused by the IngestError policy.
 func (j *Join) Dropped() int64 {
-	if j.sup != nil {
-		return j.sup.Dropped()
+	if j.rt != nil {
+		return j.rt.Dropped()
 	}
 	return 0
 }
@@ -195,9 +195,6 @@ func (j *Join) Dropped() int64 {
 // BufferedTuples returns the current K-slack buffer occupancy — the measure
 // the WithIngestBound bound applies to.
 func (j *Join) BufferedTuples() int {
-	if j.sup != nil {
-		return j.sup.BufferedTuples()
-	}
 	if be, ok := j.ex.(interface{ BufferedTuples() int }); ok {
 		return be.BufferedTuples()
 	}
@@ -209,9 +206,6 @@ func (j *Join) BufferedTuples() int {
 // deployments without a feedback loop (StaticSlack trees) and 1 before the
 // first measurement period completes.
 func (j *Join) RecallEstimate() float64 {
-	if j.sup != nil {
-		return j.sup.RecallEstimate()
-	}
 	if be, ok := j.ex.(interface{ RecallEstimate() float64 }); ok {
 		return be.RecallEstimate()
 	}
