@@ -1,9 +1,10 @@
 // Command qdhjrun replays a CSV dataset (see qdhjgen) through the
 // quality-driven disorder handling framework and reports result counts,
 // average buffer size and recall against the oracle. Every deployment
-// shape is drivable: the single MJoin-style operator (default), the
-// left-deep binary tree (-tree), and any planner shape via -plan —
-// including bushy trees and stage-wise sharding.
+// shape is drivable: the single MJoin-style operator (default) and any
+// planner shape via -plan — the left-deep binary tree (-plan tree), bushy
+// trees and stage-wise sharding. Tree shapes decide one K per stage; with
+// -policy static every stage buffers the fixed -k.
 // -explain prints the chosen plan graph (shape, shard routes, per-stage K
 // scopes) without running.
 //
@@ -11,7 +12,7 @@
 //
 //	qdhjgen -dataset x3 -minutes 10 -o d.csv
 //	qdhjrun -in d.csv -query x3 -gamma 0.95 -policy model
-//	qdhjrun -in d.csv -query x3 -tree -perstage
+//	qdhjrun -in d.csv -query x3 -plan tree
 //	qdhjrun -query x4 -shards 4 -explain            # what would auto pick?
 //	qdhjrun -in d.csv -query x4 -plan auto -shards 4
 //	qdhjrun -in d.csv -query x4 -plan '((0 1)x4 2 3)x4'
@@ -77,8 +78,6 @@ func main() {
 		policy    = flag.String("policy", "model", "policy: model|maxk|nok|static")
 		staticK   = flag.Float64("k", 0, "buffer size for -policy static (seconds)")
 		strategy  = flag.String("strategy", "noneqsel", "selectivity strategy: eqsel|noneqsel")
-		tree      = flag.Bool("tree", false, "execute as a left-deep binary tree (Sec. V) instead of the single operator")
-		perStage  = flag.Bool("perstage", false, "with -tree: one adaptive K per binary stage instead of Same-K")
 		shards    = flag.Int("shards", 0, "shard budget: parallel workers for the planner / sharded operator")
 		planSpec  = flag.String("plan", "", "deployment plan spec: auto|flat|shard[:N]|tree|tree-shard[:N] or a shape s-expression like '((0 1)x4 2)x4'")
 		explain   = flag.Bool("explain", false, "print the plan graph (shape, shard routes, per-stage K scopes) and exit; works without -in")
@@ -96,8 +95,7 @@ func main() {
 	flag.Parse()
 	workers := splitAddrs(*workersCS)
 	fl := runFlags{
-		tree: *tree, perStage: *perStage, policy: *policy,
-		planSpec: *planSpec, shards: *shards,
+		policy: *policy, planSpec: *planSpec, shards: *shards,
 		k: *staticK, gamma: *gamma, P: *periodS, L: *interval,
 		ckptFile: *ckptFile, restore: *restore, inject: *inject,
 		queries: *queries, workers: workers, frameBatch: *frameB,
@@ -173,7 +171,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "computing oracle ground truth...\n")
 	truth := oracle.TrueResults(ds.Cond, ds.Windows, ds.Arrivals)
 
-	if *planSpec != "" || *shards > 0 && !*tree || ft.active() || rp.on || len(workers) > 0 {
+	if *planSpec != "" || *shards > 0 || ft.active() || rp.on || len(workers) > 0 {
 		spec := *planSpec
 		if spec == "" {
 			spec = "auto"
@@ -190,10 +188,6 @@ func main() {
 		return
 	}
 
-	if *tree {
-		runTree(ds, truth, acfg, *policy, stream.Time(*staticK*float64(stream.Second)), *perStage)
-		return
-	}
 	eds := &exp.Dataset{Dataset: ds, Truth: truth}
 	s := exp.Run(eds, acfg, pf)
 
@@ -209,68 +203,6 @@ func main() {
 	}
 	if s.AdaptSteps > 0 {
 		fmt.Printf("adaptation:     %d steps, avg %v per step\n", s.AdaptSteps, s.AvgAdaptTime())
-	}
-}
-
-// runTree replays the dataset through the binary-tree deployment (Sec. V)
-// with fixed-K (policy "static"), Same-K-adaptive or per-stage-adaptive
-// buffers, and reports recall against the oracle.
-func runTree(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy string,
-	staticK stream.Time, perStage bool) {
-	opt := qdhj.Options{
-		Gamma:    acfg.Gamma,
-		Period:   acfg.P,
-		Interval: acfg.L,
-		Strategy: acfg.Strategy,
-	}
-	var opts []qdhj.TreeOption
-	var initialK stream.Time
-	mode := "same-k adaptive"
-	switch policy {
-	case "static":
-		initialK = staticK
-		mode = "fixed-K"
-	case "maxk":
-		opt.Policy = qdhj.MaxSlack
-		opts = append(opts, qdhj.WithTreeAdaptation(opt))
-		mode = "max-K adaptive"
-	case "nok":
-		opt.Policy = qdhj.NoSlack
-		opts = append(opts, qdhj.WithTreeAdaptation(opt))
-		mode = "no-K"
-	case "model":
-		opts = append(opts, qdhj.WithTreeAdaptation(opt))
-	default:
-		fatal(fmt.Errorf("unknown policy %q for tree execution", policy))
-	}
-	if perStage {
-		opts = append(opts, qdhj.WithPerStageK())
-		mode = "per-stage adaptive"
-	}
-
-	j := qdhj.NewTreeJoin(ds.Cond, ds.Windows, initialK, nil, opts...)
-	for _, e := range ds.Arrivals.Clone() {
-		j.Push(e)
-	}
-	j.Close()
-	produced := j.Results()
-	if ks := j.CurrentKs(); ks != nil {
-		fmt.Fprintf(os.Stderr, "final Ks: %v\n", ks)
-	}
-
-	recall := 0.0
-	if truth.Total() > 0 {
-		recall = float64(produced) / float64(truth.Total())
-	}
-	fmt.Printf("dataset:        %s (%d tuples, %d streams)\n", ds.Name, len(ds.Arrivals), ds.M)
-	fmt.Printf("execution:      tree, %s  Γ=%g  P=%v  L=%v\n", mode, acfg.Gamma, acfg.P, acfg.L)
-	fmt.Printf("produced:       %d of %d true results (overall recall %.4f)\n",
-		produced, truth.Total(), recall)
-	if mode != "fixed-K" {
-		fmt.Printf("buffered delay: %.3f s summed over intervals and buffers\n", j.BufferedDelaySum()/1000)
-		if n := j.Adaptations(); n > 0 {
-			fmt.Printf("adaptation:     %d steps\n", n)
-		}
 	}
 }
 
@@ -330,7 +262,6 @@ func conflict(msg string) error {
 // runFlags mirrors the deployment-shaping command line for conflict
 // checking.
 type runFlags struct {
-	tree, perStage            bool
 	policy                    string
 	planSpec                  string
 	shards                    int
@@ -374,32 +305,13 @@ func flagConflict(f runFlags) error {
 		if f.inject != "" {
 			return conflict("-queries cannot be combined with -inject: fault injection is not wired through the shared-window multi-query engine, so the armed faults would never fire; inject on a single-query run, or on qdhjd -inject for networked runs")
 		}
-		if f.tree || f.planSpec != "" || f.shards > 0 ||
+		if f.planSpec != "" || f.shards > 0 ||
 			f.ckptFile != "" || f.restore != "" || len(f.workers) > 0 || f.replan || f.explainLive {
-			return conflict("-queries is its own deployment shape; it cannot be combined with -tree/-plan/-shards/-checkpoint/-restore/-workers/-replan")
+			return conflict("-queries is its own deployment shape; it cannot be combined with -plan/-shards/-checkpoint/-restore/-workers/-replan")
 		}
 		return nil
 	}
-	if f.perStage && !f.tree {
-		return conflict("-perstage needs -tree")
-	}
-	if f.perStage && f.policy == "static" {
-		return conflict("-perstage cannot be combined with -policy static: per-stage K is an adaptive mode, so the fixed -k would be ignored and the model policy would run at the library defaults; drop -perstage for a fixed-K tree, or pick an adaptive policy")
-	}
-	if f.planSpec != "" && f.tree {
-		return conflict("-plan replaces -tree: express the shape in the spec instead")
-	}
-	if f.shards > 0 && f.tree {
-		return conflict(fmt.Sprintf("-shards does not apply to -tree (the Sec. V spine runs unsharded); use -plan 'tree-shard:%d' for a stage-wise sharded tree", f.shards))
-	}
-	ftActive := f.ckptFile != "" || f.restore != "" || f.inject != ""
-	if ftActive && f.tree {
-		return conflict("-checkpoint/-restore/-inject run on the planned path; express the shape with -plan")
-	}
 	if f.replan || f.explainLive {
-		if f.tree {
-			return conflict("-replan runs on the planned path; express the starting shape with -plan")
-		}
 		if f.restore != "" {
 			return conflict("-replan cannot be combined with -restore: a restored join resumes the snapshot's own shape without the re-planner")
 		}
@@ -408,9 +320,6 @@ func flagConflict(f runFlags) error {
 		}
 	}
 	if len(f.workers) > 0 {
-		if f.tree {
-			return conflict("-workers runs the sharded flat shape on external daemons; tree shapes do not deploy remotely")
-		}
 		if f.inject != "" {
 			return conflict("-workers cannot be combined with -inject: driver-side injection never reaches a remote worker process; arm the fault on the daemon instead (qdhjd -inject)")
 		}

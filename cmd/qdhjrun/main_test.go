@@ -25,18 +25,12 @@ func TestFlagConflicts(t *testing.T) {
 		f    runFlags
 	}{
 		{"queries+inject", runFlags{queries: "q.spec", inject: "panic@shard0:tuple10"}},
-		{"queries+tree", runFlags{queries: "q.spec", tree: true}},
 		{"queries+workers", runFlags{queries: "q.spec", workers: two}},
 		{"queries+replan", runFlags{queries: "q.spec", replan: true}},
-		{"perstage alone", runFlags{perStage: true}},
-		{"perstage+static", runFlags{tree: true, perStage: true, policy: "static"}},
-		{"plan+tree", runFlags{planSpec: "shard:2", tree: true}},
-		{"shards+tree", runFlags{shards: 2, tree: true}},
-		{"inject+tree", runFlags{inject: "panic@shard0:tuple10", tree: true}},
+		{"queries+plan", runFlags{queries: "q.spec", planSpec: "tree"}},
 		{"replan+restore", runFlags{replan: true, restore: "snap.bin"}},
 		{"workers+inject", runFlags{workers: two, inject: "panic@shard0:tuple10"}},
 		{"workers+replan", runFlags{workers: two, replan: true}},
-		{"workers+tree", runFlags{workers: two, tree: true}},
 		{"workers+shards mismatch", runFlags{workers: two, shards: 4}},
 		{"framebatch alone", runFlags{frameBatch: 64}},
 		{"k negative", runFlags{policy: "static", k: -1}},
@@ -74,8 +68,8 @@ func TestFlagConflicts(t *testing.T) {
 	}{
 		{"bare", runFlags{}},
 		{"queries alone", runFlags{queries: "q.spec"}},
-		{"tree+perstage", runFlags{tree: true, perStage: true, policy: "model"}},
-		{"tree+static", runFlags{tree: true, policy: "static"}},
+		{"plan tree", runFlags{planSpec: "tree", policy: "model"}},
+		{"plan tree+static", runFlags{planSpec: "tree", policy: "static", k: 2}},
 		{"plan+inject", runFlags{planSpec: "shard:2", inject: "panic@shard1:tuple5000"}},
 		{"workers alone", runFlags{workers: two}},
 		{"workers+matching shards", runFlags{workers: two, shards: 2}},

@@ -1,23 +1,23 @@
 // Distributed: Sec. V of the paper — the same 3-way join executed as a
 // left-deep tree of binary join operators, each fronted by its own
-// Synchronizer. The example contrasts the tree's buffer-sizing modes on an
-// asymmetric-delay feed (streams 0 and 1 nearly ordered, stream 2 heavily
-// delayed):
+// Synchronizer. On an asymmetric-delay feed (streams 0 and 1 nearly ordered,
+// stream 2 heavily delayed) the example contrasts three deployments, all
+// built with NewJoin:
 //
-//  1. fixed-K at the maximum delay — full recall, maximal latency (the
-//     reference, agreeing with the single MJoin-style operator);
-//  2. Same-K adaptation — the quality-driven feedback loop decides ONE K
-//     for all streams, as the single operator does;
-//  3. per-stage adaptation (WithPerStageK) — every binary stage sizes its
-//     own buffer from its two input delay profiles, so the nearly-ordered
-//     stage 0 pays almost no latency while stage 1 buys what the recall
-//     requirement needs: the same quality at roughly half the total
-//     buffered delay.
+//  1. the fixed-K tree — StaticSlack at the maximum delay: full recall at
+//     maximal latency (the reference, agreeing with the single MJoin-style
+//     operator);
+//  2. the adaptive tree plan — the quality-driven feedback loop decides one K
+//     per binary stage from that stage's two input delay profiles, so the
+//     nearly ordered stage 0 pays almost no latency while stage 1 buys what
+//     the recall requirement needs;
+//  3. the flat operator — one Same-K for all streams, the shape for which
+//     the paper proves one common K optimal (Theorem 1).
 //
 // The deployment shape itself belongs to the planner: AutoPlan with a low
 // selectivity hint (this workload's sparse keys) picks the tree, and the
 // Explain output printed first shows the chosen stages and their K decision
-// scopes — the example no longer hard-codes a choice the planner owns.
+// scopes.
 //
 // See the top-level README.md for the other deployment shapes and
 // DESIGN.md §8/§9 for the per-stage model and the plan layer.
@@ -28,12 +28,13 @@ import (
 
 	qdhj "repro"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/stream"
 )
 
 // workload builds a 3-stream feed with sparse keys (domain 500) and
 // asymmetric disorder: a tree deployment suits low-selectivity joins, and
-// per-stage K exists for asymmetric delays.
+// per-stage K pays on asymmetric delays.
 func workload() (stream.Batch, *qdhj.Condition, []qdhj.Time) {
 	in := gen.SparseEqui3(8000, 9, 500, [3]qdhj.Time{150, 150, 2500})
 	w := 2 * qdhj.Second
@@ -43,6 +44,7 @@ func workload() (stream.Batch, *qdhj.Condition, []qdhj.Time) {
 func main() {
 	arrivals, cond, windows := workload()
 	maxDelay, _ := arrivals.MaxDelay()
+	truth := float64(oracle.TrueResults(cond, windows, arrivals).Total())
 	opt := qdhj.Options{Gamma: 0.95, Period: 20 * qdhj.Second, Interval: qdhj.Second}
 
 	// The auto-planner picks this deployment itself: sparse keys (domain
@@ -50,24 +52,16 @@ func main() {
 	p := qdhj.AutoPlan(cond, windows, qdhj.PlanHints{Selectivity: 1.0 / 500})
 	fmt.Print(qdhj.Explain(p), "\n")
 
-	run := func(initialK qdhj.Time, opts ...qdhj.TreeOption) *qdhj.TreeJoin {
-		j := qdhj.NewTreeJoin(cond, windows, initialK, nil, opts...)
+	run := func(name string, opt qdhj.Options, jopts ...qdhj.JoinOption) {
+		j := qdhj.NewJoin(cond, windows, opt, jopts...)
 		for _, e := range arrivals.Clone() {
 			j.Push(e)
 		}
 		j.Close()
-		return j
+		fmt.Printf("%-20s %7d results  recall %.4f  avg K %5.0f ms  Ks %v\n",
+			name, j.Results(), float64(j.Results())/truth, j.AvgK(), j.CurrentKs())
 	}
-
-	fixed := run(maxDelay)
-	same := run(0, qdhj.WithTreeAdaptation(opt))
-	per := run(0, qdhj.WithTreeAdaptation(opt), qdhj.WithPerStageK())
-
-	full := float64(fixed.Results())
-	fmt.Printf("fixed-K (%v, %d ops):  %8d results (reference)\n",
-		maxDelay, fixed.Operators(), fixed.Results())
-	fmt.Printf("Same-K adaptive:           %8d results (%.2f%% of full)  ΣK=%7.0fs\n",
-		same.Results(), 100*float64(same.Results())/full, same.BufferedDelaySum()/1000)
-	fmt.Printf("per-stage adaptive:        %8d results (%.2f%% of full)  ΣK=%7.0fs  Ks=%v\n",
-		per.Results(), 100*float64(per.Results())/full, per.BufferedDelaySum()/1000, per.CurrentKs())
+	run("fixed-K tree", qdhj.Options{Policy: qdhj.StaticSlack, StaticK: maxDelay}, qdhj.WithPlan(p))
+	run("per-stage tree", opt, qdhj.WithPlan(p))
+	run("flat operator", opt)
 }

@@ -122,7 +122,7 @@ type AdaptEvent struct {
 	OutT       stream.Time // join operator watermark onT: the output progress
 	PrevK      stream.Time // buffer size during the interval that just ended
 	NewK       stream.Time // buffer size for the next interval
-	GammaPrime float64     // instant requirement used (model policy only)
+	GammaPrime float64     // instant requirement used (model policy only; on tree plans the root's)
 }
 
 // Config assembles a pipeline.

@@ -34,7 +34,7 @@ func workload(m, rounds int, seed int64, domain int) stream.Batch {
 func clone(in stream.Batch) stream.Batch { return in.Clone() }
 
 // spineTree runs the feed through the plan tree shaped as the left-deep
-// spine — the shape qdhj.NewTreeJoin deploys — with the fixed buffer size k.
+// spine — ParsePlan's "tree" — with the fixed buffer size k.
 func spineTree(cond *join.Condition, windows []stream.Time, k stream.Time, in stream.Batch) *PlanTree {
 	tree := NewPlanTree(cond, windows, Spine(cond.M), k, nil)
 	for _, e := range in {
@@ -185,7 +185,7 @@ func TestSetKPropagates(t *testing.T) {
 	half := clone(in)
 	for i, e := range half {
 		if i == len(half)/4 {
-			adaptive.SetK(maxD)
+			adaptive.SetStageK([]stream.Time{maxD})
 		}
 		adaptive.Push(e)
 	}

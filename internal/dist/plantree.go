@@ -374,13 +374,6 @@ func (t *PlanTree) Push(e *stream.Tuple) {
 	t.leaves[e.Src].ks.Push(e)
 }
 
-// SetK applies the common buffer size k to every raw input.
-func (t *PlanTree) SetK(k stream.Time) {
-	for _, lf := range t.leaves {
-		lf.ks.SetK(k)
-	}
-}
-
 // SetStageK applies a per-stage buffer-size decision: ks[j] (indexed by the
 // post-order stage id) sizes the K-slack buffers of the raw streams
 // entering stage j directly. Stages with no raw input consume no entry.
@@ -1058,19 +1051,25 @@ func (sh *pshard) insertBarrier() {
 	sh.wg.Wait()
 }
 
-// fail records the first worker failure and wakes the driver, which may be
-// blocked in release waiting for the failed probe's outputs.
+// fail records a worker failure and wakes the driver, which may be blocked
+// in release waiting for the failed probe's outputs. When several workers
+// fail, the earliest probe in sequence order is the one release surfaces:
+// workers fail in wall-clock order, and a failed worker drains its queue,
+// so keeping a later probe's failure would leave release waiting forever on
+// the earlier probe's outputs.
 func (sh *pshard) fail(m pmsg, err error) {
 	sh.mu.Lock()
-	if !sh.failed {
-		sh.failed = true
-		sh.failErr = err
-		if m.kind == pmsgProbe {
-			sh.failSeq = m.seq
-		} else {
-			sh.failImmediate = true
+	switch {
+	case m.kind != pmsgProbe:
+		if !sh.failed {
+			sh.failErr = err
 		}
+		sh.failImmediate = true
+	case !sh.failed || !sh.failImmediate && m.seq < sh.failSeq:
+		sh.failErr = err
+		sh.failSeq = m.seq
 	}
+	sh.failed = true
 	sh.cond.Broadcast()
 	sh.mu.Unlock()
 }

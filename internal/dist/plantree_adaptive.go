@@ -1,7 +1,7 @@
 // Adaptive driver for the plan tree: the feedback runtime with the decision
-// scopes derived from the deployment shape. Under per-stage adaptation,
-// stage j's scope models the binary join of its two sub-plan inputs, and
-// the shared instant requirement Γ′ composes along root-to-leaf paths:
+// scopes derived from the deployment shape. Stage j's scope models the
+// binary join of its two sub-plan inputs, and the shared instant
+// requirement Γ′ composes along root-to-leaf paths:
 // every raw leaf contributes one Γ′^(1/m) factor, charged to the stage
 // whose K-slack buffer governs that leaf. On the spine this charges stage 0
 // two factors and every other stage one; the rule extends to shapes where
@@ -24,11 +24,10 @@ import (
 // (SyncBarrier), so the profilers see exactly the records a single-threaded
 // run would have fed them.
 type AdaptivePlanTree struct {
-	t       *PlanTree
-	loop    *feedback.Loop
-	fr      feedRouter
-	cfg     AdaptiveConfig
-	sumBufK float64
+	t    *PlanTree
+	loop *feedback.Loop
+	fr   feedRouter
+	cfg  AdaptiveConfig
 }
 
 // planScopes builds one decision scope per stage of the built tree, in the
@@ -57,23 +56,20 @@ func planScopes(t *PlanTree) (scopes []feedback.Scope, weights []float64) {
 // NewAdaptivePlanTree builds the adaptive plan-tree executor. sink
 // (optional) receives every complete result.
 func NewAdaptivePlanTree(cond *join.Condition, windows []stream.Time, shape *Shape, cfg AdaptiveConfig, sink func(Partial)) *AdaptivePlanTree {
-	t := NewPlanTree(cond, windows, shape, cfg.InitialK, sink)
-	fcfg := feedback.Config{
-		Windows:   windows,
-		Adapt:     cfg.Adapt,
-		Policy:    cfg.Policy,
-		StatsOpts: cfg.StatsOpts,
-		InitialK:  cfg.InitialK,
-	}
-	if cfg.PerStage {
-		fcfg.Scopes, fcfg.ScopeWeights = planScopes(t)
-		fcfg.SharedRequirement = true
-	}
-	loop := feedback.New(fcfg)
+	t := NewPlanTree(cond, windows, shape, 0, sink)
+	scopes, weights := planScopes(t)
+	loop := feedback.New(feedback.Config{
+		Windows:           windows,
+		Adapt:             cfg.Adapt,
+		Policy:            cfg.Policy,
+		Scopes:            scopes,
+		ScopeWeights:      weights,
+		SharedRequirement: true,
+	})
 	a := &AdaptivePlanTree{
 		t:    t,
 		loop: loop,
-		fr:   feedRouter{loop: loop, perStage: cfg.PerStage, root: len(t.stages) - 1},
+		fr:   feedRouter{loop: loop, root: len(t.stages) - 1},
 		cfg:  cfg,
 	}
 	t.setProdHook(a.fr.route)
@@ -87,9 +83,9 @@ func (a *AdaptivePlanTree) Push(e *stream.Tuple) {
 	if at, ok := a.loop.Boundary(now); ok {
 		a.t.SyncBarrier()
 		ks := a.loop.DecideAt(at, a.t.Watermark())
-		a.apply(ks)
+		a.t.SetStageK(ks)
 		// Applying a smaller K releases buffered tuples into the tree, so
-		// the pipeline is no longer empty after apply. Barrier again: the
+		// the pipeline is no longer empty after SetStageK. Barrier again: the
 		// boundary must be a fully quiesced point, so that a checkpoint
 		// captured here (State quiesces) observes exactly the state every
 		// uninterrupted run has — otherwise the capture's early probe
@@ -100,20 +96,6 @@ func (a *AdaptivePlanTree) Push(e *stream.Tuple) {
 			a.cfg.OnDecide(at, ks)
 		}
 	}
-}
-
-// apply maps the decided Ks onto the leaf buffers and accumulates the
-// buffered-delay sum Σ_intervals Σ_buffers K.
-func (a *AdaptivePlanTree) apply(ks []stream.Time) {
-	if a.cfg.PerStage {
-		a.t.SetStageK(ks)
-		for _, s := range a.t.stages {
-			a.sumBufK += float64(ks[s.id]) * float64(len(s.leafBufs))
-		}
-		return
-	}
-	a.t.SetK(ks[0])
-	a.sumBufK += float64(ks[0]) * float64(a.t.m)
 }
 
 // Finish flushes the tree at end of input.
@@ -127,12 +109,6 @@ func (a *AdaptivePlanTree) Tree() *PlanTree { return a.t }
 
 // Loop exposes the feedback runtime (read-only use by callers).
 func (a *AdaptivePlanTree) Loop() *feedback.Loop { return a.loop }
-
-// BufferedDelaySum returns Σ over adaptation intervals of Σ over the m
-// raw-input buffers of the applied K: the aggregate buffered delay the run
-// paid. Per-stage K exists to make this strictly smaller than Same-K's on
-// asymmetric-delay inputs.
-func (a *AdaptivePlanTree) BufferedDelaySum() float64 { return a.sumBufK }
 
 // BufferedTuples returns the leaf-buffer occupancy (see
 // PlanTree.BufferedTuples).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"repro/internal/leakcheck"
 	"testing"
+	"time"
 
 	"repro/internal/difftest"
 	"repro/internal/join"
@@ -223,6 +224,42 @@ func TestPlanTreeLifecyclePanics(t *testing.T) {
 	}
 }
 
+// TestShardReleaseSurfacesEarliestFailure: workers of a sharded stage fail
+// in wall-clock order, not probe order, and a failed worker drains its
+// queue. Whatever order the failures are recorded in, release must surface
+// one at the earliest unreleased probe it cannot complete — it used to wait
+// forever when a later probe's failure was recorded first.
+func TestShardReleaseSurfacesEarliestFailure(t *testing.T) {
+	leakcheck.Check(t)
+	probe := func(seq uint64) pmsg { return pmsg{kind: pmsgProbe, seq: seq} }
+	for name, fails := range map[string][]pmsg{
+		"later probe first":       {probe(1), probe(0)},
+		"insert after a probe":    {probe(1), {kind: pmsgInsert}},
+		"earlier probe first":     {probe(0), probe(1)},
+		"insert before any probe": {{kind: pmsgInsert}, probe(1)},
+	} {
+		pt := NewPlanTree(join.EquiChain(2, 0), []stream.Time{100, 100}, shard(2, branch(leaf(0), leaf(1))), 0, nil)
+		sh := pt.stages[0].sh
+		for i, m := range fails {
+			sh.fail(m, fmt.Errorf("failure %d", i))
+		}
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			sh.release(1)
+		}()
+		select {
+		case r := <-done:
+			if r == nil {
+				t.Errorf("%s: release returned without surfacing a failure", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: release blocked on a probe no worker will complete", name)
+		}
+		pt.Abandon()
+	}
+}
+
 // TestAdaptivePlanTreeDeterministicWithShards: the adaptive plan tree's
 // decision trajectory and result count are bit-for-bit reproducible across
 // runs AND across shard counts ≥ 2 — release points are a function of the
@@ -252,7 +289,7 @@ func TestAdaptivePlanTreeDeterministicWithShards(t *testing.T) {
 	}
 	run := func(n int) trace {
 		var tr trace
-		cfg := AdaptiveConfig{Adapt: testAdapt, PerStage: true,
+		cfg := AdaptiveConfig{Adapt: testAdapt,
 			OnDecide: func(at stream.Time, ks []stream.Time) {
 				tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
 			}}
@@ -296,7 +333,7 @@ func TestAdaptivePlanTreeWeightsSkipBufferlessStages(t *testing.T) {
 	in := workload(4, 2500, 29, 60)
 	w := []stream.Time{stream.Second, stream.Second, stream.Second, stream.Second}
 	bushy := branch(branch(leaf(0), leaf(1)), branch(leaf(2), leaf(3)))
-	a := NewAdaptivePlanTree(join.EquiChain(4, 0), w, bushy, AdaptiveConfig{Adapt: testAdapt, PerStage: true}, nil)
+	a := NewAdaptivePlanTree(join.EquiChain(4, 0), w, bushy, AdaptiveConfig{Adapt: testAdapt}, nil)
 	for _, e := range in.Clone() {
 		a.Push(e)
 	}

@@ -216,18 +216,16 @@ func (t *PlanTree) Restore(st TreeState, ta *fault.TupleArena) {
 // AdaptiveTreeState is the serializable snapshot of an AdaptivePlanTree:
 // the tree plus the feedback runtime.
 type AdaptiveTreeState struct {
-	Tree    TreeState
-	Loop    feedback.State
-	SumBufK float64
+	Tree TreeState
+	Loop feedback.State
 }
 
 // State captures the adaptive executor's state; the same quiesced-point
 // contract as PlanTree.State applies.
 func (a *AdaptivePlanTree) State(tt *fault.TupleTable) AdaptiveTreeState {
 	return AdaptiveTreeState{
-		Tree:    a.t.State(tt),
-		Loop:    a.loop.State(),
-		SumBufK: a.sumBufK,
+		Tree: a.t.State(tt),
+		Loop: a.loop.State(),
 	}
 }
 
@@ -238,7 +236,6 @@ func (a *AdaptivePlanTree) State(tt *fault.TupleTable) AdaptiveTreeState {
 func (a *AdaptivePlanTree) Restore(st AdaptiveTreeState, ta *fault.TupleArena) {
 	a.t.Restore(st.Tree, ta)
 	a.loop.Restore(st.Loop)
-	a.sumBufK = st.SumBufK
 }
 
 // SetInjector arms the deterministic fault injector on the underlying tree;

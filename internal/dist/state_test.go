@@ -43,7 +43,7 @@ type treeTrace struct {
 
 func runTreeFull(in stream.Batch, cond *join.Condition, w []stream.Time, shape *Shape) treeTrace {
 	tr := treeTrace{set: map[string]int{}}
-	cfg := AdaptiveConfig{Adapt: testAdapt, PerStage: true,
+	cfg := AdaptiveConfig{Adapt: testAdapt,
 		OnDecide: func(at stream.Time, ks []stream.Time) {
 			tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
 		}}
@@ -71,7 +71,7 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 	var st AdaptiveTreeState
 	var ta *fault.TupleArena
 	captured := false
-	cfg := AdaptiveConfig{Adapt: testAdapt, PerStage: true,
+	cfg := AdaptiveConfig{Adapt: testAdapt,
 		OnDecide: func(at stream.Time, ks []stream.Time) {
 			onDecide(at, ks)
 			if len(tr.ks) == cutDecision {
@@ -97,7 +97,7 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 	// boundary checkpoint); its shard workers still need to stop.
 	a.Abandon()
 
-	b := NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt, PerStage: true, OnDecide: onDecide}, func(p Partial) { tr.set[difftest.Sig(p.Parts)]++ })
+	b := NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt, OnDecide: onDecide}, func(p Partial) { tr.set[difftest.Sig(p.Parts)]++ })
 	b.Restore(st, ta)
 	// An unsharded Restore is an exact re-entry: the restored tree captures
 	// the state it was given, registers (the stages' ord counters included)
@@ -233,7 +233,7 @@ func TestTreeShedWorstIsLayoutFree(t *testing.T) {
 		e.TS -= e.TS % 100
 	}
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
-	cfg := AdaptiveConfig{Adapt: testAdapt, PerStage: true, InitialK: stream.Second}
+	cfg := AdaptiveConfig{Adapt: testAdapt}
 
 	live := NewAdaptivePlanTree(join.EquiChain(3, 0), w, Spine(3), cfg, nil)
 	for _, e := range in.Clone() {
@@ -303,7 +303,7 @@ func TestPlanTreeCheckpointAcrossLanes(t *testing.T) {
 	var a *AdaptivePlanTree
 	var busy []int
 	dec := 0
-	a = NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt, PerStage: true,
+	a = NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt,
 		OnDecide: func(stream.Time, []stream.Time) {
 			if dec++; bothLanesBusy(a.t) {
 				busy = append(busy, dec)

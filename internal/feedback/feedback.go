@@ -7,7 +7,7 @@
 //
 // A decision scope is one "choose a K" problem. The single MJoin operator
 // has exactly one scope — the global Same-K of Theorem 1 — while the
-// left-deep binary tree of Sec. V can give every binary stage its own scope:
+// left-deep binary tree of Sec. V gives every binary stage its own scope:
 // stage j decides K_j from the delay profiles of its two inputs (the merged
 // left subtree streams and the raw right stream) and its stage-local
 // selectivity snapshot, against an instant requirement Γ′ derived once at
@@ -166,6 +166,7 @@ type Loop struct {
 	ks      []stream.Time
 	snaps   []*profiler.Snapshot // per-decision scratch
 	n       int64
+	gammaP  float64 // the root-derived Γ′ of the last shared-requirement decision
 
 	// Cumulative recall accounting across the whole run (not windowed like
 	// the monitor): produced final results versus the summed per-interval
@@ -308,6 +309,7 @@ func (l *Loop) DecideAt(at, outT stream.Time) []stream.Time {
 	rootSnap := l.snaps[l.root]
 	if l.cfg.SharedRequirement && l.scopes[l.root].model != nil {
 		gp := l.scopes[l.root].model.InstantRequirement(rootSnap)
+		l.gammaP = gp
 		// A final result must survive every stage, and stage losses are
 		// (approximately) independent, so requirements compose
 		// multiplicatively: each scope meets Γ′^w_i and the product meets
@@ -359,6 +361,12 @@ func (l *Loop) Close() {
 		l.feeder = nil
 	}
 }
+
+// GammaPrime returns the instant requirement Γ′ the last decision derived at
+// the root scope under SharedRequirement — the target the per-scope
+// requirements Γ′^w_i decompose. It is 0 before the first decision, without
+// SharedRequirement, and when the root scope runs no model policy.
+func (l *Loop) GammaPrime() float64 { return l.gammaP }
 
 // Scopes returns the number of decision scopes.
 func (l *Loop) Scopes() int { return len(l.scopes) }

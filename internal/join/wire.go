@@ -216,14 +216,3 @@ func (wc WireCondition) Fingerprint() string {
 	}
 	return s
 }
-
-// Wireable reports whether every generic predicate of c carries an
-// expression form — i.e. whether Wire would succeed.
-func (c *Condition) Wireable() bool {
-	for _, g := range c.Generics {
-		if g.Expr == nil {
-			return false
-		}
-	}
-	return true
-}

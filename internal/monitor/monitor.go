@@ -39,9 +39,6 @@ func New(span stream.Time, intervals int) *Monitor {
 	return &Monitor{span: span, trueCap: intervals}
 }
 
-// Span returns P−L.
-func (m *Monitor) Span() stream.Time { return m.span }
-
 // AddResults records n produced results with timestamp ts. Results may
 // arrive with non-monotone timestamps; pruning happens against the advancing
 // logical now, not against result order.

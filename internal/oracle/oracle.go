@@ -59,12 +59,6 @@ func FromTimestamps(raw []stream.Time) *Index {
 	return build(ts, counts)
 }
 
-// FromCounts builds an index from (timestamp, count) pairs that are already
-// in non-decreasing timestamp order.
-func FromCounts(ts []stream.Time, counts []int64) *Index {
-	return build(append([]stream.Time(nil), ts...), append([]int64(nil), counts...))
-}
-
 func build(ts []stream.Time, counts []int64) *Index {
 	// Inputs may be unsorted in pathological cases; sort pairs together.
 	idx := make([]int, len(ts))

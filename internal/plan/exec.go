@@ -47,7 +47,8 @@ type ExecConfig struct {
 	// executors materialize results anyway and report one count per result.
 	EmitCounts join.CountEmitFunc
 	// OnAdapt optionally observes adaptation steps. On tree shapes PrevK
-	// and NewK report the maximum over the per-stage Ks.
+	// and NewK report the maximum over the per-stage Ks, and GammaPrime the
+	// Γ′ derived at the root.
 	OnAdapt func(core.AdaptEvent)
 	// BatchSize tunes the flat sharded runtime (0 = default).
 	BatchSize int
@@ -85,18 +86,7 @@ type Executor interface {
 
 // Build compiles the graph into its executor.
 func Build(g *Graph, cfg ExecConfig) Executor {
-	shards := 0
-	flatChild := false
-	switch root := g.Root.(type) {
-	case Flat:
-		flatChild = true
-	case Shard:
-		if _, ok := root.Child.(Flat); ok {
-			flatChild = true
-			shards = root.N
-		}
-	}
-	if flatChild {
+	if shards, flat := g.FlatShards(); flat {
 		return buildFlat(g, cfg, shards)
 	}
 	if len(cfg.Remote) > 0 {
@@ -221,11 +211,7 @@ func buildTree(g *Graph, cfg ExecConfig) Executor {
 	default:
 		pf = feedback.ModelPolicy()
 	}
-	acfg := dist.AdaptiveConfig{
-		Adapt:    cfg.Adapt,
-		PerStage: true, // plan trees decide one K per stage by construction
-		Policy:   pf,
-	}
+	acfg := dist.AdaptiveConfig{Adapt: cfg.Adapt, Policy: pf}
 	if cfg.OnAdapt != nil {
 		acfg.OnDecide = e.onDecide
 	}
@@ -316,7 +302,9 @@ func (e *treeExec) Stats() *stats.Manager {
 }
 
 // onDecide adapts per-stage decisions to the flat OnAdapt hook: the K
-// reported is the largest per-stage K, the latency bound of the deployment.
+// reported is the largest per-stage K, the latency bound of the deployment,
+// and Γ′ is the requirement derived at the root, which every stage's target
+// decomposes.
 func (e *treeExec) onDecide(at stream.Time, ks []stream.Time) {
 	var max stream.Time
 	for _, k := range ks {
@@ -324,17 +312,10 @@ func (e *treeExec) onDecide(at stream.Time, ks []stream.Time) {
 			max = k
 		}
 	}
-	ev := core.AdaptEvent{Now: at, OutT: e.tree().Watermark(), PrevK: e.prevMax, NewK: max}
+	ev := core.AdaptEvent{Now: at, OutT: e.tree().Watermark(), PrevK: e.prevMax, NewK: max,
+		GammaPrime: e.at.Loop().GammaPrime()}
 	e.prevMax = max
 	e.onAdapt(ev)
-}
-
-// BufferedDelaySum exposes the tree metric for tools; 0 on static runs.
-func (e *treeExec) BufferedDelaySum() float64 {
-	if e.at == nil {
-		return 0
-	}
-	return e.at.BufferedDelaySum()
 }
 
 func (e *treeExec) BufferedTuples() int { return e.tree().BufferedTuples() }
@@ -353,23 +334,4 @@ func (e *treeExec) RecallEstimate() float64 {
 		return 1
 	}
 	return e.at.RecallEstimate()
-}
-
-// SpineShape reports whether the graph is the unsharded left-deep spine in
-// natural stream order — the Sec. V shape qdhj.NewTreeJoin deploys.
-func SpineShape(g *Graph) bool {
-	n := g.Root
-	for s := g.Cond.M - 1; s >= 1; s-- {
-		st, ok := n.(Stage)
-		if !ok {
-			return false
-		}
-		r, ok := st.Right.(Leaf)
-		if !ok || r.Stream != s {
-			return false
-		}
-		n = st.Left
-	}
-	l, ok := n.(Leaf)
-	return ok && l.Stream == 0
 }

@@ -122,6 +122,21 @@ type Graph struct {
 	Reason string
 }
 
+// FlatShards reports whether the graph is the flat operator, bare or under
+// one Shard node, and its shard count (0 when bare). Every other shape is a
+// tree.
+func (g *Graph) FlatShards() (shards int, flat bool) {
+	switch root := g.Root.(type) {
+	case Flat:
+		return 0, true
+	case Shard:
+		if _, ok := root.Child.(Flat); ok {
+			return root.N, true
+		}
+	}
+	return 0, false
+}
+
 // Hints carries the resource and statistics hints the cost model consumes.
 // The zero value means "no parallelism, nothing known".
 type Hints struct {
@@ -180,7 +195,7 @@ func ShardedFlat(cond *join.Condition, windows []stream.Time, n int) *Graph {
 }
 
 // Spine returns the unsharded left-deep tree over the streams in their
-// natural order — the Sec. V deployment shape qdhj.NewTreeJoin executes.
+// natural order — the Sec. V deployment shape, ParsePlan's "tree".
 func Spine(cond *join.Condition, windows []stream.Time) *Graph {
 	check(cond, windows)
 	order := make([]int, cond.M)

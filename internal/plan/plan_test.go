@@ -245,6 +245,25 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// SpineShape reports whether the graph is the unsharded left-deep spine in
+// natural stream order — the Sec. V shape, ParsePlan's "tree".
+func SpineShape(g *Graph) bool {
+	n := g.Root
+	for s := g.Cond.M - 1; s >= 1; s-- {
+		st, ok := n.(Stage)
+		if !ok {
+			return false
+		}
+		r, ok := st.Right.(Leaf)
+		if !ok || r.Stream != s {
+			return false
+		}
+		n = st.Left
+	}
+	l, ok := n.(Leaf)
+	return ok && l.Stream == 0
+}
+
 // TestSpineShape: recognition of the natural-order spine.
 func TestSpineShape(t *testing.T) {
 	leakcheck.Check(t)

@@ -18,8 +18,7 @@ import (
 // Sampler draws values k ∈ {0, 1, …, n−1} with probability proportional to
 // 1/(k+1)^s. Rank 0 is the most probable value.
 type Sampler struct {
-	cdf  []float64
-	skew float64
+	cdf []float64
 }
 
 // New builds a sampler over n ranks with the given skew. It panics if n < 1
@@ -31,7 +30,7 @@ func New(n int, skew float64) *Sampler {
 	if skew < 0 || math.IsNaN(skew) {
 		panic(fmt.Sprintf("zipf: invalid skew %v", skew))
 	}
-	s := &Sampler{cdf: make([]float64, n), skew: skew}
+	s := &Sampler{cdf: make([]float64, n)}
 	sum := 0.0
 	for k := 0; k < n; k++ {
 		sum += math.Pow(float64(k+1), -skew)
@@ -49,9 +48,6 @@ func New(n int, skew float64) *Sampler {
 
 // N returns the domain size.
 func (s *Sampler) N() int { return len(s.cdf) }
-
-// Skew returns the skew parameter used to build the sampler.
-func (s *Sampler) Skew() float64 { return s.skew }
 
 // Sample draws one rank using the supplied RNG.
 func (s *Sampler) Sample(rng *rand.Rand) int {

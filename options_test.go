@@ -24,13 +24,23 @@ func TestOptionMatrix(t *testing.T) {
 	type option struct {
 		name string
 		// refusedAs is the name a refusal uses: WithIngestBound and
-		// WithInjector imply, and are refused as, WithSupervision.
+		// WithInjector imply, and are refused as, WithSupervision; both plan
+		// rows are WithPlan.
 		refusedAs string
 		multiOK   bool
 		mk        func(*Condition) JoinOption
 	}
 	plain := func(o JoinOption) func(*Condition) JoinOption {
 		return func(*Condition) JoinOption { return o }
+	}
+	planned := func(spec string) func(*Condition) JoinOption {
+		return func(c *Condition) JoinOption {
+			p, err := ParsePlan(spec, c, windows, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return WithPlan(p)
+		}
 	}
 	options := []option{
 		{name: "WithResults", multiOK: true, mk: plain(WithResults(func(Result) {}))},
@@ -39,13 +49,8 @@ func TestOptionMatrix(t *testing.T) {
 		{name: "WithShards", mk: plain(WithShards(2))},
 		{name: "WithRemoteWorkers", mk: plain(WithRemoteWorkers(workers...))},
 		{name: "WithFrameBatch", mk: plain(WithFrameBatch(7))},
-		{name: "WithPlan", mk: func(c *Condition) JoinOption {
-			p, err := ParsePlan("shard:2", c, windows, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return WithPlan(p)
-		}},
+		{name: "WithPlan", mk: planned("shard:2")},
+		{name: "WithPlan(tree)", refusedAs: "WithPlan", mk: planned("tree")},
 		{name: "WithAutoPlan", mk: plain(WithAutoPlan())},
 		{name: "WithSupervision", mk: plain(WithSupervision(Supervision{}))},
 		{name: "WithIngestBound", refusedAs: "WithSupervision", mk: plain(WithIngestBound(100, IngestError))},
@@ -66,6 +71,14 @@ func TestOptionMatrix(t *testing.T) {
 		if a.name == "WithOnlineReplan" {
 			other = b
 		}
+		cellOf := func(x, y string) bool {
+			return a.name == x && b.name == y || a.name == y && b.name == x
+		}
+		withPlan := a.refusedAs == "WithPlan" || b.refusedAs == "WithPlan"
+		shaped := a
+		if a.refusedAs == "WithPlan" {
+			shaped = b
+		}
 		switch {
 		case host == hostMultiAdd:
 			for _, o := range []option{a, b} {
@@ -77,6 +90,10 @@ func TestOptionMatrix(t *testing.T) {
 			all = []string{"WithOnlineReplan", "Restore"}
 		case replan && other.name == "WithRemoteWorkers":
 			all = []string{"WithOnlineReplan", "WithRemoteWorkers"}
+		case withPlan && (shaped.name == "WithShards" || shaped.name == "WithAutoPlan"):
+			all = []string{"WithPlan", shaped.name}
+		case cellOf("WithPlan(tree)", "WithRemoteWorkers"):
+			all = []string{"WithPlan", "WithRemoteWorkers"}
 		}
 		return all, any
 	}
@@ -119,8 +136,13 @@ func TestOptionMatrix(t *testing.T) {
 			for _, b := range options[i:] {
 				cell := fmt.Sprintf("%s(%s, %s)", host, a.name, b.name)
 				pair := []option{a, b}
-				if b.name == a.name {
+				switch {
+				case b.name == a.name:
 					pair = pair[:1]
+				case b.refusedAs == "WithPlan" && a.refusedAs == "WithPlan":
+					// A second plan replaces the first, as any option given
+					// twice does; there is no pair to judge.
+					continue
 				}
 				var refusal string
 				err := func() (err error) {
@@ -174,9 +196,6 @@ func TestOptionsGammaChecked(t *testing.T) {
 			mj := NewMultiJoin(3)
 			defer mj.Close()
 			mj.Add(cond, windows, o)
-		},
-		"NewTreeJoin": func(o Options) {
-			NewTreeJoin(cond, windows, 0, nil, WithTreeAdaptation(o)).Close()
 		},
 	}
 	for host, build := range hosts {

@@ -95,7 +95,9 @@ func (p *Plan) Explain() string { return p.g.Explain() }
 func Explain(p *Plan) string { return p.Explain() }
 
 // WithPlan deploys the join as the given plan. The plan must have been
-// built for the same condition and windows passed to NewJoin.
+// built for the same condition and windows passed to NewJoin. The plan
+// fixes the shape and the shard count, so WithShards and WithAutoPlan are
+// refused beside it, as is WithRemoteWorkers beside a tree plan.
 func WithPlan(p *Plan) JoinOption {
 	return func(o *joinOpts) { o.plan = p }
 }

@@ -184,6 +184,16 @@ func (o *joinOpts) validate(host string) {
 		}
 		return
 	}
+	if o.plan != nil {
+		switch _, flat := o.plan.g.FlatShards(); {
+		case o.shards != 0:
+			panic("qdhj: WithPlan cannot be combined with WithShards — the plan fixes the shard count; write it into the plan (ParsePlan \"shard:N\", \"tree-shard:N\" or an xN suffix)")
+		case o.autoPlan:
+			panic("qdhj: WithPlan cannot be combined with WithAutoPlan — one deploys the given plan, the other picks its own; pass one of them")
+		case len(o.remote) > 0 && !flat:
+			panic("qdhj: WithPlan with a tree shape cannot be combined with WithRemoteWorkers — remote workers execute only flat shapes, since tree stages own window state the driver cannot retain for checkpointing; plan a flat or sharded-flat shape")
+		}
+	}
 	if o.replan == nil {
 		return
 	}

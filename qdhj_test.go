@@ -216,19 +216,27 @@ func TestRunChannelFlushOrdering(t *testing.T) {
 	}
 }
 
+// TestTreeJoinAgreesWithJoin: the fixed-K tree plan — StaticSlack at the
+// feed's maximum delay — produces the flat operator's result count.
 func TestTreeJoinAgreesWithJoin(t *testing.T) {
 	leakcheck.Check(t)
 	in := feed(1500, 5)
 	w := []Time{Second, Second}
 	maxD, _ := stream.Batch(in).MaxDelay()
+	opt := Options{Policy: StaticSlack, StaticK: maxD}
 
-	ref := NewJoin(EquiChain(2, 0), w, Options{Policy: StaticSlack, StaticK: maxD})
+	ref := NewJoin(EquiChain(2, 0), w, opt)
 	for _, e := range cloneBatch(in) {
 		ref.Push(e)
 	}
 	ref.Close()
 
-	tree := NewTreeJoin(EquiChain(2, 0), w, maxD, nil)
+	cond := EquiChain(2, 0)
+	p, err := ParsePlan("tree", cond, w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := NewJoin(cond, w, opt, WithPlan(p))
 	for _, e := range cloneBatch(in) {
 		tree.Push(e)
 	}

@@ -2,10 +2,11 @@ package qdhj
 
 import (
 	"fmt"
-	"repro/internal/leakcheck"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/leakcheck"
+	"repro/internal/oracle"
 )
 
 // feed3 builds a 3-stream equi workload with per-stream disorder bounds.
@@ -23,173 +24,125 @@ func mustPanicT(t *testing.T, name string, f func()) {
 	f()
 }
 
-// TestTreeJoinLifecycleParity: TreeJoin panics on Push-after-Close and
-// double-Close exactly like Join (DESIGN.md §3 conventions), in both the
-// static and the adaptive configuration.
-func TestTreeJoinLifecycleParity(t *testing.T) {
-	leakcheck.Check(t)
-	w := []Time{Second, Second}
-	for _, tc := range []struct {
-		name string
-		opts []TreeOption
-	}{
-		{"static", nil},
-		{"adaptive", []TreeOption{WithTreeAdaptation(Options{Gamma: 0.9})}},
-	} {
-		j := NewTreeJoin(EquiChain(2, 0), w, 0, nil, tc.opts...)
-		j.Push(&Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
-		j.Close()
-		mustPanicT(t, tc.name+": Push after Close", func() {
-			j.Push(&Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
-		})
-		mustPanicT(t, tc.name+": double Close", j.Close)
-	}
-}
-
-// TestWithPerStageKDiverges drives the public per-stage option end to end:
-// on asymmetric-delay inputs the stage Ks diverge and the total buffered
-// delay undercuts Same-K adaptation, at equal-or-better recall.
-func TestWithPerStageKDiverges(t *testing.T) {
-	leakcheck.Check(t)
-	in := feed3(4000, 9, [3]Time{100, 100, 2500})
-	w := []Time{2 * Second, 2 * Second, 2 * Second}
-	opt := Options{Gamma: 0.9, Period: 10 * Second, Interval: Second}
-
-	run := func(opts ...TreeOption) *TreeJoin {
-		j := NewTreeJoin(EquiChain(3, 0), w, 0, nil, opts...)
-		for _, e := range cloneBatch(in) {
-			j.Push(e)
-		}
-		j.Close()
-		return j
-	}
-	same := run(WithTreeAdaptation(opt))
-	per := run(WithTreeAdaptation(opt), WithPerStageK())
-
-	if got := len(same.CurrentKs()); got != 1 {
-		t.Fatalf("Same-K adaptation should have 1 decision scope, got %d", got)
-	}
-	ks := per.CurrentKs()
-	if len(ks) != 2 {
-		t.Fatalf("per-stage adaptation should have one scope per stage, got %d", len(ks))
-	}
-	t.Logf("same-K: K=%v sum=%.0f results=%d; per-stage: Ks=%v sum=%.0f results=%d",
-		same.CurrentKs(), same.BufferedDelaySum(), same.Results(),
-		ks, per.BufferedDelaySum(), per.Results())
-	if !(ks[0] < ks[1]) {
-		t.Errorf("per-stage Ks did not diverge: %v", ks)
-	}
-	if !(per.BufferedDelaySum() < same.BufferedDelaySum()) {
-		t.Errorf("per-stage buffered delay %.0f not below Same-K %.0f",
-			per.BufferedDelaySum(), same.BufferedDelaySum())
-	}
-	if per.Adaptations() == 0 || same.Adaptations() == 0 {
-		t.Error("adaptation did not run")
-	}
-}
-
-// TestTreeJoinPerStageMatchesTreePlan: a per-stage-adaptive TreeJoin and a
-// Join deployed as the left-deep tree plan are the same executor under the
-// same Γ′ rule, so on an asymmetric-delay feed they must agree bit-for-bit:
-// result count, the full K vector at every boundary, and the number of
-// adaptation steps.
-func TestTreeJoinPerStageMatchesTreePlan(t *testing.T) {
-	leakcheck.Check(t)
-	in := feed3(4000, 9, [3]Time{100, 100, 2500})
-	w := []Time{2 * Second, 2 * Second, 2 * Second}
-	opt := Options{Gamma: 0.9, Period: 10 * Second, Interval: Second}
-
-	var treeKs []string
-	tj := NewTreeJoin(EquiChain(3, 0), w, 0, nil, WithTreeAdaptation(opt), WithPerStageK(),
-		WithTreeDecideHook(func(at Time, ks []Time) {
-			treeKs = append(treeKs, fmt.Sprintf("%v:%v", at, ks))
-		}))
-	for _, e := range cloneBatch(in) {
-		tj.Push(e)
-	}
-	tj.Close()
-
-	cond := EquiChain(3, 0)
+// treeJoin deploys cond as the left-deep tree plan.
+func treeJoin(t *testing.T, cond *Condition, w []Time, opt Options, jopts ...JoinOption) *Join {
+	t.Helper()
 	p, err := ParsePlan("tree", cond, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var planKs []string
-	var pj *Join
-	pj = NewJoin(cond, w, opt, WithPlan(p), WithAdaptHook(func(ev AdaptEvent) {
-		planKs = append(planKs, fmt.Sprintf("%v:%v", ev.Now, pj.CurrentKs()))
-	}))
-	for _, e := range cloneBatch(in) {
-		pj.Push(e)
-	}
-	pj.Close()
+	return NewJoin(cond, w, opt, append(jopts, WithPlan(p))...)
+}
 
-	if tj.Results() == 0 || tj.Adaptations() == 0 {
-		t.Fatalf("degenerate run: %d results, %d adaptations", tj.Results(), tj.Adaptations())
-	}
-	if tj.Results() != pj.Results() {
-		t.Errorf("TreeJoin produced %d results, the tree plan %d", tj.Results(), pj.Results())
-	}
-	if tj.Adaptations() != pj.Adaptations() {
-		t.Errorf("TreeJoin took %d adaptation steps, the tree plan %d", tj.Adaptations(), pj.Adaptations())
-	}
-	if len(treeKs) != len(planKs) {
-		t.Fatalf("decide hooks fired %d vs %d times", len(treeKs), len(planKs))
-	}
-	for i := range treeKs {
-		if treeKs[i] != planKs[i] {
-			t.Fatalf("decision %d: TreeJoin chose %s, the tree plan %s", i, treeKs[i], planKs[i])
-		}
+// TestTreeJoinLifecycleParity: a tree-plan Join panics on Push-after-Close
+// and double-Close exactly like the flat Join (DESIGN.md §3 conventions),
+// with a fixed K and with the feedback loop on.
+func TestTreeJoinLifecycleParity(t *testing.T) {
+	leakcheck.Check(t)
+	w := []Time{Second, Second}
+	for name, opt := range map[string]Options{
+		"static":   {Policy: StaticSlack},
+		"adaptive": {Gamma: 0.9},
+	} {
+		j := treeJoin(t, EquiChain(2, 0), w, opt)
+		j.Push(&Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
+		j.Close()
+		mustPanicT(t, name+": Push after Close", func() {
+			j.Push(&Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
+		})
+		mustPanicT(t, name+": double Close", j.Close)
 	}
 }
 
-// TestTreeDecideHookFires: the decide hook observes every adaptation step
-// with one K per scope.
+// TestTreeDecideHookFires: on a model-policy tree plan, WithAdaptHook
+// observes every adaptation step, each event carries the Γ′ derived at the
+// root, and CurrentKs has one entry per stage.
 func TestTreeDecideHookFires(t *testing.T) {
 	leakcheck.Check(t)
 	in := feed3(2000, 4, [3]Time{1500, 1500, 1500})
-	w := []Time{Second, Second, Second}
 	var steps int
-	var lastKs []Time
-	j := NewTreeJoin(EquiChain(3, 0), w, 0, nil,
-		WithTreeAdaptation(Options{Gamma: 0.9, Period: 10 * Second, Interval: Second}),
-		WithPerStageK(),
-		WithTreeDecideHook(func(at Time, ks []Time) {
+	j := treeJoin(t, EquiChain(3, 0), []Time{Second, Second, Second},
+		Options{Gamma: 0.9, Period: 10 * Second, Interval: Second},
+		WithAdaptHook(func(ev AdaptEvent) {
 			steps++
-			lastKs = append(lastKs[:0], ks...)
+			if !(ev.GammaPrime > 0 && ev.GammaPrime <= 1) {
+				t.Errorf("step %d at %v: Γ′ = %v, want one in (0, 1]", steps, ev.Now, ev.GammaPrime)
+			}
 		}))
 	for _, e := range cloneBatch(in) {
 		j.Push(e)
 	}
 	j.Close()
 	if steps == 0 {
-		t.Fatal("decide hook never fired")
+		t.Fatal("adapt hook never fired")
 	}
-	if len(lastKs) != 2 {
-		t.Fatalf("hook saw %d scopes, want 2", len(lastKs))
+	if n := len(j.CurrentKs()); n != 2 {
+		t.Fatalf("CurrentKs has %d scopes, want one per stage (2)", n)
 	}
 	if int64(steps) != j.Adaptations() {
 		t.Errorf("hook fired %d times, Adaptations()=%d", steps, j.Adaptations())
 	}
 }
 
-// TestStaticSlackTreeAdaptationPanics: WithTreeAdaptation(StaticSlack) is a
-// contradiction and must panic rather than silently running a no-op loop.
-func TestStaticSlackTreeAdaptationPanics(t *testing.T) {
+// TestTreePlanPerStageKDiverges: on asymmetric delays — streams 0 and 1
+// nearly ordered, stream 2 heavily delayed — the tree plan's stage Ks
+// diverge: stage 0 joins the two ordered streams and buffers less.
+func TestTreePlanPerStageKDiverges(t *testing.T) {
 	leakcheck.Check(t)
-	mustPanicT(t, "StaticSlack tree adaptation", func() {
-		NewTreeJoin(EquiChain(2, 0), []Time{Second, Second}, 0, nil,
-			WithTreeAdaptation(Options{Policy: StaticSlack, StaticK: Second}))
-	})
+	in := feed3(4000, 9, [3]Time{100, 100, 2500})
+	j := treeJoin(t, EquiChain(3, 0), []Time{2 * Second, 2 * Second, 2 * Second},
+		Options{Gamma: 0.9, Period: 10 * Second, Interval: Second})
+	for _, e := range cloneBatch(in) {
+		j.Push(e)
+	}
+	j.Close()
+	if j.Adaptations() == 0 {
+		t.Fatal("adaptation did not run")
+	}
+	ks := j.CurrentKs()
+	t.Logf("Ks=%v avgK=%.0f results=%d", ks, j.AvgK(), j.Results())
+	if len(ks) != 2 {
+		t.Fatalf("CurrentKs has %d scopes, want one per stage (2)", len(ks))
+	}
+	if !(ks[0] < ks[1]) {
+		t.Errorf("per-stage Ks did not diverge: %v", ks)
+	}
 }
 
-// TestDecideHookWithoutAdaptationPanics: a decide hook on a fixed-K tree
-// would never fire; the constructor must reject it instead of silently
-// dropping it.
-func TestDecideHookWithoutAdaptationPanics(t *testing.T) {
+// TestTreePlanMeetsGamma: the tree plan's run-level recall against the
+// oracle meets Γ with the delay on the last, the first, or every stream.
+// One common K on the tree — the removed Same-K mode — missed Γ in every
+// (2500, 100, 100) cell and in 4 of 18 symmetric 1500 ms runs of the sweep
+// this slice comes from (DESIGN.md §8).
+func TestTreePlanMeetsGamma(t *testing.T) {
 	leakcheck.Check(t)
-	hook := WithTreeDecideHook(func(Time, []Time) {})
-	mustPanicT(t, "TreeJoin hook without adaptation", func() {
-		NewTreeJoin(EquiChain(2, 0), []Time{Second, Second}, 0, nil, hook)
-	})
+	w := []Time{2 * Second, 2 * Second, 2 * Second}
+	minMargin, minCell := 1.0, ""
+	for _, delays := range [][3]Time{{100, 100, 2500}, {2500, 100, 100}, {1500, 1500, 1500}} {
+		for _, domain := range []int{200, 500} {
+			for _, seed := range []int64{9, 17} {
+				in := gen.SparseEqui3(12000, seed, domain, delays)
+				truth := oracle.TrueResults(EquiChain(3, 0), w, in).Total()
+				if truth == 0 {
+					t.Fatalf("delays %v domain %d seed %d: no true results", delays, domain, seed)
+				}
+				for _, gamma := range []float64{0.9, 0.99} {
+					j := treeJoin(t, EquiChain(3, 0), w, Options{Gamma: gamma, Period: 10 * Second, Interval: Second})
+					for _, e := range in.Clone() {
+						j.Push(e)
+					}
+					j.Close()
+					cell := fmt.Sprintf("delays %v domain %d seed %d Γ %v", delays, domain, seed, gamma)
+					recall := float64(j.Results()) / float64(truth)
+					if recall < gamma {
+						t.Errorf("%s: recall %.4f below Γ", cell, recall)
+					}
+					if recall-gamma < minMargin {
+						minMargin, minCell = recall-gamma, cell
+					}
+				}
+			}
+		}
+	}
+	t.Logf("smallest margin %.4f at %s", minMargin, minCell)
 }
