@@ -40,7 +40,8 @@
 // are bit-for-bit equal to the in-process run); -framebatch tunes how many
 // tuple messages share one wire frame. Fault injection on a networked run
 // is armed on the daemons (qdhjd -inject), not here: -workers -inject is a
-// flag conflict.
+// flag conflict. Workers run flat shapes only, so -workers with a tree
+// -plan (tree, tree-shard, a shape s-expression) is one too.
 //
 //	qdhjd -listen 127.0.0.1:7101 & qdhjd -listen 127.0.0.1:7102 &
 //	qdhjrun -in d.csv -query x3 -workers 127.0.0.1:7101,127.0.0.1:7102
@@ -326,11 +327,22 @@ func flagConflict(f runFlags) error {
 		if f.shards > 0 && f.shards != len(f.workers) {
 			return conflict(fmt.Sprintf("-shards %d disagrees with %d -workers addresses (one worker per shard)", f.shards, len(f.workers)))
 		}
+		if treeSpec(f.planSpec) {
+			return conflict(fmt.Sprintf("-workers cannot be combined with the tree-shaped -plan %q: remote workers execute only flat shapes, since tree stages own window state the driver cannot retain for checkpointing; plan shard:N or flat", f.planSpec))
+		}
 	}
 	if f.frameBatch > 0 && len(f.workers) == 0 {
 		return conflict("-framebatch tunes the wire framing of a networked run; it needs -workers")
 	}
 	return nil
+}
+
+// treeSpec reports whether a -plan spec names a tree shape whatever the
+// query: tree, tree-shard[:N], or a shape s-expression, whose every group is
+// a binary stage.
+func treeSpec(spec string) bool {
+	name, _, _ := strings.Cut(strings.TrimSpace(spec), ":")
+	return name == "tree" || name == "tree-shard" || strings.HasPrefix(name, "(")
 }
 
 // splitAddrs parses the -workers list.

@@ -32,6 +32,9 @@ func TestFlagConflicts(t *testing.T) {
 		{"workers+inject", runFlags{workers: two, inject: "panic@shard0:tuple10"}},
 		{"workers+replan", runFlags{workers: two, replan: true}},
 		{"workers+shards mismatch", runFlags{workers: two, shards: 4}},
+		{"workers+plan tree", runFlags{workers: two, planSpec: "tree"}},
+		{"workers+plan tree-shard", runFlags{workers: two, planSpec: "tree-shard:2"}},
+		{"workers+plan shape", runFlags{workers: two, planSpec: " ((0 1)x2 2)"}},
 		{"framebatch alone", runFlags{frameBatch: 64}},
 		{"k negative", runFlags{policy: "static", k: -1}},
 		{"shards negative", runFlags{shards: -2}},
@@ -73,6 +76,7 @@ func TestFlagConflicts(t *testing.T) {
 		{"plan+inject", runFlags{planSpec: "shard:2", inject: "panic@shard1:tuple5000"}},
 		{"workers alone", runFlags{workers: two}},
 		{"workers+matching shards", runFlags{workers: two, shards: 2}},
+		{"workers+plan shard", runFlags{workers: two, planSpec: "shard:2"}},
 		{"workers+framebatch", runFlags{workers: two, frameBatch: 64}},
 		{"workers+checkpoint", runFlags{workers: two, ckptFile: "snap.bin"}},
 		{"replan alone", runFlags{replan: true}},

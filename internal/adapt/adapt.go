@@ -257,7 +257,7 @@ func (m *Model) decide(now stream.Time, snap *profiler.Snapshot, gammaPrime floa
 	return k
 }
 
-// block is the number of Alg. 3 candidates one envelope check covers.
+// block is the number of Alg. 3 candidates the narrowest envelope covers.
 const block = 16
 
 // searchLinear returns Alg. 3's k*: the first of k = 0, g, 2g, … ≤ MaxD^H
@@ -266,8 +266,16 @@ const block = 16
 // evaluates one envelope per block, U = γ_E(hi) · SelRatioBound(lo, hi),
 // where γ_E is Eq. 5 before the Eq. 6 ratio. γ_E never decreases in k (see
 // evaluator), so no candidate of a block with U < Γ′ can meet Γ′ and the
-// block is skipped; otherwise it is rescanned candidate by candidate from
-// the cursors saved at its start. A NaN envelope never skips.
+// block is skipped. A NaN envelope never skips.
+//
+// Where an input's terms are not consecutive buckets (b ≠ g) every
+// evaluation seeks, at a cost that does not depend on how far the cursors
+// move, so the blocks gallop: each skipped block doubles the next one, and
+// a block wider than 16 candidates whose envelope does not skip is halved
+// in place and checked again. Where every cursor steps (b = g) a move costs
+// its distance, and a galloping block overshoots k* by up to its width and
+// walks back: the blocks stay at 16 candidates. A 16-candidate block that
+// does not skip is rescanned candidate by candidate.
 //
 // An envelope that does not skip a block without k* is wasted work. The
 // first waste costs nothing more; after the next ones the scan walks 1, 3,
@@ -276,23 +284,29 @@ const block = 16
 func (m *Model) searchLinear(ev *evaluator, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time) stream.Time {
 	g := m.cfg.G
 	ratio := m.cfg.Strategy == NonEqSel && snap != nil
-	plain, backoff := 0, 0 // blocks to walk before the next envelope, its next value
+	width := stream.Time(block) // candidates the next envelope covers
+	plain, backoff := 0, 0      // blocks to walk before the next envelope, its next value
 	for lo := stream.Time(0); lo <= maxDH; {
-		hi := min(lo+(block-1)*g, maxDH/g*g)
+		hi := min(lo+(width-1)*g, maxDH/g*g)
 		if plain > 0 {
 			plain--
 		} else if hi > lo {
 			m.iterations++
-			ev.mark = append(ev.mark[:0], ev.cur...)
 			u := ev.eq5(hi)
 			if ratio {
 				u *= snap.SelRatioBound(lo, hi)
 			}
 			if u < gammaPrime {
 				lo = hi + g
+				if ev.seeks {
+					width *= 2
+				}
 				continue
 			}
-			copy(ev.cur, ev.mark)
+			if n := (hi-lo)/g + 1; n > block {
+				width = max(n/2, block)
+				continue
+			}
 			plain, backoff = backoff, 2*backoff+1
 		}
 		for ; lo <= hi; lo += g {
@@ -339,21 +353,22 @@ func (m *Model) searchBinary(ev *evaluator, snap *profiler.Snapshot, gammaPrime 
 // is an integer — b·Σ_{l<n} C_i(·) + |w^n_i|·C_i(·) — divided once by T_i.
 // A cursor keeps C(s), the last term's C and the Σ per member histogram;
 // when b = g the terms are consecutive buckets and the next candidate,
-// s+1, is one bucket in and one out. No table is built and nothing is
-// copied: one Model owns one evaluator and refills it per decision.
+// s+1, is one bucket in and one out (and s−1 the reverse). No table is
+// built and nothing is copied: one Model owns one evaluator and refills it
+// per decision.
 //
 // Eq. 5 before the Eq. 6 ratio, γ_E(K), never decreases in K: the cursors'
 // counts only grow with s, and every later step is a conversion, division,
 // product or sum of non-negative floats in a fixed order, each of which
 // rounding to nearest keeps in order. searchLinear's envelope rests on it.
 type evaluator struct {
-	cfg  Config
-	den  float64  // Σ_i Π_{j≠i} W_j, constant across K
-	in   []input  // one per model input
-	cur  []cursor // the inputs' member cursors, input after input
-	mark []cursor // cur as saved at the start of searchLinear's block
-	effW []float64
-	fdk0 []float64
+	cfg   Config
+	den   float64  // Σ_i Π_{j≠i} W_j, constant across K
+	in    []input  // one per model input
+	cur   []cursor // the inputs' member cursors, input after input
+	seeks bool     // some input's cursors seek at every move (b ≠ g)
+	effW  []float64
+	fdk0  []float64
 }
 
 // input holds what Eq. 3 needs of one model input: constants of (W_i, b, g)
@@ -367,6 +382,10 @@ type input struct {
 	total  int64 // T_i over the members
 	lo, hi int   // cur[lo:hi] are this input's cursors
 }
+
+// unplaced is the shift of a cursor no evaluation has positioned yet. It
+// lies above every shift, so only eq5's last move test meets it.
+const unplaced = math.MaxInt
 
 // cursor is the Eq. 3 state of one member histogram at shift s.
 type cursor struct {
@@ -387,14 +406,10 @@ func (ev *evaluator) init(cfg Config, windows []stream.Time, st Source) {
 	for i := range windows {
 		members += len(st.Delays(i))
 	}
-	ev.mark = make([]cursor, 0, members) // decisions stay allocation-free from the first
+	ev.cur = make([]cursor, 0, members) // decisions stay allocation-free from the first
 	for i, w := range windows {
-		b := max(min(cfg.B, w), 1) // W_i ≤ 0 is the join operator's panic to raise, not a division's
-		in := &ev.in[i]
-		in.w, in.b = w, b
-		in.n = int((w + b - 1) / b)
-		in.last = w - stream.Time(in.n-1)*b
-		in.unit = b == cfg.G || in.n == 1
+		ev.in[i].init(cfg, w)
+		ev.seeks = ev.seeks || !ev.in[i].unit
 		p := 1.0
 		for j := range windows {
 			if j != i {
@@ -405,8 +420,17 @@ func (ev *evaluator) init(cfg Config, windows []stream.Time, st Source) {
 	}
 }
 
-// newEvaluator refills the model's evaluator from the statistics source and
-// positions every cursor at K = 0.
+// init sets the constants of an input of window w.
+func (in *input) init(cfg Config, w stream.Time) {
+	b := max(min(cfg.B, w), 1) // W_i ≤ 0 is the join operator's panic to raise, not a division's
+	in.w, in.b = w, b
+	in.n = int((w + b - 1) / b)
+	in.last = w - stream.Time(in.n-1)*b
+	in.unit = b == cfg.G || in.n == 1
+}
+
+// newEvaluator refills the model's evaluator from the statistics source.
+// Its cursors are unplaced: the first evaluation seeks them to its K.
 func (m *Model) newEvaluator() *evaluator {
 	ev := &m.ev
 	ev.cur = ev.cur[:0]
@@ -417,40 +441,77 @@ func (m *Model) newEvaluator() *evaluator {
 		in.lo = len(ev.cur)
 		for _, h := range m.stats.Delays(i) {
 			in.total += h.Total()
-			ev.cur = append(ev.cur, cursor{counts: h.Counts()})
+			ev.cur = append(ev.cur, cursor{counts: h.Counts(), s: unplaced})
 		}
 		in.hi = len(ev.cur)
-		for c := in.lo; c < in.hi; c++ {
-			ev.cur[c].seek(in, ev.cfg.G, int(in.ksync/ev.cfg.G))
-		}
 	}
 	return ev
 }
 
-// seek positions the cursor at shift s in one forward pass over the counts,
-// for any b and g.
+// seek positions the cursor at shift s in one forward pass over the counts.
+// When the terms are the consecutive buckets s … s+n−1 the pass is a prefix
+// sum up to C(s) and one slide over the remaining n−1 terms. Otherwise it
+// walks the n term offsets.
 func (c *cursor) seek(in *input, g stream.Time, s int) {
-	x, cum := -1, int64(0) // cum = C(x)
-	top := len(c.counts) - 1
-	c.s, c.sum = s, 0
-	for l := 0; l < in.n; l++ {
-		d := s + l
-		if !in.unit {
-			d = s + int(stream.Time(l)*in.b/g)
+	counts := c.counts
+	c.s = s
+	if !in.unit {
+		x, cum := -1, int64(0) // cum = C(x)
+		top := len(counts) - 1
+		c.sum = 0
+		for l := 0; l < in.n; l++ {
+			for d := min(s+int(stream.Time(l)*in.b/g), top); x < d; {
+				x++
+				cum += counts[x]
+			}
+			if l == 0 {
+				c.first = cum
+			}
+			if l < in.n-1 {
+				c.sum += cum
+			} else {
+				c.last = cum
+			}
 		}
-		for d = min(d, top); x < d; {
-			x++
-			cum += c.counts[x]
-		}
-		if l == 0 {
-			c.first = cum
-		}
-		if l < in.n-1 {
-			c.sum += cum
-		} else {
-			c.last = cum
+		return
+	}
+	var cum int64 // C(s)
+	for _, v := range counts[:min(s+1, len(counts))] {
+		cum += v
+	}
+	c.first, c.sum, c.last = cum, 0, cum
+	if in.n > 1 {
+		c.sum, c.last = slide(counts, cum, s+1, s+in.n)
+	}
+}
+
+// slide takes C from v = C(lo−1) up through the buckets [lo, hi) and returns
+// the Σ of the hi−lo values C(lo−1) … C(hi−2) and the last one, C(hi−1).
+// Past the top bucket C stays at the total, so those terms are one product.
+func slide(counts []int64, v int64, lo, hi int) (sum, end int64) {
+	on := max(lo, min(hi, len(counts)))
+	if lo < on {
+		for _, x := range counts[lo:on] {
+			sum += v
+			v += x
 		}
 	}
+	return sum + int64(hi-on)*v, v
+}
+
+// slideBack is slide in reverse: from v = C(hi−1) down through the buckets
+// [lo, hi) it returns the same Σ, C(lo−1) … C(hi−2), and C(lo−1).
+func slideBack(counts []int64, v int64, lo, hi int) (sum, start int64) {
+	on := max(lo, min(hi, len(counts)))
+	sum = int64(hi-on) * v
+	if lo < on {
+		seg := counts[lo:on]
+		for i := len(seg) - 1; i >= 0; i-- {
+			v -= seg[i]
+			sum += v
+		}
+	}
+	return sum, v
 }
 
 // step advances the cursor from s to s+1 when the n terms sit at
@@ -466,25 +527,27 @@ func (c *cursor) step(n int) {
 	}
 }
 
-// advance is step repeated up to shift s, with the cursor held in locals:
-// the bounded scan moves cursors a block of candidates at a time.
+// advance is step repeated up to shift s > c.s: C(s) and the last term each
+// slide forward, and the Σ gains every last term the window took in less
+// every first term it let go.
 func (c *cursor) advance(n, s int) {
-	counts, first, last, sum := c.counts, c.first, c.last, c.sum
-	for x := c.s + 1; x <= s; x++ {
-		sum += last - first
-		if x < len(counts) {
-			first += counts[x]
-		}
-		if d := x + n - 1; d < len(counts) {
-			last += counts[d]
-		}
-	}
-	c.s, c.first, c.last, c.sum = s, first, last, sum
+	out, first := slide(c.counts, c.first, c.s+1, s+1)
+	in, last := slide(c.counts, c.last, c.s+n, s+n)
+	c.s, c.first, c.last, c.sum = s, first, last, c.sum+in-out
+}
+
+// retreat is advance's mirror, down to shift s < c.s: the bounded scan moves
+// cursors back from a block's envelope to rescan the block.
+func (c *cursor) retreat(n, s int) {
+	out, first := slideBack(c.counts, c.first, s+1, c.s+1)
+	in, last := slideBack(c.counts, c.last, s+n, c.s+n)
+	c.s, c.first, c.last, c.sum = s, first, last, c.sum-(in-out)
 }
 
 // eq5 evaluates γ_E(K), Eq. (5) before the selectivity ratio and the clamp,
-// positioning every cursor at K on the way: a forward move advances when the
-// terms are consecutive buckets, any other move seeks.
+// positioning every cursor at K on the way: it seeks a cursor's first
+// position and every move when the terms are not consecutive buckets, and
+// otherwise advances or retreats.
 func (ev *evaluator) eq5(k stream.Time) float64 {
 	for i := range ev.in {
 		in := &ev.in[i]
@@ -498,6 +561,8 @@ func (ev *evaluator) eq5(k stream.Time) float64 {
 				cur.step(in.n)
 			case in.unit && s > cur.s:
 				cur.advance(in.n, s)
+			case in.unit && cur.s != unplaced:
+				cur.retreat(in.n, s)
 			default:
 				cur.seek(in, ev.cfg.G, s)
 			}

@@ -205,6 +205,114 @@ func (ev *RefEvaluator) searchBinary(snap *profiler.Snapshot, gammaPrime float64
 	return hi * g
 }
 
+// seekRef is the seek the one-pass form replaced, kept verbatim but for its
+// name: one forward pass that walks all n term offsets for any b and g,
+// re-reading C term by term.
+func (c *cursor) seekRef(in *input, g stream.Time, s int) {
+	x, cum := -1, int64(0) // cum = C(x)
+	top := len(c.counts) - 1
+	c.s, c.sum = s, 0
+	for l := 0; l < in.n; l++ {
+		d := s + l
+		if !in.unit {
+			d = s + int(stream.Time(l)*in.b/g)
+		}
+		for d = min(d, top); x < d; {
+			x++
+			cum += c.counts[x]
+		}
+		if l == 0 {
+			c.first = cum
+		}
+		if l < in.n-1 {
+			c.sum += cum
+		} else {
+			c.last = cum
+		}
+	}
+}
+
+// at is the cursor's position: (s, first, last, sum).
+func (c *cursor) at() [4]int64 { return [4]int64{int64(c.s), c.first, c.last, c.sum} }
+
+// TestSeekMatchesReference holds seek to seekRef exactly — (s, first, last,
+// sum) — at b = g, where seek takes its one-pass form, and at b ≠ g: over
+// empty histograms, shifts past the top bucket, n ∈ {1, 2}, the last term
+// exactly at the top, and random histograms, shifts and window lengths. At
+// b = g it holds the cursor moves (step, advance, retreat) to it as well.
+func TestSeekMatchesReference(t *testing.T) {
+	const g = 10
+	rng := rand.New(rand.NewSource(28))
+	check := func(counts []int64, w, b stream.Time, s int) {
+		t.Helper()
+		var in input
+		in.init(Config{B: b, G: g}.Normalize(), w)
+		got, want := cursor{counts: counts}, cursor{counts: counts}
+		got.seek(&in, g, s)
+		want.seekRef(&in, g, s)
+		if got.at() != want.at() {
+			t.Fatalf("counts %v, W = %d, b = %d (n = %d), s = %d: seek (s, first, last, sum) = %v, reference %v",
+				counts, w, b, in.n, s, got.at(), want.at())
+		}
+	}
+	random := func(n int) []int64 {
+		counts := make([]int64, n)
+		for i := range counts {
+			counts[i] = rng.Int63n(5)
+		}
+		return counts
+	}
+	for _, b := range []stream.Time{g, 2 * g, g / 2} {
+		for _, counts := range [][]int64{nil, {}, {3}, {0, 0, 2}, {1, 2, 3, 4, 5}, random(40)} {
+			top := len(counts) - 1
+			// n = 1, n = 2, a last bucket below, at and past the top.
+			for _, w := range []stream.Time{b, 2 * b, 2*b - 1, 3 * b, 7 * b, stream.Time(len(counts)+5) * b} {
+				n := int((w + b - 1) / b)
+				for _, s := range []int{0, 1, top - n + 1, top - n + 2, top, top + 1, top + 9} {
+					if s >= 0 {
+						check(counts, w, b, s)
+					}
+				}
+			}
+		}
+		for trial := 0; trial < 20000; trial++ {
+			counts := random(rng.Intn(80))
+			w := 1 + stream.Time(rng.Intn(60))*b/2
+			check(counts, w, b, rng.Intn(100))
+		}
+	}
+
+	// The moves between shifts at b = g: step, advance and retreat land
+	// where a seek of the reference lands, on and past the top bucket.
+	for trial := 0; trial < 2000; trial++ {
+		counts := random(rng.Intn(80))
+		var in input
+		in.init(Config{B: g, G: g}.Normalize(), 1+stream.Time(rng.Intn(600)))
+		got := cursor{counts: counts}
+		got.seek(&in, g, rng.Intn(100))
+		for move := 0; move < 20; move++ {
+			s := got.s + 1
+			switch {
+			case rng.Intn(3) == 0:
+				got.step(in.n)
+			case rng.Intn(2) == 0:
+				s = got.s + 1 + rng.Intn(60)
+				got.advance(in.n, s)
+			case got.s > 0:
+				s = rng.Intn(got.s)
+				got.retreat(in.n, s)
+			default:
+				continue
+			}
+			want := cursor{counts: counts}
+			want.seekRef(&in, g, s)
+			if got.at() != want.at() {
+				t.Fatalf("counts %v, n = %d: moved to %v, reference seek to %d reads %v", counts, in.n, got.at(), s, want.at())
+			}
+		}
+	}
+}
+
 // searchPlain is the scan searchLinear replaced, kept verbatim but for the
 // counter it bumps: Alg. 3 as printed, scanning k* = 0, g, 2g, … until the
 // model meets the instant requirement or the maximum observed delay is

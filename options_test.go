@@ -29,6 +29,8 @@ func TestOptionMatrix(t *testing.T) {
 		refusedAs string
 		multiOK   bool
 		mk        func(*Condition) JoinOption
+		// static runs the cell under Options{Policy: StaticSlack}.
+		static bool
 	}
 	plain := func(o JoinOption) func(*Condition) JoinOption {
 		return func(*Condition) JoinOption { return o }
@@ -51,6 +53,7 @@ func TestOptionMatrix(t *testing.T) {
 		{name: "WithFrameBatch", mk: plain(WithFrameBatch(7))},
 		{name: "WithPlan", mk: planned("shard:2")},
 		{name: "WithPlan(tree)", refusedAs: "WithPlan", mk: planned("tree")},
+		{name: "WithPlan(tree, StaticSlack)", refusedAs: "WithPlan", mk: planned("tree"), static: true},
 		{name: "WithAutoPlan", mk: plain(WithAutoPlan())},
 		{name: "WithSupervision", mk: plain(WithSupervision(Supervision{}))},
 		{name: "WithIngestBound", refusedAs: "WithSupervision", mk: plain(WithIngestBound(100, IngestError))},
@@ -74,6 +77,7 @@ func TestOptionMatrix(t *testing.T) {
 		cellOf := func(x, y string) bool {
 			return a.name == x && b.name == y || a.name == y && b.name == x
 		}
+		tree := strings.HasPrefix(a.name, "WithPlan(tree") || strings.HasPrefix(b.name, "WithPlan(tree")
 		withPlan := a.refusedAs == "WithPlan" || b.refusedAs == "WithPlan"
 		shaped := a
 		if a.refusedAs == "WithPlan" {
@@ -92,8 +96,11 @@ func TestOptionMatrix(t *testing.T) {
 			all = []string{"WithOnlineReplan", "WithRemoteWorkers"}
 		case withPlan && (shaped.name == "WithShards" || shaped.name == "WithAutoPlan"):
 			all = []string{"WithPlan", shaped.name}
-		case cellOf("WithPlan(tree)", "WithRemoteWorkers"):
+		case tree && (a.name == "WithRemoteWorkers" || b.name == "WithRemoteWorkers"):
 			all = []string{"WithPlan", "WithRemoteWorkers"}
+		case cellOf("WithPlan(tree, StaticSlack)", "WithAdaptHook"):
+			// A fixed-K tree runs no feedback loop: the hook would never fire.
+			all = []string{"WithAdaptHook", "StaticSlack"}
 		}
 		return all, any
 	}
@@ -102,23 +109,27 @@ func TestOptionMatrix(t *testing.T) {
 	// comes from the same deployment without the re-planner.
 	build := func(host string, cond *Condition, cell []option) error {
 		var jo, source []JoinOption
+		var opt Options
 		for _, o := range cell {
 			jo = append(jo, o.mk(cond))
 			if o.name != "WithOnlineReplan" {
 				source = append(source, o.mk(cond))
 			}
+			if o.static {
+				opt = Options{Policy: StaticSlack, StaticK: Second}
+			}
 		}
 		switch host {
 		case hostNewJoin:
-			NewJoin(cond, windows, Options{}, jo...).Close()
+			NewJoin(cond, windows, opt, jo...).Close()
 		case hostRestore:
-			src := NewJoin(cond, windows, Options{}, source...)
+			src := NewJoin(cond, windows, opt, source...)
 			snap, err := src.Checkpoint()
 			src.Close()
 			if err != nil {
 				return err
 			}
-			j, err := Restore(snap, cond, windows, Options{}, jo...)
+			j, err := Restore(snap, cond, windows, opt, jo...)
 			if err != nil {
 				return err
 			}
@@ -126,7 +137,7 @@ func TestOptionMatrix(t *testing.T) {
 		default:
 			mj := NewMultiJoin(3)
 			defer mj.Close()
-			mj.Add(cond, windows, Options{}, jo...)
+			mj.Add(cond, windows, opt, jo...)
 		}
 		return nil
 	}

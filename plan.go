@@ -111,17 +111,19 @@ func WithAutoPlan() JoinOption {
 	return func(o *joinOpts) { o.autoPlan = true }
 }
 
-// graphFor resolves the deployment graph of one NewJoin call.
-func (o *joinOpts) graphFor(cond *Condition, windows []Time) *plan.Graph {
+// graphFor resolves the deployment graph of one NewJoin or Restore call
+// under the given policy.
+func (o *joinOpts) graphFor(cond *Condition, windows []Time, policy Policy) *plan.Graph {
 	if len(o.remote) > 0 && o.shards == 0 && o.plan == nil {
 		// One worker address per shard: remote workers imply the sharded
 		// flat shape at the address count (the planner's budget under
 		// WithAutoPlan).
 		o.shards = len(o.remote)
 	}
+	var g *plan.Graph
 	switch {
 	case o.plan != nil:
-		g := o.plan.g
+		g = o.plan.g
 		if g.Cond != cond {
 			panic("qdhj: WithPlan plan was built for a different Condition — the compiled routes and scopes would not match; plan the same condition value you pass to NewJoin")
 		}
@@ -133,12 +135,15 @@ func (o *joinOpts) graphFor(cond *Condition, windows []Time) *plan.Graph {
 				panic(fmt.Sprintf("qdhj: WithPlan plan window %d = %v differs from NewJoin's %v", i, g.Windows[i], windows[i]))
 			}
 		}
-		return g
 	case o.autoPlan:
-		return plan.Auto(cond, windows, plan.Hints{Shards: o.shards})
+		g = plan.Auto(cond, windows, plan.Hints{Shards: o.shards})
 	case o.shards > 1:
-		return plan.ShardedFlat(cond, windows, o.shards)
+		g = plan.ShardedFlat(cond, windows, o.shards)
 	default:
-		return plan.FlatGraph(cond, windows)
+		g = plan.FlatGraph(cond, windows)
 	}
+	if _, flat := g.FlatShards(); !flat && policy == StaticSlack && o.onAdapt != nil {
+		panic("qdhj: WithAdaptHook cannot be combined with a StaticSlack tree plan — a fixed-K tree runs no feedback loop, so the hook would never fire; use a feedback policy or a flat shape")
+	}
+	return g
 }

@@ -237,7 +237,9 @@ func WithResultCounts(f func(ts Time, n int64)) JoinOption {
 	return func(o *joinOpts) { o.counts = join.CountEmitFunc(f) }
 }
 
-// WithAdaptHook registers a callback observing every adaptation step.
+// WithAdaptHook registers a callback observing every adaptation step. A
+// StaticSlack tree plan runs no feedback loop, so it refuses the hook at
+// construction.
 func WithAdaptHook(f func(AdaptEvent)) JoinOption {
 	return func(o *joinOpts) { o.onAdapt = f }
 }
@@ -376,7 +378,7 @@ func execConfig(opt Options, jo *joinOpts) plan.ExecConfig {
 func NewJoin(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) *Join {
 	jo := collect(hostNewJoin, jopts)
 	cfg := execConfig(opt, jo)
-	g := jo.graphFor(cond, windows)
+	g := jo.graphFor(cond, windows, opt.Policy)
 	j := &Join{g: g, cfg: cfg, hasSink: jo.emit != nil}
 	if scf, ok := jo.shell(); ok {
 		j.rt = plan.NewSupervised(g, cfg, scf)

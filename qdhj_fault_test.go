@@ -25,26 +25,32 @@ type faultTrace struct {
 	ks      []string
 	mute    bool   // stop recording (the abandoned half of an interrupted run)
 	onAdapt func() // extra per-adaptation callback (boundary detection)
+	// fixedK marks a StaticSlack tree, which runs no feedback loop and
+	// refuses WithAdaptHook: the trace records results only.
+	fixedK bool
 }
 
 func newFaultTrace() *faultTrace { return &faultTrace{set: map[string]int{}} }
 
 func (tr *faultTrace) opts() []JoinOption {
-	return []JoinOption{
+	opts := []JoinOption{
 		WithResults(func(r Result) {
 			if !tr.mute {
 				tr.set[difftest.Sig(r.Tuples)]++
 			}
 		}),
-		WithAdaptHook(func(ev AdaptEvent) {
-			if !tr.mute {
-				tr.ks = append(tr.ks, fmt.Sprintf("%v:%v>%v", ev.Now, ev.PrevK, ev.NewK))
-			}
-			if tr.onAdapt != nil {
-				tr.onAdapt()
-			}
-		}),
 	}
+	if tr.fixedK {
+		return opts
+	}
+	return append(opts, WithAdaptHook(func(ev AdaptEvent) {
+		if !tr.mute {
+			tr.ks = append(tr.ks, fmt.Sprintf("%v:%v>%v", ev.Now, ev.PrevK, ev.NewK))
+		}
+		if tr.onAdapt != nil {
+			tr.onAdapt()
+		}
+	}))
 }
 
 func diffFaultTraces(t *testing.T, name string, want, got *faultTrace) {
@@ -143,6 +149,7 @@ func TestJoinCheckpointRoundTrip(t *testing.T) {
 
 			// Reference: one uninterrupted run.
 			ref := newFaultTrace()
+			ref.fixedK = c.opt.Policy == StaticSlack
 			cond, p := planFor(t, c.spec, c.mk, windows)
 			jr := NewJoin(cond, windows, c.opt, append(ref.opts(), WithPlan(p))...)
 			for _, e := range in {
@@ -155,6 +162,7 @@ func TestJoinCheckpointRoundTrip(t *testing.T) {
 			// adaptation boundary on adaptive shapes), round-trip the
 			// snapshot through gob, restore, push the rest.
 			got := newFaultTrace()
+			got.fixedK = ref.fixedK
 			cond, p = planFor(t, c.spec, c.mk, windows)
 			boundary := false
 			got.onAdapt = func() { boundary = true }
