@@ -41,7 +41,9 @@
 // tuple messages share one wire frame. Fault injection on a networked run
 // is armed on the daemons (qdhjd -inject), not here: -workers -inject is a
 // flag conflict. Workers run flat shapes only, so -workers with a tree
-// -plan (tree, tree-shard, a shape s-expression) is one too.
+// -plan (tree, tree-shard, a shape s-expression) is one too, and -plan auto
+// (or no -plan) under -workers deploys the sharded flat shape, one shard per
+// address.
 //
 //	qdhjd -listen 127.0.0.1:7101 & qdhjd -listen 127.0.0.1:7102 &
 //	qdhjrun -in d.csv -query x3 -workers 127.0.0.1:7101,127.0.0.1:7102
@@ -173,18 +175,7 @@ func main() {
 	truth := oracle.TrueResults(ds.Cond, ds.Windows, ds.Arrivals)
 
 	if *planSpec != "" || *shards > 0 || ft.active() || rp.on || len(workers) > 0 {
-		spec := *planSpec
-		if spec == "" {
-			spec = "auto"
-			switch {
-			case len(workers) > 0:
-				// One worker address per shard: remote workers pin the
-				// sharded flat shape at the address count.
-				spec = fmt.Sprintf("shard:%d", len(workers))
-			case rp.on:
-				spec = "flat" // re-planning discovers the shape
-			}
-		}
+		spec := resolvePlanSpec(*planSpec, len(workers), rp.on)
 		runPlanned(ds, truth, acfg, *policy, stream.Time(*staticK*float64(stream.Second)), spec, *shards, workers, *frameB, ft, rp)
 		return
 	}
@@ -343,6 +334,25 @@ func flagConflict(f runFlags) error {
 func treeSpec(spec string) bool {
 	name, _, _ := strings.Cut(strings.TrimSpace(spec), ":")
 	return name == "tree" || name == "tree-shard" || strings.HasPrefix(name, "(")
+}
+
+// resolvePlanSpec returns the plan spec a planned run deploys. Remote
+// workers run flat shapes only, one shard per address, so with workers an
+// empty or auto spec resolves to that sharded flat shape — the auto-planner
+// could otherwise pick a stage-wise tree no worker can execute. Without
+// workers an empty spec is auto, or flat when re-planning (which discovers
+// the shape itself).
+func resolvePlanSpec(spec string, workers int, replan bool) string {
+	name, _, _ := strings.Cut(strings.TrimSpace(spec), ":")
+	switch {
+	case workers > 0 && (name == "" || name == "auto"):
+		return fmt.Sprintf("shard:%d", workers)
+	case spec != "":
+		return spec
+	case replan:
+		return "flat"
+	}
+	return "auto"
 }
 
 // splitAddrs parses the -workers list.
@@ -561,12 +571,7 @@ func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy 
 func queryFor(q string, m int) *join.Condition {
 	switch q {
 	case "x2":
-		thr := 5.0 * 5.0
-		return join.Cross(2).Where([]int{0, 1}, func(a []*stream.Tuple) bool {
-			dx := a[0].Attr(1) - a[1].Attr(1)
-			dy := a[0].Attr(2) - a[1].Attr(2)
-			return dx*dx+dy*dy < thr
-		})
+		return gen.SoccerCondition(5)
 	case "x3":
 		return join.EquiChain(3, 0)
 	case "x4":

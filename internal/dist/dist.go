@@ -82,28 +82,36 @@ func eventLess(a, b *event) bool {
 // (late leaf events, partials whose earliest member is old) go to a 4-ary
 // late heap. Keyed on the first lookup, the entries also sit in the shared
 // index structures of internal/index — the open-addressed hash on equi
-// stages, the sorted range index on band-only stages — the same structures
-// the MJoin-style operator's windows use.
+// stages, a one-dimensional band grid (its chains in (deadline, ord) order,
+// so expiry pops heads) on band-only stages — the same structures the
+// MJoin-style operator's windows use.
 type pwindow struct {
 	inorder pq.Run[*event]
 	late    pq.Heap[*event]
-	idx     *index.Hash[*event]   // nil unless the stage has an equi lookup
-	srt     *index.Sorted[*event] // nil unless the stage is band-only
-	all     []*event              // candidates' scratch on a stage with neither
+	idx     *index.Hash[*event] // nil unless the stage has an equi lookup
+	grid    *index.Grid[*event] // nil unless the stage is band-only
+	all     []*event            // candidates' scratch on a stage without a hash
 	// free, when set, receives every expired event — the stage arena's
 	// recycle hook. Only driver-thread windows set it.
 	free func(*event)
 }
 
-func newPwindow(indexed, banded bool) *pwindow {
+// newPwindow builds a stage input window: hash-indexed when indexed, else
+// band-indexed by a grid of width eps when banded.
+func newPwindow(indexed, banded bool, eps float64) *pwindow {
 	w := &pwindow{}
 	if indexed {
 		w.idx = index.NewHash[*event]()
 	}
 	if banded {
-		w.srt = &index.Sorted[*event]{}
+		w.grid = index.NewGrid(expiresBefore, eps)
 	}
 	return w
+}
+
+// expiresBefore is a band grid's chain order: deadline, then arrival.
+func expiresBefore(a, b *event) bool {
+	return a.deadline < b.deadline || a.deadline == b.deadline && a.ord < b.ord
 }
 
 // len returns the number of entries held, expired-but-unpurged included.
@@ -120,9 +128,9 @@ func (w *pwindow) insert(ev *event) {
 	} else {
 		w.late.Push(int64(ev.deadline), 0, ev)
 	}
-	if w.srt != nil {
-		// Sorted.Add skips NaN keys itself; a NaN can never band-match.
-		w.srt.Add(ev.key, ev)
+	if w.grid != nil {
+		// Grid.Add skips non-finite keys itself; they never band-match.
+		w.grid.Add(ev.key, 0, ev)
 	}
 	if w.idx == nil {
 		return
@@ -148,8 +156,8 @@ func (w *pwindow) expire(t stream.Time) {
 
 // drop takes an expired entry out of the indexes and hands it to free.
 func (w *pwindow) drop(ev *event) {
-	if w.srt != nil {
-		w.srt.Remove(ev.key, ev)
+	if w.grid != nil {
+		w.grid.Remove(ev.key, 0, ev)
 	}
 	if w.idx != nil {
 		if k, ok := index.KeyBits(ev.key); ok {
@@ -162,16 +170,21 @@ func (w *pwindow) drop(ev *event) {
 }
 
 // candidates returns the entries that can match key: the hash bucket on equi
-// stages, every held entry otherwise (in no specified order; callers
-// re-check the deadline).
+// stages, the exact members of the grid's band around key on band-only
+// stages (in the grid's cell, then (deadline, ord) order), every held entry
+// otherwise (in no specified order). Callers re-check the deadline.
 func (w *pwindow) candidates(key float64) []*event {
-	if w.idx != nil {
+	switch {
+	case w.idx != nil:
 		k, ok := index.KeyBits(key)
 		if !ok {
 			return nil
 		}
 		return w.idx.Get(k)
+	case w.grid != nil:
+		w.all = w.grid.AppendBand(w.all[:0], key, 0)
+	default:
+		w.all = w.appendLive(w.all[:0])
 	}
-	w.all = w.appendLive(w.all[:0])
 	return w.all
 }

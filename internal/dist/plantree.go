@@ -355,8 +355,8 @@ func (t *PlanTree) build(sh *Shape, parent *pstage, side int, k stream.Time, cla
 		}
 		s.sh = newPshard(s, sh.Shards)
 	} else {
-		s.win[0] = newPwindow(s.keyed, s.banded)
-		s.win[1] = newPwindow(s.keyed, s.banded)
+		s.win[0] = s.newWindow()
+		s.win[1] = s.newWindow()
 	}
 	t.stages = append(t.stages, s)
 	return append(left, right...)
@@ -704,7 +704,7 @@ func (s *pstage) process(ev *event, side int) {
 // be collected for ordered release instead.
 func (s *pstage) probe(ev *event, side int, opp *pwindow) int64 {
 	var n int64
-	for _, cand := range s.stageCandidates(opp, ev.key) {
+	for _, cand := range opp.candidates(ev.key) {
 		if cand.deadline < ev.ts {
 			continue
 		}
@@ -716,18 +716,13 @@ func (s *pstage) probe(ev *event, side int, opp *pwindow) int64 {
 	return n
 }
 
-// stageCandidates selects the candidate set for a probe key: the hash
-// bucket on keyed stages, a widened range view on band-only stages, every
-// live entry otherwise.
-func (s *pstage) stageCandidates(w *pwindow, key float64) []*event {
-	if w.srt != nil {
-		lo, hi, ok := join.ProbeRange(key, s.bands[0].eps)
-		if !ok {
-			return nil
-		}
-		return w.srt.Range(lo, hi)
+// newWindow builds one input window of the stage, indexed by its key: the
+// first equi lookup, or on a band-only stage the first band.
+func (s *pstage) newWindow() *pwindow {
+	if s.banded {
+		return newPwindow(false, true, s.bands[0].eps)
 	}
-	return w.candidates(key)
+	return newPwindow(s.keyed, false, 0)
 }
 
 // matchesInto checks the residual cross predicates on one candidate pair.
@@ -914,7 +909,7 @@ func newPshard(s *pstage, n int) *pshard {
 			sh:      sh,
 			id:      i,
 			ch:      make(chan pmsg, 256),
-			win:     [2]*pwindow{newPwindow(s.keyed, s.banded), newPwindow(s.keyed, s.banded)},
+			win:     [2]*pwindow{s.newWindow(), s.newWindow()},
 			scratch: make([]*stream.Tuple, s.tree.m),
 			done:    make(chan struct{}),
 		}
@@ -1130,7 +1125,7 @@ func (w *pworker) step(m pmsg) {
 		opp := w.win[1-side]
 		opp.expire(m.ev.ts)
 		var outs []*event
-		for _, cand := range s.stageCandidates(opp, m.ev.key) {
+		for _, cand := range opp.candidates(m.ev.key) {
 			if cand.deadline < m.ev.ts {
 				continue
 			}

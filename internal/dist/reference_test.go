@@ -142,7 +142,7 @@ func TestDeadlineWindowMatchesHeapReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				feed := &deadlineFeed{rng: rng, late: late, w: 40}
 				var got, want []uint64
-				w := newPwindow(false, false)
+				w := newPwindow(false, false, 0)
 				w.free = func(ev *event) { got = append(got, ev.ord) }
 				ref := &refWindow{free: func(ev *event) { want = append(want, ev.ord) }}
 				var now stream.Time
@@ -329,7 +329,7 @@ func BenchmarkDeadlineWindow(b *testing.B) {
 					rel[i] = bf.rel(rng, i)
 				}
 				ring := make([]event, benchLap)
-				var w deadlineOrder = newPwindow(false, false)
+				var w deadlineOrder = newPwindow(false, false, 0)
 				if impl == "heap" {
 					w = &refWindow{free: func(*event) {}}
 				}

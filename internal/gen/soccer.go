@@ -219,30 +219,32 @@ func Soccer(cfg SoccerConfig) *Dataset {
 		batch[i] = a.t
 	}
 
-	// The proximity predicate dist() < 5 decomposes into two typed band
-	// predicates — |x0 − x1| ≤ 5 and |y0 − y1| ≤ 5, the bounding box of the
-	// circle — which the planner resolves to sorted range-index probes,
-	// plus the exact-circle residual as a generic predicate over the few
-	// box survivors. The conjunction is equivalent to the original
-	// dist() < 5 condition (the circle is a subset of its box), so results
-	// are identical; only the evaluation strategy changes, from an
-	// O(window) closure scan per probe to O(log n + box matches).
-	thr := cfg.ProximityM
-	thr2 := thr * thr
-	// The residual is given in expression form (WhereExpr, not a Where
-	// closure) so executors compile it to bytecode for the probe inner
-	// loop: dx² + dy² < thr².
-	dx := join.Sub(join.Attr(0, 1), join.Attr(1, 1))
-	dy := join.Sub(join.Attr(0, 2), join.Attr(1, 2))
-	cond := join.Cross(2).
-		Band(0, 1, 1, 1, thr).
-		Band(0, 2, 1, 2, thr).
-		WhereExpr(join.Lt(join.Add(join.Mul(dx, dx), join.Mul(dy, dy)), join.ConstOf(thr2)))
 	return &Dataset{
 		Name:     "Dreal-x2 (simulated)",
 		M:        2,
 		Arrivals: batch,
 		Windows:  []stream.Time{cfg.WindowSize, cfg.WindowSize},
-		Cond:     cond,
+		Cond:     SoccerCondition(cfg.ProximityM),
 	}
+}
+
+// SoccerCondition is the proximity query Q×2 over (sID, xCoord, yCoord)
+// tuples: players of the two streams closer than thr, dist() < thr. It
+// decomposes into two typed band predicates — |x0 − x1| ≤ thr and
+// |y0 − y1| ≤ thr, the bounding box of the circle — which the planner
+// resolves to one probe of a two-dimensional band grid (the ≤ 3×3 cells
+// around the arriving player), plus the exact circle as a generic residual
+// over the box survivors. The conjunction is equivalent to dist() < thr
+// alone (the circle is a subset of its box), so results are identical; only
+// the evaluation strategy differs, from an O(window) closure scan per probe
+// to a few cells. The residual is given in expression form (WhereExpr, not a
+// Where closure) so executors compile it to bytecode for the probe inner
+// loop — dx² + dy² < thr² — and networked workers can receive it.
+func SoccerCondition(thr float64) *join.Condition {
+	dx := join.Sub(join.Attr(0, 1), join.Attr(1, 1))
+	dy := join.Sub(join.Attr(0, 2), join.Attr(1, 2))
+	return join.Cross(2).
+		Band(0, 1, 1, 1, thr).
+		Band(0, 2, 1, 2, thr).
+		WhereExpr(join.Lt(join.Add(join.Mul(dx, dx), join.Mul(dy, dy)), join.ConstOf(thr*thr)))
 }

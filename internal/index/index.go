@@ -21,16 +21,18 @@
 //     stable key domain therefore allocates nothing, whether the live keys
 //     fill the domain or are a small moving fraction of it.
 //
-//   - Sorted[E]: a key-ordered array supporting O(log n + matches) range
-//     probes that return contiguous *views* (no copying), backing the typed
-//     band predicate |S_l.a − S_r.a| ≤ ε. Insert/remove are binary search
-//     plus a memmove — O(n) worst case, but windows hold thousands of
-//     entries at most and the memmove of machine words is far cheaper than
-//     the full-window scans the band predicate replaces.
+//   - Grid[E]: a cell grid backing the typed band predicate
+//     |S_l.a − S_r.a| ≤ ε over one or two band keys: entries live in the
+//     cell (⌊a/εa⌋, ⌊b/εb⌋) (BandCell), cells in an open-addressed table
+//     under Hash's sweep rule, and each cell is a (ts, seq)-ordered chain
+//     through one pooled node array with a free list. Insert and expiry are
+//     O(1) — a tail append and a head pop, no memmove — and a probe visits
+//     the ≤ 3 cells per dimension the band covers, deciding each candidate
+//     by the exact difference form on the keys its node stores.
 //
-// NaN keys are rejected by both structures (reported by KeyBits, silently
-// skipped by Sorted.Add): NaN never compares equal and never satisfies a
-// band, so a NaN-keyed entry could never be looked up anyway.
+// Keys that can never match are rejected by both structures: NaN by
+// KeyBits (it never compares equal), NaN and ±Inf by Grid.Add (they never
+// satisfy a finite band), so such an entry could never be looked up anyway.
 package index
 
 import (

@@ -2,6 +2,11 @@ package index
 
 import "sort"
 
+// The band index the cell grid replaced, kept as the grid's reference:
+// Sorted verbatim, and the edge-trimmed range view the operator's band step
+// probed it with (trimmedView). TestBandGridMatchesReference holds the grid
+// to it probe by probe.
+
 // Sorted is a range index: entries keyed by float64, kept in key order in
 // parallel arrays so a range probe [lo, hi] is a binary search returning a
 // contiguous view of the entries — O(log n + matches) with zero copying.
@@ -83,4 +88,25 @@ func (s *Sorted[E]) Range(lo, hi float64) []E {
 func (s *Sorted[E]) Reset() {
 	s.keys = nil
 	s.vals = nil
+}
+
+// trimmedView is the band step's base probe before the grid: the range view
+// of bandRange's widened bounds, trimmed at both ends to the keys a whose
+// exact difference form fl(a − c) ∈ [−eps, eps] holds. key reads an
+// entry's key. Because fl(a − c) is monotone in a, those keys are contiguous
+// inside the view and the interior needs no check.
+func trimmedView[E comparable](s *Sorted[E], key func(E) float64, c, eps float64) []E {
+	in := func(d float64) bool { return d >= -eps && d <= eps }
+	lo, hi, ok := bandRange(c, eps)
+	if !ok {
+		return nil
+	}
+	view := s.Range(lo, hi)
+	for len(view) > 0 && !in(key(view[0])-c) {
+		view = view[1:]
+	}
+	for len(view) > 0 && !in(key(view[len(view)-1])-c) {
+		view = view[:len(view)-1]
+	}
+	return view
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/index"
 	"repro/internal/stream"
 )
 
@@ -309,16 +310,17 @@ func TestBandMixedWithEqui(t *testing.T) {
 	}
 }
 
-// TestBandEdgeTrimAgreesWithMatches is the directed test of the range
-// step's edge trim (cstep.base): the widened range view is cut back from
-// both ends with the exact difference form and the interior is then trusted,
-// so it is wrong exactly where a stored key sits within a few ulps of a band
-// edge. Stored keys are placed −20 … +20 ulps around BOTH exact edges (plus
-// ±Inf, ±0, and duplicate keys on either side of each edge) at centers from
-// 0 to 10⁹, under a second band and a generic residual, probed from either
-// stream. The emitted sequence must equal Condition.Matches applied to the
-// window in key order (insertion order within equal keys) and the
-// interpreted reference walker's.
+// TestBandEdgeTrimAgreesWithMatches is the directed test of the grid
+// probe's band edges (index.Grid.AppendBand): the cells it visits come from
+// widened bounds and the exact difference form then decides, so it is wrong
+// exactly where a stored key sits within a few ulps of a band edge or of a
+// cell edge. Stored keys are placed −20 … +20 ulps around BOTH exact edges
+// (plus ±Inf, ±0, NaN and duplicate keys on either side of each edge) at
+// centers from 0 to 10⁹, under a second band (the grid's second dimension)
+// and a generic residual, probed from either stream. The emitted sequence
+// must equal Condition.Matches applied to the window in the grid's
+// documented order — ascending (x, y) cell, (TS, Seq) within a cell — and
+// the interpreted reference walker's.
 func TestBandEdgeTrimAgreesWithMatches(t *testing.T) {
 	ulps := func(x float64, k int) float64 {
 		for ; k > 0; k-- {
@@ -366,8 +368,14 @@ func TestBandEdgeTrimAgreesWithMatches(t *testing.T) {
 				probe := tup(probeSrc, stream.Time(len(keys)+1), uint64(len(keys)), c, 1, 0)
 				feed = append(feed, probe)
 
-				// Key order, insertion order within equal keys (±0 are equal).
-				sort.SliceStable(window, func(i, j int) bool { return window[i].Attrs[0] < window[j].Attrs[0] })
+				// Cell order; the feed is in (TS, Seq) order already.
+				sort.SliceStable(window, func(i, j int) bool {
+					x, y := window[i].Attrs, window[j].Attrs
+					if cx, cy := index.BandCell(x[0], eps), index.BandCell(y[0], eps); cx != cy {
+						return cx < cy
+					}
+					return index.BandCell(x[1], 1) < index.BandCell(y[1], 1)
+				})
 				var want []string
 				assign := make([]*stream.Tuple, 2)
 				assign[probeSrc] = probe
@@ -398,7 +406,7 @@ func TestBandEdgeTrimAgreesWithMatches(t *testing.T) {
 					t.Fatalf("%s: counting path %d results, want %d", name, counting.Results(), len(want))
 				}
 				if len(want) == 0 && eps > 0 {
-					t.Fatalf("%s: no key matched — the case does not exercise the trim", name)
+					t.Fatalf("%s: no key matched — the case does not exercise the band edges", name)
 				}
 			}
 		}

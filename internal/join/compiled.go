@@ -5,10 +5,10 @@ package join
 // naming window attributes to probe (interp_test.go executes it directly, as
 // the test-only reference). mclass.compile lowers each plan once, when the
 // class's membership is settled, into csteps holding *direct handles* to
-// the hash/range index structures plus flattened residual filters, so the
+// the hash/grid index structures plus flattened residual filters, so the
 // steady-state probe loop touches no per-call dispatch: an
-// equi step is one KeyBits + one open-addressed Get, a band step one sorted
-// range view trimmed to the exact band at its two ends, each residual one
+// equi step is one KeyBits + one open-addressed Get, a band step one grid
+// probe over the few cells its first one or two bands cover, each residual one
 // sweep of float compares against a bound value read once, and each generic
 // predicate added through WhereExpr one more sweep of bytecode compiled for
 // the step (bytecode.go), its candidate-invariant parts evaluated once.
@@ -74,10 +74,10 @@ type cband struct {
 func (b *cband) in(d float64) bool { return d >= -b.eps && d <= b.eps }
 
 // cstep probes one stream through direct index handles. At most one of hash
-// and rng is non-nil (the base candidate probe); with neither the step scans
+// and grid is non-nil (the base candidate probe); with neither the step scans
 // the whole window. The exact difference form decides every band — as a
-// residual filter, or for the range-probed band as the edge trim of base —
-// which keeps planned execution bit-for-bit consistent with
+// residual filter, or for the grid's bands inside the grid probe on the keys
+// it stores — which keeps planned execution bit-for-bit consistent with
 // Condition.Matches (and with internal/dist's residual band filters) even
 // for attribute values within rounding distance of a band edge.
 type cstep struct {
@@ -98,9 +98,11 @@ type cstep struct {
 	filters, countableTail, tailFused bool
 	chk, chkAfter                     uint64
 
-	// The band + sweep path, in the order candidates reads it.
-	rng     *index.Sorted[*stream.Tuple]
-	rngBand cband // the band the range view answers; never also in resBand
+	// The band + sweep path, in the order candidates reads it. gridRef are
+	// the bound values of the bands the grid answers (never also in resBand);
+	// a one-dimensional grid ignores the second.
+	grid    *index.Grid[*stream.Tuple]
+	gridRef [2]cref
 	resBand []cband
 	// buf is the step's reusable candidate buffer, so residual filtering
 	// never allocates in steady state. A step is entered at most once per
@@ -148,27 +150,26 @@ type cplan struct {
 
 // newWindows builds one window per stream carrying exactly the indexes the
 // plans' base probes read — a step's first equi lookup (fused tail probes are
-// those same steps) or, on a band-only step, its first band; compilePlan
-// takes exactly these handles. Every index costs an Add and a Remove per
-// tuple, so an attribute that is only ever a residual gets none. Several
-// plan sets (Multi's probe classes) share the union.
+// those same steps) or, on a band-only step, the grid of its first two bands
+// on distinct attributes (gridBands); compilePlan takes exactly these
+// handles. Every index costs an Add and a Remove per tuple, so an attribute
+// that is only ever a residual gets none. Several plan sets (Multi's probe
+// classes) share the union.
 func newWindows(sizes []stream.Time, planSets ...[]plan) []*window.Window {
 	hash := make([][]int, len(sizes))
-	rng := make([][]int, len(sizes))
-	add := func(set []int, a int) []int {
-		if slices.Contains(set, a) {
-			return set
-		}
-		return append(set, a)
-	}
+	grids := make([][]window.GridKey, len(sizes))
 	for _, plans := range planSets {
 		for _, p := range plans {
 			for i := range p {
 				switch st := &p[i]; {
 				case len(st.lookups) > 0:
-					hash[st.stream] = add(hash[st.stream], st.lookups[0].ownAttr)
+					if a := st.lookups[0].ownAttr; !slices.Contains(hash[st.stream], a) {
+						hash[st.stream] = append(hash[st.stream], a)
+					}
 				case len(st.bands) > 0:
-					rng[st.stream] = add(rng[st.stream], st.bands[0].ownAttr)
+					if k, _ := gridBands(st.bands); !slices.Contains(grids[st.stream], k) {
+						grids[st.stream] = append(grids[st.stream], k)
+					}
 				}
 			}
 		}
@@ -178,9 +179,25 @@ func newWindows(sizes []stream.Time, planSets ...[]plan) []*window.Window {
 		if w <= 0 {
 			panic("join: window size must be positive")
 		}
-		windows[i] = window.NewIndexed(w, hash[i], rng[i])
+		windows[i] = window.NewIndexed(w, hash[i], grids[i])
 	}
 	return windows
+}
+
+// gridBands picks the bands a band-only step's grid answers: the first, and
+// the first later one on another own attribute as the second dimension. It
+// returns the grid's key and that second band's position (0 when the grid
+// has one dimension).
+func gridBands(bands []bandLookup) (window.GridKey, int) {
+	b0 := bands[0]
+	k := window.GridKey{A: b0.ownAttr, B: -1, EpsA: b0.eps}
+	for j := 1; j < len(bands); j++ {
+		if bj := bands[j]; bj.ownAttr != b0.ownAttr {
+			k.B, k.EpsB = bj.ownAttr, bj.eps
+			return k, j
+		}
+	}
+	return k, 0
 }
 
 // compilePlan lowers the symbolic plan for one arriving stream against the
@@ -223,14 +240,21 @@ func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window
 				cs.resBand = append(cs.resBand, cband{b.ownAttr, resolve(cref{b.boundStream, b.boundAttr}), b.eps})
 			}
 		case len(st.bands) > 0:
-			b0 := st.bands[0]
-			cs.rng = cs.win.RangeIndex(b0.ownAttr)
-			if cs.rng == nil {
+			k, j := gridBands(st.bands)
+			cs.grid = cs.win.Grid(k)
+			if cs.grid == nil {
 				panic("join: compiled plan probes an unindexed band attribute")
 			}
-			cs.rngBand = cband{b0.ownAttr, resolve(cref{b0.boundStream, b0.boundAttr}), b0.eps}
-			for _, b := range st.bands[1:] {
-				cs.resBand = append(cs.resBand, cband{b.ownAttr, resolve(cref{b.boundStream, b.boundAttr}), b.eps})
+			for i, b := range st.bands {
+				ref := resolve(cref{b.boundStream, b.boundAttr})
+				switch {
+				case i == 0:
+					cs.gridRef = [2]cref{ref, ref}
+				case i == j:
+					cs.gridRef[1] = ref
+				default:
+					cs.resBand = append(cs.resBand, cband{b.ownAttr, ref, b.eps})
+				}
 			}
 		}
 		cs.generic = len(st.checks) > 0
@@ -313,8 +337,9 @@ func markCountableTailsC(arriving int, steps []cstep, m int) {
 		if cs.hash != nil {
 			refs.set(cs.hashRef.stream)
 		}
-		if cs.rng != nil {
-			refs.set(cs.rngBand.ref.stream)
+		if cs.grid != nil {
+			refs.set(cs.gridRef[0].stream)
+			refs.set(cs.gridRef[1].stream)
 		}
 		for j := range cs.resEq {
 			refs.set(cs.resEq[j].ref.stream)
@@ -326,14 +351,9 @@ func markCountableTailsC(arriving int, steps []cstep, m int) {
 	}
 }
 
-// base returns the step's base candidate view: hash bucket, range view, or
-// the whole window. Views are index-internal storage; never retained.
-//
-// The range view is exact, not a superset: bandRange's widened bounds select
-// a key-ordered run, and because fl(a − c) is monotone in a the keys passing
-// the exact difference form are contiguous inside it, so trimming the few
-// overshoot entries off both ends leaves exactly the band's members and the
-// interior needs no further check of this band.
+// base returns the base candidate view of a step without a grid: the hash
+// bucket, or the whole window. Views are index-internal storage; never
+// retained.
 func (cs *cstep) base(assign []*stream.Tuple) []*stream.Tuple {
 	if cs.hash != nil {
 		bits, ok := index.KeyBits(assign[cs.hashRef.stream].Attr(cs.hashRef.attr))
@@ -342,36 +362,26 @@ func (cs *cstep) base(assign []*stream.Tuple) []*stream.Tuple {
 		}
 		return cs.hash.Get(bits)
 	}
-	if cs.rng != nil {
-		b := &cs.rngBand
-		c := assign[b.ref.stream].Attr(b.ref.attr)
-		lo, hi, ok := bandRange(c, b.eps)
-		if !ok {
-			return nil
-		}
-		view := cs.rng.Range(lo, hi)
-		for len(view) > 0 && !b.in(view[0].Attr(b.ownAttr)-c) {
-			view = view[1:]
-		}
-		for len(view) > 0 && !b.in(view[len(view)-1].Attr(b.ownAttr)-c) {
-			view = view[:len(view)-1]
-		}
-		return view
-	}
 	return cs.win.All()
 }
 
 // candidates returns the step's exact candidates in base order: the base
-// view itself when nothing else filters, else cs.buf after one pass per
-// residual — each reads its bound values once and sweeps the survivors of
-// the previous pass in place, compiled generic predicates last. The result
-// is valid until the step is next probed.
+// view itself when nothing else filters, else cs.buf — filled by the grid
+// probe with the exact members of the grid's bands (in the grid's cell, then
+// (TS, Seq) order), or swept from the base view — after one pass per
+// residual; each reads its bound values once and sweeps the survivors of the
+// previous pass in place, compiled generic predicates last. The result is
+// valid until the step is next probed.
 func (cs *cstep) candidates(assign []*stream.Tuple) []*stream.Tuple {
-	in := cs.base(assign)
-	if !cs.filters {
+	stale := len(cs.buf)
+	var in []*stream.Tuple
+	if cs.grid != nil {
+		r0, r1 := &cs.gridRef[0], &cs.gridRef[1]
+		in = cs.grid.AppendBand(cs.buf[:0], assign[r0.stream].Attr(r0.attr), assign[r1.stream].Attr(r1.attr))
+		cs.buf, stale = in, max(stale, len(in))
+	} else if in = cs.base(assign); !cs.filters {
 		return in
 	}
-	stale := len(cs.buf)
 	for i := range cs.resEq {
 		r := &cs.resEq[i]
 		v := assign[r.ref.stream].Attr(r.ref.attr)
@@ -404,8 +414,8 @@ func (cs *cstep) candidates(assign []*stream.Tuple) []*stream.Tuple {
 	return in
 }
 
-// ccount counts a step's candidates; a pure equi or single-band step is the
-// length of its base view.
+// ccount counts a step's candidates; a pure equi step is the length of its
+// bucket, a pure grid step that of the grid probe's list.
 func (cs *cstep) ccount(assign []*stream.Tuple) int64 {
 	return int64(len(cs.candidates(assign)))
 }

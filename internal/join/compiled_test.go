@@ -338,7 +338,7 @@ func randIndexCond(rng *rand.Rand, m int) *Condition {
 func assertIndexesProbed(t *testing.T, windows []*window.Window, symbolic [][]plan, compiled [][]cplan) {
 	t.Helper()
 	hashes := map[*index.Hash[*stream.Tuple]]bool{}
-	ranges := map[*index.Sorted[*stream.Tuple]]bool{}
+	grids := map[*index.Grid[*stream.Tuple]]bool{}
 	for k, plans := range compiled {
 		for src := range plans {
 			for i := range plans[src].steps {
@@ -346,14 +346,14 @@ func assertIndexesProbed(t *testing.T, windows []*window.Window, symbolic [][]pl
 				if (cs.hash != nil) != (len(st.lookups) > 0) {
 					t.Fatalf("arrival %d step %d: hash handle %v for %d equi lookups", src, i, cs.hash != nil, len(st.lookups))
 				}
-				if (cs.rng != nil) != (len(st.lookups) == 0 && len(st.bands) > 0) {
-					t.Fatalf("arrival %d step %d: range handle %v for %d lookups, %d bands", src, i, cs.rng != nil, len(st.lookups), len(st.bands))
+				if (cs.grid != nil) != (len(st.lookups) == 0 && len(st.bands) > 0) {
+					t.Fatalf("arrival %d step %d: grid handle %v for %d lookups, %d bands", src, i, cs.grid != nil, len(st.lookups), len(st.bands))
 				}
 				if cs.hash != nil {
 					hashes[cs.hash] = true
 				}
-				if cs.rng != nil {
-					ranges[cs.rng] = true
+				if cs.grid != nil {
+					grids[cs.grid] = true
 				}
 				for _, tp := range append(cs.tailCand, cs.tailFixed...) {
 					if tp.hash == nil {
@@ -364,13 +364,28 @@ func assertIndexesProbed(t *testing.T, windows []*window.Window, symbolic [][]pl
 			}
 		}
 	}
+	// The conditions band attributes 0 and 1 with widths 0, 1 and 2, so
+	// these keys are every grid a window can hold.
+	var keys []window.GridKey
+	for a := 0; a < 3; a++ {
+		for ea := 0.0; ea < 3; ea++ {
+			keys = append(keys, window.GridKey{A: a, B: -1, EpsA: ea})
+			for b := 0; b < 3; b++ {
+				for eb := 0.0; eb < 3; eb++ {
+					keys = append(keys, window.GridKey{A: a, B: b, EpsA: ea, EpsB: eb})
+				}
+			}
+		}
+	}
 	for s, w := range windows {
 		for a := 0; a < 3; a++ {
 			if h := w.HashIndex(a); h != nil && !hashes[h] {
 				t.Fatalf("window %d keeps a hash index on attribute %d that no step probes", s, a)
 			}
-			if r := w.RangeIndex(a); r != nil && !ranges[r] {
-				t.Fatalf("window %d keeps a range index on attribute %d that no step probes", s, a)
+		}
+		for _, k := range keys {
+			if g := w.Grid(k); g != nil && !grids[g] {
+				t.Fatalf("window %d keeps a band grid %+v that no step probes", s, k)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 package join_test
 
-// Tests and gauges of the delivering probe path — band range probe, residual
-// band, bytecode residual, materialized results — on the soccer query Q×2.
-// They sit in the external test package because gen imports join.
+// Tests and gauges of the delivering probe path — band grid probe, bytecode
+// residual, materialized results — on the soccer query Q×2. They sit in the
+// external test package because gen imports join.
 
 import (
 	"sort"
@@ -12,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/join"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
 // soccerFeed returns the soccer dataset with its arrivals put in timestamp
@@ -54,6 +55,72 @@ func BenchmarkProcessBandDeliver(b *testing.B) {
 		op.Process(lap(feed, orig, d, warm+i))
 	}
 	b.ReportMetric(float64(delivered)/float64(warm+b.N), "results/op")
+}
+
+// BenchmarkProcessBand measures a single-band step — the one-dimensional
+// grid — on the soccer feed: |x0 − x1| ≤ 5 alone, counted and delivered.
+// No gated workload has a single-band step; this is its gauge.
+func BenchmarkProcessBand(b *testing.B) {
+	const d = 60 * stream.Second
+	for _, deliver := range []bool{false, true} {
+		name := "count"
+		if deliver {
+			name = "deliver"
+		}
+		b.Run(name, func(b *testing.B) {
+			ds, feed, orig := soccerFeed(d)
+			cond := join.Cross(2).Band(0, 1, 1, 1, 5)
+			var opts []join.Option
+			if deliver {
+				opts = append(opts, join.WithEmit(func(stream.Result) {}))
+			}
+			op := join.New(cond, ds.Windows, opts...)
+			warm := len(feed) / 2
+			for i := 0; i < warm; i++ {
+				op.Process(feed[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op.Process(lap(feed, orig, d, warm+i))
+			}
+			b.ReportMetric(float64(op.Results())/float64(warm+b.N), "results/op")
+		})
+	}
+}
+
+// TestBandGridSteadyStateZeroAllocs: a window holding the soccer query's
+// two-dimensional grid, fed a lapped soccer feed — expire, probe, insert —
+// allocates nothing once warm: cells come back to slots they kept or that
+// a sweep recycled, and nodes come off the pool's free list.
+func TestBandGridSteadyStateZeroAllocs(t *testing.T) {
+	const d = 60 * stream.Second
+	ds, feed, orig := soccerFeed(d)
+	key := window.GridKey{A: 1, B: 2, EpsA: 5, EpsB: 5}
+	w := window.NewIndexed(ds.Windows[1], nil, []window.GridKey{key})
+	g := w.Grid(key)
+	var buf []*stream.Tuple
+	i := 0
+	step := func() {
+		e := lap(feed, orig, d, i)
+		i++
+		w.Expire(e.TS - w.Size())
+		buf = g.AppendBand(buf[:0], e.Attr(1), e.Attr(2))
+		w.Insert(e)
+	}
+	for i < 2*len(feed) {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		for j := 0; j < 2000; j++ {
+			step()
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warmed band grid allocated %v times per 2000 arrivals", allocs)
+	}
+	if g.Len() != w.Len() || w.Len() == 0 {
+		t.Fatalf("grid holds %d of the window's %d tuples", g.Len(), w.Len())
+	}
 }
 
 // BenchmarkMultiBandDeliver is BenchmarkProcessBandDeliver through a Multi

@@ -1,6 +1,8 @@
 package join
 
 import (
+	"slices"
+
 	"repro/internal/index"
 	"repro/internal/stream"
 )
@@ -84,15 +86,15 @@ func (o *Operator) search(p plan, tails []bool, lvl int, assign []*stream.Tuple)
 
 // baseCandidates selects the step's base candidate set — the first hash
 // lookup when the step has equi predicates (generally most selective), the
-// first range lookup otherwise, the whole window with neither — and
-// returns the residual lookups still to be filtered. Both the bucket and the
-// range probe return contiguous views of index storage, so nothing is
-// copied here.
+// band window in the grid's documented order otherwise, the whole window
+// with neither — and returns the residual lookups still to be filtered.
 //
-// A range probe is a *superset* pre-filter: its bounds c ± eps are rounded
-// and therefore widened by a small relative slack (bandRange), and ALL
-// band lookups — including the one just probed — stay in the residual set
-// so the exact difference-form check of stepFilter decides membership.
+// A band-only step never touches the grid: its base is the whole window —
+// (TS, Seq) order — stably sorted by the cells (index.BandCell) of the
+// step's first band and of its first later band on another attribute, the
+// order a grid probe enumerates in, and ALL band lookups stay in the
+// residual set so the exact difference-form check of stepFilter decides
+// membership.
 func (o *Operator) baseCandidates(st *step, assign []*stream.Tuple) (base []*stream.Tuple, extraEq []lookup, extraBands []bandLookup) {
 	w := o.windows[st.stream]
 	switch {
@@ -103,12 +105,23 @@ func (o *Operator) baseCandidates(st *step, assign []*stream.Tuple) (base []*str
 		}
 		return base, st.lookups[1:], st.bands
 	case len(st.bands) > 0:
-		b0 := st.bands[0]
-		lo, hi, ok := bandRange(assign[b0.boundStream].Attr(b0.boundAttr), b0.eps)
-		if !ok {
-			return nil, nil, nil
+		dims := st.bands[:1]
+		for _, b := range st.bands[1:] {
+			if b.ownAttr != st.bands[0].ownAttr {
+				dims = append(dims[:1:1], b)
+				break
+			}
 		}
-		return w.RangeIndex(b0.ownAttr).Range(lo, hi), nil, st.bands
+		base = slices.Clone(w.All())
+		slices.SortStableFunc(base, func(x, y *stream.Tuple) int {
+			for _, b := range dims {
+				if cx, cy := index.BandCell(x.Attr(b.ownAttr), b.eps), index.BandCell(y.Attr(b.ownAttr), b.eps); cx != cy {
+					return int(cx - cy)
+				}
+			}
+			return 0
+		})
+		return base, nil, st.bands
 	default:
 		return w.All(), nil, nil
 	}

@@ -1,8 +1,6 @@
 package join
 
 import (
-	"math"
-
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -14,7 +12,12 @@ import (
 // derived; for out-of-order tuples no probing happened and both counts are 0.
 type ProcessedFunc func(e *stream.Tuple, nCross, nOn int64, inOrder bool)
 
-// EmitFunc receives each produced join result in production order.
+// EmitFunc receives each produced join result in production order: the
+// probe steps' candidate orders, nested. A step probing a hash bucket takes
+// its candidates in arrival order, one probing a band grid in ascending
+// cell order and (TS, Seq) order within a cell, one scanning the window in
+// (TS, Seq) order. The grid's order depends only on what the window holds,
+// never on the order of the inserts that filled it.
 type EmitFunc func(stream.Result)
 
 // CountEmitFunc receives, per in-order arrival that derived results, the
@@ -234,29 +237,4 @@ func (o *Operator) InsertAt(e *stream.Tuple, wm stream.Time) {
 		o.onT = wm
 	}
 	o.insertInScope(e, wm)
-}
-
-// bandRange returns index-probe bounds guaranteed to cover every value a
-// with fl(a − c) ∈ [−eps, eps]. The naive bounds fl(c−eps), fl(c+eps) can
-// round past values the difference form accepts (and vice versa), so they
-// are widened by a relative slack of ~5 ulps of the larger magnitude; the
-// exact difference check in cstep.base then trims the overshoot. A
-// non-finite center can never band-match a stored (finite) key and
-// reports !ok.
-func bandRange(c, eps float64) (lo, hi float64, ok bool) {
-	if math.IsNaN(c) || math.IsInf(c, 0) {
-		return 0, 0, false
-	}
-	slack := (math.Abs(c) + eps) * 1e-15
-	return c - eps - slack, c + eps + slack, true
-}
-
-// ProbeRange exposes the widened band-probe bounds to other executors of
-// the same band semantics (internal/dist's stage windows): a range index
-// probed with [lo, hi] is guaranteed to return a superset of the tuples
-// whose exact difference form |a − c| ≤ eps holds, so callers keep the
-// exact check as a residual filter. ok is false when c can never
-// band-match (NaN or ±Inf).
-func ProbeRange(c, eps float64) (lo, hi float64, ok bool) {
-	return bandRange(c, eps)
 }

@@ -5,9 +5,10 @@
 // scope, keeps them ordered by timestamp for cheap expiration, and maintains
 // per-attribute indexes for the planner's lookup steps: hash indexes on the
 // attributes used by equi-join predicates (probing is O(matches) instead of
-// O(window)) and sorted range indexes on the attributes used by band
-// predicates |S_l.a − S_r.a| ≤ ε (probing is O(log n + matches)). Both live
-// in the shared internal/index package.
+// O(window)) and band grids on the attributes of band predicates
+// |S_l.a − S_r.a| ≤ ε — one or two bands per grid, keyed by the cell
+// (⌊a/εa⌋, ⌊b/εb⌋), so a probe visits the few cells around its center
+// instead of the window. Both live in the shared internal/index package.
 //
 // # Hot-path design
 //
@@ -31,11 +32,12 @@
 //     memory tracks the live tuple count; the copy is amortized O(1) per
 //     expired tuple.
 //
-// Index maintenance is O(1) per tuple for hash indexes (buckets are FIFO
-// deques and a sliding window removes in insertion order, so expiry is a
-// front pop) and O(log n) search + small memmove for range indexes; see
-// internal/index for the cost model. Both are paid per index per tuple, so
-// the operator asks only for the indexes its compiled plans probe.
+// Index maintenance is O(1) per tuple for both kinds: hash buckets are FIFO
+// deques and grid cells (TS, Seq)-ordered chains of pooled nodes, and a
+// sliding window removes in that order, so expiry is a front pop; a late
+// insert walks one short chain. See internal/index for the cost model. Both
+// are paid per index per tuple, so the operator asks only for the indexes
+// its compiled plans probe.
 package window
 
 import (
@@ -53,7 +55,7 @@ type Window struct {
 	buf    []*stream.Tuple // live region buf[head:], ordered by (TS, Seq)
 	head   int
 	hashes []hashIndex
-	ranges []rangeIndex
+	grids  []gridIndex
 }
 
 // hashIndex is one equi index: FIFO buckets by the attribute's canonical
@@ -63,11 +65,27 @@ type hashIndex struct {
 	tab  *index.Hash[*stream.Tuple]
 }
 
-// rangeIndex is one band index: tuples in attribute order, range probes
-// return contiguous views.
-type rangeIndex struct {
-	attr int
-	tab  *index.Sorted[*stream.Tuple]
+// GridKey names one band grid: the own attribute and width of a band-only
+// step's first band and, when the step has one on another attribute, of its
+// second (B < 0 keys one dimension, and EpsB is then 0).
+type GridKey struct {
+	A, B       int
+	EpsA, EpsB float64
+}
+
+// gridIndex is one band index: tuples in the cells of their keys.
+type gridIndex struct {
+	key GridKey
+	tab *index.Grid[*stream.Tuple]
+}
+
+// keys reads t's grid keys; b is 0 on a one-dimensional grid.
+func (g *gridIndex) keys(t *stream.Tuple) (a, b float64) {
+	a = t.Attr(g.key.A)
+	if g.key.B >= 0 {
+		b = t.Attr(g.key.B)
+	}
+	return a, b
 }
 
 // New creates a window of the given size with hash indexes on the listed
@@ -77,15 +95,19 @@ func New(size stream.Time, hashAttrs ...int) *Window {
 }
 
 // NewIndexed creates a window with hash indexes on hashAttrs (equi
-// predicates) and sorted range indexes on rangeAttrs (band predicates). An
-// attribute may appear in both lists.
-func NewIndexed(size stream.Time, hashAttrs, rangeAttrs []int) *Window {
+// predicates) and one band grid per key in grids (band predicates). An
+// attribute may appear in both.
+func NewIndexed(size stream.Time, hashAttrs []int, grids []GridKey) *Window {
 	w := &Window{size: size}
 	for _, a := range hashAttrs {
 		w.hashes = append(w.hashes, hashIndex{attr: a, tab: index.NewHash[*stream.Tuple]()})
 	}
-	for _, a := range rangeAttrs {
-		w.ranges = append(w.ranges, rangeIndex{attr: a, tab: &index.Sorted[*stream.Tuple]{}})
+	for _, k := range grids {
+		tab := index.NewGrid(stream.Less, k.EpsA)
+		if k.B >= 0 {
+			tab = index.NewGrid(stream.Less, k.EpsA, k.EpsB)
+		}
+		w.grids = append(w.grids, gridIndex{key: k, tab: tab})
 	}
 	return w
 }
@@ -115,8 +137,10 @@ func (w *Window) Insert(t *stream.Tuple) {
 			w.hashes[i].tab.Add(k, t)
 		}
 	}
-	for i := range w.ranges {
-		w.ranges[i].tab.Add(t.Attr(w.ranges[i].attr), t)
+	for i := range w.grids {
+		g := &w.grids[i]
+		a, b := g.keys(t)
+		g.tab.Add(a, b, t)
 	}
 }
 
@@ -166,8 +190,10 @@ func (w *Window) Expire(bound stream.Time) int {
 				w.hashes[i].tab.Remove(k, t)
 			}
 		}
-		for i := range w.ranges {
-			w.ranges[i].tab.Remove(t.Attr(w.ranges[i].attr), t)
+		for i := range w.grids {
+			g := &w.grids[i]
+			a, b := g.keys(t)
+			g.tab.Remove(a, b, t)
 		}
 		w.buf[h] = nil
 		h++
@@ -213,12 +239,12 @@ func (w *Window) HashIndex(attr int) *index.Hash[*stream.Tuple] {
 	return nil
 }
 
-// RangeIndex returns the sorted range index on attr, or nil when the
-// attribute has none; the band-probe counterpart of HashIndex.
-func (w *Window) RangeIndex(attr int) *index.Sorted[*stream.Tuple] {
-	for i := range w.ranges {
-		if w.ranges[i].attr == attr {
-			return w.ranges[i].tab
+// Grid returns the band grid keyed by k, or nil when the window has none;
+// the band-probe counterpart of HashIndex.
+func (w *Window) Grid(k GridKey) *index.Grid[*stream.Tuple] {
+	for i := range w.grids {
+		if w.grids[i].key == k {
+			return w.grids[i].tab
 		}
 	}
 	return nil
@@ -234,7 +260,7 @@ func (w *Window) Reset() {
 	for i := range w.hashes {
 		w.hashes[i].tab.Reset()
 	}
-	for i := range w.ranges {
-		w.ranges[i].tab.Reset()
+	for i := range w.grids {
+		w.grids[i].tab.Reset()
 	}
 }

@@ -1,12 +1,15 @@
 package window
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/index"
 	"repro/internal/stream"
 )
 
@@ -202,13 +205,15 @@ func TestSteadyStateInsertExpireDoesNotAllocate(t *testing.T) {
 }
 
 // TestDifferentialRangeIndex replays random disordered batches through a
-// Window with a sorted range index and checks its range view against
-// a linear scan of the reference content, including NaN attribute values
-// (never range-matched) and duplicate timestamps at the expiry edge.
+// Window with a one-dimensional band grid and checks its band probes against
+// a linear scan of the reference content — same tuples, in ascending cell
+// order and (TS, Seq) order within a cell — including NaN attribute values
+// (never band-matched) and duplicate timestamps at the expiry edge.
 func TestDifferentialRangeIndex(t *testing.T) {
+	const eps = 0.75
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w := NewIndexed(50, nil, []int{0})
+		w := NewIndexed(50, nil, []GridKey{{A: 0, B: -1, EpsA: eps}})
 		r := newRef(0)
 		var seq uint64
 		var bound stream.Time
@@ -233,22 +238,21 @@ func TestDifferentialRangeIndex(t *testing.T) {
 				r.insert(tp)
 			}
 			for probe := 0; probe < 4; probe++ {
-				lo := float64(rng.Intn(10))/2 - 0.5
-				hi := lo + float64(rng.Intn(5))/2
+				c := float64(rng.Intn(12))/2 - 0.75
+				// r.items is in (TS, Seq) order; a stable sort by cell is
+				// the grid's documented order.
 				var want []*stream.Tuple
 				for _, tp := range r.items {
-					if v := tp.Attr(0); v >= lo && v <= hi {
+					if d := tp.Attr(0) - c; d >= -eps && d <= eps {
 						want = append(want, tp)
 					}
 				}
-				got := matchRange(w, 0, lo, hi)
-				if len(got) != len(want) {
-					t.Logf("seed %d op %d: range [%v,%v] = %d tuples, want %d",
-						seed, op, lo, hi, len(got), len(want))
-					return false
-				}
-				if !sameSet(got, want) {
-					t.Logf("seed %d op %d: range [%v,%v] content mismatch", seed, op, lo, hi)
+				slices.SortStableFunc(want, func(x, y *stream.Tuple) int {
+					return cmp.Compare(index.BandCell(x.Attr(0), eps), index.BandCell(y.Attr(0), eps))
+				})
+				if got := matchBand(w, 0, eps, c); !sameTuples(got, want) {
+					t.Logf("seed %d op %d: band around %v = %d tuples, want %d (or order differs)",
+						seed, op, c, len(got), len(want))
 					return false
 				}
 			}
@@ -260,22 +264,25 @@ func TestDifferentialRangeIndex(t *testing.T) {
 	}
 }
 
-// TestRangeIndexNaNProbe: NaN probe bounds must match nothing, and
-// NaN-valued tuples must never appear in any range.
+// TestRangeIndexNaNProbe: a NaN or infinite probe center must match nothing,
+// and NaN- or infinity-valued tuples must never appear in any band.
 func TestRangeIndexNaNProbe(t *testing.T) {
-	w := NewIndexed(100, nil, []int{0})
+	w := NewIndexed(100, nil, []GridKey{{A: 0, B: -1, EpsA: 10}})
 	w.Insert(&stream.Tuple{TS: 1, Seq: 0, Attrs: []float64{math.NaN()}})
-	w.Insert(&stream.Tuple{TS: 2, Seq: 1, Attrs: []float64{3}})
-	if got := matchRange(w, 0, math.NaN(), 10); len(got) != 0 {
-		t.Fatal("NaN lo bound matched tuples")
+	w.Insert(&stream.Tuple{TS: 1, Seq: 1, Attrs: []float64{math.Inf(1)}})
+	w.Insert(&stream.Tuple{TS: 2, Seq: 2, Attrs: []float64{3}})
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := matchBand(w, 0, 10, c); len(got) != 0 {
+			t.Fatalf("center %v matched %d tuples", c, len(got))
+		}
 	}
-	if got := matchRange(w, 0, math.Inf(-1), math.Inf(1)); len(got) != 1 {
-		t.Fatalf("full range matched %d tuples, want 1 (NaN excluded)", len(got))
+	if got := matchBand(w, 0, 10, 0); len(got) != 1 {
+		t.Fatalf("band around 0 matched %d tuples, want 1 (NaN and +Inf excluded)", len(got))
 	}
-	// Expiring the NaN tuple must not disturb the index.
+	// Expiring the non-finite tuples must not disturb the index.
 	w.Expire(2)
-	if got := len(matchRange(w, 0, 0, 10)); got != 1 {
-		t.Fatalf("after expiry the range view holds %d tuples, want 1", got)
+	if got := len(matchBand(w, 0, 10, 5)); got != 1 {
+		t.Fatalf("after expiry the band holds %d tuples, want 1", got)
 	}
 }
 

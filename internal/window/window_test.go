@@ -23,9 +23,10 @@ func match(w *Window, attr int, key float64) []*stream.Tuple {
 	return w.HashIndex(attr).Get(b)
 }
 
-// matchRange probes w's range index on attr for keys in [lo, hi].
-func matchRange(w *Window, attr int, lo, hi float64) []*stream.Tuple {
-	return w.RangeIndex(attr).Range(lo, hi)
+// matchBand probes w's one-dimensional band grid on attr (width eps) for
+// the keys v with v − c ∈ [−eps, eps].
+func matchBand(w *Window, attr int, eps, c float64) []*stream.Tuple {
+	return w.Grid(GridKey{A: attr, B: -1, EpsA: eps}).AppendBand(nil, c, 0)
 }
 
 func TestInsertKeepsOrder(t *testing.T) {
@@ -95,12 +96,15 @@ func TestMatchUnindexedPanics(t *testing.T) {
 }
 
 func TestIndexed(t *testing.T) {
-	w := NewIndexed(10, []int{2}, []int{1})
+	one := GridKey{A: 1, B: -1, EpsA: 5}
+	two := GridKey{A: 1, B: 2, EpsA: 5, EpsB: 5}
+	w := NewIndexed(10, []int{2}, []GridKey{one, two})
 	if w.HashIndex(2) == nil || w.HashIndex(0) != nil || w.HashIndex(1) != nil {
 		t.Fatal("HashIndex hands out the wrong attributes")
 	}
-	if w.RangeIndex(1) == nil || w.RangeIndex(2) != nil {
-		t.Fatal("RangeIndex hands out the wrong attributes")
+	if w.Grid(one) == nil || w.Grid(two) == nil || w.Grid(one) == w.Grid(two) ||
+		w.Grid(GridKey{A: 1, B: -1, EpsA: 4}) != nil || w.Grid(GridKey{A: 2, B: -1, EpsA: 5}) != nil {
+		t.Fatal("Grid hands out the wrong keys")
 	}
 }
 
