@@ -1,7 +1,9 @@
 package feedback
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/adapt"
@@ -206,4 +208,37 @@ func TestDecideAtZeroAllocs(t *testing.T) {
 			t.Errorf("%s: DecideAt allocates %v times per decision, want 0", name, n)
 		}
 	}
+}
+
+// TestRestoreRefusesMismatchedStates: a state captured from a loop of another
+// shape — or a corrupt one — is refused with a "feedback: restore: …" panic
+// rather than an index panic part-way through the restore.
+func TestRestoreRefusesMismatchedStates(t *testing.T) {
+	w := []stream.Time{stream.Second, stream.Second, stream.Second}
+	twoScopes := []Scope{
+		{Groups: [][]int{{0}, {1}}, Windows: w[:2]},
+		{Groups: [][]int{{0, 1}, {2}}, Windows: w[1:]},
+	}
+	global := testLoop(t, nil).State()
+	perStage := testLoop(t, twoScopes).State()
+	for _, tc := range []struct {
+		name string
+		st   State
+		want string
+	}{
+		{"one scope into two", global, "feedback: restore: 1 Ks, 1 K sums and 1 profilers into a loop of 2 scopes"},
+		{"K sums missing", func() State { st := perStage; st.SumK = st.SumK[:1]; return st }(), "feedback: restore: 2 Ks, 1 K sums and 2 profilers into a loop of 2 scopes"},
+		{"profilers missing", func() State { st := perStage; st.Profilers = nil; return st }(), "feedback: restore: 2 Ks, 2 K sums and 0 profilers into a loop of 2 scopes"},
+		{"monitor points without counts", func() State { st := perStage; st.Monitor.PointTS = []stream.Time{1}; return st }(), "monitor: restore: 1 point timestamps and 0 point counts"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), tc.want) {
+					t.Fatalf("recovered %v, want a panic starting %q", r, tc.want)
+				}
+			}()
+			testLoop(t, twoScopes).Restore(tc.st)
+		})
+	}
+	testLoop(t, twoScopes).Restore(perStage) // the matching state still loads
 }

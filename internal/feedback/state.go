@@ -1,6 +1,8 @@
 package feedback
 
 import (
+	"fmt"
+
 	"repro/internal/monitor"
 	"repro/internal/profiler"
 	"repro/internal/stats"
@@ -46,9 +48,11 @@ func (l *Loop) State() State {
 		CumProduced: l.cumProduced,
 		CumTrue:     l.cumTrue,
 	}
-	for _, sc := range l.scopes {
-		st.SumK = append(st.SumK, sc.sumK)
-		st.Profilers = append(st.Profilers, sc.prof.State())
+	st.SumK = make([]float64, len(l.scopes))
+	st.Profilers = make([]profiler.State, len(l.scopes))
+	for i, sc := range l.scopes {
+		st.SumK[i] = sc.sumK
+		st.Profilers[i] = sc.prof.State()
 	}
 	return st
 }
@@ -56,8 +60,14 @@ func (l *Loop) State() State {
 // Restore loads a captured state into a freshly constructed loop (same
 // Config). The policy models themselves are decision-stateless — every input
 // they read at the next boundary (histograms, ADWIN, K^sync, MaxDelay,
-// monitor window) is restored here — so no model state is serialized.
+// monitor window) is restored here — so no model state is serialized. It
+// panics with a "feedback: restore: …" message on a state captured from a
+// loop of another shape: a different number of Ks, of per-scope K sums or
+// of profilers than this loop has scopes.
 func (l *Loop) Restore(st State) {
+	if n := len(l.scopes); len(st.Ks) != n || len(st.SumK) != n || len(st.Profilers) != n {
+		panic(fmt.Sprintf("feedback: restore: %d Ks, %d K sums and %d profilers into a loop of %d scopes", len(st.Ks), len(st.SumK), len(st.Profilers), n))
+	}
 	l.started = st.Started
 	l.nextAt = st.NextAt
 	l.maxTS = st.MaxTS

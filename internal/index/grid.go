@@ -100,8 +100,8 @@ type Grid[E comparable] struct {
 	shift uint
 	// The node pool, index 0 the nil sentinel: nodes[i] an entry and its
 	// keys (24 bytes), next[i] its successor in its chain or on the free list.
-	nodes []gnode[E]
-	next  []int32
+	nodes  []gnode[E]
+	next   []int32
 	free   int32 // head of the free list; 0 when empty
 	count  int
 	sweeps int // sweeps run so far (the tests pin the in-place pass with it)

@@ -2,9 +2,27 @@
 // window of P−L time units over the stream of produced join results, plus a
 // short history of per-interval true-result-size estimates. Both feed the
 // derivation of the instant recall requirement Γ′ (Eq. 7, Sec. IV-C).
+//
+// The window only has to answer one question, N^on_prod(P−L), so it keeps one
+// point per result timestamp: a result whose timestamp equals the newest live
+// point's is added to that point. Advance pops a prefix while ts < bound, so
+// two adjacent points of one timestamp always leave together and the merge
+// changes no count. The operator reports results for in-order arrivals only,
+// whose timestamps do not decrease, so the window holds at most one point per
+// time unit from the last Advance's bound to the newest result: P + 1 points
+// when decisions come every L (60,001 at P = 60 s in milliseconds), whatever
+// the arrival rate. The points sit in a fifo.Queue of recycled blocks, which
+// retains its live high-water mark once and never copies at a decision; the
+// newest stays open in the Monitor until a result of another timestamp
+// arrives.
 package monitor
 
-import "repro/internal/stream"
+import (
+	"fmt"
+
+	"repro/internal/fifo"
+	"repro/internal/stream"
+)
 
 // resultPoint aggregates produced results sharing one timestamp.
 type resultPoint struct {
@@ -17,9 +35,9 @@ type resultPoint struct {
 type Monitor struct {
 	span stream.Time // P − L
 
-	points   []resultPoint // points[head:] live, ordered by ts
-	head     int
-	produced int64 // total produced within [now-span, now]
+	points   fifo.Queue[resultPoint] // live, in append order, but for the newest
+	open     resultPoint             // the newest point, still absorbing its timestamp; live when n > 0
+	produced int64                   // total produced within [now-span, now]
 
 	trueRing []float64
 	trueHead int
@@ -41,13 +59,31 @@ func New(span stream.Time, intervals int) *Monitor {
 
 // AddResults records n produced results with timestamp ts. Results may
 // arrive with non-monotone timestamps; pruning happens against the advancing
-// logical now, not against result order.
+// logical now, not against result order. Only the newest point absorbs an
+// equal timestamp: merging into an older one could hold results past a
+// point that leaves before them.
+//
+// Whether ts repeats the newest point's is a coin toss on real feeds (55 %
+// on x3), so the merge takes no branch on it: the open point is written to
+// the queue's tail slot every time and made live only when ts differs, and
+// its count restarts or accumulates through a mask.
 func (m *Monitor) AddResults(ts stream.Time, n int64) {
 	if n <= 0 {
 		return
 	}
-	m.points = append(m.points, resultPoint{ts: ts, n: n})
 	m.produced += n
+	differ := b2i(ts != m.open.ts)
+	*m.points.Tail() = m.open
+	m.points.Extend(differ & b2i(m.open.n > 0))
+	m.open.n = m.open.n&int64(differ-1) + n
+	m.open.ts = ts
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Advance prunes results whose timestamps have fallen out of the window.
@@ -55,17 +91,15 @@ func (m *Monitor) AddResults(ts stream.Time, n int64) {
 // (scope [now − span, now], expired means strictly older): a result at
 // exactly now − span is still counted, only ts < now − span is pruned.
 // Points are appended in near-timestamp order, so the prune walks the live
-// prefix.
+// prefix; the open point, the newest, goes last.
 func (m *Monitor) Advance(now stream.Time) {
 	bound := now - m.span
-	for m.head < len(m.points) && m.points[m.head].ts < bound {
-		m.produced -= m.points[m.head].n
-		m.head++
+	for m.points.Len() > 0 && m.points.At(0).ts < bound {
+		m.produced -= m.points.Pop().n
 	}
-	if m.head > 1024 && m.head > len(m.points)/2 {
-		n := copy(m.points, m.points[m.head:])
-		m.points = m.points[:n]
-		m.head = 0
+	if m.points.Len() == 0 && m.open.n > 0 && m.open.ts < bound {
+		m.produced -= m.open.n
+		m.open.n = 0
 	}
 }
 
@@ -103,31 +137,52 @@ type State struct {
 // State captures the monitor's state.
 func (m *Monitor) State() State {
 	st := State{}
-	for _, p := range m.points[m.head:] {
-		st.PointTS = append(st.PointTS, p.ts)
-		st.PointN = append(st.PointN, p.n)
-	}
-	n := len(m.trueRing)
-	for i := 0; i < n; i++ {
-		j := i
-		if n == m.trueCap {
-			j = (m.trueHead + i) % n
+	if n := m.points.Len() + b2i(m.open.n > 0); n > 0 {
+		st.PointTS, st.PointN = make([]stream.Time, n), make([]int64, n)
+		for i := 0; i < m.points.Len(); i++ {
+			p := m.points.At(i)
+			st.PointTS[i], st.PointN[i] = p.ts, p.n
 		}
-		st.True = append(st.True, m.trueRing[j])
+		if m.open.n > 0 {
+			st.PointTS[n-1], st.PointN[n-1] = m.open.ts, m.open.n
+		}
+	}
+	if n := len(m.trueRing); n > 0 {
+		st.True = make([]float64, n)
+		for i := range st.True {
+			j := i
+			if n == m.trueCap {
+				j = (m.trueHead + i) % n
+			}
+			st.True[i] = m.trueRing[j]
+		}
 	}
 	return st
 }
 
 // Restore loads a captured state into a freshly constructed monitor (same
-// span and interval count). The estimate ring re-enters oldest-first, which
-// reproduces both the filling and the saturated layouts.
+// span and interval count). Points re-enter through the merge, so a state
+// that holds one point per result reloads as one point per timestamp. The
+// estimate ring re-enters oldest-first, which reproduces both the filling
+// and the saturated layouts. It panics with a "monitor: restore: …" message
+// on a state no such monitor can have produced: point timestamps and counts
+// of different lengths, a point of count ≤ 0, or more estimates than the
+// ring holds.
 func (m *Monitor) Restore(st State) {
-	m.points = m.points[:0]
-	m.head = 0
+	if len(st.PointTS) != len(st.PointN) {
+		panic(fmt.Sprintf("monitor: restore: %d point timestamps and %d point counts", len(st.PointTS), len(st.PointN)))
+	}
+	if len(st.True) > m.trueCap {
+		panic(fmt.Sprintf("monitor: restore: %d true-size estimates into a ring of %d", len(st.True), m.trueCap))
+	}
+	m.points.Reset()
+	m.open = resultPoint{}
 	m.produced = 0
-	for i := range st.PointTS {
-		m.points = append(m.points, resultPoint{ts: st.PointTS[i], n: st.PointN[i]})
-		m.produced += st.PointN[i]
+	for i, n := range st.PointN {
+		if n <= 0 {
+			panic(fmt.Sprintf("monitor: restore: point %d has count %d", i, n))
+		}
+		m.AddResults(st.PointTS[i], n)
 	}
 	m.trueRing = nil
 	m.trueHead = 0

@@ -1,8 +1,12 @@
 package monitor
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/fifo"
 	"repro/internal/stream"
 )
 
@@ -92,5 +96,119 @@ func TestCompaction(t *testing.T) {
 	// The closed scope [now−10, now] spans 11 integer timestamps.
 	if m.Produced() > 11 {
 		t.Fatalf("window of 10 should retain ≤11 results, got %d", m.Produced())
+	}
+}
+
+// TestRestoreRefusesImpossibleStates: a state no monitor of this shape can
+// have captured is refused with a "monitor: restore: …" panic rather than an
+// index panic or a silently wrong window.
+func TestRestoreRefusesImpossibleStates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		st   State
+		want string
+	}{
+		{"more timestamps than counts", State{PointTS: []stream.Time{1, 2}, PointN: []int64{1}}, "monitor: restore: 2 point timestamps and 1 point counts"},
+		{"more counts than timestamps", State{PointTS: []stream.Time{1}, PointN: []int64{1, 1}}, "monitor: restore: 1 point timestamps and 2 point counts"},
+		{"a point of count zero", State{PointTS: []stream.Time{1, 2}, PointN: []int64{1, 0}}, "monitor: restore: point 1 has count 0"},
+		{"more estimates than the ring holds", State{True: []float64{1, 2, 3, 4}}, "monitor: restore: 4 true-size estimates into a ring of 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), tc.want) {
+					t.Fatalf("recovered %v, want a panic starting %q", r, tc.want)
+				}
+			}()
+			New(100, 3).Restore(tc.st)
+		})
+	}
+}
+
+// live returns the number of live points, the open one included.
+func (m *Monitor) live() int { return m.points.Len() + b2i(m.open.n > 0) }
+
+// feedX3 drives m the way the operator does at rate× x3-model's result rate
+// (≈ 215 result-producing in-order arrivals per second): at every millisecond
+// tick a Poisson-ish number of AddResults calls at that tick's timestamp, an
+// Advance every L = 1 s. check runs after every Advance with the number of
+// distinct timestamps the window holds, counted independently of m, and the
+// live points just before the Advance, the most the window held since the
+// last one.
+func feedX3(m *Monitor, rng *rand.Rand, rate float64, horizon, span stream.Time, check func(now stream.Time, distinct, before int)) {
+	perTick := rate * 215 / 1000
+	var ticks []stream.Time // ticks that carried a result, oldest first
+	head := 0
+	for now := stream.Time(1); now <= horizon; now++ {
+		calls := int(perTick)
+		if rng.Float64() < perTick-float64(calls) {
+			calls++
+		}
+		for c := 0; c < calls; c++ {
+			m.AddResults(now, 1+int64(rng.Intn(40)))
+		}
+		if calls > 0 {
+			ticks = append(ticks, now)
+		}
+		if now%stream.Second == 0 {
+			before := m.live()
+			m.Advance(now)
+			for head < len(ticks) && ticks[head] < now-span {
+				head++
+			}
+			check(now, len(ticks)-head, before)
+		}
+	}
+}
+
+// TestMonitorBoundedByTicks (ROADMAP 8(e)): at 20× x3's result rate over ten
+// periods, the window holds one point per distinct timestamp — never more
+// than the distinct timestamps in the window plus one — and the FIFO retains
+// no more blocks than its live high-water mark needs.
+func TestMonitorBoundedByTicks(t *testing.T) {
+	const P, L = stream.Minute, stream.Second
+	m := New(P-L, int((P-L)/L))
+	peak := 0
+	feedX3(m, rand.New(rand.NewSource(3)), 20, 10*P, P-L, func(now stream.Time, distinct, before int) {
+		if live := m.live(); live > distinct+1 {
+			t.Fatalf("now %d: %d live points for %d distinct timestamps in the window", now, live, distinct)
+		}
+		peak = max(peak, before)
+		if b, want := m.points.Blocks(), (peak+fifo.BlockLen-1)/fifo.BlockLen+1; b > want {
+			t.Fatalf("now %d: %d blocks retained for a live high-water mark of %d points (≤ %d)", now, b, peak, want)
+		}
+	})
+	if peak < int(P-L)/2 {
+		t.Fatalf("live high-water mark %d: the feed never filled the window, the bound is not exercised", peak)
+	}
+	if peak > int(P)+1 {
+		t.Fatalf("live high-water mark %d points, more than the %d ticks of P", peak, P+1)
+	}
+}
+
+// TestMonitorSteadyStateZeroAllocs: once the point FIFO has reached its
+// high-water mark, AddResults and Advance — merge, push, prune, block
+// recycling — allocate nothing.
+func TestMonitorSteadyStateZeroAllocs(t *testing.T) {
+	const span = 10 * stream.Second
+	m := New(span, 10)
+	now := stream.Time(0)
+	step := func() {
+		for i := 0; i < 1000; i++ {
+			now++
+			m.AddResults(now, 3)
+			m.AddResults(now, 2) // merges
+			if now%100 == 0 {
+				m.Advance(now)
+			}
+		}
+	}
+	for now < 3*span {
+		step()
+	}
+	if m.points.Blocks() < 2 {
+		t.Fatal("the window never outgrew one block; the test would not see recycling")
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("steady-state AddResults + Advance allocated %v times per 1000 ticks", allocs)
 	}
 }

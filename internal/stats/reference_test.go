@@ -520,7 +520,7 @@ func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 				mgr.Observe(f.next())
 			}
 			for i := 0; i < f.m; i++ {
-				if mgr.HistoryLen(i) == 0 || len(mgr.streams[i].history.blocks) < 2 {
+				if mgr.HistoryLen(i) == 0 || mgr.streams[i].history.Blocks() < 2 {
 					t.Fatalf("stream %d: history never outgrew one block; the test would not see recycling", i)
 				}
 			}

@@ -12,13 +12,15 @@
 // Observe runs on every raw arrival, whatever the policy and the plan shape:
 // the local clocks iT sit in one dense slice (the K^sync skew scan reads all
 // m), max_i iT is maintained on the way in rather than re-derived per GlobalT
-// call, and a warmed Manager allocates nothing (history).
+// call, and a warmed Manager allocates nothing (the history is a fifo.Queue
+// of recycled blocks).
 package stats
 
 import (
 	"fmt"
 
 	"repro/internal/adwin"
+	"repro/internal/fifo"
 	"repro/internal/hist"
 	"repro/internal/stream"
 )
@@ -26,7 +28,6 @@ import (
 const (
 	adwinDelta = 0.002 // ADWIN's confidence parameter δ, the canonical choice
 	maxHistory = 8192  // history cap even under ADWIN: bounds memory on very stable streams
-	blockLen   = 256   // the history's allocation unit, 4 KiB of entries
 )
 
 // entry is one observed arrival in the history window.
@@ -35,55 +36,13 @@ type entry struct {
 	skew  stream.Time // iT − min_j jT measured at arrival
 }
 
-// history is R^stat_i as a FIFO of fixed blocks. ADWIN shrinks and regrows it
-// constantly, so emptied blocks are kept and reused: blocks holds the live
-// blocks, oldest first, followed by the spare ones, and is never trimmed —
-// the history retains its high-water mark once (a slice compacted at the
-// half-way mark retains it twice) and allocates each block once.
-type history struct {
-	blocks []*[blockLen]entry
-	first  int // offset of the oldest entry in blocks[0]
-	n      int // live entries
-}
-
-// at returns the i-th oldest entry.
-func (h *history) at(i int) entry {
-	p := uint(h.first + i)
-	return h.blocks[p/blockLen][p%blockLen]
-}
-
-// push appends the newest entry.
-func (h *history) push(en entry) {
-	p := uint(h.first + h.n)
-	if p/blockLen == uint(len(h.blocks)) {
-		h.blocks = append(h.blocks, new([blockLen]entry))
-	}
-	h.blocks[p/blockLen][p%blockLen] = en
-	h.n++
-}
-
-// pop removes and returns the oldest entry; an emptied block goes behind the
-// spares.
-func (h *history) pop() entry {
-	old := h.blocks[0][h.first]
-	h.first++
-	h.n--
-	if h.first == blockLen {
-		b := h.blocks[0]
-		copy(h.blocks, h.blocks[1:])
-		h.blocks[len(h.blocks)-1] = b
-		h.first = 0
-	}
-	return old
-}
-
 // streamStats tracks one input stream; its local current time iT is
 // Manager.localT[i].
 type streamStats struct {
 	ad      *adwin.Window
 	hist    *hist.Histogram
 	delays  [1]*hist.Histogram // {hist}: what Delays hands out, built once
-	history history
+	history fifo.Queue[entry]  // R^stat_i; ADWIN shrinks and regrows it, blocks are recycled
 	sumSkew int64
 
 	seen     bool
@@ -125,7 +84,7 @@ func NewManager(m int, g stream.Time, opts ...Option) *Manager {
 		ss := &mgr.streams[i]
 		ss.hist = hist.New(g)
 		ss.delays[0] = ss.hist
-		ss.history.blocks = make([]*[blockLen]entry, 0, mgr.maxHist/blockLen+2) // never regrown
+		ss.history.Reserve(mgr.maxHist)
 		if mgr.fixed == 0 {
 			ss.ad = adwin.New(adwinDelta)
 		}
@@ -184,11 +143,11 @@ func (m *Manager) push(ss *streamStats, en entry) {
 	if target <= 0 || target > m.maxHist {
 		target = m.maxHist
 	}
-	ss.history.push(en)
+	ss.history.Push(en)
 	ss.sumSkew += int64(en.skew)
 	ss.hist.Add(en.delay)
-	for ss.history.n > target {
-		old := ss.history.pop()
+	for ss.history.Len() > target {
+		old := ss.history.Pop()
 		ss.sumSkew -= int64(old.skew)
 		ss.hist.Remove(old.delay)
 	}
@@ -221,10 +180,12 @@ func (m *Manager) State() State {
 			LocalT: m.localT[i], Seen: ss.seen, Arrivals: ss.arrivals,
 			FirstTS: ss.firstTS, MaxDelay: ss.maxDelay,
 		}
-		for j := 0; j < ss.history.n; j++ {
-			en := ss.history.at(j)
-			s.Delays = append(s.Delays, en.delay)
-			s.Skews = append(s.Skews, en.skew)
+		if n := ss.history.Len(); n > 0 {
+			s.Delays, s.Skews = make([]stream.Time, n), make([]stream.Time, n)
+			for j := range s.Delays {
+				en := ss.history.At(j)
+				s.Delays[j], s.Skews[j] = en.delay, en.skew
+			}
 		}
 		if ss.ad != nil {
 			ad := ss.ad.State()
@@ -264,11 +225,11 @@ func (m *Manager) Restore(st State) {
 			}
 			m.nSeen++
 		}
-		ss.history.first, ss.history.n = 0, 0
+		ss.history.Reset()
 		ss.sumSkew = 0
 		ss.hist.Reset()
 		for j := range s.Delays {
-			ss.history.push(entry{delay: s.Delays[j], skew: s.Skews[j]})
+			ss.history.Push(entry{delay: s.Delays[j], skew: s.Skews[j]})
 			ss.sumSkew += int64(s.Skews[j])
 			ss.hist.Add(s.Delays[j])
 		}
@@ -286,7 +247,7 @@ func (m *Manager) Hist(i int) *hist.Histogram { return m.streams[i].hist }
 func (m *Manager) Delays(i int) []*hist.Histogram { return m.streams[i].delays[:] }
 
 // HistoryLen returns the current length of R^stat_i in tuples.
-func (m *Manager) HistoryLen(i int) int { return m.streams[i].history.n }
+func (m *Manager) HistoryLen(i int) int { return m.streams[i].history.Len() }
 
 // Rate returns the average arrival rate r_i in tuples per time unit,
 // measured as total arrivals over the stream's timestamp span.
@@ -321,10 +282,10 @@ func (m *Manager) KSync(i int) stream.Time {
 
 func (m *Manager) avgSkew(i int) float64 {
 	ss := &m.streams[i]
-	if ss.history.n == 0 {
+	if ss.history.Len() == 0 {
 		return 0
 	}
-	return float64(ss.sumSkew) / float64(ss.history.n)
+	return float64(ss.sumSkew) / float64(ss.history.Len())
 }
 
 // MaxDelayRecent returns MaxD^H: the maximum tuple delay within the recent
