@@ -8,8 +8,10 @@
 //
 // The pipeline is push-based and driven entirely by logical time (tuple
 // timestamps), so runs are deterministic and replay far faster than real
-// time. A channel-based concurrent runner is provided in runner.go for
-// applications that want the pipeline off their ingest goroutine.
+// time. Push runs on the caller's goroutine; the only concurrency is the
+// sharded path's workers (internal/shard, or internal/net over TCP) and
+// the feedback loop's statistics feeder, both synchronized at every
+// adaptation boundary.
 package core
 
 import (

@@ -8,37 +8,20 @@
 // without a full key class still runs fully partitioned (each binary stage
 // always has a usable key).
 //
-// # Determinism
-//
-// The driver is push-based and single-threaded. A sharded stage keeps the
-// ordering decisions on the driver thread: its Synchronizer, watermark onT
-// and the in-order/out-of-order classification run before routing, and a
-// router-side pair of deadline multisets replays global window membership
-// for the exact stage-local cross size n×(e) (the same trick
-// internal/shard's router uses). Every probe is processed by exactly
-// one worker — the owner of its key (band replicas are insert-only) — so
-// per-probe outputs are well-defined, and they re-enter the tree in probe
-// sequence order through a bounded-depth reorder pipeline: probe
-// seq−shardDepth is released (blocking on its worker if necessary) when
-// probe seq is routed. Release points are therefore a pure function of the
-// input sequence, never of worker scheduling — runs are reproducible
-// bit-for-bit, including the adaptation trajectory. Downstream stages see
-// their inputs in deterministic order, and the per-stage Synchronizers
-// absorb the bounded release lag: each input side still arrives in
-// nondecreasing timestamp order, so the merge — and with buffers covering
-// the disorder, the result multiset — is bit-for-bit that of the unsharded
-// run.
+// A sharded stage runs on internal/shard's runtime, the one flat shards use
+// (DESIGN.md §7): the driver classifies and routes, the workers run the
+// stage's window pairs, and their outputs re-enter the tree in probe order
+// every shardDepth probes and at every Quiesce and Finish.
 package dist
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/fault"
-	"repro/internal/index"
 	"repro/internal/join"
 	"repro/internal/kslack"
 	"repro/internal/pq"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -183,7 +166,7 @@ type pstage struct {
 	rootOut event
 	slab    join.TupleSlab
 
-	sh       *pshard // non-nil when the stage is sharded
+	sh       *stageShards // non-nil when the stage is sharded
 	prodHook prodHookFunc
 }
 
@@ -289,7 +272,14 @@ func NewPlanTree(cond *join.Condition, windows []stream.Time, shape *Shape, k st
 
 // SetInjector arms the deterministic fault injector; call before the first
 // Push. A nil injector (the default) is a no-op on every check.
-func (t *PlanTree) SetInjector(inj *fault.Injector) { t.inject = inj }
+func (t *PlanTree) SetInjector(inj *fault.Injector) {
+	t.inject = inj
+	for _, s := range t.stages {
+		if s.sh != nil {
+			s.sh.pool.SetInjector(inj)
+		}
+	}
+}
 
 // build recursively compiles a shape node, returning its covered streams.
 // Stages are appended post-order, so children precede parents and the root
@@ -353,7 +343,7 @@ func (t *PlanTree) build(sh *Shape, parent *pstage, side int, k stream.Time, cla
 		if !s.keyed && !s.banded {
 			panic(fmt.Sprintf("dist: shape shards stage %v⋈%v, but its cross predicates carry no equi or band key — an unkeyed stage cannot be partitioned without broadcast; leave it unsharded", left, right))
 		}
-		s.sh = newPshard(s, sh.Shards)
+		s.sh = newStageShards(s, sh.Shards)
 	} else {
 		s.win[0] = s.newWindow()
 		s.win[1] = s.newWindow()
@@ -398,29 +388,16 @@ func (t *PlanTree) setProdHook(f prodHookFunc) {
 	}
 }
 
-// SyncBarrier quiesces every sharded stage bottom-up: all routed probes are
-// processed and their outputs released downstream in sequence order.
-// Afterwards the tree's state is the deterministic function of the pushed
-// input that an adaptation decision must see. A no-op without sharded
-// stages.
-func (t *PlanTree) SyncBarrier() {
-	for _, s := range t.stages {
-		if s.sh != nil {
-			s.sh.quiesce()
-		}
-	}
-}
-
-// Quiesce is the stronger checkpoint barrier: beyond SyncBarrier's ordered
-// release of all routed probes, it drains the trailing insert-only messages
-// out of every worker queue, bottom-up. Afterwards no sharded stage has any
-// message in flight, so the worker windows are stable and readable from the
-// driver thread. A no-op without sharded stages.
+// Quiesce releases every sharded stage bottom-up: all routed messages are
+// processed and the probes' outputs released downstream in probe order.
+// Afterwards the worker windows are stable and readable from the driver
+// thread, and the tree's state is the deterministic function of the pushed
+// input that an adaptation decision or a checkpoint must see. A no-op
+// without sharded stages.
 func (t *PlanTree) Quiesce() {
 	for _, s := range t.stages {
 		if s.sh != nil {
-			s.sh.quiesce()
-			s.sh.insertBarrier()
+			s.sh.release(s)
 		}
 	}
 }
@@ -440,8 +417,8 @@ func (t *PlanTree) Finish() {
 		s.closeSide(sideLeft)
 		s.closeSide(sideRight)
 		if s.sh != nil {
-			s.sh.quiesce()
-			s.sh.stop()
+			s.sh.release(s)
+			s.sh.pool.Close()
 		}
 	}
 }
@@ -493,7 +470,7 @@ func (t *PlanTree) Stages() []int {
 	for i, s := range t.stages {
 		out[i] = 1
 		if s.sh != nil {
-			out[i] = s.sh.n
+			out[i] = len(s.sh.workers)
 		}
 	}
 	return out
@@ -674,7 +651,7 @@ func (s *pstage) newOut() *event {
 // process is the binary Alg. 2 step on one synchronized event.
 func (s *pstage) process(ev *event, side int) {
 	if s.sh != nil {
-		s.sh.process(ev, side)
+		s.sh.process(s, ev, side)
 		return
 	}
 	if ev.ts >= s.onT {
@@ -818,126 +795,76 @@ func (s *pstage) output(out *event) {
 
 // ---- sharded stage ----
 
-const (
-	pmsgProbe = iota
-	pmsgInsert
-	pmsgBarrier
-)
-
-// shardDepth bounds how many probes may be in flight per sharded stage:
-// probe seq−shardDepth is force-released (blocking on its worker if
-// necessary) when probe seq is routed. The bound is what makes sharded
-// stages deterministic — every release point is a function of the input
-// sequence, never of worker scheduling.
+// shardDepth is how many probes a sharded stage routes between releases:
+// it merges its workers' outputs every shardDepth probes and at every
+// Quiesce and Finish, so release points are a function of the input
+// sequence alone, never of worker scheduling.
 const shardDepth = 128
 
-// pmsg is one unit of worker input.
-type pmsg struct {
-	ev   *event
-	wm   stream.Time // stage onT at routing time
-	seq  uint64      // probe sequence (pmsgProbe only)
-	side uint8
-	kind uint8
-}
+// shardBatch is a sharded stage's messages per worker hand-off. It is
+// below shardDepth so workers start on a release batch while the driver
+// is still routing it.
+const shardBatch = 16
 
-// probeMeta is the router-side accounting of one in-flight probe.
+// probeMeta is the driver-side accounting of one routed probe.
 type probeMeta struct {
 	ts, delay stream.Time
 	nCross    int64
 }
 
-// pshard partitions one stage's windows across n workers by the stage's
-// cross key: hash cells for an equi key, ±eps-replicated range cells for a
-// band key. Ordering stays on the driver thread — see the package-level
-// determinism note.
-type pshard struct {
-	stage *pstage
-	n     int
-	cell  float64 // band mode: range-cell width (4·eps keeps replicas ≤ 2 cells)
-
-	workers []*pworker
-	rings   [2]pq.Heap[struct{}] // global deadline multisets, keys only (router view)
-
-	seq     uint64
-	nextSeq uint64
-	meta    map[uint64]probeMeta
-
-	mu    sync.Mutex
-	cond  *sync.Cond
-	ready map[uint64][]*event // completed, unreleased probe outputs
-
-	wg sync.WaitGroup // insertBarrier rendezvous
-
-	// First worker failure, recorded under mu. A probe failure is surfaced
-	// when release reaches its sequence number — the exact chunk boundary
-	// the emit gate of a supervised replay relies on; an insert failure is
-	// surfaced before the next chunk is released.
-	failed        bool
-	failImmediate bool
-	failSeq       uint64
-	failErr       error
-
-	stopped bool
+// stageShards partitions one stage's windows across workers of the shared
+// runtime (internal/shard): its partition rule routes, its pool runs the
+// window pairs and merges their outputs in probe order. What stays here is
+// the classification — in-order, late or out of scope against onT and the
+// partials' deadlines — and the rings that replay global window membership
+// for n×(e).
+type stageShards struct {
+	rule    shard.Rule
+	pool    *shard.Pool[*event, *event]
+	workers []*stageWorker
+	rings   [2]shard.Ring // global deadline multisets (router view)
+	probes  []probeMeta   // this release's probes, by message Idx
+	visit   func(i int, nOn int64)
 }
 
-// pworker is one shard of a stage: its own window pair and scratch buffers,
-// fed FIFO through a channel.
-type pworker struct {
-	sh      *pshard
-	id      int
-	ch      chan pmsg
+// stageWorker is one worker's share of a sharded stage: its window pair.
+type stageWorker struct {
+	s       *pstage
 	win     [2]*pwindow
 	scratch []*stream.Tuple
-	done    chan struct{}
-	failed  bool // drain mode: a panic was contained, inputs are discarded
+	out     *shard.Out[*event]
 }
 
-func newPshard(s *pstage, n int) *pshard {
-	sh := &pshard{
-		stage: s,
-		n:     n,
-		meta:  make(map[uint64]probeMeta),
-		ready: make(map[uint64][]*event),
-	}
-	sh.cond = sync.NewCond(&sh.mu)
+func newStageShards(s *pstage, n int) *stageShards {
+	sh := &stageShards{rule: shard.NewRule(n, 0)}
 	if s.banded {
-		sh.cell = 4 * s.bands[0].eps
+		sh.rule = shard.NewRule(n, s.bands[0].eps)
 	}
-	sh.workers = make([]*pworker, n)
-	for i := range sh.workers {
-		w := &pworker{
-			sh:      sh,
-			id:      i,
-			ch:      make(chan pmsg, 256),
-			win:     [2]*pwindow{s.newWindow(), s.newWindow()},
-			scratch: make([]*stream.Tuple, s.tree.m),
-			done:    make(chan struct{}),
+	sh.pool = shard.NewPool(n, shardBatch, s.tree.inject, func(w int, out *shard.Out[*event]) shard.Body[*event] {
+		sw := &stageWorker{s: s, win: [2]*pwindow{s.newWindow(), s.newWindow()}, scratch: make([]*stream.Tuple, s.tree.m), out: out}
+		sh.workers = append(sh.workers, sw)
+		return sw
+	})
+	sh.visit = func(i int, nOn int64) {
+		if m := sh.probes[i]; s.prodHook != nil {
+			s.prodHook(s.id, m.ts, m.delay, m.nCross, nOn, true)
 		}
-		sh.workers[i] = w
-		go w.run()
 	}
 	return sh
 }
 
 // process is the sharded counterpart of pstage.process: classify on the
 // driver thread, account globally, route.
-func (sh *pshard) process(ev *event, side int) {
-	s := sh.stage
+func (sh *stageShards) process(s *pstage, ev *event, side int) {
 	if ev.ts >= s.onT {
 		s.onT = ev.ts
 		opp := &sh.rings[1-side]
-		for opp.Len() > 0 && stream.Time(opp.Peek().Key) < ev.ts {
-			opp.Pop()
-		}
-		nCross := int64(opp.Len())
-		sh.rings[side].Push(int64(ev.deadline), 0, struct{}{})
-		seq := sh.seq
-		sh.seq++
-		sh.meta[seq] = probeMeta{ts: ev.ts, delay: ev.delay, nCross: nCross}
-		owner := sh.route(ev, side, s.onT, false)
-		sh.workers[owner].ch <- pmsg{ev: ev, wm: s.onT, seq: seq, side: uint8(side), kind: pmsgProbe}
-		if seq >= shardDepth {
-			sh.release(seq - shardDepth)
+		opp.Expire(ev.ts)
+		sh.probes = append(sh.probes, probeMeta{ts: ev.ts, delay: ev.delay, nCross: int64(opp.Len())})
+		sh.rings[side].Insert(ev.deadline)
+		sh.route(shard.Msg[*event]{Item: ev, WM: s.onT, Idx: len(sh.probes) - 1, Side: uint8(side), Kind: shard.Probe})
+		if len(sh.probes) == shardDepth {
+			sh.release(s)
 		}
 		return
 	}
@@ -945,205 +872,51 @@ func (sh *pshard) process(ev *event, side int) {
 		s.prodHook(s.id, ev.ts, ev.delay, 0, 0, false)
 	}
 	if ev.deadline >= s.onT {
-		sh.rings[side].Push(int64(ev.deadline), 0, struct{}{})
-		owner := sh.route(ev, side, s.onT, true)
-		sh.workers[owner].ch <- pmsg{ev: ev, wm: s.onT, side: uint8(side), kind: pmsgInsert}
+		sh.rings[side].Insert(ev.deadline)
+		sh.route(shard.Msg[*event]{Item: ev, WM: s.onT, Side: uint8(side), Kind: shard.Insert})
 	}
 }
 
-// route returns the owner worker of ev's key and — in band mode — sends the
-// insert-only replicas covering [key−eps, key+eps] so any band partner's
-// owner holds a copy. Replicas are sent before the caller sends the owner
-// message, preserving per-worker FIFO between an insert and any later probe
-// that could match it.
-func (sh *pshard) route(ev *event, side int, wm stream.Time, insertOnly bool) int {
-	if sh.stage.keyed {
-		bits, ok := index.KeyBits(ev.key)
-		if !ok {
-			bits = 0 // NaN can never equi-match; any worker will do
-		}
-		return int(index.Mix64(bits) % uint64(sh.n))
-	}
-	eps := sh.stage.bands[0].eps
-	owner := sh.cellWorker(sh.bandCell(ev.key))
-	lo, hi := sh.bandCell(ev.key-eps), sh.bandCell(ev.key+eps)
-	for c := lo; c <= hi; c++ {
-		if w := sh.cellWorker(c); w != owner {
-			sh.workers[w].ch <- pmsg{ev: ev, wm: wm, side: uint8(side), kind: pmsgInsert}
-		}
-	}
-	return owner
-}
-
-// bandCell quantizes a band key to its range cell with the same saturating
-// quantizer the sharded operator's router uses (index.RangeCell).
-func (sh *pshard) bandCell(key float64) int64 { return index.RangeCell(key, sh.cell) }
-
-func (sh *pshard) cellWorker(cell int64) int { return index.CellOwner(cell, sh.n) }
-
-// release hands the outputs of every probe with sequence ≤ upTo
-// downstream, in sequence order, blocking until the owning workers have
-// completed them. The stage's productivity hook fires with the router-side
-// accounting, and the outputs re-enter the tree exactly as the unsharded
-// stage would have emitted them.
-func (sh *pshard) release(upTo uint64) {
-	s := sh.stage
-	for sh.nextSeq <= upTo {
-		sh.mu.Lock()
-		var outs []*event
-		for {
-			// A contained worker panic surfaces here, on the driver thread,
-			// before the failed probe's chunk (or, for an insert failure,
-			// the next chunk) is released: everything already emitted is a
-			// prefix of complete per-probe chunks, which is what keeps a
-			// checkpoint+replay's emit gate multiset-exact (DESIGN.md §10).
-			if sh.failed && (sh.failImmediate || sh.failSeq <= sh.nextSeq) {
-				err := sh.failErr
-				sh.mu.Unlock()
-				panic(err)
-			}
-			var ok bool
-			if outs, ok = sh.ready[sh.nextSeq]; ok {
-				break
-			}
-			sh.cond.Wait()
-		}
-		delete(sh.ready, sh.nextSeq)
-		sh.mu.Unlock()
-		seq := sh.nextSeq
-		sh.nextSeq++
-		m := sh.meta[seq]
-		delete(sh.meta, seq)
-		if s.prodHook != nil {
-			s.prodHook(s.id, m.ts, m.delay, m.nCross, int64(len(outs)), true)
-		}
-		for _, out := range outs {
-			s.output(out)
-		}
+// route sends m to the owner of its key and insert-only copies to the
+// band replicas.
+func (sh *stageShards) route(m shard.Msg[*event]) {
+	owner, replicas := sh.rule.Route(m.Item.key)
+	sh.pool.Send(owner, m)
+	m.Kind, m.Idx = shard.Insert, 0
+	for _, w := range replicas {
+		sh.pool.Send(w, m)
 	}
 }
 
-// quiesce releases every routed probe. Trailing insert-only messages may
-// still sit in worker queues; they cannot affect any released output (a
-// probe that could match them would have been routed behind them FIFO) and
-// are drained at the latest by stop.
-func (sh *pshard) quiesce() {
-	if sh.seq > 0 {
-		sh.release(sh.seq - 1)
-	}
+// release merges every routed probe's outputs downstream in probe order;
+// a worker failure panics before any of them is emitted.
+func (sh *stageShards) release(s *pstage) {
+	sh.pool.Merge(len(sh.probes), sh.visit, s.output)
+	sh.probes = sh.probes[:0]
 }
 
-// insertBarrier waits until every worker has drained its queue — including
-// the trailing insert-only messages quiesce leaves behind. After quiesce +
-// insertBarrier the worker windows are stable and (via the WaitGroup's
-// happens-before edge) readable from the driver thread: the precondition
-// for capturing a checkpoint of a sharded stage.
-func (sh *pshard) insertBarrier() {
-	sh.wg.Add(sh.n)
-	for _, w := range sh.workers {
-		w.ch <- pmsg{kind: pmsgBarrier}
+// Probe is the binary Alg. 2 step on a worker: expire the opposing window,
+// probe it, insert.
+func (w *stageWorker) Probe(m *shard.Msg[*event]) int64 {
+	s, ev, side := w.s, m.Item, int(m.Side)
+	opp := w.win[1-side]
+	opp.expire(ev.ts)
+	var n int64
+	for _, cand := range opp.candidates(ev.key) {
+		if cand.deadline >= ev.ts && s.matchesInto(ev, cand, side, w.scratch) {
+			w.out.Emit(s.combine(ev, cand, side, &event{parts: make([]*stream.Tuple, s.tree.m)}))
+			n++
+		}
 	}
-	sh.wg.Wait()
+	w.win[side].insert(ev)
+	return n
 }
 
-// fail records a worker failure and wakes the driver, which may be blocked
-// in release waiting for the failed probe's outputs. When several workers
-// fail, the earliest probe in sequence order is the one release surfaces:
-// workers fail in wall-clock order, and a failed worker drains its queue,
-// so keeping a later probe's failure would leave release waiting forever on
-// the earlier probe's outputs.
-func (sh *pshard) fail(m pmsg, err error) {
-	sh.mu.Lock()
-	switch {
-	case m.kind != pmsgProbe:
-		if !sh.failed {
-			sh.failErr = err
-		}
-		sh.failImmediate = true
-	case !sh.failed || !sh.failImmediate && m.seq < sh.failSeq:
-		sh.failErr = err
-		sh.failSeq = m.seq
-	}
-	sh.failed = true
-	sh.cond.Broadcast()
-	sh.mu.Unlock()
-}
-
-// stop shuts the workers down; call after a final quiesce. Idempotent:
-// Finish and a supervisor's Abandon may both reach it when a flush panics
-// halfway through the teardown.
-func (sh *pshard) stop() {
-	if sh.stopped {
-		return
-	}
-	sh.stopped = true
-	for _, w := range sh.workers {
-		close(w.ch)
-	}
-	for _, w := range sh.workers {
-		<-w.done
-	}
-}
-
-// run is the worker loop: FIFO over messages, one stage step per message.
-// Completed probes land in the reorder buffer with their (possibly empty)
-// output lists; the empty entry is what tells the router the sequence
-// number is done. A panic inside a step is contained by step's recover: the
-// worker flips into drain mode — it keeps acking barriers (so the driver's
-// insertBarrier never hangs on a dead worker) and discards everything else,
-// while the recorded failure surfaces on the driver thread in release.
-func (w *pworker) run() {
-	defer close(w.done)
-	for m := range w.ch {
-		if m.kind == pmsgBarrier {
-			w.sh.wg.Done()
-			continue
-		}
-		if w.failed {
-			continue
-		}
-		w.step(m)
-	}
-}
-
-// step processes one probe or insert message, converting a panic — injected
-// or genuine — into a recorded typed failure instead of crashing the
-// process.
-func (w *pworker) step(m pmsg) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.failed = true
-			w.sh.fail(m, &fault.WorkerError{Worker: w.id, Cause: fault.AsError(r)})
-		}
-	}()
-	s := w.sh.stage
-	switch m.kind {
-	case pmsgProbe:
-		s.tree.inject.MaybeDelay(w.id)
-		s.tree.inject.MaybePanic(w.id)
-		side := int(m.side)
-		opp := w.win[1-side]
-		opp.expire(m.ev.ts)
-		var outs []*event
-		for _, cand := range opp.candidates(m.ev.key) {
-			if cand.deadline < m.ev.ts {
-				continue
-			}
-			if s.matchesInto(m.ev, cand, side, w.scratch) {
-				out := &event{parts: make([]*stream.Tuple, s.tree.m)}
-				outs = append(outs, s.combine(m.ev, cand, side, out))
-			}
-		}
-		w.win[side].insert(m.ev)
-		w.sh.mu.Lock()
-		w.sh.ready[m.seq] = outs
-		w.sh.cond.Broadcast()
-		w.sh.mu.Unlock()
-	default: // pmsgInsert
-		side := int(m.side)
-		w.win[side].expire(m.wm)
-		if m.ev.deadline >= m.wm {
-			w.win[side].insert(m.ev)
-		}
+// Insert is the replica and out-of-order path: expire, insert if in scope.
+func (w *stageWorker) Insert(m *shard.Msg[*event]) {
+	win := w.win[m.Side]
+	win.expire(m.WM)
+	if m.Item.deadline >= m.WM {
+		win.insert(m.Item)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // AdaptivePlanTree is the plan-tree executor with the quality-driven
 // feedback loop in the driver seat. Decisions stay deterministic even with
 // sharded stages: every boundary quiesces the stage workers first
-// (SyncBarrier), so the profilers see exactly the records a single-threaded
+// (Quiesce), so the profilers see exactly the records a single-threaded
 // run would have fed them.
 type AdaptivePlanTree struct {
 	t    *PlanTree
@@ -81,7 +81,7 @@ func (a *AdaptivePlanTree) Push(e *stream.Tuple) {
 	now := a.loop.Observe(e)
 	a.t.Push(e)
 	if at, ok := a.loop.Boundary(now); ok {
-		a.t.SyncBarrier()
+		a.t.Quiesce()
 		ks := a.loop.DecideAt(at, a.t.Watermark())
 		a.t.SetStageK(ks)
 		// Applying a smaller K releases buffered tuples into the tree, so
@@ -91,7 +91,7 @@ func (a *AdaptivePlanTree) Push(e *stream.Tuple) {
 		// uninterrupted run has — otherwise the capture's early probe
 		// release would perturb the parent-side interleaving of the
 		// continuing run (DESIGN.md §10).
-		a.t.SyncBarrier()
+		a.t.Quiesce()
 		if a.cfg.OnDecide != nil {
 			a.cfg.OnDecide(at, ks)
 		}

@@ -1,14 +1,17 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"repro/internal/leakcheck"
 	"testing"
 	"time"
 
 	"repro/internal/difftest"
+	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/kslack"
+	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/syncer"
 )
@@ -69,9 +72,9 @@ func diffMultisets(t *testing.T, name string, want, got map[string]int) {
 // shapes4 enumerates the shapes exercised on 4-stream conditions: the
 // spine, the balanced bushy tree, a right-heavy bushy tree, and sharded
 // variants.
-func shard(n int, s *Shape) *Shape { s.Shards = n; return s }
-func leaf(s int) *Shape            { return &Shape{Stream: s} }
-func branch(l, r *Shape) *Shape    { return &Shape{Left: l, Right: r} }
+func sharded(n int, s *Shape) *Shape { s.Shards = n; return s }
+func leaf(s int) *Shape              { return &Shape{Stream: s} }
+func branch(l, r *Shape) *Shape      { return &Shape{Left: l, Right: r} }
 
 // TestPlanTreeSpineAgreesWithMJoin: the plan engine shaped as the left-deep
 // spine reproduces the flat reference multiset, including band and generic
@@ -144,7 +147,7 @@ func TestPlanTreeStageShardedAgreesWithMJoin(t *testing.T) {
 	want := mjoinMultiset(star(), w, maxD, clone(in))
 
 	for _, n := range []int{2, 4, 8} {
-		spine := shard(n, branch(shard(n, branch(shard(n, branch(leaf(0), leaf(1))), leaf(2))), leaf(3)))
+		spine := sharded(n, branch(sharded(n, branch(sharded(n, branch(leaf(0), leaf(1))), leaf(2))), leaf(3)))
 		got := planMultiset(star(), w, spine, maxD, clone(in))
 		diffMultisets(t, fmt.Sprintf("star-sharded-%d", n), want, got)
 	}
@@ -152,7 +155,7 @@ func TestPlanTreeStageShardedAgreesWithMJoin(t *testing.T) {
 	// Bushy + sharded root over an equichain.
 	chain := func() *join.Condition { return join.EquiChain(4, 0) }
 	wantChain := mjoinMultiset(chain(), w, maxD, clone(in))
-	bushy := shard(4, branch(shard(2, branch(leaf(0), leaf(1))), branch(leaf(2), leaf(3))))
+	bushy := sharded(4, branch(sharded(2, branch(leaf(0), leaf(1))), branch(leaf(2), leaf(3))))
 	diffMultisets(t, "bushy-sharded", wantChain, planMultiset(chain(), w, bushy, maxD, clone(in)))
 }
 
@@ -166,7 +169,7 @@ func TestPlanTreeBandShardedStage(t *testing.T) {
 	mk := func() *join.Condition { return join.Cross(2).Band(0, 1, 1, 1, 11) }
 	want := mjoinMultiset(mk(), w, maxD, clone(in))
 	for _, n := range []int{2, 5} {
-		got := planMultiset(mk(), w, shard(n, branch(leaf(0), leaf(1))), maxD, clone(in))
+		got := planMultiset(mk(), w, sharded(n, branch(leaf(0), leaf(1))), maxD, clone(in))
 		diffMultisets(t, fmt.Sprintf("band-sharded-%d", n), want, got)
 	}
 }
@@ -181,7 +184,7 @@ func TestPlanTreeShardUnkeyedPanics(t *testing.T) {
 			t.Fatal("sharding an unkeyed stage must panic")
 		}
 	}()
-	NewPlanTree(cond, []stream.Time{100, 100}, shard(2, branch(leaf(0), leaf(1))), 0, nil)
+	NewPlanTree(cond, []stream.Time{100, 100}, sharded(2, branch(leaf(0), leaf(1))), 0, nil)
 }
 
 // TestPlanTreeShapeValidation: shapes must cover every stream exactly once.
@@ -226,35 +229,61 @@ func TestPlanTreeLifecyclePanics(t *testing.T) {
 
 // TestShardReleaseSurfacesEarliestFailure: workers of a sharded stage fail
 // in wall-clock order, not probe order, and a failed worker drains its
-// queue. Whatever order the failures are recorded in, release must surface
-// one at the earliest unreleased probe it cannot complete — it used to wait
-// forever when a later probe's failure was recorded first.
+// queue. Whatever the order of the failing steps — probes early or late in
+// the release batch, inserts before or after them — the next barrier must
+// surface a *fault.WorkerError, promptly and before any output of the
+// batch reaches the parent. A nil-item message fails a real worker step of
+// the stage's window pair; internal/shard's test of the same name holds a
+// flat shard:2 runtime to the same rule.
 func TestShardReleaseSurfacesEarliestFailure(t *testing.T) {
 	leakcheck.Check(t)
-	probe := func(seq uint64) pmsg { return pmsg{kind: pmsgProbe, seq: seq} }
-	for name, fails := range map[string][]pmsg{
-		"later probe first":       {probe(1), probe(0)},
-		"insert after a probe":    {probe(1), {kind: pmsgInsert}},
-		"earlier probe first":     {probe(0), probe(1)},
-		"insert before any probe": {{kind: pmsgInsert}, probe(1)},
+	type failAt struct {
+		w int
+		m shard.Msg[*event]
+	}
+	probe := func(w, idx int) failAt { return failAt{w, shard.Msg[*event]{Kind: shard.Probe, Idx: idx}} }
+	insert := func(w int) failAt { return failAt{w, shard.Msg[*event]{Kind: shard.Insert}} }
+	for name, fails := range map[string][2]failAt{
+		"later probe first":       {probe(1, 30), probe(0, 10)},
+		"insert after a probe":    {probe(1, 30), insert(0)},
+		"earlier probe first":     {probe(0, 10), probe(1, 30)},
+		"insert before any probe": {insert(0), probe(1, 30)},
 	} {
-		pt := NewPlanTree(join.EquiChain(2, 0), []stream.Time{100, 100}, shard(2, branch(leaf(0), leaf(1))), 0, nil)
-		sh := pt.stages[0].sh
-		for i, m := range fails {
-			sh.fail(m, fmt.Errorf("failure %d", i))
+		var got int
+		pt := NewPlanTree(join.EquiChain(2, 0), []stream.Time{100, 100}, sharded(2, branch(leaf(0), leaf(1))), 0, func(Partial) { got++ })
+		push := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				pt.Push(&stream.Tuple{TS: stream.Time(i), Seq: uint64(i), Src: i % 2, Attrs: []float64{float64(i / 2 % 3)}})
+			}
 		}
+		push(0, 40)
+		pt.Quiesce()
+		before := got
+		if before == 0 {
+			t.Fatal("degenerate workload: no results before the failing batch")
+		}
+		pool := pt.stages[0].sh.pool
+		push(40, 60)
+		pool.Send(fails[0].w, fails[0].m)
+		push(60, 80)
+		pool.Send(fails[1].w, fails[1].m)
+		push(80, 100)
 		done := make(chan any, 1)
 		go func() {
 			defer func() { done <- recover() }()
-			sh.release(1)
+			pt.Quiesce()
 		}()
 		select {
 		case r := <-done:
-			if r == nil {
-				t.Errorf("%s: release returned without surfacing a failure", name)
+			var we *fault.WorkerError
+			if err, ok := r.(error); !ok || !errors.As(err, &we) {
+				t.Errorf("%s: barrier surfaced %v, want a *fault.WorkerError", name, r)
+			}
+			if got != before {
+				t.Errorf("%s: %d outputs of the failed batch were released", name, got-before)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: release blocked on a probe no worker will complete", name)
+			t.Fatalf("%s: barrier blocked on a worker failure", name)
 		}
 		pt.Abandon()
 	}
@@ -263,10 +292,9 @@ func TestShardReleaseSurfacesEarliestFailure(t *testing.T) {
 // TestAdaptivePlanTreeDeterministicWithShards: the adaptive plan tree's
 // decision trajectory and result count are bit-for-bit reproducible across
 // runs AND across shard counts ≥ 2 — release points are a function of the
-// probe sequence only (the bounded-depth reorder pipeline), and every
-// boundary quiesces the workers before deciding. The unsharded path
-// releases stage outputs with zero depth and is its own deterministic
-// execution; under a small adaptive K the two interleavings may buffer
+// probe sequence only (every shardDepth probes), and every boundary
+// quiesces the workers before deciding. The unsharded path releases stage
+// outputs as they are derived and is its own deterministic execution; under a small adaptive K the two interleavings may buffer
 // slightly different late tuples, so it is not compared here (the full-K
 // differential tests pin unsharded == sharded == flat).
 func TestAdaptivePlanTreeDeterministicWithShards(t *testing.T) {

@@ -11,12 +11,12 @@
 // occupied before. The order-invariance argument of DESIGN.md §10 makes the
 // rebuilt layouts result-equivalent.
 //
-// A tree checkpoint must be captured at a quiesced point — after
-// SyncBarrier/Quiesce, which every adaptation boundary already performs.
-// At such a point the probe-release pipeline is empty, so a restored tree
-// (whose probe sequence restarts at zero) reproduces the release lag, the
-// parent-side event interleavings, and hence the result multiset and the K
-// trajectory of the uninterrupted run, bit-for-bit.
+// A tree checkpoint must be captured at a quiesced point — after Quiesce,
+// which every adaptation boundary already performs. At such a point no
+// probe awaits release, so a restored tree (whose release count restarts
+// at zero) reproduces the release points, the parent-side event
+// interleavings, and hence the result multiset and the K trajectory of the
+// uninterrupted run, bit-for-bit.
 package dist
 
 import (
@@ -25,6 +25,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/feedback"
 	"repro/internal/kslack"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -105,7 +106,7 @@ func canonicalRecs(evs []*event, tt *fault.TupleTable) []fault.EventRec {
 // State captures the tree's state. It quiesces the sharded stages first;
 // for the capture to be bit-for-bit resumable the tree must already be at a
 // release-pipeline-empty point — any adaptation boundary (after
-// SyncBarrier) or before the first Push qualifies, and the supervised
+// Quiesce) or before the first Push qualifies, and the supervised
 // runtime only checkpoints there.
 func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 	if t.finished {
@@ -133,12 +134,7 @@ func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 			}
 		} else {
 			for sd := 0; sd < 2; sd++ {
-				var ring []stream.Time
-				for _, it := range s.sh.rings[sd].Items() {
-					ring = append(ring, stream.Time(it.Key))
-				}
-				sort.Slice(ring, func(a, b int) bool { return ring[a] < ring[b] })
-				ss.Rings[sd] = ring
+				ss.Rings[sd] = append([]stream.Time(nil), s.sh.rings[sd].Live()...)
 				// Band replicas put the same event in several worker
 				// windows; serialize the deduplicated global contents.
 				seen := map[*event]bool{}
@@ -196,20 +192,14 @@ func (t *PlanTree) Restore(st TreeState, ta *fault.TupleArena) {
 		}
 		for sd := 0; sd < 2; sd++ {
 			for _, d := range ss.Rings[sd] {
-				s.sh.rings[sd].Push(int64(d), 0, struct{}{})
+				s.sh.rings[sd].Insert(d)
 			}
 			for _, r := range ss.ShWin[sd] {
-				ev := recEvent(r, ta)
-				owner := s.sh.route(ev, sd, s.onT, true)
-				s.sh.workers[owner].ch <- pmsg{ev: ev, wm: s.onT, side: uint8(sd), kind: pmsgInsert}
+				s.sh.route(shard.Msg[*event]{Item: recEvent(r, ta), WM: s.onT, Side: uint8(sd), Kind: shard.Insert})
 			}
 		}
-	}
-	// Wait for the re-routed inserts to land before accepting input.
-	for _, s := range t.stages {
-		if s.sh != nil {
-			s.sh.insertBarrier()
-		}
+		// Wait for the re-routed inserts to land before accepting input.
+		s.sh.pool.Sync()
 	}
 }
 
@@ -248,13 +238,13 @@ func (a *AdaptivePlanTree) SetInjector(inj *fault.Injector) { a.t.SetInjector(in
 // barriers and exit when their channels close. It must not gate on
 // t.finished: Finish sets that flag before its flush cascade, which can
 // then panic on a pending worker failure — so Abandon always stops the
-// shards, relying on the idempotent pshard stop. The tree counts as
+// shards, relying on the idempotent Pool.Close. The tree counts as
 // finished afterwards; further Push/Finish calls hit the lifecycle panics.
 func (t *PlanTree) Abandon() {
 	t.finished = true
 	for _, s := range t.stages {
 		if s.sh != nil {
-			s.sh.stop()
+			s.sh.pool.Close()
 		}
 	}
 }

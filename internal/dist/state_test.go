@@ -184,7 +184,7 @@ func TestPlanTreeCheckpointRestoreBushy(t *testing.T) {
 	w := []stream.Time{stream.Second, stream.Second, stream.Second, stream.Second}
 	mk := func() *join.Condition { return join.EquiChain(4, 0) }
 	shape := func() *Shape {
-		return shard(4, branch(shard(2, branch(leaf(0), leaf(1))), branch(leaf(2), leaf(3))))
+		return sharded(4, branch(sharded(2, branch(leaf(0), leaf(1))), branch(leaf(2), leaf(3))))
 	}
 	want := runTreeFull(in, mk(), w, shape())
 	if want.results == 0 || len(want.ks) <= 4 {

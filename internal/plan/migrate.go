@@ -145,7 +145,7 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	s.gate.beginReplay()
 	s.setExec(Build(target, s.cfg))
 	rep.Replayed = s.replay(s.log, h)
-	// Sharded targets defer deliveries (interval flush, reorder release);
+	// Sharded targets defer deliveries (interval flush, 128-probe release);
 	// drain them through the gate while it still matches regenerations.
 	quiesceExec(s.ex)
 	s.gate.replaying = false
@@ -242,7 +242,7 @@ func maxWindow(g *Graph) stream.Time {
 }
 
 // quiesceExec drains an executor's deferred deliveries: the sharded flat
-// runtime's pending interval, a tree's release pipeline.
+// runtime's pending interval, a sharded tree stage's pending release.
 func quiesceExec(ex Executor) {
 	switch e := ex.(type) {
 	case *flatExec:

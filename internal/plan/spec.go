@@ -67,7 +67,7 @@ func ParseSpec(spec string, cond *join.Condition, windows []stream.Time, shards 
 	if !strings.HasPrefix(spec, "(") {
 		return nil, fmt.Errorf("plan: unknown spec %q (want auto|flat|shard[:N]|tree|tree-shard[:N] or an s-expression)", spec)
 	}
-	p := &specParser{src: spec, cond: cond}
+	p := &specParser{src: spec, cond: cond, seen: make([]bool, cond.M)}
 	node, err := p.group()
 	if err != nil {
 		return nil, err
@@ -76,14 +76,7 @@ func ParseSpec(spec string, cond *join.Condition, windows []stream.Time, shards 
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("plan: trailing input %q in spec", p.src[p.pos:])
 	}
-	seen := make([]bool, cond.M)
-	for _, s := range node.Streams() {
-		if seen[s] {
-			return nil, fmt.Errorf("plan: spec covers stream %d twice", s)
-		}
-		seen[s] = true
-	}
-	for s, ok := range seen {
+	for s, ok := range p.seen {
 		if !ok {
 			return nil, fmt.Errorf("plan: spec misses stream %d of %d", s, cond.M)
 		}
@@ -96,6 +89,7 @@ type specParser struct {
 	src  string
 	pos  int
 	cond *join.Condition
+	seen []bool // streams parsed so far: a duplicate is refused before any stage is built on it
 }
 
 func (p *specParser) skipSpace() {
@@ -175,5 +169,9 @@ func (p *specParser) item() (Node, error) {
 	if s >= p.cond.M {
 		return nil, fmt.Errorf("plan: stream %d outside [0,%d)", s, p.cond.M)
 	}
+	if p.seen[s] {
+		return nil, fmt.Errorf("plan: spec covers stream %d twice", s)
+	}
+	p.seen[s] = true
 	return Leaf{Stream: s}, nil
 }

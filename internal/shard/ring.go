@@ -2,35 +2,38 @@ package shard
 
 import "repro/internal/stream"
 
-// tsRing is the router's replica of one stream's *global* window
-// membership: just the timestamps, ordered, in a head-indexed ring. The
-// sharded runtime splits each logical window across shards, but the
-// feedback loop (the Tuple-Productivity Profiler's n×(e)) needs the global
-// window cardinalities at every in-order arrival — the product of the
-// per-shard cardinalities is not the global cross size. Replaying the
-// operator's expire/insert decisions on bare timestamps costs a few
+// Ring is the one membership multiset behind n×(e): a window's bare
+// expiry keys, ordered, in a head-indexed buffer. The flat router keeps one
+// per stream, keyed by timestamp; a sharded tree stage keeps one per side,
+// keyed by deadline. Sharding splits each window across workers, but the
+// profiler needs the global window cardinalities at every in-order arrival
+// — the product of the per-shard cardinalities is not the global cross
+// size. Replaying the expire/insert decisions on bare keys costs a few
 // nanoseconds per tuple and keeps the merged statistics bit-for-bit equal
-// to a single-shard run.
-type tsRing struct {
+// to an unsharded run.
+type Ring struct {
 	buf  []stream.Time // live region buf[head:], non-decreasing
 	head int
 }
 
-// len returns the number of live timestamps.
-func (r *tsRing) len() int { return len(r.buf) - r.head }
+// Len returns the number of live keys.
+func (r *Ring) Len() int { return len(r.buf) - r.head }
 
-// insert adds ts, keeping order. The synchronized stream is mostly
-// timestamp-ordered, so nearly every insert is a tail append; globally
-// out-of-order residue falls back to binary insertion.
-func (r *tsRing) insert(ts stream.Time) {
-	if n := len(r.buf); n == r.head || r.buf[n-1] <= ts {
-		r.buf = append(r.buf, ts)
+// Live returns the live keys in order; the slice aliases the ring.
+func (r *Ring) Live() []stream.Time { return r.buf[r.head:] }
+
+// Insert adds t, keeping order. Keys arrive mostly in order, so nearly
+// every insert is a tail append; the residue falls back to binary
+// insertion.
+func (r *Ring) Insert(t stream.Time) {
+	if n := len(r.buf); n == r.head || r.buf[n-1] <= t {
+		r.buf = append(r.buf, t)
 		return
 	}
 	lo, hi := r.head, len(r.buf)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r.buf[mid] <= ts {
+		if r.buf[mid] <= t {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -38,12 +41,12 @@ func (r *tsRing) insert(ts stream.Time) {
 	}
 	r.buf = append(r.buf, 0)
 	copy(r.buf[lo+1:], r.buf[lo:])
-	r.buf[lo] = ts
+	r.buf[lo] = t
 }
 
-// expire drops every timestamp strictly older than bound (the shared
-// boundary convention: scope [onT − W, onT], expired means TS < bound).
-func (r *tsRing) expire(bound stream.Time) {
+// Expire drops every key strictly below bound (the shared boundary
+// convention: scope [onT − W, onT], expired means strictly older).
+func (r *Ring) Expire(bound stream.Time) {
 	h := r.head
 	for h < len(r.buf) && r.buf[h] < bound {
 		h++
@@ -56,11 +59,11 @@ func (r *tsRing) expire(bound stream.Time) {
 	}
 }
 
-// tupleRing is tsRing over the tuples themselves: the router's optional
+// tupleRing is Ring over the tuples themselves: the router's optional
 // retention structure (Router.Retain) mirroring one stream's global window
 // membership so the networked driver can capture checkpoints without
 // pulling window state off the workers. Same ordering and expiry rules as
-// tsRing; expired slots are nilled so the ring never pins dead tuples.
+// Ring; expired slots are nilled so the ring never pins dead tuples.
 type tupleRing struct {
 	buf  []*stream.Tuple // live region buf[head:], non-decreasing TS
 	head int
@@ -70,7 +73,7 @@ type tupleRing struct {
 func (r *tupleRing) live() []*stream.Tuple { return r.buf[r.head:] }
 
 // insert adds e, keeping timestamp order (appending after equal stamps,
-// like tsRing, so retention and replicas stay in lockstep).
+// like Ring, so retention and replicas stay in lockstep).
 func (r *tupleRing) insert(e *stream.Tuple) {
 	if n := len(r.buf); n == r.head || r.buf[n-1].TS <= e.TS {
 		r.buf = append(r.buf, e)

@@ -2,7 +2,7 @@ package shard
 
 // Router is the sequential half of the sharded runtime: the driver-side
 // state machine that tracks the global watermark, replays global window
-// membership on bare timestamps (tsRing) for the profiler's n×(e), records
+// membership on bare timestamps (Ring) for the profiler's n×(e), records
 // the per-interval accounting the deterministic merge consumes, and maps
 // every synchronized tuple to its shard set through the planner's partition
 // scheme. It performs no I/O and owns no goroutines, which is exactly what
@@ -14,7 +14,6 @@ package shard
 // A Router is single-goroutine, like the spine that feeds it.
 
 import (
-	"repro/internal/index"
 	"repro/internal/join"
 	"repro/internal/stream"
 )
@@ -48,14 +47,13 @@ type Dispatch struct {
 // Router replicates the single operator's in-order/out-of-order decisions
 // and global window cardinalities, and computes shard routes.
 type Router struct {
-	n       int
 	windows []stream.Time
 	scheme  join.PartitionScheme
-	cell    float64 // band mode: range-cell width (≥ 2·Delta)
+	rule    Rule
 
 	wm      stream.Time
 	started bool
-	reps    []tsRing
+	reps    []Ring
 
 	// Per-interval accounting, indexed by arrival idx.
 	delays  []stream.Time
@@ -65,8 +63,6 @@ type Router struct {
 	// onOOO observes every globally out-of-order synchronized tuple with
 	// its delay annotation (the profiler's out-of-order charge).
 	onOOO func(delay stream.Time)
-
-	targets []int // scratch: replica shard set of the tuple being routed
 
 	// held mirrors reps with the tuples themselves when retention is on
 	// (Retain): the networked driver keeps the global window contents
@@ -84,19 +80,12 @@ func NewRouter(n int, cond *join.Condition, windows []stream.Time, onOutOfOrder 
 		panic("shard: window count must match condition arity")
 	}
 	r := &Router{
-		n:       n,
 		windows: windows,
 		scheme:  cond.Partition(),
-		reps:    make([]tsRing, cond.M),
+		reps:    make([]Ring, cond.M),
 		onOOO:   onOutOfOrder,
-		targets: make([]int, 0, n),
 	}
-	if r.scheme.Mode == join.PartitionBand {
-		// A cell at least 2·Delta wide keeps the ±Delta replication span
-		// inside at most two cells, so every tuple lands in ≤ 2 shards. 4×
-		// halves the fraction of boundary tuples that need the second copy.
-		r.cell = 4 * r.scheme.Delta
-	}
+	r.rule = NewRule(n, r.scheme.Delta)
 	return r
 }
 
@@ -109,9 +98,6 @@ func (r *Router) Retain() {
 		r.held = make([]tupleRing, len(r.reps))
 	}
 }
-
-// Scheme returns the compiled partition scheme.
-func (r *Router) Scheme() join.PartitionScheme { return r.scheme }
 
 // Watermark returns the global synchronized-stream watermark onT.
 func (r *Router) Watermark() stream.Time { return r.wm }
@@ -142,18 +128,18 @@ func (r *Router) Observe(e *stream.Tuple) Dispatch {
 				continue
 			}
 			bound := e.TS - r.windows[j]
-			r.reps[j].expire(bound)
+			r.reps[j].Expire(bound)
 			if r.held != nil {
 				r.held[j].expire(bound)
 			}
-			nCross *= int64(r.reps[j].len())
+			nCross *= int64(r.reps[j].Len())
 		}
 		r.delays = append(r.delays, e.Delay)
 		r.crosses = append(r.crosses, nCross)
 		r.resTS = append(r.resTS, e.TS)
 		r.insert(src, e)
 		probeAll, owner := r.route(e)
-		return Dispatch{Probe: true, Idx: idx, WM: wm, All: probeAll, Owner: owner, Replicas: r.targets}
+		return Dispatch{Probe: true, Idx: idx, WM: wm, All: probeAll, Owner: owner, Replicas: r.rule.targets}
 	}
 	// Globally out-of-order: no probing anywhere (lines 9–10 of Alg. 2).
 	if r.onOOO != nil {
@@ -164,11 +150,11 @@ func (r *Router) Observe(e *stream.Tuple) Dispatch {
 	}
 	r.insert(src, e)
 	probeAll, owner := r.route(e)
-	return Dispatch{WM: wm, All: probeAll, Owner: owner, Replicas: r.targets}
+	return Dispatch{WM: wm, All: probeAll, Owner: owner, Replicas: r.rule.targets}
 }
 
 func (r *Router) insert(src int, e *stream.Tuple) {
-	r.reps[src].insert(e.TS)
+	r.reps[src].Insert(e.TS)
 	if r.held != nil {
 		r.held[src].insert(e)
 	}
@@ -180,69 +166,24 @@ func (r *Router) insert(src int, e *stream.Tuple) {
 // Observe/RouteOnly call.
 func (r *Router) RouteOnly(e *stream.Tuple) (probeAll bool, owner int, replicas []int) {
 	probeAll, owner = r.route(e)
-	return probeAll, owner, r.targets
+	return probeAll, owner, r.rule.targets
 }
 
 // route computes the shard set of e: either "every shard probes"
 // (broadcast streams), or an owner shard plus — in band mode — replica
-// targets left in r.targets. r.targets is only valid until the next call.
+// targets left in the rule's scratch, valid until the next call.
 func (r *Router) route(e *stream.Tuple) (probeAll bool, owner int) {
-	r.targets = r.targets[:0]
-	switch r.scheme.Mode {
-	case join.PartitionBand:
-		key := e.Attr(r.scheme.KeyAttr[e.Src])
-		owner = r.bandShard(key)
-		d := r.scheme.Delta
-		lo, hi := r.bandCell(key-d), r.bandCell(key+d)
-		for c := lo; c <= hi; c++ {
-			if s := r.cellShard(c); s != owner && !contains(r.targets, s) {
-				r.targets = append(r.targets, s)
-			}
-		}
+	switch {
+	case r.scheme.Covered(e.Src):
+		owner, _ = r.rule.Route(e.Attr(r.scheme.KeyAttr[e.Src]))
 		return false, owner
-	default: // PartitionEqui, PartitionNone
-		a := -1
-		if r.scheme.Covered(e.Src) {
-			a = r.scheme.KeyAttr[e.Src]
-		}
-		switch {
-		case a >= 0:
-			bits, ok := index.KeyBits(e.Attr(a))
-			if !ok {
-				bits = 0 // NaN key: can never match, any shard will do
-			}
-			return false, r.hashShard(bits)
-		case r.scheme.Mode == join.PartitionNone && e.Src == 0:
-			return false, r.hashShard(e.Seq)
-		default:
-			return true, 0
-		}
+	case r.scheme.Mode == join.PartitionNone && e.Src == 0:
+		r.rule.targets = r.rule.targets[:0]
+		return false, r.rule.hash(e.Seq)
+	default:
+		r.rule.targets = r.rule.targets[:0]
+		return true, 0
 	}
-}
-
-// hashShard maps canonical key bits (or a sequence number) to a shard via
-// the shared index.Mix64 finalizer (see there for why a full avalanche is
-// required before the modulo).
-func (r *Router) hashShard(bits uint64) int {
-	return int(index.Mix64(bits) % uint64(r.n))
-}
-
-// bandCell quantizes a band key to its range cell; the saturating clamp
-// (see index.RangeCell) is what keeps one tuple's replication span
-// enclosing the owner cell of every band partner.
-func (r *Router) bandCell(key float64) int64 { return index.RangeCell(key, r.cell) }
-
-func (r *Router) bandShard(key float64) int { return r.cellShard(r.bandCell(key)) }
-
-func (r *Router) cellShard(cell int64) int { return index.CellOwner(cell, r.n) }
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Arrivals returns the number of globally in-order tuples observed in the
@@ -280,7 +221,7 @@ func (r *Router) RestoreSpine(wm stream.Time, started bool, reps [][]stream.Time
 	r.wm = wm
 	r.started = started
 	for i := range r.reps {
-		r.reps[i] = tsRing{buf: append([]stream.Time(nil), reps[i]...)}
+		r.reps[i] = Ring{buf: append([]stream.Time(nil), reps[i]...)}
 	}
 }
 

@@ -1,14 +1,19 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"repro/internal/leakcheck"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/difftest"
+	"repro/internal/fault"
+	"repro/internal/index"
 	"repro/internal/join"
 	"repro/internal/stream"
 )
@@ -303,5 +308,124 @@ func TestShardLoadsSpread(t *testing.T) {
 	}
 	if busy < 3 {
 		t.Fatalf("expected ≥3 of 4 shards busy, loads = %v", loads)
+	}
+}
+
+// TestPartitionRuleTable pins the one partition rule on both of its
+// callers: the flat router (Observe/RouteOnly, also internal/net's
+// session) and a sharded tree stage, which routes its probe key through
+// Rule.Route directly. NaN keys go to the worker of bits 0, ±0
+// to one worker, and every band partner's owner holds a replica — at
+// ε = 0, at keys of ±1e308 and ±Inf, and at an ε that overflows the cell
+// width. It extends TestBandHugeKeySaturation from the flat operator to
+// the rule both callers share.
+func TestPartitionRuleTable(t *testing.T) {
+	leakcheck.Check(t)
+	negZero := math.Copysign(0, -1)
+	// 1.75 | 2.25 and 3.5e300 | 4.5e300 straddle a cell edge at ε = 0.5 and
+	// ε = 1e300: only the +Δ replica puts the left key on the right one's
+	// owner.
+	keys := []float64{0, negZero, 1, -1, 1.75, 2.25, 2.5, 4e15 - 0.5, 4e15 + 0.5,
+		3.5e300, 4.5e300, 1e308, -1e308, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	w := []stream.Time{100, 100}
+	for _, n := range []int{2, 3, 8} {
+		rule := NewRule(n, 0)
+		flat := NewRouter(n, join.EquiChain(2, 0), w, nil)
+		for _, k := range keys {
+			_, owner, _ := flat.RouteOnly(&stream.Tuple{Src: 1, Attrs: []float64{k}})
+			if want, _ := rule.Route(k); owner != want {
+				t.Fatalf("n=%d key %v: flat router owner %d, stage rule %d", n, k, owner, want)
+			}
+		}
+		nan, _ := rule.Route(math.NaN())
+		if want := int(index.Mix64(0) % uint64(n)); nan != want {
+			t.Errorf("n=%d: NaN key owned by %d, want the worker of bits 0 (%d)", n, nan, want)
+		}
+		pos, _ := rule.Route(0)
+		if neg, _ := rule.Route(negZero); pos != neg {
+			t.Errorf("n=%d: +0 and −0 owned by %d and %d", n, pos, neg)
+		}
+		for _, eps := range []float64{0, 0.5, 1e300, 1e308, math.MaxFloat64} {
+			rule := NewRule(n, eps)
+			flat := NewRouter(n, join.Cross(2).Band(0, 0, 1, 0, eps), w, nil)
+			span := func(k float64) []int {
+				owner, reps := rule.Route(k)
+				return append([]int{owner}, reps...)
+			}
+			for _, a := range keys {
+				_, fo, freps := flat.RouteOnly(&stream.Tuple{Src: 0, Attrs: []float64{a}})
+				if got, want := append([]int{fo}, freps...), span(a); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("n=%d ε=%v key %v: flat router span %v, stage rule %v", n, eps, a, got, want)
+				}
+				for _, b := range keys {
+					if d := a - b; !(d >= -eps && d <= eps) {
+						continue // not band partners
+					}
+					if owner, _ := rule.Route(b); !slices.Contains(span(a), owner) {
+						t.Errorf("n=%d ε=%v: partner %v's owner %d misses %v's span %v", n, eps, b, owner, a, span(a))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardReleaseSurfacesEarliestFailure holds a flat shard:2 runtime to
+// the pool's failure rule (internal/dist's test of the same name holds a
+// tree stage to it): whatever the order of the failing steps, the next
+// barrier surfaces a *fault.WorkerError, promptly and before any result of
+// the interval is emitted. A nil-tuple message fails a real operator step.
+func TestShardReleaseSurfacesEarliestFailure(t *testing.T) {
+	leakcheck.Check(t)
+	type failAt struct {
+		w int
+		m Msg[*stream.Tuple]
+	}
+	probe := func(w, idx int) failAt { return failAt{w, Msg[*stream.Tuple]{Kind: Probe, Idx: idx}} }
+	insert := func(w int) failAt { return failAt{w, Msg[*stream.Tuple]{Kind: Insert}} }
+	for name, fails := range map[string][2]failAt{
+		"later probe first":       {probe(1, 30), probe(0, 10)},
+		"insert after a probe":    {probe(1, 30), insert(0)},
+		"earlier probe first":     {probe(0, 10), probe(1, 30)},
+		"insert before any probe": {insert(0), probe(1, 30)},
+	} {
+		var got int
+		rt := New(Config{N: 2, Cond: join.EquiChain(2, 0), Windows: []stream.Time{100, 100}, Materialize: true, BatchSize: 4})
+		flush := func() { rt.FlushInterval(nil, func(stream.Result) { got++ }) }
+		route := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				rt.Route(&stream.Tuple{TS: stream.Time(i), Seq: uint64(i), Src: i % 2, Attrs: []float64{float64(i / 2 % 3)}})
+			}
+		}
+		route(0, 40)
+		flush()
+		before := got
+		if before == 0 {
+			t.Fatal("degenerate workload: no results before the failing interval")
+		}
+		route(40, 60)
+		rt.pool.Send(fails[0].w, fails[0].m)
+		route(60, 80)
+		rt.pool.Send(fails[1].w, fails[1].m)
+		route(80, 100)
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			flush()
+		}()
+		select {
+		case r := <-done:
+			var we *fault.WorkerError
+			if err, ok := r.(error); !ok || !errors.As(err, &we) {
+				t.Errorf("%s: barrier surfaced %v, want a *fault.WorkerError", name, r)
+			}
+			if got != before {
+				t.Errorf("%s: %d results of the failed interval were emitted", name, got-before)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: barrier blocked on a worker failure", name)
+		}
+		rt.Close()
 	}
 }

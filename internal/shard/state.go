@@ -34,8 +34,8 @@ func (rt *Runtime) State(tt *fault.TupleTable) State {
 	seen := map[*stream.Tuple]bool{}
 	for i := range st.Windows {
 		var tuples []*stream.Tuple
-		for _, w := range rt.workers {
-			for _, t := range w.op.WindowTuples(i) {
+		for _, b := range rt.shards {
+			for _, t := range b.op.WindowTuples(i) {
 				if !seen[t] {
 					seen[t] = true
 					tuples = append(tuples, t)
@@ -60,22 +60,12 @@ func (rt *Runtime) State(tt *fault.TupleTable) State {
 // slices) is bypassed: these inserts are reconstruction, not arrivals.
 func (rt *Runtime) Restore(st State, ta *fault.TupleArena) {
 	rt.router.RestoreSpine(st.WM, st.Started, st.Reps)
-	wm := st.WM
 	for _, ids := range st.Windows {
 		for _, id := range ids {
 			e := ta.Tuple(id)
-			probeAll, owner, replicas := rt.router.RouteOnly(e)
-			if probeAll {
-				for s := 0; s < rt.n; s++ {
-					rt.send(s, msg{e: e, wm: wm, kind: msgInsert})
-				}
-				continue
-			}
-			rt.send(owner, msg{e: e, wm: wm, kind: msgInsert})
-			for _, s := range replicas {
-				rt.send(s, msg{e: e, wm: wm, kind: msgInsert})
-			}
+			all, owner, replicas := rt.router.RouteOnly(e)
+			rt.dispatch(Msg[*stream.Tuple]{Item: e, WM: st.WM, Kind: Insert}, all, owner, replicas)
 		}
 	}
-	rt.drain()
+	rt.pool.Sync()
 }
