@@ -29,6 +29,9 @@ type AdaptiveConfig struct {
 	// Policy builds each scope's buffer-size policy; default is the
 	// model-based quality-driven policy.
 	Policy feedback.PolicyFactory
+	// InitialK sizes every leaf buffer, and is the loop's K, before the
+	// first decision (the fixed K of the static policy, 0 otherwise).
+	InitialK stream.Time
 	// OnDecide optionally observes every decision (boundary time and the
 	// chosen per-stage Ks; the slice is reused — copy to retain).
 	OnDecide func(at stream.Time, ks []stream.Time)

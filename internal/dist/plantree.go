@@ -436,30 +436,6 @@ func (t *PlanTree) BufferedTuples() int {
 	return n
 }
 
-// ShedWorst evicts the buffered tuple with the largest delay. The static
-// tree runs no feedback loop, so no productivity score exists to rank by
-// and no recall accounting absorbs the drop; the largest-delay tuple is the
-// one most likely already beyond its usefulness. Ties break toward the
-// smallest (TS, Seq), then the first buffer — a function of the buffered
-// tuples alone, so shed decisions replay identically after a restore.
-// Returns false when nothing is buffered.
-func (t *PlanTree) ShedWorst() bool {
-	var from *kslack.Buffer
-	var worst *stream.Tuple
-	for _, lf := range t.leaves {
-		for e := range lf.ks.All() {
-			if worst == nil || kslack.ShedBefore(e, worst) {
-				from, worst = lf.ks, e
-			}
-		}
-	}
-	if worst == nil {
-		return false
-	}
-	from.Evict(worst)
-	return true
-}
-
 // Operators returns the number of binary join stages.
 func (t *PlanTree) Operators() int { return len(t.stages) }
 

@@ -22,9 +22,11 @@ import (
 // feedback loop in the driver seat. Decisions stay deterministic even with
 // sharded stages: every boundary quiesces the stage workers first
 // (Quiesce), so the profilers see exactly the records a single-threaded
-// run would have fed them.
+// run would have fed them. It embeds the tree it drives: Push, ShedWorst,
+// State, Restore and Abandon add the loop, the tree's other methods serve
+// as they are.
 type AdaptivePlanTree struct {
-	t    *PlanTree
+	*PlanTree
 	loop *feedback.Loop
 	fr   feedRouter
 	cfg  AdaptiveConfig
@@ -56,7 +58,7 @@ func planScopes(t *PlanTree) (scopes []feedback.Scope, weights []float64) {
 // NewAdaptivePlanTree builds the adaptive plan-tree executor. sink
 // (optional) receives every complete result.
 func NewAdaptivePlanTree(cond *join.Condition, windows []stream.Time, shape *Shape, cfg AdaptiveConfig, sink func(Partial)) *AdaptivePlanTree {
-	t := NewPlanTree(cond, windows, shape, 0, sink)
+	t := NewPlanTree(cond, windows, shape, cfg.InitialK, sink)
 	scopes, weights := planScopes(t)
 	loop := feedback.New(feedback.Config{
 		Windows:           windows,
@@ -65,12 +67,13 @@ func NewAdaptivePlanTree(cond *join.Condition, windows []stream.Time, shape *Sha
 		Scopes:            scopes,
 		ScopeWeights:      weights,
 		SharedRequirement: true,
+		InitialK:          cfg.InitialK,
 	})
 	a := &AdaptivePlanTree{
-		t:    t,
-		loop: loop,
-		fr:   feedRouter{loop: loop, root: len(t.stages) - 1},
-		cfg:  cfg,
+		PlanTree: t,
+		loop:     loop,
+		fr:       feedRouter{loop: loop, root: len(t.stages) - 1},
+		cfg:      cfg,
 	}
 	t.setProdHook(a.fr.route)
 	return a
@@ -79,11 +82,11 @@ func NewAdaptivePlanTree(cond *join.Condition, windows []stream.Time, shape *Sha
 // Push feeds one raw arrival and runs any due adaptation step.
 func (a *AdaptivePlanTree) Push(e *stream.Tuple) {
 	now := a.loop.Observe(e)
-	a.t.Push(e)
+	a.PlanTree.Push(e)
 	if at, ok := a.loop.Boundary(now); ok {
-		a.t.Quiesce()
-		ks := a.loop.DecideAt(at, a.t.Watermark())
-		a.t.SetStageK(ks)
+		a.Quiesce()
+		ks := a.loop.DecideAt(at, a.Watermark())
+		a.SetStageK(ks)
 		// Applying a smaller K releases buffered tuples into the tree, so
 		// the pipeline is no longer empty after SetStageK. Barrier again: the
 		// boundary must be a fully quiesced point, so that a checkpoint
@@ -91,28 +94,15 @@ func (a *AdaptivePlanTree) Push(e *stream.Tuple) {
 		// uninterrupted run has — otherwise the capture's early probe
 		// release would perturb the parent-side interleaving of the
 		// continuing run (DESIGN.md §10).
-		a.t.Quiesce()
+		a.Quiesce()
 		if a.cfg.OnDecide != nil {
 			a.cfg.OnDecide(at, ks)
 		}
 	}
 }
 
-// Finish flushes the tree at end of input.
-func (a *AdaptivePlanTree) Finish() { a.t.Finish() }
-
-// Results returns the number of complete results produced so far.
-func (a *AdaptivePlanTree) Results() int64 { return a.t.Results() }
-
-// Tree returns the underlying executor.
-func (a *AdaptivePlanTree) Tree() *PlanTree { return a.t }
-
 // Loop exposes the feedback runtime (read-only use by callers).
 func (a *AdaptivePlanTree) Loop() *feedback.Loop { return a.loop }
-
-// BufferedTuples returns the leaf-buffer occupancy (see
-// PlanTree.BufferedTuples).
-func (a *AdaptivePlanTree) BufferedTuples() int { return a.t.BufferedTuples() }
 
 // ShedWorst evicts the buffered tuple with the lowest root-scope
 // productivity score and accounts the drop with the feedback loop, so the
@@ -125,11 +115,11 @@ func (a *AdaptivePlanTree) BufferedTuples() int { return a.t.BufferedTuples() }
 // replay identically after a restore. Returns false when nothing is
 // buffered.
 func (a *AdaptivePlanTree) ShedWorst() bool {
-	root := len(a.t.stages) - 1
+	root := len(a.stages) - 1
 	var from *kslack.Buffer
 	var worst *stream.Tuple
 	var worstScore float64
-	for _, lf := range a.t.leaves {
+	for _, lf := range a.leaves {
 		for e := range lf.ks.All() {
 			s := a.loop.Score(root, e.Delay)
 			if worst == nil || s < worstScore || (s == worstScore && kslack.ShedBefore(e, worst)) {

@@ -214,7 +214,7 @@ type AdaptiveTreeState struct {
 // contract as PlanTree.State applies.
 func (a *AdaptivePlanTree) State(tt *fault.TupleTable) AdaptiveTreeState {
 	return AdaptiveTreeState{
-		Tree: a.t.State(tt),
+		Tree: a.PlanTree.State(tt),
 		Loop: a.loop.State(),
 	}
 }
@@ -224,13 +224,9 @@ func (a *AdaptivePlanTree) State(tt *fault.TupleTable) AdaptiveTreeState {
 // per-leaf buffer sizes live inside the kslack states, so no K re-apply is
 // needed.
 func (a *AdaptivePlanTree) Restore(st AdaptiveTreeState, ta *fault.TupleArena) {
-	a.t.Restore(st.Tree, ta)
+	a.PlanTree.Restore(st.Tree, ta)
 	a.loop.Restore(st.Loop)
 }
-
-// SetInjector arms the deterministic fault injector on the underlying tree;
-// call before the first Push.
-func (a *AdaptivePlanTree) SetInjector(inj *fault.Injector) { a.t.SetInjector(inj) }
 
 // Abandon stops the tree's shard workers without flushing or emitting — the
 // teardown path for a crashed tree a supervisor is about to replace. Safe
@@ -252,5 +248,5 @@ func (t *PlanTree) Abandon() {
 // Abandon tears down the adaptive tree (see PlanTree.Abandon).
 func (a *AdaptivePlanTree) Abandon() {
 	a.loop.Close()
-	a.t.Abandon()
+	a.PlanTree.Abandon()
 }

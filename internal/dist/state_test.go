@@ -103,7 +103,7 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 	// the state it was given, registers (the stages' ord counters included)
 	// and all. (A sharded stage drops its expired-but-unpurged entries on
 	// the way back in.)
-	if !b.t.hasShards {
+	if !b.hasShards {
 		tt := fault.NewTupleTable()
 		if again, _ := treeGobRoundTrip(t, b.State(tt), tt); !reflect.DeepEqual(again.Tree, st.Tree) {
 			t.Errorf("the restored tree's state differs from the checkpoint it was restored from")
@@ -223,10 +223,10 @@ func treeShedOne(t *testing.T, tree *PlanTree, shed func() bool) uint64 {
 	panic("unreachable")
 }
 
-// TestTreeShedWorstIsLayoutFree: on the static and the adaptive tree, a
-// live tree and its State→Restore copy — same leaf-buffer content, laid out
-// differently — shed the same tuples in the same order. Timestamps are
-// coarsened so (score, delay) ties are the rule.
+// TestTreeShedWorstIsLayoutFree: a live tree and its State→Restore copy —
+// same leaf-buffer content, laid out differently — shed the same tuples in
+// the same order. Timestamps are coarsened so (score, delay) ties are the
+// rule.
 func TestTreeShedWorstIsLayoutFree(t *testing.T) {
 	in := workload(3, 600, 31, 40)
 	for _, e := range in {
@@ -243,21 +243,12 @@ func TestTreeShedWorstIsLayoutFree(t *testing.T) {
 	st, ta := treeGobRoundTrip(t, live.State(tt), tt)
 	rest := NewAdaptivePlanTree(join.EquiChain(3, 0), w, Spine(3), cfg, nil)
 	rest.Restore(st, ta)
-	// The static tree's shed ranks by delay alone; it shares the trees.
-	for _, c := range []struct {
-		name       string
-		live, rest func() bool
-	}{
-		{"adaptive", live.ShedWorst, rest.ShedWorst},
-		{"static", live.t.ShedWorst, rest.t.ShedWorst},
-	} {
-		if n := live.BufferedTuples(); n < 60 {
-			t.Fatalf("%s: only %d tuples buffered; the run no longer exercises shedding", c.name, n)
-		}
-		for i := 0; i < 30; i++ {
-			if a, b := treeShedOne(t, live.t, c.live), treeShedOne(t, rest.t, c.rest); a != b {
-				t.Fatalf("%s shed %d: live tree evicted seq %d, its restored copy seq %d", c.name, i, a, b)
-			}
+	if n := live.BufferedTuples(); n < 60 {
+		t.Fatalf("only %d tuples buffered; the run no longer exercises shedding", n)
+	}
+	for i := 0; i < 30; i++ {
+		if a, b := treeShedOne(t, live.PlanTree, live.ShedWorst), treeShedOne(t, rest.PlanTree, rest.ShedWorst); a != b {
+			t.Fatalf("shed %d: live tree evicted seq %d, its restored copy seq %d", i, a, b)
 		}
 	}
 	live.Abandon()
@@ -305,7 +296,7 @@ func TestPlanTreeCheckpointAcrossLanes(t *testing.T) {
 	dec := 0
 	a = NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt,
 		OnDecide: func(stream.Time, []stream.Time) {
-			if dec++; bothLanesBusy(a.t) {
+			if dec++; bothLanesBusy(a.PlanTree) {
 				busy = append(busy, dec)
 			}
 		}}, nil)

@@ -4,8 +4,8 @@ package plan
 // Executor interface, so the public API (and the CLI tools) never pick an
 // engine directly. Flat shapes — with or without a Shard wrapper — compile
 // to the core pipeline (which in turn hosts the internal/shard runtime);
-// tree shapes compile to the internal/dist plan-tree engine, static or
-// adaptive.
+// tree shapes compile to the internal/dist plan-tree engine. Every shape
+// runs the feedback loop; a fixed K is the static policy.
 
 import (
 	"fmt"
@@ -37,8 +37,8 @@ const (
 type ExecConfig struct {
 	// Adapt carries Γ, P, L, b, g and the selectivity strategy.
 	Adapt adapt.Config
-	// Policy selects the buffer-sizing policy; PolicyStatic runs tree
-	// shapes without a feedback loop at the fixed StaticK.
+	// Policy selects the buffer-sizing policy; PolicyStatic holds every
+	// scope's K at StaticK, on flat and tree shapes alike.
 	Policy  Policy
 	StaticK stream.Time
 	// Emit optionally receives every produced result.
@@ -79,9 +79,12 @@ type Executor interface {
 	Adaptations() int64
 	// SetEmit installs a result callback before the first Push.
 	SetEmit(join.EmitFunc)
-	// Stats exposes the Statistics Manager, or nil on static tree shapes
-	// (which run no feedback loop).
+	// Stats exposes the feedback loop's Statistics Manager.
 	Stats() *stats.Manager
+	// BufferedTuples returns the K-slack occupancy the ingest bound limits.
+	BufferedTuples() int
+	// RecallEstimate returns the loop's run-level recall estimate.
+	RecallEstimate() float64
 }
 
 // Build compiles the graph into its executor.
@@ -184,9 +187,10 @@ func distShape(n Node) *dist.Shape {
 	}
 }
 
-// buildTree maps a tree shape onto the dist plan-tree engine.
+// buildTree maps a tree shape onto the dist plan-tree engine, driven by the
+// feedback loop under every policy: a fixed K is the static policy's
+// decision, as on flat shapes.
 func buildTree(g *Graph, cfg ExecConfig) Executor {
-	shape := distShape(g.Root)
 	e := &treeExec{emit: cfg.Emit, counts: cfg.EmitCounts, onAdapt: cfg.OnAdapt}
 	sink := func(p dist.Partial) {
 		if e.emit != nil {
@@ -196,81 +200,48 @@ func buildTree(g *Graph, cfg ExecConfig) Executor {
 			e.counts(p.TS, 1)
 		}
 	}
-	if cfg.Policy == PolicyStatic {
-		e.t = dist.NewPlanTree(g.Cond, g.Windows, shape, cfg.StaticK, sink)
-		e.t.SetInjector(cfg.Inject)
-		e.staticK = cfg.StaticK
-		return e
-	}
-	var pf feedback.PolicyFactory
+	acfg := dist.AdaptiveConfig{Adapt: cfg.Adapt}
 	switch cfg.Policy {
 	case PolicyMaxK:
-		pf = feedback.MaxKPolicy()
+		acfg.Policy = feedback.MaxKPolicy()
 	case PolicyNoK:
-		pf = feedback.NoKPolicy()
+		acfg.Policy = feedback.NoKPolicy()
+	case PolicyStatic:
+		acfg.Policy, acfg.InitialK = feedback.StaticPolicy(cfg.StaticK), cfg.StaticK
 	default:
-		pf = feedback.ModelPolicy()
+		acfg.Policy = feedback.ModelPolicy()
 	}
-	acfg := dist.AdaptiveConfig{Adapt: cfg.Adapt, Policy: pf}
 	if cfg.OnAdapt != nil {
 		acfg.OnDecide = e.onDecide
 	}
-	e.at = dist.NewAdaptivePlanTree(g.Cond, g.Windows, shape, acfg, sink)
-	e.at.SetInjector(cfg.Inject)
+	e.prevMax = acfg.InitialK
+	e.AdaptivePlanTree = dist.NewAdaptivePlanTree(g.Cond, g.Windows, distShape(g.Root), acfg, sink)
+	e.SetInjector(cfg.Inject)
 	return e
 }
 
 // treeExec adapts the dist plan-tree engine to the Executor interface.
 type treeExec struct {
-	t  *dist.PlanTree
-	at *dist.AdaptivePlanTree
+	*dist.AdaptivePlanTree
 
 	emit    join.EmitFunc
 	counts  join.CountEmitFunc
 	onAdapt func(core.AdaptEvent)
-	staticK stream.Time
 	prevMax stream.Time
 	pushed  bool
 }
 
-func (e *treeExec) tree() *dist.PlanTree {
-	if e.at != nil {
-		return e.at.Tree()
-	}
-	return e.t
-}
-
 func (e *treeExec) Push(t *stream.Tuple) {
 	e.pushed = true
-	if e.at != nil {
-		e.at.Push(t)
-		return
-	}
-	e.t.Push(t)
+	e.AdaptivePlanTree.Push(t)
 }
 
-func (e *treeExec) Finish() {
-	if e.at != nil {
-		e.at.Finish()
-		return
-	}
-	e.t.Finish()
-}
-
-func (e *treeExec) Results() int64 { return e.tree().Results() }
-
-func (e *treeExec) CurrentKs() []stream.Time {
-	if e.at == nil {
-		return []stream.Time{e.staticK}
-	}
-	return e.at.Loop().Ks()
-}
+func (e *treeExec) CurrentKs() []stream.Time { return e.Loop().Ks() }
+func (e *treeExec) Adaptations() int64       { return e.Loop().Decisions() }
+func (e *treeExec) Stats() *stats.Manager    { return e.Loop().Stats() }
 
 func (e *treeExec) AvgK() float64 {
-	if e.at == nil {
-		return float64(e.staticK)
-	}
-	loop := e.at.Loop()
+	loop := e.Loop()
 	var max float64
 	for i := 0; i < loop.Scopes(); i++ {
 		if v := loop.AvgK(i); v > max {
@@ -280,25 +251,11 @@ func (e *treeExec) AvgK() float64 {
 	return max
 }
 
-func (e *treeExec) Adaptations() int64 {
-	if e.at == nil {
-		return 0
-	}
-	return e.at.Loop().Decisions()
-}
-
 func (e *treeExec) SetEmit(f join.EmitFunc) {
 	if e.pushed {
 		panic("plan: SetEmit after the tree run has started — results produced so far were not delivered; install the sink before the first Push")
 	}
 	e.emit = f
-}
-
-func (e *treeExec) Stats() *stats.Manager {
-	if e.at == nil {
-		return nil
-	}
-	return e.at.Loop().Stats()
 }
 
 // onDecide adapts per-stage decisions to the flat OnAdapt hook: the K
@@ -312,26 +269,8 @@ func (e *treeExec) onDecide(at stream.Time, ks []stream.Time) {
 			max = k
 		}
 	}
-	ev := core.AdaptEvent{Now: at, OutT: e.tree().Watermark(), PrevK: e.prevMax, NewK: max,
-		GammaPrime: e.at.Loop().GammaPrime()}
+	ev := core.AdaptEvent{Now: at, OutT: e.Watermark(), PrevK: e.prevMax, NewK: max,
+		GammaPrime: e.Loop().GammaPrime()}
 	e.prevMax = max
 	e.onAdapt(ev)
-}
-
-func (e *treeExec) BufferedTuples() int { return e.tree().BufferedTuples() }
-
-func (e *treeExec) ShedWorst() bool {
-	if e.at != nil {
-		return e.at.ShedWorst()
-	}
-	return e.t.ShedWorst()
-}
-
-// RecallEstimate reports the loop's run-level estimate; a static tree runs
-// no loop and no recall accounting, so it reports 1.
-func (e *treeExec) RecallEstimate() float64 {
-	if e.at == nil {
-		return 1
-	}
-	return e.at.RecallEstimate()
 }

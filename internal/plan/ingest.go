@@ -4,6 +4,11 @@ package plan
 // only state that grows with disorder rather than with the windows, so the
 // ingest bound is expressed over their total occupancy (BufferedTuples).
 
+import (
+	"repro/internal/fault"
+	"repro/internal/stream"
+)
+
 // IngestPolicy selects what the supervised runtime does with an arrival
 // when the buffered-tuple occupancy is at the configured bound.
 type IngestPolicy int
@@ -20,10 +25,10 @@ const (
 	IngestError
 	// IngestShed admits the arrival, then evicts the lowest-productivity
 	// buffered tuples (ShedWorst) until the occupancy is back at the bound.
-	// On adaptive deployments every eviction is accounted with the feedback
-	// loop, so RecallEstimate reflects the results the shed tuples would
-	// have produced. Eviction order is deterministic, so shed decisions
-	// replay identically during recovery.
+	// Every eviction is accounted with the feedback loop, so RecallEstimate
+	// reflects the results the shed tuples would have produced. Eviction
+	// order is deterministic, so shed decisions replay identically during
+	// recovery.
 	IngestShed
 )
 
@@ -34,4 +39,14 @@ type IngestConfig struct {
 	MaxBuffered int
 	// Policy is the overload behavior at the bound.
 	Policy IngestPolicy
+}
+
+// CheckSrc refuses an arrival whose Src names none of the m streams with
+// fault.ErrInvalidTuple. Every front door calls it before a log, a buffer
+// or a statistics feeder sees the tuple.
+func CheckSrc(t *stream.Tuple, m int) error {
+	if t.Src < 0 || t.Src >= m {
+		return fault.ErrInvalidTuple
+	}
+	return nil
 }

@@ -143,7 +143,7 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	// stay silent until the move is complete (the gate re-synthesizes
 	// counts for the results it actually delivers).
 	s.gate.beginReplay()
-	s.setExec(Build(target, s.cfg))
+	s.ex = Build(target, s.cfg)
 	rep.Replayed = s.replay(s.log, h)
 	// Sharded targets defer deliveries (interval flush, 128-probe release);
 	// drain them through the gate while it still matches regenerations.
@@ -159,13 +159,9 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	// the old root scope (the global decision on flat shapes). The Γ′
 	// weights need no transplant — the new executor recomputed them from
 	// its own stage structure at construction.
-	if oldLoop := loopState(&st); oldLoop != nil {
-		if nl := execLoop(s.ex); nl != nil {
-			ns := remapFeedback(*oldLoop, scopeStreamSets(s.g), scopeStreamSets(target))
-			nl.Restore(ns)
-			applyKs(s.ex, ns.Ks)
-		}
-	}
+	ns := remapFeedback(*loopState(&st), scopeStreamSets(s.g), scopeStreamSets(target))
+	execLoop(s.ex).Restore(ns)
+	applyKs(s.ex, ns.Ks)
 	s.gate.restart()
 	if !s.scf.Unsupervised {
 		s.checkpointAs(target) // a built executor always checkpoints
@@ -214,10 +210,7 @@ func migrationHorizon(st *ExecState, g *Graph) stream.Time {
 			upd(st.Flat.Op.OnT)
 		}
 	default:
-		ts := st.Tree
-		if st.ATree != nil {
-			ts = &st.ATree.Tree
-		}
+		ts := &st.ATree.Tree
 		for _, k := range ts.Leaves {
 			ids(k.Buffered)
 			upd(k.LocalT)
@@ -248,34 +241,24 @@ func quiesceExec(ex Executor) {
 	case *flatExec:
 		e.p().Quiesce()
 	case *treeExec:
-		e.tree().Quiesce()
+		e.Quiesce()
 	}
 }
 
-// loopState extracts the serialized feedback loop, nil on loop-less
-// deployments (static trees).
+// loopState extracts the serialized feedback loop.
 func loopState(st *ExecState) *feedback.State {
-	switch {
-	case st.Flat != nil:
+	if st.Flat != nil {
 		return &st.Flat.Loop
-	case st.ATree != nil:
-		return &st.ATree.Loop
 	}
-	return nil
+	return &st.ATree.Loop
 }
 
-// execLoop returns the live feedback loop of a built executor, nil on
-// static trees.
+// execLoop returns the live feedback loop of a built executor.
 func execLoop(ex Executor) *feedback.Loop {
-	switch e := ex.(type) {
-	case *flatExec:
-		return e.p().Loop()
-	case *treeExec:
-		if e.at != nil {
-			return e.at.Loop()
-		}
+	if e, ok := ex.(*treeExec); ok {
+		return e.Loop()
 	}
-	return nil
+	return ex.(*flatExec).p().Loop()
 }
 
 // applyKs pushes the transplanted per-scope buffer sizes into the K-slack
@@ -286,7 +269,7 @@ func applyKs(ex Executor, ks []stream.Time) {
 	case *flatExec:
 		e.p().ApplyK(ks[0])
 	case *treeExec:
-		e.tree().SetStageK(ks)
+		e.SetStageK(ks)
 	}
 }
 

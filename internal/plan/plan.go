@@ -174,6 +174,45 @@ type Measured struct {
 	Edges []EdgeSigma
 }
 
+// MeasureEdges estimates per-edge selectivities from cumulative counters:
+// results over the expected unfiltered m-way combinations
+// Σᵢ arrivals[i]·∏_{j≠i} rates[j]·W_j (an arrival on stream i probes the
+// live windows of every other stream, whose expected population is
+// rate_j·W_j), clamped to [1e-9, 1]. The cost model multiplies one σ per
+// predicate edge along a path, so the total is spread uniformly over the
+// condition's equi and band edges: each gets σ_tot^(1/e). It returns nil
+// while nothing can be estimated (no combinations yet, or no equi/band
+// edge).
+func MeasureEdges(cond *join.Condition, windows []stream.Time, arrivals []int64, rates []float64, results int64) []EdgeSigma {
+	e := len(cond.Equis) + len(cond.Bands)
+	if e == 0 {
+		return nil
+	}
+	var cross float64
+	for i := range arrivals {
+		comb := float64(arrivals[i])
+		for j := range arrivals {
+			if j == i {
+				continue
+			}
+			comb *= rates[j] * float64(windows[j])
+		}
+		cross += comb
+	}
+	if cross <= 0 {
+		return nil
+	}
+	sigEdge := math.Pow(math.Min(1, math.Max(float64(results)/cross, 1e-9)), 1/float64(e))
+	edges := make([]EdgeSigma, 0, e)
+	for _, p := range cond.Equis {
+		edges = append(edges, EdgeSigma{Left: p.LeftStream, Right: p.RightStream, Sigma: sigEdge})
+	}
+	for _, p := range cond.Bands {
+		edges = append(edges, EdgeSigma{Left: p.LeftStream, Right: p.RightStream, Sigma: sigEdge})
+	}
+	return edges
+}
+
 // FlatGraph returns the classic single-operator deployment.
 func FlatGraph(cond *join.Condition, windows []stream.Time) *Graph {
 	check(cond, windows)

@@ -20,16 +20,18 @@ import (
 )
 
 // ExecState is the serializable state of a built executor. Exactly one of
-// Flat, Tree, ATree is set, matching what the graph compiles to.
+// Flat, ATree is set, matching what the graph compiles to.
 type ExecState struct {
 	// Sig is the deployment signature the snapshot is valid for.
 	Sig string
 	// Tuples is the interned tuple table every EventRec index points into.
 	Tuples []fault.TupleRec
 
-	Flat  *core.State             // flat shapes (sharded or not)
-	Tree  *dist.TreeState         // static tree shapes
-	ATree *dist.AdaptiveTreeState // adaptive tree shapes
+	Flat *core.State // flat shapes (sharded or not)
+	// ATree holds tree shapes, the loop included. A snapshot from when
+	// static trees ran without one decodes with ATree nil, and Restore
+	// refuses it.
+	ATree *dist.AdaptiveTreeState
 
 	// Tree driver registers (the treeExec adapter's own state).
 	PrevMax stream.Time
@@ -106,13 +108,8 @@ func Checkpoint(g *Graph, cfg ExecConfig, ex Executor) (ExecState, error) {
 		st.Flat = &s
 	case *treeExec:
 		st.PrevMax, st.Pushed = e.prevMax, e.pushed
-		if e.at != nil {
-			s := e.at.State(tt)
-			st.ATree = &s
-		} else {
-			s := e.t.State(tt)
-			st.Tree = &s
-		}
+		s := e.State(tt)
+		st.ATree = &s
 	default:
 		return ExecState{}, fmt.Errorf("plan: executor %T does not support checkpointing", ex)
 	}
@@ -144,20 +141,12 @@ func Restore(g *Graph, cfg ExecConfig, st ExecState) (Executor, error) {
 		}
 		e.p().RestoreState(*st.Flat, ta)
 	case *treeExec:
-		e.prevMax, e.pushed = st.PrevMax, st.Pushed
-		if e.at != nil {
-			if st.ATree == nil {
-				Abandon(ex)
-				return nil, fmt.Errorf("%w: snapshot carries no adaptive-tree state", fault.ErrRestoreMismatch)
-			}
-			e.at.Restore(*st.ATree, ta)
-		} else {
-			if st.Tree == nil {
-				Abandon(ex)
-				return nil, fmt.Errorf("%w: snapshot carries no static-tree state", fault.ErrRestoreMismatch)
-			}
-			e.t.Restore(*st.Tree, ta)
+		if st.ATree == nil {
+			Abandon(ex)
+			return nil, fmt.Errorf("%w: snapshot carries no tree state", fault.ErrRestoreMismatch)
 		}
+		e.prevMax, e.pushed = st.PrevMax, st.Pushed
+		e.Restore(*st.ATree, ta)
 	}
 	return ex, nil
 }
@@ -171,11 +160,7 @@ func Abandon(ex Executor) {
 	case *flatExec:
 		e.p().Abandon()
 	case *treeExec:
-		if e.at != nil {
-			e.at.Abandon()
-			return
-		}
-		e.t.Abandon()
+		e.Abandon()
 	}
 }
 

@@ -80,19 +80,11 @@ type SuperviseConfig struct {
 type Replanner interface {
 	// Step runs after every admitted arrival t. boundary reports whether
 	// the executor is at a decision point: t's push crossed an adaptation
-	// boundary, or the deployment runs no feedback loop. Step may call
-	// s.Migrate.
+	// boundary. Step may call s.Migrate.
 	Step(s *Supervised, t *stream.Tuple, boundary bool)
 	// Period is the re-planning cadence. The log prunes once per period
 	// and keeps one period of margin below the deepest migration horizon.
 	Period() stream.Time
-}
-
-// bufferedExecutor is the occupancy/shedding surface both engines expose.
-type bufferedExecutor interface {
-	BufferedTuples() int
-	ShedWorst() bool
-	RecallEstimate() float64
 }
 
 // Supervised is the runtime shell around a built executor. Build one with
@@ -105,7 +97,6 @@ type Supervised struct {
 	gate gate
 
 	ex Executor
-	be bufferedExecutor
 
 	backoff fault.Backoff
 	pending *stream.Tuple // the arrival pushFn feeds (avoids a closure per Push)
@@ -137,7 +128,7 @@ type Supervised struct {
 // NewSupervised builds the executor for (g, cfg) behind the shell.
 func NewSupervised(g *Graph, cfg ExecConfig, scf SuperviseConfig) *Supervised {
 	s := newSupervisedShell(g, cfg, scf)
-	s.setExec(Build(g, s.cfg))
+	s.ex = Build(g, s.cfg)
 	return s
 }
 
@@ -157,7 +148,7 @@ func NewSupervisedRestore(g *Graph, cfg ExecConfig, scf SuperviseConfig, st Exec
 	if err != nil {
 		return nil, err
 	}
-	s.setExec(ex)
+	s.ex = ex
 	s.ckpt = &st
 	s.dropped = dropped
 	return s, nil
@@ -206,16 +197,11 @@ func newSupervisedShell(g *Graph, cfg ExecConfig, scf SuperviseConfig) *Supervis
 	}
 	s.pushFn = func() {
 		s.ex.Push(s.pending)
-		if ic := s.scf.Ingest; ic.Policy == IngestShed && ic.MaxBuffered > 0 && s.be != nil {
+		if ic := s.scf.Ingest; ic.Policy == IngestShed && ic.MaxBuffered > 0 {
 			s.shedTo(ic.MaxBuffered)
 		}
 	}
 	return s
-}
-
-func (s *Supervised) setExec(ex Executor) {
-	s.ex = ex
-	s.be, _ = ex.(bufferedExecutor)
 }
 
 // ---- ingest ----
@@ -235,9 +221,10 @@ func (s *Supervised) Push(t *stream.Tuple) {
 }
 
 // TryPush feeds one arrival and reports refusal as a typed error instead
-// of a panic: fault.ErrClosed after Close, fault.ErrOverload when the
-// Error ingest policy refuses at the bound, the terminal *fault.JoinError
-// after supervision gave up.
+// of a panic: fault.ErrInvalidTuple for a Src outside [0, m) (refused before
+// the log, the injector or the engine sees it), fault.ErrClosed after
+// Close, fault.ErrOverload when the Error ingest policy refuses at the
+// bound, the terminal *fault.JoinError after supervision gave up.
 func (s *Supervised) TryPush(t *stream.Tuple) error {
 	if s.err != nil {
 		return s.err
@@ -245,10 +232,12 @@ func (s *Supervised) TryPush(t *stream.Tuple) error {
 	if s.finished {
 		return fault.ErrClosed
 	}
+	if err := CheckSrc(t, len(s.g.Windows)); err != nil {
+		return err
+	}
 	s.inj.Arrival()
 	ic := s.scf.Ingest
-	bounded := ic.MaxBuffered > 0 && s.be != nil
-	if bounded && ic.Policy == IngestError && s.be.BufferedTuples() >= ic.MaxBuffered {
+	if ic.MaxBuffered > 0 && ic.Policy == IngestError && s.ex.BufferedTuples() >= ic.MaxBuffered {
 		// Refused tuples never reach the engine or the log, so the admitted
 		// sequence (and any replay of it) is unchanged.
 		s.dropped++
@@ -269,15 +258,17 @@ func (s *Supervised) TryPush(t *stream.Tuple) error {
 	}
 	if r := s.scf.Replan; r != nil {
 		s.observe(t, r.Period())
-		r.Step(s, t, boundary || s.ex.Stats() == nil)
+		r.Step(s, t, boundary)
 	}
 	return s.err
 }
 
-// shedTo evicts lowest-productivity buffered tuples until occupancy ≤ max.
+// shedTo evicts lowest-productivity buffered tuples until occupancy ≤ max;
+// both engines shed by the loop's productivity score.
 func (s *Supervised) shedTo(max int) {
-	for s.be.BufferedTuples() > max {
-		if !s.be.ShedWorst() {
+	ex := s.ex.(interface{ ShedWorst() bool })
+	for s.ex.BufferedTuples() > max {
+		if !ex.ShedWorst() {
 			return
 		}
 	}
@@ -421,10 +412,10 @@ func (s *Supervised) recoverReplay() error {
 			if err != nil {
 				panic(err)
 			}
-			s.setExec(ex)
+			s.ex = ex
 			s.gate.rewind(s.ckptMeta)
 		} else {
-			s.setExec(Build(s.g, s.cfg))
+			s.ex = Build(s.g, s.cfg)
 			s.gate.rewind(meta{})
 		}
 		s.gate.boundary = false
@@ -523,21 +514,11 @@ func (s *Supervised) Checkpoint() (ExecState, error) {
 }
 
 // BufferedTuples returns the K-slack occupancy the ingest bound measures.
-func (s *Supervised) BufferedTuples() int {
-	if s.be == nil {
-		return 0
-	}
-	return s.be.BufferedTuples()
-}
+func (s *Supervised) BufferedTuples() int { return s.ex.BufferedTuples() }
 
 // RecallEstimate reports the run-level recall estimate, shed losses
-// included (1 on deployments without a feedback loop).
-func (s *Supervised) RecallEstimate() float64 {
-	if s.be == nil {
-		return 1
-	}
-	return s.be.RecallEstimate()
-}
+// included.
+func (s *Supervised) RecallEstimate() float64 { return s.ex.RecallEstimate() }
 
 // ---- Executor delegation ----
 
@@ -561,7 +542,7 @@ func (s *Supervised) AvgK() float64 { return s.ex.AvgK() }
 // Adaptations returns the number of adaptation steps.
 func (s *Supervised) Adaptations() int64 { return s.ex.Adaptations() }
 
-// Stats exposes the Statistics Manager (nil on static trees).
+// Stats exposes the Statistics Manager.
 func (s *Supervised) Stats() *stats.Manager { return s.ex.Stats() }
 
 // SetEmit installs a result callback before the first Push; the callback

@@ -400,3 +400,43 @@ func TestExecStateSignatureMismatch(t *testing.T) {
 	}
 	ex4.Finish()
 }
+
+// TestStaticTreeLogBounded: a supervised StaticSlack tree checkpoints at its
+// adaptation boundaries like every other shape, so its arrival log spans one
+// checkpoint interval, not the whole feed — the peak log length does not
+// grow from two to four units of the same feed.
+func TestStaticTreeLogBounded(t *testing.T) {
+	leakcheck.Check(t)
+	const rounds = 1000 // 10 ms each: 10 s per unit
+	unit := difftest.MixWorkload(3, rounds, 5, 12)
+	maxD, _ := unit.MaxDelay()
+	w := []stream.Time{700, 700, 700}
+	run := func(units int) (logPeak, ckpts int) {
+		g, _ := ParseSpec("tree", join.EquiChain(3, 0), w, 4)
+		s := NewSupervised(g, ExecConfig{Adapt: supAdapt, Policy: PolicyStatic, StaticK: maxD},
+			SuperviseConfig{Backoff: testBackoff(1)})
+		for u := 0; u < units; u++ {
+			for _, e := range unit {
+				c := *e
+				c.TS += stream.Time(u * rounds * 10)
+				c.Seq += uint64(u * len(unit))
+				s.Push(&c)
+				logPeak = max(logPeak, len(s.log))
+			}
+		}
+		s.Finish()
+		if err := s.Err(); err != nil {
+			t.Fatalf("%d units: %v", units, err)
+		}
+		return logPeak, s.Checkpoints()
+	}
+	log2, ckpt2 := run(2)
+	log4, ckpt4 := run(4)
+	if ckpt2 == 0 || ckpt4 == 0 {
+		t.Fatalf("%d and %d checkpoints over 2 and 4 units; a static tree must checkpoint at its boundaries", ckpt2, ckpt4)
+	}
+	if log4 > log2 {
+		t.Fatalf("4 units peak at %d logged arrivals, 2 units at %d", log4, log2)
+	}
+	t.Logf("peak %d logged arrivals of %d per unit; %d and %d checkpoints", log2, len(unit), ckpt2, ckpt4)
+}

@@ -8,22 +8,20 @@
 //
 // The controller is deliberately self-contained on the measurement side: it
 // derives arrivals and the windowed selectivity estimate from the tuples it
-// observes and the results the shell delivers, not from the executor's
-// feedback loop, so it keeps planning even across shapes that run no loop
-// of their own.
+// observes and the results the shell delivers, over its own re-planning
+// period, rather than reading the executor's feedback loop.
 //
 // Hysteresis guards against thrashing twice over: a migration is proposed
 // only if the candidate's measured cost beats the deployed shape's by the
 // Improvement factor, and executed only after MinDwell stream-time has
 // passed since the previous migration. Proposals wait for an adaptation
-// boundary (the executor's quiesced decision point) before they fire; on
-// loop-less deployments every between-push point is such a boundary.
+// boundary (the executor's quiesced decision point) before they fire, on
+// every shape and policy.
 package replan
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/plan"
@@ -152,35 +150,9 @@ func (c *Controller) evaluate(s *plan.Supervised) {
 	copy(c.prevArr, c.arr)
 	c.prevDel = del
 
-	// Expected unfiltered m-way combinations completed this window: each
-	// arrival on stream i probes the live windows of every other stream,
-	// whose expected population is rate_j·W_j.
-	var cross float64
-	for i := range c.arr {
-		comb := float64(dArr[i])
-		for j := range c.arr {
-			if j == i {
-				continue
-			}
-			comb *= rates[j] * float64(g.Windows[j])
-		}
-		cross += comb
-	}
 	c.ms.Rates = rates
-	if cross > 0 {
-		sigTot := math.Min(1, math.Max(float64(dRes)/cross, 1e-9))
-		if e := len(g.Cond.Equis) + len(g.Cond.Bands); e > 0 {
-			// The model multiplies one σ per predicate edge along a path;
-			// decompose the total uniformly so the product reproduces it.
-			sigEdge := math.Pow(sigTot, 1/float64(e))
-			c.ms.Edges = c.ms.Edges[:0]
-			for _, p := range g.Cond.Equis {
-				c.ms.Edges = append(c.ms.Edges, plan.EdgeSigma{Left: p.LeftStream, Right: p.RightStream, Sigma: sigEdge})
-			}
-			for _, p := range g.Cond.Bands {
-				c.ms.Edges = append(c.ms.Edges, plan.EdgeSigma{Left: p.LeftStream, Right: p.RightStream, Sigma: sigEdge})
-			}
-		}
+	if edges := plan.MeasureEdges(g.Cond, g.Windows, dArr, rates, dRes); edges != nil {
+		c.ms.Edges = edges
 	}
 
 	cand := plan.AutoMeasured(g.Cond, g.Windows, c.opt.Hints, &c.ms)

@@ -97,8 +97,12 @@ func (mj *MultiJoin) Remove(mq *MultiQuery) {
 }
 
 // Push feeds one arriving tuple to every registered query. Pushing into a
-// closed MultiJoin panics.
-func (mj *MultiJoin) Push(t *Tuple) { mj.en.Push(t) }
+// closed MultiJoin panics, as does a tuple whose Src is outside [0, m)
+// (with Join.Push's message).
+func (mj *MultiJoin) Push(t *Tuple) {
+	checkSrc(t, mj.en.M())
+	mj.en.Push(t)
+}
 
 // Close flushes all shared disorder-handling buffers at end of input and
 // closes every query's RunChannel channel. The MultiJoin must not be pushed

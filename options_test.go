@@ -74,9 +74,6 @@ func TestOptionMatrix(t *testing.T) {
 		if a.name == "WithOnlineReplan" {
 			other = b
 		}
-		cellOf := func(x, y string) bool {
-			return a.name == x && b.name == y || a.name == y && b.name == x
-		}
 		tree := strings.HasPrefix(a.name, "WithPlan(tree") || strings.HasPrefix(b.name, "WithPlan(tree")
 		withPlan := a.refusedAs == "WithPlan" || b.refusedAs == "WithPlan"
 		shaped := a
@@ -98,9 +95,6 @@ func TestOptionMatrix(t *testing.T) {
 			all = []string{"WithPlan", shaped.name}
 		case tree && (a.name == "WithRemoteWorkers" || b.name == "WithRemoteWorkers"):
 			all = []string{"WithPlan", "WithRemoteWorkers"}
-		case cellOf("WithPlan(tree, StaticSlack)", "WithAdaptHook"):
-			// A fixed-K tree runs no feedback loop: the hook would never fire.
-			all = []string{"WithAdaptHook", "StaticSlack"}
 		}
 		return all, any
 	}
@@ -178,6 +172,26 @@ func TestOptionMatrix(t *testing.T) {
 					t.Errorf("%s: want a panic naming %v %v, got: %s", cell, all, any, refusal)
 				}
 			}
+		}
+	}
+
+	// The fixed-K tree runs the feedback loop like every other shape: its
+	// hook fires at every boundary and reports K held at StaticK.
+	cond := EquiChain(3, 0)
+	var events []AdaptEvent
+	j := NewJoin(cond, windows, Options{Policy: StaticSlack, StaticK: Second},
+		planned("tree")(cond),
+		WithAdaptHook(func(ev AdaptEvent) { events = append(events, ev) }))
+	for i := 0; i < 600; i++ {
+		j.Push(&Tuple{TS: Time(i * 10), Seq: uint64(i), Src: i % 3, Attrs: []float64{float64(i % 7)}})
+	}
+	j.Close()
+	if len(events) < 4 {
+		t.Fatalf("WithPlan(tree, StaticSlack) × WithAdaptHook: %d adaptation events over 6 s at L = 1 s", len(events))
+	}
+	for _, ev := range events {
+		if ev.PrevK != Second || ev.NewK != Second {
+			t.Fatalf("WithPlan(tree, StaticSlack) × WithAdaptHook: event %+v, want PrevK = NewK = StaticK", ev)
 		}
 	}
 }

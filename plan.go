@@ -111,9 +111,8 @@ func WithAutoPlan() JoinOption {
 	return func(o *joinOpts) { o.autoPlan = true }
 }
 
-// graphFor resolves the deployment graph of one NewJoin or Restore call
-// under the given policy.
-func (o *joinOpts) graphFor(cond *Condition, windows []Time, policy Policy) *plan.Graph {
+// graphFor resolves the deployment graph of one NewJoin or Restore call.
+func (o *joinOpts) graphFor(cond *Condition, windows []Time) *plan.Graph {
 	if len(o.remote) > 0 && o.shards == 0 && o.plan == nil {
 		// One worker address per shard: remote workers imply the sharded
 		// flat shape at the address count (the planner's budget under
@@ -141,9 +140,6 @@ func (o *joinOpts) graphFor(cond *Condition, windows []Time, policy Policy) *pla
 		g = plan.ShardedFlat(cond, windows, o.shards)
 	default:
 		g = plan.FlatGraph(cond, windows)
-	}
-	if _, flat := g.FlatShards(); !flat && policy == StaticSlack && o.onAdapt != nil {
-		panic("qdhj: WithAdaptHook cannot be combined with a StaticSlack tree plan — a fixed-K tree runs no feedback loop, so the hook would never fire; use a feedback policy or a flat shape")
 	}
 	return g
 }

@@ -27,7 +27,6 @@ package qdhj
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
@@ -237,9 +236,9 @@ func WithResultCounts(f func(ts Time, n int64)) JoinOption {
 	return func(o *joinOpts) { o.counts = join.CountEmitFunc(f) }
 }
 
-// WithAdaptHook registers a callback observing every adaptation step. A
-// StaticSlack tree plan runs no feedback loop, so it refuses the hook at
-// construction.
+// WithAdaptHook registers a callback observing every adaptation step, on
+// every deployment shape and policy (under StaticSlack each step keeps
+// NewK = PrevK = StaticK).
 func WithAdaptHook(f func(AdaptEvent)) JoinOption {
 	return func(o *joinOpts) { o.onAdapt = f }
 }
@@ -378,7 +377,7 @@ func execConfig(opt Options, jo *joinOpts) plan.ExecConfig {
 func NewJoin(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) *Join {
 	jo := collect(hostNewJoin, jopts)
 	cfg := execConfig(opt, jo)
-	g := jo.graphFor(cond, windows, opt.Policy)
+	g := jo.graphFor(cond, windows)
 	j := &Join{g: g, cfg: cfg, hasSink: jo.emit != nil}
 	if scf, ok := jo.shell(); ok {
 		j.rt = plan.NewSupervised(g, cfg, scf)
@@ -390,12 +389,29 @@ func NewJoin(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) 
 }
 
 // Push feeds one arriving tuple. Tuples carry their source stream in
-// Tuple.Src and their application timestamp in Tuple.TS. Under
+// Tuple.Src and their application timestamp in Tuple.TS. A Src outside
+// [0, m) panics with "qdhj: Push of a tuple whose Src is not one of the
+// join's streams …" before any buffer, log or statistics feeder sees the
+// tuple; TryPush refuses it with ErrInvalidTuple instead. Under
 // WithOnlineReplan, Push additionally runs the re-planning loop: the tuple
 // is recorded in the replay log, and the executor between two pushes is a
-// valid migration point, so a Push may return having migrated the join to a
-// different deployment shape.
-func (j *Join) Push(t *Tuple) { j.ex.Push(t) }
+// valid migration point, so a Push may return having migrated the join to
+// a different deployment shape.
+func (j *Join) Push(t *Tuple) {
+	checkSrc(t, len(j.g.Windows))
+	j.ex.Push(t)
+}
+
+// srcPanic is the documented panic of Join.Push and MultiJoin.Push for a
+// tuple whose Src names none of the join's streams.
+const srcPanic = "qdhj: Push of a tuple whose Src is not one of the join's streams 0..m-1 — TryPush refuses it with ErrInvalidTuple"
+
+// checkSrc panics with srcPanic where TryPush returns ErrInvalidTuple.
+func checkSrc(t *Tuple, m int) {
+	if plan.CheckSrc(t, m) != nil {
+		panic(srcPanic)
+	}
+}
 
 // Close flushes all buffers at end of input. The join must not be pushed to
 // afterwards. On a supervised join whose retry budget is already spent,
@@ -502,19 +518,16 @@ type StatsSnapshot struct {
 	Edges []EdgeStats
 }
 
-// Snapshot copies the current delay statistics. On deployments without a
-// feedback loop (a StaticSlack tree plan) the snapshot is zero-valued with
-// Streams nil.
+// Snapshot copies the current delay statistics.
 func (j *Join) Snapshot() StatsSnapshot {
 	m := j.ex.Stats()
-	if m == nil {
-		return StatsSnapshot{}
-	}
 	snap := StatsSnapshot{
 		Streams:         make([]StreamStats, m.M()),
 		GlobalT:         m.GlobalT(),
 		MaxDelayAllTime: m.MaxDelayAllTime(),
 	}
+	arrivals := make([]int64, m.M())
+	rates := make([]float64, m.M())
 	for i := range snap.Streams {
 		snap.Streams[i] = StreamStats{
 			Rate:           m.Rate(i),
@@ -523,42 +536,10 @@ func (j *Join) Snapshot() StatsSnapshot {
 			KSync:          m.KSync(i),
 			LocalT:         m.LocalT(i),
 		}
+		arrivals[i], rates[i] = m.Arrivals(i), snap.Streams[i].Rate
 	}
-	snap.Edges = j.edgeStats(m.M(), func(i int) int64 { return m.Arrivals(i) }, snap.Streams)
+	for _, e := range plan.MeasureEdges(j.g.Cond, j.g.Windows, arrivals, rates, j.Results()) {
+		snap.Edges = append(snap.Edges, EdgeStats{Left: e.Left, Right: e.Right, Selectivity: e.Sigma})
+	}
 	return snap
-}
-
-// edgeStats estimates per-edge selectivities from the cumulative counters:
-// the total result count over the expected number of unfiltered m-way
-// combinations, decomposed uniformly over the condition's predicate edges.
-func (j *Join) edgeStats(m int, arrivals func(int) int64, streams []StreamStats) []EdgeStats {
-	cond, windows := j.g.Cond, j.g.Windows
-	e := len(cond.Equis) + len(cond.Bands)
-	if e == 0 {
-		return nil
-	}
-	var cross float64
-	for i := 0; i < m; i++ {
-		comb := float64(arrivals(i))
-		for k := 0; k < m; k++ {
-			if k == i {
-				continue
-			}
-			comb *= streams[k].Rate * float64(windows[k])
-		}
-		cross += comb
-	}
-	if cross <= 0 {
-		return nil
-	}
-	sigTot := math.Min(1, math.Max(float64(j.Results())/cross, 1e-9))
-	sigEdge := math.Pow(sigTot, 1/float64(e))
-	out := make([]EdgeStats, 0, e)
-	for _, p := range cond.Equis {
-		out = append(out, EdgeStats{Left: p.LeftStream, Right: p.RightStream, Selectivity: sigEdge})
-	}
-	for _, p := range cond.Bands {
-		out = append(out, EdgeStats{Left: p.LeftStream, Right: p.RightStream, Selectivity: sigEdge})
-	}
-	return out
 }

@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,32 +27,26 @@ type faultTrace struct {
 	ks      []string
 	mute    bool   // stop recording (the abandoned half of an interrupted run)
 	onAdapt func() // extra per-adaptation callback (boundary detection)
-	// fixedK marks a StaticSlack tree, which runs no feedback loop and
-	// refuses WithAdaptHook: the trace records results only.
-	fixedK bool
 }
 
 func newFaultTrace() *faultTrace { return &faultTrace{set: map[string]int{}} }
 
 func (tr *faultTrace) opts() []JoinOption {
-	opts := []JoinOption{
+	return []JoinOption{
 		WithResults(func(r Result) {
 			if !tr.mute {
 				tr.set[difftest.Sig(r.Tuples)]++
 			}
 		}),
+		WithAdaptHook(func(ev AdaptEvent) {
+			if !tr.mute {
+				tr.ks = append(tr.ks, fmt.Sprintf("%v:%v>%v", ev.Now, ev.PrevK, ev.NewK))
+			}
+			if tr.onAdapt != nil {
+				tr.onAdapt()
+			}
+		}),
 	}
-	if tr.fixedK {
-		return opts
-	}
-	return append(opts, WithAdaptHook(func(ev AdaptEvent) {
-		if !tr.mute {
-			tr.ks = append(tr.ks, fmt.Sprintf("%v:%v>%v", ev.Now, ev.PrevK, ev.NewK))
-		}
-		if tr.onAdapt != nil {
-			tr.onAdapt()
-		}
-	}))
 }
 
 func diffFaultTraces(t *testing.T, name string, want, got *faultTrace) {
@@ -149,7 +145,6 @@ func TestJoinCheckpointRoundTrip(t *testing.T) {
 
 			// Reference: one uninterrupted run.
 			ref := newFaultTrace()
-			ref.fixedK = c.opt.Policy == StaticSlack
 			cond, p := planFor(t, c.spec, c.mk, windows)
 			jr := NewJoin(cond, windows, c.opt, append(ref.opts(), WithPlan(p))...)
 			for _, e := range in {
@@ -162,7 +157,6 @@ func TestJoinCheckpointRoundTrip(t *testing.T) {
 			// adaptation boundary on adaptive shapes), round-trip the
 			// snapshot through gob, restore, push the rest.
 			got := newFaultTrace()
-			got.fixedK = ref.fixedK
 			cond, p = planFor(t, c.spec, c.mk, windows)
 			boundary := false
 			got.onAdapt = func() { boundary = true }
@@ -514,4 +508,117 @@ func TestRestoreIntoSupervised(t *testing.T) {
 		t.Fatal("injector fired but no restarts happened")
 	}
 	diffFaultTraces(t, "restore-into-supervised", ref, got)
+}
+
+// TestRestoreRefusesLooplessStaticTreeSnapshot: a StaticSlack tree snapshot
+// written while static trees ran without a feedback loop carries the tree
+// but no loop state (testdata holds one, pushed 60 arrivals deep). Its
+// signature still matches, so the restore must refuse the missing state
+// with ErrRestoreMismatch, bare and supervised, rather than panic.
+func TestRestoreRefusesLooplessStaticTreeSnapshot(t *testing.T) {
+	defer leakcheck.Check(t)
+	f, err := os.Open("testdata/static-tree-no-loop.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := ReadSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := []Time{Second, Second, Second}
+	cond, p := planFor(t, "tree", func() *Condition { return EquiChain(3, 0) }, windows)
+	opt := Options{Policy: StaticSlack, StaticK: 200}
+	for name, jopts := range map[string][]JoinOption{
+		"bare":       {WithPlan(p)},
+		"supervised": {WithPlan(p), WithSupervision(Supervision{})},
+	} {
+		j, err := Restore(snap, cond, windows, opt, jopts...)
+		if err == nil {
+			j.Close()
+		}
+		if !errors.Is(err, ErrRestoreMismatch) {
+			t.Errorf("%s: restore = %v, want ErrRestoreMismatch", name, err)
+		}
+	}
+}
+
+// TestInvalidSrcRefused: a tuple whose Src names none of the m streams is
+// refused at the front door on every shape, bare and supervised — TryPush
+// with ErrInvalidTuple, Push with its documented panic — before any log,
+// buffer or statistics feeder sees it. The join stays healthy and its
+// results and K trajectory equal a run that never saw the bad tuples.
+func TestInvalidSrcRefused(t *testing.T) {
+	defer leakcheck.Check(t)
+	opt := Options{Gamma: 0.9, Period: Second, Interval: 200 * Millisecond}
+	windows := []Time{700, 700, 700}
+	in := difftest.MixWorkload(3, 600, 41, 14)
+	// refuse feeds the two out-of-range copies of e through TryPush and Push.
+	refuse := func(t *testing.T, tryPush func(*Tuple) error, push func(*Tuple), e *Tuple, health func() error) {
+		t.Helper()
+		for _, src := range []int{-1, 3} {
+			bad := &Tuple{TS: e.TS, Seq: e.Seq, Src: src, Attrs: e.Attrs}
+			if tryPush != nil {
+				if err := tryPush(bad); !errors.Is(err, ErrInvalidTuple) {
+					t.Fatalf("TryPush(Src %d) = %v, want ErrInvalidTuple", src, err)
+				}
+			}
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				push(bad)
+				return
+			}()
+			if !strings.HasPrefix(msg, "qdhj: Push of a tuple whose Src") {
+				t.Fatalf("Push(Src %d) panicked with %q", src, msg)
+			}
+			if err := health(); err != nil {
+				t.Fatalf("Err() = %v after a refused Src %d", err, src)
+			}
+		}
+	}
+	for _, spec := range []string{"flat", "shard:2", "tree", "tree-shard:2"} {
+		for _, supervised := range []bool{false, true} {
+			name := spec
+			if supervised {
+				name += "/supervised"
+			}
+			t.Run(name, func(t *testing.T) {
+				defer leakcheck.Check(t)
+				run := func(bad bool) *faultTrace {
+					tr := newFaultTrace()
+					cond, p := planFor(t, spec, mix3, windows)
+					jopts := append(tr.opts(), WithPlan(p))
+					if supervised {
+						jopts = append(jopts, WithSupervision(Supervision{Backoff: fastBackoff(1)}))
+					}
+					j := NewJoin(cond, windows, opt, jopts...)
+					for i, e := range in {
+						if bad && i%150 == 7 {
+							refuse(t, j.TryPush, j.Push, e, j.Err)
+						}
+						j.Push(e)
+					}
+					j.Close()
+					return tr
+				}
+				diffFaultTraces(t, name, run(false), run(true))
+			})
+		}
+	}
+	t.Run("MultiJoin", func(t *testing.T) {
+		run := func(bad bool) *faultTrace {
+			tr := newFaultTrace()
+			mj := NewMultiJoin(3)
+			mj.Add(mix3(), windows, opt, tr.opts()...)
+			for i, e := range in {
+				if bad && i%150 == 7 {
+					refuse(t, nil, mj.Push, e, func() error { return nil })
+				}
+				mj.Push(e)
+			}
+			mj.Close()
+			return tr
+		}
+		diffFaultTraces(t, "MultiJoin", run(false), run(true))
+	})
 }

@@ -117,7 +117,7 @@ func (j *Join) Checkpoint() (*Snapshot, error) {
 func Restore(snap *Snapshot, cond *Condition, windows []Time, opt Options, jopts ...JoinOption) (*Join, error) {
 	jo := collect(hostRestore, jopts)
 	cfg := execConfig(opt, jo)
-	g := jo.graphFor(cond, windows, opt.Policy)
+	g := jo.graphFor(cond, windows)
 	j := &Join{g: g, cfg: cfg, hasSink: jo.emit != nil}
 	if jo.supervised {
 		sup, err := plan.NewSupervisedRestore(g, cfg, jo.scf, snap.state, snap.dropped)

@@ -22,6 +22,9 @@ var (
 	ErrClosed = fault.ErrClosed
 	// ErrOverload reports an arrival refused by the Error ingest policy.
 	ErrOverload = fault.ErrOverload
+	// ErrInvalidTuple reports an arrival whose Src is outside [0, m); the
+	// join is unchanged, as if the tuple had never been pushed.
+	ErrInvalidTuple = fault.ErrInvalidTuple
 	// ErrRestoreMismatch reports a snapshot whose deployment signature
 	// (condition, windows, shape, policy) disagrees with the restore target.
 	ErrRestoreMismatch = fault.ErrRestoreMismatch
@@ -131,15 +134,19 @@ func WithInjector(inj *Injector) JoinOption {
 }
 
 // TryPush feeds one arriving tuple, reporting refusal as a typed error
-// instead of a panic: ErrClosed after Close, ErrOverload when the
-// IngestError policy refuses at the bound, the terminal *JoinError after
-// supervision gave up. On a healthy join it is exactly Push.
+// instead of a panic: ErrInvalidTuple for a Src outside [0, m), ErrClosed
+// after Close, ErrOverload when the IngestError policy refuses at the
+// bound, the terminal *JoinError after supervision gave up. On a healthy
+// join and a valid tuple it is exactly Push.
 func (j *Join) TryPush(t *Tuple) error {
 	if j.rt != nil {
 		return j.rt.TryPush(t)
 	}
 	if j.closed {
 		return ErrClosed
+	}
+	if err := plan.CheckSrc(t, len(j.g.Windows)); err != nil {
+		return err
 	}
 	j.ex.Push(t)
 	return nil
@@ -194,20 +201,9 @@ func (j *Join) Dropped() int64 {
 
 // BufferedTuples returns the current K-slack buffer occupancy — the measure
 // the WithIngestBound bound applies to.
-func (j *Join) BufferedTuples() int {
-	if be, ok := j.ex.(interface{ BufferedTuples() int }); ok {
-		return be.BufferedTuples()
-	}
-	return 0
-}
+func (j *Join) BufferedTuples() int { return j.ex.BufferedTuples() }
 
 // RecallEstimate returns the run-level recall estimate: produced results
-// over estimated-true results, with IngestShed losses accounted. It is 1 on
-// deployments without a feedback loop (StaticSlack trees) and 1 before the
-// first measurement period completes.
-func (j *Join) RecallEstimate() float64 {
-	if be, ok := j.ex.(interface{ RecallEstimate() float64 }); ok {
-		return be.RecallEstimate()
-	}
-	return 1
-}
+// over estimated-true results, with IngestShed losses accounted. It is 1
+// before the first measurement period completes.
+func (j *Join) RecallEstimate() float64 { return j.ex.RecallEstimate() }
