@@ -87,7 +87,7 @@ func main() {
 		ckptFile  = flag.String("checkpoint", "", "write a snapshot to this file after -checkpoint-at arrivals and exit")
 		ckptAt    = flag.Int("checkpoint-at", 0, "arrival count to checkpoint at (default: half the feed)")
 		restore   = flag.String("restore", "", "resume from a snapshot written by -checkpoint (same dataset, query and plan)")
-		inject    = flag.String("inject", "", "deterministic fault spec, e.g. 'panic@shard1:tuple5000' or 'delay@shard0:tuple100:2ms,burst@tuple200:64'; implies supervision")
+		inject    = flag.String("inject", "", "deterministic fault spec, e.g. 'panic@shard1:tuple5000' or 'delay@shard0:tuple100:2ms'; implies supervision")
 		queries   = flag.String("queries", "", "multi-query spec file: run every listed query on one shared-window MultiJoin (see cmd/qdhjrun/multi.go for the format); with -explain, print the sharing structure instead of running")
 		replan    = flag.Bool("replan", false, "online re-planning: measure rates and selectivities on the running join and live-migrate between shapes; starts from -plan (default flat)")
 		replanP   = flag.Float64("replan-period", 0, "re-planning measurement period (seconds; default: the -P measurement period)")

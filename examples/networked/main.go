@@ -85,7 +85,7 @@ func main() {
 		panic("networked run diverged from the flat reference")
 	}
 	fmt.Println("\nIdentical results and adaptation trajectories on every row: the")
-	fmt.Println("driver routes and merges exactly like the in-process runtime, TCP")
-	fmt.Println("preserves per-worker order, and K changes travel in-band — so the")
-	fmt.Println("process boundary is invisible to the result stream.")
+	fmt.Println("driver routes and merges exactly like the in-process runtime, each")
+	fmt.Println("worker runs the in-process worker's step, and TCP preserves per-worker")
+	fmt.Println("order — so the process boundary is invisible to the result stream.")
 }

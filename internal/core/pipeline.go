@@ -62,15 +62,6 @@ type Runtime interface {
 	Close()
 }
 
-// KChanger is optionally implemented by runtimes that must observe the
-// feedback loop's buffer-size decisions — the networked runtime ships them
-// to its workers as in-band control events. The in-process runtime has no
-// use for them (K-slack lives upstream of the router), so the pipeline
-// type-asserts rather than widening Runtime.
-type KChanger interface {
-	KChange(ks []stream.Time)
-}
-
 // PolicyFactory builds the buffer-size policy once the feedback loop has
 // created the shared statistics components. (This is the historical core
 // signature; internal/feedback defines the scope-aware generalization, and
@@ -317,13 +308,6 @@ func (p *Pipeline) adaptStep(at stream.Time) {
 		k.SetK(newK)
 	}
 	p.curK = newK
-	if kc, ok := p.rt.(KChanger); ok {
-		// Ship the decision to runtimes that track it (networked workers):
-		// the barrier above quiesced the ended interval, so this control
-		// event lands after its last tuple and before the next interval's
-		// first — the in-band ordering the protocol asserts at barriers.
-		kc.KChange([]stream.Time{newK})
-	}
 	if p.cfg.OnAdapt != nil {
 		ev := AdaptEvent{Now: at, OutT: outT, PrevK: prevK, NewK: newK}
 		if p.model != nil {
@@ -396,9 +380,6 @@ func (p *Pipeline) ApplyK(k stream.Time) {
 	for _, b := range p.ks {
 		b.SetK(k)
 	}
-	if kc, ok := p.rt.(KChanger); ok {
-		kc.KChange([]stream.Time{k})
-	}
 }
 
 // AvgK returns the average buffer size over all adaptation intervals, the
@@ -408,8 +389,13 @@ func (p *Pipeline) AvgK() float64 { return p.loop.AvgK(0) }
 // Adaptations returns the number of adaptation steps performed.
 func (p *Pipeline) Adaptations() int64 { return p.loop.Decisions() }
 
-// Stats exposes the Statistics Manager (read-only use by callers).
-func (p *Pipeline) Stats() *stats.Manager { return p.loop.Stats() }
+// Stats exposes the Statistics Manager (read-only use by callers), caught
+// up with every arrival: the async feeder of the sharded path is synced
+// first, so the caller never reads it while the feeder writes.
+func (p *Pipeline) Stats() *stats.Manager {
+	p.loop.Sync()
+	return p.loop.Stats()
+}
 
 // Loop exposes the extracted feedback runtime (read-only use by tests).
 func (p *Pipeline) Loop() *feedback.Loop { return p.loop }

@@ -34,8 +34,9 @@ var (
 	// ErrOverload reports a rejected arrival under the Error ingest policy.
 	ErrOverload = errors.New("fault: ingest bound exceeded")
 	// ErrInvalidTuple reports an arrival whose Src names none of the
-	// join's streams; it is refused before any buffer or log sees it.
-	ErrInvalidTuple = errors.New("fault: tuple Src is not a stream of the join")
+	// join's streams or whose TS is negative; it is refused before any
+	// buffer or log sees it.
+	ErrInvalidTuple = errors.New("fault: tuple Src is not a stream of the join, or its TS is negative")
 	// ErrRestoreMismatch reports a snapshot restored against a join whose
 	// plan shape, arity or windows differ from the checkpointed one.
 	ErrRestoreMismatch = errors.New("fault: snapshot does not match the join configuration")

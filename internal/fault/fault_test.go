@@ -68,7 +68,7 @@ func TestBackoffDeterministicAndCapped(t *testing.T) {
 }
 
 func TestInjectorArmsAtThreshold(t *testing.T) {
-	in := NewInjector().PanicAt(1, 3).BurstAt(5, 16)
+	in := NewInjector().PanicAt(1, 3)
 	for i := 0; i < 2; i++ {
 		in.Arrival()
 	}
@@ -84,17 +84,6 @@ func TestInjectorArmsAtThreshold(t *testing.T) {
 	}
 	if in.ShouldPanic(1) {
 		t.Fatal("panic directive must be one-shot")
-	}
-	if in.TakeBurst() != 0 {
-		t.Fatal("burst armed early")
-	}
-	in.Arrival()
-	in.Arrival()
-	if got := in.TakeBurst(); got != 16 {
-		t.Fatalf("burst = %d, want 16", got)
-	}
-	if in.TakeBurst() != 0 {
-		t.Fatal("burst must be consumed once")
 	}
 }
 
@@ -125,12 +114,12 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 }
 
 func TestParseInjectSpec(t *testing.T) {
-	in, err := ParseInjectSpec("panic@shard1:tuple5000,delay@shard0:tuple10:5ms,burst@tuple20:64")
+	in, err := ParseInjectSpec("panic@shard1:tuple5000,delay@shard0:tuple10:5ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(in.dirs) != 3 {
-		t.Fatalf("parsed %d directives, want 3", len(in.dirs))
+	if len(in.dirs) != 2 {
+		t.Fatalf("parsed %d directives, want 2", len(in.dirs))
 	}
 	d := in.dirs[0]
 	if d.kind != injectPanic || d.worker != 1 || d.tuple != 5000 {
@@ -140,10 +129,6 @@ func TestParseInjectSpec(t *testing.T) {
 	if d.kind != injectDelay || d.dur != 5*time.Millisecond {
 		t.Fatalf("bad delay directive: %+v", d)
 	}
-	d = in.dirs[2]
-	if d.kind != injectBurst || d.n != 64 {
-		t.Fatalf("bad burst directive: %+v", d)
-	}
 	in, err = ParseInjectSpec("delay@shard0:tuple10")
 	if err != nil || len(in.dirs) != 1 || in.dirs[0].dur != 50*time.Millisecond {
 		t.Fatalf("delay without a duration: %+v, %v; want the 50ms default", in, err)
@@ -151,11 +136,12 @@ func TestParseInjectSpec(t *testing.T) {
 	for _, bad := range []string{
 		"panic@tuple5", "boom@shard0:tuple1", "panic@shard0", "delay@shard0:tuple1:xs",
 		// Specs that used to parse and arm a fault that never fires (or
-		// fires nonsense): negative worker, tuple, burst length and
-		// duration, and trailing fields.
+		// fires nonsense): negative worker, tuple and duration, trailing
+		// fields, and burst, which no runtime ever consumed.
 		"panic@shard-1:tuple5", "panic@shard1:tuple-5", "burst@tuple5:-3", "burst@tuple-5:3",
 		"delay@shard0:tuple5:-1s", "panic@shard1:tuple5:junk", "delay@shard0:tuple5:1ms:junk",
 		"burst@tuple5:3:junk", "panic@shard99999999999:tuple5",
+		"burst@tuple20:64", "panic@shard1:tuple5000,burst@tuple200:64",
 	} {
 		if _, err := ParseInjectSpec(bad); err == nil {
 			t.Errorf("spec %q: want error", bad)
@@ -167,11 +153,11 @@ func TestParseInjectSpec(t *testing.T) {
 
 // FuzzParseInjectSpec pins that no spec string panics the parser and that
 // whatever it accepts arms only faults that can fire: no negative worker,
-// tuple, burst length or duration. The seeds here are the specs CI and the
+// tuple or duration. The seeds here are the specs CI and the
 // README use; the malformed ones are the corpus in testdata/fuzz.
 func FuzzParseInjectSpec(f *testing.F) {
 	for _, s := range []string{
-		"panic@shard1:tuple5000", "panic@shard0:tuple100,burst@tuple200:64",
+		"panic@shard1:tuple5000", "panic@shard0:tuple100,delay@shard1:tuple200:2ms",
 		"delay@shard0:tuple100:2ms", "delay@shard0:tuple10",
 	} {
 		f.Add(s)
@@ -185,7 +171,7 @@ func FuzzParseInjectSpec(f *testing.F) {
 			return
 		}
 		for _, d := range in.dirs {
-			if d.worker < 0 || d.tuple < 0 || d.n < 0 || d.dur < 0 {
+			if d.worker < 0 || d.tuple < 0 || d.dur < 0 {
 				t.Fatalf("spec %q: accepted directive %+v", spec, d)
 			}
 		}

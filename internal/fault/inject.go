@@ -14,7 +14,6 @@ import (
 const (
 	injectPanic = iota
 	injectDelay
-	injectBurst
 )
 
 // directive is one armed fault: fire once when the driver-side arrival
@@ -23,16 +22,15 @@ type directive struct {
 	kind   int
 	worker int
 	tuple  int64
-	n      int           // burst length
 	dur    time.Duration // delay duration
 	fired  bool
 }
 
-// Injector injects deterministic faults into a running join: worker panics,
-// delayed stages and ingest bursts, armed when the driver-side arrival
-// counter crosses the directive's tuple count. Every decision is a pure
-// function of the arrival sequence, so differential recovery tests are
-// reproducible bit-for-bit.
+// Injector injects deterministic faults into a running join: worker panics
+// and delayed stages, armed when the driver-side arrival counter crosses
+// the directive's tuple count. Every decision is a pure function of the
+// arrival sequence, so differential recovery tests are reproducible
+// bit-for-bit.
 //
 // Arrival() runs on the driver goroutine; ShouldPanic/ShouldDelay are
 // called from worker goroutines and synchronize through the same mutex.
@@ -46,7 +44,6 @@ type Injector struct {
 
 	panicArmed map[int]bool // worker → pending panic
 	delayArmed map[int]time.Duration
-	burst      int
 }
 
 // NewInjector creates an empty injector; add faults with Add or ParseInjectSpec.
@@ -67,13 +64,6 @@ func (in *Injector) PanicAt(worker int, tuple int64) *Injector {
 // been pushed.
 func (in *Injector) DelayAt(worker int, tuple int64, dur time.Duration) *Injector {
 	in.dirs = append(in.dirs, directive{kind: injectDelay, worker: worker, tuple: tuple, dur: dur})
-	return in
-}
-
-// BurstAt arms a one-shot ingest burst of n tuples once tuple arrivals have
-// been pushed; the driving loop consumes it via TakeBurst.
-func (in *Injector) BurstAt(tuple int64, n int) *Injector {
-	in.dirs = append(in.dirs, directive{kind: injectBurst, tuple: tuple, n: n})
 	return in
 }
 
@@ -101,8 +91,6 @@ func (in *Injector) Arrival() {
 			in.panicArmed[d.worker] = true
 		case injectDelay:
 			in.delayArmed[d.worker] = d.dur
-		case injectBurst:
-			in.burst += d.n
 		}
 	}
 }
@@ -136,15 +124,6 @@ func (in *Injector) ShouldDelay(worker int) (time.Duration, bool) {
 	}
 	delete(in.delayArmed, worker)
 	return d, true
-}
-
-// TakeBurst returns (and consumes) a pending ingest-burst length, 0 if none.
-func (in *Injector) TakeBurst() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := in.burst
-	in.burst = 0
-	return n
 }
 
 // Pause suspends arming and firing (supervisor replay).
@@ -183,10 +162,9 @@ func (in *Injector) MaybeDelay(worker int) {
 //
 //	panic@shardN:tupleM       worker N panics after arrival M
 //	delay@shardN:tupleM[:D]   worker N stalls for D (Go duration, default 50ms)
-//	burst@tupleM:R            an ingest burst of R tuples after arrival M
 //
-// e.g. "panic@shard1:tuple5000" or "panic@shard0:tuple100,burst@tuple200:64".
-// N, M, R and D must not be negative and a directive takes no further
+// e.g. "panic@shard1:tuple5000" or "panic@shard0:tuple100,delay@shard1:tuple200:2ms".
+// N, M and D must not be negative and a directive takes no further
 // fields: a spec that could only arm a fault that never fires is an error,
 // not a run that passes for a recovery test.
 func ParseInjectSpec(spec string) (*Injector, error) {
@@ -233,19 +211,6 @@ func ParseInjectSpec(spec string) (*Injector, error) {
 				}
 			}
 			in.DelayAt(int(w), t, dur)
-		case "burst":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("fault: inject spec %q: want burst@tupleM:R", part)
-			}
-			t, err := specInt(fields[0], "tuple", 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: inject spec %q: %v", part, err)
-			}
-			n, err := specInt(fields[1], "", 32)
-			if err != nil {
-				return nil, fmt.Errorf("fault: inject spec %q: bad burst length: %v", part, err)
-			}
-			in.BurstAt(t, int(n))
 		default:
 			return nil, fmt.Errorf("fault: inject spec %q: unknown kind %q", part, kind)
 		}

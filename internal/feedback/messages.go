@@ -2,21 +2,16 @@ package feedback
 
 // Protocol message types for distributed deployments. The feedback loop is
 // global: one driver observes arrivals, runs the profiler/monitor/policy,
-// and decides one K per scope at every adaptation boundary. When the
-// workers live in other processes (internal/net), the boundary protocol
-// and the K decisions travel as the messages below — in-band within the
-// tuple stream, so their ordering relative to the data is exactly the
-// ordering of the in-process runtime:
-//
-//   - KChangeMsg follows the last tuple of the interval it was decided
-//     from and precedes the first tuple of the next — workers observe K
-//     transitions at the same stream positions the driver applied them.
-//   - BarrierMsg quiesces a worker: everything sent before it has been
-//     processed when the matching BarrierAck returns. The ack carries the
-//     worker's per-arrival n^on(e) deltas (and materialized results), which
-//     the driver merges in deterministic (arrival, shard) order and replays
-//     into the loop — the networked analogue of shard.FlushInterval. One
-//     boundary therefore costs one round-trip, not a stop-the-world.
+// and decides one K per scope at every adaptation boundary. K sizes the
+// driver's K-slack buffers only, so it never reaches a worker. When the
+// workers live in other processes (internal/net), the adaptation boundary
+// travels as the messages below, in-band within the tuple stream:
+// BarrierMsg quiesces a worker — everything sent before it has been
+// processed when the matching BarrierAck returns. The ack carries the
+// worker's shard.Out (per-arrival n^on(e) counts and materialized
+// results), which the driver merges in deterministic (arrival, shard)
+// order and replays into the loop, as the in-process runtime does. One
+// boundary therefore costs one round-trip, not a stop-the-world.
 //
 // The structs here are the protocol's vocabulary; internal/net owns the
 // byte encoding.
@@ -31,27 +26,14 @@ type BarrierMsg struct {
 	OutT stream.Time
 }
 
-// BarrierAck is a worker's reply to BarrierMsg: the per-arrival result
-// counts (sparse n^on(e) deltas, indexed by the driver's arrival counter)
-// and any materialized results buffered since the previous barrier.
-// Failed/Err report a contained worker fault; the worker keeps acking
+// BarrierAck heads a worker's reply to BarrierMsg; on the wire the
+// worker's shard.Out follows it: per-arrival result counts, indexed by the
+// driver's arrival counter, and any materialized results buffered since
+// the previous barrier. Failed/Err report a contained worker fault; the worker keeps acking
 // barriers after a fault (in drain mode) so the driver's quiesce protocol
 // never deadlocks — exactly the in-process worker contract.
 type BarrierAck struct {
 	Seq    uint64
-	Worker int
-	// K is the buffer size the worker last observed via KChangeMsg — a
-	// protocol-ordering diagnostic (it must equal the driver's previous
-	// decision), not an input to any computation.
-	K      stream.Time
 	Failed bool
 	Err    string
-}
-
-// KChangeMsg carries one adaptation decision to the workers, ordered
-// in-band within the tuple stream. Ks has one entry per decision scope
-// (a single entry on flat deployments).
-type KChangeMsg struct {
-	Seq uint64
-	Ks  []stream.Time
 }

@@ -88,7 +88,7 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("gen: bad seq %q", rec[1])
 		}
 		ts, err := strconv.ParseInt(rec[2], 10, 64)
-		if err != nil {
+		if err != nil || ts < 0 {
 			return nil, fmt.Errorf("gen: bad ts %q", rec[2])
 		}
 		t.TS = stream.Time(ts)

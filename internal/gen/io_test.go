@@ -73,6 +73,7 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 		"bad src":       "#qdhj,x,1,5\n9,0,1\n",
 		"bad seq":       "#qdhj,x,1,5\n0,xx,1\n",
 		"bad ts":        "#qdhj,x,1,5\n0,0,zz\n",
+		"negative ts":   "#qdhj,x,1,5\n0,0,-1\n",
 		"bad attr":      "#qdhj,x,1,5\n0,0,1,nan-ish???\n",
 		"short record":  "#qdhj,x,1,5\n0,0\n",
 		"empty":         "",

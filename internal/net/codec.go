@@ -1,20 +1,25 @@
 // Package net is the networked worker runtime: one logical sliding-window
-// join runs as N key-partitioned worker processes over TCP, driven by a
-// Session that embeds the same shard.Router the in-process runtime uses.
-// The wire is engineered as a hot path, not an RPC port:
+// join runs as N key-partitioned worker processes over TCP, and both ends
+// are internal/shard's. The driver Session embeds the shard.Router the
+// in-process runtime uses and releases each interval through the pool's
+// merge (shard.MergeOuts); a qdhjd worker session is a shard worker behind
+// a socket, stepping every message through shard.Step into a shard.Out
+// that its barrier ack carries back. K never crosses the wire: it sizes
+// the driver's K-slack buffers only. The wire is engineered as a hot
+// path, not an RPC port:
 //
 //   - length-prefixed binary frames with pooled buffers — the data path
-//     (tuples, barriers, K changes) never touches gob or reflection; gob
-//     is reserved for the one-shot hello handshake (and checkpoints keep
+//     (tuples, barriers, acks) never touches gob or reflection; gob is
+//     reserved for the one-shot hello handshake (and checkpoints keep
 //     their existing gob form, off the wire entirely: window state is
 //     retained driver-side by the router);
 //   - tuple batches as the unit of transport: up to FrameBatch tuple
 //     messages share one frame and one write syscall, with batch cuts a
 //     pure function of the input stream (a frame is cut when full or at a
-//     barrier/K-change/close), so framing can never affect results;
-//   - in-band control: K changes and barriers are frames within the same
-//     ordered byte stream as the data, so workers observe them at exactly
-//     the stream positions the driver issued them.
+//     barrier/close), so framing can never affect results;
+//   - in-band barriers: a barrier is a frame within the same ordered byte
+//     stream as the data, so its ack covers exactly the tuples sent
+//     before it.
 //
 // See DESIGN.md §14 for the protocol and the cross-process determinism
 // argument.
@@ -27,6 +32,7 @@ import (
 	"math"
 
 	"repro/internal/feedback"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -37,8 +43,7 @@ const (
 	ftHelloAck    = 2 // worker→driver: gob HelloAck
 	ftBatch       = 3 // driver→worker: tuple messages (binary, below)
 	ftBarrier     = 4 // driver→worker: feedback.BarrierMsg
-	ftBarrierAck  = 5 // worker→driver: feedback.BarrierAck + deltas + results
-	ftSetK        = 6 // driver→worker: feedback.KChangeMsg
+	ftBarrierAck  = 5 // worker→driver: feedback.BarrierAck + shard.Out
 	ftMaterialize = 7 // driver→worker: install result buffers (empty payload)
 	ftClose       = 8 // driver→worker: clean end of session (empty payload)
 )
@@ -135,82 +140,48 @@ func decodeBarrier(b []byte) (feedback.BarrierMsg, error) {
 	}, nil
 }
 
-// appendSetK encodes a feedback.KChangeMsg payload.
-func appendSetK(buf []byte, m feedback.KChangeMsg) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Ks)))
-	for _, k := range m.Ks {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
-	}
-	return buf
-}
-
-func decodeSetK(b []byte, ks []stream.Time) (feedback.KChangeMsg, []stream.Time, error) {
-	if len(b) < 10 {
-		return feedback.KChangeMsg{}, ks, errShortFrame
-	}
-	m := feedback.KChangeMsg{Seq: binary.LittleEndian.Uint64(b)}
-	n := int(binary.LittleEndian.Uint16(b[8:]))
-	if len(b) < 10+8*n {
-		return feedback.KChangeMsg{}, ks, errShortFrame
-	}
-	ks = ks[:0]
-	for i := 0; i < n; i++ {
-		ks = append(ks, stream.Time(binary.LittleEndian.Uint64(b[10+8*i:])))
-	}
-	m.Ks = ks
-	return m, ks, nil
-}
-
 // Barrier-ack payload layout (after the type byte):
 //
-//	u64 seq   i64 k   u8 failed
+//	u64 seq   u8 failed
 //	failed: u32 errlen + bytes   (nothing further)
 //	ok:     u32 nAcc  + nAcc × (u32 idx, i64 n)
 //	        u32 nRes  + per result:
 //	            u32 idx, i64 ts, u16 m, m × tuple record
 //	tuple record: u8 src, u16 nattrs, i64 ts, u64 seq, i64 delay, attrs
 //
-// The sparse (idx, n) pairs are the worker's per-shard n^on(e) deltas; the
-// driver scatters them into its dense per-arrival accumulators and merges
-// across workers in (arrival, shard) order — the same replay the
-// in-process runtime performs at FlushInterval.
+// The (idx, n) pairs are the worker's shard.Out counts, sparse: strictly
+// ascending arrival indexes with nonzero counts. Result indexes do not
+// decrease. The driver decodes each ack back into a shard.Out and releases
+// them all through shard.MergeOuts — the merge of the in-process pool.
 
-// ackEntry is one sparse per-arrival result-count delta.
-type ackEntry struct {
-	idx int
-	n   int64
-}
-
-// resEntry is one buffered materialized result with its arrival index.
-type resEntry struct {
-	idx int
-	r   stream.Result
-}
-
-func appendAckHeader(buf []byte, ack feedback.BarrierAck) []byte {
+// appendAck encodes a barrier ack; unless it reports a failure, the body
+// is out's counts and results.
+func appendAck(buf []byte, ack feedback.BarrierAck, out *shard.Out[stream.Result]) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, ack.Seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ack.K))
 	if ack.Failed {
 		buf = append(buf, 1)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ack.Err)))
 		return append(buf, ack.Err...)
 	}
-	return append(buf, 0)
-}
-
-func appendAckBody(buf []byte, acc []ackEntry, res []resEntry) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(acc)))
-	for _, a := range acc {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(a.idx))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a.n))
+	buf = append(buf, 0)
+	at := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	nAcc := 0
+	for idx, n := range out.Counts() {
+		if n != 0 {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(idx))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+			nAcc++
+		}
 	}
+	binary.LittleEndian.PutUint32(buf[at:], uint32(nAcc))
+	res, resIdx := out.Results()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(res)))
-	for _, re := range res {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(re.idx))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(re.r.TS))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(re.r.Tuples)))
-		for _, t := range re.r.Tuples {
+	for i, r := range res {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(resIdx[i]))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.TS))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Tuples)))
+		for _, t := range r.Tuples {
 			buf = append(buf, byte(t.Src))
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t.Attrs)))
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(t.TS))
@@ -224,75 +195,73 @@ func appendAckBody(buf []byte, acc []ackEntry, res []resEntry) []byte {
 	return buf
 }
 
-// decodedAck is a worker's decoded barrier reply.
-type decodedAck struct {
-	hdr    feedback.BarrierAck
-	acc    []ackEntry
-	res    []stream.Result
-	resIdx []int
-}
-
-// decodeAck parses a barrier-ack payload into out (slices reused).
-func decodeAck(b []byte, out *decodedAck) error {
-	if len(b) < 17 {
-		return errShortFrame
+// decodeAck parses a barrier-ack payload of an interval with the given
+// number of arrivals into out (reset first). It refuses what no worker
+// encodes: an arrival index at or past arrivals (it would size out's
+// counts), count indexes that do not ascend, a zero count, and result
+// indexes that decrease (MergeOuts would drop the results after them).
+func decodeAck(b []byte, arrivals int, out *shard.Out[stream.Result]) (feedback.BarrierAck, error) {
+	out.Reset()
+	if len(b) < 9 {
+		return feedback.BarrierAck{}, errShortFrame
 	}
-	out.hdr = feedback.BarrierAck{
-		Seq: binary.LittleEndian.Uint64(b),
-		K:   stream.Time(binary.LittleEndian.Uint64(b[8:])),
-	}
-	out.acc = out.acc[:0]
-	out.res = out.res[:0]
-	out.resIdx = out.resIdx[:0]
-	off := 17
-	if b[16] != 0 {
-		out.hdr.Failed = true
+	hdr := feedback.BarrierAck{Seq: binary.LittleEndian.Uint64(b)}
+	off := 9
+	if b[8] != 0 {
+		hdr.Failed = true
 		if len(b) < off+4 {
-			return errShortFrame
+			return hdr, errShortFrame
 		}
 		n := int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 		if len(b) < off+n {
-			return errShortFrame
+			return hdr, errShortFrame
 		}
-		out.hdr.Err = string(b[off : off+n])
+		hdr.Err = string(b[off : off+n])
 		if off+n != len(b) {
-			return errBadAck
+			return hdr, errBadAck
 		}
-		return nil
+		return hdr, nil
 	}
 	if len(b) < off+4 {
-		return errShortFrame
+		return hdr, errShortFrame
 	}
 	nAcc := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
 	if nAcc < 0 || len(b)-off < 12*nAcc {
-		return errShortFrame
+		return hdr, errShortFrame
 	}
-	for i := 0; i < nAcc; i++ {
-		out.acc = append(out.acc, ackEntry{
-			idx: int(binary.LittleEndian.Uint32(b[off:])),
-			n:   int64(binary.LittleEndian.Uint64(b[off+4:])),
-		})
+	for i, prev := 0, -1; i < nAcc; i++ {
+		idx := int(binary.LittleEndian.Uint32(b[off:]))
+		n := int64(binary.LittleEndian.Uint64(b[off+4:]))
+		if idx <= prev || idx >= arrivals || n == 0 {
+			return hdr, errBadAck
+		}
+		out.Add(idx, n)
+		prev = idx
 		off += 12
 	}
 	if len(b) < off+4 {
-		return errShortFrame
+		return hdr, errShortFrame
 	}
 	nRes := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
-	for i := 0; i < nRes; i++ {
+	for i, prev := 0, 0; i < nRes; i++ {
 		if len(b) < off+14 {
-			return errShortFrame
+			return hdr, errShortFrame
 		}
 		idx := int(binary.LittleEndian.Uint32(b[off:]))
 		ts := stream.Time(binary.LittleEndian.Uint64(b[off+4:]))
 		m := int(binary.LittleEndian.Uint16(b[off+12:]))
 		off += 14
+		if idx < prev || idx >= arrivals {
+			return hdr, errBadAck
+		}
+		prev = idx
 		r := stream.Result{TS: ts, Tuples: make([]*stream.Tuple, 0, m)}
 		for j := 0; j < m; j++ {
 			if len(b) < off+27 {
-				return errShortFrame
+				return hdr, errShortFrame
 			}
 			t := &stream.Tuple{
 				Src:   int(b[off]),
@@ -303,7 +272,7 @@ func decodeAck(b []byte, out *decodedAck) error {
 			nattrs := int(binary.LittleEndian.Uint16(b[off+1:]))
 			off += 27
 			if len(b)-off < 8*nattrs {
-				return errShortFrame
+				return hdr, errShortFrame
 			}
 			t.Attrs = make([]float64, nattrs)
 			for a := 0; a < nattrs; a++ {
@@ -312,13 +281,12 @@ func decodeAck(b []byte, out *decodedAck) error {
 			}
 			r.Tuples = append(r.Tuples, t)
 		}
-		out.res = append(out.res, r)
-		out.resIdx = append(out.resIdx, idx)
+		out.Put(idx, r)
 	}
 	if off != len(b) {
-		return errBadAck
+		return hdr, errBadAck
 	}
-	return nil
+	return hdr, nil
 }
 
 // tupleSlab materializes decoded tuples in chunks, amortizing allocation:

@@ -11,11 +11,13 @@ package net
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"testing"
 
 	"repro/internal/feedback"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -72,55 +74,110 @@ func TestMsgRoundTripSpecialFloats(t *testing.T) {
 	}
 }
 
+// ackOut builds a worker accumulator from sparse (idx, n) counts and
+// results tagged with their arrival indexes.
+func ackOut(counts [][2]int64, resIdx []int, res []stream.Result) *shard.Out[stream.Result] {
+	var o shard.Out[stream.Result]
+	for _, c := range counts {
+		o.Add(int(c[0]), c[1])
+	}
+	for i, r := range res {
+		o.Put(resIdx[i], r)
+	}
+	return &o
+}
+
+// ackFrame encodes an ok ack with raw (idx, n) pairs, unchecked, and no
+// results: the hostile-worker form the decoder must refuse.
+func ackFrame(seq uint64, pairs ...[2]int64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, seq)
+	b = append(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pairs)))
+	for _, p := range pairs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(p[0]))
+		b = binary.LittleEndian.AppendUint64(b, uint64(p[1]))
+	}
+	return binary.LittleEndian.AppendUint32(b, 0)
+}
+
+// fuzzArrivals is the interval size the fuzz target decodes acks against.
+const fuzzArrivals = 64
+
 func TestAckRoundTrip(t *testing.T) {
-	acc := []ackEntry{{idx: 0, n: 3}, {idx: 5, n: -1}, {idx: 1 << 20, n: 1 << 40}}
-	res := []resEntry{
-		{idx: 2, r: stream.Result{TS: 77, Tuples: []*stream.Tuple{
+	counts := [][2]int64{{0, 3}, {5, -1}, {1 << 20, 1 << 40}}
+	resIdx := []int{2, 9}
+	res := []stream.Result{
+		{TS: 77, Tuples: []*stream.Tuple{
 			{TS: 70, Seq: 1, Src: 0, Delay: 4, Attrs: []float64{math.NaN(), 2}},
 			{TS: 75, Seq: 2, Src: 1, Attrs: []float64{math.Inf(1)}},
-		}}},
-		{idx: 9, r: stream.Result{TS: -3, Tuples: nil}},
+		}},
+		{TS: -3, Tuples: nil},
 	}
-	hdr := feedback.BarrierAck{Seq: 42, K: 1500}
-	buf := appendAckHeader(nil, hdr)
-	buf = appendAckBody(buf, acc, res)
+	hdr := feedback.BarrierAck{Seq: 42}
+	buf := appendAck(nil, hdr, ackOut(counts, resIdx, res))
 
-	var out decodedAck
-	if err := decodeAck(buf, &out); err != nil {
+	var out shard.Out[stream.Result]
+	got, err := decodeAck(buf, 1<<20+1, &out)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.hdr != hdr {
-		t.Fatalf("hdr = %+v, want %+v", out.hdr, hdr)
+	if got != hdr {
+		t.Fatalf("hdr = %+v, want %+v", got, hdr)
 	}
-	if len(out.acc) != len(acc) {
-		t.Fatalf("acc len = %d", len(out.acc))
+	on := out.Counts()
+	if len(on) != 1<<20+1 {
+		t.Fatalf("counts len = %d", len(on))
 	}
-	for i := range acc {
-		if out.acc[i] != acc[i] {
-			t.Fatalf("acc[%d] = %+v, want %+v", i, out.acc[i], acc[i])
+	for i, n := range on {
+		want := int64(0)
+		for _, c := range counts {
+			if int(c[0]) == i {
+				want = c[1]
+			}
+		}
+		if n != want {
+			t.Fatalf("counts[%d] = %d, want %d", i, n, want)
 		}
 	}
-	if len(out.res) != len(res) {
-		t.Fatalf("res len = %d", len(out.res))
+	gotRes, gotIdx := out.Results()
+	if len(gotRes) != len(res) {
+		t.Fatalf("res len = %d", len(gotRes))
 	}
 	for i := range res {
-		if out.resIdx[i] != res[i].idx || out.res[i].TS != res[i].r.TS ||
-			len(out.res[i].Tuples) != len(res[i].r.Tuples) {
+		if gotIdx[i] != resIdx[i] || gotRes[i].TS != res[i].TS ||
+			len(gotRes[i].Tuples) != len(res[i].Tuples) {
 			t.Fatalf("res[%d] header mismatch", i)
 		}
-		for j := range res[i].r.Tuples {
-			if !msgEqualBits(res[i].r.Tuples[j], out.res[i].Tuples[j]) {
+		for j := range res[i].Tuples {
+			if !msgEqualBits(res[i].Tuples[j], gotRes[i].Tuples[j]) {
 				t.Fatalf("res[%d].Tuples[%d] mismatch", i, j)
 			}
 		}
 	}
 
-	fail := feedback.BarrierAck{Seq: 43, K: 1500, Failed: true, Err: "injected: shard 1"}
-	if err := decodeAck(appendAckHeader(nil, fail), &out); err != nil {
+	fail := feedback.BarrierAck{Seq: 43, Failed: true, Err: "injected: shard 1"}
+	if got, err = decodeAck(appendAck(nil, fail, ackOut(counts, nil, nil)), 1, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.hdr != fail {
-		t.Fatalf("failed hdr = %+v, want %+v", out.hdr, fail)
+	if got != fail || len(out.Counts()) != 0 {
+		t.Fatalf("failed hdr = %+v with %d counts, want %+v and none", got, len(out.Counts()), fail)
+	}
+
+	// Refusals: an ack must not name an arrival outside the interval,
+	// repeat or reorder an index, or carry a zero count — each would make
+	// the merge drop the worker's later counts or size an array by it.
+	for name, b := range map[string][]byte{
+		"index == arrivals": ackFrame(1, [2]int64{1, 2}, [2]int64{10, 1}),
+		"index beyond":      ackFrame(1, [2]int64{1 << 20, 1}),
+		"descending":        ackFrame(1, [2]int64{5, 1}, [2]int64{3, 1}),
+		"duplicated":        ackFrame(1, [2]int64{3, 1}, [2]int64{3, 1}),
+		"zero count":        ackFrame(1, [2]int64{3, 0}),
+		"result index":      appendAck(nil, feedback.BarrierAck{Seq: 1}, ackOut(nil, []int{10}, res[1:])),
+		"result descending": appendAck(nil, feedback.BarrierAck{Seq: 1}, ackOut(nil, []int{4, 3}, res)),
+	} {
+		if _, err := decodeAck(b, 10, &out); !errors.Is(err, errBadAck) {
+			t.Errorf("%s: decodeAck = %v, want errBadAck", name, err)
+		}
 	}
 }
 
@@ -143,15 +200,18 @@ func FuzzWireFrame(f *testing.F) {
 	// Two messages in one frame, the second insert-kind.
 	two := appendMsg(nil, wmProbe, e, 480, 12)
 	f.Add(frameBytes(ftBatch, appendMsg(two, wmInsert, e, 0, 0)))
-	// Barrier, setK, barrier-ack (ok and failed), materialize, close.
+	// Barrier, barrier-ack (ok and failed), materialize, close.
 	f.Add(frameBytes(ftBarrier, appendBarrier(nil, feedback.BarrierMsg{Seq: 1, OutT: 900})))
-	f.Add(frameBytes(ftSetK, appendSetK(nil, feedback.KChangeMsg{Seq: 2, Ks: []stream.Time{120, 80}})))
-	ack := appendAckHeader(nil, feedback.BarrierAck{Seq: 1, K: 120})
-	ack = appendAckBody(ack, []ackEntry{{idx: 3, n: 9}},
-		[]resEntry{{idx: 3, r: stream.Result{TS: 880, Tuples: []*stream.Tuple{e}}}})
-	f.Add(frameBytes(ftBarrierAck, ack))
-	f.Add(frameBytes(ftBarrierAck, appendAckHeader(nil,
-		feedback.BarrierAck{Seq: 4, K: 120, Failed: true, Err: "boom"})))
+	f.Add(frameBytes(ftBarrierAck, appendAck(nil, feedback.BarrierAck{Seq: 1},
+		ackOut([][2]int64{{3, 9}}, []int{3}, []stream.Result{{TS: 880, Tuples: []*stream.Tuple{e}}}))))
+	f.Add(frameBytes(ftBarrierAck, appendAck(nil,
+		feedback.BarrierAck{Seq: 4, Failed: true, Err: "boom"}, nil)))
+	// Acks the decoder must refuse: an arrival index out of range,
+	// descending, duplicated, or with a zero count.
+	f.Add(frameBytes(ftBarrierAck, ackFrame(2, [2]int64{fuzzArrivals, 1})))
+	f.Add(frameBytes(ftBarrierAck, ackFrame(2, [2]int64{7, 1}, [2]int64{4, 1})))
+	f.Add(frameBytes(ftBarrierAck, ackFrame(2, [2]int64{7, 1}, [2]int64{7, 1})))
+	f.Add(frameBytes(ftBarrierAck, ackFrame(2, [2]int64{7, 0})))
 	f.Add(frameBytes(ftMaterialize, nil))
 	f.Add(frameBytes(ftClose, nil))
 	// Truncated frames: header only, short payload, and a cut-off tuple.
@@ -171,8 +231,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := newFrameReader(bytes.NewReader(data))
 		var slab tupleSlab
-		var out decodedAck
-		ks := make([]stream.Time, 0, 8)
+		var out shard.Out[stream.Result]
 		for {
 			ftype, payload, err := fr.next()
 			if err != nil {
@@ -202,18 +261,17 @@ func FuzzWireFrame(f *testing.F) {
 						t.Fatalf("barrier did not re-encode canonically")
 					}
 				}
-			case ftSetK:
-				_, ks, _ = decodeSetK(payload, ks)
 			case ftBarrierAck:
-				if err := decodeAck(payload, &out); err == nil && !out.hdr.Failed {
-					re := appendAckHeader(nil, out.hdr)
-					res := make([]resEntry, len(out.res))
-					for i := range out.res {
-						res[i] = resEntry{idx: out.resIdx[i], r: out.res[i]}
-					}
-					re = appendAckBody(re, out.acc, res)
-					if !bytes.Equal(re, payload) {
+				// Re-encoding from the dense accumulator emits strictly
+				// ascending, nonzero, in-range pairs, so an accepted ack
+				// that is not canonical was one the decoder should refuse.
+				if hdr, err := decodeAck(payload, fuzzArrivals, &out); err == nil && !hdr.Failed {
+					if !bytes.Equal(appendAck(nil, hdr, &out), payload) {
 						t.Fatalf("ack did not re-encode canonically")
+					}
+					_, resIdx := out.Results()
+					if len(out.Counts()) > fuzzArrivals || len(resIdx) > 0 && resIdx[len(resIdx)-1] >= fuzzArrivals {
+						t.Fatalf("ack accepted an arrival index past the interval's %d", fuzzArrivals)
 					}
 				}
 			}
@@ -238,16 +296,9 @@ func TestDataPathAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("appendBarrier: %v allocs/op", n)
 	}
-	ks := []stream.Time{120}
+	out := ackOut([][2]int64{{1, 5}}, nil, nil)
 	if n := testing.AllocsPerRun(200, func() {
-		buf = appendSetK(buf[:0], feedback.KChangeMsg{Seq: 9, Ks: ks})
-	}); n != 0 {
-		t.Errorf("appendSetK: %v allocs/op", n)
-	}
-	acc := []ackEntry{{idx: 1, n: 5}}
-	if n := testing.AllocsPerRun(200, func() {
-		buf = appendAckHeader(buf[:0], feedback.BarrierAck{Seq: 9, K: 40})
-		buf = appendAckBody(buf, acc, nil)
+		buf = appendAck(buf[:0], feedback.BarrierAck{Seq: 9}, out)
 	}); n != 0 {
 		t.Errorf("appendAck: %v allocs/op", n)
 	}

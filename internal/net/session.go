@@ -18,9 +18,9 @@ import (
 // partition routing, per-interval accounting all stay on the driver — and
 // replaces the shard goroutines with TCP connections to qdhjd workers.
 // Determinism therefore needs no new argument: the router makes identical
-// decisions, each worker runs the identical operator over the identical
-// message sequence (TCP preserves order; control frames are in-band), and
-// FlushInterval merges acks in the identical (arrival, shard) order.
+// decisions, each worker runs the identical shard.Step over the identical
+// message sequence (TCP preserves order; barriers are in-band), and
+// FlushInterval releases the decoded acks through the identical merge.
 //
 // The session is lazy: the constructor performs no I/O, and the first
 // Route/FlushInterval/Restore dials. Dial and transport failures panic
@@ -40,13 +40,8 @@ type Session struct {
 	dialed   bool
 	finished bool
 
-	barSeq  uint64
-	kSeq    uint64
-	expectK stream.Time // last K shipped via KChange; -1 before the first
-
-	acks   []decodedAck
-	cursor []int // per-worker cursor over sparse acc entries during merge
-	rcur   []int // per-worker cursor over buffered results during merge
+	barSeq uint64
+	outs   []*shard.Out[stream.Result] // outs[w]: worker w's decoded ack
 }
 
 // wconn is one worker connection with its pending batch frame.
@@ -78,13 +73,12 @@ func NewSession(addrs []string, sig string, cfg shard.Config) *Session {
 		batch = 128
 	}
 	return &Session{
-		cfg:     cfg,
-		addrs:   addrs,
-		sig:     sig,
-		wc:      wc,
-		batch:   batch,
-		router:  newRetainingRouter(cfg),
-		expectK: -1,
+		cfg:    cfg,
+		addrs:  addrs,
+		sig:    sig,
+		wc:     wc,
+		batch:  batch,
+		router: newRetainingRouter(cfg),
 	}
 }
 
@@ -157,9 +151,10 @@ func (s *Session) ensure() {
 	}
 	s.conns = conns
 	s.dialed = true
-	s.acks = make([]decodedAck, len(conns))
-	s.cursor = make([]int, len(conns))
-	s.rcur = make([]int, len(conns))
+	s.outs = make([]*shard.Out[stream.Result], len(conns))
+	for w := range s.outs {
+		s.outs[w] = new(shard.Out[stream.Result])
+	}
 }
 
 // fail tears the session down (freeing the workers' sequential accept
@@ -254,10 +249,11 @@ func (s *Session) Watermark() stream.Time { return s.router.Watermark() }
 
 // FlushInterval quiesces the workers with one pipelined barrier round-trip
 // — barrier frames to all workers first, then acks read in worker order —
-// and merges the interval in deterministic (arrival, shard) order, exactly
-// like the in-process runtime. A worker failure (contained fault or
-// transport error) panics before anything is emitted, preserving the
-// all-or-nothing interval boundary the checkpoint/replay gates rely on.
+// decodes each ack into its worker's shard.Out and releases the interval
+// through Router.Release, exactly like the in-process runtime. A worker
+// failure (contained fault, transport error or malformed ack) panics
+// before anything is emitted, preserving the all-or-nothing interval
+// boundary the checkpoint/replay gates rely on (DESIGN.md §10).
 func (s *Session) FlushInterval(
 	visit func(ts, delay stream.Time, nCross, nOn int64),
 	emit func(stream.Result),
@@ -274,64 +270,16 @@ func (s *Session) FlushInterval(
 		if ft != ftBarrierAck {
 			s.fail(w, fmt.Errorf("net: expected barrier ack, got frame type %d", ft))
 		}
-		s.must(w, decodeAck(payload, &s.acks[w]))
-		if s.acks[w].hdr.Seq != s.barSeq {
-			s.fail(w, fmt.Errorf("net: barrier ack seq %d, want %d", s.acks[w].hdr.Seq, s.barSeq))
+		ack, err := decodeAck(payload, s.router.Arrivals(), s.outs[w])
+		s.must(w, err)
+		if ack.Seq != s.barSeq {
+			s.fail(w, fmt.Errorf("net: barrier ack seq %d, want %d", ack.Seq, s.barSeq))
+		}
+		if ack.Failed {
+			s.fail(w, errors.New(ack.Err))
 		}
 	}
-	// Surface failures before emitting anything (DESIGN.md §10): an interval
-	// either emits entirely or not at all.
-	for w := range s.conns {
-		a := &s.acks[w]
-		if a.hdr.Failed {
-			s.fail(w, errors.New(a.hdr.Err))
-		}
-		if s.expectK >= 0 && a.hdr.K != s.expectK {
-			s.fail(w, fmt.Errorf("net: in-band ordering violation: worker observed K=%d at the barrier, driver had decided K=%d", a.hdr.K, s.expectK))
-		}
-	}
-	for w := range s.cursor {
-		s.cursor[w], s.rcur[w] = 0, 0
-	}
-	for i := 0; i < s.router.Arrivals(); i++ {
-		var tot int64
-		for w := range s.conns {
-			a := &s.acks[w]
-			if s.cursor[w] < len(a.acc) && a.acc[s.cursor[w]].idx == i {
-				tot += a.acc[s.cursor[w]].n
-				s.cursor[w]++
-			}
-			if emit != nil {
-				for s.rcur[w] < len(a.resIdx) && a.resIdx[s.rcur[w]] == i {
-					emit(a.res[s.rcur[w]])
-					s.rcur[w]++
-				}
-			}
-		}
-		if visit != nil {
-			ts, delay, nCross := s.router.Arrival(i)
-			visit(ts, delay, nCross, tot)
-		}
-	}
-	s.router.ResetInterval()
-}
-
-// KChange ships one adaptation decision to the workers as an in-band
-// control frame: it follows the last tuple of the interval it was decided
-// from (the barrier quiesced them) and precedes every tuple of the next.
-func (s *Session) KChange(ks []stream.Time) {
-	if s.finished {
-		return
-	}
-	s.ensure()
-	s.kSeq++
-	m := feedback.KChangeMsg{Seq: s.kSeq, Ks: ks}
-	for w := range s.conns {
-		s.control(w, ftSetK, func(buf []byte) []byte { return appendSetK(buf, m) })
-	}
-	if len(ks) > 0 {
-		s.expectK = ks[0]
-	}
+	s.router.Release(s.outs, visit, emit)
 }
 
 // EnableMaterialize installs result buffers on the workers. Before the run

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/feedback"
 	"repro/internal/join"
+	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -121,30 +122,25 @@ func serveConn(c stdnet.Conn, cfg ServeConfig, pinned *string, havePin *bool) er
 	return s.run()
 }
 
-// wsession is one worker-side session: a shard operator plus its
-// per-interval accumulators — the networked twin of shard.worker.
+// wsession is one worker-side session: the shard worker of
+// internal/shard behind a socket. Every decoded message goes through
+// shard.Step into the session's accumulator, which the barrier ack
+// carries back to the driver.
 type wsession struct {
 	fr  *frameReader
 	fw  *frameWriter
-	cfg ServeConfig
+	inj *fault.Injector
 
 	id   int
-	op   *join.Operator
+	body shard.OpBody
+	out  shard.Out[stream.Result]
+	msg  shard.Msg[*stream.Tuple] // the message being stepped
 	slab tupleSlab
 
-	curIdx int
-	curK   stream.Time // last KChangeMsg value; -1 until one arrives
-	acc    []ackEntry
-	res    []resEntry
-
-	// failed flips the session into drain mode after a contained panic:
-	// data frames are discarded but barriers keep acking (with Failed), so
-	// the driver's quiesce protocol never deadlocks.
-	failed bool
-	errStr string
-
-	// Scratch, reused across frames.
-	ks []stream.Time
+	// failed puts the session in drain mode after a contained fault: data
+	// frames are discarded but barriers keep acking (with Failed), so the
+	// driver's quiesce protocol never deadlocks.
+	failed *fault.WorkerError
 }
 
 // newWSession validates the hello and builds the shard operator. All
@@ -166,22 +162,12 @@ func newWSession(hello HelloMsg, cfg ServeConfig) (s *wsession, err error) {
 	if len(hello.Windows) != cond.M {
 		return nil, fmt.Errorf("net: hello has %d windows for %d streams", len(hello.Windows), cond.M)
 	}
-	s = &wsession{
-		cfg:  cfg,
-		id:   hello.Worker,
-		op:   join.New(cond, hello.Windows),
-		curK: -1,
-	}
+	s = &wsession{inj: cfg.Inject, id: hello.Worker}
+	s.body = shard.OpBody{Op: join.New(cond, hello.Windows), Out: &s.out}
 	if hello.Materialize {
-		s.installEmit()
+		s.body.Materialize()
 	}
 	return s, nil
-}
-
-func (s *wsession) installEmit() {
-	s.op.SetEmit(func(r stream.Result) {
-		s.res = append(s.res, resEntry{idx: s.curIdx, r: r})
-	})
 }
 
 // run is the session frame loop. It returns on close, EOF or a transport
@@ -203,17 +189,8 @@ func (s *wsession) run() error {
 			if err := s.ackBarrier(m); err != nil {
 				return err
 			}
-		case ftSetK:
-			m, ks, err := decodeSetK(payload, s.ks)
-			s.ks = ks
-			if err != nil {
-				return err
-			}
-			if len(m.Ks) > 0 {
-				s.curK = m.Ks[0]
-			}
 		case ftMaterialize:
-			s.installEmit()
+			s.body.Materialize()
 		case ftClose:
 			return nil
 		default:
@@ -222,72 +199,38 @@ func (s *wsession) run() error {
 	}
 }
 
-// handleBatch processes one tuple-batch frame. A panic anywhere in the
-// frame (injected, genuine, or a malformed message) fails the session into
-// drain mode; the frame's unprocessed suffix is skipped, exactly as the
-// in-process worker skips the rest of a failed batch.
+// handleBatch steps one tuple-batch frame's messages. A fault anywhere in
+// the frame (injected, genuine, or a malformed message) fails the session
+// into drain mode; the frame's unprocessed suffix is skipped, exactly as
+// the in-process worker skips the rest of a failed batch.
 func (s *wsession) handleBatch(b []byte) {
-	if s.failed {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			s.failed = true
-			s.errStr = fault.AsError(r).Error()
-		}
-	}()
-	inj := s.cfg.Inject
-	off := 0
-	for off < len(b) {
+	for off := 0; off < len(b) && s.failed == nil; {
 		kind, e, wm, idx, next, err := decodeMsg(b, off, &s.slab)
 		if err != nil {
-			panic(err)
+			s.failed = &fault.WorkerError{Worker: s.id, Cause: err}
+			return
 		}
 		off = next
-		if kind != wmProbe {
-			s.op.InsertAt(e, wm)
-			continue
+		s.msg = shard.Msg[*stream.Tuple]{Item: e, WM: wm, Idx: idx, Kind: shard.Insert}
+		if kind == wmProbe {
+			// "tuple N" injector directives count probe messages on this
+			// worker.
+			s.inj.Arrival()
+			s.msg.Kind = shard.Probe
 		}
-		// "tuple N" injector directives count probe messages on this worker.
-		inj.Arrival()
-		inj.MaybeDelay(s.id)
-		inj.MaybePanic(s.id)
-		s.curIdx = idx
-		if nOn := s.op.ProcessAt(e, wm); nOn != 0 {
-			s.add(idx, nOn)
-		}
+		s.failed = shard.Step(s.id, &s.body, &s.out, s.inj, &s.msg)
 	}
 }
 
-// add merges a result count into the sparse per-arrival accumulator.
-// Arrival indexes are non-decreasing within an interval, so a same-idx
-// merge only ever targets the last entry.
-func (s *wsession) add(idx int, n int64) {
-	if k := len(s.acc); k > 0 && s.acc[k-1].idx == idx {
-		s.acc[k-1].n += n
-		return
-	}
-	s.acc = append(s.acc, ackEntry{idx: idx, n: n})
-}
-
-// ackBarrier replies to a barrier with this interval's deltas (or the
-// recorded failure) and resets the interval accumulators.
+// ackBarrier replies to a barrier with this interval's accumulator (or the
+// recorded failure) and resets it.
 func (s *wsession) ackBarrier(m feedback.BarrierMsg) error {
+	ack := feedback.BarrierAck{Seq: m.Seq}
+	if s.failed != nil {
+		ack.Failed, ack.Err = true, s.failed.Cause.Error()
+	}
 	s.fw.begin(ftBarrierAck)
-	s.fw.buf = appendAckHeader(s.fw.buf, feedback.BarrierAck{
-		Seq:    m.Seq,
-		Worker: s.id,
-		K:      s.curK,
-		Failed: s.failed,
-		Err:    s.errStr,
-	})
-	if !s.failed {
-		s.fw.buf = appendAckBody(s.fw.buf, s.acc, s.res)
-	}
-	s.acc = s.acc[:0]
-	for i := range s.res {
-		s.res[i] = resEntry{}
-	}
-	s.res = s.res[:0]
+	s.fw.buf = appendAck(s.fw.buf, ack, &s.out)
+	s.out.Reset()
 	return s.fw.flush()
 }

@@ -41,11 +41,13 @@ type IngestConfig struct {
 	Policy IngestPolicy
 }
 
-// CheckSrc refuses an arrival whose Src names none of the m streams with
-// fault.ErrInvalidTuple. Every front door calls it before a log, a buffer
-// or a statistics feeder sees the tuple.
-func CheckSrc(t *stream.Tuple, m int) error {
-	if t.Src < 0 || t.Src >= m {
+// CheckTuple refuses with fault.ErrInvalidTuple an arrival whose Src names
+// none of the m streams or whose TS is negative: the clocks T^sync and onT
+// start at 0, so a negative timestamp would look late forever. Every front
+// door calls it before a log, a buffer or a statistics feeder sees the
+// tuple.
+func CheckTuple(t *stream.Tuple, m int) error {
+	if t.Src < 0 || t.Src >= m || t.TS < 0 {
 		return fault.ErrInvalidTuple
 	}
 	return nil

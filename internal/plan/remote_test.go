@@ -72,7 +72,7 @@ func remoteConds() []struct {
 }
 
 // TestRemoteAdaptiveDifferential runs the full feedback pipeline — K
-// adaptation at interval boundaries, K changes delivered in-band — against
+// adaptation at interval boundaries, barriers delivered in-band — against
 // networked workers and requires the flat in-process reference exactly.
 func TestRemoteAdaptiveDifferential(t *testing.T) {
 	for _, tc := range remoteConds() {

@@ -183,17 +183,9 @@ func newSupervisedShell(g *Graph, cfg ExecConfig, scf SuperviseConfig) *Supervis
 	s.cfg = cfg
 	s.ckptEvery = scf.CheckpointEvery
 	if s.ckptEvery <= 0 {
-		p, l := cfg.Adapt.P, cfg.Adapt.L
-		if p == 0 {
-			p = stream.Minute // the engines' default P
-		}
-		if l == 0 {
-			l = stream.Second // the engines' default L
-		}
-		s.ckptEvery = 1
-		if n := int(p / l); n > 1 {
-			s.ckptEvery = n
-		}
+		// One checkpoint per period P, at the engines' own P and L.
+		a := cfg.Adapt.Normalize()
+		s.ckptEvery = max(1, int(a.P/a.L))
 	}
 	s.pushFn = func() {
 		s.ex.Push(s.pending)
@@ -221,10 +213,11 @@ func (s *Supervised) Push(t *stream.Tuple) {
 }
 
 // TryPush feeds one arrival and reports refusal as a typed error instead
-// of a panic: fault.ErrInvalidTuple for a Src outside [0, m) (refused before
-// the log, the injector or the engine sees it), fault.ErrClosed after
-// Close, fault.ErrOverload when the Error ingest policy refuses at the
-// bound, the terminal *fault.JoinError after supervision gave up.
+// of a panic: fault.ErrInvalidTuple for a Src outside [0, m) or a negative
+// TS (refused before the log, the injector or the engine sees it),
+// fault.ErrClosed after Close, fault.ErrOverload when the Error ingest
+// policy refuses at the bound, the terminal *fault.JoinError after
+// supervision gave up.
 func (s *Supervised) TryPush(t *stream.Tuple) error {
 	if s.err != nil {
 		return s.err
@@ -232,7 +225,7 @@ func (s *Supervised) TryPush(t *stream.Tuple) error {
 	if s.finished {
 		return fault.ErrClosed
 	}
-	if err := CheckSrc(t, len(s.g.Windows)); err != nil {
+	if err := CheckTuple(t, len(s.g.Windows)); err != nil {
 		return err
 	}
 	s.inj.Arrival()

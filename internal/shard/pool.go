@@ -39,25 +39,98 @@ type Body[T any] interface {
 }
 
 // Out is one worker's per-merge accumulator: result counts and results,
-// tagged with the arrival index of the probe that derived them.
+// tagged with the arrival index of the probe that derived them. Pool
+// workers and networked workers (internal/net) fill one each through Step;
+// a networked driver decodes every worker's barrier ack into one; MergeOuts
+// releases them.
 type Out[R any] struct {
 	idx    int
 	on     []int64 // on[i] = results derived by arrival i on this worker
 	res    []R
 	resIdx []int // arrival index per result; non-decreasing
+	next   int   // MergeOuts' cursor into res
 }
 
 // Emit buffers one result of the probe in progress.
-func (o *Out[R]) Emit(r R) {
+func (o *Out[R]) Emit(r R) { o.Put(o.idx, r) }
+
+// Put buffers result r of arrival idx; idx must not decrease.
+func (o *Out[R]) Put(idx int, r R) {
 	o.res = append(o.res, r)
-	o.resIdx = append(o.resIdx, o.idx)
+	o.resIdx = append(o.resIdx, idx)
 }
 
-func (o *Out[R]) add(idx int, n int64) {
+// Add credits n results to arrival idx.
+func (o *Out[R]) Add(idx int, n int64) {
 	for len(o.on) <= idx {
 		o.on = append(o.on, 0)
 	}
 	o.on[idx] += n
+}
+
+// Counts returns the result counts by arrival index; arrivals past its end
+// derived none.
+func (o *Out[R]) Counts() []int64 { return o.on }
+
+// Results returns the buffered results and the arrival index of each.
+func (o *Out[R]) Results() ([]R, []int) { return o.res, o.resIdx }
+
+// Reset empties the accumulator, keeping its capacity.
+func (o *Out[R]) Reset() {
+	o.on = o.on[:0]
+	clear(o.res)
+	o.res, o.resIdx, o.next = o.res[:0], o.resIdx[:0], 0
+}
+
+// MergeOuts releases the results of arrivals [0, arrivals) from outs in
+// (arrival, worker) order: each result of arrival i goes to emit, then
+// visit receives i's summed count — the order an unsharded step has, whose
+// probe emits before its hooks run. The accumulators are reset afterwards.
+// The caller has quiesced the workers: Pool.Merge after its barrier, a
+// networked driver after decoding every barrier ack.
+func MergeOuts[R any](outs []*Out[R], arrivals int, visit func(i int, nOn int64), emit func(R)) {
+	for i := 0; i < arrivals; i++ {
+		var tot int64
+		for _, o := range outs {
+			if i < len(o.on) {
+				tot += o.on[i]
+			}
+			for ; o.next < len(o.resIdx) && o.resIdx[o.next] == i; o.next++ {
+				emit(o.res[o.next])
+			}
+		}
+		visit(i, tot)
+	}
+	for _, o := range outs {
+		o.Reset()
+	}
+}
+
+// Step runs one message through worker id's body — the step of every
+// flat-shard and stage-shard worker, in-process (Pool) or behind a socket
+// (internal/net). An insert only inserts. A probe consults inject's
+// directives for id, then runs the body with out tagged by the arrival
+// index and credits the derived count to out. A panic is recovered into
+// the returned error; the caller then drains: it discards further messages
+// but keeps acking barriers, and the driver surfaces the error at the next
+// merge.
+func Step[T, R any](id int, body Body[T], out *Out[R], inject *fault.Injector, m *Msg[T]) (err *fault.WorkerError) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &fault.WorkerError{Worker: id, Cause: fault.AsError(r)}
+		}
+	}()
+	if m.Kind == Insert {
+		body.Insert(m)
+		return nil
+	}
+	inject.MaybeDelay(id)
+	inject.MaybePanic(id)
+	out.idx = m.Idx
+	if n := body.Probe(m); n != 0 {
+		out.Add(m.Idx, n)
+	}
+	return nil
 }
 
 type worker[T, R any] struct {
@@ -86,7 +159,7 @@ type Pool[T, R any] struct {
 	failMu  sync.Mutex
 	failure error // first recovered worker panic, surfaced at the next barrier
 
-	ptr []int // scratch: per-worker result cursor during Merge
+	outs []*Out[R] // outs[w] is worker w's accumulator
 }
 
 // NewPool starts n workers; body builds worker w's Body around its Out.
@@ -97,13 +170,14 @@ func NewPool[T, R any](n, batch int, inject *fault.Injector, body func(w int, ou
 		pend:    make([][]Msg[T], n),
 		batch:   batch,
 		inject:  inject,
-		ptr:     make([]int, n),
+		outs:    make([]*Out[R], n),
 	}
 	p.free.New = func() any { return make([]Msg[T], 0, batch) }
 	for i := range p.workers {
 		w := &worker[T, R]{id: i, ch: make(chan []Msg[T], queueBatches), done: make(chan struct{})}
 		w.body = body(i, &w.out)
 		p.workers[i] = w
+		p.outs[i] = &w.out
 		p.pend[i] = p.getBatch()
 	}
 	for _, w := range p.workers {
@@ -150,35 +224,13 @@ func (p *Pool[T, R]) Sync() {
 	}
 }
 
-// Merge syncs and releases the results of arrivals [0, arrivals) in
-// (arrival, worker) order: each result of arrival i goes to emit, then
-// visit receives i's summed count — the order an unsharded step has, whose
-// probe emits before its hooks run. A failure panics in Sync, before
-// anything is emitted: a merge releases entirely or not at all, the
-// boundary the replay gates rely on (DESIGN.md §10). The accumulators are
-// reset afterwards.
+// Merge syncs and releases the results of arrivals [0, arrivals) through
+// MergeOuts. A failure panics in Sync, before anything is emitted: a merge
+// releases entirely or not at all, the boundary the replay gates rely on
+// (DESIGN.md §10).
 func (p *Pool[T, R]) Merge(arrivals int, visit func(i int, nOn int64), emit func(R)) {
 	p.Sync()
-	clear(p.ptr)
-	for i := 0; i < arrivals; i++ {
-		var tot int64
-		for s, w := range p.workers {
-			o := &w.out
-			if i < len(o.on) {
-				tot += o.on[i]
-			}
-			for ; p.ptr[s] < len(o.resIdx) && o.resIdx[p.ptr[s]] == i; p.ptr[s]++ {
-				emit(o.res[p.ptr[s]])
-			}
-		}
-		visit(i, tot)
-	}
-	for _, w := range p.workers {
-		o := &w.out
-		o.on = o.on[:0]
-		clear(o.res)
-		o.res, o.resIdx = o.res[:0], o.resIdx[:0]
-	}
+	MergeOuts(p.outs, arrivals, visit, emit)
 }
 
 func (p *Pool[T, R]) fail(err error) {
@@ -205,10 +257,10 @@ func (p *Pool[T, R]) Close() {
 	}
 }
 
-// run is the worker goroutine: FIFO over batches, one step per message. A
-// panic in a step does not kill the goroutine: the worker records the
-// failure and switches to drain mode, discarding further work but still
-// acking barriers, and the failure surfaces on the driver at the next Sync.
+// run is the worker goroutine: FIFO over batches, one Step per message. A
+// failed step does not kill the goroutine: the worker records the failure
+// and switches to drain mode, discarding further work but still acking
+// barriers, and the failure surfaces on the driver at the next Sync.
 func (p *Pool[T, R]) run(w *worker[T, R]) {
 	defer close(w.done)
 	for batch := range w.ch {
@@ -218,30 +270,15 @@ func (p *Pool[T, R]) run(w *worker[T, R]) {
 				p.barrier.Done()
 				continue
 			}
-			if !w.failed {
-				p.step(w, m)
+			if w.failed {
+				continue
+			}
+			if err := Step(w.id, w.body, &w.out, p.inject, m); err != nil {
+				w.failed = true
+				p.fail(err)
 			}
 		}
 		clear(batch)
 		p.free.Put(batch[:0])
-	}
-}
-
-func (p *Pool[T, R]) step(w *worker[T, R], m *Msg[T]) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.failed = true
-			p.fail(&fault.WorkerError{Worker: w.id, Cause: fault.AsError(r)})
-		}
-	}()
-	if m.Kind == Insert {
-		w.body.Insert(m)
-		return
-	}
-	p.inject.MaybeDelay(w.id)
-	p.inject.MaybePanic(w.id)
-	w.out.idx = m.Idx
-	if n := w.body.Probe(m); n != 0 {
-		w.out.add(m.Idx, n)
 	}
 }

@@ -190,18 +190,21 @@ func (r *Router) route(e *stream.Tuple) (probeAll bool, owner int) {
 // current interval — the length of the merge loop.
 func (r *Router) Arrivals() int { return len(r.delays) }
 
-// Arrival returns the accounting of in-order tuple i of the interval: its
-// result timestamp, delay annotation and global cross size n×(e).
-func (r *Router) Arrival(i int) (ts, delay stream.Time, nCross int64) {
-	return r.resTS[i], r.delays[i], r.crosses[i]
-}
-
-// ResetInterval clears the per-interval accounting; tuples observed
-// afterwards are accounted to the next interval.
-func (r *Router) ResetInterval() {
-	r.delays = r.delays[:0]
-	r.crosses = r.crosses[:0]
-	r.resTS = r.resTS[:0]
+// Release merges the workers' accumulators for the interval's arrivals in
+// (arrival, worker) order (MergeOuts) and starts the next interval: the
+// results of arrival i go to emit (nil discards them), then visit receives
+// i's result timestamp, delay annotation, global cross size n×(e) and
+// merged count n^on(e). The caller has quiesced the workers.
+func (r *Router) Release(outs []*Out[stream.Result], visit func(ts, delay stream.Time, nCross, nOn int64), emit func(stream.Result)) {
+	if emit == nil {
+		emit = func(stream.Result) {}
+	}
+	MergeOuts(outs, len(r.delays), func(i int, nOn int64) {
+		if visit != nil {
+			visit(r.resTS[i], r.delays[i], r.crosses[i], nOn)
+		}
+	}, emit)
+	r.delays, r.crosses, r.resTS = r.delays[:0], r.crosses[:0], r.resTS[:0]
 }
 
 // Snapshot copies the router spine for a checkpoint: watermark, started

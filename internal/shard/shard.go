@@ -1,10 +1,13 @@
 // Package shard is the one partition-and-route core of every sharded
 // shape: the partition rule (Rule), the membership multiset behind the
-// global n×(e) (Ring), and the worker pool with its barrier merge (Pool),
+// global n×(e) (Ring), the worker step (Step) with its accumulator (Out),
+// and the worker pool with its barrier merge (Pool, MergeOuts),
 // parameterized by a worker body. Three callers share it: flat shards
-// (Runtime, whose body is a full join.Operator), the networked session of
-// internal/net (the same Router over TCP workers), and sharded tree stages
-// of internal/dist (whose body is one stage's window pair).
+// (Runtime, whose body is a full join.Operator, OpBody), the networked
+// runtime of internal/net (the same Router on the driver, Step on an
+// OpBody in each TCP worker, MergeOuts over the decoded acks), and
+// sharded tree stages of internal/dist (whose body is one stage's window
+// pair).
 //
 // Disorder handling stays sequential: the K-slack buffers and the
 // Synchronizer feed the driver, which tracks the global watermark onT,
@@ -48,15 +51,20 @@ type Config struct {
 	Inject *fault.Injector
 }
 
-// opBody is a flat shard's worker body: one full join.Operator and the
-// worker's accumulator its materialized results go to.
-type opBody struct {
-	op  *join.Operator
-	out *Out[stream.Result]
+// OpBody is a flat shard's worker body: one full join.Operator and the
+// worker's accumulator its materialized results go to. A Runtime runs one
+// per pool worker; a networked worker (internal/net) runs one behind its
+// socket.
+type OpBody struct {
+	Op  *join.Operator
+	Out *Out[stream.Result]
 }
 
-func (b opBody) Probe(m *Msg[*stream.Tuple]) int64 { return b.op.ProcessAt(m.Item, m.WM) }
-func (b opBody) Insert(m *Msg[*stream.Tuple])      { b.op.InsertAt(m.Item, m.WM) }
+func (b *OpBody) Probe(m *Msg[*stream.Tuple]) int64 { return b.Op.ProcessAt(m.Item, m.WM) }
+func (b *OpBody) Insert(m *Msg[*stream.Tuple])      { b.Op.InsertAt(m.Item, m.WM) }
+
+// Materialize sends the operator's results to Out.
+func (b *OpBody) Materialize() { b.Op.SetEmit(b.Out.Emit) }
 
 // Runtime runs one logical join as cfg.N shards.
 type Runtime struct {
@@ -65,7 +73,7 @@ type Runtime struct {
 	finished bool
 
 	pool   *Pool[*stream.Tuple, stream.Result]
-	shards []opBody
+	shards []*OpBody
 }
 
 // New builds the runtime and starts its shard goroutines. The partition
@@ -79,8 +87,9 @@ func New(cfg Config) *Runtime {
 		router: NewRouter(cfg.N, cfg.Cond, cfg.Windows, cfg.OnOutOfOrder),
 	}
 	rt.pool = NewPool(cfg.N, cfg.BatchSize, cfg.Inject, func(_ int, out *Out[stream.Result]) Body[*stream.Tuple] {
-		rt.shards = append(rt.shards, opBody{join.New(cfg.Cond, cfg.Windows), out})
-		return rt.shards[len(rt.shards)-1]
+		b := &OpBody{join.New(cfg.Cond, cfg.Windows), out}
+		rt.shards = append(rt.shards, b)
+		return b
 	})
 	if cfg.Materialize {
 		rt.installEmit()
@@ -109,7 +118,7 @@ func (rt *Runtime) EnableMaterialize() {
 
 func (rt *Runtime) installEmit() {
 	for _, b := range rt.shards {
-		b.op.SetEmit(b.out.Emit)
+		b.Materialize()
 	}
 }
 
@@ -147,29 +156,20 @@ func (rt *Runtime) dispatch(m Msg[*stream.Tuple], all bool, owner int, replicas 
 	}
 }
 
-// FlushInterval drains the shards and merges one interval's streams in
-// deterministic (arrival, shard) order: for every globally in-order tuple
-// of the interval, buffered results (if materializing) are emitted first,
-// then visit receives the tuple's result timestamp, delay annotation,
-// global cross size n×(e) and merged result count n^on(e) — exactly the
-// per-tuple sequence a single-shard operator would have produced. A worker
-// failure panics before anything is emitted. Interval state is reset
-// before returning, so tuples routed afterwards (e.g. by an eager K
-// shrink) are accounted to the next interval.
+// FlushInterval drains the shards and releases one interval through
+// Router.Release: for every globally in-order tuple of the interval,
+// buffered results (if materializing) are emitted first, then visit
+// receives the tuple's result timestamp, delay annotation, global cross
+// size n×(e) and merged result count n^on(e) — exactly the per-tuple
+// sequence a single-shard operator would have produced. A worker failure
+// panics before anything is emitted. Tuples routed afterwards (e.g. by an
+// eager K shrink) are accounted to the next interval.
 func (rt *Runtime) FlushInterval(
 	visit func(ts, delay stream.Time, nCross, nOn int64),
 	emit func(stream.Result),
 ) {
-	if emit == nil {
-		emit = func(stream.Result) {}
-	}
-	rt.pool.Merge(rt.router.Arrivals(), func(i int, nOn int64) {
-		if visit != nil {
-			ts, delay, nCross := rt.router.Arrival(i)
-			visit(ts, delay, nCross, nOn)
-		}
-	}, emit)
-	rt.router.ResetInterval()
+	rt.pool.Sync()
+	rt.router.Release(rt.pool.outs, visit, emit)
 }
 
 // ShardLoads returns, per shard, how many messages its operator has
@@ -178,7 +178,7 @@ func (rt *Runtime) FlushInterval(
 func (rt *Runtime) ShardLoads() []int64 {
 	out := make([]int64, len(rt.shards))
 	for s, b := range rt.shards {
-		out[s] = b.op.Processed()
+		out[s] = b.Op.Processed()
 	}
 	return out
 }

@@ -35,7 +35,7 @@ func (rt *Runtime) State(tt *fault.TupleTable) State {
 	for i := range st.Windows {
 		var tuples []*stream.Tuple
 		for _, b := range rt.shards {
-			for _, t := range b.op.WindowTuples(i) {
+			for _, t := range b.Op.WindowTuples(i) {
 				if !seen[t] {
 					seen[t] = true
 					tuples = append(tuples, t)

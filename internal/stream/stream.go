@@ -24,7 +24,11 @@ const (
 
 // String formats a Time as seconds with millisecond precision.
 func (t Time) String() string {
-	return fmt.Sprintf("%d.%03ds", t/Second, t%Second)
+	sign, ms := "", uint64(t)
+	if t < 0 {
+		sign, ms = "-", -ms // the magnitude, exact for math.MinInt64 too
+	}
+	return fmt.Sprintf("%s%d.%03ds", sign, ms/uint64(Second), ms%uint64(Second))
 }
 
 // Tuple is a single stream element. A tuple is identified by the stream it

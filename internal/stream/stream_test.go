@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -10,11 +11,22 @@ func tup(src int, ts Time, seq uint64) *Tuple {
 }
 
 func TestTimeString(t *testing.T) {
-	if got := (1500 * Millisecond).String(); got != "1.500s" {
-		t.Fatalf("Time.String = %q", got)
-	}
-	if got := (2 * Minute).String(); got != "120.000s" {
-		t.Fatalf("Time.String = %q", got)
+	for _, c := range []struct {
+		t    Time
+		want string
+	}{
+		{-1, "-0.001s"},
+		{-1500, "-1.500s"},
+		{-2 * Minute, "-120.000s"},
+		{0, "0.000s"},
+		{1500 * Millisecond, "1.500s"},
+		{2 * Minute, "120.000s"},
+		{math.MinInt64, "-9223372036854775.808s"},
+		{math.MaxInt64, "9223372036854775.807s"},
+	} {
+		if got := c.t.String(); got != c.want {
+			t.Errorf("Time(%d).String() = %q, want %q", int64(c.t), got, c.want)
+		}
 	}
 }
 

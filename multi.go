@@ -97,10 +97,10 @@ func (mj *MultiJoin) Remove(mq *MultiQuery) {
 }
 
 // Push feeds one arriving tuple to every registered query. Pushing into a
-// closed MultiJoin panics, as does a tuple whose Src is outside [0, m)
-// (with Join.Push's message).
+// closed MultiJoin panics, as does a tuple whose Src is outside [0, m) or
+// whose TS is negative (with Join.Push's message).
 func (mj *MultiJoin) Push(t *Tuple) {
-	checkSrc(t, mj.en.M())
+	checkTuple(t, mj.en.M())
 	mj.en.Push(t)
 }
 

@@ -390,26 +390,27 @@ func NewJoin(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) 
 
 // Push feeds one arriving tuple. Tuples carry their source stream in
 // Tuple.Src and their application timestamp in Tuple.TS. A Src outside
-// [0, m) panics with "qdhj: Push of a tuple whose Src is not one of the
-// join's streams …" before any buffer, log or statistics feeder sees the
-// tuple; TryPush refuses it with ErrInvalidTuple instead. Under
-// WithOnlineReplan, Push additionally runs the re-planning loop: the tuple
-// is recorded in the replay log, and the executor between two pushes is a
-// valid migration point, so a Push may return having migrated the join to
-// a different deployment shape.
+// [0, m) or a negative TS panics with "qdhj: Push of a tuple whose Src is
+// not one of the join's streams 0..m-1 or whose TS is negative …" before
+// any buffer, log or statistics feeder sees the tuple; TryPush refuses it
+// with ErrInvalidTuple instead. Under WithOnlineReplan, Push additionally
+// runs the re-planning loop: the tuple is recorded in the replay log, and
+// the executor between two pushes is a valid migration point, so a Push
+// may return having migrated the join to a different deployment shape.
 func (j *Join) Push(t *Tuple) {
-	checkSrc(t, len(j.g.Windows))
+	checkTuple(t, len(j.g.Windows))
 	j.ex.Push(t)
 }
 
-// srcPanic is the documented panic of Join.Push and MultiJoin.Push for a
-// tuple whose Src names none of the join's streams.
-const srcPanic = "qdhj: Push of a tuple whose Src is not one of the join's streams 0..m-1 — TryPush refuses it with ErrInvalidTuple"
+// tuplePanic is the documented panic of Join.Push and MultiJoin.Push for a
+// tuple whose Src names none of the join's streams or whose TS is
+// negative.
+const tuplePanic = "qdhj: Push of a tuple whose Src is not one of the join's streams 0..m-1 or whose TS is negative — TryPush refuses it with ErrInvalidTuple"
 
-// checkSrc panics with srcPanic where TryPush returns ErrInvalidTuple.
-func checkSrc(t *Tuple, m int) {
-	if plan.CheckSrc(t, m) != nil {
-		panic(srcPanic)
+// checkTuple panics with tuplePanic where TryPush returns ErrInvalidTuple.
+func checkTuple(t *Tuple, m int) {
+	if plan.CheckTuple(t, m) != nil {
+		panic(tuplePanic)
 	}
 }
 

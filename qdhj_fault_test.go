@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/difftest"
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/leakcheck"
 )
 
@@ -543,24 +545,55 @@ func TestRestoreRefusesLooplessStaticTreeSnapshot(t *testing.T) {
 	}
 }
 
-// TestInvalidSrcRefused: a tuple whose Src names none of the m streams is
-// refused at the front door on every shape, bare and supervised — TryPush
-// with ErrInvalidTuple, Push with its documented panic — before any log,
-// buffer or statistics feeder sees it. The join stays healthy and its
-// results and K trajectory equal a run that never saw the bad tuples.
+// TestCheckpointCadenceMatchesEngineDefaults: the supervised shell's
+// default cadence — one checkpoint per period, P/L boundaries — uses the
+// engines' own normalized P and L. A non-positive Period or Interval, which
+// the engines read as their defaults, checkpoints as often as the zero
+// Options do, not at every boundary.
+func TestCheckpointCadenceMatchesEngineDefaults(t *testing.T) {
+	defer leakcheck.Check(t)
+	ds := gen.Synthetic3(gen.SynthConfig{Duration: 3 * Minute, Seed: 42})
+	run := func(opt Options) (ckpts int, adapts, results int64) {
+		j := NewJoin(ds.Cond, ds.Windows, opt, WithSupervision(Supervision{}))
+		for _, e := range cloneBatch(ds.Arrivals) {
+			j.Push(e)
+		}
+		j.Close()
+		return j.Checkpoints(), j.Adaptations(), j.Results()
+	}
+	wantC, wantA, wantR := run(Options{})
+	for _, opt := range []Options{{Interval: -1}, {Period: -5}} {
+		if c, a, r := run(opt); c != wantC || a != wantA || r != wantR {
+			t.Errorf("%+v: %d checkpoints, %d adaptations, %d results; Options{} took %d, %d, %d",
+				opt, c, a, r, wantC, wantA, wantR)
+		}
+	}
+}
+
+// TestInvalidSrcRefused: a tuple whose Src names none of the m streams, or
+// whose TS is negative, is refused at the front door on every shape, bare
+// and supervised — TryPush with ErrInvalidTuple, Push with its documented
+// panic — before any log, buffer or statistics feeder sees it. The join
+// stays healthy and its results and K trajectory equal a run that never
+// saw the bad tuples.
 func TestInvalidSrcRefused(t *testing.T) {
 	defer leakcheck.Check(t)
 	opt := Options{Gamma: 0.9, Period: Second, Interval: 200 * Millisecond}
 	windows := []Time{700, 700, 700}
 	in := difftest.MixWorkload(3, 600, 41, 14)
-	// refuse feeds the two out-of-range copies of e through TryPush and Push.
+	// refuse feeds the invalid copies of e (Src out of range, TS negative)
+	// through TryPush and Push.
 	refuse := func(t *testing.T, tryPush func(*Tuple) error, push func(*Tuple), e *Tuple, health func() error) {
 		t.Helper()
-		for _, src := range []int{-1, 3} {
-			bad := &Tuple{TS: e.TS, Seq: e.Seq, Src: src, Attrs: e.Attrs}
+		for _, bad := range []*Tuple{
+			{TS: e.TS, Seq: e.Seq, Src: -1, Attrs: e.Attrs},
+			{TS: e.TS, Seq: e.Seq, Src: 3, Attrs: e.Attrs},
+			{TS: -1, Seq: e.Seq, Src: e.Src, Attrs: e.Attrs},
+			{TS: math.MinInt64, Seq: e.Seq, Src: e.Src, Attrs: e.Attrs},
+		} {
 			if tryPush != nil {
 				if err := tryPush(bad); !errors.Is(err, ErrInvalidTuple) {
-					t.Fatalf("TryPush(Src %d) = %v, want ErrInvalidTuple", src, err)
+					t.Fatalf("TryPush(Src %d, TS %d) = %v, want ErrInvalidTuple", bad.Src, bad.TS, err)
 				}
 			}
 			msg := func() (msg string) {
@@ -569,10 +602,10 @@ func TestInvalidSrcRefused(t *testing.T) {
 				return
 			}()
 			if !strings.HasPrefix(msg, "qdhj: Push of a tuple whose Src") {
-				t.Fatalf("Push(Src %d) panicked with %q", src, msg)
+				t.Fatalf("Push(Src %d, TS %d) panicked with %q", bad.Src, bad.TS, msg)
 			}
 			if err := health(); err != nil {
-				t.Fatalf("Err() = %v after a refused Src %d", err, src)
+				t.Fatalf("Err() = %v after a refused Src %d, TS %d", err, bad.Src, bad.TS)
 			}
 		}
 	}

@@ -22,8 +22,9 @@ var (
 	ErrClosed = fault.ErrClosed
 	// ErrOverload reports an arrival refused by the Error ingest policy.
 	ErrOverload = fault.ErrOverload
-	// ErrInvalidTuple reports an arrival whose Src is outside [0, m); the
-	// join is unchanged, as if the tuple had never been pushed.
+	// ErrInvalidTuple reports an arrival whose Src is outside [0, m) or
+	// whose TS is negative; the join is unchanged, as if the tuple had
+	// never been pushed.
 	ErrInvalidTuple = fault.ErrInvalidTuple
 	// ErrRestoreMismatch reports a snapshot whose deployment signature
 	// (condition, windows, shape, policy) disagrees with the restore target.
@@ -110,17 +111,16 @@ func WithIngestBound(max int, p IngestPolicy) JoinOption {
 }
 
 // Injector is the deterministic, seed-free fault injector: directives fire
-// at exact offered-arrival counts (worker panics, worker delays, arrival
-// bursts), so a faulty run is bit-for-bit reproducible. Build one with
+// at exact offered-arrival counts (worker panics, worker delays), so a
+// faulty run is bit-for-bit reproducible. Build one with
 // NewInjector().PanicAt(worker, tuple)... or ParseInjectSpec.
 type Injector = fault.Injector
 
-// NewInjector returns an empty injector; chain PanicAt/DelayAt/BurstAt.
+// NewInjector returns an empty injector; chain PanicAt/DelayAt.
 func NewInjector() *Injector { return fault.NewInjector() }
 
 // ParseInjectSpec compiles a comma-separated textual injection spec:
-// "panic@shard1:tuple5000", "delay@shard0:tuple100:2ms",
-// "burst@tuple2000:50".
+// "panic@shard1:tuple5000", "delay@shard0:tuple100:2ms".
 func ParseInjectSpec(spec string) (*Injector, error) { return fault.ParseInjectSpec(spec) }
 
 // WithInjector arms a deterministic fault injector on the join — the test
@@ -134,10 +134,10 @@ func WithInjector(inj *Injector) JoinOption {
 }
 
 // TryPush feeds one arriving tuple, reporting refusal as a typed error
-// instead of a panic: ErrInvalidTuple for a Src outside [0, m), ErrClosed
-// after Close, ErrOverload when the IngestError policy refuses at the
-// bound, the terminal *JoinError after supervision gave up. On a healthy
-// join and a valid tuple it is exactly Push.
+// instead of a panic: ErrInvalidTuple for a Src outside [0, m) or a
+// negative TS, ErrClosed after Close, ErrOverload when the IngestError
+// policy refuses at the bound, the terminal *JoinError after supervision
+// gave up. On a healthy join and a valid tuple it is exactly Push.
 func (j *Join) TryPush(t *Tuple) error {
 	if j.rt != nil {
 		return j.rt.TryPush(t)
@@ -145,7 +145,7 @@ func (j *Join) TryPush(t *Tuple) error {
 	if j.closed {
 		return ErrClosed
 	}
-	if err := plan.CheckSrc(t, len(j.g.Windows)); err != nil {
+	if err := plan.CheckTuple(t, len(j.g.Windows)); err != nil {
 		return err
 	}
 	j.ex.Push(t)
