@@ -4,8 +4,7 @@ package plan
 // same-shape recovery from a checkpoint, a migration into another shape —
 // re-produces results, count chunks and adaptation events the caller has
 // already observed. The gate sits between the executor's callbacks and the
-// caller's and lets each one through exactly once. It keys deliveries two
-// ways:
+// caller's and lets each one through exactly once, by two rules:
 //
 //   - Prefix counters, for same-shape recovery. The replay re-runs the same
 //     deterministic engine from a checkpoint, so it re-emits a prefix of the
@@ -13,14 +12,15 @@ package plan
 //     suppresses exactly that prefix. They cover count chunks and
 //     adaptation events too, so a count-only join never has to
 //     materialize its results.
-//   - Result identities, for migration. Another shape emits the same
-//     multiset in a different order, so the gate records the identity of
-//     every delivered result — each member's (Src, Seq) in position order,
-//     nil members included — and a migration's replay suppresses up to the
-//     recorded multiplicity. Kept only while the shell re-plans.
+//   - One filter per migration, for cross-shape replay. Another shape emits
+//     the same multiset in a different order, so the gate cannot count;
+//     instead each migration's boundary checkpoint decides which results
+//     the old shape had sealed (filter). Kept only while the shell
+//     re-plans.
 
 import (
-	"encoding/binary"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/join"
@@ -37,12 +37,13 @@ type gate struct {
 	prodAdapts, delivAdapts int64
 	boundary                bool // an adaptation event was delivered since the shell last looked
 
-	ids       identities // nil unless the shell re-plans
-	out       int64      // results delivered through the identity records
-	migrating bool       // a migration is under way: the counters pause, the hooks stay silent
-	replaying bool       // its replay is under way: recorded identities are matched
-	repOut    int64      // results the current replay delivered
-	repSupp   int64      // regenerations the current replay suppressed
+	replan    bool            // the shell re-plans: every result materializes and meets the filters
+	filters   []*filter       // the open migrations' rules, in boundary order
+	maxTS     stream.Time     // the newest filter's maxTS, the largest; MinInt64 with none open
+	out       int64           // results delivered while re-planning
+	migrating bool            // a migration is under way: the counters pause, the hooks stay silent
+	owed      []stream.Result // what its replay delivers once the move commits
+	supp      int64           // what its replay suppressed
 }
 
 // meta is the counter state a checkpoint freezes: restoring rewinds the
@@ -52,9 +53,15 @@ type meta struct{ produced, chunks, adapts int64 }
 
 func (g *gate) mark() meta { return meta{g.produced, g.prodChunks, g.prodAdapts} }
 
+// rewind restores the produced counters for a same-shape recovery. A
+// migration it interrupts drops its filter and what its replay owed: the
+// recovered old shape delivers those results itself.
 func (g *gate) rewind(m meta) {
 	g.produced, g.prodChunks, g.prodAdapts = m.produced, m.chunks, m.adapts
-	g.migrating, g.replaying = false, false
+	if g.migrating {
+		g.migrating, g.owed = false, nil
+		g.open(g.filters[:len(g.filters)-1])
+	}
 }
 
 func (g *gate) result(r stream.Result) {
@@ -64,24 +71,41 @@ func (g *gate) result(r stream.Result) {
 		}
 		g.delivered++
 	}
-	if g.ids != nil {
-		if g.ids.suppress(r, g.replaying) {
-			if g.replaying {
-				g.repSupp++
-			}
-			return
+	switch {
+	case !g.replan:
+		if g.emit != nil {
+			g.emit(r)
 		}
-		if g.replaying {
-			g.repOut++
+	case r.TS <= g.maxTS && g.sealed(r):
+		if g.migrating {
+			g.supp++
 		}
-		g.out++
-		if g.counts != nil {
-			g.counts(r.TS, 1)
-		}
+	case g.migrating:
+		g.owed = append(g.owed, r)
+	default:
+		g.deliver(r)
+	}
+}
+
+// deliver hands a re-planning shell's result to the caller; the count sink
+// sees one count per result.
+func (g *gate) deliver(r stream.Result) {
+	g.out++
+	if g.counts != nil {
+		g.counts(r.TS, 1)
 	}
 	if g.emit != nil {
 		g.emit(r)
 	}
+}
+
+func (g *gate) sealed(r stream.Result) bool {
+	for _, f := range g.filters {
+		if f.sealed(r) {
+			return true
+		}
+	}
+	return false
 }
 
 func (g *gate) chunk(ts stream.Time, n int64) {
@@ -115,141 +139,105 @@ func (g *gate) restart() {
 	g.produced, g.prodChunks, g.prodAdapts = g.delivered, g.delivChunks, g.delivAdapts
 }
 
-// beginReplay starts a migration's replay.
-func (g *gate) beginReplay() {
-	g.migrating, g.replaying = true, true
-	g.repOut, g.repSupp = 0, 0
-	g.ids.beginReplay()
+// begin starts a migration under its filter.
+func (g *gate) begin(f *filter) {
+	g.migrating, g.supp = true, 0
+	g.open(append(g.filters, f))
 }
 
-// identities is the multiset of delivered result identities, specialised by
-// key width.
-type identities interface {
-	// suppress reports whether r must not be delivered and records it
-	// otherwise. During a replay a recorded identity is suppressed up to its
-	// recorded multiplicity. Outside one, a recorded identity is always
-	// suppressed: the migrated-to shape's release schedule can defer a
-	// replayed derivation past the replay (tree stages hold results until a
-	// later clock advance), and an engine delivers each identity at most once
-	// per run — one trigger tuple per member combination — so a live
-	// re-emission is always such a leftover.
-	suppress(r stream.Result, replaying bool) bool
-	beginReplay()
-	// prune drops every record with a member older than horizon: no replay
-	// reaches below it, so the record can never suppress anything again.
-	prune(horizon stream.Time)
-	len() int
-}
-
-type idEntry struct {
-	minTS stream.Time // the smallest member timestamp, the prune key
-	n     int32       // recorded deliveries
-	used  int32       // of those, matched in the current replay
-}
-
-type idSet[K comparable] struct {
-	seen map[K]idEntry
-	peak int // the most records seen has held since it was built
-	key  func(stream.Result) (K, stream.Time)
-}
-
-func (s *idSet[K]) suppress(r stream.Result, replaying bool) bool {
-	k, minTS := s.key(r)
-	e, ok := s.seen[k]
-	switch {
-	case ok && !replaying:
-		return true
-	case ok && e.used < e.n:
-		e.used++
-		s.seen[k] = e
-		return true
-	case !ok || minTS < e.minTS:
-		e.minTS = minTS
+// commit completes a migration: what its replay owed reaches the caller.
+// It returns how many results the replay delivered and suppressed.
+func (g *gate) commit() (delivered, suppressed int64) {
+	owed := g.owed
+	g.migrating, g.owed = false, nil
+	for _, r := range owed {
+		g.deliver(r)
 	}
-	e.n++
-	s.seen[k] = e
-	return false
+	return int64(len(owed)), g.supp
 }
 
-func (s *idSet[K]) beginReplay() {
-	for k, e := range s.seen {
-		if e.used != 0 {
-			e.used = 0
-			s.seen[k] = e
+// prune closes every filter whose boundary lies below horizon: every
+// result an executor still emits, and every later replay's, has a member
+// at or above it (supervise.go's prune), so its TS exceeds the filter's.
+func (g *gate) prune(horizon stream.Time) {
+	g.open(slices.DeleteFunc(g.filters, func(f *filter) bool { return f.maxTS < horizon }))
+}
+
+func (g *gate) open(fs []*filter) {
+	g.filters, g.maxTS = fs, math.MinInt64
+	if n := len(fs); n > 0 {
+		g.maxTS = fs[n-1].maxTS // boundaries only advance
+	}
+}
+
+// filter is one migration's suppression rule. At the quiesced boundary the
+// old shape had emitted every result whose derivation was complete; one
+// still in flight contains a sub-assignment it held — a K-slack or
+// synchronizer tuple, or an event at a tree stage's side, which covers
+// exactly that side's streams and so is contained in a result only as its
+// own unprocessed partial. A result, live or replayed, is suppressed iff
+// r.TS ≤ maxTS, every member is a replayed pre-boundary arrival, and no
+// held sub-assignment is contained in it: the old shape delivered it, or
+// had already lost it.
+type filter struct {
+	maxTS stream.Time
+	// pre maps each replayed arrival to the held sub-assignments anchored
+	// at it (each at its first member).
+	pre map[member][]heldPart
+}
+
+// member identifies a tuple across shapes and the wire. A result holds
+// stream i's member at position i.
+type member struct {
+	src int
+	seq uint64
+}
+
+// heldPart is a held sub-assignment: its members.
+type heldPart []member
+
+// newFilter builds a migration's rule from its boundary: the shell clock
+// now, the arrivals the replay re-pushes (the log from horizon h on), and
+// the held sub-assignments of the boundary checkpoint.
+func newFilter(now stream.Time, log []*stream.Tuple, h stream.Time, held []heldPart) *filter {
+	f := &filter{maxTS: now, pre: make(map[member][]heldPart)}
+	for _, t := range log {
+		if t.TS >= h {
+			f.pre[member{t.Src, t.Seq}] = nil
 		}
 	}
+	for _, p := range held {
+		f.pre[p[0]] = append(f.pre[p[0]], p)
+	}
+	return f
 }
 
-func (s *idSet[K]) prune(horizon stream.Time) {
-	s.peak = max(s.peak, len(s.seen)) // records only grow between prunes
-	for k, e := range s.seen {
-		if e.minTS < horizon {
-			delete(s.seen, k)
-		}
+func (f *filter) sealed(r stream.Result) bool {
+	if r.TS > f.maxTS {
+		return false
 	}
-	// A map never shrinks: once the survivors fill less than a quarter of
-	// the table the peak sized, move them to a table sized for them. A
-	// steady feed prunes about half the records per period and keeps its
-	// table.
-	if n := len(s.seen); 4*n < s.peak {
-		seen := make(map[K]idEntry, n)
-		for k, e := range s.seen {
-			seen[k] = e
-		}
-		s.seen, s.peak = seen, n
-	}
-}
-
-func (s *idSet[K]) len() int { return len(s.seen) }
-
-// newIdentities builds the identity records for results of m members: a
-// fixed-width array key up to eight members, a byte-string key beyond.
-func newIdentities(m int) identities {
-	switch {
-	case m <= 4:
-		return &idSet[[5]uint64]{seen: map[[5]uint64]idEntry{}, key: packKey[[5]uint64]}
-	case m <= 8:
-		return &idSet[[9]uint64]{seen: map[[9]uint64]idEntry{}, key: packKey[[9]uint64]}
-	}
-	return &idSet[string]{seen: map[string]idEntry{}, key: wideKey}
-}
-
-type packedKey interface{ [5]uint64 | [9]uint64 }
-
-// packKey packs a result of at most len(K)−1 members: one word per member's
-// Seq, then one byte per member in the last word — Src+2, 1 for a nil
-// member, 0 past the last one. Src is a stream index below m ≤ 8 in every
-// result an engine emits, so the byte holds it exactly.
-func packKey[K packedKey](r stream.Result) (k K, minTS stream.Time) {
-	minTS = r.TS
-	var srcs uint64
-	for i, t := range r.Tuples {
-		b := uint64(1)
-		if t != nil {
-			k[i] = t.Seq
-			b = uint64(t.Src) + 2
-			minTS = min(minTS, t.TS)
-		}
-		srcs |= b << (8 * i)
-	}
-	k[len(k)-1] = srcs
-	return k, minTS
-}
-
-// wideKey encodes a result of any width: per member a 0 byte for nil, or a
-// 1 byte followed by Src and Seq as eight bytes each.
-func wideKey(r stream.Result) (string, stream.Time) {
-	minTS := r.TS
-	b := make([]byte, 0, 17*len(r.Tuples))
 	for _, t := range r.Tuples {
 		if t == nil {
-			b = append(b, 0)
 			continue
 		}
-		b = append(b, 1)
-		b = binary.LittleEndian.AppendUint64(b, uint64(t.Src))
-		b = binary.LittleEndian.AppendUint64(b, t.Seq)
-		minTS = min(minTS, t.TS)
+		held, ok := f.pre[member{t.Src, t.Seq}]
+		if !ok {
+			return false
+		}
+		for _, p := range held {
+			if p.in(r) {
+				return false
+			}
+		}
 	}
-	return string(b), minTS
+	return true
+}
+
+func (p heldPart) in(r stream.Result) bool {
+	for _, m := range p {
+		if t := r.Tuples[m.src]; t == nil || t.Seq != m.seq {
+			return false
+		}
+	}
+	return true
 }

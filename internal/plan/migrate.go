@@ -10,8 +10,8 @@ package plan
 //     results were already delivered, and the feedback loop's measured
 //     statistics — crosses the shape boundary explicitly: arrivals via a
 //     bounded replay of the shell's arrival log, deliveries via the gate's
-//     identity records, and the loop via a K-scope remap of its serialized
-//     state.
+//     filter for this boundary, and the loop via a K-scope remap of its
+//     serialized state.
 //   - The shape-DEPENDENT executor state is not transplanted at all. The
 //     new executor rebuilds it by replaying the suffix through its own
 //     normal Push path, which reconstructs windows, synchronizer registers
@@ -38,10 +38,10 @@ package plan
 // maximum-timestamp tuple, so the rebuilt K-slack clocks equal the old
 // ones and the release schedule of future arrivals is unchanged.
 //
-// Results the replay regenerates that the old executor already delivered
-// are suppressed by the gate's identity records; results that were in
-// flight are delivered exactly once. Stale regenerations below any new
-// window scope are expired before they can probe — result-invisible.
+// A result was in flight iff it contains a sub-assignment the boundary
+// held; the gate's filter (gate.go) suppresses every other regeneration,
+// replayed or deferred, so in-flight ones are delivered exactly once. Stale
+// regenerations below any new window scope expire before they can probe.
 
 import (
 	"errors"
@@ -73,8 +73,8 @@ type MigrateReport struct {
 	// Replayed is the number of replayed arrivals.
 	Replayed int
 	// Delivered counts replay results that were in flight at the boundary
-	// and reached the user through the replay; Suppressed counts
-	// regenerations the gate matched against prior deliveries.
+	// and reached the user through the replay; Suppressed counts the
+	// regenerations the filter suppressed during the replay only.
 	Delivered, Suppressed int64
 }
 
@@ -87,7 +87,7 @@ type MigrateReport struct {
 // executor is quiesced and the K trajectory is at a decision point; a
 // Replanner's Step is such a place. On error the old executor keeps
 // running. The shell must have been built with a Replanner: only then does
-// the gate record the identities a migration replays behind.
+// the log reach back to a migration horizon.
 func (s *Supervised) Migrate(target *Graph) (MigrateReport, error) {
 	rep := MigrateReport{FromShape: ShapeString(s.g), ToShape: ShapeString(target)}
 	switch {
@@ -95,8 +95,8 @@ func (s *Supervised) Migrate(target *Graph) (MigrateReport, error) {
 		return rep, s.err
 	case s.finished:
 		return rep, fault.ErrClosed
-	case s.gate.ids == nil:
-		return rep, errors.New("plan: Migrate needs a shell built with a Replanner — only it records the result identities a migration replays behind")
+	case s.scf.Replan == nil:
+		return rep, errors.New("plan: Migrate needs a shell built with a Replanner — only it keeps the arrival log a migration replays")
 	case s.g.Cond != target.Cond:
 		return rep, errors.New("plan: Migrate across different Conditions — plan the same condition value")
 	case len(s.g.Windows) != len(target.Windows):
@@ -119,7 +119,7 @@ func (s *Supervised) Migrate(target *Graph) (MigrateReport, error) {
 }
 
 // migrate is Migrate's body. A fault anywhere in it recovers the old shape:
-// the graph and the recovery point change only once the move is complete.
+// graph, recovery point and replay deliveries change only once it is done.
 func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	// Capture the boundary state. Checkpoint is non-destructive: it
 	// quiesces and flushes pending deliveries but leaves the executor live,
@@ -128,7 +128,7 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	if err != nil {
 		return err
 	}
-	h := migrationHorizon(&st, s.g)
+	h, held := migrationHorizon(&st, s.g)
 	rep.Horizon = h
 	if h < s.logSince {
 		return fmt.Errorf("%w: need arrivals since ts %d, log reaches back to %d", ErrReplayShallow, h, s.logSince)
@@ -139,17 +139,15 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	}
 	Abandon(s.ex)
 
-	// Build the new shape behind the same gate; adaptation and count hooks
-	// stay silent until the move is complete (the gate re-synthesizes
-	// counts for the results it actually delivers).
-	s.gate.beginReplay()
+	// Build the new shape behind the gate, under this boundary's filter;
+	// hooks stay silent and deliveries wait until the move is complete (the
+	// gate re-synthesizes counts for the results it actually delivers).
+	s.gate.begin(newFilter(s.now, s.log, h, held))
 	s.ex = Build(target, s.cfg)
 	rep.Replayed = s.replay(s.log, h)
 	// Sharded targets defer deliveries (interval flush, 128-probe release);
-	// drain them through the gate while it still matches regenerations.
+	// drain them so the loop transplant below erases what they observed.
 	quiesceExec(s.ex)
-	s.gate.replaying = false
-	rep.Delivered, rep.Suppressed = s.gate.repOut, s.gate.repSupp
 
 	// Transplant the feedback loop: the old boundary-time state already
 	// accounts every replayed arrival exactly once (they all arrived before
@@ -167,43 +165,50 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 		s.checkpointAs(target) // a built executor always checkpoints
 	}
 	s.g = target
-	s.gate.migrating = false
+	rep.Delivered, rep.Suppressed = s.gate.commit()
 	s.migrations++
 	return nil
 }
 
-// migrationHorizon computes H = min(S, min onT, min localT) − maxW − 1 from
-// the captured boundary state; see the package comment for the soundness
-// argument.
-func migrationHorizon(st *ExecState, g *Graph) stream.Time {
+// migrationHorizon returns H = min(S, min onT, min localT) − maxW − 1 (see
+// the package comment) and every sub-assignment the boundary state held:
+// K-slack and synchronizer tuples, tree stages' buffered events.
+func migrationHorizon(st *ExecState, g *Graph) (stream.Time, []heldPart) {
 	min := stream.Time(math.MaxInt64)
 	upd := func(t stream.Time) {
 		if t < min {
 			min = t
 		}
 	}
-	tupTS := func(id int32) {
-		if id >= 0 {
-			upd(st.Tuples[id].TS)
-		}
+	var held []heldPart
+	hold := func(id int32) member {
+		t := &st.Tuples[id]
+		upd(t.TS)
+		return member{t.Src, t.Seq}
 	}
-	ids := func(ids []int32) {
+	tuples := func(ids []int32) {
 		for _, id := range ids {
-			tupTS(id)
+			held = append(held, heldPart{hold(id)})
 		}
 	}
 	events := func(evs []fault.EventRec) {
 		for _, ev := range evs {
-			ids(ev.Parts)
+			var p heldPart
+			for _, id := range ev.Parts {
+				if id >= 0 {
+					p = append(p, hold(id))
+				}
+			}
+			held = append(held, p)
 		}
 	}
 	switch {
 	case st.Flat != nil:
 		for _, k := range st.Flat.Ks {
-			ids(k.Buffered)
+			tuples(k.Buffered)
 			upd(k.LocalT)
 		}
-		ids(st.Flat.Sync.Buffered)
+		tuples(st.Flat.Sync.Buffered)
 		if st.Flat.Shard != nil {
 			upd(st.Flat.Shard.WM)
 		} else {
@@ -212,7 +217,7 @@ func migrationHorizon(st *ExecState, g *Graph) stream.Time {
 	default:
 		ts := &st.ATree.Tree
 		for _, k := range ts.Leaves {
-			ids(k.Buffered)
+			tuples(k.Buffered)
 			upd(k.LocalT)
 		}
 		for _, sg := range ts.Stages {
@@ -221,9 +226,9 @@ func migrationHorizon(st *ExecState, g *Graph) stream.Time {
 		}
 	}
 	if min == math.MaxInt64 { // nothing pushed yet
-		return math.MinInt64
+		return math.MinInt64, held
 	}
-	return min - maxWindow(g) - 1
+	return min - maxWindow(g) - 1, held
 }
 
 func maxWindow(g *Graph) stream.Time {

@@ -221,18 +221,19 @@ func (f *flipper) Step(s *Supervised, _ *stream.Tuple, boundary bool) {
 
 func (f *flipper) Period() stream.Time { return 2000 }
 
-// TestShellStateBounded: the log and the identity records hold what a
-// bounded horizon needs, not the run. The phase-flip feed of eight phases
+// TestShellStateBounded: the log and the open migration filters hold what
+// a bounded horizon needs, not the run. The phase-flip feed of eight phases
 // — its two-phase unit fed four times, five prune periods per phase — may
 // not peak above the same unit fed twice, under supervision and a
-// migration at every phase change.
+// migration at every phase change: neither in logged arrivals, nor in open
+// filters, nor in the arrivals their sets hold.
 func TestShellStateBounded(t *testing.T) {
 	leakcheck.Check(t)
 	const ticks = 500 // 10 ms each: 5 s per phase
 	unit := gen.PhaseFlipStar4(2, ticks, 11, 12, 600, 200)
 	maxD, _ := unit.MaxDelay()
 	w := []stream.Time{600, 600, 600, 600}
-	run := func(units int) (logPeak, gatePeak, migrations int) {
+	run := func(units int) (logPeak, filterPeak, setPeak, migrations int) {
 		graphs := parseAll(t, []string{"flat", "tree"}, join.Star(4, []int{0, 1, 2}, []int{0, 0, 0}), w)
 		s := NewSupervised(graphs[0], ExecConfig{Policy: PolicyStatic, StaticK: maxD}, SuperviseConfig{
 			Backoff: testBackoff(1),
@@ -245,22 +246,27 @@ func TestShellStateBounded(t *testing.T) {
 				c.Seq += uint64(u * len(unit))
 				s.Push(&c)
 				logPeak = max(logPeak, len(s.log))
-				gatePeak = max(gatePeak, s.gate.ids.len())
+				set := 0
+				for _, f := range s.gate.filters {
+					set += len(f.pre)
+				}
+				filterPeak = max(filterPeak, len(s.gate.filters))
+				setPeak = max(setPeak, set)
 			}
 		}
 		s.Finish()
-		return logPeak, gatePeak, s.Migrations()
+		return logPeak, filterPeak, setPeak, s.Migrations()
 	}
-	log4, gate4, mig4 := run(2)
-	log8, gate8, mig8 := run(4)
+	log4, filters4, set4, mig4 := run(2)
+	log8, filters8, set8, mig8 := run(4)
 	if mig4 < 3 || mig8 < 7 {
 		t.Fatalf("%d and %d migrations over 3 and 7 phase changes", mig4, mig8)
 	}
-	if log8 > log4 || gate8 > gate4 {
-		t.Fatalf("8 phases peak at %d logged arrivals and %d identity records, 4 phases at %d and %d",
-			log8, gate8, log4, gate4)
+	if log8 > log4 || filters8 > filters4 || set8 > set4 {
+		t.Fatalf("8 phases peak at %d logged arrivals, %d open filters over %d arrivals; 4 phases at %d, %d and %d",
+			log8, filters8, set8, log4, filters4, set4)
 	}
-	t.Logf("peaks: %d logged arrivals, %d identity records", log4, gate4)
+	t.Logf("peaks: %d logged arrivals, %d open filters over %d arrivals", log4, filters4, set4)
 }
 
 // TestMigrationAdaptive migrates a quality-driven (adaptive) run across

@@ -20,10 +20,10 @@ package plan
 // faults: the shell re-panics them untouched. A shell built Unsupervised
 // takes no checkpoints and lets failures propagate as a bare executor does.
 //
-// Re-planning. With a Replanner the gate records result identities, the
-// log stays deep enough for any migration horizon, and every admitted
-// arrival is handed to the Replanner, which calls Migrate (migrate.go) at a
-// boundary.
+// Re-planning. With a Replanner every result materializes through the
+// gate's migration filters, the log stays deep enough for any migration
+// horizon, and every admitted arrival is handed to the Replanner, which
+// calls Migrate (migrate.go) at a boundary.
 //
 // The log. An arrival is dropped once no replay can need it: neither the
 // recovery from the last checkpoint (it arrived before it, or the shell is
@@ -174,9 +174,9 @@ func newSupervisedShell(g *Graph, cfg ExecConfig, scf SuperviseConfig) *Supervis
 		cfg.EmitCounts = s.gate.chunk
 	}
 	if scf.Replan != nil {
-		// Identity keying needs every result materialized; the count sink
-		// then sees one count per delivered result.
-		s.gate.ids = newIdentities(len(g.Windows))
+		// A filter reads every result's members; the count sink then sees
+		// one count per delivered result.
+		s.gate.replan, s.gate.maxTS = true, math.MinInt64
 		cfg.Emit, cfg.EmitCounts = s.gate.result, nil
 	}
 	cfg.OnAdapt = s.gate.adaptation // always: boundaries drive checkpointing
@@ -285,8 +285,8 @@ func (s *Supervised) observe(t *stream.Tuple, period stream.Time) {
 	}
 }
 
-// prune drops the arrivals no replay can need, and the identity records no
-// migration can match again. Any future migration horizon satisfies
+// prune drops the arrivals no replay can need, and the migration filters no
+// result can meet again. Any future migration horizon satisfies
 // H ≥ min localT − maxK − maxW − 1 (an unreleased tuple's timestamp exceeds
 // its stream's clock minus the buffer size), and clocks only advance; one
 // period of margin absorbs the K trajectory moving before the boundary the
@@ -319,7 +319,7 @@ func (s *Supervised) prune(period stream.Time) {
 	clear(s.log[len(kept):])
 	s.log = kept
 	s.logSince = keep
-	s.gate.ids.prune(keep)
+	s.gate.prune(keep)
 }
 
 // Finish flushes the join. A failure during the flush recovers like any
@@ -451,7 +451,7 @@ func (s *Supervised) checkpointAs(g *Graph) {
 	s.ckpt, s.ckptMeta, s.sinceCkpt = &st, s.gate.mark(), 0
 	s.ckpts++
 	s.ckptAt = len(s.log)
-	if s.gate.ids == nil { // no migration reaches back: truncate
+	if s.scf.Replan == nil { // no migration reaches back: truncate
 		s.log, s.ckptAt = s.log[:0], 0
 	}
 }
@@ -520,7 +520,7 @@ func (s *Supervised) RecallEstimate() float64 { return s.ex.RecallEstimate() }
 // While re-planning it is the count of results the gate delivered, which
 // stays continuous across migrations.
 func (s *Supervised) Results() int64 {
-	if s.gate.ids != nil {
+	if s.scf.Replan != nil {
 		return s.gate.out
 	}
 	return s.ex.Results()

@@ -22,6 +22,7 @@ package replan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/plan"
@@ -42,7 +43,8 @@ type Options struct {
 	// Default: 2×Period.
 	MinDwell stream.Time
 	// Improvement is the cost-ratio hysteresis: migrate only if
-	// cost(candidate)·Improvement ≤ cost(deployed). Default: 1.25.
+	// cost(candidate)·Improvement ≤ cost(deployed). Default: 1.25, which
+	// also replaces a value ≤ 1, NaN or ±Inf.
 	Improvement float64
 	// OnEvent observes every completed migration.
 	OnEvent func(Event)
@@ -57,8 +59,9 @@ type Event struct {
 	// Horizon is the replay horizon; arrivals with TS ≥ Horizon re-ran.
 	Horizon stream.Time
 	// Replayed is the number of replayed arrivals; Suppressed the number of
-	// regenerations the gate matched against prior deliveries; InFlight the
-	// number of boundary-in-flight results the replay delivered.
+	// regenerations the boundary's filter suppressed during the replay
+	// (later, deferred ones are suppressed uncounted); InFlight the number
+	// of boundary-in-flight results the replay delivered.
 	Replayed   int
 	Suppressed int64
 	InFlight   int64
@@ -100,7 +103,7 @@ func New(opt Options) *Controller {
 	if opt.MinDwell <= 0 {
 		opt.MinDwell = 2 * opt.Period
 	}
-	if opt.Improvement <= 1 {
+	if !(opt.Improvement > 1) || math.IsInf(opt.Improvement, 1) {
 		opt.Improvement = 1.25
 	}
 	return &Controller{opt: opt}

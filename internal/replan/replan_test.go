@@ -2,6 +2,7 @@ package replan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -164,5 +165,23 @@ func TestControllerDwell(t *testing.T) {
 		Options{Period: 2000, MinDwell: 1 << 40, Improvement: 1.2}, in)
 	if s.Migrations() > 0 {
 		t.Fatalf("MinDwell beyond stream length still migrated %d times", s.Migrations())
+	}
+}
+
+// TestNewNormalizesImprovement: a hysteresis factor that cannot gate a
+// migration — at most 1, NaN (every comparison false: never blocks) or
+// +Inf (always blocks) — falls back to the 1.25 default.
+func TestNewNormalizesImprovement(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{
+		{0.5, 1.25},
+		{1, 1.25},
+		{math.NaN(), 1.25},
+		{math.Inf(1), 1.25},
+		{math.Inf(-1), 1.25},
+		{2, 2},
+	} {
+		if got := New(Options{Improvement: tc.in}).opt.Improvement; got != tc.want {
+			t.Errorf("Improvement %v: controller uses %v, want %v", tc.in, got, tc.want)
+		}
 	}
 }

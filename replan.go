@@ -16,8 +16,9 @@ import (
 
 // MigrationEvent reports one completed live plan migration: the old and new
 // shape signatures, the stream-time boundary it quiesced at, the replay
-// depth, and the wall-clock pause it imposed on the driver. FromExplain and
-// ToExplain carry the full Explain rendering of both plans.
+// depth, and the wall-clock pause it imposed on the driver. Suppressed
+// counts replay-time suppressions only. FromExplain and ToExplain carry the
+// full Explain rendering of both plans.
 type MigrationEvent = replan.Event
 
 // ReplanOptions configures WithOnlineReplan. The zero value measures over
@@ -35,7 +36,7 @@ type ReplanOptions struct {
 	MinDwell Time
 	// Improvement is the cost-ratio hysteresis: migrate only when the
 	// candidate's modeled cost times Improvement still undercuts the
-	// deployed shape's (default: 1.25).
+	// deployed shape's (default: 1.25, also for a value ≤ 1, NaN or ±Inf).
 	Improvement float64
 	// OnMigrate observes every completed migration.
 	OnMigrate func(MigrationEvent)
