@@ -67,30 +67,25 @@ const (
 	sideRight = 1
 )
 
-func eventLess(a, b *event) bool {
-	if a.ts != b.ts {
-		return a.ts < b.ts
-	}
-	return a.ord < b.ord
-}
+// arrivalKey is a stage Synchronizer's order, (ts, ord); deadlineKey a
+// window's, deadline alone.
+func arrivalKey(ev *event) (int64, uint64)  { return int64(ev.ts), ev.ord }
+func deadlineKey(ev *event) (int64, uint64) { return int64(ev.deadline), 0 }
 
-// pwindow holds the live entries of one stage input, ordered by expiration
-// deadline so expiry never scans. The order only has to sort what arrives
-// out of it: an entry whose deadline is at or past the newest in-order
-// entry's — every in-order leaf event, deadline = ts + W being monotone
-// behind a K-slack buffer — is appended to a FIFO run, and only the rest
-// (late leaf events, partials whose earliest member is old) go to a 4-ary
-// late heap. Keyed on the first lookup, the entries also sit in the shared
-// index structures of internal/index — the open-addressed hash on equi
-// stages, a one-dimensional band grid (its chains in (deadline, ord) order,
-// so expiry pops heads) on band-only stages — the same structures the
-// MJoin-style operator's windows use.
+// pwindow holds the live entries of one stage input in a pq.Queue by
+// expiration deadline, so expiry never scans: every in-order leaf event —
+// deadline = ts + W, monotone behind a K-slack buffer — extends the queue's
+// run, and only late leaf events and partials whose earliest member is old
+// are heap-sorted. Keyed on the first lookup, the entries also sit in the
+// shared index structures of internal/index — the open-addressed hash on
+// equi stages, a one-dimensional band grid (its chains in (deadline, ord)
+// order, so expiry pops heads) on band-only stages — the same structures
+// the MJoin-style operator's windows use.
 type pwindow struct {
-	inorder pq.Run[*event]
-	late    pq.Heap[*event]
-	idx     *index.Hash[*event] // nil unless the stage has an equi lookup
-	grid    *index.Grid[*event] // nil unless the stage is band-only
-	all     []*event            // candidates' scratch on a stage without a hash
+	byDeadline pq.Queue[*event]
+	idx        *index.Hash[*event] // nil unless the stage has an equi lookup
+	grid       *index.Grid[*event] // nil unless the stage is band-only
+	all        []*event            // candidates' scratch on a stage without a hash
 	// free, when set, receives every expired event — the stage arena's
 	// recycle hook. Only driver-thread windows set it.
 	free func(*event)
@@ -99,7 +94,7 @@ type pwindow struct {
 // newPwindow builds a stage input window: hash-indexed when indexed, else
 // band-indexed by a grid of width eps when banded.
 func newPwindow(indexed, banded bool, eps float64) *pwindow {
-	w := &pwindow{}
+	w := &pwindow{byDeadline: pq.NewQueue(deadlineKey)}
 	if indexed {
 		w.idx = index.NewHash[*event]()
 	}
@@ -115,19 +110,13 @@ func expiresBefore(a, b *event) bool {
 }
 
 // len returns the number of entries held, expired-but-unpurged included.
-func (w *pwindow) len() int { return w.inorder.Len() + w.late.Len() }
+func (w *pwindow) len() int { return w.byDeadline.Len() }
 
 // appendLive appends every held entry to dst, in no particular order.
-func (w *pwindow) appendLive(dst []*event) []*event {
-	return w.late.AppendValues(append(dst, w.inorder.Live()...))
-}
+func (w *pwindow) appendLive(dst []*event) []*event { return w.byDeadline.AppendValues(dst) }
 
 func (w *pwindow) insert(ev *event) {
-	if w.inorder.Len() == 0 || ev.deadline >= w.inorder.Back().deadline {
-		w.inorder.Push(ev)
-	} else {
-		w.late.Push(int64(ev.deadline), 0, ev)
-	}
+	w.byDeadline.Push(int64(ev.deadline), 0, ev)
 	if w.grid != nil {
 		// Grid.Add skips non-finite keys itself; they never band-match.
 		w.grid.Add(ev.key, 0, ev)
@@ -143,14 +132,10 @@ func (w *pwindow) insert(ev *event) {
 }
 
 // expire removes every entry whose deadline passed: its earliest constituent
-// is no longer inside its window at time t. The run's expired prefix goes
-// first, then the late heap's; nothing depends on the order among them.
+// is no longer inside its window at time t.
 func (w *pwindow) expire(t stream.Time) {
-	for w.inorder.Len() > 0 && w.inorder.Front().deadline < t {
-		w.drop(w.inorder.Pop())
-	}
-	for w.late.Len() > 0 && stream.Time(w.late.Peek().Key) < t {
-		w.drop(w.late.Pop())
+	for w.byDeadline.Len() > 0 && stream.Time(w.byDeadline.Front().Key) < t {
+		w.drop(w.byDeadline.Pop())
 	}
 }
 

@@ -20,9 +20,9 @@ import (
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/kslack"
-	"repro/internal/pq"
 	"repro/internal/shard"
 	"repro/internal/stream"
+	"repro/internal/syncer"
 )
 
 // Shape describes one node of a binary deployment shape: a leaf naming a
@@ -144,17 +144,10 @@ type pstage struct {
 	// (their windows expire on worker goroutines).
 	free []*event
 
-	// Synchronizer state (Alg. 1, m = 2). The buffer is one FIFO lane per
-	// side in front of a late heap: a side's input is nondecreasing in ts
-	// except for its K-slack's late releases, and ord only grows, so an
-	// event at or past its lane's newest ts extends the lane in (ts, ord)
-	// order and only the rest are heap-sorted. counts[side] covers both.
-	tsync  stream.Time
-	lane   [2]pq.Run[*event]
-	late   pq.Heap[*event]
-	counts [2]int
-	open   [2]bool
-	ord    uint64
+	// sync is the stage's Synchronizer (Alg. 1, m = 2): one lane per side,
+	// ordered by (ts, ord), releasing into process. ord stamps arrivals.
+	sync *syncer.Sync[*event]
+	ord  uint64
 
 	onT    stream.Time
 	win    [2]*pwindow // unsharded state (nil when sharded)
@@ -294,9 +287,9 @@ func (t *PlanTree) build(sh *Shape, parent *pstage, side int, k stream.Time, cla
 		return []int{st}
 	}
 	s := &pstage{tree: t, parent: parent, parentSide: side,
-		open:   [2]bool{true, true},
 		assign: make([]*stream.Tuple, t.m),
 	}
+	s.sync = syncer.NewSync(2, arrivalKey, s.process)
 	left := t.build(sh.Left, s, sideLeft, k, claimed)
 	right := t.build(sh.Right, s, sideRight, k, claimed)
 	s.sideStreams = [2][]int{left, right}
@@ -414,8 +407,8 @@ func (t *PlanTree) Finish() {
 		lf.ks.Flush()
 	}
 	for _, s := range t.stages {
-		s.closeSide(sideLeft)
-		s.closeSide(sideRight)
+		s.sync.Close(sideLeft)
+		s.sync.Close(sideRight)
 		if s.sh != nil {
 			s.sh.release(s)
 			s.sh.pool.Close()
@@ -493,97 +486,7 @@ func (s *pstage) push(ev *event, side int) {
 	s.stampKey(ev, side)
 	ev.ord = s.ord
 	s.ord++
-	if ev.ts > s.tsync {
-		s.hold(ev, side)
-		s.drainSync()
-		return
-	}
-	s.process(ev, side)
-}
-
-// hold buffers ev until the Synchronizer releases it. Among its side's
-// events at the same ts, ev must carry the largest ord: push stamps a
-// growing one, Restore holds in (ts, ord) order.
-func (s *pstage) hold(ev *event, side int) {
-	if l := &s.lane[side]; l.Len() == 0 || ev.ts >= l.Back().ts {
-		l.Push(ev)
-	} else {
-		s.late.Push(int64(ev.ts), ev.ord, ev)
-	}
-	s.counts[side]++
-}
-
-// syncBuffered returns every event the Synchronizer holds, in no particular
-// order.
-func (s *pstage) syncBuffered() []*event {
-	evs := append([]*event(nil), s.lane[0].Live()...)
-	return s.late.AppendValues(append(evs, s.lane[1].Live()...))
-}
-
-// syncFront returns the buffered (ts, ord) minimum — the smallest of the two
-// lane fronts and the late heap's root — and where it sits: the lane's side,
-// or -1 for the late heap. nil when nothing is buffered.
-func (s *pstage) syncFront() (ev *event, at int) {
-	at = -1
-	if s.late.Len() > 0 {
-		ev = s.late.Peek().Val
-	}
-	for side := range s.lane {
-		if l := &s.lane[side]; l.Len() > 0 && (ev == nil || eventLess(l.Front(), ev)) {
-			ev, at = l.Front(), side
-		}
-	}
-	return ev, at
-}
-
-// drainSync releases, in (ts, ord) order, every buffered event the
-// Synchronizer can: while no open side is empty, everything at the smallest
-// buffered timestamp. Nothing buffered is at tsync on entry (push processes
-// such an event directly), so an unready Synchronizer releases nothing and
-// the common push — the other side still empty — stops at two compares. A
-// lane pop knows its side; only a late-heap pop has to look it up.
-func (s *pstage) drainSync() {
-	if !s.syncReady() {
-		return
-	}
-	for {
-		ev, at := s.syncFront()
-		if ev == nil {
-			return
-		}
-		if ev.ts != s.tsync {
-			if !s.syncReady() {
-				return
-			}
-			s.tsync = ev.ts
-		}
-		side := at
-		if at < 0 {
-			s.late.Pop()
-			side = s.sideOf(ev)
-		} else {
-			s.lane[at].Pop()
-		}
-		s.counts[side]--
-		s.process(ev, side)
-	}
-}
-
-func (s *pstage) syncReady() bool {
-	for i := 0; i < 2; i++ {
-		if s.open[i] && s.counts[i] == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *pstage) closeSide(side int) {
-	if !s.open[side] {
-		return
-	}
-	s.open[side] = false
-	s.drainSync()
+	s.sync.Push(ev, side)
 }
 
 // alloc hands out a recycled event (parts already all-nil) or a fresh one.

@@ -9,18 +9,19 @@ import (
 	"repro/internal/join"
 	"repro/internal/pq"
 	"repro/internal/stream"
+	"repro/internal/syncer"
 )
 
 // The predecessors of the stage shell's two sorters, kept as references, the
-// differentials that hold pwindow's run + late heap and pstage's lanes + late
-// heap against them, and the worst-case timings.
+// differentials that hold pwindow's pq.Queue and the stage's syncer.Sync
+// lanes against them, and the worst-case timings.
 //
-// Mutation checks (each must fail a test here): `>=` → `>` in the append
-// test of pwindow.insert or pstage.hold sends in-order ties to the late heap
-// and fails the "an in-order feed never touches the late heap" assertions;
-// appending unconditionally, dropping ord from syncFront's comparison (the
-// equal-ts tie across sides), or attributing a lane pop to the other side
-// each fail the set / sequence / counts comparison.
+// Mutation checks (each must fail a test here): sending a pair equal to the
+// run's tail to the late heap in pq.Queue.Push (`t < q.tailTie` → `<=`)
+// fails the "an in-order feed never touches the late heap" assertions;
+// appending unconditionally there, comparing lane fronts by key alone in
+// syncer.Sync.front (the equal-ts tie across sides), or emitting a release
+// with the other lane's index each fail the set / sequence comparison.
 //
 // Timings of record (2-CPU shared host, -cpu 1, two sessions; ns per
 // insert+expire for the window, per stage push for the Synchronizer; new vs
@@ -151,10 +152,10 @@ func TestDeadlineWindowMatchesHeapReference(t *testing.T) {
 					now += stream.Time(rng.Intn(3))
 					if rng.Intn(3) > 0 {
 						d := feed.next(now)
-						before := w.late.Len()
+						before := w.byDeadline.Late()
 						w.insert(&event{deadline: d, ord: uint64(op)})
 						ref.insert(&event{deadline: d, ord: uint64(op)})
-						lateInserts += w.late.Len() - before
+						lateInserts += w.byDeadline.Late() - before
 						continue
 					}
 					got, want = got[:0], want[:0]
@@ -192,28 +193,34 @@ func syncStage() *pstage {
 }
 
 // stageEvent draws an event for side from the stage arena, as pleaf.emit
-// does, carrying id as both its equi key and its delay annotation — the
-// latter is how the productivity hook tells the test which event a process
-// call was for.
+// does, carrying id as its equi key.
 func stageEvent(s *pstage, side int, ts stream.Time, id int) *event {
 	ev := s.alloc()
-	ev.ts, ev.deadline, ev.delay = ts, ts+50, stream.Time(id)
+	ev.ts, ev.deadline = ts, ts+50
 	ev.parts[side] = &stream.Tuple{TS: ts, Src: side, Attrs: []float64{float64(id)}}
 	return ev
 }
 
+// syncCounts returns the stage Synchronizer's buffered events per side.
+func syncCounts(s *pstage) [2]int {
+	return [2]int{s.sync.Lane(0).Len(), s.sync.Lane(1).Len()}
+}
+
+// syncLate returns how many of them sit on the lanes' late heaps.
+func syncLate(s *pstage) int { return s.sync.Lane(0).Late() + s.sync.Lane(1).Late() }
+
 type released struct {
-	ts  stream.Time
-	ord uint64
+	ts   stream.Time
+	ord  uint64
+	side int
 }
 
 // TestStageSyncMatchesSingleHeapReference: on random two-sided feeds at 0 %,
 // 25 % and 100 % late — timestamps tie within and across sides, and one side
 // is starved for stretches so the buffer fills — the stage's lanes + late
-// heap release the (ts, ord) sequence of the single heap, event for event,
-// with the same counts[side] after every push and close (a release
-// attributed to the wrong side shows there); an in-order feed never touches
-// the late heap.
+// heaps release the (ts, ord) sequence of the single heap, event for event
+// and each with its side, holding as many per side after every push and
+// close; an in-order feed never touches the late heaps.
 func TestStageSyncMatchesSingleHeapReference(t *testing.T) {
 	for _, late := range lateShares {
 		t.Run(fmt.Sprintf("late%.0f", late*100), func(t *testing.T) {
@@ -221,11 +228,12 @@ func TestStageSyncMatchesSingleHeapReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				var got, want []released
 				s := syncStage()
-				s.prodHook = func(_ int, ts, delay stream.Time, _, _ int64, _ bool) {
-					got = append(got, released{ts, uint64(delay)})
-				}
+				s.sync = syncer.NewSync(2, arrivalKey, func(ev *event, side int) {
+					got = append(got, released{ev.ts, ev.ord, side})
+					s.process(ev, side)
+				})
 				ref := &refSync{open: [2]bool{true, true}, sideOf: s.sideOf}
-				ref.process = func(ev *event, _ int) { want = append(want, released{ev.ts, ev.ord}) }
+				ref.process = func(ev *event, side int) { want = append(want, released{ev.ts, ev.ord, side}) }
 				checked := 0
 				check := func(op int, what string) {
 					t.Helper()
@@ -233,11 +241,11 @@ func TestStageSyncMatchesSingleHeapReference(t *testing.T) {
 						t.Fatalf("seed %d op %d (%s): released %v, the heap %v", seed, op, what, got[checked:], want[checked:])
 					}
 					checked = len(got)
-					if s.counts != ref.counts {
-						t.Fatalf("seed %d op %d (%s): counts %v, the heap's %v", seed, op, what, s.counts, ref.counts)
+					if counts := syncCounts(s); counts != ref.counts {
+						t.Fatalf("seed %d op %d (%s): counts %v, the heap's %v", seed, op, what, counts, ref.counts)
 					}
-					if n := len(s.syncBuffered()); n != s.counts[0]+s.counts[1] {
-						t.Fatalf("seed %d op %d (%s): syncBuffered sees %d of %d events", seed, op, what, n, s.counts[0]+s.counts[1])
+					if n := len(s.sync.Capture().Held); n != s.sync.Len() {
+						t.Fatalf("seed %d op %d (%s): Capture sees %d of %d events", seed, op, what, n, s.sync.Len())
 					}
 				}
 				var tail [2]stream.Time // newest in-order ts per side
@@ -248,23 +256,23 @@ func TestStageSyncMatchesSingleHeapReference(t *testing.T) {
 						side = 1 - side
 					}
 					ts := tail[side] + stream.Time(rng.Intn(2))
-					if prev[side] > s.tsync+1 && rng.Float64() < late {
+					if prev[side] > s.sync.TSync()+1 && rng.Float64() < late {
 						ts = prev[side] - 1
 					} else {
 						tail[side] = ts
 					}
 					prev[side] = ts
-					before := s.late.Len()
+					before := syncLate(s)
 					s.push(stageEvent(s, side, ts, op), side)
 					ref.push(stageEvent(s, side, ts, op), side)
-					if d := s.late.Len() - before; d > 0 {
+					if d := syncLate(s) - before; d > 0 {
 						lateHolds += d
 					}
-					buffered = max(buffered, s.counts[0]+s.counts[1])
+					buffered = max(buffered, s.sync.Len())
 					check(op, "push")
 				}
 				for sd := 0; sd < 2; sd++ {
-					s.closeSide(sd)
+					s.sync.Close(sd)
 					ref.closeSide(sd)
 					check(3000+sd, "close")
 				}

@@ -20,22 +20,23 @@
 package dist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/feedback"
 	"repro/internal/kslack"
 	"repro/internal/shard"
 	"repro/internal/stream"
+	"repro/internal/syncer"
 )
 
 // StageState is the serializable snapshot of one pstage.
 type StageState struct {
 	// Synchronizer registers (Alg. 1, m = 2).
-	TSync  stream.Time
-	Ord    uint64
-	Counts [2]int
-	Open   [2]bool
+	TSync stream.Time
+	Ord   uint64
+	Open  [2]bool
 	// Buffered, not-yet-synchronized events in canonical (ts, ord) order.
 	SyncBuf []fault.EventRec
 
@@ -95,7 +96,7 @@ func recEvent(r fault.EventRec, ta *fault.TupleArena) *event {
 // canonicalRecs sorts evs (the caller's own copy) into (ts, ord) order — ord
 // is unique within a stage, so the order is total — and converts them.
 func canonicalRecs(evs []*event, tt *fault.TupleTable) []fault.EventRec {
-	sort.Slice(evs, func(a, b int) bool { return eventLess(evs[a], evs[b]) })
+	slices.SortFunc(evs, func(a, b *event) int { return cmp.Or(cmp.Compare(a.ts, b.ts), cmp.Compare(a.ord, b.ord)) })
 	out := make([]fault.EventRec, len(evs))
 	for i, ev := range evs {
 		out[i] = eventRec(ev, tt)
@@ -120,14 +121,9 @@ func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 	}
 	st.Stages = make([]StageState, len(t.stages))
 	for i, s := range t.stages {
-		ss := StageState{
-			TSync:   s.tsync,
-			Ord:     s.ord,
-			Counts:  s.counts,
-			Open:    s.open,
-			OnT:     s.onT,
-			SyncBuf: canonicalRecs(s.syncBuffered(), tt),
-		}
+		sn := s.sync.Capture()
+		ss := StageState{TSync: sn.TSync, Ord: s.ord, OnT: s.onT, SyncBuf: canonicalRecs(sn.Held, tt)}
+		copy(ss.Open[:], sn.Open)
 		if s.sh == nil {
 			for sd := 0; sd < 2; sd++ {
 				ss.Win[sd] = canonicalRecs(s.win[sd].appendLive(nil), tt)
@@ -157,9 +153,9 @@ func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 
 // Restore loads a captured state into a freshly constructed PlanTree (same
 // condition, windows and shape). Unsharded windows are rebuilt by direct
-// re-insertion and buffered Synchronizer events re-enter their side's lane —
-// NOT through pstage.push, which would re-stamp arrival orders and re-run
-// the Synchronizer. Sharded windows re-enter through the
+// re-insertion and buffered Synchronizer events are loaded onto their
+// side's lane (syncer.Sync.Load) — NOT through pstage.push, which would
+// re-stamp arrival orders and re-run the Synchronizer. Sharded windows re-enter through the
 // insert-only routing path under the restored stage watermark: routing is a
 // pure function of the event key, so replicas land on the workers they
 // occupied before, and the in-scope filter drops only entries that were
@@ -172,16 +168,13 @@ func (t *PlanTree) Restore(st TreeState, ta *fault.TupleArena) {
 	}
 	for i, s := range t.stages {
 		ss := st.Stages[i]
-		s.tsync = ss.TSync
 		s.ord = ss.Ord
-		s.open = ss.Open
 		s.onT = ss.OnT
-		// hold recounts the fresh tree's sides; SyncBuf is in (ts, ord)
-		// order, so every event lands on its side's lane.
-		for _, r := range ss.SyncBuf {
-			ev := recEvent(r, ta)
-			s.hold(ev, s.sideOf(ev))
+		held := make([]*event, len(ss.SyncBuf))
+		for j, r := range ss.SyncBuf {
+			held[j] = recEvent(r, ta)
 		}
+		s.sync.Load(syncer.Snapshot[*event]{TSync: ss.TSync, Open: ss.Open[:], Held: held}, s.sideOf)
 		if s.sh == nil {
 			for sd := 0; sd < 2; sd++ {
 				for _, r := range ss.Win[sd] {

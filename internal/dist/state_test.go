@@ -264,11 +264,11 @@ func bothLanesBusy(t *PlanTree) bool {
 		if s.sh != nil {
 			continue
 		}
-		if s.late.Len() > 0 && s.lane[0].Len()+s.lane[1].Len() > 0 {
+		if late := syncLate(s); late > 0 && s.sync.Len() > late {
 			syncBoth = true
 		}
 		for _, w := range s.win {
-			if w.inorder.Len() > 0 && w.late.Len() > 0 {
+			if late := w.byDeadline.Late(); late > 0 && w.len() > late {
 				winBoth = true
 			}
 		}
@@ -280,9 +280,9 @@ func bothLanesBusy(t *PlanTree) bool {
 // Synchronizer holds events on a lane *and* on its late heap, and a deadline
 // window entries on its run *and* on its late heap, resumes bit-for-bit —
 // results, multiset, per-stage K trajectory. Restore rebuilds both from the
-// canonical (ts, ord) records: buffered events re-enter their side's lane
-// through hold (never through push, which would re-stamp ord and re-run the
-// Synchronizer), window entries through insert. The feed delays stream 0
+// canonical (ts, ord) records: buffered events are loaded onto their side's
+// lane through Sync.Load (never through push, which would re-stamp ord and
+// re-run the Synchronizer), window entries through insert. The feed delays stream 0
 // most and stream 1 least, so stage 1's raw side runs ahead of its partial
 // side and its K-slack's late releases land behind a full lane.
 func TestPlanTreeCheckpointAcrossLanes(t *testing.T) {

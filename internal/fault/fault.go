@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/stream"
@@ -177,6 +178,17 @@ func (tt *TupleTable) ID(t *stream.Tuple) int32 {
 	return id
 }
 
+// SortedIDs sorts ts in place into the canonical (TS, Seq) order and
+// registers them, returning their ids in that order.
+func (tt *TupleTable) SortedIDs(ts []*stream.Tuple) []int32 {
+	sort.Slice(ts, func(i, j int) bool { return stream.Less(ts[i], ts[j]) })
+	ids := make([]int32, len(ts))
+	for i, t := range ts {
+		ids[i] = tt.ID(t)
+	}
+	return ids
+}
+
 // TupleArena materializes the table's records on restore: one *stream.Tuple
 // per record, shared across every state slice that references the id.
 type TupleArena struct {
@@ -198,6 +210,19 @@ func (a *TupleArena) Tuple(id int32) *stream.Tuple {
 		return nil
 	}
 	return a.tuples[id]
+}
+
+// Tuples returns the shared pointers for ids, or an error naming the first
+// id outside the arena (-1 included: a buffered tuple is never nil).
+func (a *TupleArena) Tuples(ids []int32) ([]*stream.Tuple, error) {
+	out := make([]*stream.Tuple, len(ids))
+	for i, id := range ids {
+		if id < 0 || int(id) >= len(a.tuples) {
+			return nil, fmt.Errorf("tuple id %d outside a table of %d", id, len(a.tuples))
+		}
+		out[i] = a.tuples[id]
+	}
+	return out, nil
 }
 
 // Len returns the number of materialized tuples.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -461,6 +462,35 @@ func BenchmarkPush(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				buf.Push(f.next())
 			}
+		})
+	}
+}
+
+// TestRestoreRefusesImpossibleStates: a buffered id outside the snapshot's
+// tuple table is refused with a "kslack: restore: …" panic rather than an
+// index panic, and leaves the buffer untouched.
+func TestRestoreRefusesImpossibleStates(t *testing.T) {
+	tt := fault.NewTupleTable()
+	tt.ID(tup(5, 0))
+	for _, tc := range []struct {
+		name string
+		st   State
+		want string
+	}{
+		{"an id past the tuple table", State{K: 3, Buffered: []int32{0, 1}}, "kslack: restore: buffered tuple id 1 outside a table of 1"},
+		{"a negative id", State{K: 3, Buffered: []int32{-1}}, "kslack: restore: buffered tuple id -1 outside a table of 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := New(1, func(*stream.Tuple) {})
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), tc.want) {
+					t.Fatalf("recovered %v, want a panic starting %q", r, tc.want)
+				}
+				if b.K() != 1 || b.Len() != 0 {
+					t.Fatalf("a refused restore left K %d and %d buffered", b.K(), b.Len())
+				}
+			}()
+			b.Restore(tc.st, fault.NewTupleArena(tt.Recs))
 		})
 	}
 }

@@ -1,8 +1,7 @@
-// Package pq provides the one min-heap behind every sorter of the framework
-// — the K-slack late heap, the Synchronizer's, and the distributed tree
-// stages' sync buffers, deadline windows and deadline rings — and Run
-// (run.go), the FIFO lane the Synchronizers and the deadline windows keep in
-// front of it for what arrives already in order.
+// Package pq provides Queue (queue.go), the one sorter of the framework's
+// mostly ordered inputs — the K-slack buffers, the Synchronizer lanes of
+// the flat operator and of every tree stage, and the stage deadline
+// windows: a FIFO run in front of Heap, the min-heap that sorts the rest.
 //
 // Every one of them orders by an integer timestamp with an integer
 // tie-breaker, so a slot carries its (Key, Tie) pair inline next to the
@@ -26,7 +25,8 @@ type Item[V any] struct {
 	Val V
 }
 
-func (a *Item[V]) less(b *Item[V]) bool {
+// Less reports whether a sorts before b.
+func (a *Item[V]) Less(b *Item[V]) bool {
 	return a.Key < b.Key || (a.Key == b.Key && a.Tie < b.Tie)
 }
 
@@ -42,10 +42,6 @@ func (h *Heap[V]) Len() int { return len(h.items) }
 // Peek returns the minimum slot without removing it. It panics on an empty
 // heap, like indexing an empty slice would.
 func (h *Heap[V]) Peek() Item[V] { return h.items[0] }
-
-// Items exposes the backing slice in heap order (not sorted). Callers may
-// scan it read-only; they must not reorder or resize it.
-func (h *Heap[V]) Items() []Item[V] { return h.items }
 
 // AppendValues appends the held values to dst in heap order (not sorted).
 func (h *Heap[V]) AppendValues(dst []V) []V {
@@ -80,7 +76,7 @@ func (h *Heap[V]) Reset() {
 	h.items = h.items[:0]
 }
 
-// RemoveAt removes the slot at position i of Items() and returns its value,
+// RemoveAt removes the slot at heap position i and returns its value,
 // restoring the heap invariant. O(log4 n).
 func (h *Heap[V]) RemoveAt(i int) V {
 	out := h.items[i].Val
@@ -108,7 +104,7 @@ func (h *Heap[V]) up(i int, x Item[V]) {
 	items := h.items
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !x.less(&items[p]) {
+		if !x.Less(&items[p]) {
 			break
 		}
 		items[i] = items[p]
@@ -133,11 +129,11 @@ func (h *Heap[V]) down(i int, x Item[V]) int {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if items[j].less(&items[min]) {
+			if items[j].Less(&items[min]) {
 				min = j
 			}
 		}
-		if !items[min].less(&x) {
+		if !items[min].Less(&x) {
 			break
 		}
 		items[i] = items[min]

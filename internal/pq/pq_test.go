@@ -3,7 +3,6 @@ package pq
 import (
 	"container/heap"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -131,7 +130,7 @@ func TestMatchesContainerHeap(t *testing.T) {
 				}
 			case op == 1 && h.Len() > 0:
 				at := rng.Intn(h.Len())
-				want := h.Items()[at]
+				want := h.items[at]
 				if got, ok := refRemove(h.RemoveAt(at)); !ok || got != want {
 					return false
 				}
@@ -177,7 +176,7 @@ func TestRemoveAtEveryPosition(t *testing.T) {
 					want = append(want, Item[int]{Key: k, Tie: uint64(i % 2)})
 				}
 			}
-			sort.Slice(want, func(a, b int) bool { return want[a].less(&want[b]) })
+			sort.Slice(want, func(a, b int) bool { return want[a].Less(&want[b]) })
 			if h.Len() != len(want) {
 				t.Fatalf("n=%d at=%d: Len = %d, want %d", n, at, h.Len(), len(want))
 			}
@@ -204,7 +203,7 @@ func TestLayoutMatchesSwapHeap(t *testing.T) {
 			if h.Len() != len(ref.items) {
 				return false
 			}
-			for i, it := range h.Items() {
+			for i, it := range h.items {
 				if it != ref.items[i] {
 					return false
 				}
@@ -263,7 +262,7 @@ func TestSteadyStatePushPopDoesNotAllocate(t *testing.T) {
 type refHeap []Item[int]
 
 func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].less(&h[j]) }
+func (h refHeap) Less(i, j int) bool { return h[i].Less(&h[j]) }
 func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)        { *h = append(*h, x.(Item[int])) }
 func (h *refHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
@@ -303,7 +302,7 @@ func (h *swapHeap) removeAt(i int) Item[int] {
 func (h *swapHeap) up(i int) {
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !h.items[i].less(&h.items[p]) {
+		if !h.items[i].Less(&h.items[p]) {
 			return
 		}
 		h.items[i], h.items[p] = h.items[p], h.items[i]
@@ -320,11 +319,11 @@ func (h *swapHeap) down(i int) {
 		}
 		min := c
 		for j := c + 1; j < c+4 && j < n; j++ {
-			if h.items[j].less(&h.items[min]) {
+			if h.items[j].Less(&h.items[min]) {
 				min = j
 			}
 		}
-		if !h.items[min].less(&h.items[i]) {
+		if !h.items[min].Less(&h.items[i]) {
 			return
 		}
 		h.items[i], h.items[min] = h.items[min], h.items[i]
@@ -361,49 +360,4 @@ func BenchmarkPushPop(b *testing.B) {
 			}
 		}
 	})
-}
-
-// TestRunIsAFIFOWithABoundedArray: under random pushes and pops a Run
-// returns what a plain slice queue returns, its views agree with it, and its
-// backing array never exceeds ~2× the live high-water mark plus the compact
-// threshold — however many values have passed through.
-func TestRunIsAFIFOWithABoundedArray(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var r Run[*int]
-	var ref []*int
-	r.Grow(8)
-	high := 0
-	for i := 0; i < 200000; i++ {
-		if len(ref) == 0 || rng.Intn(100) < 50+10*((i/5000)%2) { // phases that fill, phases that drain
-			v := new(int)
-			*v = i
-			r.Push(v)
-			ref = append(ref, v)
-		} else {
-			if got := r.Pop(); got != ref[0] {
-				t.Fatalf("step %d: popped %d, want %d", i, *got, *ref[0])
-			}
-			ref = ref[1:]
-		}
-		high = max(high, len(ref))
-		if r.Len() != len(ref) || !slices.Equal(r.Live(), ref) {
-			t.Fatalf("step %d: run holds %d values, the queue %d", i, r.Len(), len(ref))
-		}
-		if len(ref) > 0 && (r.Front() != ref[0] || r.Back() != ref[len(ref)-1]) {
-			t.Fatalf("step %d: front/back disagree with the queue", i)
-		}
-		if limit := 2*(2*high+runMinDead) + 8; cap(r.vals) > limit {
-			t.Fatalf("step %d: backing array of %d for a high-water mark of %d", i, cap(r.vals), high)
-		}
-	}
-	kept := cap(r.vals)
-	r.Reset()
-	if r.Len() != 0 || cap(r.vals) != kept {
-		t.Fatalf("Reset left %d values in an array of %d, was %d", r.Len(), cap(r.vals), kept)
-	}
-	for _, v := range r.vals[:kept] {
-		if v != nil {
-			t.Fatal("Reset left a value reachable through the backing array")
-		}
-	}
 }

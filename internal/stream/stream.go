@@ -76,6 +76,10 @@ func Less(a, b *Tuple) bool {
 	return a.Seq < b.Seq
 }
 
+// Key returns the (TS, Seq) pair Less orders by, as the sort key of a
+// pq.Queue.
+func Key(t *Tuple) (int64, uint64) { return int64(t.TS), t.Seq }
+
 // Result is one join result: a combination of exactly one tuple per input
 // stream. TS is the maximum timestamp among deriving tuples, per the MSWJ
 // semantics in Sec. II-A.

@@ -12,156 +12,192 @@
 // stream is closed it no longer gates the release loop, otherwise the last
 // window of every other stream would be withheld forever.
 //
-// The buffer only has to sort what arrives out of order. A K-slack component
-// releases its stream in (TS, Seq) order, so a tuple at or past the newest
-// one buffered from its stream extends that stream's FIFO lane; only the
-// rest — what a K-slack forwarded late — go to a small late heap. The
-// release order is the (TS, Seq) minimum of the m lane fronts and the
-// heap's root, which is exactly the pop sequence of one heap over everything
-// (reference_test.go holds the two against each other).
+// Sync is the one Alg. 1, generic over the buffered value: Synchronizer
+// runs it over the flat operator's m input streams, and every binary stage
+// of a tree (internal/dist) over its two sides. Each input is a lane, one
+// pq.Queue: a K-slack component releases its stream in order, so nearly
+// every value extends its lane's FIFO run and only what a K-slack forwarded
+// late is heap-sorted. The release order is the (timestamp, tie) minimum of
+// the m lane fronts, which is exactly the pop sequence of one heap over
+// everything (reference_test.go holds the two against each other).
 package syncer
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/pq"
 	"repro/internal/stream"
 )
 
-// EmitFunc receives synchronized tuples in release order.
-type EmitFunc func(*stream.Tuple)
-
-// Synchronizer merges m streams per Alg. 1.
-type Synchronizer struct {
-	m      int
-	tsync  stream.Time
-	lanes  []pq.Run[*stream.Tuple] // per stream, nondecreasing in (TS, Seq)
-	late   pq.Heap[*stream.Tuple]  // ordered by (TS, Seq)
-	held   int
-	counts []int // buffered tuples per stream
-	open   []bool
-	// starved counts the open streams with nothing buffered; the release
-	// loop runs while it is zero. Maintained where counts and open change.
-	starved int
-	emit    EmitFunc
-
-	immediate int64 // tuples forwarded via lines 9–10
-	buffered  int64
+// Sync is Alg. 1 over m lanes of buffered values of type V. key reads a
+// value's (timestamp, tie) pair, which orders releases; emit receives every
+// released or immediately forwarded value with its lane.
+type Sync[V comparable] struct {
+	tsync stream.Time
+	lanes []pq.Queue[V]
+	open  []bool
+	// starved counts the open lanes with nothing buffered; the release loop
+	// runs while it is zero. Maintained where lanes fill, empty and close.
+	starved   int
+	key       func(V) (int64, uint64)
+	emit      func(v V, lane int)
+	immediate int64 // values forwarded via lines 9–10
 }
 
-// New creates a Synchronizer over m input streams.
-func New(m int, emit EmitFunc) *Synchronizer {
-	s := &Synchronizer{
-		m:       m,
-		lanes:   make([]pq.Run[*stream.Tuple], m),
-		counts:  make([]int, m),
-		open:    make([]bool, m),
-		starved: m,
-		emit:    emit,
-	}
-	for i := range s.open {
-		s.open[i] = true
-		s.lanes[i].Grow(laneCap)
+// NewSync creates a Sync over m lanes.
+func NewSync[V comparable](m int, key func(V) (int64, uint64), emit func(v V, lane int)) *Sync[V] {
+	s := &Sync[V]{lanes: make([]pq.Queue[V], m), open: make([]bool, m), starved: m, key: key, emit: emit}
+	for i := range s.lanes {
+		s.lanes[i], s.open[i] = pq.NewQueue(key), true
 	}
 	return s
 }
 
-// laneCap is the initial capacity of a lane: the buffer holds a handful of
-// tuples per stream (it drains whenever every stream has one), so lanes
-// start at their working size instead of growing into it.
-const laneCap = 16
+// TSync returns the current maximum timestamp among released values.
+func (s *Sync[V]) TSync() stream.Time { return s.tsync }
 
-// TSync returns the current maximum timestamp among released tuples.
-func (s *Synchronizer) TSync() stream.Time { return s.tsync }
+// Len returns the number of buffered values.
+func (s *Sync[V]) Len() int {
+	n := 0
+	for i := range s.lanes {
+		n += s.lanes[i].Len()
+	}
+	return n
+}
 
-// Len returns the number of buffered tuples.
-func (s *Synchronizer) Len() int { return s.held }
+// Lane exposes lane i's queue, read-only.
+func (s *Sync[V]) Lane(i int) *pq.Queue[V] { return &s.lanes[i] }
 
-// Immediate returns how many tuples bypassed the buffer (out-of-order w.r.t.
+// Immediate returns how many values bypassed the buffer (out-of-order w.r.t.
 // T^sync, forwarded immediately).
-func (s *Synchronizer) Immediate() int64 { return s.immediate }
+func (s *Sync[V]) Immediate() int64 { return s.immediate }
 
-// Push accepts one tuple from the K-slack component of stream e.Src.
-func (s *Synchronizer) Push(e *stream.Tuple) {
-	if e.TS > s.tsync {
-		s.hold(e)
-		s.drain()
+// Push accepts value v on lane i.
+func (s *Sync[V]) Push(v V, i int) {
+	ts, tie := s.key(v)
+	if stream.Time(ts) <= s.tsync {
+		s.immediate++
+		s.emit(v, i)
 		return
 	}
-	s.immediate++
-	s.emit(e)
-}
-
-// hold buffers e — on its stream's lane when it sorts at or after the lane's
-// newest, on the late heap otherwise — and accounts it to its stream.
-func (s *Synchronizer) hold(e *stream.Tuple) {
-	if l := &s.lanes[e.Src]; l.Len() == 0 || !stream.Less(e, l.Back()) {
-		l.Push(e)
-	} else {
-		s.late.Push(int64(e.TS), e.Seq, e)
-	}
-	s.held++
-	if s.counts[e.Src] == 0 && s.open[e.Src] {
+	q := &s.lanes[i]
+	if q.Len() == 0 && s.open[i] {
 		s.starved--
 	}
-	s.counts[e.Src]++
-	s.buffered++
+	q.Push(ts, tie, v)
+	s.drain()
 }
 
-// Close marks stream i as ended. Closed streams no longer gate the release
-// loop; closing the last stream flushes the buffer completely.
-func (s *Synchronizer) Close(i int) {
-	if i < 0 || i >= s.m || !s.open[i] {
+// Close marks lane i as ended. Closed lanes no longer gate the release
+// loop; closing the last lane flushes the buffer completely.
+func (s *Sync[V]) Close(i int) {
+	if i < 0 || i >= len(s.lanes) || !s.open[i] {
 		return
 	}
 	s.open[i] = false
-	if s.counts[i] == 0 {
+	if s.lanes[i].Len() == 0 {
 		s.starved--
 	}
 	s.drain()
 }
 
-// drain releases tuples while every open stream has at least one buffered
-// tuple: T^sync advances to the minimum buffered timestamp and all tuples at
-// that timestamp are emitted. With no open streams the buffer empties fully.
-func (s *Synchronizer) drain() {
+// drain releases values while every open lane has at least one buffered:
+// T^sync advances to the minimum buffered timestamp and all values at that
+// timestamp are emitted, in (timestamp, tie) order, before readiness is
+// checked again. With no open lanes the buffer empties fully.
+func (s *Sync[V]) drain() {
 	if s.starved != 0 {
-		return // the common push: some stream still has nothing buffered
+		return // the common push: some lane still has nothing buffered
 	}
-	e, at := s.front()
-	for e != nil && s.starved == 0 {
-		for s.tsync = e.TS; e != nil && e.TS == s.tsync; e, at = s.front() {
-			if at < 0 {
-				s.late.Pop()
-			} else {
-				s.lanes[at].Pop()
-			}
-			s.held--
-			s.counts[e.Src]--
-			if s.counts[e.Src] == 0 && s.open[e.Src] {
+	f, at := s.front()
+	for at >= 0 && s.starved == 0 {
+		for s.tsync = stream.Time(f.Key); at >= 0 && stream.Time(f.Key) == s.tsync; f, at = s.front() {
+			q := &s.lanes[at]
+			q.Pop()
+			if q.Len() == 0 && s.open[at] {
 				s.starved++
 			}
-			s.emit(e)
+			s.emit(f.Val, at)
 		}
 	}
 }
 
-// front returns the buffered (TS, Seq) minimum — the smallest of the lane
-// fronts and the late heap's root — and the lane it heads, -1 for the heap;
-// nil when nothing is buffered.
-func (s *Synchronizer) front() (e *stream.Tuple, at int) {
+// front returns the buffered minimum — the smallest of the lane fronts —
+// and its lane; lane -1 when nothing is buffered.
+func (s *Sync[V]) front() (f pq.Item[V], at int) {
 	at = -1
-	if s.late.Len() > 0 {
-		e = s.late.Peek().Val
-	}
 	for i := range s.lanes {
-		if l := &s.lanes[i]; l.Len() > 0 && (e == nil || stream.Less(l.Front(), e)) {
-			e, at = l.Front(), i
+		if q := &s.lanes[i]; q.Len() > 0 {
+			if g := q.Front(); at < 0 || g.Less(&f) {
+				f, at = g, i
+			}
 		}
 	}
-	return e, at
+	return f, at
 }
+
+// Snapshot is a Sync's state: its registers and the buffered values, in
+// no particular order.
+type Snapshot[V any] struct {
+	TSync     stream.Time
+	Open      []bool
+	Immediate int64
+	Held      []V
+}
+
+// Capture returns the Sync's state.
+func (s *Sync[V]) Capture() Snapshot[V] {
+	st := Snapshot[V]{TSync: s.tsync, Open: slices.Clone(s.open), Immediate: s.immediate}
+	for i := range s.lanes {
+		st.Held = s.lanes[i].AppendValues(st.Held)
+	}
+	return st
+}
+
+// Load puts a captured state into a freshly constructed Sync (same m, key
+// and emit), holding every value on the lane laneOf names — without
+// forwarding or releasing any. It panics with a "syncer: restore: …"
+// message on a state no Sync of m lanes can hold.
+func (s *Sync[V]) Load(st Snapshot[V], laneOf func(V) int) {
+	m := len(s.lanes)
+	if len(st.Open) != m {
+		panic(fmt.Sprintf("syncer: restore: %d open flags into a synchronizer of %d lanes", len(st.Open), m))
+	}
+	for _, v := range st.Held {
+		if i := laneOf(v); i < 0 || i >= m {
+			panic(fmt.Sprintf("syncer: restore: a buffered value on lane %d of %d", i, m))
+		}
+	}
+	s.tsync, s.immediate, s.starved = st.TSync, st.Immediate, 0
+	for _, v := range st.Held {
+		k, t := s.key(v)
+		s.lanes[laneOf(v)].Push(k, t, v)
+	}
+	for i := range s.lanes {
+		if s.open[i] = st.Open[i]; s.open[i] && s.lanes[i].Len() == 0 {
+			s.starved++
+		}
+	}
+}
+
+// EmitFunc receives synchronized tuples in release order.
+type EmitFunc func(*stream.Tuple)
+
+// Synchronizer merges m streams per Alg. 1: a Sync over tuples, one lane
+// per stream, ordered by (TS, Seq).
+type Synchronizer struct {
+	Sync[*stream.Tuple]
+}
+
+// New creates a Synchronizer over m input streams.
+func New(m int, emit EmitFunc) *Synchronizer {
+	return &Synchronizer{*NewSync(m, stream.Key, func(e *stream.Tuple, _ int) { emit(e) })}
+}
+
+// Push accepts one tuple from the K-slack component of stream e.Src.
+func (s *Synchronizer) Push(e *stream.Tuple) { s.Sync.Push(e, e.Src) }
 
 // State is the serializable snapshot of a Synchronizer.
 type State struct {
@@ -173,43 +209,20 @@ type State struct {
 
 // State captures the synchronizer's state, registering buffered tuples in tt.
 func (s *Synchronizer) State(tt *fault.TupleTable) State {
-	sorted := s.late.AppendValues(make([]*stream.Tuple, 0, s.held))
-	for i := range s.lanes {
-		sorted = append(sorted, s.lanes[i].Live()...)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return stream.Less(sorted[i], sorted[j]) })
-	st := State{
-		TSync:     s.tsync,
-		Open:      append([]bool(nil), s.open...),
-		Immediate: s.immediate,
-		Buffered:  make([]int32, len(sorted)),
-	}
-	for i, e := range sorted {
-		st.Buffered[i] = tt.ID(e)
-	}
-	return st
+	sn := s.Capture()
+	return State{TSync: sn.TSync, Open: sn.Open, Immediate: sn.Immediate, Buffered: tt.SortedIDs(sn.Held)}
 }
 
 // Restore loads a captured state into a freshly constructed synchronizer
-// (same m and emit sink). Per-stream counts are rebuilt from the buffered
-// tuples' Src fields.
+// (same m and emit sink); each buffered tuple re-enters its stream's lane.
+// It panics with a "syncer: restore: …" message on a state no
+// Synchronizer of m streams can hold.
 func (s *Synchronizer) Restore(st State, ta *fault.TupleArena) {
-	s.tsync = st.TSync
-	s.immediate = st.Immediate
-	s.starved = 0
-	for i := range s.open {
-		s.open[i] = st.Open[i]
-		if s.open[i] {
-			s.starved++
-		}
-		s.counts[i] = 0
+	held, err := ta.Tuples(st.Buffered)
+	if err != nil {
+		panic("syncer: restore: buffered " + err.Error())
 	}
-	for i := range s.lanes {
-		s.lanes[i].Reset()
-	}
-	s.late.Reset()
-	s.held, s.buffered = 0, 0
-	for _, id := range st.Buffered {
-		s.hold(ta.Tuple(id))
-	}
+	s.Load(Snapshot[*stream.Tuple]{TSync: st.TSync, Open: st.Open, Immediate: st.Immediate, Held: held}, srcOf)
 }
+
+func srcOf(e *stream.Tuple) int { return e.Src }

@@ -1,7 +1,9 @@
 package syncer
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -190,8 +192,8 @@ func TestStarvedCountMatchesRescan(t *testing.T) {
 		check := func(step int, op string) {
 			t.Helper()
 			want := 0
-			for i := range s.counts {
-				if s.open[i] && s.counts[i] == 0 {
+			for i := range s.lanes {
+				if s.open[i] && s.lanes[i].Len() == 0 {
 					want++
 				}
 			}
@@ -218,5 +220,33 @@ func TestStarvedCountMatchesRescan(t *testing.T) {
 			}
 			check(i, op)
 		}
+	}
+}
+
+// TestRestoreRefusesImpossibleStates: a state no Synchronizer of this many
+// streams can have captured is refused with a "syncer: restore: …" panic
+// rather than an index panic.
+func TestRestoreRefusesImpossibleStates(t *testing.T) {
+	tt := fault.NewTupleTable()
+	tt.ID(tup(1, 5, 0))
+	tt.ID(tup(7, 6, 1))
+	for _, tc := range []struct {
+		name string
+		st   State
+		want string
+	}{
+		{"fewer open flags than streams", State{Open: []bool{true, true}}, "syncer: restore: 2 open flags into a synchronizer of 3 lanes"},
+		{"more open flags than streams", State{Open: []bool{true, true, true, true}, Buffered: []int32{0}}, "syncer: restore: 4 open flags into a synchronizer of 3 lanes"},
+		{"a tuple of a stream past m", State{Open: []bool{true, true, true}, Buffered: []int32{0, 1}}, "syncer: restore: a buffered value on lane 7 of 3"},
+		{"an id outside the tuple table", State{Open: []bool{true, true, true}, Buffered: []int32{0, 2}}, "syncer: restore: buffered tuple id 2 outside a table of 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), tc.want) {
+					t.Fatalf("recovered %v, want a panic starting %q", r, tc.want)
+				}
+			}()
+			New(3, func(*stream.Tuple) {}).Restore(tc.st, fault.NewTupleArena(tt.Recs))
+		})
 	}
 }
