@@ -28,9 +28,8 @@
 // Online re-planning: -replan measures arrival rates and selectivities on
 // the running join, re-plans every -replan-period, and live-migrates
 // between shapes; -explain-live additionally prints the plan graph before
-// and after every migration. It composes with -inject and -checkpoint (a
-// snapshot taken after a migration restores under the deployed shape's
-// -plan), not with -restore:
+// and after every migration. A snapshot taken after a migration restores
+// under the deployed shape's -plan:
 //
 //	qdhjgen -dataset phaseflip -minutes 2 -o flip.csv
 //	qdhjrun -in flip.csv -query x4 -replan -replan-period 2 -explain-live
@@ -38,18 +37,16 @@
 // Networked execution: -workers runs the join's partition workers as
 // external qdhjd daemons (one address per shard; results and K trajectory
 // are bit-for-bit equal to the in-process run); -framebatch tunes how many
-// tuple messages share one wire frame. Fault injection on a networked run
-// is armed on the daemons (qdhjd -inject), not here: -workers -inject is a
-// flag conflict. Workers run flat shapes only, so -workers with a tree
-// -plan (tree, tree-shard, a shape s-expression) is one too, and -plan auto
-// (or no -plan) under -workers deploys the sharded flat shape, one shard per
-// address.
+// tuple messages share one wire frame. -plan auto (or no -plan) under
+// -workers deploys the sharded flat shape, one shard per address.
 //
 //	qdhjd -listen 127.0.0.1:7101 & qdhjd -listen 127.0.0.1:7102 &
 //	qdhjrun -in d.csv -query x3 -workers 127.0.0.1:7101,127.0.0.1:7102
 //
 // Invalid flag combinations exit with code 2 and an error wrapping
-// errFlagConflict; see flagConflict for the full compatibility matrix.
+// errFlagConflict, before any input is read: the pairs the library's option
+// matrix refuses (internal/plan.Matrix, DESIGN.md §9) under their flag
+// names, and the rules of flagConflict that only the command line has.
 package main
 
 import (
@@ -68,87 +65,66 @@ import (
 	"repro/internal/gen"
 	"repro/internal/join"
 	"repro/internal/oracle"
+	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
 func main() {
-	var (
-		in        = flag.String("in", "", "input CSV (from qdhjgen); required")
-		query     = flag.String("query", "x3", "query: x2|x3|x4|cross|equichain")
-		gamma     = flag.Float64("gamma", 0.95, "recall requirement Γ")
-		periodS   = flag.Float64("P", 60, "measurement period P (seconds)")
-		interval  = flag.Float64("L", 1, "adaptation interval L (seconds)")
-		policy    = flag.String("policy", "model", "policy: model|maxk|nok|static")
-		staticK   = flag.Float64("k", 0, "buffer size for -policy static (seconds)")
-		strategy  = flag.String("strategy", "noneqsel", "selectivity strategy: eqsel|noneqsel")
-		shards    = flag.Int("shards", 0, "shard budget: parallel workers for the planner / sharded operator")
-		planSpec  = flag.String("plan", "", "deployment plan spec: auto|flat|shard[:N]|tree|tree-shard[:N] or a shape s-expression like '((0 1)x4 2)x4'")
-		explain   = flag.Bool("explain", false, "print the plan graph (shape, shard routes, per-stage K scopes) and exit; works without -in")
-		ckptFile  = flag.String("checkpoint", "", "write a snapshot to this file after -checkpoint-at arrivals and exit")
-		ckptAt    = flag.Int("checkpoint-at", 0, "arrival count to checkpoint at (default: half the feed)")
-		restore   = flag.String("restore", "", "resume from a snapshot written by -checkpoint (same dataset, query and plan)")
-		inject    = flag.String("inject", "", "deterministic fault spec, e.g. 'panic@shard1:tuple5000' or 'delay@shard0:tuple100:2ms'; implies supervision")
-		queries   = flag.String("queries", "", "multi-query spec file: run every listed query on one shared-window MultiJoin (see cmd/qdhjrun/multi.go for the format); with -explain, print the sharing structure instead of running")
-		replan    = flag.Bool("replan", false, "online re-planning: measure rates and selectivities on the running join and live-migrate between shapes; starts from -plan (default flat)")
-		replanP   = flag.Float64("replan-period", 0, "re-planning measurement period (seconds; default: the -P measurement period)")
-		expLive   = flag.Bool("explain-live", false, "with -replan: print the plan graph before and after every live migration (implies -replan)")
-		workersCS = flag.String("workers", "", "comma-separated qdhjd worker addresses: run the join's partition workers as external daemons, one per shard")
-		frameB    = flag.Int("framebatch", 0, "with -workers: tuple messages per wire frame (0 = default 128; 1 = per-tuple framing); results are identical at any size")
-	)
+	var f runFlags
+	var workers string
+	flag.StringVar(&f.in, "in", "", "input CSV (from qdhjgen); required")
+	flag.StringVar(&f.query, "query", "x3", "query: x2|x3|x4|cross|equichain")
+	flag.Float64Var(&f.gamma, "gamma", 0.95, "recall requirement Γ")
+	flag.Float64Var(&f.P, "P", 60, "measurement period P (seconds)")
+	flag.Float64Var(&f.L, "L", 1, "adaptation interval L (seconds)")
+	flag.StringVar(&f.policy, "policy", "model", "policy: model|maxk|nok|static")
+	flag.Float64Var(&f.k, "k", 0, "buffer size for -policy static (seconds)")
+	flag.StringVar(&f.strategy, "strategy", "noneqsel", "selectivity strategy: eqsel|noneqsel")
+	flag.IntVar(&f.shards, "shards", 0, "shard budget: parallel workers for the planner / sharded operator")
+	flag.StringVar(&f.planSpec, "plan", "", "deployment plan spec: auto|flat|shard[:N]|tree|tree-shard[:N] or a shape s-expression like '((0 1)x4 2)x4'")
+	flag.BoolVar(&f.explain, "explain", false, "print the plan graph (shape, shard routes, per-stage K scopes) and exit; works without -in")
+	flag.StringVar(&f.ckptFile, "checkpoint", "", "write a snapshot to this file after -checkpoint-at arrivals and exit")
+	flag.IntVar(&f.ckptAt, "checkpoint-at", 0, "arrival count to checkpoint at (default: half the feed)")
+	flag.StringVar(&f.restore, "restore", "", "resume from a snapshot written by -checkpoint (same dataset, query and plan)")
+	flag.StringVar(&f.inject, "inject", "", "deterministic fault spec, e.g. 'panic@shard1:tuple5000' or 'delay@shard0:tuple100:2ms'; implies supervision")
+	flag.StringVar(&f.queries, "queries", "", "multi-query spec file: run every listed query on one shared-window MultiJoin (see cmd/qdhjrun/multi.go for the format); with -explain, print the sharing structure instead of running")
+	flag.BoolVar(&f.replan, "replan", false, "online re-planning: measure rates and selectivities on the running join and live-migrate between shapes; starts from -plan (default flat)")
+	flag.Float64Var(&f.replanP, "replan-period", 0, "re-planning measurement period (seconds; default: the -P measurement period)")
+	flag.BoolVar(&f.explainLive, "explain-live", false, "with -replan: print the plan graph before and after every live migration (implies -replan)")
+	flag.StringVar(&workers, "workers", "", "comma-separated qdhjd worker addresses: run the join's partition workers as external daemons, one per shard")
+	flag.IntVar(&f.frameBatch, "framebatch", 0, "with -workers: tuple messages per wire frame (0 = default 128; 1 = per-tuple framing); results are identical at any size")
 	flag.Parse()
-	workers := splitAddrs(*workersCS)
-	fl := runFlags{
-		policy: *policy, planSpec: *planSpec, shards: *shards,
-		k: *staticK, gamma: *gamma, P: *periodS, L: *interval,
-		ckptFile: *ckptFile, restore: *restore, inject: *inject,
-		queries: *queries, workers: workers, frameBatch: *frameB,
-		replan: *replan, explainLive: *expLive,
-	}
-	if err := flagConflict(fl); err != nil {
+	f.workers = splitAddrs(workers)
+	if err := flagConflict(f); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *queries != "" {
-		acfg := adapt.Config{
-			Gamma: *gamma,
-			P:     stream.Time(*periodS * float64(stream.Second)),
-			L:     stream.Time(*interval * float64(stream.Second)),
-		}
-		if *strategy == "eqsel" {
-			acfg.Strategy = adapt.EqSel
-		}
-		runMulti(*in, *queries, acfg, *policy, *gamma, *staticK, *explain)
+	f.replan = f.replan || f.explainLive
+	acfg := adapt.Config{
+		Gamma: f.gamma,
+		P:     seconds(f.P),
+		L:     seconds(f.L),
+	}
+	if f.strategy == "eqsel" {
+		acfg.Strategy = adapt.EqSel
+	}
+	if f.queries != "" {
+		runMulti(f.in, f.queries, acfg, f.policy, f.gamma, f.k, f.explain)
 		return
 	}
-	if *explain {
-		runExplain(*in, *query, *planSpec, *shards)
+	if f.explain {
+		runExplain(f.in, f.query, f.planSpec, f.shards)
 		return
 	}
-	if *in == "" {
+	if f.in == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	ds, err := gen.ReadCSV(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-	ds.Cond = queryFor(*query, ds.M)
+	ds := readDataset(f.in)
+	ds.Cond = queryFor(f.query, ds.M)
 
-	acfg := adapt.Config{
-		Gamma: *gamma,
-		P:     stream.Time(*periodS * float64(stream.Second)),
-		L:     stream.Time(*interval * float64(stream.Second)),
-	}
-	if *strategy == "eqsel" {
-		acfg.Strategy = adapt.EqSel
-	}
 	var pf core.PolicyFactory
-	switch *policy {
+	switch f.policy {
 	case "model":
 		pf = core.ModelPolicy()
 	case "maxk":
@@ -156,27 +132,16 @@ func main() {
 	case "nok":
 		pf = core.NoKPolicy()
 	case "static":
-		pf = core.StaticPolicy(stream.Time(*staticK * float64(stream.Second)))
+		pf = core.StaticPolicy(seconds(f.k))
 	default:
-		fatal(fmt.Errorf("unknown policy %q", *policy))
-	}
-
-	ft := ftOpts{ckptFile: *ckptFile, ckptAt: *ckptAt, restore: *restore, inject: *inject}
-	if *expLive {
-		*replan = true
-	}
-	rp := replanOpts{on: *replan, explainLive: *expLive,
-		period: stream.Time(*replanP * float64(stream.Second))}
-	if rp.on && rp.period == 0 {
-		rp.period = acfg.P
+		fatal(fmt.Errorf("unknown policy %q", f.policy))
 	}
 
 	fmt.Fprintf(os.Stderr, "computing oracle ground truth...\n")
 	truth := oracle.TrueResults(ds.Cond, ds.Windows, ds.Arrivals)
 
-	if *planSpec != "" || *shards > 0 || ft.active() || rp.on || len(workers) > 0 {
-		spec := resolvePlanSpec(*planSpec, len(workers), rp.on)
-		runPlanned(ds, truth, acfg, *policy, stream.Time(*staticK*float64(stream.Second)), spec, *shards, workers, *frameB, ft, rp)
+	if f.planSpec != "" || f.shards > 0 || f.ckptFile != "" || f.restore != "" || f.inject != "" || f.replan || len(f.workers) > 0 {
+		runPlanned(ds, truth, acfg, f)
 		return
 	}
 
@@ -184,7 +149,7 @@ func main() {
 	s := exp.Run(eds, acfg, pf)
 
 	fmt.Printf("dataset:        %s (%d tuples, %d streams)\n", ds.Name, len(ds.Arrivals), ds.M)
-	fmt.Printf("policy:         %s  Γ=%g  P=%v  L=%v\n", *policy, *gamma, acfg.P, acfg.L)
+	fmt.Printf("policy:         %s  Γ=%g  P=%v  L=%v\n", f.policy, f.gamma, acfg.P, acfg.L)
 	fmt.Printf("produced:       %d of %d true results (overall recall %.4f)\n",
 		s.Produced, s.TrueTotal, s.OverallRecall())
 	fmt.Printf("avg K:          %.3f s\n", s.AvgK/1000)
@@ -198,38 +163,19 @@ func main() {
 	}
 }
 
+// seconds converts a flag given in seconds to logical time.
+func seconds(s float64) stream.Time { return stream.Time(s * float64(stream.Second)) }
+
 // runExplain prints the plan graph for a query without running it; the
-// dataset is optional (its arity and windows are used when present, else
-// the query's natural arity with 2 s windows).
+// dataset is optional (its arity and windows are used when present).
 func runExplain(in, query, spec string, shards int) {
-	m := 0
-	windows := []stream.Time(nil)
+	var m int
+	var windows []stream.Time
 	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			fatal(err)
-		}
-		ds, err := gen.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
+		ds := readDataset(in)
 		m, windows = ds.M, ds.Windows
 	} else {
-		switch query {
-		case "x2":
-			m = 2
-		case "x3":
-			m = 3
-		case "x4":
-			m = 4
-		default:
-			fatal(fmt.Errorf("-explain without -in needs a fixed-arity query (x2|x3|x4), got %q", query))
-		}
-		windows = make([]stream.Time, m)
-		for i := range windows {
-			windows[i] = 2 * stream.Second
-		}
+		m, windows = explainStreams(query)
 	}
 	if spec == "" {
 		spec = "auto"
@@ -241,42 +187,82 @@ func runExplain(in, query, spec string, shards int) {
 	fmt.Print(qdhj.Explain(p))
 }
 
+// explainStreams returns the arity of a fixed-arity query (x2|x3|x4) and
+// the 2 s windows -explain assumes without -in; it exits on other queries.
+func explainStreams(query string) (int, []stream.Time) {
+	m := map[string]int{"x2": 2, "x3": 3, "x4": 4}[query]
+	if m == 0 {
+		fatal(fmt.Errorf("-explain without -in needs fixed-arity queries (x2|x3|x4), got %q", query))
+	}
+	windows := make([]stream.Time, m)
+	for i := range windows {
+		windows[i] = 2 * stream.Second
+	}
+	return m, windows
+}
+
+// readDataset reads a qdhjgen CSV, exiting on failure.
+func readDataset(path string) *gen.Dataset {
+	f, err := os.Open(path)
+	if err != nil {
+		fatal(err)
+	}
+	defer f.Close()
+	ds, err := gen.ReadCSV(f)
+	if err != nil {
+		fatal(err)
+	}
+	return ds
+}
+
 // errFlagConflict is the documented typed error behind every invalid flag
 // combination: qdhjrun prints an error chain that errors.Is(err,
-// errFlagConflict) recognizes and exits with code 2. flagConflict is the
-// full compatibility matrix; main_test.go pins it.
+// errFlagConflict) recognizes and exits with code 2.
 var errFlagConflict = errors.New("conflicting flags")
 
 func conflict(msg string) error {
 	return fmt.Errorf("qdhjrun: %w: %s", errFlagConflict, msg)
 }
 
-// runFlags mirrors the deployment-shaping command line for conflict
-// checking.
+// runFlags is the command line of one run.
 type runFlags struct {
+	in, query, strategy       string
 	policy                    string
 	planSpec                  string
 	shards                    int
 	k, gamma, P, L            float64 // as typed; -k, -P and -L are in seconds
+	explain                   bool
 	ckptFile, restore, inject string
+	ckptAt                    int
 	queries                   string
 	workers                   []string
 	frameBatch                int
 	replan, explainLive       bool
+	replanP                   float64 // -replan-period, in seconds
+}
+
+// features maps the flags onto the option matrix's deployment features.
+// -shards maps to none: every planned run deploys a -plan, and -shards is
+// its budget.
+func (f runFlags) features() plan.Feature {
+	_, tree := plan.SpecShape(f.planSpec, f.shards)
+	return plan.Restored.If(f.restore != "") | plan.Remote.If(len(f.workers) > 0) |
+		plan.Planned.If(f.planSpec != "") | plan.TreePlanned.If(tree) |
+		plan.Injected.If(f.inject != "") | plan.Replanned.If(f.replan || f.explainLive)
 }
 
 // flagConflict validates one flag combination and returns the first
-// conflict found (wrapping errFlagConflict), or nil. Out-of-range numbers
-// are rejected here too, before anything downstream can clamp or default
-// them silently while the report line echoes what the user typed.
+// conflict found (wrapping errFlagConflict), or nil: the option matrix and
+// the worker-count rule of internal/plan, and the rules only the command
+// line has. Out-of-range numbers are rejected here too, before anything
+// downstream can clamp or default them silently while the report line
+// echoes what the user typed.
 //
 // The -queries × -inject rule deserves its history: the two flags used to
 // compose silently, but fault injection is not wired through the
 // shared-window multi-query engine — MultiJoin.Push never consults an
 // injector, so the armed faults would simply never fire and the run would
-// masquerade as a passed recovery test. The combination is now a
-// documented error; arm faults on a single-query deployment, or on the
-// daemons (qdhjd -inject) for networked runs.
+// masquerade as a passed recovery test.
 func flagConflict(f runFlags) error {
 	// Negated comparisons so NaN fails every range.
 	switch {
@@ -303,37 +289,20 @@ func flagConflict(f runFlags) error {
 		}
 		return nil
 	}
-	if f.replan || f.explainLive {
-		if f.restore != "" {
-			return conflict("-replan cannot be combined with -restore: a restored join resumes the snapshot's own shape without the re-planner")
-		}
-		if len(f.workers) > 0 {
-			return conflict("-workers cannot be combined with -replan: remote workers pin the sharded flat shape, and a live migration would change it")
-		}
+	// Both the plan's shard count and -shards, as typed, must match the
+	// workers.
+	n, _ := plan.SpecShape(resolvePlanSpec(f.planSpec, len(f.workers), false), f.shards)
+	r := f.features().Refuse(n, len(f.workers))
+	if r == nil {
+		r = plan.Sharded.Refuse(f.shards, len(f.workers))
 	}
-	if len(f.workers) > 0 {
-		if f.inject != "" {
-			return conflict("-workers cannot be combined with -inject: driver-side injection never reaches a remote worker process; arm the fault on the daemon instead (qdhjd -inject)")
-		}
-		if f.shards > 0 && f.shards != len(f.workers) {
-			return conflict(fmt.Sprintf("-shards %d disagrees with %d -workers addresses (one worker per shard)", f.shards, len(f.workers)))
-		}
-		if treeSpec(f.planSpec) {
-			return conflict(fmt.Sprintf("-workers cannot be combined with the tree-shaped -plan %q: remote workers execute only flat shapes, since tree stages own window state the driver cannot retain for checkpointing; plan shard:N or flat", f.planSpec))
-		}
+	if r != nil {
+		return conflict(r.Message(plan.CLI))
 	}
 	if f.frameBatch > 0 && len(f.workers) == 0 {
 		return conflict("-framebatch tunes the wire framing of a networked run; it needs -workers")
 	}
 	return nil
-}
-
-// treeSpec reports whether a -plan spec names a tree shape whatever the
-// query: tree, tree-shard[:N], or a shape s-expression, whose every group is
-// a binary stage.
-func treeSpec(spec string) bool {
-	name, _, _ := strings.Cut(strings.TrimSpace(spec), ":")
-	return name == "tree" || name == "tree-shard" || strings.HasPrefix(name, "(")
 }
 
 // resolvePlanSpec returns the plan spec a planned run deploys. Remote
@@ -365,16 +334,6 @@ func splitAddrs(s string) []string {
 	}
 	return out
 }
-
-// ftOpts carries the fault-tolerance flags of one run.
-type ftOpts struct {
-	ckptFile string
-	ckptAt   int
-	restore  string
-	inject   string
-}
-
-func (ft ftOpts) active() bool { return ft.ckptFile != "" || ft.restore != "" || ft.inject != "" }
 
 // writeSnapFile persists (consumed-arrival count, snapshot) — the count
 // lets -restore resume the feed at the right offset.
@@ -414,11 +373,19 @@ func readSnapFile(path string) (int, *qdhj.Snapshot, error) {
 	return int(binary.BigEndian.Uint64(hdr[:])), snap, nil
 }
 
-// replanOpts carries the online re-planning flags of one run.
-type replanOpts struct {
-	on          bool
-	explainLive bool
-	period      stream.Time
+// options maps the adaptation config, Γ and a -policy name (model, maxk,
+// nok or static with -k seconds) onto the library's Options.
+func options(acfg adapt.Config, gamma float64, policy string, k float64) qdhj.Options {
+	opt := qdhj.Options{Gamma: gamma, Period: acfg.P, Interval: acfg.L, Strategy: acfg.Strategy}
+	switch policy {
+	case "maxk":
+		opt.Policy = qdhj.MaxSlack
+	case "nok":
+		opt.Policy = qdhj.NoSlack
+	case "static":
+		opt.Policy, opt.StaticK = qdhj.StaticSlack, seconds(k)
+	}
+	return opt
 }
 
 // runPlanned replays the dataset through an explicitly planned deployment
@@ -426,40 +393,22 @@ type replanOpts struct {
 // With -checkpoint it stops partway and writes a snapshot; with -restore it
 // resumes from one; with -inject it runs supervised under deterministic
 // fault injection; with -replan it re-plans online and live-migrates.
-func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy string,
-	staticK stream.Time, spec string, shards int, workers []string, frameBatch int,
-	ft ftOpts, rp replanOpts) {
-	p, err := qdhj.ParsePlan(spec, ds.Cond, ds.Windows, shards)
+func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, f runFlags) {
+	spec := resolvePlanSpec(f.planSpec, len(f.workers), f.replan)
+	p, err := qdhj.ParsePlan(spec, ds.Cond, ds.Windows, f.shards)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprint(os.Stderr, qdhj.Explain(p))
-	opt := qdhj.Options{
-		Gamma:    acfg.Gamma,
-		Period:   acfg.P,
-		Interval: acfg.L,
-		Strategy: acfg.Strategy,
-	}
-	switch policy {
-	case "model":
-	case "maxk":
-		opt.Policy = qdhj.MaxSlack
-	case "nok":
-		opt.Policy = qdhj.NoSlack
-	case "static":
-		opt.Policy = qdhj.StaticSlack
-		opt.StaticK = staticK
-	default:
-		fatal(fmt.Errorf("unknown policy %q for planned execution", policy))
-	}
+	opt := options(acfg, acfg.Gamma, f.policy, f.k)
 	jopts := []qdhj.JoinOption{qdhj.WithPlan(p)}
-	if len(workers) > 0 {
-		jopts = append(jopts, qdhj.WithRemoteWorkers(workers...))
-		if frameBatch > 0 {
-			jopts = append(jopts, qdhj.WithFrameBatch(frameBatch))
+	if len(f.workers) > 0 {
+		jopts = append(jopts, qdhj.WithRemoteWorkers(f.workers...))
+		if f.frameBatch > 0 {
+			jopts = append(jopts, qdhj.WithFrameBatch(f.frameBatch))
 		}
-		fmt.Fprintf(os.Stderr, "networked: %d workers (%s)\n", len(workers), strings.Join(workers, ", "))
-		if ft.ckptFile == "" && ft.restore == "" {
+		fmt.Fprintf(os.Stderr, "networked: %d workers (%s)\n", len(f.workers), strings.Join(f.workers, ", "))
+		if f.ckptFile == "" && f.restore == "" {
 			// Worker loss without supervision would panic the driver;
 			// a networked run defaults to the supervised runtime so a
 			// restarted daemon is re-dialed and restored automatically.
@@ -471,10 +420,13 @@ func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy 
 	}
 	var migrations int
 	var totalPause, maxPause time.Duration
-	if rp.on {
+	if period := seconds(f.replanP); f.replan {
+		if period == 0 {
+			period = acfg.P
+		}
 		jopts = append(jopts, qdhj.WithOnlineReplan(qdhj.ReplanOptions{
-			Hints:  qdhj.PlanHints{Shards: shards},
-			Period: rp.period,
+			Hints:  qdhj.PlanHints{Shards: f.shards},
+			Period: period,
 			OnMigrate: func(ev qdhj.MigrationEvent) {
 				migrations++
 				totalPause += ev.Pause
@@ -483,14 +435,14 @@ func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy 
 				}
 				fmt.Fprintf(os.Stderr, "migrate: %s → %s at ts=%d (replayed %d, pause %v)\n",
 					ev.From, ev.To, ev.At, ev.Replayed, ev.Pause)
-				if rp.explainLive {
+				if f.explainLive {
 					fmt.Fprintf(os.Stderr, "-- before --\n%s-- after --\n%s", ev.FromExplain, ev.ToExplain)
 				}
 			},
 		}))
 	}
-	if ft.inject != "" {
-		inj, err := qdhj.ParseInjectSpec(ft.inject)
+	if f.inject != "" {
+		inj, err := qdhj.ParseInjectSpec(f.inject)
 		if err != nil {
 			fatal(err)
 		}
@@ -504,8 +456,8 @@ func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy 
 	arrivals := ds.Arrivals.Clone()
 	start := 0
 	var j *qdhj.Join
-	if ft.restore != "" {
-		consumed, snap, err := readSnapFile(ft.restore)
+	if f.restore != "" {
+		consumed, snap, err := readSnapFile(f.restore)
 		if err != nil {
 			fatal(err)
 		}
@@ -514,13 +466,13 @@ func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy 
 			fatal(err)
 		}
 		start = consumed
-		fmt.Fprintf(os.Stderr, "restored %s at arrival %d of %d\n", ft.restore, consumed, len(arrivals))
+		fmt.Fprintf(os.Stderr, "restored %s at arrival %d of %d\n", f.restore, consumed, len(arrivals))
 	} else {
 		j = qdhj.NewJoin(ds.Cond, ds.Windows, opt, jopts...)
 	}
 	ckAt := -1
-	if ft.ckptFile != "" {
-		ckAt = ft.ckptAt
+	if f.ckptFile != "" {
+		ckAt = f.ckptAt
 		if ckAt <= 0 {
 			ckAt = len(arrivals) / 2
 		}
@@ -532,12 +484,12 @@ func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy 
 			if err != nil {
 				fatal(err)
 			}
-			if err := writeSnapFile(ft.ckptFile, i+1, snap); err != nil {
+			if err := writeSnapFile(f.ckptFile, i+1, snap); err != nil {
 				fatal(err)
 			}
 			j.Close()
 			fmt.Printf("checkpoint:     %s at arrival %d of %d (signature %s)\n",
-				ft.ckptFile, i+1, len(arrivals), snap.Signature())
+				f.ckptFile, i+1, len(arrivals), snap.Signature())
 			return
 		}
 	}
@@ -551,13 +503,13 @@ func runPlanned(ds *gen.Dataset, truth *oracle.Index, acfg adapt.Config, policy 
 		recall = float64(j.Results()) / float64(truth.Total())
 	}
 	fmt.Printf("dataset:        %s (%d tuples, %d streams)\n", ds.Name, len(ds.Arrivals), ds.M)
-	fmt.Printf("execution:      planned (%s), %s  Γ=%g  P=%v  L=%v\n", spec, policy, acfg.Gamma, acfg.P, acfg.L)
+	fmt.Printf("execution:      planned (%s), %s  Γ=%g  P=%v  L=%v\n", spec, f.policy, acfg.Gamma, acfg.P, acfg.L)
 	fmt.Printf("produced:       %d of %d true results (overall recall %.4f)\n",
 		j.Results(), truth.Total(), recall)
 	if n := j.Restarts(); n > 0 {
 		fmt.Printf("restarts:       %d (all recovered)\n", n)
 	}
-	if rp.on {
+	if f.replan {
 		fmt.Printf("migrations:     %d (total pause %v, max %v)\n", migrations, totalPause, maxPause)
 		fmt.Printf("final plan:     %s", qdhj.Explain(j.CurrentPlan()))
 	}

@@ -96,26 +96,6 @@ func parseQuerySpecs(path, defPolicy string, defGamma, defK float64) ([]querySpe
 	return specs, nil
 }
 
-// options maps one spec to the per-query Options a MultiJoin Add takes.
-func (s querySpec) options(acfg adapt.Config) qdhj.Options {
-	opt := qdhj.Options{
-		Gamma:    s.gamma,
-		Period:   acfg.P,
-		Interval: acfg.L,
-		Strategy: acfg.Strategy,
-	}
-	switch s.policy {
-	case "maxk":
-		opt.Policy = qdhj.MaxSlack
-	case "nok":
-		opt.Policy = qdhj.NoSlack
-	case "static":
-		opt.Policy = qdhj.StaticSlack
-		opt.StaticK = stream.Time(s.staticK * float64(stream.Second))
-	}
-	return opt
-}
-
 // runMulti executes (or, with explainOnly, just plans) every query of a
 // -queries file against one shared-window MultiJoin.
 func runMulti(in, specPath string, acfg adapt.Config, defPolicy string, defGamma, defK float64, explainOnly bool) {
@@ -128,40 +108,17 @@ func runMulti(in, specPath string, acfg adapt.Config, defPolicy string, defGamma
 	m := 0
 	var windows []stream.Time
 	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			fatal(err)
-		}
-		ds, err = gen.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
+		ds = readDataset(in)
 		m, windows = ds.M, ds.Windows
 	} else if explainOnly {
 		// No feed needed to show the sharing structure, but the queries
 		// must pin the arity themselves.
 		for _, s := range specs {
-			qm := 0
-			switch s.query {
-			case "x2":
-				qm = 2
-			case "x3":
-				qm = 3
-			case "x4":
-				qm = 4
-			default:
-				fatal(fmt.Errorf("-explain without -in needs fixed-arity queries (x2|x3|x4), got %q", s.query))
-			}
-			if m == 0 {
-				m = qm
-			} else if qm != m {
+			qm, w := explainStreams(s.query)
+			if m != 0 && qm != m {
 				fatal(fmt.Errorf("mixed query arities %d and %d in %s", m, qm, specPath))
 			}
-		}
-		windows = make([]stream.Time, m)
-		for i := range windows {
-			windows[i] = 2 * stream.Second
+			m, windows = qm, w
 		}
 	} else {
 		flag.Usage()
@@ -171,7 +128,7 @@ func runMulti(in, specPath string, acfg adapt.Config, defPolicy string, defGamma
 	mj := qdhj.NewMultiJoin(m)
 	mqs := make([]*qdhj.MultiQuery, len(specs))
 	for i, s := range specs {
-		mqs[i] = mj.Add(queryFor(s.query, m), windows, s.options(acfg))
+		mqs[i] = mj.Add(queryFor(s.query, m), windows, options(acfg, s.gamma, s.policy, s.staticK))
 	}
 	if explainOnly {
 		fmt.Print(mj.Explain())

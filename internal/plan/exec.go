@@ -56,12 +56,11 @@ type ExecConfig struct {
 	// executor's workers (and, on worker-less shapes, its driver thread).
 	Inject *fault.Injector
 	// Remote runs the flat shape on networked qdhjd worker processes, one
-	// address per shard (the graph's shard count must match, or be flat
-	// with one address). The condition must be wireable — generic
-	// predicates need an expression form (WhereExpr) to cross the process
-	// boundary. Disorder handling and the feedback loop stay on the
-	// driver; BatchSize doubles as the frame batch (tuple messages per
-	// network write). Tree shapes do not support remote execution.
+	// address per shard (Feature.Refuse has the rules). The condition must
+	// be wireable — generic predicates need an expression form (WhereExpr)
+	// to cross the process boundary. Disorder handling and the feedback
+	// loop stay on the driver; BatchSize doubles as the frame batch (tuple
+	// messages per network write).
 	Remote []string
 }
 
@@ -87,13 +86,16 @@ type Executor interface {
 	RecallEstimate() float64
 }
 
-// Build compiles the graph into its executor.
+// Build compiles the graph into its executor. It panics on a deployment
+// the option matrix refuses.
 func Build(g *Graph, cfg ExecConfig) Executor {
-	if shards, flat := g.FlatShards(); flat {
-		return buildFlat(g, cfg, shards)
+	shards, flat := g.FlatShards()
+	set := Planned | TreePlanned.If(!flat) | Remote.If(len(cfg.Remote) > 0) | Injected.If(cfg.Inject != nil)
+	if r := set.Refuse(shards, len(cfg.Remote)); r != nil {
+		panic("plan: " + r.Message(API))
 	}
-	if len(cfg.Remote) > 0 {
-		panic("plan: remote workers execute only flat shapes — tree stages own window state the driver cannot retain for checkpointing; plan a flat or sharded-flat shape")
+	if flat {
+		return buildFlat(g, cfg, shards)
 	}
 	return buildTree(g, cfg)
 }
@@ -124,9 +126,6 @@ func PolicyFactoryFor(p Policy, staticK stream.Time) (pf core.PolicyFactory, ini
 func buildFlat(g *Graph, cfg ExecConfig, shards int) Executor {
 	var newRT func(shard.Config) core.Runtime
 	if len(cfg.Remote) > 0 {
-		if shards > 0 && shards != len(cfg.Remote) {
-			panic(fmt.Sprintf("plan: the graph shards %d ways but %d remote worker addresses were given — one address per shard", shards, len(cfg.Remote)))
-		}
 		if _, err := g.Cond.Wire(); err != nil {
 			panic(fmt.Sprintf("plan: cannot deploy on remote workers: %v", err))
 		}

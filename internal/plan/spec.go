@@ -85,6 +85,24 @@ func ParseSpec(spec string, cond *join.Condition, windows []stream.Time, shards 
 		Reason: "explicit shape spec"}, nil
 }
 
+// SpecShape classifies a spec without a condition, as a command line must
+// before it reads any input: the shard count FlatShards reports for the
+// graph of "flat" or "shard[:N]" (0 for any other spec), and whether the
+// spec names a tree — "tree", "tree-shard[:N]" or an s-expression, whose
+// every group is a stage.
+func SpecShape(spec string, shards int) (n int, tree bool) {
+	switch name, _, _ := strings.Cut(strings.TrimSpace(spec), ":"); {
+	case name == "tree" || name == "tree-shard" || strings.HasPrefix(name, "("):
+		return 0, true
+	case name != "flat" && name != "shard":
+		return 0, false
+	}
+	if g, err := ParseSpec(spec, join.Cross(2), make([]stream.Time, 2), shards); err == nil {
+		n, _ = g.FlatShards()
+	}
+	return n, false
+}
+
 type specParser struct {
 	src  string
 	pos  int

@@ -137,11 +137,11 @@ func NewSupervised(g *Graph, cfg ExecConfig, scf SuperviseConfig) *Supervised {
 // as the recovery point until the next adaptation boundary replaces it, and
 // dropped seeds the refused-arrival counter so accounting survives the
 // restart. The snapshot's signature must match (g, cfg) or the restore is
-// refused with fault.ErrRestoreMismatch. A restored shell cannot re-plan:
-// its log holds no arrival from before the snapshot.
+// refused with fault.ErrRestoreMismatch. A restored shell cannot re-plan,
+// a row of Matrix.
 func NewSupervisedRestore(g *Graph, cfg ExecConfig, scf SuperviseConfig, st ExecState, dropped int64) (*Supervised, error) {
 	if scf.Replan != nil {
-		return nil, errors.New("plan: a restored shell cannot re-plan — its log holds no arrival from before the snapshot")
+		return nil, errors.New("plan: " + (Replanned|Restored).Refuse(0, 0).Message(API))
 	}
 	s := newSupervisedShell(g, cfg, scf)
 	ex, err := Restore(g, s.cfg, st)

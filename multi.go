@@ -46,16 +46,16 @@ type MultiQuery struct {
 }
 
 // Add registers one query: a join condition, per-stream window extents, and
-// the same disorder-handling Options a standalone Join takes. The supported
-// join options are WithResults, WithResultCounts and WithAdaptHook;
-// deployment-shape options (WithShards, WithRemoteWorkers, WithFrameBatch,
-// WithPlan, WithAutoPlan, WithSupervision, WithOnlineReplan) panic — the
-// multi-query engine is its own deployment shape.
+// the same disorder-handling Options a standalone Join takes; QueryOption
+// lists what else a query takes.
 //
 // Add may be called while the join is running; the new query sees only
 // arrivals from this point on. Adding to a closed MultiJoin panics.
-func (mj *MultiJoin) Add(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) *MultiQuery {
-	jo := collect(hostMultiAdd, jopts)
+func (mj *MultiJoin) Add(cond *Condition, windows []Time, opt Options, qopts ...QueryOption) *MultiQuery {
+	jo := new(joinOpts)
+	for _, o := range qopts {
+		o.apply(jo)
+	}
 	cfg := execConfig(opt, jo)
 	q := mj.en.Add(multi.QueryConfig{
 		Cond:       cond,

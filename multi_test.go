@@ -263,16 +263,5 @@ func TestMultiJoinLifecyclePanics(t *testing.T) {
 		cond.Equi(0, 1, 1, 1)
 	})
 
-	for name, opt := range map[string]JoinOption{
-		"with-shards":      WithShards(2),
-		"with-autoplan":    WithAutoPlan(),
-		"with-supervision": WithSupervision(Supervision{}),
-	} {
-		opt := opt
-		mustPanic(name, func() {
-			mj6 := NewMultiJoin(2)
-			mj6.Add(EquiChain(2, 0), windows, multiOpt(), opt)
-		})
-	}
 	_ = stream.Time(0)
 }

@@ -4,187 +4,209 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/leakcheck"
+	"repro/internal/plan"
 )
 
-// TestOptionMatrix pins joinOpts.validate: every JoinOption alone and every
-// pair of them, handed to each of the three constructors that take options.
-// A cell either constructs, or panics at construction with a message that
-// names what does not fit — the option and its host, or both options. No
-// cell may be accepted and ignored, and none may construct a join whose
-// first Push panics for a reason known at construction.
+// TestOptionMatrix iterates plan.Matrix: every JoinOption alone and every
+// pair of them, handed to NewJoin and to Restore, on a condition the
+// planner shards flat and on one without a full key class, where it picks
+// trees. A cell the matrix refuses panics at construction with exactly
+// "qdhj: " + the refusal's message; every other cell constructs and runs a
+// few hundred tuples, so no refusal known at construction hides behind a
+// later Push. Every row of the matrix must be met by some cell.
 func TestOptionMatrix(t *testing.T) {
 	leakcheck.Check(t)
 	windows := []Time{Second, Second, Second}
-	workers := startNetWorkers(t, 2, 0, nil)
 	type option struct {
 		name string
-		// refusedAs is the name a refusal uses: WithIngestBound and
-		// WithInjector imply, and are refused as, WithSupervision; both plan
-		// rows are WithPlan.
-		refusedAs string
-		multiOK   bool
-		mk        func(*Condition) JoinOption
+		// mk returns the option for cond and the deployment features it
+		// turns on.
+		mk func(cond *Condition) (JoinOption, plan.Feature)
 		// static runs the cell under Options{Policy: StaticSlack}.
 		static bool
 	}
-	plain := func(o JoinOption) func(*Condition) JoinOption {
-		return func(*Condition) JoinOption { return o }
+	plain := func(o JoinOption, f plan.Feature) func(*Condition) (JoinOption, plan.Feature) {
+		return func(*Condition) (JoinOption, plan.Feature) { return o, f }
 	}
-	planned := func(spec string) func(*Condition) JoinOption {
-		return func(c *Condition) JoinOption {
+	planned := func(p func(*Condition) *Plan) func(*Condition) (JoinOption, plan.Feature) {
+		return func(c *Condition) (JoinOption, plan.Feature) {
+			pl := p(c)
+			if _, flat := pl.g.FlatShards(); !flat {
+				return WithPlan(pl), plan.Planned | plan.TreePlanned
+			}
+			return WithPlan(pl), plan.Planned
+		}
+	}
+	parsed := func(spec string) func(*Condition) *Plan {
+		return func(c *Condition) *Plan {
 			p, err := ParsePlan(spec, c, windows, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return WithPlan(p)
+			return p
 		}
 	}
-	options := []option{
-		{name: "WithResults", multiOK: true, mk: plain(WithResults(func(Result) {}))},
-		{name: "WithResultCounts", multiOK: true, mk: plain(WithResultCounts(func(Time, int64) {}))},
-		{name: "WithAdaptHook", multiOK: true, mk: plain(WithAdaptHook(func(AdaptEvent) {}))},
-		{name: "WithShards", mk: plain(WithShards(2))},
-		{name: "WithRemoteWorkers", mk: plain(WithRemoteWorkers(workers...))},
-		{name: "WithFrameBatch", mk: plain(WithFrameBatch(7))},
-		{name: "WithPlan", mk: planned("shard:2")},
-		{name: "WithPlan(tree)", refusedAs: "WithPlan", mk: planned("tree")},
-		{name: "WithPlan(tree, StaticSlack)", refusedAs: "WithPlan", mk: planned("tree"), static: true},
-		{name: "WithAutoPlan", mk: plain(WithAutoPlan())},
-		{name: "WithSupervision", mk: plain(WithSupervision(Supervision{}))},
-		{name: "WithIngestBound", refusedAs: "WithSupervision", mk: plain(WithIngestBound(100, IngestError))},
-		{name: "WithInjector", refusedAs: "WithSupervision", mk: plain(WithInjector(NewInjector()))},
-		{name: "WithOnlineReplan", mk: plain(WithOnlineReplan(ReplanOptions{}))},
-	}
-	for i := range options {
-		if options[i].refusedAs == "" {
-			options[i].refusedAs = options[i].name
+	auto := func(c *Condition) *Plan { return AutoPlan(c, windows, PlanHints{Shards: 2}) }
+	// A worker daemon pins the first deployment it serves: each condition
+	// gets its own.
+	optionsOn := func(workers []string) []option {
+		return []option{
+			{name: "WithResults", mk: plain(WithResults(func(Result) {}), 0)},
+			{name: "WithResultCounts", mk: plain(WithResultCounts(func(Time, int64) {}), 0)},
+			{name: "WithAdaptHook", mk: plain(WithAdaptHook(func(AdaptEvent) {}), 0)},
+			{name: "WithShards", mk: plain(WithShards(2), plan.Sharded)},
+			{name: "WithRemoteWorkers", mk: plain(WithRemoteWorkers(workers...), plan.Remote)},
+			{name: "WithFrameBatch", mk: plain(WithFrameBatch(7), 0)},
+			{name: "WithPlan(shard:2)", mk: planned(parsed("shard:2"))},
+			{name: "WithPlan(tree)", mk: planned(parsed("tree"))},
+			{name: "WithPlan(tree, StaticSlack)", mk: planned(parsed("tree")), static: true},
+			{name: "WithPlan(AutoPlan(Shards 2))", mk: planned(auto)},
+			{name: "WithSupervision", mk: plain(WithSupervision(Supervision{}), 0)},
+			{name: "WithIngestBound", mk: plain(WithIngestBound(100, IngestError), 0)},
+			{name: "WithInjector", mk: plain(WithInjector(NewInjector()), plan.Injected)},
+			{name: "WithOnlineReplan", mk: plain(WithOnlineReplan(ReplanOptions{}), plan.Replanned)},
 		}
 	}
-
-	// want returns what a cell's refusal must name — every string of all and
-	// one of any — or nothing when the cell must construct.
-	want := func(host string, a, b option) (all, any []string) {
-		replan := a.name == "WithOnlineReplan" || b.name == "WithOnlineReplan"
-		other := a
-		if a.name == "WithOnlineReplan" {
-			other = b
+	feed := func(from, to int) []*Tuple {
+		var out []*Tuple
+		for i := from; i < to; i++ {
+			out = append(out, &Tuple{TS: Time(i * 10), Seq: uint64(i), Src: i % 3, Attrs: []float64{float64(i % 7), float64(i % 5)}})
 		}
-		tree := strings.HasPrefix(a.name, "WithPlan(tree") || strings.HasPrefix(b.name, "WithPlan(tree")
-		withPlan := a.refusedAs == "WithPlan" || b.refusedAs == "WithPlan"
-		shaped := a
-		if a.refusedAs == "WithPlan" {
-			shaped = b
+		return out
+	}
+	run := func(j *Join, in []*Tuple) {
+		for _, e := range in {
+			j.Push(e)
 		}
-		switch {
-		case host == hostMultiAdd:
-			for _, o := range []option{a, b} {
-				if !o.multiOK {
-					all, any = []string{"MultiJoin"}, append(any, o.refusedAs)
-				}
-			}
-		case host == hostRestore && replan:
-			all = []string{"WithOnlineReplan", "Restore"}
-		case replan && other.name == "WithRemoteWorkers":
-			all = []string{"WithOnlineReplan", "WithRemoteWorkers"}
-		case withPlan && (shaped.name == "WithShards" || shaped.name == "WithAutoPlan"):
-			all = []string{"WithPlan", shaped.name}
-		case tree && (a.name == "WithRemoteWorkers" || b.name == "WithRemoteWorkers"):
-			all = []string{"WithPlan", "WithRemoteWorkers"}
-		}
-		return all, any
+	}
+	star := func() *Condition { return Star(3, []int{0, 1}, []int{0, 0}) }
+	if _, f := planned(auto)(star()); f&plan.TreePlanned == 0 {
+		t.Fatal("Star(3, {0, 1}, {0, 0}) has no full key class; AutoPlan at two shards must pick a tree")
 	}
 
-	// build constructs one cell and closes it again. Restore's snapshot
-	// comes from the same deployment without the re-planner.
-	build := func(host string, cond *Condition, cell []option) error {
+	// build constructs one cell, runs it and closes it. Restore's snapshot
+	// comes from NewJoin on the cell's options without the re-planner, or
+	// from a plain join when the cell is refused.
+	build := func(restore, refused bool, cond *Condition, cell []option) error {
 		var jo, source []JoinOption
 		var opt Options
 		for _, o := range cell {
-			jo = append(jo, o.mk(cond))
-			if o.name != "WithOnlineReplan" {
-				source = append(source, o.mk(cond))
+			op, _ := o.mk(cond)
+			jo = append(jo, op)
+			if o.name != "WithOnlineReplan" && !refused {
+				source = append(source, op)
 			}
 			if o.static {
 				opt = Options{Policy: StaticSlack, StaticK: Second}
 			}
 		}
-		switch host {
-		case hostNewJoin:
-			NewJoin(cond, windows, opt, jo...).Close()
-		case hostRestore:
-			src := NewJoin(cond, windows, opt, source...)
-			snap, err := src.Checkpoint()
-			src.Close()
-			if err != nil {
-				return err
-			}
-			j, err := Restore(snap, cond, windows, opt, jo...)
-			if err != nil {
-				return err
-			}
+		if !restore {
+			j := NewJoin(cond, windows, opt, jo...)
+			run(j, feed(0, 300))
 			j.Close()
-		default:
-			mj := NewMultiJoin(3)
-			defer mj.Close()
-			mj.Add(cond, windows, opt, jo...)
+			return nil
 		}
+		src := NewJoin(cond, windows, opt, source...)
+		run(src, feed(0, 150))
+		snap, err := src.Checkpoint()
+		src.Close()
+		if err != nil {
+			return err
+		}
+		j, err := Restore(snap, cond, windows, opt, jo...)
+		if err != nil {
+			return err
+		}
+		run(j, feed(150, 300))
+		j.Close()
 		return nil
 	}
 
-	for _, host := range []string{hostNewJoin, hostRestore, hostMultiAdd} {
-		for i, a := range options {
-			for _, b := range options[i:] {
-				cell := fmt.Sprintf("%s(%s, %s)", host, a.name, b.name)
-				pair := []option{a, b}
-				switch {
-				case b.name == a.name:
-					pair = pair[:1]
-				case b.refusedAs == "WithPlan" && a.refusedAs == "WithPlan":
-					// A second plan replaces the first, as any option given
-					// twice does; there is no pair to judge.
-					continue
-				}
-				var refusal string
-				err := func() (err error) {
-					defer func() {
-						if r := recover(); r != nil {
-							refusal = fmt.Sprint(r)
-						}
+	met := map[*plan.Refusal]bool{}
+	for cname, cond := range map[string]func() *Condition{"EquiChain": func() *Condition { return EquiChain(3, 0) }, "Star": star} {
+		options := optionsOn(startNetWorkers(t, 2, 0, nil))
+		for _, restore := range []bool{false, true} {
+			host := "NewJoin"
+			var base plan.Feature
+			if restore {
+				host, base = "Restore", plan.Restored
+			}
+			for i, a := range options {
+				for _, b := range options[i:] {
+					c := cond()
+					cell := fmt.Sprintf("%s(%s, %s, %s)", host, cname, a.name, b.name)
+					pair := []option{a, b}
+					switch {
+					case b.name == a.name:
+						pair = pair[:1]
+					case strings.HasPrefix(a.name, "WithPlan") && strings.HasPrefix(b.name, "WithPlan"):
+						// A second plan replaces the first, as any option given
+						// twice does; there is no pair to judge.
+						continue
+					}
+					set := base
+					for _, o := range pair {
+						_, f := o.mk(c)
+						set |= f
+					}
+					want := set.Refuse(0, 0)
+					var refusal string
+					err := func() (err error) {
+						defer func() {
+							if r := recover(); r != nil {
+								refusal = fmt.Sprint(r)
+							}
+						}()
+						return build(restore, want != nil, c, pair)
 					}()
-					return build(host, EquiChain(3, 0), pair)
-				}()
-				all, any := want(host, a, b)
-				named := func(n string) bool { return strings.Contains(refusal, n) }
-				switch {
-				case all == nil && refusal != "":
-					t.Errorf("%s: must construct, panicked: %s", cell, refusal)
-				case all == nil && err != nil:
-					t.Errorf("%s: must construct, returned: %v", cell, err)
-				case all != nil && refusal == "":
-					t.Errorf("%s: constructed; want a construction-time panic naming %v %v", cell, all, any)
-				case all != nil && slices.ContainsFunc(all, func(n string) bool { return !named(n) }),
-					any != nil && !slices.ContainsFunc(any, named):
-					t.Errorf("%s: want a panic naming %v %v, got: %s", cell, all, any, refusal)
+					switch {
+					case want == nil && refusal != "":
+						t.Errorf("%s: must construct and run, panicked: %s", cell, refusal)
+					case want == nil && err != nil:
+						t.Errorf("%s: must construct, returned: %v", cell, err)
+					case want != nil && refusal != "qdhj: "+want.Message(plan.API):
+						t.Errorf("%s: want the construction-time panic %q, got %q", cell, "qdhj: "+want.Message(plan.API), refusal)
+					}
+					met[want] = true
 				}
 			}
 		}
+	}
+	for i := range plan.Matrix {
+		if r := &plan.Matrix[i]; !met[r] {
+			t.Errorf("no cell met the matrix row %s", r.Message(plan.API))
+		}
+	}
+
+	// A shard count must match the worker addresses, whichever option set it.
+	cond, workers := EquiChain(3, 0), []string{"127.0.0.1:1", "127.0.0.1:2"}
+	four, err := ParsePlan("shard:4", cond, windows, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for by, o := range map[plan.Feature]JoinOption{plan.Sharded: WithShards(4), plan.Planned: WithPlan(four)} {
+		want := "qdhj: " + by.Refuse(4, 2).Message(plan.API)
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != want {
+					t.Errorf("%s × two workers: want the panic %q, got %v", by.Name(plan.API), want, r)
+				}
+			}()
+			NewJoin(cond, windows, Options{}, o, WithRemoteWorkers(workers...)).Close()
+		}()
 	}
 
 	// The fixed-K tree runs the feedback loop like every other shape: its
 	// hook fires at every boundary and reports K held at StaticK.
-	cond := EquiChain(3, 0)
 	var events []AdaptEvent
-	j := NewJoin(cond, windows, Options{Policy: StaticSlack, StaticK: Second},
-		planned("tree")(cond),
+	tree, _ := planned(parsed("tree"))(cond)
+	j := NewJoin(cond, windows, Options{Policy: StaticSlack, StaticK: Second}, tree,
 		WithAdaptHook(func(ev AdaptEvent) { events = append(events, ev) }))
-	for i := 0; i < 600; i++ {
-		j.Push(&Tuple{TS: Time(i * 10), Seq: uint64(i), Src: i % 3, Attrs: []float64{float64(i % 7)}})
-	}
+	run(j, feed(0, 600))
 	j.Close()
 	if len(events) < 4 {
 		t.Fatalf("WithPlan(tree, StaticSlack) × WithAdaptHook: %d adaptation events over 6 s at L = 1 s", len(events))
@@ -209,15 +231,15 @@ func TestOptionsGammaChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := map[string]func(Options){
-		hostNewJoin: func(o Options) { NewJoin(cond, windows, o).Close() },
-		hostRestore: func(o Options) {
+		"NewJoin": func(o Options) { NewJoin(cond, windows, o).Close() },
+		"Restore": func(o Options) {
 			j, err := Restore(snap, cond, windows, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			j.Close()
 		},
-		hostMultiAdd: func(o Options) {
+		"MultiJoin.Add": func(o Options) {
 			mj := NewMultiJoin(3)
 			defer mj.Close()
 			mj.Add(cond, windows, o)

@@ -95,51 +95,35 @@ func (p *Plan) Explain() string { return p.g.Explain() }
 func Explain(p *Plan) string { return p.Explain() }
 
 // WithPlan deploys the join as the given plan. The plan must have been
-// built for the same condition and windows passed to NewJoin. The plan
-// fixes the shape and the shard count, so WithShards and WithAutoPlan are
-// refused beside it, as is WithRemoteWorkers beside a tree plan.
+// built for the same condition and windows passed to NewJoin. For the
+// planner's pick at a shard budget, pass WithPlan(AutoPlan(cond, windows,
+// PlanHints{Shards: n})).
 func WithPlan(p *Plan) JoinOption {
-	return func(o *joinOpts) { o.plan = p }
-}
-
-// WithAutoPlan lets the planner pick the deployment shape, using the
-// WithShards value (if any) as the parallelism budget. Where plain
-// WithShards always runs the flat sharded operator — broadcasting when the
-// condition has no full key class — WithAutoPlan upgrades such conditions
-// to stage-wise sharding.
-func WithAutoPlan() JoinOption {
-	return func(o *joinOpts) { o.autoPlan = true }
+	return joinOption(func(o *joinOpts) { o.plan = p })
 }
 
 // graphFor resolves the deployment graph of one NewJoin or Restore call.
+// Remote workers without a shard count of their own deploy the sharded
+// flat shape, one shard per address.
 func (o *joinOpts) graphFor(cond *Condition, windows []Time) *plan.Graph {
-	if len(o.remote) > 0 && o.shards == 0 && o.plan == nil {
-		// One worker address per shard: remote workers imply the sharded
-		// flat shape at the address count (the planner's budget under
-		// WithAutoPlan).
-		o.shards = len(o.remote)
+	if o.plan == nil {
+		n := o.shards
+		if n == 0 {
+			n = len(o.remote)
+		}
+		return plan.ShardedFlat(cond, windows, n)
 	}
-	var g *plan.Graph
-	switch {
-	case o.plan != nil:
-		g = o.plan.g
-		if g.Cond != cond {
-			panic("qdhj: WithPlan plan was built for a different Condition — the compiled routes and scopes would not match; plan the same condition value you pass to NewJoin")
+	g := o.plan.g
+	if g.Cond != cond {
+		panic("qdhj: WithPlan plan was built for a different Condition — the compiled routes and scopes would not match; plan the same condition value you pass to NewJoin")
+	}
+	if len(g.Windows) != len(windows) {
+		panic("qdhj: WithPlan plan window count differs from NewJoin's")
+	}
+	for i := range windows {
+		if g.Windows[i] != windows[i] {
+			panic(fmt.Sprintf("qdhj: WithPlan plan window %d = %v differs from NewJoin's %v", i, g.Windows[i], windows[i]))
 		}
-		if len(g.Windows) != len(windows) {
-			panic("qdhj: WithPlan plan window count differs from NewJoin's")
-		}
-		for i := range windows {
-			if g.Windows[i] != windows[i] {
-				panic(fmt.Sprintf("qdhj: WithPlan plan window %d = %v differs from NewJoin's %v", i, g.Windows[i], windows[i]))
-			}
-		}
-	case o.autoPlan:
-		g = plan.Auto(cond, windows, plan.Hints{Shards: o.shards})
-	case o.shards > 1:
-		g = plan.ShardedFlat(cond, windows, o.shards)
-	default:
-		g = plan.FlatGraph(cond, windows)
 	}
 	return g
 }

@@ -128,8 +128,31 @@ const (
 	BinarySearch = adapt.BinarySearch
 )
 
-// JoinOption attaches optional sinks and hooks to a join.
-type JoinOption func(*joinOpts)
+// JoinOption configures a Join; NewJoin and Restore take it. Pairs of
+// options that do not combine panic at construction with "qdhj: <A>
+// cannot be combined with <B> — <reason>"; DESIGN.md §9 lists them.
+type JoinOption interface{ apply(*joinOpts) }
+
+// QueryOption configures one query of a MultiJoin, or a Join: only
+// WithResults, WithResultCounts and WithAdaptHook are QueryOptions. The
+// other options choose a deployment, and a MultiJoin is its own: it
+// probes in this process, so it has no shards, plan or remote workers to
+// deploy, and it has no Checkpoint, so it cannot be supervised or
+// re-planned.
+type QueryOption interface {
+	JoinOption
+	query()
+}
+
+// joinOption and queryOption are the two kinds of option.
+type (
+	joinOption  func(*joinOpts)
+	queryOption func(*joinOpts)
+)
+
+func (f joinOption) apply(o *joinOpts)  { f(o) }
+func (f queryOption) apply(o *joinOpts) { f(o) }
+func (queryOption) query()              {}
 
 type joinOpts struct {
 	emit       join.EmitFunc
@@ -139,69 +162,34 @@ type joinOpts struct {
 	remote     []string
 	frameBatch int
 	plan       *Plan
-	autoPlan   bool
 	supervised bool
 	scf        plan.SuperviseConfig
 	replan     *ReplanOptions
 }
 
-// The constructors that take JoinOptions.
-const (
-	hostNewJoin  = "NewJoin"
-	hostRestore  = "Restore"
-	hostMultiAdd = "MultiJoin.Add"
-)
-
-// collect applies the options of one host call and validates the outcome.
-func collect(host string, jopts []JoinOption) *joinOpts {
-	jo := new(joinOpts)
-	for _, o := range jopts {
-		o(jo)
+// joinOptions applies the options of one NewJoin (set = 0) or Restore (set
+// = plan.Restored) call and panics on a deployment the option matrix
+// refuses, so the mistake surfaces where the join is constructed and not
+// as a no-op or as a panic from a later Push.
+func joinOptions(set plan.Feature, jopts []JoinOption) *joinOpts {
+	o := new(joinOpts)
+	for _, opt := range jopts {
+		opt.apply(o)
 	}
-	jo.validate(host)
-	return jo
-}
-
-// validate panics on an option its host would silently ignore and on two
-// options that do not combine, so every such mistake surfaces where the
-// join is constructed and not as a no-op or as a panic from a later Push.
-func (o *joinOpts) validate(host string) {
-	if host == hostMultiAdd {
-		switch {
-		case o.shards != 0:
-			panic("qdhj: WithShards is not supported on a MultiJoin — sharding and multi-query sharing are distinct deployment shapes; use one Join per shard group or a MultiJoin, not both")
-		case o.plan != nil || o.autoPlan:
-			panic("qdhj: WithPlan/WithAutoPlan are not supported on a MultiJoin — the multi-query engine is its own deployment shape")
-		case o.supervised:
-			panic("qdhj: WithSupervision is not supported on a MultiJoin")
-		case o.replan != nil:
-			panic("qdhj: WithOnlineReplan is not supported on a MultiJoin")
-		case len(o.remote) > 0:
-			panic("qdhj: WithRemoteWorkers is not supported on a MultiJoin — the shared-window engine probes in this process and would never dial the workers")
-		case o.frameBatch != 0:
-			panic("qdhj: WithFrameBatch is not supported on a MultiJoin — there is no sharded hand-off or network frame for it to size")
-		}
-		return
-	}
+	n := o.shards
 	if o.plan != nil {
-		switch _, flat := o.plan.g.FlatShards(); {
-		case o.shards != 0:
-			panic("qdhj: WithPlan cannot be combined with WithShards — the plan fixes the shard count; write it into the plan (ParsePlan \"shard:N\", \"tree-shard:N\" or an xN suffix)")
-		case o.autoPlan:
-			panic("qdhj: WithPlan cannot be combined with WithAutoPlan — one deploys the given plan, the other picks its own; pass one of them")
-		case len(o.remote) > 0 && !flat:
-			panic("qdhj: WithPlan with a tree shape cannot be combined with WithRemoteWorkers — remote workers execute only flat shapes, since tree stages own window state the driver cannot retain for checkpointing; plan a flat or sharded-flat shape")
-		}
+		var flat bool
+		n, flat = o.plan.g.FlatShards()
+		set |= plan.Planned | plan.TreePlanned.If(!flat)
+	} else if n == 1 {
+		n = 0 // WithShards(1) is the unsharded operator
 	}
-	if o.replan == nil {
-		return
+	set |= plan.Sharded.If(o.shards != 0) | plan.Remote.If(len(o.remote) > 0) |
+		plan.Injected.If(o.scf.Inject != nil) | plan.Replanned.If(o.replan != nil)
+	if r := set.Refuse(n, len(o.remote)); r != nil {
+		panic("qdhj: " + r.Message(plan.API))
 	}
-	switch {
-	case host == hostRestore:
-		panic("qdhj: WithOnlineReplan is not supported on Restore — the restored join would run without the re-planner; restore the snapshot's own shape, or start a fresh NewJoin with WithOnlineReplan")
-	case len(o.remote) > 0:
-		panic("qdhj: WithOnlineReplan cannot be combined with WithRemoteWorkers — remote workers pin the sharded flat shape, and a live migration would change it")
-	}
+	return o
 }
 
 // shell returns the runtime-shell config the options ask for, and false
@@ -226,21 +214,21 @@ type AdaptEvent = core.AdaptEvent
 // The slice is capacity-clipped (an append copies) and may share a backing
 // block of at most 512 bytes with neighbouring results, so retaining one
 // result keeps that block — up to 64 tuple pointers — reachable.
-func WithResults(f func(Result)) JoinOption {
-	return func(o *joinOpts) { o.emit = join.EmitFunc(f) }
+func WithResults(f func(Result)) QueryOption {
+	return queryOption(func(o *joinOpts) { o.emit = join.EmitFunc(f) })
 }
 
 // WithResultCounts registers a cheap callback receiving, per in-order
 // arrival, the result timestamp and result count.
-func WithResultCounts(f func(ts Time, n int64)) JoinOption {
-	return func(o *joinOpts) { o.counts = join.CountEmitFunc(f) }
+func WithResultCounts(f func(ts Time, n int64)) QueryOption {
+	return queryOption(func(o *joinOpts) { o.counts = join.CountEmitFunc(f) })
 }
 
 // WithAdaptHook registers a callback observing every adaptation step, on
 // every deployment shape and policy (under StaticSlack each step keeps
 // NewK = PrevK = StaticK).
-func WithAdaptHook(f func(AdaptEvent)) JoinOption {
-	return func(o *joinOpts) { o.onAdapt = f }
+func WithAdaptHook(f func(AdaptEvent)) QueryOption {
+	return queryOption(func(o *joinOpts) { o.onAdapt = f })
 }
 
 // WithShards runs the join operator as n key-partitioned shards on n
@@ -261,7 +249,7 @@ func WithShards(n int) JoinOption {
 	if n < 0 {
 		panic("qdhj: WithShards needs n ≥ 0 shards")
 	}
-	return func(o *joinOpts) { o.shards = n }
+	return joinOption(func(o *joinOpts) { o.shards = n })
 }
 
 // WithRemoteWorkers runs the join's partition workers as external qdhjd
@@ -285,7 +273,7 @@ func WithRemoteWorkers(addrs ...string) JoinOption {
 	if len(addrs) == 0 {
 		panic("qdhj: WithRemoteWorkers needs at least one worker address")
 	}
-	return func(o *joinOpts) { o.remote = append([]string(nil), addrs...) }
+	return joinOption(func(o *joinOpts) { o.remote = append([]string(nil), addrs...) })
 }
 
 // WithFrameBatch sets how many tuple messages share one network frame (and
@@ -297,7 +285,7 @@ func WithRemoteWorkers(addrs ...string) JoinOption {
 // inter-thread hand-off batch. n ≤ 0 selects the default; n = 1 means
 // per-tuple framing.
 func WithFrameBatch(n int) JoinOption {
-	return func(o *joinOpts) { o.frameBatch = n }
+	return joinOption(func(o *joinOpts) { o.frameBatch = n })
 }
 
 // Join is an m-way sliding window join with quality-driven disorder
@@ -307,7 +295,7 @@ func WithFrameBatch(n int) JoinOption {
 // Every Join executes behind the deployment-plan seam: the classic flat
 // operator by default, the key-partitioned shards under WithShards, or any
 // planned shape — including bushy trees and stage-wise sharding — under
-// WithPlan/WithAutoPlan.
+// WithPlan.
 type Join struct {
 	g   *plan.Graph     // the initial deployment
 	cfg plan.ExecConfig // as handed to the builder; user callbacks intact
@@ -375,7 +363,7 @@ func execConfig(opt Options, jo *joinOpts) plan.ExecConfig {
 // NewJoin creates a join over len(windows) streams. windows[i] is the
 // sliding window extent W_i of stream i; cond.M must equal len(windows).
 func NewJoin(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) *Join {
-	jo := collect(hostNewJoin, jopts)
+	jo := joinOptions(0, jopts)
 	cfg := execConfig(opt, jo)
 	g := jo.graphFor(cond, windows)
 	j := &Join{g: g, cfg: cfg, hasSink: jo.emit != nil}

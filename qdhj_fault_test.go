@@ -642,7 +642,11 @@ func TestInvalidSrcRefused(t *testing.T) {
 		run := func(bad bool) *faultTrace {
 			tr := newFaultTrace()
 			mj := NewMultiJoin(3)
-			mj.Add(mix3(), windows, opt, tr.opts()...)
+			var qopts []QueryOption
+			for _, o := range tr.opts() {
+				qopts = append(qopts, o.(QueryOption))
+			}
+			mj.Add(mix3(), windows, opt, qopts...)
 			for i, e := range in {
 				if bad && i%150 == 7 {
 					refuse(t, nil, mj.Push, e, func() error { return nil })

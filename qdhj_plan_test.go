@@ -65,12 +65,6 @@ func TestJoinWithPlanDifferential(t *testing.T) {
 			t.Fatalf("planned join diverges at %s: %d vs %d", k, got[k], v)
 		}
 	}
-
-	// WithAutoPlan + WithShards resolves to the same shape.
-	got2 := run(star4(), WithAutoPlan(), WithShards(4))
-	if len(got2) != len(want) {
-		t.Fatalf("auto-planned join: %d distinct results, flat %d", len(got2), len(want))
-	}
 }
 
 // TestJoinTreePlanAdaptive: an adaptive tree-shaped Join exposes per-stage

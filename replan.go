@@ -43,21 +43,18 @@ type ReplanOptions struct {
 }
 
 // WithOnlineReplan turns on online re-planning. The join starts on its
-// configured deployment (WithPlan, WithAutoPlan, WithShards, or the flat
-// default) and migrates between plannable shapes as the measured statistics
-// move.
+// configured deployment and migrates between plannable shapes as the
+// measured statistics move.
 //
 // The join runs behind the same runtime shell as WithSupervision: one
 // arrival log and one exactly-once gate serve both crash recovery and
-// migration, so the two compose — as do WithIngestBound and WithInjector,
-// whose injector stays paused while a migration replays. Results are
-// delivered through the gate, so the join always materializes them even
-// when only WithResultCounts is registered, which then sees one count per
-// delivered result. WithOnlineReplan cannot be combined with
-// WithRemoteWorkers (remote workers pin the sharded flat shape), and
-// Restore does not take it; both panic at construction.
+// migration, so the two compose, and an injector stays paused while a
+// migration replays. Results are delivered through the gate, so the join
+// always materializes them even when only WithResultCounts is registered,
+// which then sees one count per delivered result. DESIGN.md §9 lists the
+// options it does not combine with.
 func WithOnlineReplan(o ReplanOptions) JoinOption {
-	return func(jo *joinOpts) { jo.replan = &o }
+	return joinOption(func(jo *joinOpts) { jo.replan = &o })
 }
 
 // newController wires the re-planning loop of one NewJoin call.

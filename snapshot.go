@@ -115,7 +115,7 @@ func (j *Join) Checkpoint() (*Snapshot, error) {
 // signature — their bodies are not serializable, so passing a condition
 // with different predicate code is undetectable and on the caller.
 func Restore(snap *Snapshot, cond *Condition, windows []Time, opt Options, jopts ...JoinOption) (*Join, error) {
-	jo := collect(hostRestore, jopts)
+	jo := joinOptions(plan.Restored, jopts)
 	cfg := execConfig(opt, jo)
 	g := jo.graphFor(cond, windows)
 	j := &Join{g: g, cfg: cfg, hasSink: jo.emit != nil}

@@ -72,12 +72,12 @@ type Supervision struct {
 // *JoinError through Err, after which Push is a silent no-op and TryPush
 // returns the error.
 func WithSupervision(s Supervision) JoinOption {
-	return func(o *joinOpts) {
+	return joinOption(func(o *joinOpts) {
 		o.supervised = true
 		o.scf.Backoff = s.Backoff
 		o.scf.OnRestart = s.OnRestart
 		o.scf.CheckpointEvery = s.CheckpointEvery
-	}
+	})
 }
 
 // IngestPolicy selects what a supervised join does when the disorder-
@@ -104,10 +104,10 @@ const (
 // the given overload policy. It implies WithSupervision with the default
 // schedule unless WithSupervision is also given.
 func WithIngestBound(max int, p IngestPolicy) JoinOption {
-	return func(o *joinOpts) {
+	return joinOption(func(o *joinOpts) {
 		o.supervised = true
 		o.scf.Ingest = plan.IngestConfig{MaxBuffered: max, Policy: p}
-	}
+	})
 }
 
 // Injector is the deterministic, seed-free fault injector: directives fire
@@ -127,10 +127,10 @@ func ParseInjectSpec(spec string) (*Injector, error) { return fault.ParseInjectS
 // harness for the fault-tolerant runtime. It implies WithSupervision with
 // the default schedule unless WithSupervision is also given.
 func WithInjector(inj *Injector) JoinOption {
-	return func(o *joinOpts) {
+	return joinOption(func(o *joinOpts) {
 		o.supervised = true
 		o.scf.Inject = inj
-	}
+	})
 }
 
 // TryPush feeds one arriving tuple, reporting refusal as a typed error
