@@ -545,6 +545,64 @@ func TestRestoreRefusesLooplessStaticTreeSnapshot(t *testing.T) {
 	}
 }
 
+// TestRestoreModelTreeSnapshotV1: testdata/model-tree-v1.snap is a model-
+// policy tree snapshot in the layout that stored the tree's loop and
+// driver registers beside the tree (ExecState.ATree), captured at the
+// fourth adaptation boundary, after arrival 1201 of the feed below.
+// Restoring it must either continue exactly like the uninterrupted run —
+// the results delivered after the cut, the K trajectory and the result
+// count — or be refused with ErrRestoreMismatch, bare and supervised. It
+// must never panic.
+func TestRestoreModelTreeSnapshotV1(t *testing.T) {
+	defer leakcheck.Check(t)
+	const cut = 1201
+	windows := []Time{Second, Second, Second}
+	opt := Options{Gamma: 0.9, Period: 10 * Second, Interval: Second}
+	in := gen.SparseEqui3(1500, 37, 100, [3]Time{100, 400, 1500})
+	cond, p := planFor(t, "tree", func() *Condition { return EquiChain(3, 0) }, windows)
+
+	ref := newFaultTrace()
+	ref.mute = true
+	jr := NewJoin(cond, windows, opt, append(ref.opts(), WithPlan(p))...)
+	for i, e := range cloneBatch(in) {
+		ref.mute = i < cut
+		jr.Push(e)
+	}
+	jr.Close()
+
+	for name, sup := range map[string]bool{"bare": false, "supervised": true} {
+		f, err := os.Open("testdata/model-tree-v1.snap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ReadSnapshot(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := newFaultTrace()
+		jopts := append(got.opts(), WithPlan(p))
+		if sup {
+			jopts = append(jopts, WithSupervision(Supervision{}))
+		}
+		j, err := Restore(snap, cond, windows, opt, jopts...)
+		if err != nil {
+			if !errors.Is(err, ErrRestoreMismatch) {
+				t.Errorf("%s: restore = %v, want success or ErrRestoreMismatch", name, err)
+			}
+			continue
+		}
+		for _, e := range cloneBatch(in[cut:]) {
+			j.Push(e)
+		}
+		j.Close()
+		diffFaultTraces(t, name, ref, got)
+		if j.Results() != jr.Results() {
+			t.Errorf("%s: %d results, uninterrupted run %d", name, j.Results(), jr.Results())
+		}
+	}
+}
+
 // TestCheckpointCadenceMatchesEngineDefaults: the supervised shell's
 // default cadence — one checkpoint per period, P/L boundaries — uses the
 // engines' own normalized P and L. A non-positive Period or Interval, which
