@@ -46,7 +46,8 @@
 // Invalid flag combinations exit with code 2 and an error wrapping
 // errFlagConflict, before any input is read: the pairs the library's option
 // matrix refuses (internal/plan.Matrix, DESIGN.md §9) under their flag
-// names, and the rules of flagConflict that only the command line has.
+// names, and the rules of flagConflict that only the command line has —
+// among them -shards under a -plan that would ignore it.
 package main
 
 import (
@@ -55,13 +56,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
 	qdhj "repro"
 	"repro/internal/adapt"
-	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/feedback"
 	"repro/internal/gen"
 	"repro/internal/join"
 	"repro/internal/oracle"
@@ -123,16 +125,16 @@ func main() {
 	ds := readDataset(f.in)
 	ds.Cond = queryFor(f.query, ds.M)
 
-	var pf core.PolicyFactory
+	var pf feedback.PolicyFactory
 	switch f.policy {
 	case "model":
-		pf = core.ModelPolicy()
+		pf = feedback.ModelPolicy()
 	case "maxk":
-		pf = core.MaxKPolicy()
+		pf = feedback.MaxKPolicy()
 	case "nok":
-		pf = core.NoKPolicy()
+		pf = feedback.NoKPolicy()
 	case "static":
-		pf = core.StaticPolicy(seconds(f.k))
+		pf = feedback.StaticPolicy(seconds(f.k))
 	default:
 		fatal(fmt.Errorf("unknown policy %q", f.policy))
 	}
@@ -288,6 +290,15 @@ func flagConflict(f runFlags) error {
 			return conflict("-queries is its own deployment shape; it cannot be combined with -plan/-shards/-checkpoint/-restore/-workers/-replan")
 		}
 		return nil
+	}
+	// -shards is the budget of the specs that read one: none, auto, and a
+	// bare shard or tree-shard. Any other spec would silently ignore it,
+	// unless it names the same count.
+	if name, arg, hasArg := strings.Cut(strings.TrimSpace(f.planSpec), ":"); f.shards > 0 && name != "" && name != "auto" {
+		n, err := strconv.Atoi(arg)
+		if (name != "shard" && name != "tree-shard") || hasArg && (err != nil || n != f.shards) {
+			return conflict(fmt.Sprintf("-plan %q ignores -shards %d: only -plan auto (or none) and a bare shard or tree-shard read it; name the count in the plan instead", f.planSpec, f.shards))
+		}
 	}
 	// Both the plan's shard count and -shards, as typed, must match the
 	// workers.

@@ -60,6 +60,13 @@ func TestFlagConflicts(t *testing.T) {
 		{"k negative", runFlags{policy: "static", k: -1}},
 		{"shards negative", runFlags{shards: -2}},
 		{"framebatch negative", runFlags{workers: two, frameBatch: -1}},
+		// -shards under a plan that does not read it.
+		{"plan shard:2+shards 4", runFlags{planSpec: "shard:2", shards: 4}},
+		{"plan tree-shard:2+shards 4", runFlags{planSpec: "tree-shard:2", shards: 4}},
+		{"plan flat+shards 4", runFlags{planSpec: "flat", shards: 4}},
+		{"plan tree+shards 4", runFlags{planSpec: "tree", shards: 4}},
+		{"plan shape+shards 4", runFlags{planSpec: "((0 1)x2 2)", shards: 4}},
+		{"plan shard:x+shards 4", runFlags{planSpec: "shard:x", shards: 4}},
 	}
 	for i := range bad {
 		bad[i].f = defaults(bad[i].f)
@@ -112,7 +119,11 @@ func TestFlagConflicts(t *testing.T) {
 		{"queries alone", runFlags{queries: "q.spec"}},
 		{"plan tree", runFlags{planSpec: "tree", policy: "model"}},
 		{"plan tree+static", runFlags{planSpec: "tree", policy: "static", k: 2}},
-		{"plan shard:2+shards 4", runFlags{planSpec: "shard:2", shards: 4}},
+		{"plan shard:4+shards 4", runFlags{planSpec: "shard:4", shards: 4}},
+		{"plan tree-shard:4+shards 4", runFlags{planSpec: " tree-shard:4", shards: 4}},
+		{"plan shard+shards 4", runFlags{planSpec: "shard", shards: 4}},
+		{"plan tree-shard+shards 4", runFlags{planSpec: "tree-shard", shards: 4}},
+		{"plan auto+shards 4", runFlags{planSpec: "auto", shards: 4}},
 		{"plan+inject", runFlags{planSpec: "shard:2", inject: "panic@shard1:tuple5000"}},
 		{"restore+inject", runFlags{planSpec: "shard:2", restore: "snap.bin", inject: "panic@shard1:tuple5000"}},
 		{"workers alone", runFlags{workers: two}},

@@ -7,8 +7,8 @@ import (
 
 	qdhj "repro"
 	"repro/internal/adapt"
-	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/feedback"
 	"repro/internal/gen"
 	"repro/internal/join"
 	qnet "repro/internal/net"
@@ -40,7 +40,7 @@ func TestX2QueryMatchesClosure(t *testing.T) {
 		d := *ds
 		d.Cond = cond
 		truth := oracle.TrueResults(cond, d.Windows, d.Arrivals)
-		return exp.Run(&exp.Dataset{Dataset: &d, Truth: truth}, acfg, core.ModelPolicy())
+		return exp.Run(&exp.Dataset{Dataset: &d, Truth: truth}, acfg, feedback.ModelPolicy())
 	}
 	want, got := run(closure), run(queryFor("x2", ds.M))
 	if want.TrueTotal == 0 || want.Produced == 0 {

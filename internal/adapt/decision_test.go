@@ -8,11 +8,10 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/core"
+	"repro/internal/feedback"
 	"repro/internal/gen"
 	"repro/internal/hist"
-	"repro/internal/monitor"
 	"repro/internal/profiler"
-	"repro/internal/stats"
 	"repro/internal/stream"
 )
 
@@ -117,8 +116,8 @@ func TestBoundedScanMatchesAlg3(t *testing.T) {
 							Windows: ds.Windows, Cond: ds.Cond,
 							Adapt: adapt.Config{Gamma: gamma, P: 20 * stream.Second, L: stream.Second,
 								G: g, Strategy: strategy},
-							Policy: func(st *stats.Manager, mon *monitor.Monitor, cfg adapt.Config, windows []stream.Time) adapt.Policy {
-								pol = &alg3Policy{t: t, model: adapt.NewModel(cfg, windows, st, mon)}
+							Policy: func(env feedback.Env) adapt.Policy {
+								pol = &alg3Policy{t: t, model: adapt.NewModel(env.Adapt, env.Windows, env.Stats, env.Monitor)}
 								return pol
 							},
 						})
@@ -274,9 +273,9 @@ func TestDecisionsMatchReference(t *testing.T) {
 							Windows: ds.Windows, Cond: ds.Cond,
 							Adapt: adapt.Config{Gamma: gamma, P: 20 * stream.Second, L: stream.Second,
 								Strategy: strategy, Search: search},
-							Policy: func(st *stats.Manager, mon *monitor.Monitor, cfg adapt.Config, windows []stream.Time) adapt.Policy {
-								pol = &diffPolicy{t: t, model: adapt.NewModel(cfg, windows, st, mon),
-									cfg: cfg, windows: windows, src: st}
+							Policy: func(env feedback.Env) adapt.Policy {
+								pol = &diffPolicy{t: t, model: adapt.NewModel(env.Adapt, env.Windows, env.Stats, env.Monitor),
+									cfg: env.Adapt, windows: env.Windows, src: env.Stats}
 								return pol
 							},
 						})

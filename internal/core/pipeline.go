@@ -1,26 +1,32 @@
 // Package core wires the quality-driven disorder handling framework of
-// Fig. 2: one K-slack component per input stream, a Synchronizer merging
-// their outputs, the MSWJ operator, and the feedback loop — extracted into
-// internal/feedback — that re-decides the common buffer size K every L time
-// units. The pipeline is a thin client of the loop: it feeds arrivals,
-// productivity records and result counts in, and applies the loop's single
-// global Same-K decision to its K-slack buffers at every interval boundary.
+// Fig. 2: one K-slack component per input stream, the join body behind
+// them, and the feedback loop — extracted into internal/feedback — that
+// re-decides the buffer sizes every L time units. It is the one adaptive
+// shell of every deployment shape. On flat shapes the body is a
+// Synchronizer merging the K-slack outputs into the MSWJ operator (in
+// process, or on a sharded Runtime) and the loop decides one global Same-K;
+// on tree shapes the body is a plan tree of binary stages (internal/dist,
+// Sec. V), each fronted by its own Synchronizer, and the loop decides one K
+// per stage for the raw streams entering it. The pipeline is a thin client
+// of the loop: it feeds arrivals, productivity records and result counts
+// in, and applies each scope's K to the K-slack buffers of its streams at
+// every interval boundary.
 //
 // The pipeline is push-based and driven entirely by logical time (tuple
 // timestamps), so runs are deterministic and replay far faster than real
 // time. Push runs on the caller's goroutine; the only concurrency is the
-// sharded path's workers (internal/shard, or internal/net over TCP) and
-// the feedback loop's statistics feeder, both synchronized at every
-// adaptation boundary.
+// shard workers (internal/shard, internal/net over TCP, or a tree's sharded
+// stages) and the async statistics feeder of the flat sharded path, all
+// synchronized at every adaptation boundary.
 package core
 
 import (
 	"repro/internal/adapt"
+	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/feedback"
 	"repro/internal/join"
 	"repro/internal/kslack"
-	"repro/internal/monitor"
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/stream"
@@ -62,51 +68,20 @@ type Runtime interface {
 	Close()
 }
 
-// PolicyFactory builds the buffer-size policy once the feedback loop has
-// created the shared statistics components. (This is the historical core
-// signature; internal/feedback defines the scope-aware generalization, and
-// the pipeline adapts between the two.)
-type PolicyFactory func(st *stats.Manager, mon *monitor.Monitor, cfg adapt.Config, windows []stream.Time) adapt.Policy
+// PolicyFactory, ModelPolicy, NoKPolicy, MaxKPolicy and StaticPolicy are
+// the feedback loop's policy factories under their historical core names;
+// plan.PolicyFactoryFor is the one place a policy name maps to a factory.
+type PolicyFactory = feedback.PolicyFactory
 
-// ModelPolicy returns the paper's model-based quality-driven policy.
-func ModelPolicy() PolicyFactory {
-	return func(st *stats.Manager, mon *monitor.Monitor, cfg adapt.Config, windows []stream.Time) adapt.Policy {
-		return adapt.NewModel(cfg, windows, st, mon)
-	}
-}
+var (
+	ModelPolicy  = feedback.ModelPolicy
+	NoKPolicy    = feedback.NoKPolicy
+	MaxKPolicy   = feedback.MaxKPolicy
+	StaticPolicy = feedback.StaticPolicy
+)
 
-// NoKPolicy returns the No-K-slack baseline.
-func NoKPolicy() PolicyFactory {
-	return func(*stats.Manager, *monitor.Monitor, adapt.Config, []stream.Time) adapt.Policy {
-		return adapt.NoK{}
-	}
-}
-
-// MaxKPolicy returns the Max-K-slack baseline.
-func MaxKPolicy() PolicyFactory {
-	return func(st *stats.Manager, _ *monitor.Monitor, _ adapt.Config, _ []stream.Time) adapt.Policy {
-		return adapt.MaxK{Stats: st}
-	}
-}
-
-// StaticPolicy returns a fixed-K policy.
-func StaticPolicy(k stream.Time) PolicyFactory {
-	return func(*stats.Manager, *monitor.Monitor, adapt.Config, []stream.Time) adapt.Policy {
-		return adapt.Static{K: k}
-	}
-}
-
-// FeedbackPolicy adapts the historical core PolicyFactory signature to the
-// scope-aware factory internal/feedback expects, reading the loop's raw
-// Statistics Manager and Monitor out of the environment. Every executor that
-// must reproduce the classic pipeline's K decisions bit-for-bit (the pipeline
-// itself, internal/multi) builds its loops through this one adapter, so the
-// policy always sees the same statistics sources.
-func FeedbackPolicy(pf PolicyFactory) feedback.PolicyFactory {
-	return func(env feedback.Env) adapt.Policy {
-		return pf(env.Stats, env.Monitor, env.Adapt, env.Windows)
-	}
-}
+// FeedbackPolicy returns pf: core and feedback share one factory type.
+func FeedbackPolicy(pf PolicyFactory) feedback.PolicyFactory { return pf }
 
 // AdaptEvent describes one adaptation step; it is delivered to the OnAdapt
 // hook right after the new K has been decided and applied.
@@ -126,7 +101,8 @@ type Config struct {
 	Cond *join.Condition
 	// Adapt carries Γ, P, L, b, g and the selectivity strategy.
 	Adapt adapt.Config
-	// Policy selects the buffer-size policy; default is ModelPolicy.
+	// Policy builds each decision scope's buffer-size policy; default is
+	// ModelPolicy.
 	Policy PolicyFactory
 	// StatsOpts customizes the Statistics Manager (fixed history ablation…).
 	StatsOpts []stats.Option
@@ -135,9 +111,12 @@ type Config struct {
 	// high-selectivity equi workloads.
 	Emit join.EmitFunc
 	// EmitCounts optionally receives per-arrival result counts (always
-	// cheap; the Result-Size Monitor uses the same channel internally).
+	// cheap; the Result-Size Monitor uses the same channel internally). A
+	// tree materializes its results anyway and reports one count per result.
 	EmitCounts join.CountEmitFunc
-	// OnAdapt optionally observes every adaptation step.
+	// OnAdapt optionally observes every adaptation step. On trees PrevK and
+	// NewK report the largest per-stage K, OutT the root watermark after
+	// the new Ks released what they release.
 	OnAdapt func(AdaptEvent)
 	// InitialK is the buffer size before the first adaptation step.
 	InitialK stream.Time
@@ -147,29 +126,39 @@ type Config struct {
 	// seam through which plan injects the networked worker runtime
 	// (internal/net). When set, the runtime path is used even at one shard.
 	NewRuntime func(shard.Config) Runtime
+	// Tree, when set, runs the join as this binary plan tree instead of the
+	// flat operator: one decision scope per stage, all deciding against one
+	// Γ′ derived at the root (DESIGN §8). The tree shards its own stages;
+	// Sharding and NewRuntime do not apply.
+	Tree *dist.Shape
 	// Inject is the optional fault-injection harness: sharded runs hand it
-	// to the shard workers (worker s checks directives for worker s); the
-	// single-threaded path checks worker 0's directives at every Push.
+	// to their workers (worker s checks directives for worker s); a run
+	// without worker goroutines checks worker 0's directives at every Push.
 	Inject *fault.Injector
 }
 
 // Pipeline is the assembled framework.
 type Pipeline struct {
-	cfg   Config
-	m     int
-	loop  *feedback.Loop
-	ks    []*kslack.Buffer
-	sync  *syncer.Synchronizer
-	op    *join.Operator // nil on the sharded path
-	model *adapt.Model   // non-nil when the policy is the model policy
+	cfg  Config
+	m    int
+	loop *feedback.Loop
+	ks   []*kslack.Buffer
+	// leaves[j] lists the streams whose buffers scope j's K sizes, in the
+	// order a decision applies them: every stream under the one flat scope.
+	leaves [][]int
 
-	// Sharded path (Config.Sharding.Shards > 1 or Config.NewRuntime set):
-	// the runtime replaces op and the loop runs its Statistics Manager
-	// asynchronously, barriered before every decision.
-	rt Runtime
+	// The body behind the K-slack buffers: a Synchronizer feeding op, or rt
+	// on the sharded path, where the loop runs its Statistics Manager
+	// asynchronously, barriered before every decision; or a plan tree.
+	sync *syncer.Synchronizer
+	op   *join.Operator
+	rt   Runtime
+	tree *dist.PlanTree
+
+	faultsAtPush bool // no worker goroutines: injected faults fire in Push
 
 	finished bool
-	curK     stream.Time
+	curK     stream.Time // the largest per-scope K in force
 
 	results int64
 	pushed  int64
@@ -186,27 +175,25 @@ func New(cfg Config) *Pipeline {
 	cfg.Adapt = cfg.Adapt.Normalize()
 	m := len(cfg.Windows)
 
-	sharded := cfg.Sharding.Shards > 1 || cfg.NewRuntime != nil
-
 	p := &Pipeline{cfg: cfg, m: m, curK: cfg.InitialK}
-	p.loop = feedback.New(feedback.Config{
+	lcfg := feedback.Config{
 		Windows:    cfg.Windows,
 		Adapt:      cfg.Adapt,
-		Policy:     FeedbackPolicy(cfg.Policy),
+		Policy:     cfg.Policy,
 		StatsOpts:  cfg.StatsOpts,
 		InitialK:   cfg.InitialK,
-		Async:      sharded,
 		AsyncBatch: cfg.Sharding.BatchSize,
-	})
-	p.model = p.loop.Model(0)
-
-	if sharded {
-		shards := cfg.Sharding.Shards
-		if shards < 1 {
-			shards = 1
-		}
+	}
+	switch {
+	case cfg.Tree != nil:
+		p.tree = dist.NewPlanTree(cfg.Cond, cfg.Windows, cfg.Tree, p.onTreeResult)
+		p.tree.SetProdHook(p.onStage)
+		p.tree.SetInjector(cfg.Inject)
+		lcfg.Scopes, lcfg.ScopeWeights, p.leaves = p.tree.Scopes()
+		lcfg.SharedRequirement = true
+	case cfg.Sharding.Shards > 1 || cfg.NewRuntime != nil:
 		scfg := shard.Config{
-			N:           shards,
+			N:           max(cfg.Sharding.Shards, 1),
 			Cond:        cfg.Cond,
 			Windows:     cfg.Windows,
 			Materialize: cfg.Emit != nil,
@@ -222,7 +209,8 @@ func New(cfg Config) *Pipeline {
 			p.rt = shard.New(scfg)
 		}
 		p.sync = syncer.New(m, p.rt.Route)
-	} else {
+		lcfg.Async = true
+	default:
 		opts := []join.Option{
 			join.WithProcessedHook(p.onProcessed),
 			join.WithCountEmit(p.onResultCount),
@@ -233,9 +221,20 @@ func New(cfg Config) *Pipeline {
 		p.op = join.New(cfg.Cond, cfg.Windows, opts...)
 		p.sync = syncer.New(m, p.op.Process)
 	}
+	p.loop = feedback.New(lcfg)
+	p.faultsAtPush = p.rt == nil && (p.tree == nil || !p.tree.Sharded())
 	p.ks = make([]*kslack.Buffer, m)
+	all := make([]int, m)
 	for i := range p.ks {
-		p.ks[i] = kslack.New(cfg.InitialK, p.sync.Push)
+		if p.tree != nil {
+			p.ks[i] = kslack.New(cfg.InitialK, p.tree.Input(i))
+		} else {
+			p.ks[i] = kslack.New(cfg.InitialK, p.sync.Push)
+		}
+		all[i] = i
+	}
+	if p.leaves == nil {
+		p.leaves = [][]int{all}
 	}
 	return p
 }
@@ -259,6 +258,33 @@ func (p *Pipeline) onProcessed(e *stream.Tuple, nCross, nOn int64, inOrder bool)
 	}
 }
 
+// onStage is the tree's productivity hook: every stage feeds its own
+// scope. Root-stage in-order result counts also feed the Result-Size
+// Monitor: an in-order arrival's results all carry its own timestamp (no
+// buffered candidate can exceed the stage watermark), so ObserveResult(ts,
+// n^on) records exactly the per-result stream.
+func (p *Pipeline) onStage(stage int, ts, delay stream.Time, nCross, nOn int64, inOrder bool) {
+	if !inOrder {
+		p.loop.RecordOutOfOrder(stage, delay)
+		return
+	}
+	if stage == len(p.leaves)-1 && nOn > 0 {
+		p.loop.ObserveResult(ts, nOn)
+	}
+	p.loop.RecordInOrder(stage, delay, nCross, nOn)
+}
+
+// onTreeResult delivers one complete tree result.
+func (p *Pipeline) onTreeResult(r dist.Partial) {
+	p.results++
+	if p.cfg.Emit != nil {
+		p.cfg.Emit(stream.NewResult(r.Parts))
+	}
+	if p.cfg.EmitCounts != nil {
+		p.cfg.EmitCounts(r.TS, 1)
+	}
+}
+
 // Push feeds one raw arrival into the framework and runs any adaptation
 // steps whose interval boundaries the arrival crossed. Pushing into a
 // finished pipeline panics: the flushed buffers and stopped shard workers
@@ -267,10 +293,10 @@ func (p *Pipeline) Push(e *stream.Tuple) {
 	if p.finished {
 		panic("core: Push on a finished pipeline — Finish flushed the buffers and a run cannot be restarted; build a new Pipeline")
 	}
-	if p.rt == nil {
-		// The single-threaded path has no worker goroutines; an injected
-		// worker-0 fault fires here, between tuples, which is exactly a
-		// checkpoint-consistent crash point (DESIGN.md §10).
+	if p.faultsAtPush {
+		// Without worker goroutines an injected worker-0 fault fires here,
+		// between tuples, which is exactly a checkpoint-consistent crash
+		// point (DESIGN.md §10).
 		p.cfg.Inject.MaybeDelay(0)
 		p.cfg.Inject.MaybePanic(0)
 	}
@@ -284,41 +310,47 @@ func (p *Pipeline) Push(e *stream.Tuple) {
 
 // adaptStep runs one Buffer-Size Manager decision at logical time at.
 // Result-size accounting (the monitor window and recall measurements) is
-// anchored at the join operator's watermark onT rather than the raw input
-// time: under a buffer of K time units the output progress lags the input by
-// K, and anchoring at the input would misread buffered-but-not-yet-produced
-// results as losses.
+// anchored at the body's output watermark onT rather than the raw input
+// time: under a buffer of K time units the output progress lags the input
+// by K, and anchoring at the input would misread buffered-but-not-yet-
+// produced results as losses.
 func (p *Pipeline) adaptStep(at stream.Time) {
-	var outT stream.Time
-	if p.rt != nil {
-		// Quiesce the parallel layer first: statistics catch up, shard
-		// queues drain, and the interval’s per-tuple productivity and
-		// result streams replay into the profiler/monitor in deterministic
-		// arrival order — the same sequence a single-shard operator would
-		// have fed them.
-		p.loop.Sync()
-		outT = p.rt.Watermark()
-		p.rt.FlushInterval(p.replayTuple, p.cfg.Emit)
-	} else {
-		outT = p.op.HighWatermark()
-	}
+	// Quiesce the parallel layer first: statistics catch up, worker queues
+	// drain, and the interval's per-tuple productivity and result streams
+	// replay into the profilers and the monitor in deterministic arrival
+	// order — the sequence a single-threaded body would have fed them.
+	p.Quiesce()
+	outT := p.watermark()
 	prevK := p.curK
-	newK := p.loop.DecideAt(at, outT)[0]
-	for _, k := range p.ks {
-		k.SetK(newK)
+	p.ApplyKs(p.loop.DecideAt(at, outT))
+	if p.tree != nil {
+		// A smaller K releases buffered tuples into the tree. Barrier
+		// again: the boundary must be a fully quiesced point, so that a
+		// checkpoint captured here observes exactly the state every
+		// uninterrupted run has — otherwise the capture's early probe
+		// release would perturb the parent-side interleaving of the
+		// continuing run (DESIGN.md §10).
+		p.tree.Quiesce()
+		outT = p.tree.Watermark()
 	}
-	p.curK = newK
 	if p.cfg.OnAdapt != nil {
-		ev := AdaptEvent{Now: at, OutT: outT, PrevK: prevK, NewK: newK}
-		if p.model != nil {
-			ev.GammaPrime = p.model.LastGammaPrime()
-		}
-		p.cfg.OnAdapt(ev)
+		p.cfg.OnAdapt(AdaptEvent{Now: at, OutT: outT, PrevK: prevK, NewK: p.curK, GammaPrime: p.loop.GammaPrime()})
 	}
 }
 
+// watermark returns the body's output progress onT.
+func (p *Pipeline) watermark() stream.Time {
+	switch {
+	case p.tree != nil:
+		return p.tree.Watermark()
+	case p.rt != nil:
+		return p.rt.Watermark()
+	}
+	return p.op.HighWatermark()
+}
+
 // replayTuple is the FlushInterval visitor of the sharded path: it feeds
-// one merged in-order tuple’s productivity record and result count into
+// one merged in-order tuple's productivity record and result count into
 // the feedback loop, exactly as the single-shard operator hooks would.
 func (p *Pipeline) replayTuple(ts, delay stream.Time, nCross, nOn int64) {
 	p.loop.RecordInOrder(0, delay, nCross, nOn)
@@ -327,10 +359,10 @@ func (p *Pipeline) replayTuple(ts, delay stream.Time, nCross, nOn int64) {
 	}
 }
 
-// Finish flushes the K-slack buffers and the Synchronizer at end of input so
-// every remaining tuple reaches the join operator; on the sharded path it
-// then drains and stops the shard workers. Finishing twice panics, as does
-// pushing afterwards: the run cannot be restarted.
+// Finish flushes the K-slack buffers and the body at end of input so every
+// remaining tuple reaches the join; worker goroutines then drain and stop.
+// Finishing twice panics, as does pushing afterwards: the run cannot be
+// restarted.
 func (p *Pipeline) Finish() {
 	if p.finished {
 		panic("core: Finish on a finished pipeline — the run is already flushed and cannot be restarted; build a new Pipeline")
@@ -338,6 +370,10 @@ func (p *Pipeline) Finish() {
 	p.finished = true
 	for _, k := range p.ks {
 		k.Flush()
+	}
+	if p.tree != nil {
+		p.tree.Finish()
+		return
 	}
 	for i := 0; i < p.m; i++ {
 		p.sync.Close(i)
@@ -355,36 +391,46 @@ func (p *Pipeline) Results() int64 { return p.results }
 // Pushed returns the number of raw arrivals consumed.
 func (p *Pipeline) Pushed() int64 { return p.pushed }
 
-// CurrentK returns the buffer size currently applied.
+// CurrentK returns the largest per-scope buffer size currently applied.
 func (p *Pipeline) CurrentK() stream.Time { return p.curK }
 
-// Quiesce synchronizes the async statistics feeder and flushes the sharded
-// runtime's pending result deliveries without capturing any state; a no-op
-// on the single-threaded path, where every delivery is synchronous. A plan
-// migration calls this at the end of its replay so that every result the
-// replay produced passes the delivery gate while it is still in replay
-// mode. The mid-interval flush is trajectory-safe (see Checkpoint).
+// CurrentKs returns the most recent decision, one K per scope (the initial
+// K before the first); the slice is live, copy to retain.
+func (p *Pipeline) CurrentKs() []stream.Time { return p.loop.Ks() }
+
+// Quiesce drains the body's deferred work without capturing any state: the
+// async statistics feeder and the sharded runtime's pending interval, or a
+// tree's pending stage releases; a no-op on the single-threaded flat path,
+// where every delivery is synchronous. A plan migration calls this at the
+// end of its replay so that every result the replay produced passes the
+// delivery gate while it is still in replay mode. The mid-interval flush is
+// trajectory-safe (see Checkpoint).
 func (p *Pipeline) Quiesce() {
-	if p.rt != nil {
+	switch {
+	case p.tree != nil:
+		p.tree.Quiesce()
+	case p.rt != nil:
 		p.loop.Sync()
 		p.rt.FlushInterval(p.replayTuple, p.cfg.Emit)
 	}
 }
 
-// ApplyK installs a buffer size directly, outside the adaptation schedule —
-// the K-transplant path a plan migration uses after restoring the feedback
-// loop. Shrinking releases newly eligible tuples immediately, exactly as an
-// adaptation step would.
-func (p *Pipeline) ApplyK(k stream.Time) {
-	p.curK = k
-	for _, b := range p.ks {
-		b.SetK(k)
+// ApplyKs installs one buffer size per scope — at every adaptation step,
+// and directly when a plan migration transplants a restored loop's Ks.
+// Shrinking releases newly eligible tuples immediately.
+func (p *Pipeline) ApplyKs(ks []stream.Time) {
+	p.curK = 0
+	for j, streams := range p.leaves {
+		for _, i := range streams {
+			p.ks[i].SetK(ks[j])
+		}
+		p.curK = max(p.curK, ks[j])
 	}
 }
 
-// AvgK returns the average buffer size over all adaptation intervals, the
-// paper's result-latency metric.
-func (p *Pipeline) AvgK() float64 { return p.loop.AvgK(0) }
+// AvgK returns the average over adaptation steps of the largest per-scope
+// K, the paper's result-latency metric.
+func (p *Pipeline) AvgK() float64 { return p.loop.AvgMaxK() }
 
 // Adaptations returns the number of adaptation steps performed.
 func (p *Pipeline) Adaptations() int64 { return p.loop.Decisions() }
@@ -397,33 +443,38 @@ func (p *Pipeline) Stats() *stats.Manager {
 	return p.loop.Stats()
 }
 
-// Loop exposes the extracted feedback runtime (read-only use by tests).
+// Loop exposes the feedback runtime.
 func (p *Pipeline) Loop() *feedback.Loop { return p.loop }
 
-// Model returns the model policy when in use, else nil. It exposes the
-// Fig. 11 adaptation-time instrumentation.
-func (p *Pipeline) Model() *adapt.Model { return p.model }
+// Model returns the first scope's model policy when in use, else nil. It
+// exposes the Fig. 11 adaptation-time instrumentation.
+func (p *Pipeline) Model() *adapt.Model { return p.loop.Model(0) }
 
 // Operator exposes the join operator for inspection in tests. It is nil on
-// the sharded path, where the operator state lives inside the shard workers.
+// the sharded path and on trees.
 func (p *Pipeline) Operator() *join.Operator { return p.op }
 
+// Tree exposes the plan tree for inspection in tests; nil on flat shapes.
+func (p *Pipeline) Tree() *dist.PlanTree { return p.tree }
+
 // SetEmit installs a result callback after construction (used by channel
-// runners that wire their sink late). On the sharded path it must run
-// before the first Push; the shard runtime enforces this.
+// runners that wire their sink late). Off the single-threaded flat path it
+// must run before the first Push.
 func (p *Pipeline) SetEmit(f join.EmitFunc) {
-	if p.rt != nil {
-		if p.pushed > 0 {
-			// The shard runtime guards its own start, but a pushed tuple can
-			// still sit in K-slack/Synchronizer without having reached the
-			// shards; any Push means count-only results may already exist.
-			panic("core: SetEmit after the sharded run has started — results produced so far were count-only and would be lost; install the sink before the first Push")
-		}
-		p.cfg.Emit = f
-		p.rt.EnableMaterialize()
+	if p.op != nil {
+		p.op.SetEmit(f)
 		return
 	}
-	p.op.SetEmit(f)
+	if p.pushed > 0 {
+		// A pushed tuple can sit in a buffer without having reached the
+		// workers or the tree, but any Push means results may already
+		// have been produced without the sink.
+		panic("core: SetEmit after the run has started — results produced so far were not delivered; install the sink before the first Push")
+	}
+	p.cfg.Emit = f
+	if p.rt != nil {
+		p.rt.EnableMaterialize()
+	}
 }
 
 // Run pushes an entire arrival-ordered batch and finishes the pipeline.

@@ -1,16 +1,35 @@
-package dist
+package dist_test
+
+// The tree behind the one adaptive shell: core.Pipeline runs the plan tree
+// behind its K-slack buffers and the feedback loop, one K per stage.
 
 import (
-	"repro/internal/leakcheck"
+	"fmt"
 	"testing"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/join"
+	"repro/internal/leakcheck"
 	"repro/internal/oracle"
 	"repro/internal/stream"
 )
+
+var testAdapt = adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second}
+
+// newTree builds the pipeline over a tree shape under the model policy.
+// onAdapt receives every adaptation step with the per-stage Ks decided.
+func newTree(cond *join.Condition, windows []stream.Time, shape *dist.Shape, onAdapt func(at stream.Time, ks []stream.Time), emit join.EmitFunc) *core.Pipeline {
+	var p *core.Pipeline
+	cfg := core.Config{Windows: windows, Cond: cond, Adapt: testAdapt, Tree: shape, Emit: emit}
+	if onAdapt != nil {
+		cfg.OnAdapt = func(ev core.AdaptEvent) { onAdapt(ev.Now, p.CurrentKs()) }
+	}
+	p = core.New(cfg)
+	return p
+}
 
 // adaptWorkload builds a seeded disordered 3-stream equi workload. delayMax
 // gives each stream's maximum injected delay, so asymmetric disorder
@@ -21,17 +40,11 @@ func adaptWorkload(seed int64, n int, delayMax [3]stream.Time) (stream.Batch, []
 }
 
 // runAdaptiveTree drives one adaptive left-deep tree over the workload.
-func runAdaptiveTree(t *testing.T, in stream.Batch, windows []stream.Time, cfg AdaptiveConfig) *AdaptivePlanTree {
-	t.Helper()
-	at := NewAdaptivePlanTree(join.EquiChain(3, 0), windows, Spine(3), cfg, nil)
-	for _, e := range in.Clone() {
-		at.Push(e)
-	}
-	at.Finish()
-	return at
+func runAdaptiveTree(in stream.Batch, windows []stream.Time) *core.Pipeline {
+	p := newTree(join.EquiChain(3, 0), windows, dist.Spine(3), nil, nil)
+	p.Run(in.Clone())
+	return p
 }
-
-var testAdapt = adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second}
 
 // TestTreeAdaptationMeetsRecallTarget: with the feedback loop on, the tree
 // on a symmetric-disorder 3-way workload meets the configured recall target
@@ -46,7 +59,7 @@ func TestTreeAdaptationMeetsRecallTarget(t *testing.T) {
 		t.Fatal("degenerate workload: no true results")
 	}
 
-	at := runAdaptiveTree(t, in, windows, AdaptiveConfig{Adapt: testAdapt})
+	at := runAdaptiveTree(in, windows)
 	treeRecall := float64(at.Results()) / float64(truth)
 
 	p := core.New(core.Config{Windows: windows, Cond: join.EquiChain(3, 0), Adapt: testAdapt})
@@ -80,7 +93,7 @@ func TestPerStageKDivergesOnAsymmetricDelays(t *testing.T) {
 		t.Fatal("degenerate workload: no true results")
 	}
 
-	per := runAdaptiveTree(t, in, windows, AdaptiveConfig{Adapt: testAdapt})
+	per := runAdaptiveTree(in, windows)
 	perRecall := float64(per.Results()) / float64(truth)
 	t.Logf("per-stage: recall %.4f, avgK0 %.0fms avgK1 %.0fms",
 		perRecall, per.Loop().AvgK(0), per.Loop().AvgK(1))
@@ -98,10 +111,9 @@ func TestPerStageKDivergesOnAsymmetricDelays(t *testing.T) {
 	}
 }
 
-// TestTreeLifecyclePanics: Push-after-Finish and double-Finish panic on the
-// adaptive driver exactly as on the static tree
-// (TestPlanTreeLifecyclePanics; DESIGN.md §3 lifecycle conventions, matching
-// Join).
+// TestTreeLifecyclePanics: Push-after-Finish and double-Finish panic on a
+// tree pipeline exactly as on the flat one (DESIGN.md §3 lifecycle
+// conventions, matching Join).
 func TestTreeLifecyclePanics(t *testing.T) {
 	leakcheck.Check(t)
 	mustPanic := func(name string, f func()) {
@@ -114,11 +126,98 @@ func TestTreeLifecyclePanics(t *testing.T) {
 		f()
 	}
 	w := []stream.Time{stream.Second, stream.Second}
-	at := NewAdaptivePlanTree(join.EquiChain(2, 0), w, Spine(2), AdaptiveConfig{Adapt: testAdapt}, nil)
-	at.Push(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
-	at.Finish()
+	p := newTree(join.EquiChain(2, 0), w, dist.Spine(2), nil, nil)
+	p.Push(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
+	p.Finish()
 	mustPanic("Push after Finish", func() {
-		at.Push(&stream.Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
+		p.Push(&stream.Tuple{TS: 2, Src: 1, Attrs: []float64{1}})
 	})
-	mustPanic("Finish twice", at.Finish)
+	mustPanic("Finish twice", p.Finish)
+}
+
+// TestTreeLoopDeterministicWithShards: a tree pipeline's
+// decision trajectory and result count are bit-for-bit reproducible across
+// runs AND across shard counts ≥ 2 — release points are a function of the
+// probe sequence only (every shardDepth probes), and every boundary
+// quiesces the workers before deciding. The unsharded path releases stage
+// outputs as they are derived and is its own deterministic execution; under a small adaptive K the two interleavings may buffer
+// slightly different late tuples, so it is not compared here (the full-K
+// differential tests pin unsharded == sharded == flat).
+func TestTreeLoopDeterministicWithShards(t *testing.T) {
+	leakcheck.Check(t)
+	in := dist.Workload(3, 3000, 23, 40)
+	w := []stream.Time{stream.Second, stream.Second, stream.Second}
+	cond := func() *join.Condition { return join.EquiChain(3, 0) }
+	shapeN := func(n int) *dist.Shape {
+		inner := dist.Branch(dist.Leaf(0), dist.Leaf(1))
+		outer := dist.Branch(inner, dist.Leaf(2))
+		if n > 1 {
+			inner.Shards = n
+			outer.Shards = n
+		}
+		return outer
+	}
+	type trace struct {
+		results int64
+		ks      []string
+	}
+	run := func(n int) trace {
+		var tr trace
+		a := newTree(cond(), w, shapeN(n), func(at stream.Time, ks []stream.Time) {
+			tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
+		}, nil)
+		a.Run(in.Clone())
+		tr.results = a.Results()
+		if a.Adaptations() == 0 {
+			t.Fatal("no adaptation steps ran")
+		}
+		return tr
+	}
+	want := run(2)
+	if want.results == 0 {
+		t.Fatal("degenerate workload")
+	}
+	for _, n := range []int{2, 4, 8} {
+		got := run(n)
+		if got.results != want.results {
+			t.Errorf("shards=%d: results %d, want %d", n, got.results, want.results)
+		}
+		if len(got.ks) != len(want.ks) {
+			t.Fatalf("shards=%d: %d decisions, want %d", n, len(got.ks), len(want.ks))
+		}
+		for i := range want.ks {
+			if got.ks[i] != want.ks[i] {
+				t.Errorf("shards=%d: decision %d = %s, want %s", n, i, got.ks[i], want.ks[i])
+				break
+			}
+		}
+	}
+}
+
+// TestTreeWeightsSkipBufferlessStages: in a balanced bushy
+// shape the root stage governs no raw buffer; its scope weight is 0 and its
+// decided K stays pinned to 0 while the leaf stages adapt.
+func TestTreeWeightsSkipBufferlessStages(t *testing.T) {
+	leakcheck.Check(t)
+	in := dist.Workload(4, 2500, 29, 60)
+	w := []stream.Time{stream.Second, stream.Second, stream.Second, stream.Second}
+	bushy := dist.Branch(dist.Branch(dist.Leaf(0), dist.Leaf(1)), dist.Branch(dist.Leaf(2), dist.Leaf(3)))
+	a := newTree(join.EquiChain(4, 0), w, bushy, nil, nil)
+	a.Run(in.Clone())
+	if a.Adaptations() == 0 {
+		t.Fatal("no adaptation steps ran")
+	}
+	ks := a.Loop().Ks()
+	if len(ks) != 3 {
+		t.Fatalf("scopes = %d, want 3", len(ks))
+	}
+	if ks[2] != 0 {
+		t.Errorf("bufferless root stage decided K=%v, want pinned 0", ks[2])
+	}
+	if a.Loop().AvgK(0) == 0 && a.Loop().AvgK(1) == 0 {
+		t.Error("leaf stages never adapted above 0")
+	}
+	if a.Results() == 0 {
+		t.Fatal("degenerate workload")
+	}
 }

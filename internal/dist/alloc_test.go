@@ -25,7 +25,7 @@ func TestRetainedPartialsStayValid(t *testing.T) {
 	var all []kept
 	retain := true
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
-	tree := NewPlanTree(cond, w, Spine(3), 500, func(p Partial) {
+	tree := newKTree(cond, w, Spine(3), 500, func(p Partial) {
 		if retain {
 			all = append(all, kept{p, difftest.Sig(p.Parts)})
 		}
@@ -85,7 +85,7 @@ func TestTreeSteadyStateAllocs(t *testing.T) {
 			}
 			var delivered int64
 			w := []stream.Time{stream.Second, stream.Second, stream.Second}
-			tree := NewPlanTree(join.EquiChain(m, 0), w, Spine(m), 100, func(Partial) { delivered++ })
+			tree := newKTree(join.EquiChain(m, 0), w, Spine(m), 100, func(Partial) { delivered++ })
 			n := 0
 			push := func(count int) {
 				for ; count > 0; count-- {

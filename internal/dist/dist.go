@@ -1,7 +1,7 @@
 // Package dist executes an m-way MSWJ as a tree of binary join operators —
 // the distributed deployment shape of Sec. V of the paper. Each binary stage
 // is fronted by its own Synchronizer, and every raw input stream passes
-// through a K-slack buffer before entering its stage.
+// through a K-slack buffer (core.Pipeline's) before entering its stage.
 //
 // A stage joins the partial results of its two sub-plans. A partial result
 // carries, besides the constituent tuples, an expiration deadline
@@ -17,8 +17,8 @@
 //
 // PlanTree (plantree.go) is the one executor: it runs any binary shape —
 // the left-deep spine of Sec. V is Spine(m) — optionally with key-sharded
-// stages; AdaptivePlanTree puts the quality-driven feedback loop in charge
-// of the buffer sizes.
+// stages. core.Pipeline runs it behind the K-slack buffers and the
+// quality-driven feedback loop that sizes them, one K per stage.
 package dist
 
 import (
@@ -54,13 +54,13 @@ type event struct {
 	parts    []*stream.Tuple
 }
 
-// prodHookFunc observes one synchronized stage input: the stage index, the
+// ProdHook observes one synchronized stage input: the stage index, the
 // event's timestamp and delay annotation, the stage-local cross size n×(e)
 // (live opposing-window entries) and derived-result count n^on(e) for
 // in-order events, or inOrder=false (no probe) for out-of-order ones. It is
 // the tree's equivalent of the MJoin operator's productivity hook, feeding
 // the per-scope Tuple-Productivity Profilers of the feedback loop.
-type prodHookFunc func(stage int, ts, delay stream.Time, nCross, nOn int64, inOrder bool)
+type ProdHook func(stage int, ts, delay stream.Time, nCross, nOn int64, inOrder bool)
 
 const (
 	sideLeft  = 0

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/join"
+	"repro/internal/kslack"
 	"repro/internal/stream"
 )
 
@@ -33,10 +34,51 @@ func workload(m, rounds int, seed int64, domain int) stream.Batch {
 
 func clone(in stream.Batch) stream.Batch { return in.Clone() }
 
+// kTree fronts a plan tree with one K-slack buffer per raw stream at a
+// common K, as core.Pipeline does without the feedback loop, and counts the
+// results.
+type kTree struct {
+	*PlanTree
+	ks      []*kslack.Buffer
+	results int64
+}
+
+func newKTree(cond *join.Condition, windows []stream.Time, shape *Shape, k stream.Time, sink func(Partial)) *kTree {
+	kt := &kTree{}
+	kt.PlanTree = NewPlanTree(cond, windows, shape, func(p Partial) {
+		kt.results++
+		if sink != nil {
+			sink(p)
+		}
+	})
+	for i := range windows {
+		kt.ks = append(kt.ks, kslack.New(k, kt.Input(i)))
+	}
+	return kt
+}
+
+func (kt *kTree) Push(e *stream.Tuple) { kt.ks[e.Src].Push(e) }
+
+// setK resizes every buffer; a smaller K releases what it makes eligible.
+func (kt *kTree) setK(k stream.Time) {
+	for _, b := range kt.ks {
+		b.SetK(k)
+	}
+}
+
+func (kt *kTree) Finish() {
+	for _, b := range kt.ks {
+		b.Flush()
+	}
+	kt.PlanTree.Finish()
+}
+
+func (kt *kTree) Results() int64 { return kt.results }
+
 // spineTree runs the feed through the plan tree shaped as the left-deep
 // spine — ParsePlan's "tree" — with the fixed buffer size k.
-func spineTree(cond *join.Condition, windows []stream.Time, k stream.Time, in stream.Batch) *PlanTree {
-	tree := NewPlanTree(cond, windows, Spine(cond.M), k, nil)
+func spineTree(cond *join.Condition, windows []stream.Time, k stream.Time, in stream.Batch) *kTree {
+	tree := newKTree(cond, windows, Spine(cond.M), k, nil)
 	for _, e := range in {
 		tree.Push(e)
 	}
@@ -65,7 +107,7 @@ func TestTreeAgreesWithMJoin3Way(t *testing.T) {
 	leakcheck.Check(t)
 	w := []stream.Time{2 * stream.Second, 2 * stream.Second, 2 * stream.Second}
 	spineAgreesWithMJoin(t, func() *join.Condition { return join.EquiChain(3, 0) }, w, workload(3, 1200, 2, 200))
-	if n := NewPlanTree(join.EquiChain(3, 0), w, Spine(3), 0, nil).Operators(); n != 2 {
+	if n := NewPlanTree(join.EquiChain(3, 0), w, Spine(3), nil).Operators(); n != 2 {
 		t.Fatalf("Operators = %d, want 2", n)
 	}
 }
@@ -104,7 +146,7 @@ func TestTreePureBandPredicate(t *testing.T) {
 func TestTreeSealsCondition(t *testing.T) {
 	leakcheck.Check(t)
 	cond := join.Cross(3).Band(0, 1, 1, 1, 9)
-	NewPlanTree(cond, []stream.Time{100, 100, 100}, Spine(3), 0, nil)
+	NewPlanTree(cond, []stream.Time{100, 100, 100}, Spine(3), nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mutating a tree-compiled condition must panic")
@@ -137,7 +179,7 @@ func TestTreeGenericPredicate(t *testing.T) {
 func TestSinkReceivesCompleteResults(t *testing.T) {
 	leakcheck.Check(t)
 	var got []Partial
-	tree := NewPlanTree(join.EquiChain(2, 0), []stream.Time{stream.Second, stream.Second}, Spine(2), 2*stream.Second,
+	tree := newKTree(join.EquiChain(2, 0), []stream.Time{stream.Second, stream.Second}, Spine(2), 2*stream.Second,
 		func(p Partial) { got = append(got, p) })
 	tree.Push(&stream.Tuple{TS: 1000, Seq: 0, Src: 0, Attrs: []float64{7}})
 	tree.Push(&stream.Tuple{TS: 1100, Seq: 1, Src: 1, Attrs: []float64{7}})
@@ -181,11 +223,11 @@ func TestSetKPropagates(t *testing.T) {
 		t.Fatalf("K=0 should lose results: %d vs %d", none.Results(), full.Results())
 	}
 
-	adaptive := NewPlanTree(join.EquiChain(2, 0), w, Spine(2), 0, nil)
+	adaptive := newKTree(join.EquiChain(2, 0), w, Spine(2), 0, nil)
 	half := clone(in)
 	for i, e := range half {
 		if i == len(half)/4 {
-			adaptive.SetStageK([]stream.Time{maxD})
+			adaptive.setK(maxD)
 		}
 		adaptive.Push(e)
 	}

@@ -18,8 +18,8 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/feedback"
 	"repro/internal/join"
-	"repro/internal/kslack"
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/syncer"
@@ -126,9 +126,9 @@ type pstage struct {
 
 	sideStreams [2][]int
 	inSide      [2][]bool
-	// leafBufs are the K-slack buffers of the raw streams entering this
-	// stage directly; a per-stage K decision sizes exactly these.
-	leafBufs []*kslack.Buffer
+	// leaves are the raw streams entering this stage directly; a per-stage
+	// K decision sizes exactly their K-slack buffers.
+	leaves []int
 
 	lookups []pxEqui
 	bands   []pxBand
@@ -160,11 +160,12 @@ type pstage struct {
 	slab    join.TupleSlab
 
 	sh       *stageShards // non-nil when the stage is sharded
-	prodHook prodHookFunc
+	prodHook ProdHook
 }
 
-// PlanTree executes one deployment shape: Push raw arrivals from one
-// goroutine, Finish at end of input.
+// PlanTree executes one deployment shape behind per-stream K-slack buffers
+// (core.Pipeline owns them): feed each raw stream's released tuples to
+// Input from one goroutine, Finish at end of input.
 type PlanTree struct {
 	cond    *join.Condition
 	windows []stream.Time
@@ -173,20 +174,17 @@ type PlanTree struct {
 	leaves  []*pleaf  // by raw stream index
 	sink    func(Partial)
 
-	results  int64
 	finished bool
 
-	// inject is the optional deterministic fault injector. Sharded stages
-	// check it on their worker goroutines (worker ids are shard-local); a
-	// tree without sharded stages checks worker 0 on the driver thread at
-	// every Push, between tuples — a checkpoint-consistent crash point.
+	// inject is the optional deterministic fault injector, checked by the
+	// sharded stages on their worker goroutines (worker ids are
+	// shard-local).
 	inject    *fault.Injector
 	hasShards bool
 }
 
-// pleaf is one raw input: its K-slack buffer and the stage side it feeds.
+// pleaf is one raw input: the stage side it feeds.
 type pleaf struct {
-	ks    *kslack.Buffer
 	stage *pstage
 	side  int
 	src   int
@@ -210,10 +208,9 @@ func (lf *pleaf) emit(e *stream.Tuple) {
 	s.push(ev, lf.side)
 }
 
-// NewPlanTree compiles cond into the executors of shape with the common
-// buffer size k on every raw input. sink (optional) receives every complete
-// result.
-func NewPlanTree(cond *join.Condition, windows []stream.Time, shape *Shape, k stream.Time, sink func(Partial)) *PlanTree {
+// NewPlanTree compiles cond into the executors of shape. sink (optional)
+// receives every complete result.
+func NewPlanTree(cond *join.Condition, windows []stream.Time, shape *Shape, sink func(Partial)) *PlanTree {
 	if len(windows) != cond.M {
 		panic("dist: window count must match condition arity")
 	}
@@ -230,7 +227,7 @@ func NewPlanTree(cond *join.Condition, windows []stream.Time, shape *Shape, k st
 		sink:    sink,
 	}
 	claimed := make([]bool, len(cond.Generics))
-	t.build(shape, nil, 0, k, claimed)
+	t.build(shape, nil, 0, claimed)
 	// Generics never claimed can only reference a single stream (any two
 	// streams meet at some stage); claim them at the leaf's own stage.
 	for gi, g := range cond.Generics {
@@ -264,7 +261,7 @@ func NewPlanTree(cond *join.Condition, windows []stream.Time, shape *Shape, k st
 }
 
 // SetInjector arms the deterministic fault injector; call before the first
-// Push. A nil injector (the default) is a no-op on every check.
+// input. A nil injector (the default) is a no-op on every check.
 func (t *PlanTree) SetInjector(inj *fault.Injector) {
 	t.inject = inj
 	for _, s := range t.stages {
@@ -277,21 +274,19 @@ func (t *PlanTree) SetInjector(inj *fault.Injector) {
 // build recursively compiles a shape node, returning its covered streams.
 // Stages are appended post-order, so children precede parents and the root
 // is last.
-func (t *PlanTree) build(sh *Shape, parent *pstage, side int, k stream.Time, claimed []bool) []int {
+func (t *PlanTree) build(sh *Shape, parent *pstage, side int, claimed []bool) []int {
 	if sh.IsLeaf() {
 		st := sh.Stream
-		lf := &pleaf{stage: parent, side: side, src: st, w: t.windows[st]}
-		lf.ks = kslack.New(k, lf.emit)
-		parent.leafBufs = append(parent.leafBufs, lf.ks)
-		t.leaves[st] = lf
+		t.leaves[st] = &pleaf{stage: parent, side: side, src: st, w: t.windows[st]}
+		parent.leaves = append(parent.leaves, st)
 		return []int{st}
 	}
 	s := &pstage{tree: t, parent: parent, parentSide: side,
 		assign: make([]*stream.Tuple, t.m),
 	}
 	s.sync = syncer.NewSync(2, arrivalKey, s.process)
-	left := t.build(sh.Left, s, sideLeft, k, claimed)
-	right := t.build(sh.Right, s, sideRight, k, claimed)
+	left := t.build(sh.Left, s, sideLeft, claimed)
+	right := t.build(sh.Right, s, sideRight, claimed)
 	s.sideStreams = [2][]int{left, right}
 	for sd := 0; sd < 2; sd++ {
 		s.inSide[sd] = make([]bool, t.m)
@@ -345,27 +340,42 @@ func (t *PlanTree) build(sh *Shape, parent *pstage, side int, k stream.Time, cla
 	return append(left, right...)
 }
 
-// Push feeds one raw arrival. Pushing into a finished tree panics.
-func (t *PlanTree) Push(e *stream.Tuple) {
-	if t.finished {
-		panic("dist: Push on a finished PlanTree — Finish flushed the stage buffers and a run cannot be restarted; build a new PlanTree")
-	}
-	if !t.hasShards {
-		t.inject.MaybeDelay(0)
-		t.inject.MaybePanic(0)
-	}
-	t.leaves[e.Src].ks.Push(e)
-}
+// Input returns raw stream src's entry into the tree, the release target
+// of the stream's K-slack buffer: each released tuple enters, wrapped in
+// an event, the stage the stream feeds.
+func (t *PlanTree) Input(src int) func(*stream.Tuple) { return t.leaves[src].emit }
 
-// SetStageK applies a per-stage buffer-size decision: ks[j] (indexed by the
-// post-order stage id) sizes the K-slack buffers of the raw streams
-// entering stage j directly. Stages with no raw input consume no entry.
-func (t *PlanTree) SetStageK(ks []stream.Time) {
-	for _, s := range t.stages {
-		for _, b := range s.leafBufs {
-			b.SetK(ks[s.id])
+// Sharded reports whether some stage runs on worker goroutines.
+func (t *PlanTree) Sharded() bool { return t.hasShards }
+
+// Scopes derives the feedback loop's decision scopes from the built shape,
+// one per stage in post-order, the root last. Stage j's scope models the
+// binary join of its two sub-plan inputs, and the shared instant
+// requirement Γ′ composes along root-to-leaf paths: every raw leaf
+// contributes one Γ′^(1/m) factor, charged to the stage whose K-slack
+// buffer governs that leaf, so stage j's weight is its leaf count over m.
+// On the spine this charges stage 0 two factors and every other stage one
+// (DESIGN §8/§9). A stage with no leaf gets weight 0: the loop pins its K
+// to 0, since no buffer would apply it — its input jitter is absorbed by
+// the stage Synchronizer instead. leaves[j] lists the raw streams whose
+// buffers stage j's K sizes, in the order it applies them.
+func (t *PlanTree) Scopes() (scopes []feedback.Scope, weights []float64, leaves [][]int) {
+	minWindow := func(streams []int) stream.Time {
+		w := t.windows[streams[0]]
+		for _, st := range streams[1:] {
+			w = min(w, t.windows[st])
 		}
+		return w
 	}
+	for _, s := range t.stages {
+		scopes = append(scopes, feedback.Scope{
+			Groups:  [][]int{s.sideStreams[0], s.sideStreams[1]},
+			Windows: []stream.Time{minWindow(s.sideStreams[0]), minWindow(s.sideStreams[1])},
+		})
+		weights = append(weights, float64(len(s.leaves))/float64(t.m))
+		leaves = append(leaves, s.leaves)
+	}
+	return scopes, weights, leaves
 }
 
 // Watermark returns the root stage's output progress onT.
@@ -373,9 +383,9 @@ func (t *PlanTree) Watermark() stream.Time {
 	return t.stages[len(t.stages)-1].onT
 }
 
-// setProdHook installs the per-stage productivity hook; call before the
-// first Push. Stage indexes are post-order ids.
-func (t *PlanTree) setProdHook(f prodHookFunc) {
+// SetProdHook installs the per-stage productivity hook; call before the
+// first input. Stage indexes are post-order ids.
+func (t *PlanTree) SetProdHook(f ProdHook) {
 	for _, s := range t.stages {
 		s.prodHook = f
 	}
@@ -395,17 +405,14 @@ func (t *PlanTree) Quiesce() {
 	}
 }
 
-// Finish flushes every buffer bottom-up; afterwards all results have been
-// emitted and the shard workers have exited. Finishing twice panics, as
-// does pushing afterwards.
+// Finish flushes every stage bottom-up, once the K-slack buffers in front
+// of the tree are flushed; afterwards all results have been emitted and
+// the shard workers have exited. Finishing twice panics.
 func (t *PlanTree) Finish() {
 	if t.finished {
 		panic("dist: Finish on a finished PlanTree — the run is already flushed and cannot be restarted; build a new PlanTree")
 	}
 	t.finished = true
-	for _, lf := range t.leaves {
-		lf.ks.Flush()
-	}
 	for _, s := range t.stages {
 		s.sync.Close(sideLeft)
 		s.sync.Close(sideRight)
@@ -414,19 +421,6 @@ func (t *PlanTree) Finish() {
 			s.sh.pool.Close()
 		}
 	}
-}
-
-// Results returns the number of complete results produced so far.
-func (t *PlanTree) Results() int64 { return t.results }
-
-// BufferedTuples returns the total number of tuples currently held in the
-// leaf K-slack buffers — the bounded-ingest occupancy measure.
-func (t *PlanTree) BufferedTuples() int {
-	n := 0
-	for _, lf := range t.leaves {
-		n += lf.ks.Len()
-	}
-	return n
 }
 
 // Operators returns the number of binary join stages.
@@ -666,7 +660,6 @@ func (s *pstage) output(out *event) {
 		s.parent.push(out, s.parentSide)
 		return
 	}
-	s.tree.results++
 	if s.tree.sink != nil {
 		s.tree.sink(Partial{TS: out.ts, Delay: out.delay, Parts: out.parts})
 	}

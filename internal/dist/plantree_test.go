@@ -42,7 +42,7 @@ func mjoinMultiset(cond *join.Condition, windows []stream.Time, k stream.Time, i
 // multiset.
 func planMultiset(cond *join.Condition, windows []stream.Time, shape *Shape, k stream.Time, in stream.Batch) map[string]int {
 	set := map[string]int{}
-	t := NewPlanTree(cond, windows, shape, k, func(p Partial) { set[difftest.Sig(p.Parts)]++ })
+	t := newKTree(cond, windows, shape, k, func(p Partial) { set[difftest.Sig(p.Parts)]++ })
 	for _, e := range in {
 		t.Push(e)
 	}
@@ -184,7 +184,7 @@ func TestPlanTreeShardUnkeyedPanics(t *testing.T) {
 			t.Fatal("sharding an unkeyed stage must panic")
 		}
 	}()
-	NewPlanTree(cond, []stream.Time{100, 100}, sharded(2, branch(leaf(0), leaf(1))), 0, nil)
+	NewPlanTree(cond, []stream.Time{100, 100}, sharded(2, branch(leaf(0), leaf(1))), nil)
 }
 
 // TestPlanTreeShapeValidation: shapes must cover every stream exactly once.
@@ -201,20 +201,22 @@ func TestPlanTreeShapeValidation(t *testing.T) {
 					t.Errorf("%s shape must panic", name)
 				}
 			}()
-			NewPlanTree(join.EquiChain(3, 0), w, sh, 0, nil)
+			NewPlanTree(join.EquiChain(3, 0), w, sh, nil)
 		}()
 	}
 }
 
-// TestPlanTreeLifecyclePanics mirrors the Tree lifecycle conventions.
+// TestPlanTreeLifecyclePanics mirrors the pipeline's lifecycle conventions
+// on the tree itself: a second Finish and a capture after Finish panic
+// (Push after Finish is the pipeline's to refuse: TestTreeLifecyclePanics).
 func TestPlanTreeLifecyclePanics(t *testing.T) {
 	leakcheck.Check(t)
-	pt := NewPlanTree(join.EquiChain(2, 0), []stream.Time{100, 100}, Spine(2), 0, nil)
+	pt := newKTree(join.EquiChain(2, 0), []stream.Time{100, 100}, Spine(2), 0, nil)
 	pt.Push(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
 	pt.Finish()
 	for name, f := range map[string]func(){
-		"Push after Finish": func() { pt.Push(&stream.Tuple{TS: 2, Src: 1, Attrs: []float64{1}}) },
-		"double Finish":     pt.Finish,
+		"State after Finish": func() { pt.State(fault.NewTupleTable()) },
+		"double Finish":      pt.PlanTree.Finish,
 	} {
 		func() {
 			defer func() {
@@ -250,7 +252,7 @@ func TestShardReleaseSurfacesEarliestFailure(t *testing.T) {
 		"insert before any probe": {insert(0), probe(1, 30)},
 	} {
 		var got int
-		pt := NewPlanTree(join.EquiChain(2, 0), []stream.Time{100, 100}, sharded(2, branch(leaf(0), leaf(1))), 0, func(Partial) { got++ })
+		pt := newKTree(join.EquiChain(2, 0), []stream.Time{100, 100}, sharded(2, branch(leaf(0), leaf(1))), 0, func(Partial) { got++ })
 		push := func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				pt.Push(&stream.Tuple{TS: stream.Time(i), Seq: uint64(i), Src: i % 2, Attrs: []float64{float64(i / 2 % 3)}})
@@ -286,100 +288,5 @@ func TestShardReleaseSurfacesEarliestFailure(t *testing.T) {
 			t.Fatalf("%s: barrier blocked on a worker failure", name)
 		}
 		pt.Abandon()
-	}
-}
-
-// TestAdaptivePlanTreeDeterministicWithShards: the adaptive plan tree's
-// decision trajectory and result count are bit-for-bit reproducible across
-// runs AND across shard counts ≥ 2 — release points are a function of the
-// probe sequence only (every shardDepth probes), and every boundary
-// quiesces the workers before deciding. The unsharded path releases stage
-// outputs as they are derived and is its own deterministic execution; under a small adaptive K the two interleavings may buffer
-// slightly different late tuples, so it is not compared here (the full-K
-// differential tests pin unsharded == sharded == flat).
-func TestAdaptivePlanTreeDeterministicWithShards(t *testing.T) {
-	leakcheck.Check(t)
-	in := workload(3, 3000, 23, 40)
-	w := []stream.Time{stream.Second, stream.Second, stream.Second}
-	cond := func() *join.Condition { return join.EquiChain(3, 0) }
-	shapeN := func(n int) *Shape {
-		inner := branch(leaf(0), leaf(1))
-		outer := branch(inner, leaf(2))
-		if n > 1 {
-			inner.Shards = n
-			outer.Shards = n
-		}
-		return outer
-	}
-	type trace struct {
-		results int64
-		ks      []string
-	}
-	run := func(n int) trace {
-		var tr trace
-		cfg := AdaptiveConfig{Adapt: testAdapt,
-			OnDecide: func(at stream.Time, ks []stream.Time) {
-				tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
-			}}
-		a := NewAdaptivePlanTree(cond(), w, shapeN(n), cfg, nil)
-		for _, e := range in.Clone() {
-			a.Push(e)
-		}
-		a.Finish()
-		tr.results = a.Results()
-		if a.Loop().Decisions() == 0 {
-			t.Fatal("no adaptation steps ran")
-		}
-		return tr
-	}
-	want := run(2)
-	if want.results == 0 {
-		t.Fatal("degenerate workload")
-	}
-	for _, n := range []int{2, 4, 8} {
-		got := run(n)
-		if got.results != want.results {
-			t.Errorf("shards=%d: results %d, want %d", n, got.results, want.results)
-		}
-		if len(got.ks) != len(want.ks) {
-			t.Fatalf("shards=%d: %d decisions, want %d", n, len(got.ks), len(want.ks))
-		}
-		for i := range want.ks {
-			if got.ks[i] != want.ks[i] {
-				t.Errorf("shards=%d: decision %d = %s, want %s", n, i, got.ks[i], want.ks[i])
-				break
-			}
-		}
-	}
-}
-
-// TestAdaptivePlanTreeWeightsSkipBufferlessStages: in a balanced bushy
-// shape the root stage governs no raw buffer; its scope weight is 0 and its
-// decided K stays pinned to 0 while the leaf stages adapt.
-func TestAdaptivePlanTreeWeightsSkipBufferlessStages(t *testing.T) {
-	leakcheck.Check(t)
-	in := workload(4, 2500, 29, 60)
-	w := []stream.Time{stream.Second, stream.Second, stream.Second, stream.Second}
-	bushy := branch(branch(leaf(0), leaf(1)), branch(leaf(2), leaf(3)))
-	a := NewAdaptivePlanTree(join.EquiChain(4, 0), w, bushy, AdaptiveConfig{Adapt: testAdapt}, nil)
-	for _, e := range in.Clone() {
-		a.Push(e)
-	}
-	a.Finish()
-	if a.Loop().Decisions() == 0 {
-		t.Fatal("no adaptation steps ran")
-	}
-	ks := a.Loop().Ks()
-	if len(ks) != 3 {
-		t.Fatalf("scopes = %d, want 3", len(ks))
-	}
-	if ks[2] != 0 {
-		t.Errorf("bufferless root stage decided K=%v, want pinned 0", ks[2])
-	}
-	if a.Loop().AvgK(0) == 0 && a.Loop().AvgK(1) == 0 {
-		t.Error("leaf stages never adapted above 0")
-	}
-	if a.Results() == 0 {
-		t.Fatal("degenerate workload")
 	}
 }

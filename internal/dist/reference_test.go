@@ -189,7 +189,7 @@ func TestDeadlineWindowMatchesHeapReference(t *testing.T) {
 // the windows without deriving results.
 func syncStage() *pstage {
 	w := []stream.Time{50, 50}
-	return NewPlanTree(join.EquiChain(2, 0), w, Spine(2), 0, nil).stages[0]
+	return NewPlanTree(join.EquiChain(2, 0), w, Spine(2), nil).stages[0]
 }
 
 // stageEvent draws an event for side from the stage arena, as pleaf.emit
@@ -429,4 +429,25 @@ func BenchmarkStageSync(b *testing.B) {
 			})
 		}
 	}
+}
+
+// bothLanesBusy reports whether some unsharded stage of t holds Synchronizer
+// events on a lane and on the late heap at once, and some deadline window
+// entries on its run and on its late heap at once.
+func bothLanesBusy(t *PlanTree) bool {
+	syncBoth, winBoth := false, false
+	for _, s := range t.stages {
+		if s.sh != nil {
+			continue
+		}
+		if late := syncLate(s); late > 0 && s.sync.Len() > late {
+			syncBoth = true
+		}
+		for _, w := range s.win {
+			if late := w.byDeadline.Late(); late > 0 && w.len() > late {
+				winBoth = true
+			}
+		}
+	}
+	return syncBoth && winBoth
 }

@@ -24,8 +24,6 @@ import (
 	"slices"
 
 	"repro/internal/fault"
-	"repro/internal/feedback"
-	"repro/internal/kslack"
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/syncer"
@@ -55,9 +53,7 @@ type StageState struct {
 
 // TreeState is the serializable snapshot of a quiesced PlanTree.
 type TreeState struct {
-	Results int64
-	Leaves  []kslack.State // by raw stream index
-	Stages  []StageState   // post-order, matching PlanTree.stages
+	Stages []StageState // post-order, matching PlanTree.stages
 }
 
 // eventRec converts an event to its serializable record, registering the
@@ -107,19 +103,14 @@ func canonicalRecs(evs []*event, tt *fault.TupleTable) []fault.EventRec {
 // State captures the tree's state. It quiesces the sharded stages first;
 // for the capture to be bit-for-bit resumable the tree must already be at a
 // release-pipeline-empty point — any adaptation boundary (after
-// Quiesce) or before the first Push qualifies, and the supervised
+// Quiesce) or before the first input qualifies, and the supervised
 // runtime only checkpoints there.
 func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 	if t.finished {
 		panic("dist: State on a finished PlanTree")
 	}
 	t.Quiesce()
-	st := TreeState{Results: t.results}
-	st.Leaves = make([]kslack.State, len(t.leaves))
-	for i, lf := range t.leaves {
-		st.Leaves[i] = lf.ks.State(tt)
-	}
-	st.Stages = make([]StageState, len(t.stages))
+	st := TreeState{Stages: make([]StageState, len(t.stages))}
 	for i, s := range t.stages {
 		sn := s.sync.Capture()
 		ss := StageState{TSync: sn.TSync, Ord: s.ord, OnT: s.onT, SyncBuf: canonicalRecs(sn.Held, tt)}
@@ -162,10 +153,6 @@ func (t *PlanTree) State(tt *fault.TupleTable) TreeState {
 // already expired-but-unpurged — invisible to every future probe
 // (DESIGN.md §10).
 func (t *PlanTree) Restore(st TreeState, ta *fault.TupleArena) {
-	t.results = st.Results
-	for i, lf := range t.leaves {
-		lf.ks.Restore(st.Leaves[i], ta)
-	}
 	for i, s := range t.stages {
 		ss := st.Stages[i]
 		s.ord = ss.Ord
@@ -196,31 +183,6 @@ func (t *PlanTree) Restore(st TreeState, ta *fault.TupleArena) {
 	}
 }
 
-// AdaptiveTreeState is the serializable snapshot of an AdaptivePlanTree:
-// the tree plus the feedback runtime.
-type AdaptiveTreeState struct {
-	Tree TreeState
-	Loop feedback.State
-}
-
-// State captures the adaptive executor's state; the same quiesced-point
-// contract as PlanTree.State applies.
-func (a *AdaptivePlanTree) State(tt *fault.TupleTable) AdaptiveTreeState {
-	return AdaptiveTreeState{
-		Tree: a.PlanTree.State(tt),
-		Loop: a.loop.State(),
-	}
-}
-
-// Restore loads a captured state into a freshly constructed
-// AdaptivePlanTree (same condition, windows, shape and config). The decided
-// per-leaf buffer sizes live inside the kslack states, so no K re-apply is
-// needed.
-func (a *AdaptivePlanTree) Restore(st AdaptiveTreeState, ta *fault.TupleArena) {
-	a.PlanTree.Restore(st.Tree, ta)
-	a.loop.Restore(st.Loop)
-}
-
 // Abandon stops the tree's shard workers without flushing or emitting — the
 // teardown path for a crashed tree a supervisor is about to replace. Safe
 // after a contained worker failure: drain-mode workers keep acknowledging
@@ -228,7 +190,7 @@ func (a *AdaptivePlanTree) Restore(st AdaptiveTreeState, ta *fault.TupleArena) {
 // t.finished: Finish sets that flag before its flush cascade, which can
 // then panic on a pending worker failure — so Abandon always stops the
 // shards, relying on the idempotent Pool.Close. The tree counts as
-// finished afterwards; further Push/Finish calls hit the lifecycle panics.
+// finished afterwards; a further Finish hits the lifecycle panic.
 func (t *PlanTree) Abandon() {
 	t.finished = true
 	for _, s := range t.stages {
@@ -236,10 +198,4 @@ func (t *PlanTree) Abandon() {
 			s.sh.pool.Close()
 		}
 	}
-}
-
-// Abandon tears down the adaptive tree (see PlanTree.Abandon).
-func (a *AdaptivePlanTree) Abandon() {
-	a.loop.Close()
-	a.PlanTree.Abandon()
 }

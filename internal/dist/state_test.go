@@ -1,4 +1,4 @@
-package dist
+package dist_test
 
 import (
 	"bytes"
@@ -7,20 +7,22 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/difftest"
+	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/stream"
 )
 
-// treeCkpt is the gob envelope of the round-trip tests: the adaptive tree
+// treeCkpt is the gob envelope of the round-trip tests: the tree pipeline's
 // state plus the tuple table it references.
 type treeCkpt struct {
 	Tuples []fault.TupleRec
-	State  AdaptiveTreeState
+	State  core.State
 }
 
-func treeGobRoundTrip(t *testing.T, st AdaptiveTreeState, tt *fault.TupleTable) (AdaptiveTreeState, *fault.TupleArena) {
+func treeGobRoundTrip(t *testing.T, st core.State, tt *fault.TupleTable) (core.State, *fault.TupleArena) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(treeCkpt{Tuples: tt.Recs, State: st}); err != nil {
@@ -41,17 +43,16 @@ type treeTrace struct {
 	set     map[string]int
 }
 
-func runTreeFull(in stream.Batch, cond *join.Condition, w []stream.Time, shape *Shape) treeTrace {
+func (tr *treeTrace) decide(at stream.Time, ks []stream.Time) {
+	tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
+}
+
+func (tr *treeTrace) emit(r stream.Result) { tr.set[difftest.Sig(r.Tuples)]++ }
+
+func runTreeFull(in stream.Batch, cond *join.Condition, w []stream.Time, shape *dist.Shape) treeTrace {
 	tr := treeTrace{set: map[string]int{}}
-	cfg := AdaptiveConfig{Adapt: testAdapt,
-		OnDecide: func(at stream.Time, ks []stream.Time) {
-			tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
-		}}
-	a := NewAdaptivePlanTree(cond, w, shape, cfg, func(p Partial) { tr.set[difftest.Sig(p.Parts)]++ })
-	for _, e := range in.Clone() {
-		a.Push(e)
-	}
-	a.Finish()
+	a := newTree(cond, w, shape, tr.decide, tr.emit)
+	a.Run(in.Clone())
 	tr.results = a.Results()
 	return tr
 }
@@ -60,27 +61,21 @@ func runTreeFull(in stream.Batch, cond *join.Condition, w []stream.Time, shape *
 // checkpoints there (through a real gob cycle), abandons the first tree as
 // a crash would, restores into a fresh tree and replays the remaining
 // input.
-func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition, w []stream.Time, shape func() *Shape, cutDecision int) treeTrace {
+func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition, w []stream.Time, shape func() *dist.Shape, cutDecision int) treeTrace {
 	t.Helper()
 	tr := treeTrace{set: map[string]int{}}
-	onDecide := func(at stream.Time, ks []stream.Time) {
-		tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
-	}
-
-	var a *AdaptivePlanTree
-	var st AdaptiveTreeState
+	var a *core.Pipeline
+	var st core.State
 	var ta *fault.TupleArena
 	captured := false
-	cfg := AdaptiveConfig{Adapt: testAdapt,
-		OnDecide: func(at stream.Time, ks []stream.Time) {
-			onDecide(at, ks)
-			if len(tr.ks) == cutDecision {
-				tt := fault.NewTupleTable()
-				st, ta = treeGobRoundTrip(t, a.State(tt), tt)
-				captured = true
-			}
-		}}
-	a = NewAdaptivePlanTree(mk(), w, shape(), cfg, func(p Partial) { tr.set[difftest.Sig(p.Parts)]++ })
+	a = newTree(mk(), w, shape(), func(at stream.Time, ks []stream.Time) {
+		tr.decide(at, ks)
+		if len(tr.ks) == cutDecision {
+			tt := fault.NewTupleTable()
+			st, ta = treeGobRoundTrip(t, a.Checkpoint(tt), tt)
+			captured = true
+		}
+	}, tr.emit)
 	work := in.Clone()
 	cut := -1
 	for i, e := range work {
@@ -97,15 +92,17 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 	// boundary checkpoint); its shard workers still need to stop.
 	a.Abandon()
 
-	b := NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt, OnDecide: onDecide}, func(p Partial) { tr.set[difftest.Sig(p.Parts)]++ })
-	b.Restore(st, ta)
+	b := newTree(mk(), w, shape(), tr.decide, tr.emit)
+	if err := b.RestoreState(st, ta); err != nil {
+		t.Fatal(err)
+	}
 	// An unsharded Restore is an exact re-entry: the restored tree captures
 	// the state it was given, registers (the stages' ord counters included)
 	// and all. (A sharded stage drops its expired-but-unpurged entries on
 	// the way back in.)
-	if !b.hasShards {
+	if !b.Tree().Sharded() {
 		tt := fault.NewTupleTable()
-		if again, _ := treeGobRoundTrip(t, b.State(tt), tt); !reflect.DeepEqual(again.Tree, st.Tree) {
+		if again, _ := treeGobRoundTrip(t, b.Checkpoint(tt), tt); !reflect.DeepEqual(again.Tree, st.Tree) {
 			t.Errorf("the restored tree's state differs from the checkpoint it was restored from")
 		}
 	}
@@ -130,17 +127,17 @@ func diffTreeTraces(t *testing.T, name string, want, got treeTrace) {
 			t.Fatalf("%s: decision %d = %s, want %s", name, i, got.ks[i], want.ks[i])
 		}
 	}
-	diffMultisets(t, name, want.set, got.set)
+	dist.DiffMultisets(t, name, want.set, got.set)
 }
 
-// TestPlanTreeCheckpointRestoreDifferential: cutting an adaptive plan-tree
+// TestPlanTreeCheckpointRestoreDifferential: cutting a tree pipeline's
 // run at an adaptation boundary, serializing through gob, and resuming in a
 // fresh tree must reproduce the uninterrupted run bit-for-bit — result
 // multiset, result count, and the complete K-decision trajectory — on
 // unsharded trees and at every shard count, for equi- and band-keyed
 // stages.
 func TestPlanTreeCheckpointRestoreDifferential(t *testing.T) {
-	in := workload(3, 3000, 23, 40)
+	in := dist.Workload(3, 3000, 23, 40)
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
 	conds := map[string]func() *join.Condition{
 		"equichain": func() *join.Condition { return join.EquiChain(3, 0) },
@@ -148,10 +145,10 @@ func TestPlanTreeCheckpointRestoreDifferential(t *testing.T) {
 			return join.Cross(3).Equi(0, 0, 1, 0).Band(1, 1, 2, 1, 6)
 		},
 	}
-	shapeN := func(n int) func() *Shape {
-		return func() *Shape {
-			inner := branch(leaf(0), leaf(1))
-			outer := branch(inner, leaf(2))
+	shapeN := func(n int) func() *dist.Shape {
+		return func() *dist.Shape {
+			inner := dist.Branch(dist.Leaf(0), dist.Leaf(1))
+			outer := dist.Branch(inner, dist.Leaf(2))
 			if n > 1 {
 				inner.Shards = n
 				outer.Shards = n
@@ -180,11 +177,11 @@ func TestPlanTreeCheckpointRestoreDifferential(t *testing.T) {
 // whose root stage governs no raw buffer (its K stays pinned 0), and whose
 // checkpoint must carry two sub-plan window sets.
 func TestPlanTreeCheckpointRestoreBushy(t *testing.T) {
-	in := workload(4, 2500, 29, 60)
+	in := dist.Workload(4, 2500, 29, 60)
 	w := []stream.Time{stream.Second, stream.Second, stream.Second, stream.Second}
 	mk := func() *join.Condition { return join.EquiChain(4, 0) }
-	shape := func() *Shape {
-		return sharded(4, branch(sharded(2, branch(leaf(0), leaf(1))), branch(leaf(2), leaf(3))))
+	shape := func() *dist.Shape {
+		return dist.Sharded(4, dist.Branch(dist.Sharded(2, dist.Branch(dist.Leaf(0), dist.Leaf(1))), dist.Branch(dist.Leaf(2), dist.Leaf(3))))
 	}
 	want := runTreeFull(in, mk(), w, shape())
 	if want.results == 0 || len(want.ks) <= 4 {
@@ -195,20 +192,21 @@ func TestPlanTreeCheckpointRestoreBushy(t *testing.T) {
 }
 
 // treeShedOne runs one shed and returns the Seq of the tuple it evicted
-// from the tree's leaf buffers.
-func treeShedOne(t *testing.T, tree *PlanTree, shed func() bool) uint64 {
+// from the K-slack buffers, read off the buffers' checkpointed contents.
+func treeShedOne(t *testing.T, p *core.Pipeline) uint64 {
 	t.Helper()
 	held := func() map[uint64]bool {
 		out := map[uint64]bool{}
-		for _, lf := range tree.leaves {
-			for e := range lf.ks.All() {
-				out[e.Seq] = true
+		tt := fault.NewTupleTable()
+		for _, k := range p.Checkpoint(tt).Ks {
+			for _, id := range k.Buffered {
+				out[tt.Recs[id].Seq] = true
 			}
 		}
 		return out
 	}
 	before := held()
-	if !shed() {
+	if !p.ShedWorst() {
 		t.Fatal("ShedWorst: nothing buffered")
 	}
 	after := held()
@@ -228,52 +226,32 @@ func treeShedOne(t *testing.T, tree *PlanTree, shed func() bool) uint64 {
 // the same order. Timestamps are coarsened so (score, delay) ties are the
 // rule.
 func TestTreeShedWorstIsLayoutFree(t *testing.T) {
-	in := workload(3, 600, 31, 40)
+	in := dist.Workload(3, 600, 31, 40)
 	for _, e := range in {
 		e.TS -= e.TS % 100
 	}
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
-	cfg := AdaptiveConfig{Adapt: testAdapt}
 
-	live := NewAdaptivePlanTree(join.EquiChain(3, 0), w, Spine(3), cfg, nil)
+	live := newTree(join.EquiChain(3, 0), w, dist.Spine(3), nil, nil)
 	for _, e := range in.Clone() {
 		live.Push(e)
 	}
 	tt := fault.NewTupleTable()
-	st, ta := treeGobRoundTrip(t, live.State(tt), tt)
-	rest := NewAdaptivePlanTree(join.EquiChain(3, 0), w, Spine(3), cfg, nil)
-	rest.Restore(st, ta)
+	st, ta := treeGobRoundTrip(t, live.Checkpoint(tt), tt)
+	rest := newTree(join.EquiChain(3, 0), w, dist.Spine(3), nil, nil)
+	if err := rest.RestoreState(st, ta); err != nil {
+		t.Fatal(err)
+	}
 	if n := live.BufferedTuples(); n < 60 {
 		t.Fatalf("only %d tuples buffered; the run no longer exercises shedding", n)
 	}
 	for i := 0; i < 30; i++ {
-		if a, b := treeShedOne(t, live.PlanTree, live.ShedWorst), treeShedOne(t, rest.PlanTree, rest.ShedWorst); a != b {
+		if a, b := treeShedOne(t, live), treeShedOne(t, rest); a != b {
 			t.Fatalf("shed %d: live tree evicted seq %d, its restored copy seq %d", i, a, b)
 		}
 	}
 	live.Abandon()
 	rest.Abandon()
-}
-
-// bothLanesBusy reports whether some unsharded stage of t holds Synchronizer
-// events on a lane and on the late heap at once, and some deadline window
-// entries on its run and on its late heap at once.
-func bothLanesBusy(t *PlanTree) bool {
-	syncBoth, winBoth := false, false
-	for _, s := range t.stages {
-		if s.sh != nil {
-			continue
-		}
-		if late := syncLate(s); late > 0 && s.sync.Len() > late {
-			syncBoth = true
-		}
-		for _, w := range s.win {
-			if late := w.byDeadline.Late(); late > 0 && w.len() > late {
-				winBoth = true
-			}
-		}
-	}
-	return syncBoth && winBoth
 }
 
 // TestPlanTreeCheckpointAcrossLanes: a checkpoint taken while a stage
@@ -288,22 +266,18 @@ func bothLanesBusy(t *PlanTree) bool {
 func TestPlanTreeCheckpointAcrossLanes(t *testing.T) {
 	in, w := adaptWorkload(5, 4000, [3]stream.Time{2500, 150, 800})
 	mk := func() *join.Condition { return join.EquiChain(3, 0) }
-	shape := func() *Shape { return Spine(3) }
+	shape := func() *dist.Shape { return dist.Spine(3) }
 
 	// Find the boundaries at which the precondition holds.
-	var a *AdaptivePlanTree
+	var a *core.Pipeline
 	var busy []int
 	dec := 0
-	a = NewAdaptivePlanTree(mk(), w, shape(), AdaptiveConfig{Adapt: testAdapt,
-		OnDecide: func(stream.Time, []stream.Time) {
-			if dec++; bothLanesBusy(a.PlanTree) {
-				busy = append(busy, dec)
-			}
-		}}, nil)
-	for _, e := range in.Clone() {
-		a.Push(e)
-	}
-	a.Finish()
+	a = newTree(mk(), w, shape(), func(stream.Time, []stream.Time) {
+		if dec++; dist.BothLanesBusy(a.Tree()) {
+			busy = append(busy, dec)
+		}
+	}, nil)
+	a.Run(in.Clone())
 	if len(busy) < 3 {
 		t.Fatalf("only boundaries %v of %d hold run and late-heap entries at once; the feed no longer exercises the round trip", busy, dec)
 	}

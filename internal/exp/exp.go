@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/core"
+	"repro/internal/feedback"
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/oracle"
@@ -92,7 +93,7 @@ func (s Summary) OverallRecall() float64 {
 // paper's metrics: γ(P) is measured right before every adaptation step and
 // summarized into Φ(Γ) and Φ(.99Γ); the applied K is averaged over all
 // adaptation intervals.
-func Run(ds *Dataset, acfg adapt.Config, policy core.PolicyFactory, statsOpts ...stats.Option) Summary {
+func Run(ds *Dataset, acfg adapt.Config, policy feedback.PolicyFactory, statsOpts ...stats.Option) Summary {
 	acfg = acfg.Normalize()
 	tracker := metrics.NewRecallTracker(acfg.P, ds.Truth)
 	series := metrics.NewSeries(acfg.P)

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adapt"
-	"repro/internal/core"
+	"repro/internal/feedback"
 )
 
 // short shared datasets for harness tests (1 simulated minute).
@@ -46,7 +46,7 @@ func TestPrepareUnknownKeyPanics(t *testing.T) {
 func TestRunProducesSummary(t *testing.T) {
 	ds := prepared(t, KeyX3)
 	cfg := adapt.Config{Gamma: 0.9, P: 30_000, L: 1000}
-	s := Run(ds, cfg, core.ModelPolicy())
+	s := Run(ds, cfg, feedback.ModelPolicy())
 	if s.Produced <= 0 || s.TrueTotal <= 0 {
 		t.Fatalf("no results: %+v", s)
 	}
@@ -71,9 +71,9 @@ func TestBaselineShapeHolds(t *testing.T) {
 	ds := prepared(t, KeyX3)
 	cfg := adapt.Config{Gamma: 0.9, P: 30_000, L: 1000}
 
-	nok := Run(ds, cfg, core.NoKPolicy())
-	maxk := Run(ds, cfg, core.MaxKPolicy())
-	model := Run(ds, cfg, core.ModelPolicy())
+	nok := Run(ds, cfg, feedback.NoKPolicy())
+	maxk := Run(ds, cfg, feedback.MaxKPolicy())
+	model := Run(ds, cfg, feedback.ModelPolicy())
 
 	if nok.MeanRecall > 0.97 {
 		t.Fatalf("No-K recall %v too high — dataset lacks disorder", nok.MeanRecall)
@@ -95,7 +95,7 @@ func TestGammaMonotonicity(t *testing.T) {
 	prev := -1.0
 	for _, gamma := range []float64{0.8, 0.95, 0.999} {
 		cfg := adapt.Config{Gamma: gamma, P: 30_000, L: 1000}
-		s := Run(ds, cfg, core.ModelPolicy())
+		s := Run(ds, cfg, feedback.ModelPolicy())
 		if s.AvgK < prev*0.8 { // allow mild noise, forbid inversions
 			t.Fatalf("avg K dropped sharply from %v to %v at Γ=%v", prev, s.AvgK, gamma)
 		}

@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"repro/internal/adapt"
-	"repro/internal/core"
+	"repro/internal/feedback"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -31,7 +31,7 @@ func Fig6(w io.Writer, datasets []*Dataset) map[string]Summary {
 	fmt.Fprintln(w, "== Fig. 6: recall of join results produced by the No-K-slack baseline ==")
 	out := map[string]Summary{}
 	for _, ds := range datasets {
-		s := Run(ds, defaultCfg(0), core.NoKPolicy())
+		s := Run(ds, defaultCfg(0), feedback.NoKPolicy())
 		s.Policy = "No-K-slack"
 		out[ds.Name] = s
 		fmt.Fprintf(w, "\n-- %s --\n   t(sec)  recall γ(P=1min)\n", ds.Name)
@@ -53,7 +53,7 @@ func Table2(w io.Writer, datasets []*Dataset) map[string]Summary {
 	fmt.Fprintf(w, "%-22s  %-12s  %-10s\n", "dataset", "Avg. K (sec)", "Avg. γ(P)")
 	out := map[string]Summary{}
 	for _, ds := range datasets {
-		s := Run(ds, defaultCfg(0), core.MaxKPolicy())
+		s := Run(ds, defaultCfg(0), feedback.MaxKPolicy())
 		s.Policy = "Max-K-slack"
 		out[ds.Name] = s
 		fmt.Fprintf(w, "%-22s  %-12s  %.3f\n", ds.Name, fmtK(s.AvgK), s.MeanRecall)
@@ -76,14 +76,14 @@ func Fig7(w io.Writer, datasets []*Dataset) []Fig7Row {
 	fmt.Fprintln(w, "== Fig. 7: effectiveness under varying recall requirements Γ ==")
 	var rows []Fig7Row
 	for _, ds := range datasets {
-		maxk := Run(ds, defaultCfg(0), core.MaxKPolicy())
+		maxk := Run(ds, defaultCfg(0), feedback.MaxKPolicy())
 		fmt.Fprintf(w, "\n-- %s (Max-K-slack avg K = %s s) --\n", ds.Name, fmtK(maxk.AvgK))
 		fmt.Fprintf(w, "%-8s  %-9s  %-12s  %-8s  %-9s\n", "Γ", "strategy", "Avg. K (sec)", "Φ(Γ)%", "Φ(.99Γ)%")
 		for _, gamma := range GammaGrid {
 			for _, strat := range []adapt.Strategy{adapt.EqSel, adapt.NonEqSel} {
 				cfg := defaultCfg(gamma)
 				cfg.Strategy = strat
-				s := Run(ds, cfg, core.ModelPolicy())
+				s := Run(ds, cfg, feedback.ModelPolicy())
 				s.Policy = "Model(" + strat.String() + ")"
 				rows = append(rows, Fig7Row{Dataset: ds.Name, Gamma: gamma, Strategy: strat, Summary: s})
 				fmt.Fprintf(w, "%-8g  %-9s  %-12s  %-8.1f  %-9.1f\n",
@@ -107,7 +107,7 @@ func Fig8(w io.Writer, datasets []*Dataset) []Fig7Row {
 			for _, gamma := range []float64{0.95, 0.99} {
 				cfg := defaultCfg(gamma)
 				cfg.P = p
-				s := Run(ds, cfg, core.ModelPolicy())
+				s := Run(ds, cfg, feedback.ModelPolicy())
 				s.Policy = "Model(NonEqSel)"
 				rows = append(rows, Fig7Row{Dataset: ds.Name, Gamma: gamma, Summary: s})
 				fmt.Fprintf(w, "%-8d  %-6g  %-12s  %-8.1f  %-9.1f\n",
@@ -130,7 +130,7 @@ func Fig9(w io.Writer, datasets []*Dataset) []Fig7Row {
 			for _, gamma := range []float64{0.95, 0.99} {
 				cfg := defaultCfg(gamma)
 				cfg.L = l
-				s := Run(ds, cfg, core.ModelPolicy())
+				s := Run(ds, cfg, feedback.ModelPolicy())
 				rows = append(rows, Fig7Row{Dataset: ds.Name, Gamma: gamma, Summary: s})
 				fmt.Fprintf(w, "%-8.1f  %-6g  %-12s  %-8.1f  %-9.1f\n",
 					float64(l)/1000, gamma, fmtK(s.AvgK), s.PhiGamma, s.Phi99)
@@ -152,7 +152,7 @@ func Fig10(w io.Writer, datasets []*Dataset) []Fig7Row {
 			for _, gamma := range []float64{0.95, 0.99} {
 				cfg := defaultCfg(gamma)
 				cfg.G = g
-				s := Run(ds, cfg, core.ModelPolicy())
+				s := Run(ds, cfg, feedback.ModelPolicy())
 				rows = append(rows, Fig7Row{Dataset: ds.Name, Gamma: gamma, Summary: s})
 				fmt.Fprintf(w, "%-8d  %-6g  %-12s  %-8.1f  %-9.1f\n",
 					g, gamma, fmtK(s.AvgK), s.PhiGamma, s.Phi99)
@@ -175,7 +175,7 @@ func Fig11(w io.Writer, datasets []*Dataset) []Fig7Row {
 			for _, gamma := range GammaGrid {
 				cfg := defaultCfg(gamma)
 				cfg.G = g
-				s := Run(ds, cfg, core.ModelPolicy())
+				s := Run(ds, cfg, feedback.ModelPolicy())
 				rows = append(rows, Fig7Row{Dataset: ds.Name, Gamma: gamma, Summary: s})
 				iters := float64(0)
 				if s.AdaptSteps > 0 {
@@ -198,16 +198,16 @@ func Ablations(w io.Writer, datasets []*Dataset) []Fig7Row {
 		name   string
 		mut    func(*adapt.Config)
 		sOpts  []stats.Option
-		policy core.PolicyFactory
+		policy feedback.PolicyFactory
 	}
 	variants := []variant{
-		{name: "NonEqSel (full model)", mut: func(*adapt.Config) {}, policy: core.ModelPolicy()},
-		{name: "EqSel", mut: func(c *adapt.Config) { c.Strategy = adapt.EqSel }, policy: core.ModelPolicy()},
-		{name: "no Γ' calibration", mut: func(c *adapt.Config) { c.NoCalibration = true }, policy: core.ModelPolicy()},
+		{name: "NonEqSel (full model)", mut: func(*adapt.Config) {}, policy: feedback.ModelPolicy()},
+		{name: "EqSel", mut: func(c *adapt.Config) { c.Strategy = adapt.EqSel }, policy: feedback.ModelPolicy()},
+		{name: "no Γ' calibration", mut: func(c *adapt.Config) { c.NoCalibration = true }, policy: feedback.ModelPolicy()},
 		{name: "fixed R^stat (1024)", mut: func(*adapt.Config) {},
-			sOpts: []stats.Option{stats.WithFixedHistory(1024)}, policy: core.ModelPolicy()},
+			sOpts: []stats.Option{stats.WithFixedHistory(1024)}, policy: feedback.ModelPolicy()},
 		{name: "binary K search", mut: func(c *adapt.Config) { c.Search = adapt.BinarySearch },
-			policy: core.ModelPolicy()},
+			policy: feedback.ModelPolicy()},
 	}
 	for _, ds := range datasets {
 		fmt.Fprintf(w, "\n-- %s (Γ = %g) --\n", ds.Name, gamma)

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/adapt"
-	"repro/internal/core"
+	"repro/internal/feedback"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -18,7 +18,7 @@ func TestModelPredictionAccuracy(t *testing.T) {
 	ds := prepared(t, KeyX3)
 	for _, k := range []stream.Time{0, 500, 2000, 8000} {
 		cfg := adapt.Config{Gamma: 0, P: 30_000, L: 1000, Strategy: adapt.EqSel}
-		s := Run(ds, cfg, core.StaticPolicy(k))
+		s := Run(ds, cfg, feedback.StaticPolicy(k))
 		measured := s.MeanRecall
 
 		// Rebuild the model over the same stream statistics: replay the

@@ -31,6 +31,7 @@ package feedback
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/adapt"
 	"repro/internal/monitor"
@@ -166,6 +167,7 @@ type Loop struct {
 	ks      []stream.Time
 	snaps   []*profiler.Snapshot // per-decision scratch
 	n       int64
+	sumMaxK float64 // Σ over decisions of the largest per-scope K
 	gammaP  float64 // the root-derived Γ′ of the last shared-requirement decision
 
 	// Cumulative recall accounting across the whole run (not windowed like
@@ -336,10 +338,13 @@ func (l *Loop) DecideAt(at, outT stream.Time) []stream.Time {
 			l.ks[i] = sc.policy.Decide(at, l.snaps[i])
 		}
 	}
+	var maxK stream.Time
 	for i, sc := range l.scopes {
 		sc.sumK += float64(l.ks[i])
+		maxK = max(maxK, l.ks[i])
 		l.snaps[i] = nil
 	}
+	l.sumMaxK += float64(maxK)
 	l.n++
 	l.mon.PushTrueEstimate(rootSnap.TrueResults())
 	l.cumTrue += rootSnap.TrueResults()
@@ -363,13 +368,30 @@ func (l *Loop) Close() {
 }
 
 // GammaPrime returns the instant requirement Γ′ the last decision derived at
-// the root scope under SharedRequirement — the target the per-scope
-// requirements Γ′^w_i decompose. It is 0 before the first decision, without
-// SharedRequirement, and when the root scope runs no model policy.
-func (l *Loop) GammaPrime() float64 { return l.gammaP }
+// the root scope — under SharedRequirement the target the per-scope
+// requirements Γ′^w_i decompose. It is 0 before the first decision and when
+// the root scope runs no model policy.
+func (l *Loop) GammaPrime() float64 {
+	if m := l.scopes[l.root].model; m != nil && !l.cfg.SharedRequirement {
+		return m.LastGammaPrime()
+	}
+	return l.gammaP
+}
 
 // Scopes returns the number of decision scopes.
 func (l *Loop) Scopes() int { return len(l.scopes) }
+
+// ScopeStreams lists, per decision scope, the sorted raw streams it governs.
+func (l *Loop) ScopeStreams() [][]int {
+	out := make([][]int, len(l.cfg.Scopes))
+	for i, sc := range l.cfg.Scopes {
+		for _, g := range sc.Groups {
+			out[i] = append(out[i], g...)
+		}
+		slices.Sort(out[i])
+	}
+	return out
+}
 
 // Ks returns the most recent decision (InitialK before the first); the slice
 // is live, copy to retain.
@@ -385,6 +407,16 @@ func (l *Loop) AvgK(i int) float64 {
 		return float64(l.ks[i])
 	}
 	return l.scopes[i].sumK / float64(l.n)
+}
+
+// AvgMaxK returns the average over all decisions of the largest per-scope
+// K, the latency bound the deployment adds (the largest initial K before the
+// first decision).
+func (l *Loop) AvgMaxK() float64 {
+	if l.n == 0 {
+		return float64(slices.Max(l.ks))
+	}
+	return l.sumMaxK / float64(l.n)
 }
 
 // Decisions returns the number of adaptation steps performed.

@@ -21,6 +21,7 @@ type State struct {
 	Ks      []stream.Time
 	N       int64
 	SumK    []float64 // per scope
+	SumMaxK float64   // over decisions, of the largest per-scope K
 
 	Profilers []profiler.State // per scope, mid-interval accumulation
 	Stats     stats.State
@@ -41,6 +42,7 @@ func (l *Loop) State() State {
 		MaxTS:   l.maxTS,
 		Ks:      append([]stream.Time(nil), l.ks...),
 		N:       l.n,
+		SumMaxK: l.sumMaxK,
 
 		Stats:   l.stats.State(),
 		Monitor: l.mon.State(),
@@ -73,6 +75,12 @@ func (l *Loop) Restore(st State) {
 	l.maxTS = st.MaxTS
 	copy(l.ks, st.Ks)
 	l.n = st.N
+	l.sumMaxK = st.SumMaxK
+	if len(l.scopes) == 1 {
+		// One scope's K is the largest; a state captured before SumMaxK
+		// existed carries it only as SumK.
+		l.sumMaxK = st.SumK[0]
+	}
 	l.cumProduced = st.CumProduced
 	l.cumTrue = st.CumTrue
 	for i, sc := range l.scopes {

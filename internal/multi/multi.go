@@ -286,7 +286,7 @@ func (en *Engine) Add(cfg QueryConfig) *Query {
 	q.loop = feedback.New(feedback.Config{
 		Windows:  cfg.Windows,
 		Adapt:    cfg.Adapt,
-		Policy:   core.FeedbackPolicy(pf),
+		Policy:   pf,
 		InitialK: initialK,
 		Stats:    pool.st,
 	})

@@ -177,3 +177,42 @@ func TestGoldenTreeTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestAvgKIsMeanOfHookK: AvgK is the mean over adaptation steps of the
+// largest per-scope K, the K every step reports to OnAdapt as NewK — on a
+// tree, whose per-stage Ks peak in different steps, as on the flat shape.
+// Per-stage averages would be smaller: the largest of them is not the mean
+// of the per-step maxima.
+func TestAvgKIsMeanOfHookK(t *testing.T) {
+	defer leakcheck.Check(t)
+	w := 2 * stream.Second
+	windows := []stream.Time{w, w, w}
+	for _, spec := range []string{"tree", "flat"} {
+		for _, seed := range []int64{9, 17, 23} {
+			g, err := ParseSpec(spec, join.EquiChain(3, 0), windows, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			var n int
+			ex := Build(g, ExecConfig{
+				Adapt: adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second},
+				OnAdapt: func(ev core.AdaptEvent) {
+					sum += float64(ev.NewK)
+					n++
+				},
+			})
+			d := 1500 * stream.Millisecond
+			for _, e := range gen.SparseEqui3(6000, seed, 200, [3]stream.Time{d, d, d}) {
+				ex.Push(e)
+			}
+			ex.Finish()
+			if n == 0 {
+				t.Fatalf("%s seed %d: no adaptation step", spec, seed)
+			}
+			if got, want := ex.AvgK(), sum/float64(n); got != want {
+				t.Errorf("%s seed %d: AvgK() = %.1f ms, mean hook NewK = %.1f ms over %d steps", spec, seed, got, want, n)
+			}
+		}
+	}
+}

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/feedback"
 	"repro/internal/profiler"
@@ -124,11 +125,8 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	// Capture the boundary state. Checkpoint is non-destructive: it
 	// quiesces and flushes pending deliveries but leaves the executor live,
 	// so a refusal below is safe.
-	st, err := Checkpoint(s.g, s.cfg, s.ex)
-	if err != nil {
-		return err
-	}
-	h, held := migrationHorizon(&st, s.g)
+	st := Checkpoint(s.g, s.cfg, s.ex)
+	h, held := migrationHorizon(st.Flat, st.Tuples, s.g)
 	rep.Horizon = h
 	if h < s.logSince {
 		return fmt.Errorf("%w: need arrivals since ts %d, log reaches back to %d", ErrReplayShallow, h, s.logSince)
@@ -137,7 +135,8 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 		s.inj.Pause()
 		defer s.inj.Resume()
 	}
-	Abandon(s.ex)
+	oldSets := s.ex.Loop().ScopeStreams()
+	s.ex.Abandon()
 
 	// Build the new shape behind the gate, under this boundary's filter;
 	// hooks stay silent and deliveries wait until the move is complete (the
@@ -147,7 +146,7 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	rep.Replayed = s.replay(s.log, h)
 	// Sharded targets defer deliveries (interval flush, 128-probe release);
 	// drain them so the loop transplant below erases what they observed.
-	quiesceExec(s.ex)
+	s.ex.Quiesce()
 
 	// Transplant the feedback loop: the old boundary-time state already
 	// accounts every replayed arrival exactly once (they all arrived before
@@ -157,9 +156,9 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 	// the old root scope (the global decision on flat shapes). The Γ′
 	// weights need no transplant — the new executor recomputed them from
 	// its own stage structure at construction.
-	ns := remapFeedback(*loopState(&st), scopeStreamSets(s.g), scopeStreamSets(target))
-	execLoop(s.ex).Restore(ns)
-	applyKs(s.ex, ns.Ks)
+	ns := remapFeedback(st.Flat.Loop, oldSets, s.ex.Loop().ScopeStreams())
+	s.ex.Loop().Restore(ns)
+	s.ex.ApplyKs(ns.Ks)
 	s.gate.restart()
 	if !s.scf.Unsupervised {
 		s.checkpointAs(target) // a built executor always checkpoints
@@ -173,7 +172,7 @@ func (s *Supervised) migrate(target *Graph, rep *MigrateReport) error {
 // migrationHorizon returns H = min(S, min onT, min localT) − maxW − 1 (see
 // the package comment) and every sub-assignment the boundary state held:
 // K-slack and synchronizer tuples, tree stages' buffered events.
-func migrationHorizon(st *ExecState, g *Graph) (stream.Time, []heldPart) {
+func migrationHorizon(st *core.State, tab []fault.TupleRec, g *Graph) (stream.Time, []heldPart) {
 	min := stream.Time(math.MaxInt64)
 	upd := func(t stream.Time) {
 		if t < min {
@@ -182,7 +181,7 @@ func migrationHorizon(st *ExecState, g *Graph) (stream.Time, []heldPart) {
 	}
 	var held []heldPart
 	hold := func(id int32) member {
-		t := &st.Tuples[id]
+		t := &tab[id]
 		upd(t.TS)
 		return member{t.Src, t.Seq}
 	}
@@ -202,28 +201,21 @@ func migrationHorizon(st *ExecState, g *Graph) (stream.Time, []heldPart) {
 			held = append(held, p)
 		}
 	}
+	for _, k := range st.Ks {
+		tuples(k.Buffered)
+		upd(k.LocalT)
+	}
+	tuples(st.Sync.Buffered)
 	switch {
-	case st.Flat != nil:
-		for _, k := range st.Flat.Ks {
-			tuples(k.Buffered)
-			upd(k.LocalT)
-		}
-		tuples(st.Flat.Sync.Buffered)
-		if st.Flat.Shard != nil {
-			upd(st.Flat.Shard.WM)
-		} else {
-			upd(st.Flat.Op.OnT)
-		}
-	default:
-		ts := &st.ATree.Tree
-		for _, k := range ts.Leaves {
-			tuples(k.Buffered)
-			upd(k.LocalT)
-		}
-		for _, sg := range ts.Stages {
+	case st.Tree != nil:
+		for _, sg := range st.Tree.Stages {
 			events(sg.SyncBuf)
 			upd(sg.OnT)
 		}
+	case st.Shard != nil:
+		upd(st.Shard.WM)
+	default:
+		upd(st.Op.OnT)
 	}
 	if min == math.MaxInt64 { // nothing pushed yet
 		return math.MinInt64, held
@@ -237,73 +229,6 @@ func maxWindow(g *Graph) stream.Time {
 		maxW = max(maxW, w)
 	}
 	return maxW
-}
-
-// quiesceExec drains an executor's deferred deliveries: the sharded flat
-// runtime's pending interval, a sharded tree stage's pending release.
-func quiesceExec(ex Executor) {
-	switch e := ex.(type) {
-	case *flatExec:
-		e.p().Quiesce()
-	case *treeExec:
-		e.Quiesce()
-	}
-}
-
-// loopState extracts the serialized feedback loop.
-func loopState(st *ExecState) *feedback.State {
-	if st.Flat != nil {
-		return &st.Flat.Loop
-	}
-	return &st.ATree.Loop
-}
-
-// execLoop returns the live feedback loop of a built executor.
-func execLoop(ex Executor) *feedback.Loop {
-	if e, ok := ex.(*treeExec); ok {
-		return e.Loop()
-	}
-	return ex.(*flatExec).p().Loop()
-}
-
-// applyKs pushes the transplanted per-scope buffer sizes into the K-slack
-// buffers; the loop's Restore sets the decision registers but the buffers
-// themselves are only resized at boundaries.
-func applyKs(ex Executor, ks []stream.Time) {
-	switch e := ex.(type) {
-	case *flatExec:
-		e.p().ApplyK(ks[0])
-	case *treeExec:
-		e.SetStageK(ks)
-	}
-}
-
-// scopeStreamSets lists, per decision scope of the shape, the sorted raw
-// streams it governs: one global scope on flat shapes, one scope per stage
-// in post-order (root last) on trees — mirroring dist's planScopes order.
-func scopeStreamSets(g *Graph) [][]int {
-	switch root := g.Root.(type) {
-	case Flat:
-		return [][]int{root.Streams()}
-	case Shard:
-		if f, ok := root.Child.(Flat); ok {
-			return [][]int{f.Streams()}
-		}
-	}
-	var sets [][]int
-	var walk func(Node)
-	walk = func(n Node) {
-		switch t := n.(type) {
-		case Shard:
-			walk(t.Child)
-		case Stage:
-			walk(t.Left)
-			walk(t.Right)
-			sets = append(sets, t.Streams())
-		}
-	}
-	walk(g.Root)
-	return sets
 }
 
 // remapFeedback rebuilds a serialized loop state for a different scope

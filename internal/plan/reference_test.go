@@ -106,11 +106,8 @@ func TestMigrationHeldPartial(t *testing.T) {
 			if i+1 != boundary {
 				continue
 			}
-			st, err := Checkpoint(s.g, s.cfg, s.ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, held := migrationHorizon(&st, s.g); !heldSharing(held, delivered) {
+			st := Checkpoint(s.g, s.cfg, s.ex)
+			if _, held := migrationHorizon(st.Flat, st.Tuples, s.g); !heldSharing(held, delivered) {
 				t.Fatalf("boundary holds no partial sharing a member with the %d delivered results: the test exercises nothing", len(delivered))
 			}
 			if _, err := s.Migrate(graphs[1]); err != nil {

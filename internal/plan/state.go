@@ -1,8 +1,7 @@
 package plan
 
-// Checkpoint/restore at the executor seam. A checkpoint captures whichever
-// engine the graph compiled to (flat pipeline or plan tree) plus the
-// treeExec driver registers, tagged with a signature of the deployment
+// Checkpoint/restore at the executor seam. A checkpoint captures the
+// pipeline the graph compiled to, tagged with a signature of the deployment
 // identity — condition, windows, shape, policy. Restore refuses a snapshot
 // whose signature disagrees with the target graph (fault.ErrRestoreMismatch)
 // rather than silently rebuilding different state: the serialized window
@@ -14,28 +13,21 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/fault"
-	"repro/internal/stream"
 )
 
-// ExecState is the serializable state of a built executor. Exactly one of
-// Flat, ATree is set, matching what the graph compiles to.
+// ExecState is the serializable state of a built executor.
 type ExecState struct {
 	// Sig is the deployment signature the snapshot is valid for.
 	Sig string
 	// Tuples is the interned tuple table every EventRec index points into.
 	Tuples []fault.TupleRec
 
-	Flat *core.State // flat shapes (sharded or not)
-	// ATree holds tree shapes, the loop included. A snapshot from when
-	// static trees ran without one decodes with ATree nil, and Restore
-	// refuses it.
-	ATree *dist.AdaptiveTreeState
-
-	// Tree driver registers (the treeExec adapter's own state).
-	PrevMax stream.Time
-	Pushed  bool
+	// Flat is the pipeline's state on every shape. It keeps the name it
+	// had when only flat shapes ran behind the pipeline, so their
+	// snapshots still decode; a tree snapshot from then decodes with Flat
+	// nil, and Restore refuses it.
+	Flat *core.State
 }
 
 // Signature renders the deployment identity a checkpoint is bound to:
@@ -93,75 +85,36 @@ func writeNodeSig(b *strings.Builder, n Node) {
 	}
 }
 
-// Checkpoint captures the executor's state. The executor must have been
+// Checkpoint captures the pipeline's state. The pipeline must have been
 // built by Build(g, cfg) — the signature recorded in the returned state is
-// computed from g and cfg, not inspected from the executor. Tree executors
-// are captured at their current quiesced point; for an exact K-trajectory
-// replay the caller checkpoints at an adaptation boundary (the supervised
-// runtime does), per the internal/dist boundary-checkpoint contract.
-func Checkpoint(g *Graph, cfg ExecConfig, ex Executor) (ExecState, error) {
+// computed from g and cfg, not inspected from the pipeline. For an exact
+// K-trajectory replay of a tree the caller checkpoints at an adaptation
+// boundary (the supervised runtime does; see core.Pipeline.Checkpoint).
+func Checkpoint(g *Graph, cfg ExecConfig, p *core.Pipeline) ExecState {
 	tt := fault.NewTupleTable()
-	st := ExecState{Sig: Signature(g, cfg)}
-	switch e := ex.(type) {
-	case *flatExec:
-		s := e.p().Checkpoint(tt)
-		st.Flat = &s
-	case *treeExec:
-		st.PrevMax, st.Pushed = e.prevMax, e.pushed
-		s := e.State(tt)
-		st.ATree = &s
-	default:
-		return ExecState{}, fmt.Errorf("plan: executor %T does not support checkpointing", ex)
-	}
-	st.Tuples = tt.Recs
-	return st, nil
+	s := p.Checkpoint(tt)
+	return ExecState{Sig: Signature(g, cfg), Tuples: tt.Recs, Flat: &s}
 }
 
-// Restore builds a fresh executor for (g, cfg) and loads st into it. The
-// snapshot must carry the same deployment signature, or the restore is
-// refused with fault.ErrRestoreMismatch.
-func Restore(g *Graph, cfg ExecConfig, st ExecState) (Executor, error) {
+// Restore builds a fresh pipeline for (g, cfg) and loads st into it. The
+// snapshot must carry the same deployment signature and state of the same
+// join body, or the restore is refused with fault.ErrRestoreMismatch. One
+// signature covers the unsharded operator and a one-worker runtime (a
+// single remote address); their states do not restore into each other.
+func Restore(g *Graph, cfg ExecConfig, st ExecState) (*core.Pipeline, error) {
 	sig := Signature(g, cfg)
 	if st.Sig != sig {
 		return nil, fmt.Errorf("%w: snapshot is for deployment %q, target is %q", fault.ErrRestoreMismatch, st.Sig, sig)
 	}
-	ex := Build(g, cfg)
-	ta := fault.NewTupleArena(st.Tuples)
-	switch e := ex.(type) {
-	case *flatExec:
-		if st.Flat == nil {
-			Abandon(ex)
-			return nil, fmt.Errorf("%w: snapshot carries no flat-pipeline state", fault.ErrRestoreMismatch)
-		}
-		if (st.Flat.Op == nil) != (e.p().Operator() == nil) {
-			// One signature covers the unsharded operator and a one-worker
-			// runtime (a single remote address); their states do not.
-			Abandon(ex)
-			return nil, fmt.Errorf("%w: snapshot of an in-process operator and a worker runtime do not restore into each other", fault.ErrRestoreMismatch)
-		}
-		e.p().RestoreState(*st.Flat, ta)
-	case *treeExec:
-		if st.ATree == nil {
-			Abandon(ex)
-			return nil, fmt.Errorf("%w: snapshot carries no tree state", fault.ErrRestoreMismatch)
-		}
-		e.prevMax, e.pushed = st.PrevMax, st.Pushed
-		e.Restore(*st.ATree, ta)
+	if st.Flat == nil {
+		return nil, fmt.Errorf("%w: snapshot carries no pipeline state", fault.ErrRestoreMismatch)
 	}
-	return ex, nil
-}
-
-// Abandon stops an executor's background goroutines without flushing or
-// emitting — the teardown path for a crashed executor the supervisor is
-// about to replace. Safe after a contained worker failure: drain-mode
-// workers exit when their channels close.
-func Abandon(ex Executor) {
-	switch e := ex.(type) {
-	case *flatExec:
-		e.p().Abandon()
-	case *treeExec:
-		e.Abandon()
+	p := Build(g, cfg)
+	if err := p.RestoreState(*st.Flat, fault.NewTupleArena(st.Tuples)); err != nil {
+		p.Abandon()
+		return nil, err
 	}
+	return p, nil
 }
 
 // ShapeString renders the graph's shape in the spec grammar's compact form

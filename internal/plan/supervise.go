@@ -38,6 +38,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/stats"
@@ -96,7 +97,7 @@ type Supervised struct {
 	inj  *fault.Injector
 	gate gate
 
-	ex Executor
+	ex *core.Pipeline
 
 	backoff fault.Backoff
 	pending *stream.Tuple // the arrival pushFn feeds (avoids a closure per Push)
@@ -256,12 +257,10 @@ func (s *Supervised) TryPush(t *stream.Tuple) error {
 	return s.err
 }
 
-// shedTo evicts lowest-productivity buffered tuples until occupancy ≤ max;
-// both engines shed by the loop's productivity score.
+// shedTo evicts lowest-productivity buffered tuples until occupancy ≤ max.
 func (s *Supervised) shedTo(max int) {
-	ex := s.ex.(interface{ ShedWorst() bool })
 	for s.ex.BufferedTuples() > max {
-		if !ex.ShedWorst() {
+		if !s.ex.ShedWorst() {
 			return
 		}
 	}
@@ -356,7 +355,7 @@ func (s *Supervised) run(f func(), rerun bool) bool {
 	err := s.attempt(f)
 	for attempt := 0; err != nil; attempt++ {
 		if attempt >= s.backoff.Retries {
-			Abandon(s.ex)
+			s.ex.Abandon()
 			s.err = &fault.JoinError{Restarts: s.restarts, Cause: err}
 			return false
 		}
@@ -399,7 +398,7 @@ func (s *Supervised) recoverReplay() error {
 			s.inj.Pause()
 			defer s.inj.Resume()
 		}
-		Abandon(s.ex)
+		s.ex.Abandon()
 		if s.ckpt != nil {
 			ex, err := Restore(s.g, s.cfg, *s.ckpt)
 			if err != nil {
@@ -435,19 +434,15 @@ func (s *Supervised) replay(log []*stream.Tuple, from stream.Time) int {
 
 // takeCheckpoint captures the boundary checkpoint. Runs under run(): a
 // pending worker failure surfacing during the capture triggers a normal
-// recovery instead of a crash. A non-checkpointable executor keeps the
-// full log instead.
+// recovery instead of a crash.
 func (s *Supervised) takeCheckpoint() { s.checkpointAs(s.g) }
 
 // checkpointAs captures the executor as a deployment of g and moves the
 // recovery point to it.
 func (s *Supervised) checkpointAs(g *Graph) {
 	t0 := time.Now()
-	st, err := Checkpoint(g, s.cfg, s.ex)
+	st := Checkpoint(g, s.cfg, s.ex)
 	s.ckptTime += time.Since(t0)
-	if err != nil {
-		return
-	}
 	s.ckpt, s.ckptMeta, s.sinceCkpt = &st, s.gate.mark(), 0
 	s.ckpts++
 	s.ckptAt = len(s.log)
@@ -499,11 +494,10 @@ func (s *Supervised) Checkpoint() (ExecState, error) {
 		return ExecState{}, fault.ErrClosed
 	}
 	var st ExecState
-	var cerr error
-	if !s.run(func() { st, cerr = Checkpoint(s.g, s.cfg, s.ex) }, true) {
+	if !s.run(func() { st = Checkpoint(s.g, s.cfg, s.ex) }, true) {
 		return ExecState{}, s.err
 	}
-	return st, cerr
+	return st, nil
 }
 
 // BufferedTuples returns the K-slack occupancy the ingest bound measures.

@@ -299,10 +299,11 @@ func WithFrameBatch(n int) JoinOption {
 type Join struct {
 	g   *plan.Graph     // the initial deployment
 	cfg plan.ExecConfig // as handed to the builder; user callbacks intact
-	ex  plan.Executor   // rt when set, the bare executor otherwise
+	ex  plan.Executor   // rt when set, pipe otherwise
 	// rt is the runtime shell under WithSupervision, WithOnlineReplan or an
-	// option implying one of them; nil on plain joins.
+	// option implying one of them; nil on plain joins, which run pipe bare.
 	rt     *plan.Supervised
+	pipe   *core.Pipeline
 	closed bool
 	// hasSink records whether a results sink is installed — by WithResults
 	// at construction or by a RunChannel call; RunChannel refuses to
@@ -371,7 +372,8 @@ func NewJoin(cond *Condition, windows []Time, opt Options, jopts ...JoinOption) 
 		j.rt = plan.NewSupervised(g, cfg, scf)
 		j.ex = j.rt
 	} else {
-		j.ex = plan.Build(g, cfg)
+		j.pipe = plan.Build(g, cfg)
+		j.ex = j.pipe
 	}
 	return j
 }

@@ -96,11 +96,7 @@ func (j *Join) Checkpoint() (*Snapshot, error) {
 	if j.closed {
 		return nil, ErrClosed
 	}
-	st, err := plan.Checkpoint(j.g, j.cfg, j.ex)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{state: st}, nil
+	return &Snapshot{state: plan.Checkpoint(j.g, j.cfg, j.pipe)}, nil
 }
 
 // Restore rebuilds a join from a snapshot. cond, windows, opt and jopts
@@ -128,10 +124,10 @@ func Restore(snap *Snapshot, cond *Condition, windows []Time, opt Options, jopts
 		j.ex = sup
 		return j, nil
 	}
-	ex, err := plan.Restore(g, cfg, snap.state)
+	p, err := plan.Restore(g, cfg, snap.state)
 	if err != nil {
 		return nil, err
 	}
-	j.ex = ex
+	j.ex, j.pipe = p, p
 	return j, nil
 }
