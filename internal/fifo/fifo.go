@@ -1,85 +1,137 @@
-// Package fifo is the queue of recycled fixed-size blocks behind the
-// per-arrival histories of the feedback loop: the Statistics Manager's
-// R^stat (delay and skew per raw arrival) and the Result-Size Monitor's
-// produced-result points.
+// Package fifo is the queue behind the per-arrival histories of the
+// feedback loop: the Statistics Manager's R^stat (delay and skew per raw
+// arrival) and the Result-Size Monitor's produced-result points.
 //
 // Both histories slide — pushed at the newest end, popped at the oldest —
-// and both shrink and regrow over a run. A slice compacted at the half-way
-// mark retains its high-water mark twice and copies the live part at every
-// compaction; a Queue keeps emptied blocks and reuses them, so it retains
-// its high-water mark once, allocates each block once and never copies an
-// element.
+// and both shrink and regrow over a run. Their values are small integers
+// far more often than not (an in-order arrival has delay 0), so a Pairs
+// queue stores an entry as two zigzag varints in tagged form: one tag byte
+// holds both values' lengths, 0 to 8 bytes each, and the values follow in
+// as many little-endian bytes. An entry takes 2 to 5 bytes on the gated
+// feeds where a pair of int64s took 16, and encoding and decoding take no
+// branch on the lengths, which vary irregularly from entry to entry.
+//
+// Entries are written into recycled fixed-size byte blocks. An entry never
+// straddles two blocks: a block whose free bytes could not hold the longest
+// entry is closed, and writer and reader apply the same rule, so no block
+// records where its entries end. Emptied blocks are kept and reused, so the
+// queue retains its live high-water mark once, allocates each block once,
+// allocates nothing once warm and never copies an entry.
 package fifo
 
-// BlockLen is the allocation unit in elements: 4 KiB of 16-byte entries.
-const BlockLen = 256
+import (
+	"encoding/binary"
+	"iter"
+	"math/bits"
+)
 
-// Queue is a FIFO of fixed blocks. blocks holds the live blocks, oldest
-// first, followed by the spare ones, and is never trimmed. Popped slots are
-// not cleared: T is meant to be a plain value that holds no pointers. The
-// zero Queue is empty and ready to use.
-type Queue[T any] struct {
-	blocks []*[BlockLen]T
-	first  int // offset of the oldest element in blocks[0]
-	n      int // live elements
+const (
+	// BlockBytes is the allocation unit.
+	BlockBytes = 4096
+	// MaxEntry is the longest encoded entry: the tag and two 8-byte values.
+	MaxEntry = 17
+	// last is the last offset of a block at which an entry may start. The
+	// codec reads and writes whole 8-byte words, so an entry may touch up to
+	// MaxEntry bytes past its start whatever its length.
+	last = BlockBytes - MaxEntry
+)
+
+type block = [BlockBytes]byte
+
+// Pairs is a FIFO of (int64, int64) entries. blocks holds the live blocks,
+// oldest first, followed by the spare ones, and is never trimmed. head is
+// the offset of the oldest entry in blocks[0]; tail is the offset one past
+// the newest, counted from the start of blocks[0], and always at a point
+// where an entry may start. The zero Pairs is empty and ready to use.
+type Pairs struct {
+	blocks []*block
+	head   uint
+	tail   uint
+	n      int
 }
 
-// Reserve sizes the block table for n live elements, so that it is not
-// regrown before the queue holds more than n.
-func (q *Queue[T]) Reserve(n int) {
-	if need := n/BlockLen + 2; cap(q.blocks) < need {
-		q.blocks = append(make([]*[BlockLen]T, 0, need), q.blocks...)
-	}
-}
-
-// Len returns the number of live elements.
-func (q *Queue[T]) Len() int { return q.n }
+// Len returns the number of live entries.
+func (q *Pairs) Len() int { return q.n }
 
 // Blocks returns the number of blocks held, live and spare.
-func (q *Queue[T]) Blocks() int { return len(q.blocks) }
+func (q *Pairs) Blocks() int { return len(q.blocks) }
 
-// At returns the i-th oldest element.
-func (q *Queue[T]) At(i int) T {
-	p := uint(q.first + i)
-	return q.blocks[p/BlockLen][p%BlockLen]
-}
-
-// Push appends v as the newest element.
-func (q *Queue[T]) Push(v T) {
-	*q.Tail() = v
+// Push appends (a, b) as the newest entry, allocating the tail's block if
+// need be.
+func (q *Pairs) Push(a, b int64) {
+	i := q.tail / BlockBytes
+	if i == uint(len(q.blocks)) {
+		q.blocks = append(q.blocks, new(block))
+	}
+	blk, p := q.blocks[i], q.tail%BlockBytes
+	ua, ub := zigzag(a), zigzag(b)
+	la, lb := uint(bits.Len64(ua)+7)/8, uint(bits.Len64(ub)+7)/8
+	blk[p] = byte(la | lb<<4)
+	binary.LittleEndian.PutUint64(blk[p+1:], ua)
+	binary.LittleEndian.PutUint64(blk[p+1+la:], ub)
+	p += 1 + la + lb
+	if p > last {
+		p = BlockBytes // close the block
+	}
+	q.tail = i*BlockBytes + p
 	q.n++
 }
 
-// Tail returns the slot one past the newest element, allocating its block
-// if need be. Writing it changes nothing until Extend makes it live, so a
-// caller can write unconditionally and decide with Extend whether the write
-// counts — a push without a data-dependent branch.
-func (q *Queue[T]) Tail() *T {
-	p := uint(q.first + q.n)
-	if p/BlockLen == uint(len(q.blocks)) {
-		q.blocks = append(q.blocks, new([BlockLen]T))
-	}
-	return &q.blocks[p/BlockLen][p%BlockLen]
+// Front returns the oldest entry. The queue must not be empty.
+func (q *Pairs) Front() (a, b int64) {
+	a, b, _ = get(q.blocks[0], q.head)
+	return a, b
 }
 
-// Extend makes the slot Tail returned live when k is 1, and changes
-// nothing when k is 0.
-func (q *Queue[T]) Extend(k int) { q.n += k }
-
-// Pop removes and returns the oldest element; an emptied block goes behind
-// the spares. The queue must not be empty.
-func (q *Queue[T]) Pop() T {
-	old := q.blocks[0][q.first]
-	q.first++
+// Pop removes the oldest entry, reading only its tag; an emptied block goes
+// behind the spares. The queue must not be empty.
+func (q *Pairs) Pop() {
+	tag := uint(q.blocks[0][q.head%BlockBytes])
+	q.head += 1 + tag&15 + tag>>4
 	q.n--
-	if q.first == BlockLen {
-		b := q.blocks[0]
+	if q.head > last {
+		blk := q.blocks[0]
 		copy(q.blocks, q.blocks[1:])
-		q.blocks[len(q.blocks)-1] = b
-		q.first = 0
+		q.blocks[len(q.blocks)-1] = blk
+		q.head = 0
+		q.tail -= BlockBytes
 	}
-	return old
+}
+
+// All yields the live entries, oldest first. The queue must not change
+// while it is iterated.
+func (q *Pairs) All() iter.Seq2[int64, int64] {
+	return func(yield func(a, b int64) bool) {
+		i, p := 0, q.head
+		for k := 0; k < q.n; k++ {
+			var a, b int64
+			a, b, p = get(q.blocks[i], p)
+			if p > last {
+				i, p = i+1, 0
+			}
+			if !yield(a, b) {
+				return
+			}
+		}
+	}
 }
 
 // Reset empties the queue and keeps every block as a spare.
-func (q *Queue[T]) Reset() { q.first, q.n = 0, 0 }
+func (q *Pairs) Reset() { q.head, q.tail, q.n = 0, 0, 0 }
+
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// get decodes the entry at offset p ≤ last of blk and returns it and the
+// offset past it. A value of length l is the low l bytes of the word at its
+// start; a shift by 64 is 0 in Go, so the mask of an 8-byte value is all
+// ones. Reducing p modulo BlockBytes, here and in Pop, changes nothing but
+// lets the compiler drop the tag's bounds check.
+func get(blk *block, p uint) (a, b int64, next uint) {
+	tag := uint(blk[p%BlockBytes])
+	la, lb := tag&15, tag>>4
+	ua := binary.LittleEndian.Uint64(blk[p+1:]) & (1<<(8*la) - 1)
+	ub := binary.LittleEndian.Uint64(blk[p+1+la:]) & (1<<(8*lb) - 1)
+	return unzigzag(ua), unzigzag(ub), p + 1 + la + lb
+}

@@ -1,84 +1,86 @@
 package fifo
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// TestQueueMatchesSlice drives a Queue and a plain slice with one random
-// sequence of pushes, writes through Tail that Extend keeps or drops, pops
-// and resets, across many block boundaries, and holds every element, the length
-// and the retained blocks to the slice's.
+// encLen is the encoded length of the entry (a, b): the tag and each
+// zigzagged value's significant bytes.
+func encLen(p [2]int64) int {
+	return 1 + (bits.Len64(zigzag(p[0]))+7)/8 + (bits.Len64(zigzag(p[1]))+7)/8
+}
+
+// value draws a value of a random encoded length, 0 to 8 bytes, biased to
+// the edges of each length and to both signs.
+func value(rng *rand.Rand) int64 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return []int64{math.MaxInt64, math.MinInt64, 1 << 62, -1 << 62}[rng.Intn(4)]
+	}
+	v := int64(1)<<rng.Intn(63) - int64(rng.Intn(2)) // 2^k or 2^k − 1: either side of a length edge
+	if rng.Intn(2) == 0 {
+		v = -v
+	}
+	return v
+}
+
+// TestQueueMatchesSlice drives a Pairs and a plain slice with one random
+// sequence of pushes, peeks, pops, iterations and resets, across many block boundaries and with entries of
+// every encoded length, and holds every entry and the length to the
+// slice's, and the retained blocks to what the high-water mark of live
+// encoded bytes needs.
 func TestQueueMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var q Queue[[2]int64]
+	var q Pairs
 	var want [][2]int64
-	peak := 0
+	live, peak := 0, 0 // encoded bytes
 	for step := 0; step < 200000; step++ {
 		switch r := rng.Intn(1000); {
-		case r < 400+200*((step/20000)%2): // phases of growth and shrinkage
-			v := [2]int64{int64(step), rng.Int63()}
-			q.Push(v)
+		case r < 500+200*((step/20000)%2): // phases of growth and shrinkage
+			v := [2]int64{value(rng), value(rng)}
+			q.Push(v[0], v[1])
 			want = append(want, v)
-		case r < 550: // a write through Tail that Extend keeps or drops
-			v, k := [2]int64{int64(step), rng.Int63()}, rng.Intn(2)
-			*q.Tail() = v
-			q.Extend(k)
-			if k == 1 {
-				want = append(want, v)
-			}
+			live += encLen(v)
 		case r < 950:
 			if len(want) > 0 {
-				if got := q.Pop(); got != want[0] {
-					t.Fatalf("step %d: Pop = %v, want %v", step, got, want[0])
+				if a, b := q.Front(); [2]int64{a, b} != want[0] {
+					t.Fatalf("step %d: Front = %v, want %v", step, [2]int64{a, b}, want[0])
 				}
+				q.Pop()
+				live -= encLen(want[0])
 				want = want[1:]
 			}
 		case r < 999:
-			if len(want) > 0 {
-				if got, v := q.At(len(want)-1), want[len(want)-1]; got != v {
-					t.Fatalf("step %d: newest %v, want %v", step, got, v)
+			i := 0
+			for a, b := range q.All() {
+				if [2]int64{a, b} != want[i] {
+					t.Fatalf("step %d: entry %d = %v, want %v", step, i, [2]int64{a, b}, want[i])
 				}
+				i++
+			}
+			if i != len(want) {
+				t.Fatalf("step %d: All yielded %d entries, want %d", step, i, len(want))
 			}
 		default:
 			q.Reset()
-			want = want[:0]
+			want, live = want[:0], 0
 		}
 		if q.Len() != len(want) {
 			t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(want))
 		}
-		peak = max(peak, len(want))
-		if b := q.Blocks(); b > peak/BlockLen+2 {
-			t.Fatalf("step %d: %d blocks retained for a high-water mark of %d", step, b, peak)
-		}
-		if step%97 == 0 {
-			for i, v := range want {
-				if q.At(i) != v {
-					t.Fatalf("step %d: At(%d) = %v, want %v", step, i, q.At(i), v)
-				}
-			}
+		peak = max(peak, live)
+		// Every block but the newest is closed only once fewer than MaxEntry
+		// bytes are free, and the oldest may be partly popped.
+		if b := q.Blocks(); b > peak/(BlockBytes-MaxEntry)+2 {
+			t.Fatalf("step %d: %d blocks retained for a high-water mark of %d bytes", step, b, peak)
 		}
 	}
-	if peak < 4*BlockLen {
-		t.Fatalf("high-water mark %d: the queue never spanned several blocks", peak)
-	}
-}
-
-// TestReserveKeepsContents: growing the block table keeps the live elements
-// and their order.
-func TestReserveKeepsContents(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 3*BlockLen; i++ {
-		q.Push(i)
-	}
-	q.Pop()
-	q.Reserve(100 * BlockLen)
-	if cap(q.blocks) < 102 {
-		t.Fatalf("block table capacity %d after Reserve(%d)", cap(q.blocks), 100*BlockLen)
-	}
-	for i := 0; i < q.Len(); i++ {
-		if q.At(i) != i+1 {
-			t.Fatalf("At(%d) = %d after Reserve", i, q.At(i))
-		}
+	if peak < 4*BlockBytes {
+		t.Fatalf("high-water mark %d bytes: the queue never spanned several blocks", peak)
 	}
 }

@@ -125,7 +125,18 @@ func TestRestoreRefusesImpossibleStates(t *testing.T) {
 }
 
 // live returns the number of live points, the open one included.
-func (m *Monitor) live() int { return m.points.Len() + b2i(m.open.n > 0) }
+func (m *Monitor) live() int {
+	n := m.points.Len()
+	if m.open.n > 0 {
+		n++
+	}
+	return n
+}
+
+// maxBytesPerPoint bounds what the point FIFO retains, blocks included, per
+// point of its live high-water mark: a point is encoded in 3 or 4 bytes on
+// these feeds, and a 16-byte point must not come back unnoticed.
+const maxBytesPerPoint = 6
 
 // feedX3 drives m the way the operator does at rate× x3-model's result rate
 // (≈ 215 result-producing in-order arrivals per second): at every millisecond
@@ -163,7 +174,7 @@ func feedX3(m *Monitor, rng *rand.Rand, rate float64, horizon, span stream.Time,
 // TestMonitorBoundedByTicks (ROADMAP 8(e)): at 20× x3's result rate over ten
 // periods, the window holds one point per distinct timestamp — never more
 // than the distinct timestamps in the window plus one — and the FIFO retains
-// no more blocks than its live high-water mark needs.
+// at most maxBytesPerPoint bytes per point of its live high-water mark.
 func TestMonitorBoundedByTicks(t *testing.T) {
 	const P, L = stream.Minute, stream.Second
 	m := New(P-L, int((P-L)/L))
@@ -173,8 +184,8 @@ func TestMonitorBoundedByTicks(t *testing.T) {
 			t.Fatalf("now %d: %d live points for %d distinct timestamps in the window", now, live, distinct)
 		}
 		peak = max(peak, before)
-		if b, want := m.points.Blocks(), (peak+fifo.BlockLen-1)/fifo.BlockLen+1; b > want {
-			t.Fatalf("now %d: %d blocks retained for a live high-water mark of %d points (≤ %d)", now, b, peak, want)
+		if b := m.points.Blocks() * fifo.BlockBytes; b > maxBytesPerPoint*peak {
+			t.Fatalf("now %d: %d bytes retained for a live high-water mark of %d points", now, b, peak)
 		}
 	})
 	if peak < int(P-L)/2 {
@@ -182,6 +193,24 @@ func TestMonitorBoundedByTicks(t *testing.T) {
 	}
 	if peak > int(P)+1 {
 		t.Fatalf("live high-water mark %d points, more than the %d ticks of P", peak, P+1)
+	}
+}
+
+// TestRetainedBytesPerPoint: at x3's own result rate, where a window holds
+// ≈ 13 k points of 3 or 4 bytes, the point FIFO retains at most
+// maxBytesPerPoint bytes per point of its live high-water mark, blocks
+// included.
+func TestRetainedBytesPerPoint(t *testing.T) {
+	const P, L = stream.Minute, stream.Second
+	m := New(P-L, int((P-L)/L))
+	peak := 0
+	feedX3(m, rand.New(rand.NewSource(5)), 1, 5*P, P-L, func(now stream.Time, _, before int) {
+		peak = max(peak, before)
+	})
+	b := m.points.Blocks() * fifo.BlockBytes
+	t.Logf("%d bytes retained for a live high-water mark of %d points: %.2f bytes per point", b, peak, float64(b)/float64(peak))
+	if b > maxBytesPerPoint*peak {
+		t.Fatalf("%d bytes retained for a live high-water mark of %d points, over %d bytes per point", b, peak, maxBytesPerPoint)
 	}
 }
 

@@ -1,13 +1,14 @@
 package monitor
 
 // The Result-Size Monitor as it was before points of one timestamp were
-// merged and moved into a fifo.Queue: one point per AddResults call in a
+// merged and moved into recycled blocks: one point per AddResults call in a
 // slice compacted once more than 1024 points are dead. Kept verbatim (names
 // aside; it shares the package's State) as the reference the monitor must
 // answer identically to.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -163,7 +164,16 @@ func mergeRuns(st State) State {
 // the live points to the reference's. The monitor's points must be the
 // reference's with each run of adjacent points of one timestamp summed into
 // one, so the per-timestamp sums match and no two adjacent points share a
-// timestamp.
+// timestamp. A second part climbs through timestamp steps and counts of
+// every encoded length, from 0 and up to math.MaxInt64. Three mutations of
+// internal/fifo each fail it:
+//   - an entry allowed to straddle a block (last = BlockBytes − 9 in place
+//     of BlockBytes − MaxEntry): an index panic in the second part;
+//   - a zigzag write decoded as unsigned (get returning int64(ua),
+//     int64(ub)): seed 1, step 14;
+//   - the open point's count dropped on a block switch (Push clearing the
+//     count's length in the tag of a point that closes its block): the
+//     second part, from 0, at point 576.
 func TestMonitorMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -214,15 +224,62 @@ func TestMonitorMatchesReference(t *testing.T) {
 				m.Restore(st)
 				ref.Restore(rst)
 			}
-			st, rst := m.State(), ref.State()
-			if m.Produced() != ref.Produced() || m.TrueEstimate() != ref.TrueEstimate() {
-				t.Fatalf("seed %d step %d %s: Produced %d / TrueEstimate %v, reference %d / %v",
-					seed, step, op, m.Produced(), m.TrueEstimate(), ref.Produced(), ref.TrueEstimate())
+			sameAsRef(t, fmt.Sprintf("seed %d step %d %s", seed, step, op), m, ref)
+		}
+	}
+	// Timestamp steps and counts on either side of every change in an
+	// encoded point's length: each row of points climbs through the edges
+	// from 0, or up to just under math.MaxInt64, then steps back to its
+	// start; each count is merged with a 1 into its timestamp's point. The
+	// rows repeat until the points have filled several blocks, with one
+	// State→Restore round trip half-way. Produced is compared after every
+	// point, the points themselves after every sixteenth.
+	edges := []int64{0, 1, 63, 64, 127, 128, 8191, 8192, 32767, 32768,
+		1<<23 - 1, 1 << 23, 1<<31 - 1, 1 << 31, 1<<39 - 1, 1 << 39, 1<<47 - 1, 1 << 47, 1<<55 - 1, 1 << 55, 1 << 62}
+	for _, top := range []bool{false, true} {
+		const span, rows = 1 << 40, 4 * 21
+		m, ref := New(span, 3), newRef(span, 3)
+		for k := 0; k < rows*len(edges); k++ {
+			n, j := edges[k/len(edges)%len(edges)], k%len(edges)
+			ts := stream.Time(edges[j])
+			if top {
+				ts = math.MaxInt64 - 1 - stream.Time(edges[len(edges)-1-j])
 			}
-			if want := mergeRuns(rst); !slices.Equal(st.PointTS, want.PointTS) || !slices.Equal(st.PointN, want.PointN) {
-				t.Fatalf("seed %d step %d %s: points %v × %v, reference merged %v × %v",
-					seed, step, op, st.PointTS, st.PointN, want.PointTS, want.PointN)
+			m.AddResults(ts, n)
+			ref.AddResults(ts, n)
+			m.AddResults(ts, 1)
+			ref.AddResults(ts, 1)
+			if k%97 == 0 {
+				m.Advance(ts)
+				ref.Advance(ts)
+			}
+			if k == rows*len(edges)/2 {
+				st, rst := m.State(), ref.State()
+				m, ref = New(span, 3), newRef(span, 3)
+				m.Restore(st)
+				ref.Restore(rst)
+			}
+			if m.Produced() != ref.Produced() || k%16 == 0 || k == rows*len(edges)-1 {
+				sameAsRef(t, fmt.Sprintf("top %v point %d: AddResults(%d, %d)", top, k, ts, n), m, ref)
 			}
 		}
+		if m.points.Blocks() < 3 {
+			t.Fatalf("top %v: the points never filled a block; no block switch was tested", top)
+		}
+	}
+}
+
+// sameAsRef holds the monitor's Produced, TrueEstimate and live points to
+// the reference's, whose adjacent points of one timestamp are summed.
+func sameAsRef(t *testing.T, at string, m *Monitor, ref *refMonitor) {
+	t.Helper()
+	st, rst := m.State(), ref.State()
+	if m.Produced() != ref.Produced() || m.TrueEstimate() != ref.TrueEstimate() {
+		t.Fatalf("%s: Produced %d / TrueEstimate %v, reference %d / %v",
+			at, m.Produced(), m.TrueEstimate(), ref.Produced(), ref.TrueEstimate())
+	}
+	if want := mergeRuns(rst); !slices.Equal(st.PointTS, want.PointTS) || !slices.Equal(st.PointN, want.PointN) {
+		t.Fatalf("%s: points %v × %v, reference merged %v × %v",
+			at, st.PointTS, st.PointN, want.PointTS, want.PointN)
 	}
 }

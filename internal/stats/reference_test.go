@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,6 +13,12 @@ import (
 	"repro/internal/hist"
 	"repro/internal/stream"
 )
+
+// entry is one observed arrival in the history window.
+type entry struct {
+	delay stream.Time
+	skew  stream.Time // iT − min_j jT measured at arrival
+}
 
 // refStreamStats tracks one input stream.
 type refStreamStats struct {
@@ -310,12 +317,99 @@ func differentialFeeds() map[string]struct {
 			batch stream.Batch
 		}{m, batch}
 	}
+	feeds["lengths"] = struct {
+		m     int
+		batch stream.Batch
+	}{2, lengthsFeed(0)}
+	feeds["near-max"] = struct {
+		m     int
+		batch stream.Batch
+	}{2, lengthsFeed(math.MaxInt64 - 1<<40)}
 	return feeds
+}
+
+// lengthEdges are values on either side of every change in an encoded
+// entry's length: the tagged form's 0 to 8 bytes per zigzagged value
+// (127/128 is 1/2 bytes, 32767/32768 2/3, …, 2⁵⁵ − 1/2⁵⁵ 7/8), a plain
+// varint's (63/64 is 1/2 bytes, 8191/8192 2/3), and 2⁶².
+var lengthEdges = []stream.Time{0, 1, 63, 64, 127, 128, 8191, 8192, 32767, 32768,
+	1<<23 - 1, 1 << 23, 1<<31 - 1, 1 << 31, 1<<39 - 1, 1 << 39, 1<<47 - 1, 1 << 47, 1<<55 - 1, 1 << 55, 1 << 62}
+
+// lengthsFeed gives two streams R^stat entries whose delays and skews take
+// every pair of lengthEdges, after a stretch of small ones, from local
+// clocks at least base. Stream 1 then stays at base + 100, so an arrival on
+// stream 0 at base + 100 + s has skew s, and one at base + 100 + s − d that
+// follows has delay d and skew s; stream 1's own late arrivals have delay d
+// and skew 0.
+func lengthsFeed(base stream.Time) stream.Batch {
+	var batch stream.Batch
+	add := func(src int, ts stream.Time) {
+		batch = append(batch, &stream.Tuple{TS: ts, Src: src, Seq: uint64(len(batch))})
+	}
+	add(1, base)
+	for i := 0; i < 600; i++ { // small delays and skews first
+		add(0, base+stream.Time(i%100))
+		add(0, base+stream.Time(i%100-i%7))
+	}
+	base += 100
+	add(1, base)
+	for _, sk := range lengthEdges {
+		if base > math.MaxInt64-sk {
+			break // the clock would overflow
+		}
+		add(0, base+sk)
+		for _, d := range lengthEdges {
+			add(0, base+sk-d)
+			add(1, base-d)
+		}
+	}
+	return batch
+}
+
+// observeBoth feeds arrival n, e, to mgr and ref and holds every query
+// mgr answers to ref's.
+func observeBoth(t *testing.T, n int, mgr *Manager, ref *refManager, e *stream.Tuple) {
+	t.Helper()
+	mgr.Observe(e)
+	ref.Observe(e)
+	i := e.Src
+	if got, want := mgr.HistoryLen(i), ref.HistoryLen(i); got != want {
+		t.Fatalf("arrival %d: HistoryLen(%d) = %d, reference %d", n, i, got, want)
+	}
+	// A delay of 2⁶² spans hist.MaxBuckets buckets: compare such a
+	// histogram in full on a stride only, and its ends on every arrival.
+	got, want := mgr.Hist(i).Counts(), ref.Hist(i).Counts()
+	if len(got) != len(want) || mgr.Hist(i).Total() != ref.Hist(i).Total() ||
+		len(want) > 0 && (got[0] != want[0] || got[len(got)-1] != want[len(want)-1]) ||
+		(len(want) < 1<<12 || n%1024 == 0) && !slices.Equal(got, want) {
+		t.Fatalf("arrival %d: Hist(%d).Counts differ from the reference", n, i)
+	}
+	if mgr.GlobalT() != ref.GlobalT() || mgr.LocalT(i) != ref.LocalT(i) ||
+		mgr.Rate(i) != ref.Rate(i) || mgr.MaxDelayRecent() != ref.MaxDelayRecent() ||
+		mgr.MaxDelayAllTime() != ref.MaxDelayAllTime() {
+		t.Fatalf("arrival %d: GlobalT/LocalT/Rate/MaxDelayRecent/AllTime = %d/%d/%v/%d/%d, reference %d/%d/%v/%d/%d", n,
+			mgr.GlobalT(), mgr.LocalT(i), mgr.Rate(i), mgr.MaxDelayRecent(), mgr.MaxDelayAllTime(),
+			ref.GlobalT(), ref.LocalT(i), ref.Rate(i), ref.MaxDelayRecent(), ref.MaxDelayAllTime())
+	}
+	for j := range mgr.streams {
+		if got, want := mgr.KSync(j), ref.KSync(j); got != want {
+			t.Fatalf("arrival %d: KSync(%d) = %d, reference %d", n, j, got, want)
+		}
+	}
 }
 
 // TestMatchesReference holds Manager against the slice-and-compaction,
 // rescanning Manager it replaced: every query answers the same after every
 // Observe, the serialized state is deep-equal, through one State→Restore.
+// The "lengths" and "near-max" feeds put delays and skews of every encoded
+// length into R^stat. Three mutations of internal/fifo each fail it:
+//   - an entry allowed to straddle a block (last = BlockBytes − 9 in place
+//     of BlockBytes − MaxEntry): an index panic on random-m4;
+//   - a zigzag write decoded as unsigned (get returning int64(ua),
+//     int64(ub)): x3's histograms differ at once;
+//   - the count dropped on a block switch (Push clearing the second
+//     value's length in the tag of an entry that closes its block): the
+//     skews, and so the state, differ on random-m2.
 func TestMatchesReference(t *testing.T) {
 	configs := []struct {
 		name           string
@@ -341,27 +435,7 @@ func TestMatchesReference(t *testing.T) {
 				}
 				mgr, ref := build()
 				for n, e := range f.batch {
-					mgr.Observe(e)
-					ref.Observe(e)
-					i := e.Src
-					if got, want := mgr.HistoryLen(i), ref.HistoryLen(i); got != want {
-						t.Fatalf("arrival %d: HistoryLen(%d) = %d, reference %d", n, i, got, want)
-					}
-					if got, want := mgr.Hist(i).Counts(), ref.Hist(i).Counts(); !slices.Equal(got, want) {
-						t.Fatalf("arrival %d: Hist(%d).Counts = %v, reference %v", n, i, got, want)
-					}
-					if mgr.GlobalT() != ref.GlobalT() || mgr.LocalT(i) != ref.LocalT(i) ||
-						mgr.Rate(i) != ref.Rate(i) || mgr.MaxDelayRecent() != ref.MaxDelayRecent() ||
-						mgr.MaxDelayAllTime() != ref.MaxDelayAllTime() {
-						t.Fatalf("arrival %d: GlobalT/LocalT/Rate/MaxDelayRecent/AllTime = %d/%d/%v/%d/%d, reference %d/%d/%v/%d/%d", n,
-							mgr.GlobalT(), mgr.LocalT(i), mgr.Rate(i), mgr.MaxDelayRecent(), mgr.MaxDelayAllTime(),
-							ref.GlobalT(), ref.LocalT(i), ref.Rate(i), ref.MaxDelayRecent(), ref.MaxDelayAllTime())
-					}
-					for j := 0; j < f.m; j++ {
-						if got, want := mgr.KSync(j), ref.KSync(j); got != want {
-							t.Fatalf("arrival %d: KSync(%d) = %d, reference %d", n, j, got, want)
-						}
-					}
+					observeBoth(t, n, mgr, ref, e)
 					// The full state is O(history): compare it on a stride that
 					// is coprime to the block length, and at the restore point.
 					restore := n == len(f.batch)*2/3
@@ -431,6 +505,12 @@ func TestRestoreRefusesImpossibleStates(t *testing.T) {
 		{"stream count", State{Streams: make([]StreamState, 3)}, "stats: restore: state of 3 streams into a manager of 2"},
 		{"delays without skews", State{Streams: []StreamState{{}, {Delays: []stream.Time{1, 2}, Skews: []stream.Time{0}}}},
 			"stats: restore: stream 1 has 2 delays and 1 skews"},
+		{"negative delay", State{Streams: []StreamState{{Delays: []stream.Time{0, -1}, Skews: []stream.Time{0, 0}}, {}}},
+			"stats: restore: stream 0 entry 1 has delay -1 and skew 0"},
+		{"negative skew", State{Streams: []StreamState{{}, {Delays: []stream.Time{3}, Skews: []stream.Time{-2}}}},
+			"stats: restore: stream 1 entry 0 has delay 3 and skew -2"},
+		{"history over the cap", State{Streams: []StreamState{{}, {Delays: make([]stream.Time, maxHistory+1), Skews: make([]stream.Time, maxHistory+1)}}},
+			"stats: restore: stream 1 has 8193 history entries, over the cap of 8192"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

@@ -12,8 +12,9 @@
 // Observe runs on every raw arrival, whatever the policy and the plan shape:
 // the local clocks iT sit in one dense slice (the K^sync skew scan reads all
 // m), max_i iT is maintained on the way in rather than re-derived per GlobalT
-// call, and a warmed Manager allocates nothing (the history is a fifo.Queue
-// of recycled blocks).
+// call, and a warmed Manager allocates nothing. The history is a fifo.Pairs:
+// each (delay, skew) entry takes two zigzag varints in recycled byte blocks,
+// 2 to 5 bytes on the gated feeds where a pair of Times took 16.
 package stats
 
 import (
@@ -30,19 +31,13 @@ const (
 	maxHistory = 8192  // history cap even under ADWIN: bounds memory on very stable streams
 )
 
-// entry is one observed arrival in the history window.
-type entry struct {
-	delay stream.Time
-	skew  stream.Time // iT − min_j jT measured at arrival
-}
-
 // streamStats tracks one input stream; its local current time iT is
 // Manager.localT[i].
 type streamStats struct {
 	ad      *adwin.Window
 	hist    *hist.Histogram
 	delays  [1]*hist.Histogram // {hist}: what Delays hands out, built once
-	history fifo.Queue[entry]  // R^stat_i; ADWIN shrinks and regrows it, blocks are recycled
+	history fifo.Pairs         // R^stat_i as (delay, skew = iT − min_j jT at arrival); ADWIN shrinks and regrows it
 	sumSkew int64
 
 	seen     bool
@@ -84,7 +79,6 @@ func NewManager(m int, g stream.Time, opts ...Option) *Manager {
 		ss := &mgr.streams[i]
 		ss.hist = hist.New(g)
 		ss.delays[0] = ss.hist
-		ss.history.Reserve(mgr.maxHist)
 		if mgr.fixed == 0 {
 			ss.ad = adwin.New(adwinDelta)
 		}
@@ -130,26 +124,27 @@ func (m *Manager) Observe(e *stream.Tuple) {
 		skew = lt - minT
 	}
 
-	m.push(ss, entry{delay: delay, skew: skew})
+	m.push(ss, delay, skew)
 }
 
 // push appends to the history and trims it to the target length.
-func (m *Manager) push(ss *streamStats, en entry) {
+func (m *Manager) push(ss *streamStats, delay, skew stream.Time) {
 	target := m.fixed
 	if ss.ad != nil {
-		ss.ad.Add(float64(en.delay))
+		ss.ad.Add(float64(delay))
 		target = ss.ad.Len()
 	}
 	if target <= 0 || target > m.maxHist {
 		target = m.maxHist
 	}
-	ss.history.Push(en)
-	ss.sumSkew += int64(en.skew)
-	ss.hist.Add(en.delay)
+	ss.history.Push(int64(delay), int64(skew))
+	ss.sumSkew += int64(skew)
+	ss.hist.Add(delay)
 	for ss.history.Len() > target {
-		old := ss.history.Pop()
-		ss.sumSkew -= int64(old.skew)
-		ss.hist.Remove(old.delay)
+		oldDelay, oldSkew := ss.history.Front()
+		ss.history.Pop()
+		ss.sumSkew -= oldSkew
+		ss.hist.Remove(stream.Time(oldDelay))
 	}
 }
 
@@ -181,10 +176,10 @@ func (m *Manager) State() State {
 			FirstTS: ss.firstTS, MaxDelay: ss.maxDelay,
 		}
 		if n := ss.history.Len(); n > 0 {
-			s.Delays, s.Skews = make([]stream.Time, n), make([]stream.Time, n)
-			for j := range s.Delays {
-				en := ss.history.At(j)
-				s.Delays[j], s.Skews[j] = en.delay, en.skew
+			s.Delays, s.Skews = make([]stream.Time, 0, n), make([]stream.Time, 0, n)
+			for delay, skew := range ss.history.All() {
+				s.Delays = append(s.Delays, stream.Time(delay))
+				s.Skews = append(s.Skews, stream.Time(skew))
 			}
 		}
 		if ss.ad != nil {
@@ -201,8 +196,10 @@ func (m *Manager) State() State {
 // without feeding ADWIN — its native state is restored instead — so the
 // restored manager answers every query exactly as the checkpointed one did.
 // It panics with a "stats: restore: …" message on a state no Manager of this
-// shape can have produced: a different stream count, or a stream whose Delays
-// and Skews differ in length.
+// shape can have produced: a different stream count, a stream whose Delays
+// and Skews differ in length, a history longer than the cap, or a negative
+// delay or skew (Observe measures both against the stream's own clock,
+// which is at least the arrival's timestamp and the slowest stream's).
 func (m *Manager) Restore(st State) {
 	if len(st.Streams) != len(m.streams) {
 		panic(fmt.Sprintf("stats: restore: state of %d streams into a manager of %d", len(st.Streams), len(m.streams)))
@@ -212,6 +209,14 @@ func (m *Manager) Restore(st State) {
 	for i, s := range st.Streams {
 		if len(s.Delays) != len(s.Skews) {
 			panic(fmt.Sprintf("stats: restore: stream %d has %d delays and %d skews", i, len(s.Delays), len(s.Skews)))
+		}
+		if len(s.Delays) > m.maxHist {
+			panic(fmt.Sprintf("stats: restore: stream %d has %d history entries, over the cap of %d", i, len(s.Delays), m.maxHist))
+		}
+		for j, d := range s.Delays {
+			if d < 0 || s.Skews[j] < 0 {
+				panic(fmt.Sprintf("stats: restore: stream %d entry %d has delay %d and skew %d", i, j, d, s.Skews[j]))
+			}
 		}
 		ss := &m.streams[i]
 		m.localT[i] = s.LocalT
@@ -228,10 +233,10 @@ func (m *Manager) Restore(st State) {
 		ss.history.Reset()
 		ss.sumSkew = 0
 		ss.hist.Reset()
-		for j := range s.Delays {
-			ss.history.Push(entry{delay: s.Delays[j], skew: s.Skews[j]})
+		for j, d := range s.Delays {
+			ss.history.Push(int64(d), int64(s.Skews[j]))
 			ss.sumSkew += int64(s.Skews[j])
-			ss.hist.Add(s.Delays[j])
+			ss.hist.Add(d)
 		}
 		if ss.ad != nil && s.Adwin != nil {
 			ss.ad.Restore(*s.Adwin)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/fifo"
+	"repro/internal/gen"
 	"repro/internal/stream"
 )
 
@@ -147,5 +149,32 @@ func TestGlobalTNoStreams(t *testing.T) {
 	m := NewManager(2, 10)
 	if m.GlobalT() != 0 {
 		t.Fatal("GlobalT before any arrival must be 0")
+	}
+}
+
+// TestRetainedBytesPerEntry: on the sparse 3-way tree feed, where ADWIN
+// lets the stable streams' R^stat grow to the 8192-entry cap between cuts,
+// a history at its cap retains at most 6 bytes per live entry, blocks
+// included — an entry is 2 or 3 bytes there, and a 16-byte entry must not
+// come back unnoticed.
+func TestRetainedBytesPerEntry(t *testing.T) {
+	m := NewManager(3, 10)
+	atCap := 0
+	for _, e := range gen.SparseEqui3(60000, 1, 500, [3]stream.Time{150, 150, 2500}) {
+		m.Observe(e)
+		if m.HistoryLen(e.Src) < maxHistory {
+			continue
+		}
+		atCap++
+		if b := m.streams[e.Src].history.Blocks() * fifo.BlockBytes; b > 6*maxHistory {
+			t.Fatalf("stream %d at its cap: %d bytes retained for %d entries, over 6 bytes per entry", e.Src, b, maxHistory)
+		}
+	}
+	if atCap < maxHistory {
+		t.Fatalf("a history was at its cap on %d arrivals only: the bound is not exercised", atCap)
+	}
+	for i := range m.streams {
+		t.Logf("stream %d: %d bytes retained, %.2f per entry of the cap", i, m.streams[i].history.Blocks()*fifo.BlockBytes,
+			float64(m.streams[i].history.Blocks()*fifo.BlockBytes)/maxHistory)
 	}
 }

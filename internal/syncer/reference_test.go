@@ -162,36 +162,41 @@ func TestMatchesSingleHeapReference(t *testing.T) {
 	}
 }
 
+// lapFeed is lateFeed over three streams, finely interleaved as three
+// K-slack buffers release it, with stream 2 lag time units behind the
+// others, replayed lap after lap with the timestamps shifted past the
+// previous lap. next(i) is the i-th tuple; a lap is lap tuples long.
+func lapFeed(lag stream.Time, latePct int) (next func(i int) *stream.Tuple, lap int) {
+	feed := lateFeed(rand.New(rand.NewSource(1)), 3, 1<<14, 1, latePct)
+	for _, e := range feed {
+		if e.Src == 2 {
+			e.TS += lag
+		}
+	}
+	span := feed[len(feed)-1].TS + lag + 1
+	return func(i int) *stream.Tuple {
+		e := feed[i%len(feed)]
+		if i >= len(feed) {
+			e.TS += span
+		}
+		return e
+	}, len(feed)
+}
+
 // BenchmarkPush measures one Push (with the releases it causes) on a
-// three-stream feed, finely interleaved as three K-slack buffers release it,
-// through the lanes and through the single heap: shallow (the streams level,
-// a handful buffered) and deep (one stream 300 time units behind the others,
-// ≈ 200 buffered), in order and with one tuple in four late.
+// three-stream lapFeed, through the lanes and through the single heap:
+// shallow (the streams level, a handful buffered) and deep (one stream 300
+// time units behind the others, ≈ 200 buffered), in order and with one
+// tuple in four late.
 func BenchmarkPush(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		lag     stream.Time
 		latePct int
 	}{{"shallow/inorder", 0, 0}, {"shallow/late25", 0, 25}, {"deep/inorder", 300, 0}, {"deep/late25", 300, 25}} {
-		feed := func() (func(i int) *stream.Tuple, int) {
-			feed := lateFeed(rand.New(rand.NewSource(1)), 3, 1<<14, 1, c.latePct)
-			for _, e := range feed {
-				if e.Src == 2 {
-					e.TS += c.lag
-				}
-			}
-			span := feed[len(feed)-1].TS + c.lag + 1
-			return func(i int) *stream.Tuple {
-				e := feed[i%len(feed)]
-				if i >= len(feed) {
-					e.TS += span
-				}
-				return e
-			}, len(feed)
-		}
 		var n int
 		b.Run(c.name+"/lanes", func(b *testing.B) {
-			next, warm := feed()
+			next, warm := lapFeed(c.lag, c.latePct)
 			s := New(3, func(*stream.Tuple) { n++ })
 			for i := 0; i < warm; i++ {
 				s.Push(next(i))
@@ -204,7 +209,7 @@ func BenchmarkPush(b *testing.B) {
 			b.ReportMetric(float64(s.Len()), "held")
 		})
 		b.Run(c.name+"/heap", func(b *testing.B) {
-			next, warm := feed()
+			next, warm := lapFeed(c.lag, c.latePct)
 			s := newRef(3, func(*stream.Tuple) { n++ })
 			for i := 0; i < warm; i++ {
 				s.Push(next(i))
@@ -215,6 +220,35 @@ func BenchmarkPush(b *testing.B) {
 				s.Push(next(warm + i))
 			}
 			b.ReportMetric(float64(s.heap.Len()), "held")
+		})
+	}
+}
+
+// TestSyncSteadyStateZeroAllocs: once its lanes and late heaps have reached
+// their high-water marks, the three-lane Synchronizer — run appends,
+// late-heap pushes, releases, immediate forwards — allocates nothing, in
+// order and with one tuple in four late.
+func TestSyncSteadyStateZeroAllocs(t *testing.T) {
+	for _, latePct := range []int{0, 25} {
+		t.Run(fmt.Sprintf("late%d", latePct), func(t *testing.T) {
+			next, lap := lapFeed(300, latePct)
+			s := New(3, func(*stream.Tuple) {})
+			i := 0
+			for ; i < 2*lap; i++ {
+				s.Push(next(i))
+			}
+			if s.Len() == 0 {
+				t.Fatal("the feed leaves nothing buffered; the test would measure the bypass")
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				for k := 0; k < 1024; k++ {
+					s.Push(next(i))
+					i++
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Push allocated %v times per 1024 tuples", allocs)
+			}
 		})
 	}
 }
