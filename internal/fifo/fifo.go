@@ -79,17 +79,30 @@ func (q *Pairs) Push(a, b int64) {
 
 // Front returns the oldest entry. The queue must not be empty.
 func (q *Pairs) Front() (a, b int64) {
-	a, b, _ = get(q.blocks[0], q.head)
-	return a, b
+	ua, ub, _ := get(q.blocks[0], q.head)
+	return unzigzag(ua), unzigzag(ub)
 }
 
-// Pop removes the oldest entry, reading only its tag; an emptied block goes
-// behind the spares. The queue must not be empty.
-func (q *Pairs) Pop() {
+// Pop removes and returns the oldest entry. The queue must not be empty.
+func (q *Pairs) Pop() (a, b int64) {
+	ua, ub, next := get(q.blocks[0], q.head)
+	q.advance(next)
+	return unzigzag(ua), unzigzag(ub)
+}
+
+// Drop removes the oldest entry, reading only its tag: for a caller that
+// has read it with Front. The queue must not be empty.
+func (q *Pairs) Drop() {
 	tag := uint(q.blocks[0][q.head%BlockBytes])
-	q.head += 1 + tag&15 + tag>>4
+	q.advance(q.head + 1 + tag&15 + tag>>4)
+}
+
+// advance moves the head to next, past the oldest entry; an emptied block
+// goes behind the spares.
+func (q *Pairs) advance(next uint) {
+	q.head = next
 	q.n--
-	if q.head > last {
+	if next > last {
 		blk := q.blocks[0]
 		copy(q.blocks, q.blocks[1:])
 		q.blocks[len(q.blocks)-1] = blk
@@ -104,12 +117,12 @@ func (q *Pairs) All() iter.Seq2[int64, int64] {
 	return func(yield func(a, b int64) bool) {
 		i, p := 0, q.head
 		for k := 0; k < q.n; k++ {
-			var a, b int64
-			a, b, p = get(q.blocks[i], p)
+			ua, ub, next := get(q.blocks[i], p)
+			p = next
 			if p > last {
 				i, p = i+1, 0
 			}
-			if !yield(a, b) {
+			if !yield(unzigzag(ua), unzigzag(ub)) {
 				return
 			}
 		}
@@ -123,15 +136,19 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// get decodes the entry at offset p ≤ last of blk and returns it and the
-// offset past it. A value of length l is the low l bytes of the word at its
-// start; a shift by 64 is 0 in Go, so the mask of an 8-byte value is all
-// ones. Reducing p modulo BlockBytes, here and in Pop, changes nothing but
-// lets the compiler drop the tag's bounds check.
-func get(blk *block, p uint) (a, b int64, next uint) {
+// get decodes the entry at offset p ≤ last of blk into its two zigzagged
+// values and returns them and the offset past it. A value of length l is
+// the low l bytes of the word at its start, cut by a table of masks rather
+// than a shift by a variable count, which keeps get small enough to inline:
+// a Pop is one call. Reducing p modulo BlockBytes, here and in Drop,
+// changes nothing but lets the compiler drop the tag's bounds check.
+func get(blk *block, p uint) (ua, ub uint64, next uint) {
 	tag := uint(blk[p%BlockBytes])
 	la, lb := tag&15, tag>>4
-	ua := binary.LittleEndian.Uint64(blk[p+1:]) & (1<<(8*la) - 1)
-	ub := binary.LittleEndian.Uint64(blk[p+1+la:]) & (1<<(8*lb) - 1)
-	return unzigzag(ua), unzigzag(ub), p + 1 + la + lb
+	return word(blk, p+1) & lenMask[la], word(blk, p+1+la) & lenMask[lb], p + 1 + la + lb
 }
+
+// lenMask[l] keeps the low l bytes of a word.
+var lenMask = [16]uint64{0, 1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1, 1<<40 - 1, 1<<48 - 1, 1<<56 - 1, 1<<64 - 1}
+
+func word(blk *block, p uint) uint64 { return binary.LittleEndian.Uint64(blk[p:]) }

@@ -30,10 +30,10 @@ func value(rng *rand.Rand) int64 {
 }
 
 // TestQueueMatchesSlice drives a Pairs and a plain slice with one random
-// sequence of pushes, peeks, pops, iterations and resets, across many block boundaries and with entries of
-// every encoded length, and holds every entry and the length to the
-// slice's, and the retained blocks to what the high-water mark of live
-// encoded bytes needs.
+// sequence of pushes, peeks, pops, drops, iterations and resets, across
+// many block boundaries and with entries of every encoded length, and holds
+// every entry and the length to the slice's, and the retained blocks to
+// what the high-water mark of live encoded bytes needs.
 func TestQueueMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q Pairs
@@ -46,12 +46,16 @@ func TestQueueMatchesSlice(t *testing.T) {
 			q.Push(v[0], v[1])
 			want = append(want, v)
 			live += encLen(v)
-		case r < 950:
+		case r < 950: // Front then Drop, or Pop
 			if len(want) > 0 {
 				if a, b := q.Front(); [2]int64{a, b} != want[0] {
 					t.Fatalf("step %d: Front = %v, want %v", step, [2]int64{a, b}, want[0])
 				}
-				q.Pop()
+				if r%2 == 0 {
+					q.Drop()
+				} else if a, b := q.Pop(); [2]int64{a, b} != want[0] {
+					t.Fatalf("step %d: Pop = %v, want %v", step, [2]int64{a, b}, want[0])
+				}
 				live -= encLen(want[0])
 				want = want[1:]
 			}

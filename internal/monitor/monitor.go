@@ -102,7 +102,7 @@ func (m *Monitor) Advance(now stream.Time) {
 		if ts >= bound {
 			break
 		}
-		m.points.Pop()
+		m.points.Drop()
 		m.poppedTS = ts
 		m.produced -= n
 	}

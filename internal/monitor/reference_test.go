@@ -169,8 +169,8 @@ func mergeRuns(st State) State {
 // internal/fifo each fail it:
 //   - an entry allowed to straddle a block (last = BlockBytes − 9 in place
 //     of BlockBytes − MaxEntry): an index panic in the second part;
-//   - a zigzag write decoded as unsigned (get returning int64(ua),
-//     int64(ub)): seed 1, step 14;
+//   - a zigzag write decoded as unsigned (unzigzag returning int64(u)):
+//     seed 1, step 14;
 //   - the open point's count dropped on a block switch (Push clearing the
 //     count's length in the tag of a point that closes its block): the
 //     second part, from 0, at point 576.

@@ -404,12 +404,12 @@ func observeBoth(t *testing.T, n int, mgr *Manager, ref *refManager, e *stream.T
 // The "lengths" and "near-max" feeds put delays and skews of every encoded
 // length into R^stat. Three mutations of internal/fifo each fail it:
 //   - an entry allowed to straddle a block (last = BlockBytes − 9 in place
-//     of BlockBytes − MaxEntry): an index panic on random-m4;
-//   - a zigzag write decoded as unsigned (get returning int64(ua),
-//     int64(ub)): x3's histograms differ at once;
+//     of BlockBytes − MaxEntry): an index panic;
+//   - a zigzag write decoded as unsigned (unzigzag returning int64(u)): the
+//     histograms differ within the first arrivals of every feed;
 //   - the count dropped on a block switch (Push clearing the second
 //     value's length in the tag of an entry that closes its block): the
-//     skews, and so the state, differ on random-m2.
+//     skews, and so KSync or the state, differ.
 func TestMatchesReference(t *testing.T) {
 	configs := []struct {
 		name           string

@@ -141,8 +141,7 @@ func (m *Manager) push(ss *streamStats, delay, skew stream.Time) {
 	ss.sumSkew += int64(skew)
 	ss.hist.Add(delay)
 	for ss.history.Len() > target {
-		oldDelay, oldSkew := ss.history.Front()
-		ss.history.Pop()
+		oldDelay, oldSkew := ss.history.Pop()
 		ss.sumSkew -= oldSkew
 		ss.hist.Remove(stream.Time(oldDelay))
 	}
