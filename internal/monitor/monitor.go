@@ -14,8 +14,8 @@
 // the arrival rate. The points sit in a fifo.Pairs, each as two zigzag
 // varints — its timestamp less the previous point's, which measures smaller
 // than the timestamp itself, and its count — so a point takes 3 to 5 bytes
-// on x3 where two int64s took 16; the FIFO retains its live high-water mark once
-// and never copies at a decision. The newest point stays open in the
+// on x3 where two int64s took 16; the FIFO retains its live high-water mark
+// once and never copies at a decision. The newest point stays open in the
 // Monitor until a result of another timestamp arrives.
 package monitor
 
@@ -39,7 +39,7 @@ type Monitor struct {
 
 	points   fifo.Pairs  // live as (ts − the previous point's ts, n), in append order, but for the newest
 	poppedTS stream.Time // ts of the last point popped: the base of the oldest's delta
-	pushedTS stream.Time // ts of the newest point committed: the base of the next one's delta
+	pushedTS stream.Time // ts of the newest point pushed: the base of the next one's delta
 	open     resultPoint // the newest point, still absorbing its timestamp; live when n > 0
 	produced int64       // total produced within [now-span, now]
 
