@@ -43,6 +43,15 @@
 // cuts where the unfiltered scan cuts, bit for bit: TestMatchesReference
 // holds it against that scan, TestFilterCoversReferenceRounding aims at the
 // ulps (it fails at margin 0 and passes from 2⁻⁵² up; 2⁻³² leaves 2²⁰ to spare).
+//
+// A cut drops the oldest bucket and tests again until no boundary violates:
+// a cascade of drops. Whichever boundary violates, the drop is the same, so
+// after a drop at boundary k (the split after the k+1 oldest buckets) Add
+// first runs the exact test at boundary k − 1 — the same split, one bucket
+// fewer in front of it — with (n0, s0) summed oldest first as the scan sums
+// them. A hit drops again without a scan; a miss falls back to the full
+// filtered scan, and every cascade ends with one that finds nothing. On x3
+// ≈ 80 % of the drops are hits (TestFilterRateOnX3 gates ≥ 75 %).
 package adwin
 
 import (
@@ -122,7 +131,9 @@ type Window struct {
 	// bound of dd. Derived state, not serialized: zero forces a refresh.
 	ddLo, ddAt float64
 
-	exactTests int64 // boundaries that reached cutViolated; read by tests only
+	// Read by tests only: boundaries that reached cutViolated, and drops the
+	// resumed test found without a full scan.
+	exactTests, resumeHits int64
 }
 
 // New creates an ADWIN window with confidence parameter delta ∈ (0,1);
@@ -146,11 +157,20 @@ func (w *Window) Add(x float64) bool {
 		return false
 	}
 	w.sinceCut = 0
-	dropped := false
-	for w.dropOnce() {
-		dropped = true
+	at := w.scan()
+	if at < 0 {
+		return false
 	}
-	return dropped
+	for {
+		w.dropOldestBucket()
+		// The split that cut is boundary at − 1 now; test it first.
+		if at > 0 && w.violatedAt(at-1) {
+			at--
+			w.resumeHits++
+		} else if at = w.scan(); at < 0 {
+			return true
+		}
+	}
 }
 
 // Len returns the current window length in elements.
@@ -193,12 +213,13 @@ func (w *Window) confidence(n float64) float64 {
 	return math.Log(2 * math.Log(math.Max(n, math.E)) / w.delta)
 }
 
-// dropOnce scans the histogram once and drops the single oldest bucket if
-// some split point violates the cut condition.
-func (w *Window) dropOnce() bool {
+// scan tests the bucket boundaries once, oldest first, and returns the index
+// of the first that violates the cut condition — boundary k splits off the
+// k+1 oldest buckets — or −1 if none does.
+func (w *Window) scan() int {
 	total, sum := w.total, w.sum
 	if total < minLength {
-		return false
+		return -1
 	}
 	// Whole-window state, hoisted out of the boundary scan.
 	v := w.variance()
@@ -211,10 +232,10 @@ func (w *Window) dropOnce() bool {
 	// Walk from the oldest bucket towards the newest, maintaining the tail
 	// aggregate (n0, s0); head aggregate is the complement. Oldest buckets
 	// live in the highest row, at the front of that row.
-	n0, s0 := 0.0, 0.0
+	n0, s0, k := 0.0, 0.0, 0
 	for i := len(w.rows) - 1; i >= 0; i-- {
 		r, size := &w.rows[i], capacity(i)
-		for j := 0; j < r.n; j++ {
+		for j := 0; j < r.n; j, k = j+1, k+1 {
 			n0 += size
 			s0 += r.at(j).sum
 			n1 := total - n0
@@ -226,8 +247,34 @@ func (w *Window) dropOnce() bool {
 			}
 			w.exactTests++
 			if w.cutViolated(n0, s0, n1, sum-s0, v, dd) {
-				w.dropOldestBucket()
-				return true
+				return k
+			}
+		}
+	}
+	return -1
+}
+
+// violatedAt runs the exact cut test at boundary k alone, with (n0, s0)
+// summed oldest first as scan sums them, so it answers bit for bit what scan
+// answers there.
+func (w *Window) violatedAt(k int) bool {
+	total := w.total
+	if total < minLength {
+		return false
+	}
+	n0, s0 := 0.0, 0.0
+	for i := len(w.rows) - 1; i >= 0; i-- {
+		r, size := &w.rows[i], capacity(i)
+		for j := 0; j < r.n; j++ {
+			n0 += size
+			s0 += r.at(j).sum
+			if k--; k < 0 {
+				n1 := total - n0
+				if n1 < 1 {
+					return false
+				}
+				w.exactTests++
+				return w.cutViolated(n0, s0, n1, w.sum-s0, w.variance(), w.confidence(total))
 			}
 		}
 	}

@@ -142,7 +142,8 @@ func TestSharedRequirementNeedsScopeWeights(t *testing.T) {
 // DecideAt — profiler snapshot and reset, Γ′ derivation, the Alg. 3 search
 // over every scope, monitor bookkeeping — allocates nothing, on the single
 // global scope and on a two-scope per-stage loop whose second scope reads a
-// merged (two-stream) left input.
+// merged (two-stream) left input; and on a NoK loop, whose snapshot no one
+// queries, so its out-of-order delays are copied and never sorted.
 func TestDecideAtZeroAllocs(t *testing.T) {
 	w := []stream.Time{2 * stream.Second, 2 * stream.Second, 2 * stream.Second}
 	acfg := adapt.Config{Gamma: 0.95, P: 10 * stream.Second, L: stream.Second}
@@ -154,6 +155,7 @@ func TestDecideAtZeroAllocs(t *testing.T) {
 				{Groups: [][]int{{0, 1}, {2}}, Windows: w[1:]},
 			},
 			SharedRequirement: true, ScopeWeights: []float64{2.0 / 3, 1.0 / 3}}),
+		"nok": New(Config{Windows: w, Adapt: acfg, Policy: NoKPolicy()}),
 	}
 	for name, l := range loops {
 		rng := rand.New(rand.NewSource(9))
@@ -188,7 +190,7 @@ func TestDecideAtZeroAllocs(t *testing.T) {
 			at := interval()
 			l.DecideAt(at, at-500)
 		}
-		if k := l.Ks()[l.Scopes()-1]; k == 0 {
+		if k := l.Ks()[l.Scopes()-1]; k == 0 && name != "nok" {
 			t.Fatalf("%s: warm-up never decided a positive K — the search is not exercised", name)
 		}
 		at := interval()

@@ -17,6 +17,10 @@
 // records where its entries end. Emptied blocks are kept and reused, so the
 // queue retains its live high-water mark once, allocates each block once,
 // allocates nothing once warm and never copies an entry.
+//
+// Each entry's start depends on the previous entry's tag, so removing r
+// entries walks r tags whatever the caller does; Skip walks only them, where
+// a Pop per entry also decodes both values. R^stat's bulk trims use it.
 package fifo
 
 import (
@@ -97,18 +101,37 @@ func (q *Pairs) Drop() {
 	q.advance(q.head + 1 + tag&15 + tag>>4)
 }
 
-// advance moves the head to next, past the oldest entry; an emptied block
-// goes behind the spares.
+// Skip removes the r oldest entries, reading only their tags: for a caller
+// that needs none of their values. The queue must hold at least r entries.
+func (q *Pairs) Skip(r int) {
+	q.n -= r
+	blk, p := q.blocks[0], q.head
+	for ; r > 0; r-- {
+		tag := uint(blk[p%BlockBytes])
+		if p += 1 + tag&15 + tag>>4; p > last {
+			q.retire()
+			blk, p = q.blocks[0], 0
+		}
+	}
+	q.head = p
+}
+
+// advance moves the head to next, past the oldest entry.
 func (q *Pairs) advance(next uint) {
 	q.head = next
 	q.n--
 	if next > last {
-		blk := q.blocks[0]
-		copy(q.blocks, q.blocks[1:])
-		q.blocks[len(q.blocks)-1] = blk
+		q.retire()
 		q.head = 0
-		q.tail -= BlockBytes
 	}
+}
+
+// retire moves the emptied oldest block behind the spares.
+func (q *Pairs) retire() {
+	blk := q.blocks[0]
+	copy(q.blocks, q.blocks[1:])
+	q.blocks[len(q.blocks)-1] = blk
+	q.tail -= BlockBytes
 }
 
 // All yields the live entries, oldest first. The queue must not change

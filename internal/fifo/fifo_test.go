@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,15 +30,38 @@ func value(rng *rand.Rand) int64 {
 	return v
 }
 
+// skipCount returns how many entries a Skip of the given kind removes from
+// a queue holding want: none, one, the fewest whose encoded bytes fill a
+// block — so the skip crosses at least one closed block — or all. A queue
+// too short for the kind gives all.
+func skipCount(kind int, want [][2]int64) int {
+	switch kind {
+	case 0:
+		return 0
+	case 1:
+		return min(1, len(want))
+	case 2:
+		for k, bytes := 0, 0; k < len(want); k++ {
+			if bytes += encLen(want[k]); bytes >= BlockBytes {
+				return k + 1
+			}
+		}
+	}
+	return len(want)
+}
+
 // TestQueueMatchesSlice drives a Pairs and a plain slice with one random
-// sequence of pushes, peeks, pops, drops, iterations and resets, across
-// many block boundaries and with entries of every encoded length, and holds
-// every entry and the length to the slice's, and the retained blocks to
-// what the high-water mark of live encoded bytes needs.
+// sequence of pushes, peeks, pops, drops, skips, iterations and resets,
+// across many block boundaries and with entries of every encoded length, and
+// holds every entry and the length to the slice's, and the retained blocks
+// to what the high-water mark of live encoded bytes needs. The skips remove
+// none, one, a block's worth or all of the entries. A Skip that reads one
+// entry short, or one that forgets to retire the blocks it empties, fails it.
 func TestQueueMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q Pairs
 	var want [][2]int64
+	var skips [4]int   // nonempty skips of each kind
 	live, peak := 0, 0 // encoded bytes
 	for step := 0; step < 200000; step++ {
 		switch r := rng.Intn(1000); {
@@ -70,9 +94,20 @@ func TestQueueMatchesSlice(t *testing.T) {
 			if i != len(want) {
 				t.Fatalf("step %d: All yielded %d entries, want %d", step, i, len(want))
 			}
-		default:
+		case step%2 == 0:
 			q.Reset()
 			want, live = want[:0], 0
+		default: // a Skip of each kind in turn
+			kind := step / 2 % 4
+			k := skipCount(kind, want)
+			q.Skip(k)
+			for _, v := range want[:k] {
+				live -= encLen(v)
+			}
+			if len(want) > 0 && (kind != 2 || k < len(want)) {
+				skips[kind]++
+			}
+			want = want[k:]
 		}
 		if q.Len() != len(want) {
 			t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(want))
@@ -86,5 +121,9 @@ func TestQueueMatchesSlice(t *testing.T) {
 	}
 	if peak < 4*BlockBytes {
 		t.Fatalf("high-water mark %d bytes: the queue never spanned several blocks", peak)
+	}
+	t.Logf("high-water mark %d bytes; skips of none, one, a block's worth and all: %v", peak, skips)
+	if slices.Contains(skips[:], 0) {
+		t.Fatalf("skips of none, one, a block's worth and all on a nonempty queue: %v; each must run", skips)
 	}
 }

@@ -12,6 +12,12 @@
 // From the maps the profiler estimates the selectivity ratio
 // sel^on(K) / sel^on of Eq. (6) for any candidate K, and the true result
 // size N^on_true(L) of the last interval as ΣM^on[d].
+//
+// Every policy takes a Snapshot at every interval boundary, but only the
+// model policy asks it for ratios. So the snapshot copies the interval's
+// out-of-order delays and takes their maximum, and sorts its copy on the
+// first SelRatio or SelRatioBound: NoK, Static and MaxK decisions, and tree
+// scopes of weight 0, never sort.
 package profiler
 
 import (
@@ -141,11 +147,13 @@ type Snapshot struct {
 
 	// The maps, never materialised: prefix sums of the in-order part over
 	// coarse delays (cumOn[d] = Σ_{d'≤d} on[d'], likewise cumCross) plus the
-	// interval's out-of-order coarse delays in ascending order, each standing
-	// for one (maxOn, maxCross) charge. SelRatio adds the two per query: a
-	// lookup and a binary search, whatever delay a straggler carried.
+	// interval's out-of-order coarse delays, each standing for one (maxOn,
+	// maxCross) charge. SelRatio adds the two per query: a lookup and a
+	// binary search, whatever delay a straggler carried. ooo is the
+	// snapshot's own copy, sorted by the first query (sorted).
 	cumOn, cumCross []int64
 	ooo             []int
+	sorted          bool
 	maxOn, maxCross int64
 	totOn, totCross int64
 
@@ -156,17 +164,18 @@ type Snapshot struct {
 
 // Snapshot charges the pending out-of-order estimates and returns the
 // interval view. It does not reset the profiler; call Reset separately at
-// the start of the next interval.
+// the start of the next interval. It copies the out-of-order delays and
+// takes their maximum but leaves the sort to the first ratio query.
 func (p *Profiler) Snapshot() *Snapshot {
 	s := &p.snap
 	s.g = p.g
 	s.inOrder = p.inOrder
 	s.maxOn, s.maxCross = p.maxOn, p.maxCross
 	s.ooo = append(s.ooo[:0], p.pendingOOO...)
-	slices.Sort(s.ooo)
+	s.sorted = false
 	s.maxDM = p.top
-	if k := len(s.ooo); k > 0 && s.ooo[k-1] > s.maxDM {
-		s.maxDM = s.ooo[k-1]
+	for _, d := range s.ooo {
+		s.maxDM = max(s.maxDM, d)
 	}
 	s.cumOn, s.cumCross = s.cumOn[:0], s.cumCross[:0]
 	var on, cross int64
@@ -318,6 +327,10 @@ func (s *Snapshot) prefix(k stream.Time) (on, cross int64) {
 	if n := len(s.cumOn); n > 0 {
 		d := min(kb, n-1)
 		on, cross = s.cumOn[d], s.cumCross[d]
+	}
+	if !s.sorted {
+		slices.Sort(s.ooo)
+		s.sorted = true
 	}
 	le, _ := slices.BinarySearch(s.ooo, kb+1) // out-of-order tuples with coarse delay ≤ kb
 	on += int64(le) * s.maxOn

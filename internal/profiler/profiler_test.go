@@ -3,6 +3,7 @@ package profiler
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/hist"
@@ -249,3 +250,81 @@ func TestSelRatioBoundCoversRange(t *testing.T) {
 		p.Reset()
 	}
 }
+
+// TestLazySortMatchesEager: a snapshot sorts its out-of-order delays on the
+// first ratio query, not when it is taken. Taken, then followed by a Reset
+// and a fresh interval's records — the order in which the feedback loop
+// drives it — it must answer every SelRatio and SelRatioBound exactly as a
+// copy sorted when it was taken. Sorting the profiler's pending delays in
+// place rather than the snapshot's own copy fails it: the fresh interval
+// overwrites them.
+func TestLazySortMatchesEager(t *testing.T) {
+	disableGuard(t)
+	rng := rand.New(rand.NewSource(39))
+	p := New(10)
+	record := func() {
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			d := stream.Time(rng.Intn(900))
+			if rng.Intn(3) == 0 {
+				p.RecordOutOfOrder(d * stream.Time(1+rng.Intn(4)))
+				continue
+			}
+			p.RecordInOrder(d, int64(rng.Intn(50)), int64(rng.Intn(9)))
+		}
+	}
+	record()
+	for interval := 0; interval < 200; interval++ {
+		s := p.Snapshot()
+		eager := *s
+		eager.ooo = slices.Clone(s.ooo)
+		slices.Sort(eager.ooo)
+		eager.sorted = true
+		p.Reset()
+		record() // the next interval, before the decision reads the snapshot
+		for q := 0; q < 40; q++ {
+			lo := stream.Time(rng.Intn(400)) * 10
+			hi := lo + stream.Time(rng.Intn(64))*10
+			if got, want := s.SelRatio(lo), eager.SelRatio(lo); got != want {
+				t.Fatalf("interval %d: SelRatio(%d) = %v, eagerly sorted %v", interval, lo, got, want)
+			}
+			if got, want := s.SelRatioBound(lo, hi), eager.SelRatioBound(lo, hi); got != want {
+				t.Fatalf("interval %d: SelRatioBound(%d, %d) = %v, eagerly sorted %v", interval, lo, hi, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkSnapshot prices taking one interval's snapshot — ≈ 2 700
+// in-order and 900 out-of-order records — alone, as the NoK, Static and MaxK
+// policies take it, and followed by one SelRatio query, which sorts the
+// out-of-order delays as the model policy's first query does.
+func BenchmarkSnapshot(b *testing.B) {
+	for _, query := range []bool{false, true} {
+		name := "snapshot"
+		if query {
+			name = "snapshot+selratio"
+		}
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			p := New(10)
+			for i := 0; i < 3600; i++ {
+				d := stream.Time(rng.ExpFloat64() * 300)
+				if i%4 == 0 {
+					p.RecordOutOfOrder(d + 800)
+					continue
+				}
+				p.RecordInOrder(d, 40, int64(rng.Intn(8)))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := p.Snapshot()
+				if query {
+					ratioSink = s.SelRatio(500)
+				}
+			}
+		})
+	}
+}
+
+var ratioSink float64

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/adwin"
 	"repro/internal/gen"
@@ -402,7 +403,18 @@ func observeBoth(t *testing.T, n int, mgr *Manager, ref *refManager, e *stream.T
 // rescanning Manager it replaced: every query answers the same after every
 // Observe, the serialized state is deep-equal, through one State→Restore.
 // The "lengths" and "near-max" feeds put delays and skews of every encoded
-// length into R^stat. Three mutations of internal/fifo each fail it:
+// length into R^stat. The reference pops every trimmed entry; Manager
+// rebuilds the histogram and the skew sum from the kept entries when a trim
+// removes more than it keeps, as most of ADWIN's cuts on x3 do, and the
+// "trims/…" rows force each shape of trim on both paths (trimShapes). Three
+// mutations of the trim each fail it:
+//   - Skip one entry short (history.Skip(r − 1)): HistoryLen differs;
+//   - a rebuild that keeps the old skew sum (no ss.sumSkew = 0): KSync
+//     differs;
+//   - a rebuild that adds the removed entries too (Skip after the rebuild):
+//     the histograms differ.
+//
+// Three mutations of internal/fifo each fail it:
 //   - an entry allowed to straddle a block (last = BlockBytes − 9 in place
 //     of BlockBytes − MaxEntry): an index panic;
 //   - a zigzag write decoded as unsigned (unzigzag returning int64(u)): the
@@ -421,6 +433,9 @@ func TestMatchesReference(t *testing.T) {
 		{"fixed2000-cap1500", 2000, 1500},
 	}
 	for name, f := range differentialFeeds() {
+		if name == "x3" || name == "random-m2" {
+			t.Run("trims/"+name, func(t *testing.T) { testTrimShapes(t, f.m, f.batch) })
+		}
 		for _, cfg := range configs {
 			t.Run(name+"/"+cfg.name, func(t *testing.T) {
 				const g = 10
@@ -453,6 +468,73 @@ func TestMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// trimShapes are the trims TestMatchesReference forces: a history of
+// trimFrom entries restored into a manager that keeps fixed entries, so the
+// next arrival on each stream trims trimFrom + 1 entries to fixed; fixed 0
+// restores into an ADWIN manager, whose fresh window keeps only the new
+// entry. rebuild says whether the trim takes the rebuild path.
+const trimFrom = 2001
+
+var trimShapes = []struct {
+	name    string
+	fixed   int
+	rebuild bool
+}{
+	{"removed<kept", 1335, false},
+	{"removed=kept", (trimFrom + 1) / 2, false},
+	{"removed>kept", 300, true},
+	{"all-but-new", 1, true},
+	{"adwin-all-but-new", 0, true},
+}
+
+// testTrimShapes runs the trimShapes on a feed: both managers observe it at a
+// fixed history of trimFrom until every stream's history is full, restore
+// that state into the shape's configuration, and must then answer alike
+// through the rest of the feed.
+func testTrimShapes(t *testing.T, m int, batch stream.Batch) {
+	const g = 10
+	for _, sh := range trimShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			mgr, ref := NewManager(m, g, WithFixedHistory(trimFrom)), newRefManager(m, g, trimFrom, maxHistory)
+			warm, full := 0, 0
+			for ; full < m && warm < len(batch)*2/3; warm++ {
+				e := batch[warm]
+				observeBoth(t, warm, mgr, ref, e)
+				if mgr.HistoryLen(e.Src) == trimFrom && mgr.streams[e.Src].arrivals == trimFrom {
+					full++
+				}
+			}
+			if full < m {
+				t.Fatalf("%d of %d histories full after two thirds of the feed", full, m)
+			}
+			st := mgr.State()
+			if !reflect.DeepEqual(st, ref.State()) {
+				t.Fatal("State differs from the reference before the restore")
+			}
+			var opts []Option
+			if sh.fixed > 0 {
+				opts = append(opts, WithFixedHistory(sh.fixed))
+			}
+			mgr, ref = NewManager(m, g, opts...), newRefManager(m, g, sh.fixed, maxHistory)
+			mgr.Restore(st)
+			ref.Restore(st)
+			trimmed := make([]bool, m)
+			for n, e := range batch[warm:] {
+				cleared := mgr.streams[e.Src].cleared
+				first := !trimmed[e.Src]
+				trimmed[e.Src] = true
+				observeBoth(t, warm+n, mgr, ref, e)
+				if rebuilt := mgr.streams[e.Src].cleared != cleared; first && rebuilt != sh.rebuild {
+					t.Fatalf("stream %d: the trim of %d entries to %d rebuilt = %v, want %v", e.Src, trimFrom+1, mgr.HistoryLen(e.Src), rebuilt, sh.rebuild)
+				}
+				if n%509 == 0 && !reflect.DeepEqual(mgr.State(), ref.State()) {
+					t.Fatalf("arrival %d: State differs from the reference", warm+n)
+				}
+			}
+		})
 	}
 }
 
@@ -617,7 +699,10 @@ func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkObserve prices one raw arrival on the three feeds; flip64 is the
-// worst case that must stay no slower than the unfiltered scan.
+// worst case that must stay no slower than the unfiltered scan. After the
+// timed loop it times up to 2¹⁸ more arrivals one by one and reports the mean
+// of the slowest 1 % as tail-ns/op: the arrivals that carry an ADWIN cut and
+// its trim of R^stat, which the mean hides.
 func BenchmarkObserve(b *testing.B) {
 	for _, of := range observeFeeds {
 		b.Run(of.name, func(b *testing.B) {
@@ -631,6 +716,27 @@ func BenchmarkObserve(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mgr.Observe(f.next())
 			}
+			b.StopTimer()
+			b.ReportMetric(tailNs(mgr, f, min(b.N, 1<<18)), "tail-ns/op")
 		})
 	}
+}
+
+// tailNs times the next n arrivals of f one by one and returns the mean of
+// the slowest 1 %, in ns.
+func tailNs(mgr *Manager, f *lapFeed, n int) float64 {
+	ns := make([]int64, n)
+	for i := range ns {
+		e := f.next()
+		t0 := time.Now()
+		mgr.Observe(e)
+		ns[i] = time.Since(t0).Nanoseconds()
+	}
+	slices.Sort(ns)
+	var sum int64
+	slowest := ns[n-max(1, n/100):]
+	for _, d := range slowest {
+		sum += d
+	}
+	return float64(sum) / float64(len(slowest))
 }

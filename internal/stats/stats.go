@@ -15,6 +15,12 @@
 // call, and a warmed Manager allocates nothing. The history is a fifo.Pairs:
 // each (delay, skew) entry takes two zigzag varints in recycled byte blocks,
 // 2 to 5 bytes on the gated feeds where a pair of Times took 16.
+//
+// An ADWIN cut trims R^stat in one push, usually by more than it keeps (on
+// the x3 feed most cuts do). Such a trim skips the removed entries by their
+// tags and rebuilds the histogram and the skew sum from the kept ones
+// instead of decoding and un-counting every removed entry; a short trim, or
+// one while a delay of hours stretches the histogram, pops as before (trim).
 package stats
 
 import (
@@ -39,6 +45,7 @@ type streamStats struct {
 	delays  [1]*hist.Histogram // {hist}: what Delays hands out, built once
 	history fifo.Pairs         // R^stat_i as (delay, skew = iT − min_j jT at arrival); ADWIN shrinks and regrows it
 	sumSkew int64
+	cleared int64 // histogram buckets the trims' rebuilds cleared; read by tests only
 
 	seen     bool
 	arrivals int64
@@ -140,10 +147,41 @@ func (m *Manager) push(ss *streamStats, delay, skew stream.Time) {
 	ss.history.Push(int64(delay), int64(skew))
 	ss.sumSkew += int64(skew)
 	ss.hist.Add(delay)
-	for ss.history.Len() > target {
-		oldDelay, oldSkew := ss.history.Pop()
-		ss.sumSkew -= oldSkew
-		ss.hist.Remove(stream.Time(oldDelay))
+	if r := ss.history.Len() - target; r > 0 {
+		ss.trim(r)
+	}
+}
+
+// clearPerEntry is how many histogram buckets a rebuild clears in the time a
+// trim pops one entry.
+const clearPerEntry = 64
+
+// trim removes the r oldest entries of R^stat and their share of the
+// histogram and the skew sum. Popping pays a decode and a histogram removal
+// per removed entry; a rebuild skips the removed entries by their tags,
+// clears the histogram and re-adds the kept entries, so it pays per kept
+// entry and per histogram bucket. An ADWIN cut usually removes more than it
+// keeps. The buckets count because one long delay stretches the histogram
+// to up to hist.MaxBuckets: while such a delay is live a rebuild would clear
+// 8 MB, and the trim pops instead. Either way the history, the histogram and
+// the skew sum end as popping leaves them.
+func (ss *streamStats) trim(r int) {
+	keep := ss.history.Len() - r
+	if r <= keep+len(ss.hist.Counts())/clearPerEntry {
+		for ; r > 0; r-- {
+			delay, skew := ss.history.Pop()
+			ss.sumSkew -= skew
+			ss.hist.Remove(stream.Time(delay))
+		}
+		return
+	}
+	ss.history.Skip(r)
+	ss.cleared += int64(len(ss.hist.Counts()))
+	ss.hist.Reset()
+	ss.sumSkew = 0
+	for delay, skew := range ss.history.All() {
+		ss.sumSkew += skew
+		ss.hist.Add(stream.Time(delay))
 	}
 }
 

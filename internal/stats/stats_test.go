@@ -2,10 +2,12 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/fifo"
 	"repro/internal/gen"
+	"repro/internal/hist"
 	"repro/internal/stream"
 )
 
@@ -177,4 +179,43 @@ func TestRetainedBytesPerEntry(t *testing.T) {
 		t.Logf("stream %d: %d bytes retained, %.2f per entry of the cap", i, m.streams[i].history.Blocks()*fifo.BlockBytes,
 			float64(m.streams[i].history.Blocks()*fifo.BlockBytes)/maxHistory)
 	}
+}
+
+// TestTrimNeverClearsLongHistogram: one delay past hist.MaxBuckets·g (≈ 2.9 h
+// at g = 10 ms) stretches a histogram to hist.MaxBuckets buckets, 8 MB. On a
+// feed where such delays are always live — a tenth of the arrivals, then
+// seven tenths, in turns that ADWIN cuts at — a trim that removes more than
+// it keeps must still pop rather than rebuild: no rebuild clears a long
+// histogram. Without the histogram's length in the trim's cost rule each of
+// these cuts clears 2²⁰ buckets.
+func TestTrimNeverClearsLongHistogram(t *testing.T) {
+	const g = 10
+	long := stream.Time(hist.MaxBuckets) * g * 4
+	m := NewManager(1, g)
+	ss := &m.streams[0]
+	rng := rand.New(rand.NewSource(3))
+	now := stream.Time(0)
+	cuts := 0 // trims that removed more than they kept with a long delay live before and after
+	for i := 0; i < 60000 && cuts < 200; i++ {
+		now += 10
+		ts := now - stream.Time(rng.Intn(100))
+		if p := []int{10, 70}[i/300%2]; rng.Intn(100) < p {
+			ts = now - long - stream.Time(rng.Intn(1000))
+		}
+		before, wasLong, cleared := m.HistoryLen(0), len(m.Hist(0).Counts()) == hist.MaxBuckets, ss.cleared
+		m.Observe(&stream.Tuple{TS: ts, Src: 0, Seq: uint64(i)})
+		after := m.HistoryLen(0)
+		if wasLong && len(m.Hist(0).Counts()) == hist.MaxBuckets {
+			if ss.cleared != cleared {
+				t.Fatalf("arrival %d: a trim of %d entries to %d cleared %d buckets of a long histogram", i, before+1, after, ss.cleared-cleared)
+			}
+			if before+1-after > after {
+				cuts++
+			}
+		}
+	}
+	if cuts < 100 {
+		t.Fatalf("%d cuts removed more than they kept with a long delay live: the guard is not exercised", cuts)
+	}
+	t.Logf("%d cuts removed more than they kept with a long delay live; %d buckets cleared in all", cuts, ss.cleared)
 }
