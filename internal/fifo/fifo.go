@@ -102,8 +102,12 @@ func (q *Pairs) Drop() {
 }
 
 // Skip removes the r oldest entries, reading only their tags: for a caller
-// that needs none of their values. The queue must hold at least r entries.
+// that needs none of their values. The queue must hold at least r entries;
+// Skip(0) is a no-op even on a zero Pairs, which holds no block yet.
 func (q *Pairs) Skip(r int) {
+	if r == 0 {
+		return
+	}
 	q.n -= r
 	blk, p := q.blocks[0], q.head
 	for ; r > 0; r-- {
