@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,6 +13,7 @@ import (
 	"math/rand"
 
 	"repro/internal/adapt"
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/stream"
 )
@@ -106,22 +106,8 @@ func goldenConfigs() []struct {
 func traceRun(t *testing.T, name string, mk func(emit func(stream.Result)) Config, inputs stream.Batch) goldenRun {
 	t.Helper()
 	g := goldenRun{Name: name}
-	hOrd := fnv.New64a()
-	var buf [8]byte
-	hashResult := func(r stream.Result) uint64 {
-		h := fnv.New64a()
-		for _, tp := range r.Tuples {
-			putU64(&buf, tp.Seq)
-			h.Write(buf[:])
-		}
-		return h.Sum64()
-	}
-	cfg := mk(func(r stream.Result) {
-		hr := hashResult(r)
-		putU64(&buf, hr)
-		hOrd.Write(buf[:])
-		g.SetHash += hr // commutative: multiset hash
-	})
+	h := difftest.NewHash()
+	cfg := mk(h.Emit)
 	cfg.OnAdapt = func(ev AdaptEvent) {
 		g.Ks = append(g.Ks, int64(ev.NewK))
 		g.GammaPrimes = append(g.GammaPrimes, math.Float64bits(ev.GammaPrime))
@@ -129,15 +115,9 @@ func traceRun(t *testing.T, name string, mk func(emit func(stream.Result)) Confi
 	p := New(cfg)
 	p.Run(inputs.Clone())
 	g.Results = p.Results()
-	g.OrderedHash = hOrd.Sum64()
+	g.OrderedHash, g.SetHash = h.Ordered(), h.Set
 	g.AvgKBits = math.Float64bits(p.AvgK())
 	return g
-}
-
-func putU64(buf *[8]byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
 }
 
 // TestGoldenFeedbackTrace asserts that the pipeline's K trajectories, Γ′

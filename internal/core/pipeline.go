@@ -190,7 +190,6 @@ func New(cfg Config) *Pipeline {
 		p.tree.SetProdHook(p.onStage)
 		p.tree.SetInjector(cfg.Inject)
 		lcfg.Scopes, lcfg.ScopeWeights, p.leaves = p.tree.Scopes()
-		lcfg.SharedRequirement = true
 	case cfg.Sharding.Shards > 1 || cfg.NewRuntime != nil:
 		scfg := shard.Config{
 			N:           max(cfg.Sharding.Shards, 1),

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"repro/internal/leakcheck"
-	"sort"
 	"testing"
 
 	"repro/internal/adapt"
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/kslack"
 	"repro/internal/oracle"
@@ -202,18 +202,12 @@ func TestConservationThroughPipeline(t *testing.T) {
 // Only results with timestamps inside [lo, hi] are collected: the theorem
 // describes steady-state equivalence, and the first/last moments of a finite
 // run (empty buffers, final flush) are excluded.
-func runPerStreamK(ks []stream.Time, in stream.Batch, cond *join.Condition, windows []stream.Time, lo, hi stream.Time) map[string]int {
-	results := map[string]int{}
-	op := join.New(cond, windows, join.WithEmit(func(r stream.Result) {
-		if r.TS < lo || r.TS > hi {
-			return
+func runPerStreamK(ks []stream.Time, in stream.Batch, cond *join.Condition, windows []stream.Time, lo, hi stream.Time) *difftest.Run {
+	r := difftest.NewRun()
+	op := join.New(cond, windows, join.WithEmit(func(res stream.Result) {
+		if res.TS >= lo && res.TS <= hi {
+			r.Emit(res)
 		}
-		seqs := make([]uint64, len(r.Tuples))
-		for i, tu := range r.Tuples {
-			seqs[i] = tu.Seq
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		results[fmt.Sprint(seqs)]++
 	}))
 	sy := syncer.New(len(ks), op.Process)
 	buffers := make([]*kslack.Buffer, len(ks))
@@ -230,19 +224,7 @@ func runPerStreamK(ks []stream.Time, in stream.Batch, cond *join.Condition, wind
 	for i := range ks {
 		sy.Close(i)
 	}
-	return results
-}
-
-func sameResults(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+	return r
 }
 
 // TestSameKTheoremSynchronized verifies Theorem 1 for synchronized streams:
@@ -261,10 +243,7 @@ func TestSameKTheoremSynchronized(t *testing.T) {
 			k = c[1]
 		}
 		same := runPerStreamK([]stream.Time{k, k}, in, equi2(), w, lo, hi)
-		if !sameResults(mixed, same) {
-			t.Fatalf("config %v (%d results) not equivalent to same-K %d (%d results)",
-				c, len(mixed), k, len(same))
-		}
+		difftest.Compare(t, fmt.Sprintf("config %v against same-K %d", c, k), same, mixed)
 	}
 }
 
@@ -307,9 +286,6 @@ func TestSameKTheoremSkewedStreams(t *testing.T) {
 		lo, hi := in[0].TS+1000, in.MaxTS()-1000
 		mixed := runPerStreamK([]stream.Time{k0, k1}, in, equi2(), w, lo, hi)
 		same := runPerStreamK([]stream.Time{k, k}, in, equi2(), w, lo, hi)
-		if !sameResults(mixed, same) {
-			t.Fatalf("skewed config %v (%d) not equivalent to same-K %d (%d)",
-				c, len(mixed), k, len(same))
-		}
+		difftest.Compare(t, fmt.Sprintf("skewed config %v against same-K %d", c, k), same, mixed)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"repro/internal/leakcheck"
@@ -15,43 +13,40 @@ import (
 	"repro/internal/stream"
 )
 
-// ckptState is the gob envelope used by the round-trip tests: the pipeline
-// state plus the tuple table it references.
-type ckptState struct {
-	Tuples []fault.TupleRec
-	State  State
+// capture points cfg's result sink and adaptation hook at a fresh run.
+func capture(cfg *Config) *difftest.Run {
+	r := difftest.NewRun()
+	r.Ks = []difftest.KStep{}
+	cfg.Emit = r.Emit
+	cfg.OnAdapt = func(ev AdaptEvent) { r.Adapt(difftest.KStep(ev)) }
+	return r
 }
 
-// gobRoundTrip forces the state through a real encode/decode cycle so the
-// test exercises exactly what a file checkpoint would.
-func gobRoundTrip(t *testing.T, st State, tt *fault.TupleTable) (State, *fault.TupleArena) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ckptState{Tuples: tt.Recs, State: st}); err != nil {
-		t.Fatalf("encode: %v", err)
+// run pushes the workload through a pipeline and captures its results,
+// K trajectory and counters.
+func run(cfg Config, in stream.Batch) *difftest.Run {
+	r := capture(&cfg)
+	p := New(cfg)
+	for _, e := range in.Clone() {
+		p.Push(e)
 	}
-	var out ckptState
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	return out.State, fault.NewTupleArena(out.Tuples)
+	p.Finish()
+	r.Count, r.AvgK = p.Results(), p.AvgK()
+	return r
 }
 
 // runInterrupted pushes in[:cut], checkpoints through gob, restores into a
-// fresh pipeline, pushes the rest, and returns the combined observables.
-func runInterrupted(t *testing.T, cfg Config, in []*stream.Tuple, cut int) (int64, float64, int64, map[string]int) {
+// fresh pipeline, pushes the rest, and returns the combined capture.
+func runInterrupted(t *testing.T, cfg Config, in stream.Batch, cut int) *difftest.Run {
 	t.Helper()
-	multiset := map[string]int{}
-	emit := func(r stream.Result) { multiset[difftest.Sig(r.Tuples)]++ }
-	cfg.Emit = emit
-
+	r := capture(&cfg)
 	p := New(cfg)
-	work := clone(in)
+	work := in.Clone()
 	for _, e := range work[:cut] {
 		p.Push(e)
 	}
 	tt := fault.NewTupleTable()
-	st, ta := gobRoundTrip(t, p.Checkpoint(tt), tt)
+	st, ta := difftest.GobRoundTrip(t, p.Checkpoint(tt), tt)
 	// The first pipeline is abandoned mid-run (simulating a crash after the
 	// checkpoint); its shard goroutines still need to stop.
 	if p.rt != nil {
@@ -65,13 +60,15 @@ func runInterrupted(t *testing.T, cfg Config, in []*stream.Tuple, cut int) (int6
 		q.Push(e)
 	}
 	q.Finish()
-	return q.Results(), q.AvgK(), q.Adaptations(), multiset
+	r.Count, r.AvgK = q.Results(), q.AvgK()
+	return r
 }
 
 // TestCheckpointRestoreDifferential: cutting any run at an arbitrary tuple,
 // serializing, and resuming in a fresh pipeline must reproduce the
-// uninterrupted run bit-for-bit — result multiset, total results, AvgK and
-// adaptation count — on the single-threaded path and at every shard count.
+// uninterrupted run bit-for-bit — result multiset, total results, the K
+// trajectory and AvgK — on the single-threaded path and at every shard
+// count.
 func TestCheckpointRestoreDifferential(t *testing.T) {
 	leakcheck.Check(t)
 	conds := map[string]func() *join.Condition{
@@ -83,38 +80,17 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 			})
 		},
 	}
-	in := arrivals(rand.New(rand.NewSource(7)), 2, 4000)
+	in := difftest.Arrivals(rand.New(rand.NewSource(7)), 2, 4000)
 	ac := adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second}
 	for name, mk := range conds {
 		for _, shards := range []int{1, 2, 4, 8} {
 			for _, cut := range []int{1333, 2000} {
 				t.Run(fmt.Sprintf("%s/shards%d/cut%d", name, shards, cut), func(t *testing.T) {
-					cfg := Config{
-						Windows:  []stream.Time{2 * stream.Second, 2 * stream.Second},
-						Cond:     mk(),
-						Adapt:    ac,
-						Sharding: Sharding{Shards: shards},
+					cfg := func() Config {
+						return Config{Windows: []stream.Time{2 * stream.Second, 2 * stream.Second},
+							Cond: mk(), Adapt: ac, Sharding: Sharding{Shards: shards}}
 					}
-					wantRes, wantAvgK, wantAdapts, wantSet := runCfg(Config{
-						Windows: cfg.Windows, Cond: mk(), Adapt: ac,
-						Sharding: cfg.Sharding,
-					}, in)
-					gotRes, gotAvgK, gotAdapts, gotSet := runInterrupted(t, Config{
-						Windows: cfg.Windows, Cond: mk(), Adapt: ac,
-						Sharding: cfg.Sharding,
-					}, in, cut)
-					if gotRes != wantRes || gotAvgK != wantAvgK || gotAdapts != wantAdapts {
-						t.Fatalf("resumed run diverged: results %d/%d avgK %v/%v adapts %d/%d",
-							gotRes, wantRes, gotAvgK, wantAvgK, gotAdapts, wantAdapts)
-					}
-					if len(gotSet) != len(wantSet) {
-						t.Fatalf("multiset size %d want %d", len(gotSet), len(wantSet))
-					}
-					for k, n := range wantSet {
-						if gotSet[k] != n {
-							t.Fatalf("multiset[%s] = %d want %d", k, gotSet[k], n)
-						}
-					}
+					difftest.Compare(t, "resumed run", run(cfg(), in), runInterrupted(t, cfg(), in, cut))
 				})
 			}
 		}
@@ -163,7 +139,7 @@ func TestShedWorstIsLayoutFree(t *testing.T) {
 	}
 	restored := func(p *Pipeline) *Pipeline {
 		tt := fault.NewTupleTable()
-		st, ta := gobRoundTrip(t, p.Checkpoint(tt), tt)
+		st, ta := difftest.GobRoundTrip(t, p.Checkpoint(tt), tt)
 		q := New(cfg)
 		q.RestoreState(st, ta)
 		return q
@@ -184,7 +160,7 @@ func TestShedWorstIsLayoutFree(t *testing.T) {
 	}
 
 	// Mid-run, coarse delays (many ties), buffers reshuffled by releases.
-	in := arrivals(rand.New(rand.NewSource(11)), 2, 1500)
+	in := difftest.Arrivals(rand.New(rand.NewSource(11)), 2, 1500)
 	for _, e := range in {
 		e.TS -= e.TS % 100
 	}

@@ -1,17 +1,47 @@
-// Package difftest holds the workload generators and the result signature
-// the differential tests share: every deployment shape is compared against
-// the flat reference on the same feeds, keyed the same way, so the feeds
-// and the key live once. Plain functions, no assertions; the sequences are
-// pure functions of their arguments and the tests' expectations depend on
-// them — change one and every differential that names it moves.
+// Package difftest is the differential harness: every deployment shape is
+// checked against one flat reference, on the same feeds, keyed the same way
+// and compared by one function.
+//
+//   - The feeds (MixWorkload, GenSeq, Arrivals) and the condition tables
+//     (Conds for the runtimes, Mixes for the plans) are pure functions of
+//     their arguments; the tests' expectations depend on them, so change
+//     one and every differential that names it moves.
+//   - A Run is what a shape exposes: its result multiset keyed by Sig, its
+//     result count, and, where the shape has them, its delivery order, its
+//     per-tuple productivity records and out-of-order delays (runtime
+//     level) and its K trajectory.
+//   - Flat is the one flat reference: K-slack at a fixed K, the
+//     Synchronizer and one MJoin operator. Operator is its last stage
+//     alone, the reference for the sharded and networked runtimes, which
+//     sit behind the Synchronizer.
+//   - Compare checks a shape's Run against its reference's; Within checks
+//     a run that may lose results but never repeat one.
+//
+// Nothing here imports a package above kslack, syncer and join, so the
+// tests of every package above them (shard, net, dist, core, plan, replan,
+// the root API) call it from inside their own packages without an import
+// cycle. The shapes reachable through exported API alone are rows of
+// TestDifferential in this package's external tests.
 package difftest
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/join"
+	"repro/internal/kslack"
 	"repro/internal/stream"
+	"repro/internal/syncer"
 )
 
 // MixWorkload builds an m-stream feed with bounded disorder and two
@@ -66,6 +96,120 @@ func GenSeq(rng *rand.Rand, m, n int, w stream.Time) []*stream.Tuple {
 	return out
 }
 
+// Arrivals builds a raw multi-stream arrival sequence with real disorder,
+// as a pipeline sees it before K-slack: a quarter of the tuples up to 1.5 s
+// late, two attributes from small domains.
+func Arrivals(rng *rand.Rand, m, n int) stream.Batch {
+	var out stream.Batch
+	ts := stream.Time(2000)
+	for i := 0; i < n; i++ {
+		ts += stream.Time(rng.Intn(12))
+		t := ts
+		if rng.Intn(4) == 0 {
+			t = max(t-stream.Time(rng.Intn(1500)), 0)
+		}
+		out = append(out, &stream.Tuple{
+			TS: t, Seq: uint64(i), Src: rng.Intn(m),
+			Attrs: []float64{float64(rng.Intn(10)), float64(rng.Intn(30)) / 3},
+		})
+	}
+	return out
+}
+
+// Conds is the condition table of the runtime-level differentials: one
+// m-way condition per partition mode the shard router has (hash on a full
+// equi class, range cells on a band, broadcast), with their mixes. wire
+// renders the generic predicates as expressions, so every condition
+// crosses a process boundary; otherwise they are opaque closures.
+func Conds(m int, wire bool) map[string]func() *join.Condition {
+	where := func(c *join.Condition, streams []int, f func(a []*stream.Tuple) bool, e *join.Expr) *join.Condition {
+		if wire {
+			return c.WhereExpr(e)
+		}
+		return c.Where(streams, f)
+	}
+	bandChain := func(eps float64) *join.Condition {
+		c := join.Cross(m)
+		for i := 0; i+1 < m; i++ {
+			c.Band(i, 1, i+1, 1, eps)
+		}
+		return c
+	}
+	cs := map[string]func() *join.Condition{
+		"equichain": func() *join.Condition { return join.EquiChain(m, 0) },
+		"bandchain": func() *join.Condition { return bandChain(1.5) },
+		"band+generic": func() *join.Condition {
+			return where(bandChain(2), []int{0, m - 1}, func(a []*stream.Tuple) bool {
+				return math.Abs(a[0].Attr(2)-a[m-1].Attr(2)) < 4
+			}, join.Lt(join.Abs(join.Sub(join.Attr(0, 2), join.Attr(m-1, 2))), join.ConstOf(4)))
+		},
+		"generic-only": func() *join.Condition { // an equi the planner can't see
+			return where(join.Cross(m), []int{0, m - 1}, func(a []*stream.Tuple) bool {
+				return a[0].Attr(0) == a[m-1].Attr(0)
+			}, join.Eq(join.Attr(0, 0), join.Attr(m-1, 0)))
+		},
+		"equi+band": func() *join.Condition { return join.EquiChain(m, 0).Band(0, 1, m-1, 1, 3) },
+	}
+	if m >= 3 {
+		// Partial equi cover: S0.a0 = S1.a0 only, the rest generic.
+		cs["partial-equi"] = func() *join.Condition {
+			return where(join.Cross(m).Equi(0, 0, 1, 0), []int{1, 2}, func(a []*stream.Tuple) bool {
+				return a[1].Attr(2) < a[2].Attr(2)+5
+			}, join.Lt(join.Attr(1, 2), join.Add(join.Attr(2, 2), join.ConstOf(5))))
+		}
+	}
+	return cs
+}
+
+// Mix is one condition of the plan-level differentials.
+type Mix struct {
+	Name string
+	M    int
+	Cond func() *join.Condition
+}
+
+// Mixes is the condition table of the plan-level differentials — an equi
+// chain, the star (no full key class, no bushy tree), an equi/band mix and
+// an equi chain under a generic residual — restricted to names when any
+// are given. wire renders the residual as an expression, so the mix
+// crosses a process boundary; otherwise it is an opaque closure.
+func Mixes(wire bool, names ...string) []Mix {
+	all := []Mix{
+		{"equichain3", 3, func() *join.Condition { return join.EquiChain(3, 0) }},
+		{"star4", 4, func() *join.Condition { return join.Star(4, []int{0, 1, 2}, []int{0, 0, 0}) }},
+		{"band-equi-mix4", 4, func() *join.Condition {
+			return join.Cross(4).Equi(0, 0, 1, 0).Band(1, 1, 2, 1, 8).Equi(2, 0, 3, 0)
+		}},
+		{"generic-mix3", 3, func() *join.Condition {
+			if wire {
+				return join.EquiChain(3, 0).WhereExpr(join.Le(join.Attr(0, 1), join.Add(join.Attr(2, 1), join.ConstOf(40))))
+			}
+			return join.EquiChain(3, 0).Where([]int{0, 2}, func(a []*stream.Tuple) bool {
+				return a[0].Attr(1) <= a[2].Attr(1)+40
+			})
+		}},
+	}
+	if len(names) == 0 {
+		return all
+	}
+	var out []Mix
+	for _, mx := range all {
+		if slices.Contains(names, mx.Name) {
+			out = append(out, mx)
+		}
+	}
+	return out
+}
+
+// Windows returns m windows of extent w.
+func Windows(m int, w stream.Time) []stream.Time {
+	out := make([]stream.Time, m)
+	for i := range out {
+		out[i] = w
+	}
+	return out
+}
+
 // Sig renders a result's identity, the key of a result multiset: one
 // src:seq pair per constituent in stream order, unbound slots (a tree
 // partial's nil parts) skipped.
@@ -77,4 +221,231 @@ func Sig(tuples []*stream.Tuple) string {
 		}
 	}
 	return b.String()
+}
+
+// Hash accumulates the golden traces' two hashes of a result stream:
+// FNV-1a over each result's sequence numbers (little-endian), chained in
+// delivery order (Ordered) and summed over the multiset (Set).
+type Hash struct {
+	ord hash.Hash64
+	Set uint64
+}
+
+// NewHash returns the hashes of an empty stream.
+func NewHash() *Hash { return &Hash{ord: fnv.New64a()} }
+
+// Emit hashes one delivered result.
+func (h *Hash) Emit(r stream.Result) {
+	one := fnv.New64a()
+	for _, t := range r.Tuples {
+		one.Write(binary.LittleEndian.AppendUint64(nil, t.Seq))
+	}
+	v := one.Sum64()
+	h.ord.Write(binary.LittleEndian.AppendUint64(nil, v))
+	h.Set += v // commutative: a multiset hash
+}
+
+// Ordered returns the delivery-order hash.
+func (h *Hash) Ordered() uint64 { return h.ord.Sum64() }
+
+// Record is one in-order tuple's feedback-loop record: the timestamp and
+// delay the statistics see and the cross-product and result counts the
+// probe charged it.
+type Record struct {
+	TS, Delay   stream.Time
+	NCross, NOn int64
+}
+
+// KStep is one step of a K trajectory. core.AdaptEvent (and the root
+// package's alias of it) converts to it field for field.
+type KStep struct {
+	Now, OutT, PrevK, NewK stream.Time
+	GammaPrime             float64
+}
+
+// Run is what one execution of a shape exposes to the differential. A nil
+// Order (Records, OutOfOrder, Ks) means the run did not capture that
+// stream; Compare checks a stream whenever the reference captured it.
+type Run struct {
+	Results    map[string]int // result multiset keyed by Sig
+	Count      int64          // results the shape reports (Emit counts them)
+	Order      []string       // result signatures in delivery order
+	Records    []Record       // in-order per-tuple records, in release order
+	OutOfOrder []stream.Time  // delays of the out-of-order tuples, in order
+	Ks         []KStep        // the K trajectory
+	AvgK       float64        // the shape's reported average K, with Ks
+}
+
+// NewRun returns an empty run ready to collect results.
+func NewRun() *Run { return &Run{Results: map[string]int{}} }
+
+// Emit collects one delivered result (and its place in the delivery order,
+// when Order is captured).
+func (r *Run) Emit(res stream.Result) {
+	sig := Sig(res.Tuples)
+	r.Results[sig]++
+	r.Count++
+	if r.Order != nil {
+		r.Order = append(r.Order, sig)
+	}
+}
+
+// Record collects one in-order tuple's record; its signature is a
+// runtime's FlushInterval visitor.
+func (r *Run) Record(ts, delay stream.Time, nCross, nOn int64) {
+	r.Records = append(r.Records, Record{ts, delay, nCross, nOn})
+}
+
+// CountAt collects a count sink's record of n results at ts.
+func (r *Run) CountAt(ts stream.Time, n int64) { r.Record(ts, 0, 0, n) }
+
+// OnOutOfOrder collects one out-of-order tuple's delay.
+func (r *Run) OnOutOfOrder(d stream.Time) { r.OutOfOrder = append(r.OutOfOrder, d) }
+
+// Adapt collects one adaptation step.
+func (r *Run) Adapt(k KStep) { r.Ks = append(r.Ks, k) }
+
+// Operator runs seq through one MJoin operator, as the runtimes behind the
+// Synchronizer see it, and captures the results, the per-tuple records and
+// the out-of-order delays.
+func Operator(cond *join.Condition, windows []stream.Time, seq []*stream.Tuple) *Run {
+	r := NewRun()
+	r.Records, r.OutOfOrder = []Record{}, []stream.Time{}
+	op := join.New(cond, windows, join.WithEmit(r.Emit),
+		join.WithProcessedHook(func(e *stream.Tuple, nCross, nOn int64, inOrder bool) {
+			if inOrder {
+				r.Record(e.TS, e.Delay, nCross, nOn)
+			} else {
+				r.OnOutOfOrder(e.Delay)
+			}
+		}))
+	for _, e := range seq {
+		op.Process(e)
+	}
+	return r
+}
+
+// Flat is the flat reference: K-slack at the fixed buffer size k on every
+// stream, the Synchronizer, one MJoin operator. It captures the result
+// multiset and count; at k covering the feed's disorder it is the exact
+// result of the query.
+func Flat(cond *join.Condition, windows []stream.Time, k stream.Time, in stream.Batch) *Run {
+	r := NewRun()
+	op := join.New(cond, windows, join.WithEmit(r.Emit))
+	sy := syncer.New(cond.M, op.Process)
+	ks := make([]*kslack.Buffer, cond.M)
+	for i := range ks {
+		ks[i] = kslack.New(k, sy.Push)
+	}
+	for _, e := range in {
+		ks[e.Src].Push(e)
+	}
+	for _, b := range ks {
+		b.Flush()
+	}
+	for i := 0; i < cond.M; i++ {
+		sy.Close(i)
+	}
+	return r
+}
+
+// envelope is what GobRoundTrip encodes: a state and its tuple table.
+type envelope[S any] struct {
+	Tuples []fault.TupleRec
+	State  S
+}
+
+// GobRoundTrip forces a checkpoint — its state and the tuple table the
+// state references — through a real gob encode/decode cycle, as a
+// checkpoint file would, and returns the decoded state and its arena.
+func GobRoundTrip[S any](t testing.TB, st S, tt *fault.TupleTable) (S, *fault.TupleArena) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(envelope[S]{tt.Recs, st}); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	var out envelope[S]
+	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return out.State, fault.NewTupleArena(out.Tuples)
+}
+
+// Compare checks got against the reference want: the reference must have
+// results; the counts must agree and the multisets must be equal (every
+// result of each as often in the other); and every stream the reference
+// captured — the delivery order, per-tuple records and out-of-order delays
+// in order, the K trajectory step by step with the average K — must be
+// got's. Only Γ′ has a tolerance, of 1e-12 relative: a run restored from a
+// checkpoint or recovered by supervision derives it from re-summed floats
+// and may differ in the last bits, while every K stays exact.
+func Compare(t testing.TB, name string, want, got *Run) {
+	t.Helper()
+	if want.Count == 0 {
+		t.Fatalf("%s: degenerate workload, no results", name)
+	}
+	if got.Count != want.Count {
+		t.Errorf("%s: %d results, want %d", name, got.Count, want.Count)
+	}
+	for k, v := range want.Results {
+		if got.Results[k] != v {
+			t.Errorf("%s: result %s ×%d, want ×%d", name, k, got.Results[k], v)
+			break
+		}
+	}
+	for k, v := range got.Results {
+		if want.Results[k] == 0 {
+			t.Errorf("%s: unexpected result %s ×%d", name, k, v)
+			break
+		}
+	}
+	if want.Order != nil {
+		same(t, name, "delivered result", want.Order, got.Order, equal)
+	}
+	if want.Records != nil {
+		same(t, name, "record", want.Records, got.Records, equal)
+		same(t, name, "out-of-order delay", want.OutOfOrder, got.OutOfOrder, equal)
+	}
+	if want.Ks != nil {
+		same(t, name, "adaptation", want.Ks, got.Ks, func(a, b KStep) bool {
+			return a.Now == b.Now && a.OutT == b.OutT && a.PrevK == b.PrevK && a.NewK == b.NewK &&
+				math.Abs(a.GammaPrime-b.GammaPrime) <= 1e-12*math.Abs(a.GammaPrime)
+		})
+		if got.AvgK != want.AvgK {
+			t.Errorf("%s: AvgK %v, want %v", name, got.AvgK, want.AvgK)
+		}
+	}
+}
+
+// Within checks a run that may lose results but must never invent or
+// repeat one — an adaptive run against the full-coverage reference: got
+// delivered something, and no result more often than want has it.
+func Within(t testing.TB, name string, want, got *Run) {
+	t.Helper()
+	if got.Count == 0 {
+		t.Fatalf("%s: delivered nothing", name)
+	}
+	for k, v := range got.Results {
+		if v > want.Results[k] {
+			t.Fatalf("%s: result %s delivered ×%d, reference has ×%d — duplicate or spurious delivery", name, k, v, want.Results[k])
+		}
+	}
+}
+
+func equal[E comparable](a, b E) bool { return a == b }
+
+// same checks two sequences element by element and reports the first
+// difference.
+func same[E any](t testing.TB, name, what string, want, got []E, eq func(E, E) bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d %ss, want %d", name, len(got), what, len(want))
+		return
+	}
+	for i := range want {
+		if !eq(want[i], got[i]) {
+			t.Errorf("%s: %s %d = %+v, want %+v", name, what, i, got[i], want[i])
+			return
+		}
+	}
 }

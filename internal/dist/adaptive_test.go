@@ -157,40 +157,19 @@ func TestTreeLoopDeterministicWithShards(t *testing.T) {
 		}
 		return outer
 	}
-	type trace struct {
-		results int64
-		ks      []string
-	}
-	run := func(n int) trace {
-		var tr trace
-		a := newTree(cond(), w, shapeN(n), func(at stream.Time, ks []stream.Time) {
-			tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
-		}, nil)
+	run := func(n int) treeTrace {
+		tr := newTreeTrace()
+		a := newTree(cond(), w, shapeN(n), tr.decide, nil)
 		a.Run(in.Clone())
-		tr.results = a.Results()
+		tr.Count = a.Results()
 		if a.Adaptations() == 0 {
 			t.Fatal("no adaptation steps ran")
 		}
 		return tr
 	}
 	want := run(2)
-	if want.results == 0 {
-		t.Fatal("degenerate workload")
-	}
 	for _, n := range []int{2, 4, 8} {
-		got := run(n)
-		if got.results != want.results {
-			t.Errorf("shards=%d: results %d, want %d", n, got.results, want.results)
-		}
-		if len(got.ks) != len(want.ks) {
-			t.Fatalf("shards=%d: %d decisions, want %d", n, len(got.ks), len(want.ks))
-		}
-		for i := range want.ks {
-			if got.ks[i] != want.ks[i] {
-				t.Errorf("shards=%d: decision %d = %s, want %s", n, i, got.ks[i], want.ks[i])
-				break
-			}
-		}
+		diffTreeTraces(t, fmt.Sprintf("shards=%d", n), want, run(n))
 	}
 }
 

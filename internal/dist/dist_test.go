@@ -6,6 +6,7 @@ import (
 	"repro/internal/leakcheck"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/join"
 	"repro/internal/kslack"
 	"repro/internal/stream"
@@ -31,8 +32,6 @@ func workload(m, rounds int, seed int64, domain int) stream.Batch {
 	}
 	return out
 }
-
-func clone(in stream.Batch) stream.Batch { return in.Clone() }
 
 // kTree fronts a plan tree with one K-slack buffer per raw stream at a
 // common K, as core.Pipeline does without the feedback loop, and counts the
@@ -75,26 +74,14 @@ func (kt *kTree) Finish() {
 
 func (kt *kTree) Results() int64 { return kt.results }
 
-// spineTree runs the feed through the plan tree shaped as the left-deep
-// spine — ParsePlan's "tree" — with the fixed buffer size k.
-func spineTree(cond *join.Condition, windows []stream.Time, k stream.Time, in stream.Batch) *kTree {
-	tree := newKTree(cond, windows, Spine(cond.M), k, nil)
-	for _, e := range in {
-		tree.Push(e)
-	}
-	tree.Finish()
-	return tree
-}
-
 // spineAgreesWithMJoin checks that, with buffers covering the feed's
 // disorder, the spine produces exactly the single operator's result
 // multiset.
 func spineAgreesWithMJoin(t *testing.T, mk func() *join.Condition, windows []stream.Time, in stream.Batch) {
 	t.Helper()
 	maxD, _ := in.MaxDelay()
-	want := mjoinMultiset(mk(), windows, maxD, clone(in))
-	got := planMultiset(mk(), windows, Spine(len(windows)), maxD, clone(in))
-	diffMultisets(t, "spine", want, got)
+	difftest.Compare(t, "spine", difftest.Flat(mk(), windows, maxD, in.Clone()),
+		shaped(mk(), windows, Spine(len(windows)), maxD, in.Clone()))
 }
 
 func TestTreeAgreesWithMJoin2Way(t *testing.T) {
@@ -198,14 +185,14 @@ func TestSinkReceivesCompleteResults(t *testing.T) {
 // the unreachable NaN map key).
 func TestNaNKeyNeverMatchesNorCrashes(t *testing.T) {
 	leakcheck.Check(t)
-	tree := spineTree(join.EquiChain(2, 0), []stream.Time{100, 100}, 0, stream.Batch{
+	got := shaped(join.EquiChain(2, 0), []stream.Time{100, 100}, Spine(2), 0, stream.Batch{
 		{TS: 10, Seq: 0, Src: 0, Attrs: []float64{math.NaN()}},
 		{TS: 20, Seq: 1, Src: 1, Attrs: []float64{math.NaN()}},
 		{TS: 500, Seq: 2, Src: 0, Attrs: []float64{1}},
 		{TS: 510, Seq: 3, Src: 1, Attrs: []float64{1}},
 	})
-	if tree.Results() != 1 {
-		t.Fatalf("results = %d, want 1 (NaN pair must not match)", tree.Results())
+	if got.Count != 1 {
+		t.Fatalf("results = %d, want 1 (NaN pair must not match)", got.Count)
 	}
 }
 
@@ -217,14 +204,14 @@ func TestSetKPropagates(t *testing.T) {
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{stream.Second, stream.Second}
 
-	full := spineTree(join.EquiChain(2, 0), w, maxD, clone(in))
-	none := spineTree(join.EquiChain(2, 0), w, 0, clone(in))
-	if none.Results() >= full.Results() {
-		t.Fatalf("K=0 should lose results: %d vs %d", none.Results(), full.Results())
+	full := shaped(join.EquiChain(2, 0), w, Spine(2), maxD, in.Clone())
+	none := shaped(join.EquiChain(2, 0), w, Spine(2), 0, in.Clone())
+	if none.Count >= full.Count {
+		t.Fatalf("K=0 should lose results: %d vs %d", none.Count, full.Count)
 	}
 
 	adaptive := newKTree(join.EquiChain(2, 0), w, Spine(2), 0, nil)
-	half := clone(in)
+	half := in.Clone()
 	for i, e := range half {
 		if i == len(half)/4 {
 			adaptive.setK(maxD)
@@ -232,7 +219,7 @@ func TestSetKPropagates(t *testing.T) {
 		adaptive.Push(e)
 	}
 	adaptive.Finish()
-	if adaptive.Results() <= none.Results() {
-		t.Fatalf("raising K should recover results: %d vs %d", adaptive.Results(), none.Results())
+	if adaptive.Results() <= none.Count {
+		t.Fatalf("raising K should recover results: %d vs %d", adaptive.Results(), none.Count)
 	}
 }

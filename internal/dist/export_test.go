@@ -4,7 +4,6 @@ package dist
 // through core.Pipeline (core imports dist, so they cannot live in dist).
 var (
 	Workload      = workload
-	DiffMultisets = diffMultisets
 	Leaf          = leaf
 	Branch        = branch
 	Sharded       = sharded

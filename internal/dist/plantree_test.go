@@ -10,63 +10,21 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/fault"
 	"repro/internal/join"
-	"repro/internal/kslack"
 	"repro/internal/shard"
 	"repro/internal/stream"
-	"repro/internal/syncer"
 )
 
-// mjoinMultiset runs the flat single-operator reference (K-slack →
-// Synchronizer → MJoin) and returns the materialized result multiset.
-func mjoinMultiset(cond *join.Condition, windows []stream.Time, k stream.Time, in stream.Batch) map[string]int {
-	set := map[string]int{}
-	op := join.New(cond, windows, join.WithEmit(func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }))
-	sy := syncer.New(cond.M, op.Process)
-	ks := make([]*kslack.Buffer, cond.M)
-	for i := range ks {
-		ks[i] = kslack.New(k, sy.Push)
-	}
-	for _, e := range in {
-		ks[e.Src].Push(e)
-	}
-	for _, b := range ks {
-		b.Flush()
-	}
-	for i := 0; i < cond.M; i++ {
-		sy.Close(i)
-	}
-	return set
-}
-
-// planMultiset runs one shape through the plan tree and returns the result
-// multiset.
-func planMultiset(cond *join.Condition, windows []stream.Time, shape *Shape, k stream.Time, in stream.Batch) map[string]int {
-	set := map[string]int{}
-	t := newKTree(cond, windows, shape, k, func(p Partial) { set[difftest.Sig(p.Parts)]++ })
+// shaped runs the feed through the plan tree of the given shape at the
+// fixed buffer size k and returns what difftest.Flat captures of the flat
+// reference.
+func shaped(cond *join.Condition, windows []stream.Time, shape *Shape, k stream.Time, in stream.Batch) *difftest.Run {
+	got := difftest.NewRun()
+	t := newKTree(cond, windows, shape, k, func(p Partial) { got.Emit(stream.Result{TS: p.TS, Tuples: p.Parts}) })
 	for _, e := range in {
 		t.Push(e)
 	}
 	t.Finish()
-	return set
-}
-
-func diffMultisets(t *testing.T, name string, want, got map[string]int) {
-	t.Helper()
-	if len(want) == 0 {
-		t.Fatalf("%s: degenerate workload, no results", name)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("%s: result %s count %d, want %d", name, k, got[k], v)
-			return
-		}
-	}
-	for k, v := range got {
-		if want[k] != v {
-			t.Errorf("%s: unexpected result %s ×%d", name, k, v)
-			return
-		}
-	}
+	return got
 }
 
 // shapes4 enumerates the shapes exercised on 4-stream conditions: the
@@ -97,9 +55,9 @@ func TestPlanTreeSpineAgreesWithMJoin(t *testing.T) {
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
 	for name, mk := range conds {
-		want := mjoinMultiset(mk(), w, maxD, clone(in))
-		got := planMultiset(mk(), w, Spine(3), maxD, clone(in))
-		diffMultisets(t, "spine/"+name, want, got)
+		want := difftest.Flat(mk(), w, maxD, in.Clone())
+		got := shaped(mk(), w, Spine(3), maxD, in.Clone())
+		difftest.Compare(t, "spine/"+name, want, got)
 	}
 }
 
@@ -129,9 +87,9 @@ func TestPlanTreeBushyAgreesWithMJoin(t *testing.T) {
 		}, func() *Shape { return branch(branch(leaf(0), leaf(1)), branch(leaf(2), leaf(3))) }},
 	}
 	for _, tc := range cases {
-		want := mjoinMultiset(tc.cond(), w, maxD, clone(in))
-		got := planMultiset(tc.cond(), w, tc.shape(), maxD, clone(in))
-		diffMultisets(t, "bushy/"+tc.name, want, got)
+		want := difftest.Flat(tc.cond(), w, maxD, in.Clone())
+		got := shaped(tc.cond(), w, tc.shape(), maxD, in.Clone())
+		difftest.Compare(t, "bushy/"+tc.name, want, got)
 	}
 }
 
@@ -144,19 +102,19 @@ func TestPlanTreeStageShardedAgreesWithMJoin(t *testing.T) {
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{800, 800, 800, 800}
 	star := func() *join.Condition { return join.Star(4, []int{0, 1, 2}, []int{0, 0, 0}) }
-	want := mjoinMultiset(star(), w, maxD, clone(in))
+	want := difftest.Flat(star(), w, maxD, in.Clone())
 
 	for _, n := range []int{2, 4, 8} {
 		spine := sharded(n, branch(sharded(n, branch(sharded(n, branch(leaf(0), leaf(1))), leaf(2))), leaf(3)))
-		got := planMultiset(star(), w, spine, maxD, clone(in))
-		diffMultisets(t, fmt.Sprintf("star-sharded-%d", n), want, got)
+		got := shaped(star(), w, spine, maxD, in.Clone())
+		difftest.Compare(t, fmt.Sprintf("star-sharded-%d", n), want, got)
 	}
 
 	// Bushy + sharded root over an equichain.
 	chain := func() *join.Condition { return join.EquiChain(4, 0) }
-	wantChain := mjoinMultiset(chain(), w, maxD, clone(in))
+	wantChain := difftest.Flat(chain(), w, maxD, in.Clone())
 	bushy := sharded(4, branch(sharded(2, branch(leaf(0), leaf(1))), branch(leaf(2), leaf(3))))
-	diffMultisets(t, "bushy-sharded", wantChain, planMultiset(chain(), w, bushy, maxD, clone(in)))
+	difftest.Compare(t, "bushy-sharded", wantChain, shaped(chain(), w, bushy, maxD, in.Clone()))
 }
 
 // TestPlanTreeBandShardedStage: a band-keyed stage partitions by range
@@ -167,10 +125,10 @@ func TestPlanTreeBandShardedStage(t *testing.T) {
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{600, 600}
 	mk := func() *join.Condition { return join.Cross(2).Band(0, 1, 1, 1, 11) }
-	want := mjoinMultiset(mk(), w, maxD, clone(in))
+	want := difftest.Flat(mk(), w, maxD, in.Clone())
 	for _, n := range []int{2, 5} {
-		got := planMultiset(mk(), w, sharded(n, branch(leaf(0), leaf(1))), maxD, clone(in))
-		diffMultisets(t, fmt.Sprintf("band-sharded-%d", n), want, got)
+		got := shaped(mk(), w, sharded(n, branch(leaf(0), leaf(1))), maxD, in.Clone())
+		difftest.Compare(t, fmt.Sprintf("band-sharded-%d", n), want, got)
 	}
 }
 

@@ -1,8 +1,6 @@
 package dist_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
@@ -15,45 +13,24 @@ import (
 	"repro/internal/stream"
 )
 
-// treeCkpt is the gob envelope of the round-trip tests: the tree pipeline's
-// state plus the tuple table it references.
-type treeCkpt struct {
-	Tuples []fault.TupleRec
-	State  core.State
-}
-
-func treeGobRoundTrip(t *testing.T, st core.State, tt *fault.TupleTable) (core.State, *fault.TupleArena) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(treeCkpt{Tuples: tt.Recs, State: st}); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var out treeCkpt
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	return out.State, fault.NewTupleArena(out.Tuples)
-}
-
-// treeTrace is everything the differential pins: result count, the full
-// K-decision trajectory, and the result multiset.
+// treeTrace is everything the differential pins: the run (result count
+// and multiset) and the full per-stage K-decision trajectory.
 type treeTrace struct {
-	results int64
-	ks      []string
-	set     map[string]int
+	*difftest.Run
+	ks []string
 }
+
+func newTreeTrace() treeTrace { return treeTrace{Run: difftest.NewRun()} }
 
 func (tr *treeTrace) decide(at stream.Time, ks []stream.Time) {
 	tr.ks = append(tr.ks, fmt.Sprintf("%v:%v", at, ks))
 }
 
-func (tr *treeTrace) emit(r stream.Result) { tr.set[difftest.Sig(r.Tuples)]++ }
-
 func runTreeFull(in stream.Batch, cond *join.Condition, w []stream.Time, shape *dist.Shape) treeTrace {
-	tr := treeTrace{set: map[string]int{}}
-	a := newTree(cond, w, shape, tr.decide, tr.emit)
+	tr := newTreeTrace()
+	a := newTree(cond, w, shape, tr.decide, tr.Emit)
 	a.Run(in.Clone())
-	tr.results = a.Results()
+	tr.Count = a.Results()
 	return tr
 }
 
@@ -63,7 +40,7 @@ func runTreeFull(in stream.Batch, cond *join.Condition, w []stream.Time, shape *
 // input.
 func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition, w []stream.Time, shape func() *dist.Shape, cutDecision int) treeTrace {
 	t.Helper()
-	tr := treeTrace{set: map[string]int{}}
+	tr := newTreeTrace()
 	var a *core.Pipeline
 	var st core.State
 	var ta *fault.TupleArena
@@ -72,10 +49,10 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 		tr.decide(at, ks)
 		if len(tr.ks) == cutDecision {
 			tt := fault.NewTupleTable()
-			st, ta = treeGobRoundTrip(t, a.Checkpoint(tt), tt)
+			st, ta = difftest.GobRoundTrip(t, a.Checkpoint(tt), tt)
 			captured = true
 		}
-	}, tr.emit)
+	}, tr.Emit)
 	work := in.Clone()
 	cut := -1
 	for i, e := range work {
@@ -92,7 +69,7 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 	// boundary checkpoint); its shard workers still need to stop.
 	a.Abandon()
 
-	b := newTree(mk(), w, shape(), tr.decide, tr.emit)
+	b := newTree(mk(), w, shape(), tr.decide, tr.Emit)
 	if err := b.RestoreState(st, ta); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +79,7 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 	// the way back in.)
 	if !b.Tree().Sharded() {
 		tt := fault.NewTupleTable()
-		if again, _ := treeGobRoundTrip(t, b.Checkpoint(tt), tt); !reflect.DeepEqual(again.Tree, st.Tree) {
+		if again, _ := difftest.GobRoundTrip(t, b.Checkpoint(tt), tt); !reflect.DeepEqual(again.Tree, st.Tree) {
 			t.Errorf("the restored tree's state differs from the checkpoint it was restored from")
 		}
 	}
@@ -110,15 +87,12 @@ func runTreeInterrupted(t *testing.T, in stream.Batch, mk func() *join.Condition
 		b.Push(e)
 	}
 	b.Finish()
-	tr.results = b.Results()
+	tr.Count = b.Results()
 	return tr
 }
 
 func diffTreeTraces(t *testing.T, name string, want, got treeTrace) {
 	t.Helper()
-	if got.results != want.results {
-		t.Errorf("%s: results %d, want %d", name, got.results, want.results)
-	}
 	if len(got.ks) != len(want.ks) {
 		t.Fatalf("%s: %d decisions, want %d", name, len(got.ks), len(want.ks))
 	}
@@ -127,7 +101,7 @@ func diffTreeTraces(t *testing.T, name string, want, got treeTrace) {
 			t.Fatalf("%s: decision %d = %s, want %s", name, i, got.ks[i], want.ks[i])
 		}
 	}
-	dist.DiffMultisets(t, name, want.set, got.set)
+	difftest.Compare(t, name, want.Run, got.Run)
 }
 
 // TestPlanTreeCheckpointRestoreDifferential: cutting a tree pipeline's
@@ -161,7 +135,7 @@ func TestPlanTreeCheckpointRestoreDifferential(t *testing.T) {
 			for _, cutDec := range []int{3, 8} {
 				t.Run(fmt.Sprintf("%s/shards%d/cut%d", name, shards, cutDec), func(t *testing.T) {
 					want := runTreeFull(in, mk(), w, shapeN(shards)())
-					if want.results == 0 || len(want.ks) <= cutDec {
+					if want.Count == 0 || len(want.ks) <= cutDec {
 						t.Fatal("degenerate workload for this cut")
 					}
 					got := runTreeInterrupted(t, in, mk, w, shapeN(shards), cutDec)
@@ -184,7 +158,7 @@ func TestPlanTreeCheckpointRestoreBushy(t *testing.T) {
 		return dist.Sharded(4, dist.Branch(dist.Sharded(2, dist.Branch(dist.Leaf(0), dist.Leaf(1))), dist.Branch(dist.Leaf(2), dist.Leaf(3))))
 	}
 	want := runTreeFull(in, mk(), w, shape())
-	if want.results == 0 || len(want.ks) <= 4 {
+	if want.Count == 0 || len(want.ks) <= 4 {
 		t.Fatal("degenerate workload")
 	}
 	got := runTreeInterrupted(t, in, mk, w, shape, 4)
@@ -237,7 +211,7 @@ func TestTreeShedWorstIsLayoutFree(t *testing.T) {
 		live.Push(e)
 	}
 	tt := fault.NewTupleTable()
-	st, ta := treeGobRoundTrip(t, live.Checkpoint(tt), tt)
+	st, ta := difftest.GobRoundTrip(t, live.Checkpoint(tt), tt)
 	rest := newTree(join.EquiChain(3, 0), w, dist.Spine(3), nil, nil)
 	if err := rest.RestoreState(st, ta); err != nil {
 		t.Fatal(err)
@@ -283,7 +257,7 @@ func TestPlanTreeCheckpointAcrossLanes(t *testing.T) {
 	}
 
 	want := runTreeFull(in, mk(), w, shape())
-	if want.results == 0 {
+	if want.Count == 0 {
 		t.Fatal("degenerate workload: no results")
 	}
 	for _, cut := range []int{busy[0], busy[len(busy)/2], busy[len(busy)-1]} {

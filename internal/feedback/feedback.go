@@ -107,22 +107,18 @@ type Config struct {
 	StatsOpts []stats.Option
 	// Scopes lists the decision scopes; default is the single global scope.
 	// The LAST scope is the root: its profiler snapshot estimates the true
-	// size of the *final* output, feeding the monitor ring and, under
-	// SharedRequirement, the Γ′ derivation every scope decides against —
-	// order the scopes so the output-producing one comes last (a left-deep
-	// tree's stage order already does).
+	// size of the *final* output, feeding the monitor ring and, when the
+	// root runs the model policy, the Γ′ derivation every scope decides
+	// against — order the scopes so the output-producing one comes last (a
+	// left-deep tree's stage order already does).
 	Scopes []Scope
-	// SharedRequirement derives Γ′ once at the root scope and passes it to
-	// every scope's model (per-stage mode). When false each scope's policy
-	// derives its own requirement — the single-scope behaviour.
-	SharedRequirement bool
-	// ScopeWeights assigns each scope its exponent w_i in the shared-
-	// requirement decomposition: scope i decides against Γ′^w_i, so the
-	// composed recall ∏_i Γ′^w_i meets Γ′ whenever the weights sum to 1. A
-	// zero weight marks a scope that governs no raw-input buffer (an inner
-	// stage of a bushy tree): its decision is skipped and its K pinned to 0,
-	// since no buffer would apply it. Length must match Scopes; required
-	// under SharedRequirement and only meaningful there.
+	// ScopeWeights assigns each scope its exponent w_i in the decomposition
+	// of the root's Γ′: scope i decides against Γ′^w_i, so the composed
+	// recall ∏_i Γ′^w_i meets Γ′ whenever the weights sum to 1. A zero
+	// weight marks a scope that governs no raw-input buffer (an inner stage
+	// of a bushy tree): its decision is skipped and its K pinned to 0, since
+	// no buffer would apply it. Length must match Scopes; nil on a single
+	// scope means [1] (Γ′^1 is Γ′ exactly).
 	ScopeWeights []float64
 	// InitialK is the buffer size reported before the first decision.
 	InitialK stream.Time
@@ -168,7 +164,7 @@ type Loop struct {
 	snaps   []*profiler.Snapshot // per-decision scratch
 	n       int64
 	sumMaxK float64 // Σ over decisions of the largest per-scope K
-	gammaP  float64 // the root-derived Γ′ of the last shared-requirement decision
+	gammaP  float64 // the root-derived Γ′ of the last decision
 
 	// Cumulative recall accounting across the whole run (not windowed like
 	// the monitor): produced final results versus the summed per-interval
@@ -188,8 +184,11 @@ func New(cfg Config) *Loop {
 	if len(cfg.Scopes) == 0 {
 		cfg.Scopes = []Scope{GlobalScope(cfg.Windows)}
 	}
-	if (cfg.SharedRequirement || cfg.ScopeWeights != nil) && len(cfg.ScopeWeights) != len(cfg.Scopes) {
-		panic("feedback: ScopeWeights must carry one entry per scope, and SharedRequirement requires them — the weights are how the shared Γ′ decomposes across the scopes (DESIGN §8)")
+	if cfg.ScopeWeights == nil && len(cfg.Scopes) == 1 {
+		cfg.ScopeWeights = []float64{1}
+	}
+	if len(cfg.ScopeWeights) != len(cfg.Scopes) {
+		panic("feedback: ScopeWeights must carry one entry per scope — the weights are how the root's Γ′ decomposes across the scopes (DESIGN §8)")
 	}
 	m := len(cfg.Windows)
 	l := &Loop{cfg: cfg, m: m, root: len(cfg.Scopes) - 1}
@@ -309,8 +308,8 @@ func (l *Loop) DecideAt(at, outT stream.Time) []stream.Time {
 		sc.prof.Reset()
 	}
 	rootSnap := l.snaps[l.root]
-	if l.cfg.SharedRequirement && l.scopes[l.root].model != nil {
-		gp := l.scopes[l.root].model.InstantRequirement(rootSnap)
+	if root := l.scopes[l.root].model; root != nil {
+		gp := root.InstantRequirement(rootSnap)
 		l.gammaP = gp
 		// A final result must survive every stage, and stage losses are
 		// (approximately) independent, so requirements compose
@@ -368,15 +367,10 @@ func (l *Loop) Close() {
 }
 
 // GammaPrime returns the instant requirement Γ′ the last decision derived at
-// the root scope — under SharedRequirement the target the per-scope
-// requirements Γ′^w_i decompose. It is 0 before the first decision and when
-// the root scope runs no model policy.
-func (l *Loop) GammaPrime() float64 {
-	if m := l.scopes[l.root].model; m != nil && !l.cfg.SharedRequirement {
-		return m.LastGammaPrime()
-	}
-	return l.gammaP
-}
+// the root scope — the target the per-scope requirements Γ′^w_i decompose.
+// It is 0 before the first decision and when the root scope runs no model
+// policy.
+func (l *Loop) GammaPrime() float64 { return l.gammaP }
 
 // Scopes returns the number of decision scopes.
 func (l *Loop) Scopes() int { return len(l.scopes) }

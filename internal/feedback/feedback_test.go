@@ -11,12 +11,13 @@ import (
 	"repro/internal/stream"
 )
 
-func testLoop(t *testing.T, scopes []Scope) *Loop {
+func testLoop(t *testing.T, scopes []Scope, weights ...float64) *Loop {
 	t.Helper()
 	return New(Config{
-		Windows: []stream.Time{stream.Second, stream.Second, stream.Second},
-		Adapt:   adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second},
-		Scopes:  scopes,
+		Windows:      []stream.Time{stream.Second, stream.Second, stream.Second},
+		Adapt:        adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second},
+		Scopes:       scopes,
+		ScopeWeights: weights,
 	})
 }
 
@@ -115,10 +116,11 @@ func TestSingleScopeMatchesManager(t *testing.T) {
 	}
 }
 
-// TestSharedRequirementNeedsScopeWeights: the shared Γ′ decomposes across
+// TestSharedRequirementNeedsScopeWeights: the root's Γ′ decomposes across
 // the scopes by their weights alone — there is no implicit uniform split —
-// so a SharedRequirement config without one weight per scope must fail at
-// construction, not decide against an undefined requirement.
+// so a multi-scope config without one weight per scope must fail at
+// construction, not decide against an undefined requirement. A single scope
+// defaults to the weight 1.
 func TestSharedRequirementNeedsScopeWeights(t *testing.T) {
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
 	scopes := []Scope{
@@ -129,13 +131,14 @@ func TestSharedRequirementNeedsScopeWeights(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s ScopeWeights under SharedRequirement: expected a construction panic", name)
+					t.Errorf("%s ScopeWeights on two scopes: expected a construction panic", name)
 				}
 			}()
-			New(Config{Windows: w, Scopes: scopes, SharedRequirement: true, ScopeWeights: weights})
+			New(Config{Windows: w, Scopes: scopes, ScopeWeights: weights})
 		}()
 	}
-	New(Config{Windows: w, Scopes: scopes, SharedRequirement: true, ScopeWeights: []float64{2.0 / 3, 1.0 / 3}})
+	New(Config{Windows: w, Scopes: scopes, ScopeWeights: []float64{2.0 / 3, 1.0 / 3}})
+	New(Config{Windows: w})
 }
 
 // TestDecideAtZeroAllocs gates the decision path: once warmed, a whole
@@ -154,7 +157,7 @@ func TestDecideAtZeroAllocs(t *testing.T) {
 				{Groups: [][]int{{0}, {1}}, Windows: w[:2]},
 				{Groups: [][]int{{0, 1}, {2}}, Windows: w[1:]},
 			},
-			SharedRequirement: true, ScopeWeights: []float64{2.0 / 3, 1.0 / 3}}),
+			ScopeWeights: []float64{2.0 / 3, 1.0 / 3}}),
 		"nok": New(Config{Windows: w, Adapt: acfg, Policy: NoKPolicy()}),
 	}
 	for name, l := range loops {
@@ -222,7 +225,7 @@ func TestRestoreRefusesMismatchedStates(t *testing.T) {
 		{Groups: [][]int{{0, 1}, {2}}, Windows: w[1:]},
 	}
 	global := testLoop(t, nil).State()
-	perStage := testLoop(t, twoScopes).State()
+	perStage := testLoop(t, twoScopes, 0.5, 0.5).State()
 	for _, tc := range []struct {
 		name string
 		st   State
@@ -239,8 +242,8 @@ func TestRestoreRefusesMismatchedStates(t *testing.T) {
 					t.Fatalf("recovered %v, want a panic starting %q", r, tc.want)
 				}
 			}()
-			testLoop(t, twoScopes).Restore(tc.st)
+			testLoop(t, twoScopes, 0.5, 0.5).Restore(tc.st)
 		})
 	}
-	testLoop(t, twoScopes).Restore(perStage) // the matching state still loads
+	testLoop(t, twoScopes, 0.5, 0.5).Restore(perStage) // the matching state still loads
 }

@@ -38,21 +38,40 @@ type qspec struct {
 	emit    bool // materialize results (disables the counting fast path)
 }
 
-// capture is everything a run exposes about one query.
-type capture struct {
-	results []string // ordered result signatures (emit runs)
-	counts  []string // ordered "ts:n" per-arrival count records
-	adapts  []core.AdaptEvent
-	total   int64
-	avgK    float64
-	nAdapt  int64
+// capture returns a run capturing everything the differential compares
+// of one query: the ordered per-arrival count records, the K trajectory
+// and, when emit is set, the ordered result stream.
+func capture(emit bool) *difftest.Run {
+	r := difftest.NewRun()
+	r.Records, r.Ks = []difftest.Record{}, []difftest.KStep{}
+	if emit {
+		r.Order = []string{}
+	}
+	return r
+}
+
+// counters is the part of a query or pipeline the capture reads at the end.
+type counters interface {
+	Results() int64
+	AvgK() float64
+	Adaptations() int64
+}
+
+// finish records c's aggregate counters into r; the adaptation counter must
+// agree with the captured trajectory.
+func finish(t *testing.T, c counters, r *difftest.Run) {
+	t.Helper()
+	r.Count, r.AvgK = c.Results(), c.AvgK()
+	if n := c.Adaptations(); n != int64(len(r.Ks)) {
+		t.Errorf("%d adaptations counted, %d observed", n, len(r.Ks))
+	}
 }
 
 // runStandalone executes one query on a classic pipeline over in (pushing
 // all tuples; finishing only when finish is set) and captures its outputs.
-func runStandalone(t *testing.T, s qspec, in stream.Batch, finish bool) capture {
+func runStandalone(t *testing.T, s qspec, in stream.Batch, finished bool) *difftest.Run {
 	t.Helper()
-	var cap capture
+	r := capture(s.emit)
 	pf, initialK := plan.PolicyFactoryFor(s.policy, s.staticK)
 	cfg := core.Config{
 		Windows:    s.windows,
@@ -60,95 +79,40 @@ func runStandalone(t *testing.T, s qspec, in stream.Batch, finish bool) capture 
 		Adapt:      s.adapt,
 		Policy:     pf,
 		InitialK:   initialK,
-		EmitCounts: func(ts stream.Time, n int64) { cap.counts = append(cap.counts, fmt.Sprintf("%d:%d", ts, n)) },
-		OnAdapt:    func(ev core.AdaptEvent) { cap.adapts = append(cap.adapts, ev) },
+		EmitCounts: r.CountAt,
+		OnAdapt:    func(ev core.AdaptEvent) { r.Adapt(difftest.KStep(ev)) },
 	}
 	if s.emit {
-		cfg.Emit = func(r stream.Result) { cap.results = append(cap.results, difftest.Sig(r.Tuples)) }
+		cfg.Emit = r.Emit
 	}
 	p := core.New(cfg)
 	for _, e := range in {
 		p.Push(e)
 	}
-	if finish {
+	if finished {
 		p.Finish()
 	}
-	cap.total = p.Results()
-	cap.avgK = p.AvgK()
-	cap.nAdapt = p.Adaptations()
-	return cap
+	finish(t, p, r)
+	return r
 }
 
 // addQuery registers s with the engine and returns the query handle plus
 // its live capture (filled in as the engine runs).
-func addQuery(en *multi.Engine, s qspec) (*multi.Query, *capture) {
-	cap := &capture{}
+func addQuery(en *multi.Engine, s qspec) (*multi.Query, *difftest.Run) {
+	r := capture(s.emit)
 	qc := multi.QueryConfig{
 		Cond:       s.cond(),
 		Windows:    s.windows,
 		Adapt:      s.adapt,
 		Policy:     s.policy,
 		StaticK:    s.staticK,
-		EmitCounts: func(ts stream.Time, n int64) { cap.counts = append(cap.counts, fmt.Sprintf("%d:%d", ts, n)) },
-		OnAdapt:    func(ev core.AdaptEvent) { cap.adapts = append(cap.adapts, ev) },
+		EmitCounts: r.CountAt,
+		OnAdapt:    func(ev core.AdaptEvent) { r.Adapt(difftest.KStep(ev)) },
 	}
 	if s.emit {
-		qc.Emit = func(r stream.Result) { cap.results = append(cap.results, difftest.Sig(r.Tuples)) }
+		qc.Emit = r.Emit
 	}
-	q := en.Add(qc)
-	return q, cap
-}
-
-func finishCapture(q *multi.Query, cap *capture) {
-	cap.total = q.Results()
-	cap.avgK = q.AvgK()
-	cap.nAdapt = q.Adaptations()
-}
-
-// sameRun asserts bit-for-bit equality of two captures: ordered results,
-// ordered count records, the full adaptation-event trajectory, and the
-// aggregate counters.
-func sameRun(t *testing.T, name string, want, got capture) {
-	t.Helper()
-	if got.total != want.total {
-		t.Errorf("%s: %d results, want %d", name, got.total, want.total)
-	}
-	if len(got.results) != len(want.results) {
-		t.Errorf("%s: %d emitted results, want %d", name, len(got.results), len(want.results))
-	} else {
-		for i := range want.results {
-			if got.results[i] != want.results[i] {
-				t.Errorf("%s: result[%d] = %s, want %s", name, i, got.results[i], want.results[i])
-				break
-			}
-		}
-	}
-	if len(got.counts) != len(want.counts) {
-		t.Errorf("%s: %d count records, want %d", name, len(got.counts), len(want.counts))
-	} else {
-		for i := range want.counts {
-			if got.counts[i] != want.counts[i] {
-				t.Errorf("%s: count[%d] = %s, want %s", name, i, got.counts[i], want.counts[i])
-				break
-			}
-		}
-	}
-	if len(got.adapts) != len(want.adapts) {
-		t.Errorf("%s: %d adaptation events, want %d", name, len(got.adapts), len(want.adapts))
-	} else {
-		for i := range want.adapts {
-			if got.adapts[i] != want.adapts[i] {
-				t.Errorf("%s: adapt[%d] = %+v, want %+v", name, i, got.adapts[i], want.adapts[i])
-				break
-			}
-		}
-	}
-	if got.avgK != want.avgK {
-		t.Errorf("%s: AvgK %v, want %v", name, got.avgK, want.avgK)
-	}
-	if got.nAdapt != want.nAdapt {
-		t.Errorf("%s: %d adaptations, want %d", name, got.nAdapt, want.nAdapt)
-	}
+	return en.Add(qc), r
 }
 
 func windows3() []stream.Time { return []stream.Time{700, 700, 700} }
@@ -169,7 +133,7 @@ func TestMultiIdenticalQueries(t *testing.T) {
 
 				en := multi.NewEngine(3)
 				qs := make([]*multi.Query, n)
-				caps := make([]*capture, n)
+				caps := make([]*difftest.Run, n)
 				for i := 0; i < n; i++ {
 					qs[i], caps[i] = addQuery(en, s)
 				}
@@ -182,8 +146,8 @@ func TestMultiIdenticalQueries(t *testing.T) {
 				}
 				en.Close()
 				for i := 0; i < n; i++ {
-					finishCapture(qs[i], caps[i])
-					sameRun(t, fmt.Sprintf("emit=%t/n=%d/seed%d/q%d", emit, n, seed, i), want, *caps[i])
+					finish(t, qs[i], caps[i])
+					difftest.Compare(t, fmt.Sprintf("emit=%t/n=%d/seed%d/q%d", emit, n, seed, i), want, caps[i])
 				}
 			}
 		}
@@ -217,13 +181,13 @@ func TestMultiMixedQueries(t *testing.T) {
 	}
 	for seed := int64(41); seed < 43; seed++ {
 		in := difftest.MixWorkload(3, 350, seed, 14)
-		wants := make([]capture, len(specs))
+		wants := make([]*difftest.Run, len(specs))
 		for i, s := range specs {
 			wants[i] = runStandalone(t, s, in.Clone(), true)
 		}
 		en := multi.NewEngine(3)
 		qs := make([]*multi.Query, len(specs))
-		caps := make([]*capture, len(specs))
+		caps := make([]*difftest.Run, len(specs))
 		for i, s := range specs {
 			qs[i], caps[i] = addQuery(en, s)
 		}
@@ -232,8 +196,8 @@ func TestMultiMixedQueries(t *testing.T) {
 		}
 		en.Close()
 		for i, s := range specs {
-			finishCapture(qs[i], caps[i])
-			sameRun(t, fmt.Sprintf("%s/seed%d", s.name, seed), wants[i], *caps[i])
+			finish(t, qs[i], caps[i])
+			difftest.Compare(t, fmt.Sprintf("%s/seed%d", s.name, seed), wants[i], caps[i])
 		}
 	}
 }
@@ -291,12 +255,12 @@ func TestMultiAddMidStream(t *testing.T) {
 			en.Push(e)
 		}
 		en.Close()
-		finishCapture(q1, cap1)
-		finishCapture(q2, cap2)
-		finishCapture(q3, cap3)
-		sameRun(t, fmt.Sprintf("seed%d/early-q1", seed), wantFull, *cap1)
-		sameRun(t, fmt.Sprintf("seed%d/early-q2", seed), wantFull, *cap2)
-		sameRun(t, fmt.Sprintf("seed%d/late-q3", seed), wantTail, *cap3)
+		finish(t, q1, cap1)
+		finish(t, q2, cap2)
+		finish(t, q3, cap3)
+		difftest.Compare(t, fmt.Sprintf("seed%d/early-q1", seed), wantFull, cap1)
+		difftest.Compare(t, fmt.Sprintf("seed%d/early-q2", seed), wantFull, cap2)
+		difftest.Compare(t, fmt.Sprintf("seed%d/late-q3", seed), wantTail, cap3)
 	}
 }
 
@@ -325,17 +289,17 @@ func TestMultiRemoveMidStream(t *testing.T) {
 		for _, e := range feed[:cut] {
 			en.Push(e)
 		}
-		finishCapture(q2, cap2)
+		finish(t, q2, cap2)
 		en.Remove(q2)
 		for _, e := range feed[cut:] {
 			en.Push(e)
 		}
 		en.Close()
-		finishCapture(q1, cap1)
-		finishCapture(qo, capo)
-		sameRun(t, fmt.Sprintf("seed%d/removed", seed), wantHead, *cap2)
-		sameRun(t, fmt.Sprintf("seed%d/survivor-same", seed), wantFull, *cap1)
-		sameRun(t, fmt.Sprintf("seed%d/survivor-other", seed), wantOther, *capo)
+		finish(t, q1, cap1)
+		finish(t, qo, capo)
+		difftest.Compare(t, fmt.Sprintf("seed%d/removed", seed), wantHead, cap2)
+		difftest.Compare(t, fmt.Sprintf("seed%d/survivor-same", seed), wantFull, cap1)
+		difftest.Compare(t, fmt.Sprintf("seed%d/survivor-other", seed), wantOther, capo)
 	}
 }
 
@@ -364,17 +328,17 @@ func TestMultiAddRemoveChurn(t *testing.T) {
 	for _, e := range feed[third : 2*third] {
 		en.Push(e)
 	}
-	finishCapture(q2, cap2)
+	finish(t, q2, cap2)
 	en.Remove(q2)
 	for _, e := range feed[2*third:] {
 		en.Push(e)
 	}
 	en.Close()
-	finishCapture(q1, cap1)
-	finishCapture(q3, cap3)
-	sameRun(t, "churn/full", wantFull, *cap1)
-	sameRun(t, "churn/mid", wantMid, *cap2)
-	sameRun(t, "churn/tail", wantTail, *cap3)
+	finish(t, q1, cap1)
+	finish(t, q3, cap3)
+	difftest.Compare(t, "churn/full", wantFull, cap1)
+	difftest.Compare(t, "churn/mid", wantMid, cap2)
+	difftest.Compare(t, "churn/tail", wantTail, cap3)
 }
 
 // TestMultiLifecyclePanics pins the engine lifecycle: every misuse panics

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/fault"
 	"repro/internal/join"
@@ -43,84 +44,26 @@ func startWorkers(t *testing.T, n int, inj *fault.Injector) []string {
 	return addrs
 }
 
-// tupleRecord is one in-order tuple's feedback-loop record.
-type tupleRecord struct {
-	ts, delay   stream.Time
-	nCross, nOn int64
-}
-
-// refRun executes the sequence on a single operator, capturing the streams
-// the networked runtime must reproduce bit-for-bit.
-func refRun(cond *join.Condition, windows []stream.Time, seq []*stream.Tuple) (recs []tupleRecord, ooo []stream.Time, results map[string]int) {
-	results = map[string]int{}
-	op := join.New(cond, windows,
-		join.WithEmit(func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ }),
-		join.WithProcessedHook(func(e *stream.Tuple, nCross, nOn int64, inOrder bool) {
-			if inOrder {
-				recs = append(recs, tupleRecord{e.TS, e.Delay, nCross, nOn})
-			} else {
-				ooo = append(ooo, e.Delay)
-			}
-		}))
-	for _, e := range seq {
-		op.Process(e)
-	}
-	return recs, ooo, results
-}
-
-// netRun executes the same sequence through a Session against n in-process
-// daemons, flushing every flushEvery tuples.
-func netRun(t *testing.T, cond *join.Condition, windows []stream.Time, seq []*stream.Tuple, n, flushEvery, frameBatch int) (recs []tupleRecord, ooo []stream.Time, results map[string]int) {
+// session executes seq through a Session against n in-process daemons,
+// flushing every flushEvery tuples, and returns the merged streams — what
+// difftest.Operator captures of a single operator.
+func session(t *testing.T, cond *join.Condition, windows []stream.Time, seq []*stream.Tuple, n, flushEvery, frameBatch int) *difftest.Run {
 	t.Helper()
-	results = map[string]int{}
-	addrs := startWorkers(t, n, nil)
-	s := NewSession(addrs, "net-test", shard.Config{
+	got := difftest.NewRun()
+	s := NewSession(startWorkers(t, n, nil), "net-test", shard.Config{
 		Cond: cond, Windows: windows, Materialize: true,
 		BatchSize:    frameBatch,
-		OnOutOfOrder: func(d stream.Time) { ooo = append(ooo, d) },
+		OnOutOfOrder: got.OnOutOfOrder,
 	})
-	flush := func() {
-		s.FlushInterval(func(ts, delay stream.Time, nCross, nOn int64) {
-			recs = append(recs, tupleRecord{ts, delay, nCross, nOn})
-		}, func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ })
-	}
 	for i, e := range seq {
 		s.Route(e)
 		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			flush()
+			s.FlushInterval(got.Record, got.Emit)
 		}
 	}
-	flush()
+	s.FlushInterval(got.Record, got.Emit)
 	s.Close()
-	return recs, ooo, results
-}
-
-// wireConds enumerates condition shapes for all three partition modes —
-// every one wireable, so generic predicates use WhereExpr.
-func wireConds(m int) map[string]func() *join.Condition {
-	cs := map[string]func() *join.Condition{
-		"equichain": func() *join.Condition { return join.EquiChain(m, 0) },
-		"bandchain": func() *join.Condition {
-			c := join.Cross(m)
-			for i := 0; i+1 < m; i++ {
-				c.Band(i, 1, i+1, 1, 1.5)
-			}
-			return c
-		},
-		"band+generic": func() *join.Condition {
-			c := join.Cross(m)
-			for i := 0; i+1 < m; i++ {
-				c.Band(i, 1, i+1, 1, 2)
-			}
-			return c.WhereExpr(join.Lt(
-				join.Abs(join.Sub(join.Attr(0, 2), join.Attr(m-1, 2))),
-				join.ConstOf(4)))
-		},
-		"generic-only": func() *join.Condition {
-			return join.Cross(m).WhereExpr(join.Eq(join.Attr(0, 0), join.Attr(m-1, 0)))
-		},
-	}
-	return cs
+	return got
 }
 
 // TestNetworkedMatchesSingleOperator is the tentpole differential: for
@@ -131,7 +74,7 @@ func wireConds(m int) map[string]func() *join.Condition {
 func TestNetworkedMatchesSingleOperator(t *testing.T) {
 	leakcheck.Check(t)
 	for _, m := range []int{2, 3} {
-		for name, mk := range wireConds(m) {
+		for name, mk := range difftest.Conds(m, true) {
 			for _, tc := range []struct{ workers, batch int }{
 				{1, 7}, {2, 1}, {2, 64}, {4, 1}, {4, 64},
 			} {
@@ -139,31 +82,9 @@ func TestNetworkedMatchesSingleOperator(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(101*m + 7*tc.workers + tc.batch)))
 					w := stream.Time(300)
 					seq := difftest.GenSeq(rng, m, 600, w)
-					windows := make([]stream.Time, m)
-					for i := range windows {
-						windows[i] = w
-					}
-					wantRecs, wantOOO, wantRes := refRun(mk(), windows, seq)
-					gotRecs, gotOOO, gotRes := netRun(t, mk(), windows, seq, tc.workers, 97, tc.batch)
-					if len(gotRecs) != len(wantRecs) {
-						t.Fatalf("record count: got %d, want %d", len(gotRecs), len(wantRecs))
-					}
-					for i := range wantRecs {
-						if gotRecs[i] != wantRecs[i] {
-							t.Fatalf("record %d: got %+v, want %+v", i, gotRecs[i], wantRecs[i])
-						}
-					}
-					if fmt.Sprint(gotOOO) != fmt.Sprint(wantOOO) {
-						t.Fatalf("ooo stream diverges:\n got %v\nwant %v", gotOOO, wantOOO)
-					}
-					if len(gotRes) != len(wantRes) {
-						t.Fatalf("distinct results: got %d, want %d", len(gotRes), len(wantRes))
-					}
-					for k, v := range wantRes {
-						if gotRes[k] != v {
-							t.Fatalf("result %q: got %d, want %d", k, gotRes[k], v)
-						}
-					}
+					windows := difftest.Windows(m, w)
+					difftest.Compare(t, "", difftest.Operator(mk(), windows, seq),
+						session(t, mk(), windows, seq, tc.workers, 97, tc.batch))
 				})
 			}
 		}
@@ -184,88 +105,53 @@ func TestNetworkedStateRestoresCrossRuntime(t *testing.T) {
 	seq := difftest.GenSeq(rng, m, 500, w)
 	half := len(seq) / 2
 
-	// Reference: full run on the in-process sharded runtime.
-	wantRecs, _, wantRes := refRun(cond(), windows, seq)
-
-	// Run the first half networked, capture, restore into a fresh
-	// in-process runtime, run the second half there.
-	addrs := startWorkers(t, 2, nil)
-	s := NewSession(addrs, "cross-test", shard.Config{Cond: cond(), Windows: windows, Materialize: true})
-	var recs []tupleRecord
-	var results = map[string]int{}
-	visit := func(ts, delay stream.Time, nCross, nOn int64) {
-		recs = append(recs, tupleRecord{ts, delay, nCross, nOn})
-	}
-	emit := func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ }
-	for _, e := range seq[:half] {
-		s.Route(e)
-	}
-	s.FlushInterval(visit, emit)
-	tt := fault.NewTupleTable()
-	st := s.State(tt)
-	s.Close()
-
-	rt := shard.New(shard.Config{N: 2, Cond: cond(), Windows: windows, Materialize: true})
-	rt.Restore(st, fault.NewTupleArena(tt.Recs))
-	for _, e := range seq[half:] {
-		rt.Route(e)
-	}
-	rt.FlushInterval(visit, emit)
-	rt.Close()
-
-	// The captured interval boundary differs from refRun's (which never
-	// flushes), so compare only totals and the result multiset.
-	var gotOn, wantOn int64
-	for _, r := range recs {
-		gotOn += r.nOn
-	}
-	for _, r := range wantRecs {
-		wantOn += r.nOn
-	}
-	if gotOn != wantOn {
-		t.Fatalf("result count after cross-restore: got %d, want %d", gotOn, wantOn)
-	}
-	if len(results) != len(wantRes) {
-		t.Fatalf("distinct results: got %d, want %d", len(results), len(wantRes))
-	}
-	for k, v := range wantRes {
-		if results[k] != v {
-			t.Fatalf("result %q: got %d, want %d", k, results[k], v)
+	// Reference: the single operator over the whole sequence. It never
+	// flushes, so its records split into intervals differently from the
+	// captured runs': compare the result multisets and the records' total
+	// result count.
+	want := difftest.Operator(cond(), windows, seq)
+	on := func(r *difftest.Run) (n int64) {
+		for _, rec := range r.Records {
+			n += rec.NOn
 		}
+		return n
 	}
+	wantOn := on(want)
+	want.Records, want.OutOfOrder = nil, nil
 
-	// And the reverse direction: first half in-process, second networked.
-	results2 := map[string]int{}
-	var on2 int64
-	visit2 := func(ts, delay stream.Time, nCross, nOn int64) { on2 += nOn }
-	emit2 := func(r stream.Result) { results2[difftest.Sig(r.Tuples)]++ }
-	rt2 := shard.New(shard.Config{N: 2, Cond: cond(), Windows: windows, Materialize: true})
-	for _, e := range seq[:half] {
-		rt2.Route(e)
+	networked := func() core.Runtime {
+		return NewSession(startWorkers(t, 2, nil), "cross-test", shard.Config{Cond: cond(), Windows: windows, Materialize: true})
 	}
-	rt2.FlushInterval(visit2, emit2)
-	tt2 := fault.NewTupleTable()
-	st2 := rt2.State(tt2)
-	rt2.Close()
-
-	addrs2 := startWorkers(t, 2, nil)
-	s2 := NewSession(addrs2, "cross-test", shard.Config{Cond: cond(), Windows: windows, Materialize: true})
-	s2.Restore(st2, fault.NewTupleArena(tt2.Recs))
-	for _, e := range seq[half:] {
-		s2.Route(e)
+	inProcess := func() core.Runtime {
+		return shard.New(shard.Config{N: 2, Cond: cond(), Windows: windows, Materialize: true})
 	}
-	s2.FlushInterval(visit2, emit2)
-	s2.Close()
-	if on2 != wantOn {
-		t.Fatalf("result count after reverse cross-restore: got %d, want %d", on2, wantOn)
-	}
-	for k, v := range wantRes {
-		if results2[k] != v {
-			t.Fatalf("reverse result %q: got %d, want %d", k, results2[k], v)
+	// Run the first half on one runtime, capture, restore into a fresh
+	// runtime of the other kind, run the second half there.
+	for name, pair := range map[string][2]func() core.Runtime{
+		"networked→in-process": {networked, inProcess},
+		"in-process→networked": {inProcess, networked},
+	} {
+		got := difftest.NewRun()
+		first := pair[0]()
+		for _, e := range seq[:half] {
+			first.Route(e)
 		}
-	}
-	if len(results2) != len(wantRes) {
-		t.Fatalf("reverse distinct results: got %d, want %d", len(results2), len(wantRes))
+		first.FlushInterval(got.Record, got.Emit)
+		tt := fault.NewTupleTable()
+		st := first.State(tt)
+		first.Close()
+
+		second := pair[1]()
+		second.Restore(st, fault.NewTupleArena(tt.Recs))
+		for _, e := range seq[half:] {
+			second.Route(e)
+		}
+		second.FlushInterval(got.Record, got.Emit)
+		second.Close()
+		if n := on(got); n != wantOn {
+			t.Fatalf("%s: result count after cross-restore: got %d, want %d", name, n, wantOn)
+		}
+		difftest.Compare(t, name, want, got)
 	}
 }
 

@@ -3,7 +3,6 @@ package plan
 import (
 	"encoding/json"
 	"flag"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -80,27 +79,12 @@ func traceTree(t *testing.T, name, spec string, m int, policy Policy) treeGolden
 		t.Fatal(err)
 	}
 	r := treeGoldenRun{Name: name}
-	hOrd := fnv.New64a()
-	var buf [8]byte
-	put := func(h interface{ Write([]byte) (int, error) }, v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	h := difftest.NewHash()
 	ex := Build(g, ExecConfig{
 		Adapt:   adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second},
 		Policy:  policy,
 		StaticK: 700,
-		Emit: func(res stream.Result) {
-			h := fnv.New64a()
-			for _, tp := range res.Tuples {
-				put(h, tp.Seq)
-			}
-			hr := h.Sum64()
-			put(hOrd, hr)
-			r.SetHash += hr // commutative: a multiset hash
-		},
+		Emit:    h.Emit,
 		OnAdapt: func(ev core.AdaptEvent) {
 			r.Now = append(r.Now, int64(ev.Now))
 			r.OutT = append(r.OutT, int64(ev.OutT))
@@ -117,7 +101,7 @@ func traceTree(t *testing.T, name, spec string, m int, policy Policy) treeGolden
 		r.FinalKs = append(r.FinalKs, int64(k))
 	}
 	r.Results = ex.Results()
-	r.OrderedHash = hOrd.Sum64()
+	r.OrderedHash, r.SetHash = h.Ordered(), h.Set
 	return r
 }
 

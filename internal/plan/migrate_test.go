@@ -27,15 +27,15 @@ func (fixedLog) Step(*Supervised, *stream.Tuple, bool) {}
 func (fixedLog) Period() stream.Time                   { return 0 }
 
 // runMigrating executes the workload at the fixed buffer size k, migrating
-// to the next graph in the cycle every `every` arrivals, and returns the
-// delivered result multiset. scf selects the shell (unsupervised when
-// zero); its Replan is always fixedLog.
-func runMigrating(t *testing.T, name string, graphs []*Graph, k stream.Time, in stream.Batch, every int, scf SuperviseConfig) map[string]int {
+// to the next graph in the cycle every `every` arrivals, and requires the
+// delivered results to be the flat reference's. scf selects the shell
+// (unsupervised when zero); its Replan is always fixedLog.
+func runMigrating(t *testing.T, name string, graphs []*Graph, k stream.Time, in stream.Batch, every int, scf SuperviseConfig) {
 	t.Helper()
-	set := map[string]int{}
+	want := difftest.Flat(graphs[0].Cond, graphs[0].Windows, k, in.Clone())
+	got := difftest.NewRun()
 	scf.Replan = fixedLog{}
-	s := NewSupervised(graphs[0], ExecConfig{Policy: PolicyStatic, StaticK: k,
-		Emit: func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }}, scf)
+	s := NewSupervised(graphs[0], ExecConfig{Policy: PolicyStatic, StaticK: k, Emit: got.Emit}, scf)
 	cur := 0
 	for i, e := range in {
 		s.Push(e)
@@ -58,41 +58,10 @@ func runMigrating(t *testing.T, name string, graphs []*Graph, k stream.Time, in 
 	if s.Migrations() == 0 {
 		t.Fatalf("%s: workload too short, no migration exercised", name)
 	}
-	if got := s.Results(); got != sumCounts(set) {
-		t.Fatalf("%s: gate delivered %d, sink saw %d", name, got, sumCounts(set))
+	if n := s.Results(); n != got.Count {
+		t.Fatalf("%s: gate delivered %d, sink saw %d", name, n, got.Count)
 	}
-	return set
-}
-
-func sumCounts(set map[string]int) int64 {
-	var n int64
-	for _, c := range set {
-		n += int64(c)
-	}
-	return n
-}
-
-func migrationConds() []struct {
-	name string
-	m    int
-	mk   func() *join.Condition
-} {
-	return []struct {
-		name string
-		m    int
-		mk   func() *join.Condition
-	}{
-		{"equichain3", 3, func() *join.Condition { return join.EquiChain(3, 0) }},
-		{"star4", 4, func() *join.Condition { return join.Star(4, []int{0, 1, 2}, []int{0, 0, 0}) }},
-		{"band-equi-mix4", 4, func() *join.Condition {
-			return join.Cross(4).Equi(0, 0, 1, 0).Band(1, 1, 2, 1, 8).Equi(2, 0, 3, 0)
-		}},
-		{"generic-mix3", 3, func() *join.Condition {
-			return join.EquiChain(3, 0).Where([]int{0, 2}, func(a []*stream.Tuple) bool {
-				return a[0].Attr(1) <= a[2].Attr(1)+40
-			})
-		}},
-	}
+	difftest.Compare(t, name, want, got)
 }
 
 func migrationShapes(m int, star bool) []string {
@@ -123,23 +92,17 @@ func parseAll(t *testing.T, specs []string, cond *join.Condition, w []stream.Tim
 // equal the uninterrupted flat reference.
 func TestMigrationDifferentialPairs(t *testing.T) {
 	leakcheck.Check(t)
-	for _, tc := range migrationConds() {
-		in := difftest.MixWorkload(tc.m, 350, 42, 14)
+	for _, tc := range difftest.Mixes(false) {
+		in := difftest.MixWorkload(tc.M, 350, 42, 14)
 		maxD, _ := in.MaxDelay()
-		w := make([]stream.Time, tc.m)
-		for i := range w {
-			w[i] = 700
-		}
-		want := runGraph(FlatGraph(tc.mk(), w), maxD, in.Clone())
-		shapes := migrationShapes(tc.m, tc.name == "star4")
+		w := difftest.Windows(tc.M, 700)
+		shapes := migrationShapes(tc.M, tc.Name == "star4")
 		every := len(in) / 5 // four boundaries, alternating a→b→a→b
 		for ai, a := range shapes {
 			for _, b := range shapes[ai+1:] {
-				cond := tc.mk()
-				graphs := parseAll(t, []string{a, b}, cond, w)
-				name := fmt.Sprintf("%s/%s↔%s", tc.name, a, b)
-				got := runMigrating(t, name, graphs, maxD, in.Clone(), every, SuperviseConfig{Unsupervised: true})
-				sameMultiset(t, name, want, got)
+				graphs := parseAll(t, []string{a, b}, tc.Cond(), w)
+				name := fmt.Sprintf("%s/%s↔%s", tc.Name, a, b)
+				runMigrating(t, name, graphs, maxD, in.Clone(), every, SuperviseConfig{Unsupervised: true})
 			}
 		}
 	}
@@ -150,21 +113,15 @@ func TestMigrationDifferentialPairs(t *testing.T) {
 func TestMigrationDifferentialTour(t *testing.T) {
 	leakcheck.Check(t)
 	for seed := int64(41); seed < 43; seed++ {
-		for _, tc := range migrationConds() {
-			in := difftest.MixWorkload(tc.m, 420, seed, 14)
+		for _, tc := range difftest.Mixes(false) {
+			in := difftest.MixWorkload(tc.M, 420, seed, 14)
 			maxD, _ := in.MaxDelay()
-			w := make([]stream.Time, tc.m)
-			for i := range w {
-				w[i] = 700
-			}
-			want := runGraph(FlatGraph(tc.mk(), w), maxD, in.Clone())
-			shapes := migrationShapes(tc.m, tc.name == "star4")
-			cond := tc.mk()
-			graphs := parseAll(t, shapes, cond, w)
+			w := difftest.Windows(tc.M, 700)
+			shapes := migrationShapes(tc.M, tc.Name == "star4")
+			graphs := parseAll(t, shapes, tc.Cond(), w)
 			every := len(in) / (2*len(shapes) + 1)
-			name := fmt.Sprintf("%s/tour/seed%d", tc.name, seed)
-			got := runMigrating(t, name, graphs, maxD, in.Clone(), every, SuperviseConfig{Unsupervised: true})
-			sameMultiset(t, name, want, got)
+			name := fmt.Sprintf("%s/tour/seed%d", tc.Name, seed)
+			runMigrating(t, name, graphs, maxD, in.Clone(), every, SuperviseConfig{Unsupervised: true})
 		}
 	}
 }
@@ -175,29 +132,24 @@ func TestMigrationDifferentialTour(t *testing.T) {
 // the gate, and the delivered multiset must still be the flat reference's.
 func TestMigrationSupervisedDifferential(t *testing.T) {
 	leakcheck.Check(t)
-	for _, tc := range migrationConds() {
-		in := difftest.MixWorkload(tc.m, 420, 43, 14)
+	for _, tc := range difftest.Mixes(false) {
+		in := difftest.MixWorkload(tc.M, 420, 43, 14)
 		maxD, _ := in.MaxDelay()
-		w := make([]stream.Time, tc.m)
-		for i := range w {
-			w[i] = 700
-		}
-		want := runGraph(FlatGraph(tc.mk(), w), maxD, in.Clone())
-		shapes := migrationShapes(tc.m, tc.name == "star4")
-		graphs := parseAll(t, shapes, tc.mk(), w)
+		w := difftest.Windows(tc.M, 700)
+		shapes := migrationShapes(tc.M, tc.Name == "star4")
+		graphs := parseAll(t, shapes, tc.Cond(), w)
 		every := len(in) / (2*len(shapes) + 1)
 		e := int64(every)
 		inj := fault.NewInjector().PanicAt(0, e/2).PanicAt(0, e+1).PanicAt(1, 2*e+1).PanicAt(0, 3*e+e/2).PanicAt(0, 4*e+1)
 		restarts := 0
-		name := tc.name + "/supervised-tour"
-		got := runMigrating(t, name, graphs, maxD, in.Clone(), every, SuperviseConfig{
+		name := tc.Name + "/supervised-tour"
+		runMigrating(t, name, graphs, maxD, in.Clone(), every, SuperviseConfig{
 			Backoff: testBackoff(3), Inject: inj, CheckpointEvery: 1,
 			OnRestart: func(int, error) { restarts++ },
 		})
 		if restarts < 3 {
 			t.Fatalf("%s: %d restarts, want the kills before, after and between migrations", name, restarts)
 		}
-		sameMultiset(t, name, want, got)
 	}
 }
 
@@ -280,10 +232,10 @@ func TestMigrationAdaptive(t *testing.T) {
 	in := difftest.MixWorkload(3, 500, 7, 10)
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{700, 700, 700}
-	want := runGraph(FlatGraph(join.EquiChain(3, 0), w), maxD, in.Clone())
+	want := difftest.Flat(join.EquiChain(3, 0), w, maxD, in.Clone())
 
-	set := map[string]int{}
-	cfg := ExecConfig{Policy: PolicyMaxK, Emit: func(r stream.Result) { set[difftest.Sig(r.Tuples)]++ }}
+	got := difftest.NewRun()
+	cfg := ExecConfig{Policy: PolicyMaxK, Emit: got.Emit}
 	graphs := parseAll(t, []string{"flat", "tree-shard:2", "shard:2", "tree"}, cond, w)
 	cur := 0
 	s := NewSupervised(graphs[0], cfg, SuperviseConfig{Unsupervised: true, Replan: fixedLog{}})
@@ -306,12 +258,5 @@ func TestMigrationAdaptive(t *testing.T) {
 		}
 	}
 	s.Finish()
-	for k, c := range set {
-		if c > want[k] {
-			t.Fatalf("result %s delivered ×%d, reference has ×%d — duplicate or spurious delivery", k, c, want[k])
-		}
-	}
-	if len(set) == 0 {
-		t.Fatal("adaptive migrating run delivered nothing")
-	}
+	difftest.Within(t, "adaptive migrating run", want, got)
 }

@@ -48,58 +48,31 @@ func startDaemons(t *testing.T, n int, inj map[int]*fault.Injector) []string {
 	return addrs
 }
 
-// remoteConds is the condition matrix: equi, band, and a generic residual
-// (expression form — remote workers need a wireable condition).
-func remoteConds() []struct {
-	name string
-	m    int
-	mk   func() *join.Condition
-} {
-	return []struct {
-		name string
-		m    int
-		mk   func() *join.Condition
-	}{
-		{"equichain3", 3, func() *join.Condition { return join.EquiChain(3, 0) }},
-		{"band-equi-mix4", 4, func() *join.Condition {
-			return join.Cross(4).Equi(0, 0, 1, 0).Band(1, 1, 2, 1, 8).Equi(2, 0, 3, 0)
-		}},
-		{"generic-mix3", 3, func() *join.Condition {
-			return join.EquiChain(3, 0).WhereExpr(
-				join.Le(join.Attr(0, 1), join.Add(join.Attr(2, 1), join.ConstOf(40))))
-		}},
-	}
-}
-
 // TestRemoteAdaptiveDifferential runs the full feedback pipeline — K
 // adaptation at interval boundaries, barriers delivered in-band — against
 // networked workers and requires the flat in-process reference exactly.
 func TestRemoteAdaptiveDifferential(t *testing.T) {
-	for _, tc := range remoteConds() {
-		in := difftest.MixWorkload(tc.m, 1200, 23, 14)
-		w := make([]stream.Time, tc.m)
-		for i := range w {
-			w[i] = 700
-		}
-		want := runHealthy(FlatGraph(tc.mk(), w), in.Clone())
-		if want.results == 0 || len(want.ks) < 4 {
+	for _, tc := range difftest.Mixes(true, "equichain3", "band-equi-mix4", "generic-mix3") {
+		in := difftest.MixWorkload(tc.M, 1200, 23, 14)
+		w := difftest.Windows(tc.M, 700)
+		want := runHealthy(FlatGraph(tc.Cond(), w), in.Clone())
+		if want.Count == 0 || len(want.Ks) < 4 {
 			t.Fatalf("%s: degenerate reference: %d results, %d adaptations",
-				tc.name, want.results, len(want.ks))
+				tc.Name, want.Count, len(want.Ks))
 		}
 		for _, workers := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.Name, workers), func(t *testing.T) {
 				leakcheck.Check(t)
 				addrs := startDaemons(t, workers, nil)
-				tr := supTrace{set: map[string]int{}}
-				cfg := tr.cfg()
+				got, cfg := traced()
 				cfg.Remote = addrs
-				ex := Build(ShardedFlat(tc.mk(), w, workers), cfg)
+				ex := Build(ShardedFlat(tc.Cond(), w, workers), cfg)
 				for _, e := range in.Clone() {
 					ex.Push(e)
 				}
 				ex.Finish()
-				tr.results = ex.Results()
-				diffSupTraces(t, tc.name, want, tr)
+				got.Count = ex.Results()
+				difftest.Compare(t, tc.Name, want, got)
 			})
 		}
 	}
@@ -122,8 +95,7 @@ func TestRemoteSupervisedWorkerKill(t *testing.T) {
 	inj.PanicAt(1, 400) // worker-side: fires at daemon 1's 400th probe
 	addrs := startDaemons(t, 2, map[int]*fault.Injector{1: inj})
 
-	tr := supTrace{set: map[string]int{}}
-	cfg := tr.cfg()
+	got, cfg := traced()
 	cfg.Remote = addrs
 	// No driver-side Inject: the fault lives in the worker process. The
 	// supervisor only supplies backoff and checkpoint cadence.
@@ -139,8 +111,8 @@ func TestRemoteSupervisedWorkerKill(t *testing.T) {
 	if s.Restarts() < 1 {
 		t.Fatal("worker-side injector never fired")
 	}
-	tr.results = s.Results()
-	diffSupTraces(t, "remote-kill", want, tr)
+	got.Count = s.Results()
+	difftest.Compare(t, "remote-kill", want, got)
 }
 
 // TestRemoteConfigValidation pins the construction-time contract: remote

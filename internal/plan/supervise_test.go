@@ -23,21 +23,13 @@ import (
 
 var supAdapt = adapt.Config{Gamma: 0.9, P: stream.Second, L: 200 * stream.Millisecond}
 
-// supTrace pins everything the differential compares.
-type supTrace struct {
-	results int64
-	ks      []string
-	set     map[string]int
-}
-
-func (tr *supTrace) cfg() ExecConfig {
-	return ExecConfig{
-		Adapt: supAdapt,
-		Emit:  func(r stream.Result) { tr.set[difftest.Sig(r.Tuples)]++ },
-		OnAdapt: func(ev core.AdaptEvent) {
-			tr.ks = append(tr.ks, fmt.Sprintf("%v:%v>%v", ev.Now, ev.PrevK, ev.NewK))
-		},
-	}
+// traced returns a fresh run and the execution config that captures into
+// it: results and the K trajectory, under supAdapt.
+func traced() (*difftest.Run, ExecConfig) {
+	r := difftest.NewRun()
+	r.Ks = []difftest.KStep{}
+	return r, ExecConfig{Adapt: supAdapt, Emit: r.Emit,
+		OnAdapt: func(ev core.AdaptEvent) { r.Adapt(difftest.KStep(ev)) }}
 }
 
 // testBackoff never really sleeps and keeps its jitter deterministic.
@@ -47,21 +39,21 @@ func testBackoff(retries int) fault.Backoff {
 }
 
 // runHealthy is the reference: the bare executor, no supervision.
-func runHealthy(g *Graph, in stream.Batch) supTrace {
-	tr := supTrace{set: map[string]int{}}
-	ex := Build(g, tr.cfg())
+func runHealthy(g *Graph, in stream.Batch) *difftest.Run {
+	r, cfg := traced()
+	ex := Build(g, cfg)
 	for _, e := range in {
 		ex.Push(e)
 	}
 	ex.Finish()
-	tr.results = ex.Results()
-	return tr
+	r.Count = ex.Results()
+	return r
 }
 
-func runSupervised(t *testing.T, g *Graph, in stream.Batch, scf SuperviseConfig) (*Supervised, supTrace) {
+func runSupervised(t *testing.T, g *Graph, in stream.Batch, scf SuperviseConfig) (*Supervised, *difftest.Run) {
 	t.Helper()
-	tr := supTrace{set: map[string]int{}}
-	s := NewSupervised(g, tr.cfg(), scf)
+	r, cfg := traced()
+	s := NewSupervised(g, cfg, scf)
 	for _, e := range in {
 		s.Push(e)
 	}
@@ -69,24 +61,8 @@ func runSupervised(t *testing.T, g *Graph, in stream.Batch, scf SuperviseConfig)
 	if err := s.Err(); err != nil {
 		t.Fatalf("supervised run went terminal: %v", err)
 	}
-	tr.results = s.Results()
-	return s, tr
-}
-
-func diffSupTraces(t *testing.T, name string, want, got supTrace) {
-	t.Helper()
-	if got.results != want.results {
-		t.Errorf("%s: %d results, want %d", name, got.results, want.results)
-	}
-	if len(got.ks) != len(want.ks) {
-		t.Fatalf("%s: %d adaptations, want %d", name, len(got.ks), len(want.ks))
-	}
-	for i := range want.ks {
-		if got.ks[i] != want.ks[i] {
-			t.Fatalf("%s: adaptation %d = %s, want %s", name, i, got.ks[i], want.ks[i])
-		}
-	}
-	sameMultiset(t, name, want.set, got.set)
+	r.Count = s.Results()
+	return s, r
 }
 
 // supShapes is the shape matrix: every engine, shard counts 1/2/4/8, plus
@@ -103,35 +79,22 @@ func supShapes(m int) []string {
 // counts — twice per run, early and late — and requires the recovered run
 // to match the healthy reference exactly.
 func TestSupervisedRecoveryDifferential(t *testing.T) {
-	conds := []struct {
-		name string
-		m    int
-		mk   func() *join.Condition
-	}{
-		{"equichain3", 3, func() *join.Condition { return join.EquiChain(3, 0) }},
-		{"band-equi-mix4", 4, func() *join.Condition {
-			return join.Cross(4).Equi(0, 0, 1, 0).Band(1, 1, 2, 1, 8).Equi(2, 0, 3, 0)
-		}},
-	}
-	for _, tc := range conds {
-		in := difftest.MixWorkload(tc.m, 1200, 17, 14)
-		w := make([]stream.Time, tc.m)
-		for i := range w {
-			w[i] = 700
-		}
-		for _, spec := range supShapes(tc.m) {
-			t.Run(fmt.Sprintf("%s/%s", tc.name, spec), func(t *testing.T) {
+	for _, tc := range difftest.Mixes(false, "equichain3", "band-equi-mix4") {
+		in := difftest.MixWorkload(tc.M, 1200, 17, 14)
+		w := difftest.Windows(tc.M, 700)
+		for _, spec := range supShapes(tc.M) {
+			t.Run(fmt.Sprintf("%s/%s", tc.Name, spec), func(t *testing.T) {
 				leakcheck.Check(t)
-				g, err := ParseSpec(spec, tc.mk(), w, 4)
+				g, err := ParseSpec(spec, tc.Cond(), w, 4)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := runHealthy(g, in.Clone())
-				if want.results == 0 || len(want.ks) < 4 {
-					t.Fatalf("degenerate reference: %d results, %d adaptations", want.results, len(want.ks))
+				if want.Count == 0 || len(want.Ks) < 4 {
+					t.Fatalf("degenerate reference: %d results, %d adaptations", want.Count, len(want.Ks))
 				}
 
-				g2, _ := ParseSpec(spec, tc.mk(), w, 4)
+				g2, _ := ParseSpec(spec, tc.Cond(), w, 4)
 				inj := fault.NewInjector()
 				// Worker 0 exists on every shape (worker-less engines check
 				// it on the driver thread); the second directive targets the
@@ -146,7 +109,7 @@ func TestSupervisedRecoveryDifferential(t *testing.T) {
 				if s.Restarts() < 1 {
 					t.Fatalf("no restart recorded; the injector never fired")
 				}
-				diffSupTraces(t, spec, want, got)
+				difftest.Compare(t, spec, want, got)
 			})
 		}
 	}
@@ -167,7 +130,7 @@ func TestSupervisedHealthyPassThrough(t *testing.T) {
 		if s.Restarts() != 0 {
 			t.Fatalf("%s: healthy run restarted %d times", spec, s.Restarts())
 		}
-		diffSupTraces(t, spec, want, got)
+		difftest.Compare(t, spec, want, got)
 	}
 }
 
@@ -263,10 +226,10 @@ func TestSupervisedIngestError(t *testing.T) {
 	w := []stream.Time{700, 700, 700}
 	ing := IngestConfig{MaxBuffered: 40, Policy: IngestError}
 
-	run := func(inj *fault.Injector) (*Supervised, supTrace, int64) {
-		tr := supTrace{set: map[string]int{}}
+	run := func(inj *fault.Injector) (*Supervised, *difftest.Run, int64) {
+		tr, cfg := traced()
 		g, _ := ParseSpec("shard:4", join.EquiChain(3, 0), w, 4)
-		s := NewSupervised(g, tr.cfg(), SuperviseConfig{Backoff: testBackoff(3), Inject: inj, Ingest: ing})
+		s := NewSupervised(g, cfg, SuperviseConfig{Backoff: testBackoff(3), Inject: inj, Ingest: ing})
 		var drops int64
 		for _, e := range in.Clone() {
 			if err := s.TryPush(e); errors.Is(err, fault.ErrOverload) {
@@ -276,7 +239,7 @@ func TestSupervisedIngestError(t *testing.T) {
 			}
 		}
 		s.Finish()
-		tr.results = s.Results()
+		tr.Count = s.Results()
 		return s, tr, drops
 	}
 
@@ -297,7 +260,7 @@ func TestSupervisedIngestError(t *testing.T) {
 	if dropsGot != dropsWant {
 		t.Fatalf("recovered run refused %d arrivals, healthy run refused %d", dropsGot, dropsWant)
 	}
-	diffSupTraces(t, "ingest-error", want, got)
+	difftest.Compare(t, "ingest-error", want, got)
 }
 
 // TestSupervisedIngestShed: the Shed policy keeps occupancy at the bound,
@@ -309,10 +272,10 @@ func TestSupervisedIngestShed(t *testing.T) {
 	w := []stream.Time{700, 700, 700}
 	ing := IngestConfig{MaxBuffered: 30, Policy: IngestShed}
 
-	run := func(inj *fault.Injector) (*Supervised, supTrace) {
-		tr := supTrace{set: map[string]int{}}
+	run := func(inj *fault.Injector) (*Supervised, *difftest.Run) {
+		tr, cfg := traced()
 		g, _ := ParseSpec("shard:2", join.EquiChain(3, 0), w, 4)
-		s := NewSupervised(g, tr.cfg(), SuperviseConfig{Backoff: testBackoff(3), Inject: inj, Ingest: ing})
+		s := NewSupervised(g, cfg, SuperviseConfig{Backoff: testBackoff(3), Inject: inj, Ingest: ing})
 		for _, e := range in.Clone() {
 			if s.BufferedTuples() > ing.MaxBuffered {
 				t.Fatalf("occupancy %d exceeds the bound %d between pushes", s.BufferedTuples(), ing.MaxBuffered)
@@ -322,7 +285,7 @@ func TestSupervisedIngestShed(t *testing.T) {
 			}
 		}
 		s.Finish()
-		tr.results = s.Results()
+		tr.Count = s.Results()
 		return s, tr
 	}
 
@@ -331,7 +294,7 @@ func TestSupervisedIngestShed(t *testing.T) {
 	if recallWant >= 1 || recallWant <= 0 {
 		t.Fatalf("shed run recall estimate = %v, want in (0, 1)", recallWant)
 	}
-	if want.results == 0 {
+	if want.Count == 0 {
 		t.Fatal("shed run produced nothing; bound too tight for the test")
 	}
 
@@ -341,7 +304,7 @@ func TestSupervisedIngestShed(t *testing.T) {
 	if sGot.Restarts() < 1 {
 		t.Fatal("injector never fired")
 	}
-	diffSupTraces(t, "ingest-shed", want, got)
+	difftest.Compare(t, "ingest-shed", want, got)
 	if r := sGot.RecallEstimate(); r != recallWant {
 		t.Fatalf("recovered shed run recall = %v, healthy = %v", r, recallWant)
 	}

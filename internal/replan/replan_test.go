@@ -1,12 +1,10 @@
 package replan
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/join"
 	"repro/internal/leakcheck"
@@ -15,29 +13,6 @@ import (
 )
 
 func starCond() *join.Condition { return join.Star(4, []int{0, 1, 2}, []int{0, 0, 0}) }
-
-func resultSig(r stream.Result) string {
-	parts := make([]string, len(r.Tuples))
-	for i, t := range r.Tuples {
-		parts[i] = fmt.Sprintf("%d:%d", t.Src, t.Seq)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
-
-// flatReference runs the uninterrupted flat deployment at the fixed K and
-// returns its result multiset.
-func flatReference(cond *join.Condition, w []stream.Time, k stream.Time, in stream.Batch) map[string]int {
-	set := map[string]int{}
-	ex := plan.Build(plan.FlatGraph(cond, w),
-		plan.ExecConfig{Policy: plan.PolicyStatic, StaticK: k,
-			Emit: func(r stream.Result) { set[resultSig(r)]++ }})
-	for _, t := range in {
-		ex.Push(t)
-	}
-	ex.Finish()
-	return set
-}
 
 // TestControllerPhaseFlip drives the full measure→re-plan→migrate loop over
 // the dense↔sparse phase-flipping star: the live plan must switch shapes at
@@ -49,13 +24,13 @@ func TestControllerPhaseFlip(t *testing.T) {
 	in := gen.PhaseFlipStar4(4, 500, 11, 12, 600, 200)
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{600, 600, 600, 600}
-	want := flatReference(starCond(), w, maxD, in.Clone())
+	want := difftest.Flat(starCond(), w, maxD, in.Clone())
 
-	set := map[string]int{}
+	got := difftest.NewRun()
 	var events []Event
 	g := plan.FlatGraph(cond, w)
 	s, _ := runShell(g, plan.ExecConfig{Policy: plan.PolicyStatic, StaticK: maxD,
-		Emit: func(r stream.Result) { set[resultSig(r)]++ }},
+		Emit: got.Emit},
 		Options{Period: 2000, MinDwell: 3000, Improvement: 1.2,
 			OnEvent: func(ev Event) { events = append(events, ev) }}, in.Clone())
 
@@ -88,17 +63,10 @@ func TestControllerPhaseFlip(t *testing.T) {
 		t.Fatalf("want migrations in both directions, got toTree=%v toFlat=%v (%d events)", toTree, toFlat, len(events))
 	}
 
-	if len(set) != len(want) {
-		t.Fatalf("migrating run delivered %d distinct results, reference %d", len(set), len(want))
+	if n := s.Results(); n != got.Count {
+		t.Fatalf("gate delivered %d, sink saw %d", n, got.Count)
 	}
-	for k, n := range want {
-		if set[k] != n {
-			t.Fatalf("result %s delivered ×%d, want ×%d", k, set[k], n)
-		}
-	}
-	if got := s.Results(); got != sum(set) {
-		t.Fatalf("gate delivered %d, sink saw %d", got, sum(set))
-	}
+	difftest.Compare(t, "migrating run", want, got)
 }
 
 // runShell pushes the feed through an unsupervised shell re-planned by a
@@ -111,14 +79,6 @@ func runShell(g *plan.Graph, cfg plan.ExecConfig, opt Options, in stream.Batch) 
 	}
 	s.Finish()
 	return s, c
-}
-
-func sum(set map[string]int) int64 {
-	var n int64
-	for _, c := range set {
-		n += int64(c)
-	}
-	return n
 }
 
 // TestControllerMeasuresSelectivity checks the windowed estimator: on a

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"repro/internal/leakcheck"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -18,100 +17,25 @@ import (
 	"repro/internal/stream"
 )
 
-// tupleRecord is one in-order tuple's feedback-loop record.
-type tupleRecord struct {
-	ts, delay   stream.Time
-	nCross, nOn int64
-}
-
-// refRun executes the sequence on a single operator and captures the
-// per-tuple productivity records, the out-of-order delays and the result
-// multiset — the exact streams the sharded runtime must reproduce.
-func refRun(cond *join.Condition, windows []stream.Time, seq []*stream.Tuple) (recs []tupleRecord, ooo []stream.Time, results map[string]int) {
-	results = map[string]int{}
-	op := join.New(cond, windows,
-		join.WithEmit(func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ }),
-		join.WithProcessedHook(func(e *stream.Tuple, nCross, nOn int64, inOrder bool) {
-			if inOrder {
-				recs = append(recs, tupleRecord{e.TS, e.Delay, nCross, nOn})
-			} else {
-				ooo = append(ooo, e.Delay)
-			}
-		}))
-	for _, e := range seq {
-		op.Process(e)
-	}
-	return recs, ooo, results
-}
-
-// shardRun executes the same sequence through a Runtime with n shards,
-// flushing at every flushEvery tuples to exercise interval resets, and
-// returns the merged streams.
-func shardRun(t *testing.T, cond *join.Condition, windows []stream.Time, seq []*stream.Tuple, n, flushEvery int) (recs []tupleRecord, ooo []stream.Time, results map[string]int) {
-	t.Helper()
-	results = map[string]int{}
+// routed executes seq through a Runtime with n shards, flushing at every
+// flushEvery tuples to exercise interval resets, and returns the merged
+// streams — what difftest.Operator captures of a single operator.
+func routed(cond *join.Condition, windows []stream.Time, seq []*stream.Tuple, n, flushEvery int) *difftest.Run {
+	got := difftest.NewRun()
 	rt := New(Config{
 		N: n, Cond: cond, Windows: windows, Materialize: true,
 		BatchSize:    7, // tiny batches widen the interleaving surface
-		OnOutOfOrder: func(d stream.Time) { ooo = append(ooo, d) },
+		OnOutOfOrder: got.OnOutOfOrder,
 	})
-	flush := func() {
-		rt.FlushInterval(func(ts, delay stream.Time, nCross, nOn int64) {
-			recs = append(recs, tupleRecord{ts, delay, nCross, nOn})
-		}, func(r stream.Result) { results[difftest.Sig(r.Tuples)]++ })
-	}
 	for i, e := range seq {
 		rt.Route(e)
 		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			flush()
+			rt.FlushInterval(got.Record, got.Emit)
 		}
 	}
-	flush()
+	rt.FlushInterval(got.Record, got.Emit)
 	rt.Close()
-	return recs, ooo, results
-}
-
-// conds enumerates the condition shapes of all three partition modes.
-func testConds(m int) map[string]func() *join.Condition {
-	cs := map[string]func() *join.Condition{
-		"equichain": func() *join.Condition { return join.EquiChain(m, 0) },
-		"bandchain": func() *join.Condition {
-			c := join.Cross(m)
-			for i := 0; i+1 < m; i++ {
-				c.Band(i, 1, i+1, 1, 1.5)
-			}
-			return c
-		},
-		"band+generic": func() *join.Condition {
-			c := join.Cross(m)
-			for i := 0; i+1 < m; i++ {
-				c.Band(i, 1, i+1, 1, 2)
-			}
-			return c.Where([]int{0, m - 1}, func(a []*stream.Tuple) bool {
-				return math.Abs(a[0].Attr(2)-a[m-1].Attr(2)) < 4
-			})
-		},
-		"generic-only": func() *join.Condition {
-			return join.Cross(m).Where([]int{0, m - 1}, func(a []*stream.Tuple) bool {
-				return a[0].Attr(0) == a[m-1].Attr(0) // equi the planner can't see
-			})
-		},
-		"equi+band": func() *join.Condition {
-			c := join.EquiChain(m, 0)
-			c.Band(0, 1, m-1, 1, 3)
-			return c
-		},
-	}
-	if m >= 3 {
-		// Partial equi cover: S0.a0 = S1.a0 only, the rest generic.
-		cs["partial-equi"] = func() *join.Condition {
-			return join.Cross(m).Equi(0, 0, 1, 0).
-				Where([]int{1, 2}, func(a []*stream.Tuple) bool {
-					return a[1].Attr(2) < a[2].Attr(2)+5
-				})
-		}
-	}
-	return cs
+	return got
 }
 
 // TestShardedMatchesSingleOperator is the layer-boundary differential: for
@@ -121,64 +45,17 @@ func testConds(m int) map[string]func() *join.Condition {
 func TestShardedMatchesSingleOperator(t *testing.T) {
 	leakcheck.Check(t)
 	for _, m := range []int{2, 3} {
-		for name, mk := range testConds(m) {
+		for name, mk := range difftest.Conds(m, false) {
 			for _, n := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("m=%d/%s/shards=%d", m, name, n), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(31*m + n)))
-					w := make([]stream.Time, m)
-					for i := range w {
-						w[i] = 150
-					}
+					w := difftest.Windows(m, 150)
 					seq := difftest.GenSeq(rng, m, 1200, 150)
-					wantRecs, wantOOO, wantRes := refRun(mk(), w, seq)
-					gotRecs, gotOOO, gotRes := shardRun(t, mk(), w, seq, n, 257)
-
-					if len(gotRecs) != len(wantRecs) {
-						t.Fatalf("in-order records: %d vs %d", len(gotRecs), len(wantRecs))
-					}
-					for i := range wantRecs {
-						if gotRecs[i] != wantRecs[i] {
-							t.Fatalf("record %d: %+v vs %+v", i, gotRecs[i], wantRecs[i])
-						}
-					}
-					if !equalTimes(gotOOO, wantOOO) {
-						t.Fatalf("out-of-order delays diverge: %d vs %d entries", len(gotOOO), len(wantOOO))
-					}
-					if !equalMultiset(gotRes, wantRes) {
-						t.Fatalf("result multisets diverge: %d vs %d distinct", len(gotRes), len(wantRes))
-					}
+					difftest.Compare(t, "", difftest.Operator(mk(), w, seq), routed(mk(), w, seq, n, 257))
 				})
 			}
 		}
 	}
-}
-
-func equalTimes(a, b []stream.Time) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]stream.Time(nil), a...)
-	bs := append([]stream.Time(nil), b...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalMultiset(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // TestShardedDeterministicAcrossRuns: two identical sharded runs must
@@ -186,7 +63,7 @@ func equalMultiset(a, b map[string]int) bool {
 // every mode — the merge is deterministic, not merely multiset-equal.
 func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	leakcheck.Check(t)
-	for name, mk := range testConds(3) {
+	for name, mk := range difftest.Conds(3, false) {
 		t.Run(name, func(t *testing.T) {
 			w := []stream.Time{150, 150, 150}
 			run := func() []string {
@@ -230,16 +107,12 @@ func TestBandHugeKeySaturation(t *testing.T) {
 		{TS: 14, Seq: 4, Src: 0, Attrs: []float64{math.Inf(1)}},
 		{TS: 15, Seq: 5, Src: 1, Attrs: []float64{math.NaN()}},
 	}
-	_, _, wantRes := refRun(mk(), w, seq)
-	if len(wantRes) != 2 {
-		t.Fatalf("reference: want 2 results (one per boundary pair), got %d", len(wantRes))
+	want := difftest.Operator(mk(), w, seq)
+	if len(want.Results) != 2 {
+		t.Fatalf("reference: want 2 results (one per boundary pair), got %d", len(want.Results))
 	}
 	for _, n := range []int{2, 4, 8} {
-		_, _, gotRes := shardRun(t, mk(), w, seq, n, 0)
-		if !equalMultiset(gotRes, wantRes) {
-			t.Fatalf("shards=%d: boundary-straddling band pairs lost: %d vs %d results",
-				n, len(gotRes), len(wantRes))
-		}
+		difftest.Compare(t, fmt.Sprintf("shards=%d: boundary-straddling band pairs", n), want, routed(mk(), w, seq, n, 0))
 	}
 }
 

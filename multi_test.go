@@ -1,6 +1,7 @@
 package qdhj
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,9 +13,9 @@ import (
 
 // multiFeed builds a 3-stream workload with bounded disorder for the
 // multi-query tests.
-func multiFeed(rounds int, seed int64) []*Tuple {
+func multiFeed(rounds int, seed int64) stream.Batch {
 	rng := rand.New(rand.NewSource(seed))
-	var out []*Tuple
+	var out stream.Batch
 	var seq uint64
 	ts := Time(3000)
 	for i := 0; i < rounds; i++ {
@@ -32,15 +33,6 @@ func multiFeed(rounds int, seed int64) []*Tuple {
 	return out
 }
 
-func cloneFeed(in []*Tuple) []*Tuple {
-	out := make([]*Tuple, len(in))
-	for i, t := range in {
-		attrs := append([]float64(nil), t.Attrs...)
-		out[i] = &Tuple{TS: t.TS, Seq: t.Seq, Src: t.Src, Attrs: attrs}
-	}
-	return out
-}
-
 func multiOpt() Options {
 	return Options{Gamma: 0.9, Period: 2000, Interval: 250, BasicWindow: 50, Granularity: 50}
 }
@@ -54,62 +46,29 @@ func TestMultiJoinVsStandalone(t *testing.T) {
 	windows := []Time{700, 700, 700}
 	cond := func() *Condition { return EquiChain(3, 0) }
 
-	var wantRes []string
-	var wantAdapts []AdaptEvent
-	ref := NewJoin(cond(), windows, multiOpt(),
-		WithResults(func(r Result) { wantRes = append(wantRes, difftest.Sig(r.Tuples)) }),
-		WithAdaptHook(func(ev AdaptEvent) { wantAdapts = append(wantAdapts, ev) }))
-	for _, e := range cloneFeed(in) {
-		ref.Push(e)
+	// trace captures the ordered results and the K trajectory through opts.
+	trace := func() (*difftest.Run, QueryOption, QueryOption) {
+		r := difftest.NewRun()
+		r.Order, r.Ks = []string{}, []difftest.KStep{}
+		return r, WithResults(r.Emit), WithAdaptHook(func(ev AdaptEvent) { r.Adapt(difftest.KStep(ev)) })
 	}
-	ref.Close()
+	want, results, adapts := trace()
+	ref := NewJoin(cond(), windows, multiOpt(), results, adapts)
+	pushAll(ref, in.Clone())
+	want.Count, want.AvgK = ref.Results(), ref.AvgK()
 
 	const n = 4
 	mj := NewMultiJoin(3)
-	gotRes := make([][]string, n)
-	gotAdapts := make([][]AdaptEvent, n)
+	got := make([]*difftest.Run, n)
 	mqs := make([]*MultiQuery, n)
-	for i := 0; i < n; i++ {
-		i := i
-		mqs[i] = mj.Add(cond(), windows, multiOpt(),
-			WithResults(func(r Result) { gotRes[i] = append(gotRes[i], difftest.Sig(r.Tuples)) }),
-			WithAdaptHook(func(ev AdaptEvent) { gotAdapts[i] = append(gotAdapts[i], ev) }))
+	for i := range mqs {
+		got[i], results, adapts = trace()
+		mqs[i] = mj.Add(cond(), windows, multiOpt(), results, adapts)
 	}
-	for _, e := range cloneFeed(in) {
-		mj.Push(e)
-	}
-	mj.Close()
-
-	if ref.Results() == 0 {
-		t.Fatal("degenerate workload: standalone produced no results")
-	}
-	for i := 0; i < n; i++ {
-		if got, want := mqs[i].Results(), ref.Results(); got != want {
-			t.Errorf("q%d: %d results, want %d", i, got, want)
-		}
-		if len(gotRes[i]) != len(wantRes) {
-			t.Errorf("q%d: %d emitted, want %d", i, len(gotRes[i]), len(wantRes))
-			continue
-		}
-		for j := range wantRes {
-			if gotRes[i][j] != wantRes[j] {
-				t.Errorf("q%d: result[%d] = %s, want %s", i, j, gotRes[i][j], wantRes[j])
-				break
-			}
-		}
-		if len(gotAdapts[i]) != len(wantAdapts) {
-			t.Errorf("q%d: %d adapt events, want %d", i, len(gotAdapts[i]), len(wantAdapts))
-			continue
-		}
-		for j := range wantAdapts {
-			if gotAdapts[i][j] != wantAdapts[j] {
-				t.Errorf("q%d: adapt[%d] = %+v, want %+v", i, j, gotAdapts[i][j], wantAdapts[j])
-				break
-			}
-		}
-		if got, want := mqs[i].AvgK(), ref.AvgK(); got != want {
-			t.Errorf("q%d: AvgK %v, want %v", i, got, want)
-		}
+	pushAll(mj, in.Clone())
+	for i, q := range mqs {
+		got[i].Count, got[i].AvgK = q.Results(), q.AvgK()
+		difftest.Compare(t, fmt.Sprintf("q%d", i), want, got[i])
 	}
 
 	snap := mj.Snapshot()
@@ -133,10 +92,7 @@ func TestMultiJoinRunChannel(t *testing.T) {
 	var want []string
 	ref := NewJoin(EquiChain(3, 0), windows, multiOpt(),
 		WithResults(func(r Result) { want = append(want, difftest.Sig(r.Tuples)) }))
-	for _, e := range cloneFeed(in) {
-		ref.Push(e)
-	}
-	ref.Close()
+	pushAll(ref, in.Clone())
 
 	mj := NewMultiJoin(3)
 	mq := mj.Add(EquiChain(3, 0), windows, multiOpt())
@@ -159,17 +115,14 @@ func TestMultiJoinRunChannel(t *testing.T) {
 		close(removedClosed)
 	}()
 
-	feed := cloneFeed(in)
+	feed := in.Clone()
 	half := len(feed) / 2
 	for _, e := range feed[:half] {
 		mj.Push(e)
 	}
 	mj.Remove(mqRemoved)
 	<-removedClosed
-	for _, e := range feed[half:] {
-		mj.Push(e)
-	}
-	mj.Close()
+	pushAll(mj, feed[half:])
 
 	sigs := <-got
 	if len(sigs) != len(want) {

@@ -23,58 +23,34 @@ import (
 )
 
 // faultTrace accumulates the observable behavior a round trip must pin:
-// the result multiset and the adaptation (K) trajectory.
+// the results and the adaptation (K) trajectory.
 type faultTrace struct {
-	set     map[string]int
-	ks      []string
+	*difftest.Run
 	mute    bool   // stop recording (the abandoned half of an interrupted run)
 	onAdapt func() // extra per-adaptation callback (boundary detection)
 }
 
-func newFaultTrace() *faultTrace { return &faultTrace{set: map[string]int{}} }
+func newFaultTrace() *faultTrace {
+	tr := &faultTrace{Run: difftest.NewRun()}
+	tr.Ks = []difftest.KStep{}
+	return tr
+}
 
 func (tr *faultTrace) opts() []JoinOption {
 	return []JoinOption{
 		WithResults(func(r Result) {
 			if !tr.mute {
-				tr.set[difftest.Sig(r.Tuples)]++
+				tr.Emit(r)
 			}
 		}),
 		WithAdaptHook(func(ev AdaptEvent) {
 			if !tr.mute {
-				tr.ks = append(tr.ks, fmt.Sprintf("%v:%v>%v", ev.Now, ev.PrevK, ev.NewK))
+				tr.Adapt(difftest.KStep(ev))
 			}
 			if tr.onAdapt != nil {
 				tr.onAdapt()
 			}
 		}),
-	}
-}
-
-func diffFaultTraces(t *testing.T, name string, want, got *faultTrace) {
-	t.Helper()
-	if len(want.set) == 0 {
-		t.Fatalf("%s: degenerate workload, no results", name)
-	}
-	if len(got.set) != len(want.set) {
-		t.Errorf("%s: %d distinct results, want %d", name, len(got.set), len(want.set))
-		return
-	}
-	for k, v := range want.set {
-		if got.set[k] != v {
-			t.Errorf("%s: result %s ×%d, want ×%d", name, k, got.set[k], v)
-			return
-		}
-	}
-	if len(got.ks) != len(want.ks) {
-		t.Errorf("%s: %d adaptations, want %d", name, len(got.ks), len(want.ks))
-		return
-	}
-	for i := range want.ks {
-		if got.ks[i] != want.ks[i] {
-			t.Errorf("%s: adaptation %d = %s, want %s", name, i, got.ks[i], want.ks[i])
-			return
-		}
 	}
 }
 
@@ -139,21 +115,15 @@ func TestJoinCheckpointRoundTrip(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			defer leakcheck.Check(t)
-			windows := make([]Time, c.m)
-			for i := range windows {
-				windows[i] = 700
-			}
+			windows := difftest.Windows(c.m, 700)
 			in := difftest.MixWorkload(c.m, c.rounds, c.seed, c.domain)
 
 			// Reference: one uninterrupted run.
 			ref := newFaultTrace()
 			cond, p := planFor(t, c.spec, c.mk, windows)
 			jr := NewJoin(cond, windows, c.opt, append(ref.opts(), WithPlan(p))...)
-			for _, e := range in {
-				jr.Push(e)
-			}
-			jr.Close()
-			wantResults, wantAvgK := jr.Results(), jr.AvgK()
+			pushAll(jr, in)
+			ref.Count, ref.AvgK = jr.Results(), jr.AvgK()
 
 			// Interrupted run: checkpoint after half the feed (at the next
 			// adaptation boundary on adaptive shapes), round-trip the
@@ -198,18 +168,9 @@ func TestJoinCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
-			for _, e := range in[cut:] {
-				j2.Push(e)
-			}
-			j2.Close()
-
-			diffFaultTraces(t, c.name, ref, got)
-			if j2.Results() != wantResults {
-				t.Errorf("Results = %d, want %d", j2.Results(), wantResults)
-			}
-			if j2.AvgK() != wantAvgK {
-				t.Errorf("AvgK = %v, want %v", j2.AvgK(), wantAvgK)
-			}
+			pushAll(j2, in[cut:])
+			got.Count, got.AvgK = j2.Results(), j2.AvgK()
+			difftest.Compare(t, c.name, ref.Run, got.Run)
 		})
 	}
 }
@@ -234,10 +195,7 @@ func TestJoinSupervisedRecovery(t *testing.T) {
 			ref := newFaultTrace()
 			cond, p := planFor(t, spec, mix3, windows)
 			jr := NewJoin(cond, windows, opt, append(ref.opts(), WithPlan(p))...)
-			for _, e := range in {
-				jr.Push(e)
-			}
-			jr.Close()
+			pushAll(jr, in)
 
 			got := newFaultTrace()
 			cond, p = planFor(t, spec, mix3, windows)
@@ -246,17 +204,14 @@ func TestJoinSupervisedRecovery(t *testing.T) {
 				WithPlan(p),
 				WithInjector(inj),
 				WithSupervision(Supervision{Backoff: fastBackoff(3)}))...)
-			for _, e := range in {
-				j.Push(e)
-			}
-			j.Close()
+			pushAll(j, in)
 			if err := j.Err(); err != nil {
 				t.Fatalf("terminal error: %v", err)
 			}
 			if j.Restarts() == 0 {
 				t.Fatal("injector fired but no restarts happened")
 			}
-			diffFaultTraces(t, spec, ref, got)
+			difftest.Compare(t, spec, ref.Run, got.Run)
 		})
 	}
 }
@@ -469,10 +424,7 @@ func TestRestoreIntoSupervised(t *testing.T) {
 	ref := newFaultTrace()
 	cond, p := planFor(t, "shard:2", mix3, windows)
 	jr := NewJoin(cond, windows, opt, append(ref.opts(), WithPlan(p))...)
-	for _, e := range in {
-		jr.Push(e)
-	}
-	jr.Close()
+	pushAll(jr, in)
 
 	got := newFaultTrace()
 	cond, p = planFor(t, "shard:2", mix3, windows)
@@ -499,17 +451,14 @@ func TestRestoreIntoSupervised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range in[cut:] {
-		j2.Push(e)
-	}
-	j2.Close()
+	pushAll(j2, in[cut:])
 	if err := j2.Err(); err != nil {
 		t.Fatalf("terminal: %v", err)
 	}
 	if j2.Restarts() == 0 {
 		t.Fatal("injector fired but no restarts happened")
 	}
-	diffFaultTraces(t, "restore-into-supervised", ref, got)
+	difftest.Compare(t, "restore-into-supervised", ref.Run, got.Run)
 }
 
 // TestRestoreRefusesLooplessStaticTreeSnapshot: a StaticSlack tree snapshot
@@ -564,7 +513,7 @@ func TestRestoreModelTreeSnapshotV1(t *testing.T) {
 	ref := newFaultTrace()
 	ref.mute = true
 	jr := NewJoin(cond, windows, opt, append(ref.opts(), WithPlan(p))...)
-	for i, e := range cloneBatch(in) {
+	for i, e := range in.Clone() {
 		ref.mute = i < cut
 		jr.Push(e)
 	}
@@ -592,11 +541,8 @@ func TestRestoreModelTreeSnapshotV1(t *testing.T) {
 			}
 			continue
 		}
-		for _, e := range cloneBatch(in[cut:]) {
-			j.Push(e)
-		}
-		j.Close()
-		diffFaultTraces(t, name, ref, got)
+		pushAll(j, in[cut:].Clone())
+		difftest.Compare(t, name, ref.Run, got.Run)
 		if j.Results() != jr.Results() {
 			t.Errorf("%s: %d results, uninterrupted run %d", name, j.Results(), jr.Results())
 		}
@@ -613,10 +559,7 @@ func TestCheckpointCadenceMatchesEngineDefaults(t *testing.T) {
 	ds := gen.Synthetic3(gen.SynthConfig{Duration: 3 * Minute, Seed: 42})
 	run := func(opt Options) (ckpts int, adapts, results int64) {
 		j := NewJoin(ds.Cond, ds.Windows, opt, WithSupervision(Supervision{}))
-		for _, e := range cloneBatch(ds.Arrivals) {
-			j.Push(e)
-		}
-		j.Close()
+		pushAll(j, ds.Arrivals.Clone())
 		return j.Checkpoints(), j.Adaptations(), j.Results()
 	}
 	wantC, wantA, wantR := run(Options{})
@@ -692,7 +635,7 @@ func TestInvalidSrcRefused(t *testing.T) {
 					j.Close()
 					return tr
 				}
-				diffFaultTraces(t, name, run(false), run(true))
+				difftest.Compare(t, name, run(false).Run, run(true).Run)
 			})
 		}
 	}
@@ -714,6 +657,6 @@ func TestInvalidSrcRefused(t *testing.T) {
 			mj.Close()
 			return tr
 		}
-		diffFaultTraces(t, "MultiJoin", run(false), run(true))
+		difftest.Compare(t, "MultiJoin", run(false).Run, run(true).Run)
 	})
 }

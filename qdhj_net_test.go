@@ -15,6 +15,7 @@ import (
 	"repro/internal/join"
 	"repro/internal/leakcheck"
 	qnet "repro/internal/net"
+	"repro/internal/stream"
 )
 
 // startNetWorkers launches n worker daemons on loopback and returns their
@@ -52,23 +53,21 @@ func netCond() *Condition {
 		join.Le(join.Attr(0, 1), join.Add(join.Attr(2, 1), join.ConstOf(40))))
 }
 
-func runNetJoin(in []*Tuple, opts ...JoinOption) (*faultTrace, int64) {
+func runNetJoin(in stream.Batch, opts ...JoinOption) *faultTrace {
 	tr := newFaultTrace()
 	j := NewJoin(netCond(), []Time{700, 700, 700},
 		Options{Gamma: 0.9, Period: Second, Interval: 200 * Millisecond},
 		append(tr.opts(), opts...)...)
-	for _, e := range cloneBatch(in) {
-		j.Push(e)
-	}
-	j.Close()
-	return tr, j.Results()
+	pushAll(j, in.Clone())
+	tr.Count = j.Results()
+	return tr
 }
 
 func TestWithRemoteWorkersDifferential(t *testing.T) {
 	in := difftest.MixWorkload(3, 1200, 27, 14)
-	want, wantN := runNetJoin(in)
-	if wantN == 0 || len(want.ks) < 4 {
-		t.Fatalf("degenerate reference: %d results, %d adaptations", wantN, len(want.ks))
+	want := runNetJoin(in)
+	if len(want.Ks) < 4 {
+		t.Fatalf("degenerate reference: %d adaptations", len(want.Ks))
 	}
 	for _, workers := range []int{2, 4} {
 		for _, batch := range []int{1, 128} {
@@ -76,12 +75,8 @@ func TestWithRemoteWorkersDifferential(t *testing.T) {
 			t.Run(map[int]string{2: "w2", 4: "w4"}[workers]+"/"+name, func(t *testing.T) {
 				leakcheck.Check(t)
 				addrs := startNetWorkers(t, workers, -1, nil)
-				got, gotN := runNetJoin(in,
-					WithRemoteWorkers(addrs...), WithFrameBatch(batch))
-				if gotN != wantN {
-					t.Errorf("%d results, want %d", gotN, wantN)
-				}
-				diffFaultTraces(t, "remote", want, got)
+				got := runNetJoin(in, WithRemoteWorkers(addrs...), WithFrameBatch(batch))
+				difftest.Compare(t, "remote", want.Run, got.Run)
 			})
 		}
 	}
@@ -95,7 +90,7 @@ func TestWithRemoteWorkersDifferential(t *testing.T) {
 func TestWithRemoteWorkersSupervisedKill(t *testing.T) {
 	leakcheck.Check(t)
 	in := difftest.MixWorkload(3, 1200, 27, 14)
-	want, wantN := runNetJoin(in)
+	want := runNetJoin(in)
 
 	inj := NewInjector()
 	inj.PanicAt(1, 500)
@@ -107,18 +102,13 @@ func TestWithRemoteWorkersSupervisedKill(t *testing.T) {
 		append(tr.opts(),
 			WithRemoteWorkers(addrs...),
 			WithSupervision(Supervision{Backoff: fastBackoff(3), CheckpointEvery: 1}))...)
-	for _, e := range cloneBatch(in) {
-		j.Push(e)
-	}
-	j.Close()
+	pushAll(j, in.Clone())
 	if err := j.Err(); err != nil {
 		t.Fatalf("supervised networked join went terminal: %v", err)
 	}
 	if j.Restarts() < 1 {
 		t.Fatal("worker-side injector never fired")
 	}
-	if n := j.Results(); n != wantN {
-		t.Errorf("%d results, want %d", n, wantN)
-	}
-	diffFaultTraces(t, "remote-kill", want, tr)
+	tr.Count = j.Results()
+	difftest.Compare(t, "remote-kill", want.Run, tr.Run)
 }

@@ -39,32 +39,11 @@ func TestJoinWithPlanDifferential(t *testing.T) {
 	maxD, _ := in.MaxDelay()
 	opt := Options{Policy: StaticSlack, StaticK: maxD}
 
-	run := func(cond *Condition, jopts ...JoinOption) map[string]int {
-		set := map[string]int{}
-		jopts = append(jopts, WithResults(func(r Result) { set[difftest.Sig(r.Tuples)]++ }))
-		j := NewJoin(cond, windows4(), opt, jopts...)
-		for _, e := range in.Clone() {
-			j.Push(e)
-		}
-		j.Close()
-		return set
-	}
-
-	want := run(star4())
-	if len(want) == 0 {
-		t.Fatal("degenerate workload")
-	}
 	cond := star4()
-	p := AutoPlan(cond, windows4(), PlanHints{Shards: 4})
-	got := run(cond, WithPlan(p))
-	if len(got) != len(want) {
-		t.Fatalf("planned join: %d distinct results, flat %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("planned join diverges at %s: %d vs %d", k, got[k], v)
-		}
-	}
+	got := difftest.NewRun()
+	j := NewJoin(cond, windows4(), opt, WithResults(got.Emit), WithPlan(AutoPlan(cond, windows4(), PlanHints{Shards: 4})))
+	pushAll(j, in.Clone())
+	difftest.Compare(t, "planned join", difftest.Flat(star4(), windows4(), maxD, in.Clone()), got)
 }
 
 // TestJoinTreePlanAdaptive: an adaptive tree-shaped Join exposes per-stage
@@ -79,10 +58,7 @@ func TestJoinTreePlanAdaptive(t *testing.T) {
 	}
 	j := NewJoin(cond, []Time{2 * Second, 2 * Second, 2 * Second},
 		Options{Gamma: 0.9, Period: 10 * Second, Interval: Second}, WithPlan(p))
-	for _, e := range in {
-		j.Push(e)
-	}
-	j.Close()
+	pushAll(j, in)
 	if j.Results() == 0 {
 		t.Fatal("no results")
 	}
@@ -114,7 +90,7 @@ func TestSnapshotDuringShardedRun(t *testing.T) {
 	snaps := func(opts ...JoinOption) []StatsSnapshot {
 		j := NewJoin(ds.Cond, ds.Windows, Options{Gamma: 0.95, Period: 5 * Second}, opts...)
 		var out []StatsSnapshot
-		for i, e := range cloneBatch(ds.Arrivals) {
+		for i, e := range ds.Arrivals.Clone() {
 			j.Push(e)
 			if i%100 == 99 {
 				s := j.Snapshot()
@@ -143,10 +119,7 @@ func TestSnapshotStats(t *testing.T) {
 	leakcheck.Check(t)
 	in := gen.SparseEqui3(1500, 3, 100, [3]Time{500, 500, 500})
 	j := NewJoin(EquiChain(3, 0), []Time{Second, Second, Second}, Options{})
-	for _, e := range in {
-		j.Push(e)
-	}
-	j.Close()
+	pushAll(j, in)
 	snap := j.Snapshot()
 	if len(snap.Streams) != 3 {
 		t.Fatalf("snapshot has %d streams, want 3", len(snap.Streams))

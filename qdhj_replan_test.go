@@ -7,26 +7,16 @@ package qdhj
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/leakcheck"
 )
 
 func replanStarCond() *Condition { return Star(4, []int{0, 1, 2}, []int{0, 0, 0}) }
-
-func replanSig(r Result) string {
-	parts := make([]string, len(r.Tuples))
-	for i, t := range r.Tuples {
-		parts[i] = fmt.Sprintf("%d:%d", t.Src, t.Seq)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
 
 // TestOnlineReplanPhaseFlip drives WithOnlineReplan over the phase-flipping
 // star: the plan must migrate at least once per phase change, in both
@@ -38,27 +28,17 @@ func TestOnlineReplanPhaseFlip(t *testing.T) {
 	w := []Time{600, 600, 600, 600}
 	opt := Options{Policy: StaticSlack, StaticK: maxD}
 
-	want := map[string]int{}
-	ref := NewJoin(replanStarCond(), w, opt,
-		WithResults(func(r Result) { want[replanSig(r)]++ }))
-	for _, e := range in.Clone() {
-		ref.Push(e)
-	}
-	ref.Close()
-
-	got := map[string]int{}
+	want := difftest.Flat(replanStarCond(), w, maxD, in.Clone())
+	got := difftest.NewRun()
 	var events []MigrationEvent
 	j := NewJoin(replanStarCond(), w, opt,
-		WithResults(func(r Result) { got[replanSig(r)]++ }),
+		WithResults(got.Emit),
 		WithOnlineReplan(ReplanOptions{
 			Period: 2000, MinDwell: 3000, Improvement: 1.2,
 			OnMigrate: func(ev MigrationEvent) { events = append(events, ev) },
 		}))
 	startShape := j.CurrentPlan().Explain()
-	for _, e := range in {
-		j.Push(e)
-	}
-	j.Close()
+	pushAll(j, in)
 
 	if j.Migrations() < 3 {
 		t.Fatalf("3 phase changes, %d migrations — the live plan must switch shapes at least once per change", j.Migrations())
@@ -85,17 +65,8 @@ func TestOnlineReplanPhaseFlip(t *testing.T) {
 		t.Fatalf("CurrentPlan still explains the initial deployment after %d migrations", j.Migrations())
 	}
 
-	if len(got) != len(want) {
-		t.Fatalf("replanning run delivered %d distinct results, reference %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("result %s delivered ×%d, want ×%d", k, got[k], n)
-		}
-	}
-	if j.Results() != int64(len(want)) {
-		t.Fatalf("Results() = %d across migrations, want the gate-delivered %d", j.Results(), len(want))
-	}
+	got.Count = j.Results() // across migrations: the gate-delivered count
+	difftest.Compare(t, "replanning run", want, got)
 }
 
 // TestOnlineReplanAdaptive runs the full quality-driven policy under
@@ -107,23 +78,14 @@ func TestOnlineReplanAdaptive(t *testing.T) {
 	w := []Time{600, 600, 600, 600}
 
 	maxD, _ := in.MaxDelay()
-	want := map[string]int{}
-	ref := NewJoin(replanStarCond(), w, Options{Policy: StaticSlack, StaticK: maxD},
-		WithResults(func(r Result) { want[replanSig(r)]++ }))
-	for _, e := range in.Clone() {
-		ref.Push(e)
-	}
-	ref.Close()
+	want := difftest.Flat(replanStarCond(), w, maxD, in.Clone())
 
-	got := map[string]int{}
+	got := difftest.NewRun()
 	j := NewJoin(replanStarCond(), w,
 		Options{Gamma: 0.9, Period: 4000, Interval: 1000},
-		WithResults(func(r Result) { got[replanSig(r)]++ }),
+		WithResults(got.Emit),
 		WithOnlineReplan(ReplanOptions{Period: 2000, MinDwell: 3000, Improvement: 1.2}))
-	for _, e := range in {
-		j.Push(e)
-	}
-	j.Close()
+	pushAll(j, in)
 
 	if j.Migrations() == 0 {
 		t.Fatal("adaptive phase-flipping run never migrated")
@@ -131,14 +93,7 @@ func TestOnlineReplanAdaptive(t *testing.T) {
 	if j.Adaptations() == 0 {
 		t.Fatal("no adaptation steps across migrations — loop transplant lost")
 	}
-	for k, n := range got {
-		if n > want[k] {
-			t.Fatalf("result %s delivered ×%d, full-coverage reference has ×%d — duplicate or spurious", k, n, want[k])
-		}
-	}
-	if len(got) == 0 {
-		t.Fatal("adaptive replanning run delivered nothing")
-	}
+	difftest.Within(t, "adaptive replanning run", want, got)
 }
 
 // TestOnlineReplanRunChannel: the channel front-end keeps delivering across
@@ -177,7 +132,7 @@ func TestOnlineReplanRunChannel(t *testing.T) {
 // K: the delivered multiset, the migration events, and the arrival count at
 // each migration.
 type flipRun struct {
-	set    map[string]int
+	*difftest.Run
 	events []MigrationEvent
 	at     []int
 	j      *Join
@@ -187,10 +142,10 @@ type flipRun struct {
 // re-planning join built with extra options.
 func runFlip(t *testing.T, in []*Tuple, maxD Time, push func(*Join, *Tuple) error, extra ...JoinOption) *flipRun {
 	t.Helper()
-	r := &flipRun{set: map[string]int{}}
+	r := &flipRun{Run: difftest.NewRun()}
 	pushed := 0
 	opts := append([]JoinOption{
-		WithResults(func(res Result) { r.set[replanSig(res)]++ }),
+		WithResults(r.Emit),
 		WithOnlineReplan(ReplanOptions{
 			Period: 2000, MinDwell: 3000, Improvement: 1.2,
 			OnMigrate: func(ev MigrationEvent) {
@@ -213,30 +168,6 @@ func runFlip(t *testing.T, in []*Tuple, maxD Time, push func(*Join, *Tuple) erro
 }
 
 func plainPush(j *Join, e *Tuple) error { j.Push(e); return nil }
-
-// flipReference is the uninterrupted flat run at the fixed K.
-func flipReference(in []*Tuple, maxD Time) map[string]int {
-	want := map[string]int{}
-	ref := NewJoin(replanStarCond(), []Time{600, 600, 600, 600}, Options{Policy: StaticSlack, StaticK: maxD},
-		WithResults(func(r Result) { want[replanSig(r)]++ }))
-	for _, e := range in {
-		ref.Push(e)
-	}
-	ref.Close()
-	return want
-}
-
-func sameSet(t *testing.T, name string, want, got map[string]int) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d distinct results, want %d", name, len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("%s: result %s delivered ×%d, want ×%d", name, k, got[k], n)
-		}
-	}
-}
 
 // sameMigrations compares what a migration event pins: shapes, boundary,
 // horizon and replay depth.
@@ -263,7 +194,7 @@ func TestOnlineReplanSupervised(t *testing.T) {
 	leakcheck.Check(t)
 	in := gen.PhaseFlipStar4(4, 500, 23, 12, 600, 200)
 	maxD, _ := in.MaxDelay()
-	want := flipReference(in.Clone(), maxD)
+	want := difftest.Flat(replanStarCond(), []Time{600, 600, 600, 600}, maxD, in.Clone())
 	plain := runFlip(t, in.Clone(), maxD, plainPush)
 	if len(plain.events) < 3 {
 		t.Fatalf("unsupervised run migrated %d times, want ≥ 3", len(plain.events))
@@ -283,10 +214,8 @@ func TestOnlineReplanSupervised(t *testing.T) {
 		}
 	}
 	sameMigrations(t, "supervised", plain.events, sup.events)
-	sameSet(t, "supervised", want, sup.set)
-	if sup.j.Results() != int64(len(want)) {
-		t.Fatalf("Results() = %d, want %d", sup.j.Results(), len(want))
-	}
+	sup.Count = sup.j.Results()
+	difftest.Compare(t, "supervised", want, sup.Run)
 }
 
 // TestOnlineReplanTryPush: TryPush runs the re-planner exactly like Push —
@@ -301,7 +230,7 @@ func TestOnlineReplanTryPush(t *testing.T) {
 		t.Fatal("Push-fed run never migrated")
 	}
 	sameMigrations(t, "TryPush", pushed.events, tried.events)
-	sameSet(t, "TryPush", pushed.set, tried.set)
+	difftest.Compare(t, "TryPush", pushed.Run, tried.Run)
 }
 
 // TestOnlineReplanCheckpointAfterMigration: a snapshot taken after a live
@@ -313,13 +242,13 @@ func TestOnlineReplanCheckpointAfterMigration(t *testing.T) {
 	maxD, _ := in.MaxDelay()
 	w := []Time{600, 600, 600, 600}
 	opt := Options{Policy: StaticSlack, StaticK: maxD}
-	want := flipReference(in.Clone(), maxD)
+	want := difftest.Flat(replanStarCond(), w, maxD, in.Clone())
 
-	got := map[string]int{}
+	got := difftest.NewRun()
 	mute := false
 	sink := WithResults(func(r Result) {
 		if !mute {
-			got[replanSig(r)]++
+			got.Emit(r)
 		}
 	})
 	cond := replanStarCond()
@@ -351,11 +280,8 @@ func TestOnlineReplanCheckpointAfterMigration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore under the deployed plan: %v", err)
 	}
-	for _, e := range in[cut:] {
-		j2.Push(e)
-	}
-	j2.Close()
-	sameSet(t, "checkpoint after migration", want, got)
+	pushAll(j2, in[cut:])
+	difftest.Compare(t, "checkpoint after migration", want, got)
 }
 
 // TestAutoPlanFrom: measured statistics flow through the snapshot into the
@@ -368,10 +294,7 @@ func TestAutoPlanFrom(t *testing.T) {
 		in := gen.PhaseFlipStar4(1, 800, 5, domain, domain, 100)
 		maxD, _ := in.MaxDelay()
 		j := NewJoin(replanStarCond(), w, Options{Policy: StaticSlack, StaticK: maxD})
-		for _, e := range in {
-			j.Push(e)
-		}
-		j.Close()
+		pushAll(j, in)
 		return j.Snapshot()
 	}
 	dense := AutoPlanFrom(replanStarCond(), w, PlanHints{}, run(12))

@@ -1,18 +1,20 @@
 package qdhj
 
 import (
+	"fmt"
 	"math/rand"
 	"repro/internal/leakcheck"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/oracle"
 	"repro/internal/stream"
 )
 
 // feed builds a 2-stream equi workload with some disorder.
-func feed(n int, seed int64) []*Tuple {
+func feed(n int, seed int64) stream.Batch {
 	rng := rand.New(rand.NewSource(seed))
-	var out []*Tuple
+	var out stream.Batch
 	var seq uint64
 	ts := Time(3000)
 	for i := 0; i < n; i++ {
@@ -34,14 +36,11 @@ func TestJoinPolicies(t *testing.T) {
 	leakcheck.Check(t)
 	in := feed(3000, 1)
 	w := []Time{Second, Second}
-	truth := oracle.TrueResults(EquiChain(2, 0), []stream.Time{Second, Second}, cloneBatch(in))
+	truth := oracle.TrueResults(EquiChain(2, 0), []stream.Time{Second, Second}, in.Clone())
 
 	run := func(opt Options) int64 {
 		j := NewJoin(EquiChain(2, 0), w, opt)
-		for _, e := range cloneBatch(in) {
-			j.Push(e)
-		}
-		j.Close()
+		pushAll(j, in.Clone())
 		return j.Results()
 	}
 
@@ -68,10 +67,7 @@ func TestJoinLatencyOrdering(t *testing.T) {
 
 	avgK := func(opt Options) float64 {
 		j := NewJoin(EquiChain(2, 0), w, opt)
-		for _, e := range cloneBatch(in) {
-			j.Push(e)
-		}
-		j.Close()
+		pushAll(j, in.Clone())
 		return j.AvgK()
 	}
 	low := avgK(Options{Gamma: 0.8, Period: 10 * Second})
@@ -116,10 +112,7 @@ func TestWithResultCounts(t *testing.T) {
 		Options{Policy: StaticSlack, StaticK: 2 * Second},
 		WithResultCounts(func(ts Time, c int64) { n += c }),
 	)
-	for _, e := range feed(500, 3) {
-		j.Push(e)
-	}
-	j.Close()
+	pushAll(j, feed(500, 3))
 	if n != j.Results() {
 		t.Fatalf("count sink saw %d, Results() = %d", n, j.Results())
 	}
@@ -222,14 +215,11 @@ func TestTreeJoinAgreesWithJoin(t *testing.T) {
 	leakcheck.Check(t)
 	in := feed(1500, 5)
 	w := []Time{Second, Second}
-	maxD, _ := stream.Batch(in).MaxDelay()
+	maxD, _ := in.MaxDelay()
 	opt := Options{Policy: StaticSlack, StaticK: maxD}
 
 	ref := NewJoin(EquiChain(2, 0), w, opt)
-	for _, e := range cloneBatch(in) {
-		ref.Push(e)
-	}
-	ref.Close()
+	pushAll(ref, in.Clone())
 
 	cond := EquiChain(2, 0)
 	p, err := ParsePlan("tree", cond, w, 0)
@@ -237,10 +227,7 @@ func TestTreeJoinAgreesWithJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := NewJoin(cond, w, opt, WithPlan(p))
-	for _, e := range cloneBatch(in) {
-		tree.Push(e)
-	}
-	tree.Close()
+	pushAll(tree, in.Clone())
 
 	if ref.Results() != tree.Results() {
 		t.Fatalf("MJoin %d vs tree %d results", ref.Results(), tree.Results())
@@ -284,22 +271,18 @@ func TestWithShardsMatchesSingleThreaded(t *testing.T) {
 	w := []Time{Second, Second}
 	opt := Options{Gamma: 0.9, Period: 10 * Second}
 
-	ref := NewJoin(EquiChain(2, 0), w, opt)
-	for _, e := range cloneBatch(in) {
-		ref.Push(e)
+	// No results sink: the count-only path, K trajectory and counters.
+	run := func(opts ...JoinOption) *difftest.Run {
+		r := difftest.NewRun()
+		r.Ks = []difftest.KStep{}
+		j := NewJoin(EquiChain(2, 0), w, opt, append(opts, WithAdaptHook(func(ev AdaptEvent) { r.Adapt(difftest.KStep(ev)) }))...)
+		pushAll(j, in.Clone())
+		r.Count, r.AvgK = j.Results(), j.AvgK()
+		return r
 	}
-	ref.Close()
-
+	want := run()
 	for _, n := range []int{1, 2, 4, 8} {
-		j := NewJoin(EquiChain(2, 0), w, opt, WithShards(n))
-		for _, e := range cloneBatch(in) {
-			j.Push(e)
-		}
-		j.Close()
-		if j.Results() != ref.Results() || j.AvgK() != ref.AvgK() || j.Adaptations() != ref.Adaptations() {
-			t.Fatalf("shards=%d: results %d vs %d, avgK %v vs %v, adapts %d vs %d",
-				n, j.Results(), ref.Results(), j.AvgK(), ref.AvgK(), j.Adaptations(), ref.Adaptations())
-		}
+		difftest.Compare(t, fmt.Sprintf("shards=%d", n), want, run(WithShards(n)))
 	}
 }
 
@@ -312,16 +295,13 @@ func TestRunChannelSharded(t *testing.T) {
 			Options{Policy: StaticSlack, StaticK: 2 * Second}, opts...)
 	}
 	ref := mk()
-	for _, e := range cloneBatch(feed(800, 11)) {
-		ref.Push(e)
-	}
-	ref.Close()
+	pushAll(ref, feed(800, 11).Clone())
 
 	j := mk(WithShards(4))
 	in := make(chan *Tuple, 64)
 	out := j.RunChannel(in)
 	go func() {
-		for _, e := range cloneBatch(feed(800, 11)) {
+		for _, e := range feed(800, 11).Clone() {
 			in <- e
 		}
 		close(in)
@@ -371,11 +351,13 @@ func TestConditionMutationAfterNewJoinPanics(t *testing.T) {
 	cond.Equi(0, 1, 1, 1)
 }
 
-func cloneBatch(in []*Tuple) []*Tuple {
-	out := make([]*Tuple, len(in))
-	for i, e := range in {
-		cp := *e
-		out[i] = &cp
+// pushAll pushes every tuple of in into j, then closes it.
+func pushAll(j interface {
+	Push(*Tuple)
+	Close()
+}, in []*Tuple) {
+	for _, e := range in {
+		j.Push(e)
 	}
-	return out
+	j.Close()
 }

@@ -7,10 +7,11 @@ import (
 	"repro/internal/gen"
 	"repro/internal/leakcheck"
 	"repro/internal/oracle"
+	"repro/internal/stream"
 )
 
 // feed3 builds a 3-stream equi workload with per-stream disorder bounds.
-func feed3(n int, seed int64, delayMax [3]Time) []*Tuple {
+func feed3(n int, seed int64, delayMax [3]Time) stream.Batch {
 	return gen.SparseEqui3(n, seed, 200, delayMax)
 }
 
@@ -69,10 +70,7 @@ func TestTreeDecideHookFires(t *testing.T) {
 				t.Errorf("step %d at %v: Γ′ = %v, want one in (0, 1]", steps, ev.Now, ev.GammaPrime)
 			}
 		}))
-	for _, e := range cloneBatch(in) {
-		j.Push(e)
-	}
-	j.Close()
+	pushAll(j, in.Clone())
 	if steps == 0 {
 		t.Fatal("adapt hook never fired")
 	}
@@ -92,10 +90,7 @@ func TestTreePlanPerStageKDiverges(t *testing.T) {
 	in := feed3(4000, 9, [3]Time{100, 100, 2500})
 	j := treeJoin(t, EquiChain(3, 0), []Time{2 * Second, 2 * Second, 2 * Second},
 		Options{Gamma: 0.9, Period: 10 * Second, Interval: Second})
-	for _, e := range cloneBatch(in) {
-		j.Push(e)
-	}
-	j.Close()
+	pushAll(j, in.Clone())
 	if j.Adaptations() == 0 {
 		t.Fatal("adaptation did not run")
 	}
@@ -128,10 +123,7 @@ func TestTreePlanMeetsGamma(t *testing.T) {
 				}
 				for _, gamma := range []float64{0.9, 0.99} {
 					j := treeJoin(t, EquiChain(3, 0), w, Options{Gamma: gamma, Period: 10 * Second, Interval: Second})
-					for _, e := range in.Clone() {
-						j.Push(e)
-					}
-					j.Close()
+					pushAll(j, in.Clone())
 					cell := fmt.Sprintf("delays %v domain %d seed %d Γ %v", delays, domain, seed, gamma)
 					recall := float64(j.Results()) / float64(truth)
 					if recall < gamma {
