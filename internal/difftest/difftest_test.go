@@ -3,10 +3,11 @@ package difftest_test
 // The differential table: each row deploys one shape on a feed and is
 // compared, by difftest.Compare, with its reference — difftest.Flat at a
 // buffer covering the feed's disorder for the fixed-K rows, the flat
-// single-threaded pipeline for the adaptive ones. The rows here are the
-// shapes reachable through exported API alone; the differentials that need
-// a package's unexported state, and those CI's -race steps select by name,
-// stay in their packages and call the same reference and Compare. CI runs
+// single-threaded pipeline for the adaptive ones. A new differential of a
+// shape reachable through exported API is a row here. Those that need a
+// package's unexported state stay in their packages and call the same
+// reference and Compare, as do the older exported-API differentials, which
+// keep the test and subtest names their history is tracked under. CI runs
 // the table under -race.
 
 import (
