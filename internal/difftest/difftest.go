@@ -6,10 +6,10 @@
 //     (Conds for the runtimes, Mixes for the plans) are pure functions of
 //     their arguments; the tests' expectations depend on them, so change
 //     one and every differential that names it moves.
-//   - A Run is what a shape exposes: its result multiset keyed by Sig, its
-//     result count, and, where the shape has them, its delivery order, its
-//     per-tuple productivity records and out-of-order delays (runtime
-//     level) and its K trajectory.
+//   - A Run is what a shape exposes: its result multiset as value Keys,
+//     sorted once when compared, its result count, and, where the shape
+//     has them, its delivery order, its per-tuple productivity records
+//     and out-of-order delays (runtime level) and its K trajectory.
 //   - Flat is the one flat reference: K-slack at a fixed K, the
 //     Synchronizer and one MJoin operator. Operator is its last stage
 //     alone, the reference for the sharded and networked runtimes, which
@@ -26,11 +26,13 @@ package difftest
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"iter"
 	"math"
 	"math/rand"
 	"slices"
@@ -210,38 +212,75 @@ func Windows(m int, w stream.Time) []stream.Time {
 	return out
 }
 
-// Sig renders a result's identity, the key of a result multiset: one
-// src:seq pair per constituent in stream order, unbound slots (a tree
-// partial's nil parts) skipped.
-func Sig(tuples []*stream.Tuple) string {
-	var b strings.Builder
+// KeyWidth is the most members a Key holds: the largest m of any
+// differential.
+const KeyWidth = 4
+
+// Key is a result's identity, the element of a result multiset: each bound
+// member's Src+1 and Seq in stream order, unbound slots (a tree partial's
+// nil parts) skipped, zero past the last member. Keys compare by value and
+// order word by word, so a multiset is a sorted slice of them.
+type Key [2 * KeyWidth]uint64
+
+// KeyOf returns the key of a result's members. It panics on a result of
+// more than KeyWidth bound members.
+func KeyOf(tuples []*stream.Tuple) Key {
+	var k Key
+	i := 0
 	for _, t := range tuples {
-		if t != nil {
-			fmt.Fprintf(&b, "%d:%d,", t.Src, t.Seq)
+		if t == nil {
+			continue
 		}
+		if i == len(k) {
+			panic(fmt.Sprintf("difftest: a result of more than KeyWidth = %d members has no Key", KeyWidth))
+		}
+		k[i], k[i+1] = uint64(t.Src)+1, t.Seq
+		i += 2
+	}
+	return k
+}
+
+// String renders k for failure messages: one src:seq pair per member, each
+// followed by a comma.
+func (k Key) String() string {
+	var b strings.Builder
+	for i := 0; i < len(k) && k[i] != 0; i += 2 {
+		fmt.Fprintf(&b, "%d:%d,", k[i]-1, k[i+1])
 	}
 	return b.String()
+}
+
+func compareKeys(a, b Key) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return cmp.Compare(a[i], b[i])
+		}
+	}
+	return 0
 }
 
 // Hash accumulates the golden traces' two hashes of a result stream:
 // FNV-1a over each result's sequence numbers (little-endian), chained in
 // delivery order (Ordered) and summed over the multiset (Set).
 type Hash struct {
-	ord hash.Hash64
-	Set uint64
+	ord, one hash.Hash64
+	buf      [8]byte
+	Set      uint64
 }
 
 // NewHash returns the hashes of an empty stream.
-func NewHash() *Hash { return &Hash{ord: fnv.New64a()} }
+func NewHash() *Hash { return &Hash{ord: fnv.New64a(), one: fnv.New64a()} }
 
 // Emit hashes one delivered result.
 func (h *Hash) Emit(r stream.Result) {
-	one := fnv.New64a()
+	h.one.Reset()
 	for _, t := range r.Tuples {
-		one.Write(binary.LittleEndian.AppendUint64(nil, t.Seq))
+		binary.LittleEndian.PutUint64(h.buf[:], t.Seq)
+		h.one.Write(h.buf[:])
 	}
-	v := one.Sum64()
-	h.ord.Write(binary.LittleEndian.AppendUint64(nil, v))
+	v := h.one.Sum64()
+	binary.LittleEndian.PutUint64(h.buf[:], v)
+	h.ord.Write(h.buf[:])
 	h.Set += v // commutative: a multiset hash
 }
 
@@ -267,27 +306,35 @@ type KStep struct {
 // Order (Records, OutOfOrder, Ks) means the run did not capture that
 // stream; Compare checks a stream whenever the reference captured it.
 type Run struct {
-	Results    map[string]int // result multiset keyed by Sig
-	Count      int64          // results the shape reports (Emit counts them)
-	Order      []string       // result signatures in delivery order
-	Records    []Record       // in-order per-tuple records, in release order
-	OutOfOrder []stream.Time  // delays of the out-of-order tuples, in order
-	Ks         []KStep        // the K trajectory
-	AvgK       float64        // the shape's reported average K, with Ks
+	Results    []Key         // result multiset; Compare and Within sort it
+	Count      int64         // results the shape reports (Emit counts them)
+	Order      []Key         // result keys in delivery order
+	Records    []Record      // in-order per-tuple records, in release order
+	OutOfOrder []stream.Time // delays of the out-of-order tuples, in order
+	Ks         []KStep       // the K trajectory
+	AvgK       float64       // the shape's reported average K, with Ks
 }
 
 // NewRun returns an empty run ready to collect results.
-func NewRun() *Run { return &Run{Results: map[string]int{}} }
+func NewRun() *Run { return &Run{} }
 
 // Emit collects one delivered result (and its place in the delivery order,
 // when Order is captured).
 func (r *Run) Emit(res stream.Result) {
-	sig := Sig(res.Tuples)
-	r.Results[sig]++
+	k := KeyOf(res.Tuples)
+	r.Results = append(r.Results, k)
 	r.Count++
 	if r.Order != nil {
-		r.Order = append(r.Order, sig)
+		r.Order = append(r.Order, k)
 	}
+}
+
+// multiset sorts r's results in place and returns them. A reference shared
+// by several shapes is already sorted at its later comparisons, which the
+// sort checks in one pass.
+func (r *Run) multiset() []Key {
+	slices.SortFunc(r.Results, compareKeys)
+	return r.Results
 }
 
 // Record collects one in-order tuple's record; its signature is a
@@ -304,17 +351,6 @@ func (r *Run) OnOutOfOrder(d stream.Time) { r.OutOfOrder = append(r.OutOfOrder, 
 
 // Adapt collects one adaptation step.
 func (r *Run) Adapt(k KStep) { r.Ks = append(r.Ks, k) }
-
-// WithoutGammaPrime zeroes Γ′ in r's K trajectory and returns r. A run
-// restored from a checkpoint or recovered by supervision reproduces every
-// K, but its Γ′ may differ from the uninterrupted run's in the last bits;
-// where it does, the differential compares both trajectories without Γ′.
-func (r *Run) WithoutGammaPrime() *Run {
-	for i := range r.Ks {
-		r.Ks[i].GammaPrime = 0
-	}
-	return r
-}
 
 // Operator runs seq through one MJoin operator, as the runtimes behind the
 // Synchronizer see it, and captures the results, the per-tuple records and
@@ -383,11 +419,10 @@ func GobRoundTrip[S any](t testing.TB, st S, tt *fault.TupleTable) (S, *fault.Tu
 }
 
 // Compare checks got against the reference want: the reference must have
-// results; the counts must agree and the multisets must be equal (every
-// result of each as often in the other); and every stream the reference
-// captured — the delivery order, per-tuple records and out-of-order delays
-// in order, the K trajectory step by step with the average K — must be
-// got's.
+// results; the counts must agree and the sorted multisets must be equal
+// key by key; and every stream the reference captured — the delivery
+// order, per-tuple records and out-of-order delays in order, the K
+// trajectory step by step with the average K — must be got's.
 func Compare(t testing.TB, name string, want, got *Run) {
 	t.Helper()
 	if want.Count == 0 {
@@ -396,15 +431,13 @@ func Compare(t testing.TB, name string, want, got *Run) {
 	if got.Count != want.Count {
 		t.Errorf("%s: %d results, want %d", name, got.Count, want.Count)
 	}
-	for k, v := range want.Results {
-		if got.Results[k] != v {
-			t.Errorf("%s: result %s ×%d, want ×%d", name, k, got.Results[k], v)
+	for k, n := range multiplicities(want.multiset(), got.multiset()) {
+		if n[0] == 0 {
+			t.Errorf("%s: unexpected result %s ×%d", name, k, n[1])
 			break
 		}
-	}
-	for k, v := range got.Results {
-		if want.Results[k] == 0 {
-			t.Errorf("%s: unexpected result %s ×%d", name, k, v)
+		if n[0] != n[1] {
+			t.Errorf("%s: result %s ×%d, want ×%d", name, k, n[1], n[0])
 			break
 		}
 	}
@@ -431,9 +464,35 @@ func Within(t testing.TB, name string, want, got *Run) {
 	if got.Count == 0 {
 		t.Fatalf("%s: delivered nothing", name)
 	}
-	for k, v := range got.Results {
-		if v > want.Results[k] {
-			t.Fatalf("%s: result %s delivered ×%d, reference has ×%d — duplicate or spurious delivery", name, k, v, want.Results[k])
+	for k, n := range multiplicities(want.multiset(), got.multiset()) {
+		if n[1] > n[0] {
+			t.Fatalf("%s: result %s delivered ×%d, reference has ×%d — duplicate or spurious delivery", name, k, n[1], n[0])
+		}
+	}
+}
+
+// multiplicities walks two sorted key multisets in step and yields each
+// key of either with its multiplicity in each.
+func multiplicities(a, b []Key) iter.Seq2[Key, [2]int] {
+	return func(yield func(Key, [2]int) bool) {
+		for len(a) > 0 || len(b) > 0 {
+			var k Key
+			switch {
+			case len(b) == 0 || len(a) > 0 && compareKeys(a[0], b[0]) <= 0:
+				k = a[0]
+			default:
+				k = b[0]
+			}
+			var n [2]int
+			for len(a) > 0 && a[0] == k {
+				a, n[0] = a[1:], n[0]+1
+			}
+			for len(b) > 0 && b[0] == k {
+				b, n[1] = b[1:], n[1]+1
+			}
+			if !yield(k, n) {
+				return
+			}
 		}
 	}
 }

@@ -20,14 +20,14 @@ func TestRetainedPartialsStayValid(t *testing.T) {
 	cond := join.EquiChain(3, 0)
 	type kept struct {
 		p   Partial
-		sig string
+		key difftest.Key
 	}
 	var all []kept
 	retain := true
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
 	tree := newKTree(cond, w, Spine(3), 500, func(p Partial) {
 		if retain {
-			all = append(all, kept{p, difftest.Sig(p.Parts)})
+			all = append(all, kept{p, difftest.KeyOf(p.Parts)})
 		}
 	})
 	for i, e := range in {
@@ -45,11 +45,11 @@ func TestRetainedPartialsStayValid(t *testing.T) {
 		_ = append(k.p.Parts, intruder) // must copy, not write into the next result's slot
 	}
 	for i, k := range all {
-		if got := difftest.Sig(k.p.Parts); got != k.sig {
-			t.Fatalf("result %d changed after delivery: %s, was %s", i, got, k.sig)
+		if got := difftest.KeyOf(k.p.Parts); got != k.key {
+			t.Fatalf("result %d changed after delivery: %s, was %s", i, got, k.key)
 		}
 		if !cond.Matches(k.p.Parts) {
-			t.Fatalf("result %d (%s) no longer satisfies the condition", i, k.sig)
+			t.Fatalf("result %d (%s) no longer satisfies the condition", i, k.key)
 		}
 	}
 }

@@ -68,28 +68,29 @@ func TestPlanTreeBushyAgreesWithMJoin(t *testing.T) {
 	in := workload(4, 500, 7, 8)
 	maxD, _ := in.MaxDelay()
 	w := []stream.Time{800, 800, 800, 800}
+	balanced := func() *Shape { return branch(branch(leaf(0), leaf(1)), branch(leaf(2), leaf(3))) }
+	rightHeavy := func() *Shape { return branch(leaf(0), branch(leaf(1), branch(leaf(2), leaf(3)))) }
+	// One reference per condition, shared by its shapes.
 	cases := []struct {
-		name  string
-		cond  func() *join.Condition
-		shape func() *Shape
+		cond   func() *join.Condition
+		shapes map[string]func() *Shape
 	}{
-		{"balanced-equichain", func() *join.Condition { return join.EquiChain(4, 0) },
-			func() *Shape { return branch(branch(leaf(0), leaf(1)), branch(leaf(2), leaf(3))) }},
-		{"right-heavy-equichain", func() *join.Condition { return join.EquiChain(4, 0) },
-			func() *Shape { return branch(leaf(0), branch(leaf(1), branch(leaf(2), leaf(3)))) }},
-		{"balanced-bandchain", func() *join.Condition {
+		{func() *join.Condition { return join.EquiChain(4, 0) },
+			map[string]func() *Shape{"balanced-equichain": balanced, "right-heavy-equichain": rightHeavy}},
+		{func() *join.Condition {
 			return join.Cross(4).Band(0, 1, 1, 1, 9).Equi(1, 0, 2, 0).Band(2, 1, 3, 1, 9)
-		}, func() *Shape { return branch(branch(leaf(0), leaf(1)), branch(leaf(2), leaf(3))) }},
-		{"bushy-generic", func() *join.Condition {
+		}, map[string]func() *Shape{"balanced-bandchain": balanced}},
+		{func() *join.Condition {
 			return join.EquiChain(4, 0).Where([]int{1, 3}, func(a []*stream.Tuple) bool {
 				return a[1].Attr(1) != a[3].Attr(1)
 			})
-		}, func() *Shape { return branch(branch(leaf(0), leaf(1)), branch(leaf(2), leaf(3))) }},
+		}, map[string]func() *Shape{"bushy-generic": balanced}},
 	}
 	for _, tc := range cases {
 		want := difftest.Flat(tc.cond(), w, maxD, in.Clone())
-		got := shaped(tc.cond(), w, tc.shape(), maxD, in.Clone())
-		difftest.Compare(t, "bushy/"+tc.name, want, got)
+		for name, shape := range tc.shapes {
+			difftest.Compare(t, "bushy/"+name, want, shaped(tc.cond(), w, shape(), maxD, in.Clone()))
+		}
 	}
 }
 

@@ -288,13 +288,13 @@ func TestRetainedResultsStayValid(t *testing.T) {
 	ds, feed, _ := soccerFeed(20 * stream.Second)
 	type kept struct {
 		r   stream.Result
-		sig string
+		key difftest.Key
 	}
 	var all []kept
 	retain := true
 	op := join.New(ds.Cond, ds.Windows, join.WithEmit(func(r stream.Result) {
 		if retain {
-			all = append(all, kept{r, difftest.Sig(r.Tuples)})
+			all = append(all, kept{r, difftest.KeyOf(r.Tuples)})
 		}
 	}))
 	for i, e := range feed {
@@ -311,11 +311,11 @@ func TestRetainedResultsStayValid(t *testing.T) {
 		_ = append(k.r.Tuples, intruder) // must copy, not write into the next result's slot
 	}
 	for i, k := range all {
-		if got := difftest.Sig(k.r.Tuples); got != k.sig {
-			t.Fatalf("result %d changed after delivery: %s, was %s", i, got, k.sig)
+		if got := difftest.KeyOf(k.r.Tuples); got != k.key {
+			t.Fatalf("result %d changed after delivery: %s, was %s", i, got, k.key)
 		}
 		if !ds.Cond.Matches(k.r.Tuples) {
-			t.Fatalf("result %d (%s) no longer satisfies the condition", i, k.sig)
+			t.Fatalf("result %d (%s) no longer satisfies the condition", i, k.key)
 		}
 	}
 }

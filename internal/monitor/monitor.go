@@ -141,11 +141,17 @@ type State struct {
 	PointTS []stream.Time // live result points, in append order
 	PointN  []int64
 	True    []float64 // retained estimates, oldest first
+	// TrueSum is the running sum behind TrueEstimate, which rounds
+	// differently from True summed afresh. gob drops a zero value, so
+	// HasTrueSum marks a state that carries it; Restore re-sums True for
+	// a state captured before the sum was carried.
+	TrueSum    float64
+	HasTrueSum bool
 }
 
 // State captures the monitor's state.
 func (m *Monitor) State() State {
-	st := State{}
+	st := State{TrueSum: m.trueSum, HasTrueSum: true}
 	n := m.points.Len()
 	if m.open.n > 0 {
 		n++
@@ -178,10 +184,10 @@ func (m *Monitor) State() State {
 // span and interval count). Points re-enter through the merge, so a state
 // that holds one point per result reloads as one point per timestamp. The
 // estimate ring re-enters oldest-first, which reproduces both the filling
-// and the saturated layouts. It panics with a "monitor: restore: …" message
-// on a state no such monitor can have produced: point timestamps and counts
-// of different lengths, a point of count ≤ 0, or more estimates than the
-// ring holds.
+// and the saturated layouts, and the running sum is the captured one. It
+// panics with a "monitor: restore: …" message on a state no such monitor
+// can have produced: point timestamps and counts of different lengths, a
+// point of count ≤ 0, or more estimates than the ring holds.
 func (m *Monitor) Restore(st State) {
 	if len(st.PointTS) != len(st.PointN) {
 		panic(fmt.Sprintf("monitor: restore: %d point timestamps and %d point counts", len(st.PointTS), len(st.PointN)))
@@ -204,5 +210,8 @@ func (m *Monitor) Restore(st State) {
 	m.trueSum = 0
 	for _, v := range st.True {
 		m.PushTrueEstimate(v)
+	}
+	if st.HasTrueSum {
+		m.trueSum = st.TrueSum
 	}
 }

@@ -1,7 +1,10 @@
 package monitor
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -121,6 +124,50 @@ func TestRestoreRefusesImpossibleStates(t *testing.T) {
 			}()
 			New(100, 3).Restore(tc.st)
 		})
+	}
+}
+
+// TestRestoreKeepsRunningSum: a monitor restored mid-ring from a gob
+// round trip of its state answers TrueEstimate bit for bit as the
+// uninterrupted monitor does after every later push, in the filling and in
+// the saturated ring; a state captured before the sum was carried re-sums
+// its estimates.
+func TestRestoreKeepsRunningSum(t *testing.T) {
+	const intervals = 59
+	rng := rand.New(rand.NewSource(13))
+	est := make([]float64, 400)
+	for i := range est {
+		est[i] = rng.Float64() * 1e4
+	}
+	for _, cut := range []int{intervals / 2, intervals + 7, 3 * intervals} {
+		whole, part := New(stream.Minute, intervals), New(stream.Minute, intervals)
+		for _, v := range est[:cut] {
+			whole.PushTrueEstimate(v)
+			part.PushTrueEstimate(v)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(part.State()); err != nil {
+			t.Fatal(err)
+		}
+		var st State
+		if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		resumed := New(stream.Minute, intervals)
+		resumed.Restore(st)
+		for i, v := range est[cut:] {
+			if got, want := resumed.TrueEstimate(), whole.TrueEstimate(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cut %d, push %d: TrueEstimate %v, uninterrupted %v", cut, i, got, want)
+			}
+			whole.PushTrueEstimate(v)
+			resumed.PushTrueEstimate(v)
+		}
+	}
+
+	old, pre := New(100, 3), []float64{0.1, 0.2, 0.3}
+	old.Restore(State{True: pre})
+	if got, want := old.TrueEstimate(), pre[0]+pre[1]+pre[2]; got != want {
+		t.Fatalf("state without a carried sum: TrueEstimate %v, want the estimates re-summed, %v", got, want)
 	}
 }
 

@@ -45,7 +45,7 @@ func capture(emit bool) *difftest.Run {
 	r := difftest.NewRun()
 	r.Records, r.Ks = []difftest.Record{}, []difftest.KStep{}
 	if emit {
-		r.Order = []string{}
+		r.Order = []difftest.Key{}
 	}
 	return r
 }

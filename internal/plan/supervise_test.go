@@ -9,6 +9,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,19 +78,28 @@ func supShapes(m int) []string {
 
 // TestSupervisedRecoveryDifferential kills workers at injected arrival
 // counts — twice per run, early and late — and requires the recovered run
-// to match the healthy reference exactly.
+// to match the healthy reference exactly. A healthy shard:n run is the
+// healthy flat run, results and K trajectory, so those shapes share it.
 func TestSupervisedRecoveryDifferential(t *testing.T) {
 	for _, tc := range difftest.Mixes(false, "equichain3", "band-equi-mix4") {
 		in := difftest.MixWorkload(tc.M, 1200, 17, 14)
 		w := difftest.Windows(tc.M, 700)
+		g, err := ParseSpec("flat", tc.Cond(), w, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := runHealthy(g, in.Clone())
 		for _, spec := range supShapes(tc.M) {
 			t.Run(fmt.Sprintf("%s/%s", tc.Name, spec), func(t *testing.T) {
 				leakcheck.Check(t)
-				g, err := ParseSpec(spec, tc.Cond(), w, 4)
-				if err != nil {
-					t.Fatal(err)
+				want := flat
+				if spec != "flat" && !strings.HasPrefix(spec, "shard:") {
+					g, err := ParseSpec(spec, tc.Cond(), w, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = runHealthy(g, in.Clone())
 				}
-				want := runHealthy(g, in.Clone())
 				if want.Count == 0 || len(want.Ks) < 4 {
 					t.Fatalf("degenerate reference: %d results, %d adaptations", want.Count, len(want.Ks))
 				}
@@ -109,7 +119,7 @@ func TestSupervisedRecoveryDifferential(t *testing.T) {
 				if s.Restarts() < 1 {
 					t.Fatalf("no restart recorded; the injector never fired")
 				}
-				difftest.Compare(t, spec, want.WithoutGammaPrime(), got.WithoutGammaPrime())
+				difftest.Compare(t, spec, want, got)
 			})
 		}
 	}

@@ -66,15 +66,15 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	for name, mk := range difftest.Conds(3, false) {
 		t.Run(name, func(t *testing.T) {
 			w := []stream.Time{150, 150, 150}
-			run := func() []string {
+			run := func() []difftest.Key {
 				rng := rand.New(rand.NewSource(99))
 				seq := difftest.GenSeq(rng, 3, 800, 150)
-				var order []string
+				var order []difftest.Key
 				rt := New(Config{N: 4, Cond: mk(), Windows: w, Materialize: true})
 				for _, e := range seq {
 					rt.Route(e)
 				}
-				rt.FlushInterval(nil, func(r stream.Result) { order = append(order, difftest.Sig(r.Tuples)) })
+				rt.FlushInterval(nil, func(r stream.Result) { order = append(order, difftest.KeyOf(r.Tuples)) })
 				rt.Close()
 				return order
 			}

@@ -49,7 +49,7 @@ func TestMultiJoinVsStandalone(t *testing.T) {
 	// trace captures the ordered results and the K trajectory through opts.
 	trace := func() (*difftest.Run, QueryOption, QueryOption) {
 		r := difftest.NewRun()
-		r.Order, r.Ks = []string{}, []difftest.KStep{}
+		r.Order, r.Ks = []difftest.Key{}, []difftest.KStep{}
 		return r, WithResults(r.Emit), WithAdaptHook(func(ev AdaptEvent) { r.Adapt(difftest.KStep(ev)) })
 	}
 	want, results, adapts := trace()
@@ -89,9 +89,9 @@ func TestMultiJoinRunChannel(t *testing.T) {
 	in := multiFeed(250, 11)
 	windows := []Time{700, 700, 700}
 
-	var want []string
+	var want []difftest.Key
 	ref := NewJoin(EquiChain(3, 0), windows, multiOpt(),
-		WithResults(func(r Result) { want = append(want, difftest.Sig(r.Tuples)) }))
+		WithResults(func(r Result) { want = append(want, difftest.KeyOf(r.Tuples)) }))
 	pushAll(ref, in.Clone())
 
 	mj := NewMultiJoin(3)
@@ -100,11 +100,11 @@ func TestMultiJoinRunChannel(t *testing.T) {
 	ch := mq.RunChannel()
 	chRemoved := mqRemoved.RunChannel()
 
-	got := make(chan []string, 1)
+	got := make(chan []difftest.Key, 1)
 	go func() {
-		var sigs []string
+		var sigs []difftest.Key
 		for r := range ch {
-			sigs = append(sigs, difftest.Sig(r.Tuples))
+			sigs = append(sigs, difftest.KeyOf(r.Tuples))
 		}
 		got <- sigs
 	}()
