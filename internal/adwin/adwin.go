@@ -24,10 +24,10 @@
 // cutViolated unchanged; one that fails is not a cut, so the filter must err
 // towards passing (filterBounds):
 //
-//   - dd is a lower bound: ln(2·ln n/δ) is monotone in n, so its value at any
-//     smaller n will do. It is cached and recomputed only when the window has
-//     halved or doubled since — a shrink cascade pays no logarithm per dropped
-//     bucket — and the exact dd is computed once a boundary passes.
+//   - dd is a lower bound: ln(2·ln n/δ) = ln(2/δ) + ln ln n is monotone in
+//     n, so its value at any smaller n will do. The scan takes it at the
+//     power of two at or below n, from a table of ln ln 2^k, less a relative
+//     slack that covers the table's rounding: no logarithm per scan.
 //   - A and B are scaled down by margin, which dwarfs the few-ulp relative
 //     error of either side's products, root and sums.
 //   - B is lowered by margin·G, G = n·√(n·Σx²). cutViolated rounds s0/n0 and
@@ -48,10 +48,24 @@
 // a cascade of drops. Whichever boundary violates, the drop is the same, so
 // after a drop at boundary k (the split after the k+1 oldest buckets) Add
 // first runs the exact test at boundary k − 1 — the same split, one bucket
-// fewer in front of it — with (n0, s0) summed oldest first as the scan sums
-// them. A hit drops again without a scan; a miss falls back to the full
-// filtered scan, and every cascade ends with one that finds nothing. On x3
-// ≈ 80 % of the drops are hits (TestFilterRateOnX3 gates ≥ 75 %).
+// fewer in front of it. A hit drops again without a scan; a miss falls back
+// to the full filtered scan, and every cascade ends with one that finds
+// nothing. On x3 ≈ 80 % of the drops are hits (TestFilterRateOnX3 gates
+// ≥ 75 %), so a cut costs per dropped bucket, and each resumed test is O(1):
+// (n0, s0) is the scan's, less the dropped bucket's size and sum. That
+// equals what summing the rows oldest first gives only while every partial
+// sum is an integer below 2⁵³ in magnitude: the filter's guard G < 2⁵³
+// bounds them, and a cascade checks once, at its start, that every bucket
+// sum is an integer (a cascade only drops buckets). Otherwise — fractional
+// elements, or a restored window's fractional sums — the resumed test walks
+// the rows as the scan does.
+//
+// No exact test, in a scan or resumed, pays for dd's two logarithms unless
+// it must. dd is bracketed between the filter's lower bound and the same
+// table's value at the next power of two, plus the slack. ε is monotone in
+// dd under correctly rounded operations, so a split beyond ε(ddHi) is a cut
+// and one within ε(ddLo) is not, whatever dd is; only a split between the
+// two computes dd, once per scan or resumed test (on x3, 50 of 1 200).
 package adwin
 
 import (
@@ -127,13 +141,12 @@ type Window struct {
 	sumSq    float64
 	sinceCut int
 
-	// ddLo = confidence(ddAt) for some ddAt ≤ total: the filter's cached lower
-	// bound of dd. Derived state, not serialized: zero forces a refresh.
-	ddLo, ddAt float64
+	ln2d float64 // ln(2/δ), dd's constant term
 
-	// Read by tests only: boundaries that reached cutViolated, and drops the
-	// resumed test found without a full scan.
-	exactTests, resumeHits int64
+	// Read by tests only: boundaries that reached the exact test, those of
+	// them that computed dd, drops the resumed test found without a full
+	// scan, and resumed tests that walked the rows for their (n0, s0).
+	exactTests, exactDD, resumeHits, walks int64
 }
 
 // New creates an ADWIN window with confidence parameter delta ∈ (0,1);
@@ -143,7 +156,7 @@ func New(delta float64) *Window {
 	if delta <= 0 || delta >= 1 {
 		delta = 0.002
 	}
-	return &Window{delta: delta}
+	return &Window{delta: delta, ln2d: math.Log(2 / delta)}
 }
 
 // Add appends one element to the window head and returns true if the window
@@ -157,20 +170,30 @@ func (w *Window) Add(x float64) bool {
 		return false
 	}
 	w.sinceCut = 0
-	at := w.scan()
-	if at < 0 {
+	c := w.scan()
+	if c.at < 0 {
 		return false
 	}
+	whole := w.wholeSums()
 	for {
-		w.dropOldestBucket()
+		size, sum := w.dropOldestBucket()
 		// The split that cut is boundary at − 1 now; test it first.
-		if at > 0 && w.violatedAt(at-1) {
-			at--
+		if c.at > 0 && w.resume(&c, size, sum, whole) {
 			w.resumeHits++
-		} else if at = w.scan(); at < 0 {
+		} else if c = w.scan(); c.at < 0 {
 			return true
 		}
 	}
+}
+
+// split is a boundary the scan found violated: its index at, the tail
+// aggregate (n0, s0) summed oldest first, and whether the window was within
+// the filter's guard G < 2⁵³, which bounds every partial sum of it and of
+// what a cascade leaves of it.
+type split struct {
+	at      int
+	n0, s0  float64
+	guarded bool
 }
 
 // Len returns the current window length in elements.
@@ -213,21 +236,49 @@ func (w *Window) confidence(n float64) float64 {
 	return math.Log(2 * math.Log(math.Max(n, math.E)) / w.delta)
 }
 
-// scan tests the bucket boundaries once, oldest first, and returns the index
-// of the first that violates the cut condition — boundary k splits off the
-// k+1 oldest buckets — or −1 if none does.
-func (w *Window) scan() int {
+// lnln[k] = ln ln 2^k: dd less ln(2/δ) at the powers of two.
+var lnln = func() (t [65]float64) {
+	for k := range t {
+		t[k] = math.Log(float64(k) * math.Ln2)
+	}
+	return t
+}()
+
+// ddSlack is the relative slack ddBounds widens its bounds by: far above
+// the few ulps by which the table's ln(2/δ) + ln ln 2^k and confidence's
+// ln(2·ln n/δ) may round apart, far below the gap between two powers of two.
+const ddSlack = 0x1p-40
+
+// ddLo and ddHi return lo ≤ dd = confidence(total) ≤ hi for a window of
+// total ≥ minLength elements: dd at the powers of two 2^k ≤ total <
+// 2^(k+1), widened by ddSlack (dd is positive there); hi is +Inf past the
+// table.
+func (w *Window) ddLo(total float64) float64 {
+	return (w.ln2d + lnln[log2(total)]) * (1 - ddSlack)
+}
+
+func (w *Window) ddHi(total float64) float64 {
+	if k := log2(total) + 1; k < len(lnln) {
+		return (w.ln2d + lnln[k]) * (1 + ddSlack)
+	}
+	return math.Inf(1)
+}
+
+// log2 returns ⌊log₂ x⌋ for a normal x ≥ 1, at most len(lnln) − 1.
+func log2(x float64) int { return min(int(math.Float64bits(x)>>52)-1023, len(lnln)-1) }
+
+// scan tests the bucket boundaries once, oldest first, and returns the first
+// that violates the cut condition — boundary k splits off the k+1 oldest
+// buckets — or a split with at = −1 if none does.
+func (w *Window) scan() split {
 	total, sum := w.total, w.sum
 	if total < minLength {
-		return -1
+		return split{at: -1}
 	}
 	// Whole-window state, hoisted out of the boundary scan.
 	v := w.variance()
-	if total < w.ddAt || total > 4*w.ddAt {
-		w.ddAt = total / 2
-		w.ddLo = w.confidence(w.ddAt)
-	}
-	a, b, filter := filterBounds(total, w.sumSq, v, w.ddLo)
+	ddLo := w.ddLo(total)
+	a, b, filter := filterBounds(total, w.sumSq, v, ddLo)
 	dd := 0.0 // the exact term, computed by the first boundary that needs it
 	// Walk from the oldest bucket towards the newest, maintaining the tail
 	// aggregate (n0, s0); head aggregate is the complement. Oldest buckets
@@ -242,43 +293,88 @@ func (w *Window) scan() int {
 			if n1 < 1 || filter && !mayCut(n0, s0, n1, total, sum, a, b) {
 				continue
 			}
-			if dd == 0 {
-				dd = w.confidence(total)
-			}
-			w.exactTests++
-			if w.cutViolated(n0, s0, n1, sum-s0, v, dd) {
-				return k
+			if w.violated(n0, s0, n1, sum-s0, v, ddLo, &dd) {
+				return split{at: k, n0: n0, s0: s0, guarded: filter}
 			}
 		}
 	}
-	return -1
+	return split{at: -1}
 }
 
-// violatedAt runs the exact cut test at boundary k alone, with (n0, s0)
-// summed oldest first as scan sums them, so it answers bit for bit what scan
-// answers there.
-func (w *Window) violatedAt(k int) bool {
+// violated answers cutViolated at dd = confidence(total), given ddLo =
+// w.ddLo(total), computing dd into *dd (0 until then) only for a split
+// between ε(ddLo) and ε(ddHi). The upper bound goes first: most exact tests
+// a cut pays for are the resumed ones that hit.
+func (w *Window) violated(n0, s0, n1, s1, v, ddLo float64, dd *float64) bool {
+	w.exactTests++
+	gap, m := gapOf(n0, s0, n1, s1)
+	if gap > epsOf(m, v, w.ddHi(w.total)) {
+		return true
+	}
+	if !(gap > epsOf(m, v, ddLo)) { // NaN too, which cutViolated rejects
+		return false
+	}
+	if *dd == 0 {
+		*dd = w.confidence(w.total)
+		w.exactDD++
+	}
+	return w.cutViolated(n0, s0, n1, s1, v, *dd)
+}
+
+// resume runs the exact cut test at boundary c.at − 1 after the drop of the
+// oldest bucket, of the given size and sum, and on a cut moves c there. It
+// answers bit for bit what scan answers at that boundary, but carries (n0,
+// s0) past the drop where c is guarded and the cascade began with whole
+// bucket sums (package comment).
+func (w *Window) resume(c *split, size, sum float64, whole bool) bool {
 	total := w.total
 	if total < minLength {
 		return false
 	}
-	n0, s0 := 0.0, 0.0
+	n0, s0 := c.n0-size, c.s0-sum
+	if !c.guarded || !whole {
+		n0, s0 = w.walk(c.at - 1)
+		w.walks++
+	}
+	n1 := total - n0
+	if n1 < 1 {
+		return false
+	}
+	dd := 0.0
+	if !w.violated(n0, s0, n1, w.sum-s0, w.variance(), w.ddLo(total), &dd) {
+		return false
+	}
+	c.at, c.n0, c.s0 = c.at-1, n0, s0
+	return true
+}
+
+// wholeSums reports whether every bucket sum is an integer.
+func (w *Window) wholeSums() bool {
+	for i := range w.rows {
+		r := &w.rows[i]
+		for j := 0; j < r.n; j++ {
+			if s := r.at(j).sum; s != math.Trunc(s) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// walk returns the tail aggregate (n0, s0) of boundary k, summed oldest
+// first as scan sums it.
+func (w *Window) walk(k int) (n0, s0 float64) {
 	for i := len(w.rows) - 1; i >= 0; i-- {
 		r, size := &w.rows[i], capacity(i)
 		for j := 0; j < r.n; j++ {
 			n0 += size
 			s0 += r.at(j).sum
 			if k--; k < 0 {
-				n1 := total - n0
-				if n1 < 1 {
-					return false
-				}
-				w.exactTests++
-				return w.cutViolated(n0, s0, n1, w.sum-s0, w.variance(), w.confidence(total))
+				return n0, s0
 			}
 		}
 	}
-	return false
+	return n0, s0
 }
 
 // filterBounds returns the filter's per-scan constants (package comment) for a
@@ -309,11 +405,20 @@ func mayCut(n0, s0, n1, total, sum, a, b float64) bool {
 // v and dd are the whole-window variance and ln(2/δ′) term, computed by the
 // caller at most once per scan.
 func (w *Window) cutViolated(n0, s0, n1, s1, v, dd float64) bool {
-	mean0 := s0 / n0
-	mean1 := s1 / n1
-	m := 1 / (1/n0 + 1/n1)
-	eps := math.Sqrt(2/m*v*dd) + 2/(3*m)*dd
-	return math.Abs(mean0-mean1) > eps
+	gap, m := gapOf(n0, s0, n1, s1)
+	return gap > epsOf(m, v, dd)
+}
+
+// gapOf returns the split's |mean0 − mean1| and its harmonic sample size m.
+func gapOf(n0, s0, n1, s1 float64) (gap, m float64) {
+	return math.Abs(s0/n0 - s1/n1), 1 / (1/n0 + 1/n1)
+}
+
+// epsOf returns the cut threshold ε for harmonic sample size m, window
+// variance v and confidence term dd: non-decreasing in dd, since every
+// operation is.
+func epsOf(m, v, dd float64) float64 {
+	return math.Sqrt(2/m*v*dd) + 2/(3*m)*dd
 }
 
 // variance returns the empirical variance of the whole window.
@@ -387,8 +492,9 @@ func (w *Window) Restore(st State) {
 	}
 }
 
-// dropOldestBucket removes the single oldest bucket from the histogram.
-func (w *Window) dropOldestBucket() {
+// dropOldestBucket removes the single oldest bucket from the histogram and
+// returns its size and sum.
+func (w *Window) dropOldestBucket() (size, sum float64) {
 	for i := len(w.rows) - 1; i >= 0; i-- {
 		r := &w.rows[i]
 		if r.n == 0 {
@@ -402,6 +508,7 @@ func (w *Window) dropOldestBucket() {
 		for len(w.rows) > 1 && w.rows[len(w.rows)-1].n == 0 {
 			w.rows = w.rows[:len(w.rows)-1]
 		}
-		return
+		return capacity(i), b.sum
 	}
+	return 0, 0
 }

@@ -345,6 +345,22 @@ var feedClasses = []struct {
 			return math.Round(level * (1 + 0.2*rng.Float64()))
 		}
 	}},
+	// Fractional values up to the restore, integers with level steps after
+	// it (TestMatchesReference restores this class just before the switch):
+	// the restored window holds fractional bucket sums that no element it
+	// adds itself has, so only the sums themselves can tell it to walk.
+	{"fraction-prefix", func(rng *rand.Rand, n int) func(int) float64 {
+		level := 0.0
+		return func(i int) float64 {
+			if i < n/4 {
+				return 100 + rng.Float64()*50
+			}
+			if i%200 == 0 {
+				level = float64(rng.Intn(5000))
+			}
+			return level + float64(rng.Intn(100))
+		}
+	}},
 	// Past the 2⁵³ guard, and far enough past it that Σx² overflows and the
 	// variance goes NaN: the filter is off, or sees what cutViolated sees.
 	{"past-guard", func(rng *rand.Rand, n int) func(int) float64 {
@@ -385,20 +401,28 @@ func sameState(a, b State) bool {
 // through one State→Restore of both. The reference rescans every boundary
 // after every dropped bucket; Window's cascades resume at the boundary that
 // cut, and the "cascades" class makes them long. It logs per class how many
-// drops the resumed test found. A cascade that ends on the resumed test's
-// first miss, without the full scan, fails it.
+// drops the resumed test found and how many resumed tests walked the rows.
+// A cascade that ends on the resumed test's first miss, without the full
+// scan, fails it. So does a resumed test that walks on an integer feed
+// within the guard, or no resumed test walking in a window restored with
+// fractional bucket sums ("fraction-prefix"): dropping the whole-sum check,
+// or checking only the newest row, fails it.
 func TestMatchesReference(t *testing.T) {
 	const n = 1600
 	deltas := []float64{0.002, 0.002, 0.05, 0.3}
+	integral := map[string]bool{"level-shift": true, "slow-drift": true, "bursts": true, "cascades": true}
 	var exact, visited int64
 	for _, fc := range feedClasses {
-		var hits, drops int64
+		var hits, drops, walks, restoredWalks int64
 		for seed := int64(0); seed < 100; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			delta := deltas[rng.Intn(len(deltas))]
 			w, ref := New(delta), newRef(delta)
 			next := fc.gen(rng, n)
 			restoreAt := rng.Intn(n)
+			if fc.name == "fraction-prefix" {
+				restoreAt = n/4 - 1
+			}
 			for i := 0; i < n; i++ {
 				x := next(i)
 				got, want := w.Add(x), ref.Add(x)
@@ -413,28 +437,141 @@ func TestMatchesReference(t *testing.T) {
 				}
 				if i == restoreAt {
 					exact, visited = exact+w.exactTests, visited+ref.visited
-					hits, drops = hits+w.resumeHits, drops+ref.drops
+					hits, drops, walks = hits+w.resumeHits, drops+ref.drops, walks+w.walks
 					w, ref = New(delta), newRef(delta)
 					w.Restore(st)
 					ref.Restore(rst)
 				}
 			}
 			exact, visited = exact+w.exactTests, visited+ref.visited
-			hits, drops = hits+w.resumeHits, drops+ref.drops
+			hits, drops, walks = hits+w.resumeHits, drops+ref.drops, walks+w.walks
+			restoredWalks += w.walks
 		}
-		t.Logf("%s: %d of %d drops found by the resumed test", fc.name, hits, drops)
+		t.Logf("%s: %d of %d drops found by the resumed test; %d resumed tests walked, %d after the restore", fc.name, hits, drops, walks, restoredWalks)
+		if integral[fc.name] && walks != 0 {
+			t.Errorf("%s: %d resumed tests walked on an integer feed within the guard", fc.name, walks)
+		}
+		if fc.name == "fraction-prefix" && restoredWalks == 0 {
+			t.Errorf("%s: no resumed test walked in a window restored with fractional bucket sums", fc.name)
+		}
 	}
 	t.Logf("%d of %d boundaries reached the exact test", exact, visited)
 }
 
-// TestFilterRateOnX3 pins what the filter and the resumed cut test are for:
-// on the delays of the x3 feed — the stream every gated workload's
-// Statistics Manager watches — fewer than 2 % of the boundaries the scan
-// visits pay for the exact test (it logs ≈ 0.9 %), and at least 75 % of the
-// buckets a cut cascade drops are found by the resumed test alone, without a
-// full scan (it logs ≈ 80 %). Resuming at the boundary index that cut rather
-// than one below it, which tests the split one bucket newer, is as correct
-// and finds ≈ 70 %: it fails here.
+// refViolatedAt is the resumed test as it was before the cascade carried
+// (n0, s0) and bracketed dd: it walks the rows to boundary k, summing (n0,
+// s0) oldest first as scan sums them, and pays confidence's two logarithms.
+func refViolatedAt(w *Window, k int) bool {
+	total := w.total
+	if total < minLength {
+		return false
+	}
+	n0, s0 := 0.0, 0.0
+	for i := len(w.rows) - 1; i >= 0; i-- {
+		r, size := &w.rows[i], capacity(i)
+		for j := 0; j < r.n; j++ {
+			n0 += size
+			s0 += r.at(j).sum
+			if k--; k < 0 {
+				n1 := total - n0
+				if n1 < 1 {
+					return false
+				}
+				return w.cutViolated(n0, s0, n1, w.sum-s0, w.variance(), w.confidence(total))
+			}
+		}
+	}
+	return false
+}
+
+// TestResumeMatchesWalk replays Add's cascades step by step on every feed
+// class and holds each resumed test to refViolatedAt, the walking,
+// log-paying test it replaced: the same answer after every dropped bucket,
+// and on every hit, carried sums or walked, the (n0, s0) that summing the
+// rows oldest first gives, bit for bit. It logs how many hits carried their sums and how
+// many exact tests computed dd. Dropping the integer guard, so that
+// fractional sums are carried, fails it; so does a bound of dd that is not
+// one: ddHi refreshed at half the window rather than twice it, or ddLo not
+// refreshed once a cascade has shrunk the window below loAt.
+func TestResumeMatchesWalk(t *testing.T) {
+	const n = 1600
+	for _, fc := range feedClasses {
+		var resumed, carried, exact, logs int64
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			w := New([]float64{0.002, 0.05, 0.3}[rng.Intn(3)])
+			next := fc.gen(rng, n)
+			for i := 0; i < n; i++ {
+				w.insert(next(i))
+				if w.sinceCut++; w.sinceCut < checkEach || w.total < minLength {
+					continue
+				}
+				w.sinceCut = 0
+				c := w.scan()
+				for whole := w.wholeSums(); c.at >= 0; {
+					size, sum := w.dropOldestBucket()
+					if c.at == 0 {
+						c = w.scan()
+						continue
+					}
+					want, carry := refViolatedAt(w, c.at-1), c.guarded && whole
+					if got := w.resume(&c, size, sum, whole); got != want {
+						t.Fatalf("%s seed %d element %d: resumed test at boundary %d says %v, the walk %v", fc.name, seed, i, c.at-1, got, want)
+					} else if !got {
+						c = w.scan()
+						continue
+					}
+					resumed++
+					if carry {
+						carried++
+					}
+					if n0, s0 := w.walk(c.at); math.Float64bits(n0) != math.Float64bits(c.n0) || math.Float64bits(s0) != math.Float64bits(c.s0) {
+						t.Fatalf("%s seed %d element %d: resumed (n0, s0) = (%v, %v) at boundary %d, the walk sums (%v, %v)", fc.name, seed, i, c.n0, c.s0, c.at, n0, s0)
+					}
+				}
+			}
+			exact, logs = exact+w.exactTests, logs+w.exactDD
+		}
+		t.Logf("%s: %d hits of the resumed test, %d with carried sums; %d of %d exact tests computed dd", fc.name, resumed, carried, logs, exact)
+	}
+}
+
+// TestDDBounds: the table's bounds bracket the confidence term the exact
+// test computes, bit for bit, at every power of two from minLength to 2⁶²
+// and one either side of it, for the deltas the tests use and a hundred
+// random ones. The bounds are a few ulps from dd at the powers of two, so
+// dropping ddSlack fails it.
+func TestDDBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	deltas := []float64{0.002, 0.05, 0.3}
+	for range 100 {
+		deltas = append(deltas, rng.Float64())
+	}
+	for _, delta := range deltas {
+		w := New(delta)
+		for k := 4; k <= 62; k++ {
+			p := math.Ldexp(1, k)
+			for _, total := range []float64{p - 1, p, p + 1} {
+				if total < minLength {
+					continue
+				}
+				if lo, dd, hi := w.ddLo(total), w.confidence(total), w.ddHi(total); !(lo <= dd && dd <= hi) {
+					t.Fatalf("delta %v total %v: bounds [%v, %v] miss dd = %v", w.delta, total, lo, hi, dd)
+				}
+			}
+		}
+	}
+}
+
+// TestFilterRateOnX3 pins what the filter, the resumed cut test and the
+// bounds of dd are for: on the delays of the x3 feed — the stream every
+// gated workload's Statistics Manager watches — fewer than 2 % of the
+// boundaries the scan visits pay for the exact test (it logs ≈ 0.9 %), at
+// least 75 % of the buckets a cut cascade drops are found by the resumed
+// test alone, without a full scan (it logs ≈ 80 %), and fewer than 10 % of
+// the exact tests compute dd's logarithms (it logs 50 of 1 200). Resuming at
+// the boundary index that cut rather than one below it, which tests the
+// split one bucket newer, is as correct and finds ≈ 70 %: it fails here.
 func TestFilterRateOnX3(t *testing.T) {
 	ds := gen.Synthetic3(gen.SynthConfig{Duration: 2 * stream.Minute, Seed: 42})
 	var exact, visited int64
@@ -452,18 +589,22 @@ func TestFilterRateOnX3(t *testing.T) {
 			t.Fatalf("seq %d: cut differs from the reference", e.Seq)
 		}
 	}
-	var hits, drops int64
+	var hits, drops, exactDD int64
 	for i := range ws {
 		exact, visited = exact+ws[i].exactTests, visited+refs[i].visited
 		hits, drops = hits+ws[i].resumeHits, drops+refs[i].drops
+		exactDD += ws[i].exactDD
 	}
 	t.Logf("%d of %d drops found by the resumed test", hits, drops)
-	t.Logf("%d of %d boundaries reached the exact test", exact, visited)
+	t.Logf("%d of %d boundaries reached the exact test, %d of them computed dd", exact, visited, exactDD)
 	if visited == 0 || exact*50 >= visited {
 		t.Fatalf("%d of %d boundaries reached the exact test, want < 2 %%", exact, visited)
 	}
 	if drops == 0 || hits*4 < drops*3 {
 		t.Fatalf("%d of %d drops found by the resumed test, want ≥ 75 %%", hits, drops)
+	}
+	if exactDD*10 >= exact {
+		t.Fatalf("%d of %d exact tests computed dd, want < 10 %%", exactDD, exact)
 	}
 }
 

@@ -28,7 +28,8 @@ func sigString(tuples []*stream.Tuple) string {
 // TestKey: results that differ in one member's Src or Seq, or in which
 // slot is unbound, have different keys; an unbound slot is not member 0:0;
 // a key renders as the string key it replaced; a result wider than
-// KeyWidth panics naming the limit.
+// KeyWidth, or a member whose Src or Seq does not fit its word, panics
+// naming the limit.
 func TestKey(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -51,23 +52,35 @@ func TestKey(t *testing.T) {
 		{tup(0, 0)},
 		{tup(0, 5), nil, tup(2, 7)},
 		{nil, tup(1, 12), tup(2, 0), nil},
-		{tup(0, math.MaxUint64), tup(1, 1<<40), tup(2, 3), tup(3, 9)},
+		{tup(0, 1<<60-1), tup(1, 1<<40), tup(2, 3), tup(14, 9)},
 	} {
 		if got, want := difftest.KeyOf(r).String(), sigString(r); got != want {
 			t.Errorf("key renders %q, want %q", got, want)
 		}
 	}
 
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprintf("KeyWidth = %d", difftest.KeyWidth)) {
-			t.Fatalf("recovered %v, want a panic naming KeyWidth = %d", r, difftest.KeyWidth)
-		}
-	}()
 	wide := make([]*stream.Tuple, difftest.KeyWidth+1)
 	for i := range wide {
 		wide[i] = tup(i, uint64(i))
 	}
-	difftest.KeyOf(wide)
+	for _, tc := range []struct {
+		r    []*stream.Tuple
+		want string
+	}{
+		{wide, fmt.Sprintf("KeyWidth = %d", difftest.KeyWidth)},
+		{[]*stream.Tuple{tup(0, 1), tup(15, 2)}, "member 15:2 does not fit a Key word (Src < 15, Seq < 2^60)"},
+		{[]*stream.Tuple{tup(2, 1<<60)}, "member 2:1152921504606846976 does not fit"},
+		{[]*stream.Tuple{tup(-1, 0)}, "member -1:0 does not fit"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Errorf("KeyOf(%s): recovered %v, want a panic naming %q", sigString(tc.r), r, tc.want)
+				}
+			}()
+			difftest.KeyOf(tc.r)
+		}()
+	}
 }
 
 // recorder is a testing.TB that records what Compare and Within report; a

@@ -216,14 +216,19 @@ func Windows(m int, w stream.Time) []stream.Time {
 // differential.
 const KeyWidth = 4
 
-// Key is a result's identity, the element of a result multiset: each bound
-// member's Src+1 and Seq in stream order, unbound slots (a tree partial's
-// nil parts) skipped, zero past the last member. Keys compare by value and
-// order word by word, so a multiset is a sorted slice of them.
-type Key [2 * KeyWidth]uint64
+// Key is a result's identity, the element of a result multiset: one word
+// per bound member in stream order, Src+1 in its top four bits and Seq
+// below, unbound slots (a tree partial's nil parts) skipped, zero past the
+// last member. Keys compare by value and order word by word, so a multiset
+// is a sorted slice of them.
+type Key [KeyWidth]uint64
+
+// seqBits is the width of a member's Seq within its word of a Key.
+const seqBits = 60
 
 // KeyOf returns the key of a result's members. It panics on a result of
-// more than KeyWidth bound members.
+// more than KeyWidth bound members, or on a member whose Src or Seq does
+// not fit its word (Src ≥ 15, Seq ≥ 2⁶⁰).
 func KeyOf(tuples []*stream.Tuple) Key {
 	var k Key
 	i := 0
@@ -234,8 +239,11 @@ func KeyOf(tuples []*stream.Tuple) Key {
 		if i == len(k) {
 			panic(fmt.Sprintf("difftest: a result of more than KeyWidth = %d members has no Key", KeyWidth))
 		}
-		k[i], k[i+1] = uint64(t.Src)+1, t.Seq
-		i += 2
+		if t.Src < 0 || t.Src >= 1<<(64-seqBits)-1 || t.Seq >= 1<<seqBits {
+			panic(fmt.Sprintf("difftest: member %d:%d does not fit a Key word (Src < %d, Seq < 2^%d)", t.Src, t.Seq, 1<<(64-seqBits)-1, seqBits))
+		}
+		k[i] = uint64(t.Src+1)<<seqBits | t.Seq
+		i++
 	}
 	return k
 }
@@ -244,8 +252,11 @@ func KeyOf(tuples []*stream.Tuple) Key {
 // followed by a comma.
 func (k Key) String() string {
 	var b strings.Builder
-	for i := 0; i < len(k) && k[i] != 0; i += 2 {
-		fmt.Fprintf(&b, "%d:%d,", k[i]-1, k[i+1])
+	for _, w := range k {
+		if w == 0 {
+			break
+		}
+		fmt.Fprintf(&b, "%d:%d,", w>>seqBits-1, w&(1<<seqBits-1))
 	}
 	return b.String()
 }

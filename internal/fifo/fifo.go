@@ -18,9 +18,16 @@
 // queue retains its live high-water mark once, allocates each block once,
 // allocates nothing once warm and never copies an entry.
 //
-// Each entry's start depends on the previous entry's tag, so removing r
-// entries walks r tags whatever the caller does; Skip walks only them, where
-// a Pop per entry also decodes both values. R^stat's bulk trims use it.
+// Each entry's start depends on the previous entry's tag, so a Pop per
+// entry decodes both values and walks every tag. Skip does not: Push
+// records the absolute byte start of every 32nd entry in a fixed ring of
+// marks, the newest 32, and Skip(r) jumps to the last mark at or below its
+// target, retires the blocks it passes and walks fewer than 32 tags. Only
+// a target more than ≈ 1 000 entries behind the tail, past the oldest mark
+// kept, walks from the head as before. The marks are derived state, 128
+// bytes that are never allocated on their own: a restore, which re-pushes
+// the entries, rebuilds them. R^stat's bulk trims use Skip, and read the
+// kept entries back in batches through a Reader.
 package fifo
 
 import (
@@ -38,6 +45,9 @@ const (
 	// codec reads and writes whole 8-byte words, so an entry may touch up to
 	// MaxEntry bytes past its start whatever its length.
 	last = BlockBytes - MaxEntry
+	// stride is the spacing of Skip's marks, in entries, and nmarks how many
+	// of the newest a queue keeps.
+	stride, nmarks = 32, 32
 )
 
 type block = [BlockBytes]byte
@@ -47,11 +57,20 @@ type block = [BlockBytes]byte
 // the offset of the oldest entry in blocks[0]; tail is the offset one past
 // the newest, counted from the start of blocks[0], and always at a point
 // where an entry may start. The zero Pairs is empty and ready to use.
+//
+// The rest is Skip's index. base is the absolute offset of blocks[0] — the
+// bytes retired so far — and pushed counts the entries ever pushed, so the
+// head is entry pushed − n. For the newest nmarks multiples e of stride
+// below pushed, marks[e/stride%nmarks] holds entry e's absolute start
+// modulo 2³², which the live bytes never span.
 type Pairs struct {
 	blocks []*block
 	head   uint
 	tail   uint
 	n      int
+
+	base, pushed uint
+	marks        [nmarks]uint32
 }
 
 // Len returns the number of live entries.
@@ -67,6 +86,10 @@ func (q *Pairs) Push(a, b int64) {
 	if i == uint(len(q.blocks)) {
 		q.blocks = append(q.blocks, new(block))
 	}
+	if q.pushed%stride == 0 {
+		q.marks[q.pushed/stride%nmarks] = uint32(q.base + q.tail)
+	}
+	q.pushed++
 	blk, p := q.blocks[i], q.tail%BlockBytes
 	ua, ub := zigzag(a), zigzag(b)
 	la, lb := uint(bits.Len64(ua)+7)/8, uint(bits.Len64(ub)+7)/8
@@ -101,21 +124,41 @@ func (q *Pairs) Drop() {
 	q.advance(q.head + 1 + tag&15 + tag>>4)
 }
 
-// Skip removes the r oldest entries, reading only their tags: for a caller
-// that needs none of their values. The queue must hold at least r entries;
-// Skip(0) is a no-op even on a zero Pairs, which holds no block yet.
+// Skip removes the r oldest entries: it jumps to the last mark at or below
+// the new head, if one is kept and newer than the head, or starts from the
+// head, and walks the tags from there. The queue must hold at least r
+// entries; Skip(0) is a no-op even on a zero Pairs, which holds no block
+// yet.
 func (q *Pairs) Skip(r int) {
 	if r == 0 {
 		return
 	}
 	q.n -= r
-	blk, p := q.blocks[0], q.head
-	for ; r > 0; r-- {
-		tag := uint(blk[p%BlockBytes])
-		if p += 1 + tag&15 + tag>>4; p > last {
+	if q.n == 0 { // the head meets the tail
+		for q.tail >= BlockBytes {
 			q.retire()
-			blk, p = q.blocks[0], 0
 		}
+		q.head = q.tail
+		return
+	}
+	from := q.pushed - uint(q.n+r) // the head's entry number
+	to := from + uint(r)
+	p := q.head // offset of entry from, counted from the start of blocks[0]
+	// Mark e is kept until entry e + nmarks·stride is pushed.
+	if e := to - to%stride; e > from && e+nmarks*stride >= q.pushed {
+		p, from = uint(q.marks[e/stride%nmarks]-uint32(q.base)), e
+	}
+	i, p := p/BlockBytes, p%BlockBytes
+	blk := q.blocks[i]
+	for k := to - from; k > 0; k-- {
+		tag := uint(blk[p%BlockBytes])
+		if p += 1 + tag&15 + tag>>4; p > last { // the rest of the block is closed
+			i, p = i+1, 0
+			blk = q.blocks[i]
+		}
+	}
+	for ; i > 0; i-- {
+		q.retire()
 	}
 	q.head = p
 }
@@ -136,27 +179,57 @@ func (q *Pairs) retire() {
 	copy(q.blocks, q.blocks[1:])
 	q.blocks[len(q.blocks)-1] = blk
 	q.tail -= BlockBytes
+	q.base += BlockBytes
 }
 
 // All yields the live entries, oldest first. The queue must not change
 // while it is iterated.
 func (q *Pairs) All() iter.Seq2[int64, int64] {
 	return func(yield func(a, b int64) bool) {
-		i, p := 0, q.head
-		for k := 0; k < q.n; k++ {
-			ua, ub, next := get(q.blocks[i], p)
-			p = next
-			if p > last {
-				i, p = i+1, 0
-			}
-			if !yield(unzigzag(ua), unzigzag(ub)) {
+		rd := q.Reader()
+		var a, b [1]int64
+		for range q.n {
+			if rd.Read(a[:], b[:]); !yield(a[0], b[0]) {
 				return
 			}
 		}
 	}
 }
 
-// Reset empties the queue and keeps every block as a spare.
+// Reader reads a queue's live entries, oldest first, in batches, without
+// removing them. The queue must not change while it is read.
+type Reader struct {
+	blocks []*block
+	i      int  // the next entry's block
+	p      uint // and its offset there
+}
+
+// Reader returns a Reader at the oldest entry.
+func (q *Pairs) Reader() Reader { return Reader{q.blocks, 0, q.head} }
+
+// Read decodes the next len(a) entries into a and b, which must be as long.
+// The caller counts: it must not read past the queue's Len entries. One
+// call decodes a batch with the position in registers; an entry's start
+// depends on the previous entry's tag, so a call per entry would put a
+// store and a load of it on that chain.
+func (r *Reader) Read(a, b []int64) {
+	b = b[:len(a)]
+	blk, p := r.blocks[r.i], r.p
+	for k := range a {
+		ua, ub, next := get(blk, p)
+		a[k], b[k] = unzigzag(ua), unzigzag(ub)
+		if p = next; p > last {
+			r.i, p = r.i+1, 0
+			if r.i < len(r.blocks) { // the last entry may close the last block
+				blk = r.blocks[r.i]
+			}
+		}
+	}
+	r.p = p
+}
+
+// Reset empties the queue and keeps every block as a spare. The marks of
+// the entries it drops are older than the next head, so Skip ignores them.
 func (q *Pairs) Reset() { q.head, q.tail, q.n = 0, 0, 0 }
 
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }

@@ -54,22 +54,40 @@ func skipCount(kind int, want [][2]int64) int {
 // sequence of pushes, peeks, pops, drops, skips, iterations and resets,
 // across many block boundaries and with entries of every encoded length, and
 // holds every entry and the length to the slice's, and the retained blocks
-// to what the high-water mark of live encoded bytes needs. The skips remove
-// none, one, a block's worth or all of the entries. A Skip that reads one
-// entry short, or one that forgets to retire the blocks it empties, fails it.
+// to what the high-water mark of live encoded bytes needs. A second Pairs
+// takes the same operations with refSkip, the tag walk, in place of Skip,
+// and the two must agree on head, tail and block order after every step.
+// The skips remove none, one, a block's worth or all of the entries, most of
+// them from a queue too long for any kept mark to reach; end near the oldest
+// kept mark, on either side of it (more than a stride past the head); remove
+// all at a pushed count that is a multiple of the stride; or
+// follow a Reset and a refill. A Skip that reads one entry short, one that
+// forgets to retire the blocks it empties, marks a stride off by one or a
+// mark read after the ring has overwritten it fails it.
 func TestQueueMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var q Pairs
+	var q, ref Pairs
 	var want [][2]int64
-	var skips [4]int   // nonempty skips of each kind
+	var skips [7]int   // nonempty skips of each kind
 	live, peak := 0, 0 // encoded bytes
+	push := func(v [2]int64) {
+		q.Push(v[0], v[1])
+		ref.Push(v[0], v[1])
+		want = append(want, v)
+		live += encLen(v)
+	}
+	skip := func(k int) {
+		q.Skip(k)
+		refSkip(&ref, k)
+		for _, v := range want[:k] {
+			live -= encLen(v)
+		}
+		want = want[k:]
+	}
 	for step := 0; step < 200000; step++ {
 		switch r := rng.Intn(1000); {
 		case r < 500+200*((step/20000)%2): // phases of growth and shrinkage
-			v := [2]int64{value(rng), value(rng)}
-			q.Push(v[0], v[1])
-			want = append(want, v)
-			live += encLen(v)
+			push([2]int64{value(rng), value(rng)})
 		case r < 950: // Front then Drop, or Pop
 			if len(want) > 0 {
 				if a, b := q.Front(); [2]int64{a, b} != want[0] {
@@ -80,6 +98,7 @@ func TestQueueMatchesSlice(t *testing.T) {
 				} else if a, b := q.Pop(); [2]int64{a, b} != want[0] {
 					t.Fatalf("step %d: Pop = %v, want %v", step, [2]int64{a, b}, want[0])
 				}
+				ref.Drop()
 				live -= encLen(want[0])
 				want = want[1:]
 			}
@@ -96,21 +115,51 @@ func TestQueueMatchesSlice(t *testing.T) {
 			}
 		case step%2 == 0:
 			q.Reset()
+			ref.Reset()
 			want, live = want[:0], 0
 		default: // a Skip of each kind in turn
-			kind := step / 2 % 4
-			k := skipCount(kind, want)
-			q.Skip(k)
-			for _, v := range want[:k] {
-				live -= encLen(v)
-			}
-			if len(want) > 0 && (kind != 2 || k < len(want)) {
+			kind := step / 2 % len(skips)
+			switch kind {
+			case 4: // near the oldest kept mark, past the head, some entries left
+				if k := len(want) - 1 - (nmarks-1)*stride - rng.Intn(3*stride); k > stride {
+					skip(k)
+					skips[kind]++
+				}
+			case 5: // all, at a pushed count that is a multiple of the stride
+				for q.pushed%stride != 0 {
+					push([2]int64{value(rng), value(rng)})
+				}
+				if len(want) > 0 {
+					skips[kind]++
+				}
+				skip(len(want))
+			case 6: // after a Reset and a refill
+				q.Reset()
+				ref.Reset()
+				want, live = want[:0], 0
+				for range 50 + rng.Intn(250) {
+					push([2]int64{value(rng), value(rng)})
+				}
+				skip(stride + rng.Intn(len(want)-stride))
 				skips[kind]++
+			default:
+				k := skipCount(kind, want)
+				if len(want) > 0 && (kind != 2 || k < len(want)) {
+					skips[kind]++
+				}
+				skip(k)
 			}
-			want = want[k:]
 		}
 		if q.Len() != len(want) {
 			t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(want))
+		}
+		if d := sameLayout(&q, &ref); d != "" {
+			t.Fatalf("step %d: %s", step, d)
+		}
+		if len(want) > 0 {
+			if a, b := q.Front(); [2]int64{a, b} != want[0] {
+				t.Fatalf("step %d: Front = %v, want %v", step, [2]int64{a, b}, want[0])
+			}
 		}
 		peak = max(peak, live)
 		// Every block but the newest is closed only once fewer than MaxEntry
@@ -122,8 +171,8 @@ func TestQueueMatchesSlice(t *testing.T) {
 	if peak < 4*BlockBytes {
 		t.Fatalf("high-water mark %d bytes: the queue never spanned several blocks", peak)
 	}
-	t.Logf("high-water mark %d bytes; skips of none, one, a block's worth and all: %v", peak, skips)
+	t.Logf("high-water mark %d bytes; skips of none, one, a block's worth, all, near the oldest kept mark, all at a stride multiple, after a Reset: %v", peak, skips)
 	if slices.Contains(skips[:], 0) {
-		t.Fatalf("skips of none, one, a block's worth and all on a nonempty queue: %v; each must run", skips)
+		t.Fatalf("skips of each kind on a nonempty queue: %v; each must run", skips)
 	}
 }

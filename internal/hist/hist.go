@@ -99,6 +99,23 @@ func (h *Histogram) Reset() {
 	h.total = 0
 }
 
+// Recount empties the histogram for a caller that counts a subset of its
+// delays back in: it zeroes the live buckets and returns them. Each such
+// delay's bucket is live, since the delay was counted before, so the caller
+// increments counts[Bucket(delay, g)] with no growth check, then closes the
+// recount with Recounted.
+func (h *Histogram) Recount() (counts []int64) {
+	clear(h.counts)
+	return h.counts
+}
+
+// Recounted closes a Recount that counted total delays, the highest in
+// bucket top (−1 for none).
+func (h *Histogram) Recounted(total int64, top int) {
+	h.counts = h.counts[:top+1]
+	h.total = total
+}
+
 // MaxDelay returns an upper bound of the maximum recorded delay (the top edge
 // of the highest non-empty bucket), or 0 when empty.
 func (h *Histogram) MaxDelay() stream.Time {

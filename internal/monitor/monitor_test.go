@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -286,5 +287,60 @@ func TestMonitorSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Fatalf("steady-state AddResults + Advance allocated %v times per 1000 ticks", allocs)
+	}
+}
+
+// TestRestoreRoundTripGob: at every decision of an x3-rate feed, a monitor
+// restored from the gob bytes of its own state captures the same bytes
+// again, and goes on to answer Produced and TrueEstimate bit for bit as
+// the uninterrupted monitor does. The point FIFO's derived state (block
+// layout, skip marks) must not enter a snapshot.
+func TestRestoreRoundTripGob(t *testing.T) {
+	const P, L = stream.Minute, stream.Second
+	encode := func(st State) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	rng := rand.New(rand.NewSource(11))
+	whole, resumed := New(P-L, int((P-L)/L)), New(P-L, int((P-L)/L))
+	for now := stream.Time(1); now <= 3*P; now++ {
+		for c := 0; rng.Float64() < 0.2 && c < 4; c++ {
+			n := 1 + int64(rng.Intn(40))
+			whole.AddResults(now, n)
+			resumed.AddResults(now, n)
+		}
+		if now%L != 0 {
+			continue
+		}
+		est := rng.Float64() * 1e4
+		for _, m := range []*Monitor{whole, resumed} {
+			m.Advance(now)
+			m.PushTrueEstimate(est)
+		}
+		captured := encode(resumed.State())
+		var st State
+		if err := gob.NewDecoder(bytes.NewReader(captured)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		resumed = New(P-L, int((P-L)/L))
+		resumed.Restore(st)
+		if again := encode(resumed.State()); !bytes.Equal(again, captured) {
+			t.Fatalf("now %d: capture → restore → capture changed the gob bytes", now)
+		}
+		if resumed.Produced() != whole.Produced() || math.Float64bits(resumed.TrueEstimate()) != math.Float64bits(whole.TrueEstimate()) {
+			t.Fatalf("now %d: Produced/TrueEstimate %d/%v, uninterrupted %d/%v", now, resumed.Produced(), resumed.TrueEstimate(), whole.Produced(), whole.TrueEstimate())
+		}
+	}
+	if typ, want := reflect.TypeOf(State{}), []string{"PointTS", "PointN", "True", "TrueSum", "HasTrueSum"}; typ.NumField() != len(want) {
+		t.Fatalf("%v has %d fields, want %v", typ, typ.NumField(), want)
+	} else {
+		for i, name := range want {
+			if typ.Field(i).Name != name {
+				t.Fatalf("%v field %d is %s, want %s", typ, i, typ.Field(i).Name, name)
+			}
+		}
 	}
 }

@@ -406,22 +406,25 @@ func observeBoth(t *testing.T, n int, mgr *Manager, ref *refManager, e *stream.T
 // length into R^stat. The reference pops every trimmed entry; Manager
 // rebuilds the histogram and the skew sum from the kept entries when a trim
 // removes more than it keeps, as most of ADWIN's cuts on x3 do, and the
-// "trims/…" rows force each shape of trim on both paths (trimShapes). Three
+// "trims/…" rows force each shape of trim on both paths (trimShapes). Four
 // mutations of the trim each fail it:
 //   - Skip one entry short (history.Skip(r − 1)): HistoryLen differs;
-//   - a rebuild that keeps the old skew sum (no ss.sumSkew = 0): KSync
-//     differs;
-//   - a rebuild that adds the removed entries too (Skip after the rebuild):
-//     the histograms differ.
+//   - a rebuild that starts from the old skew sum (sumSkew := ss.sumSkew):
+//     KSync differs;
+//   - a rebuild that leaves the lowest or the highest live bucket uncleared
+//     (hist.Recount clearing counts[1:] or counts[:len−1]): the histograms
+//     differ.
 //
-// Three mutations of internal/fifo each fail it:
+// Four mutations of internal/fifo each fail it:
 //   - an entry allowed to straddle a block (last = BlockBytes − 9 in place
 //     of BlockBytes − MaxEntry): an index panic;
 //   - a zigzag write decoded as unsigned (unzigzag returning int64(u)): the
 //     histograms differ within the first arrivals of every feed;
 //   - the count dropped on a block switch (Push clearing the second
 //     value's length in the tag of an entry that closes its block): the
-//     skews, and so KSync or the state, differ.
+//     skews, and so KSync or the state, differ;
+//   - Skip's marks recorded one entry late (pushed%stride == 1): a trim
+//     lands one entry off, and HistoryLen or the histograms differ.
 func TestMatchesReference(t *testing.T) {
 	configs := []struct {
 		name           string
@@ -701,8 +704,9 @@ func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 // BenchmarkObserve prices one raw arrival on the three feeds; flip64 is the
 // worst case that must stay no slower than the unfiltered scan. After the
 // timed loop it times up to 2¹⁸ more arrivals one by one and reports the mean
-// of the slowest 1 % as tail-ns/op: the arrivals that carry an ADWIN cut and
-// its trim of R^stat, which the mean hides.
+// of the slowest 1 % as tail-ns/op, and the mean of the arrivals that carry
+// an ADWIN cut — and its trim of R^stat — as cut-ns/op: the costs the mean
+// hides.
 func BenchmarkObserve(b *testing.B) {
 	for _, of := range observeFeeds {
 		b.Run(of.name, func(b *testing.B) {
@@ -717,20 +721,33 @@ func BenchmarkObserve(b *testing.B) {
 				mgr.Observe(f.next())
 			}
 			b.StopTimer()
-			b.ReportMetric(tailNs(mgr, f, min(b.N, 1<<18)), "tail-ns/op")
+			tail, cut := timeEach(mgr, f, min(b.N, 1<<18))
+			b.ReportMetric(tail, "tail-ns/op")
+			b.ReportMetric(cut, "cut-ns/op")
 		})
 	}
 }
 
-// tailNs times the next n arrivals of f one by one and returns the mean of
-// the slowest 1 %, in ns.
-func tailNs(mgr *Manager, f *lapFeed, n int) float64 {
+// timeEach times the next n arrivals of f one by one and returns the mean
+// of the slowest 1 % and the mean of those that carry an ADWIN cut (0 if
+// none does), in ns.
+func timeEach(mgr *Manager, f *lapFeed, n int) (tail, cut float64) {
 	ns := make([]int64, n)
+	var cutSum, cuts int64
 	for i := range ns {
 		e := f.next()
+		ad := mgr.streams[e.Src].ad
+		before := ad.Len()
 		t0 := time.Now()
 		mgr.Observe(e)
 		ns[i] = time.Since(t0).Nanoseconds()
+		if ad.Len() <= before { // a cut: the window did not grow by the arrival
+			cutSum += ns[i]
+			cuts++
+		}
+	}
+	if cuts > 0 {
+		cut = float64(cutSum) / float64(cuts)
 	}
 	slices.Sort(ns)
 	var sum int64
@@ -738,5 +755,5 @@ func tailNs(mgr *Manager, f *lapFeed, n int) float64 {
 	for _, d := range slowest {
 		sum += d
 	}
-	return float64(sum) / float64(len(slowest))
+	return float64(sum) / float64(len(slowest)), cut
 }
