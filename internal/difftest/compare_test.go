@@ -117,6 +117,7 @@ func record(check func(testing.TB)) *recorder {
 // streams are what a run captures of every stream Compare checks.
 type streams struct {
 	res  [][]*stream.Tuple // results, in delivery order
+	ts   []stream.Time     // their TS when set, else 0: every member's is 0
 	rec  []difftest.Record
 	ooo  []stream.Time
 	ks   []difftest.KStep
@@ -143,8 +144,12 @@ func captured(mutate func(*streams)) *difftest.Run {
 	}
 	r := difftest.NewRun()
 	r.Order = []difftest.Key{}
-	for _, ts := range s.res {
-		r.Emit(stream.Result{Tuples: ts})
+	for i, ts := range s.res {
+		res := stream.Result{Tuples: ts}
+		if s.ts != nil {
+			res.TS = s.ts[i]
+		}
+		r.Emit(res)
 	}
 	r.Records, r.OutOfOrder, r.Ks, r.AvgK = s.rec, s.ooo, s.ks, s.avgK
 	return r
@@ -187,6 +192,9 @@ func TestCompareReports(t *testing.T) {
 		{"AvgK", func(s *streams) {
 			s.avgK = math.Nextafter(s.avgK, 0)
 		}, "AvgK 24.999999999999996, want 25"},
+		{"result TS", func(s *streams) {
+			s.ts = []stream.Time{0, 0, 5}
+		}, "result 0:4,1:5, stamped TS 5, its members' maximum is 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, got := captured(nil), captured(tc.mutate)
@@ -233,6 +241,9 @@ func TestCompareReports(t *testing.T) {
 		}, true},
 		{"within/nothing delivered", func(s *streams) {
 			s.res = nil
+		}, true},
+		{"within/result TS", func(s *streams) {
+			s.ts = []stream.Time{7, 0, 0}
 		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

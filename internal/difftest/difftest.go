@@ -324,15 +324,29 @@ type Run struct {
 	OutOfOrder []stream.Time // delays of the out-of-order tuples, in order
 	Ks         []KStep       // the K trajectory
 	AvgK       float64       // the shape's reported average K, with Ks
+
+	// badTS describes the first delivered result whose TS was not the
+	// maximum of its members' TS; Compare and Within fail a run that has one.
+	badTS string
 }
 
 // NewRun returns an empty run ready to collect results.
 func NewRun() *Run { return &Run{} }
 
 // Emit collects one delivered result (and its place in the delivery order,
-// when Order is captured).
+// when Order is captured), and checks its TS: Key drops it, so the
+// comparisons would not see a wrong one.
 func (r *Run) Emit(res stream.Result) {
 	k := KeyOf(res.Tuples)
+	var ts stream.Time
+	for _, t := range res.Tuples {
+		if t != nil {
+			ts = max(ts, t.TS)
+		}
+	}
+	if res.TS != ts && r.badTS == "" {
+		r.badTS = fmt.Sprintf("result %s stamped TS %d, its members' maximum is %d", k, res.TS, ts)
+	}
 	r.Results = append(r.Results, k)
 	r.Count++
 	if r.Order != nil {
@@ -429,13 +443,19 @@ func GobRoundTrip[S any](t testing.TB, st S, tt *fault.TupleTable) (S, *fault.Tu
 	return out.State, fault.NewTupleArena(out.Tuples)
 }
 
-// Compare checks got against the reference want: the reference must have
-// results; the counts must agree and the sorted multisets must be equal
+// Compare checks got against the reference want: neither may have
+// delivered a result whose TS is not its members' maximum (Emit); the
+// reference must have results; the counts must agree and the sorted multisets must be equal
 // key by key; and every stream the reference captured — the delivery
 // order, per-tuple records and out-of-order delays in order, the K
 // trajectory step by step with the average K — must be got's.
 func Compare(t testing.TB, name string, want, got *Run) {
 	t.Helper()
+	for _, r := range []*Run{want, got} {
+		if r.badTS != "" {
+			t.Errorf("%s: %s", name, r.badTS)
+		}
+	}
 	if want.Count == 0 {
 		t.Fatalf("%s: degenerate workload, no results", name)
 	}
@@ -468,10 +488,16 @@ func Compare(t testing.TB, name string, want, got *Run) {
 }
 
 // Within checks a run that may lose results but must never invent or
-// repeat one — an adaptive run against the full-coverage reference: got
+// repeat one — an adaptive run against the full-coverage reference: every
+// result of either is stamped its members' maximum TS (Emit), got
 // delivered something, and no result more often than want has it.
 func Within(t testing.TB, name string, want, got *Run) {
 	t.Helper()
+	for _, r := range []*Run{want, got} {
+		if r.badTS != "" {
+			t.Fatalf("%s: %s", name, r.badTS)
+		}
+	}
 	if got.Count == 0 {
 		t.Fatalf("%s: delivered nothing", name)
 	}

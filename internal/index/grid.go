@@ -67,15 +67,17 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // |a − ca| ≤ εa ∧ |b − cb| ≤ εb visits the few cells around (ca, cb) — at
 // most three per dimension in practice — instead of a key-ordered run.
 //
-// Cells live in an open-addressed table with Hash's sweep rule: an emptied
-// cell keeps its slot until a new key finds the table three-quarters
-// claimed, and the sweep then drops the dead cells. A cell owns no array to
-// recycle, so the sweep works in place — the table keeps its capacity while
-// the live cells fit at ≤ 50 % load and is replaced only to grow, or to
-// shrink once they fill less than an eighth of it. Each cell is a chain
-// through one pooled node array with a free list, so a window sliding over a
-// stable or drifting key domain allocates nothing once the pool has reached
-// the live count.
+// Cells live in an open-addressed table sized like Hash's: an emptied cell
+// keeps its slot until a new key finds the table half claimed, and the
+// sweep then drops the dead cells. Most cells a probe visits are empty, so
+// the table is kept sparse — a lookup of an absent cell stops at the first
+// unclaimed slot — and a sweep sizes it for the live cells at ≤ 25 % load.
+// A cell owns no array to recycle, so the sweep works in place — the table
+// keeps its capacity while the live cells fit at ≤ 25 % load and is
+// replaced only to grow, or to shrink once they fill less than a sixteenth
+// of it. Each cell is a chain through one pooled node array with a free
+// list, so a window sliding over a stable or drifting key domain allocates
+// nothing once the pool has reached the live count.
 //
 // Chains are kept in the order of less, the caller's expiry order (a window
 // passes (TS, Seq)): an insert that sorts at or after its cell's tail
@@ -87,7 +89,8 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // Coverage: bandRange's widened bounds enclose every key whose exact
 // difference form passes, and BandCell is monotone, so every partner lies in
 // a visited cell; the probe then decides each candidate of the visited cells
-// by the exact difference form itself, on the keys stored in its node.
+// by the exact difference form itself, and by a Fold when it is given one,
+// on the keys stored in its node.
 // Entries with a non-finite key can never band-match and are not stored.
 //
 // The zero value is not usable; construct with NewGrid.
@@ -245,6 +248,13 @@ func (g *Grid[E]) Remove(a, b float64, e E) {
 // ascending cell order and chain order within a cell. A non-finite center
 // matches nothing.
 func (g *Grid[E]) AppendBand(dst []E, ca, cb float64) []E {
+	return g.AppendBandFold(dst, ca, cb, nil)
+}
+
+// AppendBandFold is AppendBand keeping only the entries whose stored keys
+// also satisfy f, decided in the same pass as the band check; a nil f keeps
+// every band member.
+func (g *Grid[E]) AppendBandFold(dst []E, ca, cb float64, f *Fold) []E {
 	x0, x1, ok := bandSpan(ca, g.eps[0])
 	if !ok {
 		return dst
@@ -258,14 +268,38 @@ func (g *Grid[E]) AppendBand(dst []E, ca, cb float64) []E {
 		cb = 0
 	}
 	ea, eb := g.eps[0], g.eps[1]
+	nodes, next := g.nodes, g.next[:len(g.nodes)]
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
-			for i := g.chain(cellKey(x, y)); i != 0; i = g.next[i] {
-				n := &g.nodes[i]
+			for i := g.chain(cellKey(x, y)); i != 0; i = next[i] {
+				n := &nodes[i]
 				// Negated-form-safe: NaN fails every comparison.
-				if da, db := n.a-ca, n.b-cb; da >= -ea && da <= ea && db >= -eb && db <= eb {
-					dst = append(dst, n.e)
+				if da, db := n.a-ca, n.b-cb; !(da >= -ea && da <= ea && db >= -eb && db <= eb) {
+					continue
 				}
+				if f != nil {
+					// The fold, inline: a call per band member costs more
+					// than the arithmetic it makes.
+					k := f.K
+					var sum float64
+					for _, t := range f.Terms {
+						v := n.a
+						if t.B {
+							v = n.b
+						}
+						var d float64
+						if t.KeyFirst {
+							d = v - k[t.Slot]
+						} else {
+							d = k[t.Slot] - v
+						}
+						sum += float64(d * d)
+					}
+					if !f.Cmp.holds(sum, k[f.Slot]) {
+						continue
+					}
+				}
+				dst = append(dst, n.e)
 			}
 		}
 	}
@@ -287,14 +321,14 @@ func (g *Grid[E]) chain(key uint64) int32 {
 }
 
 // claim returns the slot for key, claiming one if the key is new. Only a
-// claim checks the load, and one that finds the table three-quarters
-// claimed sweeps first, then probes again.
+// claim checks the load, and one that finds the table half claimed sweeps
+// first, then probes again.
 func (g *Grid[E]) claim(key uint64) *gslot {
 	mask := uint64(len(g.slots) - 1)
 	for i := g.hash(key); ; i = (i + 1) & mask {
 		s := &g.slots[i]
 		if s.tail == 0 {
-			if (g.n+1)*4 >= len(g.slots)*3 {
+			if (g.n+1)*2 >= len(g.slots) {
 				g.sweep()
 				return g.claim(key)
 			}
@@ -320,9 +354,9 @@ func (g *Grid[E]) alloc() int32 {
 }
 
 // sweep drops the dead cells accumulated since the last sweep. While the
-// live cells fit the table at ≤ 50 % load, and fill at least an eighth of
+// live cells fit the table at ≤ 25 % load, and fill at least a sixteenth of
 // it, it drops them in place; otherwise it moves the live cells into a new
-// table sized for them at ≤ 50 % load.
+// table sized for them at ≤ 25 % load.
 //
 // The in-place pass starts at a slot that was empty before the sweep and
 // goes once around the table, taking each live cell out and re-inserting
@@ -344,10 +378,10 @@ func (g *Grid[E]) sweep() {
 	}
 	g.n = live
 	size := hashMinCap
-	for size < 2*(live+1) {
+	for size < 4*(live+1) {
 		size *= 2
 	}
-	if size > len(g.slots) || 8*(live+1) < len(g.slots) && size < len(g.slots) {
+	if size > len(g.slots) || 16*(live+1) < len(g.slots) && size < len(g.slots) {
 		old := g.slots
 		g.init(size)
 		g.n = live
@@ -376,4 +410,56 @@ func (g *Grid[E]) place(s gslot) {
 		j = (j + 1) & mask
 	}
 	g.slots[j] = s
+}
+
+// Cmp is a Fold's comparison, its sum on the left.
+type Cmp uint8
+
+// The comparisons of a Fold: sum < c, sum ≤ c, and so on.
+const (
+	LT Cmp = iota
+	LE
+	GT
+	GE
+	EQ
+	NE
+)
+
+// FoldTerm is one squared difference of a Fold: the stored key it reads and
+// the constant slot on its other side, in the predicate's operand order.
+type FoldTerm struct {
+	B        bool  // reads the b key, else the a key
+	KeyFirst bool  // (key − K[Slot])², else (K[Slot] − key)²
+	Slot     int32 // index into Fold.K
+}
+
+// Fold is a residual predicate Σ_j d_j² cmp K[Slot] that a probe decides
+// on the keys a node stores, so an entry that fails it is never read: the
+// squares are added left to right from +0, each difference is taken in its
+// term's operand order, and every operation is the IEEE-754 one the
+// predicate states, so on keys that are bit copies of the entry's
+// attributes the verdict is the predicate's own. The caller fills K before
+// each probe; the grid only reads it.
+type Fold struct {
+	Terms []FoldTerm
+	Cmp   Cmp
+	Slot  int32
+	K     []float64
+}
+
+// holds reports whether x cmp y.
+func (c Cmp) holds(x, y float64) bool {
+	switch c {
+	case LT:
+		return x < y
+	case LE:
+		return x <= y
+	case GT:
+		return x > y
+	case GE:
+		return x >= y
+	case EQ:
+		return x == y
+	}
+	return x != y
 }

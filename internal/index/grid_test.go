@@ -231,8 +231,8 @@ func TestBandGridDriftingDomainBounded(t *testing.T) {
 		if len(g.nodes) != live+1 || g.Len() != live {
 			t.Errorf("2d=%v: node pool %d for %d live entries, want %d", twoD, len(g.nodes), g.Len(), live+1)
 		}
-		// ≤ 200 live cells: a sweep sizes the table to ≥ 2·201 → 512.
-		if len(g.slots) > 512 || len(g.slots) != table {
+		// ≤ 200 live cells: a sweep sizes the table to ≥ 4·201 → 1024.
+		if len(g.slots) > 1024 || len(g.slots) != table {
 			t.Errorf("2d=%v: cell table %d → %d slots for ≤ %d live cells", twoD, table, len(g.slots), live)
 		}
 	}

@@ -23,12 +23,17 @@
 //
 //   - Grid[E]: a cell grid backing the typed band predicate
 //     |S_l.a − S_r.a| ≤ ε over one or two band keys: entries live in the
-//     cell (⌊a/εa⌋, ⌊b/εb⌋) (BandCell), cells in an open-addressed table
-//     under Hash's sweep rule, and each cell is a (ts, seq)-ordered chain
-//     through one pooled node array with a free list. Insert and expiry are
-//     O(1) — a tail append and a head pop, no memmove — and a probe visits
-//     the ≤ 3 cells per dimension the band covers, deciding each candidate
-//     by the exact difference form on the keys its node stores.
+//     cell (⌊a/εa⌋, ⌊b/εb⌋) (BandCell), cells in an open-addressed table,
+//     and each cell is a (ts, seq)-ordered chain through one pooled node
+//     array with a free list. The cell table sweeps in place when a new cell
+//     finds it half claimed, and a sweep sizes it for the live cells at
+//     ≤ 25 % load, as Hash's: most cells a probe visits are empty, and an
+//     absent cell's lookup stops at the first unclaimed slot. Insert and
+//     expiry are O(1) — a tail append and a head pop, no memmove — and a
+//     probe visits the ≤ 3 cells per dimension the band covers, deciding
+//     each candidate by the exact difference form on the keys its node
+//     stores, and a Fold — a sum of squared key differences against a
+//     bound — in the same pass.
 //
 // Keys that can never match are rejected by both structures: NaN by
 // KeyBits (it never compares equal), NaN and ±Inf by Grid.Add (they never

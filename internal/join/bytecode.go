@@ -19,7 +19,10 @@ package join
 // prologue, evaluated once per probe into a constant slot, and the body left
 // for sweep to run per candidate reads only the candidate and constants —
 // k − cand.a, cand.a − k, Σ(k_j − cand.a_j)² < k. A predicate that does not
-// read the candidate at all is its prologue; sweep decides it once.
+// read the candidate at all is its prologue; sweep decides it once. A fold
+// Σ(k_j − cand.a_j)² cmp k on a band step whose grid stores every a_j is
+// not swept: gridFold hands it to the grid as data (index.Fold), and the
+// grid scan decides it on its stored keys after the prologue has run.
 //
 // Equivalence to the interpreter: every instruction performs exactly the
 // IEEE-754 operation of its Expr node with the operands in the node's
@@ -33,6 +36,7 @@ package join
 import (
 	"math"
 
+	"repro/internal/index"
 	"repro/internal/stream"
 )
 
@@ -104,6 +108,9 @@ type Prog struct {
 	// Σ (k_j − cand.a_j)² cmp k with the constant on either side of each
 	// difference and of the comparison: sweep runs it without the VM.
 	fold bool
+	// grid is the fold as the band grid of its step decides it (gridFold),
+	// set by compilePlan when the step's grid stores every a_j.
+	grid *index.Fold
 }
 
 // CompileExpr compiles a boolean expression into bytecode, or returns nil
@@ -250,6 +257,49 @@ func (p *Prog) Eval(assign []*stream.Tuple) bool {
 	}
 	var stack [bcMaxStack]float64
 	return p.run(p.code, stack[:], assign)
+}
+
+// prologue runs a step program's once-per-probe part: it fills the constant
+// slots of the hoisted subtrees from the bound streams in assign.
+func (p *Prog) prologue(assign []*stream.Tuple) {
+	var stack [bcMaxStack]float64
+	p.run(p.pre, stack[:], assign)
+}
+
+// gridFold returns the fold step body as the index.Fold a band grid keyed
+// by the candidate's attributes a and b (b < 0: one dimension) decides on
+// its stored keys, or nil when the body is no fold or reads another
+// attribute. The Fold aliases the program's constant slots, so the
+// prologue fills it. Each term keeps its operand order; a comparison with
+// the constant on the left becomes the mirrored one with the sum on the
+// left (k < s ⇔ s > k holds for every pair of floats, NaN included).
+func (p *Prog) gridFold(a, b int) *index.Fold {
+	if !p.fold {
+		return nil
+	}
+	f := &index.Fold{K: p.k}
+	for _, t := range p.terms[p.code[0].x.a:p.code[0].x.b] {
+		ft := index.FoldTerm{KeyFirst: t[0].mode == mAttr}
+		attr, c := t[1], t[0]
+		if ft.KeyFirst {
+			attr, c = t[0], t[1]
+		}
+		switch attr := int(attr.b); {
+		case attr == a:
+		case b >= 0 && attr == b:
+			ft.B = true
+		default:
+			return nil
+		}
+		ft.Slot = c.a
+		f.Terms = append(f.Terms, ft)
+	}
+	cmp := &p.code[1]
+	f.Cmp, f.Slot = index.Cmp(cmp.op-bcLT), cmp.y.a
+	if cmp.x.mode == mConst {
+		f.Cmp, f.Slot = [...]index.Cmp{index.GT, index.GE, index.LT, index.LE, index.EQ, index.NE}[f.Cmp], cmp.x.a
+	}
+	return f
 }
 
 // sweep appends to out, in order, the tuples of in that satisfy the step

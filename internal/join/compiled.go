@@ -11,7 +11,9 @@ package join
 // probe over the few cells its first one or two bands cover, each residual one
 // sweep of float compares against a bound value read once, and each generic
 // predicate added through WhereExpr one more sweep of bytecode compiled for
-// the step (bytecode.go), its candidate-invariant parts evaluated once.
+// the step (bytecode.go), its candidate-invariant parts evaluated once — or,
+// for a distance fold over the grid's own keys, no sweep: the grid probe
+// decides it on the keys it stores (cstep.fold).
 //
 // # Equivalence-class rewrite
 //
@@ -103,23 +105,27 @@ type cstep struct {
 	// a one-dimensional grid ignores the second.
 	grid    *index.Grid[*stream.Tuple]
 	gridRef [2]cref
+	// fold is the compiled generic predicate the grid probe decides on the
+	// keys it stores (Prog.grid): a sum of squared differences whose every
+	// candidate attribute is a grid key. Its prologue fills the constant
+	// slots once per probe. nil when no predicate of the step qualifies.
+	fold    *Prog
 	resBand []cband
 	// buf is the step's reusable candidate buffer, so residual filtering
 	// never allocates in steady state. A step is entered at most once per
 	// search path (each level is a distinct step), so levels never share it.
 	buf []*stream.Tuple
-	// The generic predicates of the condition the step was compiled from:
-	// kern sweeps the candidate list like one more residual; checks (indexes
-	// into Condition.Generics) are those that do not compile — opaque Where
-	// closures, expressions deeper than bcMaxStack. pend[ri] is what residual
-	// class ri evaluates per bound candidate in the enumeration loop: checks
-	// for a class compiled into the steps, else all its predicates that bind
-	// here (mclass.compile).
-	kern    []*Prog
-	generic bool
-	resEq   []ceq
-	checks  []int
-	pend    [][]pcheck
+	// The generic predicates of the condition the step was compiled from,
+	// fold aside: kern sweeps the candidate list like one more residual;
+	// checks (indexes into Condition.Generics) are those that do not compile
+	// — opaque Where closures, expressions deeper than bcMaxStack. pend[ri]
+	// is what residual class ri evaluates per bound candidate in the
+	// enumeration loop: checks for a class compiled into the steps, else all
+	// its predicates that bind here (mclass.compile).
+	kern   []*Prog
+	resEq  []ceq
+	checks []int
+	pend   [][]pcheck
 
 	// The fused counting loop for the hottest enumeration shape (tailFused):
 	// this step must enumerate its candidates (its own count depends on the
@@ -223,6 +229,7 @@ func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window
 	for i := range p {
 		st := &p[i]
 		cs := &steps[i]
+		var gridKey window.GridKey
 		cs.stream = st.stream
 		cs.win = windows[st.stream]
 		switch {
@@ -241,6 +248,7 @@ func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window
 			}
 		case len(st.bands) > 0:
 			k, j := gridBands(st.bands)
+			gridKey = k
 			cs.grid = cs.win.Grid(k)
 			if cs.grid == nil {
 				panic("join: compiled plan probes an unindexed band attribute")
@@ -257,11 +265,20 @@ func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window
 				}
 			}
 		}
-		cs.generic = len(st.checks) > 0
 		for _, gi := range st.checks {
-			if k := compileStep(cond.Generics[gi].Expr, st.stream); k != nil {
+			k := compileStep(cond.Generics[gi].Expr, st.stream)
+			if k != nil && cs.grid != nil && cs.fold == nil {
+				k.grid = k.gridFold(gridKey.A, gridKey.B)
+			}
+			switch {
+			case k != nil && k.grid != nil:
+				// Decided in the grid probe: the step's filters are pure
+				// conjuncts, so the sweeps after it keep the same list in
+				// the same order.
+				cs.fold = k
+			case k != nil:
 				cs.kern = append(cs.kern, k)
-			} else {
+			default:
 				cs.checks = append(cs.checks, gi)
 			}
 		}
@@ -287,7 +304,7 @@ func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window
 // (see cstep.tailFused).
 func fuseTail(steps []cstep, i int) {
 	cs := &steps[i]
-	if cs.countableTail || cs.generic || i+1 >= len(steps) || !steps[i+1].countableTail {
+	if cs.countableTail || cs.generic() || i+1 >= len(steps) || !steps[i+1].countableTail {
 		return
 	}
 	var cand, fixed []tailProbe
@@ -331,7 +348,7 @@ func markCountableTailsC(arriving int, steps []cstep, m int) {
 	tailOK := true
 	for i := len(steps) - 1; i >= 0; i-- {
 		cs := &steps[i]
-		if cs.generic {
+		if cs.generic() {
 			tailOK = false
 		}
 		if cs.hash != nil {
@@ -351,6 +368,9 @@ func markCountableTailsC(arriving int, steps []cstep, m int) {
 	}
 }
 
+// generic reports whether the step has generic predicates.
+func (cs *cstep) generic() bool { return cs.fold != nil || len(cs.kern) > 0 || len(cs.checks) > 0 }
+
 // base returns the base candidate view of a step without a grid: the hash
 // bucket, or the whole window. Views are index-internal storage; never
 // retained.
@@ -367,17 +387,22 @@ func (cs *cstep) base(assign []*stream.Tuple) []*stream.Tuple {
 
 // candidates returns the step's exact candidates in base order: the base
 // view itself when nothing else filters, else cs.buf — filled by the grid
-// probe with the exact members of the grid's bands (in the grid's cell, then
-// (TS, Seq) order), or swept from the base view — after one pass per
-// residual; each reads its bound values once and sweeps the survivors of the
-// previous pass in place, compiled generic predicates last. The result is
-// valid until the step is next probed.
+// probe with the exact members of the grid's bands that pass the fused fold
+// (in the grid's cell, then (TS, Seq) order), or swept from the base view —
+// after one pass per residual; each reads its bound values once and sweeps
+// the survivors of the previous pass in place, compiled generic predicates
+// last. The result is valid until the step is next probed.
 func (cs *cstep) candidates(assign []*stream.Tuple) []*stream.Tuple {
 	stale := len(cs.buf)
 	var in []*stream.Tuple
 	if cs.grid != nil {
 		r0, r1 := &cs.gridRef[0], &cs.gridRef[1]
-		in = cs.grid.AppendBand(cs.buf[:0], assign[r0.stream].Attr(r0.attr), assign[r1.stream].Attr(r1.attr))
+		var f *index.Fold
+		if cs.fold != nil {
+			cs.fold.prologue(assign)
+			f = cs.fold.grid
+		}
+		in = cs.grid.AppendBandFold(cs.buf[:0], assign[r0.stream].Attr(r0.attr), assign[r1.stream].Attr(r1.attr), f)
 		cs.buf, stale = in, max(stale, len(in))
 	} else if in = cs.base(assign); !cs.filters {
 		return in
@@ -654,7 +679,7 @@ func (c *mclass) probe(s *shell, e *stream.Tuple) {
 	// walk leaves every slot it bound nil again, so the assignment needs no
 	// clearing, only the arrival taken back out.
 	s.assignBuf[e.Src] = e
-	c.walk(&s.slab, c.cplans[e.Src].steps, 0, s.assignBuf, c.full)
+	c.walk(&s.slab, e.TS, c.cplans[e.Src].steps, 0, s.assignBuf, c.full)
 	s.assignBuf[e.Src] = nil
 }
 
@@ -672,8 +697,9 @@ func (c *mclass) credit(mask uint64, n int64) {
 // counting path when the step offers one — the product of the remaining
 // steps' counts on a countable tail, the fused per-candidate product on a
 // tailFused step — and the rest enumerate. Counting and enumeration agree on
-// counts, and checks only prune the enumeration, never reorder it.
-func (c *mclass) walk(slab *TupleSlab, steps []cstep, lvl int, assign []*stream.Tuple, alive uint64) {
+// counts, and checks only prune the enumeration, never reorder it. Every
+// result is stamped ts, the arrival's TS (TupleSlab.result).
+func (c *mclass) walk(slab *TupleSlab, ts stream.Time, steps []cstep, lvl int, assign []*stream.Tuple, alive uint64) {
 	cs := &steps[lvl]
 	cnt := alive &^ (c.emitMask | cs.chkAfter)
 	if cnt != 0 && cs.countableTail {
@@ -715,7 +741,7 @@ func (c *mclass) walk(slab *TupleSlab, steps []cstep, lvl int, assign []*stream.
 		assign[cs.stream] = cand
 		if only != nil {
 			for _, emit := range only {
-				emit(slab.result(assign))
+				emit(slab.result(assign, ts))
 			}
 			continue
 		}
@@ -729,13 +755,13 @@ func (c *mclass) walk(slab *TupleSlab, steps []cstep, lvl int, assign []*stream.
 		}
 		if !last {
 			if na != 0 {
-				c.walk(slab, steps, lvl+1, assign, na)
+				c.walk(slab, ts, steps, lvl+1, assign, na)
 			}
 			continue
 		}
 		for a := na & c.emitMask; a != 0; a &= a - 1 {
 			for _, emit := range c.out[bits.TrailingZeros64(a)].sinks {
-				emit(slab.result(assign)) // a result of its own for every sink
+				emit(slab.result(assign, ts)) // a result of its own for every sink
 			}
 		}
 	}

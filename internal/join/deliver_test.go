@@ -38,23 +38,66 @@ func lap(feed []*stream.Tuple, orig []stream.Time, d stream.Time, i int) *stream
 	return e
 }
 
-// BenchmarkProcessBandDeliver measures expire + probe + insert on the soccer
-// query with every result materialized and handed to a counting sink.
-func BenchmarkProcessBandDeliver(b *testing.B) {
+// soccerUnfused is Q×2 with the squared sID difference (attribute 0) added
+// to the circle's sum, and 15², the largest it takes, to the squared
+// radius: a fold that reads an attribute the grid does not store, so the
+// grid decides only the box and the fold is swept over its members after
+// the probe. Nearly every box member passes it.
+func soccerUnfused(thr float64) *join.Condition {
+	dx := join.Sub(join.Attr(0, 1), join.Attr(1, 1))
+	dy := join.Sub(join.Attr(0, 2), join.Attr(1, 2))
+	ds := join.Sub(join.Attr(0, 0), join.Attr(1, 0))
+	return join.Cross(2).
+		Band(0, 1, 1, 1, thr).
+		Band(0, 2, 1, 2, thr).
+		WhereExpr(join.Lt(join.Add(join.Add(join.Mul(dx, dx), join.Mul(dy, dy)), join.Mul(ds, ds)), join.ConstOf(thr*thr+15*15)))
+}
+
+// benchBandDeliver runs the delivering soccer gauges — Q×2 (/qx2), whose
+// circle the grid scan decides, and soccerUnfused (/unfused) — through the
+// kernel build makes, its sink counting into *delivered: expire + probe +
+// insert per op, every result materialized. Besides results/op it reports
+// cands/op, the box members a probe scans, counted after the timed loop by
+// a band-only operator replaying the same arrivals.
+func benchBandDeliver(b *testing.B, build func(cond *join.Condition, windows []stream.Time, delivered *int64) func(*stream.Tuple)) {
 	const d = 60 * stream.Second
-	ds, feed, orig := soccerFeed(d)
-	var delivered int64
-	op := join.New(ds.Cond, ds.Windows, join.WithEmit(func(stream.Result) { delivered++ }))
-	warm := len(feed) / 2
-	for i := 0; i < warm; i++ {
-		op.Process(feed[i])
+	for _, row := range []struct {
+		name string
+		cond func(*gen.Dataset) *join.Condition
+	}{
+		{"qx2", func(ds *gen.Dataset) *join.Condition { return ds.Cond }},
+		{"unfused", func(*gen.Dataset) *join.Condition { return soccerUnfused(5) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			ds, feed, orig := soccerFeed(d)
+			var delivered int64
+			process := build(row.cond(ds), ds.Windows, &delivered)
+			warm := len(feed) / 2
+			for i := 0; i < warm; i++ {
+				process(feed[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				process(lap(feed, orig, d, warm+i))
+			}
+			b.StopTimer()
+			box := join.New(join.Cross(2).Band(0, 1, 1, 1, 5).Band(0, 2, 1, 2, 5), ds.Windows)
+			for i := 0; i < warm+b.N; i++ {
+				box.Process(lap(feed, orig, d, i))
+			}
+			b.ReportMetric(float64(delivered)/float64(warm+b.N), "results/op")
+			b.ReportMetric(float64(box.Results())/float64(warm+b.N), "cands/op")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op.Process(lap(feed, orig, d, warm+i))
-	}
-	b.ReportMetric(float64(delivered)/float64(warm+b.N), "results/op")
+}
+
+// BenchmarkProcessBandDeliver measures the delivering soccer gauges
+// (benchBandDeliver) on the operator.
+func BenchmarkProcessBandDeliver(b *testing.B) {
+	benchBandDeliver(b, func(cond *join.Condition, windows []stream.Time, delivered *int64) func(*stream.Tuple) {
+		return join.New(cond, windows, join.WithEmit(func(stream.Result) { *delivered++ })).Process
+	})
 }
 
 // BenchmarkProcessBand measures a single-band step — the one-dimensional
@@ -124,26 +167,16 @@ func TestBandGridSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkMultiBandDeliver is BenchmarkProcessBandDeliver through a Multi
-// with two soccer queries in one residual class, one of them with a sink:
-// the circle is swept once per probe for both.
+// with two queries in one residual class, one of them with a sink: the
+// residual is decided once per probe for both.
 func BenchmarkMultiBandDeliver(b *testing.B) {
-	const d = 60 * stream.Second
-	ds, feed, orig := soccerFeed(d)
-	var delivered int64
-	mo := join.NewMulti(ds.Windows)
-	sig := join.ResidualSig(ds.Cond, "")
-	mo.Add(ds.Cond, sig, func(stream.Result) { delivered++ }, nil, nil)
-	mo.Add(ds.Cond, sig, nil, nil, nil)
-	warm := len(feed) / 2
-	for i := 0; i < warm; i++ {
-		mo.Process(feed[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mo.Process(lap(feed, orig, d, warm+i))
-	}
-	b.ReportMetric(float64(delivered)/float64(warm+b.N), "results/op")
+	benchBandDeliver(b, func(cond *join.Condition, windows []stream.Time, delivered *int64) func(*stream.Tuple) {
+		mo := join.NewMulti(windows)
+		sig := join.ResidualSig(cond, "")
+		mo.Add(cond, sig, func(stream.Result) { *delivered++ }, nil, nil)
+		mo.Add(cond, sig, nil, nil, nil)
+		return mo.Process
+	})
 }
 
 var progSink bool

@@ -3,6 +3,7 @@ package join
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -13,7 +14,12 @@ import (
 // check — returns exactly the stored tuples that Condition.Matches pairs
 // with the probe, by brute force over everything stored, for arbitrary key
 // bits (NaN, ±Inf, ±0, subnormals, the largest magnitudes) on both sides,
-// one or two dimensions, any valid widths, and entries removed again.
+// one or two dimensions, any valid widths, and entries removed again. And
+// the fused probe — a fold of the probe's and the candidate's keys (foldOf,
+// against the radius r) decided in the grid scan — returns exactly
+// AppendBand's list swept by the compiled program, or does not fuse
+// because the fold reads a key a one-dimensional grid does not store (or
+// is a lone square: a fold sums two or more).
 func FuzzBandGrid(f *testing.F) {
 	bits := func(vs ...float64) []byte {
 		var b []byte
@@ -22,11 +28,11 @@ func FuzzBandGrid(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(bits(1, 2, 4.9, 5, 5.0000001, -3, 0.3, 0.1), 0.1, 0.0, 5.0, 5.0, true)
-	f.Add(bits(0.4, 0, math.Copysign(0, -1), 0, math.NaN(), 1, math.Inf(1), 1), 0.1, 0.0, 0.3, 1.0, false)
-	f.Add(bits(1e9, 1e9, math.Nextafter(1e9, 2e9), 0, -math.MaxFloat64, 5e-324), 1e9, 0.0, 1e-9, 0.0, true)
-	f.Add(bits(math.MaxFloat64, -math.MaxFloat64, 7, 7), 0.0, 7.0, math.MaxFloat64, 0.0, true)
-	f.Fuzz(func(t *testing.T, keys []byte, ca, cb, ea, eb float64, twoD bool) {
+	f.Add(bits(1, 2, 4.9, 5, 5.0000001, -3, 0.3, 0.1), 0.1, 0.0, 5.0, 5.0, true, 25.0, uint16(qx2Fold))
+	f.Add(bits(0.4, 0, math.Copysign(0, -1), 0, math.NaN(), 1, math.Inf(1), 1), 0.1, 0.0, 0.3, 1.0, false, 0.5, uint16(0))
+	f.Add(bits(1e9, 1e9, math.Nextafter(1e9, 2e9), 0, -math.MaxFloat64, 5e-324), 1e9, 0.0, 1e-9, 0.0, true, 1e-18, uint16(0x7fff))
+	f.Add(bits(math.MaxFloat64, -math.MaxFloat64, 7, 7), 0.0, 7.0, math.MaxFloat64, 0.0, true, math.Inf(1), uint16(0x2a5))
+	f.Fuzz(func(t *testing.T, keys []byte, ca, cb, ea, eb float64, twoD bool, r float64, shape uint16) {
 		ea, eb = math.Abs(ea), math.Abs(eb)
 		if math.IsNaN(ea) || math.IsInf(ea, 0) || math.IsNaN(eb) || math.IsInf(eb, 0) {
 			t.Skip("band widths are finite")
@@ -72,5 +78,65 @@ func FuzzBandGrid(f *testing.F) {
 		if len(got) != n {
 			t.Fatalf("probe (%v, %v) widths (%v, %v): the grid returned %d tuples, %d match", ca, cb, ea, eb, len(got), n)
 		}
+
+		fold, readsB := foldOf(shape, r)
+		prog := compileStep(fold, 1)
+		keyB := -1
+		if twoD {
+			keyB = 1
+		}
+		gf := prog.gridFold(0, keyB)
+		if (gf != nil) != (prog.fold && (twoD || !readsB)) {
+			t.Fatalf("%s on a grid keyed (0, %d): fused = %v", fold, keyB, gf != nil)
+		}
+		if gf == nil {
+			return
+		}
+		assign := []*stream.Tuple{probe, nil}
+		want := prog.sweep(assign, 1, g.AppendBand(nil, ca, cb), nil)
+		prog.prologue(assign)
+		if fused := g.AppendBandFold(nil, ca, cb, gf); !slices.Equal(fused, want) {
+			t.Fatalf("probe (%v, %v) widths (%v, %v), %s: the fused probe kept %d tuples, AppendBand and the sweep %d",
+				ca, cb, ea, eb, fold, len(fused), len(want))
+		}
 	})
+}
+
+// qx2Fold is the foldOf shape of Q×2's circle:
+// (s0.a − s1.a)² + (s0.b − s1.b)² < r.
+const qx2Fold = 1 | 1<<9 | 1<<10
+
+// foldOf builds a fold of the probe's (stream 0) and the candidate's
+// (stream 1) keys, attributes 0 and 1, from the bits of shape, low first:
+// two for the number of squared differences (1 + n%3), three for the
+// comparison with r (Lt, Le, Gt, Ge, Eq, Ne), one for r on the left, and
+// per difference three: the probe's key, the candidate's key, and the
+// candidate first. readsB reports whether it reads the candidate's b key.
+func foldOf(shape uint16, r float64) (e *Expr, readsB bool) {
+	take := func(n uint) int {
+		v := int(shape & (1<<n - 1))
+		shape >>= n
+		return v
+	}
+	terms := 1 + take(2)%3
+	cmp := []func(x, y *Expr) *Expr{Lt, Le, Gt, Ge, Eq, Ne}[take(3)%6]
+	left := take(1) == 1
+	var sum *Expr
+	for range terms {
+		p, c := Attr(0, take(1)), Attr(1, take(1))
+		readsB = readsB || c.attr == 1
+		d := Sub(p, c)
+		if take(1) == 1 {
+			d = Sub(c, p)
+		}
+		if sum == nil {
+			sum = Mul(d, d)
+		} else {
+			sum = Add(sum, Mul(d, d))
+		}
+	}
+	if left {
+		return cmp(ConstOf(r), sum), readsB
+	}
+	return cmp(sum, ConstOf(r)), readsB
 }

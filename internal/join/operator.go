@@ -132,10 +132,14 @@ func (s *TupleSlab) Carve(m int) []*stream.Tuple {
 	return tuples
 }
 
-func (s *TupleSlab) result(assign []*stream.Tuple) stream.Result {
+// result carves a copy of the complete assignment as a result stamped ts,
+// the TS of the in-order arrival that derived it: every window member was
+// processed or inserted under a watermark ≤ ts, so ts is the maximum
+// member TS that stream.NewResult would compute from the tuples.
+func (s *TupleSlab) result(assign []*stream.Tuple, ts stream.Time) stream.Result {
 	tuples := s.Carve(len(assign))
 	copy(tuples, assign)
-	return stream.NewResult(tuples)
+	return stream.Result{TS: ts, Tuples: tuples}
 }
 
 // Option customizes the operator.

@@ -8,8 +8,18 @@ package join
 // bind the candidate, evaluate the whole predicate, keep or drop.
 // FuzzCompileExpr and TestStepSweepMatchesReference assert
 // Expr.EvalBool ≡ refProg.Eval ≡ Prog.Eval ≡ step sweep.
+//
+// refCandidates is the band step's probe before a fold moved into the grid
+// scan — Grid.AppendBand, then Prog.sweep — and unfuse turns an operator
+// back into that probe, its results stamped by stream.NewResult.
+// TestFusedProbeMatchesUnfused holds the fused probe to both: the same
+// candidate list at every level of every probe, the same result sequence,
+// TS included. Each of these mutations fails it: < decided as ≤ in the
+// grid scan, a term reading the other stored key, a fold that reads the
+// sID fused anyway, a result stamped with the candidate's TS.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -474,5 +484,230 @@ func TestStepSweepMatchesReference(t *testing.T) {
 	}
 	if !CompileExpr(order).Eval(assign) {
 		t.Fatal("Eval adds the squares in another order than EvalBool")
+	}
+}
+
+// refCandidates is cstep.candidates before a fold moved into the grid scan:
+// the grid's band members (or the base view), then one sweep per residual,
+// the fused fold's program first among the compiled predicates. It returns
+// a list of its own.
+func refCandidates(cs *cstep, assign []*stream.Tuple) []*stream.Tuple {
+	var in []*stream.Tuple
+	if cs.grid != nil {
+		r0, r1 := &cs.gridRef[0], &cs.gridRef[1]
+		in = cs.grid.AppendBand(nil, assign[r0.stream].Attr(r0.attr), assign[r1.stream].Attr(r1.attr))
+	} else {
+		in = slices.Clone(cs.base(assign))
+	}
+	for _, r := range cs.resEq {
+		v := assign[r.ref.stream].Attr(r.ref.attr)
+		in = slices.DeleteFunc(in, func(c *stream.Tuple) bool { return c.Attr(r.ownAttr) != v })
+	}
+	for _, b := range cs.resBand {
+		v := assign[b.ref.stream].Attr(b.ref.attr)
+		in = slices.DeleteFunc(in, func(c *stream.Tuple) bool { return !b.in(c.Attr(b.ownAttr) - v) })
+	}
+	kern := cs.kern
+	if cs.fold != nil {
+		kern = append([]*Prog{cs.fold}, kern...)
+	}
+	for _, k := range kern {
+		in = k.sweep(assign, cs.stream, in, in[:0])
+	}
+	return in
+}
+
+// unfuse hands every fold of c's steps back to the step's sweeps, so its
+// probes run Grid.AppendBand, then Prog.sweep.
+func unfuse(c *mclass) {
+	for _, cp := range c.cplans {
+		for i := range cp.steps {
+			if cs := &cp.steps[i]; cs.fold != nil {
+				cs.kern = append([]*Prog{cs.fold}, cs.kern...)
+				cs.fold, cs.filters = nil, true
+			}
+		}
+	}
+}
+
+// checkCandidates holds the step's candidate list under assign to
+// refCandidates, and every deeper step's under each candidate.
+func checkCandidates(t *testing.T, steps []cstep, lvl int, assign []*stream.Tuple) {
+	if lvl == len(steps) {
+		return
+	}
+	cs := &steps[lvl]
+	got := slices.Clone(cs.candidates(assign))
+	if want := refCandidates(cs, assign); !slices.Equal(got, want) {
+		t.Fatalf("step %d (stream %d, fused %v) under %v: candidates %v, the unfused probe %v", lvl, cs.stream, cs.fold != nil, assign, got, want)
+	}
+	for _, c := range got {
+		assign[cs.stream] = c
+		checkCandidates(t, steps, lvl+1, assign)
+	}
+	assign[cs.stream] = nil
+}
+
+// foldVals are the key values of the fused-probe differential: from (0, 0),
+// (3, 4) lies on the circle of radius 5, and the neighbours a few ulps off
+// 3, 4 and 5 just inside or outside it; ±0, ±Inf and NaN besides.
+var foldVals = func() []float64 {
+	vs := []float64{0, math.Copysign(0, -1), 1, 2.5, 7, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, v := range []float64{3, 4, 5, -3, -4, -5} {
+		vs = append(vs, v)
+		for n, lo, hi := 0, v, v; n < 3; n++ {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			vs = append(vs, lo, hi)
+		}
+	}
+	return vs
+}()
+
+// randFoldCond draws a band condition on attributes 1 and 2 (1-D or 2-D)
+// between streams 0 and 1 — and, with three streams, 1 and 2 — under a
+// residual fold between streams 0 and 1 of one of three kinds: only grid
+// keys (kind 0, which fuses), a grid key and the sID, attribute 0 (kind 1,
+// which must not), or a constant on either side of a difference (kind 2).
+// The comparison is any of six, its constant on either side, a few ulps
+// off 25 at times; half the conditions add a second, plain residual.
+func randFoldCond(rng *rand.Rand, m, kind int) (*Condition, bool) {
+	twoD := rng.Intn(2) == 0
+	eps := []float64{0, 2.5, 5, 8}
+	c := Cross(m).Band(0, 1, 1, 1, eps[rng.Intn(len(eps))])
+	if twoD {
+		c.Band(0, 2, 1, 2, eps[1+rng.Intn(len(eps)-1)])
+	}
+	if m > 2 {
+		c.Band(1, 1, 2, 1, 5)
+	}
+	key := func() int {
+		if twoD {
+			return 1 + rng.Intn(2)
+		}
+		return 1
+	}
+	var sum *Expr
+	for n := 2 + rng.Intn(2); n > 0; n-- {
+		x, y := Attr(0, key()), Attr(1, key())
+		if kind == 2 && rng.Intn(2) == 0 {
+			x = ConstOf(foldVals[rng.Intn(len(foldVals))])
+		}
+		if rng.Intn(2) == 0 {
+			x, y = y, x
+		}
+		d := Sub(x, y)
+		if sum == nil {
+			sum = Mul(d, d)
+		} else {
+			sum = Add(sum, Mul(d, cloneExpr(d)))
+		}
+	}
+	if kind == 1 {
+		d := Sub(Attr(1, 0), Attr(0, 0))
+		sum = Add(sum, Mul(d, d))
+	}
+	r := ConstOf([]float64{25, math.Nextafter(25, 0), math.Nextafter(25, 26), 16, 0}[rng.Intn(5)])
+	cmp := []func(x, y *Expr) *Expr{Lt, Le, Gt, Ge, Eq, Ne}[rng.Intn(6)]
+	if rng.Intn(2) == 0 {
+		c.WhereExpr(cmp(sum, r))
+	} else {
+		c.WhereExpr(cmp(r, sum))
+	}
+	if rng.Intn(2) == 0 {
+		c.WhereExpr(Lt(Attr(0, 0), Add(Attr(1, 0), ConstOf(2))))
+	}
+	return c, twoD
+}
+
+// randFoldFeed builds a disordered feed over foldVals keys, the sID
+// (attribute 0) a small per-stream integer.
+func randFoldFeed(rng *rand.Rand, m, n int) []*stream.Tuple {
+	out := make([]*stream.Tuple, n)
+	ts := stream.Time(100)
+	for i := range out {
+		ts += stream.Time(rng.Intn(3))
+		t, src := ts, rng.Intn(m)
+		if rng.Intn(6) == 0 {
+			t -= stream.Time(rng.Intn(15))
+		}
+		out[i] = tup(src, t, uint64(i), float64(4*src+rng.Intn(4)),
+			foldVals[rng.Intn(len(foldVals))], foldVals[rng.Intn(len(foldVals))])
+	}
+	return out
+}
+
+// TestFusedProbeMatchesUnfused: on random one- and two-dimensional band
+// conditions under a residual fold of each kind (randFoldCond), over keys on
+// and a few ulps off the circle, the probe with the fold decided in the
+// grid scan returns the unfused probe's candidate list at every level of
+// every probe (refCandidates), and the operator — and a Multi of two
+// members in one residual class — delivers the unfused operator's result
+// sequence, every TS the one stream.NewResult computes. Kind 0 fuses on a
+// two-way join, kind 1 never does.
+func TestFusedProbeMatchesUnfused(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	fused := 0
+	for run := 0; run < 240; run++ {
+		m, kind := 2+run%2, run/2%3
+		cond, twoD := randFoldCond(rng, m, kind)
+		seq := randFoldFeed(rng, m, 300)
+		windows := make([]stream.Time, m)
+		for i := range windows {
+			windows[i] = 20
+		}
+		label := fmt.Sprintf("run %d (m=%d, kind %d, 2-D %v): %s", run, m, kind, twoD, cond.Generics[0].Expr)
+
+		var want, got, gotMulti []string
+		ref := New(cond, windows, WithEmit(func(r stream.Result) { want = append(want, resultSig(stream.NewResult(r.Tuples))) }))
+		unfuse(&ref.class)
+		op := New(cond, windows, WithEmit(func(r stream.Result) { got = append(got, resultSig(r)) }))
+		mo := NewMulti(windows)
+		sig := ResidualSig(cond, "")
+		mo.Add(cond, sig, func(r stream.Result) { gotMulti = append(gotMulti, resultSig(r)) }, nil, nil)
+		mo.Add(cond, sig, nil, nil, nil)
+
+		for _, cp := range op.class.cplans {
+			for i := range cp.steps {
+				cs := &cp.steps[i]
+				if cs.fold != nil {
+					fused++
+				}
+				switch {
+				case kind == 1 && cs.fold != nil:
+					t.Fatalf("%s: a fold reading the sID fused", label)
+				case kind == 0 && m == 2 && cs.fold == nil:
+					t.Fatalf("%s: a fold on grid keys alone did not fuse", label)
+				}
+			}
+		}
+		for _, e := range seq {
+			if e.TS >= op.onT { // in order: expire as the probe will, then check it
+				for _, w := range op.windows {
+					w.Expire(e.TS - w.Size())
+				}
+				assign := make([]*stream.Tuple, m)
+				assign[e.Src] = e
+				checkCandidates(t, op.class.cplans[e.Src].steps, 0, assign)
+			}
+			ref.Process(e)
+			op.Process(e)
+			mo.Process(e)
+		}
+		if !slices.Equal(got, want) || !slices.Equal(gotMulti, want) {
+			t.Fatalf("%s: the operator delivered %d results, the Multi %d, the unfused operator %d; first difference at %d",
+				label, len(got), len(gotMulti), len(want), firstDiff(got, gotMulti, want))
+		}
+	}
+	if fused < 200 {
+		t.Fatalf("only %d fused steps over 240 conditions: the generator does not exercise the fused probe", fused)
+	}
+}
+
+// firstDiff returns the first index at which a or b differs from want.
+func firstDiff(a, b, want []string) int {
+	for i := 0; ; i++ {
+		if i >= len(want) || i >= len(a) || i >= len(b) || a[i] != want[i] || b[i] != want[i] {
+			return i
+		}
 	}
 }
