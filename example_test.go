@@ -12,12 +12,11 @@ func ExampleNewJoin() {
 	cond := qdhj.EquiChain(2, 0)
 	windows := []qdhj.Time{qdhj.Second, qdhj.Second}
 
-	var matched []string
+	var kept []qdhj.Result
 	j := qdhj.NewJoin(cond, windows,
 		qdhj.Options{Gamma: 0.95, Period: 10 * qdhj.Second},
-		qdhj.WithResults(func(r qdhj.Result) {
-			matched = append(matched, fmt.Sprintf("key=%v@%d", r.Tuples[0].Attr(0), r.TS))
-		}),
+		// r is borrowed until the callback returns: keep its clone.
+		qdhj.WithResults(func(r qdhj.Result) { kept = append(kept, r.Clone()) }),
 	)
 
 	// Stream 0 emits key 7 at t=1000; stream 1 emits key 7 at t=1200 —
@@ -27,8 +26,10 @@ func ExampleNewJoin() {
 	j.Push(&qdhj.Tuple{TS: 1400, Seq: 2, Src: 0, Attrs: []float64{9}})
 	j.Close()
 
-	fmt.Println(matched)
-	// Output: [key=7@1200]
+	for _, r := range kept {
+		fmt.Printf("key=%v@%d\n", r.Tuples[0].Attr(0), r.TS)
+	}
+	// Output: key=7@1200
 }
 
 // ExampleCondition_Where shows an arbitrary (UDF) join condition — the

@@ -273,11 +273,13 @@ func (p *Pipeline) onStage(stage int, ts, delay stream.Time, nCross, nOn int64, 
 	p.loop.RecordInOrder(stage, delay, nCross, nOn)
 }
 
-// onTreeResult delivers one complete tree result.
+// onTreeResult delivers one complete tree result, borrowed as the tree
+// lends it. Its TS is already the maximum of its parts (the stages' combine
+// keeps it).
 func (p *Pipeline) onTreeResult(r dist.Partial) {
 	p.results++
 	if p.cfg.Emit != nil {
-		p.cfg.Emit(stream.NewResult(r.Parts))
+		p.cfg.Emit(stream.Result{TS: r.TS, Tuples: r.Parts})
 	}
 	if p.cfg.EmitCounts != nil {
 		p.cfg.EmitCounts(r.TS, 1)

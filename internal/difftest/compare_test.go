@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/difftest"
+	"repro/internal/join"
 	"repro/internal/stream"
 )
 
@@ -195,6 +196,9 @@ func TestCompareReports(t *testing.T) {
 		{"result TS", func(s *streams) {
 			s.ts = []stream.Time{0, 0, 5}
 		}, "result 0:4,1:5, stamped TS 5, its members' maximum is 0"},
+		{"borrowed result kept", func(s *streams) {
+			s.res[1][0] = join.Poisoned
+		}, "delivered result 2 reads join.Poisoned"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, got := captured(nil), captured(tc.mutate)
@@ -244,6 +248,9 @@ func TestCompareReports(t *testing.T) {
 		}, true},
 		{"within/result TS", func(s *streams) {
 			s.ts = []stream.Time{7, 0, 0}
+		}, true},
+		{"within/borrowed result kept", func(s *streams) {
+			s.res[2][1] = join.Poisoned
 		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

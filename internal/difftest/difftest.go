@@ -240,6 +240,9 @@ func KeyOf(tuples []*stream.Tuple) Key {
 			panic(fmt.Sprintf("difftest: a result of more than KeyWidth = %d members has no Key", KeyWidth))
 		}
 		if t.Src < 0 || t.Src >= 1<<(64-seqBits)-1 || t.Seq >= 1<<seqBits {
+			if t == join.Poisoned {
+				panic("difftest: a member is join.Poisoned: a path kept a borrowed result past its callback")
+			}
 			panic(fmt.Sprintf("difftest: member %d:%d does not fit a Key word (Src < %d, Seq < 2^%d)", t.Src, t.Seq, 1<<(64-seqBits)-1, seqBits))
 		}
 		k[i] = uint64(t.Src+1)<<seqBits | t.Seq
@@ -325,18 +328,30 @@ type Run struct {
 	Ks         []KStep       // the K trajectory
 	AvgK       float64       // the shape's reported average K, with Ks
 
-	// badTS describes the first delivered result whose TS was not the
-	// maximum of its members' TS; Compare and Within fail a run that has one.
-	badTS string
+	// bad describes the first malformed delivered result — a member that
+	// is join.Poisoned, or a TS that is not the maximum of its members' TS;
+	// Compare and Within fail a run that has one.
+	bad string
 }
 
 // NewRun returns an empty run ready to collect results.
 func NewRun() *Run { return &Run{} }
 
 // Emit collects one delivered result (and its place in the delivery order,
-// when Order is captured), and checks its TS: Key drops it, so the
-// comparisons would not see a wrong one.
+// when Order is captured), and checks it: Key drops the TS, so the
+// comparisons would not see a wrong one, and it cannot key a member that
+// is join.Poisoned — a borrowed result some path kept past its callback,
+// under join.PoisonDelivered.
 func (r *Run) Emit(res stream.Result) {
+	r.Count++
+	for _, t := range res.Tuples {
+		if t == join.Poisoned {
+			if r.bad == "" {
+				r.bad = fmt.Sprintf("delivered result %d reads join.Poisoned: a path kept a borrowed result past its callback", r.Count)
+			}
+			return
+		}
+	}
 	k := KeyOf(res.Tuples)
 	var ts stream.Time
 	for _, t := range res.Tuples {
@@ -344,11 +359,10 @@ func (r *Run) Emit(res stream.Result) {
 			ts = max(ts, t.TS)
 		}
 	}
-	if res.TS != ts && r.badTS == "" {
-		r.badTS = fmt.Sprintf("result %s stamped TS %d, its members' maximum is %d", k, res.TS, ts)
+	if res.TS != ts && r.bad == "" {
+		r.bad = fmt.Sprintf("result %s stamped TS %d, its members' maximum is %d", k, res.TS, ts)
 	}
 	r.Results = append(r.Results, k)
-	r.Count++
 	if r.Order != nil {
 		r.Order = append(r.Order, k)
 	}
@@ -452,8 +466,8 @@ func GobRoundTrip[S any](t testing.TB, st S, tt *fault.TupleTable) (S, *fault.Tu
 func Compare(t testing.TB, name string, want, got *Run) {
 	t.Helper()
 	for _, r := range []*Run{want, got} {
-		if r.badTS != "" {
-			t.Errorf("%s: %s", name, r.badTS)
+		if r.bad != "" {
+			t.Errorf("%s: %s", name, r.bad)
 		}
 	}
 	if want.Count == 0 {
@@ -494,8 +508,8 @@ func Compare(t testing.TB, name string, want, got *Run) {
 func Within(t testing.TB, name string, want, got *Run) {
 	t.Helper()
 	for _, r := range []*Run{want, got} {
-		if r.badTS != "" {
-			t.Fatalf("%s: %s", name, r.badTS)
+		if r.bad != "" {
+			t.Fatalf("%s: %s", name, r.bad)
 		}
 	}
 	if got.Count == 0 {

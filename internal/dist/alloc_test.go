@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/difftest"
@@ -9,25 +10,35 @@ import (
 	"repro/internal/stream"
 )
 
-// TestRetainedPartialsStayValid keeps every Partial the root stage delivers
-// over the first half of a run, pushes the rest, and checks each retained
-// Parts slice against the condition and the src:seq signature it had on
-// delivery — the reused root event or a slab block handed out twice fails
-// it — and that appending to a retained slice does not write into its
-// neighbour: the stream.Result.Tuples contract, on the tree.
+// TestRetainedPartialsStayValid keeps a copy of every Partial the root
+// stage delivers over the first half of a run, pushes the rest, and checks
+// each copy against the condition and the src:seq signature it had on
+// delivery. The delivered Parts themselves are borrowed (the
+// stream.Result contract, on the tree): every one is the root's single
+// reused slice, len == cap == m, so an append copies instead of writing
+// past it.
 func TestRetainedPartialsStayValid(t *testing.T) {
 	in := workload(3, 1500, 23, 40)
 	cond := join.EquiChain(3, 0)
 	type kept struct {
-		p   Partial
-		key difftest.Key
+		parts []*stream.Tuple
+		key   difftest.Key
 	}
 	var all []kept
+	var borrowed **stream.Tuple // &Parts[0] of the first delivery
 	retain := true
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
 	tree := newKTree(cond, w, Spine(3), 500, func(p Partial) {
+		if len(p.Parts) != 3 || cap(p.Parts) != 3 {
+			t.Fatalf("Parts has len %d, cap %d, want 3 and 3", len(p.Parts), cap(p.Parts))
+		}
+		if borrowed == nil {
+			borrowed = &p.Parts[0]
+		} else if &p.Parts[0] != borrowed {
+			t.Fatal("the root delivered a second Parts slice, want its one reused slice")
+		}
 		if retain {
-			all = append(all, kept{p, difftest.KeyOf(p.Parts)})
+			all = append(all, kept{slices.Clone(p.Parts), difftest.KeyOf(p.Parts)})
 		}
 	})
 	for i, e := range in {
@@ -40,23 +51,19 @@ func TestRetainedPartialsStayValid(t *testing.T) {
 	if len(all) < 1000 {
 		t.Fatalf("only %d results retained: the feed does not exercise delivery", len(all))
 	}
-	intruder := &stream.Tuple{Src: 9}
-	for _, k := range all {
-		_ = append(k.p.Parts, intruder) // must copy, not write into the next result's slot
-	}
 	for i, k := range all {
-		if got := difftest.KeyOf(k.p.Parts); got != k.key {
+		if got := difftest.KeyOf(k.parts); got != k.key {
 			t.Fatalf("result %d changed after delivery: %s, was %s", i, got, k.key)
 		}
-		if !cond.Matches(k.p.Parts) {
+		if !cond.Matches(k.parts) {
 			t.Fatalf("result %d (%s) no longer satisfies the condition", i, k.key)
 		}
 	}
 }
 
 // TestTreeSteadyStateAllocs: a warmed unsharded 3-way spine with a sink
-// allocates only the blocks its delivered results are carved from — at most
-// one per ⌊64/m⌋ results — and nothing at all on the way there: K-slack,
+// allocates nothing, delivering or not — the sink borrows the root's one
+// reused result — and nothing on the way there either: K-slack,
 // the stage lanes and late heaps, the deadline runs and late heaps, the
 // event arenas and the hash indexes (whose buckets empty and refill as keys
 // leave and re-enter the windows) all run inside their high-water marks.
@@ -102,18 +109,15 @@ func TestTreeSteadyStateAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(runs, func() { push(perRun) })
 			// AllocsPerRun makes one extra warm-up call.
 			results := float64(delivered-before) / (runs + 1)
-			budget := 0.0
 			if c.offset == 0 {
 				if results < perRun/2 {
 					t.Fatalf("%.0f results per %d tuples; the feed no longer exercises delivery", results, perRun)
 				}
-				budget = results/float64(64/m) + 1
 			} else if results != 0 {
 				t.Fatalf("a disjoint key range derived %.0f results", results)
 			}
-			t.Logf("%v allocations per %d tuples and %.0f delivered results (budget %.1f)", allocs, perRun, results, budget)
-			if allocs > budget {
-				t.Fatalf("%v allocations per %d tuples and %.0f delivered results, want ≤ %.1f", allocs, perRun, results, budget)
+			if allocs != 0 {
+				t.Fatalf("%v allocations per %d tuples and %.0f delivered results, want 0", allocs, perRun, results)
 			}
 		})
 	}

@@ -32,11 +32,9 @@ import (
 // (the MSWJ result timestamp) and Delay the delay annotation of the arrival
 // that produced it.
 //
-// A Partial handed to a sink is the sink's to keep, under the contract of
-// stream.Result.Tuples: Parts is never reused or written again, and its
-// capacity equals its length, so appending to it copies. Partials are carved
-// several to an allocation; retaining one keeps that block — and the tuples
-// of the results delivered next to it — reachable.
+// A Partial handed to a sink is borrowed, under the contract of
+// stream.Result: it is valid until the sink returns, and the unsharded root
+// reuses Parts for the next result. A sink that keeps one copies Parts.
 type Partial struct {
 	TS    stream.Time
 	Delay stream.Time

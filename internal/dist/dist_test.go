@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"repro/internal/leakcheck"
+	"slices"
 	"testing"
 
 	"repro/internal/difftest"
@@ -167,7 +168,7 @@ func TestSinkReceivesCompleteResults(t *testing.T) {
 	leakcheck.Check(t)
 	var got []Partial
 	tree := newKTree(join.EquiChain(2, 0), []stream.Time{stream.Second, stream.Second}, Spine(2), 2*stream.Second,
-		func(p Partial) { got = append(got, p) })
+		func(p Partial) { got = append(got, Partial{p.TS, p.Delay, slices.Clone(p.Parts)}) })
 	tree.Push(&stream.Tuple{TS: 1000, Seq: 0, Src: 0, Attrs: []float64{7}})
 	tree.Push(&stream.Tuple{TS: 1100, Seq: 1, Src: 1, Attrs: []float64{7}})
 	tree.Finish()

@@ -154,10 +154,9 @@ type pstage struct {
 	assign []*stream.Tuple
 
 	// An unsharded root stage combines every result into the one rootOut,
-	// which never outlives output; only its parts, carved from slab, reach
-	// the sink (see Partial).
+	// whose parts the sink borrows (see Partial): every combine at the root
+	// binds all m streams, so each result overwrites the last.
 	rootOut event
-	slab    join.TupleSlab
 
 	sh       *stageShards // non-nil when the stage is sharded
 	prodHook ProdHook
@@ -283,6 +282,9 @@ func (t *PlanTree) build(sh *Shape, parent *pstage, side int, claimed []bool) []
 	}
 	s := &pstage{tree: t, parent: parent, parentSide: side,
 		assign: make([]*stream.Tuple, t.m),
+	}
+	if parent == nil {
+		s.rootOut.parts = make([]*stream.Tuple, t.m)
 	}
 	s.sync = syncer.NewSync(2, arrivalKey, s.process)
 	left := t.build(sh.Left, s, sideLeft, claimed)
@@ -506,13 +508,12 @@ func (s *pstage) recycle(ev *event) {
 
 // newOut returns the destination event for a driver-thread combine: from
 // the parent stage's arena when the output will live in the parent's
-// driver-thread windows, the stage's reused rootOut with freshly carved
-// parts at the root, a plain allocation for a sharded parent (its windows
-// expire on worker goroutines).
+// driver-thread windows, the stage's reused rootOut at the root, a plain
+// allocation for a sharded parent (its windows expire on worker
+// goroutines).
 func (s *pstage) newOut() *event {
 	p := s.parent
 	if p == nil {
-		s.rootOut.parts = s.slab.Carve(s.tree.m)
 		return &s.rootOut
 	}
 	if p.sh == nil {

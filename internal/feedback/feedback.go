@@ -164,7 +164,7 @@ type Loop struct {
 	snaps   []*profiler.Snapshot // per-decision scratch
 	n       int64
 	sumMaxK float64 // Σ over decisions of the largest per-scope K
-	gammaP  float64 // the root-derived Γ′ of the last decision
+	gammaP  float64 // the root-derived Γ′ of the last decision; State carries it
 
 	// Cumulative recall accounting across the whole run (not windowed like
 	// the monitor): produced final results versus the summed per-interval

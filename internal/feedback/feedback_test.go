@@ -2,7 +2,9 @@ package feedback
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -246,4 +248,39 @@ func TestRestoreRefusesMismatchedStates(t *testing.T) {
 		})
 	}
 	testLoop(t, twoScopes, 0.5, 0.5).Restore(perStage) // the matching state still loads
+}
+
+// TestRestoreCarriesGammaPrime: Γ′ survives a restore. A loop past a few
+// decisions is captured, restored into a fresh loop of the same Config and
+// captured again: GammaPrime reads the same bits before the next decision,
+// and the two captures are equal.
+func TestRestoreCarriesGammaPrime(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	l := testLoop(t, nil)
+	ts, decided := stream.Time(5000), 0
+	for decided < 5 {
+		ts += 10
+		for src := 0; src < 3; src++ {
+			e := &stream.Tuple{TS: ts - stream.Time(rng.Intn(300)), Src: src}
+			now := l.Observe(e)
+			l.RecordInOrder(0, ts-e.TS, 40, int64(rng.Intn(8)))
+			l.ObserveResult(e.TS, 3)
+			if at, ok := l.Boundary(now); ok {
+				l.DecideAt(at, at-200)
+				decided++
+			}
+		}
+	}
+	if l.GammaPrime() == 0 {
+		t.Fatal("five decisions derived no Γ′: the model policy is not exercised")
+	}
+	st := l.State()
+	r := testLoop(t, nil)
+	r.Restore(st)
+	if got, want := math.Float64bits(r.GammaPrime()), math.Float64bits(l.GammaPrime()); got != want {
+		t.Fatalf("restored GammaPrime %v, want %v", r.GammaPrime(), l.GammaPrime())
+	}
+	if again := r.State(); !reflect.DeepEqual(again, st) {
+		t.Fatalf("capture → restore → capture differs:\n%+v\nwant\n%+v", again, st)
+	}
 }

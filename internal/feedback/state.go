@@ -22,6 +22,7 @@ type State struct {
 	N       int64
 	SumK    []float64 // per scope
 	SumMaxK float64   // over decisions, of the largest per-scope K
+	GammaP  float64   // the root-derived Γ′ of the last decision (GammaPrime)
 
 	Profilers []profiler.State // per scope, mid-interval accumulation
 	Stats     stats.State
@@ -43,6 +44,7 @@ func (l *Loop) State() State {
 		Ks:      append([]stream.Time(nil), l.ks...),
 		N:       l.n,
 		SumMaxK: l.sumMaxK,
+		GammaP:  l.gammaP,
 
 		Stats:   l.stats.State(),
 		Monitor: l.mon.State(),
@@ -76,6 +78,7 @@ func (l *Loop) Restore(st State) {
 	copy(l.ks, st.Ks)
 	l.n = st.N
 	l.sumMaxK = st.SumMaxK
+	l.gammaP = st.GammaP
 	if len(l.scopes) == 1 {
 		// One scope's K is the largest; a state captured before SumMaxK
 		// existed carries it only as SumK.

@@ -679,7 +679,7 @@ func (c *mclass) probe(s *shell, e *stream.Tuple) {
 	// walk leaves every slot it bound nil again, so the assignment needs no
 	// clearing, only the arrival taken back out.
 	s.assignBuf[e.Src] = e
-	c.walk(&s.slab, e.TS, c.cplans[e.Src].steps, 0, s.assignBuf, c.full)
+	c.walk(s, e.TS, c.cplans[e.Src].steps, 0, s.assignBuf, c.full)
 	s.assignBuf[e.Src] = nil
 }
 
@@ -698,8 +698,9 @@ func (c *mclass) credit(mask uint64, n int64) {
 // steps' counts on a countable tail, the fused per-candidate product on a
 // tailFused step — and the rest enumerate. Counting and enumeration agree on
 // counts, and checks only prune the enumeration, never reorder it. Every
-// result is stamped ts, the arrival's TS (TupleSlab.result).
-func (c *mclass) walk(slab *TupleSlab, ts stream.Time, steps []cstep, lvl int, assign []*stream.Tuple, alive uint64) {
+// result is stamped ts, the arrival's TS, and borrows s's delivery buffer
+// (shell.deliver).
+func (c *mclass) walk(s *shell, ts stream.Time, steps []cstep, lvl int, assign []*stream.Tuple, alive uint64) {
 	cs := &steps[lvl]
 	cnt := alive &^ (c.emitMask | cs.chkAfter)
 	if cnt != 0 && cs.countableTail {
@@ -741,7 +742,7 @@ func (c *mclass) walk(slab *TupleSlab, ts stream.Time, steps []cstep, lvl int, a
 		assign[cs.stream] = cand
 		if only != nil {
 			for _, emit := range only {
-				emit(slab.result(assign, ts))
+				s.deliver(emit, assign, ts)
 			}
 			continue
 		}
@@ -755,13 +756,13 @@ func (c *mclass) walk(slab *TupleSlab, ts stream.Time, steps []cstep, lvl int, a
 		}
 		if !last {
 			if na != 0 {
-				c.walk(slab, ts, steps, lvl+1, assign, na)
+				c.walk(s, ts, steps, lvl+1, assign, na)
 			}
 			continue
 		}
 		for a := na & c.emitMask; a != 0; a &= a - 1 {
 			for _, emit := range c.out[bits.TrailingZeros64(a)].sinks {
-				emit(slab.result(assign, ts)) // a result of its own for every sink
+				s.deliver(emit, assign, ts) // refilled for every sink
 			}
 		}
 	}

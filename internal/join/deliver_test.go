@@ -200,9 +200,9 @@ func BenchmarkProgEval(b *testing.B) {
 }
 
 // TestEmitAllocsAmortised gates the materialization cost: with an emit sink
-// on a steady-state soccer feed, a pass allocates at most one pointer block
-// per 16 results (the slab serves 32 at m = 2), on the standalone operator
-// and on a one-member Multi alike.
+// on a steady-state soccer feed, a pass allocates nothing — every result
+// borrows the shell's one delivery buffer — on the standalone operator and
+// on a one-member Multi alike.
 func TestEmitAllocsAmortised(t *testing.T) {
 	const d = 30 * stream.Second
 	const pass = 512
@@ -240,8 +240,8 @@ func TestEmitAllocsAmortised(t *testing.T) {
 			if perPass < pass {
 				t.Fatalf("only %.0f results per %d-tuple pass: the feed does not exercise delivery", perPass, pass)
 			}
-			if limit := perPass/16 + 1; allocs > limit {
-				t.Fatalf("%.1f allocations per pass delivering %.0f results, want ≤ %.1f", allocs, perPass, limit)
+			if allocs != 0 {
+				t.Fatalf("%.1f allocations per pass delivering %.0f results, want 0", allocs, perPass)
 			}
 		})
 	}
@@ -250,9 +250,8 @@ func TestEmitAllocsAmortised(t *testing.T) {
 // TestStepFilterZeroAllocs gates the swept residual: on a warmed soccer
 // kernel — the operator, a Multi of one member, a Multi of two members in one
 // residual class (the sink on the first) — the band probe, the band sweep
-// and the circle sweep allocate nothing when results are only counted, and
-// with a sink nothing beyond the pointer blocks results are carved from (one
-// per 32 results at m = 2).
+// and the circle sweep allocate nothing, whether results are counted or
+// delivered to a sink.
 func TestStepFilterZeroAllocs(t *testing.T) {
 	const d = 30 * stream.Second
 	const pass = 512
@@ -301,33 +300,35 @@ func TestStepFilterZeroAllocs(t *testing.T) {
 			if perPass < pass {
 				t.Fatalf("%s sink=%v: only %.0f results per %d-tuple pass: the feed does not exercise the residual", k.name, sink, perPass, pass)
 			}
-			limit := 0.0
-			if sink {
-				limit = perPass/32 + 1
-			}
-			if allocs > limit {
-				t.Fatalf("%s sink=%v: %.1f allocations per pass of %.0f results, want ≤ %.1f", k.name, sink, allocs, perPass, limit)
+			if allocs != 0 {
+				t.Fatalf("%s sink=%v: %.1f allocations per pass of %.0f results, want 0", k.name, sink, allocs, perPass)
 			}
 		}
 	}
 }
 
-// TestRetainedResultsStayValid keeps every Result delivered over the first
-// part of a soccer run, pushes the rest of the feed, and then checks each
-// retained Tuples slice against Condition.Matches and the src:seq signature
-// it had on delivery — a slab handed out twice fails it — and that appending
-// to a retained slice does not write into its neighbour.
+// TestRetainedResultsStayValid keeps the Clone of every Result delivered
+// over the first part of a soccer run, pushes the rest of the feed, and then
+// checks each clone against Condition.Matches and the src:seq signature it
+// had on delivery — a clone sharing the delivery buffer fails it — and that
+// appending to a clone does not write into anything else. The delivered
+// Results themselves are borrowed: the kernel runs with PoisonDelivered on,
+// so the borrowed buffer reads Poisoned once each sink returns.
 func TestRetainedResultsStayValid(t *testing.T) {
+	join.PoisonDelivered(true)
+	defer join.PoisonDelivered(false)
 	ds, feed, _ := soccerFeed(20 * stream.Second)
 	type kept struct {
 		r   stream.Result
 		key difftest.Key
 	}
 	var all []kept
+	var last stream.Result
 	retain := true
 	op := join.New(ds.Cond, ds.Windows, join.WithEmit(func(r stream.Result) {
+		last = r
 		if retain {
-			all = append(all, kept{r, difftest.KeyOf(r.Tuples)})
+			all = append(all, kept{r.Clone(), difftest.KeyOf(r.Tuples)})
 		}
 	}))
 	for i, e := range feed {
@@ -339,9 +340,17 @@ func TestRetainedResultsStayValid(t *testing.T) {
 	if len(all) < 1000 {
 		t.Fatalf("only %d results retained: the feed does not exercise delivery", len(all))
 	}
+	for i, m := range last.Tuples {
+		if m != join.Poisoned {
+			t.Fatalf("member %d of the last borrowed result is %v after its sink returned, want join.Poisoned", i, m)
+		}
+	}
 	intruder := &stream.Tuple{Src: 9}
 	for _, k := range all {
-		_ = append(k.r.Tuples, intruder) // must copy, not write into the next result's slot
+		if len(k.r.Tuples) != cap(k.r.Tuples) {
+			t.Fatalf("a clone has len %d, cap %d: an append would not copy", len(k.r.Tuples), cap(k.r.Tuples))
+		}
+		_ = append(k.r.Tuples, intruder) // must copy, not write into anything else
 	}
 	for i, k := range all {
 		if got := difftest.KeyOf(k.r.Tuples); got != k.key {

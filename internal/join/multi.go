@@ -88,7 +88,7 @@ func NewMulti(sizes []stream.Time) *Multi {
 		panic("join: Multi needs at least 2 streams")
 	}
 	return &Multi{
-		shell: shell{assignBuf: make([]*stream.Tuple, len(sizes))},
+		shell: newShell(nil, len(sizes)),
 		sizes: slices.Clone(sizes),
 	}
 }

@@ -1,6 +1,8 @@
 package join
 
 import (
+	"math"
+
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -18,6 +20,10 @@ type ProcessedFunc func(e *stream.Tuple, nCross, nOn int64, inOrder bool)
 // cell order and (TS, Seq) order within a cell, one scanning the window in
 // (TS, Seq) order. The grid's order depends only on what the window holds,
 // never on the order of the inserts that filled it.
+//
+// The Result is borrowed: it is valid until the callback returns, and the
+// next result reuses its Tuples. A sink that keeps a result past its
+// callback keeps r.Clone().
 type EmitFunc func(stream.Result)
 
 // CountEmitFunc receives, per in-order arrival that derived results, the
@@ -38,7 +44,19 @@ type shell struct {
 	assignBuf []*stream.Tuple
 
 	outOfOrder int64
-	slab       TupleSlab
+	resBuf     []*stream.Tuple // the delivery buffer every Result borrows
+	poison     bool            // PoisonDelivered was on at construction
+}
+
+// newShell returns the shell of an m-way join over windows (nil until a
+// Multi's first member arrives).
+func newShell(windows []*window.Window, m int) shell {
+	return shell{
+		windows:   windows,
+		assignBuf: make([]*stream.Tuple, m),
+		resBuf:    make([]*stream.Tuple, m),
+		poison:    poisonDelivered,
+	}
 }
 
 // M returns the number of input streams.
@@ -106,41 +124,36 @@ type Operator struct {
 	class mclass
 }
 
-// resultSlabPtrs caps the pointer block results are carved from at 512 B.
-// Pointerful objects above that carry a malloc header and round up to a
-// larger size class, which costs more bytes per result than carving saves.
-const resultSlabPtrs = 64
-
-// TupleSlab hands out the tuple slices of delivered results by carving them
-// out of pointer blocks that are allocated whole and never reused: one
-// allocation serves ⌊64/m⌋ results, and a sink may still retain any result
-// forever (it then keeps that one block, and the tuples of the results
-// carved next to it, reachable). Each slice is capacity-clipped, so
-// appending to one copies instead of writing into its neighbour. The tree
-// executor's root stage (internal/dist) carves Partial.Parts from one too.
-type TupleSlab struct {
-	free []*stream.Tuple
-}
-
-// Carve returns the next m-tuple slice of the slab, all nil.
-func (s *TupleSlab) Carve(m int) []*stream.Tuple {
-	if len(s.free) < m {
-		s.free = make([]*stream.Tuple, max(resultSlabPtrs/m, 1)*m)
+// deliver hands the complete assignment to emit as a Result stamped ts, the
+// TS of the in-order arrival that derived it: every window member was
+// processed or inserted under a watermark ≤ ts, so ts is the maximum member
+// TS that stream.NewResult would compute from the tuples. The Result is
+// borrowed (EmitFunc): its Tuples is the shell's one delivery buffer,
+// refilled from the assignment for every call, so a sink that writes into
+// it cannot disturb the walk.
+func (s *shell) deliver(emit EmitFunc, assign []*stream.Tuple, ts stream.Time) {
+	copy(s.resBuf, assign)
+	emit(stream.Result{TS: ts, Tuples: s.resBuf})
+	if s.poison {
+		for i := range s.resBuf {
+			s.resBuf[i] = Poisoned
+		}
 	}
-	tuples := s.free[:m:m]
-	s.free = s.free[m:]
-	return tuples
 }
 
-// result carves a copy of the complete assignment as a result stamped ts,
-// the TS of the in-order arrival that derived it: every window member was
-// processed or inserted under a watermark ≤ ts, so ts is the maximum
-// member TS that stream.NewResult would compute from the tuples.
-func (s *TupleSlab) result(assign []*stream.Tuple, ts stream.Time) stream.Result {
-	tuples := s.Carve(len(assign))
-	copy(tuples, assign)
-	return stream.Result{TS: ts, Tuples: tuples}
-}
+// Poisoned is the sentinel member PoisonDelivered writes over a delivered
+// result once its sink returns. It belongs to no stream.
+var Poisoned = &stream.Tuple{Src: -1, TS: math.MinInt64, Seq: math.MaxUint64}
+
+// poisonDelivered is read once per Operator and Multi, at construction.
+var poisonDelivered bool
+
+// PoisonDelivered is a test hook: with it on, every Operator and Multi built
+// afterwards overwrites each delivered result's Tuples with Poisoned as soon
+// as the sink returns, so a path that keeps a borrowed Result instead of its
+// Clone reads sentinel members and fails the differential it runs under.
+// Only tests call it, before building what they check (most from TestMain).
+func PoisonDelivered(on bool) { poisonDelivered = on }
 
 // Option customizes the operator.
 type Option func(*Operator)
@@ -171,7 +184,7 @@ func New(cond *Condition, sizes []stream.Time, opts ...Option) *Operator {
 		opt(o)
 	}
 	o.class.add(&o.mem)
-	o.shell = shell{windows: newWindows(sizes, o.class.plans), assignBuf: make([]*stream.Tuple, cond.M)}
+	o.shell = newShell(newWindows(sizes, o.class.plans), cond.M)
 	o.class.compile(o.windows)
 	return o
 }

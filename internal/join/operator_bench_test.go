@@ -149,12 +149,13 @@ func BenchmarkStepFilter(b *testing.B) {
 	}
 }
 
-// TestSteadyStateZeroAllocs pins the steady-state counting probe path at
-// exactly zero allocations on equi-only and band-only conditions, on the
-// standalone operator and on a Multi of one member and of two members in one
-// residual class. The FIFO hash buckets (compact-in-place once the backing
-// array reaches 2× the live size) and the reused range views are what make
-// the strict gate hold.
+// TestSteadyStateZeroAllocs pins the steady-state probe path at exactly
+// zero allocations on equi-only and band-only conditions, on the standalone
+// operator and on a Multi of one member and of two members in one residual
+// class, counting and delivering (a WithEmit sink, on the first member of a
+// Multi): a delivered result borrows the shell's one buffer. The FIFO hash
+// buckets (compact-in-place once the backing array reaches 2× the live size)
+// and the reused range views are what make the strict gate hold.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	conds := []struct {
 		name string
@@ -164,44 +165,65 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"band", Cross(3).Band(0, 0, 1, 0, 2).Band(1, 0, 2, 0, 2)},
 	}
 	wins := []stream.Time{stream.Second, stream.Second, stream.Second}
-	multiOf := func(n int) func(*Condition) func(*stream.Tuple) {
-		return func(cond *Condition) func(*stream.Tuple) {
+	multiOf := func(n int) func(*Condition, EmitFunc) func(*stream.Tuple) {
+		return func(cond *Condition, emit EmitFunc) func(*stream.Tuple) {
 			mo := NewMulti(wins)
-			for range n {
-				mo.Add(cond, ResidualSig(cond, ""), nil, nil, nil)
+			for q := range n {
+				if q > 0 {
+					emit = nil
+				}
+				mo.Add(cond, ResidualSig(cond, ""), emit, nil, nil)
 			}
 			return mo.Process
 		}
 	}
 	kernels := []struct {
 		name  string
-		build func(*Condition) func(*stream.Tuple)
+		build func(*Condition, EmitFunc) func(*stream.Tuple)
 	}{
-		{"tuple", func(cond *Condition) func(*stream.Tuple) { return New(cond, wins).Process }},
+		{"tuple", func(cond *Condition, emit EmitFunc) func(*stream.Tuple) {
+			var opts []Option
+			if emit != nil {
+				opts = append(opts, WithEmit(emit))
+			}
+			return New(cond, wins, opts...).Process
+		}},
 		{"multi1", multiOf(1)},
 		{"multi2", multiOf(2)},
 	}
 	for _, c := range conds {
 		for _, k := range kernels {
-			t.Run(c.name+"/"+k.name, func(t *testing.T) {
-				feed := benchFeed(3, 6000, 50)
-				orig, span := origTS(feed)
-				process := k.build(c.cond)
-				half := len(feed) / 2
-				for _, e := range feed[:half] {
-					process(e)
+			for _, deliver := range []bool{false, true} {
+				name := c.name + "/" + k.name
+				var emit EmitFunc
+				var delivered int
+				if deliver {
+					name += "/deliver"
+					emit = func(stream.Result) { delivered++ }
 				}
-				i := half
-				allocs := testing.AllocsPerRun(50, func() {
-					for j := 0; j < 64; j++ {
-						process(cycle(feed, orig, span, i))
-						i++
+				t.Run(name, func(t *testing.T) {
+					feed := benchFeed(3, 6000, 50)
+					orig, span := origTS(feed)
+					process := k.build(c.cond, emit)
+					half := len(feed) / 2
+					for _, e := range feed[:half] {
+						process(e)
+					}
+					i, before := half, delivered
+					allocs := testing.AllocsPerRun(50, func() {
+						for j := 0; j < 64; j++ {
+							process(cycle(feed, orig, span, i))
+							i++
+						}
+					})
+					if allocs != 0 {
+						t.Fatalf("steady-state probe allocated %v times per 64 tuples, want 0", allocs)
+					}
+					if deliver && delivered-before < 64 {
+						t.Fatalf("only %d results delivered in the timed passes: the feed does not exercise delivery", delivered-before)
 					}
 				})
-				if allocs != 0 {
-					t.Fatalf("steady-state probe allocated %v times per 64 tuples, want 0", allocs)
-				}
-			})
+			}
 		}
 	}
 }

@@ -18,7 +18,7 @@ func letterCond() *Condition { return Cross(2).Equi(0, 0, 1, 0) }
 
 func collectOp(cond *Condition, sizes []stream.Time) (*Operator, *[]stream.Result) {
 	var out []stream.Result
-	op := New(cond, sizes, WithEmit(func(r stream.Result) { out = append(out, r) }))
+	op := New(cond, sizes, WithEmit(func(r stream.Result) { out = append(out, r.Clone()) }))
 	return op, &out
 }
 

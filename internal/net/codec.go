@@ -258,7 +258,10 @@ func decodeAck(b []byte, arrivals int, out *shard.Out[stream.Result]) (feedback.
 			return hdr, errBadAck
 		}
 		prev = idx
-		r := stream.Result{TS: ts, Tuples: make([]*stream.Tuple, 0, m)}
+		if len(b)-off < 27*m {
+			return hdr, errShortFrame // before the arena grows for m members
+		}
+		r := stream.Result{TS: ts, Tuples: out.Slots(m)}
 		for j := 0; j < m; j++ {
 			if len(b) < off+27 {
 				return hdr, errShortFrame
@@ -279,7 +282,7 @@ func decodeAck(b []byte, arrivals int, out *shard.Out[stream.Result]) (feedback.
 				t.Attrs[a] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 				off += 8
 			}
-			r.Tuples = append(r.Tuples, t)
+			r.Tuples[j] = t
 		}
 		out.Put(idx, r)
 	}

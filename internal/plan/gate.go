@@ -42,7 +42,7 @@ type gate struct {
 	maxTS     stream.Time     // the newest filter's maxTS, the largest; MinInt64 with none open
 	out       int64           // results delivered while re-planning
 	migrating bool            // a migration is under way: the counters pause, the hooks stay silent
-	owed      []stream.Result // what its replay delivers once the move commits
+	owed      []stream.Result // what its replay delivers once the move commits, cloned
 	supp      int64           // what its replay suppressed
 }
 
@@ -81,7 +81,7 @@ func (g *gate) result(r stream.Result) {
 			g.supp++
 		}
 	case g.migrating:
-		g.owed = append(g.owed, r)
+		g.owed = append(g.owed, r.Clone()) // r is borrowed; the commit delivers it later
 	default:
 		g.deliver(r)
 	}

@@ -99,7 +99,7 @@ func TestMigrationHeldPartial(t *testing.T) {
 		var delivered []stream.Result
 		s := NewSupervised(graphs[0], ExecConfig{Policy: PolicyStatic, StaticK: 0, Emit: func(r stream.Result) {
 			got.Emit(r)
-			delivered = append(delivered, r)
+			delivered = append(delivered, r.Clone())
 		}}, SuperviseConfig{Unsupervised: unsupervised, Backoff: testBackoff(1), Replan: fixedLog{}})
 		for i, e := range in.Clone() {
 			s.Push(e)

@@ -43,12 +43,16 @@ type Body[T any] interface {
 // workers and networked workers (internal/net) fill one each through Step;
 // a networked driver decodes every worker's barrier ack into one; MergeOuts
 // releases them.
+//
+// A result held here outlives the callback that lent it, so its tuple
+// pointers live in the accumulator's own arena (Slots) until Reset.
 type Out[R any] struct {
 	idx    int
 	on     []int64 // on[i] = results derived by arrival i on this worker
 	res    []R
 	resIdx []int // arrival index per result; non-decreasing
 	next   int   // MergeOuts' cursor into res
+	arena  []*stream.Tuple
 }
 
 // Emit buffers one result of the probe in progress.
@@ -58,6 +62,16 @@ func (o *Out[R]) Emit(r R) { o.Put(o.idx, r) }
 func (o *Out[R]) Put(idx int, r R) {
 	o.res = append(o.res, r)
 	o.resIdx = append(o.resIdx, idx)
+}
+
+// Slots returns m nil tuple pointers from the arena, valid until Reset.
+// The slice is capacity-clipped, so appending to it copies. The arena
+// grows to the largest merge and is reused from then on; a grown arena
+// leaves the slots handed out before in the old block, still valid.
+func (o *Out[R]) Slots(m int) []*stream.Tuple {
+	n := len(o.arena)
+	o.arena = append(o.arena, make([]*stream.Tuple, m)...)
+	return o.arena[n : n+m : n+m]
 }
 
 // Add credits n results to arrival idx.
@@ -79,7 +93,8 @@ func (o *Out[R]) Results() ([]R, []int) { return o.res, o.resIdx }
 func (o *Out[R]) Reset() {
 	o.on = o.on[:0]
 	clear(o.res)
-	o.res, o.resIdx, o.next = o.res[:0], o.resIdx[:0], 0
+	clear(o.arena)
+	o.res, o.resIdx, o.next, o.arena = o.res[:0], o.resIdx[:0], 0, o.arena[:0]
 }
 
 // MergeOuts releases the results of arrivals [0, arrivals) from outs in

@@ -64,7 +64,14 @@ func (b *OpBody) Probe(m *Msg[*stream.Tuple]) int64 { return b.Op.ProcessAt(m.It
 func (b *OpBody) Insert(m *Msg[*stream.Tuple])      { b.Op.InsertAt(m.Item, m.WM) }
 
 // Materialize sends the operator's results to Out.
-func (b *OpBody) Materialize() { b.Op.SetEmit(b.Out.Emit) }
+func (b *OpBody) Materialize() { b.Op.SetEmit(b.emit) }
+
+// emit buffers a copy of the borrowed result r in Out's arena.
+func (b *OpBody) emit(r stream.Result) {
+	tuples := b.Out.Slots(len(r.Tuples))
+	copy(tuples, r.Tuples)
+	b.Out.Emit(stream.Result{TS: r.TS, Tuples: tuples})
+}
 
 // Runtime runs one logical join as cfg.N shards.
 type Runtime struct {

@@ -84,14 +84,21 @@ func Key(t *Tuple) (int64, uint64) { return int64(t.TS), t.Seq }
 // stream. TS is the maximum timestamp among deriving tuples, per the MSWJ
 // semantics in Sec. II-A.
 //
-// A Result handed to a sink is the sink's to keep: Tuples is never reused
-// or overwritten by the operator. It is capacity-clipped (len == cap), so
-// appending to it copies, and it may share a backing block of at most
-// 512 bytes with neighbouring results — retaining one result keeps that block,
-// and the tuples it points to, reachable.
+// A Result handed to a sink is borrowed: it is valid until the sink
+// returns, after which the producer reuses Tuples for the next result. A
+// sink that keeps a result keeps its Clone.
 type Result struct {
 	TS     Time
 	Tuples []*Tuple
+}
+
+// Clone returns a copy of r the caller owns: Tuples is a fresh slice with
+// len == cap, so appending to it copies too. The tuples themselves are
+// shared, never written by the join.
+func (r Result) Clone() Result {
+	tuples := make([]*Tuple, len(r.Tuples))
+	copy(tuples, r.Tuples)
+	return Result{TS: r.TS, Tuples: tuples}
 }
 
 // NewResult assembles a Result from the deriving tuples, computing the

@@ -200,7 +200,8 @@ func (mq *MultiQuery) RecallEstimate() float64 { return mq.q.RecallEstimate() }
 // the MultiJoin's single input is driven by Push — so results are produced
 // synchronously during Push and Close: drain the channel from another
 // goroutine (it is buffered, but a full buffer blocks Push). The channel
-// closes when the query is removed or the MultiJoin is closed.
+// closes when the query is removed or the MultiJoin is closed. Each Result
+// on it is a Clone the consumer owns.
 //
 // The query must have no WithResults sink and RunChannel must be called at
 // most once; both conflicts panic.
@@ -214,7 +215,7 @@ func (mq *MultiQuery) RunChannel() <-chan Result {
 	mq.hasSink = true
 	out := make(chan Result, 256)
 	mq.out = out
-	mq.q.SetEmit(func(r Result) { out <- r })
+	mq.q.SetEmit(func(r Result) { out <- r.Clone() })
 	return out
 }
 

@@ -48,7 +48,8 @@ const (
 // Tuple is a stream element; see stream.Tuple for field semantics.
 type Tuple = stream.Tuple
 
-// Result is one join result (one tuple per input stream).
+// Result is one join result (one tuple per input stream). A sink borrows
+// it until it returns; Result.Clone keeps a copy (WithResults).
 type Result = stream.Result
 
 // Condition is a conjunctive join condition over m streams.
@@ -210,10 +211,9 @@ type AdaptEvent = core.AdaptEvent
 // Registering it disables the operator's counting-only fast path, so omit it
 // when only result counts are needed.
 //
-// The Result is the callback's to keep: its Tuples slice is never reused.
-// The slice is capacity-clipped (an append copies) and may share a backing
-// block of at most 512 bytes with neighbouring results, so retaining one
-// result keeps that block — up to 64 tuple pointers — reachable.
+// The Result is borrowed: it is valid until the callback returns, and the
+// join reuses its Tuples slice for the next result. A callback that keeps a
+// result keeps r.Clone().
 func WithResults(f func(Result)) QueryOption {
 	return queryOption(func(o *joinOpts) { o.emit = join.EmitFunc(f) })
 }
@@ -447,7 +447,7 @@ func (j *Join) Adaptations() int64 { return j.ex.Adaptations() }
 // results on the returned channel. The channel closes only after the input
 // channel closes AND all disorder-handling buffers have flushed, so every
 // result — including those released by the final flush — is delivered
-// before the close.
+// before the close. Each Result on the channel is a Clone the consumer owns.
 //
 // The join must have been created with no WithResults sink and RunChannel
 // must be called at most once: it installs its own emit callback, and
@@ -460,7 +460,7 @@ func (j *Join) RunChannel(in <-chan *Tuple) <-chan Result {
 	}
 	j.hasSink = true
 	out := make(chan Result, 256)
-	j.ex.SetEmit(func(r Result) { out <- r })
+	j.ex.SetEmit(func(r Result) { out <- r.Clone() })
 	go func() {
 		defer close(out)
 		for t := range in {

@@ -92,7 +92,7 @@ func TestWithResultsSink(t *testing.T) {
 	var got []Result
 	j := NewJoin(EquiChain(2, 0), []Time{Second, Second},
 		Options{Policy: StaticSlack, StaticK: 2 * Second},
-		WithResults(func(r Result) { got = append(got, r) }),
+		WithResults(func(r Result) { got = append(got, r.Clone()) }),
 	)
 	j.Push(&Tuple{TS: 1000, Seq: 0, Src: 0, Attrs: []float64{7}})
 	j.Push(&Tuple{TS: 1100, Seq: 1, Src: 1, Attrs: []float64{7}})
