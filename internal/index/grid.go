@@ -90,7 +90,8 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // difference form passes, and BandCell is monotone, so every partner lies in
 // a visited cell; the probe then decides each candidate of the visited cells
 // by the exact difference form itself, and by a Fold when it is given one,
-// on the keys stored in its node.
+// on the keys stored in its node — by the Fold alone when it implies the
+// difference form.
 // Entries with a non-finite key can never band-match and are not stored.
 //
 // The zero value is not usable; construct with NewGrid.
@@ -254,6 +255,16 @@ func (g *Grid[E]) AppendBand(dst []E, ca, cb float64) []E {
 // AppendBandFold is AppendBand keeping only the entries whose stored keys
 // also satisfy f, decided in the same pass as the band check; a nil f keeps
 // every band member.
+//
+// Each node's differences da = a − ca, db = b − cb are taken once and serve
+// both tests: f is centered (see Fold), so its sum is fl(da²) + fl(db²), the
+// square of an unsquared key's difference being +0 — exactly the sum the
+// predicate adds, since a square ignores the order of its difference's
+// operands (x − y is −(y − x) exactly), centers that compare equal give
+// equal squares (±0 included), and +0 + s + t is s + t for s, t ≥ +0. The
+// conversions keep the compiler from contracting the sum into a fused
+// multiply-add. When f implies the box on this probe (implies), the scan
+// tests f alone.
 func (g *Grid[E]) AppendBandFold(dst []E, ca, cb float64, f *Fold) []E {
 	x0, x1, ok := bandSpan(ca, g.eps[0])
 	if !ok {
@@ -267,35 +278,47 @@ func (g *Grid[E]) AppendBandFold(dst []E, ca, cb float64, f *Fold) []E {
 	} else {
 		cb = 0
 	}
-	ea, eb := g.eps[0], g.eps[1]
 	nodes, next := g.nodes, g.next[:len(g.nodes)]
+	if f != nil && g.implies(f) {
+		// One test per node. In one dimension db is 0 − 0.
+		cmp, bound := f.Cmp, f.Bound
+		for x := x0; x <= x1; x++ {
+			for y := y0; y <= y1; y++ {
+				for i := g.chain(cellKey(x, y)); i != 0; i = next[i] {
+					n := &nodes[i]
+					da, db := n.a-ca, n.b-cb
+					if cmp.holds(float64(da*da)+float64(db*db), bound) {
+						dst = append(dst, n.e)
+					}
+				}
+			}
+		}
+		return dst
+	}
+	ea, eb := g.eps[0], g.eps[1]
+	// wa, wb: 1 for a squared key, else 0, so da·wa is da or, the box
+	// passed and da finite, ±0.
+	wa, wb := 1.0, 1.0
+	if f != nil {
+		if !f.Sq[0] {
+			wa = 0
+		}
+		if !f.Sq[1] {
+			wb = 0
+		}
+	}
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
 			for i := g.chain(cellKey(x, y)); i != 0; i = next[i] {
 				n := &nodes[i]
+				da, db := n.a-ca, n.b-cb
 				// Negated-form-safe: NaN fails every comparison.
-				if da, db := n.a-ca, n.b-cb; !(da >= -ea && da <= ea && db >= -eb && db <= eb) {
+				if !(da >= -ea && da <= ea && db >= -eb && db <= eb) {
 					continue
 				}
 				if f != nil {
-					// The fold, inline: a call per band member costs more
-					// than the arithmetic it makes.
-					k := f.K
-					var sum float64
-					for _, t := range f.Terms {
-						v := n.a
-						if t.B {
-							v = n.b
-						}
-						var d float64
-						if t.KeyFirst {
-							d = v - k[t.Slot]
-						} else {
-							d = k[t.Slot] - v
-						}
-						sum += float64(d * d)
-					}
-					if !f.Cmp.holds(sum, k[f.Slot]) {
+					da, db = da*wa, db*wb
+					if !f.Cmp.holds(float64(da*da)+float64(db*db), f.Bound) {
 						continue
 					}
 				}
@@ -304,6 +327,33 @@ func (g *Grid[E]) AppendBandFold(dst []E, ca, cb float64, f *Fold) []E {
 		}
 	}
 	return dst
+}
+
+// implies reports whether every node f keeps passes the box, so the probe
+// may test f alone. It holds when f squares every key of the grid and
+//
+//   - f is sum < bound with bound ≤ fl(ε²) for each key's width ε, or
+//   - f is sum ≤ bound with bound < fl(ε²) for each.
+//
+// Proof for one key, difference d = fl(k − c) and width ε: rounding is
+// monotone and the other square is ≥ +0, so the rounded sum is at least
+// fl(d²). If |d| > ε then d² > ε² and fl(d²) ≥ fl(ε²) — so sum ≥ fl(ε²) ≥
+// bound fails <, and sum ≥ fl(ε²) > bound fails ≤. Hence a kept node has
+// |d| ≤ ε: it is in the band. A NaN difference makes the sum NaN, which
+// fails both; a NaN bound fails both tests of the premise. In one
+// dimension the b difference is 0 − 0 and passes its zero-width band.
+func (g *Grid[E]) implies(f *Fold) bool {
+	dims := 1
+	if g.twoD {
+		dims = 2
+	}
+	for d, eps := range g.eps[:dims] {
+		e2 := eps * eps
+		if !f.Sq[d] || !(f.Cmp == LT && f.Bound <= e2 || f.Cmp == LE && f.Bound < e2) {
+			return false
+		}
+	}
+	return true
 }
 
 // chain returns the first node of the cell's chain, or 0.
@@ -425,26 +475,19 @@ const (
 	NE
 )
 
-// FoldTerm is one squared difference of a Fold: the stored key it reads and
-// the constant slot on its other side, in the predicate's operand order.
-type FoldTerm struct {
-	B        bool  // reads the b key, else the a key
-	KeyFirst bool  // (key − K[Slot])², else (K[Slot] − key)²
-	Slot     int32 // index into Fold.K
-}
-
-// Fold is a residual predicate Σ_j d_j² cmp K[Slot] that a probe decides
-// on the keys a node stores, so an entry that fails it is never read: the
-// squares are added left to right from +0, each difference is taken in its
-// term's operand order, and every operation is the IEEE-754 one the
+// Fold is a residual predicate Σ d² cmp Bound that a probe decides on the
+// keys a node stores, so an entry that fails it is never read. It is
+// centered: the difference of each key it squares is the key's own
+// difference from the probe's band center, in either operand order — the
+// soccer circle (x − cx)² + (y − cy)² < r² about the probe's point (cx, cy).
+// The squares are added from +0 and every operation is the IEEE-754 one the
 // predicate states, so on keys that are bit copies of the entry's
-// attributes the verdict is the predicate's own. The caller fills K before
-// each probe; the grid only reads it.
+// attributes the verdict is the predicate's own. The caller sets Bound
+// before each probe.
 type Fold struct {
-	Terms []FoldTerm
+	Sq    [2]bool // the a key is squared; the b key is
 	Cmp   Cmp
-	Slot  int32
-	K     []float64
+	Bound float64
 }
 
 // holds reports whether x cmp y.

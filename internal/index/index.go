@@ -32,8 +32,9 @@
 //     expiry are O(1) — a tail append and a head pop, no memmove — and a
 //     probe visits the ≤ 3 cells per dimension the band covers, deciding
 //     each candidate by the exact difference form on the keys its node
-//     stores, and a Fold — a sum of squared key differences against a
-//     bound — in the same pass.
+//     stores, and a Fold — the squares of those same differences, summed
+//     against a bound — in the same pass: by the Fold alone when it
+//     implies the band.
 //
 // Keys that can never match are rejected by both structures: NaN by
 // KeyBits (it never compares equal), NaN and ±Inf by Grid.Add (they never

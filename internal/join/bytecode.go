@@ -7,8 +7,8 @@ package join
 // constant slot, or "the x operand again" for a node whose two operands are
 // the same subtree by structure (so a condition decoded from the wire, which
 // drops pointer sharing, compiles to the same code). The paper's distance
-// predicate, a left-leaning sum of two or more squared leaf differences, is
-// one instruction (bcSumSq). dx·dx + dy·dy < r² is two instructions where
+// predicate, a lone squared leaf difference or a left-leaning sum of them,
+// is one instruction (bcSumSq). dx·dx + dy·dy < r² is two instructions where
 // the unfused postorder form (reference_test.go) is thirteen.
 //
 // A program is compiled either for any assignment (CompileExpr: Multi's
@@ -19,10 +19,11 @@ package join
 // prologue, evaluated once per probe into a constant slot, and the body left
 // for sweep to run per candidate reads only the candidate and constants —
 // k − cand.a, cand.a − k, Σ(k_j − cand.a_j)² < k. A predicate that does not
-// read the candidate at all is its prologue; sweep decides it once. A fold
-// Σ(k_j − cand.a_j)² cmp k on a band step whose grid stores every a_j is
-// not swept: gridFold hands it to the grid as data (index.Fold), and the
-// grid scan decides it on its stored keys after the prologue has run.
+// read the candidate at all is its prologue; sweep decides it once. A
+// centered fold on a band step — one or two squares, each of a grid key's
+// difference from that key's band center — is not swept: gridFold hands it
+// to the grid as data (index.Fold), and the grid scan decides it on the
+// differences its band check takes. Any other fold is swept.
 //
 // Equivalence to the interpreter: every instruction performs exactly the
 // IEEE-754 operation of its Expr node with the operands in the node's
@@ -35,6 +36,7 @@ package join
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/stream"
@@ -109,8 +111,10 @@ type Prog struct {
 	// difference and of the comparison: sweep runs it without the VM.
 	fold bool
 	// grid is the fold as the band grid of its step decides it (gridFold),
-	// set by compilePlan when the step's grid stores every a_j.
-	grid *index.Fold
+	// set by compilePlan when the fold is centered on the grid's bands;
+	// gridBound is the constant slot of its bound.
+	grid      *index.Fold
+	gridBound int32
 }
 
 // CompileExpr compiles a boolean expression into bytecode, or returns nil
@@ -182,7 +186,7 @@ func (c *compiler) value(n *Expr, code *[]instr) operand {
 		return slot
 	case n.kind == exAttr:
 		return operand{mode: mAttr, a: int32(n.stream), b: int32(n.attr)}
-	case n.kind == exAdd && c.squares(n, body):
+	case (n.kind == exAdd || n.kind == exMul) && c.squares(n, body):
 		from := len(p.terms)
 		c.emitSquares(n, code)
 		*code = append(*code, instr{op: bcSumSq, x: operand{a: int32(from), b: int32(len(p.terms))}})
@@ -267,39 +271,60 @@ func (p *Prog) prologue(assign []*stream.Tuple) {
 }
 
 // gridFold returns the fold step body as the index.Fold a band grid keyed
-// by the candidate's attributes a and b (b < 0: one dimension) decides on
-// its stored keys, or nil when the body is no fold or reads another
-// attribute. The Fold aliases the program's constant slots, so the
-// prologue fills it. Each term keeps its operand order; a comparison with
-// the constant on the left becomes the mirrored one with the sum on the
-// left (k < s ⇔ s > k holds for every pair of floats, NaN included).
-func (p *Prog) gridFold(a, b int) *index.Fold {
+// by the candidate's attributes key[0] and key[1] (key[1] < 0: one
+// dimension) decides, or nil unless the fold is centered: one or two
+// squared differences, at most one per grid key, each of a grid key and a
+// constant slot the prologue copies from a bound attribute whose
+// equivalence class representative (resolve) is that key's band center,
+// center[j]. The grid then decides the fold on the differences from the
+// centers its band check takes (see Grid.AppendBandFold for why that is
+// the predicate's verdict bit for bit). A comparison with the constant on
+// the left becomes the mirrored one with the sum on the left (k < s ⇔
+// s > k holds for every pair of floats, NaN included).
+func (p *Prog) gridFold(key [2]int, center [2]cref, resolve func(cref) cref) *index.Fold {
 	if !p.fold {
 		return nil
 	}
-	f := &index.Fold{K: p.k}
+	f := &index.Fold{}
 	for _, t := range p.terms[p.code[0].x.a:p.code[0].x.b] {
-		ft := index.FoldTerm{KeyFirst: t[0].mode == mAttr}
-		attr, c := t[1], t[0]
-		if ft.KeyFirst {
-			attr, c = t[0], t[1]
+		attr, c := t[0], t[1]
+		if attr.mode != mAttr {
+			attr, c = c, attr
 		}
-		switch attr := int(attr.b); {
-		case attr == a:
-		case b >= 0 && attr == b:
-			ft.B = true
-		default:
+		j := slices.Index(key[:], int(attr.b))
+		if j < 0 || f.Sq[j] {
 			return nil
 		}
-		ft.Slot = c.a
-		f.Terms = append(f.Terms, ft)
+		if src, ok := p.copied(c.a); !ok || resolve(src) != center[j] {
+			return nil
+		}
+		f.Sq[j] = true
 	}
 	cmp := &p.code[1]
-	f.Cmp, f.Slot = index.Cmp(cmp.op-bcLT), cmp.y.a
+	f.Cmp, p.gridBound = index.Cmp(cmp.op-bcLT), cmp.y.a
 	if cmp.x.mode == mConst {
-		f.Cmp, f.Slot = [...]index.Cmp{index.GT, index.GE, index.LT, index.LE, index.EQ, index.NE}[f.Cmp], cmp.x.a
+		f.Cmp, p.gridBound = [...]index.Cmp{index.GT, index.GE, index.LT, index.LE, index.EQ, index.NE}[f.Cmp], cmp.x.a
 	}
 	return f
+}
+
+// copied returns the bound attribute the prologue copies into constant slot
+// k, or !ok when the slot holds anything else.
+func (p *Prog) copied(k int32) (cref, bool) {
+	for _, in := range p.pre {
+		if in.op == bcStore && in.y.a == k && in.x.mode == mAttr {
+			return cref{int(in.x.a), int(in.x.b)}, true
+		}
+	}
+	return cref{}, false
+}
+
+// gridProbe runs the prologue of a step program whose fold its grid decides
+// and returns that fold, its bound set for this probe.
+func (p *Prog) gridProbe(assign []*stream.Tuple) *index.Fold {
+	p.prologue(assign)
+	p.grid.Bound = p.k[p.gridBound]
+	return p.grid
 }
 
 // sweep appends to out, in order, the tuples of in that satisfy the step

@@ -106,9 +106,9 @@ type cstep struct {
 	grid    *index.Grid[*stream.Tuple]
 	gridRef [2]cref
 	// fold is the compiled generic predicate the grid probe decides on the
-	// keys it stores (Prog.grid): a sum of squared differences whose every
-	// candidate attribute is a grid key. Its prologue fills the constant
-	// slots once per probe. nil when no predicate of the step qualifies.
+	// keys it stores (Prog.grid): a sum of squared differences of the grid
+	// keys from their band centers (gridRef). Its prologue fills the bound
+	// once per probe. nil when no predicate of the step qualifies.
 	fold    *Prog
 	resBand []cband
 	// buf is the step's reusable candidate buffer, so residual filtering
@@ -268,7 +268,7 @@ func compilePlan(cond *Condition, arriving int, p plan, windows []*window.Window
 		for _, gi := range st.checks {
 			k := compileStep(cond.Generics[gi].Expr, st.stream)
 			if k != nil && cs.grid != nil && cs.fold == nil {
-				k.grid = k.gridFold(gridKey.A, gridKey.B)
+				k.grid = k.gridFold([2]int{gridKey.A, gridKey.B}, cs.gridRef, resolve)
 			}
 			switch {
 			case k != nil && k.grid != nil:
@@ -399,8 +399,7 @@ func (cs *cstep) candidates(assign []*stream.Tuple) []*stream.Tuple {
 		r0, r1 := &cs.gridRef[0], &cs.gridRef[1]
 		var f *index.Fold
 		if cs.fold != nil {
-			cs.fold.prologue(assign)
-			f = cs.fold.grid
+			f = cs.fold.gridProbe(assign)
 		}
 		in = cs.grid.AppendBandFold(cs.buf[:0], assign[r0.stream].Attr(r0.attr), assign[r1.stream].Attr(r1.attr), f)
 		cs.buf, stale = in, max(stale, len(in))

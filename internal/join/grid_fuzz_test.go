@@ -17,9 +17,11 @@ import (
 // one or two dimensions, any valid widths, and entries removed again. And
 // the fused probe — a fold of the probe's and the candidate's keys (foldOf,
 // against the radius r) decided in the grid scan — returns exactly
-// AppendBand's list swept by the compiled program, or does not fuse
-// because the fold reads a key a one-dimensional grid does not store (or
-// is a lone square: a fold sums two or more).
+// AppendBand's list swept by the compiled program; a fold fuses exactly
+// when it is centered (each term squares a distinct key's difference from
+// the probe's same key) and reads no key a one-dimensional grid does not
+// store. The edge-* seeds put keys at |d| = ε and one ulp to either side
+// with r = fl(ε²), also where ε² underflows or overflows.
 func FuzzBandGrid(f *testing.F) {
 	bits := func(vs ...float64) []byte {
 		var b []byte
@@ -79,23 +81,22 @@ func FuzzBandGrid(f *testing.F) {
 			t.Fatalf("probe (%v, %v) widths (%v, %v): the grid returned %d tuples, %d match", ca, cb, ea, eb, len(got), n)
 		}
 
-		fold, readsB := foldOf(shape, r)
+		fold, centered, readsB := foldOf(shape, r)
 		prog := compileStep(fold, 1)
 		keyB := -1
 		if twoD {
 			keyB = 1
 		}
-		gf := prog.gridFold(0, keyB)
-		if (gf != nil) != (prog.fold && (twoD || !readsB)) {
-			t.Fatalf("%s on a grid keyed (0, %d): fused = %v", fold, keyB, gf != nil)
+		prog.grid = prog.gridFold([2]int{0, keyB}, [2]cref{{0, 0}, {0, 1}}, func(r cref) cref { return r })
+		if (prog.grid != nil) != (centered && (twoD || !readsB)) {
+			t.Fatalf("%s on a grid keyed (0, %d): fused = %v", fold, keyB, prog.grid != nil)
 		}
-		if gf == nil {
+		if prog.grid == nil {
 			return
 		}
 		assign := []*stream.Tuple{probe, nil}
 		want := prog.sweep(assign, 1, g.AppendBand(nil, ca, cb), nil)
-		prog.prologue(assign)
-		if fused := g.AppendBandFold(nil, ca, cb, gf); !slices.Equal(fused, want) {
+		if fused := g.AppendBandFold(nil, ca, cb, prog.gridProbe(assign)); !slices.Equal(fused, want) {
 			t.Fatalf("probe (%v, %v) widths (%v, %v), %s: the fused probe kept %d tuples, AppendBand and the sweep %d",
 				ca, cb, ea, eb, fold, len(fused), len(want))
 		}
@@ -111,8 +112,9 @@ const qx2Fold = 1 | 1<<9 | 1<<10
 // two for the number of squared differences (1 + n%3), three for the
 // comparison with r (Lt, Le, Gt, Ge, Eq, Ne), one for r on the left, and
 // per difference three: the probe's key, the candidate's key, and the
-// candidate first. readsB reports whether it reads the candidate's b key.
-func foldOf(shape uint16, r float64) (e *Expr, readsB bool) {
+// candidate first. centered reports whether each difference is of one key
+// of both, no key twice; readsB whether it reads the candidate's b key.
+func foldOf(shape uint16, r float64) (e *Expr, centered, readsB bool) {
 	take := func(n uint) int {
 		v := int(shape & (1<<n - 1))
 		shape >>= n
@@ -122,9 +124,13 @@ func foldOf(shape uint16, r float64) (e *Expr, readsB bool) {
 	cmp := []func(x, y *Expr) *Expr{Lt, Le, Gt, Ge, Eq, Ne}[take(3)%6]
 	left := take(1) == 1
 	var sum *Expr
+	var squared [2]bool
+	centered = true
 	for range terms {
 		p, c := Attr(0, take(1)), Attr(1, take(1))
 		readsB = readsB || c.attr == 1
+		centered = centered && p.attr == c.attr && !squared[c.attr]
+		squared[c.attr] = true
 		d := Sub(p, c)
 		if take(1) == 1 {
 			d = Sub(c, p)
@@ -136,7 +142,7 @@ func foldOf(shape uint16, r float64) (e *Expr, readsB bool) {
 		}
 	}
 	if left {
-		return cmp(ConstOf(r), sum), readsB
+		return cmp(ConstOf(r), sum), centered, readsB
 	}
-	return cmp(sum, ConstOf(r)), readsB
+	return cmp(sum, ConstOf(r)), centered, readsB
 }

@@ -16,7 +16,8 @@ package join
 // candidate list at every level of every probe, the same result sequence,
 // TS included. Each of these mutations fails it: < decided as ≤ in the
 // grid scan, a term reading the other stored key, a fold that reads the
-// sID fused anyway, a result stamped with the candidate's TS.
+// sID or is not centered fused anyway, ≤ skipping the box at bound =
+// fl(ε²), a result stamped with the candidate's TS.
 
 import (
 	"fmt"
@@ -548,12 +549,16 @@ func checkCandidates(t *testing.T, steps []cstep, lvl int, assign []*stream.Tupl
 	assign[cs.stream] = nil
 }
 
-// foldVals are the key values of the fused-probe differential: from (0, 0),
-// (3, 4) lies on the circle of radius 5, and the neighbours a few ulps off
-// 3, 4 and 5 just inside or outside it; ±0, ±Inf and NaN besides.
-var foldVals = func() []float64 {
-	vs := []float64{0, math.Copysign(0, -1), 1, 2.5, 7, math.Inf(1), math.Inf(-1), math.NaN()}
+// foldVals are the key values of the fused-probe differential at scale s:
+// from (0, 0), (3s, 4s) lies on the circle of radius 5s, and the neighbours
+// a few ulps off 3s, 4s and 5s just inside or outside it; ±0, ±Inf and NaN
+// besides. At s = 1e-161 the squares are subnormal and at s = 1e200 they
+// overflow, so keys one ulp past a band edge square to the edge's own
+// square: there only the box, not the circle, tells them apart.
+func foldVals(s float64) []float64 {
+	vs := []float64{0, math.Copysign(0, -1), s, 2.5 * s, 7 * s, math.Inf(1), math.Inf(-1), math.NaN()}
 	for _, v := range []float64{3, 4, 5, -3, -4, -5} {
+		v *= s
 		vs = append(vs, v)
 		for n, lo, hi := 0, v, v; n < 3; n++ {
 			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
@@ -561,36 +566,61 @@ var foldVals = func() []float64 {
 		}
 	}
 	return vs
-}()
+}
 
-// randFoldCond draws a band condition on attributes 1 and 2 (1-D or 2-D)
-// between streams 0 and 1 — and, with three streams, 1 and 2 — under a
-// residual fold between streams 0 and 1 of one of three kinds: only grid
-// keys (kind 0, which fuses), a grid key and the sID, attribute 0 (kind 1,
-// which must not), or a constant on either side of a difference (kind 2).
-// The comparison is any of six, its constant on either side, a few ulps
-// off 25 at times; half the conditions add a second, plain residual.
-func randFoldCond(rng *rand.Rand, m, kind int) (*Condition, bool) {
+// The fold kinds of randFoldCond. Only foldCentered may be decided in the
+// grid scan; every other kind is swept.
+const (
+	foldCentered = iota // on grid keys, about the probe's point: fuses on a two-way join
+	foldSID             // a centered fold plus the squared sID difference (attribute 0)
+	foldConst           // a constant on one side of a difference
+	foldShifted         // one difference about arrival.x + 1
+	foldThird           // about a third stream's point, which no band of the candidate's names
+	foldTwice           // one key squared twice
+	foldKinds
+)
+
+// randFoldCond draws a band condition on attributes 1 and 2 (1-D or 2-D, of
+// widths from {0, 2.5, 5, 8}·s) between streams 0 and 1 — and, with three
+// streams, 1 and 2 (0 and 2 for foldThird) — under a residual fold of the
+// given kind. A centered fold squares one or two distinct grid keys, each
+// difference's operands in either order. The comparison is any of six, its
+// constant on either side; the bound is fl(ε²) of a band's width ε or one
+// ulp off it, 25s², 16s² or 0. Half the conditions add a second, plain
+// residual.
+func randFoldCond(rng *rand.Rand, m, kind int, s float64) (*Condition, bool) {
 	twoD := rng.Intn(2) == 0
-	eps := []float64{0, 2.5, 5, 8}
-	c := Cross(m).Band(0, 1, 1, 1, eps[rng.Intn(len(eps))])
+	eps := []float64{0, 2.5 * s, 5 * s, 8 * s}
+	e := [2]float64{eps[rng.Intn(len(eps))], eps[1+rng.Intn(len(eps)-1)]}
+	c := Cross(m).Band(0, 1, 1, 1, e[0])
 	if twoD {
-		c.Band(0, 2, 1, 2, eps[1+rng.Intn(len(eps)-1)])
+		c.Band(0, 2, 1, 2, e[1])
 	}
-	if m > 2 {
-		c.Band(1, 1, 2, 1, 5)
+	switch {
+	case kind == foldThird:
+		c.Band(0, 1, 2, 1, 5*s)
+	case m > 2:
+		c.Band(1, 1, 2, 1, 5*s)
 	}
-	key := func() int {
-		if twoD {
-			return 1 + rng.Intn(2)
-		}
-		return 1
+	keys := []int{1}
+	if twoD {
+		keys = [][]int{{1}, {2}, {1, 2}, {2, 1}}[rng.Intn(4)]
+	}
+	if kind == foldTwice {
+		keys = append(keys, keys[0])
 	}
 	var sum *Expr
-	for n := 2 + rng.Intn(2); n > 0; n-- {
-		x, y := Attr(0, key()), Attr(1, key())
-		if kind == 2 && rng.Intn(2) == 0 {
-			x = ConstOf(foldVals[rng.Intn(len(foldVals))])
+	for i, k := range keys {
+		x, y := Attr(0, k), Attr(1, k)
+		switch {
+		case kind == foldThird:
+			x, y = Attr(2, k), Attr(1, k)
+		case i > 0:
+		case kind == foldConst:
+			vals := foldVals(s)
+			x = ConstOf(vals[rng.Intn(len(vals))])
+		case kind == foldShifted:
+			x = Add(x, ConstOf(1))
 		}
 		if rng.Intn(2) == 0 {
 			x, y = y, x
@@ -602,11 +632,15 @@ func randFoldCond(rng *rand.Rand, m, kind int) (*Condition, bool) {
 			sum = Add(sum, Mul(d, cloneExpr(d)))
 		}
 	}
-	if kind == 1 {
+	if kind == foldSID {
 		d := Sub(Attr(1, 0), Attr(0, 0))
 		sum = Add(sum, Mul(d, d))
 	}
-	r := ConstOf([]float64{25, math.Nextafter(25, 0), math.Nextafter(25, 26), 16, 0}[rng.Intn(5)])
+	sq := e[0] * e[0]
+	if twoD && rng.Intn(2) == 0 {
+		sq = e[1] * e[1]
+	}
+	r := ConstOf([]float64{sq, math.Nextafter(sq, 0), math.Nextafter(sq, math.Inf(1)), 25 * s * s, 16 * s * s, 0}[rng.Intn(6)])
 	cmp := []func(x, y *Expr) *Expr{Lt, Le, Gt, Ge, Eq, Ne}[rng.Intn(6)]
 	if rng.Intn(2) == 0 {
 		c.WhereExpr(cmp(sum, r))
@@ -619,9 +653,9 @@ func randFoldCond(rng *rand.Rand, m, kind int) (*Condition, bool) {
 	return c, twoD
 }
 
-// randFoldFeed builds a disordered feed over foldVals keys, the sID
+// randFoldFeed builds a disordered feed over the keys vals, the sID
 // (attribute 0) a small per-stream integer.
-func randFoldFeed(rng *rand.Rand, m, n int) []*stream.Tuple {
+func randFoldFeed(rng *rand.Rand, m, n int, vals []float64) []*stream.Tuple {
 	out := make([]*stream.Tuple, n)
 	ts := stream.Time(100)
 	for i := range out {
@@ -630,32 +664,36 @@ func randFoldFeed(rng *rand.Rand, m, n int) []*stream.Tuple {
 		if rng.Intn(6) == 0 {
 			t -= stream.Time(rng.Intn(15))
 		}
-		out[i] = tup(src, t, uint64(i), float64(4*src+rng.Intn(4)),
-			foldVals[rng.Intn(len(foldVals))], foldVals[rng.Intn(len(foldVals))])
+		out[i] = tup(src, t, uint64(i), float64(4*src+rng.Intn(4)), vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))])
 	}
 	return out
 }
 
 // TestFusedProbeMatchesUnfused: on random one- and two-dimensional band
 // conditions under a residual fold of each kind (randFoldCond), over keys on
-// and a few ulps off the circle, the probe with the fold decided in the
-// grid scan returns the unfused probe's candidate list at every level of
-// every probe (refCandidates), and the operator — and a Multi of two
-// members in one residual class — delivers the unfused operator's result
-// sequence, every TS the one stream.NewResult computes. Kind 0 fuses on a
-// two-way join, kind 1 never does.
+// and a few ulps off the circle and the band edges — at a unit scale, and
+// at scales where the squares underflow or overflow — the probe with the
+// fold decided in the grid scan returns the unfused probe's candidate list
+// at every level of every probe (refCandidates), and the operator — and a
+// Multi of two members in one residual class — delivers the unfused
+// operator's result sequence, every TS the one stream.NewResult computes.
+// A centered fold fuses on a two-way join; no other kind ever does.
 func TestFusedProbeMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
+	rng := rand.New(rand.NewSource(47))
 	fused := 0
-	for run := 0; run < 240; run++ {
-		m, kind := 2+run%2, run/2%3
-		cond, twoD := randFoldCond(rng, m, kind)
-		seq := randFoldFeed(rng, m, 300)
+	for run := 0; run < 288; run++ {
+		m, kind := 2+run%2, run/2%foldKinds
+		if kind == foldThird {
+			m = 3
+		}
+		scale := []float64{1, 1, 1e-161, 1e200}[rng.Intn(4)]
+		cond, twoD := randFoldCond(rng, m, kind, scale)
+		seq := randFoldFeed(rng, m, 300, foldVals(scale))
 		windows := make([]stream.Time, m)
 		for i := range windows {
 			windows[i] = 20
 		}
-		label := fmt.Sprintf("run %d (m=%d, kind %d, 2-D %v): %s", run, m, kind, twoD, cond.Generics[0].Expr)
+		label := fmt.Sprintf("run %d (m=%d, kind %d, 2-D %v, scale %g): %s", run, m, kind, twoD, scale, cond.Generics[0].Expr)
 
 		var want, got, gotMulti []string
 		ref := New(cond, windows, WithEmit(func(r stream.Result) { want = append(want, resultSig(stream.NewResult(r.Tuples))) }))
@@ -673,10 +711,10 @@ func TestFusedProbeMatchesUnfused(t *testing.T) {
 					fused++
 				}
 				switch {
-				case kind == 1 && cs.fold != nil:
-					t.Fatalf("%s: a fold reading the sID fused", label)
-				case kind == 0 && m == 2 && cs.fold == nil:
-					t.Fatalf("%s: a fold on grid keys alone did not fuse", label)
+				case kind != foldCentered && cs.fold != nil:
+					t.Fatalf("%s: a fold of kind %d fused", label, kind)
+				case kind == foldCentered && m == 2 && cs.fold == nil:
+					t.Fatalf("%s: a centered fold on grid keys did not fuse", label)
 				}
 			}
 		}
@@ -698,8 +736,8 @@ func TestFusedProbeMatchesUnfused(t *testing.T) {
 				label, len(got), len(gotMulti), len(want), firstDiff(got, gotMulti, want))
 		}
 	}
-	if fused < 200 {
-		t.Fatalf("only %d fused steps over 240 conditions: the generator does not exercise the fused probe", fused)
+	if fused < 100 {
+		t.Fatalf("only %d fused steps over 288 conditions: the generator does not exercise the fused probe", fused)
 	}
 }
 

@@ -44,13 +44,25 @@ func startWorkers(t *testing.T, n int, inj *fault.Injector) []string {
 	return addrs
 }
 
+// dial opens a Session on addrs that test cleanup closes, on every exit
+// path: a Session that panics — a refused ack, a decode error — would
+// otherwise leave its connections open, and startWorkers' cleanup would
+// wait on Serve forever instead of the test failing. Close is idempotent,
+// so tests that close the Session themselves keep doing so.
+func dial(t *testing.T, addrs []string, sig string, cfg shard.Config) *Session {
+	t.Helper()
+	s := NewSession(addrs, sig, cfg)
+	t.Cleanup(s.Close)
+	return s
+}
+
 // session executes seq through a Session against n in-process daemons,
 // flushing every flushEvery tuples, and returns the merged streams — what
 // difftest.Operator captures of a single operator.
 func session(t *testing.T, cond *join.Condition, windows []stream.Time, seq []*stream.Tuple, n, flushEvery, frameBatch int) *difftest.Run {
 	t.Helper()
 	got := difftest.NewRun()
-	s := NewSession(startWorkers(t, n, nil), "net-test", shard.Config{
+	s := dial(t, startWorkers(t, n, nil), "net-test", shard.Config{
 		Cond: cond, Windows: windows, Materialize: true,
 		BatchSize:    frameBatch,
 		OnOutOfOrder: got.OnOutOfOrder,
@@ -120,7 +132,7 @@ func TestNetworkedStateRestoresCrossRuntime(t *testing.T) {
 	want.Records, want.OutOfOrder = nil, nil
 
 	networked := func() core.Runtime {
-		return NewSession(startWorkers(t, 2, nil), "cross-test", shard.Config{Cond: cond(), Windows: windows, Materialize: true})
+		return dial(t, startWorkers(t, 2, nil), "cross-test", shard.Config{Cond: cond(), Windows: windows, Materialize: true})
 	}
 	inProcess := func() core.Runtime {
 		return shard.New(shard.Config{N: 2, Cond: cond(), Windows: windows, Materialize: true})
@@ -168,7 +180,7 @@ func TestWorkerFaultSurfacesTyped(t *testing.T) {
 
 	inj := fault.NewInjector().PanicAt(1, 50)
 	addrs := startWorkers(t, 2, inj)
-	s := NewSession(addrs, "fault-test", shard.Config{Cond: cond, Windows: windows})
+	s := dial(t, addrs, "fault-test", shard.Config{Cond: cond, Windows: windows})
 	emitted := 0
 	func() {
 		defer func() {
@@ -203,7 +215,7 @@ func TestRouteAfterClosePanics(t *testing.T) {
 	leakcheck.Check(t)
 	addrs := startWorkers(t, 1, nil)
 	cond := join.EquiChain(2, 0)
-	s := NewSession(addrs, "lifecycle-test", shard.Config{Cond: cond, Windows: []stream.Time{100, 100}})
+	s := dial(t, addrs, "lifecycle-test", shard.Config{Cond: cond, Windows: []stream.Time{100, 100}})
 	s.Route(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
 	s.FlushInterval(nil, nil)
 	s.Close()
@@ -228,12 +240,12 @@ func TestRejoinSignatureMismatch(t *testing.T) {
 	cond := func() *join.Condition { return join.EquiChain(2, 0) }
 	windows := []stream.Time{100, 100}
 
-	s1 := NewSession(addrs, "deployment-A", shard.Config{Cond: cond(), Windows: windows})
+	s1 := dial(t, addrs, "deployment-A", shard.Config{Cond: cond(), Windows: windows})
 	s1.Route(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
 	s1.FlushInterval(nil, nil)
 	s1.Close()
 
-	s2 := NewSession(addrs, "deployment-B", shard.Config{Cond: cond(), Windows: windows})
+	s2 := dial(t, addrs, "deployment-B", shard.Config{Cond: cond(), Windows: windows})
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -291,7 +303,7 @@ func TestHostileHelloExpressionRefused(t *testing.T) {
 	}
 	c.Close()
 
-	s := NewSession(addrs, "deployment-A", shard.Config{Cond: join.EquiChain(2, 0), Windows: []stream.Time{100, 100}})
+	s := dial(t, addrs, "deployment-A", shard.Config{Cond: join.EquiChain(2, 0), Windows: []stream.Time{100, 100}})
 	s.Route(&stream.Tuple{TS: 1, Src: 0, Attrs: []float64{1}})
 	s.FlushInterval(nil, nil)
 	s.Close()
@@ -305,7 +317,7 @@ func TestRejoinSameSignatureAccepted(t *testing.T) {
 	cond := func() *join.Condition { return join.EquiChain(2, 0) }
 	windows := []stream.Time{100, 100}
 	for i := 0; i < 2; i++ {
-		s := NewSession(addrs, "deployment-A", shard.Config{Cond: cond(), Windows: windows})
+		s := dial(t, addrs, "deployment-A", shard.Config{Cond: cond(), Windows: windows})
 		s.Route(&stream.Tuple{TS: stream.Time(1 + i), Src: 0, Attrs: []float64{1}})
 		s.FlushInterval(nil, nil)
 		s.Close()
@@ -320,7 +332,7 @@ func TestStateCanonicalOrder(t *testing.T) {
 	addrs := startWorkers(t, 2, nil)
 	cond := join.EquiChain(2, 0)
 	w := stream.Time(300)
-	s := NewSession(addrs, "order-test", shard.Config{Cond: cond, Windows: []stream.Time{w, w}})
+	s := dial(t, addrs, "order-test", shard.Config{Cond: cond, Windows: []stream.Time{w, w}})
 	seq := difftest.GenSeq(rand.New(rand.NewSource(11)), 2, 200, w)
 	for _, e := range seq {
 		s.Route(e)
