@@ -280,6 +280,8 @@ func flagConflict(f runFlags) error {
 		return conflict(fmt.Sprintf("-shards %d: a shard budget cannot be negative", f.shards))
 	case f.frameBatch < 0:
 		return conflict(fmt.Sprintf("-framebatch %d: a frame batch cannot be negative (0 selects the default)", f.frameBatch))
+	case f.strategy != "eqsel" && f.strategy != "noneqsel":
+		return conflict(fmt.Sprintf("-strategy %q: the selectivity strategy is eqsel or noneqsel", f.strategy))
 	}
 	if f.queries != "" {
 		if f.inject != "" {

@@ -4,16 +4,18 @@ package main
 // out-of-range numbers, which used to be clamped or defaulted silently.
 
 import (
+	"cmp"
 	"errors"
 	"testing"
 
 	"repro/internal/plan"
 )
 
-// defaults fills -gamma/-P/-L with their command-line defaults, so a row
-// only states the flags it is about.
+// defaults fills -gamma/-P/-L, and -strategy when unset, with their
+// command-line defaults, so a row only states the flags it is about.
 func defaults(f runFlags) runFlags {
 	f.gamma, f.P, f.L = 0.95, 60, 1
+	f.strategy = cmp.Or(f.strategy, "noneqsel")
 	return f
 }
 
@@ -60,6 +62,8 @@ func TestFlagConflicts(t *testing.T) {
 		{"k negative", runFlags{policy: "static", k: -1}},
 		{"shards negative", runFlags{shards: -2}},
 		{"framebatch negative", runFlags{workers: two, frameBatch: -1}},
+		{"strategy EqSel", runFlags{strategy: "EqSel"}},
+		{"strategy typo", runFlags{strategy: "noneqsl"}},
 		// -shards under a plan that does not read it.
 		{"plan shard:2+shards 4", runFlags{planSpec: "shard:2", shards: 4}},
 		{"plan tree-shard:2+shards 4", runFlags{planSpec: "tree-shard:2", shards: 4}},
@@ -116,6 +120,7 @@ func TestFlagConflicts(t *testing.T) {
 		f    runFlags
 	}{
 		{"bare", runFlags{}},
+		{"strategy eqsel", runFlags{strategy: "eqsel"}},
 		{"queries alone", runFlags{queries: "q.spec"}},
 		{"plan tree", runFlags{planSpec: "tree", policy: "model"}},
 		{"plan tree+static", runFlags{planSpec: "tree", policy: "static", k: 2}},

@@ -78,31 +78,15 @@ func (s Strategy) String() string {
 	return "NonEqSel"
 }
 
-// Search selects the Alg. 3 algorithm used to find the minimum k* with
-// γ(L,k*) ≥ Γ′.
+// Search names the Alg. 3 k* search. LinearSearch, the bounded scan of
+// Model.searchLinear, is the only one, so nothing reads Config.Search; the
+// type and the field stay while the benchmark harness sets the field
+// (ROADMAP 1, 17).
 type Search int
 
-const (
-	// LinearSearch returns the k* of the paper's trial-and-error scan
-	// k* = 0, g, 2g, …, skipping blocks of candidates an upper bound rules
-	// out (Model.searchLinear).
-	LinearSearch Search = iota
-	// BinarySearch probes O(log(MaxD^H/g)) candidates instead, exploiting
-	// the monotonicity of γ(L,K) in K. The paper leaves "other algorithms
-	// for searching for k*" as future work; this is the natural one. Under
-	// NonEqSel the learned selectivity ratio can make the target function
-	// locally non-monotone, in which case binary search still returns a
-	// feasible k* but not necessarily the minimal one.
-	BinarySearch
-)
-
-// String implements fmt.Stringer.
-func (s Search) String() string {
-	if s == BinarySearch {
-		return "binary"
-	}
-	return "linear"
-}
+// LinearSearch returns the k* of the paper's trial-and-error scan
+// k* = 0, g, 2g, …, skipping blocks of candidates an upper bound rules out.
+const LinearSearch Search = 0
 
 // Config carries the user requirements and system parameters of the
 // framework (Table I).
@@ -242,16 +226,7 @@ func (m *Model) decide(now stream.Time, snap *profiler.Snapshot, gammaPrime floa
 	start := time.Now()
 	maxDH := m.stats.MaxDelayRecent()
 	m.lastGammaP = gammaPrime
-	ev := m.newEvaluator()
-	var k stream.Time
-	if m.cfg.Search == BinarySearch {
-		k = m.searchBinary(ev, snap, gammaPrime, maxDH)
-	} else {
-		k = m.searchLinear(ev, snap, gammaPrime, maxDH)
-	}
-	if k > maxDH {
-		k = maxDH
-	}
+	k := m.searchLinear(m.newEvaluator(), snap, gammaPrime, maxDH)
 	m.steps++
 	m.adaptTime += time.Since(start)
 	return k
@@ -262,7 +237,7 @@ const block = 16
 
 // searchLinear returns Alg. 3's k*: the first of k = 0, g, 2g, … ≤ MaxD^H
 // with γ(L,k) ≥ Γ′, or MaxD^H when none is — what the printed scan returns
-// once decide clamps it. It walks the candidates in blocks [lo, hi] and
+// clamped to MaxD^H. It walks the candidates in blocks [lo, hi] and
 // evaluates one envelope per block, U = γ_E(hi) · SelRatioBound(lo, hi),
 // where γ_E is Eq. 5 before the Eq. 6 ratio. γ_E never decreases in k (see
 // evaluator), so no candidate of a block with U < Γ′ can meet Γ′ and the
@@ -317,30 +292,6 @@ func (m *Model) searchLinear(ev *evaluator, snap *profiler.Snapshot, gammaPrime 
 		}
 	}
 	return maxDH
-}
-
-// searchBinary finds the smallest multiple of g meeting the requirement
-// with O(log) model evaluations.
-func (m *Model) searchBinary(ev *evaluator, snap *profiler.Snapshot, gammaPrime float64, maxDH stream.Time) stream.Time {
-	m.iterations++
-	if ev.recall(0, snap) >= gammaPrime {
-		return 0
-	}
-	m.iterations++
-	if ev.recall(maxDH, snap) < gammaPrime {
-		return maxDH
-	}
-	lo, hi := stream.Time(0), (maxDH+m.cfg.G-1)/m.cfg.G // in units of g; recall(hi·g) ≥ Γ′
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		m.iterations++
-		if ev.recall(mid*m.cfg.G, snap) >= gammaPrime {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi * m.cfg.G
 }
 
 // evaluator evaluates γ(L,K) (Eq. 3–5) for the candidates of one Alg. 3
@@ -647,9 +598,8 @@ func (m *Model) InstantRequirement(snap *profiler.Snapshot) float64 {
 
 // AdaptStats reports instrumentation: number of adaptation steps, total
 // model iterations across all searches, and cumulative wall-clock time spent
-// inside Decide. An iteration is one evaluation of Eq. 5: under
-// LinearSearch an envelope check of a block or an exact evaluation of one
-// candidate, under BinarySearch one probe.
+// inside Decide. An iteration is one evaluation of Eq. 5: an envelope check
+// of a block or an exact evaluation of one candidate.
 func (m *Model) AdaptStats() (steps, iterations int64, total time.Duration) {
 	return m.steps, m.iterations, m.adaptTime
 }

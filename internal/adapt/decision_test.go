@@ -148,6 +148,9 @@ func TestBoundedScanMatchesAlg3(t *testing.T) {
 //   - a prefix of coarse delays with n^on = 0, or with n× = 0 as well;
 //   - out-of-order stragglers far past the in-order maximum delay (maxDM);
 //   - MaxD^H below g, and K^sync off the multiples of g.
+//
+// On measured statistics Γ′ = 0 decides K = 0, Γ′ = 1 at most MaxD^H, and
+// a deep k* takes fewer evaluations than the plain scan.
 func handBuiltDecisions(t *testing.T) {
 	const gamma = 0.95
 	decide := func(trial int, src adapt.Source, windows []stream.Time, g stream.Time, snap *profiler.Snapshot) {
@@ -181,6 +184,24 @@ func handBuiltDecisions(t *testing.T) {
 		}
 	}
 	decide(-1, adapt.NewFakeSource([][]*hist.Histogram{{h}}, []stream.Time{0}, 0), []stream.Time{100}, 10, prof.Snapshot())
+
+	// Two streams, no snapshot: 40 % of the tuples 300 ms late (MaxD^H), then
+	// half of them 2 s late: k* = 2 s at Γ′ = 0.999, 22 evaluations to 201.
+	w := []stream.Time{5000, 5000}
+	st := adapt.BuildStats(2, 10, 0.4, 300, 1000)
+	for _, gp := range []float64{0, 1} {
+		pol := &alg3Policy{t: t, model: adapt.NewModel(adapt.Config{Gamma: gp}, w, st, nil)}
+		k := pol.model.DecideShared(0, nil, gp)
+		pol.check(-2, k, nil, gp)
+		if gp == 0 && k != 0 || k > 300 {
+			t.Errorf("Γ′ = %v: K = %d on delays of at most 300 ms", gp, k)
+		}
+	}
+	deep := &alg3Policy{t: t, model: adapt.NewModel(adapt.Config{Gamma: 0.999}, w, adapt.BuildStats(2, 10, 0.5, 2000, 3000), nil)}
+	deep.check(-3, deep.model.DecideShared(0, nil, 0.999), nil, 0.999)
+	if _, iters, _ := deep.model.AdaptStats(); iters >= deep.plainIters {
+		t.Errorf("k* deep: the bounded scan evaluated %d times, the plain scan %d", iters, deep.plainIters)
+	}
 
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 400; trial++ {
@@ -249,7 +270,7 @@ func abs(x int) int {
 }
 
 // TestDecisionsMatchReference is the decision-level differential: the three
-// evaluation datasets × Γ × strategy × search through the whole pipeline,
+// evaluation datasets × Γ × strategy through the whole pipeline,
 // every boundary's K against the reference's.
 func TestDecisionsMatchReference(t *testing.T) {
 	minutes := 1.5
@@ -265,32 +286,31 @@ func TestDecisionsMatchReference(t *testing.T) {
 	for _, ds := range datasets {
 		for _, gamma := range []float64{0.9, 0.95, 0.99} {
 			for _, strategy := range []adapt.Strategy{adapt.EqSel, adapt.NonEqSel} {
-				for _, search := range []adapt.Search{adapt.LinearSearch, adapt.BinarySearch} {
-					name := fmt.Sprintf("%s/%v/%v/%v", ds.Name, gamma, strategy, search)
-					t.Run(name, func(t *testing.T) {
-						var pol *diffPolicy
-						p := core.New(core.Config{
-							Windows: ds.Windows, Cond: ds.Cond,
-							Adapt: adapt.Config{Gamma: gamma, P: 20 * stream.Second, L: stream.Second,
-								Strategy: strategy, Search: search},
-							Policy: func(env feedback.Env) adapt.Policy {
-								pol = &diffPolicy{t: t, model: adapt.NewModel(env.Adapt, env.Windows, env.Stats, env.Monitor),
-									cfg: env.Adapt, windows: env.Windows, src: env.Stats}
-								return pol
-							},
-						})
-						for _, e := range ds.Arrivals.Clone() {
-							p.Push(e)
-						}
-						p.Finish()
-						if pol.decisions == 0 || pol.positive == 0 {
-							t.Fatalf("%d decisions, %d with K > 0: the search was not exercised", pol.decisions, pol.positive)
-						}
-						if pol.ties > 0 {
-							t.Logf("%d of %d decisions broke a rounding tie", pol.ties, pol.decisions)
-						}
+				// linear: the bounded Alg. 3 scan, the one k* search.
+				name := fmt.Sprintf("%s/%v/%v/linear", ds.Name, gamma, strategy)
+				t.Run(name, func(t *testing.T) {
+					var pol *diffPolicy
+					p := core.New(core.Config{
+						Windows: ds.Windows, Cond: ds.Cond,
+						Adapt: adapt.Config{Gamma: gamma, P: 20 * stream.Second, L: stream.Second,
+							Strategy: strategy},
+						Policy: func(env feedback.Env) adapt.Policy {
+							pol = &diffPolicy{t: t, model: adapt.NewModel(env.Adapt, env.Windows, env.Stats, env.Monitor),
+								cfg: env.Adapt, windows: env.Windows, src: env.Stats}
+							return pol
+						},
 					})
-				}
+					for _, e := range ds.Arrivals.Clone() {
+						p.Push(e)
+					}
+					p.Finish()
+					if pol.decisions == 0 || pol.positive == 0 {
+						t.Fatalf("%d decisions, %d with K > 0: the search was not exercised", pol.decisions, pol.positive)
+					}
+					if pol.ties > 0 {
+						t.Logf("%d of %d decisions broke a rounding tie", pol.ties, pol.decisions)
+					}
+				})
 			}
 		}
 	}

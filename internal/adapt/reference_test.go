@@ -170,39 +170,14 @@ func (ev *RefEvaluator) effectiveWindow(j, shift int) float64 {
 	return sum
 }
 
-// Decide is the old Model.decide: Alg. 3's scan or the bisection over the
-// float evaluator, clamped to MaxD^H.
+// Decide is the old Model.decide: Alg. 3's scan over the float evaluator,
+// clamped to MaxD^H.
 func (ev *RefEvaluator) Decide(snap *profiler.Snapshot, gammaPrime float64) stream.Time {
-	g, maxDH := ev.cfg.G, ev.maxDH
 	var k stream.Time
-	if ev.cfg.Search == BinarySearch {
-		k = ev.searchBinary(snap, gammaPrime)
-	} else {
-		for ev.Recall(k, snap) < gammaPrime && k <= maxDH {
-			k += g
-		}
+	for ev.Recall(k, snap) < gammaPrime && k <= ev.maxDH {
+		k += ev.cfg.G
 	}
-	return min(k, maxDH)
-}
-
-func (ev *RefEvaluator) searchBinary(snap *profiler.Snapshot, gammaPrime float64) stream.Time {
-	g, maxDH := ev.cfg.G, ev.maxDH
-	if ev.Recall(0, snap) >= gammaPrime {
-		return 0
-	}
-	if ev.Recall(maxDH, snap) < gammaPrime {
-		return maxDH
-	}
-	lo, hi := stream.Time(0), (maxDH+g-1)/g // in units of g; recall(hi·g) ≥ Γ′
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if ev.Recall(mid*g, snap) >= gammaPrime {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi * g
+	return min(k, ev.maxDH)
 }
 
 // seekRef is the seek the one-pass form replaced, kept verbatim but for its
@@ -329,13 +304,16 @@ func (m *Model) searchPlain(ev *evaluator, snap *profiler.Snapshot, gammaPrime f
 }
 
 // Alg3 is the decision the plain scan makes on the model's current
-// statistics, clamped to MaxD^H as decide clamps it, and the number of
+// statistics, clamped to MaxD^H as searchLinear's result is, and the number of
 // candidates it evaluated. The model's own instrumentation is left alone.
 func (m *Model) Alg3(snap *profiler.Snapshot, gammaPrime float64) (k stream.Time, iterations int64) {
 	maxDH := m.stats.MaxDelayRecent()
 	k = m.searchPlain(m.newEvaluator(), snap, gammaPrime, maxDH, &iterations)
 	return min(k, maxDH), iterations
 }
+
+// BuildStats is buildStats for the package's external tests.
+var BuildStats = buildStats
 
 // NewFakeSource returns a Source over hand-built histograms: input i merges
 // delays[i] and has K^sync ksync[i]. MaxD^H is maxDH when positive, else the
@@ -475,11 +453,11 @@ func unskippable() (Source, *profiler.Snapshot) {
 var sinkK stream.Time
 
 // BenchmarkDecide measures one Buffer-Size Manager decision (W = 5 s,
-// b = g = 10 ms, Γ′ = 0.99) of the bounded scan (linear), the plain scan it
-// replaced (alg3) and bisection (binary) on two profiles: x3, x3-shaped
-// EqSel statistics, where every block before k*'s is skipped; and worst,
-// unskippable's, where the bounded scan pays every envelope on top of every
-// candidate the plain scan evaluates.
+// b = g = 10 ms, Γ′ = 0.99) of the bounded scan (linear) and the plain scan
+// it replaced (alg3) on two profiles: x3, x3-shaped EqSel statistics, where
+// every block before k*'s is skipped; and worst, unskippable's, where the
+// bounded scan pays every envelope on top of every candidate the plain scan
+// evaluates.
 func BenchmarkDecide(b *testing.B) {
 	w := 5 * stream.Second
 	worst, worstSnap := unskippable()
@@ -493,12 +471,9 @@ func BenchmarkDecide(b *testing.B) {
 		{"worst", worst, worstSnap, NonEqSel},
 	}
 	for _, p := range profiles {
-		for _, search := range []string{"linear", "alg3", "binary"} {
+		for _, search := range []string{"linear", "alg3"} {
 			b.Run(p.name+"/"+search, func(b *testing.B) {
 				cfg := Config{Gamma: 0.99, NoCalibration: true, Strategy: p.strategy}
-				if search == "binary" {
-					cfg.Search = BinarySearch
-				}
 				m := NewModel(cfg, []stream.Time{w, w, w}, p.src, nil)
 				var iters int64
 				b.ReportAllocs()

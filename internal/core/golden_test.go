@@ -87,10 +87,9 @@ func goldenConfigs() []struct {
 		{"x3-model-noneqsel", func(emit func(stream.Result)) Config {
 			return Config{Windows: x3.Windows, Cond: x3.Cond, Adapt: acfg, Emit: emit}
 		}, x3.Arrivals},
-		{"x3-model-eqsel-binary", func(emit func(stream.Result)) Config {
+		{"x3-model-eqsel", func(emit func(stream.Result)) Config {
 			a := acfg
 			a.Strategy = adapt.EqSel
-			a.Search = adapt.BinarySearch
 			return Config{Windows: x3.Windows, Cond: x3.Cond, Adapt: a, Emit: emit}
 		}, x3.Arrivals},
 		{"x3-maxk", func(emit func(stream.Result)) Config {

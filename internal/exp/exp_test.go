@@ -119,8 +119,8 @@ func TestFigureRunnersPrint(t *testing.T) {
 		t.Fatal("Fig6 must summarize one dataset")
 	}
 	rows := Ablations(io.Discard, ds)
-	if len(rows) != 5 {
-		t.Fatalf("Ablations rows = %d, want 5", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("Ablations rows = %d, want 4", len(rows))
 	}
 }
 

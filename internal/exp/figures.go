@@ -206,8 +206,6 @@ func Ablations(w io.Writer, datasets []*Dataset) []Fig7Row {
 		{name: "no Γ' calibration", mut: func(c *adapt.Config) { c.NoCalibration = true }, policy: feedback.ModelPolicy()},
 		{name: "fixed R^stat (1024)", mut: func(*adapt.Config) {},
 			sOpts: []stats.Option{stats.WithFixedHistory(1024)}, policy: feedback.ModelPolicy()},
-		{name: "binary K search", mut: func(c *adapt.Config) { c.Search = adapt.BinarySearch },
-			policy: feedback.ModelPolicy()},
 	}
 	for _, ds := range datasets {
 		fmt.Fprintf(w, "\n-- %s (Γ = %g) --\n", ds.Name, gamma)

@@ -210,8 +210,8 @@ func (en *Engine) Pushed() int64 { return en.pushes }
 // adaptFingerprint serializes the normalized adaptation parameters that
 // determine a policy's boundary schedule and decision inputs.
 func adaptFingerprint(a adapt.Config) string {
-	return fmt.Sprintf("g%v;P%d;L%d;b%d;gr%d;st%d;se%d;nc%t",
-		a.Gamma, a.P, a.L, a.B, a.G, a.Strategy, a.Search, a.NoCalibration)
+	return fmt.Sprintf("g%v;P%d;L%d;b%d;gr%d;st%d;nc%t",
+		a.Gamma, a.P, a.L, a.B, a.G, a.Strategy, a.NoCalibration)
 }
 
 // kClass names the K-trajectory equivalence class of a query: two queries

@@ -218,10 +218,11 @@ func TestOptionMatrix(t *testing.T) {
 	}
 }
 
-// TestOptionsGammaChecked: every constructor that takes Options refuses a Γ
-// outside (0, 1] at construction — NaN used to run as almost Γ = 1 and a
-// negative Γ as No-K-slack — while 0 keeps selecting the default.
-func TestOptionsGammaChecked(t *testing.T) {
+// TestOptionsChecked: every constructor that takes Options refuses, at
+// construction, a Γ outside (0, 1] — NaN used to run as almost Γ = 1 — and a
+// Strategy, Policy or Search outside its constants: a Strategy(7) ran
+// without the Eq. 6 ratio. Γ = 0 keeps selecting the default.
+func TestOptionsChecked(t *testing.T) {
 	windows := []Time{Second, Second, Second}
 	cond := EquiChain(3, 0)
 	src := NewJoin(cond, windows, Options{})
@@ -245,23 +246,33 @@ func TestOptionsGammaChecked(t *testing.T) {
 			mj.Add(cond, windows, o)
 		},
 	}
+	rows := []struct {
+		opt   Options
+		field string // the field the refusal names; "" constructs
+	}{
+		{Options{}, ""}, {Options{Gamma: 0.5}, ""}, {Options{Gamma: 0.95}, ""}, {Options{Gamma: 1}, ""},
+		{Options{Gamma: math.NaN()}, "Gamma"}, {Options{Gamma: -0.5}, "Gamma"}, {Options{Gamma: math.Inf(-1)}, "Gamma"},
+		{Options{Gamma: 1.5}, "Gamma"}, {Options{Gamma: math.Inf(1)}, "Gamma"},
+		{Options{Strategy: EqSel}, ""}, {Options{Strategy: 2}, "Strategy"}, {Options{Strategy: -1}, "Strategy"},
+		{Options{Policy: StaticSlack + 1}, "Policy"}, {Options{Policy: -1}, "Policy"},
+		{Options{Search: 1}, "Search"},
+	}
 	for host, build := range hosts {
-		for _, gamma := range []float64{0, 0.5, 0.95, 1, math.NaN(), -0.5, math.Inf(-1), 1.5, math.Inf(1)} {
+		for _, r := range rows {
 			var refusal string
 			func() {
 				defer func() {
-					if r := recover(); r != nil {
-						refusal = fmt.Sprint(r)
+					if p := recover(); p != nil {
+						refusal = fmt.Sprint(p)
 					}
 				}()
-				build(Options{Gamma: gamma})
+				build(r.opt)
 			}()
-			valid := gamma >= 0 && gamma <= 1
 			switch {
-			case valid && refusal != "":
-				t.Errorf("%s(Gamma %v): must construct, panicked: %s", host, gamma, refusal)
-			case !valid && !strings.HasPrefix(refusal, "qdhj: Options.Gamma"):
-				t.Errorf("%s(Gamma %v): want a construction-time panic naming Options.Gamma, got %q", host, gamma, refusal)
+			case r.field == "" && refusal != "":
+				t.Errorf("%s(%+v): must construct, panicked: %s", host, r.opt, refusal)
+			case r.field != "" && !strings.HasPrefix(refusal, "qdhj: Options."+r.field+" = "):
+				t.Errorf("%s(%+v): want a construction-time panic naming Options.%s, got %q", host, r.opt, r.field, refusal)
 			}
 		}
 	}

@@ -109,25 +109,26 @@ type Options struct {
 	BasicWindow Time
 	// Granularity is the K-search granularity g.
 	Granularity Time
-	// Strategy selects EqSel or NonEqSel (default NonEqSel).
+	// Strategy selects EqSel or NonEqSel (default NonEqSel); any other
+	// value panics at construction.
 	Strategy Strategy
-	// Search selects the Alg. 3 k* search: LinearSearch (the paper) or
-	// BinarySearch (this library's extension of the paper's future work).
+	// Search must be LinearSearch, Alg. 3's bounded scan (DESIGN.md §4);
+	// any other value panics at construction. The field stays only while
+	// the benchmark harness sets it (ROADMAP 1, 17).
 	Search Search
-	// Policy selects the buffer-sizing policy (default QualityDriven).
+	// Policy selects the buffer-sizing policy (default QualityDriven); a
+	// value other than the four constants panics at construction.
 	Policy Policy
 	// StaticK is the buffer size used by the StaticSlack policy.
 	StaticK Time
 }
 
-// Search selects the buffer-size search algorithm.
+// Search names the k* search of the model-based policy; LinearSearch is
+// its only value (see Options.Search).
 type Search = adapt.Search
 
-// Search algorithms for the model-based policy.
-const (
-	LinearSearch = adapt.LinearSearch
-	BinarySearch = adapt.BinarySearch
-)
+// LinearSearch is Alg. 3's scan, the one k* search.
+const LinearSearch = adapt.LinearSearch
 
 // JoinOption configures a Join; NewJoin and Restore take it. Pairs of
 // options that do not combine panic at construction with "qdhj: <A>
@@ -328,9 +329,24 @@ func (opt Options) gamma() float64 {
 	return opt.Gamma
 }
 
+// check panics on an enum field outside its constants, which the feedback
+// loop would not refuse: it would run a Strategy(7) without the Eq. 6 ratio
+// while naming it NonEqSel, and a Policy(9) as QualityDriven.
+func (opt Options) check() {
+	switch {
+	case opt.Strategy != NonEqSel && opt.Strategy != EqSel:
+		panic(fmt.Sprintf("qdhj: Options.Strategy = %d is neither NonEqSel nor EqSel", int(opt.Strategy)))
+	case opt.Policy < QualityDriven || opt.Policy > StaticSlack:
+		panic(fmt.Sprintf("qdhj: Options.Policy = %d is not QualityDriven, MaxSlack, NoSlack or StaticSlack", int(opt.Policy)))
+	case opt.Search != LinearSearch:
+		panic(fmt.Sprintf("qdhj: Options.Search = %d is not LinearSearch, the one k* search", int(opt.Search)))
+	}
+}
+
 // execConfig maps the public Options (plus the option-provided callbacks)
 // onto the planner's executor config.
 func execConfig(opt Options, jo *joinOpts) plan.ExecConfig {
+	opt.check()
 	cfg := plan.ExecConfig{
 		Adapt: adapt.Config{
 			Gamma:    opt.gamma(),
@@ -339,7 +355,6 @@ func execConfig(opt Options, jo *joinOpts) plan.ExecConfig {
 			B:        opt.BasicWindow,
 			G:        opt.Granularity,
 			Strategy: opt.Strategy,
-			Search:   opt.Search,
 		},
 		StaticK:    opt.StaticK,
 		Emit:       jo.emit,
