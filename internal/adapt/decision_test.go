@@ -148,9 +148,7 @@ func TestBoundedScanMatchesAlg3(t *testing.T) {
 //   - a prefix of coarse delays with n^on = 0, or with n× = 0 as well;
 //   - out-of-order stragglers far past the in-order maximum delay (maxDM);
 //   - MaxD^H below g, and K^sync off the multiples of g.
-//
-// On measured statistics Γ′ = 0 decides K = 0, Γ′ = 1 at most MaxD^H, and
-// a deep k* takes fewer evaluations than the plain scan.
+
 func handBuiltDecisions(t *testing.T) {
 	const gamma = 0.95
 	decide := func(trial int, src adapt.Source, windows []stream.Time, g stream.Time, snap *profiler.Snapshot) {
@@ -184,24 +182,6 @@ func handBuiltDecisions(t *testing.T) {
 		}
 	}
 	decide(-1, adapt.NewFakeSource([][]*hist.Histogram{{h}}, []stream.Time{0}, 0), []stream.Time{100}, 10, prof.Snapshot())
-
-	// Two streams, no snapshot: 40 % of the tuples 300 ms late (MaxD^H), then
-	// half of them 2 s late: k* = 2 s at Γ′ = 0.999, 22 evaluations to 201.
-	w := []stream.Time{5000, 5000}
-	st := adapt.BuildStats(2, 10, 0.4, 300, 1000)
-	for _, gp := range []float64{0, 1} {
-		pol := &alg3Policy{t: t, model: adapt.NewModel(adapt.Config{Gamma: gp}, w, st, nil)}
-		k := pol.model.DecideShared(0, nil, gp)
-		pol.check(-2, k, nil, gp)
-		if gp == 0 && k != 0 || k > 300 {
-			t.Errorf("Γ′ = %v: K = %d on delays of at most 300 ms", gp, k)
-		}
-	}
-	deep := &alg3Policy{t: t, model: adapt.NewModel(adapt.Config{Gamma: 0.999}, w, adapt.BuildStats(2, 10, 0.5, 2000, 3000), nil)}
-	deep.check(-3, deep.model.DecideShared(0, nil, 0.999), nil, 0.999)
-	if _, iters, _ := deep.model.AdaptStats(); iters >= deep.plainIters {
-		t.Errorf("k* deep: the bounded scan evaluated %d times, the plain scan %d", iters, deep.plainIters)
-	}
 
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 400; trial++ {
@@ -260,6 +240,39 @@ func handBuiltDecisions(t *testing.T) {
 		}
 		decide(trial, src, windows, g, prof.Snapshot())
 	}
+}
+
+// TestBinarySearchBoundaries: degenerate requirements on measured
+// statistics. Two streams, no snapshot, 40 % of the tuples up to 300 ms
+// late (MaxD^H): Γ′ = 0 decides K = 0 and Γ′ = 1 at most MaxD^H, each
+// equal to the plain Alg. 3 scan's k*. The name predates the bisection's
+// deletion; the checks hold the one k* search, the bounded scan.
+func TestBinarySearchBoundaries(t *testing.T) {
+	w := []stream.Time{5000, 5000}
+	st := adapt.BuildStats(2, 10, 0.4, 300, 1000)
+	for _, gp := range []float64{0, 1} {
+		pol := &alg3Policy{t: t, model: adapt.NewModel(adapt.Config{Gamma: gp}, w, st, nil)}
+		k := pol.model.DecideShared(0, nil, gp)
+		pol.check(-2, k, nil, gp)
+		if gp == 0 && k != 0 || k > 300 {
+			t.Errorf("Γ′ = %v: K = %d on delays of at most 300 ms", gp, k)
+		}
+	}
+}
+
+// TestBinarySearchFewerIterations: with k* deep (half of the tuples 2 s
+// late, Γ′ = 0.999) the bounded scan decides the plain Alg. 3 scan's k*
+// from fewer model evaluations than that scan. The name predates the
+// bisection's deletion; the check holds the one k* search.
+func TestBinarySearchFewerIterations(t *testing.T) {
+	w := []stream.Time{5000, 5000}
+	deep := &alg3Policy{t: t, model: adapt.NewModel(adapt.Config{Gamma: 0.999}, w, adapt.BuildStats(2, 10, 0.5, 2000, 3000), nil)}
+	deep.check(-3, deep.model.DecideShared(0, nil, 0.999), nil, 0.999)
+	_, iters, _ := deep.model.AdaptStats()
+	if iters >= deep.plainIters {
+		t.Errorf("k* deep: the bounded scan evaluated %d times, the plain scan %d", iters, deep.plainIters)
+	}
+	t.Logf("evaluations: plain scan %d, bounded scan %d", deep.plainIters, iters)
 }
 
 func abs(x int) int {
