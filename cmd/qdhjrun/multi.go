@@ -69,11 +69,12 @@ func parseQuerySpecs(path, defPolicy string, defGamma, defK float64) ([]querySpe
 			case "policy":
 				s.policy = v
 			case "gamma":
-				if s.gamma, err = strconv.ParseFloat(v, 64); err != nil {
+				// Negated comparisons, as flagConflict's, so NaN is refused.
+				if s.gamma, err = strconv.ParseFloat(v, 64); err != nil || !(s.gamma > 0 && s.gamma <= 1) {
 					return nil, fmt.Errorf("%s:%d: bad gamma %q", path, ln, v)
 				}
 			case "k":
-				if s.staticK, err = strconv.ParseFloat(v, 64); err != nil {
+				if s.staticK, err = strconv.ParseFloat(v, 64); err != nil || !(s.staticK >= 0) {
 					return nil, fmt.Errorf("%s:%d: bad k %q", path, ln, v)
 				}
 			default:

@@ -16,8 +16,8 @@
 // timestamps), so runs are deterministic and replay far faster than real
 // time. Push runs on the caller's goroutine; the only concurrency is the
 // shard workers (internal/shard, internal/net over TCP, or a tree's sharded
-// stages) and the async statistics feeder of the flat sharded path, all
-// synchronized at every adaptation boundary.
+// stages) and, under the model policy, the async statistics feeder of the
+// flat sharded path, all synchronized at every adaptation boundary.
 package core
 
 import (
@@ -148,8 +148,9 @@ type Pipeline struct {
 	leaves [][]int
 
 	// The body behind the K-slack buffers: a Synchronizer feeding op, or rt
-	// on the sharded path, where the loop runs its Statistics Manager
-	// asynchronously, barriered before every decision; or a plan tree.
+	// on the sharded path, where a history-keeping loop runs its Statistics
+	// Manager asynchronously, barriered before every decision; or a plan
+	// tree.
 	sync *syncer.Synchronizer
 	op   *join.Operator
 	rt   Runtime

@@ -24,7 +24,10 @@
 //		… apply ks to the executor's K-slack buffers …
 //	}
 //
-// Statistics observation can run asynchronously (Async): arrivals are
+// The loop keeps the Statistics Manager's delay history only when a scope's
+// policy reads it (every policy but the NoK, Static and MaxK baselines);
+// otherwise the manager is history-free and Observe costs a few ns. A
+// history-keeping loop can observe asynchronously (Async): arrivals are
 // batched to a feeder goroutine and barrier-synced before every decision,
 // which is how the sharded pipeline keeps Observe off its ingest thread.
 package feedback
@@ -123,7 +126,9 @@ type Config struct {
 	// InitialK is the buffer size reported before the first decision.
 	InitialK stream.Time
 	// Async moves stats.Observe onto a feeder goroutine, batched by
-	// AsyncBatch (0 = default); Sync() barriers before every decision.
+	// AsyncBatch (0 = default); Sync() barriers before every decision. A
+	// loop whose policies read no history starts no feeder: its Observe
+	// stays on the caller's thread.
 	Async      bool
 	AsyncBatch int
 	// Stats injects an externally owned Statistics Manager instead of
@@ -223,10 +228,29 @@ func New(cfg Config) *Loop {
 		l.scopes[i] = st
 		l.ks[i] = cfg.InitialK
 	}
-	if cfg.Async {
+	reads := l.ReadsHistory()
+	if !l.extStats {
+		l.stats.SetHistory(reads)
+	}
+	if cfg.Async && reads {
 		l.feeder = newFeeder(l.stats.Observe, cfg.AsyncBatch)
 	}
 	return l
+}
+
+// ReadsHistory reports whether a scope's policy reads the Statistics
+// Manager's delay history: the model policy does (Alg. 3 searches the delay
+// histograms and K^sync), so does any policy the loop does not know; the
+// NoK, Static and MaxK baselines do not.
+func (l *Loop) ReadsHistory() bool {
+	for _, sc := range l.scopes {
+		switch sc.policy.(type) {
+		case adapt.NoK, adapt.Static, adapt.MaxK:
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // Observe records one raw arrival with the Statistics Manager (directly, or

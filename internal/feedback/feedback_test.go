@@ -284,3 +284,63 @@ func TestRestoreCarriesGammaPrime(t *testing.T) {
 		t.Fatalf("capture → restore → capture differs:\n%+v\nwant\n%+v", again, st)
 	}
 }
+
+// wrapped is a policy the loop does not know, built on the model.
+type wrapped struct{ adapt.Policy }
+
+// TestHistoryOnlyWhereRead: a loop keeps the Statistics Manager's delay
+// history, and on an Async config starts its feeder goroutine, iff a scope
+// runs a policy that reads it — the model, or one the loop does not know
+// (here a wrapped model); the NoK, Static and MaxK baselines get a
+// history-free manager observed on the caller's thread. An injected manager
+// keeps the mode its owner chose. Building a model loop history-free fails
+// the "model" rows, keeping the history under NoK the "nok" rows.
+func TestHistoryOnlyWhereRead(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy PolicyFactory
+		reads  bool
+	}{
+		{"model", ModelPolicy(), true},
+		{"wrapped-model", func(env Env) adapt.Policy { return wrapped{ModelPolicy()(env)} }, true},
+		{"nok", NoKPolicy(), false},
+		{"static", StaticPolicy(stream.Second), false},
+		{"maxk", MaxKPolicy(), false},
+	} {
+		for _, async := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/async=%v", tc.name, async), func(t *testing.T) {
+				l := New(Config{
+					Windows: []stream.Time{stream.Second, stream.Second},
+					Adapt:   adapt.Config{Gamma: 0.9, P: 10 * stream.Second, L: stream.Second},
+					Policy:  tc.policy,
+					Async:   async,
+				})
+				defer l.Close()
+				if l.ReadsHistory() != tc.reads || (l.feeder != nil) != (async && tc.reads) {
+					t.Fatalf("ReadsHistory %v, feeder %v; want %v, %v", l.ReadsHistory(), l.feeder != nil, tc.reads, async && tc.reads)
+				}
+				for i := range 400 {
+					ts := stream.Time(10 * i)
+					if i%5 == 4 {
+						ts -= 200
+					}
+					l.Observe(&stream.Tuple{TS: ts, Src: i % 2})
+				}
+				l.Sync()
+				if got := l.Stats().HistoryLen(0) > 0; got != tc.reads {
+					t.Fatalf("HistoryLen(0) = %d after the feed", l.Stats().HistoryLen(0))
+				}
+				if l.Stats().MaxDelayAllTime() == 0 {
+					t.Fatal("MaxDelayAllTime = 0 after a late feed")
+				}
+			})
+		}
+	}
+	mgr := stats.NewManager(2, stream.Millisecond)
+	New(Config{Windows: []stream.Time{stream.Second, stream.Second}, Policy: NoKPolicy(), Stats: mgr})
+	mgr.Observe(&stream.Tuple{TS: 10})
+	mgr.Observe(&stream.Tuple{TS: 5})
+	if mgr.HistoryLen(0) != 2 {
+		t.Fatal("a NoK loop dropped its injected manager's history")
+	}
+}

@@ -7,11 +7,11 @@ import (
 )
 
 // feeder moves the Statistics Manager off the ingest thread in async
-// (sharded) runs: Observe touches per-stream delay histograms and ADWIN
-// state that nothing on the per-tuple hot path reads — the feedback loop
-// consults them only at adaptation boundaries — so the updates can run on
-// their own goroutine, batched, and merely need to be caught up before
-// each K decision. sync() provides that barrier.
+// (sharded) runs of a history-keeping loop: Observe touches per-stream delay
+// histograms and ADWIN state that nothing on the per-tuple hot path reads —
+// the feedback loop consults them only at adaptation boundaries — so the
+// updates can run on their own goroutine, batched, and merely need to be
+// caught up before each K decision. sync() provides that barrier.
 type feeder struct {
 	ch   chan []*stream.Tuple
 	ack  chan struct{}

@@ -390,3 +390,60 @@ func TestMultiLifecyclePanics(t *testing.T) {
 		addQuery(en5, s)
 	})
 }
+
+// TestMultiPoolHistory: a cohort's shared Statistics Manager keeps the delay
+// history iff one of its queries runs the model policy. The first cohort's
+// NoK, Static and MaxK queries share a history-free pool; in the cohort
+// added mid-stream a model query joins after a NoK one and the pool they
+// share keeps the history from its first arrival. Every query stays
+// bit-for-bit its standalone run.
+func TestMultiPoolHistory(t *testing.T) {
+	leakcheck.Check(t)
+	in := difftest.MixWorkload(3, 350, 41, 14)
+	cut := len(in) / 2
+	spec := func(p plan.Policy, k stream.Time) qspec {
+		return qspec{cond: func() *join.Condition { return join.EquiChain(3, 0) },
+			windows: windows3(), policy: p, staticK: k, adapt: tightAdapt(), emit: true}
+	}
+	early := []qspec{spec(plan.PolicyNoK, 0), spec(plan.PolicyStatic, 300), spec(plan.PolicyMaxK, 0)}
+	late := []qspec{spec(plan.PolicyNoK, 0), spec(plan.PolicyModel, 0)}
+
+	en := multi.NewEngine(3)
+	var qs []*multi.Query
+	var caps, wants []*difftest.Run
+	add := func(s qspec, from int) {
+		q, c := addQuery(en, s)
+		qs, caps = append(qs, q), append(caps, c)
+		wants = append(wants, runStandalone(t, s, in.Clone()[from:], true))
+	}
+	for _, s := range early {
+		add(s, 0)
+	}
+	feed := in.Clone()
+	for _, e := range feed[:cut] {
+		en.Push(e)
+	}
+	for _, s := range late {
+		add(s, cut)
+	}
+	for _, e := range feed[cut:] {
+		en.Push(e)
+	}
+	for i, q := range qs {
+		st, model, pool := q.Loop().Stats(), i >= len(early), qs[0].Loop().Stats()
+		if model {
+			pool = qs[len(qs)-1].Loop().Stats()
+		}
+		if st != pool {
+			t.Fatalf("q%d does not read its cohort's one pool", i)
+		}
+		if (st.HistoryLen(0) > 0) != model {
+			t.Fatalf("q%d: HistoryLen(0) %d; the pool should keep the history: %v", i, st.HistoryLen(0), model)
+		}
+	}
+	en.Close()
+	for i, q := range qs {
+		finish(t, q, caps[i])
+		difftest.Compare(t, fmt.Sprintf("q%d", i), wants[i], caps[i])
+	}
+}

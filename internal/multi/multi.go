@@ -26,7 +26,9 @@
 //     arrival-driven and query-independent, so one shared manager per
 //     distinct granularity is fed exactly once per arrival and every query
 //     loop of the cohort reads it (feedback.Config.Stats): N loops cost one
-//     Observe per arrival.
+//     Observe per arrival. The pool keeps the delay history only once a
+//     query that reads it (the model policy) joins; a cohort's membership
+//     is frozen at its first push, so the choice precedes every arrival.
 //
 //   - Group (per cohort, per windows × K-class): queries share K-slack
 //     buffers, Synchronizer, and windows only when their K trajectories are
@@ -291,6 +293,9 @@ func (en *Engine) Add(cfg QueryConfig) *Query {
 		Stats:    pool.st,
 	})
 	q.model = q.loop.Model(0)
+	if q.loop.ReadsHistory() {
+		pool.st.SetHistory(true)
+	}
 	q.mem = g.op.Add(cfg.Cond, resSig, cfg.Emit, q.onResultCount, q.onProcessed)
 	pool.refs++
 	g.queries = append(g.queries, q)
@@ -320,6 +325,7 @@ func (c *cohort) pool(m int, g stream.Time) *statsPool {
 		}
 	}
 	p := &statsPool{g: g, st: stats.NewManager(m, g)}
+	p.st.SetHistory(false) // until a query that reads it joins (Engine.Add)
 	c.pools = append(c.pools, p)
 	return p
 }

@@ -639,52 +639,62 @@ func (f *lapFeed) next() *stream.Tuple {
 	return &f.cur
 }
 
-// observeFeeds are the three arrival patterns the allocation gate and the
+// observeFeeds are the arrival patterns the allocation gate and the
 // benchmark run: the x3 synthetic feed (stationary Zipf delays — the filter's
 // home ground), soccer's delay bursts, and a regime that flips every 64
 // arrivals of a stream between in-order and ≈ 5 s late. The last keeps ADWIN
 // cutting — a cut every ≈ 30 arrivals, a window of ≈ 40 — which is where the
 // most boundaries pass the filter and pay for it on top of the exact test.
+// The x3 feed runs once more through a history-free Manager (free), the
+// Observe of every baseline policy.
 var observeFeeds = []struct {
 	name string
 	new  func() *lapFeed
+	free bool
 }{
-	{"x3", func() *lapFeed {
-		ds := gen.Synthetic3(gen.SynthConfig{Duration: 2 * stream.Minute, Seed: 42})
-		return newLapFeed(ds.M, ds.Arrivals)
-	}},
+	{"x3", x3Lap, false},
 	{"soccer", func() *lapFeed {
 		ds := gen.Soccer(gen.SoccerConfig{Duration: 2 * stream.Minute, Seed: 42})
 		return newLapFeed(ds.M, ds.Arrivals)
-	}},
-	{"flip64", func() *lapFeed {
-		rng := rand.New(rand.NewSource(7))
-		var lap stream.Batch
-		now := stream.Time(0)
-		for i := 0; i < 1<<14; i++ {
-			now += 10
-			ts := now
-			if (i/(3*64))%2 == 1 && i%8 >= 3 {
-				ts -= stream.Time(4000 + rng.Intn(2000))
-			}
-			lap = append(lap, &stream.Tuple{TS: ts, Src: i % 3, Seq: uint64(i)})
+	}, false},
+	{"flip64", flipLap, false},
+	{"x3-history-free", x3Lap, true},
+}
+
+func x3Lap() *lapFeed {
+	ds := gen.Synthetic3(gen.SynthConfig{Duration: 2 * stream.Minute, Seed: 42})
+	return newLapFeed(ds.M, ds.Arrivals)
+}
+
+func flipLap() *lapFeed {
+	rng := rand.New(rand.NewSource(7))
+	var lap stream.Batch
+	now := stream.Time(0)
+	for i := 0; i < 1<<14; i++ {
+		now += 10
+		ts := now
+		if (i/(3*64))%2 == 1 && i%8 >= 3 {
+			ts -= stream.Time(4000 + rng.Intn(2000))
 		}
-		return newLapFeed(3, lap)
-	}},
+		lap = append(lap, &stream.Tuple{TS: ts, Src: i % 3, Seq: uint64(i)})
+	}
+	return newLapFeed(3, lap)
 }
 
 // TestObserveSteadyStateZeroAllocs: once the histories, the histograms and
 // ADWIN's rows have reached their high-water marks, Observe — clocks, skew
-// scan, ADWIN, history push and eviction, block recycling — never allocates.
+// scan, ADWIN, history push and eviction, block recycling — never allocates;
+// nor does a history-free Observe.
 func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	for _, of := range observeFeeds {
 		t.Run(of.name, func(t *testing.T) {
 			f := of.new()
 			mgr := NewManager(f.m, 10)
+			mgr.SetHistory(!of.free)
 			for i := 0; i < 3*len(f.lap); i++ {
 				mgr.Observe(f.next())
 			}
-			for i := 0; i < f.m; i++ {
+			for i := 0; i < f.m && !of.free; i++ {
 				if mgr.HistoryLen(i) == 0 || mgr.streams[i].history.Blocks() < 2 {
 					t.Fatalf("stream %d: history never outgrew one block; the test would not see recycling", i)
 				}
@@ -701,17 +711,19 @@ func TestObserveSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkObserve prices one raw arrival on the three feeds; flip64 is the
-// worst case that must stay no slower than the unfiltered scan. After the
-// timed loop it times up to 2¹⁸ more arrivals one by one and reports the mean
-// of the slowest 1 % as tail-ns/op, and the mean of the arrivals that carry
-// an ADWIN cut — and its trim of R^stat — as cut-ns/op: the costs the mean
-// hides.
+// BenchmarkObserve prices one raw arrival on the observeFeeds; flip64 is the
+// worst case that must stay no slower than the unfiltered scan, and
+// x3-history-free is what x3 costs a baseline policy. After the timed loop
+// it times up to 2¹⁸ more arrivals one by one and reports the mean of the
+// slowest 1 % as tail-ns/op, and the mean of the arrivals that carry an
+// ADWIN cut — and its trim of R^stat — as cut-ns/op (0 without ADWIN): the
+// costs the mean hides.
 func BenchmarkObserve(b *testing.B) {
 	for _, of := range observeFeeds {
 		b.Run(of.name, func(b *testing.B) {
 			f := of.new()
 			mgr := NewManager(f.m, 10)
+			mgr.SetHistory(!of.free)
 			for i := 0; i < len(f.lap); i++ {
 				mgr.Observe(f.next())
 			}
@@ -737,11 +749,14 @@ func timeEach(mgr *Manager, f *lapFeed, n int) (tail, cut float64) {
 	for i := range ns {
 		e := f.next()
 		ad := mgr.streams[e.Src].ad
-		before := ad.Len()
+		before := 0
+		if ad != nil {
+			before = ad.Len()
+		}
 		t0 := time.Now()
 		mgr.Observe(e)
 		ns[i] = time.Since(t0).Nanoseconds()
-		if ad.Len() <= before { // a cut: the window did not grow by the arrival
+		if ad != nil && ad.Len() <= before { // a cut: the window did not grow by the arrival
 			cutSum += ns[i]
 			cuts++
 		}
@@ -756,4 +771,49 @@ func timeEach(mgr *Manager, f *lapFeed, n int) (tail, cut float64) {
 		sum += d
 	}
 	return float64(sum) / float64(len(slowest)), cut
+}
+
+// sameClocks fails t unless free answers every clock and count query as
+// full does, and reads no history.
+func sameClocks(t *testing.T, at string, free, full *Manager) {
+	t.Helper()
+	if free.GlobalT() != full.GlobalT() || free.MaxDelayAllTime() != full.MaxDelayAllTime() ||
+		free.MaxDelayRecent() != 0 {
+		t.Fatalf("%s: GlobalT/MaxDelayAllTime/MaxDelayRecent = %d/%d/%d, history-keeping %d/%d/-", at,
+			free.GlobalT(), free.MaxDelayAllTime(), free.MaxDelayRecent(), full.GlobalT(), full.MaxDelayAllTime())
+	}
+	for i := range free.streams {
+		if free.LocalT(i) != full.LocalT(i) || free.Arrivals(i) != full.Arrivals(i) || free.Rate(i) != full.Rate(i) ||
+			free.HistoryLen(i) != 0 || free.KSync(i) != 0 {
+			t.Fatalf("%s stream %d: LocalT/Arrivals/Rate/HistoryLen/KSync = %d/%d/%v/%d/%d, history-keeping %d/%d/%v/-/-", at, i,
+				free.LocalT(i), free.Arrivals(i), free.Rate(i), free.HistoryLen(i), free.KSync(i),
+				full.LocalT(i), full.Arrivals(i), full.Rate(i))
+		}
+	}
+}
+
+// TestHistoryFreeKeepsClocks: after every arrival of the x3, soccer, random
+// (regime changes among them) and regime-flip feeds, a history-free Manager
+// answers GlobalT, LocalT, Arrivals, Rate and MaxDelayAllTime — all a
+// baseline policy and Snapshot's Rate read — as the history-keeping one
+// does, and reads 0 for HistoryLen, MaxDelayRecent and KSync. An Observe
+// that returns before the all-time maximum delay is updated fails it.
+func TestHistoryFreeKeepsClocks(t *testing.T) {
+	feeds := differentialFeeds()
+	flip := flipLap()
+	feeds["flip64"] = struct {
+		m     int
+		batch stream.Batch
+	}{flip.m, flip.lap}
+	for name, f := range feeds {
+		t.Run(name, func(t *testing.T) {
+			free, full := NewManager(f.m, 10), NewManager(f.m, 10)
+			free.SetHistory(false)
+			for n, e := range f.batch {
+				free.Observe(e)
+				full.Observe(e)
+				sameClocks(t, fmt.Sprintf("arrival %d", n), free, full)
+			}
+		})
+	}
 }

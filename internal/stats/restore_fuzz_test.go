@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -50,7 +51,9 @@ func fuzzState(streams uint8, spec []byte) State {
 // restore: …" panic or restored; a restored Manager's State returns the
 // histories it was given, and the next 1 000 arrivals — drawn around the
 // restored clocks — answer every query as refManager restored from the
-// same State does.
+// same State does. A history-free Manager refuses the same States and
+// otherwise gives the same clocks back, before and after those arrivals.
+// The history-free-* seeds are states such a Manager writes: no histories.
 func FuzzStatsRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, streams uint8, fixed uint16, spec []byte, seed int64) {
 		st := fuzzState(streams, spec)
@@ -59,9 +62,18 @@ func FuzzStatsRestore(f *testing.F) {
 		if fixed > 0 {
 			opts = append(opts, WithFixedHistory(int(fixed)))
 		}
-		mgr := NewManager(m, 10, opts...)
-		if !restores(t, mgr, st) {
+		mgr, free := NewManager(m, 10, opts...), NewManager(m, 10, opts...)
+		free.SetHistory(false)
+		ok := restores(t, mgr, st)
+		if restores(t, free, st) != ok {
+			t.Fatalf("the history-keeping Manager restored: %v, the history-free one: %v", ok, !ok)
+		}
+		if !ok {
 			return
+		}
+		sameClocks(t, "restored", free, mgr)
+		if captured := gobBytes(t, free.State()); !bytes.Equal(gobBytes(t, roundTrip(t, free).State()), captured) {
+			t.Fatal("history-free: capture → restore → capture changed the gob bytes")
 		}
 		got := mgr.State()
 		for i, s := range st.Streams {
@@ -75,8 +87,11 @@ func FuzzStatsRestore(f *testing.F) {
 		for n := 0; n < 1000; n++ {
 			src := rng.Intn(m)
 			ts := mgr.LocalT(src) + stream.Time(rng.Intn(200)-150)
-			observeBoth(t, n, mgr, ref, &stream.Tuple{TS: ts, Src: src, Seq: uint64(n)})
+			e := &stream.Tuple{TS: ts, Src: src, Seq: uint64(n)}
+			observeBoth(t, n, mgr, ref, e)
+			free.Observe(e)
 		}
+		sameClocks(t, "1 000 arrivals after the restore", free, mgr)
 	})
 }
 

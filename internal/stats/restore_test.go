@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -29,7 +30,8 @@ func roundTrip(t *testing.T, mgr *Manager) *Manager {
 	if err := gob.NewDecoder(bytes.NewReader(gobBytes(t, mgr.State()))).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewManager(mgr.M(), mgr.g)
+	fresh := NewManager(mgr.M(), mgr.g, WithFixedHistory(mgr.fixed))
+	fresh.SetHistory(!mgr.noHist)
 	fresh.Restore(st)
 	return fresh
 }
@@ -96,5 +98,39 @@ func TestSnapshotFields(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%v has fields %v, want %v", typ, got, tc.want)
 		}
+	}
+}
+
+// TestRestoreHistoryFree: a history-free Manager's state carries no history
+// and no ADWIN; capture → restore → capture gives identical gob bytes, and
+// a state captured from a history-keeping Manager restores into a
+// history-free one with the same clocks and without its histories.
+func TestRestoreHistoryFree(t *testing.T) {
+	ds := gen.Synthetic3(gen.SynthConfig{Duration: 30 * stream.Second, Seed: 42})
+	free, full := NewManager(ds.M, 10), NewManager(ds.M, 10)
+	free.SetHistory(false)
+	for n, e := range ds.Arrivals {
+		free.Observe(e)
+		full.Observe(e)
+		if n%997 != 0 {
+			continue
+		}
+		captured := gobBytes(t, free.State())
+		for i, s := range free.State().Streams {
+			if s.Delays != nil || s.Skews != nil || s.Adwin != nil {
+				t.Fatalf("arrival %d stream %d: a history-free state carries %d delays, %d skews, ADWIN %v", n, i, len(s.Delays), len(s.Skews), s.Adwin != nil)
+			}
+		}
+		free = roundTrip(t, free)
+		if again := gobBytes(t, free.State()); !bytes.Equal(again, captured) {
+			t.Fatalf("arrival %d: capture → restore → capture changed the gob bytes (%d → %d bytes)", n, len(captured), len(again))
+		}
+		parent := NewManager(ds.M, 10)
+		parent.SetHistory(false)
+		parent.Restore(full.State())
+		if again := gobBytes(t, parent.State()); !bytes.Equal(again, captured) {
+			t.Fatalf("arrival %d: a history-keeping state restored history-free differs from the history-free state", n)
+		}
+		sameClocks(t, fmt.Sprintf("arrival %d", n), free, full)
 	}
 }

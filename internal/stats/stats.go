@@ -9,12 +9,19 @@
 // stable and shrinks when a change is detected. A fixed-size history is
 // available as an ablation.
 //
-// Observe runs on every raw arrival, whatever the policy and the plan shape:
-// the local clocks iT sit in one dense slice (the K^sync skew scan reads all
-// m), max_i iT is maintained on the way in rather than re-derived per GlobalT
-// call, and a warmed Manager allocates nothing. The history is a fifo.Pairs:
-// each (delay, skew) entry takes two zigzag varints in recycled byte blocks,
-// 2 to 5 bytes on the gated feeds where a pair of Times took 16.
+// Only Alg. 3's K search reads R^stat, so a Manager may be history-free
+// (SetHistory(false), which the feedback loop chooses when no scope runs the
+// model policy): Observe then keeps the local clocks, GlobalT, the arrival
+// counts and first timestamps behind Rate, and the all-time maximum delay
+// that Max-K-slack decides on, and skips ADWIN, R^stat, the histograms and
+// the skew sums, so HistoryLen, MaxDelayRecent and KSync read 0.
+//
+// A history-keeping Observe runs on every raw arrival: the local clocks iT
+// sit in one dense slice (the K^sync skew scan reads all m), max_i iT is
+// maintained on the way in rather than re-derived per GlobalT call, and a
+// warmed Manager allocates nothing. The history is a fifo.Pairs: each
+// (delay, skew) entry takes two zigzag varints in recycled byte blocks, 2 to
+// 5 bytes on the gated feeds where a pair of Times took 16.
 //
 // An ADWIN cut trims R^stat in one push, usually by far more than it keeps
 // (on the x3 feed a cut removes 417 entries on average and keeps 71). Such
@@ -43,7 +50,7 @@ const (
 // streamStats tracks one input stream; its local current time iT is
 // Manager.localT[i].
 type streamStats struct {
-	ad      *adwin.Window
+	ad      *adwin.Window // nil under a fixed history and on a history-free Manager
 	hist    *hist.Histogram
 	delays  [1]*hist.Histogram // {hist}: what Delays hands out, built once
 	history fifo.Pairs         // R^stat_i as (delay, skew = iT − min_j jT at arrival); ADWIN shrinks and regrows it
@@ -65,6 +72,7 @@ type Manager struct {
 	fixed   int           // fixed history length; 0 means ADWIN-adaptive
 	maxHist int
 	nSeen   int
+	noHist  bool // history-free: Observe keeps the clocks and the all-time max delay only
 }
 
 // Option customizes the Manager.
@@ -89,11 +97,30 @@ func NewManager(m int, g stream.Time, opts ...Option) *Manager {
 		ss := &mgr.streams[i]
 		ss.hist = hist.New(g)
 		ss.delays[0] = ss.hist
-		if mgr.fixed == 0 {
+	}
+	mgr.SetHistory(true)
+	return mgr
+}
+
+// SetHistory chooses whether the Manager keeps R^stat — ADWIN, the history,
+// the delay histograms and the skew sums — or only what the baselines read:
+// the clocks, the arrival counts and the all-time maximum delay. A new
+// Manager keeps it. The choice is made before the first arrival; SetHistory
+// panics on a Manager that has seen one.
+func (m *Manager) SetHistory(keep bool) {
+	if m.nSeen > 0 {
+		panic("stats: SetHistory after the first arrival — the history would start mid-stream")
+	}
+	m.noHist = !keep
+	for i := range m.streams {
+		ss := &m.streams[i]
+		switch {
+		case !keep || m.fixed > 0:
+			ss.ad = nil
+		case ss.ad == nil:
 			ss.ad = adwin.New(adwinDelta)
 		}
 	}
-	return mgr
 }
 
 // M returns the number of monitored streams.
@@ -119,6 +146,9 @@ func (m *Manager) Observe(e *stream.Tuple) {
 	delay := lt - e.TS
 	if delay > ss.maxDelay {
 		ss.maxDelay = delay
+	}
+	if m.noHist {
+		return
 	}
 
 	// Time skew measurement for K^sync (Proposition 1): taken against the
@@ -242,9 +272,12 @@ func (m *Manager) State() State {
 }
 
 // Restore loads a captured state into a freshly constructed Manager (same m,
-// granularity and options). Histories re-enter without re-trimming and
-// without feeding ADWIN — its native state is restored instead — so the
-// restored manager answers every query exactly as the checkpointed one did.
+// granularity, options and SetHistory). Histories re-enter without
+// re-trimming and without feeding ADWIN — its native state is restored
+// instead — so the restored manager answers every query exactly as the
+// checkpointed one did. A history-free Manager takes the clocks and counts
+// and drops the histories a state may carry (one written by a Manager that
+// kept them), after the same checks.
 // It panics with a "stats: restore: …" message on a state no Manager of this
 // shape can have produced: a different stream count, a stream whose Delays
 // and Skews differ in length, a history longer than the cap, or a negative
@@ -279,6 +312,9 @@ func (m *Manager) Restore(st State) {
 				m.globalT = s.LocalT
 			}
 			m.nSeen++
+		}
+		if m.noHist {
+			continue
 		}
 		ss.history.Reset()
 		ss.sumSkew = 0

@@ -487,14 +487,17 @@ func (j *Join) RunChannel(in <-chan *Tuple) <-chan Result {
 }
 
 // StreamStats is the read-only per-stream view of the Statistics Manager.
+// Only the Model policy keeps the delay history: under NoSlack, StaticSlack
+// and MaxSlack, HistoryLen, MaxDelayRecent and KSync read 0.
 type StreamStats struct {
 	// Rate is the average arrival rate in tuples per millisecond.
 	Rate float64
 	// HistoryLen is the current ADWIN-sized delay-history length R^stat.
 	HistoryLen int
-	// MaxDelayRecent is the largest tuple delay within the recent history.
+	// MaxDelayRecent is the largest tuple delay within that history.
 	MaxDelayRecent Time
-	// KSync is the Synchronizer's implicit buffer estimate (Prop. 1).
+	// KSync is the Synchronizer's implicit buffer estimate (Prop. 1), from
+	// that history's time skews.
 	KSync Time
 	// LocalT is the stream's local logical clock iT.
 	LocalT Time
