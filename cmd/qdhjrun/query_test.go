@@ -11,6 +11,7 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/gen"
 	"repro/internal/join"
+	"repro/internal/loopback"
 	qnet "repro/internal/net"
 	"repro/internal/oracle"
 	"repro/internal/stream"
@@ -88,23 +89,7 @@ func TestWorkersAutoPlanDeploys(t *testing.T) {
 	}
 	for _, q := range []string{"x2", "x4"} {
 		t.Run(q, func(t *testing.T) {
-			addrs := make([]string, 2)
-			for i := range addrs {
-				l, err := stdnet.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				addrs[i] = l.Addr().String()
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					_ = qnet.Serve(l, qnet.ServeConfig{})
-				}()
-				t.Cleanup(func() {
-					l.Close()
-					<-done
-				})
-			}
+			addrs := loopback.Listen(t, 2, func(_ int, l stdnet.Listener) { _ = qnet.Serve(l, qnet.ServeConfig{}) })
 			ds := feeds[q]
 			cond := queryFor(q, ds.M)
 			p, err := qdhj.ParsePlan(resolvePlanSpec("auto", len(addrs), false), cond, ds.Windows, 2)

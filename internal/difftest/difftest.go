@@ -2,7 +2,7 @@
 // checked against one flat reference, on the same feeds, keyed the same way
 // and compared by one function.
 //
-//   - The feeds (MixWorkload, GenSeq, Arrivals) and the condition tables
+//   - The feeds (Feed, MixWorkload, GenSeq, Arrivals) and the condition tables
 //     (Conds for the runtimes, Mixes for the plans) are pure functions of
 //     their arguments; the tests' expectations depend on them, so change
 //     one and every differential that names it moves.
@@ -20,8 +20,8 @@
 // Nothing here imports a package above kslack, syncer and join, so the
 // tests of every package above them (shard, net, dist, core, plan, replan,
 // the root API) call it from inside their own packages without an import
-// cycle. The shapes reachable through exported API alone are rows of
-// TestDifferential in this package's external tests.
+// cycle. The differential table itself, every shape against its
+// reference, is package table below this one, which imports them all.
 package difftest
 
 import (
@@ -46,9 +46,11 @@ import (
 	"repro/internal/syncer"
 )
 
-// MixWorkload builds an m-stream feed with bounded disorder and two
-// attributes per tuple (an integer-ish key and a continuous value).
-func MixWorkload(m, rounds int, seed int64, domain int) stream.Batch {
+// Feed builds an m-stream feed with bounded disorder: a tick every 10 ms
+// from 3 s, one tuple per stream on each, one in four of them up to late
+// behind its tick; attribute 0 is a key below domain and, when vals > 0,
+// attribute 1 a value below vals.
+func Feed(m, rounds int, seed int64, domain int, late stream.Time, vals int) stream.Batch {
 	rng := rand.New(rand.NewSource(seed))
 	var out stream.Batch
 	var seq uint64
@@ -58,14 +60,23 @@ func MixWorkload(m, rounds int, seed int64, domain int) stream.Batch {
 		for src := 0; src < m; src++ {
 			t := ts
 			if rng.Intn(4) == 0 {
-				t -= stream.Time(rng.Intn(1500))
+				t -= stream.Time(rng.Intn(int(late)))
 			}
-			out = append(out, &stream.Tuple{TS: t, Seq: seq, Src: src,
-				Attrs: []float64{float64(rng.Intn(domain)), float64(rng.Intn(200))}})
+			attrs := []float64{float64(rng.Intn(domain))}
+			if vals > 0 {
+				attrs = append(attrs, float64(rng.Intn(vals)))
+			}
+			out = append(out, &stream.Tuple{TS: t, Seq: seq, Src: src, Attrs: attrs})
 			seq++
 		}
 	}
 	return out
+}
+
+// MixWorkload is the plan-level differentials' Feed: up to 1.5 s late, a
+// key and a value below 200.
+func MixWorkload(m, rounds int, seed int64, domain int) stream.Batch {
+	return Feed(m, rounds, seed, domain, 1500, 200)
 }
 
 // GenSeq builds a synchronized-stream-like sequence: mostly ordered with a
@@ -239,7 +250,7 @@ func KeyOf(tuples []*stream.Tuple) Key {
 		if i == len(k) {
 			panic(fmt.Sprintf("difftest: a result of more than KeyWidth = %d members has no Key", KeyWidth))
 		}
-		if t.Src < 0 || t.Src >= 1<<(64-seqBits)-1 || t.Seq >= 1<<seqBits {
+		if !fits(t) {
 			if t == join.Poisoned {
 				panic("difftest: a member is join.Poisoned: a path kept a borrowed result past its callback")
 			}
@@ -249,6 +260,12 @@ func KeyOf(tuples []*stream.Tuple) Key {
 		i++
 	}
 	return k
+}
+
+// fits reports whether t can be a Key member: a Src below 15 and a Seq
+// below 2^60, which every feed's tuples satisfy and join.Poisoned does not.
+func fits(t *stream.Tuple) bool {
+	return t.Src >= 0 && t.Src < 1<<(64-seqBits)-1 && t.Seq < 1<<seqBits
 }
 
 // String renders k for failure messages: one src:seq pair per member, each
@@ -320,16 +337,18 @@ type KStep struct {
 // Order (Records, OutOfOrder, Ks) means the run did not capture that
 // stream; Compare checks a stream whenever the reference captured it.
 type Run struct {
-	Results    []Key         // result multiset; Compare and Within sort it
-	Count      int64         // results the shape reports (Emit counts them)
-	Order      []Key         // result keys in delivery order
-	Records    []Record      // in-order per-tuple records, in release order
-	OutOfOrder []stream.Time // delays of the out-of-order tuples, in order
-	Ks         []KStep       // the K trajectory
-	AvgK       float64       // the shape's reported average K, with Ks
+	Results    []Key           // result multiset; Compare and Within sort it
+	Count      int64           // results the shape reports (Emit counts them)
+	Order      []Key           // result keys in delivery order
+	Records    []Record        // in-order per-tuple records, in release order
+	OutOfOrder []stream.Time   // delays of the out-of-order tuples, in order
+	Ks         []KStep         // the K trajectory
+	ScopeKs    [][]stream.Time // each step's per-scope Ks (one per tree stage), with Ks
+	AvgK       float64         // the shape's reported average K, with Ks
 
 	// bad describes the first malformed delivered result — a member that
-	// is join.Poisoned, or a TS that is not the maximum of its members' TS;
+	// is join.Poisoned or out of Key range (a recycled tuple), or a TS that
+	// is not the maximum of its members' TS;
 	// Compare and Within fail a run that has one.
 	bad string
 }
@@ -341,13 +360,21 @@ func NewRun() *Run { return &Run{} }
 // when Order is captured), and checks it: Key drops the TS, so the
 // comparisons would not see a wrong one, and it cannot key a member that
 // is join.Poisoned — a borrowed result some path kept past its callback,
-// under join.PoisonDelivered.
+// under join.PoisonDelivered — or out of Key range, as a recycled tuple
+// is. It records either instead of panicking, so a shape whose workers
+// hold connections open fails its row rather than hanging the package.
 func (r *Run) Emit(res stream.Result) {
 	r.Count++
 	for _, t := range res.Tuples {
 		if t == join.Poisoned {
 			if r.bad == "" {
 				r.bad = fmt.Sprintf("delivered result %d reads join.Poisoned: a path kept a borrowed result past its callback", r.Count)
+			}
+			return
+		}
+		if t != nil && !fits(t) {
+			if r.bad == "" {
+				r.bad = fmt.Sprintf("delivered result %d has member %d:%d, which no feed makes: a path kept a borrowed result past its callback", r.Count, t.Src, t.Seq)
 			}
 			return
 		}
@@ -457,12 +484,36 @@ func GobRoundTrip[S any](t testing.TB, st S, tt *fault.TupleTable) (S, *fault.Tu
 	return out.State, fault.NewTupleArena(out.Tuples)
 }
 
+// RestoreRoundTrip checks that a component's restore is exact at one
+// point: st, sent through gob and handed to restore — which loads it into a
+// fresh component of the same configuration and captures that — must encode
+// to the same bytes again.
+func RestoreRoundTrip[S any](t testing.TB, name string, st S, restore func(S) S) {
+	t.Helper()
+	encode := func(st S) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		return buf.Bytes()
+	}
+	captured := encode(st)
+	var decoded S
+	if err := gob.NewDecoder(bytes.NewReader(captured)).Decode(&decoded); err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if again := encode(restore(decoded)); !bytes.Equal(again, captured) {
+		t.Fatalf("%s: capture → gob → restore → capture changed the bytes", name)
+	}
+}
+
 // Compare checks got against the reference want: neither may have
 // delivered a result whose TS is not its members' maximum (Emit); the
 // reference must have results; the counts must agree and the sorted multisets must be equal
 // key by key; and every stream the reference captured — the delivery
 // order, per-tuple records and out-of-order delays in order, the K
-// trajectory step by step with the average K — must be got's.
+// trajectory step by step, per scope where captured, with the average K —
+// must be got's.
 func Compare(t testing.TB, name string, want, got *Run) {
 	t.Helper()
 	for _, r := range []*Run{want, got} {
@@ -495,6 +546,9 @@ func Compare(t testing.TB, name string, want, got *Run) {
 	}
 	if want.Ks != nil {
 		same(t, name, "adaptation", want.Ks, got.Ks, equal)
+		if want.ScopeKs != nil {
+			same(t, name, "per-scope K step", want.ScopeKs, got.ScopeKs, slices.Equal)
+		}
 		if got.AvgK != want.AvgK {
 			t.Errorf("%s: AvgK %v, want %v", name, got.AvgK, want.AvgK)
 		}

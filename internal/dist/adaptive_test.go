@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/core"
+	"repro/internal/difftest"
+	"repro/internal/difftest/table"
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/join"
@@ -145,31 +147,21 @@ func TestTreeLifecyclePanics(t *testing.T) {
 // differential tests pin unsharded == sharded == flat).
 func TestTreeLoopDeterministicWithShards(t *testing.T) {
 	leakcheck.Check(t)
-	in := dist.Workload(3, 3000, 23, 40)
+	in := difftest.Feed(3, 3000, 23, 40, 2000, 100)
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
-	cond := func() *join.Condition { return join.EquiChain(3, 0) }
-	shapeN := func(n int) *dist.Shape {
+	run := func(n int) *difftest.Run {
 		inner := dist.Branch(dist.Leaf(0), dist.Leaf(1))
 		outer := dist.Branch(inner, dist.Leaf(2))
-		if n > 1 {
-			inner.Shards = n
-			outer.Shards = n
-		}
-		return outer
-	}
-	run := func(n int) treeTrace {
-		tr := newTreeTrace()
-		a := newTree(cond(), w, shapeN(n), tr.decide, nil)
-		a.Run(in.Clone())
-		tr.Count = a.Results()
-		if a.Adaptations() == 0 {
+		inner.Shards, outer.Shards = n, n
+		r := table.Pipeline(core.Config{Windows: w, Cond: join.EquiChain(3, 0), Adapt: testAdapt, Tree: outer}, in)
+		if len(r.Ks) == 0 {
 			t.Fatal("no adaptation steps ran")
 		}
-		return tr
+		return r
 	}
 	want := run(2)
 	for _, n := range []int{2, 4, 8} {
-		diffTreeTraces(t, fmt.Sprintf("shards=%d", n), want, run(n))
+		difftest.Compare(t, fmt.Sprintf("shards=%d", n), want, run(n))
 	}
 }
 
@@ -178,7 +170,7 @@ func TestTreeLoopDeterministicWithShards(t *testing.T) {
 // decided K stays pinned to 0 while the leaf stages adapt.
 func TestTreeWeightsSkipBufferlessStages(t *testing.T) {
 	leakcheck.Check(t)
-	in := dist.Workload(4, 2500, 29, 60)
+	in := difftest.Feed(4, 2500, 29, 60, 2000, 100)
 	w := []stream.Time{stream.Second, stream.Second, stream.Second, stream.Second}
 	bushy := dist.Branch(dist.Branch(dist.Leaf(0), dist.Leaf(1)), dist.Branch(dist.Leaf(2), dist.Leaf(3)))
 	a := newTree(join.EquiChain(4, 0), w, bushy, nil, nil)

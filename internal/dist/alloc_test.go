@@ -18,7 +18,7 @@ import (
 // reused slice, len == cap == m, so an append copies instead of writing
 // past it.
 func TestRetainedPartialsStayValid(t *testing.T) {
-	in := workload(3, 1500, 23, 40)
+	in := difftest.Feed(3, 1500, 23, 40, 2000, 100)
 	cond := join.EquiChain(3, 0)
 	type kept struct {
 		parts []*stream.Tuple
@@ -28,7 +28,7 @@ func TestRetainedPartialsStayValid(t *testing.T) {
 	var borrowed **stream.Tuple // &Parts[0] of the first delivery
 	retain := true
 	w := []stream.Time{stream.Second, stream.Second, stream.Second}
-	tree := newKTree(cond, w, Spine(3), 500, func(p Partial) {
+	tree := NewPlanTree(cond, w, Spine(3), func(p Partial) {
 		if len(p.Parts) != 3 || cap(p.Parts) != 3 {
 			t.Fatalf("Parts has len %d, cap %d, want 3 and 3", len(p.Parts), cap(p.Parts))
 		}
@@ -41,13 +41,14 @@ func TestRetainedPartialsStayValid(t *testing.T) {
 			all = append(all, kept{slices.Clone(p.Parts), difftest.KeyOf(p.Parts)})
 		}
 	})
+	ks := buffered(tree, 500)
 	for i, e := range in {
 		if i == len(in)/2 {
 			retain = false
 		}
-		tree.Push(e)
+		ks[e.Src].Push(e)
 	}
-	tree.Finish()
+	finish(tree, ks)
 	if len(all) < 1000 {
 		t.Fatalf("only %d results retained: the feed does not exercise delivery", len(all))
 	}
@@ -92,14 +93,15 @@ func TestTreeSteadyStateAllocs(t *testing.T) {
 			}
 			var delivered int64
 			w := []stream.Time{stream.Second, stream.Second, stream.Second}
-			tree := newKTree(join.EquiChain(m, 0), w, Spine(m), 100, func(Partial) { delivered++ })
+			tree := NewPlanTree(join.EquiChain(m, 0), w, Spine(m), func(Partial) { delivered++ })
+			ks := buffered(tree, 100)
 			n := 0
 			push := func(count int) {
 				for ; count > 0; count-- {
 					e := &ring[n%lap]
 					e.Src, e.Seq = n%m, uint64(n)
 					e.TS = stream.Time(n/m)*10 - late[n%lap] + stream.Second
-					tree.Push(e)
+					ks[e.Src].Push(e)
 					n++
 				}
 			}

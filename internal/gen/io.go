@@ -61,8 +61,8 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	}
 	for _, f := range header[3:] {
 		w, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("gen: bad window size %q: %w", f, err)
+		if err != nil || w <= 0 {
+			return nil, fmt.Errorf("gen: bad window size %q", f)
 		}
 		d.Windows = append(d.Windows, stream.Time(w))
 	}

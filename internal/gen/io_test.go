@@ -70,6 +70,8 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 		"bad m":         "#qdhj,x,notanumber,5\n",
 		"window count":  "#qdhj,x,2,5\n",
 		"bad window":    "#qdhj,x,1,abc\n",
+		"zero window":   "#qdhj,x3,3,1000,0,1000\n",
+		"window < 0":    "#qdhj,x,1,-5\n",
 		"bad src":       "#qdhj,x,1,5\n9,0,1\n",
 		"bad seq":       "#qdhj,x,1,5\n0,xx,1\n",
 		"bad ts":        "#qdhj,x,1,5\n0,0,zz\n",

@@ -2,7 +2,6 @@ package net
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	stdnet "net"
 	"sort"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/join"
 	"repro/internal/leakcheck"
+	"repro/internal/loopback"
 	"repro/internal/shard"
 	"repro/internal/stream"
 )
@@ -23,25 +23,7 @@ import (
 // returns their addresses. The listeners close at test cleanup, ending the
 // accept loops.
 func startWorkers(t *testing.T, n int, inj *fault.Injector) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = l.Addr().String()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			Serve(l, ServeConfig{Inject: inj})
-		}()
-		t.Cleanup(func() {
-			l.Close()
-			<-done
-		})
-	}
-	return addrs
+	return loopback.Listen(t, n, func(_ int, l stdnet.Listener) { Serve(l, ServeConfig{Inject: inj}) })
 }
 
 // dial opens a Session on addrs that test cleanup closes, on every exit
@@ -56,54 +38,7 @@ func dial(t *testing.T, addrs []string, sig string, cfg shard.Config) *Session {
 	return s
 }
 
-// session executes seq through a Session against n in-process daemons,
-// flushing every flushEvery tuples, and returns the merged streams — what
-// difftest.Operator captures of a single operator.
-func session(t *testing.T, cond *join.Condition, windows []stream.Time, seq []*stream.Tuple, n, flushEvery, frameBatch int) *difftest.Run {
-	t.Helper()
-	got := difftest.NewRun()
-	s := dial(t, startWorkers(t, n, nil), "net-test", shard.Config{
-		Cond: cond, Windows: windows, Materialize: true,
-		BatchSize:    frameBatch,
-		OnOutOfOrder: got.OnOutOfOrder,
-	})
-	for i, e := range seq {
-		s.Route(e)
-		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			s.FlushInterval(got.Record, got.Emit)
-		}
-	}
-	s.FlushInterval(got.Record, got.Emit)
-	s.Close()
-	return got
-}
-
-// TestNetworkedMatchesSingleOperator is the tentpole differential: for
-// every partition mode, worker counts 1/2/4 and frame batches from
-// per-tuple to 64, the networked runtime's merged productivity records,
-// out-of-order charges and result multisets are bit-for-bit a single
-// operator's.
-func TestNetworkedMatchesSingleOperator(t *testing.T) {
-	leakcheck.Check(t)
-	for _, m := range []int{2, 3} {
-		for name, mk := range difftest.Conds(m, true) {
-			for _, tc := range []struct{ workers, batch int }{
-				{1, 7}, {2, 1}, {2, 64}, {4, 1}, {4, 64},
-			} {
-				t.Run(fmt.Sprintf("m=%d/%s/w=%d/b=%d", m, name, tc.workers, tc.batch), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(101*m + 7*tc.workers + tc.batch)))
-					w := stream.Time(300)
-					seq := difftest.GenSeq(rng, m, 600, w)
-					windows := difftest.Windows(m, w)
-					difftest.Compare(t, "", difftest.Operator(mk(), windows, seq),
-						session(t, mk(), windows, seq, tc.workers, 97, tc.batch))
-				})
-			}
-		}
-	}
-}
-
-// TestNetworkedMatchesShardedState verifies the checkpoint surface:
+// TestNetworkedStateRestoresCrossRuntime verifies the checkpoint surface:
 // capture a mid-run state from a networked session and from an in-process
 // runtime and check they restore into each other — the deployment-agnostic
 // snapshot contract.

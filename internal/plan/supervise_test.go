@@ -1,15 +1,14 @@
 package plan
 
-// The fault-injection differential suite: a supervised run with workers
-// killed at injected points must reproduce the healthy run bit-for-bit —
-// result multiset, result count, and the full adaptation trajectory — on
-// every deployment shape, at shard counts 1, 2, 4 and 8. CI runs this
-// under -race.
+// The supervised runtime shell: a healthy run passes through unperturbed,
+// an exhausted retry budget goes terminal with a typed error, misuse keeps
+// its panics. The recovery differentials — workers killed at injected
+// points on every deployment shape, the recovered run equal to the healthy
+// one — are rows of the differential table (internal/difftest/table). CI
+// runs these under -race.
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -64,65 +63,6 @@ func runSupervised(t *testing.T, g *Graph, in stream.Batch, scf SuperviseConfig)
 	}
 	r.Count = s.Results()
 	return s, r
-}
-
-// supShapes is the shape matrix: every engine, shard counts 1/2/4/8, plus
-// a stage-sharded tree and a bushy tree when the arity allows.
-func supShapes(m int) []string {
-	shapes := []string{"flat", "shard:2", "shard:4", "shard:8", "tree", "tree-shard:2"}
-	if m == 4 {
-		shapes = append(shapes, "((0 1)x4 (2 3))x4")
-	}
-	return shapes
-}
-
-// TestSupervisedRecoveryDifferential kills workers at injected arrival
-// counts — twice per run, early and late — and requires the recovered run
-// to match the healthy reference exactly. A healthy shard:n run is the
-// healthy flat run, results and K trajectory, so those shapes share it.
-func TestSupervisedRecoveryDifferential(t *testing.T) {
-	for _, tc := range difftest.Mixes(false, "equichain3", "band-equi-mix4") {
-		in := difftest.MixWorkload(tc.M, 1200, 17, 14)
-		w := difftest.Windows(tc.M, 700)
-		g, err := ParseSpec("flat", tc.Cond(), w, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat := runHealthy(g, in.Clone())
-		for _, spec := range supShapes(tc.M) {
-			t.Run(fmt.Sprintf("%s/%s", tc.Name, spec), func(t *testing.T) {
-				leakcheck.Check(t)
-				want := flat
-				if spec != "flat" && !strings.HasPrefix(spec, "shard:") {
-					g, err := ParseSpec(spec, tc.Cond(), w, 4)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = runHealthy(g, in.Clone())
-				}
-				if want.Count == 0 || len(want.Ks) < 4 {
-					t.Fatalf("degenerate reference: %d results, %d adaptations", want.Count, len(want.Ks))
-				}
-
-				g2, _ := ParseSpec(spec, tc.Cond(), w, 4)
-				inj := fault.NewInjector()
-				// Worker 0 exists on every shape (worker-less engines check
-				// it on the driver thread); the second directive targets the
-				// highest shard-local worker id and fires only when sharded.
-				inj.PanicAt(0, 400)
-				inj.PanicAt(1, 2500)
-				// CheckpointEvery 1 pins the strictest mode: a capture at
-				// every boundary, so recoveries restore the newest possible
-				// checkpoint. (Other tests cover the amortized default.)
-				s, got := runSupervised(t, g2, in.Clone(), SuperviseConfig{
-					Backoff: testBackoff(3), Inject: inj, CheckpointEvery: 1})
-				if s.Restarts() < 1 {
-					t.Fatalf("no restart recorded; the injector never fired")
-				}
-				difftest.Compare(t, spec, want, got)
-			})
-		}
-	}
 }
 
 // TestSupervisedHealthyPassThrough: supervision of a run with no faults

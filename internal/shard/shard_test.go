@@ -17,47 +17,6 @@ import (
 	"repro/internal/stream"
 )
 
-// routed executes seq through a Runtime with n shards, flushing at every
-// flushEvery tuples to exercise interval resets, and returns the merged
-// streams — what difftest.Operator captures of a single operator.
-func routed(cond *join.Condition, windows []stream.Time, seq []*stream.Tuple, n, flushEvery int) *difftest.Run {
-	got := difftest.NewRun()
-	rt := New(Config{
-		N: n, Cond: cond, Windows: windows, Materialize: true,
-		BatchSize:    7, // tiny batches widen the interleaving surface
-		OnOutOfOrder: got.OnOutOfOrder,
-	})
-	for i, e := range seq {
-		rt.Route(e)
-		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			rt.FlushInterval(got.Record, got.Emit)
-		}
-	}
-	rt.FlushInterval(got.Record, got.Emit)
-	rt.Close()
-	return got
-}
-
-// TestShardedMatchesSingleOperator is the layer-boundary differential: for
-// random workloads and every partition mode, the merged per-tuple
-// productivity records, out-of-order charges and result multisets of the
-// sharded runtime equal a single operator's, for shard counts 1, 2, 4, 8.
-func TestShardedMatchesSingleOperator(t *testing.T) {
-	leakcheck.Check(t)
-	for _, m := range []int{2, 3} {
-		for name, mk := range difftest.Conds(m, false) {
-			for _, n := range []int{1, 2, 4, 8} {
-				t.Run(fmt.Sprintf("m=%d/%s/shards=%d", m, name, n), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(31*m + n)))
-					w := difftest.Windows(m, 150)
-					seq := difftest.GenSeq(rng, m, 1200, 150)
-					difftest.Compare(t, "", difftest.Operator(mk(), w, seq), routed(mk(), w, seq, n, 257))
-				})
-			}
-		}
-	}
-}
-
 // TestShardedDeterministicAcrossRuns: two identical sharded runs must
 // produce identical merged sequences (results in the same order), for
 // every mode — the merge is deterministic, not merely multiset-equal.
@@ -66,53 +25,21 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	for name, mk := range difftest.Conds(3, false) {
 		t.Run(name, func(t *testing.T) {
 			w := []stream.Time{150, 150, 150}
-			run := func() []difftest.Key {
+			run := func() *difftest.Run {
 				rng := rand.New(rand.NewSource(99))
 				seq := difftest.GenSeq(rng, 3, 800, 150)
-				var order []difftest.Key
+				r := difftest.NewRun()
+				r.Order = []difftest.Key{}
 				rt := New(Config{N: 4, Cond: mk(), Windows: w, Materialize: true})
 				for _, e := range seq {
 					rt.Route(e)
 				}
-				rt.FlushInterval(nil, func(r stream.Result) { order = append(order, difftest.KeyOf(r.Tuples)) })
+				rt.FlushInterval(nil, r.Emit)
 				rt.Close()
-				return order
+				return r
 			}
-			a, b := run(), run()
-			if len(a) != len(b) {
-				t.Fatalf("lengths %d vs %d", len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("order diverges at %d: %s vs %s", i, a[i], b[i])
-				}
-			}
+			difftest.Compare(t, name, run(), run())
 		})
-	}
-}
-
-// TestBandHugeKeySaturation: band keys near the cell-clamp boundary must
-// still meet. A collapse-to-zero clamp once routed the two sides of the
-// boundary to unrelated cells, silently dropping their result; the clamp
-// must saturate monotonically instead.
-func TestBandHugeKeySaturation(t *testing.T) {
-	leakcheck.Check(t)
-	mk := func() *join.Condition { return join.Cross(2).Band(0, 0, 1, 0, 1) }
-	w := []stream.Time{100, 100}
-	seq := []*stream.Tuple{
-		{TS: 10, Seq: 0, Src: 0, Attrs: []float64{4e15 - 0.5}},
-		{TS: 11, Seq: 1, Src: 1, Attrs: []float64{4e15 + 0.5}},
-		{TS: 12, Seq: 2, Src: 0, Attrs: []float64{-4e15 - 0.5}},
-		{TS: 13, Seq: 3, Src: 1, Attrs: []float64{-4e15 + 0.5}},
-		{TS: 14, Seq: 4, Src: 0, Attrs: []float64{math.Inf(1)}},
-		{TS: 15, Seq: 5, Src: 1, Attrs: []float64{math.NaN()}},
-	}
-	want := difftest.Operator(mk(), w, seq)
-	if len(want.Results) != 2 {
-		t.Fatalf("reference: want 2 results (one per boundary pair), got %d", len(want.Results))
-	}
-	for _, n := range []int{2, 4, 8} {
-		difftest.Compare(t, fmt.Sprintf("shards=%d: boundary-straddling band pairs", n), want, routed(mk(), w, seq, n, 0))
 	}
 }
 

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"strings"
 	"testing"
 
 	"repro/internal/leakcheck"
+	"repro/internal/loopback"
+	qnet "repro/internal/net"
 	"repro/internal/plan"
 )
 
@@ -128,7 +131,7 @@ func TestOptionMatrix(t *testing.T) {
 
 	met := map[*plan.Refusal]bool{}
 	for cname, cond := range map[string]func() *Condition{"EquiChain": func() *Condition { return EquiChain(3, 0) }, "Star": star} {
-		options := optionsOn(startNetWorkers(t, 2, 0, nil))
+		options := optionsOn(netWorkers(t, 2))
 		for _, restore := range []bool{false, true} {
 			host := "NewJoin"
 			var base plan.Feature
@@ -285,7 +288,7 @@ func TestOptionsChecked(t *testing.T) {
 func TestRestoreAcrossOperatorAndWorkerRefused(t *testing.T) {
 	leakcheck.Check(t)
 	windows := []Time{Second, Second, Second}
-	worker := startNetWorkers(t, 1, 0, nil)
+	worker := netWorkers(t, 1)
 	cond := EquiChain(3, 0)
 	build := map[string][]JoinOption{"in process": nil, "one worker": {WithRemoteWorkers(worker...)}}
 	for from, source := range build {
@@ -305,4 +308,10 @@ func TestRestoreAcrossOperatorAndWorkerRefused(t *testing.T) {
 			}
 		}
 	}
+}
+
+// netWorkers starts n worker daemons on loopback: the Serve loop cmd/qdhjd
+// runs.
+func netWorkers(t *testing.T, n int) []string {
+	return loopback.Listen(t, n, func(_ int, l net.Listener) { _ = qnet.Serve(l, qnet.ServeConfig{}) })
 }

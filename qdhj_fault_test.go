@@ -79,141 +79,10 @@ func planFor(t *testing.T, spec string, mk func() *Condition, windows []Time) (*
 	return cond, p
 }
 
-// TestJoinCheckpointRoundTrip: for every plannable shape, pushing half the
-// feed, checkpointing through the gob wire format, restoring, and pushing
-// the rest reproduces the uninterrupted run bit-for-bit — result multiset,
-// K trajectory, AvgK and Results. Adaptive shapes checkpoint at an
-// adaptation boundary (where tree captures are trajectory-exact); the
-// static-K shape checkpoints mid-stream.
-func TestJoinCheckpointRoundTrip(t *testing.T) {
-	defer leakcheck.Check(t)
-	type tc struct {
-		name    string
-		spec    string
-		mk      func() *Condition
-		m       int
-		opt     Options
-		rounds  int
-		seed    int64
-		domain  int
-		atAdapt bool // checkpoint at an adaptation boundary
-	}
-	adaptive := Options{Gamma: 0.9, Period: Second, Interval: 200 * Millisecond}
-	cases := []tc{
-		{"flat-equi3", "flat", mix3, 3, adaptive, 1200, 17, 14, true},
-		{"shard4-equi3", "shard:4", mix3, 3, adaptive, 1200, 17, 14, true},
-		{"shard8-equi3", "shard:8", mix3, 3, adaptive, 1000, 19, 14, true},
-		{"tree-equi3", "tree", mix3, 3, adaptive, 1200, 17, 14, true},
-		{"treeshard2-equi3", "tree-shard:2", mix3, 3, adaptive, 1200, 17, 14, true},
-		{"shard2-mix4", "shard:2", mix4, 4, adaptive, 900, 23, 12, true},
-		{"tree-mix4", "tree", mix4, 4, adaptive, 900, 23, 12, true},
-		{"bushy-mix4", "((0 1)x2 (2 3))x2", mix4, 4, adaptive, 900, 23, 12, true},
-		{"static-tree-mix4", "tree-shard:2", mix4, 4,
-			Options{Policy: StaticSlack, StaticK: 1600}, 700, 29, 12, false},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			defer leakcheck.Check(t)
-			windows := difftest.Windows(c.m, 700)
-			in := difftest.MixWorkload(c.m, c.rounds, c.seed, c.domain)
-
-			// Reference: one uninterrupted run.
-			ref := newFaultTrace()
-			cond, p := planFor(t, c.spec, c.mk, windows)
-			jr := NewJoin(cond, windows, c.opt, append(ref.opts(), WithPlan(p))...)
-			pushAll(jr, in)
-			ref.Count, ref.AvgK = jr.Results(), jr.AvgK()
-
-			// Interrupted run: checkpoint after half the feed (at the next
-			// adaptation boundary on adaptive shapes), round-trip the
-			// snapshot through gob, restore, push the rest.
-			got := newFaultTrace()
-			cond, p = planFor(t, c.spec, c.mk, windows)
-			boundary := false
-			got.onAdapt = func() { boundary = true }
-			j1 := NewJoin(cond, windows, c.opt, append(got.opts(), WithPlan(p))...)
-			cut := -1
-			for i, e := range in {
-				j1.Push(e)
-				if i >= len(in)/2 && (!c.atAdapt || boundary) {
-					cut = i + 1
-					break
-				}
-			}
-			if cut < 0 {
-				t.Fatal("no checkpoint point reached")
-			}
-			snap, err := j1.Checkpoint()
-			if err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
-			var buf bytes.Buffer
-			if err := snap.Encode(&buf); err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			snap2, err := ReadSnapshot(&buf)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if snap2.Signature() != snap.Signature() {
-				t.Fatalf("signature changed over the wire: %q vs %q", snap2.Signature(), snap.Signature())
-			}
-			got.mute = true // the abandoned original's flush must not record
-			j1.Close()
-			got.mute = false
-
-			cond2, p2 := planFor(t, c.spec, c.mk, windows)
-			j2, err := Restore(snap2, cond2, windows, c.opt, append(got.opts(), WithPlan(p2))...)
-			if err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			pushAll(j2, in[cut:])
-			got.Count, got.AvgK = j2.Results(), j2.AvgK()
-			difftest.Compare(t, c.name, ref.Run, got.Run)
-		})
-	}
-}
-
 // fastBackoff is a test restart schedule with no real sleeping.
 func fastBackoff(retries int) Backoff {
 	return Backoff{Base: time.Millisecond, Cap: 4 * time.Millisecond,
 		Retries: retries, Seed: 7, Sleep: func(time.Duration) {}}
-}
-
-// TestJoinSupervisedRecovery: a supervised join whose workers are killed by
-// the deterministic injector recovers from its boundary checkpoints and
-// still delivers the healthy run's results and K trajectory exactly once.
-func TestJoinSupervisedRecovery(t *testing.T) {
-	defer leakcheck.Check(t)
-	opt := Options{Gamma: 0.9, Period: Second, Interval: 200 * Millisecond}
-	windows := []Time{700, 700, 700}
-	in := difftest.MixWorkload(3, 1200, 17, 14)
-	for _, spec := range []string{"shard:4", "tree-shard:2"} {
-		t.Run(spec, func(t *testing.T) {
-			defer leakcheck.Check(t)
-			ref := newFaultTrace()
-			cond, p := planFor(t, spec, mix3, windows)
-			jr := NewJoin(cond, windows, opt, append(ref.opts(), WithPlan(p))...)
-			pushAll(jr, in)
-
-			got := newFaultTrace()
-			cond, p = planFor(t, spec, mix3, windows)
-			inj := NewInjector().PanicAt(0, 400).PanicAt(1, 2500)
-			j := NewJoin(cond, windows, opt, append(got.opts(),
-				WithPlan(p),
-				WithInjector(inj),
-				WithSupervision(Supervision{Backoff: fastBackoff(3)}))...)
-			pushAll(j, in)
-			if err := j.Err(); err != nil {
-				t.Fatalf("terminal error: %v", err)
-			}
-			if j.Restarts() == 0 {
-				t.Fatal("injector fired but no restarts happened")
-			}
-			difftest.Compare(t, spec, ref.Run, got.Run)
-		})
-	}
 }
 
 // TestJoinTerminalError: when the retry budget is exhausted, the join goes

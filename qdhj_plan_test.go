@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/leakcheck"
 )
@@ -28,22 +27,6 @@ func TestAutoPlanStarExplain(t *testing.T) {
 		t.Fatalf("explained plan is not stage-wise sharded:\n%s", out)
 	}
 	t.Log("\n" + out)
-}
-
-// TestJoinWithPlanDifferential: a Join running the auto-planned star
-// deployment produces the flat Join's result multiset bit-for-bit (full
-// buffering, so disorder is covered).
-func TestJoinWithPlanDifferential(t *testing.T) {
-	leakcheck.Check(t)
-	in := gen.SparseStar4(1500, 7, 40, [4]Time{800, 800, 800, 800})
-	maxD, _ := in.MaxDelay()
-	opt := Options{Policy: StaticSlack, StaticK: maxD}
-
-	cond := star4()
-	got := difftest.NewRun()
-	j := NewJoin(cond, windows4(), opt, WithResults(got.Emit), WithPlan(AutoPlan(cond, windows4(), PlanHints{Shards: 4})))
-	pushAll(j, in.Clone())
-	difftest.Compare(t, "planned join", difftest.Flat(star4(), windows4(), maxD, in.Clone()), got)
 }
 
 // TestJoinTreePlanAdaptive: an adaptive tree-shaped Join exposes per-stage
@@ -104,7 +87,7 @@ func TestSnapshotDuringShardedRun(t *testing.T) {
 	want := snaps()
 	for name, opts := range map[string][]JoinOption{
 		"shards": {WithShards(2)},
-		"remote": {WithRemoteWorkers(startNetWorkers(t, 2, -1, nil)...)},
+		"remote": {WithRemoteWorkers(netWorkers(t, 2)...)},
 	} {
 		if got := snaps(opts...); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: mid-run snapshots differ from the flat join's", name)

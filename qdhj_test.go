@@ -1,36 +1,16 @@
 package qdhj
 
 import (
-	"fmt"
-	"math/rand"
-	"repro/internal/leakcheck"
 	"testing"
 
 	"repro/internal/difftest"
+	"repro/internal/leakcheck"
 	"repro/internal/oracle"
 	"repro/internal/stream"
 )
 
 // feed builds a 2-stream equi workload with some disorder.
-func feed(n int, seed int64) stream.Batch {
-	rng := rand.New(rand.NewSource(seed))
-	var out stream.Batch
-	var seq uint64
-	ts := Time(3000)
-	for i := 0; i < n; i++ {
-		ts += 10
-		for src := 0; src < 2; src++ {
-			t := ts
-			if rng.Intn(4) == 0 {
-				t -= Time(rng.Intn(2000))
-			}
-			out = append(out, &Tuple{TS: t, Seq: seq, Src: src,
-				Attrs: []float64{float64(rng.Intn(10))}})
-			seq++
-		}
-	}
-	return out
-}
+func feed(n int, seed int64) stream.Batch { return difftest.Feed(2, n, seed, 10, 2000, 0) }
 
 func TestJoinPolicies(t *testing.T) {
 	leakcheck.Check(t)
@@ -209,31 +189,6 @@ func TestRunChannelFlushOrdering(t *testing.T) {
 	}
 }
 
-// TestTreeJoinAgreesWithJoin: the fixed-K tree plan — StaticSlack at the
-// feed's maximum delay — produces the flat operator's result count.
-func TestTreeJoinAgreesWithJoin(t *testing.T) {
-	leakcheck.Check(t)
-	in := feed(1500, 5)
-	w := []Time{Second, Second}
-	maxD, _ := in.MaxDelay()
-	opt := Options{Policy: StaticSlack, StaticK: maxD}
-
-	ref := NewJoin(EquiChain(2, 0), w, opt)
-	pushAll(ref, in.Clone())
-
-	cond := EquiChain(2, 0)
-	p, err := ParsePlan("tree", cond, w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := NewJoin(cond, w, opt, WithPlan(p))
-	pushAll(tree, in.Clone())
-
-	if ref.Results() != tree.Results() {
-		t.Fatalf("MJoin %d vs tree %d results", ref.Results(), tree.Results())
-	}
-}
-
 func TestAdaptHookFires(t *testing.T) {
 	leakcheck.Check(t)
 	var events int
@@ -260,29 +215,6 @@ func TestStatsExposed(t *testing.T) {
 	j.Push(&Tuple{TS: 900, Src: 0})
 	if got := j.Snapshot().MaxDelayAllTime; got != 100 {
 		t.Fatalf("snapshot max delay = %v", got)
-	}
-}
-
-// TestWithShardsMatchesSingleThreaded: the public sharded path reproduces
-// the single-threaded results and adaptation trajectory exactly.
-func TestWithShardsMatchesSingleThreaded(t *testing.T) {
-	leakcheck.Check(t)
-	in := feed(3000, 9)
-	w := []Time{Second, Second}
-	opt := Options{Gamma: 0.9, Period: 10 * Second}
-
-	// No results sink: the count-only path, K trajectory and counters.
-	run := func(opts ...JoinOption) *difftest.Run {
-		r := difftest.NewRun()
-		r.Ks = []difftest.KStep{}
-		j := NewJoin(EquiChain(2, 0), w, opt, append(opts, WithAdaptHook(func(ev AdaptEvent) { r.Adapt(difftest.KStep(ev)) }))...)
-		pushAll(j, in.Clone())
-		r.Count, r.AvgK = j.Results(), j.AvgK()
-		return r
-	}
-	want := run()
-	for _, n := range []int{1, 2, 4, 8} {
-		difftest.Compare(t, fmt.Sprintf("shards=%d", n), want, run(WithShards(n)))
 	}
 }
 
